@@ -4,7 +4,7 @@ use crate::harness::{AsyncCurve, AsyncEnvConfig, AsyncPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vc_optim::{train_minibatch, OptimizerSpec};
+use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
 
 /// Downpour parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -61,6 +61,7 @@ pub fn run_downpour(cfg: &DownpourConfig) -> AsyncCurve {
         .map(|i| StdRng::seed_from_u64(cfg.env.seed.wrapping_add(100 + i as u64)))
         .collect();
 
+    let mut tws = TrainWorkspace::new();
     let mut points = Vec::new();
     let mut dropped = 0usize;
     for update in 1..=cfg.updates {
@@ -77,7 +78,7 @@ pub fn run_downpour(cfg: &DownpourConfig) -> AsyncCurve {
         let take = (cfg.n_push * cfg.batch_size).min(data.len());
         let idx: Vec<usize> = (0..take).collect();
         let sub = data.select(&idx);
-        train_minibatch(
+        train_minibatch_ws(
             &mut model,
             &mut opts[c],
             &sub.images,
@@ -86,6 +87,8 @@ pub fn run_downpour(cfg: &DownpourConfig) -> AsyncCurve {
             1,
             5.0,
             &mut rngs[c],
+            &mut tws,
+            None,
         );
         local[c] = model.params_flat();
 

@@ -4,7 +4,7 @@ use crate::harness::{AsyncCurve, AsyncEnvConfig, AsyncPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vc_optim::{train_minibatch, OptimizerSpec};
+use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
 
 /// EASGD parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -65,6 +65,7 @@ pub fn run_easgd(cfg: &EasgdConfig) -> AsyncCurve {
         .map(|i| StdRng::seed_from_u64(cfg.env.seed.wrapping_add(500 + i as u64)))
         .collect();
 
+    let mut tws = TrainWorkspace::new();
     let mut points = Vec::new();
     let mut dropped = 0usize;
     for update in 1..=cfg.updates {
@@ -73,7 +74,7 @@ pub fn run_easgd(cfg: &EasgdConfig) -> AsyncCurve {
         let data = &env.client_data[c];
         let take = (cfg.tau * cfg.batch_size).min(data.len());
         let sub = data.select(&(0..take).collect::<Vec<_>>());
-        train_minibatch(
+        train_minibatch_ws(
             &mut model,
             &mut opts[c],
             &sub.images,
@@ -82,6 +83,8 @@ pub fn run_easgd(cfg: &EasgdConfig) -> AsyncCurve {
             1,
             5.0,
             &mut rngs[c],
+            &mut tws,
+            None,
         );
         local[c] = model.params_flat();
 

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use vc_data::SyntheticSpec;
 use vc_nn::metrics::evaluate;
 use vc_nn::ModelSpec;
-use vc_optim::{train_minibatch, OptimizerSpec};
+use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
 use vc_simnet::{table1, ComputeModel, InstanceSpec};
 
 /// Configuration of the serial run.
@@ -110,10 +110,11 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
     let shards_equivalent = 50;
     let epoch_s = cfg.epoch_duration_s(shards_equivalent);
 
+    let mut tws = TrainWorkspace::new();
     let mut epochs = Vec::with_capacity(cfg.epochs);
     let mut now_s = 0.0;
     for e in 1..=cfg.epochs {
-        let stats = train_minibatch(
+        let stats = train_minibatch_ws(
             &mut model,
             &mut opt,
             &train.images,
@@ -122,6 +123,8 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
             1,
             5.0,
             &mut rng,
+            &mut tws,
+            None,
         );
         now_s += epoch_s;
         let (_, val_acc) = evaluate(&mut model, &val.images, &val.labels, 256);

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_data::{ShardSet, SyntheticSpec};
-use vc_optim::{train_minibatch, OptimizerSpec};
+use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
 
 fn bench_subtask(c: &mut Criterion) {
     let mut group = c.benchmark_group("client_subtask");
@@ -18,6 +18,8 @@ fn bench_subtask(c: &mut Criterion) {
     let spec = vc_nn::spec::small_cnn(&data.img, data.classes);
     let init = spec.build(1).params_flat();
 
+    // A long-lived worker keeps one workspace across subtasks.
+    let mut tws = TrainWorkspace::new();
     group.bench_function("small_cnn_100samples_2local", |b| {
         b.iter(|| {
             let mut model = spec.build(1);
@@ -25,8 +27,8 @@ fn bench_subtask(c: &mut Criterion) {
             let mut opt = OptimizerSpec::paper_adam().build(init.len());
             let mut rng = StdRng::seed_from_u64(3);
             let d = &shards.shard(0).data;
-            train_minibatch(
-                &mut model, &mut opt, &d.images, &d.labels, 32, 2, 5.0, &mut rng,
+            train_minibatch_ws(
+                &mut model, &mut opt, &d.images, &d.labels, 32, 2, 5.0, &mut rng, &mut tws, None,
             );
             model.params_flat()
         });
@@ -41,8 +43,8 @@ fn bench_subtask(c: &mut Criterion) {
             let mut opt = OptimizerSpec::paper_adam().build(mlp_init.len());
             let mut rng = StdRng::seed_from_u64(3);
             let d = &shards.shard(0).data;
-            train_minibatch(
-                &mut model, &mut opt, &d.images, &d.labels, 32, 2, 5.0, &mut rng,
+            train_minibatch_ws(
+                &mut model, &mut opt, &d.images, &d.labels, 32, 2, 5.0, &mut rng, &mut tws, None,
             );
             model.params_flat()
         });

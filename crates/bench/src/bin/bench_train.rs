@@ -1,15 +1,15 @@
-//! Training-throughput benchmark: before/after numbers for the compute
-//! substrate (blocked kernels + persistent pool + zero-alloc workspace +
-//! direct 3×3 conv).
+//! Training-throughput benchmark of the compute substrate (blocked kernels
+//! + persistent pool + zero-alloc workspace + direct 3×3 conv).
 //!
-//! Four sections, all written to `results/BENCH_train.json`:
+//! Four sections, all written to `results/BENCH_train.json` (the committed
+//! copy also carries the `legacy_*` columns of the seed kernels and seed
+//! layer path, measured before that code was deleted — the "before" of
+//! every later speedup claim):
 //!
-//! 1. **Kernels** — GFLOP/s of the three matmul shapes at 128³/256³/512³,
-//!    the frozen pre-optimization kernels ([`vc_bench::legacy`]) against the
-//!    current blocked micro-kernels.
-//! 2. **End-to-end** — optimizer steps/sec training the paper's `small_cnn`
-//!    on `[1, 28, 28]` inputs, the legacy layer path against
-//!    [`vc_optim::train_minibatch_ws`].
+//! 1. **Kernels** — GFLOP/s of the three matmul shapes at 128³/256³/512³.
+//! 2. **End-to-end** — optimizer steps/sec of
+//!    [`vc_optim::train_minibatch_ws`] training the paper's `small_cnn` on
+//!    `[1, 28, 28]` inputs.
 //! 3. **Scaling** — blocked-matmul GFLOP/s *and* `small_cnn` ws steps/s as
 //!    the persistent pool's thread cap sweeps {1, 2, 4, 8}, plus a scaling
 //!    efficiency for each curve. The pool is forced to 8 workers (via
@@ -17,8 +17,9 @@
 //!    exists even on a single-core host — there the curve measures dispatch
 //!    overhead, not speedup, which is exactly what the `--check` floor
 //!    guards (see below).
-//! 4. **Conv** — per-layer forward+backward wall time of the direct 3×3
-//!    kernels vs the im2col+GEMM lowering on the `small_cnn` conv shapes.
+//! 4. **Conv** — forward+backward wall time of the direct 3×3 kernels vs
+//!    the im2col+GEMM lowering on the `small_cnn` conv shapes, both timed at
+//!    kernel level (`Conv2d` itself dispatches on geometry alone).
 //!
 //! `--smoke` runs the whole thing on tiny shapes in well under a second,
 //! asserts the results are finite/sane, and writes nothing — the CI guard.
@@ -40,12 +41,17 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use vc_bench::legacy::{legacy_matmul, legacy_matmul_a_bt, legacy_matmul_at_b, LegacySmallCnn};
 use vc_nn::spec::small_cnn;
-use vc_nn::{Conv2d, Layer};
 use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
-use vc_tensor::ops::{matmul, matmul_a_bt, matmul_at_b};
-use vc_tensor::{conv_direct, NormalSampler, Tensor, Workspace};
+use vc_tensor::conv_direct::{
+    conv3x3_backward_dk_into, conv3x3_backward_dx_into, conv3x3_forward_into, dk_scratch_len,
+    dx_scratch_len, fwd_scratch_len,
+};
+use vc_tensor::ops::{
+    col2im_into, im2col_into, matmul, matmul_a_bt, matmul_a_bt_epi_into, matmul_at_b,
+    matmul_at_b_epi_into, matmul_epi_into, ConvGeom, Epilogue,
+};
+use vc_tensor::{NormalSampler, Tensor};
 
 /// Widest-cap GEMM scaling-efficiency floor enforced by `--check`.
 const GEMM_EFF_FLOOR: f64 = 0.70;
@@ -73,12 +79,8 @@ struct KernelRow {
     op: String,
     /// Square problem size (m = n = k).
     n: usize,
-    /// Pre-PR kernel throughput, GFLOP/s.
-    legacy_gflops: f64,
     /// Blocked micro-kernel throughput, GFLOP/s.
     blocked_gflops: f64,
-    /// blocked / legacy.
-    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -87,12 +89,8 @@ struct E2e {
     model: String,
     batch_size: usize,
     timed_steps: usize,
-    /// Legacy layer path (clone churn, fresh allocations, old kernels).
-    legacy_steps_per_s: f64,
-    /// Workspace path ([`train_minibatch_ws`] with fused ReLU epilogues).
+    /// [`train_minibatch_ws`] (fused ReLU epilogues, pooled buffers).
     ws_steps_per_s: f64,
-    /// ws / legacy.
-    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -124,9 +122,9 @@ struct ConvRow {
     out_ch: usize,
     h: usize,
     w: usize,
-    /// One training fwd+bwd through `Conv2d`, im2col path, milliseconds.
+    /// Forward + dK + dx through im2col, GEMM and col2im, milliseconds.
     im2col_ms: f64,
-    /// Same step through the direct 3×3 kernels, milliseconds.
+    /// The same three results from the direct 3×3 kernels, milliseconds.
     direct_ms: f64,
     /// im2col / direct.
     speedup: f64,
@@ -134,10 +132,8 @@ struct ConvRow {
 
 #[derive(Serialize)]
 struct BenchTrain {
-    /// Persistent-pool worker count the blocked numbers used.
+    /// Persistent-pool worker count the numbers used.
     pool_threads: usize,
-    /// Spawn-per-call thread count the legacy numbers used.
-    legacy_threads: usize,
     kernels: Vec<KernelRow>,
     e2e: E2e,
     scaling: Scaling,
@@ -154,43 +150,26 @@ fn bench_kernels(sizes: &[usize], reps: usize) -> Vec<KernelRow> {
     for &n in sizes {
         let a = Tensor::randn(&[n, n], 0.0, 1.0, &mut s);
         let b = Tensor::randn(&[n, n], 0.0, 1.0, &mut s);
-        let pairs: [(&'static str, f64, f64); 3] = [
-            (
-                "matmul",
-                time_best(reps, || drop(legacy_matmul(&a, &b))),
-                time_best(reps, || drop(matmul(&a, &b))),
-            ),
-            (
-                "at_b",
-                time_best(reps, || drop(legacy_matmul_at_b(&a, &b))),
-                time_best(reps, || drop(matmul_at_b(&a, &b))),
-            ),
-            (
-                "a_bt",
-                time_best(reps, || drop(legacy_matmul_a_bt(&a, &b))),
-                time_best(reps, || drop(matmul_a_bt(&a, &b))),
-            ),
+        let ops: [(&'static str, f64); 3] = [
+            ("matmul", time_best(reps, || drop(matmul(&a, &b)))),
+            ("at_b", time_best(reps, || drop(matmul_at_b(&a, &b)))),
+            ("a_bt", time_best(reps, || drop(matmul_a_bt(&a, &b)))),
         ];
-        for (op, t_legacy, t_blocked) in pairs {
+        for (op, secs) in ops {
             let row = KernelRow {
                 op: op.to_string(),
                 n,
-                legacy_gflops: gflops(n, t_legacy),
-                blocked_gflops: gflops(n, t_blocked),
-                speedup: t_legacy / t_blocked,
+                blocked_gflops: gflops(n, secs),
             };
-            println!(
-                "kernel {op:>6} n={n:<4} legacy {:8.2} GFLOP/s  blocked {:8.2} GFLOP/s  ({:.2}x)",
-                row.legacy_gflops, row.blocked_gflops, row.speedup
-            );
+            println!("kernel {op:>6} n={n:<4} {:8.2} GFLOP/s", row.blocked_gflops);
             rows.push(row);
         }
     }
     rows
 }
 
-/// Steps/s of the workspace trainer on `small_cnn` for the given shape:
-/// fresh model/optimizer, one warm-up epoch (fills the pools), then
+/// Steps/s of the trainer on `small_cnn` for the given shape: fresh
+/// model/optimizer, one warm-up epoch (fills the pools), then
 /// `timed_epochs` timed. Used for both the e2e section and the per-cap
 /// scaling curve.
 fn ws_steps_per_s(input: [usize; 3], samples: usize, batch: usize, timed_epochs: usize) -> f64 {
@@ -227,50 +206,15 @@ fn ws_steps_per_s(input: [usize; 3], samples: usize, batch: usize, timed_epochs:
 
 fn bench_e2e(input: [usize; 3], samples: usize, batch: usize, timed_epochs: usize) -> E2e {
     let classes = 10;
-    let lr = 0.01f32;
-    let mut s = NormalSampler::seed_from(11);
-    let dims = [samples, input[0], input[1], input[2]];
-    let images = Tensor::randn(&dims, 0.0, 1.0, &mut s);
-    let labels: Vec<usize> = (0..samples).map(|i| i % classes).collect();
-    let sample_len = input.iter().product::<usize>();
-    let steps_per_epoch = samples.div_ceil(batch);
-    let timed_steps = timed_epochs * steps_per_epoch;
-
-    // Legacy path: in-order batches, fresh batch tensor per step, exactly
-    // the allocation profile of the seed trainer.
-    let mut net = LegacySmallCnn::new(input, classes, 42);
-    let run_legacy_epoch = |net: &mut LegacySmallCnn| {
-        for (step, chunk) in labels.chunks(batch).enumerate() {
-            let start = step * batch * sample_len;
-            let xb = Tensor::from_vec(
-                images.data()[start..start + chunk.len() * sample_len].to_vec(),
-                &[chunk.len(), input[0], input[1], input[2]],
-            );
-            let loss = net.train_step(&xb, chunk, lr);
-            assert!(loss.is_finite(), "legacy path diverged");
-        }
-    };
-    run_legacy_epoch(&mut net); // warmup
-    let t0 = Instant::now();
-    for _ in 0..timed_epochs {
-        run_legacy_epoch(&mut net);
-    }
-    let legacy_steps_per_s = timed_steps as f64 / t0.elapsed().as_secs_f64();
-
-    // Workspace path: the real production trainer, same SGD step rule.
-    let ws = ws_steps_per_s(input, samples, batch, timed_epochs);
-
     let e2e = E2e {
         model: format!("small_cnn {:?} classes={classes}", input),
         batch_size: batch,
-        timed_steps,
-        legacy_steps_per_s,
-        ws_steps_per_s: ws,
-        speedup: ws / legacy_steps_per_s,
+        timed_steps: timed_epochs * samples.div_ceil(batch),
+        ws_steps_per_s: ws_steps_per_s(input, samples, batch, timed_epochs),
     };
     println!(
-        "e2e {} batch={batch}: legacy {legacy_steps_per_s:8.2} steps/s  ws {:8.2} steps/s  ({:.2}x)",
-        e2e.model, e2e.ws_steps_per_s, e2e.speedup
+        "e2e {} batch={batch}: {:8.2} steps/s",
+        e2e.model, e2e.ws_steps_per_s
     );
     e2e
 }
@@ -324,45 +268,49 @@ fn bench_scaling(
     }
 }
 
-/// One training step (forward + backward) through `Conv2d` with the given
-/// path forced, using the workspace entry points the production trainer
-/// takes. Buffers come from `ws` so the timed loop is allocation-free
-/// after `time_best`'s warmup call.
-fn conv_step_secs(
-    layer: &mut Conv2d,
-    x: &Tensor,
-    dy: &Tensor,
-    ws: &mut Workspace,
-    reps: usize,
-    direct: bool,
-) -> f64 {
-    conv_direct::set_enabled(direct);
-    let xd = x.dims().to_vec();
-    let dyd = dy.dims().to_vec();
-    let secs = time_best(reps, || {
-        let mut xb = ws.take(x.data().len());
-        xb.copy_from_slice(x.data());
-        let y = layer.forward_ws(Tensor::from_vec(xb, &xd), true, ws);
-        ws.recycle(y.into_vec());
-        let mut dyb = ws.take(dy.data().len());
-        dyb.copy_from_slice(dy.data());
-        let dx = layer.backward_ws(Tensor::from_vec(dyb, &dyd), ws);
-        ws.recycle(dx.into_vec());
-    });
-    conv_direct::clear_forced();
-    secs
-}
-
 fn bench_conv(cases: &[(usize, usize, usize, usize, usize)], reps: usize) -> Vec<ConvRow> {
     let mut rows = Vec::new();
     let mut s = NormalSampler::seed_from(17);
     for (i, &(batch, in_ch, out_ch, h, w)) in cases.iter().enumerate() {
-        let mut layer = Conv2d::new(in_ch, out_ch, 3, 1, 1, &mut s);
+        let geom = ConvGeom {
+            h,
+            w,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let (rows_n, patch) = (batch * h * w, in_ch * 9);
         let x = Tensor::randn(&[batch, in_ch, h, w], 0.0, 1.0, &mut s);
         let dy = Tensor::randn(&[batch, out_ch, h, w], 0.0, 1.0, &mut s);
-        let mut ws = Workspace::new();
-        let t_lowered = conv_step_secs(&mut layer, &x, &dy, &mut ws, reps, false);
-        let t_direct = conv_step_secs(&mut layer, &x, &dy, &mut ws, reps, true);
+        let kernel = Tensor::randn(&[out_ch, patch], 0.0, 1.0, &mut s);
+        let mut y = vec![0.0f32; batch * out_ch * h * w];
+        let mut dk = vec![0.0f32; out_ch * patch];
+        let mut dx = vec![0.0f32; batch * in_ch * h * w];
+
+        // The lowering `Conv2d` runs for general geometry: im2col, forward
+        // GEMM, the two backward GEMMs, col2im. `dy` stands in for its
+        // row-major permutation (same size, same work).
+        let dy_rows = Tensor::from_vec(dy.data().to_vec(), &[rows_n, out_ch]);
+        let mut cols = Tensor::zeros(&[rows_n, patch]);
+        let mut dcols = Tensor::zeros(&[rows_n, patch]);
+        let t_lowered = time_best(reps, || {
+            im2col_into(&x, in_ch, geom, cols.data_mut());
+            matmul_a_bt_epi_into(&cols, &kernel, &mut y, Epilogue::Store);
+            matmul_at_b_epi_into(&dy_rows, &cols, &mut dk, Epilogue::Accumulate);
+            matmul_epi_into(&dy_rows, &kernel, dcols.data_mut(), Epilogue::Store);
+            col2im_into(&dcols, batch, in_ch, geom, &mut dx);
+        });
+
+        let mut fwd_scratch = vec![0.0f32; fwd_scratch_len(batch, in_ch, geom)];
+        let mut dk_scratch = vec![0.0f32; dk_scratch_len(in_ch, out_ch, geom)];
+        let mut dx_scratch = vec![0.0f32; dx_scratch_len(batch, in_ch, out_ch)];
+        let t_direct = time_best(reps, || {
+            conv3x3_forward_into(&x, &kernel, geom, &mut y, Epilogue::Store, &mut fwd_scratch);
+            conv3x3_backward_dk_into(&dy, &x, geom, &mut dk, &mut dk_scratch);
+            conv3x3_backward_dx_into(&dy, &kernel, in_ch, geom, &mut dx, &mut dx_scratch);
+        });
+
         let row = ConvRow {
             case: format!("conv{} {in_ch}->{out_ch} {h}x{w} b{batch}", i + 1),
             batch,
@@ -438,7 +386,6 @@ fn main() {
 
     let content = BenchTrain {
         pool_threads: rayon::max_threads(),
-        legacy_threads: vc_bench::legacy::legacy_threads(),
         kernels,
         e2e,
         scaling,
@@ -447,7 +394,7 @@ fn main() {
 
     for row in &content.kernels {
         assert!(
-            row.legacy_gflops.is_finite() && row.blocked_gflops > 0.0,
+            row.blocked_gflops.is_finite() && row.blocked_gflops > 0.0,
             "degenerate kernel measurement: {} n={}",
             row.op,
             row.n

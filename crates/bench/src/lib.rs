@@ -17,8 +17,6 @@
 //! Timing-shape experiments (fig3, sec4d, sec4e) always run the full 40
 //! epochs — they skip real training, so they are cheap at any scale.
 
-pub mod legacy;
-
 use std::io::Write;
 use std::path::PathBuf;
 use vc_asgd::JobReport;

@@ -1,20 +1,23 @@
 //! The client-side compute step, shared by the discrete-event simulator
-//! ([`crate::job`]) and the real multi-threaded runtime (`vc-runtime`).
+//! ([`crate::job`]), the deterministic simulation and the real
+//! multi-threaded runtime (`vc-runtime`).
 //!
 //! A BOINC client that receives a workunit does exactly one thing: load the
 //! shipped parameter snapshot into a model replica, run `local_epochs`
 //! passes of minibatch SGD over its shard, and upload the replica's
-//! parameters. Both execution substrates must perform this step
-//! *identically* — same model build, same optimizer state, same RNG stream
-//! per `(seed, epoch, shard)` — so that a simulated run and a real threaded
-//! run differ only in scheduling, never in the learning dynamics of an
-//! individual subtask.
+//! parameters. [`train_client_replica_ws`] is that step and there is no
+//! other: every driver calls it with a [`TrainWorkspace`] it owns, so a
+//! simulated run and a real threaded run perform it *identically* — same
+//! model build, same optimizer state, same RNG stream per
+//! `(seed, epoch, shard)`, same kernels — and differ only in scheduling,
+//! never in the learning dynamics of an individual subtask. The workspace
+//! is a buffer pool, not state: results do not depend on what it held.
 
 use crate::config::JobConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_data::Dataset;
-use vc_optim::{train_minibatch, train_minibatch_ws, StepTimer, TrainWorkspace};
+use vc_optim::{train_minibatch_ws, StepTimer, TrainWorkspace};
 
 /// The RNG stream a client replica uses for `(epoch, shard)`. Deterministic
 /// per `(seed, epoch, shard)` — a reassigned subtask reproduces the same
@@ -28,35 +31,8 @@ pub fn client_rng(seed: u64, epoch: usize, shard: usize) -> StdRng {
 
 /// Trains one client replica: start from `snapshot`, run
 /// `cfg.local_epochs` over the shard's `data`, return the replica's
-/// parameters (the payload the client uploads).
-pub fn train_client_replica(
-    cfg: &JobConfig,
-    snapshot: &[f32],
-    data: &Dataset,
-    epoch: usize,
-    shard: usize,
-) -> Vec<f32> {
-    let mut model = cfg.model.build(cfg.seed);
-    model.set_params_flat(snapshot);
-    let mut opt = cfg.optimizer.build(snapshot.len());
-    let mut rng = client_rng(cfg.seed, epoch, shard);
-    train_minibatch(
-        &mut model,
-        &mut opt,
-        &data.images,
-        &data.labels,
-        cfg.batch_size,
-        cfg.local_epochs,
-        5.0,
-        &mut rng,
-    );
-    model.params_flat()
-}
-
-/// [`train_client_replica`] through the zero-allocation workspace path.
-/// Bit-identical to the plain variant for the same `(seed, epoch, shard)`
-/// (see [`vc_optim::train_minibatch_ws`]); a long-lived worker passes the
-/// same `tws` to every subtask so steady-state steps reuse all buffers.
+/// parameters (the payload the client uploads). A long-lived worker passes
+/// the same `tws` to every subtask so steady-state steps reuse all buffers.
 /// `timer`, when given, receives one observation per optimizer step.
 pub fn train_client_replica_ws(
     cfg: &JobConfig,
@@ -108,11 +84,12 @@ pub fn warm_start_params(
     model.set_params_flat(init);
     let mut opt = cfg.optimizer.build(init.len());
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xDA7A));
+    let mut tws = TrainWorkspace::new();
     // The serial phase sees the full training set, shard by shard.
     for _ in 0..cfg.warm_start_epochs {
         for shard in 0..cfg.shards {
             let d = &shards.shard(shard).data;
-            train_minibatch(
+            train_minibatch_ws(
                 &mut model,
                 &mut opt,
                 &d.images,
@@ -121,6 +98,8 @@ pub fn warm_start_params(
                 1,
                 5.0,
                 &mut rng,
+                &mut tws,
+                None,
             );
         }
     }
@@ -138,27 +117,17 @@ mod tests {
         let (train, _, _) = cfg.data.generate();
         let shards = ShardSet::split(&train, cfg.shards);
         let init = cfg.model.build(cfg.seed).params_flat();
-        let a = train_client_replica(&cfg, &init, &shards.shard(3).data, 2, 3);
-        let b = train_client_replica(&cfg, &init, &shards.shard(3).data, 2, 3);
+        let data = &shards.shard(3).data;
+        let mut tws = TrainWorkspace::new();
+        let a = train_client_replica_ws(&cfg, &init, data, 2, 3, &mut tws, None);
+        // Neither a used workspace nor a fresh one changes the result.
+        let b = train_client_replica_ws(&cfg, &init, data, 2, 3, &mut tws, None);
+        let c = train_client_replica_ws(&cfg, &init, data, 2, 3, &mut TrainWorkspace::new(), None);
         assert_eq!(a, b, "same (seed, epoch, shard) must reproduce exactly");
+        assert_eq!(a, c, "the workspace is a buffer pool, not state");
         // A different shard draws a different RNG stream.
-        let c = train_client_replica(&cfg, &init, &shards.shard(3).data, 2, 4);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn ws_replica_is_bit_identical_to_plain() {
-        let cfg = JobConfig::test_small(14);
-        let (train, _, _) = cfg.data.generate();
-        let shards = ShardSet::split(&train, cfg.shards);
-        let init = cfg.model.build(cfg.seed).params_flat();
-        let plain = train_client_replica(&cfg, &init, &shards.shard(1).data, 3, 1);
-        let mut tws = vc_optim::TrainWorkspace::new();
-        let ws1 = train_client_replica_ws(&cfg, &init, &shards.shard(1).data, 3, 1, &mut tws, None);
-        assert_eq!(plain, ws1, "workspace path must reproduce the plain path");
-        // Reusing the same workspace across subtasks stays correct.
-        let ws2 = train_client_replica_ws(&cfg, &init, &shards.shard(1).data, 3, 1, &mut tws, None);
-        assert_eq!(plain, ws2);
+        let d = train_client_replica_ws(&cfg, &init, data, 2, 4, &mut tws, None);
+        assert_ne!(a, d);
     }
 
     #[test]
@@ -167,7 +136,8 @@ mod tests {
         let (train, _, _) = cfg.data.generate();
         let shards = ShardSet::split(&train, cfg.shards);
         let init = cfg.model.build(cfg.seed).params_flat();
-        let out = train_client_replica(&cfg, &init, &shards.shard(0).data, 1, 0);
+        let mut tws = TrainWorkspace::new();
+        let out = train_client_replica_ws(&cfg, &init, &shards.shard(0).data, 1, 0, &mut tws, None);
         assert_eq!(out.len(), init.len());
         assert!(out != init, "SGD must move the replica off the snapshot");
         assert!(result_is_valid(&out));

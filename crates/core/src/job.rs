@@ -22,7 +22,7 @@
 //! validation statistics and generates the next epoch.
 
 use crate::assimilator::VcAsgdAssimilator;
-use crate::client::{result_is_valid, train_client_replica, warm_start_params};
+use crate::client::{result_is_valid, train_client_replica_ws, warm_start_params};
 use crate::config::JobConfig;
 use crate::report::{EpochStats, JobReport};
 use rand::rngs::StdRng;
@@ -34,6 +34,7 @@ use vc_kvstore::{Consistency, VersionedStore};
 use vc_middleware::{BoincServer, HostId, ReportStatus, WuId};
 use vc_nn::metrics::evaluate;
 use vc_nn::Sequential;
+use vc_optim::TrainWorkspace;
 use vc_simnet::{EventQueue, InstanceSpec, SimTime};
 use vc_tensor::codec::encoded_len;
 
@@ -95,6 +96,9 @@ pub struct TrainingJob {
     epoch: usize,
     snapshots: HashMap<usize, Arc<Vec<f32>>>,
     client_cache: HashMap<(usize, usize), Arc<Vec<f32>>>,
+    /// Simulated clients train one at a time, so one buffer pool serves
+    /// every replica.
+    train_ws: TrainWorkspace,
     epoch_accs: Vec<f32>,
     epoch_stats: Vec<EpochStats>,
     // Server-side resources.
@@ -162,6 +166,7 @@ impl TrainingJob {
             epoch: 1,
             snapshots,
             client_cache: HashMap::new(),
+            train_ws: TrainWorkspace::new(),
             epoch_accs: Vec::new(),
             epoch_stats: Vec::new(),
             busy_ps: 0,
@@ -585,8 +590,14 @@ impl TrainingJob {
             return snapshot;
         }
         let data = &self.shards.shard(shard).data;
-        let result = Arc::new(train_client_replica(
-            &self.cfg, &snapshot, data, epoch, shard,
+        let result = Arc::new(train_client_replica_ws(
+            &self.cfg,
+            &snapshot,
+            data,
+            epoch,
+            shard,
+            &mut self.train_ws,
+            None,
         ));
         self.client_cache.insert((epoch, shard), result.clone());
         result

@@ -42,9 +42,7 @@ pub mod report;
 
 pub use alpha::AlphaSchedule;
 pub use assimilator::VcAsgdAssimilator;
-pub use client::{
-    result_is_valid, train_client_replica, train_client_replica_ws, warm_start_params,
-};
+pub use client::{result_is_valid, train_client_replica_ws, warm_start_params};
 pub use config::{FleetKind, JobConfig};
 pub use job::TrainingJob;
 pub use report::{EpochStats, JobReport};

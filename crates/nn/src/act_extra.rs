@@ -4,7 +4,16 @@
 //! completeness and for the activation ablation.
 
 use crate::layer::Layer;
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
+
+/// Stores a pooled copy of `t` in `slot` for backward, recycling what the
+/// slot held from the previous step.
+fn stash(slot: &mut Option<Tensor>, t: &Tensor, ws: &mut Workspace) {
+    if let Some(prev) = slot.take() {
+        ws.recycle(prev.into_vec());
+    }
+    *slot = Some(Tensor::from_vec(ws.take_copy(t.data()), t.dims()));
+}
 
 /// Logistic sigmoid `y = 1/(1+e^{-x})`, elementwise.
 pub struct Sigmoid {
@@ -25,21 +34,25 @@ impl Default for Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = x.map(|v| 1.0 / (1.0 + (-v).exp()));
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        x.map_inplace(|v| 1.0 / (1.0 + (-v).exp()));
         if train {
-            self.y_cache = Some(y.clone());
+            stash(&mut self.y_cache, &x, ws);
         }
-        y
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
         let y = self
             .y_cache
             .as_ref()
             .expect("Sigmoid::backward called without a cached forward");
+        assert_eq!(dy.dims(), y.dims(), "Sigmoid cache/grad shape mismatch");
         // dy * y * (1 - y)
-        dy.zip_with(y, |g, yv| g * yv * (1.0 - yv))
+        for (g, &yv) in dy.data_mut().iter_mut().zip(y.data()) {
+            *g = *g * yv * (1.0 - yv);
+        }
+        dy
     }
 
     fn name(&self) -> &'static str {
@@ -70,20 +83,24 @@ impl Default for Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = x.map(f32::tanh);
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        x.map_inplace(f32::tanh);
         if train {
-            self.y_cache = Some(y.clone());
+            stash(&mut self.y_cache, &x, ws);
         }
-        y
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
         let y = self
             .y_cache
             .as_ref()
             .expect("Tanh::backward called without a cached forward");
-        dy.zip_with(y, |g, yv| g * (1.0 - yv * yv))
+        assert_eq!(dy.dims(), y.dims(), "Tanh cache/grad shape mismatch");
+        for (g, &yv) in dy.data_mut().iter_mut().zip(y.data()) {
+            *g *= 1.0 - yv * yv;
+        }
+        dy
     }
 
     fn name(&self) -> &'static str {
@@ -113,21 +130,26 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         if train {
-            self.x_cache = Some(x.clone());
+            stash(&mut self.x_cache, &x, ws);
         }
         let s = self.slope;
-        x.map(|v| if v > 0.0 { v } else { s * v })
+        x.map_inplace(|v| if v > 0.0 { v } else { s * v });
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
         let x = self
             .x_cache
             .as_ref()
             .expect("LeakyRelu::backward called without a cached forward");
         let s = self.slope;
-        dy.zip_with(x, |g, xv| if xv > 0.0 { g } else { s * g })
+        assert_eq!(dy.dims(), x.dims(), "LeakyRelu cache/grad shape mismatch");
+        for (g, &xv) in dy.data_mut().iter_mut().zip(x.data()) {
+            *g = if xv > 0.0 { *g } else { s * *g };
+        }
+        dy
     }
 
     fn name(&self) -> &'static str {
@@ -201,5 +223,20 @@ mod tests {
     #[should_panic(expected = "outside [0, 1)")]
     fn leaky_relu_rejects_bad_slope() {
         LeakyRelu::new(1.5);
+    }
+
+    #[test]
+    fn sigmoid_cache_is_pooled() {
+        gradcheck::check_steady_state_pool(&mut Sigmoid::new(), &probe(9));
+    }
+
+    #[test]
+    fn tanh_cache_is_pooled() {
+        gradcheck::check_steady_state_pool(&mut Tanh::new(), &probe(9));
+    }
+
+    #[test]
+    fn leaky_relu_cache_is_pooled() {
+        gradcheck::check_steady_state_pool(&mut LeakyRelu::new(0.1), &probe(9));
     }
 }

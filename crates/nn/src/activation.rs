@@ -39,37 +39,12 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.record_mask(x);
-        }
-        if self.fused_upstream {
-            // Upstream epilogue already rectified; values pass unchanged.
-            x.clone()
-        } else {
-            x.map(|v| v.max(0.0))
-        }
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mask = self
-            .mask
-            .as_ref()
-            .expect("Relu::backward called without a cached forward");
-        assert_eq!(mask.len(), dy.numel(), "Relu mask/grad length mismatch");
-        let data = dy
-            .data()
-            .iter()
-            .zip(mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, dy.dims())
-    }
-
     fn forward_ws(&mut self, mut x: Tensor, train: bool, _ws: &mut Workspace) -> Tensor {
         if train {
             self.record_mask(&x);
         }
+        // When fused, the upstream epilogue already rectified: values pass
+        // unchanged.
         if !self.fused_upstream {
             for v in x.data_mut() {
                 *v = v.max(0.0);

@@ -72,32 +72,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.check_input(x);
-        if train {
-            self.x_cache = Some(x.clone());
-        }
-        let m = x.dims()[0];
-        let mut y = vec![0.0f32; m * self.out_dim];
-        matmul_epi_into(x, &self.w, &mut y, self.epilogue());
-        Tensor::from_vec(y, &[m, self.out_dim])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .x_cache
-            .take()
-            .expect("Dense::backward called without a cached forward");
-        // dW += x^T · dy ; db += column-sums of dy ; dx = dy · W^T
-        matmul_at_b_epi_into(&x, dy, self.dw.data_mut(), Epilogue::Accumulate);
-        self.db.add_assign(&dy.sum_axis0());
-        self.x_cache = Some(x);
-        let m = dy.dims()[0];
-        let mut dx = vec![0.0f32; m * self.in_dim];
-        matmul_a_bt_epi_into(dy, &self.w, &mut dx, Epilogue::Store);
-        Tensor::from_vec(dx, &[m, self.in_dim])
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         self.check_input(&x);
         // Recycle last step's cache before taking, so one warm-up step is
@@ -121,11 +95,10 @@ impl Layer for Dense {
             .x_cache
             .take()
             .expect("Dense::backward called without a cached forward");
+        // dW += x^T · dy ; db += column-sums of dy ; dx = dy · W^T
         matmul_at_b_epi_into(&x, &dy, self.dw.data_mut(), Epilogue::Accumulate);
         self.x_cache = Some(x);
-        // db += column sums of dy, in `sum_axis0`'s exact accumulation order
-        // (zero-initialized partial sum, rows ascending) so both backward
-        // paths stay bit-identical.
+        // Zero-initialized partial sum, rows ascending.
         let m = dy.dims()[0];
         let mut colsum = ws.take(self.out_dim);
         for r in 0..m {

@@ -7,7 +7,7 @@
 use crate::layer::Layer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// Inverted dropout: during training each activation is zeroed with
 /// probability `p` and survivors are scaled by `1/(1-p)`, so inference is a
@@ -40,36 +40,36 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        if let Some(prev) = self.mask.take() {
+            ws.recycle(prev);
+        }
         if !train || self.p == 0.0 {
-            self.mask = None;
-            return x.clone();
+            return x;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask: Vec<f32> = (0..x.numel())
-            .map(|_| {
-                if self.rng.gen::<f32>() < keep {
-                    scale
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let data = x.data().iter().zip(&mask).map(|(&v, &m)| v * m).collect();
+        let mut mask = ws.take(x.numel());
+        for (m, v) in mask.iter_mut().zip(x.data_mut()) {
+            *m = if self.rng.gen::<f32>() < keep {
+                scale
+            } else {
+                0.0
+            };
+            *v *= *m;
+        }
         self.mask = Some(mask);
-        Tensor::from_vec(data, x.dims())
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        match &self.mask {
-            None => dy.clone(),
-            Some(mask) => {
-                assert_eq!(mask.len(), dy.numel(), "Dropout mask/grad mismatch");
-                let data = dy.data().iter().zip(mask).map(|(&g, &m)| g * m).collect();
-                Tensor::from_vec(data, dy.dims())
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
+        if let Some(mask) = &self.mask {
+            assert_eq!(mask.len(), dy.numel(), "Dropout mask/grad mismatch");
+            for (g, &m) in dy.data_mut().iter_mut().zip(mask) {
+                *g *= m;
             }
         }
+        dy
     }
 
     fn name(&self) -> &'static str {
@@ -130,5 +130,21 @@ mod tests {
     #[should_panic(expected = "outside [0, 1)")]
     fn rejects_p_one() {
         Dropout::new(1.0, 5);
+    }
+
+    #[test]
+    fn mask_buffer_cycles_through_the_pool() {
+        let mut d = Dropout::new(0.5, 6);
+        let mut ws = Workspace::new();
+        let y = d.forward_ws(Tensor::ones(&[32]), true, &mut ws);
+        let (_, warm) = ws.stats();
+        ws.recycle(y.into_vec());
+        // The next forward hands the old mask back before taking a new one.
+        let y = d.forward_ws(Tensor::ones(&[32]), true, &mut ws);
+        assert_eq!(ws.stats().1, warm, "second mask must reuse the first");
+        // Inference drops the mask, so a stray backward passes through.
+        ws.recycle(y.into_vec());
+        let y = d.forward_ws(Tensor::ones(&[32]), false, &mut ws);
+        assert_eq!(d.backward(&y).data(), y.data());
     }
 }

@@ -12,41 +12,42 @@ use vc_tensor::{Tensor, Workspace};
 /// simulated volunteer fleet trains one independent model replica per
 /// subtask, in parallel.
 ///
-/// ## Workspace path
+/// ## One pipeline
 ///
 /// [`forward_ws`](Layer::forward_ws) / [`backward_ws`](Layer::backward_ws)
-/// are the allocation-free variants the training hot loop uses: tensors move
-/// *by value* through the layer chain, each layer draws its output buffer
-/// from the replica's [`Workspace`] and recycles the buffers it consumed.
-/// The defaults fall back to the borrowing `forward`/`backward`, so custom
-/// layers stay correct without opting in; the layers on the paper-CNN hot
-/// path (conv, dense, relu, pooling, flatten) all override them. Both paths
-/// compute bit-identical values.
+/// are the contract: tensors move *by value* through the layer chain, each
+/// layer works in place on the buffer it was handed or draws its output
+/// from the replica's [`Workspace`], and recycles the buffers it consumed.
+/// Training, evaluation and the tests all run through these two methods, so
+/// every driver computes the same bits by construction.
+///
+/// [`forward`](Layer::forward) / [`backward`](Layer::backward) are borrowing
+/// conveniences for tests and one-off calls: they clone the argument and
+/// run the by-value method against a throwaway workspace. No layer
+/// overrides them. (The `_ws` suffix dates from when a second, borrowing
+/// implementation existed beside this one; DESIGN.md §8b says why the
+/// names stay.)
 pub trait Layer: Send {
-    /// Computes the layer output. When `train` is true the layer may cache
-    /// activations for `backward` and use batch statistics (BatchNorm);
-    /// when false it must be a pure function of its parameters.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output, consuming the input: its storage becomes
+    /// the output, a training cache, or goes back to `ws`. When `train` is
+    /// true the layer may cache activations for `backward_ws` and use batch
+    /// statistics (BatchNorm); when false it must be a pure function of its
+    /// parameters.
+    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor;
 
-    /// Propagates the output gradient `dy` to an input gradient, and
-    /// accumulates parameter gradients into layer-local buffers. Must be
-    /// called after a `forward(.., true)` on the same input.
-    fn backward(&mut self, dy: &Tensor) -> Tensor;
+    /// Propagates the output gradient `dy` to an input gradient, consuming
+    /// `dy`, and accumulates parameter gradients into layer-local buffers.
+    /// Must be called after a `forward_ws(.., true, ..)` on the same input.
+    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor;
 
-    /// Workspace variant of [`forward`](Layer::forward): consumes the input
-    /// tensor and recycles its storage once no longer needed.
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let y = self.forward(&x, train);
-        ws.recycle(x.into_vec());
-        y
+    /// Borrowing wrapper over [`forward_ws`](Layer::forward_ws).
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_ws(x.clone(), train, &mut Workspace::new())
     }
 
-    /// Workspace variant of [`backward`](Layer::backward): consumes the
-    /// output gradient and recycles its storage once no longer needed.
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let dx = self.backward(&dy);
-        ws.recycle(dy.into_vec());
-        dx
+    /// Borrowing wrapper over [`backward_ws`](Layer::backward_ws).
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_ws(dy.clone(), &mut Workspace::new())
     }
 
     /// Asks the layer to fuse a ReLU into its output epilogue (the
@@ -110,11 +111,11 @@ mod tests {
     /// A do-nothing layer to exercise trait defaults.
     struct Identity;
     impl Layer for Identity {
-        fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-            x.clone()
+        fn forward_ws(&mut self, x: Tensor, _train: bool, _ws: &mut Workspace) -> Tensor {
+            x
         }
-        fn backward(&mut self, dy: &Tensor) -> Tensor {
-            dy.clone()
+        fn backward_ws(&mut self, dy: Tensor, _ws: &mut Workspace) -> Tensor {
+            dy
         }
         fn name(&self) -> &'static str {
             "identity"
@@ -146,14 +147,13 @@ mod tests {
     }
 
     #[test]
-    fn ws_defaults_fall_back_and_recycle() {
+    fn borrowing_wrappers_leave_the_argument_intact() {
         let mut l = Identity;
-        let mut ws = Workspace::new();
-        let y = l.forward_ws(Tensor::ones(&[2, 3]), true, &mut ws);
-        assert_eq!(y.dims(), &[2, 3]);
-        assert_eq!(ws.pooled(), 1, "consumed input must be recycled");
-        let dy = l.backward_ws(y, &mut ws);
-        assert_eq!(dy.dims(), &[2, 3]);
+        let x = Tensor::ones(&[2, 3]);
+        let y = l.forward(&x, true);
+        let dx = l.backward(&y);
+        assert_eq!(x.data(), &[1.0; 6]);
+        assert_eq!(dx.dims(), &[2, 3]);
         assert!(!l.enable_relu_fusion());
         assert!(!l.is_relu());
     }

@@ -8,7 +8,8 @@
 //! flat parameter vectors between clients and parameter servers. This crate
 //! therefore provides exactly what the distributed layer needs:
 //!
-//! * [`Layer`] — forward/backward passes with layer-owned gradient storage;
+//! * [`Layer`] — by-value forward/backward passes over a buffer
+//!   [`Workspace`](vc_tensor::Workspace), with layer-owned gradient storage;
 //! * concrete layers: [`Dense`], [`Conv2d`], [`MaxPool2`], [`AvgPoolGlobal`],
 //!   [`Relu`], [`BatchNorm`], [`Flatten`], [`Residual`] blocks;
 //! * [`Sequential`] — a model as a layer pipeline, with flat-parameter
@@ -49,19 +50,28 @@ pub use pool::{AvgPoolGlobal, Flatten, MaxPool2};
 pub use residual::Residual;
 pub use spec::{LayerSpec, ModelSpec};
 
-/// Serializes tests that flip the process-global `conv_direct` toggle
-/// against tests that assert workspace-pool hit rates: a mid-run path
-/// flip is bit-identical but changes which buffer *sizes* a step takes,
-/// which would register as a (spurious) pool miss. Lock-poisoning from a
-/// failed test is ignored — the lock only orders execution.
-#[cfg(test)]
-pub(crate) static CONV_PATH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 pub(crate) mod gradcheck {
-    //! Finite-difference gradient checking shared by layer tests.
+    //! Finite-difference gradient checking and the pooled-buffer check,
+    //! shared by layer tests.
     use crate::layer::Layer;
-    use vc_tensor::Tensor;
+    use vc_tensor::{Tensor, Workspace};
+
+    /// Runs three training steps of `layer` on `x` through one workspace;
+    /// the third must not miss the pool — every buffer the layer keeps or
+    /// hands on is a pooled one it gives back.
+    pub fn check_steady_state_pool(layer: &mut impl Layer, x: &Tensor) {
+        let mut ws = Workspace::new();
+        let mut misses = [0u64; 3];
+        for m in &mut misses {
+            let input = Tensor::from_vec(ws.take_copy(x.data()), x.dims());
+            let y = layer.forward_ws(input, true, &mut ws);
+            let dx = layer.backward_ws(y, &mut ws);
+            ws.recycle(dx.into_vec());
+            *m = ws.stats().1;
+        }
+        assert_eq!(misses[1], misses[2], "steady-state step allocated");
+    }
 
     /// Checks d(sum of outputs)/d(inputs) of `layer` against central
     /// differences. Uses `train = true` so cached state matches backward.

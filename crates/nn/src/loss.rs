@@ -45,31 +45,14 @@ impl SoftmaxCrossEntropy {
         total / b as f32
     }
 
-    /// Loss and the gradient w.r.t. the logits, in one pass.
+    /// Borrowing wrapper over [`Self::loss_and_grad_ws`].
     pub fn loss_and_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let mut probs = Self::softmax(logits);
-        let c = logits.dims()[1];
-        let b = labels.len();
-        assert_eq!(logits.dims()[0], b, "batch/labels length mismatch");
-        let mut total = 0.0;
-        let inv_b = 1.0 / b as f32;
-        for (i, &y) in labels.iter().enumerate() {
-            assert!(y < c, "label {y} out of range for {c} classes");
-            let p = probs.data()[i * c + y].max(1e-12);
-            total -= p.ln();
-            // grad = (p - onehot) / batch
-            probs.data_mut()[i * c + y] -= 1.0;
-        }
-        for g in probs.data_mut() {
-            *g *= inv_b;
-        }
-        (total * inv_b, probs)
+        Self::loss_and_grad_ws(logits.clone(), labels)
     }
 
-    /// [`Self::loss_and_grad`] consuming the logits: the softmax and the
-    /// gradient are computed in place in the logits' own buffer, so the hot
-    /// loop allocates nothing. Bit-identical to the borrowing variant (same
-    /// operations in the same order, just a different destination buffer).
+    /// Loss and the gradient w.r.t. the logits, in one pass, consuming the
+    /// logits: the softmax and the gradient are computed in place in the
+    /// logits' own buffer, so the hot loop allocates nothing.
     pub fn loss_and_grad_ws(mut logits: Tensor, labels: &[usize]) -> (f32, Tensor) {
         assert_eq!(logits.dims().len(), 2, "softmax expects [batch, classes]");
         let (b, c) = (logits.dims()[0], logits.dims()[1]);
@@ -180,16 +163,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_bad_label() {
         SoftmaxCrossEntropy::loss(&Tensor::zeros(&[1, 3]), &[3]);
-    }
-
-    #[test]
-    fn consuming_variant_is_bit_identical() {
-        let logits = Tensor::from_vec(vec![0.5, -0.2, 0.1, 1.0, 0.0, -1.0], &[2, 3]);
-        let labels = [2usize, 0];
-        let (l_ref, g_ref) = SoftmaxCrossEntropy::loss_and_grad(&logits, &labels);
-        let (l_ws, g_ws) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &labels);
-        assert_eq!(l_ref.to_bits(), l_ws.to_bits());
-        assert_eq!(g_ref.data(), g_ws.data());
-        assert_eq!(g_ref.dims(), g_ws.dims());
     }
 }

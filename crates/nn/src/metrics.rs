@@ -2,7 +2,7 @@
 
 use crate::loss::SoftmaxCrossEntropy;
 use crate::model::Sequential;
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// Top-1 accuracy of logits `[batch, classes]` against integer labels.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
@@ -42,21 +42,21 @@ pub fn evaluate(
         return (0.0, 0.0);
     }
     let sample_len: usize = images.dims()[1..].iter().product();
+    let mut dims = images.dims().to_vec();
+    // Batches share one buffer pool for the length of the pass.
+    let mut ws = Workspace::new();
     let mut total_loss = 0.0;
     let mut total_correct = 0.0;
     let mut start = 0;
     while start < n {
         let end = (start + batch_size).min(n);
         let bs = end - start;
-        let mut dims = vec![bs];
-        dims.extend_from_slice(&images.dims()[1..]);
-        let batch = Tensor::from_vec(
-            images.data()[start * sample_len..end * sample_len].to_vec(),
-            &dims,
-        );
-        let logits = model.predict(&batch);
+        dims[0] = bs;
+        let batch = ws.take_copy(&images.data()[start * sample_len..end * sample_len]);
+        let logits = model.forward_pipeline_ws(Tensor::from_vec(batch, &dims), false, &mut ws);
         total_loss += SoftmaxCrossEntropy::loss(&logits, &labels[start..end]) * bs as f32;
         total_correct += accuracy(&logits, &labels[start..end]) * bs as f32;
+        ws.recycle(logits.into_vec());
         start = end;
     }
     (total_loss / n as f32, total_correct / n as f32)

@@ -93,7 +93,7 @@ impl Sequential {
 
     /// [`Self::grads_flat`] into a reused vector: cleared, then filled. After
     /// the first call the vector's capacity suffices, so the per-step
-    /// gradient gather in the workspace trainer allocates nothing.
+    /// gradient gather in the trainer allocates nothing.
     pub fn grads_flat_into(&self, out: &mut Vec<f32>) {
         out.clear();
         for l in &self.layers {
@@ -117,7 +117,7 @@ impl Sequential {
     /// conv) into that layer's GEMM epilogue. Bit-exact: the downstream
     /// values and masks are unchanged (`relu(x) > 0 ⇔ x > 0`); the fused
     /// pipeline just skips one full pass over each activation. Idempotent;
-    /// called automatically by the workspace training path.
+    /// called automatically by the trainer.
     pub fn fuse_relu(&mut self) {
         if self.fused {
             return;
@@ -130,8 +130,8 @@ impl Sequential {
         }
     }
 
-    /// Workspace-path forward over the whole pipeline (training-mode
-    /// tensors move by value; buffers recycle through `ws`).
+    /// Forward over the whole pipeline: tensors move by value, buffers
+    /// recycle through `ws`.
     pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let mut cur = x;
         for l in &mut self.layers {
@@ -140,8 +140,8 @@ impl Sequential {
         cur
     }
 
-    /// Workspace-path backward over the whole pipeline; the returned input
-    /// gradient's buffer also comes from `ws`.
+    /// Backward over the whole pipeline; the returned input gradient's
+    /// buffer also comes from `ws`.
     pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
         let mut cur = dy;
         for l in self.layers.iter_mut().rev() {
@@ -167,30 +167,6 @@ impl Default for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        // Feed the borrowed input straight to the first layer instead of
-        // cloning it at entry; only layer outputs move through the chain.
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return x.clone();
-        };
-        let mut cur = first.forward(x, train);
-        for l in rest {
-            cur = l.forward(&cur, train);
-        }
-        cur
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let Some((last, front)) = self.layers.split_last_mut() else {
-            return dy.clone();
-        };
-        let mut cur = last.backward(dy);
-        for l in front.iter_mut().rev() {
-            cur = l.backward(&cur);
-        }
-        cur
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         self.forward_pipeline_ws(x, train, ws)
     }
@@ -331,13 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn ws_pipeline_with_fusion_is_bitwise_identical() {
-        // The steady-state pool assertion below is sensitive to the conv
-        // path toggling mid-test (different path → different buffer
-        // sizes → spurious miss), so hold the toggle lock.
-        let _g = crate::CONV_PATH_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+    fn fused_training_step_is_bitwise_identical_to_unfused() {
         use crate::conv::Conv2d;
         use crate::pool::{Flatten, MaxPool2};
 
@@ -362,22 +332,20 @@ mod tests {
         let labels = [1usize, 2];
         let mut ws = Workspace::new();
 
-        // Plain borrowing path on the unfused model.
         let logits_p = plain.forward(&x, true);
         let (loss_p, dy_p) = SoftmaxCrossEntropy::loss_and_grad(&logits_p, &labels);
         plain.zero_grads_all();
         plain.backward(&dy_p);
 
-        // Workspace path on the fused model must be bit-identical.
-        let logits_w = fused.forward_pipeline_ws(x.clone(), true, &mut ws);
-        assert_eq!(logits_p.data(), logits_w.data());
-        let (loss_w, dy_w) = SoftmaxCrossEntropy::loss_and_grad_ws(logits_w, &labels);
-        assert_eq!(loss_p.to_bits(), loss_w.to_bits());
+        let logits_f = fused.forward_pipeline_ws(x.clone(), true, &mut ws);
+        assert_eq!(logits_p.data(), logits_f.data());
+        let (loss_f, dy_f) = SoftmaxCrossEntropy::loss_and_grad_ws(logits_f, &labels);
+        assert_eq!(loss_p.to_bits(), loss_f.to_bits());
         fused.zero_grads_all();
-        let _ = fused.backward_pipeline_ws(dy_w, &mut ws);
+        let _ = fused.backward_pipeline_ws(dy_f, &mut ws);
         assert_eq!(plain.grads_flat(), fused.grads_flat());
 
-        // Steady state: a second ws step must not miss the buffer pool.
+        // Steady state: a second step must not miss the buffer pool.
         let (_, misses_warm) = ws.stats();
         let logits2 = fused.forward_pipeline_ws(x.clone(), true, &mut ws);
         let (_, dy2) = SoftmaxCrossEntropy::loss_and_grad_ws(logits2, &labels);

@@ -1,7 +1,7 @@
 //! Batch normalization.
 
 use crate::layer::Layer;
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// Numerical floor added to the variance before taking the square root.
 const BN_EPS: f32 = 1e-5;
@@ -27,10 +27,10 @@ pub struct BatchNorm {
     cache: Option<BnCache>,
 }
 
+/// What a training forward keeps for backward; both buffers are pooled.
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    in_dims: Vec<usize>,
 }
 
 impl BatchNorm {
@@ -74,89 +74,120 @@ impl BatchNorm {
             }
         }
     }
-}
 
-impl Layer for BatchNorm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.dims().to_vec();
-        let (b, ch, sp) = Self::plane_geometry(&dims);
-        assert_eq!(ch, self.ch, "BatchNorm channel mismatch");
-        let n = (b * sp) as f32;
-
-        let (mean, var) = if train {
-            let mut mean = vec![0.0f32; ch];
-            Self::reduce_per_channel(x.data(), &dims, |c, v| mean[c] += v);
-            for m in &mut mean {
-                *m /= n;
-            }
-            let mut var = vec![0.0f32; ch];
-            Self::reduce_per_channel(x.data(), &dims, |c, v| {
-                var[c] += (v - mean[c]) * (v - mean[c])
-            });
-            for v in &mut var {
-                *v /= n;
-            }
-            // Update running statistics.
-            for (rm, &m) in self.running_mean.data_mut().iter_mut().zip(&mean) {
-                *rm = self.momentum * *rm + (1.0 - self.momentum) * m;
-            }
-            for (rv, &v) in self.running_var.data_mut().iter_mut().zip(&var) {
-                *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
-            }
-            (mean, var)
-        } else {
-            (
-                self.running_mean.data().to_vec(),
-                self.running_var.data().to_vec(),
-            )
-        };
-
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
-        let src = x.data();
-        let mut x_hat = vec![0.0f32; src.len()];
-        let mut out = vec![0.0f32; src.len()];
+    /// Normalizes `data` in place to `gamma * x_hat + beta`, also writing
+    /// `x_hat` out when backward will need it.
+    fn normalize(
+        &self,
+        data: &mut [f32],
+        dims: &[usize],
+        mean: &[f32],
+        inv_std: &[f32],
+        mut x_hat: Option<&mut [f32]>,
+    ) {
+        let (b, ch, sp) = Self::plane_geometry(dims);
         for bi in 0..b {
             for c in 0..ch {
-                let base = (bi * ch + c) * sp;
-                let g = self.gamma.data()[c];
-                let be = self.beta.data()[c];
-                for s in 0..sp {
-                    let xh = (src[base + s] - mean[c]) * inv_std[c];
-                    x_hat[base + s] = xh;
-                    out[base + s] = g * xh + be;
+                let plane = (bi * ch + c) * sp..(bi * ch + c + 1) * sp;
+                let (g, be) = (self.gamma.data()[c], self.beta.data()[c]);
+                let (m, is) = (mean[c], inv_std[c]);
+                match x_hat.as_deref_mut() {
+                    Some(x_hat) => {
+                        for (v, h) in data[plane.clone()].iter_mut().zip(&mut x_hat[plane]) {
+                            *h = (*v - m) * is;
+                            *v = g * *h + be;
+                        }
+                    }
+                    None => {
+                        for v in &mut data[plane] {
+                            *v = g * ((*v - m) * is) + be;
+                        }
+                    }
                 }
             }
         }
-        if train {
-            self.cache = Some(BnCache {
-                x_hat: Tensor::from_vec(x_hat, &dims),
-                inv_std,
-                in_dims: dims.clone(),
-            });
+    }
+}
+
+impl Layer for BatchNorm {
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        let shape = *x.shape();
+        let dims = shape.dims();
+        let (b, ch, sp) = Self::plane_geometry(dims);
+        assert_eq!(ch, self.ch, "BatchNorm channel mismatch");
+        if let Some(prev) = self.cache.take() {
+            ws.recycle(prev.x_hat.into_vec());
+            ws.recycle(prev.inv_std);
         }
-        Tensor::from_vec(out, &dims)
+        let mut inv_std = ws.take(ch);
+        if !train {
+            for (is, &v) in inv_std.iter_mut().zip(self.running_var.data()) {
+                *is = 1.0 / (v + BN_EPS).sqrt();
+            }
+            let mean = self.running_mean.data();
+            self.normalize(x.data_mut(), dims, mean, &inv_std, None);
+            ws.recycle(inv_std);
+            return x;
+        }
+
+        let n = (b * sp) as f32;
+        let mut mean = ws.take(ch);
+        Self::reduce_per_channel(x.data(), dims, |c, v| mean[c] += v);
+        for m in &mut mean {
+            *m /= n;
+        }
+        let mut var = ws.take(ch);
+        Self::reduce_per_channel(x.data(), dims, |c, v| {
+            var[c] += (v - mean[c]) * (v - mean[c])
+        });
+        for v in &mut var {
+            *v /= n;
+        }
+        // Update running statistics.
+        for (rm, &m) in self.running_mean.data_mut().iter_mut().zip(&mean) {
+            *rm = self.momentum * *rm + (1.0 - self.momentum) * m;
+        }
+        for (rv, &v) in self.running_var.data_mut().iter_mut().zip(&var) {
+            *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
+        }
+        for (is, &v) in inv_std.iter_mut().zip(&var) {
+            *is = 1.0 / (v + BN_EPS).sqrt();
+        }
+        ws.recycle(var);
+        let mut x_hat = ws.take(x.numel());
+        self.normalize(x.data_mut(), dims, &mean, &inv_std, Some(&mut x_hat));
+        ws.recycle(mean);
+        self.cache = Some(BnCache {
+            x_hat: Tensor::from_vec(x_hat, dims),
+            inv_std,
+        });
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, mut dy: Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self
             .cache
             .as_ref()
             .expect("BatchNorm::backward called without a cached forward");
-        let dims = &cache.in_dims;
-        let (b, ch, sp) = Self::plane_geometry(dims);
+        assert_eq!(
+            dy.dims(),
+            cache.x_hat.dims(),
+            "BatchNorm grad shape mismatch"
+        );
+        let (b, ch, sp) = Self::plane_geometry(dy.dims());
         let n = (b * sp) as f32;
-        let dyd = dy.data();
         let xh = cache.x_hat.data();
 
         // Per-channel sums needed by the closed-form gradient.
-        let mut sum_dy = vec![0.0f32; ch];
-        let mut sum_dy_xh = vec![0.0f32; ch];
+        let mut sum_dy = ws.take(ch);
+        let mut sum_dy_xh = ws.take(ch);
+        let dyd = dy.data_mut();
         for bi in 0..b {
             for c in 0..ch {
                 let base = (bi * ch + c) * sp;
-                for s in 0..sp {
-                    sum_dy[c] += dyd[base + s];
-                    sum_dy_xh[c] += dyd[base + s] * xh[base + s];
+                for i in base..base + sp {
+                    sum_dy[c] += dyd[i];
+                    sum_dy_xh[c] += dyd[i] * xh[i];
                 }
             }
         }
@@ -165,19 +196,20 @@ impl Layer for BatchNorm {
             self.dgamma.data_mut()[c] += sum_dy_xh[c];
         }
 
-        let mut dx = vec![0.0f32; dyd.len()];
+        // dx overwrites dy element by element.
         for bi in 0..b {
             for c in 0..ch {
                 let base = (bi * ch + c) * sp;
                 let g = self.gamma.data()[c];
                 let k = g * cache.inv_std[c];
-                for s in 0..sp {
-                    let i = base + s;
-                    dx[i] = k * (dyd[i] - sum_dy[c] / n - xh[i] * sum_dy_xh[c] / n);
+                for i in base..base + sp {
+                    dyd[i] = k * (dyd[i] - sum_dy[c] / n - xh[i] * sum_dy_xh[c] / n);
                 }
             }
         }
-        Tensor::from_vec(dx, dims)
+        ws.recycle(sum_dy);
+        ws.recycle(sum_dy_xh);
+        dy
     }
 
     fn param_len(&self) -> usize {
@@ -318,5 +350,25 @@ mod tests {
     fn rejects_rank3() {
         let mut bn = BatchNorm::new(2, 0.9);
         bn.forward(&Tensor::zeros(&[2, 2, 2]), false);
+    }
+
+    #[test]
+    fn eval_forward_materializes_no_x_hat() {
+        let mut bn = BatchNorm::new(2, 0.9);
+        let mut ws = Workspace::new();
+        let y = bn.forward_ws(Tensor::ones(&[4, 2, 3, 3]), false, &mut ws);
+        assert_eq!(y.dims(), &[4, 2, 3, 3]);
+        // One take: the per-channel inverse std. The output is the input's
+        // own buffer and inference keeps nothing for backward.
+        assert_eq!(ws.stats().0, 1);
+        assert!(bn.cache.is_none());
+    }
+
+    #[test]
+    fn training_steps_reuse_pooled_buffers() {
+        let mut bn = BatchNorm::new(3, 0.9);
+        let mut s = NormalSampler::seed_from(7);
+        let x = Tensor::randn(&[4, 3, 2, 2], 0.0, 1.0, &mut s);
+        gradcheck::check_steady_state_pool(&mut bn, &x);
     }
 }

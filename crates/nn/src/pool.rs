@@ -81,28 +81,6 @@ impl Default for MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (b, c, h, w) = Self::checked_dims(x);
-        let (oh, ow) = (h / 2, w / 2);
-        let mut out = vec![0.0f32; b * c * oh * ow];
-        if train {
-            Self::run(x.data(), b, c, h, w, &mut out, Some(&mut self.argmax));
-            self.in_shape = Some(*x.shape());
-        } else {
-            Self::run(x.data(), b, c, h, w, &mut out, None);
-        }
-        Tensor::from_vec(out, &[b, c, oh, ow])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .expect("MaxPool2::backward called without a cached forward");
-        let mut dx = vec![0.0f32; in_shape.numel()];
-        self.scatter_backward(dy, &mut dx);
-        Tensor::from_vec(dx, in_shape.dims())
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (b, c, h, w) = Self::checked_dims(&x);
         let (oh, ow) = (h / 2, w / 2);
@@ -177,28 +155,6 @@ impl Default for AvgPoolGlobal {
 }
 
 impl Layer for AvgPoolGlobal {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 4, "AvgPoolGlobal expects [batch, ch, h, w]");
-        let (b, c) = (dims[0], dims[1]);
-        let mut out = vec![0.0f32; b * c];
-        Self::mean_planes(x, &mut out);
-        if train {
-            self.in_shape = Some(*x.shape());
-        }
-        Tensor::from_vec(out, &[b, c])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .expect("AvgPoolGlobal::backward called without a cached forward");
-        let dims = in_shape.dims();
-        let mut dx = vec![0.0f32; in_shape.numel()];
-        Self::spread_backward(dy, dims[2], dims[3], &mut dx);
-        Tensor::from_vec(dx, dims)
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "AvgPoolGlobal expects [batch, ch, h, w]");
@@ -254,24 +210,6 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.dims();
-        assert!(dims.len() >= 2, "Flatten expects a batch axis");
-        let batch = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        if train {
-            self.in_shape = Some(*x.shape());
-        }
-        x.clone().reshape(&[batch, rest])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .expect("Flatten::backward called without a cached forward");
-        dy.clone().reshape(in_shape.dims())
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, _ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert!(dims.len() >= 2, "Flatten expects a batch axis");
@@ -369,37 +307,6 @@ mod tests {
         assert_eq!(y.dims(), &[2, 12]);
         let dx = f.backward(&y);
         assert_eq!(dx.dims(), &[2, 3, 4]);
-    }
-
-    #[test]
-    fn ws_paths_match_plain_paths() {
-        let mut s = NormalSampler::seed_from(5);
-        let x = Tensor::randn(&[2, 3, 4, 4], 0.0, 1.0, &mut s);
-        let dy_small = Tensor::randn(&[2, 3, 2, 2], 0.0, 1.0, &mut s);
-        let mut ws = Workspace::new();
-
-        let mut p = MaxPool2::new();
-        let y_plain = p.forward(&x, true);
-        let dx_plain = p.backward(&dy_small);
-        let y_ws = p.forward_ws(x.clone(), true, &mut ws);
-        let dx_ws = p.backward_ws(dy_small.clone(), &mut ws);
-        assert_eq!(y_plain.data(), y_ws.data());
-        assert_eq!(dx_plain.data(), dx_ws.data());
-
-        let mut a = AvgPoolGlobal::new();
-        let dy_flat = Tensor::randn(&[2, 3], 0.0, 1.0, &mut s);
-        let y_plain = a.forward(&x, true);
-        let dx_plain = a.backward(&dy_flat);
-        let y_ws = a.forward_ws(x.clone(), true, &mut ws);
-        let dx_ws = a.backward_ws(dy_flat.clone(), &mut ws);
-        assert_eq!(y_plain.data(), y_ws.data());
-        assert_eq!(dx_plain.data(), dx_ws.data());
-
-        let mut f = Flatten::new();
-        let y_ws = f.forward_ws(x.clone(), true, &mut ws);
-        assert_eq!(y_ws.dims(), &[2, 48]);
-        let dx_ws = f.backward_ws(y_ws, &mut ws);
-        assert_eq!(dx_ws.dims(), &[2, 3, 4, 4]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::layer::Layer;
 use crate::model::Sequential;
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// A residual block: `y = F(x) + x`, where `F` is an inner [`Sequential`]
 /// whose output shape must equal its input shape.
@@ -27,20 +27,33 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let fx = self.body.forward(x, train);
+    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        // The body consumes `x`; the skip path keeps a pooled copy.
+        let skip = ws.take_copy(x.data());
+        let in_shape = *x.shape();
+        let mut fx = self.body.forward_pipeline_ws(x, train, ws);
         assert_eq!(
             fx.dims(),
-            x.dims(),
+            in_shape.dims(),
             "residual body changed shape {:?} -> {:?}",
-            x.dims(),
+            in_shape.dims(),
             fx.dims()
         );
-        fx.add(x)
+        for (f, s) in fx.data_mut().iter_mut().zip(&skip) {
+            *f += s;
+        }
+        ws.recycle(skip);
+        fx
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.body.backward(dy).add(dy)
+    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+        let skip = ws.take_copy(dy.data());
+        let mut dx = self.body.backward_pipeline_ws(dy, ws);
+        for (d, s) in dx.data_mut().iter_mut().zip(&skip) {
+            *d += s;
+        }
+        ws.recycle(skip);
+        dx
     }
 
     fn param_len(&self) -> usize {
@@ -145,5 +158,13 @@ mod tests {
         let mut s = NormalSampler::seed_from(6);
         let mut r = Residual::new(Sequential::new().push(Conv2d::new(1, 2, 3, 1, 1, &mut s)));
         r.forward(&Tensor::zeros(&[1, 1, 4, 4]), false);
+    }
+
+    #[test]
+    fn steady_state_step_never_misses_the_pool() {
+        let mut r = block(7);
+        let mut s = NormalSampler::seed_from(8);
+        let x = Tensor::randn(&[2, 2, 4, 4], 0.0, 1.0, &mut s);
+        gradcheck::check_steady_state_pool(&mut r, &x);
     }
 }

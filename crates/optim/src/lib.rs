@@ -17,9 +17,7 @@ pub mod trainer;
 
 pub use clip::clip_by_global_norm;
 pub use schedule::LrSchedule;
-pub use trainer::{
-    train_minibatch, train_minibatch_ws, StepTimer, TrainBatchStats, TrainWorkspace,
-};
+pub use trainer::{train_minibatch_ws, StepTimer, TrainBatchStats, TrainWorkspace};
 
 use serde::{Deserialize, Serialize};
 

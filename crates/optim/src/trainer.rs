@@ -4,11 +4,11 @@ use crate::clip::clip_by_global_norm;
 use crate::Optimizer;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use vc_nn::{Layer, Sequential, SoftmaxCrossEntropy};
+use vc_nn::{Sequential, SoftmaxCrossEntropy};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::{Tensor, Workspace};
 
-/// Statistics from one pass of [`train_minibatch`].
+/// Statistics from one pass of [`train_minibatch_ws`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainBatchStats {
     /// Mean training loss over all processed batches.
@@ -62,79 +62,13 @@ pub struct StepTimer<'a> {
 /// Trains `model` in place for `local_epochs` passes over `(images, labels)`
 /// with shuffled mini-batches, clipping gradients at `clip_norm` (pass
 /// `f32::INFINITY` to disable). This is precisely what a volunteer client
-/// executes for one training subtask.
-#[allow(clippy::too_many_arguments)]
-pub fn train_minibatch<R: Rng>(
-    model: &mut Sequential,
-    opt: &mut Optimizer,
-    images: &Tensor,
-    labels: &[usize],
-    batch_size: usize,
-    local_epochs: usize,
-    clip_norm: f32,
-    rng: &mut R,
-) -> TrainBatchStats {
-    let n = images.dims()[0];
-    assert_eq!(n, labels.len(), "images/labels length mismatch");
-    assert!(batch_size > 0, "batch_size must be positive");
-    let sample_len: usize = images.dims()[1..].iter().product();
-
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut total_loss = 0.0;
-    let mut steps = 0usize;
-    let mut samples = 0usize;
-
-    let mut params = model.params_flat();
-    for _ in 0..local_epochs {
-        order.shuffle(rng);
-        for chunk in order.chunks(batch_size) {
-            // Gather the shuffled batch.
-            let mut batch_data = Vec::with_capacity(chunk.len() * sample_len);
-            let mut batch_labels = Vec::with_capacity(chunk.len());
-            for &idx in chunk {
-                batch_data
-                    .extend_from_slice(&images.data()[idx * sample_len..(idx + 1) * sample_len]);
-                batch_labels.push(labels[idx]);
-            }
-            let mut dims = vec![chunk.len()];
-            dims.extend_from_slice(&images.dims()[1..]);
-            let batch = Tensor::from_vec(batch_data, &dims);
-
-            let logits = model.forward(&batch, true);
-            let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad(&logits, &batch_labels);
-            model.zero_grads_all();
-            model.backward(&dlogits);
-            let mut grads = model.grads_flat();
-            if clip_norm.is_finite() {
-                clip_by_global_norm(&mut grads, clip_norm);
-            }
-            opt.step(&mut params, &grads);
-            model.set_params_flat(&params);
-
-            total_loss += loss;
-            steps += 1;
-            samples += chunk.len();
-        }
-    }
-
-    TrainBatchStats {
-        mean_loss: if steps == 0 {
-            0.0
-        } else {
-            total_loss / steps as f32
-        },
-        steps,
-        samples,
-    }
-}
-
-/// [`train_minibatch`] through the zero-allocation workspace path: tensors
-/// move by value through the layer chain drawing buffers from `tws`, the
-/// ReLU activations are fused into the GEMM epilogues, and the flat
-/// parameter/gradient vectors are reused across steps. Bit-identical to
-/// [`train_minibatch`] for the same inputs and RNG — the fused kernels
-/// perform the same floating-point operations in the same order — so the
-/// two variants are interchangeable mid-run.
+/// executes for one training subtask, and the only training loop in the
+/// workspace: every driver, baseline and test runs it.
+///
+/// Tensors move by value through the layer chain drawing buffers from
+/// `tws`, the ReLU activations are fused into the GEMM epilogues, and the
+/// flat parameter/gradient vectors are reused across steps; after the first
+/// step warms the pools, steady-state steps perform no heap allocation.
 ///
 /// When `timer` is given, each optimizer step's duration is observed into
 /// its histogram.
@@ -248,6 +182,33 @@ mod tests {
         (Tensor::from_vec(data, &[n, 2]), labels)
     }
 
+    /// One [`train_minibatch_ws`] pass against a fresh workspace.
+    #[allow(clippy::too_many_arguments)]
+    fn train(
+        model: &mut Sequential,
+        opt: &mut Optimizer,
+        x: &Tensor,
+        y: &[usize],
+        batch_size: usize,
+        local_epochs: usize,
+        clip_norm: f32,
+        rng: &mut StdRng,
+    ) -> TrainBatchStats {
+        let mut tws = TrainWorkspace::new();
+        train_minibatch_ws(
+            model,
+            opt,
+            x,
+            y,
+            batch_size,
+            local_epochs,
+            clip_norm,
+            rng,
+            &mut tws,
+            None,
+        )
+    }
+
     #[test]
     fn learns_separable_blobs() {
         let spec = mlp(&[2], 16, 2);
@@ -261,7 +222,7 @@ mod tests {
         .build(model.param_count());
         let (x, y) = blobs(200, 2);
         let mut rng = StdRng::seed_from_u64(3);
-        let stats = train_minibatch(&mut model, &mut opt, &x, &y, 32, 10, 5.0, &mut rng);
+        let stats = train(&mut model, &mut opt, &x, &y, 32, 10, 5.0, &mut rng);
         assert!(stats.steps > 0);
         assert_eq!(stats.samples, 2000);
         let (_, acc) = evaluate(&mut model, &x, &y, 64);
@@ -275,11 +236,11 @@ mod tests {
         let mut opt = OptimizerSpec::Sgd { lr: 0.1 }.build(model.param_count());
         let (x, y) = blobs(100, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let first = train_minibatch(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
+        let first = train(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
         for _ in 0..5 {
-            train_minibatch(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
+            train(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
         }
-        let last = train_minibatch(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
+        let last = train(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
         assert!(last.mean_loss < first.mean_loss);
     }
 
@@ -291,36 +252,14 @@ mod tests {
             let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
             let (x, y) = blobs(50, 8);
             let mut rng = StdRng::seed_from_u64(9);
-            train_minibatch(&mut model, &mut opt, &x, &y, 10, 2, 1.0, &mut rng);
+            train(&mut model, &mut opt, &x, &y, 10, 2, 1.0, &mut rng);
             model.params_flat()
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    fn ws_variant_is_bit_identical_to_plain() {
-        let spec = mlp(&[2], 8, 2);
-        let (x, y) = blobs(60, 20);
-        let plain = {
-            let mut model = spec.build(21);
-            let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
-            let mut rng = StdRng::seed_from_u64(22);
-            train_minibatch(&mut model, &mut opt, &x, &y, 16, 3, 1.0, &mut rng);
-            model.params_flat()
-        };
-        let mut model = spec.build(21);
-        let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut tws = TrainWorkspace::new();
-        let stats = train_minibatch_ws(
-            &mut model, &mut opt, &x, &y, 16, 3, 1.0, &mut rng, &mut tws, None,
-        );
-        assert_eq!(stats.samples, 180);
-        assert_eq!(model.params_flat(), plain, "ws path must be bit-identical");
-    }
-
-    #[test]
-    fn ws_variant_steady_state_reuses_buffers() {
+    fn steady_state_reuses_buffers() {
         let spec = mlp(&[2], 8, 2);
         let mut model = spec.build(30);
         let mut opt = OptimizerSpec::Sgd { lr: 0.05 }.build(model.param_count());
@@ -376,7 +315,7 @@ mod tests {
         let mut opt = OptimizerSpec::Sgd { lr: 0.01 }.build(model.param_count());
         let (x, y) = blobs(5, 11);
         let mut rng = StdRng::seed_from_u64(12);
-        let stats = train_minibatch(&mut model, &mut opt, &x, &y, 64, 1, 1.0, &mut rng);
+        let stats = train(&mut model, &mut opt, &x, &y, 64, 1, 1.0, &mut rng);
         assert_eq!(stats.steps, 1);
         assert_eq!(stats.samples, 5);
     }

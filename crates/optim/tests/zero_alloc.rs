@@ -7,7 +7,8 @@
 //! The claim is asserted at **every** thread cap, not just serially:
 //! `VC_THREADS=8` is set before the pool's first use (this file must stay
 //! a single-test binary so no other test races the env var), then the cap
-//! sweeps 8 → 4 → 2 → 1 with a warm-up and a counted pass at each. This
+//! sweeps 8 → 4 → 2 → 1 with a warm-up and a counted pass at each, over
+//! `small_cnn` and over `resnet_lite` at the paper's 32×32×3, batch 32. This
 //! covers the pool's stack-job dispatch path (jobs live on the submitter's
 //! stack, the queue is pre-reserved, helpers touch no heap) and the
 //! submitter-side GEMM A-pack arena, whose high-water mark is reached at
@@ -15,6 +16,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
+use vc_tensor::{NormalSampler, Tensor};
 
 struct CountingAlloc;
 
@@ -48,24 +51,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_training_steps_do_not_allocate() {
-    // Before the pool's OnceLock initializes: ask for 8 workers even on a
-    // smaller box, so every cap in the sweep below is actually exercised.
-    std::env::set_var("VC_THREADS", "8");
+/// Sweeps the thread cap 8 → 4 → 2 → 1 over `model`, with a warm-up pass
+/// and a counted pass at each cap.
+fn sweep(name: &str, mut model: vc_nn::Sequential, images: &Tensor, classes: usize, batch: usize) {
     use rand::SeedableRng;
-    use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
-    use vc_tensor::{NormalSampler, Tensor};
-
-    let mut model = vc_nn::spec::small_cnn(&[1, 8, 8], 4).build(7);
-    let mut opt = OptimizerSpec::paper_adam().build(model.params_flat().len());
-    let mut s = NormalSampler::seed_from(3);
-    let images = Tensor::randn(&[16, 1, 8, 8], 0.0, 1.0, &mut s);
-    let labels: Vec<usize> = (0..16).map(|i| i % 4).collect();
+    let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
+    let labels: Vec<usize> = (0..images.dims()[0]).map(|i| i % classes).collect();
     let mut tws = TrainWorkspace::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-
-    assert_eq!(rayon::max_threads(), 8, "VC_THREADS must size the pool");
 
     // Widest cap first: the A-pack arena and workspace pools hit their
     // high-water marks at 8 threads, so later (narrower) caps reuse them.
@@ -75,14 +68,14 @@ fn steady_state_training_steps_do_not_allocate() {
         // param/grad vectors and the optimizer state — and, on the first
         // iteration, spawns the pool's worker threads.
         train_minibatch_ws(
-            &mut model, &mut opt, &images, &labels, 4, 2, 5.0, &mut rng, &mut tws, None,
+            &mut model, &mut opt, images, &labels, batch, 2, 5.0, &mut rng, &mut tws, None,
         );
 
         let (takes_before, misses_before) = tws.pool_stats();
         ALLOCS.store(0, Ordering::SeqCst);
         COUNTING.store(true, Ordering::SeqCst);
         let stats = train_minibatch_ws(
-            &mut model, &mut opt, &images, &labels, 4, 3, 5.0, &mut rng, &mut tws, None,
+            &mut model, &mut opt, images, &labels, batch, 3, 5.0, &mut rng, &mut tws, None,
         );
         COUNTING.store(false, Ordering::SeqCst);
 
@@ -90,17 +83,45 @@ fn steady_state_training_steps_do_not_allocate() {
         let (takes, misses) = tws.pool_stats();
         assert!(
             takes > takes_before,
-            "cap {cap}: the measured pass must have exercised the pool"
+            "{name} cap {cap}: the measured pass must have exercised the pool"
         );
         assert_eq!(
             misses, misses_before,
-            "cap {cap}: steady state must never miss the buffer pool"
+            "{name} cap {cap}: steady state must never miss the buffer pool"
         );
         assert_eq!(
             ALLOCS.load(Ordering::SeqCst),
             0,
-            "cap {cap}: steady-state train_minibatch_ws steps must not touch the heap"
+            "{name} cap {cap}: steady-state train_minibatch_ws steps must not touch the heap"
         );
     }
     rayon::set_thread_cap(usize::MAX);
+}
+
+#[test]
+fn steady_state_training_steps_do_not_allocate() {
+    // Before the pool's OnceLock initializes: ask for 8 workers even on a
+    // smaller box, so every cap in the sweep is actually exercised.
+    std::env::set_var("VC_THREADS", "8");
+    assert_eq!(rayon::max_threads(), 8, "VC_THREADS must size the pool");
+
+    let mut s = NormalSampler::seed_from(3);
+    let images = Tensor::randn(&[16, 1, 8, 8], 0.0, 1.0, &mut s);
+    sweep(
+        "small_cnn",
+        vc_nn::spec::small_cnn(&[1, 8, 8], 4).build(7),
+        &images,
+        4,
+        4,
+    );
+    // The paper-shaped flagship: residual blocks and batch norm draw every
+    // buffer from the same pool.
+    let images = Tensor::randn(&[32, 3, 32, 32], 0.0, 1.0, &mut s);
+    sweep(
+        "resnet_lite",
+        vc_nn::spec::resnet_lite(&[3, 32, 32], 2, 10).build(7),
+        &images,
+        10,
+        32,
+    );
 }

@@ -298,8 +298,10 @@ impl PsService {
         );
     }
 
-    /// Drops snapshots older than `keep_from` (epochs are monotonic; the
-    /// coordinator retires snapshots its checkpoints no longer need).
+    /// Drops snapshots older than `keep_from`. Epochs are monotonic; the
+    /// coordinator calls this after every publish, keeping the new epoch
+    /// and the one before it. A fetch for a retired epoch gets an error
+    /// frame and the worker drops that assignment.
     pub fn retire_snapshots_before(&self, keep_from: u64) {
         self.snapshots.write().retain(|&e, _| e >= keep_from);
     }

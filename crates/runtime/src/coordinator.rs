@@ -397,6 +397,9 @@ impl<C: Clock> Coordinator<C> {
         let (params, manifest) = self.assim.read_params();
         self.service
             .publish_snapshot(self.epoch as u64, &params, &manifest);
+        // Keep the new epoch (fetches, checkpoints) and the one that just
+        // closed (a replica handed out as it closed may still fetch it).
+        self.service.retire_snapshots_before(self.epoch as u64 - 1);
         let now = self.clock.now();
         self.server.add_epoch_sharded(
             self.epoch,

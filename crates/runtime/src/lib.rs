@@ -13,7 +13,7 @@
 //! eventual consistency loses updates by racing, not by simulation; `Cn`
 //! **worker** threads each impersonate one volunteer host: poll for work,
 //! receive the epoch parameter snapshot, train their shard with real SGD
-//! (the exact [`vc_asgd::train_client_replica`] step the simulator uses),
+//! (the exact [`vc_asgd::train_client_replica_ws`] step the simulator uses),
 //! and upload the replica. All traffic flows over `crossbeam` channels.
 //!
 //! ## Faults and recovery

@@ -33,12 +33,13 @@ use rand::Rng;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use vc_asgd::{train_client_replica, warm_start_params};
+use vc_asgd::{train_client_replica_ws, warm_start_params};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{check_sequential, count_lost_updates, Consistency, HistoryEvent, VersionedStore};
 use vc_middleware::{BoincServer, Clock, HostId, ShardManifest, VirtualClock, WuId};
 use vc_nn::metrics::evaluate;
 use vc_nn::Sequential;
+use vc_optim::TrainWorkspace;
 use vc_ps::codec::apply_update_roundtrip;
 use vc_ps::{MemClient, PsService, ShardCache, ShardSnapshot, ShardedAssimilator};
 use vc_simnet::SimTime;
@@ -387,6 +388,9 @@ struct Sim {
     slots: Vec<Slot>,
     assim_queue: VecDeque<AssimTask>,
     shards: Arc<ShardSet>,
+    /// Simulated workers train one at a time under virtual time, so one
+    /// buffer pool serves every replica.
+    train_ws: TrainWorkspace,
     val_eval: Arc<Dataset>,
     fstats: Arc<FaultStats>,
     /// Keeps the coordinator's inbox formally connected (never read: the
@@ -590,12 +594,14 @@ impl Sim {
                     );
                 }
                 let data = &self.shards.shard(wu.shard_id).data;
-                let mut params = train_client_replica(
+                let mut params = train_client_replica_ws(
                     &self.coord.cfg.job,
                     snapshot,
                     data,
                     wu.epoch,
                     wu.shard_id,
+                    &mut self.train_ws,
+                    None,
                 );
                 // Under a lossy codec the upload is what survives the
                 // wire: quantize the trained delta against the fetched
@@ -729,6 +735,12 @@ impl Sim {
 /// entire run — every timeout, preemption, reordering and parameter value —
 /// is a pure function of the scenario (including its seed).
 pub fn run_scenario(sc: &Scenario) -> Result<SimOutcome, String> {
+    run_with_service(sc).map(|(out, _)| out)
+}
+
+/// [`run_scenario`], also handing back the run's parameter service so tests
+/// can inspect what it still holds.
+fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), String> {
     sc.validate()?;
     let cfg = Arc::new(sc.cfg.clone());
     let job = &cfg.job;
@@ -859,6 +871,7 @@ pub fn run_scenario(sc: &Scenario) -> Result<SimOutcome, String> {
         slots,
         assim_queue: VecDeque::new(),
         shards,
+        train_ws: TrainWorkspace::new(),
         val_eval,
         fstats,
         _server_tx: server_tx,
@@ -880,14 +893,15 @@ pub fn run_scenario(sc: &Scenario) -> Result<SimOutcome, String> {
     report.final_val_acc = v;
     report.final_test_acc = t;
 
-    Ok(SimOutcome {
+    let out = SimOutcome {
         consistency: job.consistency,
         report,
         history: store.take_history(),
         telemetry: tel,
         ops: ops_hub,
         ps_codec_ops: service.codec_ops(),
-    })
+    };
+    Ok((out, service))
 }
 
 /// Verifies one outcome's consistency contract. On failure the flight
@@ -956,6 +970,21 @@ mod tests {
         assert!(out.report.wall_s > 0.0, "virtual time must pass");
         assert!(out.report.final_mean_acc() > 0.15);
         out.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn finished_epochs_retire_their_snapshots() {
+        let mut sc = tiny(2);
+        sc.cfg.job.epochs = 6;
+        let (out, service) = run_with_service(&sc).unwrap();
+        assert_eq!(out.report.epochs.len(), 6);
+        // The current epoch (fetch, checkpoint) and the one before it (a
+        // replica handed out as the epoch closed) stay; the rest are gone.
+        for e in 1..=4 {
+            assert!(service.snapshot_params(e).is_none(), "epoch {e} retained");
+        }
+        assert!(service.snapshot_params(5).is_some());
+        assert!(service.snapshot_params(6).is_some());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Each worker owns one host identity and runs the BOINC client loop for
 //! real: poll the scheduler, train the assigned shard with actual SGD
-//! (through the same [`vc_asgd::train_client_replica`] the simulator
+//! (through the same [`vc_asgd::train_client_replica_ws`] the simulator
 //! uses), upload the replica parameters, repeat. A worker executes one
 //! subtask at a time; the server-side slot cap (`Tn`) still bounds how much
 //! work can be assigned to its host record.

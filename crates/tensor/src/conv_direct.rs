@@ -62,16 +62,14 @@
 //!
 //! ## Selection
 //!
-//! [`supports`] gates on geometry (3×3, stride 1, any padding);
-//! [`enabled`] is a process-wide switch — default on, `VC_CONV_DIRECT=0`
-//! disables, [`set_enabled`] overrides at runtime (used by `bench_train`
-//! to time both paths and by tests to compare them).
+//! [`supports`] gates on geometry (3×3, stride 1, any padding) and is the
+//! whole decision: there is no switch. Anything that wants the lowered
+//! route for a supported shape — the property tests, `bench_train` — calls
+//! the im2col kernels directly.
 
 use crate::ops::{ConvGeom, Epilogue, PAR_THRESHOLD};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Output-channel block: each pass over an image row computes `OCB`
 /// channels at once so every loaded input vector feeds 4 accumulators.
@@ -81,41 +79,6 @@ const OCB: usize = 4;
 /// for training-shaped channel counts, and give the register tiles a long
 /// enough FMA run to amortize their accumulator load/store.
 const BAND: usize = 32;
-
-// 0 = follow the VC_CONV_DIRECT env default, 1 = forced on, 2 = forced off.
-static FORCE: AtomicU8 = AtomicU8::new(0);
-
-fn env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("VC_CONV_DIRECT").as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
-}
-
-/// Is the direct path currently selected? (Geometry still has to pass
-/// [`supports`] — callers check both.)
-pub fn enabled() -> bool {
-    match FORCE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_default(),
-    }
-}
-
-/// Forces the direct path on or off process-wide, overriding the
-/// `VC_CONV_DIRECT` env default. Safe to flip at any time: both paths
-/// produce bit-identical results, so a racing layer sees no difference.
-pub fn set_enabled(on: bool) {
-    FORCE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Drops any [`set_enabled`] override, returning to the env default.
-pub fn clear_forced() {
-    FORCE.store(0, Ordering::Relaxed);
-}
 
 /// Geometry the direct kernels handle: 3×3, stride 1, any symmetric pad.
 pub fn supports(geom: &ConvGeom) -> bool {
@@ -919,17 +882,6 @@ mod tests {
         assert!(!supports(&ConvGeom { stride: 2, ..g3 }));
         assert!(!supports(&ConvGeom { kh: 1, kw: 1, ..g3 }));
         assert!(!supports(&ConvGeom { kw: 5, ..g3 }));
-    }
-
-    #[test]
-    fn toggle_overrides_and_clears() {
-        let initial = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        clear_forced();
-        assert_eq!(enabled(), initial);
     }
 
     #[test]

@@ -33,10 +33,9 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Hands out a zero-filled buffer of exactly `len` elements, reusing the
-    /// smallest pooled buffer whose capacity suffices (best fit). Allocates
-    /// only when no pooled buffer is large enough.
-    pub fn take(&mut self, len: usize) -> Vec<f32> {
+    /// Removes the smallest pooled buffer whose capacity covers `len` (best
+    /// fit), emptied; counts a miss when there is none.
+    fn reuse(&mut self, len: usize) -> Option<Vec<f32>> {
         self.takes += 1;
         let mut best: Option<usize> = None;
         for (i, buf) in self.free.iter().enumerate() {
@@ -50,13 +49,37 @@ impl Workspace {
             Some(i) => {
                 let mut buf = self.free.swap_remove(i);
                 buf.clear();
-                buf.resize(len, 0.0);
-                buf
+                Some(buf)
             }
             None => {
                 self.misses += 1;
-                vec![0.0; len]
+                None
             }
+        }
+    }
+
+    /// Hands out a zero-filled buffer of exactly `len` elements, reusing the
+    /// smallest pooled buffer whose capacity suffices (best fit). Allocates
+    /// only when no pooled buffer is large enough.
+    pub fn take(&mut self, len: usize) -> Vec<f32> {
+        match self.reuse(len) {
+            Some(mut buf) => {
+                buf.resize(len, 0.0);
+                buf
+            }
+            None => vec![0.0; len],
+        }
+    }
+
+    /// Hands out a copy of `src` in a pooled buffer — [`take`](Self::take)
+    /// without the zero fill the copy would overwrite.
+    pub fn take_copy(&mut self, src: &[f32]) -> Vec<f32> {
+        match self.reuse(src.len()) {
+            Some(mut buf) => {
+                buf.extend_from_slice(src);
+                buf
+            }
+            None => src.to_vec(),
         }
     }
 
@@ -93,6 +116,18 @@ mod tests {
         ws.recycle(a);
         let b = ws.take(4);
         assert_eq!(b, vec![0.0; 4], "recycled contents must not leak through");
+    }
+
+    #[test]
+    fn take_copy_reuses_the_pool_and_copies_exactly() {
+        let mut ws = Workspace::new();
+        ws.recycle(vec![9.0; 16]);
+        let b = ws.take_copy(&[1.0, 2.0, 3.0]);
+        assert_eq!(b, vec![1.0, 2.0, 3.0]);
+        assert_eq!(ws.stats(), (1, 0), "served from the pooled buffer");
+        let c = ws.take_copy(&[4.0; 5]);
+        assert_eq!(c, vec![4.0; 5]);
+        assert_eq!(ws.stats(), (2, 1), "empty pool: a counted miss");
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! DST golden check for the conv-path dispatch: switching `Conv2d`
-//! between the direct 3×3 kernels and the im2col+GEMM lowering must not
-//! perturb a pinned chaos training trajectory by a single bit.
+//! DST golden check for the conv dispatch: a chaos training trajectory
+//! over `small_cnn`, pinned before the direct 3×3 kernels existed, must not
+//! move by a single bit.
 //!
 //! The scenario overrides the DST default mlp with `small_cnn` (the
 //! paper's model family), so every local training step routes through the
-//! dispatch in `vc_nn::conv`. The golden bits below were captured with
-//! the im2col path forced — i.e. the trajectory of the codebase *before*
-//! the direct path existed — and both path settings must keep matching
-//! them forever.
-//!
-//! Single `#[test]` on purpose: the conv-path toggle is process-global,
-//! so the two runs must not execute concurrently with each other (or with
-//! any other toggle-flipping test in this binary).
+//! dispatch in `vc_nn::conv`. The golden bits below were captured with the
+//! im2col path forced — i.e. the trajectory of the codebase *before* the
+//! direct path existed. `Conv2d` now picks the direct kernels for every
+//! 3×3 stride-1 layer on geometry alone, so matching these constants is
+//! the end-to-end proof that the direct kernels reproduce the lowering
+//! (the kernel-level proof against the im2col oracle is
+//! `crates/tensor/tests/conv_direct_props.rs`).
 
 mod common;
 
 use common::fnv1a;
 use vc_runtime::{run_scenario, Scenario};
-use vc_tensor::conv_direct;
 
 /// A kill-storm scenario over the small CNN: 4 volunteers, 2 trusted
 /// nodes, 2 epochs, 30 % of the fleet killed once mid-run.
@@ -40,32 +38,29 @@ const GOLDEN_VAL: u32 = 1052770304;
 const GOLDEN_TEST: u32 = 1054727646;
 const GOLDEN_REPORT: u64 = 0x0b707f38bdfae44a;
 
-fn run_bits(direct: bool) -> (Vec<u32>, u32, u32, u64) {
-    conv_direct::set_enabled(direct);
-    let out = run_scenario(&cnn_storm(0)).expect("cnn storm scenario runs");
-    conv_direct::clear_forced();
-    (
-        out.report
-            .epochs
-            .iter()
-            .map(|e| e.mean_val_acc.to_bits())
-            .collect(),
-        out.report.final_val_acc.to_bits(),
-        out.report.final_test_acc.to_bits(),
-        fnv1a(out.report_json().as_bytes()),
-    )
-}
-
 #[test]
-fn conv_path_switch_leaves_pinned_trajectory_bitwise_unchanged() {
-    let lowered = run_bits(false);
-    let direct = run_bits(true);
+fn conv_dispatch_reproduces_the_pinned_im2col_trajectory() {
+    let out = run_scenario(&cnn_storm(0)).expect("cnn storm scenario runs");
+    let epochs: Vec<u32> = out
+        .report
+        .epochs
+        .iter()
+        .map(|e| e.mean_val_acc.to_bits())
+        .collect();
+    assert_eq!(epochs, GOLDEN_EPOCHS, "per-epoch accuracy bits moved");
     assert_eq!(
-        direct, lowered,
-        "direct vs im2col conv paths diverged on a chaos trajectory"
+        out.report.final_val_acc.to_bits(),
+        GOLDEN_VAL,
+        "final val accuracy bits moved"
     );
-    assert_eq!(lowered.0, GOLDEN_EPOCHS, "per-epoch accuracy bits moved");
-    assert_eq!(lowered.1, GOLDEN_VAL, "final val accuracy bits moved");
-    assert_eq!(lowered.2, GOLDEN_TEST, "final test accuracy bits moved");
-    assert_eq!(lowered.3, GOLDEN_REPORT, "report JSON hash moved");
+    assert_eq!(
+        out.report.final_test_acc.to_bits(),
+        GOLDEN_TEST,
+        "final test accuracy bits moved"
+    );
+    assert_eq!(
+        fnv1a(out.report_json().as_bytes()),
+        GOLDEN_REPORT,
+        "report JSON hash moved"
+    );
 }

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use vc_data::SyntheticSpec;
 use vc_nn::metrics::evaluate;
 use vc_nn::spec::small_cnn;
-use vc_optim::{train_minibatch, OptimizerSpec};
+use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
 
 #[test]
 fn small_cnn_learns_cifar_like() {
@@ -16,8 +16,9 @@ fn small_cnn_learns_cifar_like() {
     let mut model = mspec.build(1);
     let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
     let mut rng = StdRng::seed_from_u64(2);
+    let mut tws = TrainWorkspace::new();
     for e in 0..8 {
-        let st = train_minibatch(
+        let st = train_minibatch_ws(
             &mut model,
             &mut opt,
             &train.images,
@@ -26,6 +27,8 @@ fn small_cnn_learns_cifar_like() {
             1,
             5.0,
             &mut rng,
+            &mut tws,
+            None,
         );
         let (_, acc) = evaluate(&mut model, &val.images, &val.labels, 128);
         eprintln!("epoch {e}: loss {:.3} val acc {:.3}", st.mean_loss, acc);
