@@ -10,7 +10,7 @@
 //! im2col oracle and `tests/tests/conv_paths.rs` for a trajectory pinned
 //! before the direct kernels existed.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamVisitor};
 use vc_tensor::conv_direct::{
     self, conv3x3_backward_dk_into, conv3x3_backward_dx_into, conv3x3_forward_into,
 };
@@ -312,9 +312,10 @@ impl Layer for Conv2d {
         nk + nb
     }
 
-    fn collect_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.dkernel.data());
-        out.extend_from_slice(self.dbias.data());
+    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
+        f(offset, self.kernel.data_mut(), self.dkernel.data_mut());
+        let nk = self.kernel.numel();
+        f(offset + nk, self.bias.data_mut(), self.dbias.data_mut());
     }
 
     fn zero_grads(&mut self) {

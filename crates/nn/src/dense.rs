@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamVisitor};
 use vc_tensor::ops::{matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into, Epilogue};
 use vc_tensor::{NormalSampler, Tensor, Workspace};
 
@@ -26,7 +26,9 @@ impl Dense {
         Dense {
             w: Tensor::he_normal(&[in_dim, out_dim], in_dim, sampler),
             b: Tensor::zeros(&[out_dim]),
-            dw: Tensor::zeros(&[in_dim, out_dim]),
+            // Sized on first backward: a replica that only scores (the
+            // assimilator's) never holds a second copy of its weights.
+            dw: Tensor::zeros(&[0]),
             db: Tensor::zeros(&[out_dim]),
             x_cache: None,
             in_dim,
@@ -59,6 +61,13 @@ impl Dense {
             self.in_dim,
             x.dims()[1]
         );
+    }
+
+    fn dw(&mut self) -> &mut [f32] {
+        if self.dw.numel() != self.w.numel() {
+            self.dw = Tensor::zeros(self.w.dims());
+        }
+        self.dw.data_mut()
     }
 
     /// Bias (or fused bias+ReLU) epilogue for the forward GEMM.
@@ -96,7 +105,7 @@ impl Layer for Dense {
             .take()
             .expect("Dense::backward called without a cached forward");
         // dW += x^T · dy ; db += column-sums of dy ; dx = dy · W^T
-        matmul_at_b_epi_into(&x, &dy, self.dw.data_mut(), Epilogue::Accumulate);
+        matmul_at_b_epi_into(&x, &dy, self.dw(), Epilogue::Accumulate);
         self.x_cache = Some(x);
         // Zero-initialized partial sum, rows ascending.
         let m = dy.dims()[0];
@@ -139,9 +148,14 @@ impl Layer for Dense {
         nw + nb
     }
 
-    fn collect_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.dw.data());
-        out.extend_from_slice(self.db.data());
+    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
+        self.dw();
+        f(offset, self.w.data_mut(), self.dw.data_mut());
+        f(
+            offset + self.w.numel(),
+            self.b.data_mut(),
+            self.db.data_mut(),
+        );
     }
 
     fn zero_grads(&mut self) {

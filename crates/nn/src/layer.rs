@@ -5,8 +5,10 @@ use vc_tensor::{Tensor, Workspace};
 /// A differentiable network component.
 ///
 /// Layers own their parameters *and* their gradients: `backward` accumulates
-/// into layer-local gradient buffers, and the model aggregates them into the
-/// flat vectors that the optimizers and the distributed schemes exchange.
+/// into layer-local gradient buffers, the trainer clips and steps them in
+/// place through [`visit_params`](Layer::visit_params), and the model
+/// gathers the parameters into the flat vector the distributed schemes
+/// exchange.
 ///
 /// `Send` is required so entire models can be moved into rayon tasks — the
 /// simulated volunteer fleet trains one independent model replica per
@@ -86,9 +88,23 @@ pub trait Layer: Send {
         0
     }
 
+    /// Hands `f` each trainable parameter slice together with its gradient
+    /// slice, in `collect_params` order. `offset` is where this layer starts
+    /// in the model's flat vector; every call carries its slice's own
+    /// offset. A buffer that travels with the weights but is not trained
+    /// (BatchNorm running statistics) is visited with an *empty* gradient
+    /// slice: norms and scalings pass over it, optimizers skip it.
+    fn visit_params(&mut self, _offset: usize, _f: &mut ParamVisitor<'_>) {}
+
     /// Appends this layer's parameter gradients to `out`; same order and
     /// length as `collect_params` (buffers contribute zeros).
-    fn collect_grads(&self, _out: &mut Vec<f32>) {}
+    fn collect_grads(&mut self, out: &mut Vec<f32>) {
+        let base = out.len();
+        out.resize(base + self.param_len(), 0.0);
+        self.visit_params(base, &mut |off, _, g| {
+            out[off..off + g.len()].copy_from_slice(g)
+        });
+    }
 
     /// Clears accumulated gradients.
     fn zero_grads(&mut self) {}
@@ -103,6 +119,9 @@ pub trait Layer: Send {
 
 /// A boxed layer, as stored by [`crate::Sequential`].
 pub type BoxedLayer = Box<dyn Layer>;
+
+/// The callback of [`Layer::visit_params`]: `(offset, params, grads)`.
+pub type ParamVisitor<'a> = dyn FnMut(usize, &mut [f32], &mut [f32]) + 'a;
 
 #[cfg(test)]
 mod tests {

@@ -42,7 +42,7 @@ pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use dropout::Dropout;
-pub use layer::Layer;
+pub use layer::{Layer, ParamVisitor};
 pub use loss::SoftmaxCrossEntropy;
 pub use model::Sequential;
 pub use norm::BatchNorm;

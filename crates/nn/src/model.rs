@@ -1,6 +1,6 @@
 //! The [`Sequential`] model container.
 
-use crate::layer::{BoxedLayer, Layer};
+use crate::layer::{BoxedLayer, Layer, ParamVisitor};
 use vc_tensor::{Tensor, Workspace};
 
 /// A model as an ordered pipeline of layers.
@@ -54,16 +54,8 @@ impl Sequential {
     /// Copies all parameters into one flat vector.
     pub fn params_flat(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        self.params_flat_into(&mut out);
+        self.collect_params(&mut out);
         out
-    }
-
-    /// [`Self::params_flat`] into a reused vector: cleared, then filled.
-    pub fn params_flat_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        for l in &self.layers {
-            l.collect_params(out);
-        }
     }
 
     /// Installs a flat parameter vector. Panics when the length disagrees
@@ -76,29 +68,16 @@ impl Sequential {
             params.len(),
             self.param_count()
         );
-        let mut off = 0;
-        for l in &mut self.layers {
-            off += l.load_params(&params[off..]);
-        }
+        let off = self.load_params(params);
         debug_assert_eq!(off, params.len());
     }
 
     /// Copies all accumulated gradients into one flat vector (same layout as
     /// [`Self::params_flat`]).
-    pub fn grads_flat(&self) -> Vec<f32> {
+    pub fn grads_flat(&mut self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        self.grads_flat_into(&mut out);
+        self.collect_grads(&mut out);
         out
-    }
-
-    /// [`Self::grads_flat`] into a reused vector: cleared, then filled. After
-    /// the first call the vector's capacity suffices, so the per-step
-    /// gradient gather in the trainer allocates nothing.
-    pub fn grads_flat_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        for l in &self.layers {
-            l.collect_grads(out);
-        }
     }
 
     /// Clears gradients in every layer.
@@ -193,9 +172,11 @@ impl Layer for Sequential {
         off
     }
 
-    fn collect_grads(&self, out: &mut Vec<f32>) {
-        for l in &self.layers {
-            l.collect_grads(out);
+    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
+        let mut off = offset;
+        for l in &mut self.layers {
+            l.visit_params(off, f);
+            off += l.param_len();
         }
     }
 

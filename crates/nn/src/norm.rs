@@ -1,6 +1,6 @@
 //! Batch normalization.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamVisitor};
 use vc_tensor::{Tensor, Workspace};
 
 /// Numerical floor added to the variance before taking the square root.
@@ -236,11 +236,16 @@ impl Layer for BatchNorm {
         4 * c
     }
 
-    fn collect_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.dgamma.data());
-        out.extend_from_slice(self.dbeta.data());
-        // Buffers are not optimized: contribute zero gradient.
-        out.resize(out.len() + 2 * self.ch, 0.0);
+    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
+        f(offset, self.gamma.data_mut(), self.dgamma.data_mut());
+        f(
+            offset + self.ch,
+            self.beta.data_mut(),
+            self.dbeta.data_mut(),
+        );
+        // The running statistics are buffers, not trained: no gradient.
+        f(offset + 2 * self.ch, self.running_mean.data_mut(), &mut []);
+        f(offset + 3 * self.ch, self.running_var.data_mut(), &mut []);
     }
 
     fn zero_grads(&mut self) {

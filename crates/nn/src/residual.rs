@@ -1,7 +1,7 @@
 //! Residual (skip-connection) blocks, the structural motif of the paper's
 //! ResNetV2 model.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, ParamVisitor};
 use crate::model::Sequential;
 use vc_tensor::{Tensor, Workspace};
 
@@ -68,8 +68,8 @@ impl Layer for Residual {
         self.body.load_params(src)
     }
 
-    fn collect_grads(&self, out: &mut Vec<f32>) {
-        self.body.collect_grads(out);
+    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
+        self.body.visit_params(offset, f);
     }
 
     fn zero_grads(&mut self) {

@@ -8,13 +8,25 @@
 /// before every optimizer step so a pathological subtask cannot poison its
 /// parameter upload (the validator would otherwise have to reject it).
 pub fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
+    clip_slices_by_global_norm(|f| f(grads), max_norm)
+}
+
+/// [`clip_by_global_norm`] over a gradient held as several slices (a
+/// model's per-layer buffers): `each` must hand its argument every slice,
+/// in the same order on every call. The squares are summed left to right
+/// with one carried accumulator, so the result has the bits of one pass
+/// over the concatenation.
+pub fn clip_slices_by_global_norm(
+    mut each: impl FnMut(&mut dyn FnMut(&mut [f32])),
+    max_norm: f32,
+) -> f32 {
     assert!(max_norm > 0.0, "max_norm must be positive");
-    let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+    let mut sq = 0.0f32;
+    each(&mut |g| sq = g.iter().fold(sq, |a, g| a + g * g));
+    let norm = sq.sqrt();
     if norm > max_norm && norm.is_finite() {
         let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            *g *= scale;
-        }
+        each(&mut |g| g.iter_mut().for_each(|g| *g *= scale));
     }
     norm
 }

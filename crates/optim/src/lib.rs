@@ -7,9 +7,12 @@
 //! of those variants exist here anyway because the baselines (Downpour,
 //! EASGD, the serial reference) use them, and because ablations sweep them.
 //!
-//! Optimizers operate on *flat* parameter/gradient vectors — the same
+//! Optimizer state is indexed like the *flat* parameter vector — the same
 //! representation the distributed layer ships across the simulated network —
-//! so a client's optimizer state never needs to understand the model.
+//! so a client's optimizer never needs to understand the model: it steps
+//! either the flat vectors whole ([`Optimizer::step`]) or, slice by slice at
+//! their flat offsets, the layers' own buffers ([`Optimizer::begin_step`] +
+//! [`Optimizer::update_at`], what the trainer does).
 
 pub mod clip;
 pub mod schedule;
@@ -113,6 +116,20 @@ impl Optimizer {
     /// Applies one update in place: `params -= update(grads)`, using
     /// `lr_scale` as a multiplier on the base learning rate (for schedules).
     pub fn step_scaled(&mut self, params: &mut [f32], grads: &[f32], lr_scale: f32) {
+        self.begin_step();
+        self.update_at(0, params, grads, lr_scale);
+    }
+
+    /// Opens one optimizer step (advances Adam's bias-correction clock).
+    /// Follow it with one [`Self::update_at`] per parameter slice.
+    pub fn begin_step(&mut self) {
+        self.t += 1;
+    }
+
+    /// Applies the open step's update to the slice at `offset` of the flat
+    /// parameter vector. Every operation is elementwise, so slice-by-slice
+    /// steps are bit-identical to one call over the whole vector.
+    pub fn update_at(&mut self, offset: usize, params: &mut [f32], grads: &[f32], lr_scale: f32) {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -120,7 +137,7 @@ impl Optimizer {
             params.len(),
             grads.len()
         );
-        self.t += 1;
+        let state = offset..offset + params.len();
         if self.weight_decay > 0.0 {
             let keep = 1.0 - self.weight_decay * lr_scale;
             for p in params.iter_mut() {
@@ -135,13 +152,12 @@ impl Optimizer {
                 }
             }
             OptimizerSpec::Momentum { lr, beta } => {
-                assert_eq!(
-                    self.m.len(),
-                    params.len(),
+                assert!(
+                    state.end <= self.m.len(),
                     "optimizer built for another model"
                 );
                 let step = lr * lr_scale;
-                for ((p, &g), m) in params.iter_mut().zip(grads).zip(&mut self.m) {
+                for ((p, &g), m) in params.iter_mut().zip(grads).zip(&mut self.m[state]) {
                     *m = beta * *m + g;
                     *p -= step * *m;
                 }
@@ -152,9 +168,8 @@ impl Optimizer {
                 beta2,
                 eps,
             } => {
-                assert_eq!(
-                    self.m.len(),
-                    params.len(),
+                assert!(
+                    state.end <= self.m.len(),
                     "optimizer built for another model"
                 );
                 let t = self.t as f32;
@@ -164,8 +179,8 @@ impl Optimizer {
                 for (((p, &g), m), v) in params
                     .iter_mut()
                     .zip(grads)
-                    .zip(&mut self.m)
-                    .zip(&mut self.v)
+                    .zip(&mut self.m[state.clone()])
+                    .zip(&mut self.v[state])
                 {
                     *m = beta1 * *m + (1.0 - beta1) * g;
                     *v = beta2 * *v + (1.0 - beta2) * g * g;

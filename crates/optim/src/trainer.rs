@@ -1,10 +1,10 @@
 //! Mini-batch training loop shared by client subtasks and baselines.
 
-use crate::clip::clip_by_global_norm;
+use crate::clip::clip_slices_by_global_norm;
 use crate::Optimizer;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use vc_nn::{Sequential, SoftmaxCrossEntropy};
+use vc_nn::{Layer, Sequential, SoftmaxCrossEntropy};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::{Tensor, Workspace};
 
@@ -19,8 +19,9 @@ pub struct TrainBatchStats {
     pub samples: usize,
 }
 
-/// Per-replica reusable training state: the tensor [`Workspace`] plus the
-/// flat parameter/gradient vectors, the shuffle order and the label batch.
+/// Per-replica reusable training state: the tensor [`Workspace`], the
+/// shuffle order and the label batch. There are no flat parameter/gradient
+/// mirrors: clipping and the optimizer step visit the layers' own buffers.
 /// Hold one per worker thread (or simulated client) and pass it to every
 /// [`train_minibatch_ws`] call; after the first step warms the pools, the
 /// steady-state training loop performs zero heap allocations.
@@ -28,8 +29,8 @@ pub struct TrainBatchStats {
 pub struct TrainWorkspace {
     /// Buffer pool for activations, columns and gradients.
     pub ws: Workspace,
-    grads: Vec<f32>,
-    params: Vec<f32>,
+    /// The model's untrained buffers as they were before the pass.
+    buffers: Vec<f32>,
     order: Vec<usize>,
     batch_labels: Vec<usize>,
 }
@@ -67,8 +68,9 @@ pub struct StepTimer<'a> {
 ///
 /// Tensors move by value through the layer chain drawing buffers from
 /// `tws`, the ReLU activations are fused into the GEMM epilogues, and the
-/// flat parameter/gradient vectors are reused across steps; after the first
-/// step warms the pools, steady-state steps perform no heap allocation.
+/// optimizer updates each layer's weights in place from that layer's own
+/// gradient buffer; after the first step warms the pools, steady-state
+/// steps perform no heap allocation.
 ///
 /// When `timer` is given, each optimizer step's duration is observed into
 /// its histogram.
@@ -98,17 +100,25 @@ pub fn train_minibatch_ws<R: Rng>(
     let mut samples = 0usize;
 
     model.fuse_relu();
-    model.params_flat_into(&mut tws.params);
+    // BatchNorm running statistics come back out of a training pass exactly
+    // as they went in (the goldens pin this: a replica normalizes by batch
+    // statistics and uploads the snapshot's running ones), so they are set
+    // aside here and put back below.
+    tws.buffers.clear();
+    model.visit_params(0, &mut |_, p, g| {
+        if g.is_empty() {
+            tws.buffers.extend_from_slice(p);
+        }
+    });
     for _ in 0..local_epochs {
         tws.order.shuffle(rng);
         // `order` is borrowed across the step, so split it off the rest of
         // the workspace fields.
         let TrainWorkspace {
             ws,
-            grads,
-            params,
             order,
             batch_labels,
+            ..
         } = tws;
         for chunk in order.chunks(batch_size) {
             let t0 = timer.map(|t| t.telemetry.now_s());
@@ -130,12 +140,18 @@ pub fn train_minibatch_ws<R: Rng>(
             model.zero_grads_all();
             let dx = model.backward_pipeline_ws(dlogits, ws);
             ws.recycle(dx.into_vec());
-            model.grads_flat_into(grads);
             if clip_norm.is_finite() {
-                clip_by_global_norm(grads, clip_norm);
+                clip_slices_by_global_norm(
+                    |f| model.visit_params(0, &mut |_, _, g| f(g)),
+                    clip_norm,
+                );
             }
-            opt.step(params, grads);
-            model.set_params_flat(params);
+            opt.begin_step();
+            model.visit_params(0, &mut |off, p, g| {
+                if !g.is_empty() {
+                    opt.update_at(off, p, g, 1.0);
+                }
+            });
 
             if let (Some(t), Some(t0)) = (timer, t0) {
                 t.histogram.observe((t.telemetry.now_s() - t0).max(0.0));
@@ -145,6 +161,15 @@ pub fn train_minibatch_ws<R: Rng>(
             samples += chunk.len();
         }
     }
+
+    let mut saved = tws.buffers.as_slice();
+    model.visit_params(0, &mut |_, p, g| {
+        if g.is_empty() {
+            let (head, rest) = saved.split_at(p.len());
+            p.copy_from_slice(head);
+            saved = rest;
+        }
+    });
 
     TrainBatchStats {
         mean_loss: if steps == 0 {

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use vc_kvstore::ShardLayout;
-use vc_tensor::codec::{decode_f32s_into, encode_f32s};
+use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
 
 /// Why a parameter-service request failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,18 +78,23 @@ impl From<WireError> for PsError {
     }
 }
 
+/// Receives a fetch's shard and shard-delta frames, one at a time, as the
+/// transport reads them.
+pub type FetchSink<'a> = dyn FnMut(Frame) + 'a;
+
 /// A transport to the parameter service.
 pub trait PsClient: Send {
     /// Fetches the listed `(shard_id, cached_version)` pairs from the
     /// `epoch` snapshot, advertising which `codec` the caller can decode
-    /// deltas in. Shard and shard-delta frames are appended to `out`; the
-    /// summary is returned.
+    /// deltas in. Each shard or shard-delta frame is handed to `sink` as it
+    /// arrives and dropped when `sink` returns, so no transport holds a
+    /// whole response; the summary is returned.
     fn fetch(
         &mut self,
         epoch: u64,
         wants: &[(u32, u64)],
         codec: Codec,
-        out: &mut Vec<Frame>,
+        sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError>;
 
     /// Pushes one trained client shard for merging, at full precision.
@@ -107,33 +112,31 @@ pub trait PsClient: Send {
     ) -> Result<PushAck, PsError>;
 }
 
-/// Scans a decoded response for the frames a fetch expects.
-pub(crate) fn collect_fetch_response(
-    frames: Vec<Frame>,
-    out: &mut Vec<Frame>,
-) -> Result<FetchSummary, PsError> {
-    let mut summary = None;
-    for f in frames {
-        match f.kind {
-            FrameKind::Shard | FrameKind::ShardDelta => out.push(f),
-            FrameKind::FetchDone => summary = Some(FetchSummary::from_frame(&f)?),
-            FrameKind::Error => return Err(server_error(&f)),
-            _ => return Err(PsError::ShortResponse("unexpected frame in fetch response")),
+/// Routes one frame of a fetch response: `Some(result)` ends the
+/// response, every other frame goes to `sink`. The sink cannot stop the
+/// read — a response is always consumed to its end, so a socket stays
+/// framed whatever the frames held.
+pub(crate) fn route_fetch_frame(
+    f: Frame,
+    sink: &mut FetchSink<'_>,
+) -> Option<Result<FetchSummary, PsError>> {
+    match f.kind {
+        FrameKind::FetchDone => Some(FetchSummary::from_frame(&f).map_err(PsError::Wire)),
+        FrameKind::Error => Some(Err(server_error(&f))),
+        _ => {
+            sink(f);
+            None
         }
     }
-    summary.ok_or(PsError::ShortResponse("missing FetchDone"))
 }
 
-/// Scans a decoded response for a push acknowledgement.
-pub(crate) fn collect_push_response(frames: Vec<Frame>) -> Result<PushAck, PsError> {
-    for f in frames {
-        match f.kind {
-            FrameKind::PushAck => return Ok(PushAck::from_frame(&f)?),
-            FrameKind::Error => return Err(server_error(&f)),
-            _ => {}
-        }
+/// Reads a push's single response frame.
+pub(crate) fn push_response(f: Frame) -> Result<PushAck, PsError> {
+    match f.kind {
+        FrameKind::PushAck => Ok(PushAck::from_frame(&f)?),
+        FrameKind::Error => Err(server_error(&f)),
+        _ => Err(PsError::ShortResponse("missing PushAck")),
     }
-    Err(PsError::ShortResponse("missing PushAck"))
 }
 
 /// Builds the [`FrameKind::PushDelta`] request frame shared by every
@@ -181,6 +184,43 @@ impl MemClient {
         decode_all(&self.resp_bytes, &mut frames)?;
         Ok(frames)
     }
+
+    fn push_roundtrip(&mut self, req: &Frame) -> Result<PushAck, PsError> {
+        let first = self.roundtrip(req)?.into_iter().next();
+        first.map_or(
+            Err(PsError::ShortResponse("missing PushAck")),
+            push_response,
+        )
+    }
+}
+
+/// Feeds an already-decoded fetch response through [`route_fetch_frame`].
+fn route_fetch_response(
+    frames: Vec<Frame>,
+    sink: &mut FetchSink<'_>,
+) -> Result<FetchSummary, PsError> {
+    frames
+        .into_iter()
+        .find_map(|f| route_fetch_frame(f, sink))
+        .unwrap_or(Err(PsError::ShortResponse("missing FetchDone")))
+}
+
+fn fetch_req(epoch: u64, wants: &[(u32, u64)], codec: Codec) -> Frame {
+    FetchReq {
+        epoch,
+        wants: wants.to_vec(),
+        codec,
+    }
+    .to_frame()
+}
+
+pub(crate) fn push_frame(shard_id: u32, epoch: u64, values: &[f32]) -> Frame {
+    Frame {
+        kind: FrameKind::Push,
+        shard_id,
+        version: epoch,
+        payload: encode_f32s(values),
+    }
 }
 
 impl PsClient for MemClient {
@@ -189,27 +229,14 @@ impl PsClient for MemClient {
         epoch: u64,
         wants: &[(u32, u64)],
         codec: Codec,
-        out: &mut Vec<Frame>,
+        sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError> {
-        let req = FetchReq {
-            epoch,
-            wants: wants.to_vec(),
-            codec,
-        }
-        .to_frame();
-        let frames = self.roundtrip(&req)?;
-        collect_fetch_response(frames, out)
+        let frames = self.roundtrip(&fetch_req(epoch, wants, codec))?;
+        route_fetch_response(frames, sink)
     }
 
     fn push(&mut self, shard_id: u32, epoch: u64, values: &[f32]) -> Result<PushAck, PsError> {
-        let req = Frame {
-            kind: FrameKind::Push,
-            shard_id,
-            version: epoch,
-            payload: encode_f32s(values),
-        };
-        let frames = self.roundtrip(&req)?;
-        collect_push_response(frames)
+        self.push_roundtrip(&push_frame(shard_id, epoch, values))
     }
 
     fn push_delta(
@@ -220,9 +247,7 @@ impl PsClient for MemClient {
         codec: Codec,
         blob: &[u8],
     ) -> Result<PushAck, PsError> {
-        let req = push_delta_frame(shard_id, epoch, base_epoch, codec, blob);
-        let frames = self.roundtrip(&req)?;
-        collect_push_response(frames)
+        self.push_roundtrip(&push_delta_frame(shard_id, epoch, base_epoch, codec, blob))
     }
 }
 
@@ -265,17 +290,14 @@ impl PsClient for DelayedMemClient {
         epoch: u64,
         wants: &[(u32, u64)],
         codec: Codec,
-        out: &mut Vec<Frame>,
+        sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError> {
-        let req = FetchReq {
-            epoch,
-            wants: wants.to_vec(),
-            codec,
-        }
-        .to_frame();
-        let frames = self.inner.roundtrip(&req)?;
-        let frames = self.reorder(frames);
-        collect_fetch_response(frames, out)
+        let frames = self.inner.roundtrip(&fetch_req(epoch, wants, codec))?;
+        let mut frames = self.reorder(frames);
+        // A stream cannot deliver the terminator ahead of the frames it
+        // terminates: shards stay reordered, `FetchDone` goes last.
+        frames.sort_by_key(|f| f.kind == FrameKind::FetchDone);
+        route_fetch_response(frames, sink)
     }
 
     fn push(&mut self, shard_id: u32, epoch: u64, values: &[f32]) -> Result<PushAck, PsError> {
@@ -306,7 +328,7 @@ pub struct ShardCache {
     versions: Vec<u64>,
     full: Vec<f32>,
     wants: Vec<(u32, u64)>,
-    frames: Vec<Frame>,
+    /// Decoded shard-delta scratch (stays empty under `Raw`).
     scratch: Vec<f32>,
     codec: Codec,
     /// Epoch of the last successful sync — the base pushes delta against.
@@ -330,7 +352,6 @@ impl ShardCache {
             versions: vec![0; shards],
             full: vec![0.0; n],
             wants: Vec::with_capacity(shards),
-            frames: Vec::new(),
             scratch: Vec::new(),
             codec: Codec::Raw,
             last_epoch: 0,
@@ -367,7 +388,9 @@ impl ShardCache {
     /// assembled vector. A full cache hit performs no transport call and
     /// no allocation; otherwise the fetch request lists *every* shard with
     /// its cached version and the service ships back only the stale ones
-    /// (counting the rest as cache hits).
+    /// (counting the rest as cache hits). Each response payload is decoded
+    /// straight into its range of the assembled vector and dropped before
+    /// the next one is read.
     pub fn sync(
         &mut self,
         epoch: u64,
@@ -383,11 +406,46 @@ impl ShardCache {
         for (i, &have) in self.versions.iter().enumerate() {
             self.wants.push((i as u32, have));
         }
-        self.frames.clear();
-        let mut frames = std::mem::take(&mut self.frames);
+        let (layout, versions, full, scratch) = (
+            &self.layout,
+            &mut self.versions,
+            &mut self.full,
+            &mut self.scratch,
+        );
+        // Frames applied, or the first one that could not be (the frames
+        // after it are dropped unapplied).
+        let mut applied = Ok(0usize);
+        let mut apply = |f: Frame| {
+            let Ok(n) = applied else { return };
+            let mut one = || {
+                let i = f.shard_id as usize;
+                if i >= layout.shards() {
+                    return Err("shard id out of range");
+                }
+                let part = &mut full[layout.range(i)];
+                match f.kind {
+                    FrameKind::ShardDelta => {
+                        let d =
+                            DeltaPayload::from_frame(&f).map_err(|_| "delta frame malformed")?;
+                        let update = d.codec.decode_update_into(&d.blob, part.len(), scratch);
+                        if d.base != versions[i] || update.is_err() {
+                            return Err("delta base or blob invalid");
+                        }
+                        for (p, &u) in part.iter_mut().zip(scratch.iter()) {
+                            *p += u;
+                        }
+                    }
+                    FrameKind::Shard => decode_f32s_into_slice(&f.payload, part)
+                        .map_err(|_| "shard blob malformed")?,
+                    _ => return Err("unexpected frame in fetch response"),
+                }
+                versions[i] = f.version;
+                Ok(n + 1)
+            };
+            applied = one().map_err(PsError::ShortResponse);
+        };
         let summary = loop {
-            frames.clear();
-            match client.fetch(epoch, &self.wants, self.codec, &mut frames) {
+            match client.fetch(epoch, &self.wants, self.codec, &mut apply) {
                 Ok(s) => break s,
                 Err(PsError::UnsupportedCodec(_)) if self.codec != Codec::Raw => {
                     // Negotiation: the service answered with a structured
@@ -395,54 +453,10 @@ impl ShardCache {
                     // Raw for the rest of this cache's life and retry.
                     self.codec = Codec::Raw;
                 }
-                Err(e) => {
-                    self.frames = frames;
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         };
-        let mut applied = 0usize;
-        for f in &frames {
-            let i = f.shard_id as usize;
-            if i >= self.layout.shards() {
-                self.frames = frames;
-                return Err(PsError::ShortResponse("shard id out of range"));
-            }
-            let range = self.layout.range(i);
-            match f.kind {
-                FrameKind::ShardDelta => {
-                    let Ok(delta) = DeltaPayload::from_frame(f) else {
-                        self.frames = frames;
-                        return Err(PsError::ShortResponse("delta frame malformed"));
-                    };
-                    if delta.base != self.versions[i]
-                        || delta
-                            .codec
-                            .decode_update_into(&delta.blob, range.len(), &mut self.scratch)
-                            .is_err()
-                    {
-                        self.frames = frames;
-                        return Err(PsError::ShortResponse("delta base or blob invalid"));
-                    }
-                    for (g, &u) in range.zip(self.scratch.iter()) {
-                        self.full[g] += u;
-                    }
-                }
-                _ => {
-                    if decode_f32s_into(&f.payload, &mut self.scratch).is_err()
-                        || self.scratch.len() != range.len()
-                    {
-                        self.frames = frames;
-                        return Err(PsError::ShortResponse("shard blob malformed"));
-                    }
-                    self.full[range].copy_from_slice(&self.scratch);
-                }
-            }
-            self.versions[i] = f.version;
-            applied += 1;
-        }
-        self.frames = frames;
-        if applied != summary.sent as usize {
+        if applied? != summary.sent as usize {
             return Err(PsError::ShortResponse("shard count != summary"));
         }
         // Every wanted shard must now match the manifest; a skipped shard

@@ -29,7 +29,7 @@ pub mod service;
 pub mod tcp;
 pub mod wire;
 
-pub use client::{DelayedMemClient, MemClient, PsClient, PsError, ShardCache};
+pub use client::{DelayedMemClient, FetchSink, MemClient, PsClient, PsError, ShardCache};
 pub use codec::Codec;
 pub use merge::{shard_key, ShardSnapshot, ShardedAssimilator, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS};
 pub use queue::DelayQueue;
@@ -37,5 +37,5 @@ pub use service::{CodecOps, PsOps, PsService};
 pub use tcp::{ShardGroups, TcpClient, TcpPsServer};
 pub use wire::{
     crc32, error_frame, Crc32, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError, PushAck,
-    WireError, HEADER_LEN, MAX_PAYLOAD,
+    SealedFrame, WireError, HEADER_LEN, MAX_PAYLOAD,
 };

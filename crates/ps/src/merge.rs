@@ -16,7 +16,7 @@ use vc_asgd::alpha::{blend_eq1, AlphaSchedule};
 use vc_asgd::assimilator::PARAMS_KEY;
 use vc_kvstore::{Consistency, ShardLayout, VersionedStore};
 use vc_telemetry::{Histogram, Telemetry};
-use vc_tensor::codec::{decode_f32s, decode_f32s_into, encode_f32s};
+use vc_tensor::codec::{decode_f32s, decode_f32s_into_slice, encode_f32s};
 
 /// Histogram: wall (or virtual) seconds per single-shard merge.
 pub const PS_MERGE_S: &str = "ps_merge_s";
@@ -34,10 +34,10 @@ pub fn shard_key(shards: usize, i: usize) -> String {
     }
 }
 
-/// An eventual-mode snapshot taken at assimilation start: each shard's
-/// stale copy and the version it was read at.
+/// An eventual-mode snapshot taken at assimilation start: the stale copy
+/// of the whole vector and the version each shard was read at.
 pub struct ShardSnapshot {
-    parts: Vec<Vec<f32>>,
+    params: Vec<f32>,
     versions: Vec<u64>,
 }
 
@@ -147,19 +147,9 @@ impl ShardedAssimilator {
 
     /// [`Self::read_params`] into caller-owned buffers: with warm buffers
     /// the hot fetch path allocates nothing (the store hands back shared
-    /// blob views, the decode reuses `params`).
+    /// blob views, each decoded straight into its range of `params`).
     pub fn read_params_into(&self, params: &mut Vec<f32>, manifest: &mut Vec<u64>) {
-        params.clear();
-        params.reserve(self.layout.param_count());
-        manifest.clear();
-        let mut scratch = Vec::new();
-        for (i, range) in self.layout.iter() {
-            let (blob, version) = self.store.get(&self.keys[i]);
-            decode_f32s_into(&blob, &mut scratch).expect("store holds a valid shard blob");
-            assert_eq!(scratch.len(), range.len(), "shard {i} length drifted");
-            params.extend_from_slice(&scratch);
-            manifest.push(version);
-        }
+        self.read_shards(params, manifest);
         if let Some(ins) = &self.instruments {
             let min = manifest.iter().copied().min().unwrap_or(0);
             let max = manifest.iter().copied().max().unwrap_or(0);
@@ -167,41 +157,51 @@ impl ShardedAssimilator {
         }
     }
 
+    fn read_shards(&self, params: &mut Vec<f32>, versions: &mut Vec<u64>) {
+        // Every range is overwritten below, so a warm buffer is not cleared.
+        params.resize(self.layout.param_count(), 0.0);
+        versions.clear();
+        for (i, range) in self.layout.iter() {
+            let (blob, version) = self.store.get(&self.keys[i]);
+            decode_f32s_into_slice(&blob, &mut params[range])
+                .expect("store holds a valid shard blob of the layout's length");
+            versions.push(version);
+        }
+    }
+
     /// Eventual-mode assimilation start: snapshots every shard (the stale
     /// read whose age decides what gets clobbered at commit).
     pub fn begin_eventual(&self) -> ShardSnapshot {
-        let mut parts = Vec::with_capacity(self.layout.shards());
-        let mut versions = Vec::with_capacity(self.layout.shards());
-        for i in 0..self.layout.shards() {
-            let (blob, version) = self.store.get(&self.keys[i]);
-            parts.push(decode_f32s(&blob).expect("store holds a valid shard blob"));
-            versions.push(version);
-        }
-        ShardSnapshot { parts, versions }
+        let (mut params, mut versions) = (Vec::new(), Vec::new());
+        self.read_shards(&mut params, &mut versions);
+        ShardSnapshot { params, versions }
     }
 
     /// Eventual-mode assimilation end: shard by shard, blends the client
-    /// copy into the snapshot and writes it back last-write-wins. Returns
-    /// the updated full vector and the total clobbered-update count.
+    /// copy into the snapshot in place and writes it back last-write-wins.
+    /// Returns the snapshot's vector — now the updated one — and the total
+    /// clobbered-update count.
     pub fn commit_eventual(
         &self,
-        mut snapshot: ShardSnapshot,
+        snapshot: ShardSnapshot,
         client: &[f32],
         epoch: usize,
     ) -> (Vec<f32>, u64) {
         assert_eq!(client.len(), self.layout.param_count(), "client length");
         let alpha = self.schedule.alpha(epoch);
         let mut clobbered = 0;
-        let mut full = Vec::with_capacity(self.layout.param_count());
+        let ShardSnapshot {
+            params: mut full,
+            versions,
+        } = snapshot;
         for (i, range) in self.layout.iter() {
             let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-            let part = &mut snapshot.parts[i];
+            let part = &mut full[range.clone()];
             blend_eq1(part, &client[range], alpha);
-            let out =
-                self.store
-                    .put_versioned(&self.keys[i], snapshot.versions[i], encode_f32s(part));
+            let out = self
+                .store
+                .put_versioned(&self.keys[i], versions[i], encode_f32s(part));
             clobbered += out.clobbered;
-            full.extend_from_slice(part);
             if let (Some(ins), Some(t0)) = (&self.instruments, t0) {
                 ins.merge_s.observe(ins.tel.now_s() - t0);
             }
@@ -217,16 +217,15 @@ impl ShardedAssimilator {
     pub fn assimilate_strong(&self, client: &[f32], epoch: usize) -> Vec<f32> {
         assert_eq!(client.len(), self.layout.param_count(), "client length");
         let alpha = self.schedule.alpha(epoch);
-        let mut full = Vec::with_capacity(self.layout.param_count());
+        let mut full = vec![0.0; self.layout.param_count()];
         for (i, range) in self.layout.iter() {
             let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-            let client_part = &client[range];
-            let (_, updated) = self.store.transact(&self.keys[i], |blob, _v| {
-                let mut part = decode_f32s(blob).expect("store holds a valid shard blob");
-                blend_eq1(&mut part, client_part, alpha);
-                (encode_f32s(&part), part)
+            let part = &mut full[range.clone()];
+            self.store.transact(&self.keys[i], |blob, _v| {
+                decode_f32s_into_slice(blob, part).expect("store holds a valid shard blob");
+                blend_eq1(part, &client[range], alpha);
+                (encode_f32s(part), ())
             });
-            full.extend_from_slice(&updated);
             if let (Some(ins), Some(t0)) = (&self.instruments, t0) {
                 ins.merge_s.observe(ins.tel.now_s() - t0);
             }

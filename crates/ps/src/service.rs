@@ -17,7 +17,7 @@ use crate::codec::Codec;
 use crate::merge::ShardedAssimilator;
 use crate::wire::{
     decode_all, err_code, error_frame, error_frame_code, DeltaPayload, FetchReq, FetchSummary,
-    Frame, FrameKind, WireError, HEADER_LEN,
+    Frame, FrameKind, SealedFrame, WireError, HEADER_LEN,
 };
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vc_telemetry::metrics::{Counter, Histogram};
 use vc_telemetry::Telemetry;
-use vc_tensor::codec::{decode_f32s, encode_f32s, encoded_len};
+use vc_tensor::codec::{decode_f32s, decode_f32s_into_slice, encode_f32s, encoded_len};
 use vc_tensor::Workspace;
 
 /// Counter names for the service's wire accounting.
@@ -41,22 +41,36 @@ pub const PS_ENCODE_S: &str = "ps_encode_s";
 /// Histogram: seconds spent decoding pushed update deltas.
 pub const PS_DECODE_S: &str = "ps_decode_s";
 
-/// One epoch's published parameters, pre-encoded per shard. Under a lossy
-/// codec each *moved* shard also carries its quantized delta against the
+/// One epoch's published parameters, pre-framed per shard: each blob is
+/// encoded and checksummed once here, and every fetch that ships it clones
+/// the ready frame (a shared payload, no bytes copied). Under a lossy codec
+/// each *moved* shard also carries its quantized delta against the
 /// previous publish (`base_manifest` names the version the delta applies
 /// on top of), so a worker that tracked the last epoch downloads the
 /// delta instead of the full blob.
 struct EpochSnapshot {
     manifest: Vec<u64>,
-    blobs: Vec<Bytes>,
-    /// Quantized update per shard, `None` where the shard did not move
-    /// (or on the first / `Raw` publish). Indexed like `blobs` when
+    /// The full-precision `Shard` frame of every shard.
+    shards: Vec<SealedFrame>,
+    /// The `ShardDelta` frame per shard, `None` where the shard did not
+    /// move (or on the first / `Raw` publish). Indexed like `shards` when
     /// non-empty.
-    deltas: Vec<Option<Bytes>>,
+    deltas: Vec<Option<SealedFrame>>,
     /// Version each delta applies on top of (previous publish's manifest).
     base_manifest: Vec<u64>,
     /// Codec the deltas are encoded in.
     codec: Codec,
+}
+
+/// The fetch-response frame carrying shard `i`'s blob at `version`.
+fn shard_frame(i: usize, version: u64, values: &[f32]) -> SealedFrame {
+    Frame {
+        kind: FrameKind::Shard,
+        shard_id: i as u32,
+        version,
+        payload: encode_f32s(values),
+    }
+    .into()
 }
 
 /// Server-side codec state: the reference parameter vector every worker
@@ -219,15 +233,15 @@ impl PsService {
         assert_eq!(params.len(), layout.param_count(), "snapshot length");
         assert_eq!(manifest.len(), layout.shards(), "manifest length");
         if self.codec == Codec::Raw {
-            let blobs = layout
+            let shards = layout
                 .iter()
-                .map(|(_, range)| encode_f32s(&params[range]))
+                .map(|(i, range)| shard_frame(i, manifest[i], &params[range]))
                 .collect();
             self.snapshots.write().insert(
                 epoch,
                 EpochSnapshot {
                     manifest: manifest.to_vec(),
-                    blobs,
+                    shards,
                     deltas: Vec::new(),
                     base_manifest: Vec::new(),
                     codec: Codec::Raw,
@@ -235,19 +249,19 @@ impl PsService {
             );
             return;
         }
-        let shards = layout.shards();
+        let n_shards = layout.shards();
         let mut st = self.state.lock();
         let st = &mut *st;
-        let mut blobs = Vec::with_capacity(shards);
-        let mut deltas = Vec::with_capacity(shards);
-        let mut base_manifest = vec![0u64; shards];
+        let mut shards = Vec::with_capacity(n_shards);
+        let mut deltas = Vec::with_capacity(n_shards);
+        let mut base_manifest = vec![0u64; n_shards];
         if !st.init {
             st.reference.clear();
             st.reference.extend_from_slice(params);
             st.prev_manifest = manifest.to_vec();
             st.init = true;
-            for (_, range) in layout.iter() {
-                blobs.push(encode_f32s(&params[range]));
+            for (i, range) in layout.iter() {
+                shards.push(shard_frame(i, manifest[i], &params[range]));
                 deltas.push(None);
             }
             base_manifest.copy_from_slice(manifest);
@@ -255,7 +269,7 @@ impl PsService {
             for (i, range) in layout.iter() {
                 if manifest[i] == st.prev_manifest[i] {
                     // Shard did not move: republish the reference as-is.
-                    blobs.push(encode_f32s(&st.reference[range]));
+                    shards.push(shard_frame(i, manifest[i], &st.reference[range]));
                     deltas.push(None);
                     base_manifest[i] = manifest[i];
                     continue;
@@ -277,8 +291,17 @@ impl PsService {
                 for (j, g) in range.clone().enumerate() {
                     st.reference[g] += y[j];
                 }
-                blobs.push(encode_f32s(&st.reference[range]));
-                deltas.push(Some(Bytes::copy_from_slice(&st.blob_scratch)));
+                shards.push(shard_frame(i, manifest[i], &st.reference[range]));
+                let delta = DeltaPayload {
+                    base: st.prev_manifest[i],
+                    codec: self.codec,
+                    blob: Bytes::copy_from_slice(&st.blob_scratch),
+                };
+                deltas.push(Some(
+                    delta
+                        .to_frame(FrameKind::ShardDelta, i as u32, manifest[i])
+                        .into(),
+                ));
                 base_manifest[i] = st.prev_manifest[i];
                 st.ws.recycle(x);
                 st.ws.recycle(y);
@@ -290,7 +313,7 @@ impl PsService {
             epoch,
             EpochSnapshot {
                 manifest: manifest.to_vec(),
-                blobs,
+                shards,
                 deltas,
                 base_manifest,
                 codec: self.codec,
@@ -311,10 +334,11 @@ impl PsService {
     pub fn snapshot_params(&self, epoch: u64) -> Option<Vec<f32>> {
         let snaps = self.snapshots.read();
         let snap = snaps.get(&epoch)?;
-        let mut full = Vec::with_capacity(self.assim.layout().param_count());
-        for blob in &snap.blobs {
-            let part = decode_f32s(blob).expect("snapshot blobs are valid");
-            full.extend_from_slice(&part);
+        let layout = self.assim.layout();
+        let mut full = vec![0.0; layout.param_count()];
+        for (i, range) in layout.iter() {
+            decode_f32s_into_slice(&snap.shards[i].payload, &mut full[range])
+                .expect("snapshot blobs are valid");
         }
         Some(full)
     }
@@ -351,52 +375,46 @@ impl PsService {
     /// Handles one request frame, appending response frames to `out`.
     /// Protocol-level failures become [`FrameKind::Error`] frames rather
     /// than errors — the connection survives a bad request.
-    pub fn handle(&self, req: &Frame, out: &mut Vec<Frame>) {
+    pub fn handle(&self, req: &Frame, out: &mut Vec<SealedFrame>) {
         let before = out.len();
         self.metrics
             .bytes_rx
             .fetch_add(req.encoded_len() as u64, Ordering::Relaxed);
-        match req.kind {
+        // Every exchange closes with one frame: the summary, the ack, or
+        // the error that cut it short.
+        let last = match req.kind {
             FrameKind::Fetch => self.handle_fetch(req, out),
-            FrameKind::Push => self.handle_push(req, out),
-            FrameKind::PushDelta => self.handle_push_delta(req, out),
-            _ => out.push(error_frame("unexpected frame kind")),
-        }
+            FrameKind::Push => self.handle_push(req),
+            FrameKind::PushDelta => self.handle_push_delta(req),
+            _ => error_frame("unexpected frame kind"),
+        };
+        out.push(last.into());
         let tx: usize = out[before..].iter().map(|f| f.encoded_len()).sum();
         self.metrics
             .bytes_tx
             .fetch_add(tx as u64, Ordering::Relaxed);
     }
 
-    fn handle_fetch(&self, req: &Frame, out: &mut Vec<Frame>) {
+    fn handle_fetch(&self, req: &Frame, out: &mut Vec<SealedFrame>) -> Frame {
         let fetch = match FetchReq::from_frame(req) {
             Ok(f) => f,
             Err(WireError::UnsupportedCodec(id)) => {
-                out.push(error_frame_code(
+                return error_frame_code(
                     err_code::UNSUPPORTED_CODEC,
                     &format!("unknown codec id {id}"),
-                ));
-                return;
+                )
             }
-            Err(e) => {
-                out.push(error_frame(&format!("bad fetch: {e}")));
-                return;
-            }
+            Err(e) => return error_frame(&format!("bad fetch: {e}")),
         };
         if !self.speaks(fetch.codec) {
-            out.push(error_frame_code(
+            return error_frame_code(
                 err_code::UNSUPPORTED_CODEC,
                 &format!("codec id {} not enabled here", fetch.codec.id()),
-            ));
-            return;
+            );
         }
         let snaps = self.snapshots.read();
         let Some(snap) = snaps.get(&fetch.epoch) else {
-            out.push(error_frame(&format!(
-                "no snapshot for epoch {}",
-                fetch.epoch
-            )));
-            return;
+            return error_frame(&format!("no snapshot for epoch {}", fetch.epoch));
         };
         let shards = self.assim.layout().shards();
         let mut sent = 0u32;
@@ -405,8 +423,7 @@ impl PsService {
         for &(id, cached) in &fetch.wants {
             let i = id as usize;
             if i >= shards {
-                out.push(error_frame(&format!("shard {id} out of range")));
-                return;
+                return error_frame(&format!("shard {id} out of range"));
             }
             if snap.manifest[i] == cached {
                 skipped += 1;
@@ -421,26 +438,15 @@ impl PsService {
                 && cached == snap.base_manifest[i]
             {
                 if let Some(delta) = &snap.deltas[i] {
-                    let frame = DeltaPayload {
-                        base: snap.base_manifest[i],
-                        codec: snap.codec,
-                        blob: delta.clone(),
-                    }
-                    .to_frame(FrameKind::ShardDelta, id, snap.manifest[i]);
-                    let full_len = 4 + HEADER_LEN + snap.blobs[i].len();
-                    let saved = full_len.saturating_sub(frame.encoded_len());
+                    let full_len = snap.shards[i].encoded_len();
+                    let saved = full_len.saturating_sub(delta.encoded_len());
                     self.add_bytes_saved(saved as u64);
                     deltas_sent += 1;
-                    out.push(frame);
+                    out.push(delta.clone());
                     continue;
                 }
             }
-            out.push(Frame {
-                kind: FrameKind::Shard,
-                shard_id: id,
-                version: snap.manifest[i],
-                payload: snap.blobs[i].clone(),
-            });
+            out.push(snap.shards[i].clone());
         }
         self.metrics.fetches.fetch_add(1, Ordering::Relaxed);
         self.metrics
@@ -452,52 +458,45 @@ impl PsService {
         self.metrics
             .deltas_sent
             .fetch_add(deltas_sent, Ordering::Relaxed);
-        out.push(FetchSummary { sent, skipped }.to_frame(fetch.epoch));
+        FetchSummary { sent, skipped }.to_frame(fetch.epoch)
     }
 
     /// A push whose payload is a quantized delta against the epoch
     /// snapshot the worker fetched. The service reconstructs the full
     /// replica (`base + decode(delta)`) and merges it exactly like a raw
     /// push, so the merge pipeline is codec-agnostic.
-    fn handle_push_delta(&self, req: &Frame, out: &mut Vec<Frame>) {
+    fn handle_push_delta(&self, req: &Frame) -> Frame {
         let delta = match DeltaPayload::from_frame(req) {
             Ok(d) => d,
             Err(WireError::UnsupportedCodec(id)) => {
-                out.push(error_frame_code(
+                return error_frame_code(
                     err_code::UNSUPPORTED_CODEC,
                     &format!("unknown codec id {id}"),
-                ));
-                return;
+                )
             }
-            Err(e) => {
-                out.push(error_frame(&format!("bad push delta: {e}")));
-                return;
-            }
+            Err(e) => return error_frame(&format!("bad push delta: {e}")),
         };
         if !self.speaks(delta.codec) || delta.codec == Codec::Raw {
-            out.push(error_frame_code(
+            return error_frame_code(
                 err_code::UNSUPPORTED_CODEC,
                 &format!("codec id {} not enabled here", delta.codec.id()),
-            ));
-            return;
+            );
         }
         let shard_id = req.shard_id as usize;
         let layout = self.assim.layout();
         if shard_id >= layout.shards() {
-            out.push(error_frame(&format!("shard {shard_id} out of range")));
-            return;
+            return error_frame(&format!("shard {shard_id} out of range"));
         }
         let len = layout.len(shard_id);
         let mut part = {
             let snaps = self.snapshots.read();
             let Some(snap) = snaps.get(&delta.base) else {
-                out.push(error_frame_code(
+                return error_frame_code(
                     err_code::UNKNOWN_BASE,
                     &format!("no snapshot for base epoch {}", delta.base),
-                ));
-                return;
+                );
             };
-            decode_f32s(&snap.blobs[shard_id]).expect("snapshot blobs are valid")
+            decode_f32s(&snap.shards[shard_id].payload).expect("snapshot blobs are valid")
         };
         let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
         let mut update = Vec::with_capacity(len);
@@ -505,8 +504,7 @@ impl PsService {
             .codec
             .decode_update_into(&delta.blob, len, &mut update)
         {
-            out.push(error_frame(&format!("bad delta blob: {e}")));
-            return;
+            return error_frame(&format!("bad delta blob: {e}"));
         }
         if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
             ins.decode_s.observe(ins.tel.now_s() - t0);
@@ -520,35 +518,30 @@ impl PsService {
         self.metrics.delta_pushes.fetch_add(1, Ordering::Relaxed);
         let raw_len = 4 + HEADER_LEN + encoded_len(len);
         self.add_bytes_saved(raw_len.saturating_sub(req.encoded_len()) as u64);
-        out.push(ack.to_frame(req.shard_id));
+        ack.to_frame(req.shard_id)
     }
 
-    fn handle_push(&self, req: &Frame, out: &mut Vec<Frame>) {
+    fn handle_push(&self, req: &Frame) -> Frame {
         let shard_id = req.shard_id as usize;
         let layout = self.assim.layout();
         if shard_id >= layout.shards() {
-            out.push(error_frame(&format!("shard {shard_id} out of range")));
-            return;
+            return error_frame(&format!("shard {shard_id} out of range"));
         }
         let part = match decode_f32s(&req.payload) {
             Ok(p) => p,
-            Err(e) => {
-                out.push(error_frame(&format!("bad push blob: {e}")));
-                return;
-            }
+            Err(e) => return error_frame(&format!("bad push blob: {e}")),
         };
         if part.len() != layout.len(shard_id) {
-            out.push(error_frame(&format!(
+            return error_frame(&format!(
                 "push length {} != shard {shard_id} length {}",
                 part.len(),
                 layout.len(shard_id)
-            )));
-            return;
+            ));
         }
         let epoch = req.version as usize;
         let ack = self.assim.merge_shard(shard_id, &part, epoch);
         self.metrics.pushes.fetch_add(1, Ordering::Relaxed);
-        out.push(ack.to_frame(req.shard_id));
+        ack.to_frame(req.shard_id)
     }
 
     /// The full wire path: decodes request bytes, handles each frame, and
@@ -591,7 +584,7 @@ mod tests {
         svc
     }
 
-    fn fetch_all(svc: &PsService, epoch: u64, shards: usize) -> Vec<Frame> {
+    fn fetch_all(svc: &PsService, epoch: u64, shards: usize) -> Vec<SealedFrame> {
         let req = FetchReq {
             epoch,
             wants: (0..shards as u32).map(|i| (i, 0)).collect(),
@@ -730,6 +723,7 @@ mod tests {
         svc.handle_bytes(&req.encode(), &mut wire_out).unwrap();
         let mut decoded = Vec::new();
         decode_all(&wire_out, &mut decoded).unwrap();
+        let direct: Vec<Frame> = direct.iter().map(|f| Frame::clone(f)).collect();
         assert_eq!(decoded, direct, "transport must not change the frames");
     }
 

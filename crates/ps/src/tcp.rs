@@ -8,19 +8,18 @@
 //! difference is that bytes cross a socket.
 
 use crate::client::{
-    collect_fetch_response, collect_push_response, push_delta_frame, PsClient, PsError,
+    push_delta_frame, push_frame, push_response, route_fetch_frame, FetchSink, PsClient, PsError,
 };
 use crate::codec::Codec;
 use crate::service::PsService;
 use crate::wire::{
-    read_frame, write_frame, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError, PushAck,
+    read_frame, FetchReq, FetchSummary, Frame, FrameReadError, PushAck, SealedFrame,
 };
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use vc_tensor::codec::encode_f32s;
 
 /// Maps shards onto `groups` contiguous endpoint groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,24 +156,19 @@ fn accept_loop(
 /// lives on.
 fn connection_loop(mut stream: TcpStream, service: Arc<PsService>, stop: Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
-    let mut scratch = Vec::new();
-    let mut write_scratch = Vec::new();
     let mut responses = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        let frame = match read_frame(&mut stream, &mut scratch) {
+        let frame = match read_frame(&mut stream) {
             Ok(f) => f,
             Err(FrameReadError::Eof) => break,
             Err(_) => break, // hostile or broken stream: drop the connection
         };
-        responses.clear();
         service.handle(&frame, &mut responses);
-        let mut failed = false;
-        for resp in &responses {
-            if write_frame(&mut stream, resp, &mut write_scratch).is_err() {
-                failed = true;
-                break;
-            }
-        }
+        // Drained, not kept: a response shares its payloads with the epoch
+        // snapshot, and an idle connection must not pin a retired one.
+        let failed = responses
+            .drain(..)
+            .any(|resp| resp.write_to(&mut stream).is_err());
         if failed || stream.flush().is_err() {
             break;
         }
@@ -189,8 +183,6 @@ fn connection_loop(mut stream: TcpStream, service: Arc<PsService>, stop: Arc<Ato
 pub struct TcpClient {
     streams: Vec<TcpStream>,
     groups: ShardGroups,
-    read_scratch: Vec<u8>,
-    write_scratch: Vec<u8>,
     // Reused per-group request split.
     per_group: Vec<Vec<(u32, u64)>>,
 }
@@ -208,8 +200,6 @@ impl TcpClient {
         Ok(TcpClient {
             streams,
             groups,
-            read_scratch: Vec::new(),
-            write_scratch: Vec::new(),
             per_group: vec![Vec::new(); groups.groups()],
         })
     }
@@ -225,24 +215,23 @@ impl TcpClient {
         }
     }
 
-    /// Sends one request on group `g` and collects response frames until
-    /// the terminator `done(kind)` says the exchange is over.
-    fn exchange(
+    /// Sends one request on group `g`, then hands each response frame to
+    /// `on_frame` as it is read until that returns the exchange's result.
+    fn exchange<T>(
         &mut self,
         g: usize,
-        req: &Frame,
-        out: &mut Vec<Frame>,
-        done: impl Fn(FrameKind) -> bool,
-    ) -> Result<(), PsError> {
+        req: Frame,
+        mut on_frame: impl FnMut(Frame) -> Option<Result<T, PsError>>,
+    ) -> Result<T, PsError> {
         let stream = &mut self.streams[g];
-        write_frame(stream, req, &mut self.write_scratch).map_err(Self::io_err)?;
+        SealedFrame::from(req)
+            .write_to(stream)
+            .map_err(Self::io_err)?;
         stream.flush().map_err(Self::io_err)?;
         loop {
-            let frame = read_frame(stream, &mut self.read_scratch).map_err(Self::read_err)?;
-            let kind = frame.kind;
-            out.push(frame);
-            if done(kind) || kind == FrameKind::Error {
-                return Ok(());
+            let frame = read_frame(stream).map_err(Self::read_err)?;
+            if let Some(done) = on_frame(frame) {
+                return done;
             }
         }
     }
@@ -254,7 +243,7 @@ impl PsClient for TcpClient {
         epoch: u64,
         wants: &[(u32, u64)],
         codec: Codec,
-        out: &mut Vec<Frame>,
+        sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError> {
         for group in &mut self.per_group {
             group.clear();
@@ -268,21 +257,18 @@ impl PsClient for TcpClient {
             skipped: 0,
         };
         for g in 0..self.groups.groups() {
-            let group_wants = std::mem::take(&mut self.per_group[g]);
-            if group_wants.is_empty() {
-                self.per_group[g] = group_wants;
+            if self.per_group[g].is_empty() {
                 continue;
             }
+            // The request borrows the group's want list and gives it back.
             let req = FetchReq {
                 epoch,
-                wants: group_wants.clone(),
+                wants: std::mem::take(&mut self.per_group[g]),
                 codec,
-            }
-            .to_frame();
-            self.per_group[g] = group_wants;
-            let mut frames = Vec::new();
-            self.exchange(g, &req, &mut frames, |k| k == FrameKind::FetchDone)?;
-            let summary = collect_fetch_response(frames, out)?;
+            };
+            let frame = req.to_frame();
+            self.per_group[g] = req.wants;
+            let summary = self.exchange(g, frame, |f| route_fetch_frame(f, sink))?;
             total.sent += summary.sent;
             total.skipped += summary.skipped;
         }
@@ -291,15 +277,8 @@ impl PsClient for TcpClient {
 
     fn push(&mut self, shard_id: u32, epoch: u64, values: &[f32]) -> Result<PushAck, PsError> {
         let g = self.groups.group_of(shard_id);
-        let req = Frame {
-            kind: FrameKind::Push,
-            shard_id,
-            version: epoch,
-            payload: encode_f32s(values),
-        };
-        let mut frames = Vec::new();
-        self.exchange(g, &req, &mut frames, |k| k == FrameKind::PushAck)?;
-        collect_push_response(frames)
+        let req = push_frame(shard_id, epoch, values);
+        self.exchange(g, req, |f| Some(push_response(f)))
     }
 
     fn push_delta(
@@ -312,9 +291,7 @@ impl PsClient for TcpClient {
     ) -> Result<PushAck, PsError> {
         let g = self.groups.group_of(shard_id);
         let req = push_delta_frame(shard_id, epoch, base_epoch, codec, blob);
-        let mut frames = Vec::new();
-        self.exchange(g, &req, &mut frames, |k| k == FrameKind::PushAck)?;
-        collect_push_response(frames)
+        self.exchange(g, req, |f| Some(push_response(f)))
     }
 }
 

@@ -144,12 +144,14 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// IEEE CRC-32 (reflected, polynomial 0xEDB88320), the Ethernet/zip
-/// polynomial. Table-driven, streaming via [`Crc32`].
+/// polynomial. Table-driven (slicing-by-8), streaming via [`Crc32`].
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32(u32);
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic byte table, `T[k][i]` is the
+/// CRC of byte `i` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -162,13 +164,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 impl Crc32 {
     /// A fresh checksum state.
@@ -176,11 +188,26 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Folds `bytes` into the checksum.
+    /// Folds `bytes` into the checksum, eight bytes per table round (the
+    /// byte-at-a-time loop it replaced is the oracle in `wire_props.rs`).
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
     }
@@ -211,28 +238,31 @@ impl Frame {
     }
 
     fn crc(&self) -> u32 {
-        let mut header = [0u8; 13];
-        header[0] = self.kind as u8;
-        header[1..5].copy_from_slice(&self.shard_id.to_le_bytes());
-        header[5..13].copy_from_slice(&self.version.to_le_bytes());
         let mut c = Crc32::new();
-        c.update(&header);
+        c.update(&self.head(0)[4..17]); // kind + shard_id + version
         c.update(&self.payload);
         c.finish()
     }
 
-    /// Appends the encoded frame to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    /// The 21 bytes before the payload, with `crc` as the checksum.
+    fn head(&self, crc: u32) -> [u8; 4 + HEADER_LEN] {
         assert!(
             self.payload.len() <= MAX_PAYLOAD,
             "payload over MAX_PAYLOAD"
         );
+        let mut h = [0u8; 4 + HEADER_LEN];
+        h[..4].copy_from_slice(&((HEADER_LEN + self.payload.len()) as u32).to_le_bytes());
+        h[4] = self.kind as u8;
+        h[5..9].copy_from_slice(&self.shard_id.to_le_bytes());
+        h[9..17].copy_from_slice(&self.version.to_le_bytes());
+        h[17..].copy_from_slice(&crc.to_le_bytes());
+        h
+    }
+
+    /// Appends the encoded frame to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.encoded_len());
-        out.put_u32_le((HEADER_LEN + self.payload.len()) as u32);
-        out.put_u8(self.kind as u8);
-        out.put_u32_le(self.shard_id);
-        out.put_u64_le(self.version);
-        out.put_u32_le(self.crc());
+        out.extend_from_slice(&self.head(self.crc()));
         out.extend_from_slice(&self.payload);
     }
 
@@ -250,29 +280,12 @@ impl Frame {
         if buf.len() < 4 {
             return Err(WireError::Incomplete { need: 4 });
         }
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        let body_len = len as usize;
-        if body_len < HEADER_LEN || body_len - HEADER_LEN > MAX_PAYLOAD {
-            return Err(WireError::BadLength(len));
-        }
-        let total = 4 + body_len;
+        let total = 4 + HEADER_LEN + payload_len([buf[0], buf[1], buf[2], buf[3]])?;
         if buf.len() < total {
             return Err(WireError::Incomplete { need: total });
         }
-        let mut body = &buf[4..total];
-        let kind_byte = body.get_u8();
-        let shard_id = body.get_u32_le();
-        let version = body.get_u64_le();
-        let expect = body.get_u32_le();
-        let payload = body; // remaining bytes
-        let mut c = Crc32::new();
-        c.update(&buf[4..HEADER_LEN]); // kind + shard_id + version (13 bytes)
-        c.update(payload);
-        let got = c.finish();
-        if got != expect {
-            return Err(WireError::BadCrc { expect, got });
-        }
-        let kind = FrameKind::from_byte(kind_byte)?;
+        let (header, payload) = buf[4..total].split_at(HEADER_LEN);
+        let (kind, shard_id, version) = verify(header, payload)?;
         Ok((
             Frame {
                 kind,
@@ -285,17 +298,63 @@ impl Frame {
     }
 }
 
-/// Writes one frame to a stream, reusing `scratch` as the encode buffer.
-/// Returns the bytes written.
-pub fn write_frame(
-    w: &mut impl Write,
-    frame: &Frame,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<usize> {
-    scratch.clear();
-    frame.encode_into(scratch);
-    w.write_all(scratch)?;
-    Ok(scratch.len())
+/// The payload length a length prefix declares, bounds-checked.
+fn payload_len(len_bytes: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(len_bytes);
+    match (len as usize).checked_sub(HEADER_LEN) {
+        Some(n) if n <= MAX_PAYLOAD => Ok(n),
+        _ => Err(WireError::BadLength(len)),
+    }
+}
+
+/// Checks a received header's checksum, then its kind; returns its fields.
+fn verify(header: &[u8], payload: &[u8]) -> Result<(FrameKind, u32, u64), WireError> {
+    let mut h = header;
+    let kind_byte = h.get_u8();
+    let shard_id = h.get_u32_le();
+    let version = h.get_u64_le();
+    let expect = h.get_u32_le();
+    let mut c = Crc32::new();
+    c.update(&header[..13]); // kind + shard_id + version
+    c.update(payload);
+    let got = c.finish();
+    if got != expect {
+        return Err(WireError::BadCrc { expect, got });
+    }
+    Ok((FrameKind::from_byte(kind_byte)?, shard_id, version))
+}
+
+/// A frame whose checksum is already known: what [`crate::PsService`]
+/// hands the transports. A shard blob is checksummed once, when its
+/// snapshot is published, not once per fetch that ships it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SealedFrame {
+    frame: Frame,
+    crc: u32,
+}
+
+impl From<Frame> for SealedFrame {
+    fn from(frame: Frame) -> Self {
+        let crc = frame.crc();
+        SealedFrame { frame, crc }
+    }
+}
+
+impl std::ops::Deref for SealedFrame {
+    type Target = Frame;
+    fn deref(&self) -> &Frame {
+        &self.frame
+    }
+}
+
+impl SealedFrame {
+    /// Writes the frame to a stream — header from the stack, payload from
+    /// its shared buffer, no staging copy. Returns the bytes written.
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<usize> {
+        w.write_all(&self.head(self.crc))?;
+        w.write_all(&self.payload)?;
+        Ok(self.encoded_len())
+    }
 }
 
 /// A frame read from a stream failed.
@@ -327,38 +386,37 @@ impl From<WireError> for FrameReadError {
     }
 }
 
-/// Reads one frame from a blocking stream, reusing `scratch`. Validates
-/// the declared length *before* allocating the body buffer.
-pub fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> Result<Frame, FrameReadError> {
-    let mut len_bytes = [0u8; 4];
+/// Reads one frame from a blocking stream, the payload straight into the
+/// buffer the returned frame owns. The declared length is validated
+/// *before* that buffer is allocated.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameReadError> {
+    let mut head = [0u8; 4 + HEADER_LEN];
     let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..]) {
+    while filled < head.len() {
+        match r.read(&mut head[filled..]) {
             Ok(0) if filled == 0 => return Err(FrameReadError::Eof),
-            Ok(0) => return Err(FrameReadError::Wire(WireError::Incomplete { need: 4 })),
+            Ok(0) => return Err(WireError::Incomplete { need: head.len() }.into()),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(len_bytes);
-    let body_len = len as usize;
-    if body_len < HEADER_LEN || body_len - HEADER_LEN > MAX_PAYLOAD {
-        return Err(FrameReadError::Wire(WireError::BadLength(len)));
-    }
-    scratch.clear();
-    scratch.extend_from_slice(&len_bytes);
-    scratch.resize(4 + body_len, 0);
-    r.read_exact(&mut scratch[4..]).map_err(|e| {
+    let mut payload = vec![0u8; payload_len([head[0], head[1], head[2], head[3]])?];
+    r.read_exact(&mut payload).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FrameReadError::Wire(WireError::Incomplete { need: 4 + body_len })
+            let need = head.len() + payload.len();
+            FrameReadError::Wire(WireError::Incomplete { need })
         } else {
             FrameReadError::Io(e)
         }
     })?;
-    let (frame, consumed) = Frame::decode(scratch)?;
-    debug_assert_eq!(consumed, scratch.len());
-    Ok(frame)
+    let (kind, shard_id, version) = verify(&head[4..], &payload)?;
+    Ok(Frame {
+        kind,
+        shard_id,
+        version,
+        payload: Bytes::from(payload),
+    })
 }
 
 /// Decodes every frame in `buf`; errors if any byte fails to parse.
@@ -841,19 +899,17 @@ mod tests {
             error_frame("nope"),
         ];
         let mut wire = Vec::new();
-        let mut scratch = Vec::new();
         for f in &frames {
-            write_frame(&mut wire, f, &mut scratch).unwrap();
+            let n = SealedFrame::from(f.clone()).write_to(&mut wire).unwrap();
+            assert_eq!(n, f.encoded_len());
+            assert_eq!(&wire[wire.len() - n..], &f.encode()[..]);
         }
         let mut r: &[u8] = &wire;
         for f in &frames {
-            let got = read_frame(&mut r, &mut scratch).unwrap();
+            let got = read_frame(&mut r).unwrap();
             assert_eq!(&got, f);
         }
-        assert!(matches!(
-            read_frame(&mut r, &mut scratch),
-            Err(FrameReadError::Eof)
-        ));
+        assert!(matches!(read_frame(&mut r), Err(FrameReadError::Eof)));
     }
 
     #[test]
@@ -861,9 +917,8 @@ mod tests {
         let mut wire = u32::MAX.to_le_bytes().to_vec();
         wire.extend_from_slice(&[0u8; 64]);
         let mut r: &[u8] = &wire;
-        let mut scratch = Vec::new();
         assert!(matches!(
-            read_frame(&mut r, &mut scratch),
+            read_frame(&mut r),
             Err(FrameReadError::Wire(WireError::BadLength(_)))
         ));
     }

@@ -1,10 +1,64 @@
 //! Property tests over the wire codec: any frame round-trips bit-exactly,
 //! and *no* mangled byte stream — truncated, bit-flipped, or carrying a
 //! hostile length prefix — ever panics, allocates unboundedly, or decodes
-//! to a different frame silently.
+//! to a different frame silently. The table-sliced CRC-32 is held to the
+//! byte-at-a-time loop it replaced, and the copy-free stream writers to
+//! `Frame::encode`'s bytes.
 
 use proptest::prelude::*;
-use vc_ps::{Frame, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD};
+use std::sync::Arc;
+use vc_asgd::AlphaSchedule;
+use vc_kvstore::{Consistency, VersionedStore};
+use vc_ps::wire::read_frame;
+use vc_ps::{
+    crc32, Codec, Crc32, FetchReq, Frame, FrameKind, PsService, SealedFrame, ShardedAssimilator,
+    WireError, HEADER_LEN, MAX_PAYLOAD,
+};
+
+/// The oracle: IEEE CRC-32 one byte per table lookup, exactly the loop
+/// `Crc32::update` ran before it was sliced by eight.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *slot = c;
+    }
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// Every frame `svc` answers `req` with, written by the copy-free stream
+/// writer, must be byte-for-byte what `Frame::encode` (which checksums the
+/// frame from scratch) produces — and must read back as the same frame.
+fn assert_socket_bytes_match_encode(svc: &PsService, req: &Frame, want_kind: FrameKind) {
+    let mut responses: Vec<SealedFrame> = Vec::new();
+    svc.handle(req, &mut responses);
+    assert!(
+        responses.iter().any(|r| r.kind == want_kind),
+        "no {want_kind:?} in response"
+    );
+    let mut wire = Vec::new();
+    for resp in &responses {
+        let start = wire.len();
+        let n = resp.write_to(&mut wire).expect("vec write");
+        assert_eq!(&wire[start..], &resp.encode()[..], "{:?} frame", resp.kind);
+        assert_eq!(n, resp.encoded_len());
+    }
+    let mut r: &[u8] = &wire;
+    for resp in &responses {
+        assert_eq!(read_frame(&mut r).expect("own bytes read back"), **resp);
+    }
+}
 
 fn arb_kind() -> impl Strategy<Value = FrameKind> {
     prop_oneof![
@@ -103,9 +157,96 @@ proptest! {
         }
     }
 
+    /// The sliced CRC equals the bytewise oracle at every length and
+    /// alignment, one-shot and streamed across an arbitrary split.
+    #[test]
+    fn crc32_matches_bytewise_oracle(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        skip in 0usize..9,
+        split in 0usize..300,
+    ) {
+        let data = &bytes[skip.min(bytes.len())..];
+        let want = crc32_bytewise(data);
+        prop_assert_eq!(crc32(data), want);
+        let (head, tail) = data.split_at(split.min(data.len()));
+        let mut c = Crc32::new();
+        c.update(head);
+        c.update(tail);
+        prop_assert_eq!(c.finish(), want);
+    }
+
+    /// The stream writer emits exactly `encode()`'s bytes, and the stream
+    /// reader returns the frame that went in.
+    #[test]
+    fn stream_write_is_encode(frame in arb_frame()) {
+        let mut wire = Vec::new();
+        let n = SealedFrame::from(frame.clone()).write_to(&mut wire).expect("vec write");
+        prop_assert_eq!(n, frame.encoded_len());
+        prop_assert_eq!(&wire, &frame.encode());
+        let mut r: &[u8] = &wire;
+        prop_assert_eq!(read_frame(&mut r).expect("own bytes"), frame);
+    }
+
     /// Arbitrary garbage never panics the decoder.
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Frame::decode(&bytes);
+    }
+}
+
+/// The checksums banked at snapshot publish — `Shard` frames under `Raw`,
+/// `Shard` and `ShardDelta` frames under `Int8` — put the same bytes on a
+/// socket as checksumming each frame at send time would.
+#[test]
+fn published_frames_write_encode_bytes() {
+    let n = 1000;
+    for codec in [
+        Codec::Raw,
+        Codec::Int8 {
+            error_feedback: true,
+        },
+    ] {
+        let assim = Arc::new(ShardedAssimilator::new(
+            Arc::new(VersionedStore::new()),
+            n,
+            4,
+            Consistency::Eventual,
+            AlphaSchedule::Const(0.5),
+        ));
+        let w0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+        assim.seed_params(&w0);
+        let svc = PsService::new(assim.clone()).with_codec(codec);
+        svc.publish_snapshot(1, &w0, &assim.versions());
+        let cold = FetchReq {
+            epoch: 1,
+            wants: (0..4).map(|i| (i, 0)).collect(),
+            codec,
+        };
+        assert_socket_bytes_match_encode(&svc, &cold.to_frame(), FrameKind::Shard);
+
+        // Move every shard and republish: a worker tracking epoch 1 under a
+        // lossy codec is answered with the banked delta frames.
+        let held = assim.versions();
+        let w1: Vec<f32> = w0.iter().map(|v| v + 0.01).collect();
+        for (i, range) in assim.layout().iter() {
+            assim.merge_shard(i, &w1[range], 1);
+        }
+        let (params, manifest) = assim.read_params();
+        svc.publish_snapshot(2, &params, &manifest);
+        let warm = FetchReq {
+            epoch: 2,
+            wants: held
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (i as u32, v))
+                .collect(),
+            codec,
+        };
+        let want = if codec == Codec::Raw {
+            FrameKind::Shard
+        } else {
+            FrameKind::ShardDelta
+        };
+        assert_socket_bytes_match_encode(&svc, &warm.to_frame(), want);
     }
 }

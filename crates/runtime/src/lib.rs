@@ -169,49 +169,56 @@ impl Runtime {
         // --- data ---------------------------------------------------------
         let (train, val, test) = job.data.generate();
         let shards = Arc::new(ShardSet::split(&train, job.shards));
+        drop(train); // the shards hold their own copy of every sample
         let val_eval = Arc::new(val.select(&(0..job.val_eval_n).collect::<Vec<_>>()));
 
         // --- parameter store + sharded service ----------------------------
         let store = Arc::new(VersionedStore::new().with_telemetry(&tel));
-        let (init_params, snapshot_params, epoch, done, stats, assimilations, bytes, wall_base_s) =
-            match &self.resume {
-                None => {
-                    let mut init = job.model.build(job.seed).params_flat();
-                    if let Some(warmed) = warm_start_params(job, &shards, &init) {
-                        init = warmed;
-                    }
-                    (init.clone(), init, 1, Vec::new(), Vec::new(), 0, 0, 0.0)
-                }
-                Some(ck) => (
-                    ck.params.clone(),
-                    ck.snapshot.clone(),
-                    ck.epoch,
-                    ck.done.clone(),
-                    ck.stats.clone(),
-                    ck.assimilations,
-                    ck.bytes_transferred,
-                    ck.wall_s,
-                ),
-            };
-        let param_count = init_params.len();
-        let assim = Arc::new(
-            ShardedAssimilator::new(
-                store.clone(),
-                param_count,
-                job.ps_shards,
-                job.consistency,
-                job.alpha,
-            )
-            .with_telemetry(&tel),
-        );
-        assim.seed_params(&init_params);
-        let service = Arc::new(
-            PsService::new(assim.clone())
-                .with_codec(cfg.codec)
+        let (epoch, done, stats, assimilations, bytes, wall_base_s) = match &self.resume {
+            None => (1, Vec::new(), Vec::new(), 0, 0, 0.0),
+            Some(ck) => (
+                ck.epoch,
+                ck.done.clone(),
+                ck.stats.clone(),
+                ck.assimilations,
+                ck.bytes_transferred,
+                ck.wall_s,
+            ),
+        };
+        // Seeds the store from `params` and publishes `snapshot` as the
+        // in-progress epoch's fetchable snapshot (Eq. (2)'s W_{s,e-1}). Both
+        // are only borrowed: store and service keep their own encoded blobs.
+        let seed = |params: &[f32], snapshot: &[f32]| {
+            let assim = Arc::new(
+                ShardedAssimilator::new(
+                    store.clone(),
+                    params.len(),
+                    job.ps_shards,
+                    job.consistency,
+                    job.alpha,
+                )
                 .with_telemetry(&tel),
-        );
-        // The in-progress epoch's fetchable snapshot (Eq. (2)'s W_{s,e-1}).
-        service.publish_snapshot(epoch as u64, &snapshot_params, &assim.versions());
+            );
+            assim.seed_params(params);
+            let service = Arc::new(
+                PsService::new(assim.clone())
+                    .with_codec(cfg.codec)
+                    .with_telemetry(&tel),
+            );
+            service.publish_snapshot(epoch as u64, snapshot, &assim.versions());
+            (assim, service)
+        };
+        let (assim, service) = match &self.resume {
+            None => {
+                let mut init = job.model.build(job.seed).params_flat();
+                if let Some(warmed) = warm_start_params(job, &shards, &init) {
+                    init = warmed;
+                }
+                seed(&init, &init)
+            }
+            Some(ck) => seed(&ck.params, &ck.snapshot),
+        };
+        let param_count = assim.layout().param_count();
 
         // --- middleware ----------------------------------------------------
         let fleet = job.fleet.build(job.cn);

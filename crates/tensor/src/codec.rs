@@ -8,7 +8,7 @@
 //! `vc-kvstore` (a Redis value / MySQL LONGBLOB analog).
 
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 /// Magic tag identifying a parameter blob (guards against feeding arbitrary
 /// bytes to the decoder).
@@ -38,13 +38,13 @@ impl std::error::Error for CodecError {}
 
 /// Encodes a flat `f32` slice into a framed little-endian blob.
 pub fn encode_f32s(values: &[f32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(12 + values.len() * 4);
-    buf.put_u32_le(MAGIC);
-    buf.put_u64_le(values.len() as u64);
-    for &v in values {
-        buf.put_f32_le(v);
+    let mut buf = vec![0u8; encoded_len(values.len())];
+    buf[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    buf[4..12].copy_from_slice(&(values.len() as u64).to_le_bytes());
+    for (b, v) in buf[12..].chunks_exact_mut(4).zip(values) {
+        b.copy_from_slice(&v.to_le_bytes());
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decodes a blob produced by [`encode_f32s`].
@@ -54,12 +54,8 @@ pub fn decode_f32s(blob: &[u8]) -> Result<Vec<f32>, CodecError> {
     Ok(out)
 }
 
-/// Decodes into a caller-owned buffer, reusing its capacity: the hot fetch
-/// path decodes every parameter read, and with a warm `out` this performs
-/// no heap allocation at all. `out` is cleared first; on error it is left
-/// empty.
-pub fn decode_f32s_into(mut blob: &[u8], out: &mut Vec<f32>) -> Result<(), CodecError> {
-    out.clear();
+/// Validates a blob's header and returns its value bytes (`4 × count`).
+fn body(mut blob: &[u8]) -> Result<&[u8], CodecError> {
     if blob.len() < 12 {
         return Err(CodecError::Truncated {
             expected: 12,
@@ -71,15 +67,43 @@ pub fn decode_f32s_into(mut blob: &[u8], out: &mut Vec<f32>) -> Result<(), Codec
         return Err(CodecError::BadMagic(magic));
     }
     let n = blob.get_u64_le() as usize;
-    if blob.len() < n * 4 {
-        return Err(CodecError::Truncated {
-            expected: 12 + n * 4,
+    match n.checked_mul(4) {
+        Some(len) if len <= blob.len() => Ok(&blob[..len]),
+        _ => Err(CodecError::Truncated {
+            expected: 12usize.saturating_add(n.saturating_mul(4)),
             got: 12 + blob.len(),
+        }),
+    }
+}
+
+fn le_values(body: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    body.chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+/// Decodes into a caller-owned buffer, reusing its capacity: the hot fetch
+/// path decodes every parameter read, and with a warm `out` this performs
+/// no heap allocation at all. `out` is cleared first; on error it is left
+/// empty.
+pub fn decode_f32s_into(blob: &[u8], out: &mut Vec<f32>) -> Result<(), CodecError> {
+    out.clear();
+    out.extend(le_values(body(blob)?));
+    Ok(())
+}
+
+/// Decodes a blob that must hold exactly `out.len()` values straight into
+/// `out` — a shard into its range of an assembled parameter vector, with no
+/// temporary. `out` is untouched unless the whole blob is valid.
+pub fn decode_f32s_into_slice(blob: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    let body = body(blob)?;
+    if body.len() != out.len() * 4 {
+        return Err(CodecError::Truncated {
+            expected: encoded_len(out.len()),
+            got: blob.len(),
         });
     }
-    out.reserve(n);
-    for _ in 0..n {
-        out.push(blob.get_f32_le());
+    for (o, v) in out.iter_mut().zip(le_values(body)) {
+        *o = v;
     }
     Ok(())
 }

@@ -3,8 +3,11 @@
 //! The hot kernels of the DL substrate live here. All three matmul variants
 //! route through one cache-blocked GEMM in the GotoBLAS style:
 //!
-//! * **B is packed** once per call into zero-padded column panels of
-//!   [`NR`] columns, k-major, so the microkernel streams it linearly.
+//! * **B is packed** into zero-padded column panels of [`NR`] columns,
+//!   k-major, so the microkernel streams it linearly — one *group* of
+//!   panels (at most [`B_GROUP_FLOATS`]) at a time, with the group loop
+//!   outermost: pack scratch stays cache-sized however large the weight
+//!   matrix is, and every row quad reuses the group while it is hot.
 //! * **A is packed** per 4-row quad into a `[k][`[`MR`]`]` micro-panel, so
 //!   packing costs the same whether A is given row-major ([`matmul`]) or
 //!   transposed ([`matmul_at_b`]). Each parallel row band packs into its
@@ -117,25 +120,31 @@ enum BMat<'a> {
 // Pack scratch, thread-local to the *submitting* thread. Capacities persist
 // across calls, so after the first step at each problem size the kernels
 // allocate nothing. PACK_A is a slotted arena (one line-padded `k × MR`
-// slot per parallel row band — see `gemm`); PACK_B holds the shared packed
-// B panels. Worker threads touch neither: they receive their slot by
-// pointer and never allocate.
+// slot per parallel row band — see `gemm`); PACK_B holds the current group
+// of packed B panels. Worker threads touch neither: they receive their
+// slot by pointer and never allocate.
 thread_local! {
     static PACK_A: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
     static PACK_B: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Packs B into `n.div_ceil(NR)` column panels, each `k × NR` in k-major
-/// order, zero-padding the ragged last panel:
-/// `bpack[jp*k*NR + p*NR + jj] = B[p][jp*NR + jj]`.
-fn pack_b(b: BMat, k: usize, n: usize, bpack: &mut Vec<f32>) {
-    let n_panels = n.div_ceil(NR);
+/// Most floats of packed B held at once (1 MiB, L2-resident across the row
+/// quads that stream it): a 3072×512 weight costs that much pack scratch
+/// per submitting thread, not a 6 MiB mirror of itself, at the price of
+/// re-packing A's quads once per group. A panel deeper than this
+/// (`k > 16384`) is a group of its own.
+const B_GROUP_FLOATS: usize = 1 << 18;
+
+/// Packs columns `j0 .. j0+cols` of B into `cols.div_ceil(NR)` column
+/// panels, each `k × NR` in k-major order, zero-padding the ragged last
+/// panel: `bpack[jp*k*NR + p*NR + jj] = B[p][j0 + jp*NR + jj]`.
+fn pack_b(b: BMat, k: usize, n: usize, j0: usize, cols: usize, bpack: &mut Vec<f32>) {
     bpack.clear();
-    bpack.resize(n_panels * k * NR, 0.0);
+    bpack.resize(cols.div_ceil(NR) * k * NR, 0.0);
     match b {
         BMat::RowMajor(d) => {
             for p in 0..k {
-                let brow = &d[p * n..(p + 1) * n];
+                let brow = &d[p * n + j0..p * n + j0 + cols];
                 for (jp, chunk) in brow.chunks(NR).enumerate() {
                     let dst = &mut bpack[jp * k * NR + p * NR..jp * k * NR + p * NR + chunk.len()];
                     dst.copy_from_slice(chunk);
@@ -144,8 +153,8 @@ fn pack_b(b: BMat, k: usize, n: usize, bpack: &mut Vec<f32>) {
         }
         BMat::Trans { d, k: kk } => {
             debug_assert_eq!(k, kk);
-            for j in 0..n {
-                let bcol = &d[j * k..(j + 1) * k]; // contiguous in p
+            for j in 0..cols {
+                let bcol = &d[(j0 + j) * k..(j0 + j + 1) * k]; // contiguous in p
                 let (jp, jj) = (j / NR, j % NR);
                 let panel = &mut bpack[jp * k * NR..(jp + 1) * k * NR];
                 for (p, &v) in bcol.iter().enumerate() {
@@ -279,32 +288,32 @@ fn write_back(
     }
 }
 
-/// Computes rows `r0 .. r0+rows` of the output into `out_block`
-/// (a `rows × n` slice), reading packed B. `apack` is this band's private
-/// `k × MR` pack scratch (a slot of the submitter's arena — see [`gemm`]).
+/// Computes columns `j0 .. j0+cols` of rows `r0 .. r0+rows` of the output
+/// into `out_block` (a `rows × n` slice), reading the packed group `bpack`
+/// of those columns. `apack` is this band's private `k × MR` pack scratch
+/// (a slot of the submitter's arena — see [`gemm`]).
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: tile coordinates are scalars by design
 fn gemm_block(
     a: AMat,
     bpack: &[f32],
     k: usize,
     n: usize,
+    (j0, cols): (usize, usize),
     r0: usize,
     rows: usize,
     out_block: &mut [f32],
     epi: Epilogue<'_>,
     apack: &mut [f32],
 ) {
-    let n_panels = n.div_ceil(NR);
     let mut iq = 0;
     while iq < rows {
         let mr = MR.min(rows - iq);
         pack_a(a, r0 + iq, mr, k, apack);
-        for jp in 0..n_panels {
-            let j0 = jp * NR;
-            let nr = NR.min(n - j0);
+        for jp in 0..cols.div_ceil(NR) {
+            let nr = NR.min(cols - jp * NR);
             let mut acc = [[0.0f32; NR]; MR];
             micro_kernel(apack, &bpack[jp * k * NR..(jp + 1) * k * NR], &mut acc);
-            write_back(&acc, out_block, iq, n, j0, mr, nr, epi);
+            write_back(&acc, out_block, iq, n, j0 + jp * NR, mr, nr, epi);
         }
         iq += MR;
     }
@@ -335,44 +344,63 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
         return;
     }
     let mut bpack = PACK_B.with(|c| c.take());
-    pack_b(b, k, n, &mut bpack);
     let mut arena = PACK_A.with(|c| c.take());
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        let row_block = row_block_for(m, rayon::current_threads());
-        let n_bands = m.div_ceil(row_block);
-        let slot = apack_slot(k);
-        if arena.len() < n_bands * slot {
-            arena.resize(n_bands * slot, 0.0);
-        }
-        let base = arena.as_mut_ptr() as usize;
-        let bp = &bpack;
-        out.par_chunks_mut(row_block * n)
-            .enumerate()
-            .for_each(|(bi, block)| {
-                // Safety: band `bi` writes only its own arena slot; slots
-                // are disjoint (stride `slot` ≥ k*MR) and the arena Vec
-                // outlives the parallel call, which blocks until done.
-                let apack = unsafe {
-                    std::slice::from_raw_parts_mut((base as *mut f32).add(bi * slot), k * MR)
-                };
-                gemm_block(
-                    a,
-                    bp,
-                    k,
-                    n,
-                    bi * row_block,
-                    block.len() / n,
-                    block,
-                    epi,
-                    apack,
-                );
-            });
+    let parallel = m * n >= PAR_THRESHOLD && m > 1;
+    let row_block = if parallel {
+        row_block_for(m, rayon::current_threads())
     } else {
-        if arena.len() < k * MR {
-            arena.resize(k * MR, 0.0);
+        m
+    };
+    let slot = apack_slot(k);
+    if arena.len() < m.div_ceil(row_block) * slot {
+        arena.resize(m.div_ceil(row_block) * slot, 0.0);
+    }
+    // Which group a column falls in never changes the `k`-ascending chain
+    // that computes it.
+    let group_cols = (B_GROUP_FLOATS / (k * NR).max(1)).max(1) * NR;
+    for j0 in (0..n).step_by(group_cols) {
+        let cols = group_cols.min(n - j0);
+        pack_b(b, k, n, j0, cols, &mut bpack);
+        let bp = &bpack;
+        if parallel {
+            let base = arena.as_mut_ptr() as usize;
+            out.par_chunks_mut(row_block * n)
+                .enumerate()
+                .for_each(|(bi, block)| {
+                    // Safety: band `bi` writes only its own arena slot; slots
+                    // are disjoint (stride `slot` ≥ k*MR) and the arena Vec
+                    // outlives the parallel call, which blocks until done.
+                    let apack = unsafe {
+                        std::slice::from_raw_parts_mut((base as *mut f32).add(bi * slot), k * MR)
+                    };
+                    let rows = block.len() / n;
+                    gemm_block(
+                        a,
+                        bp,
+                        k,
+                        n,
+                        (j0, cols),
+                        bi * row_block,
+                        rows,
+                        block,
+                        epi,
+                        apack,
+                    );
+                });
+        } else {
+            gemm_block(
+                a,
+                bp,
+                k,
+                n,
+                (j0, cols),
+                0,
+                m,
+                out,
+                epi,
+                &mut arena[..k * MR],
+            );
         }
-        let (apack, _) = arena.split_at_mut(k * MR);
-        gemm_block(a, &bpack, k, n, 0, m, out, epi, apack);
     }
     PACK_A.with(|c| c.set(arena));
     PACK_B.with(|c| c.set(bpack));

@@ -117,3 +117,74 @@ fn degenerate_shapes_are_bitwise_naive() {
         );
     }
 }
+
+/// B is packed one panel *group* (≤ 2¹⁸ floats) at a time. These shapes put
+/// several groups in one call — a deep `k` makes a group a few panels wide,
+/// `n` spans more than one group and ends in a ragged panel, and one `k` is
+/// deep enough that every panel is a group by itself — for all three
+/// operand layouts and all four epilogues.
+#[test]
+fn panel_group_boundaries_are_bitwise_naive() {
+    // (m, k, n): groups of 5 panels = 80 columns at k = 3072; of 1 at 16400.
+    for (m, k, n) in [
+        (5, 3072, 203),
+        (9, 3072, 80),
+        (3, 16400, 37),
+        (66, 2100, 250),
+    ] {
+        let (a, b) = rand_pair(m, k, n, (k + n) as u64);
+        let naive = matmul_naive(&a, &b);
+        let (at, bt) = (a.transpose(), b.transpose());
+        let mut s = NormalSampler::seed_from(k as u64);
+        let bias = Tensor::randn(&[n], 0.0, 1.0, &mut s);
+        let prior = Tensor::randn(&[m, n], 0.0, 1.0, &mut s);
+        type Expect<'a> = Box<dyn Fn(usize, f32) -> f32 + 'a>;
+        let cases: [(&str, Epilogue<'_>, Expect<'_>); 4] = [
+            ("store", Epilogue::Store, Box::new(|_, v| v)),
+            (
+                "accumulate",
+                Epilogue::Accumulate,
+                Box::new(|i, v| prior.data()[i] + v),
+            ),
+            (
+                "bias",
+                Epilogue::Bias(bias.data()),
+                Box::new(|i, v| v + bias.data()[i % n]),
+            ),
+            (
+                "bias_relu",
+                Epilogue::BiasRelu(bias.data()),
+                Box::new(|i, v| (v + bias.data()[i % n]).max(0.0)),
+            ),
+        ];
+        for (name, epi, expect) in &cases {
+            let want: Vec<u32> = naive
+                .data()
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| expect(i, v).to_bits())
+                .collect();
+            let run = |f: &dyn Fn(&mut [f32])| {
+                let mut out = prior.data().to_vec();
+                f(&mut out);
+                out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+            };
+            let shape = format!("({m},{k},{n}) {name}");
+            assert_eq!(
+                run(&|o| matmul_epi_into(&a, &b, o, *epi)),
+                want,
+                "a·b {shape}"
+            );
+            assert_eq!(
+                run(&|o| matmul_at_b_epi_into(&at, &b, o, *epi)),
+                want,
+                "aᵀᵀ·b {shape}"
+            );
+            assert_eq!(
+                run(&|o| matmul_a_bt_epi_into(&a, &bt, o, *epi)),
+                want,
+                "a·bᵀᵀ {shape}"
+            );
+        }
+    }
+}
