@@ -8,10 +8,12 @@
 //! parameters. [`train_client_replica_ws`] is that step and there is no
 //! other: every driver calls it with a [`TrainWorkspace`] it owns, so a
 //! simulated run and a real threaded run perform it *identically* — same
-//! model build, same optimizer state, same RNG stream per
+//! replica, same fresh optimizer state, same RNG stream per
 //! `(seed, epoch, shard)`, same kernels — and differ only in scheduling,
 //! never in the learning dynamics of an individual subtask. The workspace
-//! is a buffer pool, not state: results do not depend on what it held.
+//! keeps the replica it built for the job's `(model, seed)` and a buffer
+//! pool, like a BOINC client keeps its application between workunits;
+//! neither is state: a warm workspace and a new one return the same bits.
 
 use crate::config::JobConfig;
 use rand::rngs::StdRng;
@@ -32,8 +34,9 @@ pub fn client_rng(seed: u64, epoch: usize, shard: usize) -> StdRng {
 /// Trains one client replica: start from `snapshot`, run
 /// `cfg.local_epochs` over the shard's `data`, return the replica's
 /// parameters (the payload the client uploads). A long-lived worker passes
-/// the same `tws` to every subtask so steady-state steps reuse all buffers.
-/// `timer`, when given, receives one observation per optimizer step.
+/// the same `tws` to every subtask, so the replica is built once and only
+/// reloaded here, and steady-state steps reuse all buffers. `timer`, when
+/// given, receives one observation per optimizer step.
 pub fn train_client_replica_ws(
     cfg: &JobConfig,
     snapshot: &[f32],
@@ -43,12 +46,12 @@ pub fn train_client_replica_ws(
     tws: &mut TrainWorkspace,
     timer: Option<&StepTimer<'_>>,
 ) -> Vec<f32> {
-    let mut model = cfg.model.build(cfg.seed);
-    model.set_params_flat(snapshot);
+    let mut replica = tws.take_replica(&cfg.model, cfg.seed);
+    replica.model.set_params_flat(snapshot);
     let mut opt = cfg.optimizer.build(snapshot.len());
     let mut rng = client_rng(cfg.seed, epoch, shard);
     train_minibatch_ws(
-        &mut model,
+        &mut replica.model,
         &mut opt,
         &data.images,
         &data.labels,
@@ -59,7 +62,12 @@ pub fn train_client_replica_ws(
         tws,
         timer,
     );
-    model.params_flat()
+    // The optimizer state goes before the upload vector comes: the
+    // workunit peaks at five model-sized buffers, not six.
+    drop(opt);
+    let params = replica.model.params_flat();
+    tws.put_replica(replica);
+    params
 }
 
 /// Client-side result sanity check: a diverged replica (NaN/Inf anywhere in

@@ -1,0 +1,97 @@
+//! The replica a `TrainWorkspace` keeps between workunits is not state: a
+//! warm workspace returns, bit for bit, what a new one returns — for every
+//! model family at the paper's 32×32×3, and for a spec with `Dropout`, the
+//! one layer whose build seeds more than parameters.
+
+use vc_asgd::{train_client_replica_ws, JobConfig};
+use vc_data::ShardSet;
+use vc_nn::spec::{mlp, resnet_lite, small_cnn};
+use vc_nn::{LayerSpec, ModelSpec};
+use vc_optim::TrainWorkspace;
+
+const IMG: [usize; 3] = [3, 32, 32];
+
+/// Three shards of 40 samples at batch 16: two full steps and a short one.
+fn job(model: ModelSpec, seed: u64) -> JobConfig {
+    let mut cfg = JobConfig::test_small(seed);
+    cfg.data.img = IMG;
+    cfg.data.train_n = 120;
+    cfg.shards = 3;
+    cfg.batch_size = 16;
+    cfg.local_epochs = 1;
+    cfg.model = model;
+    cfg
+}
+
+fn mlp_with_dropout(hidden: usize) -> ModelSpec {
+    let mut spec = mlp(&IMG, hidden, 10);
+    spec.name = "mlp-dropout".into();
+    spec.layers.insert(3, LayerSpec::Dropout { p: 0.3 });
+    spec
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs three chained workunits (each starts from the previous one's
+/// upload) through `tws`, or through a new workspace each when `tws` is
+/// `None`, and returns the three uploads.
+fn three_workunits(cfg: &JobConfig, mut tws: Option<&mut TrainWorkspace>) -> Vec<Vec<f32>> {
+    let (train, _, _) = cfg.data.generate();
+    let shards = ShardSet::split(&train, cfg.shards);
+    let mut snapshot = cfg.model.build(cfg.seed).params_flat();
+    let mut uploads = Vec::new();
+    for (epoch, shard) in [(1, 0), (1, 2), (2, 1)] {
+        let mut fresh = TrainWorkspace::new();
+        let tws = tws.as_deref_mut().unwrap_or(&mut fresh);
+        let data = &shards.shard(shard).data;
+        let out = train_client_replica_ws(cfg, &snapshot, data, epoch, shard, tws, None);
+        assert_ne!(bits(&out), bits(&snapshot), "the workunit must train");
+        snapshot = out.clone();
+        uploads.push(out);
+    }
+    uploads
+}
+
+#[test]
+fn resident_replica_matches_fresh_build() {
+    for model in [
+        mlp(&IMG, 32, 10),
+        small_cnn(&IMG, 10),
+        resnet_lite(&IMG, 1, 10),
+        mlp_with_dropout(32),
+    ] {
+        let cfg = job(model, 21);
+        let mut warm = TrainWorkspace::new();
+        let resident = three_workunits(&cfg, Some(&mut warm));
+        let fresh = three_workunits(&cfg, None);
+        for (k, (a, b)) in resident.iter().zip(&fresh).enumerate() {
+            assert_eq!(
+                bits(a),
+                bits(b),
+                "`{}` workunit {k}: a warm workspace changed the upload",
+                cfg.model.name
+            );
+        }
+    }
+}
+
+#[test]
+fn a_different_spec_or_seed_rebuilds_the_replica() {
+    let first = job(mlp_with_dropout(32), 21);
+    // Another architecture (a kept replica could not even load its
+    // snapshot) and another seed (a kept replica would draw the first
+    // seed's dropout masks).
+    let other_spec = job(mlp_with_dropout(24), 21);
+    let other_seed = job(mlp_with_dropout(32), 22);
+    let mut warm = TrainWorkspace::new();
+    three_workunits(&first, Some(&mut warm));
+    for cfg in [&other_spec, &other_seed, &first] {
+        let resident = three_workunits(cfg, Some(&mut warm));
+        let fresh = three_workunits(cfg, None);
+        for (a, b) in resident.iter().zip(&fresh) {
+            assert_eq!(bits(a), bits(b), "a stale replica served a new job");
+        }
+    }
+}

@@ -764,14 +764,14 @@ impl BoincServer {
             }
         }
         self.release_assignment(wu_id, host);
-        self.wus[idx].candidates.push((host, payload.to_vec()));
-        let agreeing = {
-            let rec = &self.wus[idx];
-            rec.candidates
+        // The reporter's own vote counts without being banked: a vote that
+        // decides the workunit is never copied.
+        let agreeing = usize::from(self.comparator.matches(payload, payload))
+            + self.wus[idx]
+                .candidates
                 .iter()
                 .filter(|(_, p)| self.comparator.matches(p, payload))
-                .count()
-        };
+                .count();
         if agreeing >= self.cfg.quorum as usize {
             self.decide(wu_id, host, payload, now);
             if self.tracing() {
@@ -786,6 +786,7 @@ impl BoincServer {
             }
             return ReportStatus::Accepted;
         }
+        self.wus[idx].candidates.push((host, payload.to_vec()));
         // Quorum still open. If the largest agreeing group plus every vote
         // that could still arrive (live replicas + unissued target slots)
         // cannot reach quorum, issue more replicas — BOINC's transitioner
@@ -860,7 +861,8 @@ impl BoincServer {
     }
 
     /// Completes `wu_id` with `winner`'s `payload`: cancels live replicas,
-    /// credits every candidate that agreed with the winning result, and
+    /// credits every banked candidate that agreed with the winning result
+    /// and then the winner (whose vote is `payload` itself, not banked), and
     /// penalizes the outvoted ones like validator rejects.
     fn decide(&mut self, wu_id: WuId, winner: HostId, payload: &[f32], now: SimTime) {
         let others = self.wus[wu_id.0 as usize].phase.running_on();
@@ -879,8 +881,8 @@ impl BoincServer {
             self.queue.remove(q, shard);
         }
         self.open -= 1;
-        let total_votes = candidates.len();
-        let mut agreeing = 0usize;
+        let total_votes = candidates.len() + 1;
+        let mut agreeing = 1usize;
         for (h, p) in &candidates {
             if self.comparator.matches(p, payload) {
                 agreeing += 1;
@@ -901,6 +903,8 @@ impl BoincServer {
                 self.apply_backoff(*h, now);
             }
         }
+        // The winner voted last.
+        self.hosts[winner.0 as usize].record_success();
         self.metrics.completed += 1;
         self.emit(
             now,

@@ -14,6 +14,7 @@ use vc_tensor::{Tensor, Workspace};
 /// pure identity.
 pub struct Dropout {
     p: f32,
+    seed: u64,
     rng: StdRng,
     mask: Option<Vec<f32>>,
 }
@@ -28,6 +29,7 @@ impl Dropout {
         );
         Dropout {
             p,
+            seed,
             rng: StdRng::seed_from_u64(seed),
             mask: None,
         }
@@ -70,6 +72,10 @@ impl Layer for Dropout {
             }
         }
         dy
+    }
+
+    fn reset_build_state(&mut self) {
+        self.rng = StdRng::seed_from_u64(self.seed);
     }
 
     fn name(&self) -> &'static str {
@@ -130,6 +136,16 @@ mod tests {
     #[should_panic(expected = "outside [0, 1)")]
     fn rejects_p_one() {
         Dropout::new(1.0, 5);
+    }
+
+    #[test]
+    fn reset_replays_the_mask_stream_of_a_fresh_layer() {
+        let x = Tensor::ones(&[64]);
+        let mut used = Dropout::new(0.5, 7);
+        let first = used.forward(&x, true);
+        assert_ne!(used.forward(&x, true).data(), first.data());
+        used.reset_build_state();
+        assert_eq!(used.forward(&x, true).data(), first.data());
     }
 
     #[test]

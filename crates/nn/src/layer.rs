@@ -109,6 +109,12 @@ pub trait Layer: Send {
     /// Clears accumulated gradients.
     fn zero_grads(&mut self) {}
 
+    /// Puts back whatever [`crate::ModelSpec::build`] seeded besides the
+    /// parameters — today only [`crate::dropout::Dropout`]'s mask RNG — so a
+    /// replica kept across workunits starts each one exactly like a fresh
+    /// build. Training caches need no reset: every forward replaces them.
+    fn reset_build_state(&mut self) {}
+
     /// Human-readable layer kind, for summaries and error messages.
     fn name(&self) -> &'static str;
 

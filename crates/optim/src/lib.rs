@@ -20,7 +20,9 @@ pub mod trainer;
 
 pub use clip::clip_by_global_norm;
 pub use schedule::LrSchedule;
-pub use trainer::{train_minibatch_ws, StepTimer, TrainBatchStats, TrainWorkspace};
+pub use trainer::{
+    train_minibatch_ws, ResidentReplica, StepTimer, TrainBatchStats, TrainWorkspace,
+};
 
 use serde::{Deserialize, Serialize};
 

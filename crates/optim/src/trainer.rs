@@ -4,7 +4,7 @@ use crate::clip::clip_slices_by_global_norm;
 use crate::Optimizer;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use vc_nn::{Layer, Sequential, SoftmaxCrossEntropy};
+use vc_nn::{Layer, ModelSpec, Sequential, SoftmaxCrossEntropy};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::{Tensor, Workspace};
 
@@ -20,11 +20,12 @@ pub struct TrainBatchStats {
 }
 
 /// Per-replica reusable training state: the tensor [`Workspace`], the
-/// shuffle order and the label batch. There are no flat parameter/gradient
-/// mirrors: clipping and the optimizer step visit the layers' own buffers.
-/// Hold one per worker thread (or simulated client) and pass it to every
-/// [`train_minibatch_ws`] call; after the first step warms the pools, the
-/// steady-state training loop performs zero heap allocations.
+/// shuffle order, the label batch and the resident model replica. There are
+/// no flat parameter/gradient mirrors: clipping and the optimizer step visit
+/// the layers' own buffers. Hold one per worker thread (or simulated client)
+/// and pass it to every [`train_minibatch_ws`] call; after the first step
+/// warms the pools, the steady-state training loop performs zero heap
+/// allocations.
 #[derive(Default)]
 pub struct TrainWorkspace {
     /// Buffer pool for activations, columns and gradients.
@@ -33,12 +34,48 @@ pub struct TrainWorkspace {
     buffers: Vec<f32>,
     order: Vec<usize>,
     batch_labels: Vec<usize>,
+    /// The replica a long-lived client keeps between workunits.
+    replica: Option<ResidentReplica>,
+}
+
+/// A model built once for a `(spec, seed)` and reloaded per workunit, the
+/// way a BOINC client keeps its application across subtasks. Out on loan
+/// from [`TrainWorkspace::take_replica`] while a workunit trains it.
+pub struct ResidentReplica {
+    spec: ModelSpec,
+    seed: u64,
+    /// The replica; its parameters are whatever the last workunit left.
+    pub model: Sequential,
 }
 
 impl TrainWorkspace {
     /// An empty workspace; the first training step fills the pools.
     pub fn new() -> Self {
         TrainWorkspace::default()
+    }
+
+    /// Lends out the replica for `(spec, seed)`, in every respect but its
+    /// parameters as `spec.build(seed)` would return it (the caller loads
+    /// its own). The kept replica is reused when it was built for the same
+    /// spec and seed, otherwise a new one is built. Hand it back with
+    /// [`TrainWorkspace::put_replica`].
+    pub fn take_replica(&mut self, spec: &ModelSpec, seed: u64) -> ResidentReplica {
+        match self.replica.take() {
+            Some(mut r) if r.seed == seed && r.spec == *spec => {
+                r.model.reset_build_state();
+                r
+            }
+            _ => ResidentReplica {
+                spec: spec.clone(),
+                seed,
+                model: spec.build(seed),
+            },
+        }
+    }
+
+    /// Keeps `replica` for the next [`TrainWorkspace::take_replica`].
+    pub fn put_replica(&mut self, replica: ResidentReplica) {
+        self.replica = Some(replica);
     }
 
     /// `(takes, misses)` of the underlying buffer pool — see

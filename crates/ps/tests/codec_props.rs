@@ -2,6 +2,8 @@
 //! error stays inside its documented bound, error feedback keeps lossy
 //! push streams unbiased with a bounded residual, and no hostile blob —
 //! truncated, bit-flipped, or wholly fabricated — ever panics a decoder.
+//! The worker's in-place upload shaping is held, bit for bit, to the
+//! `encode_delta` → decode oracle it replaced.
 //! Plain #[test]s at the bottom pin the codec negotiation contract: a
 //! client asking for a codec the service does not speak gets a structured
 //! error and degrades to `Raw` on a live connection.
@@ -10,7 +12,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
-use vc_ps::codec::encode_delta;
+use vc_ps::codec::{apply_update_roundtrip, encode_delta};
 use vc_ps::merge::ShardedAssimilator;
 use vc_ps::{Codec, MemClient, PsService, ShardCache};
 
@@ -44,7 +46,136 @@ fn bound(codec: Codec, x: &[f32]) -> f32 {
     }
 }
 
+/// Every lossy mode the worker can be configured with.
+fn lossy_codecs() -> Vec<Codec> {
+    let mut codecs = vec![Codec::Fp16];
+    for error_feedback in [true, false] {
+        codecs.push(Codec::Int8 { error_feedback });
+        codecs.push(Codec::TopK {
+            k: 3,
+            error_feedback,
+        });
+    }
+    codecs
+}
+
+/// Shapes a stream of uploads — one per element of `rounds`, each a
+/// trained vector against the shared `base` — through
+/// `apply_update_roundtrip` and through the oracle it replaced
+/// (`encode_delta`, then `params = base + y`), each side carrying its own
+/// residual from round to round. Parameters and residual must agree in
+/// every bit after every round.
+fn assert_in_place_matches_oracle(codec: Codec, base: &[f32], rounds: &[Vec<f32>]) {
+    let (mut residual, mut oracle_residual) = (Vec::new(), Vec::new());
+    let (mut x, mut blob, mut y) = (Vec::new(), Vec::new(), Vec::new());
+    for (round, trained) in rounds.iter().enumerate() {
+        let mut params = trained.clone();
+        apply_update_roundtrip(codec, base, &mut params, &mut residual);
+        encode_delta(
+            codec,
+            trained,
+            base,
+            &mut oracle_residual,
+            &mut x,
+            &mut blob,
+            &mut y,
+        )
+        .expect("own encoding decodes");
+        for i in 0..base.len() {
+            let want = base[i] + y[i];
+            assert_eq!(
+                params[i].to_bits(),
+                want.to_bits(),
+                "{codec:?} round {round} params[{i}]: {} vs oracle {want}",
+                params[i]
+            );
+        }
+        assert_eq!(residual.len(), oracle_residual.len(), "{codec:?}");
+        for (i, (a, b)) in residual.iter().zip(&oracle_residual).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{codec:?} round {round} residual[{i}]: {a} vs oracle {b}"
+            );
+        }
+    }
+}
+
+#[test]
+fn in_place_roundtrip_matches_oracle_on_all_zero_deltas() {
+    // Scale 0: every code is 0 and the residual stays 0.
+    let base: Vec<f32> = (0..300).map(|i| (i as f32 - 150.0) * 0.01).collect();
+    for codec in lossy_codecs() {
+        assert_in_place_matches_oracle(codec, &base, &[base.clone(), base.clone()]);
+    }
+    // Signed zeros on both sides of the subtraction.
+    let base = vec![0.0f32, -0.0, 0.0, -0.0];
+    let trained = vec![-0.0f32, 0.0, 0.0, -0.0];
+    for codec in lossy_codecs() {
+        assert_in_place_matches_oracle(codec, &base, &[trained.clone(), trained.clone()]);
+    }
+}
+
+#[test]
+fn in_place_roundtrip_matches_oracle_on_single_outlier_deltas() {
+    // One huge element sets the scale; everything else rounds to long zero
+    // runs (escaped on the wire) with short literal runs around the outlier.
+    let base: Vec<f32> = (0..70_000)
+        .map(|i| ((i % 97) as f32 - 48.0) * 0.03)
+        .collect();
+    let mut trained: Vec<f32> = base.iter().map(|b| b + 1.0e-4).collect();
+    trained[40_001] += 250.0;
+    trained[40_003] -= 1.5;
+    let mut second = trained.clone();
+    second[7] -= 90.0;
+    for codec in lossy_codecs() {
+        assert_in_place_matches_oracle(codec, &base, &[trained.clone(), second.clone()]);
+    }
+}
+
+#[test]
+fn in_place_roundtrip_matches_oracle_on_subnormal_deltas() {
+    // Deltas so small that the scale is subnormal and its inverse is
+    // infinite: codes saturate or turn NaN→0, identically on both paths.
+    let tiny = f32::from_bits(3);
+    let base = vec![0.0f32; 64];
+    let trained: Vec<f32> = (0..64)
+        .map(|i| match i % 4 {
+            0 => tiny,
+            1 => -tiny,
+            2 => 0.0,
+            _ => f32::MIN_POSITIVE / 2.0,
+        })
+        .collect();
+    for codec in lossy_codecs() {
+        assert_in_place_matches_oracle(codec, &base, &[trained.clone(), trained.clone()]);
+    }
+}
+
 proptest! {
+    /// The in-place upload shaping equals the `encode_delta` → decode
+    /// oracle in every bit of the parameters and the residual, over a
+    /// stream of uploads so the residual is exercised as an input too.
+    #[test]
+    fn in_place_roundtrip_matches_oracle(
+        base in arb_update(),
+        deltas in proptest::collection::vec(arb_update(), 1..4),
+        magnitude in prop_oneof![Just(1.0e-6f32), Just(1.0e-3), Just(1.0)],
+    ) {
+        let rounds: Vec<Vec<f32>> = deltas
+            .iter()
+            .map(|d| {
+                base.iter()
+                    .enumerate()
+                    .map(|(i, b)| b + d[i % d.len()] * magnitude)
+                    .collect()
+            })
+            .collect();
+        for codec in lossy_codecs() {
+            assert_in_place_matches_oracle(codec, &base, &rounds);
+        }
+    }
+
     /// encode → decode of any update keeps every element inside the
     /// mode's error bound, and the blob never exceeds its advertised
     /// worst-case length.

@@ -27,6 +27,7 @@ use vc_data::Dataset;
 use vc_kvstore::{Consistency, VersionedStore};
 use vc_middleware::{BoincServer, Clock, ReportStatus, ShardManifest};
 use vc_nn::metrics::evaluate;
+use vc_nn::Sequential;
 use vc_ops::{FleetStatus, OpsHub, PsStatus, StatusSnapshot};
 use vc_ps::{PsService, ShardedAssimilator};
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
@@ -48,8 +49,9 @@ pub struct AssimCtx {
 }
 
 /// The assimilator thread body: blend, score, report, until the task
-/// channel closes.
-pub fn assimilator_main(ctx: AssimCtx) {
+/// channel closes or the coordinator is gone. Returns its scoring replica,
+/// which `Runtime::run` reuses for the final evaluation.
+pub fn assimilator_main(ctx: AssimCtx) -> Sequential {
     let mut eval_model = ctx.cfg.job.model.build(ctx.cfg.job.seed);
     while let Ok(t) = ctx.task_rx.recv() {
         let updated = match ctx.mode {
@@ -84,9 +86,10 @@ pub fn assimilator_main(ctx: AssimCtx) {
             })
             .is_err()
         {
-            return; // coordinator gone
+            break; // coordinator gone
         }
     }
+    eval_model
 }
 
 /// The coordinator's mutable state, assembled by `Runtime::run` (with a

@@ -14,7 +14,9 @@
 //! **worker** threads each impersonate one volunteer host: poll for work,
 //! receive the epoch parameter snapshot, train their shard with real SGD
 //! (the exact [`vc_asgd::train_client_replica_ws`] step the simulator uses),
-//! and upload the replica. All traffic flows over `crossbeam` channels.
+//! and upload the replica. Scheduler RPCs, uploads and assimilation tasks
+//! flow over `crossbeam` channels; parameter fetches go to the `vc-ps`
+//! service — in-process, or over loopback TCP with `ps_tcp`.
 //!
 //! ## Faults and recovery
 //!
@@ -382,8 +384,12 @@ impl Runtime {
         for h in worker_handles {
             h.join().map_err(|_| "a worker thread panicked")?;
         }
+        // The first assimilator's scoring replica does the final
+        // evaluation below (`pn ≥ 1` is validated, so there is one).
+        let mut model = None;
         for h in assim_handles {
-            h.join().map_err(|_| "an assimilator thread panicked")?;
+            let eval_model = h.join().map_err(|_| "an assimilator thread panicked")?;
+            model.get_or_insert(eval_model);
         }
         if let Some(h) = delay_handle {
             h.join().map_err(|_| "the delay-line thread panicked")?;
@@ -394,7 +400,7 @@ impl Runtime {
 
         // Final evaluation on the full splits, mirroring the simulator.
         let (params, _) = assim.read_params();
-        let mut model = cfg.job.model.build(cfg.job.seed);
+        let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;
         model.set_params_flat(&params);
         let (_, v) = evaluate(&mut model, &val.images, &val.labels, 256);
         let (_, t) = evaluate(&mut model, &test.images, &test.labels, 256);

@@ -326,12 +326,9 @@ struct SimWorker {
     state: WState,
     ps: MemClient,
     cache: ShardCache,
-    /// Error-feedback residual for the worker's upload stream under a
-    /// lossy codec (empty under `Raw`), plus reusable codec scratch.
+    /// Error-feedback residual for the worker's upload stream (empty
+    /// without error feedback).
     upload_residual: Vec<f32>,
-    x_scratch: Vec<f32>,
-    y_scratch: Vec<f32>,
-    blob_scratch: Vec<u8>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -389,7 +386,7 @@ struct Sim {
     assim_queue: VecDeque<AssimTask>,
     shards: Arc<ShardSet>,
     /// Simulated workers train one at a time under virtual time, so one
-    /// buffer pool serves every replica.
+    /// buffer pool and one resident replica serve them all.
     train_ws: TrainWorkspace,
     val_eval: Arc<Dataset>,
     fstats: Arc<FaultStats>,
@@ -615,9 +612,6 @@ impl Sim {
                         w.cache.params(),
                         &mut params,
                         &mut w.upload_residual,
-                        &mut w.x_scratch,
-                        &mut w.blob_scratch,
-                        &mut w.y_scratch,
                     );
                 }
                 // A byzantine host does the work, then lies about it —
@@ -825,9 +819,6 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
             ps: MemClient::new(service.clone()),
             cache: ShardCache::new(*assim.layout()).with_codec(cfg.codec),
             upload_residual: Vec::new(),
-            x_scratch: Vec::new(),
-            y_scratch: Vec::new(),
-            blob_scratch: Vec::new(),
         })
         .collect();
     let slots = (0..job.pn)
@@ -884,9 +875,10 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let stop = sim.run_loop();
     let (mut report, assim) = sim.coord.finalize(stop);
 
-    // Final full-split evaluation, as in Runtime::run.
+    // Final full-split evaluation, as in Runtime::run: on a scoring
+    // replica the pool no longer needs (`pn ≥ 1` is validated).
     let (params, _) = assim.read_params();
-    let mut model = cfg.job.model.build(cfg.job.seed);
+    let mut model = sim.slots.swap_remove(0).eval;
     model.set_params_flat(&params);
     let (_, v) = evaluate(&mut model, &val.images, &val.labels, 256);
     let (_, t) = evaluate(&mut model, &test.images, &test.labels, 256);

@@ -137,14 +137,13 @@ pub fn worker_main(ctx: WorkerCtx) {
     let fetch_h = telemetry
         .registry()
         .histogram_with(WORKER_FETCH_S, Histogram::latency_bounds);
-    // One workspace per worker thread: after the first subtask warms its
-    // pools, steady-state training steps allocate nothing.
+    // One workspace per worker thread: the first subtask builds the
+    // replica and warms the pools; after it a subtask reloads the replica
+    // and its training steps allocate nothing.
     let mut tws = TrainWorkspace::new();
     // Upload-codec state: the error-feedback residual for this worker's
-    // upload stream plus reusable scratch (all empty under `Raw`).
+    // upload stream (empty without error feedback).
     let mut upload_residual: Vec<f32> = Vec::new();
-    let (mut x_scratch, mut y_scratch): (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
-    let mut blob_scratch: Vec<u8> = Vec::new();
 
     loop {
         let poll_t0 = telemetry.now_s();
@@ -243,9 +242,6 @@ pub fn worker_main(ctx: WorkerCtx) {
                         cache.params(),
                         &mut params,
                         &mut upload_residual,
-                        &mut x_scratch,
-                        &mut blob_scratch,
-                        &mut y_scratch,
                     );
                 }
                 // A byzantine host does the work, then lies about it.

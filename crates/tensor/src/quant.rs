@@ -117,8 +117,15 @@ pub fn f16_decode_slice(src: &[u16], dst: &mut [f32]) {
 /// all-zero (or empty) slice. Non-finite inputs are ignored when sizing the
 /// scale so one hostile NaN cannot zero out the whole shard.
 pub fn int8_scale(src: &[f32]) -> f32 {
+    int8_scale_of(src.iter().copied())
+}
+
+/// [`int8_scale`] over values the caller computes on the fly instead of
+/// storing.
+#[inline]
+pub fn int8_scale_of(values: impl Iterator<Item = f32>) -> f32 {
     let mut max = 0.0f32;
-    for &x in src {
+    for x in values {
         let a = x.abs();
         if a.is_finite() && a > max {
             max = a;

@@ -1,20 +1,30 @@
 //! Copy budget of the parameter path, held by a peak-live-bytes allocator.
 //!
-//! A worker needs its replica's `w`, `dw`, Adam `m` and `v`, the shard
-//! cache's assembled vector, the replica it returns and one payload being
-//! read (≈ 6¼ model-sized buffers); the server needs the store's blobs, the
-//! retained epoch snapshots, the scoring replica's `w`, an upload in flight
-//! with its quorum candidate, and a merge result. This run measures 18–19
-//! buffers at its peak (which phases overlap is up to the scheduler); the
-//! bound is `(8·Cn + 8) × param_bytes` plus a fixed allowance for data
-//! sets, activations and thread stacks. Before the path was given one owner
-//! per buffer the same run peaked at 36.7 — flat mirrors in the trainer,
-//! retained responses, whole-matrix GEMM packs, a staging buffer per
-//! connection — and any two of those coming back no longer fit.
-//! (DESIGN.md §9 has the table.)
+//! A worker needs its resident replica's `w` and `dw`, Adam `m` and `v` and
+//! the shard cache's assembled vector while it trains, and one payload being
+//! read while it fetches (≈ 5¼ model-sized buffers); the upload it returns is
+//! allocated after the optimizer state is dropped, so it is no sixth. Under
+//! `Int8` with error feedback it also keeps the upload residual — and nothing
+//! else: the upload is shaped in place. The server needs the store's blobs,
+//! the retained epoch snapshots (plus the delta reference under a lossy
+//! codec), the scoring replica's `w`, an upload in flight (banked a second
+//! time only while its quorum is open) and a merge result.
+//!
+//! The Raw run measures 18–20 buffers at its peak (which phases overlap is up
+//! to the scheduler; 20.0 is both workers training while both their previous
+//! uploads are still being assimilated) against a bound of
+//! `(7·Cn + 8) × param_bytes` plus a fixed allowance for data sets,
+//! activations and thread stacks. The Int8 run measures 22.4–24.4 against
+//! `(8·Cn + 8)`; with the three model-sized scratch vectors the upload used to
+//! be shaped through, and the upload allocated beside the optimizer state, the
+//! same run peaked at 26.7–27.7 and does not fit. Before the path was given
+//! one owner per buffer the Raw run peaked at 36.7 — flat mirrors in the
+//! trainer, retained responses, whole-matrix GEMM packs, a staging buffer per
+//! connection. (DESIGN.md §9 has the table.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use vc_nn::spec::mlp;
 use vc_ps::Codec;
 use vc_runtime::{run_runtime, RuntimeConfig};
@@ -66,8 +76,20 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 /// their shards, a batch of activations per worker, channels, thread stacks.
 const FIXED_SLACK: usize = 6 << 20;
 
-#[test]
-fn two_worker_tcp_run_stays_inside_the_copy_budget() {
+/// Buffers budgeted per worker: the ≈ 5¼ it needs plus room for the uploads
+/// it has in flight on the server side.
+const RAW_PER_WORKER: usize = 7;
+/// One more under Int8 + error feedback: the upload residual.
+const INT8_PER_WORKER: usize = 8;
+
+/// The two runs share one process-wide peak counter.
+static ONE_RUN_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Peak live heap of a two-worker TCP run under `codec`, in bytes and in
+/// model-sized buffers, asserted against `per_worker·Cn + 8` buffers plus
+/// [`FIXED_SLACK`].
+fn assert_run_stays_inside(codec: Codec, per_worker: usize) {
+    let _guard = ONE_RUN_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut cfg = RuntimeConfig::test_small(5);
     cfg.job.data.img = [3, 32, 32];
     cfg.job.model = mlp(&cfg.job.data.img, 256, cfg.job.data.classes);
@@ -84,10 +106,11 @@ fn two_worker_tcp_run_stays_inside_the_copy_budget() {
     cfg.job.pn = 1;
     cfg.job.tn = 1;
     cfg.ps_tcp = true;
-    cfg.codec = Codec::Raw;
+    cfg.codec = codec;
     let param_bytes = 4 * cfg.job.model.build(cfg.job.seed).param_count();
     assert!(param_bytes > 3 << 20, "the model must dwarf the slack");
-    let budget = (8 * cfg.job.cn + 8) * param_bytes + FIXED_SLACK;
+    let buffers_allowed = per_worker * cfg.job.cn + 8;
+    let budget = buffers_allowed * param_bytes + FIXED_SLACK;
 
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
@@ -97,10 +120,28 @@ fn two_worker_tcp_run_stays_inside_the_copy_budget() {
     assert!(!report.halted_early);
     assert_eq!(report.epochs.len(), 2);
     let buffers = peak as f64 / param_bytes as f64;
-    eprintln!("peak live {peak} B = {buffers:.1} model-sized buffers (budget {budget} B)");
+    eprintln!(
+        "{codec:?}: peak live {peak} B = {buffers:.1} model-sized buffers (budget {budget} B)"
+    );
     assert!(
         peak <= budget,
-        "peak live heap {peak} B is {buffers:.1} model-sized buffers; the parameter path \
-         budgets (8·Cn + 8) = 24 plus {FIXED_SLACK} B — a model-sized copy came back"
+        "{codec:?}: peak live heap {peak} B is {buffers:.1} model-sized buffers; the parameter \
+         path budgets ({per_worker}·Cn + 8) = {buffers_allowed} plus {FIXED_SLACK} B — a \
+         model-sized copy came back"
+    );
+}
+
+#[test]
+fn two_worker_tcp_run_stays_inside_the_copy_budget() {
+    assert_run_stays_inside(Codec::Raw, RAW_PER_WORKER);
+}
+
+#[test]
+fn two_worker_int8_run_stays_inside_the_copy_budget() {
+    assert_run_stays_inside(
+        Codec::Int8 {
+            error_feedback: true,
+        },
+        INT8_PER_WORKER,
     );
 }
