@@ -14,9 +14,9 @@
 //!
 //! Run: `cargo run -p vc-bench --bin ablations --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{FleetKind, JobConfig};
 use vc_kvstore::Consistency;
+use vc_runtime::des::run_job;
 use vc_simnet::PreemptionModel;
 
 fn base() -> JobConfig {

@@ -13,9 +13,9 @@
 //!
 //! Run: `cargo run -p vc-bench --bin fig3 --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_bench::write_results;
+use vc_runtime::des::run_job;
 
 fn main() {
     let epochs = 40;

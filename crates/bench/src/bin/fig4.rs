@@ -10,9 +10,9 @@
 //! Run: `cargo run -p vc-bench --bin fig4 --release`
 //! (set `REPRO_FAST=1` or `REPRO_EPOCHS=n` to shrink the run)
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_bench::{print_run, repro_epochs, runs_to_csv, write_results};
+use vc_runtime::des::run_job;
 
 fn main() {
     let epochs = repro_epochs();

@@ -9,10 +9,10 @@
 //!
 //! Run: `cargo run -p vc-bench --bin fig6 --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_baselines::serial::{run_serial, SerialConfig};
 use vc_bench::{repro_epochs, write_results};
+use vc_runtime::des::run_job;
 
 fn main() {
     let epochs = repro_epochs();

@@ -14,10 +14,10 @@
 
 use bytes::Bytes;
 use std::time::Instant;
-use vc_asgd::job::run_job;
 use vc_asgd::JobConfig;
 use vc_cost::DbOverhead;
 use vc_kvstore::{Consistency, LatencyModel, VersionedStore};
+use vc_runtime::des::run_job;
 
 fn main() {
     // 1. Per-update latency model at the paper's blob size.

@@ -12,9 +12,9 @@
 //!
 //! Run: `cargo run -p vc-bench --bin sec4e --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::JobConfig;
 use vc_cost::{simulate_extra_time_s, FleetCost, TimeoutAnalysis};
+use vc_runtime::des::run_job;
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {

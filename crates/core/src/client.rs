@@ -1,6 +1,6 @@
-//! The client-side compute step, shared by the discrete-event simulator
-//! ([`crate::job`]), the deterministic simulation and the real
-//! multi-threaded runtime (`vc-runtime`).
+//! The client-side compute step, shared by the three drivers in
+//! `vc-runtime`: the discrete-event simulator, the deterministic simulation
+//! and the real multi-threaded runtime.
 //!
 //! A BOINC client that receives a workunit does exactly one thing: load the
 //! shipped parameter snapshot into a model replica, run `local_epochs`

@@ -2,8 +2,8 @@
 //!
 //! **The paper's primary contribution**: VC-ASGD, an asynchronous parameter-
 //! update scheme for distributed deep-learning training on volunteer-
-//! computing-like fleets, together with the training-job driver that runs it
-//! over the workspace's substrates.
+//! computing-like fleets — the scheme's own pieces, with no driver and no
+//! parameter-server path of its own.
 //!
 //! ## The scheme (§III-C)
 //!
@@ -21,28 +21,21 @@
 //! α may vary per epoch ([`alpha::AlphaSchedule`]); the paper's "Var"
 //! schedule is `α_e = e/(e+1)`.
 //!
-//! ## The driver ([`job`])
+//! ## What lives here
 //!
-//! [`job::TrainingJob`] wires every substrate together: the synthetic
-//! dataset is sharded by the work generator, the BOINC-like middleware
-//! schedules subtasks onto a simulated heterogeneous fleet, clients train
-//! *real* models (one per subtask, in parallel), results are validated and
-//! assimilated through a strong- or eventually-consistent parameter store,
-//! and a discrete-event clock advances through downloads, training,
-//! uploads, timeouts, preemptions and assimilation queueing. The output is
-//! the per-epoch `(simulated time, validation accuracy mean/min/max)`
-//! series that the paper's Figures 2–6 plot.
+//! [`alpha`] is the blend and its schedules, [`client`] the one client-side
+//! compute step every driver runs, [`config`] the job description and
+//! [`report`] the per-epoch series the paper's figures plot. Eq. (1) over
+//! the versioned store is `vc_ps::ShardedAssimilator`; the three drivers of
+//! the epoch protocol (discrete-event, deterministic simulation, threads)
+//! are `vc_runtime::{des, sim, Runtime}`.
 
 pub mod alpha;
-pub mod assimilator;
 pub mod client;
 pub mod config;
-pub mod job;
 pub mod report;
 
 pub use alpha::AlphaSchedule;
-pub use assimilator::VcAsgdAssimilator;
 pub use client::{result_is_valid, train_client_replica_ws, warm_start_params};
 pub use config::{FleetKind, JobConfig};
-pub use job::TrainingJob;
 pub use report::{EpochStats, JobReport};

@@ -88,8 +88,8 @@ impl TrainWorkspace {
 /// Per-step timing sink for [`train_minibatch_ws`]: each optimizer step's
 /// wall-clock duration (from the telemetry hub's time source, so virtual
 /// clocks work too) is observed into `histogram`. This keeps the per-step
-/// numbers in `BENCH_train.json` and the runtime's phase histograms in
-/// `BENCH_runtime.json` directly comparable.
+/// numbers in `BENCH_train.json` and the runtime's `worker_train_step_s`
+/// phase histogram directly comparable.
 pub struct StepTimer<'a> {
     /// The run's telemetry hub (provides the clock).
     pub telemetry: &'a Telemetry,

@@ -31,7 +31,9 @@ pub mod wire;
 
 pub use client::{DelayedMemClient, FetchSink, MemClient, PsClient, PsError, ShardCache};
 pub use codec::Codec;
-pub use merge::{shard_key, ShardSnapshot, ShardedAssimilator, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS};
+pub use merge::{
+    shard_key, ShardSnapshot, ShardedAssimilator, PARAMS_KEY, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS,
+};
 pub use queue::DelayQueue;
 pub use service::{CodecOps, PsOps, PsService};
 pub use tcp::{ShardGroups, TcpClient, TcpPsServer};

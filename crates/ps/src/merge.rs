@@ -5,15 +5,19 @@
 //! own store key with its own version counter — changes *contention and
 //! transfer granularity*, never the math: merging shard by shard in order
 //! is bitwise-identical to merging the whole vector at once. With one
-//! shard this type performs exactly the same store operations on exactly
-//! the same key as the unsharded `vc_asgd::VcAsgdAssimilator`, which is
-//! what keeps single-shard runs byte-identical to the historical
-//! trajectories.
+//! shard this type is the paper's single-value store: one key
+//! ([`PARAMS_KEY`]), one get + one versioned put (eventual) or one
+//! transaction (strong) per assimilation — the operation sequence the
+//! single-shard golden trajectories and the discrete-event driver's
+//! recorded bits pin.
+//!
+//! The consistency mode is decided here once: drivers call
+//! [`ShardedAssimilator::begin`] when an assimilation starts and
+//! [`ShardedAssimilator::finish`] when it ends, and never name a mode.
 
 use crate::wire::PushAck;
 use std::sync::Arc;
 use vc_asgd::alpha::{blend_eq1, AlphaSchedule};
-use vc_asgd::assimilator::PARAMS_KEY;
 use vc_kvstore::{Consistency, ShardLayout, VersionedStore};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::codec::{decode_f32s, decode_f32s_into_slice, encode_f32s};
@@ -23,6 +27,9 @@ pub const PS_MERGE_S: &str = "ps_merge_s";
 /// Histogram: version spread `max-min` across shard versions at each full
 /// parameter read — how far the shards have drifted apart.
 pub const PS_SHARD_SKEW_VERSIONS: &str = "ps_shard_skew_versions";
+
+/// Key under which the unsharded server parameter blob lives in the store.
+pub const PARAMS_KEY: &str = "model/params";
 
 /// The key a shard's blob lives under. One shard collapses to the
 /// unsharded key so existing histories and checkpoints line up.
@@ -169,6 +176,27 @@ impl ShardedAssimilator {
         }
     }
 
+    /// Starts one assimilation under the configured mode. Eventual mode
+    /// takes its stale read now — whatever commits before the matching
+    /// [`Self::finish`] is clobbered by it; strong mode reads inside the
+    /// finish transactions and has nothing to hold.
+    pub fn begin(&self) -> Option<ShardSnapshot> {
+        match self.mode {
+            Consistency::Eventual => Some(self.begin_eventual()),
+            Consistency::Strong => None,
+        }
+    }
+
+    /// Ends the assimilation [`Self::begin`] started: applies Eq. (1) with
+    /// the epoch's α through the mode's store path and returns the updated
+    /// full vector.
+    pub fn finish(&self, begun: Option<ShardSnapshot>, client: &[f32], epoch: usize) -> Vec<f32> {
+        match begun {
+            Some(snapshot) => self.commit_eventual(snapshot, client, epoch).0,
+            None => self.assimilate_strong(client, epoch),
+        }
+    }
+
     /// Eventual-mode assimilation start: snapshots every shard (the stale
     /// read whose age decides what gets clobbered at commit).
     pub fn begin_eventual(&self) -> ShardSnapshot {
@@ -282,7 +310,6 @@ impl ShardedAssimilator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc_asgd::VcAsgdAssimilator;
 
     fn vec_of(n: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
         (0..n).map(f).collect()
@@ -313,10 +340,25 @@ mod tests {
         let snap = a.begin_eventual();
         a.commit_eventual(snap, &[1.0; 4], 1);
         let history = store.take_history();
-        // Exactly Put, Get, PutVersioned on the one legacy key — the same
-        // ops the unsharded assimilator performs.
+        // Exactly Put, Get, PutVersioned on the one legacy key: the
+        // single-value store of the paper.
         assert_eq!(history.len(), 3);
         assert!(history.iter().all(|e| e.key == PARAMS_KEY));
+    }
+
+    /// The oracle: Eq. (1) over one plain unsharded vector, no store. The
+    /// caller spells out which copy each assimilation read.
+    fn eq1(server: &[f32], client: &[f32], alpha: f32) -> Vec<f32> {
+        let beta = 1.0 - alpha;
+        server
+            .iter()
+            .zip(client)
+            .map(|(&s, &c)| alpha * s + beta * c)
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -326,26 +368,21 @@ mod tests {
         let clients: Vec<Vec<f32>> = (0..4)
             .map(|c| vec_of(n, |i| ((i + c * 31) as f32).cos()))
             .collect();
-        let reference = VcAsgdAssimilator::new(
-            Arc::new(VersionedStore::new()),
-            Consistency::Strong,
-            AlphaSchedule::Const(0.7),
-        );
-        reference.seed_params(&w0);
-        let mut want = Vec::new();
-        for c in &clients {
-            want = reference.assimilate_strong(c, 1);
-        }
+        let want = clients.iter().fold(w0.clone(), |w, c| eq1(&w, c, 0.7));
         for p in [1, 4, 16] {
             let a = sharded(n, p, Consistency::Strong);
             a.seed_params(&w0);
             let mut got = Vec::new();
             for c in &clients {
-                got = a.assimilate_strong(c, 1);
+                assert!(a.begin().is_none(), "strong mode holds no stale read");
+                got = a.finish(None, c, 1);
             }
-            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "{p} shards must be bitwise identical");
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{p} shards must be bitwise identical"
+            );
+            assert_eq!(a.lost_updates(), 0);
         }
     }
 
@@ -355,30 +392,68 @@ mod tests {
         let w0 = vec_of(n, |i| i as f32 * 0.1);
         let c1 = vec_of(n, |i| -(i as f32));
         let c2 = vec_of(n, |i| (i as f32) * 2.0);
-        let reference = VcAsgdAssimilator::new(
-            Arc::new(VersionedStore::new()),
-            Consistency::Eventual,
-            AlphaSchedule::Const(0.7),
-        );
-        reference.seed_params(&w0);
-        // Two overlapping assimilations: both read the seed.
-        let (s1, v1) = reference.begin_eventual();
-        let (s2, v2) = reference.begin_eventual();
-        reference.commit_eventual(s1, v1, &c1, 1);
-        let (want, want_clobbered) = reference.commit_eventual(s2, v2, &c2, 1);
-        assert_eq!(want_clobbered, 1);
+        // Two overlapping assimilations both read the seed, so the second
+        // commit blends into the seed and the first one's update is gone.
+        let want = eq1(&w0, &c2, 0.7);
+        for p in [1, 4] {
+            let a = sharded(n, p, Consistency::Eventual);
+            a.seed_params(&w0);
+            let s1 = a.begin();
+            let s2 = a.begin();
+            assert_eq!(bits(&a.finish(s1, &c1, 1)), bits(&eq1(&w0, &c1, 0.7)));
+            assert_eq!(a.lost_updates(), 0);
+            let got = a.finish(s2, &c2, 1);
+            // Each shard clobbers one concurrent update.
+            assert_eq!(a.lost_updates(), p as u64);
+            assert_eq!(bits(&got), bits(&want), "{p} shards");
+            assert_eq!(bits(&a.read_params().0), bits(&want));
+        }
+    }
 
-        let a = sharded(n, 4, Consistency::Eventual);
+    #[test]
+    fn strong_sequence_matches_eq2() {
+        let a = sharded(2, 1, Consistency::Strong);
+        let w0 = vec![0.0f32, 1.0];
         a.seed_params(&w0);
-        let s1 = a.begin_eventual();
-        let s2 = a.begin_eventual();
-        a.commit_eventual(s1, &c1, 1);
-        let (got, got_clobbered) = a.commit_eventual(s2, &c2, 1);
-        // Each of the 4 shards clobbers one concurrent update.
-        assert_eq!(got_clobbered, 4);
-        let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got_bits, want_bits);
+        let clients: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32, -(i as f32)]).collect();
+        let mut last = Vec::new();
+        for wc in &clients {
+            last = a.finish(a.begin(), wc, 1);
+        }
+        let expect = vc_asgd::alpha::eq2_closed_form(&w0, &clients, 0.7);
+        for (l, e) in last.iter().zip(&expect) {
+            assert!((l - e).abs() < 1e-5);
+        }
+        assert_eq!(a.lost_updates(), 0);
+    }
+
+    #[test]
+    fn eventual_sequential_is_lossless() {
+        let a = sharded(1, 1, Consistency::Eventual);
+        a.seed_params(&[1.0]);
+        for i in 0..10 {
+            a.finish(a.begin(), &[i as f32], 1);
+        }
+        assert_eq!(a.lost_updates(), 0);
+    }
+
+    #[test]
+    fn epoch_drives_alpha_schedule() {
+        let var = |epoch| {
+            let a = ShardedAssimilator::new(
+                Arc::new(VersionedStore::new()),
+                1,
+                1,
+                Consistency::Strong,
+                AlphaSchedule::VarEOverE1,
+            );
+            a.seed_params(&[0.0]);
+            a.finish(a.begin(), &[1.0], epoch)[0]
+        };
+        // Epoch 1: alpha 0.5 — the server moves halfway to the client.
+        assert!((var(1) - 0.5).abs() < 1e-6);
+        // Epoch 99: alpha 0.99 — a tiny step.
+        assert!(var(99) < 0.02);
     }
 
     #[test]

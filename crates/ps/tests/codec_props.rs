@@ -403,3 +403,79 @@ fn supported_lossy_codec_ships_deltas() {
     assert!(ops.delta_pushes > 0, "push should arrive as delta: {ops:?}");
     assert!(ops.bytes_saved > 0, "codec must save bytes: {ops:?}");
 }
+
+/// Wire bytes of one fetch+push round under `codec`: every shard gets a
+/// blocky-sparse update pushed (1 in 4 of the 64-weight blocks move,
+/// rotating per round — the locality real gradient updates have between
+/// publishes), the service publishes the merged state as a new epoch and
+/// the worker cache syncs. Round 0 warms the codec's reference state and is
+/// not counted.
+fn bytes_per_round(codec: Codec, n: usize, p: usize, rounds: usize) -> u64 {
+    let assim = Arc::new(ShardedAssimilator::new(
+        Arc::new(VersionedStore::new()),
+        n,
+        p,
+        Consistency::Strong,
+        AlphaSchedule::Const(0.6),
+    ));
+    let params: Vec<f32> = (0..n).map(|i| (i % 97) as f32 * 0.01).collect();
+    assim.seed_params(&params);
+    let svc = Arc::new(
+        PsService::new(assim.clone())
+            .with_codec(codec)
+            .with_supported(&[codec]),
+    );
+    svc.publish_snapshot(1, &params, &assim.versions());
+    let layout = *assim.layout();
+    let mut client = MemClient::new(svc.clone());
+    let mut cache = ShardCache::new(layout).with_codec(codec);
+    cache
+        .sync(1, &assim.versions(), &mut client)
+        .expect("cold sync");
+
+    let mut counted_from = svc.ops();
+    for round in 0..rounds + 1 {
+        if round == 1 {
+            counted_from = svc.ops();
+        }
+        for shard in 0..layout.shards() {
+            let range = layout.range(shard);
+            let mut values = cache.params()[range.clone()].to_vec();
+            for (g, v) in range.zip(values.iter_mut()) {
+                if (g / 64 + round).is_multiple_of(4) {
+                    let sign = if g.is_multiple_of(2) { 1.0 } else { -1.0 };
+                    *v += sign * 0.01 * ((g % 13) as f32 + 1.0) / 13.0;
+                }
+            }
+            cache
+                .push_update(&mut client, shard as u32, round as u64 + 1, &values)
+                .expect("round push");
+        }
+        let (full, manifest) = assim.read_params();
+        svc.publish_snapshot(round as u64 + 2, &full, &manifest);
+        cache
+            .sync(round as u64 + 2, &manifest, &mut client)
+            .expect("round sync");
+    }
+    let ops = svc.ops();
+    ((ops.bytes_rx - counted_from.bytes_rx) + (ops.bytes_tx - counted_from.bytes_tx))
+        / rounds as u64
+}
+
+/// The deterministic floor the retired `bench_ps --check` enforced:
+/// `int8` + error feedback moves at most a quarter of `raw`'s bytes per
+/// fetch+push round on the blocky-sparse profile, at every shard count.
+#[test]
+fn int8_ef_moves_at_most_a_quarter_of_raw_bytes_on_blocky_sparse_updates() {
+    let int8 = Codec::Int8 {
+        error_feedback: true,
+    };
+    for shards in [1, 4, 16] {
+        let raw = bytes_per_round(Codec::Raw, 10_000, shards, 3);
+        let lossy = bytes_per_round(int8, 10_000, shards, 3);
+        assert!(
+            lossy * 4 <= raw,
+            "{shards} shards: int8+ef {lossy} B/round vs raw {raw} B/round"
+        );
+    }
+}

@@ -1,43 +1,69 @@
-//! The coordinator thread (BOINC server) and the assimilator pool.
+//! The coordinator (BOINC server) and the assimilator pool: one body per
+//! role, substrates at the edge.
 //!
-//! The coordinator owns the [`BoincServer`] state machine and drives it
-//! with wall-clock readings: scheduler RPCs and uploads arrive over one
-//! MPMC inbox, timeouts are scanned against real deadlines, and accepted
-//! results are handed to `Pn` assimilator threads that contend on the
-//! shared [`vc_kvstore::VersionedStore`] for real — in eventual mode,
-//! overlapping read-blend-write cycles genuinely lose updates, not by
-//! simulation but by racing.
+//! [`Coordinator`] owns the [`BoincServer`] state machine and everything
+//! the epoch protocol decides server-side: it is handed one message at a
+//! time through [`Coordinator::handle`] and *returns* what should happen
+//! next — at most one worker reply or one assimilation task — as an
+//! [`Effect`]. It holds no channel and starts no thread. The threaded
+//! runtime wraps it in [`Coordinator::run`], which reads an MPMC inbox
+//! against a [`vc_middleware::WallClock`] and forwards effects to worker
+//! and assimilator channels; `Pn` [`assimilator_main`] threads then contend
+//! on the shared [`VersionedStore`] for real — in eventual mode overlapping
+//! read-blend-write cycles genuinely lose updates, by racing. The
+//! deterministic simulation (`crate::sim`) instantiates the same
+//! coordinator over a `VirtualClock` and executes each effect directly.
 //!
-//! The coordinator is generic over its [`Clock`]: the threaded runtime
-//! instantiates it with [`WallClock`], the deterministic simulation
-//! (`crate::sim`) with a `VirtualClock` and drives [`Coordinator::handle`]
-//! directly from its event loop instead of running the blocking
-//! [`Coordinator::event_loop`].
+//! [`assemble`] is the one place a run is put together — data, seeded
+//! parameter service, middleware, coordinator — for both substrates, and
+//! [`score`] the one validation-scoring pass behind every accuracy a report
+//! carries.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::config::RuntimeConfig;
 use crate::fault::FaultStats;
 use crate::protocol::{AssimTask, ToServer, ToWorker};
 use crate::report::{RuntimeEpoch, RuntimeReport, RuntimeTelemetry, ASSIM_LATENCY_S};
+use crate::worker::WorkerCore;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-use vc_asgd::result_is_valid;
-use vc_data::Dataset;
-use vc_kvstore::{Consistency, VersionedStore};
-use vc_middleware::{BoincServer, Clock, ReportStatus, ShardManifest};
+use vc_asgd::{result_is_valid, warm_start_params};
+use vc_data::{Dataset, ShardSet};
+use vc_kvstore::VersionedStore;
+use vc_middleware::{BoincServer, Clock, HostId, ReportStatus, ShardManifest, ToleranceComparator};
 use vc_nn::metrics::evaluate;
 use vc_nn::Sequential;
 use vc_ops::{FleetStatus, OpsHub, PsStatus, StatusSnapshot};
-use vc_ps::{PsService, ShardedAssimilator};
+use vc_ps::{PsClient, PsService, ShardCache, ShardedAssimilator};
+use vc_simnet::SimTime;
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
+
+/// Parameter-server validation scoring (§III-A): loads `params` into the
+/// scoring replica and returns its accuracy on `data`.
+pub fn score(model: &mut Sequential, params: &[f32], data: &Dataset) -> f32 {
+    model.set_params_flat(params);
+    evaluate(model, &data.images, &data.labels, 256).1
+}
+
+/// Final evaluation of a run: the server's current parameters on the full
+/// validation and test splits, written into `report`.
+pub(crate) fn score_final(
+    report: &mut RuntimeReport,
+    model: &mut Sequential,
+    assim: &ShardedAssimilator,
+    val: &Dataset,
+    test: &Dataset,
+) {
+    let (params, _) = assim.read_params();
+    report.final_val_acc = score(model, &params, val);
+    report.final_test_acc = score(model, &params, test);
+}
 
 /// Everything one assimilator (parameter-server) thread needs.
 pub struct AssimCtx {
     /// Shared per-shard Eq. (1) applier over the shared store.
     pub assim: Arc<ShardedAssimilator>,
-    /// Consistency mode (decides the store access pattern).
-    pub mode: Consistency,
     /// Shared run configuration (model spec for the eval replica).
     pub cfg: Arc<RuntimeConfig>,
     /// The validation subset scored after every assimilation.
@@ -54,47 +80,25 @@ pub struct AssimCtx {
 pub fn assimilator_main(ctx: AssimCtx) -> Sequential {
     let mut eval_model = ctx.cfg.job.model.build(ctx.cfg.job.seed);
     while let Ok(t) = ctx.task_rx.recv() {
-        let updated = match ctx.mode {
-            Consistency::Eventual => {
-                // Read-blend-write with the read at cycle start: the window
-                // between begin and commit is a real race against the other
-                // assimilator threads. The yield widens it the same way a
-                // network hop to Redis would.
-                let snap = ctx.assim.begin_eventual();
-                std::thread::yield_now();
-                ctx.assim.commit_eventual(snap, &t.client, t.epoch).0
-            }
-            Consistency::Strong => ctx.assim.assimilate_strong(&t.client, t.epoch),
-        };
-        // Parameter-server validation scoring (§III-A).
-        eval_model.set_params_flat(&updated);
-        let (_, acc) = evaluate(
-            &mut eval_model,
-            &ctx.val_eval.images,
-            &ctx.val_eval.labels,
-            256,
-        );
-        if ctx
-            .out
-            .send(ToServer::Assimilated {
-                wu: t.wu,
-                host: t.host,
-                epoch: t.epoch,
-                shard_id: t.shard_id,
-                acc,
-                accepted_at: t.accepted_at,
-            })
-            .is_err()
-        {
+        let begun = ctx.assim.begin();
+        if begun.is_some() {
+            // A stale read is in hand: until the finish below this is a
+            // real race against the other assimilator threads. The yield
+            // widens the window the same way a network hop to Redis would.
+            std::thread::yield_now();
+        }
+        let updated = ctx.assim.finish(begun, &t.client, t.epoch);
+        let acc = score(&mut eval_model, &updated, &ctx.val_eval);
+        if ctx.out.send(t.assimilated(acc)).is_err() {
             break; // coordinator gone
         }
     }
     eval_model
 }
 
-/// The coordinator's mutable state, assembled by `Runtime::run` (with a
-/// [`vc_middleware::WallClock`]) or by the simulation (with a
-/// `VirtualClock`).
+/// The coordinator's state, put together by [`assemble`]: over a
+/// [`vc_middleware::WallClock`] for the threaded runtime, over a
+/// `VirtualClock` for the simulation.
 pub struct Coordinator<C: Clock> {
     /// Shared run configuration.
     pub cfg: Arc<RuntimeConfig>,
@@ -102,8 +106,6 @@ pub struct Coordinator<C: Clock> {
     pub server: BoincServer,
     /// Per-shard Eq. (1) applier (same instance the pool shares).
     pub assim: Arc<ShardedAssimilator>,
-    /// The shared parameter store (for operation counters).
-    pub store: Arc<VersionedStore>,
     /// Clock driving every middleware `now` (wall or virtual).
     pub clock: C,
     /// The parameter service workers fetch epoch snapshots from (shard
@@ -121,14 +123,6 @@ pub struct Coordinator<C: Clock> {
     pub bytes: u64,
     /// Wall seconds already on the clock at process start (resume offset).
     pub wall_base_s: f64,
-    /// Parameter count (sizes the byte accounting).
-    pub param_count: usize,
-    /// Reply channels, indexed by host id.
-    pub worker_txs: Vec<Sender<ToWorker>>,
-    /// The shared inbox.
-    pub inbox: Receiver<ToServer>,
-    /// Intake of the assimilator pool.
-    pub assim_tx: Sender<AssimTask>,
     /// Shared fault counters.
     pub stats_faults: Arc<FaultStats>,
     /// Runtime second (clock `elapsed_s`) at which the next timed
@@ -142,6 +136,170 @@ pub struct Coordinator<C: Clock> {
     /// Clock second of the last ops publish (throttles event-loop
     /// publishing to [`OPS_PUBLISH_EVERY_S`]).
     pub last_ops_publish_s: f64,
+}
+
+/// The channel ends the threaded coordinator loop reads and feeds.
+pub struct Links {
+    /// The shared inbox: workers, assimilators and the delay line send.
+    pub inbox: Receiver<ToServer>,
+    /// Reply channels, indexed by host id.
+    pub worker_txs: Vec<Sender<ToWorker>>,
+    /// Intake of the assimilator pool.
+    pub assim_tx: Sender<AssimTask>,
+}
+
+/// What one handled message asks the substrate to do — never more than
+/// one thing per message.
+pub(crate) enum Effect {
+    /// Nothing leaves the coordinator.
+    None,
+    /// Answer `host`'s work request.
+    Reply {
+        /// The polling host.
+        host: HostId,
+        /// `Assign` or `NoWork`.
+        msg: ToWorker,
+    },
+    /// Hand an accepted result to a parameter server.
+    Assimilate(AssimTask),
+    /// The run is over.
+    Stop(Stop),
+}
+
+/// A run put together by [`assemble`]: the coordinator plus the data the
+/// substrate's actors and the final evaluation need.
+pub(crate) struct Assembled<C: Clock> {
+    pub coord: Coordinator<C>,
+    /// The sharded training set (the full split is already dropped).
+    pub shards: Arc<ShardSet>,
+    /// The validation subset scored after every assimilation.
+    pub val_eval: Arc<Dataset>,
+    pub val: Dataset,
+    pub test: Dataset,
+}
+
+/// Puts a run together: data, the parameter store seeded behind its
+/// sharded service, the middleware with the first (or the resumed) epoch's
+/// workunits queued, and the coordinator over all of it. `store` arrives
+/// bare (recording or not) and `tel` with whatever time source should stamp
+/// the seeding operations; `start_clock` is called with the resume offset
+/// once seeding is done, so set-up time never counts against the run clock.
+pub(crate) fn assemble<C: Clock>(
+    cfg: Arc<RuntimeConfig>,
+    tel: &Telemetry,
+    store: VersionedStore,
+    resume: Option<Checkpoint>,
+    ops: Option<Arc<OpsHub>>,
+    start_clock: impl FnOnce(f64) -> C,
+) -> Assembled<C> {
+    let job = &cfg.job;
+    // Causal workunit tracing: off by default so untraced runs record
+    // byte-identical telemetry; `cfg.trace` opts a run in.
+    tel.set_tracing(cfg.trace);
+
+    let (train, val, test) = job.data.generate();
+    let shards = Arc::new(ShardSet::split(&train, job.shards));
+    drop(train); // the shards hold their own copy of every sample
+    let val_eval = Arc::new(val.select(&(0..job.val_eval_n).collect::<Vec<_>>()));
+
+    let store = Arc::new(store.with_telemetry(tel));
+    // A fresh run starts epoch 1 from nothing, a resumed one where its
+    // checkpoint left off.
+    let (epoch, wall_base_s, done, stats, assimilations, bytes, vectors) = match resume {
+        None => (1, 0.0, Vec::new(), Vec::new(), 0, 0, None),
+        Some(ck) => (
+            ck.epoch,
+            ck.wall_s,
+            ck.done,
+            ck.stats,
+            ck.assimilations,
+            ck.bytes_transferred,
+            Some((ck.params, ck.snapshot)),
+        ),
+    };
+    // Seeds the store from `params` and publishes `snapshot` as the
+    // in-progress epoch's fetchable snapshot (Eq. (2)'s W_{s,e-1}). Both
+    // are only borrowed: store and service keep their own encoded blobs.
+    let seed = |params: &[f32], snapshot: &[f32]| {
+        let assim = Arc::new(
+            ShardedAssimilator::new(
+                store.clone(),
+                params.len(),
+                job.ps_shards,
+                job.consistency,
+                job.alpha,
+            )
+            .with_telemetry(tel),
+        );
+        assim.seed_params(params);
+        let service = Arc::new(
+            PsService::new(assim.clone())
+                .with_codec(cfg.codec)
+                .with_telemetry(tel),
+        );
+        service.publish_snapshot(epoch as u64, snapshot, &assim.versions());
+        (assim, service)
+    };
+    let (assim, service) = match vectors {
+        None => {
+            let mut init = job.model.build(job.seed).params_flat();
+            if let Some(warmed) = warm_start_params(job, &shards, &init) {
+                init = warmed;
+            }
+            seed(&init, &init)
+        }
+        Some((params, snapshot)) => seed(&params, &snapshot),
+    };
+
+    let fleet = job.fleet.build(job.cn);
+    let mut server = BoincServer::new(
+        job.middleware.clone(),
+        fleet.iter().map(|s| (s.clone(), job.tn)).collect(),
+    );
+    let clock = start_clock(wall_base_s);
+    server.set_telemetry(tel.clone());
+    if cfg.codec.is_lossy() {
+        // Quantized honest replicas differ by a few quantization steps;
+        // exact-match quorums would reject them all.
+        let (atol, rtol) = cfg.codec.quorum_tolerance();
+        server.set_comparator(Box::new(ToleranceComparator { atol, rtol }));
+    }
+    let manifest = ShardManifest(assim.versions());
+    // A resume re-issues only the shards the interrupted epoch still owes;
+    // the already-assimilated ones live on inside the checkpointed
+    // parameters. In-flight client results are simply recomputed — subtask
+    // training is deterministic per (seed, epoch, shard).
+    for shard in 0..job.shards {
+        if !done.iter().any(|&(s, _)| s == shard) {
+            server.add_workunit_sharded(epoch, shard, manifest.clone(), SimTime::ZERO);
+        }
+    }
+
+    let coord = Coordinator {
+        server,
+        assim,
+        clock,
+        service,
+        epoch,
+        done,
+        stats,
+        assimilations,
+        bytes,
+        wall_base_s,
+        stats_faults: Arc::new(FaultStats::default()),
+        next_checkpoint_s: cfg.checkpoint_every_s,
+        telemetry: tel.clone(),
+        ops,
+        last_ops_publish_s: -1.0,
+        cfg,
+    };
+    Assembled {
+        coord,
+        shards,
+        val_eval,
+        val,
+        test,
+    }
 }
 
 /// Minimum clock seconds between event-loop status publishes: scrapes see
@@ -158,23 +316,35 @@ pub(crate) enum Stop {
 }
 
 impl<C: Clock> Coordinator<C> {
-    /// Runs the job to completion (or halt), shuts the fleet down, and
-    /// returns the report. Final accuracies are evaluated by the caller —
-    /// the coordinator has no model of its own.
-    pub fn run(mut self) -> (RuntimeReport, Arc<ShardedAssimilator>) {
-        let stop = self.event_loop();
+    /// The threaded driver: serves `links.inbox` to completion (or halt),
+    /// shuts the fleet down, and returns the report. Final accuracies are
+    /// evaluated by the caller — the coordinator has no model of its own.
+    pub fn run(mut self, links: Links) -> RuntimeReport {
+        let stop = self.event_loop(&links);
+        // Orderly shutdown: tell every worker; dropping `links` closes the
+        // assimilator intake. Dead workers' channels error harmlessly.
+        for tx in &links.worker_txs {
+            let _ = tx.send(ToWorker::Shutdown);
+        }
         self.finalize(stop)
     }
 
-    /// Shuts the fleet down and builds the report. Split from [`Self::run`]
-    /// so the simulation, which pumps [`Self::handle`] itself, can close a
-    /// run the same way the threaded path does.
-    pub(crate) fn finalize(self, stop: Stop) -> (RuntimeReport, Arc<ShardedAssimilator>) {
-        // Orderly shutdown: tell every worker, close the assimilator
-        // intake. Dead workers' channels error harmlessly.
-        for tx in &self.worker_txs {
-            let _ = tx.send(ToWorker::Shutdown);
-        }
+    /// Host `h` of this run's fleet on its first life, fetching through
+    /// `ps`, its shard cache laid out and coded like the run's service.
+    pub(crate) fn worker(&self, h: usize, ps: Box<dyn PsClient>) -> WorkerCore {
+        WorkerCore::new(
+            HostId(h as u32),
+            self.cfg.clone(),
+            self.stats_faults.clone(),
+            self.telemetry.clone(),
+            ps,
+            ShardCache::new(*self.assim.layout()).with_codec(self.cfg.codec),
+        )
+    }
+
+    /// Closes a run and builds its report — the same way whichever
+    /// substrate served the messages.
+    pub(crate) fn finalize(&self, stop: Stop) -> RuntimeReport {
         let halted = matches!(stop, Stop::Halted);
         // Final status publish: scrapes after the run report `done`.
         self.publish_ops(true);
@@ -197,16 +367,16 @@ impl<C: Clock> Coordinator<C> {
                 );
             }
         }
-        let report = RuntimeReport {
+        RuntimeReport {
             label: self.cfg.job.pct_label(),
             epochs: self.stats.clone(),
-            final_val_acc: 0.0,  // filled by Runtime::run
-            final_test_acc: 0.0, // filled by Runtime::run
+            final_val_acc: 0.0,  // filled by `score_final`
+            final_test_acc: 0.0, // filled by `score_final`
             wall_s: self.wall_base_s + self.clock.elapsed_s(),
-            workers: self.worker_txs.len(),
+            workers: self.cfg.job.cn,
             server_metrics: self.server.metrics(),
             hosts: self.server.host_summaries(),
-            store_ops: self.store.metrics().snapshot(),
+            store_ops: self.assim.store().metrics().snapshot(),
             telemetry: RuntimeTelemetry::from_registry(self.telemetry.registry()),
             ps_ops: self.service.ops(),
             bytes_transferred: self.total_bytes(),
@@ -214,11 +384,10 @@ impl<C: Clock> Coordinator<C> {
             respawns,
             delayed_msgs: delayed,
             halted_early: halted,
-        };
-        (report, self.assim)
+        }
     }
 
-    fn event_loop(&mut self) -> Stop {
+    fn event_loop(&mut self, links: &Links) -> Stop {
         loop {
             let now = self.clock.now();
             self.server.scan_timeouts(now);
@@ -228,12 +397,20 @@ impl<C: Clock> Coordinator<C> {
                 self.write_checkpoint();
                 return Stop::Halted;
             }
-            match self.inbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(msg) => {
-                    if let Some(stop) = self.handle(msg) {
-                        return stop;
+            match links.inbox.recv_timeout(Duration::from_millis(20)) {
+                Ok(msg) => match self.handle(msg) {
+                    Effect::None => {}
+                    // A dead worker's channel errors; its assignment (if
+                    // any) recovers through the timeout path like any lost
+                    // host.
+                    Effect::Reply { host, msg } => {
+                        let _ = links.worker_txs[host.0 as usize].send(msg);
                     }
-                }
+                    Effect::Assimilate(task) => {
+                        let _ = links.assim_tx.send(task);
+                    }
+                    Effect::Stop(stop) => return stop,
+                },
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     // Every worker and assimilator is gone; nothing can
@@ -244,7 +421,8 @@ impl<C: Clock> Coordinator<C> {
         }
     }
 
-    pub(crate) fn handle(&mut self, msg: ToServer) -> Option<Stop> {
+    /// Serves one message against the clock's current reading.
+    pub(crate) fn handle(&mut self, msg: ToServer) -> Effect {
         let now = self.clock.now();
         match msg {
             ToServer::RequestWork { host } => {
@@ -252,41 +430,38 @@ impl<C: Clock> Coordinator<C> {
                 // fetches missing shards from the parameter service, whose
                 // wire counters ([`PsService::ops`]) record what actually
                 // travelled.
-                let reply = match self.server.request_work(host, now) {
+                let msg = match self.server.request_work(host, now) {
                     Some(asg) => ToWorker::Assign { wu: asg.wu },
                     None => ToWorker::NoWork,
                 };
-                // A dead worker's channel errors; its assignment (if any)
-                // recovers through the timeout path like any lost host.
-                let _ = self.worker_txs[host.0 as usize].send(reply);
-                None
+                Effect::Reply { host, msg }
             }
             ToServer::Result { host, wu, params } => {
                 if !result_is_valid(&params) {
                     self.server.report_invalid(wu, host, now);
-                    return None;
+                    return Effect::None;
                 }
                 match self.server.report_result(wu, host, &params, now) {
                     ReportStatus::Accepted => {
                         self.bytes += self.upload_bytes();
-                        let info = self.server.workunit(wu).clone();
-                        let _ = self.assim_tx.send(AssimTask {
+                        let info = self.server.workunit(wu);
+                        Effect::Assimilate(AssimTask {
                             wu,
                             host,
                             epoch: info.epoch,
                             shard_id: info.shard_id,
                             client: params,
                             accepted_at: now,
-                        });
+                        })
                     }
                     // The upload happened and is banked for quorum: its
                     // bytes count, but nothing is assimilated yet.
                     ReportStatus::Pending => {
                         self.bytes += self.upload_bytes();
+                        Effect::None
                     }
-                    ReportStatus::Stale => {}
+                    ReportStatus::Stale => Effect::None,
                 }
-                None
             }
             ToServer::Assimilated {
                 wu,
@@ -339,7 +514,7 @@ impl<C: Clock> Coordinator<C> {
                     }
                 }
                 if finished {
-                    return Some(Stop::Finished);
+                    return Effect::Stop(Stop::Finished);
                 }
                 if self
                     .cfg
@@ -347,9 +522,9 @@ impl<C: Clock> Coordinator<C> {
                     .is_some_and(|h| self.assimilations >= h)
                 {
                     self.write_checkpoint();
-                    return Some(Stop::Halted);
+                    return Effect::Stop(Stop::Halted);
                 }
-                None
+                Effect::None
             }
         }
     }
@@ -487,7 +662,7 @@ impl<C: Clock> Coordinator<C> {
     /// accounting model: `Raw` charges the exact legacy VCP1 frame size,
     /// lossy codecs their worst-case blob size.
     fn upload_bytes(&self) -> u64 {
-        self.cfg.codec.blob_len(self.param_count) as u64
+        self.cfg.codec.blob_len(self.assim.layout().param_count()) as u64
     }
 
     /// Fires the interval checkpoint timer when its due second has passed,

@@ -1,6 +1,12 @@
-//! The distributed training job: the discrete-event driver that wires the
-//! work generator, BOINC-like middleware, simulated fleet, real client
-//! training and the VC-ASGD parameter servers together.
+//! The discrete-event driver behind the paper's figures: wires the work
+//! generator, BOINC-like middleware, simulated fleet, real client training
+//! and the VC-ASGD parameter servers together under `vc-simnet`'s
+//! calibrated clock. It shares the client step, the parameter-server
+//! `begin`/`finish` and the scoring pass with the other two drivers of this
+//! crate; what is still its own — cost models for compute, transfer and
+//! store updates, `Tn` concurrent slots per host, parameter-server
+//! autoscaling, `timing_only` — is what porting it onto the `Scenario`
+//! engine has to carry over.
 //!
 //! ## What is simulated and what is real
 //!
@@ -21,25 +27,24 @@
 //! results have been assimilated; the driver then records the epoch's
 //! validation statistics and generates the next epoch.
 
-use crate::assimilator::VcAsgdAssimilator;
-use crate::client::{result_is_valid, train_client_replica_ws, warm_start_params};
-use crate::config::JobConfig;
-use crate::report::{EpochStats, JobReport};
+use crate::coordinator::score;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use vc_asgd::{
+    result_is_valid, train_client_replica_ws, warm_start_params, EpochStats, JobConfig, JobReport,
+};
 use vc_data::{Dataset, ShardSet};
-use vc_kvstore::{Consistency, VersionedStore};
-use vc_middleware::{BoincServer, HostId, ReportStatus, WuId};
-use vc_nn::metrics::evaluate;
+use vc_kvstore::{LatencyModel, VersionedStore};
+use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, WuId};
 use vc_nn::Sequential;
 use vc_optim::TrainWorkspace;
+use vc_ps::{ShardSnapshot, ShardedAssimilator};
 use vc_simnet::{EventQueue, InstanceSpec, SimTime};
 use vc_tensor::codec::encoded_len;
 
 /// Discrete events driving the simulation.
-#[derive(Debug)]
 enum Ev {
     /// A host polls the scheduler for work.
     Poll(HostId),
@@ -49,19 +54,13 @@ enum Ev {
     UploadDone { host: HostId, gen: u32, wu: WuId },
     /// A parameter server finished the CPU part of assimilation
     /// (deserialization + validation prep) and now begins the store update.
-    AssimCommit {
-        wu: WuId,
-        epoch: usize,
-        client: Arc<Vec<f32>>,
-    },
-    /// The store update transaction completed.
+    AssimCommit(PendingAssim),
+    /// The store update transaction completed; `begun` is what
+    /// [`ShardedAssimilator::begin`] handed out when it started (eventual
+    /// mode's stale read).
     AssimDone {
-        wu: WuId,
-        epoch: usize,
-        /// Eventual-mode stale snapshot captured when the store update
-        /// began (the read of the read-modify-write cycle).
-        snapshot: Option<(Vec<f32>, u64)>,
-        client: Arc<Vec<f32>>,
+        task: PendingAssim,
+        begun: Option<ShardSnapshot>,
     },
     /// The transitioner wakes to expire overdue assignments.
     DeadlineScan,
@@ -71,16 +70,14 @@ enum Ev {
     Revive(HostId),
 }
 
-/// An accepted result waiting for a free parameter server.
+/// An accepted result on its way through a parameter server.
 struct PendingAssim {
-    wu: WuId,
     epoch: usize,
     client: Arc<Vec<f32>>,
 }
 
-/// The end-to-end distributed training run. Construct with
-/// [`TrainingJob::new`], execute with [`TrainingJob::run`].
-pub struct TrainingJob {
+/// The end-to-end distributed training run.
+struct TrainingJob {
     cfg: JobConfig,
     // Data.
     shards: ShardSet,
@@ -89,8 +86,7 @@ pub struct TrainingJob {
     val_eval: Dataset,
     // Distributed state.
     server: BoincServer,
-    assim: VcAsgdAssimilator,
-    store: Arc<VersionedStore>,
+    assim: ShardedAssimilator,
     events: EventQueue<Ev>,
     // Per-epoch state.
     epoch: usize,
@@ -106,11 +102,12 @@ pub struct TrainingJob {
     current_pn: usize,
     queue_len_sum: u64,
     queue_len_samples: u64,
-    assim_queue: Vec<PendingAssim>,
+    assim_queue: VecDeque<PendingAssim>,
     eval_model: Sequential,
-    /// Reused decode buffer for server-parameter evaluations (the hot
-    /// fetch path stays allocation-free once warm).
+    /// Reused decode buffers for server-parameter reads (the hot fetch
+    /// path stays allocation-free once warm).
     eval_params: Vec<f32>,
+    manifest: Vec<u64>,
     // Fleet state.
     fleet: Vec<InstanceSpec>,
     generations: Vec<u32>,
@@ -126,7 +123,7 @@ pub struct TrainingJob {
 
 impl TrainingJob {
     /// Builds a job, generating data and seeding the parameter store.
-    pub fn new(cfg: JobConfig) -> Result<Self, String> {
+    fn new(cfg: JobConfig) -> Result<Self, String> {
         cfg.validate()?;
         let (train, val, test) = cfg.data.generate();
         let shards = ShardSet::split(&train, cfg.shards);
@@ -138,12 +135,16 @@ impl TrainingJob {
             fleet.iter().map(|s| (s.clone(), cfg.tn)).collect(),
         );
 
-        let store = VersionedStore::shared();
-        let assim = VcAsgdAssimilator::new(store.clone(), cfg.consistency, cfg.alpha);
-
         let init_model = cfg.model.build(cfg.seed);
         let init_params = init_model.params_flat();
         let param_count = init_params.len();
+        let assim = ShardedAssimilator::new(
+            VersionedStore::shared(),
+            param_count,
+            cfg.ps_shards,
+            cfg.consistency,
+            cfg.alpha,
+        );
         assim.seed_params(&init_params);
 
         let mut snapshots = HashMap::new();
@@ -155,13 +156,13 @@ impl TrainingJob {
             preempt_rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(13)),
             eval_model: init_model,
             eval_params: Vec::new(),
+            manifest: Vec::new(),
             shards,
             val,
             test,
             val_eval,
             server,
             assim,
-            store,
             events: EventQueue::new(),
             epoch: 1,
             snapshots,
@@ -173,7 +174,7 @@ impl TrainingJob {
             current_pn: cfg.pn,
             queue_len_sum: 0,
             queue_len_samples: 0,
-            assim_queue: Vec::new(),
+            assim_queue: VecDeque::new(),
             fleet,
             generations: vec![0; cn],
             bytes: 0,
@@ -185,14 +186,15 @@ impl TrainingJob {
     }
 
     /// Executes the run to completion and returns the report.
-    pub fn run(&mut self) -> JobReport {
+    fn run(&mut self) -> JobReport {
         // Warm start (§II-B): serial synchronous passes before going
         // distributed, charged against the clock at the serial rate.
         let start_at = self.warm_start();
 
         // Kick off epoch 1 and the first round of polls.
-        let v = self.store.version(crate::assimilator::PARAMS_KEY);
-        self.server.add_epoch(1, self.cfg.shards, v, SimTime::ZERO);
+        let manifest = ShardManifest(self.assim.versions());
+        self.server
+            .add_epoch_sharded(1, self.cfg.shards, &manifest, SimTime::ZERO);
         for h in 0..self.fleet.len() {
             self.events
                 .schedule_in(start_at, Ev::Poll(HostId(h as u32)));
@@ -224,13 +226,8 @@ impl TrainingJob {
             Ev::Poll(host) => self.on_poll(host),
             Ev::TaskDone { host, gen, wu } => self.on_task_done(host, gen, wu),
             Ev::UploadDone { host, gen, wu } => self.on_upload_done(host, gen, wu),
-            Ev::AssimCommit { wu, epoch, client } => self.on_assim_commit(wu, epoch, client),
-            Ev::AssimDone {
-                wu,
-                epoch,
-                snapshot,
-                client,
-            } => self.on_assim_done(wu, epoch, snapshot, client),
+            Ev::AssimCommit(task) => self.on_assim_commit(task),
+            Ev::AssimDone { task, begun } => self.on_assim_done(task, begun),
             Ev::DeadlineScan => self.on_deadline_scan(),
             Ev::Preempt { host, gen } => self.on_preempt(host, gen),
             Ev::Revive(host) => self.on_revive(host),
@@ -344,8 +341,7 @@ impl TrainingJob {
             }
             return;
         }
-        self.assim_queue.push(PendingAssim {
-            wu,
+        self.assim_queue.push_back(PendingAssim {
             epoch: info.epoch,
             client,
         });
@@ -364,8 +360,10 @@ impl TrainingJob {
     fn pump_assimilators(&mut self) {
         self.queue_len_sum += self.assim_queue.len() as u64;
         self.queue_len_samples += 1;
-        while self.busy_ps < self.current_pn && !self.assim_queue.is_empty() {
-            let item = self.assim_queue.remove(0);
+        while self.busy_ps < self.current_pn {
+            let Some(task) = self.assim_queue.pop_front() else {
+                break;
+            };
             self.busy_ps += 1;
             let server_spec = vc_simnet::table1::server();
             let inflight = self.busy_ps + self.assim_queue.len();
@@ -379,50 +377,23 @@ impl TrainingJob {
                 .compute
                 .assim_s(&server_spec, self.current_pn, inflight)
                 * jitter;
-            self.events.schedule_in(
-                cpu,
-                Ev::AssimCommit {
-                    wu: item.wu,
-                    epoch: item.epoch,
-                    client: item.client,
-                },
-            );
+            self.events.schedule_in(cpu, Ev::AssimCommit(task));
         }
     }
 
-    fn on_assim_commit(&mut self, wu: WuId, epoch: usize, client: Arc<Vec<f32>>) {
-        let snapshot = match self.cfg.consistency {
-            Consistency::Eventual => Some(self.assim.begin_eventual()),
-            Consistency::Strong => None,
-        };
-        let dur = self.assim.update_latency_s(self.param_count);
-        self.events.schedule_in(
-            dur,
-            Ev::AssimDone {
-                wu,
-                epoch,
-                snapshot,
-                client,
-            },
-        );
+    fn on_assim_commit(&mut self, task: PendingAssim) {
+        let begun = self.assim.begin();
+        // One update transaction on the whole parameter blob, priced by
+        // the §IV-D latency model of the configured store.
+        let dur =
+            LatencyModel::for_mode(self.cfg.consistency).update_s(encoded_len(self.param_count));
+        self.events.schedule_in(dur, Ev::AssimDone { task, begun });
     }
 
-    fn on_assim_done(
-        &mut self,
-        _wu: WuId,
-        epoch: usize,
-        snapshot: Option<(Vec<f32>, u64)>,
-        client: Arc<Vec<f32>>,
-    ) {
+    fn on_assim_done(&mut self, task: PendingAssim, begun: Option<ShardSnapshot>) {
+        let PendingAssim { epoch, client } = task;
         // Apply Eq. (1) through the configured consistency path.
-        let updated = match snapshot {
-            Some((snap, version)) => {
-                let (updated, _clobbered) =
-                    self.assim.commit_eventual(snap, version, &client, epoch);
-                updated
-            }
-            None => self.assim.assimilate_strong(&client, epoch),
-        };
+        let updated = self.assim.finish(begun, &client, epoch);
         self.busy_ps -= 1;
 
         // Parameter-server validation scoring (§III-A): accuracy of the
@@ -430,14 +401,7 @@ impl TrainingJob {
         let acc = if self.cfg.timing_only {
             0.0
         } else {
-            self.eval_model.set_params_flat(&updated);
-            let (_, acc) = evaluate(
-                &mut self.eval_model,
-                &self.val_eval.images,
-                &self.val_eval.labels,
-                256,
-            );
-            acc
+            score(&mut self.eval_model, &updated, &self.val_eval)
         };
         if epoch == self.epoch {
             self.epoch_accs.push(acc);
@@ -456,15 +420,9 @@ impl TrainingJob {
         let max = accs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let sm = self.server.metrics();
         let test_acc = if self.cfg.track_test_acc && !self.cfg.timing_only {
-            self.assim.read_params_into(&mut self.eval_params);
-            self.eval_model.set_params_flat(&self.eval_params);
-            let (_, t) = evaluate(
-                &mut self.eval_model,
-                &self.test.images,
-                &self.test.labels,
-                256,
-            );
-            Some(t)
+            self.assim
+                .read_params_into(&mut self.eval_params, &mut self.manifest);
+            Some(score(&mut self.eval_model, &self.eval_params, &self.test))
         } else {
             None
         };
@@ -493,10 +451,10 @@ impl TrainingJob {
         // Next epoch: snapshot the current server parameters for all of its
         // subtasks (Eq. (2)'s W_{s,e-1}).
         self.epoch += 1;
-        let (params, version) = self.assim.read_params();
+        let (params, manifest) = self.assim.read_params();
         self.snapshots.insert(self.epoch, Arc::new(params));
         self.server
-            .add_epoch(self.epoch, self.cfg.shards, version, now);
+            .add_epoch_sharded(self.epoch, self.cfg.shards, &ShardManifest(manifest), now);
         for h in 0..self.fleet.len() {
             self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
         }
@@ -609,21 +567,12 @@ impl TrainingJob {
         let (final_val, final_test) = if self.cfg.timing_only {
             (0.0, 0.0)
         } else {
-            self.assim.read_params_into(&mut self.eval_params);
-            self.eval_model.set_params_flat(&self.eval_params);
-            let (_, v) = evaluate(
-                &mut self.eval_model,
-                &self.val.images,
-                &self.val.labels,
-                256,
-            );
-            let (_, t) = evaluate(
-                &mut self.eval_model,
-                &self.test.images,
-                &self.test.labels,
-                256,
-            );
-            (v, t)
+            self.assim
+                .read_params_into(&mut self.eval_params, &mut self.manifest);
+            (
+                score(&mut self.eval_model, &self.eval_params, &self.val),
+                score(&mut self.eval_model, &self.eval_params, &self.test),
+            )
         };
         JobReport {
             label: self.cfg.pct_label(),
@@ -633,13 +582,13 @@ impl TrainingJob {
             total_time_h: self.epoch_stats.last().map(|e| e.end_time_h).unwrap_or(0.0),
             server_metrics: self.server.metrics(),
             bytes_transferred: self.bytes,
-            store_ops: self.store.metrics().snapshot(),
+            store_ops: self.assim.store().metrics().snapshot(),
             preemptions: self.preemptions,
         }
     }
 }
 
-/// Convenience: build and run a job in one call.
+/// Runs one job under the discrete-event clock and returns its report.
 pub fn run_job(cfg: JobConfig) -> Result<JobReport, String> {
     Ok(TrainingJob::new(cfg)?.run())
 }
@@ -647,7 +596,7 @@ pub fn run_job(cfg: JobConfig) -> Result<JobReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::JobConfig;
+    use vc_kvstore::Consistency;
     use vc_simnet::PreemptionModel;
 
     #[test]

@@ -1,35 +1,49 @@
 //! # vc-runtime
 //!
-//! A real multi-threaded volunteer-fleet runtime for VC-ASGD: the same
-//! training job the `vc-asgd` discrete-event simulator models, executed on
-//! actual OS threads over actual wall-clock time.
+//! The paper's epoch protocol (§III-A: work generator → scheduler → client
+//! trains its shard → validator → assimilator applies Eq. (1)), written
+//! once and driven three ways.
 //!
-//! ## Architecture
+//! ## One set of bodies
 //!
-//! One **coordinator** thread runs the `vc-middleware` [`BoincServer`]
-//! state machine (scheduler, transitioner, validator) driven by a
-//! [`vc_middleware::WallClock`]; `Pn` **assimilator** threads apply
-//! Eq. (1) against the shared `vc-kvstore` store — contending for real, so
-//! eventual consistency loses updates by racing, not by simulation; `Cn`
-//! **worker** threads each impersonate one volunteer host: poll for work,
-//! receive the epoch parameter snapshot, train their shard with real SGD
-//! (the exact [`vc_asgd::train_client_replica_ws`] step the simulator uses),
-//! and upload the replica. Scheduler RPCs, uploads and assimilation tasks
-//! flow over `crossbeam` channels; parameter fetches go to the `vc-ps`
-//! service — in-process, or over loopback TCP with `ps_tcp`.
+//! [`worker::WorkerCore`] is the volunteer host (sync the shard cache,
+//! train with [`vc_asgd::train_client_replica_ws`], shape and possibly
+//! corrupt the upload; die, respawn, draw message delays);
+//! [`coordinator::Coordinator`] is the BOINC server over the
+//! `vc-middleware` state machine, returning the effect of each message it
+//! handles; `vc_ps::ShardedAssimilator::{begin, finish}` is the parameter
+//! server's Eq. (1) under the configured consistency mode;
+//! [`coordinator::score`] is the validation pass behind every reported
+//! accuracy; `coordinator::assemble` puts a run together.
+//!
+//! ## Three drivers
+//!
+//! * [`Runtime`] — OS threads over wall-clock time: one coordinator thread,
+//!   `Pn` assimilator threads contending on the store of the `vc-ps`
+//!   service for real (eventual consistency loses updates by racing), `Cn`
+//!   worker threads. Scheduler RPCs, uploads and assimilation tasks flow
+//!   over `crossbeam` channels; parameter fetches go to the `vc-ps` service
+//!   — in-process, or over loopback TCP with `ps_tcp`.
+//! * [`sim`] — the same coordinator and workers single-stepped under a
+//!   virtual clock by a seeded scheduler: every race, timeout and
+//!   reordering a pure function of `(Scenario, seed)`.
+//! * [`des`] — the discrete-event simulator behind the paper's figures:
+//!   the same client step, assimilation and scoring bodies under
+//!   `vc-simnet`'s calibrated compute / network / preemption models.
 //!
 //! ## Faults and recovery
 //!
 //! A [`FaultPlan`] preempts chosen workers mid-subtask — they vanish
 //! silently, and the server discovers the loss the BOINC way, through
-//! wall-clock assignment timeouts, then reassigns to surviving hosts. An
-//! optional delay line randomly delays and reorders worker messages.
-//! Periodic [`Checkpoint`]s capture server parameters plus open-workunit
-//! state; [`Runtime::resume`] continues an interrupted job mid-epoch.
+//! assignment timeouts, then reassigns to surviving hosts. An optional
+//! delay line randomly delays and reorders worker messages. Periodic
+//! [`Checkpoint`]s capture server parameters plus open-workunit state;
+//! [`Runtime::resume`] continues an interrupted job mid-epoch.
 
 pub mod checkpoint;
 pub mod config;
 pub mod coordinator;
+pub mod des;
 pub mod fault;
 pub mod protocol;
 pub mod report;
@@ -48,22 +62,15 @@ pub use report::{
 pub use scheduler::StepScheduler;
 pub use sim::{run_scenario, sweep, verify_seed, Scenario, SimOutcome};
 
-use coordinator::{assimilator_main, AssimCtx, Coordinator};
+use coordinator::{assemble, assimilator_main, score_final, Assembled, AssimCtx, Links};
 use crossbeam::channel::unbounded;
-use fault::FaultStats;
 use std::path::Path;
 use std::sync::Arc;
 use transport::{delay_line_main, Outbox};
-use vc_asgd::warm_start_params;
-use vc_data::ShardSet;
 use vc_kvstore::VersionedStore;
-use vc_middleware::{BoincServer, HostId, ShardManifest, ToleranceComparator, WallClock};
-use vc_nn::metrics::evaluate;
+use vc_middleware::WallClock;
 use vc_ops::{OpsHub, OpsServer};
-use vc_ps::{
-    MemClient, PsClient, PsService, ShardCache, ShardedAssimilator, TcpClient, TcpPsServer,
-};
-use vc_simnet::SimTime;
+use vc_ps::{MemClient, PsClient, TcpClient, TcpPsServer};
 use vc_telemetry::Telemetry;
 use worker::{worker_main, WorkerCtx};
 
@@ -131,18 +138,27 @@ impl Runtime {
     pub fn run(mut self) -> Result<RuntimeReport, String> {
         self.cfg.validate()?;
         if let Some(ck) = &self.resume {
-            // config_mut may have edited simulator-visible fields; the
-            // parameter geometry must still match the checkpoint.
-            if self.cfg.job.shards != ck.cfg.job.shards {
+            // config_mut may have edited anything; what the checkpointed
+            // parameters and shard bookkeeping were shaped by must not move.
+            let (now, then) = (&self.cfg.job, &ck.cfg.job);
+            if now.shards != then.shards {
                 return Err("cannot change shard count across a resume".into());
+            }
+            if now.model != then.model {
+                return Err("cannot change the model across a resume".into());
+            }
+            let param_count = now.model.build(now.seed).param_count();
+            // (`Checkpoint::load` already holds the snapshot to this length.)
+            if ck.params.len() != param_count {
+                return Err(format!(
+                    "checkpoint holds {} parameters but the model has {param_count}",
+                    ck.params.len()
+                ));
             }
         }
         let tel = self.telemetry.take().unwrap_or_else(Telemetry::from_env);
         let cfg = Arc::new(self.cfg);
         let job = &cfg.job;
-        // Causal workunit tracing: off by default so untraced runs record
-        // byte-identical telemetry; `cfg.trace` opts a run in.
-        tel.set_tracing(cfg.trace);
 
         // --- live ops surface ----------------------------------------------
         // An externally supplied hub wins; otherwise `ops_addr` creates one.
@@ -168,98 +184,29 @@ impl Runtime {
             _ => None,
         };
 
-        // --- data ---------------------------------------------------------
-        let (train, val, test) = job.data.generate();
-        let shards = Arc::new(ShardSet::split(&train, job.shards));
-        drop(train); // the shards hold their own copy of every sample
-        let val_eval = Arc::new(val.select(&(0..job.val_eval_n).collect::<Vec<_>>()));
-
-        // --- parameter store + sharded service ----------------------------
-        let store = Arc::new(VersionedStore::new().with_telemetry(&tel));
-        let (epoch, done, stats, assimilations, bytes, wall_base_s) = match &self.resume {
-            None => (1, Vec::new(), Vec::new(), 0, 0, 0.0),
-            Some(ck) => (
-                ck.epoch,
-                ck.done.clone(),
-                ck.stats.clone(),
-                ck.assimilations,
-                ck.bytes_transferred,
-                ck.wall_s,
-            ),
-        };
-        // Seeds the store from `params` and publishes `snapshot` as the
-        // in-progress epoch's fetchable snapshot (Eq. (2)'s W_{s,e-1}). Both
-        // are only borrowed: store and service keep their own encoded blobs.
-        let seed = |params: &[f32], snapshot: &[f32]| {
-            let assim = Arc::new(
-                ShardedAssimilator::new(
-                    store.clone(),
-                    params.len(),
-                    job.ps_shards,
-                    job.consistency,
-                    job.alpha,
-                )
-                .with_telemetry(&tel),
-            );
-            assim.seed_params(params);
-            let service = Arc::new(
-                PsService::new(assim.clone())
-                    .with_codec(cfg.codec)
-                    .with_telemetry(&tel),
-            );
-            service.publish_snapshot(epoch as u64, snapshot, &assim.versions());
-            (assim, service)
-        };
-        let (assim, service) = match &self.resume {
-            None => {
-                let mut init = job.model.build(job.seed).params_flat();
-                if let Some(warmed) = warm_start_params(job, &shards, &init) {
-                    init = warmed;
-                }
-                seed(&init, &init)
-            }
-            Some(ck) => seed(&ck.params, &ck.snapshot),
-        };
-        let param_count = assim.layout().param_count();
-
-        // --- middleware ----------------------------------------------------
-        let fleet = job.fleet.build(job.cn);
-        let mut server = BoincServer::new(
-            job.middleware.clone(),
-            fleet.iter().map(|s| (s.clone(), job.tn)).collect(),
-        );
-        let clock = WallClock::resumed_at(wall_base_s);
+        // --- data, parameter service, middleware, coordinator --------------
         // Event timestamps ride the same SimTime axis as the middleware's
         // deadlines (cumulative across resumes).
-        tel.set_time_source(Arc::new(clock));
-        server.set_telemetry(tel.clone());
-        if cfg.codec.is_lossy() {
-            // Quantized honest replicas differ by a few quantization
-            // steps; exact-match quorums would reject them all.
-            let (atol, rtol) = cfg.codec.quorum_tolerance();
-            server.set_comparator(Box::new(ToleranceComparator { atol, rtol }));
-        }
-        let manifest = ShardManifest(assim.versions());
-        match &self.resume {
-            None => server.add_epoch_sharded(1, job.shards, &manifest, SimTime::ZERO),
-            Some(ck) => {
-                // Re-issue only the shards the interrupted epoch still owes;
-                // the already-assimilated ones live on inside `params`.
-                // In-flight client results are simply recomputed — subtask
-                // training is deterministic per (seed, epoch, shard).
-                for shard in 0..job.shards {
-                    if !ck.done.iter().any(|&(s, _)| s == shard) {
-                        server.add_workunit_sharded(
-                            ck.epoch,
-                            shard,
-                            manifest.clone(),
-                            SimTime::ZERO,
-                        );
-                    }
-                }
-            }
-        }
-        self.resume = None;
+        let start_clock = |wall_base_s| {
+            let clock = WallClock::resumed_at(wall_base_s);
+            tel.set_time_source(Arc::new(clock));
+            clock
+        };
+        let Assembled {
+            coord,
+            shards,
+            val_eval,
+            val,
+            test,
+        } = assemble(
+            cfg.clone(),
+            &tel,
+            VersionedStore::new(),
+            self.resume.take(),
+            ops_hub,
+            start_clock,
+        );
+        let (assim, service) = (coord.assim.clone(), coord.service.clone());
 
         // --- parameter-service transport -----------------------------------
         // In-process by default; with `ps_tcp` every fetch crosses a real
@@ -275,14 +222,10 @@ impl Runtime {
         // --- channels ------------------------------------------------------
         let (server_tx, server_rx) = unbounded();
         let (assim_tx, assim_rx) = unbounded();
-        let fstats = Arc::new(FaultStats::default());
         let (delay_tx, delay_handle) = if cfg.faults.max_msg_delay_s > 0.0 {
             let (dtx, drx) = unbounded();
             let out = server_tx.clone();
-            let h = std::thread::Builder::new()
-                .name("vc-delay-line".into())
-                .spawn(move || delay_line_main(drx, out))
-                .map_err(|e| e.to_string())?;
+            let h = spawn("vc-delay-line".into(), move || delay_line_main(drx, out))?;
             (Some(dtx), Some(h))
         } else {
             (None, None)
@@ -293,18 +236,14 @@ impl Runtime {
         for i in 0..job.pn {
             let ctx = AssimCtx {
                 assim: assim.clone(),
-                mode: job.consistency,
                 cfg: cfg.clone(),
                 val_eval: val_eval.clone(),
                 task_rx: assim_rx.clone(),
                 out: server_tx.clone(),
             };
-            assim_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("vc-assim-{i}"))
-                    .spawn(move || assimilator_main(ctx))
-                    .map_err(|e| e.to_string())?,
-            );
+            assim_handles.push(spawn(format!("vc-assim-{i}"), move || {
+                assimilator_main(ctx)
+            })?);
         }
         drop(assim_rx);
 
@@ -315,12 +254,7 @@ impl Runtime {
             let (tx, rx) = unbounded();
             worker_txs.push(tx);
             let outbox = match &delay_tx {
-                Some(dtx) => Outbox::Delayed {
-                    tx: dtx.clone(),
-                    max_delay_s: cfg.faults.max_msg_delay_s,
-                    stats: fstats.clone(),
-                    telemetry: tel.clone(),
-                },
+                Some(dtx) => Outbox::Delayed(dtx.clone()),
                 None => Outbox::Direct(server_tx.clone()),
             };
             let ps: Box<dyn PsClient> = match &tcp {
@@ -330,22 +264,12 @@ impl Runtime {
                 None => Box::new(MemClient::new(service.clone())),
             };
             let ctx = WorkerCtx {
-                id: HostId(h as u32),
-                cfg: cfg.clone(),
+                core: coord.worker(h, ps),
                 shards: shards.clone(),
                 cmd_rx: rx,
                 outbox,
-                stats: fstats.clone(),
-                telemetry: tel.clone(),
-                ps,
-                cache: ShardCache::new(*assim.layout()).with_codec(cfg.codec),
             };
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("vc-worker-{h}"))
-                    .spawn(move || worker_main(ctx))
-                    .map_err(|e| e.to_string())?,
-            );
+            worker_handles.push(spawn(format!("vc-worker-{h}"), move || worker_main(ctx))?);
         }
         // The coordinator's inbox must disconnect once the fleet is gone:
         // only workers, assimilators and the delay line may hold senders.
@@ -353,30 +277,11 @@ impl Runtime {
         drop(server_tx);
 
         // --- coordinate ----------------------------------------------------
-        let coordinator = Coordinator {
-            cfg: cfg.clone(),
-            server,
-            assim,
-            store,
-            clock,
-            service: service.clone(),
-            epoch,
-            done,
-            stats,
-            assimilations,
-            bytes,
-            wall_base_s,
-            param_count,
-            worker_txs,
+        let mut report = coord.run(Links {
             inbox: server_rx,
+            worker_txs,
             assim_tx,
-            stats_faults: fstats,
-            next_checkpoint_s: cfg.checkpoint_every_s,
-            telemetry: tel,
-            ops: ops_hub,
-            last_ops_publish_s: -1.0,
-        };
-        let (mut report, assim) = coordinator.run();
+        });
 
         // The coordinator dropped its channel ends on return: every worker's
         // next recv/send errors, the assimilator intake closes, the delay
@@ -398,16 +303,21 @@ impl Runtime {
             srv.shutdown();
         }
 
-        // Final evaluation on the full splits, mirroring the simulator.
-        let (params, _) = assim.read_params();
         let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;
-        model.set_params_flat(&params);
-        let (_, v) = evaluate(&mut model, &val.images, &val.labels, 256);
-        let (_, t) = evaluate(&mut model, &test.images, &test.labels, 256);
-        report.final_val_acc = v;
-        report.final_test_acc = t;
+        score_final(&mut report, &mut model, &assim, &val, &test);
         Ok(report)
     }
+}
+
+/// Starts a named OS thread.
+fn spawn<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> Result<std::thread::JoinHandle<T>, String> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .map_err(|e| e.to_string())
 }
 
 /// Convenience: build and run in one call.
@@ -503,6 +413,33 @@ mod tests {
         }
         let last_partial = partial.epochs.last().expect("halt landed mid-epoch-2");
         assert!(done.wall_s > last_partial.end_wall_s);
+    }
+
+    /// A resume that no longer fits its checkpoint is an `Err` up front,
+    /// not a panic inside an assimilator thread's `set_params_flat`.
+    #[test]
+    fn resume_rejects_a_model_the_checkpoint_does_not_fit() {
+        let path = std::env::temp_dir().join("vc_runtime_resume_guard_test.json");
+        let mut first = RuntimeConfig::test_small(5);
+        first.checkpoint_path = Some(path.to_string_lossy().into_owned());
+        first.halt_after_assims = Some(3);
+        assert!(run_runtime(first).unwrap().halted_early);
+
+        let mut edited = Runtime::resume(&path).unwrap();
+        let job = &mut edited.config_mut().job;
+        job.model = vc_nn::spec::mlp(&job.data.img, 16, job.data.classes);
+        let err = edited.run().unwrap_err();
+        assert!(err.contains("model"), "{err}");
+
+        // Vectors that do not fit the checkpoint's own model: same answer.
+        let mut ck = Checkpoint::load(&path).unwrap();
+        ck.params.pop();
+        ck.snapshot.pop();
+        ck.seal();
+        ck.save(&path).unwrap();
+        let err = Runtime::resume(&path).unwrap().run().unwrap_err();
+        assert!(err.contains("parameters"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -87,3 +87,18 @@ pub struct AssimTask {
     /// When the coordinator accepted the result (its clock's reading).
     pub accepted_at: SimTime,
 }
+
+impl AssimTask {
+    /// The outcome message a parameter server reports once this task is
+    /// blended and the post-update server copy scored `acc`.
+    pub fn assimilated(&self, acc: f32) -> ToServer {
+        ToServer::Assimilated {
+            wu: self.wu,
+            host: self.host,
+            epoch: self.epoch,
+            shard_id: self.shard_id,
+            acc,
+            accepted_at: self.accepted_at,
+        }
+    }
+}

@@ -22,28 +22,22 @@
 //! one-command local replay.
 
 use crate::config::RuntimeConfig;
-use crate::coordinator::{Coordinator, Stop};
-use crate::fault::{ByzantineMode, FaultPlan, FaultStats};
+use crate::coordinator::{assemble, score, score_final, Assembled, Coordinator, Effect, Stop};
+use crate::fault::{ByzantineMode, FaultPlan};
 use crate::protocol::{AssimTask, ToServer, ToWorker};
-use crate::report::{RuntimeReport, DELAY_LINE_DELAY_S, WORKER_TRAIN_S};
+use crate::report::{RuntimeReport, WORKER_TRAIN_S};
 use crate::scheduler::StepScheduler;
 use crate::worker::WorkerCore;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::Rng;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use vc_asgd::{train_client_replica_ws, warm_start_params};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{check_sequential, count_lost_updates, Consistency, HistoryEvent, VersionedStore};
-use vc_middleware::{BoincServer, Clock, HostId, ShardManifest, VirtualClock, WuId};
-use vc_nn::metrics::evaluate;
+use vc_middleware::{Clock, HostId, VirtualClock, WuId};
 use vc_nn::Sequential;
 use vc_optim::TrainWorkspace;
-use vc_ps::codec::apply_update_roundtrip;
-use vc_ps::{MemClient, PsService, ShardCache, ShardSnapshot, ShardedAssimilator};
-use vc_simnet::SimTime;
-use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
+use vc_ps::{MemClient, PsService, ShardSnapshot};
+use vc_telemetry::{Histogram, Telemetry, TraceStage};
 
 /// One deterministic chaos scenario: a runtime configuration plus the
 /// virtual-time costs of the things that take real time on threads.
@@ -317,18 +311,12 @@ impl SimOutcome {
 }
 
 /// A simulated worker: the same [`WorkerCore`] the threaded worker runs,
-/// plus the liveness state its thread encodes implicitly and the same
-/// parameter-service client + sticky shard cache. The in-memory client is
-/// synchronous — a fetch is a plain call, no events and no RNG draws — so
-/// adding the parameter service leaves every schedule untouched.
+/// plus the liveness state its thread encodes implicitly. Its in-memory
+/// parameter-service client is synchronous — a fetch is a plain call, no
+/// events and no RNG draws — so fetching leaves every schedule untouched.
 struct SimWorker {
     core: WorkerCore,
     state: WState,
-    ps: MemClient,
-    cache: ShardCache,
-    /// Error-feedback residual for the worker's upload stream (empty
-    /// without error feedback).
-    upload_residual: Vec<f32>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -344,9 +332,9 @@ struct Slot {
     busy: Option<InFlight>,
 }
 
-/// An assimilation between begin and commit. `begun` holds the stale
-/// per-shard snapshot in eventual mode; strong mode reads inside the
-/// commit transactions.
+/// An assimilation between begin and finish; `begun` is whatever
+/// [`vc_ps::ShardedAssimilator::begin`] handed out (eventual mode's stale
+/// read).
 struct InFlight {
     task: AssimTask,
     begun: Option<ShardSnapshot>,
@@ -380,8 +368,6 @@ struct Sim {
     sched: StepScheduler<Ev>,
     coord: Coordinator<VirtualClock>,
     workers: Vec<SimWorker>,
-    worker_rxs: Vec<Receiver<ToWorker>>,
-    assim_rx: Receiver<AssimTask>,
     slots: Vec<Slot>,
     assim_queue: VecDeque<AssimTask>,
     shards: Arc<ShardSet>,
@@ -389,10 +375,6 @@ struct Sim {
     /// buffer pool and one resident replica serve them all.
     train_ws: TrainWorkspace,
     val_eval: Arc<Dataset>,
-    fstats: Arc<FaultStats>,
-    /// Keeps the coordinator's inbox formally connected (never read: the
-    /// sim calls `Coordinator::handle` directly).
-    _server_tx: Sender<ToServer>,
 }
 
 impl Sim {
@@ -419,20 +401,17 @@ impl Sim {
             }
             Ev::Deliver(msg) => {
                 // Mirror the threaded event loop: deadlines are scanned
-                // before each message is served.
+                // before each message is served, and the one effect the
+                // coordinator returns is carried out on the spot.
                 let now = self.sched.now();
                 self.coord.server.scan_timeouts(now);
-                // Only a work request is answered with a worker-directed
-                // reply (Assign/NoWork); every other message produces at
-                // most assimilation traffic. Remembering the addressee
-                // keeps the post-handle drain O(1) instead of O(fleet).
-                let reply_to = match &msg {
-                    ToServer::RequestWork { host } => Some(host.0),
-                    _ => None,
-                };
-                let stop = self.coord.handle(msg);
-                self.pump(reply_to);
-                stop
+                match self.coord.handle(msg) {
+                    Effect::None => {}
+                    Effect::Assimilate(task) => self.intake(task),
+                    Effect::Reply { host, msg } => self.worker_recv(host.0, msg),
+                    Effect::Stop(stop) => return Some(stop),
+                }
+                None
             }
             Ev::TrainDone { host, wu, params } => {
                 if self.workers[host as usize].state == WState::Alive {
@@ -444,19 +423,17 @@ impl Sim {
                             params,
                         },
                     );
-                    if self.coord.telemetry.tracing() {
-                        // The upload occupies the delay-line hold (zero
-                        // without one) and ends when the message lands.
-                        let now = self.sched.now().as_secs();
-                        self.coord.telemetry.trace_span(
-                            now + delay,
-                            TraceStage::Upload,
-                            wu.0,
-                            u64::from(host),
-                            delay,
-                            Vec::new(),
-                        );
-                    }
+                    // The upload occupies the delay-line hold (zero without
+                    // one) and ends when the message lands.
+                    let now = self.sched.now().as_secs();
+                    self.coord.telemetry.trace_span(
+                        now + delay,
+                        TraceStage::Upload,
+                        wu.0,
+                        u64::from(host),
+                        delay,
+                        Vec::new(),
+                    );
                     // The threaded worker loops straight back into a poll
                     // after uploading.
                     self.sched.schedule_in(0.0, Ev::Poll(host));
@@ -468,14 +445,6 @@ impl Sim {
                 if w.state == WState::AwaitingRespawn {
                     w.core.respawn();
                     w.state = WState::Alive;
-                    self.fstats.respawns.fetch_add(1, Ordering::Relaxed);
-                    event!(
-                        self.coord.telemetry,
-                        Info,
-                        "worker_respawn",
-                        host = h,
-                        life = w.core.life
-                    );
                     self.sched.schedule_in(0.0, Ev::Poll(h));
                 }
                 None
@@ -503,45 +472,14 @@ impl Sim {
         }
     }
 
-    /// Sends a worker message toward the coordinator — directly, or with
-    /// the delay line's uniform hold drawn from the worker's own RNG
-    /// stream (the exact draw `Outbox::Delayed` makes on threads).
-    /// Returns the hold, so the caller can stamp an upload span with it.
+    /// Sends a worker message toward the coordinator, held for whatever
+    /// the worker's delay line draws (the exact draw a threaded worker
+    /// makes before its `Outbox` send). Returns the hold, so the caller can
+    /// stamp an upload span with it.
     fn send_to_server(&mut self, host: u32, msg: ToServer) -> f64 {
-        let max = self.coord.cfg.faults.max_msg_delay_s;
-        let delay = if max > 0.0 {
-            self.fstats.delayed_msgs.fetch_add(1, Ordering::Relaxed);
-            let d = self.workers[host as usize].core.rng.gen_range(0.0..=max);
-            self.coord
-                .telemetry
-                .registry()
-                .histogram_with(DELAY_LINE_DELAY_S, Histogram::latency_bounds)
-                .observe(d);
-            d
-        } else {
-            0.0
-        };
+        let delay = self.workers[host as usize].core.draw_delay();
         self.sched.schedule_in(delay, Ev::Deliver(msg));
         delay
-    }
-
-    /// Drains everything the coordinator just produced: assimilation tasks
-    /// into the virtual `Pn` pool, replies into the worker state machines.
-    ///
-    /// `reply_to` is the one host the handled message could have answered
-    /// (work requests only — the coordinator sends workers nothing else
-    /// mid-run). Every inbox is empty between events, so draining that
-    /// single channel is exhaustive and the pump costs O(1) per event
-    /// instead of O(fleet).
-    fn pump(&mut self, reply_to: Option<u32>) {
-        while let Ok(task) = self.assim_rx.try_recv() {
-            self.intake(task);
-        }
-        if let Some(h) = reply_to {
-            while let Ok(msg) = self.worker_rxs[h as usize].try_recv() {
-                self.worker_recv(h, msg);
-            }
-        }
     }
 
     fn worker_recv(&mut self, h: u32, msg: ToWorker) {
@@ -553,15 +491,7 @@ impl Sim {
                     // server recovers the slot through the timeout path.
                     return;
                 }
-                if w.core.on_assign(&self.coord.cfg.faults) {
-                    self.fstats.kills.fetch_add(1, Ordering::Relaxed);
-                    event!(
-                        self.coord.telemetry,
-                        Info,
-                        "worker_kill",
-                        host = h,
-                        life = w.core.life
-                    );
+                if w.core.on_assign() {
                     match self.coord.cfg.faults.respawn_after_s {
                         Some(d) => {
                             w.state = WState::AwaitingRespawn;
@@ -571,54 +501,10 @@ impl Sim {
                     }
                     return;
                 }
-                // Fetch exactly the shards the manifest says moved — the
-                // same `ShardCache::sync` the threaded worker runs, here
-                // as a synchronous call against the in-process service.
-                let snapshot = w
-                    .cache
-                    .sync(wu.epoch as u64, &wu.param_versions.0, &mut w.ps)
+                let done = w
+                    .core
+                    .execute(&wu, &self.shards, &mut self.train_ws, None)
                     .expect("sim fetch: a snapshot is published for every generated epoch");
-                if self.coord.telemetry.tracing() {
-                    // The in-memory fetch is synchronous under virtual
-                    // time: an instantaneous span marks the causal step.
-                    self.coord.telemetry.trace_span(
-                        self.sched.now().as_secs(),
-                        TraceStage::Fetch,
-                        wu.id.0,
-                        u64::from(h),
-                        0.0,
-                        vec![("epoch", (wu.epoch as u64).into())],
-                    );
-                }
-                let data = &self.shards.shard(wu.shard_id).data;
-                let mut params = train_client_replica_ws(
-                    &self.coord.cfg.job,
-                    snapshot,
-                    data,
-                    wu.epoch,
-                    wu.shard_id,
-                    &mut self.train_ws,
-                    None,
-                );
-                // Under a lossy codec the upload is what survives the
-                // wire: quantize the trained delta against the fetched
-                // snapshot (error feedback carries the dropped mass to
-                // this worker's next upload), exactly as the threaded
-                // worker does.
-                let codec = self.coord.cfg.codec;
-                if codec.is_lossy() {
-                    apply_update_roundtrip(
-                        codec,
-                        w.cache.params(),
-                        &mut params,
-                        &mut w.upload_residual,
-                    );
-                }
-                // A byzantine host does the work, then lies about it —
-                // same corruption point as the threaded worker.
-                if let Some(mode) = self.coord.cfg.faults.byzantine(h) {
-                    mode.corrupt(h, &mut params);
-                }
                 let mut dur = self.sc.train_s;
                 if self.sc.train_jitter_s > 0.0 {
                     dur += w.core.rng.gen_range(0.0..=self.sc.train_jitter_s);
@@ -630,27 +516,18 @@ impl Sim {
                     .registry()
                     .histogram_with(WORKER_TRAIN_S, Histogram::latency_bounds)
                     .observe(dur);
-                if self.coord.telemetry.tracing() {
-                    // Emitted at schedule time, stamped with the span's
-                    // end: the drawn virtual compute time is known now.
-                    self.coord.telemetry.trace_span(
-                        self.sched.now().as_secs() + dur,
-                        TraceStage::Train,
-                        wu.id.0,
-                        u64::from(h),
-                        dur,
-                        vec![
-                            ("epoch", (wu.epoch as u64).into()),
-                            ("shard", (wu.shard_id as u64).into()),
-                        ],
-                    );
-                }
+                // The in-memory fetch is synchronous under virtual time: an
+                // instantaneous span marks the causal step. The train span
+                // is emitted now, stamped with its end: the drawn virtual
+                // compute time is already known.
+                let now = self.sched.now().as_secs();
+                w.core.trace_phases(&wu, now, 0.0, now + dur, dur);
                 self.sched.schedule_in(
                     dur,
                     Ev::TrainDone {
                         host: h,
                         wu: wu.id,
-                        params,
+                        params: done.params,
                     },
                 );
             }
@@ -676,10 +553,7 @@ impl Sim {
         // assimilation *starts*; the commit lands `assim_s` later, and
         // anything that commits in between is clobbered — the same race
         // the threaded pool runs, under scheduler control.
-        let begun = match self.coord.assim.mode() {
-            Consistency::Eventual => Some(self.coord.assim.begin_eventual()),
-            Consistency::Strong => None,
-        };
+        let begun = self.coord.assim.begin();
         self.slots[slot].busy = Some(InFlight { task, begun });
         self.sched.schedule_in(self.sc.assim_s, Ev::Commit(slot));
     }
@@ -689,39 +563,15 @@ impl Sim {
             .busy
             .take()
             .expect("commit event for an idle slot");
-        let updated = match begun {
-            Some(snap) => {
-                self.coord
-                    .assim
-                    .commit_eventual(snap, &task.client, task.epoch)
-                    .0
-            }
-            None => self.coord.assim.assimilate_strong(&task.client, task.epoch),
-        };
-        let s = &mut self.slots[slot];
-        s.eval.set_params_flat(&updated);
-        let (_, acc) = evaluate(
-            &mut s.eval,
-            &self.val_eval.images,
-            &self.val_eval.labels,
-            256,
-        );
+        let updated = self.coord.assim.finish(begun, &task.client, task.epoch);
+        let acc = score(&mut self.slots[slot].eval, &updated, &self.val_eval);
         if let Some(next) = self.assim_queue.pop_front() {
             self.start(slot, next);
         }
         // The outcome travels through the scheduler like any other message
         // so it interleaves with the rest of the traffic.
-        self.sched.schedule_in(
-            0.0,
-            Ev::Deliver(ToServer::Assimilated {
-                wu: task.wu,
-                host: task.host,
-                epoch: task.epoch,
-                shard_id: task.shard_id,
-                acc,
-                accepted_at: task.accepted_at,
-            }),
-        );
+        self.sched
+            .schedule_in(0.0, Ev::Deliver(task.assimilated(acc)));
     }
 }
 
@@ -739,86 +589,34 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let cfg = Arc::new(sc.cfg.clone());
     let job = &cfg.job;
 
-    // --- data (same construction as Runtime::run) ----------------------
-    let (train, val, test) = job.data.generate();
-    let shards = Arc::new(ShardSet::split(&train, job.shards));
-    let val_eval = Arc::new(val.select(&(0..job.val_eval_n).collect::<Vec<_>>()));
-
-    // --- virtual time + telemetry ---------------------------------------
     // The telemetry hub reads the virtual clock from the very first store
     // operation, so every event timestamp and latency observation is a
     // pure function of the schedule — replays dump byte-identical traces.
+    // The store records its operation history for the consistency checks.
     let sched = StepScheduler::new(sc.seed, sc.sched_jitter_s);
     let clock = sched.clock();
     let tel = Telemetry::silent();
     tel.set_time_source(Arc::new(clock.clone()));
-    tel.set_tracing(cfg.trace);
     let ops_hub = sc.ops.then(|| Arc::new(vc_ops::OpsHub::new(tel.clone())));
-
-    // --- recording parameter store + sharded service --------------------
-    let store = Arc::new(VersionedStore::recording().with_telemetry(&tel));
-    let mut init = job.model.build(job.seed).params_flat();
-    if let Some(warmed) = warm_start_params(job, &shards, &init) {
-        init = warmed;
-    }
-    let param_count = init.len();
-    let assim = Arc::new(
-        ShardedAssimilator::new(
-            store.clone(),
-            param_count,
-            job.ps_shards,
-            job.consistency,
-            job.alpha,
-        )
-        .with_telemetry(&tel),
-    );
-    assim.seed_params(&init);
-    let service = Arc::new(
-        PsService::new(assim.clone())
-            .with_codec(cfg.codec)
-            .with_telemetry(&tel),
-    );
-    service.publish_snapshot(1, &init, &assim.versions());
-
-    // --- middleware ------------------------------------------------------
-    let fleet = job.fleet.build(job.cn);
-    let mut server = BoincServer::new(
-        job.middleware.clone(),
-        fleet.iter().map(|s| (s.clone(), job.tn)).collect(),
-    );
-    server.set_telemetry(tel.clone());
-    if cfg.codec.is_lossy() {
-        // Quantization makes honest replicas of the same workunit differ
-        // by a few quantization steps; exact-match quorums would reject
-        // them all as disagreements.
-        let (atol, rtol) = cfg.codec.quorum_tolerance();
-        server.set_comparator(Box::new(vc_middleware::ToleranceComparator { atol, rtol }));
-    }
-    server.add_epoch_sharded(
-        1,
-        job.shards,
-        &ShardManifest(assim.versions()),
-        SimTime::ZERO,
+    let Assembled {
+        coord,
+        shards,
+        val_eval,
+        val,
+        test,
+    } = assemble(
+        cfg.clone(),
+        &tel,
+        VersionedStore::recording(),
+        None,
+        ops_hub.clone(),
+        |_| clock,
     );
 
-    // --- actors ----------------------------------------------------------
-    let (server_tx, server_rx) = unbounded();
-    let (assim_tx, assim_rx) = unbounded();
-    let fstats = Arc::new(FaultStats::default());
-    let mut worker_txs = Vec::new();
-    let mut worker_rxs = Vec::new();
-    for _ in 0..job.cn {
-        let (tx, rx) = unbounded();
-        worker_txs.push(tx);
-        worker_rxs.push(rx);
-    }
     let workers = (0..job.cn)
         .map(|h| SimWorker {
-            core: WorkerCore::new(HostId(h as u32), cfg.faults.seed),
+            core: coord.worker(h, Box::new(MemClient::new(coord.service.clone()))),
             state: WState::Alive,
-            ps: MemClient::new(service.clone()),
-            cache: ShardCache::new(*assim.layout()).with_codec(cfg.codec),
-            upload_residual: Vec::new(),
         })
         .collect();
     let slots = (0..job.pn)
@@ -827,45 +625,16 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
             busy: None,
         })
         .collect();
-
-    let coord = Coordinator {
-        cfg: cfg.clone(),
-        server,
-        assim: assim.clone(),
-        store: store.clone(),
-        clock,
-        service: service.clone(),
-        epoch: 1,
-        done: Vec::new(),
-        stats: Vec::new(),
-        assimilations: 0,
-        bytes: 0,
-        wall_base_s: 0.0,
-        param_count,
-        worker_txs,
-        inbox: server_rx,
-        assim_tx,
-        stats_faults: fstats.clone(),
-        next_checkpoint_s: cfg.checkpoint_every_s,
-        telemetry: tel.clone(),
-        ops: ops_hub.clone(),
-        last_ops_publish_s: -1.0,
-    };
-
     let mut sim = Sim {
         sc: sc.clone(),
         sched,
         coord,
         workers,
-        worker_rxs,
-        assim_rx,
         slots,
         assim_queue: VecDeque::new(),
         shards,
         train_ws: TrainWorkspace::new(),
         val_eval,
-        fstats,
-        _server_tx: server_tx,
     };
     for h in 0..job.cn as u32 {
         sim.sched.schedule_in(0.0, Ev::Poll(h));
@@ -873,27 +642,27 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     sim.sched.schedule_in(sc.tick_s, Ev::Tick);
 
     let stop = sim.run_loop();
-    let (mut report, assim) = sim.coord.finalize(stop);
-
-    // Final full-split evaluation, as in Runtime::run: on a scoring
+    let coord = &sim.coord;
+    let mut report = coord.finalize(stop);
+    // Final full-split evaluation, as in `Runtime::run`: on a scoring
     // replica the pool no longer needs (`pn ≥ 1` is validated).
-    let (params, _) = assim.read_params();
-    let mut model = sim.slots.swap_remove(0).eval;
-    model.set_params_flat(&params);
-    let (_, v) = evaluate(&mut model, &val.images, &val.labels, 256);
-    let (_, t) = evaluate(&mut model, &test.images, &test.labels, 256);
-    report.final_val_acc = v;
-    report.final_test_acc = t;
+    score_final(
+        &mut report,
+        &mut sim.slots[0].eval,
+        &coord.assim,
+        &val,
+        &test,
+    );
 
     let out = SimOutcome {
         consistency: job.consistency,
         report,
-        history: store.take_history(),
+        history: coord.assim.store().take_history(),
         telemetry: tel,
         ops: ops_hub,
-        ps_codec_ops: service.codec_ops(),
+        ps_codec_ops: coord.service.codec_ops(),
     };
-    Ok((out, service))
+    Ok((out, coord.service.clone()))
 }
 
 /// Verifies one outcome's consistency contract. On failure the flight

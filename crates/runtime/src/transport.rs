@@ -13,60 +13,31 @@
 //! simulation (`crate::sim`) with [`vc_simnet::SimTime`] stamps from the
 //! virtual clock — one reordering semantics, two substrates.
 
-use crate::fault::FaultStats;
 use crate::protocol::ToServer;
-use crate::report::DELAY_LINE_DELAY_S;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use rand::rngs::StdRng;
-use rand::Rng;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vc_telemetry::{Histogram, Telemetry};
 
 /// A worker's handle for sending to the coordinator: direct, or via the
 /// delay line.
 pub enum Outbox {
     /// In-order delivery straight into the coordinator's inbox.
     Direct(Sender<ToServer>),
-    /// Delivery through the delay line with a per-message uniform delay in
-    /// `[0, max_delay_s]`.
-    Delayed {
-        /// Input of the delay-line thread.
-        tx: Sender<(Instant, ToServer)>,
-        /// Upper bound of the injected delay, seconds.
-        max_delay_s: f64,
-        /// Shared fault counters.
-        stats: Arc<FaultStats>,
-        /// The run's telemetry hub (drawn delays feed a histogram).
-        telemetry: Telemetry,
-    },
+    /// Delivery through the delay-line thread, each message held for the
+    /// delay its worker drew ([`crate::worker::WorkerCore::draw_delay`]).
+    Delayed(Sender<(Instant, ToServer)>),
 }
 
 impl Outbox {
-    /// Sends one message, drawing its delay from `rng` when delayed.
+    /// Sends one message, to be delivered `delay_s` from now when delayed.
     /// Returns `Err` when the coordinator (or delay line) is gone — the
     /// only failure mode, so the error carries no payload.
     #[allow(clippy::result_unit_err)]
-    pub fn send(&self, rng: &mut StdRng, msg: ToServer) -> Result<(), ()> {
+    pub fn send(&self, delay_s: f64, msg: ToServer) -> Result<(), ()> {
         match self {
             Outbox::Direct(tx) => tx.send(msg).map_err(|_| ()),
-            Outbox::Delayed {
-                tx,
-                max_delay_s,
-                stats,
-                telemetry,
-            } => {
-                let delay = rng.gen_range(0.0..=*max_delay_s);
-                stats
-                    .delayed_msgs
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                telemetry
-                    .registry()
-                    .histogram_with(DELAY_LINE_DELAY_S, Histogram::latency_bounds)
-                    .observe(delay);
-                tx.send((Instant::now() + Duration::from_secs_f64(delay), msg))
-                    .map_err(|_| ())
-            }
+            Outbox::Delayed(tx) => tx
+                .send((Instant::now() + Duration::from_secs_f64(delay_s), msg))
+                .map_err(|_| ()),
         }
     }
 }
@@ -127,16 +98,16 @@ pub fn delay_line_main(rx: Receiver<(Instant, ToServer)>, out: Sender<ToServer>)
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
-    use rand::SeedableRng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vc_middleware::HostId;
 
     #[test]
     fn direct_outbox_preserves_order() {
         let (tx, rx) = unbounded();
         let ob = Outbox::Direct(tx);
-        let mut rng = StdRng::seed_from_u64(1);
         for i in 0..5 {
-            ob.send(&mut rng, ToServer::RequestWork { host: HostId(i) })
+            ob.send(0.0, ToServer::RequestWork { host: HostId(i) })
                 .unwrap();
         }
         for i in 0..5 {
@@ -169,18 +140,12 @@ mod tests {
         let (in_tx, in_rx) = unbounded();
         let (out_tx, out_rx) = unbounded();
         let line = std::thread::spawn(move || delay_line_main(in_rx, out_tx));
-        let stats = Arc::new(FaultStats::default());
-        let tel = Telemetry::silent();
-        let ob = Outbox::Delayed {
-            tx: in_tx,
-            max_delay_s: 0.05,
-            stats: stats.clone(),
-            telemetry: tel.clone(),
-        };
+        let ob = Outbox::Delayed(in_tx);
         let mut rng = StdRng::seed_from_u64(7);
         let n = 64u32;
         for i in 0..n {
-            ob.send(&mut rng, ToServer::RequestWork { host: HostId(i) })
+            let delay = rng.gen_range(0.0..=0.05);
+            ob.send(delay, ToServer::RequestWork { host: HostId(i) })
                 .unwrap();
         }
         drop(ob); // disconnect the input so the line drains and exits
@@ -203,9 +168,5 @@ mod tests {
         line.join().unwrap();
         assert!(seen.iter().all(|&s| s), "no message may be lost");
         assert!(reordered, "random delays over 64 messages must reorder");
-        assert_eq!(stats.snapshot().2, n as u64);
-        let snap = tel.registry().snapshot();
-        let h = snap.histogram(DELAY_LINE_DELAY_S).unwrap();
-        assert_eq!(h.count, n as u64, "every drawn delay is observed");
     }
 }

@@ -1,0 +1,114 @@
+#!/usr/bin/env bash
+# Alternating paired runs of the contract benchmark: the rule every perf
+# claim and every no-regression table in this repo is held to
+# (benchmark/README.md — the 2-vCPU box has a fast and a slow state that
+# move timings by a third, so only back-to-back pairs compare).
+#
+# Usage: deploy/paired.sh <parent-ref> <change-ref> <workload> <n>
+#
+#   Checks each ref out into its own `git worktree`, builds each side's
+#   `benchmark/` into its own CARGO_TARGET_DIR, then runs
+#       benchmark/run.sh --workload <workload> --seed <i> --trace 0
+#   for i = 1..n on both sides, alternating which side goes first. Prints,
+#   per metric, both medians with their quartiles and how many pairs the
+#   change won, lost and tied. A <ref> that names a directory is used as
+#   that side's checkout as it stands (an uncommitted working tree, `.`).
+#
+#   Worktrees live under target/paired/ and are removed on exit; the two
+#   target directories stay, so a second invocation rebuilds incrementally.
+set -euo pipefail
+
+if [[ $# -ne 4 ]]; then
+    sed -n '2,18p' "$0" >&2
+    exit 2
+fi
+workload="$3"
+pairs="$4"
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+work="$repo/target/paired"
+mkdir -p "$work"
+
+worktrees=()
+cleanup() {
+    for dir in "${worktrees[@]}"; do
+        git -C "$repo" worktree remove --force "$dir" >/dev/null 2>&1 || true
+    done
+}
+trap cleanup EXIT
+
+declare -A src
+for side in parent change; do
+    ref="$1"
+    shift
+    if [[ -d "$ref" ]]; then
+        src[$side]="$(cd "$ref" && pwd)"
+    else
+        src[$side]="$work/$side"
+        git -C "$repo" worktree remove --force "${src[$side]}" >/dev/null 2>&1 || true
+        git -C "$repo" worktree add --detach "${src[$side]}" "$ref" >&2
+        worktrees+=("${src[$side]}")
+    fi
+    # Build now, so no measured run follows a compile.
+    cargo build --offline --release \
+        --manifest-path "${src[$side]}/benchmark/Cargo.toml" \
+        --target-dir "$work/target-$side" >&2
+done
+
+seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "${src[change]}/BENCHMARK.json")"
+out="$(mktemp -d "$work/out.XXXXXX")"
+
+run_side() { # side seed
+    CARGO_TARGET_DIR="$work/target-$1" bash "${src[$1]}/benchmark/run.sh" \
+        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 \
+        >"$out/$1.$2" 2>"$out/$1.$2.err" ||
+        echo "warning: $1 seed $2 exited non-zero (see $out/$1.$2.err)" >&2
+}
+
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then order=(parent change); else order=(change parent); fi
+    echo "pair $i/$pairs: ${order[0]} then ${order[1]}" >&2
+    for side in "${order[@]}"; do
+        run_side "$side" "$i"
+    done
+done
+
+python3 - "$out" "$workload" "$pairs" <<'EOF'
+import json, statistics, sys
+
+out, workload, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+HIGHER_IS_BETTER = {"wu_per_s", "final_val_acc"}
+
+def read(side, seed):
+    metrics, verdict = {}, None
+    for line in open(f"{out}/{side}.{seed}"):
+        parts = line.split()
+        if line.startswith("{"):
+            verdict = json.loads(line)
+        elif len(parts) == 5 and parts[0] == workload and parts[4].startswith("n="):
+            metrics[parts[1]] = float(parts[2])
+    return metrics, verdict
+
+runs = {side: [read(side, i) for i in range(1, pairs + 1)] for side in ("parent", "change")}
+names = [m for m in runs["parent"][0][0] if all(m in r[0] for s in runs.values() for r in s)]
+
+def spread(values):
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return med, q1, q3
+
+print(f"{workload}: {pairs} alternating pairs (change vs parent)")
+print(f"{'metric':<24} {'parent median [q1, q3]':>44} {'change median [q1, q3]':>44}  won/lost/tied")
+for name in names:
+    p = [r[0][name] for r in runs["parent"]]
+    c = [r[0][name] for r in runs["change"]]
+    sign = 1 if name in HIGHER_IS_BETTER else -1
+    won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+    lost = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+    cell = lambda v: "{:.9g} [{:.9g}, {:.9g}]".format(*spread(v))
+    print(f"{name:<24} {cell(p):>44} {cell(c):>44}  {won}/{lost}/{pairs - won - lost}")
+for side, side_runs in runs.items():
+    verdicts = [v for _, v in side_runs if v]
+    print(f"{side}: {sum(v['correct'] for v in verdicts)}/{pairs} runs correct, "
+          f"{sum(v['failed'] for v in verdicts)} of {sum(v['attempted'] for v in verdicts)} operations failed")
+EOF
+echo "raw outputs: $out" >&2

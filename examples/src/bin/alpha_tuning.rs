@@ -4,8 +4,8 @@
 //!
 //! Run: `cargo run -p vc-examples --bin alpha_tuning --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
+use vc_runtime::des::run_job;
 
 fn main() {
     // A scaled-down but learnable job so the sweep finishes quickly.

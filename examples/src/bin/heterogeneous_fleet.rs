@@ -5,8 +5,8 @@
 //!
 //! Run: `cargo run -p vc-examples --bin heterogeneous_fleet --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{FleetKind, JobConfig};
+use vc_runtime::des::run_job;
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {

@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run -p vc-examples --bin preemptible_cost --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::JobConfig;
 use vc_cost::{FleetCost, TimeoutAnalysis};
+use vc_runtime::des::run_job;
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {

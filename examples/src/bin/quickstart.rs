@@ -8,8 +8,8 @@
 //!
 //! Run: `cargo run -p vc-examples --bin quickstart --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
+use vc_runtime::des::run_job;
 
 fn main() {
     // Start from the paper's defaults and shrink the workload so the whole

@@ -1,9 +1,9 @@
 //! End-to-end integration: the full pipeline (data → middleware → fleet →
 //! VC-ASGD → report) across crates.
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, FleetKind, JobConfig};
 use vc_kvstore::Consistency;
+use vc_runtime::des::run_job;
 use vc_simnet::PreemptionModel;
 
 fn quick_cfg(seed: u64) -> JobConfig {

@@ -11,21 +11,23 @@
 //! history's independent recount must match the store's counter exactly.
 
 use std::sync::Arc;
-use vc_asgd::{AlphaSchedule, VcAsgdAssimilator};
+use vc_asgd::AlphaSchedule;
 use vc_kvstore::{check_sequential, count_lost_updates, Consistency, HistoryEvent, VersionedStore};
+use vc_ps::{ShardSnapshot, ShardedAssimilator};
 use vc_runtime::StepScheduler;
 
 const WRITERS: usize = 8;
 const UPDATES: usize = 100;
 const PARAMS: usize = 64;
 
+/// The single-value store of the paper: one shard, one key.
+fn assimilator(store: Arc<VersionedStore>, n: usize, mode: Consistency) -> ShardedAssimilator {
+    ShardedAssimilator::new(store, n, 1, mode, AlphaSchedule::Const(0.5))
+}
+
 fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
     let store = VersionedStore::shared_recording();
-    let assim = Arc::new(VcAsgdAssimilator::new(
-        store.clone(),
-        mode,
-        AlphaSchedule::Const(0.5),
-    ));
+    let assim = Arc::new(assimilator(store.clone(), PARAMS, mode));
     assim.seed_params(&vec![0.0; PARAMS]);
 
     let handles: Vec<_> = (0..WRITERS)
@@ -34,18 +36,11 @@ fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
             std::thread::spawn(move || {
                 let client = vec![(w + 1) as f32; PARAMS];
                 for _ in 0..UPDATES {
-                    match mode {
-                        Consistency::Eventual => {
-                            let (snap, version) = assim.begin_eventual();
-                            // Widen the read-modify-write window the way a
-                            // network hop to the store would.
-                            std::thread::yield_now();
-                            assim.commit_eventual(snap, version, &client, 1);
-                        }
-                        Consistency::Strong => {
-                            assim.assimilate_strong(&client, 1);
-                        }
-                    }
+                    let begun = assim.begin();
+                    // Widen the read-modify-write window the way a network
+                    // hop to the store would.
+                    std::thread::yield_now();
+                    assim.finish(begun, &client, 1);
                 }
             })
         })
@@ -67,17 +62,13 @@ fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
 fn deterministic_interleaving_loses_updates_reproducibly() {
     enum Ev {
         Begin(usize),
-        Commit(Vec<f32>, u64, usize),
+        Commit(Option<ShardSnapshot>, usize),
     }
     const SEED: u64 = 42;
 
     let run = || {
         let store = VersionedStore::shared_recording();
-        let assim = VcAsgdAssimilator::new(
-            store.clone(),
-            Consistency::Eventual,
-            AlphaSchedule::Const(0.5),
-        );
+        let assim = assimilator(store.clone(), 8, Consistency::Eventual);
         assim.seed_params(&[0.0; 8]);
         let mut sched: StepScheduler<Ev> = StepScheduler::new(SEED, 0.002);
         for w in 0..6usize {
@@ -88,12 +79,11 @@ fn deterministic_interleaving_loses_updates_reproducibly() {
         while let Some((_, ev)) = sched.next() {
             match ev {
                 Ev::Begin(w) => {
-                    let (snap, version) = assim.begin_eventual();
-                    sched.schedule_in(0.02, Ev::Commit(snap, version, w));
+                    sched.schedule_in(0.02, Ev::Commit(assim.begin(), w));
                 }
-                Ev::Commit(snap, version, w) => {
+                Ev::Commit(begun, w) => {
                     let client = vec![(w + 1) as f32; 8];
-                    assim.commit_eventual(snap, version, &client, 1);
+                    assim.finish(begun, &client, 1);
                 }
             }
         }
@@ -161,15 +151,11 @@ fn strong_consistency_loses_nothing_under_contention() {
 #[test]
 fn store_write_counts_match_the_workload() {
     let store = VersionedStore::shared();
-    let assim = VcAsgdAssimilator::new(
-        store.clone(),
-        Consistency::Strong,
-        AlphaSchedule::Const(0.5),
-    );
+    let assim = assimilator(store.clone(), 8, Consistency::Strong);
     assim.seed_params(&[0.0; 8]);
     let before = store.metrics().snapshot();
-    assim.assimilate_strong(&[1.0; 8], 1);
-    assim.assimilate_strong(&[2.0; 8], 1);
+    assim.finish(assim.begin(), &[1.0; 8], 1);
+    assim.finish(assim.begin(), &[2.0; 8], 1);
     let after = store.metrics().snapshot();
     assert_eq!(
         after.transactions - before.transactions,

@@ -3,10 +3,10 @@
 //! timing-only fast path where learning is irrelevant, so they are cheap
 //! enough for CI.
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_cost::{DbOverhead, FleetCost, TimeoutAnalysis};
 use vc_kvstore::{Consistency, LatencyModel};
+use vc_runtime::des::run_job;
 use vc_simnet::{table1, PreemptionModel};
 
 fn timing_cfg(pn: usize, cn: usize, tn: usize) -> JobConfig {

@@ -273,7 +273,7 @@ fn runtime_simulation_and_simulator_agree_on_learning_outcome() {
     cfg.job.epochs = 4;
 
     let rt = run_runtime(cfg.clone()).unwrap();
-    let sim = vc_asgd::job::run_job(cfg.job).unwrap();
+    let sim = vc_runtime::des::run_job(cfg.job).unwrap();
     let dst = run_scenario(&Scenario::new(23).cn(4).epochs(4)).unwrap();
 
     assert_eq!(rt.epochs.len(), sim.epochs.len());
@@ -292,4 +292,48 @@ fn runtime_simulation_and_simulator_agree_on_learning_outcome() {
     );
     assert!(rt.final_mean_acc() > 0.15 && sim.final_mean_acc() > 0.15);
     assert!(dst.report.final_mean_acc() > 0.15);
+}
+
+/// Threaded ↔ DST differential. One worker, one parameter server, strong
+/// consistency, no faults: a single host leaves one assignment order, one
+/// upload order and one blend order, and both substrates run the same
+/// workunit, assimilation and scoring bodies — so they must agree on every
+/// accuracy *bit*, under `Raw` and under `Int8` with the error-feedback
+/// residual riding from upload to upload. A mismatch here means a body was
+/// forked again, or the threaded substrate reordered something it may not.
+#[test]
+fn threaded_and_dst_agree_bitwise_with_one_worker_and_one_server() {
+    for codec in [
+        vc_ps::Codec::Raw,
+        vc_ps::Codec::Int8 {
+            error_feedback: true,
+        },
+    ] {
+        let mut sc = Scenario::new(31)
+            .cn(1)
+            .pn(1)
+            .epochs(3)
+            .consistency(Consistency::Strong)
+            .codec(codec);
+        // Generous deadlines: a loaded box must not time an assignment out
+        // (a re-issue would blend the same result, but later).
+        sc.cfg.job.middleware.timeout_s = 60.0;
+        sc.cfg.job.middleware.min_timeout_s = 60.0;
+        sc.cfg.job.middleware.max_timeout_s = 120.0;
+
+        let dst = run_scenario(&sc).unwrap().report;
+        let rt = run_runtime(sc.cfg.clone()).unwrap();
+
+        let bits = |r: &vc_runtime::RuntimeReport| -> Vec<u32> {
+            r.epochs
+                .iter()
+                .flat_map(|e| [e.mean_val_acc, e.min_val_acc, e.max_val_acc])
+                .chain([r.final_val_acc, r.final_test_acc])
+                .map(f32::to_bits)
+                .collect()
+        };
+        assert_eq!(rt.epochs.len(), 3, "{codec:?}: threaded run finished");
+        assert_eq!(rt.server_metrics.timeouts, 0, "{codec:?}: no re-issues");
+        assert_eq!(bits(&rt), bits(&dst), "{codec:?}: threaded vs DST");
+    }
 }
