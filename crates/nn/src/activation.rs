@@ -59,10 +59,11 @@ impl Layer for Relu {
             .as_ref()
             .expect("Relu::backward called without a cached forward");
         assert_eq!(mask.len(), dy.numel(), "Relu mask/grad length mismatch");
+        // A select, not a conditional store: the mask is data-dependent, so
+        // a branch per element mispredicts half the time; this form
+        // vectorizes to a blend and writes the same bits.
         for (g, &m) in dy.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
         dy
     }

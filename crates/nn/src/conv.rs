@@ -10,9 +10,9 @@
 //! im2col oracle and `tests/tests/conv_paths.rs` for a trajectory pinned
 //! before the direct kernels existed.
 
-use crate::layer::{Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer, ParamVisitor};
 use vc_tensor::conv_direct::{
-    self, conv3x3_backward_dk_into, conv3x3_backward_dx_into, conv3x3_forward_into,
+    self, conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into, conv3x3_forward_pre_into, BnRelu,
 };
 use vc_tensor::ops::{
     col2im_into, im2col_into, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into,
@@ -154,37 +154,134 @@ impl Conv2d {
             Epilogue::Bias(self.bias.data())
         }
     }
+
+    /// Batch size and geometry for input `x`, its shape checked.
+    fn checked_geom(&self, x: &Tensor) -> (usize, ConvGeom) {
+        let dims = x.dims();
+        assert_eq!(dims.len(), 4, "Conv2d expects [batch, ch, h, w]");
+        assert_eq!(dims[1], self.in_ch, "Conv2d channel mismatch");
+        (dims[0], self.geom_for(dims[2], dims[3]))
+    }
+
+    /// Recycles last step's cache — before the forward takes anything, so
+    /// one warm-up step is enough to make the pool self-sufficient.
+    fn recycle_cache(&mut self, ws: &mut Workspace) {
+        if let Some(prev) = self.cache.take() {
+            ws.recycle(prev.into_vec());
+        }
+    }
+
+    /// Whether this convolution can close a pre-activation unit over `ch`
+    /// channels: the direct kernels' geometry (which does not depend on
+    /// the image size), whose staging pass is where the unit's prologue
+    /// runs.
+    pub(crate) fn takes_prologue(&self, ch: usize) -> bool {
+        self.in_ch == ch && conv_direct::supports(&self.geom_for(0, 0))
+    }
+
+    /// Forward on the direct 3×3 path: no column matrix at all. The
+    /// training cache is the input itself — the *raw* input when `pre` is
+    /// given, since backward's staging pass re-applies the prologue.
+    pub(crate) fn forward_direct(
+        &mut self,
+        x: Tensor,
+        pre: Option<BnRelu<'_>>,
+        train: bool,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let (batch, geom) = self.checked_geom(&x);
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        self.recycle_cache(ws);
+        let mut y = ws.take(batch * self.out_ch * oh * ow);
+        let mut stage = ws.take(conv_direct::fwd_scratch_len(batch, self.in_ch, geom));
+        conv3x3_forward_pre_into(
+            &x,
+            pre,
+            &self.kernel,
+            geom,
+            &mut y,
+            self.epilogue(),
+            &mut stage,
+        );
+        ws.recycle(stage);
+        if train {
+            self.cache = Some(ConvCache::Input { x, geom, batch });
+        } else {
+            ws.recycle(x.into_vec());
+        }
+        Tensor::from_vec(y, &[batch, self.out_ch, oh, ow])
+    }
+
+    /// Backward of [`forward_direct`](Self::forward_direct), with the same
+    /// `pre`. The returned gradient is with respect to what the kernel
+    /// convolved — the activated tensor when `pre` is given.
+    pub(crate) fn backward_direct(
+        &mut self,
+        dy: Tensor,
+        pre: Option<BnRelu<'_>>,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let Some(ConvCache::Input { x, geom, batch }) = &self.cache else {
+            panic!("Conv2d::backward called without a cached direct forward");
+        };
+        let (geom, batch) = (*geom, *batch);
+        let mut dk_scratch = ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom));
+        let mut colsum = ws.take(self.out_ch);
+        let mut dx_scratch = ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
+        let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
+        conv3x3_backward_dk_pre_into(&dy, x, pre, geom, self.dkernel.data_mut(), &mut dk_scratch);
+        // dbias += per-channel sums of dy. Each channel's chain runs
+        // over (batch, pixel) ascending — exactly row-ascending order
+        // over the `[rows, out_ch]` dy matrix, so this matches the
+        // im2col route's column-sum loop bit for bit.
+        let ohw = geom.out_h() * geom.out_w();
+        let dyd = dy.data();
+        for (oc, s) in colsum.iter_mut().enumerate() {
+            for b in 0..batch {
+                let plane = &dyd[(b * self.out_ch + oc) * ohw..][..ohw];
+                for v in plane {
+                    *s += v;
+                }
+            }
+        }
+        for (d, s) in self.dbias.data_mut().iter_mut().zip(colsum.iter()) {
+            *d += s;
+        }
+        conv3x3_backward_dx_into(
+            &dy,
+            &self.kernel,
+            self.in_ch,
+            geom,
+            &mut dx,
+            &mut dx_scratch,
+        );
+        ws.recycle(dk_scratch);
+        ws.recycle(colsum);
+        ws.recycle(dx_scratch);
+        ws.recycle(dy.into_vec());
+        Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
+    }
+
+    /// The input the last training [`forward_direct`](Self::forward_direct)
+    /// kept.
+    pub(crate) fn cached_input(&self) -> &Tensor {
+        match &self.cache {
+            Some(ConvCache::Input { x, .. }) => x,
+            _ => panic!("Conv2d has no cached direct forward"),
+        }
+    }
 }
 
 impl Layer for Conv2d {
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 4, "Conv2d expects [batch, ch, h, w]");
-        assert_eq!(dims[1], self.in_ch, "Conv2d channel mismatch");
-        let (batch, h, w) = (dims[0], dims[2], dims[3]);
-        let geom = self.geom_for(h, w);
+        let (batch, geom) = self.checked_geom(&x);
+        if conv_direct::supports(&geom) {
+            return self.forward_direct(x, None, train, ws);
+        }
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let rows = batch * oh * ow;
         let patch = self.in_ch * self.kh * self.kw;
-        // Recycle last step's cache before taking, so one warm-up step is
-        // enough to make the pool self-sufficient.
-        if let Some(prev) = self.cache.take() {
-            ws.recycle(prev.into_vec());
-        }
-        if conv_direct::supports(&geom) {
-            // Direct 3×3 path: no column matrix at all. The training cache
-            // is the input itself, which backward's fused kernels read.
-            let mut y = ws.take(batch * self.out_ch * oh * ow);
-            let mut stage = ws.take(conv_direct::fwd_scratch_len(batch, self.in_ch, geom));
-            conv3x3_forward_into(&x, &self.kernel, geom, &mut y, self.epilogue(), &mut stage);
-            ws.recycle(stage);
-            if train {
-                self.cache = Some(ConvCache::Input { x, geom, batch });
-            } else {
-                ws.recycle(x.into_vec());
-            }
-            return Tensor::from_vec(y, &[batch, self.out_ch, oh, ow]);
-        }
+        self.recycle_cache(ws);
         let mut cols_buf = ws.take(rows * patch);
         im2col_into(&x, self.in_ch, geom, &mut cols_buf);
         let cols = Tensor::from_vec(cols_buf, &[rows, patch]);
@@ -203,96 +300,57 @@ impl Layer for Conv2d {
     }
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("Conv2d::backward called without a cached forward");
-        match cache {
-            ConvCache::Input { x, geom, batch } => {
-                let mut dk_scratch =
-                    ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom));
-                let mut colsum = ws.take(self.out_ch);
-                let mut dx_scratch =
-                    ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
-                let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
-                conv3x3_backward_dk_into(&dy, &x, geom, self.dkernel.data_mut(), &mut dk_scratch);
-                // dbias += per-channel sums of dy. Each channel's chain runs
-                // over (batch, pixel) ascending — exactly row-ascending order
-                // over the `[rows, out_ch]` dy matrix, so this matches the
-                // im2col route's column-sum loop bit for bit.
-                let ohw = geom.out_h() * geom.out_w();
-                let dyd = dy.data();
-                for (oc, s) in colsum.iter_mut().enumerate() {
-                    for b in 0..batch {
-                        let plane = &dyd[(b * self.out_ch + oc) * ohw..][..ohw];
-                        for v in plane {
-                            *s += v;
-                        }
-                    }
-                }
-                for (d, s) in self.dbias.data_mut().iter_mut().zip(colsum.iter()) {
-                    *d += s;
-                }
-                conv3x3_backward_dx_into(
-                    &dy,
-                    &self.kernel,
-                    self.in_ch,
-                    geom,
-                    &mut dx,
-                    &mut dx_scratch,
-                );
-                ws.recycle(dk_scratch);
-                ws.recycle(colsum);
-                ws.recycle(dx_scratch);
-                ws.recycle(dy.into_vec());
-                let dims = [batch, self.in_ch, geom.h, geom.w];
-                self.cache = Some(ConvCache::Input { x, geom, batch });
-                Tensor::from_vec(dx, &dims)
-            }
-            ConvCache::Cols { cols, geom, batch } => {
-                let (oh, ow) = (geom.out_h(), geom.out_w());
-                let rows = batch * oh * ow;
-                let patch = self.in_ch * self.kh * self.kw;
-                let mut dy_rows_buf = ws.take(rows * self.out_ch);
-                Self::images_to_rows_into(&dy, &mut dy_rows_buf);
-                ws.recycle(dy.into_vec());
-                let dy_rows = Tensor::from_vec(dy_rows_buf, &[rows, self.out_ch]);
-                matmul_at_b_epi_into(
-                    &dy_rows,
-                    &cols,
-                    self.dkernel.data_mut(),
-                    Epilogue::Accumulate,
-                );
-                // dbias += column sums of dy_rows, rows ascending from a
-                // zero-initialized partial sum.
-                let mut colsum = ws.take(self.out_ch);
-                for r in 0..rows {
-                    let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
-                    for (o, v) in colsum.iter_mut().zip(row) {
-                        *o += v;
-                    }
-                }
-                for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
-                    *d += s;
-                }
-                ws.recycle(colsum);
-                let mut dcols = ws.take(rows * patch);
-                matmul_epi_into(&dy_rows, &self.kernel, &mut dcols, Epilogue::Store);
-                ws.recycle(dy_rows.into_vec());
-                let dcols = Tensor::from_vec(dcols, &[rows, patch]);
-                let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
-                col2im_into(&dcols, batch, self.in_ch, geom, &mut dx);
-                ws.recycle(dcols.into_vec());
-                let dims = [batch, self.in_ch, geom.h, geom.w];
-                self.cache = Some(ConvCache::Cols { cols, geom, batch });
-                Tensor::from_vec(dx, &dims)
+        if let Some(ConvCache::Input { .. }) = self.cache {
+            return self.backward_direct(dy, None, ws);
+        }
+        let Some(ConvCache::Cols { cols, geom, batch }) = self.cache.take() else {
+            panic!("Conv2d::backward called without a cached forward");
+        };
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let rows = batch * oh * ow;
+        let patch = self.in_ch * self.kh * self.kw;
+        let mut dy_rows_buf = ws.take(rows * self.out_ch);
+        Self::images_to_rows_into(&dy, &mut dy_rows_buf);
+        ws.recycle(dy.into_vec());
+        let dy_rows = Tensor::from_vec(dy_rows_buf, &[rows, self.out_ch]);
+        matmul_at_b_epi_into(
+            &dy_rows,
+            &cols,
+            self.dkernel.data_mut(),
+            Epilogue::Accumulate,
+        );
+        // dbias += column sums of dy_rows, rows ascending from a
+        // zero-initialized partial sum.
+        let mut colsum = ws.take(self.out_ch);
+        for r in 0..rows {
+            let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
+            for (o, v) in colsum.iter_mut().zip(row) {
+                *o += v;
             }
         }
+        for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
+            *d += s;
+        }
+        ws.recycle(colsum);
+        let mut dcols = ws.take(rows * patch);
+        matmul_epi_into(&dy_rows, &self.kernel, &mut dcols, Epilogue::Store);
+        ws.recycle(dy_rows.into_vec());
+        let dcols = Tensor::from_vec(dcols, &[rows, patch]);
+        let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
+        col2im_into(&dcols, batch, self.in_ch, geom, &mut dx);
+        ws.recycle(dcols.into_vec());
+        let dims = [batch, self.in_ch, geom.h, geom.w];
+        self.cache = Some(ConvCache::Cols { cols, geom, batch });
+        Tensor::from_vec(dx, &dims)
     }
 
     fn enable_relu_fusion(&mut self) -> bool {
         self.fused_relu = true;
         true
+    }
+
+    fn fusion_part(&mut self) -> FusionPart<'_> {
+        FusionPart::Conv(self)
     }
 
     fn param_len(&self) -> usize {

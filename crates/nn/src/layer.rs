@@ -1,5 +1,8 @@
 //! The [`Layer`] trait: the contract every network component implements.
 
+use crate::conv::Conv2d;
+use crate::model::Sequential;
+use crate::norm::BatchNorm;
 use vc_tensor::{Tensor, Workspace};
 
 /// A differentiable network component.
@@ -22,6 +25,15 @@ use vc_tensor::{Tensor, Workspace};
 /// from the replica's [`Workspace`], and recycles the buffers it consumed.
 /// Training, evaluation and the tests all run through these two methods, so
 /// every driver computes the same bits by construction.
+///
+/// A [`Sequential`] may run several consecutive layers as one step of that
+/// pipeline when the result is bit-identical and a pass over the
+/// activation is saved: a ReLU folds into the GEMM epilogue before it, and
+/// a `BatchNorm → Relu → Conv2d(3×3, stride 1)` pre-activation unit runs
+/// as one stats pass plus the convolution's own staging pass, caching only
+/// the unit's input ([`crate::preact`]). Both ride
+/// [`Sequential::fuse_relu`]; a layer called on its own is always the
+/// plain layer, which is what the fused steps are tested against.
 ///
 /// [`forward`](Layer::forward) / [`backward`](Layer::backward) are borrowing
 /// conveniences for tests and one-off calls: they clone the argument and
@@ -72,6 +84,15 @@ pub trait Layer: Send {
     /// rectification, so its forward becomes a mask-only pass-through.
     fn set_fused_upstream(&mut self) {}
 
+    /// What this layer is to [`Sequential::fuse_relu`]'s peepholes: a
+    /// member of a pre-activation unit, a container to recurse into, or
+    /// (the default) nothing. Internal to this crate's traversal — what it
+    /// hands out is only usable through `pub(crate)` methods.
+    #[doc(hidden)]
+    fn fusion_part(&mut self) -> FusionPart<'_> {
+        FusionPart::Other
+    }
+
     /// Number of scalar parameters this layer owns (including buffers that
     /// must travel with the weights, e.g. BatchNorm running statistics —
     /// the paper ships the complete `.h5` state, so do we).
@@ -121,6 +142,20 @@ pub trait Layer: Send {
     /// Output shape for a given input shape, used by the model builder to
     /// validate specs before allocating parameters.
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize>;
+}
+
+/// A layer as seen by the fusion peepholes (see [`Layer::fusion_part`]).
+/// Internal: public only because the trait method that returns it is.
+#[doc(hidden)]
+pub enum FusionPart<'a> {
+    /// Takes no part.
+    Other,
+    /// The normalization heading a pre-activation unit.
+    Norm(&'a mut BatchNorm),
+    /// A convolution, which may close a pre-activation unit.
+    Conv(&'a mut Conv2d),
+    /// A nested pipeline with fusing of its own to do.
+    Body(&'a mut Sequential),
 }
 
 /// A boxed layer, as stored by [`crate::Sequential`].

@@ -34,6 +34,7 @@ pub mod metrics;
 pub mod model;
 pub mod norm;
 pub mod pool;
+mod preact;
 pub mod residual;
 pub mod spec;
 

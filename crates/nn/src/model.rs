@@ -1,6 +1,9 @@
 //! The [`Sequential`] model container.
 
-use crate::layer::{BoxedLayer, Layer, ParamVisitor};
+use crate::conv::Conv2d;
+use crate::layer::{BoxedLayer, FusionPart, Layer, ParamVisitor};
+use crate::norm::BatchNorm;
+use crate::preact;
 use vc_tensor::{Tensor, Workspace};
 
 /// A model as an ordered pipeline of layers.
@@ -12,8 +15,12 @@ use vc_tensor::{Tensor, Workspace};
 /// installs a server copy received over the (simulated) network.
 pub struct Sequential {
     layers: Vec<BoxedLayer>,
-    /// Whether the ReLU-fusion peephole has run over this pipeline.
+    /// Whether the fusion peepholes have run over this pipeline.
     fused: bool,
+    /// Index of the `BatchNorm` heading each pre-activation unit
+    /// (`BatchNorm → Relu → Conv2d`, three consecutive layers) the
+    /// traversal runs as one [`preact`] step; ascending.
+    preact_units: Vec<usize>,
 }
 
 impl Sequential {
@@ -22,6 +29,7 @@ impl Sequential {
         Sequential {
             layers: Vec::new(),
             fused: false,
+            preact_units: Vec::new(),
         }
     }
 
@@ -92,16 +100,39 @@ impl Sequential {
         Layer::forward(self, x, false)
     }
 
-    /// Fuses each ReLU that directly follows a fusion-capable layer (dense,
-    /// conv) into that layer's GEMM epilogue. Bit-exact: the downstream
-    /// values and masks are unchanged (`relu(x) > 0 ⇔ x > 0`); the fused
-    /// pipeline just skips one full pass over each activation. Idempotent;
-    /// called automatically by the trainer.
+    /// Runs the fusion peepholes, here and in every nested pipeline
+    /// (residual bodies). Each is bit-exact and saves whole passes over an
+    /// activation:
+    ///
+    /// * a ReLU that directly follows a fusion-capable layer (dense, conv)
+    ///   moves into that layer's GEMM epilogue — the downstream values and
+    ///   masks are unchanged (`relu(x) > 0 ⇔ x > 0`);
+    /// * a `BatchNorm(ch) → Relu → Conv2d(ch → ·, 3×3, stride 1)`
+    ///   pre-activation unit becomes one [`preact`] step of the traversal.
+    ///
+    /// Idempotent; called automatically by the trainer and by
+    /// [`crate::metrics::evaluate`].
     pub fn fuse_relu(&mut self) {
         if self.fused {
             return;
         }
         self.fused = true;
+        for l in &mut self.layers {
+            if let FusionPart::Body(body) = l.fusion_part() {
+                body.fuse_relu();
+            }
+        }
+        let mut i = 0;
+        while i + 2 < self.layers.len() {
+            if self.preact_parts(i).is_some() {
+                self.preact_units.push(i);
+                i += 3;
+            } else {
+                i += 1;
+            }
+        }
+        // A unit's ReLU follows a BatchNorm, which has no epilogue to offer,
+        // so the two peepholes never compete for one.
         for i in 0..self.layers.len().saturating_sub(1) {
             if self.layers[i + 1].is_relu() && self.layers[i].enable_relu_fusion() {
                 self.layers[i + 1].set_fused_upstream();
@@ -109,12 +140,36 @@ impl Sequential {
         }
     }
 
+    /// The normalization and convolution of the pre-activation unit that
+    /// starts at layer `i`, if layers `i..i + 3` form one.
+    fn preact_parts(&mut self, i: usize) -> Option<(&mut BatchNorm, &mut Conv2d)> {
+        let [bn, relu, conv] = self.layers.get_mut(i..i + 3)? else {
+            return None;
+        };
+        match (bn.fusion_part(), relu.is_relu(), conv.fusion_part()) {
+            (FusionPart::Norm(bn), true, FusionPart::Conv(conv))
+                if conv.takes_prologue(bn.channels()) =>
+            {
+                Some((bn, conv))
+            }
+            _ => None,
+        }
+    }
+
     /// Forward over the whole pipeline: tensors move by value, buffers
     /// recycle through `ws`.
     pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let mut cur = x;
-        for l in &mut self.layers {
-            cur = l.forward_ws(cur, train, ws);
+        let mut i = 0;
+        while i < self.layers.len() {
+            if self.preact_units.binary_search(&i).is_ok() {
+                let (bn, conv) = self.preact_parts(i).expect("recorded by fuse_relu");
+                cur = preact::forward(bn, conv, cur, train, ws);
+                i += 3;
+            } else {
+                cur = self.layers[i].forward_ws(cur, train, ws);
+                i += 1;
+            }
         }
         cur
     }
@@ -123,8 +178,16 @@ impl Sequential {
     /// buffer also comes from `ws`.
     pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
         let mut cur = dy;
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward_ws(cur, ws);
+        let mut end = self.layers.len();
+        while end > 0 {
+            if end >= 3 && self.preact_units.binary_search(&(end - 3)).is_ok() {
+                let (bn, conv) = self.preact_parts(end - 3).expect("recorded by fuse_relu");
+                cur = preact::backward(bn, conv, cur, ws);
+                end -= 3;
+            } else {
+                cur = self.layers[end - 1].backward_ws(cur, ws);
+                end -= 1;
+            }
         }
         cur
     }
@@ -136,6 +199,21 @@ impl Sequential {
             .map(|l| l.name())
             .collect::<Vec<_>>()
             .join("→")
+    }
+}
+
+#[cfg(test)]
+impl Sequential {
+    /// Where the fused pre-activation units start: this pipeline's first,
+    /// then each nested body's, in layer order.
+    pub(crate) fn preact_unit_map(&mut self) -> Vec<Vec<usize>> {
+        let mut map = vec![self.preact_units.clone()];
+        for l in &mut self.layers {
+            if let FusionPart::Body(body) = l.fusion_part() {
+                map.extend(body.preact_unit_map());
+            }
+        }
+        map
     }
 }
 
@@ -152,6 +230,10 @@ impl Layer for Sequential {
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
         self.backward_pipeline_ws(dy, ws)
+    }
+
+    fn fusion_part(&mut self) -> FusionPart<'_> {
+        FusionPart::Body(self)
     }
 
     fn param_len(&self) -> usize {

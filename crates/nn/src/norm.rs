@@ -1,10 +1,32 @@
 //! Batch normalization.
+//!
+//! ## Reductions: lane-interleaved, chain order untouched
+//!
+//! Every per-channel sum here — the batch mean, the batch variance, and
+//! backward's `Σ dy` and `Σ dy·x̂` — is one serial chain of `f32` adds over
+//! `(batch, position)` ascending, and the goldens freeze that order: the
+//! chain cannot be split into partial sums or vectorized along itself. Run
+//! one channel at a time it is bound by add latency (four cycles per
+//! element). But chains of *different* channels share nothing, so
+//! [`LANES`] of them run side by side ([`lane_groups`]): element `s` of
+//! eight channel planes is added to eight accumulators before element
+//! `s + 1` of any. Each accumulator still sees exactly its own channel's
+//! values in exactly the old order — only the interleaving of independent
+//! instructions changed — so every sum keeps its bits. The elementwise
+//! passes (normalize, backward's `dx`) have no chain and vectorize as they
+//! are.
 
-use crate::layer::{Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer, ParamVisitor};
+use vc_tensor::conv_direct::{BnRelu, BnReluChannel};
 use vc_tensor::{Tensor, Workspace};
 
 /// Numerical floor added to the variance before taking the square root.
 const BN_EPS: f32 = 1e-5;
+
+/// Channel chains reduced side by side: enough independent adds in flight
+/// to cover the add latency, few enough that backward's two accumulators
+/// per lane stay in registers.
+const LANES: usize = 8;
 
 /// Batch normalization over the channel axis.
 ///
@@ -27,10 +49,156 @@ pub struct BatchNorm {
     cache: Option<BnCache>,
 }
 
-/// What a training forward keeps for backward; both buffers are pooled.
+/// What a forward keeps for backward; every buffer is pooled.
 struct BnCache {
-    x_hat: Tensor,
+    mean: Vec<f32>,
     inv_std: Vec<f32>,
+    /// The normalized input. `None` when the layer ran as the head of a
+    /// pre-activation step ([`crate::preact`]): the step's convolution
+    /// holds the raw input, and backward recomputes `x_hat` from it.
+    x_hat: Option<Tensor>,
+}
+
+/// `(batch, ch, spatial)` of a rank-2 or rank-4 activation.
+type Planes = (usize, usize, usize);
+
+/// [`LANES`] channel planes of one batch element, reduced side by side.
+struct LaneGroup {
+    /// Channel of each lane. A short last group repeats its first channel
+    /// in the surplus lanes: they re-read valid memory and
+    /// [`store`](Self::store) drops their sums, so there is no remainder
+    /// loop.
+    c: [usize; LANES],
+    /// Offset of each lane's plane in the flat buffer.
+    base: [usize; LANES],
+    /// Lanes that carry a channel of their own.
+    n: usize,
+}
+
+impl LaneGroup {
+    fn load(&self, acc: &[f32]) -> [f32; LANES] {
+        self.c.map(|c| acc[c])
+    }
+
+    fn store(&self, lanes: &[f32; LANES], acc: &mut [f32]) {
+        acc[self.c[0]..self.c[0] + self.n].copy_from_slice(&lanes[..self.n]);
+    }
+
+    fn planes<'a>(&self, data: &'a [f32], sp: usize) -> [&'a [f32]; LANES] {
+        self.base.map(|b| &data[b..b + sp])
+    }
+}
+
+/// The groups in `(batch, channel)` ascending order, so each channel's
+/// chain still runs over `(batch, position)` ascending.
+fn lane_groups((b, ch, sp): Planes) -> impl Iterator<Item = LaneGroup> {
+    (0..b).flat_map(move |bi| {
+        (0..ch).step_by(LANES).map(move |c0| {
+            let n = LANES.min(ch - c0);
+            let c: [usize; LANES] = std::array::from_fn(|j| if j < n { c0 + j } else { c0 });
+            LaneGroup {
+                c,
+                base: c.map(|c| (bi * ch + c) * sp),
+                n,
+            }
+        })
+    })
+}
+
+/// `acc[c] += Σ f(k(c), x)` over channel `c`'s values, [`LANES`] channels
+/// at a time (see the module docs).
+#[allow(clippy::needless_range_loop)] // `s` indexes every lane's plane, not `x`
+fn reduce_per_channel<K: Copy>(
+    data: &[f32],
+    planes: Planes,
+    acc: &mut [f32],
+    k: impl Fn(usize) -> K,
+    f: impl Fn(K, f32) -> f32,
+) {
+    let sp = planes.2;
+    for g in lane_groups(planes) {
+        let x = g.planes(data, sp);
+        let ks = g.c.map(&k);
+        let mut a = g.load(acc);
+        for s in 0..sp {
+            for j in 0..LANES {
+                a[j] += f(ks[j], x[j][s]);
+            }
+        }
+        g.store(&a, acc);
+    }
+}
+
+/// Statistics and affine as the expression bundle every consumer evaluates.
+/// A free function so backward can borrow the gradient buffers beside it.
+fn bn_relu<'a>(
+    gamma: &'a Tensor,
+    beta: &'a Tensor,
+    mean: &'a [f32],
+    inv_std: &'a [f32],
+) -> BnRelu<'a> {
+    BnRelu {
+        mean,
+        inv_std,
+        gamma: gamma.data(),
+        beta: beta.data(),
+    }
+}
+
+/// The closed-form gradient's two passes over `dy`, which `dx` overwrites
+/// element by element; `dgamma`/`dbeta` accumulate. `at(channel, aux, dy)`
+/// yields the element's `(x_hat, dy as the layer sees it)`: the identity
+/// over a stored `x_hat`, or the recompute over the raw input.
+#[allow(clippy::needless_range_loop)] // `s` indexes every lane's planes at once
+fn backward_passes(
+    pre: BnRelu<'_>,
+    (dgamma, dbeta): (&mut [f32], &mut [f32]),
+    mut dy: Tensor,
+    aux: &[f32],
+    planes @ (b, ch, sp): Planes,
+    ws: &mut Workspace,
+    at: impl Fn(&BnReluChannel, f32, f32) -> (f32, f32),
+) -> Tensor {
+    let n = (b * sp) as f32;
+    let dyd = dy.data_mut();
+
+    // Per-channel sums needed by the closed-form gradient.
+    let mut sum_dy = ws.take(ch);
+    let mut sum_dy_xh = ws.take(ch);
+    for g in lane_groups(planes) {
+        let chans = g.c.map(|c| pre.channel(c));
+        let (a, d) = (g.planes(aux, sp), g.planes(dyd, sp));
+        let mut s_dy = g.load(&sum_dy);
+        let mut s_dy_xh = g.load(&sum_dy_xh);
+        for s in 0..sp {
+            for j in 0..LANES {
+                let (x_hat, dyv) = at(&chans[j], a[j][s], d[j][s]);
+                s_dy[j] += dyv;
+                s_dy_xh[j] += dyv * x_hat;
+            }
+        }
+        g.store(&s_dy, &mut sum_dy);
+        g.store(&s_dy_xh, &mut sum_dy_xh);
+    }
+    for c in 0..ch {
+        dbeta[c] += sum_dy[c];
+        dgamma[c] += sum_dy_xh[c];
+    }
+
+    for bi in 0..b {
+        for c in 0..ch {
+            let plane = (bi * ch + c) * sp..(bi * ch + c + 1) * sp;
+            let chan = pre.channel(c);
+            let k = pre.gamma[c] * pre.inv_std[c];
+            for (d, &a) in dyd[plane.clone()].iter_mut().zip(&aux[plane]) {
+                let (x_hat, dyv) = at(&chan, a, *d);
+                *d = k * (dyv - sum_dy[c] / n - x_hat * sum_dy_xh[c] / n);
+            }
+        }
+    }
+    ws.recycle(sum_dy);
+    ws.recycle(sum_dy_xh);
+    dy
 }
 
 impl BatchNorm {
@@ -51,165 +219,210 @@ impl BatchNorm {
         }
     }
 
-    /// Iterates channel planes: yields (channel, start, len, plane stride)
-    /// describing where channel c's values live in the flat buffer.
-    fn plane_geometry(dims: &[usize]) -> (usize, usize, usize) {
-        // Returns (batch, ch, spatial) where spatial = product of trailing axes.
-        match dims.len() {
+    /// Channels this layer normalizes.
+    pub(crate) fn channels(&self) -> usize {
+        self.ch
+    }
+
+    fn plane_geometry(&self, dims: &[usize]) -> Planes {
+        let planes = match dims.len() {
             2 => (dims[0], dims[1], 1),
             4 => (dims[0], dims[1], dims[2] * dims[3]),
             r => panic!("BatchNorm expects rank 2 or 4 input, got rank {r}"),
-        }
+        };
+        assert_eq!(planes.1, self.ch, "BatchNorm channel mismatch");
+        planes
     }
 
-    /// Per-channel reduction `f` over all (batch, spatial) positions.
-    fn reduce_per_channel(data: &[f32], dims: &[usize], mut f: impl FnMut(usize, f32)) {
-        let (b, ch, sp) = Self::plane_geometry(dims);
-        for bi in 0..b {
-            for c in 0..ch {
-                let base = (bi * ch + c) * sp;
-                for s in 0..sp {
-                    f(c, data[base + s]);
-                }
-            }
-        }
-    }
-
-    /// Normalizes `data` in place to `gamma * x_hat + beta`, also writing
-    /// `x_hat` out when backward will need it.
-    fn normalize(
-        &self,
-        data: &mut [f32],
-        dims: &[usize],
-        mean: &[f32],
-        inv_std: &[f32],
-        mut x_hat: Option<&mut [f32]>,
-    ) {
-        let (b, ch, sp) = Self::plane_geometry(dims);
-        for bi in 0..b {
-            for c in 0..ch {
-                let plane = (bi * ch + c) * sp..(bi * ch + c + 1) * sp;
-                let (g, be) = (self.gamma.data()[c], self.beta.data()[c]);
-                let (m, is) = (mean[c], inv_std[c]);
-                match x_hat.as_deref_mut() {
-                    Some(x_hat) => {
-                        for (v, h) in data[plane.clone()].iter_mut().zip(&mut x_hat[plane]) {
-                            *h = (*v - m) * is;
-                            *v = g * *h + be;
-                        }
-                    }
-                    None => {
-                        for v in &mut data[plane] {
-                            *v = g * ((*v - m) * is) + be;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Layer for BatchNorm {
-    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let shape = *x.shape();
-        let dims = shape.dims();
-        let (b, ch, sp) = Self::plane_geometry(dims);
-        assert_eq!(ch, self.ch, "BatchNorm channel mismatch");
+    fn recycle_cache(&mut self, ws: &mut Workspace) {
         if let Some(prev) = self.cache.take() {
-            ws.recycle(prev.x_hat.into_vec());
+            ws.recycle(prev.mean);
             ws.recycle(prev.inv_std);
-        }
-        let mut inv_std = ws.take(ch);
-        if !train {
-            for (is, &v) in inv_std.iter_mut().zip(self.running_var.data()) {
-                *is = 1.0 / (v + BN_EPS).sqrt();
+            if let Some(x_hat) = prev.x_hat {
+                ws.recycle(x_hat.into_vec());
             }
-            let mean = self.running_mean.data();
-            self.normalize(x.data_mut(), dims, mean, &inv_std, None);
-            ws.recycle(inv_std);
-            return x;
         }
+    }
 
-        let n = (b * sp) as f32;
-        let mut mean = ws.take(ch);
-        Self::reduce_per_channel(x.data(), dims, |c, v| mean[c] += v);
+    /// Inference statistics: `1 / sqrt(running_var + eps)` per channel.
+    fn running_inv_std(&self, ws: &mut Workspace) -> Vec<f32> {
+        let mut inv_std = ws.take(self.ch);
+        for (is, &v) in inv_std.iter_mut().zip(self.running_var.data()) {
+            *is = 1.0 / (v + BN_EPS).sqrt();
+        }
+        inv_std
+    }
+
+    /// Training statistics of `x` — batch mean and `1 / sqrt(var + eps)`
+    /// per channel, in pooled buffers — folding the batch's mean and
+    /// variance into the running ones.
+    fn batch_stats(&mut self, x: &Tensor, ws: &mut Workspace) -> (Vec<f32>, Vec<f32>) {
+        let planes = self.plane_geometry(x.dims());
+        let n = (planes.0 * planes.2) as f32;
+        let mut mean = ws.take(self.ch);
+        reduce_per_channel(x.data(), planes, &mut mean, |_| (), |(), v| v);
         for m in &mut mean {
             *m /= n;
         }
-        let mut var = ws.take(ch);
-        Self::reduce_per_channel(x.data(), dims, |c, v| {
-            var[c] += (v - mean[c]) * (v - mean[c])
-        });
+        let mut var = ws.take(self.ch);
+        reduce_per_channel(
+            x.data(),
+            planes,
+            &mut var,
+            |c| mean[c],
+            |m, v| (v - m) * (v - m),
+        );
         for v in &mut var {
             *v /= n;
         }
-        // Update running statistics.
         for (rm, &m) in self.running_mean.data_mut().iter_mut().zip(&mean) {
             *rm = self.momentum * *rm + (1.0 - self.momentum) * m;
         }
         for (rv, &v) in self.running_var.data_mut().iter_mut().zip(&var) {
             *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
         }
-        for (is, &v) in inv_std.iter_mut().zip(&var) {
-            *is = 1.0 / (v + BN_EPS).sqrt();
+        // The variance buffer becomes the inverse std in place.
+        for v in &mut var {
+            *v = 1.0 / (*v + BN_EPS).sqrt();
         }
-        ws.recycle(var);
-        let mut x_hat = ws.take(x.numel());
-        self.normalize(x.data_mut(), dims, &mean, &inv_std, Some(&mut x_hat));
-        ws.recycle(mean);
-        self.cache = Some(BnCache {
-            x_hat: Tensor::from_vec(x_hat, dims),
-            inv_std,
-        });
-        x
+        (mean, var)
     }
 
-    fn backward_ws(&mut self, mut dy: Tensor, ws: &mut Workspace) -> Tensor {
+    /// Normalizes `data` in place to `gamma * x_hat + beta`, also writing
+    /// `x_hat` out when backward will need it.
+    fn normalize(
+        data: &mut [f32],
+        (b, ch, sp): Planes,
+        pre: BnRelu<'_>,
+        mut x_hat: Option<&mut [f32]>,
+    ) {
+        for bi in 0..b {
+            for c in 0..ch {
+                let plane = (bi * ch + c) * sp..(bi * ch + c + 1) * sp;
+                let chan = pre.channel(c);
+                match x_hat.as_deref_mut() {
+                    Some(x_hat) => {
+                        for (v, h) in data[plane.clone()].iter_mut().zip(&mut x_hat[plane]) {
+                            *h = chan.x_hat(*v);
+                            *v = chan.affine(*h);
+                        }
+                    }
+                    None => {
+                        for v in &mut data[plane] {
+                            *v = chan.affine(chan.x_hat(*v));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Head of a pre-activation step: reduces `x` to the statistics the
+    /// consumer's [`prologue`](Self::prologue) applies — batch statistics
+    /// (updating the running ones) when training, the running ones
+    /// otherwise — and keeps only those; `x` itself is left untouched.
+    pub(crate) fn prepare_prologue(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) {
+        self.recycle_cache(ws);
+        let (mean, inv_std) = if train {
+            self.batch_stats(x, ws)
+        } else {
+            (
+                ws.take_copy(self.running_mean.data()),
+                self.running_inv_std(ws),
+            )
+        };
+        self.cache = Some(BnCache {
+            mean,
+            inv_std,
+            x_hat: None,
+        });
+    }
+
+    /// The normalization [`prepare_prologue`](Self::prepare_prologue) set
+    /// up, for the consumer to apply while it stages its input.
+    pub(crate) fn prologue(&self) -> BnRelu<'_> {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("BatchNorm::prologue called without a prepared forward");
+        bn_relu(&self.gamma, &self.beta, &cache.mean, &cache.inv_std)
+    }
+
+    /// The cached forward split for backward: the expression bundle, the
+    /// stored `x_hat` (if this forward stored one) and the gradient buffers.
+    #[allow(clippy::type_complexity)] // one private destructuring helper
+    fn backward_parts(&mut self) -> (BnRelu<'_>, Option<&Tensor>, (&mut [f32], &mut [f32])) {
         let cache = self
             .cache
             .as_ref()
             .expect("BatchNorm::backward called without a cached forward");
-        assert_eq!(
-            dy.dims(),
-            cache.x_hat.dims(),
-            "BatchNorm grad shape mismatch"
+        let pre = bn_relu(&self.gamma, &self.beta, &cache.mean, &cache.inv_std);
+        let grads = (self.dgamma.data_mut(), self.dbeta.data_mut());
+        (pre, cache.x_hat.as_ref(), grads)
+    }
+
+    /// Backward of a pre-activation step's BN→ReLU half: `dy` is the
+    /// gradient at the ReLU's *output* and `x` the step's raw input. Where
+    /// the standalone layers read a stored `x_hat` and a stored mask, this
+    /// recomputes both from `x` with the forward's expressions — same
+    /// operands, same operations, same bits — inside the same two passes.
+    pub(crate) fn backward_recompute(
+        &mut self,
+        dy: Tensor,
+        x: &Tensor,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        assert_eq!(dy.dims(), x.dims(), "BatchNorm grad shape mismatch");
+        let planes = self.plane_geometry(dy.dims());
+        let (pre, _, grads) = self.backward_parts();
+        backward_passes(pre, grads, dy, x.data(), planes, ws, |chan, x, dy| {
+            let x_hat = chan.x_hat(x);
+            // The ReLU's mask is `its input > 0`, and its input was
+            // `affine(x_hat)`; NaN compares false on both sides.
+            (x_hat, if chan.affine(x_hat) > 0.0 { dy } else { 0.0 })
+        })
+    }
+}
+
+impl Layer for BatchNorm {
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        let planes = self.plane_geometry(x.dims());
+        self.recycle_cache(ws);
+        if !train {
+            let inv_std = self.running_inv_std(ws);
+            let pre = bn_relu(&self.gamma, &self.beta, self.running_mean.data(), &inv_std);
+            Self::normalize(x.data_mut(), planes, pre, None);
+            ws.recycle(inv_std);
+            return x;
+        }
+        let (mean, inv_std) = self.batch_stats(&x, ws);
+        let mut x_hat = ws.take(x.numel());
+        Self::normalize(
+            x.data_mut(),
+            planes,
+            bn_relu(&self.gamma, &self.beta, &mean, &inv_std),
+            Some(&mut x_hat),
         );
-        let (b, ch, sp) = Self::plane_geometry(dy.dims());
-        let n = (b * sp) as f32;
-        let xh = cache.x_hat.data();
+        self.cache = Some(BnCache {
+            mean,
+            inv_std,
+            x_hat: Some(Tensor::from_vec(x_hat, x.dims())),
+        });
+        x
+    }
 
-        // Per-channel sums needed by the closed-form gradient.
-        let mut sum_dy = ws.take(ch);
-        let mut sum_dy_xh = ws.take(ch);
-        let dyd = dy.data_mut();
-        for bi in 0..b {
-            for c in 0..ch {
-                let base = (bi * ch + c) * sp;
-                for i in base..base + sp {
-                    sum_dy[c] += dyd[i];
-                    sum_dy_xh[c] += dyd[i] * xh[i];
-                }
-            }
-        }
-        for c in 0..ch {
-            self.dbeta.data_mut()[c] += sum_dy[c];
-            self.dgamma.data_mut()[c] += sum_dy_xh[c];
-        }
+    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+        let planes = self.plane_geometry(dy.dims());
+        let (pre, x_hat, grads) = self.backward_parts();
+        let x_hat = x_hat.expect("BatchNorm::backward after a pre-activation forward");
+        assert_eq!(dy.dims(), x_hat.dims(), "BatchNorm grad shape mismatch");
+        backward_passes(pre, grads, dy, x_hat.data(), planes, ws, |_, x_hat, dy| {
+            (x_hat, dy)
+        })
+    }
 
-        // dx overwrites dy element by element.
-        for bi in 0..b {
-            for c in 0..ch {
-                let base = (bi * ch + c) * sp;
-                let g = self.gamma.data()[c];
-                let k = g * cache.inv_std[c];
-                for i in base..base + sp {
-                    dyd[i] = k * (dyd[i] - sum_dy[c] / n - xh[i] * sum_dy_xh[c] / n);
-                }
-            }
-        }
-        ws.recycle(sum_dy);
-        ws.recycle(sum_dy_xh);
-        dy
+    fn fusion_part(&mut self) -> FusionPart<'_> {
+        FusionPart::Norm(self)
     }
 
     fn param_len(&self) -> usize {

@@ -1,7 +1,7 @@
 //! Residual (skip-connection) blocks, the structural motif of the paper's
 //! ResNetV2 model.
 
-use crate::layer::{Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer, ParamVisitor};
 use crate::model::Sequential;
 use vc_tensor::{Tensor, Workspace};
 
@@ -54,6 +54,10 @@ impl Layer for Residual {
         }
         ws.recycle(skip);
         dx
+    }
+
+    fn fusion_part(&mut self) -> FusionPart<'_> {
+        FusionPart::Body(&mut self.body)
     }
 
     fn param_len(&self) -> usize {

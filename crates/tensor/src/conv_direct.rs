@@ -14,8 +14,12 @@
 //!
 //! * **forward** — each image is staged once into a zero-padded copy
 //!   (`[ch, h+2p, w+2p]`, caller scratch), which makes *every* output
-//!   column vectorizable: the AVX2 row kernel runs 8-pixel spans across
-//!   the whole row, the final span overlapping the previous one when
+//!   column vectorizable and every tap an unconditional in-bounds load,
+//!   for the AVX2 and the portable row kernel alike. The AVX2 kernel
+//!   covers a row with 16-pixel spans (2 vectors × 4 output channels =
+//!   8 independent FMA chains; 8-pixel spans run 4, half of what two FMA
+//!   ports at 4-cycle latency can retire) and finishes it with 8-pixel
+//!   spans, the final one overlapping the previous span when
 //!   `ow % 8 != 0` (recomputed lanes produce identical bits and are
 //!   skipped at write-back, so even the `Accumulate` epilogue is safe).
 //!   An interior-only span would collapse to all-scalar at `w ≤ 8`.
@@ -59,6 +63,54 @@
 //! vectorization never enters the equality argument. The property tests
 //! (`conv_direct_props.rs`) enforce all of this bitwise against the
 //! im2col reference.
+//!
+//! ## Prologue: the pre-activation unit's BN→ReLU, applied while staging
+//!
+//! ResNetV2 feeds every 3×3 convolution `relu(bn(x))`. Materialized, that
+//! is two more tensors per unit (`x_hat` for BN backward, the activated
+//! tensor as the convolution's cached input) plus a byte mask, and three
+//! more passes over the activation. The `*_pre_into` entry points take the
+//! raw `x` and a [`BnRelu`] — per-channel `μ`, `inv_std`, `γ`, `β` — and
+//! the one staging pass both the forward and the dK kernel already make
+//! (`pack_padded_image`) writes `max(0, γ·((x−μ)·inv_std)+β)` where it
+//! used to copy `x`. Nothing downstream of staging knows: the row kernels,
+//! the band fill and the padded zeros are untouched, so the chain-order
+//! argument above carries over word for word. The plain entry points are
+//! the same body with no prologue.
+//!
+//! **Why recomputing is bit-identical to materializing.** The value staged
+//! for an element is a pure function of five `f32`s — `x` and its
+//! channel's four constants — evaluated by one expression,
+//! [`BnReluChannel::apply`]: subtract, multiply, multiply, add, `max`.
+//!
+//! * *Same expression.* The standalone `BatchNorm` computes `x_hat` and
+//!   `γ·x̂+β` through the same two methods ([`BnReluChannel::x_hat`],
+//!   [`BnReluChannel::affine`]), and the standalone `Relu` is the same
+//!   `f32::max(·, 0.0)`; the backward recompute in `vc-nn` calls them
+//!   again. There is no second spelling to drift.
+//! * *No contraction.* Each step is an individually rounded IEEE-754
+//!   operation. Rust never fuses `a * b + c` into an FMA on its own (only
+//!   an explicit `mul_add` does), and vectorizing an elementwise loop
+//!   changes how many elements go through an instruction, not what the
+//!   instruction computes per element.
+//! * *The mask needs no storage.* `Relu` records `v > 0` of its input
+//!   `v = γ·x̂+β` and backward keeps `dy` where it holds. Recomputing `v`
+//!   from `x` gives the same `v`, hence the same comparison.
+//! * *NaN.* A NaN `x` (or statistic) makes `v` NaN on both routes.
+//!   `f32::max(NaN, 0.0)` is `0.0` and `NaN > 0.0` is false — the same
+//!   call and the same comparison on the same operand, so forward stages
+//!   `0.0` and backward masks the gradient either way.
+//! * *−0.0.* `v` can be `−0.0`, and IEEE `maxNum` leaves the sign of
+//!   `max(−0.0, 0.0)` to the implementation. That is harmless here for
+//!   one reason only: both routes make the *same call on the same bits*
+//!   — there is no path on which one route sees `v` and the other a
+//!   separately rounded copy of it — and `−0.0 > 0.0` is false exactly
+//!   like `0.0 > 0.0`. The oracle tests feed both zeros through both
+//!   routes and compare `to_bits()`.
+//!
+//! The padded border is literal zeros with or without a prologue: the
+//! reference pads the *activated* tensor, it does not activate a padded
+//! one (`max(0, β)` is not zero).
 //!
 //! ## Selection
 //!
@@ -161,16 +213,99 @@ fn has_fma() -> bool {
     }
 }
 
+/// The pre-activation prologue: batch-norm statistics and affine of the
+/// layer feeding this convolution, applied per input channel — followed by
+/// `max(0, ·)` — while an image is staged (see the module docs).
+#[derive(Clone, Copy, Debug)]
+pub struct BnRelu<'a> {
+    /// Per-channel mean the input is centred on.
+    pub mean: &'a [f32],
+    /// Per-channel `1 / sqrt(var + eps)`.
+    pub inv_std: &'a [f32],
+    /// Per-channel scale.
+    pub gamma: &'a [f32],
+    /// Per-channel shift.
+    pub beta: &'a [f32],
+}
+
+/// One channel of a [`BnRelu`]. Its three methods are the only spelling of
+/// the batch-norm expressions in library code — the standalone layer, the
+/// staging pass and the backward recompute all call them — so "same
+/// expression" holds by construction, not by review. (The property tests
+/// spell them out once more, on purpose.)
+#[derive(Clone, Copy, Debug)]
+pub struct BnReluChannel {
+    mean: f32,
+    inv_std: f32,
+    gamma: f32,
+    beta: f32,
+}
+
+impl BnRelu<'_> {
+    /// Channel `c`'s constants.
+    #[inline(always)]
+    pub fn channel(&self, c: usize) -> BnReluChannel {
+        BnReluChannel {
+            mean: self.mean[c],
+            inv_std: self.inv_std[c],
+            gamma: self.gamma[c],
+            beta: self.beta[c],
+        }
+    }
+
+    fn assert_channels(&self, ch: usize) {
+        let lens = [
+            self.mean.len(),
+            self.inv_std.len(),
+            self.gamma.len(),
+            self.beta.len(),
+        ];
+        assert_eq!(lens, [ch; 4], "prologue channel count");
+    }
+}
+
+impl BnReluChannel {
+    /// The normalized value `x̂ = (x − μ)·inv_std`.
+    #[inline(always)]
+    pub fn x_hat(&self, x: f32) -> f32 {
+        (x - self.mean) * self.inv_std
+    }
+
+    /// The pre-activation `γ·x̂ + β`: a multiply, then an add — Rust never
+    /// contracts the pair into a fused multiply-add.
+    #[inline(always)]
+    pub fn affine(&self, x_hat: f32) -> f32 {
+        self.gamma * x_hat + self.beta
+    }
+
+    /// What the staging pass writes for input `x`: `max(0, γ·x̂ + β)`.
+    #[inline(always)]
+    pub fn apply(&self, x: f32) -> f32 {
+        self.affine(self.x_hat(x)).max(0.0)
+    }
+}
+
 /// Stages one image as a zero-padded copy `[ch, h+2p, w+2p]` — the literal
 /// zeros around each plane are the same explicit zero operands the im2col
-/// matrix materializes for padded taps.
-fn pack_padded_image(x: &[f32], ctx: Ctx, dst: &mut [f32]) {
+/// matrix materializes for padded taps. With a prologue the interior holds
+/// `pre.apply(x)` instead of `x`; the border stays literal zeros either
+/// way, because the reference pads the *activated* tensor.
+fn pack_padded_image(x: &[f32], pre: Option<BnRelu<'_>>, ctx: Ctx, dst: &mut [f32]) {
     let (ph, pw) = (ctx.h + 2 * ctx.pad, ctx.w + 2 * ctx.pad);
     dst[..ctx.ch * ph * pw].fill(0.0);
     for c in 0..ctx.ch {
+        let chan = pre.map(|p| p.channel(c));
         for y in 0..ctx.h {
             let src = &x[(c * ctx.h + y) * ctx.w..][..ctx.w];
-            dst[c * ph * pw + (y + ctx.pad) * pw + ctx.pad..][..ctx.w].copy_from_slice(src);
+            let row = &mut dst[c * ph * pw + (y + ctx.pad) * pw + ctx.pad..][..ctx.w];
+            match chan {
+                None => row.copy_from_slice(src),
+                Some(chan) => {
+                    for (d, &v) in row.iter_mut().zip(src) {
+                        *d = chan.apply(v);
+                    }
+                }
+            }
         }
     }
 }
@@ -203,12 +338,29 @@ pub fn conv3x3_forward_into(
     epi: Epilogue<'_>,
     scratch: &mut [f32],
 ) {
+    conv3x3_forward_pre_into(input, None, kernel, geom, out, epi, scratch);
+}
+
+/// [`conv3x3_forward_into`] over `pre.apply(input)` — the activated tensor
+/// exists only as each image's staged copy.
+pub fn conv3x3_forward_pre_into(
+    input: &Tensor,
+    pre: Option<BnRelu<'_>>,
+    kernel: &Tensor,
+    geom: ConvGeom,
+    out: &mut [f32],
+    epi: Epilogue<'_>,
+    scratch: &mut [f32],
+) {
     let dims = input.dims();
     assert_eq!(dims.len(), 4, "conv3x3 expects [batch, ch, h, w]");
     let (batch, ch, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     assert!(supports(&geom), "conv3x3 geometry {geom:?}");
     assert_eq!((h, w), (geom.h, geom.w));
     geom.validate().expect("invalid conv geometry");
+    if let Some(pre) = &pre {
+        pre.assert_channels(ch);
+    }
     let out_ch = kernel.dims()[0];
     let ctx = ctx_for(ch, geom);
     assert_eq!(kernel.dims()[1], ctx.patch, "kernel patch width");
@@ -232,15 +384,8 @@ pub fn conv3x3_forward_into(
         // parallel call.
         let pimg =
             unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(b * slot), slot) };
-        fwd_image(
-            &x[b * img_len..(b + 1) * img_len],
-            kd,
-            out_ch,
-            ctx,
-            dst,
-            epi,
-            pimg,
-        );
+        pack_padded_image(&x[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
+        fwd_image(pimg, kd, out_ch, ctx, dst, epi);
     };
     if batch > 1 && out.len() >= PAR_THRESHOLD {
         out.par_chunks_mut(plane)
@@ -253,47 +398,40 @@ pub fn conv3x3_forward_into(
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing
+/// All output rows of one staged image, `OCB` channels at a time.
 fn fwd_image(
-    x: &[f32],
+    pimg: &[f32],
     kd: &[f32],
     out_ch: usize,
     ctx: Ctx,
     dst: &mut [f32],
     epi: Epilogue<'_>,
-    pimg: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if has_fma() && ctx.ow >= 8 {
-        pack_padded_image(x, ctx, pimg);
-        let mut oc0 = 0;
-        while oc0 < out_ch {
-            let noc = OCB.min(out_ch - oc0);
-            for oy in 0..ctx.oh {
-                // SAFETY: AVX2+FMA presence checked by has_fma above.
-                unsafe { fwd_row_avx2(pimg, kd, ctx, oy, oc0, noc, dst, epi) };
-            }
-            oc0 += OCB;
-        }
-        return;
-    }
-    let _ = pimg;
+    let vector = has_fma() && ctx.ow >= 8;
     let mut oc0 = 0;
     while oc0 < out_ch {
         let noc = OCB.min(out_ch - oc0);
         for oy in 0..ctx.oh {
-            fwd_row_generic(x, kd, ctx, oy, oc0, noc, dst, epi);
+            #[cfg(target_arch = "x86_64")]
+            if vector {
+                // SAFETY: AVX2+FMA presence checked by has_fma above.
+                unsafe { fwd_row_avx2(pimg, kd, ctx, oy, oc0, noc, dst, epi) };
+                continue;
+            }
+            let _ = vector;
+            fwd_row_generic(pimg, kd, ctx, oy, oc0, noc, dst, epi);
         }
         oc0 += OCB;
     }
 }
 
 /// One output pixel, all `noc` channels of the block: the full
-/// `p`-ascending FMA chain with explicit zeros for padded taps.
+/// `p`-ascending FMA chain, padded taps contributing the staged image's
+/// literal zeros.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
 fn fwd_px_scalar(
-    x: &[f32],
+    pimg: &[f32],
     kd: &[f32],
     ctx: Ctx,
     oy: usize,
@@ -301,21 +439,15 @@ fn fwd_px_scalar(
     oc0: usize,
     noc: usize,
 ) -> [f32; OCB] {
+    let (ph, pw) = (ctx.h + 2 * ctx.pad, ctx.w + 2 * ctx.pad);
     let mut acc = [0.0f32; OCB];
-    let iy0 = oy as isize - ctx.pad as isize;
-    let ix0 = ox as isize - ctx.pad as isize;
     for c in 0..ctx.ch {
-        let plane = &x[c * ctx.h * ctx.w..(c + 1) * ctx.h * ctx.w];
+        // Padded row oy+ky holds input row oy+ky-pad; padded column ox+kx
+        // holds input column ox+kx-pad — all taps in-bounds.
+        let base = c * ph * pw + oy * pw + ox;
         for ky in 0..3 {
-            let iy = iy0 + ky as isize;
-            let row_ok = iy >= 0 && iy < ctx.h as isize;
             for kx in 0..3 {
-                let ix = ix0 + kx as isize;
-                let xv = if row_ok && ix >= 0 && ix < ctx.w as isize {
-                    plane[iy as usize * ctx.w + ix as usize]
-                } else {
-                    0.0
-                };
+                let xv = pimg[base + ky * pw + kx];
                 let p = (c * 3 + ky) * 3 + kx;
                 for (jj, a) in acc.iter_mut().enumerate().take(noc) {
                     *a = xv.mul_add(kd[(oc0 + jj) * ctx.patch + p], *a);
@@ -348,7 +480,7 @@ fn fwd_write_px(
 /// the AVX2 path).
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
 fn fwd_row_generic(
-    x: &[f32],
+    pimg: &[f32],
     kd: &[f32],
     ctx: Ctx,
     oy: usize,
@@ -358,21 +490,22 @@ fn fwd_row_generic(
     epi: Epilogue<'_>,
 ) {
     for ox in 0..ctx.ow {
-        let acc = fwd_px_scalar(x, kd, ctx, oy, ox, oc0, noc);
+        let acc = fwd_px_scalar(pimg, kd, ctx, oy, ox, oc0, noc);
         fwd_write_px(dst, ctx, oy, ox, oc0, noc, &acc, epi);
     }
 }
 
-/// AVX2 row kernel over the padded image: 8 output pixels × `noc` channels
-/// per span, spans covering the whole row. Every tap is an in-bounds
+/// AVX2 row kernel over the padded image. Every tap is an in-bounds
 /// unaligned load (zeros come from the staging pad), so there is no scalar
-/// edge handling at all; when `ow % 8 != 0` the final span re-computes a
-/// few lanes of the previous one (identical bits) and skips them at
-/// write-back so no element is written twice.
+/// edge handling at all. The row is covered by 16-pixel spans — 2 vectors
+/// × `noc` channels = 8 independent FMA chains, what two FMA ports at
+/// 4-cycle latency need to stay busy — and the < 16 pixels left over by
+/// 8-pixel spans, the last one backed up to end exactly at the row edge:
+/// its overlapped lanes re-compute identical bits and are skipped at
+/// write-back, so no element is written twice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
-#[allow(clippy::needless_range_loop)] // lane index l spans all four lane arrays at once
 unsafe fn fwd_row_avx2(
     pimg: &[f32],
     kd: &[f32],
@@ -383,84 +516,86 @@ unsafe fn fwd_row_avx2(
     dst: &mut [f32],
     epi: Epilogue<'_>,
 ) {
+    debug_assert!(ctx.ow >= 8);
+    let mut done = 0usize; // pixels [0, done) already written
+    while done + 16 <= ctx.ow {
+        fwd_span_avx2::<2>(pimg, kd, ctx, oy, done, 0, oc0, noc, dst, epi);
+        done += 16;
+    }
+    while done < ctx.ow {
+        let ox0 = done.min(ctx.ow - 8);
+        fwd_span_avx2::<1>(pimg, kd, ctx, oy, ox0, done - ox0, oc0, noc, dst, epi);
+        done = ox0 + 8;
+    }
+}
+
+/// One span of `8·V` output pixels from `ox0`, `noc` channels: each output
+/// is its own `p`-ascending FMA chain from zero, whatever the span width.
+/// Lanes below `skip` were written by the previous span and are left alone.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
+unsafe fn fwd_span_avx2<const V: usize>(
+    pimg: &[f32],
+    kd: &[f32],
+    ctx: Ctx,
+    oy: usize,
+    ox0: usize,
+    skip: usize,
+    oc0: usize,
+    noc: usize,
+    dst: &mut [f32],
+    epi: Epilogue<'_>,
+) {
     use std::arch::x86_64::*;
     let pw = ctx.w + 2 * ctx.pad;
-    let ph = ctx.h + 2 * ctx.pad;
-    let plane = ph * pw;
-    debug_assert!(ctx.ow >= 8);
-    let mut ox0 = 0usize;
-    let mut done = 0usize; // pixels [0, done) already written
-    loop {
-        let mut acc = [_mm256_setzero_ps(); OCB];
-        for c in 0..ctx.ch {
-            // Padded row oy+ky holds input row oy+ky-pad; padded column
-            // ox+kx holds input column ox+kx-pad — all taps in-bounds.
-            let base = pimg.as_ptr().add(c * plane + oy * pw + ox0);
-            for ky in 0..3 {
-                let row = base.add(ky * pw);
-                for kx in 0..3 {
-                    let xv = _mm256_loadu_ps(row.add(kx));
-                    let p = (c * 3 + ky) * 3 + kx;
-                    for (jj, a) in acc.iter_mut().enumerate().take(noc) {
-                        let kv = _mm256_broadcast_ss(&kd[(oc0 + jj) * ctx.patch + p]);
-                        *a = _mm256_fmadd_ps(xv, kv, *a);
+    let plane = (ctx.h + 2 * ctx.pad) * pw;
+    let mut acc = [[_mm256_setzero_ps(); V]; OCB];
+    for c in 0..ctx.ch {
+        // Padded row oy+ky holds input row oy+ky-pad; padded column
+        // ox+kx holds input column ox+kx-pad — all taps in-bounds.
+        let base = pimg.as_ptr().add(c * plane + oy * pw + ox0);
+        for ky in 0..3 {
+            let row = base.add(ky * pw);
+            for kx in 0..3 {
+                let mut xv = [_mm256_setzero_ps(); V];
+                for (v, x) in xv.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(row.add(kx + 8 * v));
+                }
+                let p = (c * 3 + ky) * 3 + kx;
+                for (jj, a) in acc.iter_mut().enumerate().take(noc) {
+                    let kv = _mm256_broadcast_ss(&kd[(oc0 + jj) * ctx.patch + p]);
+                    for (av, x) in a.iter_mut().zip(&xv) {
+                        *av = _mm256_fmadd_ps(*x, kv, *av);
                     }
                 }
             }
         }
-        // Scalar write-back: lanes go through the exact same epilogue code
-        // as every other path (no vector max/add variants to reason about).
-        let mut lanes = [[0.0f32; 8]; OCB];
-        for (jj, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(lanes[jj].as_mut_ptr(), *a);
+    }
+    // Scalar write-back: lanes go through the exact same epilogue code
+    // as every other path (no vector max/add variants to reason about).
+    let mut lanes = [[[0.0f32; 8]; V]; OCB];
+    for (la, a) in lanes.iter_mut().zip(&acc) {
+        for (l, av) in la.iter_mut().zip(a) {
+            _mm256_storeu_ps(l.as_mut_ptr(), *av);
         }
-        for l in (done - ox0)..8 {
-            let px = [lanes[0][l], lanes[1][l], lanes[2][l], lanes[3][l]];
-            fwd_write_px(dst, ctx, oy, ox0 + l, oc0, noc, &px, epi);
-        }
-        done = ox0 + 8;
-        if done >= ctx.ow {
-            break;
-        }
-        // Next span: step by 8, or back up so the last span ends exactly
-        // at the row edge (overlapped lanes are skipped above).
-        ox0 = if ox0 + 16 <= ctx.ow {
-            ox0 + 8
-        } else {
-            ctx.ow - 8
-        };
+    }
+    for l in skip..8 * V {
+        let px = [
+            lanes[0][l / 8][l % 8],
+            lanes[1][l / 8][l % 8],
+            lanes[2][l / 8][l % 8],
+            lanes[3][l / 8][l % 8],
+        ];
+        fwd_write_px(dst, ctx, oy, ox0 + l, oc0, noc, &px, epi);
     }
 }
 
 // ---------------------------------------------------------------- backward
 
-/// Materializes one im2col row (explicit zeros for padded taps) straight
-/// from the unpadded image — the scalar dK fallback's only patch storage.
-#[inline(always)]
-fn fill_patch_row(x: &[f32], ctx: Ctx, oy: usize, ox: usize, dst: &mut [f32]) {
-    let iy0 = oy as isize - ctx.pad as isize;
-    let ix0 = ox as isize - ctx.pad as isize;
-    let mut p = 0;
-    for c in 0..ctx.ch {
-        let plane = &x[c * ctx.h * ctx.w..(c + 1) * ctx.h * ctx.w];
-        for ky in 0..3 {
-            let iy = iy0 + ky as isize;
-            let row_ok = iy >= 0 && iy < ctx.h as isize;
-            for kx in 0..3 {
-                let ix = ix0 + kx as isize;
-                dst[p] = if row_ok && ix >= 0 && ix < ctx.w as isize {
-                    plane[iy as usize * ctx.w + ix as usize]
-                } else {
-                    0.0
-                };
-                p += 1;
-            }
-        }
-    }
-}
-
-/// Same row, materialized branch-free from a padded image: each `(c, ky)`
-/// pair is three consecutive floats.
+/// Materializes one im2col row branch-free from a staged image (explicit
+/// zeros for padded taps come from its border): each `(c, ky)` pair is
+/// three consecutive floats.
 #[inline(always)]
 fn fill_patch_row_padded(
     pimg: &[f32],
@@ -745,11 +880,27 @@ pub fn conv3x3_backward_dk_into(
     dkernel: &mut [f32],
     scratch: &mut [f32],
 ) {
+    conv3x3_backward_dk_pre_into(dy, input, None, geom, dkernel, scratch);
+}
+
+/// [`conv3x3_backward_dk_into`] against `pre.apply(input)`: the staging
+/// pass recomputes the activated image the forward convolved, bit for bit.
+pub fn conv3x3_backward_dk_pre_into(
+    dy: &Tensor,
+    input: &Tensor,
+    pre: Option<BnRelu<'_>>,
+    geom: ConvGeom,
+    dkernel: &mut [f32],
+    scratch: &mut [f32],
+) {
     let dims = input.dims();
     assert_eq!(dims.len(), 4, "conv3x3 expects [batch, ch, h, w]");
     let (batch, ch) = (dims[0], dims[1]);
     assert!(supports(&geom), "conv3x3 geometry {geom:?}");
     assert_eq!((dims[2], dims[3]), (geom.h, geom.w));
+    if let Some(pre) = &pre {
+        pre.assert_channels(ch);
+    }
     let ctx = ctx_for(ch, geom);
     let out_ch = dy.dims()[1];
     assert_eq!(dy.dims(), &[batch, out_ch, ctx.oh, ctx.ow], "dy dims");
@@ -772,10 +923,9 @@ pub fn conv3x3_backward_dk_into(
     let dy_plane = out_ch * ohw;
     let use_fma = has_fma();
     for b in 0..batch {
-        let x = &xd[b * img_len..(b + 1) * img_len];
+        pack_padded_image(&xd[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
         let dyp = &dyd[b * dy_plane..(b + 1) * dy_plane];
         if use_fma {
-            pack_padded_image(x, ctx, pimg);
             let mut r0 = 0;
             while r0 < ohw {
                 let nb = BAND.min(ohw - r0);
@@ -798,7 +948,7 @@ pub fn conv3x3_backward_dk_into(
             let patch_row = &mut band[..ctx.patch];
             for oy in 0..ctx.oh {
                 for ox in 0..ctx.ow {
-                    fill_patch_row(x, ctx, oy, ox, patch_row);
+                    fill_patch_row_padded(pimg, ctx, ph, pw, oy, ox, patch_row);
                     for oc in 0..out_ch {
                         let dyv = dyp[(oc * ctx.oh + oy) * ctx.ow + ox];
                         for (a, &xv) in acc[oc * pp..][..ctx.patch].iter_mut().zip(&*patch_row) {

@@ -9,11 +9,17 @@
 //! `matmul_epi_into` → `col2im_into` (dx), `matmul_at_b_epi_into` with
 //! `Accumulate` (dK), plus the pure index permutations between row-major
 //! `[rows, oc]` matrices and `[b, oc, oh, ow]` image tensors.
+//!
+//! The prologue variants (`*_pre_into`) are held to the same reference run
+//! on the **materialized** activation: batch-norm affine and ReLU written
+//! out as a tensor first (with the expression spelled out here, not
+//! borrowed from the kernel), then im2col + GEMM.
 
 use proptest::prelude::*;
 use vc_tensor::conv_direct::{
-    conv3x3_backward_dk_into, conv3x3_backward_dx_into, conv3x3_forward_into, dk_scratch_len,
-    dx_scratch_len, fwd_scratch_len,
+    conv3x3_backward_dk_into, conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into,
+    conv3x3_forward_into, conv3x3_forward_pre_into, dk_scratch_len, dx_scratch_len,
+    fwd_scratch_len, BnRelu,
 };
 use vc_tensor::ops::{
     col2im_into, im2col, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into, ConvGeom,
@@ -97,6 +103,53 @@ fn make_case(
     }
 }
 
+/// Per-channel `[mean, inv_std, gamma, beta]` for a prologue over `c`.
+/// Channel 0 is pushed far negative, so its whole activated plane is zero.
+struct Pre([Vec<f32>; 4]);
+
+impl Pre {
+    fn new(ch: usize, seed: u64) -> Self {
+        let mut s = NormalSampler::seed_from(seed ^ 0xbeef);
+        let mut v: [Vec<f32>; 4] = std::array::from_fn(|_| (0..ch).map(|_| s.sample()).collect());
+        v[1].iter_mut().for_each(|is| *is = is.abs() + 0.25);
+        v[3][0] = -50.0;
+        Pre(v)
+    }
+
+    fn as_prologue(&self) -> BnRelu<'_> {
+        let [mean, inv_std, gamma, beta] = &self.0;
+        BnRelu {
+            mean,
+            inv_std,
+            gamma,
+            beta,
+        }
+    }
+
+    /// The reference's input: normalize, scale, shift, rectify — written
+    /// out as a tensor, signed zeros and a NaN included.
+    fn materialize(&self, c: &Case) -> (Tensor, Tensor) {
+        let [mean, inv_std, gamma, beta] = &self.0;
+        let mut raw = c.input.clone();
+        let plane = c.g.h * c.g.w;
+        {
+            let d = raw.data_mut();
+            d[0] = -0.0;
+            if d.len() > 2 {
+                d[1] = 0.0;
+                d[2] = f32::NAN;
+            }
+        }
+        let mut act = raw.clone();
+        for (i, v) in act.data_mut().iter_mut().enumerate() {
+            let ch = (i / plane) % c.ch;
+            let x_hat = (*v - mean[ch]) * inv_std[ch];
+            *v = (gamma[ch] * x_hat + beta[ch]).max(0.0);
+        }
+        (raw, act)
+    }
+}
+
 fn check_forward(c: &Case, epi_kind: u8) {
     let (oh, ow) = (c.g.out_h(), c.g.out_w());
     let ohw = oh * ow;
@@ -106,15 +159,32 @@ fn check_forward(c: &Case, epi_kind: u8) {
         _ => Epilogue::BiasRelu(c.bias.data()),
     };
     // Reference: materialize columns, GEMM against Kᵀ, permute to images.
-    let cols = im2col(&c.input, c.ch, c.g);
-    let mut flat = vec![0.0f32; c.batch * ohw * c.out_ch];
-    matmul_a_bt_epi_into(&cols, &c.kernel, &mut flat, epi);
-    let want = rows_to_images(&flat, c.batch, c.out_ch, ohw);
+    let reference = |input: &Tensor| {
+        let cols = im2col(input, c.ch, c.g);
+        let mut flat = vec![0.0f32; c.batch * ohw * c.out_ch];
+        matmul_a_bt_epi_into(&cols, &c.kernel, &mut flat, epi);
+        rows_to_images(&flat, c.batch, c.out_ch, ohw)
+    };
     // Direct.
+    let want = reference(&c.input);
     let mut got = vec![0.0f32; want.len()];
     let mut stage = vec![0.0f32; fwd_scratch_len(c.batch, c.ch, c.g)];
     conv3x3_forward_into(&c.input, &c.kernel, c.g, &mut got, epi, &mut stage);
     assert_eq!(bits(&got), bits(&want), "forward epi={epi_kind}");
+    // Direct with the prologue, against the materialized activation.
+    let pre = Pre::new(c.ch, c.batch as u64);
+    let (raw, act) = pre.materialize(c);
+    let want = reference(&act);
+    conv3x3_forward_pre_into(
+        &raw,
+        Some(pre.as_prologue()),
+        &c.kernel,
+        c.g,
+        &mut got,
+        epi,
+        &mut stage,
+    );
+    assert_eq!(bits(&got), bits(&want), "prologue forward epi={epi_kind}");
 }
 
 fn check_dx(c: &Case) {
@@ -156,13 +226,31 @@ fn check_dk(c: &Case, seed: u64) {
         images_to_rows(c.dy.data(), c.batch, c.out_ch, ohw),
         &[rows, c.out_ch],
     );
-    let cols = im2col(&c.input, c.ch, c.g);
-    let mut want = dk0.data().to_vec();
-    matmul_at_b_epi_into(&dy_rows, &cols, &mut want, Epilogue::Accumulate);
+    let reference = |input: &Tensor| {
+        let cols = im2col(input, c.ch, c.g);
+        let mut want = dk0.data().to_vec();
+        matmul_at_b_epi_into(&dy_rows, &cols, &mut want, Epilogue::Accumulate);
+        want
+    };
+    let want = reference(&c.input);
     let mut got = dk0.data().to_vec();
     let mut scratch = vec![0.0f32; dk_scratch_len(c.ch, c.out_ch, c.g)];
     conv3x3_backward_dk_into(&c.dy, &c.input, c.g, &mut got, &mut scratch);
     assert_eq!(bits(&got), bits(&want), "dK");
+    // With the prologue, against the materialized activation.
+    let pre = Pre::new(c.ch, seed);
+    let (raw, act) = pre.materialize(c);
+    let want = reference(&act);
+    let mut got = dk0.data().to_vec();
+    conv3x3_backward_dk_pre_into(
+        &c.dy,
+        &raw,
+        Some(pre.as_prologue()),
+        c.g,
+        &mut got,
+        &mut scratch,
+    );
+    assert_eq!(bits(&got), bits(&want), "prologue dK");
 }
 
 proptest! {
@@ -206,13 +294,15 @@ proptest! {
 #[test]
 fn degenerate_geometries_bitwise() {
     for (batch, ch, out_ch, h, w, pad) in [
-        (1, 1, 1, 1, 1, 1), // 1×1 input, pad 1 → 1×1 output, all-edge taps
-        (1, 1, 5, 1, 1, 1), // OCB remainder of 1
-        (2, 3, 4, 1, 5, 1), // single-row images
-        (2, 3, 4, 5, 1, 1), // single-column images
-        (1, 2, 3, 3, 3, 0), // pad 0 → 1×1 output from the interior only
-        (1, 1, 1, 2, 2, 2), // pad 2: output wider than the input
-        (3, 2, 6, 9, 9, 1), // ow=9: vector span + scalar remainder lanes
+        (1, 1, 1, 1, 1, 1),  // 1×1 input, pad 1 → 1×1 output, all-edge taps
+        (1, 1, 5, 1, 1, 1),  // OCB remainder of 1
+        (2, 3, 4, 1, 5, 1),  // single-row images
+        (2, 3, 4, 5, 1, 1),  // single-column images
+        (1, 2, 3, 3, 3, 0),  // pad 0 → 1×1 output from the interior only
+        (1, 1, 1, 2, 2, 2),  // pad 2: output wider than the input
+        (3, 2, 6, 9, 9, 1),  // ow=9: vector span + scalar remainder lanes
+        (2, 2, 5, 3, 29, 1), // ow=29: a 16-pixel span, an 8, an overlapped 8
+        (1, 3, 4, 4, 40, 1), // ow=40: two 16-pixel spans and an exact 8
     ] {
         let c = make_case(
             batch,
