@@ -65,21 +65,6 @@ impl ShardLayout {
         self.param_count == 0
     }
 
-    /// The shard owning flat index `idx` (`None` past the end).
-    pub fn shard_of(&self, idx: usize) -> Option<usize> {
-        if idx >= self.param_count {
-            return None;
-        }
-        let base = self.param_count / self.shards;
-        let extra = self.param_count % self.shards;
-        let wide = extra * (base + 1); // indices covered by the longer shards
-        Some(if idx < wide {
-            idx / (base + 1)
-        } else {
-            extra + (idx - wide) / base.max(1)
-        })
-    }
-
     /// Iterates `(shard_id, range)` over all shards.
     pub fn iter(&self) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
         (0..self.shards).map(|i| (i, self.range(i)))
@@ -133,19 +118,6 @@ mod tests {
         assert_eq!(l.range(1), 1..2);
         assert_eq!(l.range(2), 2..2);
         assert_eq!(l.range(3), 2..2);
-    }
-
-    #[test]
-    fn shard_of_inverts_range() {
-        for (n, p) in [(10usize, 4usize), (64, 16), (5, 2), (4_973, 16)] {
-            let l = ShardLayout::new(n, p);
-            for (i, r) in l.iter() {
-                for idx in r {
-                    assert_eq!(l.shard_of(idx), Some(i), "n={n} p={p} idx={idx}");
-                }
-            }
-            assert_eq!(l.shard_of(n), None);
-        }
     }
 
     #[test]

@@ -184,11 +184,6 @@ impl VersionedStore {
         Arc::new(Self::recording())
     }
 
-    /// True when this store logs an operation history.
-    pub fn is_recording(&self) -> bool {
-        self.history.is_some()
-    }
-
     /// Drains and returns the recorded history (empty for non-recording
     /// stores). Log order is the store's serialization order per key.
     pub fn take_history(&self) -> Vec<HistoryEvent> {
@@ -558,7 +553,6 @@ mod tests {
     #[test]
     fn non_recording_store_has_no_history() {
         let s = VersionedStore::new();
-        assert!(!s.is_recording());
         s.put("w", Bytes::from_static(b"x"));
         assert!(s.take_history().is_empty());
     }

@@ -75,12 +75,6 @@ impl TimerQueue {
         self.heap.is_empty()
     }
 
-    /// The earliest armed deadline, stale entries included — a cheap lower
-    /// bound: if this is `> now`, nothing can be due.
-    pub fn peek_deadline(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.deadline)
-    }
-
     /// Drains every entry with `deadline <= now`, returning the ones
     /// `is_live` confirms (in `(deadline, seq)` order) and discarding the
     /// rest. O(due · log n); O(1) when the earliest deadline lies ahead.
@@ -177,7 +171,6 @@ mod tests {
     fn nothing_due_is_constant_time_and_empty() {
         let mut q = TimerQueue::new();
         q.push(e(100.0, 0));
-        assert_eq!(q.peek_deadline(), Some(SimTime::from_secs(100.0)));
         assert!(q.pop_due(SimTime::from_secs(99.0), |_| true).is_empty());
         assert_eq!(q.len(), 1);
     }

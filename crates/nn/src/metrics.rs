@@ -64,24 +64,6 @@ pub fn evaluate(
     (total_loss / n as f32, total_correct / n as f32)
 }
 
-/// A confusion matrix for `classes` classes; `m[i][j]` counts samples of
-/// true class `i` predicted as `j`.
-pub fn confusion_matrix(logits: &Tensor, labels: &[usize], classes: usize) -> Vec<Vec<usize>> {
-    let c = logits.dims()[1];
-    let mut m = vec![vec![0usize; classes]; classes];
-    for (i, &y) in labels.iter().enumerate() {
-        let row = &logits.data()[i * c..(i + 1) * c];
-        let mut best = 0;
-        for (j, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = j;
-            }
-        }
-        m[y][best] += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,15 +93,5 @@ mod tests {
         let (l3, a3) = evaluate(&mut m, &images, &labels, 3);
         assert!((l1 - l3).abs() < 1e-5);
         assert!((a1 - a3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_counts_correct() {
-        let logits = Tensor::from_vec(vec![2.0, 0.0, 0.0, 2.0, 2.0, 0.0], &[3, 2]);
-        let m = confusion_matrix(&logits, &[0, 1, 1], 2);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[1][1], 1);
-        assert_eq!(m[1][0], 1);
-        assert_eq!(m[0][1], 0);
     }
 }

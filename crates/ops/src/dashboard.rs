@@ -125,8 +125,7 @@ function render(s) {
     ["backoffs", s.server.backoffs]]);
   rows("t_ps", [
     ["shards", s.ps.shard_versions.length],
-    ["fetches", s.ps.fetches], ["pushes", s.ps.pushes],
-    ["cache hits", s.ps.cache_hits],
+    ["fetches", s.ps.fetches], ["cache hits", s.ps.cache_hits],
     ["bytes rx", s.ps.bytes_rx], ["bytes tx", s.ps.bytes_tx],
     ["bytes saved", s.ps.bytes_saved],
     ["compression", (s.ps.compression_ratio || 1).toFixed(2) + "x"]]);

@@ -78,8 +78,6 @@ pub struct PsStatus {
     pub shards_sent: u64,
     /// Shards skipped because the worker's cache was current.
     pub cache_hits: u64,
-    /// Update pushes received.
-    pub pushes: u64,
     /// Payload bytes received.
     pub bytes_rx: u64,
     /// Payload bytes sent.

@@ -31,19 +31,6 @@ pub fn clip_slices_by_global_norm(
     norm
 }
 
-/// Replaces non-finite gradient entries with zero, returning how many were
-/// scrubbed. A last-resort guard used by failure-injection tests.
-pub fn scrub_non_finite(grads: &mut [f32]) -> usize {
-    let mut n = 0;
-    for g in grads.iter_mut() {
-        if !g.is_finite() {
-            *g = 0.0;
-            n += 1;
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,15 +58,10 @@ mod tests {
         let mut g = vec![1.0, f32::NAN];
         let norm = clip_by_global_norm(&mut g, 1.0);
         assert!(norm.is_nan());
-        assert_eq!(scrub_non_finite(&mut g), 1);
-        assert_eq!(g[1], 0.0);
-    }
-
-    #[test]
-    fn scrub_counts_all_kinds() {
-        let mut g = vec![f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1.0];
-        assert_eq!(scrub_non_finite(&mut g), 3);
-        assert_eq!(g, vec![0.0, 0.0, 0.0, 1.0]);
+        // Nothing is rescaled or zeroed: the NaN reaches the replica, and
+        // the server-side validator rejects the upload.
+        assert_eq!(g[0], 1.0);
+        assert!(g[1].is_nan());
     }
 
     #[test]

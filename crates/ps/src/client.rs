@@ -1,4 +1,6 @@
-//! Worker-side access to the parameter service.
+//! Worker-side access to the parameter service — read-only: a worker
+//! fetches the model here and hands its trained replica to the scheduler,
+//! which validates it before the assimilator sees it.
 //!
 //! [`ShardCache`] is the sticky per-worker cache: it remembers which shard
 //! versions it holds and asks the service only for shards whose manifest
@@ -9,23 +11,16 @@
 //! Transports implement [`PsClient`]. [`MemClient`] runs requests through
 //! the full wire codec against an in-process [`PsService`] — the frames are
 //! byte-identical to what a socket would carry, so deterministic sweeps
-//! exercise the real protocol. [`DelayedMemClient`] additionally reorders
-//! response frames through a [`DelayQueue`], proving shard application is
-//! order-independent.
+//! exercise the real protocol.
 
-use crate::codec::{encode_delta, Codec};
-use crate::queue::DelayQueue;
+use crate::codec::Codec;
 use crate::service::PsService;
 use crate::wire::{
-    decode_all, err_code, DeltaPayload, FetchReq, FetchSummary, Frame, FrameKind, PushAck,
-    WireError,
+    decode_all, err_code, DeltaPayload, FetchReq, FetchSummary, Frame, FrameKind, WireError,
 };
-use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use vc_kvstore::ShardLayout;
-use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
+use vc_tensor::codec::decode_f32s_into_slice;
 
 /// Why a parameter-service request failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,9 +34,6 @@ pub enum PsError {
     /// The service does not speak the requested codec (structured error
     /// code [`err_code::UNSUPPORTED_CODEC`]); callers fall back to `Raw`.
     UnsupportedCodec(String),
-    /// The service no longer holds the delta's base snapshot (structured
-    /// error code [`err_code::UNKNOWN_BASE`]); callers resend in full.
-    UnknownBase(String),
     /// The response did not cover everything the request asked for.
     ShortResponse(&'static str),
 }
@@ -53,7 +45,6 @@ impl std::fmt::Display for PsError {
             PsError::Transport(e) => write!(f, "transport: {e}"),
             PsError::Server(e) => write!(f, "server: {e}"),
             PsError::UnsupportedCodec(e) => write!(f, "unsupported codec: {e}"),
-            PsError::UnknownBase(e) => write!(f, "unknown delta base: {e}"),
             PsError::ShortResponse(what) => write!(f, "short response: {what}"),
         }
     }
@@ -65,7 +56,6 @@ fn server_error(f: &Frame) -> PsError {
     let msg = String::from_utf8_lossy(&f.payload).into_owned();
     match f.version {
         err_code::UNSUPPORTED_CODEC => PsError::UnsupportedCodec(msg),
-        err_code::UNKNOWN_BASE => PsError::UnknownBase(msg),
         _ => PsError::Server(msg),
     }
 }
@@ -82,7 +72,8 @@ impl From<WireError> for PsError {
 /// transport reads them.
 pub type FetchSink<'a> = dyn FnMut(Frame) + 'a;
 
-/// A transport to the parameter service.
+/// A transport to the parameter service. Fetch is the whole protocol:
+/// nothing a worker sends can change the store.
 pub trait PsClient: Send {
     /// Fetches the listed `(shard_id, cached_version)` pairs from the
     /// `epoch` snapshot, advertising which `codec` the caller can decode
@@ -96,20 +87,6 @@ pub trait PsClient: Send {
         codec: Codec,
         sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError>;
-
-    /// Pushes one trained client shard for merging, at full precision.
-    fn push(&mut self, shard_id: u32, epoch: u64, values: &[f32]) -> Result<PushAck, PsError>;
-
-    /// Pushes one shard's update as a quantized delta blob against the
-    /// `base_epoch` snapshot the caller fetched.
-    fn push_delta(
-        &mut self,
-        shard_id: u32,
-        epoch: u64,
-        base_epoch: u64,
-        codec: Codec,
-        blob: &[u8],
-    ) -> Result<PushAck, PsError>;
 }
 
 /// Routes one frame of a fetch response: `Some(result)` ends the
@@ -130,32 +107,6 @@ pub(crate) fn route_fetch_frame(
     }
 }
 
-/// Reads a push's single response frame.
-pub(crate) fn push_response(f: Frame) -> Result<PushAck, PsError> {
-    match f.kind {
-        FrameKind::PushAck => Ok(PushAck::from_frame(&f)?),
-        FrameKind::Error => Err(server_error(&f)),
-        _ => Err(PsError::ShortResponse("missing PushAck")),
-    }
-}
-
-/// Builds the [`FrameKind::PushDelta`] request frame shared by every
-/// transport.
-pub(crate) fn push_delta_frame(
-    shard_id: u32,
-    epoch: u64,
-    base_epoch: u64,
-    codec: Codec,
-    blob: &[u8],
-) -> Frame {
-    DeltaPayload {
-        base: base_epoch,
-        codec,
-        blob: Bytes::copy_from_slice(blob),
-    }
-    .to_frame(FrameKind::PushDelta, shard_id, epoch)
-}
-
 /// In-process transport: requests round-trip through the byte-level wire
 /// codec against a shared [`PsService`]. Synchronous and deterministic.
 pub struct MemClient {
@@ -173,54 +124,6 @@ impl MemClient {
             resp_bytes: Vec::new(),
         }
     }
-
-    fn roundtrip(&mut self, req: &Frame) -> Result<Vec<Frame>, PsError> {
-        self.req_bytes.clear();
-        req.encode_into(&mut self.req_bytes);
-        self.resp_bytes.clear();
-        self.service
-            .handle_bytes(&self.req_bytes, &mut self.resp_bytes)?;
-        let mut frames = Vec::new();
-        decode_all(&self.resp_bytes, &mut frames)?;
-        Ok(frames)
-    }
-
-    fn push_roundtrip(&mut self, req: &Frame) -> Result<PushAck, PsError> {
-        let first = self.roundtrip(req)?.into_iter().next();
-        first.map_or(
-            Err(PsError::ShortResponse("missing PushAck")),
-            push_response,
-        )
-    }
-}
-
-/// Feeds an already-decoded fetch response through [`route_fetch_frame`].
-fn route_fetch_response(
-    frames: Vec<Frame>,
-    sink: &mut FetchSink<'_>,
-) -> Result<FetchSummary, PsError> {
-    frames
-        .into_iter()
-        .find_map(|f| route_fetch_frame(f, sink))
-        .unwrap_or(Err(PsError::ShortResponse("missing FetchDone")))
-}
-
-fn fetch_req(epoch: u64, wants: &[(u32, u64)], codec: Codec) -> Frame {
-    FetchReq {
-        epoch,
-        wants: wants.to_vec(),
-        codec,
-    }
-    .to_frame()
-}
-
-pub(crate) fn push_frame(shard_id: u32, epoch: u64, values: &[f32]) -> Frame {
-    Frame {
-        kind: FrameKind::Push,
-        shard_id,
-        version: epoch,
-        payload: encode_f32s(values),
-    }
 }
 
 impl PsClient for MemClient {
@@ -231,98 +134,30 @@ impl PsClient for MemClient {
         codec: Codec,
         sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError> {
-        let frames = self.roundtrip(&fetch_req(epoch, wants, codec))?;
-        route_fetch_response(frames, sink)
-    }
-
-    fn push(&mut self, shard_id: u32, epoch: u64, values: &[f32]) -> Result<PushAck, PsError> {
-        self.push_roundtrip(&push_frame(shard_id, epoch, values))
-    }
-
-    fn push_delta(
-        &mut self,
-        shard_id: u32,
-        epoch: u64,
-        base_epoch: u64,
-        codec: Codec,
-        blob: &[u8],
-    ) -> Result<PushAck, PsError> {
-        self.push_roundtrip(&push_delta_frame(shard_id, epoch, base_epoch, codec, blob))
-    }
-}
-
-/// [`MemClient`] with a reordering stage: response frames are stamped with
-/// deterministic pseudo-random delivery ticks and released through a
-/// [`DelayQueue`], so shard frames arrive out of order — the single-thread
-/// stand-in for a congested socket.
-pub struct DelayedMemClient {
-    inner: MemClient,
-    rng: StdRng,
-}
-
-impl DelayedMemClient {
-    /// A reordering client with its own deterministic seed.
-    pub fn new(service: Arc<PsService>, seed: u64) -> Self {
-        DelayedMemClient {
-            inner: MemClient::new(service),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    fn reorder(&mut self, frames: Vec<Frame>) -> Vec<Frame> {
-        let mut queue: DelayQueue<u64, Frame> = DelayQueue::new();
-        let horizon = (frames.len() as u64).max(1) * 4;
-        for f in frames {
-            let tick = self.rng.gen_range(0..horizon);
-            queue.push(tick, f);
-        }
-        let mut out = Vec::with_capacity(queue.len());
-        while let Some(f) = queue.pop_due(horizon) {
-            out.push(f);
-        }
-        out
-    }
-}
-
-impl PsClient for DelayedMemClient {
-    fn fetch(
-        &mut self,
-        epoch: u64,
-        wants: &[(u32, u64)],
-        codec: Codec,
-        sink: &mut FetchSink<'_>,
-    ) -> Result<FetchSummary, PsError> {
-        let frames = self.inner.roundtrip(&fetch_req(epoch, wants, codec))?;
-        let mut frames = self.reorder(frames);
-        // A stream cannot deliver the terminator ahead of the frames it
-        // terminates: shards stay reordered, `FetchDone` goes last.
-        frames.sort_by_key(|f| f.kind == FrameKind::FetchDone);
-        route_fetch_response(frames, sink)
-    }
-
-    fn push(&mut self, shard_id: u32, epoch: u64, values: &[f32]) -> Result<PushAck, PsError> {
-        self.inner.push(shard_id, epoch, values)
-    }
-
-    fn push_delta(
-        &mut self,
-        shard_id: u32,
-        epoch: u64,
-        base_epoch: u64,
-        codec: Codec,
-        blob: &[u8],
-    ) -> Result<PushAck, PsError> {
-        self.inner
-            .push_delta(shard_id, epoch, base_epoch, codec, blob)
+        let req = FetchReq {
+            epoch,
+            wants: wants.to_vec(),
+            codec,
+        };
+        self.req_bytes.clear();
+        req.to_frame().encode_into(&mut self.req_bytes);
+        self.resp_bytes.clear();
+        self.service
+            .handle_bytes(&self.req_bytes, &mut self.resp_bytes)?;
+        let mut frames = Vec::new();
+        decode_all(&self.resp_bytes, &mut frames)?;
+        frames
+            .into_iter()
+            .find_map(|f| route_fetch_frame(f, sink))
+            .unwrap_or(Err(PsError::ShortResponse("missing FetchDone")))
     }
 }
 
 /// A worker's sticky shard cache: versions held, assembled parameters, and
 /// reused buffers for the refresh path. With a lossy codec attached the
 /// cache also negotiates delta transfer — fetches apply quantized deltas
-/// on top of the tracked state, pushes ship quantized update deltas with
-/// per-shard error-feedback residuals — and falls back to `Raw`
-/// permanently if the service does not speak the codec.
+/// on top of the tracked state — and falls back to `Raw` permanently if
+/// the service does not speak the codec.
 pub struct ShardCache {
     layout: ShardLayout,
     versions: Vec<u64>,
@@ -331,14 +166,6 @@ pub struct ShardCache {
     /// Decoded shard-delta scratch (stays empty under `Raw`).
     scratch: Vec<f32>,
     codec: Codec,
-    /// Epoch of the last successful sync — the base pushes delta against.
-    last_epoch: u64,
-    /// Per-shard error-feedback residuals for the push path (allocated
-    /// lazily on the first lossy push).
-    push_residuals: Vec<Vec<f32>>,
-    x_scratch: Vec<f32>,
-    y_scratch: Vec<f32>,
-    blob_scratch: Vec<u8>,
 }
 
 impl ShardCache {
@@ -354,15 +181,10 @@ impl ShardCache {
             wants: Vec::with_capacity(shards),
             scratch: Vec::new(),
             codec: Codec::Raw,
-            last_epoch: 0,
-            push_residuals: Vec::new(),
-            x_scratch: Vec::new(),
-            y_scratch: Vec::new(),
-            blob_scratch: Vec::new(),
         }
     }
 
-    /// Selects the codec this cache requests and pushes under.
+    /// Selects the codec this cache requests shard deltas in.
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
         self
@@ -399,7 +221,6 @@ impl ShardCache {
     ) -> Result<&[f32], PsError> {
         assert_eq!(manifest.len(), self.layout.shards(), "manifest length");
         if self.versions == manifest {
-            self.last_epoch = epoch;
             return Ok(&self.full);
         }
         self.wants.clear();
@@ -466,68 +287,7 @@ impl ShardCache {
                 return Err(PsError::ShortResponse("wanted shard not delivered"));
             }
         }
-        self.last_epoch = epoch;
         Ok(&self.full)
-    }
-
-    /// Pushes one trained shard, quantized and delta-encoded against the
-    /// snapshot this cache last synced when a lossy codec is active.
-    /// Structured server errors degrade gracefully: an unknown base
-    /// resends this update at full precision, an unsupported codec
-    /// downgrades the cache to `Raw` for good. Under `Raw` this is exactly
-    /// the legacy full-precision push.
-    pub fn push_update(
-        &mut self,
-        client: &mut dyn PsClient,
-        shard_id: u32,
-        epoch: u64,
-        values: &[f32],
-    ) -> Result<PushAck, PsError> {
-        let i = shard_id as usize;
-        assert!(i < self.layout.shards(), "shard id out of range");
-        let range = self.layout.range(i);
-        assert_eq!(values.len(), range.len(), "push length");
-        if self.codec == Codec::Raw {
-            return client.push(shard_id, epoch, values);
-        }
-        if self.push_residuals.len() != self.layout.shards() {
-            self.push_residuals
-                .resize_with(self.layout.shards(), Vec::new);
-        }
-        let base = &self.full[range];
-        let mut x = std::mem::take(&mut self.x_scratch);
-        let mut y = std::mem::take(&mut self.y_scratch);
-        let mut blob = std::mem::take(&mut self.blob_scratch);
-        let enc = encode_delta(
-            self.codec,
-            values,
-            base,
-            &mut self.push_residuals[i],
-            &mut x,
-            &mut blob,
-            &mut y,
-        );
-        debug_assert!(enc.is_ok(), "own encoding always decodes");
-        let result = client.push_delta(shard_id, epoch, self.last_epoch, self.codec, &blob);
-        self.x_scratch = x;
-        self.y_scratch = y;
-        self.blob_scratch = blob;
-        match result {
-            Ok(ack) => Ok(ack),
-            Err(PsError::UnknownBase(_)) => {
-                // The base snapshot was retired server-side: nothing of
-                // this update arrived, so drop the residual bookkeeping
-                // and send the exact values instead.
-                self.push_residuals[i].clear();
-                client.push(shard_id, epoch, values)
-            }
-            Err(PsError::UnsupportedCodec(_)) => {
-                self.codec = Codec::Raw;
-                self.push_residuals[i].clear();
-                client.push(shard_id, epoch, values)
-            }
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -535,8 +295,43 @@ impl ShardCache {
 mod tests {
     use super::*;
     use crate::merge::ShardedAssimilator;
+    use crate::queue::DelayQueue;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vc_asgd::AlphaSchedule;
     use vc_kvstore::{Consistency, VersionedStore};
+
+    /// [`MemClient`] with a reordering stage: shard frames are stamped with
+    /// deterministic pseudo-random delivery ticks and released through a
+    /// [`DelayQueue`], so they arrive out of order — the single-thread
+    /// stand-in for a congested socket. A stream cannot deliver the
+    /// terminator ahead of the frames it terminates, so `FetchDone` (the
+    /// returned summary) still comes last.
+    struct ReorderingClient {
+        inner: MemClient,
+        rng: StdRng,
+    }
+
+    impl PsClient for ReorderingClient {
+        fn fetch(
+            &mut self,
+            epoch: u64,
+            wants: &[(u32, u64)],
+            codec: Codec,
+            sink: &mut FetchSink<'_>,
+        ) -> Result<FetchSummary, PsError> {
+            let mut queue: DelayQueue<u64, Frame> = DelayQueue::new();
+            let horizon = (wants.len() as u64).max(1) * 4;
+            let rng = &mut self.rng;
+            let summary = self.inner.fetch(epoch, wants, codec, &mut |f| {
+                queue.push(rng.gen_range(0..horizon), f);
+            })?;
+            while let Some(f) = queue.pop_due(horizon) {
+                sink(f);
+            }
+            Ok(summary)
+        }
+    }
 
     fn setup(n: usize, p: usize) -> (Arc<PsService>, Vec<f32>, Vec<u64>) {
         let assim = Arc::new(ShardedAssimilator::new(
@@ -601,7 +396,10 @@ mod tests {
         let mut direct = MemClient::new(svc.clone());
         let mut c1 = ShardCache::new(*svc.assimilator().layout());
         let a = c1.sync(1, &manifest, &mut direct).unwrap().to_vec();
-        let mut reordering = DelayedMemClient::new(svc.clone(), 0xDEAD);
+        let mut reordering = ReorderingClient {
+            inner: MemClient::new(svc.clone()),
+            rng: StdRng::seed_from_u64(0xDEAD),
+        };
         let mut c2 = ShardCache::new(*svc.assimilator().layout());
         let b = c2.sync(1, &manifest, &mut reordering).unwrap().to_vec();
         assert_eq!(a, want);
@@ -616,15 +414,5 @@ mod tests {
         let mut cache = ShardCache::new(*svc.assimilator().layout());
         let err = cache.sync(42, &manifest, &mut client).unwrap_err();
         assert!(matches!(err, PsError::Server(_)), "{err:?}");
-    }
-
-    #[test]
-    fn push_through_mem_client_merges() {
-        let (svc, _, _) = setup(10, 2);
-        let mut client = MemClient::new(svc.clone());
-        let n0 = svc.assimilator().layout().len(0);
-        let ack = client.push(0, 1, &vec![8.0; n0]).unwrap();
-        assert_eq!(ack.new_version, 2);
-        assert_eq!(svc.ops().pushes, 1);
     }
 }

@@ -31,6 +31,14 @@
 //! accumulated updates — compression error stays bounded instead of
 //! compounding (Stich et al.; the DeDLOC averaging argument).
 //!
+//! The two directions differ. The service's publish path needs no explicit
+//! residual: its reference only advances by what was transmitted, so the
+//! lag *is* the feedback. A worker's upload does — its base re-syncs every
+//! round — and [`apply_update_roundtrip`] is that shaping: the residual
+//! lives with the worker, the upload is priced at [`Codec::blob_len`], and
+//! the shaped replica goes to the scheduler. Nothing is pushed to the
+//! parameter service.
+//!
 //! Every decode path here is hostile-input-safe: truncated, oversized,
 //! bit-flipped or internally inconsistent blobs return an error, never
 //! panic, never over-allocate beyond the declared element count already
@@ -339,52 +347,6 @@ impl Codec {
     }
 }
 
-/// Encode the update `new − base` (plus the error-feedback residual when
-/// the codec carries one) and report what the receiver will reconstruct.
-///
-/// On return: `blob` holds the wire bytes, `y` holds the decoded
-/// (quantized) update the receiver will add to its copy of `base`, and
-/// `residual` — when error feedback is on — holds the quantization error
-/// to fold into the next update. The caller advances its own reference by
-/// the *same* `y` so both sides stay bit-identical.
-///
-/// `residual` must be empty (treated as all-zero) or exactly `new.len()`.
-pub fn encode_delta(
-    codec: Codec,
-    new: &[f32],
-    base: &[f32],
-    residual: &mut Vec<f32>,
-    x: &mut Vec<f32>,
-    blob: &mut Vec<u8>,
-    y: &mut Vec<f32>,
-) -> Result<(), &'static str> {
-    assert_eq!(new.len(), base.len());
-    let n = new.len();
-    let ef = codec.error_feedback();
-    if ef && residual.len() != n {
-        residual.clear();
-        residual.resize(n, 0.0);
-    }
-    x.clear();
-    x.resize(n, 0.0);
-    for i in 0..n {
-        x[i] = new[i] - base[i];
-    }
-    if ef {
-        for i in 0..n {
-            x[i] += residual[i];
-        }
-    }
-    codec.encode_update(x, blob);
-    codec.decode_update_into(blob, n, y)?;
-    if ef {
-        for i in 0..n {
-            residual[i] = x[i] - y[i];
-        }
-    }
-    Ok(())
-}
-
 /// Worker-side upload shaping: replace `params` with what the server will
 /// reconstruct after this worker's update crosses a lossy wire.
 ///
@@ -394,9 +356,11 @@ pub fn encode_delta(
 /// equals `base + decode(encode(update))` — exactly the value the server
 /// will merge — and the residual carries the quantization error forward.
 ///
-/// Bit-identical to [`encode_delta`] followed by `params = base + y`, but
-/// no blob is materialized: nothing reads it (uploads are charged
-/// [`Codec::blob_len`]), and an element's decode depends only on its own
+/// Bit-identical to [`Codec::encode_update`] → [`Codec::decode_update_into`]
+/// → `params = base + y` (the `encode_delta` oracle in
+/// `tests/codec_props.rs`), but no blob is materialized: nothing reads it
+/// (uploads are charged [`Codec::blob_len`], nothing is pushed over the
+/// wire), and an element's decode depends only on its own
 /// quantized code and the shard-wide scale. `Int8` therefore takes two
 /// passes over the caller's own vectors — the scale of
 /// `x = params − base + residual`, then the same `x` recomputed, quantized
@@ -417,8 +381,8 @@ pub fn apply_update_roundtrip(
         residual.clear();
         residual.resize(n, 0.0);
     }
-    // Every arm forms `x` as `encode_delta` does: the difference first,
-    // then the residual.
+    // Every arm forms `x` as the oracle does: the difference first, then
+    // the residual.
     match codec {
         Codec::Raw => {}
         Codec::Fp16 => {
@@ -609,12 +573,12 @@ mod tests {
         assert!(out.is_empty(), "failed decode leaves out empty");
     }
 
-    /// Simulates the push stream: each round the sender's base is
-    /// re-synced to the receiver's state (as `ShardCache::sync` does), so
-    /// any mass TopK drops would be lost forever without an explicit
+    /// Simulates a worker's upload stream: each round the sender's base
+    /// is re-synced to the receiver's state (as `ShardCache::sync` does),
+    /// so any mass TopK drops would be lost forever without an explicit
     /// residual. With EF the dropped mass rides along until it crosses
     /// the top-k threshold and ships.
-    fn run_push_stream(ef: bool) -> (f32, f32, f32) {
+    fn run_upload_stream(ef: bool) -> (f32, f32, f32) {
         let n = 32;
         let codec = Codec::TopK {
             k: 4,
@@ -624,17 +588,14 @@ mod tests {
         let mut sum_u = vec![0.0f32; n]; // total true update mass
         let mut new = vec![0.0f32; n];
         let mut residual = Vec::new();
-        let (mut x, mut blob, mut y) = (Vec::new(), Vec::new(), Vec::new());
         for step in 0..200 {
             for i in 0..n {
                 let u = 0.01 * ((i + 1) as f32) * if step % 2 == 0 { 1.0 } else { 0.9 };
                 sum_u[i] += u;
                 new[i] = acc[i] + u;
             }
-            encode_delta(codec, &new, &acc, &mut residual, &mut x, &mut blob, &mut y).unwrap();
-            for (a, &d) in acc.iter_mut().zip(&y) {
-                *a += d;
-            }
+            apply_update_roundtrip(codec, &acc, &mut new, &mut residual);
+            acc.copy_from_slice(&new);
         }
         let err: f32 = sum_u.iter().zip(&acc).map(|(a, b)| (a - b).abs()).sum();
         let mass: f32 = sum_u.iter().map(|t| t.abs()).sum();
@@ -644,7 +605,7 @@ mod tests {
 
     #[test]
     fn error_feedback_transmits_dropped_mass_eventually() {
-        let (err, mass, rnorm) = run_push_stream(true);
+        let (err, mass, rnorm) = run_upload_stream(true);
         assert!(
             err < mass * 0.10,
             "EF receiver should track total update mass: err {err} vs mass {mass}"
@@ -652,7 +613,7 @@ mod tests {
         // The residual itself stays bounded (no blow-up).
         assert!(rnorm.is_finite() && rnorm < mass, "residual norm bounded");
         // Without EF, mass below the top-k threshold is dropped forever.
-        let (err_no_ef, _, _) = run_push_stream(false);
+        let (err_no_ef, _, _) = run_upload_stream(false);
         assert!(
             err_no_ef > mass * 0.3,
             "without EF most sub-threshold mass is lost: err {err_no_ef} vs mass {mass}"

@@ -20,6 +20,12 @@
 //! contention — concurrent mergers pipeline through shards instead of
 //! serializing on one row — and wire traffic: workers cache shards by
 //! version ([`ShardCache`]) and fetch only what moved.
+//!
+//! There is one way into the model. The wire protocol is fetch-only — a
+//! worker can read the published snapshots and nothing else — and a
+//! trained replica reaches the store as in the paper (§III-A): uploaded to
+//! the scheduler, validated, then blended by the assimilator through
+//! [`ShardedAssimilator::begin`] / [`ShardedAssimilator::finish`].
 
 pub mod client;
 pub mod codec;
@@ -29,7 +35,7 @@ pub mod service;
 pub mod tcp;
 pub mod wire;
 
-pub use client::{DelayedMemClient, FetchSink, MemClient, PsClient, PsError, ShardCache};
+pub use client::{FetchSink, MemClient, PsClient, PsError, ShardCache};
 pub use codec::Codec;
 pub use merge::{
     shard_key, ShardSnapshot, ShardedAssimilator, PARAMS_KEY, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS,
@@ -38,6 +44,6 @@ pub use queue::DelayQueue;
 pub use service::{CodecOps, PsOps, PsService};
 pub use tcp::{ShardGroups, TcpClient, TcpPsServer};
 pub use wire::{
-    crc32, error_frame, Crc32, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError, PushAck,
+    crc32, error_frame, Crc32, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError,
     SealedFrame, WireError, HEADER_LEN, MAX_PAYLOAD,
 };

@@ -15,12 +15,11 @@
 //! [`ShardedAssimilator::begin`] when an assimilation starts and
 //! [`ShardedAssimilator::finish`] when it ends, and never name a mode.
 
-use crate::wire::PushAck;
 use std::sync::Arc;
 use vc_asgd::alpha::{blend_eq1, AlphaSchedule};
-use vc_kvstore::{Consistency, ShardLayout, VersionedStore};
+use vc_kvstore::{Consistency, ShardLayout, VersionedStore, WriteOutcome};
 use vc_telemetry::{Histogram, Telemetry};
-use vc_tensor::codec::{decode_f32s, decode_f32s_into_slice, encode_f32s};
+use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
 
 /// Histogram: wall (or virtual) seconds per single-shard merge.
 pub const PS_MERGE_S: &str = "ps_merge_s";
@@ -223,16 +222,13 @@ impl ShardedAssimilator {
             versions,
         } = snapshot;
         for (i, range) in self.layout.iter() {
-            let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
             let part = &mut full[range.clone()];
-            blend_eq1(part, &client[range], alpha);
-            let out = self
-                .store
-                .put_versioned(&self.keys[i], versions[i], encode_f32s(part));
-            clobbered += out.clobbered;
-            if let (Some(ins), Some(t0)) = (&self.instruments, t0) {
-                ins.merge_s.observe(ins.tel.now_s() - t0);
-            }
+            clobbered += self.timed(|| {
+                blend_eq1(part, &client[range], alpha);
+                self.store
+                    .put_versioned(&self.keys[i], versions[i], encode_f32s(part))
+                    .clobbered
+            });
         }
         (full, clobbered)
     }
@@ -247,58 +243,54 @@ impl ShardedAssimilator {
         let alpha = self.schedule.alpha(epoch);
         let mut full = vec![0.0; self.layout.param_count()];
         for (i, range) in self.layout.iter() {
-            let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-            let part = &mut full[range.clone()];
-            self.store.transact(&self.keys[i], |blob, _v| {
-                decode_f32s_into_slice(blob, part).expect("store holds a valid shard blob");
-                blend_eq1(part, &client[range], alpha);
-                (encode_f32s(part), ())
-            });
-            if let (Some(ins), Some(t0)) = (&self.instruments, t0) {
-                ins.merge_s.observe(ins.tel.now_s() - t0);
-            }
+            self.timed(|| self.transact_shard(i, &client[range.clone()], alpha, &mut full[range]));
         }
         full
     }
 
-    /// Merges a single client shard, independent of the others — the live
-    /// path behind a wire [`crate::wire::FrameKind::Push`]. Uses the
-    /// configured consistency mode for just that shard.
-    pub fn merge_shard(&self, shard_id: usize, client_part: &[f32], epoch: usize) -> PushAck {
+    /// Merges a single client shard, independent of the others, under the
+    /// configured consistency mode for just that shard. Returns the
+    /// store's write outcome (strong mode never clobbers).
+    pub fn merge_shard(&self, shard_id: usize, client_part: &[f32], epoch: usize) -> WriteOutcome {
         assert_eq!(client_part.len(), self.layout.len(shard_id), "shard length");
         let alpha = self.schedule.alpha(epoch);
-        let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-        let ack = match self.mode {
-            Consistency::Strong => {
-                let (new_version, _) = self.store.transact(&self.keys[shard_id], |blob, _v| {
-                    let mut part = decode_f32s(blob).expect("store holds a valid shard blob");
-                    blend_eq1(&mut part, client_part, alpha);
-                    (encode_f32s(&part), ())
-                });
-                PushAck {
-                    new_version,
-                    clobbered: 0,
-                }
-            }
+        let mut part = vec![0.0; client_part.len()];
+        self.timed(|| match self.mode {
+            Consistency::Strong => WriteOutcome {
+                new_version: self.transact_shard(shard_id, client_part, alpha, &mut part),
+                clobbered: 0,
+            },
             Consistency::Eventual => {
                 let (blob, read_version) = self.store.get(&self.keys[shard_id]);
-                let mut part = decode_f32s(&blob).expect("store holds a valid shard blob");
+                decode_f32s_into_slice(&blob, &mut part).expect("store holds a valid shard blob");
                 blend_eq1(&mut part, client_part, alpha);
-                let out = self.store.put_versioned(
-                    &self.keys[shard_id],
-                    read_version,
-                    encode_f32s(&part),
-                );
-                PushAck {
-                    new_version: out.new_version,
-                    clobbered: out.clobbered,
-                }
+                self.store
+                    .put_versioned(&self.keys[shard_id], read_version, encode_f32s(&part))
             }
+        })
+    }
+
+    /// The strong-mode transaction on shard `i`: reads the stored blob into
+    /// `part`, blends `client_part` in, writes it back. Returns the shard's
+    /// new version.
+    fn transact_shard(&self, i: usize, client_part: &[f32], alpha: f32, part: &mut [f32]) -> u64 {
+        let (new_version, ()) = self.store.transact(&self.keys[i], |blob, _v| {
+            decode_f32s_into_slice(blob, part).expect("store holds a valid shard blob");
+            blend_eq1(part, client_part, alpha);
+            (encode_f32s(part), ())
+        });
+        new_version
+    }
+
+    /// Runs one shard's merge, observing its duration in [`PS_MERGE_S`].
+    fn timed<T>(&self, merge: impl FnOnce() -> T) -> T {
+        let Some(ins) = &self.instruments else {
+            return merge();
         };
-        if let (Some(ins), Some(t0)) = (&self.instruments, t0) {
-            ins.merge_s.observe(ins.tel.now_s() - t0);
-        }
-        ack
+        let t0 = ins.tel.now_s();
+        let out = merge();
+        ins.merge_s.observe(ins.tel.now_s() - t0);
+        out
     }
 
     /// Lost updates recorded so far by the shared store.

@@ -10,14 +10,18 @@
 //! coordinator publishes the assembled parameter vector with its per-shard
 //! version manifest, and workers fetch against that epoch. A worker that
 //! already caches a shard at the manifest version gets it skipped — the
-//! partial-fetch path that makes sharding pay off on the wire. Pushes go
-//! straight to the live per-shard merge.
+//! partial-fetch path that makes sharding pay off on the wire.
+//!
+//! The service is read-only to workers: `Fetch` is the one request it
+//! answers. A trained replica reaches the store through the scheduler's
+//! validator and the assimilator ([`ShardedAssimilator::begin`] /
+//! [`ShardedAssimilator::finish`]), never over this protocol.
 
 use crate::codec::Codec;
 use crate::merge::ShardedAssimilator;
 use crate::wire::{
     decode_all, err_code, error_frame, error_frame_code, DeltaPayload, FetchReq, FetchSummary,
-    Frame, FrameKind, SealedFrame, WireError, HEADER_LEN,
+    Frame, FrameKind, SealedFrame, WireError,
 };
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -26,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vc_telemetry::metrics::{Counter, Histogram};
 use vc_telemetry::Telemetry;
-use vc_tensor::codec::{decode_f32s, decode_f32s_into_slice, encode_f32s, encoded_len};
+use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
 use vc_tensor::Workspace;
 
 /// Counter names for the service's wire accounting.
@@ -34,12 +38,10 @@ pub const PS_BYTES_RX: &str = "ps_bytes_rx";
 /// Counter: response bytes the service produced.
 pub const PS_BYTES_TX: &str = "ps_bytes_tx";
 /// Counter: bytes the codec layer kept off the wire (full-blob size minus
-/// the delta frame actually sent, fetch and push sides combined).
+/// the delta frame actually sent).
 pub const PS_BYTES_SAVED: &str = "ps_bytes_saved";
 /// Histogram: seconds spent quantizing updates at snapshot publish.
 pub const PS_ENCODE_S: &str = "ps_encode_s";
-/// Histogram: seconds spent decoding pushed update deltas.
-pub const PS_DECODE_S: &str = "ps_decode_s";
 
 /// One epoch's published parameters, pre-framed per shard: each blob is
 /// encoded and checksummed once here, and every fetch that ships it clones
@@ -82,9 +84,9 @@ fn shard_frame(i: usize, version: u64, values: &[f32]) -> SealedFrame {
 /// by what was actually transmitted — so any mass a lossy codec drops is
 /// still present in the *next* delta automatically. Adding an explicit
 /// residual on top would count that mass twice per round and diverge.
-/// Explicit residuals belong to the push stream (see
-/// [`crate::codec::encode_delta`]), where the base is re-synced each
-/// round and dropped mass would otherwise be lost.
+/// Explicit residuals belong to the worker's upload shaping (see
+/// [`crate::codec::apply_update_roundtrip`]), where the base is re-synced
+/// each round and dropped mass would otherwise be lost.
 #[derive(Default)]
 struct CodecState {
     reference: Vec<f32>,
@@ -98,7 +100,6 @@ struct PsInstruments {
     tel: Telemetry,
     bytes_saved: Arc<Counter>,
     encode_s: Arc<Histogram>,
-    decode_s: Arc<Histogram>,
 }
 
 /// Monotonic counters describing the service's traffic. All counts are
@@ -112,7 +113,9 @@ pub struct PsOps {
     pub shards_sent: u64,
     /// Shards skipped because the worker's cache was current.
     pub cache_hits: u64,
-    /// Push merges performed.
+    /// Always 0: the service merges nothing (workers cannot write to
+    /// it). The field stays because `RuntimeReport` serialises `PsOps`
+    /// and the golden report hashes pin those bytes.
     pub pushes: u64,
     /// Request bytes received (frame-encoded size).
     pub bytes_rx: u64,
@@ -132,8 +135,6 @@ pub struct CodecOps {
     pub bytes_saved: u64,
     /// Shard fetches answered with a quantized delta instead of the blob.
     pub deltas_sent: u64,
-    /// Pushes that arrived as quantized deltas.
-    pub delta_pushes: u64,
 }
 
 #[derive(Default)]
@@ -141,12 +142,10 @@ struct Metrics {
     fetches: AtomicU64,
     shards_sent: AtomicU64,
     cache_hits: AtomicU64,
-    pushes: AtomicU64,
     bytes_rx: AtomicU64,
     bytes_tx: AtomicU64,
     bytes_saved: AtomicU64,
     deltas_sent: AtomicU64,
-    delta_pushes: AtomicU64,
 }
 
 /// The sharded parameter service.
@@ -193,14 +192,13 @@ impl PsService {
     }
 
     /// Attaches codec telemetry: the `ps_bytes_saved` counter and the
-    /// encode/decode duration histograms.
+    /// publish-time encode duration histogram.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         let reg = tel.registry();
         self.instruments = Some(PsInstruments {
             tel: tel.clone(),
             bytes_saved: reg.counter(PS_BYTES_SAVED),
             encode_s: reg.histogram(PS_ENCODE_S),
-            decode_s: reg.histogram(PS_DECODE_S),
         });
         self
     }
@@ -297,11 +295,7 @@ impl PsService {
                     codec: self.codec,
                     blob: Bytes::copy_from_slice(&st.blob_scratch),
                 };
-                deltas.push(Some(
-                    delta
-                        .to_frame(FrameKind::ShardDelta, i as u32, manifest[i])
-                        .into(),
-                ));
+                deltas.push(Some(delta.to_frame(i as u32, manifest[i]).into()));
                 base_manifest[i] = st.prev_manifest[i];
                 st.ws.recycle(x);
                 st.ws.recycle(y);
@@ -349,7 +343,7 @@ impl PsService {
             fetches: self.metrics.fetches.load(Ordering::Relaxed),
             shards_sent: self.metrics.shards_sent.load(Ordering::Relaxed),
             cache_hits: self.metrics.cache_hits.load(Ordering::Relaxed),
-            pushes: self.metrics.pushes.load(Ordering::Relaxed),
+            pushes: 0,
             bytes_rx: self.metrics.bytes_rx.load(Ordering::Relaxed),
             bytes_tx: self.metrics.bytes_tx.load(Ordering::Relaxed),
         }
@@ -361,14 +355,6 @@ impl PsService {
         CodecOps {
             bytes_saved: self.metrics.bytes_saved.load(Ordering::Relaxed),
             deltas_sent: self.metrics.deltas_sent.load(Ordering::Relaxed),
-            delta_pushes: self.metrics.delta_pushes.load(Ordering::Relaxed),
-        }
-    }
-
-    fn add_bytes_saved(&self, saved: u64) {
-        self.metrics.bytes_saved.fetch_add(saved, Ordering::Relaxed);
-        if let Some(ins) = &self.instruments {
-            ins.bytes_saved.add(saved);
         }
     }
 
@@ -380,12 +366,10 @@ impl PsService {
         self.metrics
             .bytes_rx
             .fetch_add(req.encoded_len() as u64, Ordering::Relaxed);
-        // Every exchange closes with one frame: the summary, the ack, or
-        // the error that cut it short.
+        // Every exchange closes with one frame: the summary, or the error
+        // that cut it short.
         let last = match req.kind {
             FrameKind::Fetch => self.handle_fetch(req, out),
-            FrameKind::Push => self.handle_push(req),
-            FrameKind::PushDelta => self.handle_push_delta(req),
             _ => error_frame("unexpected frame kind"),
         };
         out.push(last.into());
@@ -439,8 +423,11 @@ impl PsService {
             {
                 if let Some(delta) = &snap.deltas[i] {
                     let full_len = snap.shards[i].encoded_len();
-                    let saved = full_len.saturating_sub(delta.encoded_len());
-                    self.add_bytes_saved(saved as u64);
+                    let saved = full_len.saturating_sub(delta.encoded_len()) as u64;
+                    self.metrics.bytes_saved.fetch_add(saved, Ordering::Relaxed);
+                    if let Some(ins) = &self.instruments {
+                        ins.bytes_saved.add(saved);
+                    }
                     deltas_sent += 1;
                     out.push(delta.clone());
                     continue;
@@ -459,89 +446,6 @@ impl PsService {
             .deltas_sent
             .fetch_add(deltas_sent, Ordering::Relaxed);
         FetchSummary { sent, skipped }.to_frame(fetch.epoch)
-    }
-
-    /// A push whose payload is a quantized delta against the epoch
-    /// snapshot the worker fetched. The service reconstructs the full
-    /// replica (`base + decode(delta)`) and merges it exactly like a raw
-    /// push, so the merge pipeline is codec-agnostic.
-    fn handle_push_delta(&self, req: &Frame) -> Frame {
-        let delta = match DeltaPayload::from_frame(req) {
-            Ok(d) => d,
-            Err(WireError::UnsupportedCodec(id)) => {
-                return error_frame_code(
-                    err_code::UNSUPPORTED_CODEC,
-                    &format!("unknown codec id {id}"),
-                )
-            }
-            Err(e) => return error_frame(&format!("bad push delta: {e}")),
-        };
-        if !self.speaks(delta.codec) || delta.codec == Codec::Raw {
-            return error_frame_code(
-                err_code::UNSUPPORTED_CODEC,
-                &format!("codec id {} not enabled here", delta.codec.id()),
-            );
-        }
-        let shard_id = req.shard_id as usize;
-        let layout = self.assim.layout();
-        if shard_id >= layout.shards() {
-            return error_frame(&format!("shard {shard_id} out of range"));
-        }
-        let len = layout.len(shard_id);
-        let mut part = {
-            let snaps = self.snapshots.read();
-            let Some(snap) = snaps.get(&delta.base) else {
-                return error_frame_code(
-                    err_code::UNKNOWN_BASE,
-                    &format!("no snapshot for base epoch {}", delta.base),
-                );
-            };
-            decode_f32s(&snap.shards[shard_id].payload).expect("snapshot blobs are valid")
-        };
-        let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-        let mut update = Vec::with_capacity(len);
-        if let Err(e) = delta
-            .codec
-            .decode_update_into(&delta.blob, len, &mut update)
-        {
-            return error_frame(&format!("bad delta blob: {e}"));
-        }
-        if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
-            ins.decode_s.observe(ins.tel.now_s() - t0);
-        }
-        for (p, &u) in part.iter_mut().zip(&update) {
-            *p += u;
-        }
-        let epoch = req.version as usize;
-        let ack = self.assim.merge_shard(shard_id, &part, epoch);
-        self.metrics.pushes.fetch_add(1, Ordering::Relaxed);
-        self.metrics.delta_pushes.fetch_add(1, Ordering::Relaxed);
-        let raw_len = 4 + HEADER_LEN + encoded_len(len);
-        self.add_bytes_saved(raw_len.saturating_sub(req.encoded_len()) as u64);
-        ack.to_frame(req.shard_id)
-    }
-
-    fn handle_push(&self, req: &Frame) -> Frame {
-        let shard_id = req.shard_id as usize;
-        let layout = self.assim.layout();
-        if shard_id >= layout.shards() {
-            return error_frame(&format!("shard {shard_id} out of range"));
-        }
-        let part = match decode_f32s(&req.payload) {
-            Ok(p) => p,
-            Err(e) => return error_frame(&format!("bad push blob: {e}")),
-        };
-        if part.len() != layout.len(shard_id) {
-            return error_frame(&format!(
-                "push length {} != shard {shard_id} length {}",
-                part.len(),
-                layout.len(shard_id)
-            ));
-        }
-        let epoch = req.version as usize;
-        let ack = self.assim.merge_shard(shard_id, &part, epoch);
-        self.metrics.pushes.fetch_add(1, Ordering::Relaxed);
-        ack.to_frame(req.shard_id)
     }
 
     /// The full wire path: decodes request bytes, handles each frame, and
@@ -653,62 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn push_merges_and_acks() {
-        let svc = service(8, 2);
-        let layout_len = svc.assimilator().layout().len(0);
-        let push = Frame {
-            kind: FrameKind::Push,
-            shard_id: 0,
-            version: 1, // epoch
-            payload: encode_f32s(&vec![100.0; layout_len]),
-        };
-        let mut out = Vec::new();
-        svc.handle(&push, &mut out);
-        assert_eq!(out.len(), 1);
-        let ack = crate::wire::PushAck::from_frame(&out[0]).unwrap();
-        assert_eq!(ack.new_version, 2);
-        assert_eq!(ack.clobbered, 0);
-        // alpha 0.5 over seed [0,1,..]: shard 0 values move halfway to 100.
-        let (params, _) = svc.assimilator().read_params();
-        assert!((params[0] - 50.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn bad_push_lengths_and_shards_are_error_frames() {
-        let svc = service(8, 2);
-        let mut out = Vec::new();
-        svc.handle(
-            &Frame {
-                kind: FrameKind::Push,
-                shard_id: 9,
-                version: 1,
-                payload: encode_f32s(&[1.0]),
-            },
-            &mut out,
-        );
-        svc.handle(
-            &Frame {
-                kind: FrameKind::Push,
-                shard_id: 0,
-                version: 1,
-                payload: encode_f32s(&[1.0]),
-            },
-            &mut out,
-        );
-        svc.handle(
-            &Frame {
-                kind: FrameKind::Push,
-                shard_id: 0,
-                version: 1,
-                payload: Bytes::copy_from_slice(b"garbage"),
-            },
-            &mut out,
-        );
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|f| f.kind == FrameKind::Error));
-    }
-
-    #[test]
     fn handle_bytes_is_the_same_protocol() {
         let svc = service(10, 3);
         let req = FetchReq {
@@ -735,7 +583,6 @@ mod tests {
         let json = serde_json::to_string(&PsOps::default()).unwrap();
         assert!(!json.contains("bytes_saved"), "{json}");
         assert!(!json.contains("deltas_sent"), "{json}");
-        assert!(!json.contains("delta_pushes"), "{json}");
         // Pre-codec JSON round-trips exactly.
         let old =
             r#"{"fetches":1,"shards_sent":2,"cache_hits":3,"pushes":4,"bytes_rx":5,"bytes_tx":6}"#;

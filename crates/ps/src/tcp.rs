@@ -7,14 +7,10 @@
 //! in-memory transport, handled by the same [`PsService`]; the only
 //! difference is that bytes cross a socket.
 
-use crate::client::{
-    push_delta_frame, push_frame, push_response, route_fetch_frame, FetchSink, PsClient, PsError,
-};
+use crate::client::{route_fetch_frame, FetchSink, PsClient, PsError};
 use crate::codec::Codec;
 use crate::service::PsService;
-use crate::wire::{
-    read_frame, FetchReq, FetchSummary, Frame, FrameReadError, PushAck, SealedFrame,
-};
+use crate::wire::{read_frame, FetchReq, FetchSummary, Frame, FrameReadError, SealedFrame};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -215,14 +211,14 @@ impl TcpClient {
         }
     }
 
-    /// Sends one request on group `g`, then hands each response frame to
-    /// `on_frame` as it is read until that returns the exchange's result.
-    fn exchange<T>(
+    /// Sends one fetch request on group `g`, then routes each response
+    /// frame as it is read until the summary (or an error frame) ends it.
+    fn exchange(
         &mut self,
         g: usize,
         req: Frame,
-        mut on_frame: impl FnMut(Frame) -> Option<Result<T, PsError>>,
-    ) -> Result<T, PsError> {
+        sink: &mut FetchSink<'_>,
+    ) -> Result<FetchSummary, PsError> {
         let stream = &mut self.streams[g];
         SealedFrame::from(req)
             .write_to(stream)
@@ -230,7 +226,7 @@ impl TcpClient {
         stream.flush().map_err(Self::io_err)?;
         loop {
             let frame = read_frame(stream).map_err(Self::read_err)?;
-            if let Some(done) = on_frame(frame) {
+            if let Some(done) = route_fetch_frame(frame, sink) {
                 return done;
             }
         }
@@ -268,30 +264,11 @@ impl PsClient for TcpClient {
             };
             let frame = req.to_frame();
             self.per_group[g] = req.wants;
-            let summary = self.exchange(g, frame, |f| route_fetch_frame(f, sink))?;
+            let summary = self.exchange(g, frame, sink)?;
             total.sent += summary.sent;
             total.skipped += summary.skipped;
         }
         Ok(total)
-    }
-
-    fn push(&mut self, shard_id: u32, epoch: u64, values: &[f32]) -> Result<PushAck, PsError> {
-        let g = self.groups.group_of(shard_id);
-        let req = push_frame(shard_id, epoch, values);
-        self.exchange(g, req, |f| Some(push_response(f)))
-    }
-
-    fn push_delta(
-        &mut self,
-        shard_id: u32,
-        epoch: u64,
-        base_epoch: u64,
-        codec: Codec,
-        blob: &[u8],
-    ) -> Result<PushAck, PsError> {
-        let g = self.groups.group_of(shard_id);
-        let req = push_delta_frame(shard_id, epoch, base_epoch, codec, blob);
-        self.exchange(g, req, |f| Some(push_response(f)))
     }
 }
 
@@ -300,8 +277,12 @@ mod tests {
     use super::*;
     use crate::client::ShardCache;
     use crate::merge::ShardedAssimilator;
+    use crate::wire::{Crc32, FrameKind};
+    use bytes::Bytes;
+    use std::io::Read;
     use vc_asgd::AlphaSchedule;
     use vc_kvstore::{Consistency, VersionedStore};
+    use vc_tensor::codec::encode_f32s;
 
     fn service(n: usize, p: usize) -> Arc<PsService> {
         let assim = Arc::new(ShardedAssimilator::new(
@@ -343,10 +324,6 @@ mod tests {
         let sent_before = svc.ops().shards_sent;
         cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(svc.ops().shards_sent, sent_before);
-        // Push one shard through the socket and watch its version move.
-        let n0 = svc.assimilator().layout().len(0);
-        let ack = client.push(0, 1, &vec![7.0; n0]).unwrap();
-        assert_eq!(ack.new_version, 2);
         server.shutdown();
     }
 
@@ -388,7 +365,6 @@ mod tests {
             s.write_all(&[0u8; 32]).unwrap();
             // The server closes on us; either the read returns 0 or errors.
             let mut buf = [0u8; 8];
-            use std::io::Read;
             let _ = s.read(&mut buf);
         }
         // A well-formed client still gets served afterwards.
@@ -397,6 +373,71 @@ mod tests {
         let mut cache = ShardCache::new(*svc.assimilator().layout());
         let got = cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(got, &want[..]);
+        server.shutdown();
+    }
+
+    /// A well-formed frame (valid length and CRC) carrying a kind byte
+    /// `Frame` cannot express: encoded as a `Shard` frame, then the kind
+    /// byte patched and the checksum redone.
+    fn frame_with_kind(kind: u8, shard_id: u32, version: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Frame {
+            kind: FrameKind::Shard,
+            shard_id,
+            version,
+            payload: Bytes::copy_from_slice(payload),
+        }
+        .encode();
+        bytes[4] = kind;
+        let mut crc = Crc32::new();
+        crc.update(&bytes[4..17]); // kind + shard_id + version
+        crc.update(payload);
+        bytes[17..21].copy_from_slice(&crc.finish().to_le_bytes());
+        bytes
+    }
+
+    /// The retired write path stays shut: a legacy push (kind 4) or
+    /// quantized push (kind 8) of NaNs, well-formed down to the CRC, gets
+    /// its connection dropped and leaves the store exactly as it was.
+    #[test]
+    fn legacy_push_frames_cannot_reach_the_store() {
+        let svc = service(10, 2);
+        let server = TcpPsServer::bind(svc.clone(), 1).unwrap();
+        let (want, manifest) = svc.assimilator().read_params();
+        let nans = vec![f32::NAN; svc.assimilator().layout().len(0)];
+        // Kind 4 carried the replica as a VCP1 blob, kind 8 as
+        // `[base_epoch u64][codec descriptor][blob]`; both named the
+        // epoch in `version`.
+        let mut delta = 1u64.to_le_bytes().to_vec();
+        Codec::Fp16.write_desc(&mut delta);
+        let mut blob = Vec::new();
+        Codec::Fp16.encode_update(&nans, &mut blob);
+        delta.extend_from_slice(&blob);
+        let mut hung_up = Vec::new();
+        for (kind, payload) in [(4, &encode_f32s(&nans)[..]), (8, &delta[..])] {
+            let mut s = TcpStream::connect(server.addrs()[0]).unwrap();
+            s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            s.write_all(&frame_with_kind(kind, 0, 1, payload)).unwrap();
+            // No ack, no error frame: the server hangs up.
+            let mut answer = Vec::new();
+            let closed = match s.read_to_end(&mut answer) {
+                Ok(_) => true,
+                Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+            };
+            hung_up.push((kind, closed, answer));
+        }
+        assert_eq!(svc.assimilator().versions(), manifest, "a shard moved");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&svc.assimilator().read_params().0), bits(&want));
+        for (kind, closed, answer) in hung_up {
+            assert!(closed, "kind {kind}: connection still open");
+            assert!(answer.is_empty(), "kind {kind} was answered: {answer:?}");
+        }
+        // Fetching is unaffected.
+        let mut client = TcpClient::connect(server.addrs(), server.groups()).unwrap();
+        let mut cache = ShardCache::new(*svc.assimilator().layout());
+        let got = cache.sync(1, &manifest, &mut client).unwrap();
+        assert_eq!(bits(got), bits(&want));
         server.shutdown();
     }
 }

@@ -7,7 +7,7 @@
 //! 0       4     len       u32 LE — bytes after this field (17 + payload)
 //! 4       1     kind      FrameKind discriminant
 //! 5       4     shard_id  u32 LE
-//! 9       8     version   u64 LE — shard version, epoch, or ack version
+//! 9       8     version   u64 LE — shard version, epoch, or error code
 //! 17      4     crc32     u32 LE — IEEE CRC-32 of kind..version + payload
 //! 21      len-17  payload
 //! ```
@@ -33,6 +33,12 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 pub const HEADER_LEN: usize = 17;
 
 /// What a frame means. Discriminants are the on-wire `kind` byte.
+///
+/// Ids 4, 5 and 8 are retired, never to be reused: they carried a
+/// worker → store write path (push, its ack, quantized push) that no
+/// validator guarded. A trained replica reaches the store through the
+/// scheduler's validator and the assimilator only, so those bytes now
+/// fail like any unknown kind and the connection is dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -46,12 +52,6 @@ pub enum FrameKind {
     /// Service → worker: fetch complete. `version` echoes the epoch; the
     /// payload counts shards sent and shards skipped (cache hits).
     FetchDone = 3,
-    /// Worker → service: a trained client replica of one shard to merge.
-    /// `version` carries the epoch driving the α schedule.
-    Push = 4,
-    /// Service → worker: push merged. `version` is the shard's new store
-    /// version; the payload carries the clobbered-update count.
-    PushAck = 5,
     /// Service → worker: request failed; payload is a UTF-8 message and
     /// `version` carries a structured [error code](err_code) (0 = generic).
     Error = 6,
@@ -60,11 +60,6 @@ pub enum FrameKind {
     /// `version` is the shard's new snapshot version; the payload is
     /// `[base_version u64][codec descriptor][blob]`.
     ShardDelta = 7,
-    /// Worker → service: a trained replica's update for one shard,
-    /// quantized and delta-encoded against the epoch snapshot the worker
-    /// fetched. `version` carries the epoch driving the α schedule; the
-    /// payload is `[base_epoch u64][codec descriptor][blob]`.
-    PushDelta = 8,
 }
 
 impl FrameKind {
@@ -73,11 +68,8 @@ impl FrameKind {
             1 => FrameKind::Fetch,
             2 => FrameKind::Shard,
             3 => FrameKind::FetchDone,
-            4 => FrameKind::Push,
-            5 => FrameKind::PushAck,
             6 => FrameKind::Error,
             7 => FrameKind::ShardDelta,
-            8 => FrameKind::PushDelta,
             other => return Err(WireError::UnknownKind(other)),
         })
     }
@@ -90,7 +82,7 @@ pub struct Frame {
     pub kind: FrameKind,
     /// Shard the message concerns (0 for epoch-level messages).
     pub shard_id: u32,
-    /// Kind-dependent: shard version, epoch, or ack version.
+    /// Kind-dependent: shard version, epoch, or error code.
     pub version: u64,
     /// Kind-dependent body (shared, not copied, when cloned).
     pub payload: Bytes,
@@ -502,13 +494,11 @@ impl FetchReq {
     }
 }
 
-/// Payload of a [`FrameKind::ShardDelta`] or [`FrameKind::PushDelta`]
-/// frame: which snapshot the update is relative to, how it is encoded,
-/// and the quantized blob itself.
+/// Payload of a [`FrameKind::ShardDelta`] frame: which shard version the
+/// update is relative to, how it is encoded, and the quantized blob itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaPayload {
-    /// Snapshot the delta applies on top of: a shard version for
-    /// `ShardDelta`, an epoch for `PushDelta`.
+    /// Shard version the delta applies on top of.
     pub base: u64,
     /// How the blob is encoded.
     pub codec: Codec,
@@ -520,27 +510,26 @@ impl DeltaPayload {
     /// Bytes before the blob: base (8) + codec descriptor (6).
     pub const PREFIX_LEN: usize = 8 + DESC_LEN;
 
-    /// Encodes as a frame of the given delta `kind`.
-    pub fn to_frame(&self, kind: FrameKind, shard_id: u32, version: u64) -> Frame {
-        debug_assert!(matches!(kind, FrameKind::ShardDelta | FrameKind::PushDelta));
+    /// Encodes as a [`FrameKind::ShardDelta`] frame.
+    pub fn to_frame(&self, shard_id: u32, version: u64) -> Frame {
         let mut payload = Vec::with_capacity(Self::PREFIX_LEN + self.blob.len());
         payload.put_u64_le(self.base);
         self.codec.write_desc(&mut payload);
         payload.extend_from_slice(&self.blob);
         Frame {
-            kind,
+            kind: FrameKind::ShardDelta,
             shard_id,
             version,
             payload: Bytes::from(payload),
         }
     }
 
-    /// Parses a delta frame's payload. Unknown codec ids surface as
-    /// [`WireError::UnsupportedCodec`]; the blob itself is validated by
-    /// [`Codec::decode_update_into`] at apply time.
+    /// Parses a [`FrameKind::ShardDelta`] frame's payload. Unknown codec
+    /// ids surface as [`WireError::UnsupportedCodec`]; the blob itself is
+    /// validated by [`Codec::decode_update_into`] at apply time.
     pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        if !matches!(frame.kind, FrameKind::ShardDelta | FrameKind::PushDelta) {
-            return Err(WireError::BadPayload("not a delta frame"));
+        if frame.kind != FrameKind::ShardDelta {
+            return Err(WireError::BadPayload("not a ShardDelta frame"));
         }
         let p: &[u8] = &frame.payload;
         if p.len() < Self::PREFIX_LEN {
@@ -596,44 +585,6 @@ impl FetchSummary {
     }
 }
 
-/// Payload of a [`FrameKind::PushAck`] frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushAck {
-    /// The shard's version after the merge.
-    pub new_version: u64,
-    /// Concurrent updates this merge clobbered (eventual mode).
-    pub clobbered: u64,
-}
-
-impl PushAck {
-    /// Encodes as a frame for `shard_id`.
-    pub fn to_frame(&self, shard_id: u32) -> Frame {
-        let mut payload = Vec::with_capacity(8);
-        payload.put_u64_le(self.clobbered);
-        Frame {
-            kind: FrameKind::PushAck,
-            shard_id,
-            version: self.new_version,
-            payload: Bytes::from(payload),
-        }
-    }
-
-    /// Parses a [`FrameKind::PushAck`] frame's payload.
-    pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
-        if frame.kind != FrameKind::PushAck {
-            return Err(WireError::BadPayload("not a PushAck frame"));
-        }
-        let mut p: &[u8] = &frame.payload;
-        if p.len() != 8 {
-            return Err(WireError::BadPayload("push ack must be 8 bytes"));
-        }
-        Ok(PushAck {
-            new_version: frame.version,
-            clobbered: p.get_u64_le(),
-        })
-    }
-}
-
 /// Structured error codes carried in an `Error` frame's `version` field.
 /// Code 0 is the generic failure every pre-codec peer already emits; the
 /// others let a client react without parsing the message text.
@@ -643,9 +594,6 @@ pub mod err_code {
     /// The request named a codec the service does not speak. The client
     /// should fall back to `Raw` and retry.
     pub const UNSUPPORTED_CODEC: u64 = 1;
-    /// A delta referenced a base snapshot the service no longer holds.
-    /// The client should resend at full precision.
-    pub const UNKNOWN_BASE: u64 = 2;
 }
 
 /// Builds a generic error frame with a UTF-8 message.
@@ -839,19 +787,18 @@ mod tests {
             },
             blob: Bytes::copy_from_slice(&[1, 2, 3, 4]),
         };
-        for kind in [FrameKind::ShardDelta, FrameKind::PushDelta] {
-            let f = d.to_frame(kind, 3, 99);
-            assert_eq!(f.version, 99);
-            assert_eq!(f.shard_id, 3);
-            let bytes = f.encode();
-            let (back, _) = Frame::decode(&bytes).unwrap();
-            assert_eq!(DeltaPayload::from_frame(&back).unwrap(), d);
-        }
+        let f = d.to_frame(3, 99);
+        assert_eq!(f.kind, FrameKind::ShardDelta);
+        assert_eq!(f.version, 99);
+        assert_eq!(f.shard_id, 3);
+        let bytes = f.encode();
+        let (back, _) = Frame::decode(&bytes).unwrap();
+        assert_eq!(DeltaPayload::from_frame(&back).unwrap(), d);
         // Truncated prefix and unknown id both error gracefully.
-        let mut f = d.to_frame(FrameKind::ShardDelta, 0, 1);
+        let mut f = d.to_frame(0, 1);
         f.payload = Bytes::copy_from_slice(&f.payload[..10]);
         assert!(DeltaPayload::from_frame(&f).is_err());
-        let mut f = d.to_frame(FrameKind::ShardDelta, 0, 1);
+        let mut f = d.to_frame(0, 1);
         let mut bytes = f.payload.to_vec();
         bytes[8] = 77;
         f.payload = Bytes::from(bytes);
@@ -877,13 +824,6 @@ mod tests {
             skipped: 13,
         };
         assert_eq!(FetchSummary::from_frame(&s.to_frame(5)).unwrap(), s);
-        let a = PushAck {
-            new_version: 88,
-            clobbered: 2,
-        };
-        let f = a.to_frame(6);
-        assert_eq!(f.shard_id, 6);
-        assert_eq!(PushAck::from_frame(&f).unwrap(), a);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property tests over the parameter codec layer: every mode's round-trip
 //! error stays inside its documented bound, error feedback keeps lossy
-//! push streams unbiased with a bounded residual, and no hostile blob —
+//! upload streams unbiased with a bounded residual, and no hostile blob —
 //! truncated, bit-flipped, or wholly fabricated — ever panics a decoder.
 //! The worker's in-place upload shaping is held, bit for bit, to the
-//! `encode_delta` → decode oracle it replaced.
+//! `encode_delta` → decode oracle it replaced (kept here, as the oracle).
 //! Plain #[test]s at the bottom pin the codec negotiation contract: a
 //! client asking for a codec the service does not speak gets a structured
 //! error and degrades to `Raw` on a live connection.
@@ -12,9 +12,53 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
-use vc_ps::codec::{apply_update_roundtrip, encode_delta};
+use vc_ps::codec::apply_update_roundtrip;
 use vc_ps::merge::ShardedAssimilator;
 use vc_ps::{Codec, MemClient, PsService, ShardCache};
+
+/// The oracle `apply_update_roundtrip` replaced: encode the update
+/// `new − base` (plus the error-feedback residual when the codec carries
+/// one) into a real blob and decode it back.
+///
+/// On return `blob` holds the wire bytes, `y` the decoded (quantized)
+/// update the receiver would add to its copy of `base`, and `residual` —
+/// when error feedback is on — the quantization error to fold into the
+/// next update. `residual` must be empty (all-zero) or `new.len()` long.
+fn encode_delta(
+    codec: Codec,
+    new: &[f32],
+    base: &[f32],
+    residual: &mut Vec<f32>,
+    x: &mut Vec<f32>,
+    blob: &mut Vec<u8>,
+    y: &mut Vec<f32>,
+) -> Result<(), &'static str> {
+    assert_eq!(new.len(), base.len());
+    let n = new.len();
+    let ef = codec.error_feedback();
+    if ef && residual.len() != n {
+        residual.clear();
+        residual.resize(n, 0.0);
+    }
+    x.clear();
+    x.resize(n, 0.0);
+    for i in 0..n {
+        x[i] = new[i] - base[i];
+    }
+    if ef {
+        for i in 0..n {
+            x[i] += residual[i];
+        }
+    }
+    codec.encode_update(x, blob);
+    codec.decode_update_into(blob, n, y)?;
+    if ef {
+        for i in 0..n {
+            residual[i] = x[i] - y[i];
+        }
+    }
+    Ok(())
+}
 
 fn arb_codec() -> impl Strategy<Value = Codec> {
     prop_oneof![
@@ -232,7 +276,6 @@ proptest! {
         let mut acc = vec![0.0f32; n];
         let mut sum_u = vec![0.0f32; n];
         let mut residual = Vec::new();
-        let (mut xs, mut blob, mut y) = (Vec::new(), Vec::new(), Vec::new());
         for u in &updates {
             let u = &u[..n.min(u.len())];
             let mut new = acc.clone();
@@ -242,12 +285,11 @@ proptest! {
             for (s, &uv) in sum_u.iter_mut().zip(u) {
                 *s += uv;
             }
-            // base for this round is the receiver's state (push model).
-            encode_delta(ef_codec, &new, &acc, &mut residual, &mut xs, &mut blob, &mut y)
-                .expect("encode_delta");
-            for (a, &d) in acc.iter_mut().zip(&y) {
-                *a += d;
-            }
+            // The base for this round is the receiver's state, as for a
+            // worker that syncs before every workunit; what comes back is
+            // what the receiver holds after the upload.
+            apply_update_roundtrip(ef_codec, &acc, &mut new, &mut residual);
+            acc = new;
             // Invariant: truth − transmitted == residual (up to f32
             // rounding in the accumulators), elementwise.
             for i in 0..n {
@@ -333,30 +375,16 @@ fn unsupported_codec_negotiates_down_to_raw() {
         .expect("sync survives");
     assert_eq!(got, &want[..]);
     assert_eq!(cache.codec(), Codec::Raw, "cache downgraded for good");
-    // The downgraded connection keeps working, including pushes.
-    let range = svc.assimilator().layout().range(0);
-    let values: Vec<f32> = want[range].iter().map(|v| v + 1.0).collect();
-    cache
-        .push_update(&mut client, 0, 1, &values)
-        .expect("push after downgrade");
-}
-
-/// A push in a codec the service does not speak degrades to a raw push
-/// (and the merge still lands) instead of erroring out.
-#[test]
-fn unsupported_push_falls_back_to_raw() {
-    let (svc, want, manifest) = setup(40, 4, &[]);
-    let mut client = MemClient::new(svc.clone());
-    // Cache negotiated nothing yet: push directly with a lossy codec.
-    let mut cache = ShardCache::new(*svc.assimilator().layout()).with_codec(Codec::Fp16);
-    cache.sync(1, &manifest, &mut client).expect("sync");
-    assert_eq!(cache.codec(), Codec::Raw);
-    let range = svc.assimilator().layout().range(1);
-    let values: Vec<f32> = want[range].iter().map(|v| v * 2.0).collect();
-    let ack = cache
-        .push_update(&mut client, 1, 1, &values)
-        .expect("push falls back");
-    assert!(ack.new_version > manifest[1]);
+    // The downgraded connection keeps working: a republish is fetched
+    // as plain `Raw` shards, no renegotiation.
+    let moved: Vec<f32> = want.iter().map(|v| v + 1.0).collect();
+    let full = svc
+        .assimilator()
+        .finish(svc.assimilator().begin(), &moved, 1);
+    let manifest = svc.assimilator().versions();
+    svc.publish_snapshot(2, &full, &manifest);
+    let got = cache.sync(2, &manifest, &mut client).expect("raw sync");
+    assert_eq!(got, &full[..]);
 }
 
 /// A supported lossy codec actually ships deltas once the second epoch
@@ -386,13 +414,14 @@ fn supported_lossy_codec_ships_deltas() {
     let mut client = MemClient::new(svc.clone());
     let mut cache = ShardCache::new(*svc.assimilator().layout()).with_codec(codec);
     cache.sync(1, &manifest, &mut client).expect("cold sync");
-    // Nudge the params and publish epoch 2: the fetch should ride deltas.
-    let (full, m1) = svc.assimilator().read_params();
-    let range = svc.assimilator().layout().range(0);
-    let values: Vec<f32> = full[range].iter().map(|v| v + 0.5).collect();
-    cache.push_update(&mut client, 0, 1, &values).expect("push");
-    let (full2, m2) = svc.assimilator().read_params();
-    assert_ne!(m1, m2);
+    // Assimilate a nudged replica and publish epoch 2: the fetch should
+    // ride deltas.
+    let nudged: Vec<f32> = full0.iter().map(|v| v + 0.5).collect();
+    let full2 = svc
+        .assimilator()
+        .finish(svc.assimilator().begin(), &nudged, 1);
+    let m2 = svc.assimilator().versions();
+    assert_ne!(manifest, m2);
     svc.publish_snapshot(2, &full2, &m2);
     cache.sync(2, &m2, &mut client).expect("warm sync");
     let ops = svc.codec_ops();
@@ -400,16 +429,17 @@ fn supported_lossy_codec_ships_deltas() {
         ops.deltas_sent > 0,
         "warm fetch should ship deltas: {ops:?}"
     );
-    assert!(ops.delta_pushes > 0, "push should arrive as delta: {ops:?}");
     assert!(ops.bytes_saved > 0, "codec must save bytes: {ops:?}");
 }
 
-/// Wire bytes of one fetch+push round under `codec`: every shard gets a
-/// blocky-sparse update pushed (1 in 4 of the 64-weight blocks move,
-/// rotating per round — the locality real gradient updates have between
-/// publishes), the service publishes the merged state as a new epoch and
-/// the worker cache syncs. Round 0 warms the codec's reference state and is
-/// not counted.
+/// Bytes one workunit round moves under `codec`, counted the way the
+/// runtime counts them: the worker trains a blocky-sparse update (1 in 4 of
+/// the 64-weight blocks move, rotating per round — the locality real
+/// gradient updates have between publishes), shapes its replica for the
+/// upload, the upload is priced at `Codec::blob_len` as the coordinator
+/// does, the assimilator blends the shaped replica in, the service
+/// publishes the result as a new epoch and the worker cache syncs over the
+/// wire. Round 0 warms the codec's reference state and is not counted.
 fn bytes_per_round(codec: Codec, n: usize, p: usize, rounds: usize) -> u64 {
     let assim = Arc::new(ShardedAssimilator::new(
         Arc::new(VersionedStore::new()),
@@ -426,45 +456,42 @@ fn bytes_per_round(codec: Codec, n: usize, p: usize, rounds: usize) -> u64 {
             .with_supported(&[codec]),
     );
     svc.publish_snapshot(1, &params, &assim.versions());
-    let layout = *assim.layout();
     let mut client = MemClient::new(svc.clone());
-    let mut cache = ShardCache::new(layout).with_codec(codec);
+    let mut cache = ShardCache::new(*assim.layout()).with_codec(codec);
     cache
         .sync(1, &assim.versions(), &mut client)
         .expect("cold sync");
 
+    let mut residual = Vec::new();
     let mut counted_from = svc.ops();
     for round in 0..rounds + 1 {
         if round == 1 {
             counted_from = svc.ops();
         }
-        for shard in 0..layout.shards() {
-            let range = layout.range(shard);
-            let mut values = cache.params()[range.clone()].to_vec();
-            for (g, v) in range.zip(values.iter_mut()) {
-                if (g / 64 + round).is_multiple_of(4) {
-                    let sign = if g.is_multiple_of(2) { 1.0 } else { -1.0 };
-                    *v += sign * 0.01 * ((g % 13) as f32 + 1.0) / 13.0;
-                }
+        let mut replica = cache.params().to_vec();
+        for (g, v) in replica.iter_mut().enumerate() {
+            if (g / 64 + round).is_multiple_of(4) {
+                let sign = if g.is_multiple_of(2) { 1.0 } else { -1.0 };
+                *v += sign * 0.01 * ((g % 13) as f32 + 1.0) / 13.0;
             }
-            cache
-                .push_update(&mut client, shard as u32, round as u64 + 1, &values)
-                .expect("round push");
         }
-        let (full, manifest) = assim.read_params();
-        svc.publish_snapshot(round as u64 + 2, &full, &manifest);
+        apply_update_roundtrip(codec, cache.params(), &mut replica, &mut residual);
+        let epoch = round + 1;
+        let full = assim.finish(assim.begin(), &replica, epoch);
+        let manifest = assim.versions();
+        svc.publish_snapshot(epoch as u64 + 1, &full, &manifest);
         cache
-            .sync(round as u64 + 2, &manifest, &mut client)
+            .sync(epoch as u64 + 1, &manifest, &mut client)
             .expect("round sync");
     }
     let ops = svc.ops();
-    ((ops.bytes_rx - counted_from.bytes_rx) + (ops.bytes_tx - counted_from.bytes_tx))
-        / rounds as u64
+    let fetched = (ops.bytes_rx - counted_from.bytes_rx) + (ops.bytes_tx - counted_from.bytes_tx);
+    fetched / rounds as u64 + codec.blob_len(n) as u64
 }
 
 /// The deterministic floor the retired `bench_ps --check` enforced:
 /// `int8` + error feedback moves at most a quarter of `raw`'s bytes per
-/// fetch+push round on the blocky-sparse profile, at every shard count.
+/// fetch + upload round on the blocky-sparse profile, at every shard count.
 #[test]
 fn int8_ef_moves_at_most_a_quarter_of_raw_bytes_on_blocky_sparse_updates() {
     let int8 = Codec::Int8 {

@@ -11,8 +11,8 @@ use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
 use vc_ps::wire::read_frame;
 use vc_ps::{
-    crc32, Codec, Crc32, FetchReq, Frame, FrameKind, PsService, SealedFrame, ShardedAssimilator,
-    WireError, HEADER_LEN, MAX_PAYLOAD,
+    crc32, Codec, Crc32, FetchReq, Frame, FrameKind, FrameReadError, PsService, SealedFrame,
+    ShardedAssimilator, WireError, HEADER_LEN, MAX_PAYLOAD,
 };
 
 /// The oracle: IEEE CRC-32 one byte per table lookup, exactly the loop
@@ -65,11 +65,8 @@ fn arb_kind() -> impl Strategy<Value = FrameKind> {
         Just(FrameKind::Fetch),
         Just(FrameKind::Shard),
         Just(FrameKind::FetchDone),
-        Just(FrameKind::Push),
-        Just(FrameKind::PushAck),
         Just(FrameKind::Error),
         Just(FrameKind::ShardDelta),
-        Just(FrameKind::PushDelta),
     ]
 }
 
@@ -191,6 +188,39 @@ proptest! {
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Frame::decode(&bytes);
+    }
+}
+
+/// The retired worker → store kinds (4 push, 5 push ack, 8 quantized
+/// push) are unknown to both decoders: a frame carrying one is rejected on
+/// its kind byte once the checksum has passed, and on the checksum before
+/// that — its payload is never interpreted.
+#[test]
+fn retired_push_kinds_decode_to_unknown_kind() {
+    for kind in [4u8, 5, 8] {
+        let mut bytes = Frame {
+            kind: FrameKind::Shard,
+            shard_id: 0,
+            version: 1,
+            payload: vec![0xAB; 40].into(),
+        }
+        .encode();
+        bytes[4] = kind;
+        assert!(
+            matches!(Frame::decode(&bytes), Err(WireError::BadCrc { .. })),
+            "kind {kind}: the CRC is checked first"
+        );
+        let sum = crc32(&[&bytes[4..17], &bytes[21..]].concat());
+        bytes[17..21].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            Frame::decode(&bytes).unwrap_err(),
+            WireError::UnknownKind(kind)
+        );
+        let streamed = read_frame(&mut &bytes[..]).unwrap_err();
+        assert!(
+            matches!(streamed, FrameReadError::Wire(WireError::UnknownKind(k)) if k == kind),
+            "kind {kind}: {streamed:?}"
+        );
     }
 }
 

@@ -68,11 +68,12 @@ pub struct RuntimeConfig {
     /// this).
     #[serde(default)]
     pub trace: bool,
-    /// Parameter-transfer codec: how shard fetches and update pushes are
-    /// encoded on the wire. `Raw` (the default) is the legacy bit-exact
-    /// path; lossy modes quantize deltas against the version the peer
-    /// already holds and imply a tolerance comparator for result quorums
-    /// (quantization makes honest replicas differ by a few ulps).
+    /// Parameter-transfer codec: how shard fetches are encoded on the
+    /// wire, and how a worker shapes (and the coordinator prices) the
+    /// upload it hands the scheduler. `Raw` (the default) is the legacy
+    /// bit-exact path; lossy modes quantize deltas against the version the
+    /// peer already holds and imply a tolerance comparator for result
+    /// quorums (quantization makes honest replicas differ by a few ulps).
     #[serde(default)]
     pub codec: Codec,
 }

@@ -598,7 +598,6 @@ impl<C: Clock> Coordinator<C> {
         ps.fetches = ops.fetches;
         ps.shards_sent = ops.shards_sent;
         ps.cache_hits = ops.cache_hits;
-        ps.pushes = ops.pushes;
         ps.bytes_rx = ops.bytes_rx;
         ps.bytes_tx = ops.bytes_tx;
         let codec_ops = self.service.codec_ops();

@@ -90,11 +90,6 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Timestamp of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -145,7 +140,7 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(10.0));
         q.schedule_in(5.0, ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(15.0)));
+        assert_eq!(q.pop().map(|(at, ())| at), Some(SimTime::from_secs(15.0)));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! instance-bandwidth model, and the blob itself is the value stored in
 //! `vc-kvstore` (a Redis value / MySQL LONGBLOB analog).
 
-use crate::tensor::Tensor;
 use bytes::{Buf, Bytes};
 
 /// Magic tag identifying a parameter blob (guards against feeding arbitrary
@@ -106,12 +105,6 @@ pub fn decode_f32s_into_slice(blob: &[u8], out: &mut [f32]) -> Result<(), CodecE
         *o = v;
     }
     Ok(())
-}
-
-/// Encodes a tensor's data (shape is carried out-of-band by the model spec,
-/// exactly as the paper carries architecture in a separate `.json` file).
-pub fn encode_tensor(t: &Tensor) -> Bytes {
-    encode_f32s(t.data())
 }
 
 /// Size in bytes of an encoded parameter vector of `n` values.

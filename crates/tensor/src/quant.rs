@@ -96,23 +96,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// `dst[i] = f16(src[i])` for whole slices. `dst.len()` must equal
-/// `src.len()`.
-pub fn f16_encode_slice(src: &[f32], dst: &mut [u16]) {
-    assert_eq!(src.len(), dst.len());
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = f32_to_f16_bits(s);
-    }
-}
-
-/// Inverse of [`f16_encode_slice`].
-pub fn f16_decode_slice(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len());
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = f16_bits_to_f32(s);
-    }
-}
-
 /// Symmetric int8 scale for a slice: `max|x| / 127`, or 0.0 for an
 /// all-zero (or empty) slice. Non-finite inputs are ignored when sizing the
 /// scale so one hostile NaN cannot zero out the whole shard.

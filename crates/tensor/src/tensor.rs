@@ -2,7 +2,6 @@
 
 use crate::rng::NormalSampler;
 use crate::shape::Shape;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -68,13 +67,6 @@ impl Tensor {
         let data = (0..shape.numel())
             .map(|_| sampler.sample() * std + mean)
             .collect();
-        Tensor { shape, data }
-    }
-
-    /// Samples i.i.d. `U(lo, hi)` entries.
-    pub fn rand_uniform<R: Rng>(dims: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
-        let shape = Shape::new(dims);
-        let data = (0..shape.numel()).map(|_| rng.gen_range(lo..hi)).collect();
         Tensor { shape, data }
     }
 
@@ -303,21 +295,6 @@ impl Tensor {
         best
     }
 
-    /// Column sums of a rank-2 tensor, yielding a rank-1 tensor of width n.
-    /// This is the bias-gradient reduction in dense/conv backward passes.
-    pub fn sum_axis0(&self) -> Self {
-        assert_eq!(self.shape.rank(), 2, "sum_axis0 requires rank 2");
-        let (m, n) = (self.shape.dim(0), self.shape.dim(1));
-        let mut out = vec![0.0; n];
-        for i in 0..m {
-            let row = &self.data[i * n..(i + 1) * n];
-            for (o, v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        Tensor::from_vec(out, &[n])
-    }
-
     /// Squared L2 norm.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum()
@@ -435,7 +412,6 @@ mod tests {
         assert_eq!(t.mean(), 0.5);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
-        assert_eq!(t.sum_axis0().data(), &[4.0, -2.0]);
         assert_eq!(t.norm_sq(), 14.0);
     }
 

@@ -262,7 +262,7 @@ fn lossy_codec_shows_up_on_the_ops_surface() {
     let metrics = hub.handle("/metrics");
     assert_eq!(metrics.status, 200);
     let text = String::from_utf8(metrics.body).unwrap();
-    for series in ["ps_bytes_saved", "ps_encode_s", "ps_decode_s"] {
+    for series in ["ps_bytes_saved", "ps_encode_s"] {
         assert!(
             text.contains(series),
             "/metrics missing {series} exposition"
