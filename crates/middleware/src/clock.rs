@@ -11,8 +11,6 @@
 //! either substrate.
 
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 use vc_simnet::SimTime;
@@ -21,7 +19,7 @@ use vc_simnet::SimTime;
 ///
 /// Implementations must be monotone: successive [`Clock::now`] readings
 /// never decrease. Beyond that the trait is silent about *what* drives the
-/// clock — real time ([`WallClock`]) or an event queue ([`VirtualClock`]).
+/// clock — real time ([`WallClock`]) or an event loop ([`VirtualClock`]).
 pub trait Clock {
     /// The current reading, suitable for every `now` parameter of
     /// [`crate::BoincServer`].
@@ -45,10 +43,7 @@ pub struct WallClock {
 impl WallClock {
     /// Starts a clock at `SimTime::ZERO`.
     pub fn start() -> Self {
-        WallClock {
-            start: Instant::now(),
-            offset_s: 0.0,
-        }
+        Self::resumed_at(0.0)
     }
 
     /// Starts a clock that already shows `offset_s` seconds elapsed.
@@ -68,12 +63,6 @@ impl WallClock {
     pub fn now(&self) -> SimTime {
         SimTime::from_secs(self.offset_s + self.start.elapsed().as_secs_f64())
     }
-
-    /// Seconds elapsed since [`WallClock::start`] (excluding any resume
-    /// offset) — the wall time *this process* has spent.
-    pub fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
 }
 
 impl Clock for WallClock {
@@ -82,43 +71,30 @@ impl Clock for WallClock {
     }
 
     fn elapsed_s(&self) -> f64 {
-        WallClock::elapsed_s(self)
+        self.start.elapsed().as_secs_f64()
     }
 }
 
-/// One pending wake-up in a [`VirtualClock`]'s event queue: delivery time,
-/// then an insertion sequence number (FIFO among equal times), then the
-/// caller's opaque token identifying who asked to be woken.
-type QueuedWakeup = Reverse<(SimTime, u64, u64)>;
-
-struct VirtualInner {
-    now: SimTime,
-    offset_s: f64,
-    queue: BinaryHeap<QueuedWakeup>,
-    seq: u64,
-}
-
-/// A clock that advances only when told to: the heart of deterministic
-/// simulation testing.
+/// A clock that advances only when told to: the reading half of
+/// deterministic simulation testing.
 ///
-/// Time is a number plus an explicit event queue of scheduled wake-ups.
-/// Actors register interest in a future instant with
-/// [`VirtualClock::schedule`]; when the simulation has nothing runnable
-/// *now*, it calls [`VirtualClock::advance`], which jumps `now` straight to
-/// the earliest scheduled instant and returns the token registered for it.
-/// Nothing ever sleeps, so a minute of simulated timeouts costs
-/// microseconds of real time, and two runs that schedule the same events
-/// read identical timestamps — bit for bit.
+/// The simulation's event loop owns the event queue
+/// ([`vc_simnet::EventQueue`]) and calls [`VirtualClock::set`] with each
+/// instant it pops; everything else — the coordinator's timeout scans, the
+/// telemetry time source — only reads. Nothing ever sleeps, so a minute of
+/// simulated timeouts costs microseconds of real time, and two runs that
+/// pop the same events read identical timestamps — bit for bit.
 ///
-/// Handles are cheap clones sharing one queue, mirroring how [`WallClock`]
-/// is `Copy`.
+/// Handles are cheap clones sharing one reading, mirroring how
+/// [`WallClock`] is `Copy`.
 #[derive(Clone)]
 pub struct VirtualClock {
-    inner: Arc<Mutex<VirtualInner>>,
+    now: Arc<Mutex<SimTime>>,
+    offset_s: f64,
 }
 
 impl VirtualClock {
-    /// A clock at `SimTime::ZERO` with an empty queue.
+    /// A clock at `SimTime::ZERO`.
     pub fn new() -> Self {
         Self::resumed_at(0.0)
     }
@@ -130,63 +106,16 @@ impl VirtualClock {
             "invalid clock offset {offset_s}"
         );
         VirtualClock {
-            inner: Arc::new(Mutex::new(VirtualInner {
-                now: SimTime::from_secs(offset_s),
-                offset_s,
-                queue: BinaryHeap::new(),
-                seq: 0,
-            })),
+            now: Arc::new(Mutex::new(SimTime::from_secs(offset_s))),
+            offset_s,
         }
     }
 
-    /// The current virtual reading.
-    pub fn now(&self) -> SimTime {
-        self.inner.lock().now
-    }
-
-    /// Registers a wake-up for `token` at absolute time `at` (clamped to
-    /// `now` if already past). Equal-time wake-ups fire in registration
-    /// order.
-    pub fn schedule(&self, at: SimTime, token: u64) {
-        let mut g = self.inner.lock();
-        let at = at.max(g.now);
-        let seq = g.seq;
-        g.seq += 1;
-        g.queue.push(Reverse((at, seq, token)));
-    }
-
-    /// Registers a wake-up `delay_s` seconds from now.
-    pub fn schedule_in(&self, delay_s: f64, token: u64) {
-        assert!(
-            delay_s.is_finite() && delay_s >= 0.0,
-            "invalid delay {delay_s}"
-        );
-        let at = self.now() + delay_s;
-        self.schedule(at, token);
-    }
-
-    /// The earliest scheduled instant, if any.
-    pub fn peek(&self) -> Option<SimTime> {
-        self.inner
-            .lock()
-            .queue
-            .peek()
-            .map(|Reverse((at, _, _))| *at)
-    }
-
-    /// Pops the earliest wake-up, advances `now` to its instant, and
-    /// returns `(instant, token)`. Returns `None` when the queue is empty —
-    /// in a simulation, that means every actor is idle forever.
-    pub fn advance(&self) -> Option<(SimTime, u64)> {
-        let mut g = self.inner.lock();
-        let Reverse((at, _, token)) = g.queue.pop()?;
-        g.now = g.now.max(at);
-        Some((g.now, token))
-    }
-
-    /// Number of pending wake-ups.
-    pub fn pending(&self) -> usize {
-        self.inner.lock().queue.len()
+    /// Moves the reading forward to `at`; an earlier `at` leaves it where
+    /// it is, so the [`Clock`] monotonicity contract holds by construction.
+    pub fn set(&self, at: SimTime) {
+        let mut now = self.now.lock();
+        *now = now.max(at);
     }
 }
 
@@ -207,18 +136,17 @@ impl vc_telemetry::TimeSource for WallClock {
 
 impl vc_telemetry::TimeSource for VirtualClock {
     fn now_s(&self) -> f64 {
-        VirtualClock::now(self).as_secs()
+        Clock::now(self).as_secs()
     }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> SimTime {
-        VirtualClock::now(self)
+        *self.now.lock()
     }
 
     fn elapsed_s(&self) -> f64 {
-        let g = self.inner.lock();
-        g.now.as_secs() - g.offset_s
+        self.now().as_secs() - self.offset_s
     }
 }
 
@@ -246,45 +174,26 @@ mod tests {
     #[test]
     fn virtual_clock_advances_only_on_demand() {
         let c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.schedule_in(5.0, 1);
-        c.schedule_in(2.0, 2);
-        // Nothing moves until advance() is called.
-        assert_eq!(c.now(), SimTime::ZERO);
-        assert_eq!(c.peek(), Some(SimTime::from_secs(2.0)));
-        assert_eq!(c.advance(), Some((SimTime::from_secs(2.0), 2)));
-        assert_eq!(c.advance(), Some((SimTime::from_secs(5.0), 1)));
-        assert_eq!(c.advance(), None);
-        assert!((Clock::elapsed_s(&c) - 5.0).abs() < 1e-12);
+        let reader = c.clone();
+        assert_eq!(reader.now(), SimTime::ZERO);
+        c.set(SimTime::from_secs(2.0));
+        assert_eq!(reader.now(), SimTime::from_secs(2.0), "clones share");
+        c.set(SimTime::from_secs(5.0));
+        assert!((Clock::elapsed_s(&reader) - 5.0).abs() < 1e-12);
     }
 
     #[test]
-    fn equal_instants_fire_in_registration_order() {
+    fn reading_never_runs_backwards() {
         let c = VirtualClock::new();
-        for token in 0..10 {
-            c.schedule(SimTime::from_secs(1.0), token);
-        }
-        for token in 0..10 {
-            assert_eq!(c.advance(), Some((SimTime::from_secs(1.0), token)));
-        }
-    }
-
-    #[test]
-    fn past_instants_clamp_to_now() {
-        let c = VirtualClock::new();
-        c.schedule(SimTime::from_secs(3.0), 7);
-        c.advance();
-        // Scheduling "1s" after time already reached 3s fires at 3s, not
-        // before it: the clock never runs backwards.
-        c.schedule(SimTime::from_secs(1.0), 8);
-        assert_eq!(c.advance(), Some((SimTime::from_secs(3.0), 8)));
+        c.set(SimTime::from_secs(3.0));
+        c.set(SimTime::from_secs(1.0));
+        assert_eq!(c.now(), SimTime::from_secs(3.0));
     }
 
     #[test]
     fn virtual_resume_offset_excluded_from_elapsed() {
         let c = VirtualClock::resumed_at(50.0);
-        c.schedule_in(4.0, 0);
-        c.advance();
+        c.set(SimTime::from_secs(54.0));
         assert_eq!(c.now(), SimTime::from_secs(54.0));
         assert!((Clock::elapsed_s(&c) - 4.0).abs() < 1e-12);
     }

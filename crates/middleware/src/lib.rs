@@ -17,6 +17,12 @@
 //! caches, reliability); payloads (parameter blobs, data shards) travel
 //! through the driver, exactly as BOINC moves files through its web server
 //! while the scheduler tracks workunit state.
+//!
+//! Time is the caller's: every entry point takes `now`, read from a
+//! [`Clock`] ([`WallClock`] on threads, the [`VirtualClock`] reading under
+//! simulation). Assignment deadlines wait in a [`TimerQueue`], which is the
+//! workspace's one time-ordered queue ([`vc_simnet::DelayQueue`]) keyed by
+//! `(deadline, assignment seq)`.
 
 pub mod clock;
 pub mod host;
@@ -33,7 +39,7 @@ pub use server::{
 };
 pub use timer::{TimerEntry, TimerQueue};
 pub use validate::{
-    AcceptAllValidator, BitwiseComparator, FiniteBlobValidator, ResultComparator,
-    ToleranceComparator, ValidationVerdict, Validator,
+    BitwiseComparator, FiniteBlobValidator, ResultComparator, ToleranceComparator,
+    ValidationVerdict, Validator,
 };
 pub use workunit::{ShardManifest, WorkUnit, WuId, WuPhase};

@@ -365,11 +365,6 @@ impl BoincServer {
         &self.hosts
     }
 
-    /// Mutable host access (drivers flip `alive` on preemption).
-    pub fn host_mut(&mut self, id: HostId) -> &mut HostHot {
-        &mut self.hosts[id.0 as usize]
-    }
-
     /// A host's instance spec (cold state).
     pub fn spec(&self, id: HostId) -> &InstanceSpec {
         &self.cold[id.0 as usize].spec

@@ -1,10 +1,11 @@
 //! Indexed expiry timers for the scheduler's hot paths.
 //!
 //! Every issued assignment registers one [`TimerEntry`] keyed by its
-//! adaptive deadline. The queue is a binary min-heap ordered by
-//! `(deadline, seq)` — `seq` is the server's global assignment sequence
-//! number, so same-instant deadlines expire in issue order, matching the
-//! historical full-scan transitioner bit for bit.
+//! adaptive deadline. The queue is the workspace's one time-ordered
+//! min-queue ([`vc_simnet::DelayQueue`]) keyed by `(deadline, seq)` —
+//! `seq` is the server's global assignment sequence number, so
+//! same-instant deadlines expire in issue order, matching the historical
+//! full-scan transitioner bit for bit.
 //!
 //! Entries are **lazily invalidated**: completing, cancelling, reissuing
 //! or orphan-reviving an assignment never touches the heap. A stale entry
@@ -17,9 +18,7 @@
 
 use crate::host::HostId;
 use crate::workunit::WuId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use vc_simnet::SimTime;
+use vc_simnet::{DelayQueue, SimTime};
 
 /// One armed expiry timer: the assignment identified by `seq` (on `wu`,
 /// issued to `host`) blows at `deadline` unless invalidated first.
@@ -36,22 +35,10 @@ pub struct TimerEntry {
     pub host: HostId,
 }
 
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
-}
-
-/// Min-heap of [`TimerEntry`]s with lazy invalidation.
+/// Min-queue of [`TimerEntry`]s with lazy invalidation.
 #[derive(Default)]
 pub struct TimerQueue {
-    heap: BinaryHeap<Reverse<TimerEntry>>,
+    queue: DelayQueue<(SimTime, u64), TimerEntry>,
 }
 
 impl TimerQueue {
@@ -62,17 +49,17 @@ impl TimerQueue {
 
     /// Arms one timer. O(log n).
     pub fn push(&mut self, entry: TimerEntry) {
-        self.heap.push(Reverse(entry));
+        self.queue.push((entry.deadline, entry.seq), entry);
     }
 
     /// Entries currently held, stale ones included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// True when no entries are held at all (not even stale ones).
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// Drains every entry with `deadline <= now`, returning the ones
@@ -84,11 +71,8 @@ impl TimerQueue {
         mut is_live: impl FnMut(&TimerEntry) -> bool,
     ) -> Vec<TimerEntry> {
         let mut due = Vec::new();
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if e.deadline > now {
-                break;
-            }
-            let Reverse(e) = self.heap.pop().expect("peeked entry pops");
+        // `(now, u64::MAX)` bounds every key whose deadline is `<= now`.
+        while let Some((_, e)) = self.queue.pop_due((now, u64::MAX)) {
             if is_live(&e) {
                 due.push(e);
             }
@@ -103,11 +87,11 @@ impl TimerQueue {
         &mut self,
         mut is_live: impl FnMut(&TimerEntry) -> bool,
     ) -> Option<SimTime> {
-        while let Some(Reverse(e)) = self.heap.peek() {
+        while let Some((_, e)) = self.queue.peek() {
             if is_live(e) {
                 return Some(e.deadline);
             }
-            self.heap.pop();
+            self.queue.pop();
         }
         None
     }

@@ -104,16 +104,6 @@ impl Validator for FiniteBlobValidator {
     }
 }
 
-/// Accepts everything — for control experiments measuring what validation
-/// buys.
-pub struct AcceptAllValidator;
-
-impl Validator for AcceptAllValidator {
-    fn validate(&self, _payload: &[u8]) -> ValidationVerdict {
-        ValidationVerdict::Valid
-    }
-}
-
 /// Decides whether two already-validated result payloads agree for quorum
 /// purposes (BOINC's `check_pair`). Payloads are screened by a [`Validator`]
 /// before they get here, so implementations may assume finite values.
@@ -197,11 +187,6 @@ mod tests {
         let mut truncated = blob(&[1.0, 2.0]);
         truncated.truncate(truncated.len() - 3);
         assert!(!v.validate(&truncated).is_valid());
-    }
-
-    #[test]
-    fn accept_all_accepts_garbage() {
-        assert!(AcceptAllValidator.validate(b"anything").is_valid());
     }
 
     /// A hostile header whose count overflows `4 * n + HEADER` must come

@@ -295,18 +295,17 @@ impl ShardCache {
 mod tests {
     use super::*;
     use crate::merge::ShardedAssimilator;
-    use crate::queue::DelayQueue;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vc_asgd::AlphaSchedule;
     use vc_kvstore::{Consistency, VersionedStore};
 
     /// [`MemClient`] with a reordering stage: shard frames are stamped with
-    /// deterministic pseudo-random delivery ticks and released through a
-    /// [`DelayQueue`], so they arrive out of order — the single-thread
-    /// stand-in for a congested socket. A stream cannot deliver the
-    /// terminator ahead of the frames it terminates, so `FetchDone` (the
-    /// returned summary) still comes last.
+    /// deterministic pseudo-random delivery ticks and released by a stable
+    /// sort on the tick (ties in arrival order), so they arrive out of
+    /// order — the single-thread stand-in for a congested socket. A stream
+    /// cannot deliver the terminator ahead of the frames it terminates, so
+    /// `FetchDone` (the returned summary) still comes last.
     struct ReorderingClient {
         inner: MemClient,
         rng: StdRng,
@@ -320,13 +319,14 @@ mod tests {
             codec: Codec,
             sink: &mut FetchSink<'_>,
         ) -> Result<FetchSummary, PsError> {
-            let mut queue: DelayQueue<u64, Frame> = DelayQueue::new();
+            let mut held: Vec<(u64, Frame)> = Vec::new();
             let horizon = (wants.len() as u64).max(1) * 4;
             let rng = &mut self.rng;
             let summary = self.inner.fetch(epoch, wants, codec, &mut |f| {
-                queue.push(rng.gen_range(0..horizon), f);
+                held.push((rng.gen_range(0..horizon), f));
             })?;
-            while let Some(f) = queue.pop_due(horizon) {
+            held.sort_by_key(|&(tick, _)| tick);
+            for (_, f) in held {
                 sink(f);
             }
             Ok(summary)

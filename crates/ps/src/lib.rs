@@ -30,7 +30,6 @@
 pub mod client;
 pub mod codec;
 pub mod merge;
-pub mod queue;
 pub mod service;
 pub mod tcp;
 pub mod wire;
@@ -40,7 +39,6 @@ pub use codec::Codec;
 pub use merge::{
     shard_key, ShardSnapshot, ShardedAssimilator, PARAMS_KEY, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS,
 };
-pub use queue::DelayQueue;
 pub use service::{CodecOps, PsOps, PsService};
 pub use tcp::{ShardGroups, TcpClient, TcpPsServer};
 pub use wire::{

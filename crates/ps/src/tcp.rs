@@ -62,29 +62,28 @@ impl TcpPsServer {
     pub fn bind(service: Arc<PsService>, groups: usize) -> std::io::Result<Self> {
         let shards = service.assimilator().layout().shards();
         let groups = ShardGroups::new(shards, groups);
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let mut addrs = Vec::with_capacity(groups.groups());
-        let mut accept_threads = Vec::with_capacity(groups.groups());
+        // Built first and filled in place, so a failed bind drops — and so
+        // tears down — the listeners already started.
+        let mut server = TcpPsServer {
+            addrs: Vec::with_capacity(groups.groups()),
+            groups,
+            stop: Arc::new(AtomicBool::new(false)),
+            accept_threads: Vec::with_capacity(groups.groups()),
+            conns: Arc::new(Mutex::new(Vec::new())),
+        };
         for g in 0..groups.groups() {
             let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
+            server.addrs.push(listener.local_addr()?);
             let service = service.clone();
-            let stop = stop.clone();
-            let conns = conns.clone();
+            let stop = server.stop.clone();
+            let conns = server.conns.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("vc-ps-listen-{g}"))
                 .spawn(move || accept_loop(listener, service, stop, conns))
                 .expect("spawn ps listener");
-            accept_threads.push(handle);
+            server.accept_threads.push(handle);
         }
-        Ok(TcpPsServer {
-            addrs,
-            groups,
-            stop,
-            accept_threads,
-            conns,
-        })
+        Ok(server)
     }
 
     /// The bound addresses, one per shard group.
@@ -97,19 +96,28 @@ impl TcpPsServer {
         self.groups
     }
 
-    /// Stops serving and joins every server thread, even while clients
-    /// are still connected: open connection sockets are shut down, which
-    /// unblocks their reads mid-wait.
+    /// Stops serving and joins every server thread — an explicit [`Drop`].
     pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+/// Stops serving and joins every server thread, even while clients are
+/// still connected: open connection sockets are shut down, which unblocks
+/// their reads mid-wait. In `Drop` so that an owner's early exit cannot
+/// leave accept threads blocked in `accept()`, pinning the [`PsService`].
+impl Drop for TcpPsServer {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for conn in self.conns.lock().expect("ps conn registry").iter() {
+        // A poisoned registry still lists the sockets to close.
+        for conn in self.conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Unblock each accept() with a throwaway connection.
         for addr in &self.addrs {
             let _ = TcpStream::connect(addr);
         }
-        for t in self.accept_threads {
+        for t in self.accept_threads.drain(..) {
             let _ = t.join();
         }
     }
@@ -169,8 +177,8 @@ fn connection_loop(mut stream: TcpStream, service: Arc<PsService>, stop: Arc<Ato
             break;
         }
     }
-    // A registry clone of this stream outlives us (see `TcpPsServer::
-    // shutdown`), so dropping the fd alone would leave the socket open:
+    // A registry clone of this stream outlives us (see `TcpPsServer`'s
+    // `Drop`), so dropping the fd alone would leave the socket open:
     // close it for real so the peer sees EOF.
     let _ = stream.shutdown(Shutdown::Both);
 }
@@ -374,6 +382,23 @@ mod tests {
         let got = cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(got, &want[..]);
         server.shutdown();
+    }
+
+    /// A start-up that fails after the bind never reaches `shutdown`: the
+    /// drop alone must stop the listeners and release the service.
+    #[test]
+    fn dropping_the_server_stops_listeners_and_releases_the_service() {
+        let svc = service(10, 2);
+        let server = TcpPsServer::bind(svc.clone(), 2).unwrap();
+        let addrs = server.addrs().to_vec();
+        let _client = TcpClient::connect(&addrs, server.groups()).unwrap();
+        assert!(Arc::strong_count(&svc) > 1, "listeners share the service");
+        drop(server);
+        assert_eq!(Arc::strong_count(&svc), 1, "a server thread outlived drop");
+        for addr in addrs {
+            let err = TcpStream::connect(addr).expect_err("listener still bound");
+            assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+        }
     }
 
     /// A well-formed frame (valid length and CRC) carrying a kind byte

@@ -19,6 +19,8 @@
 use crate::config::RuntimeConfig;
 use crate::report::RuntimeEpoch;
 use serde::{Deserialize, Serialize};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 
 /// Bumped on incompatible layout changes. Version 2 widened the digest from
@@ -91,9 +93,17 @@ impl Checkpoint {
         self.digest = self.body_digest();
     }
 
-    /// Writes atomically: serialize to `<path>.tmp`, then rename over
-    /// `path`, so a crash mid-write never leaves a torn checkpoint. The
-    /// digest is recomputed over the exact bytes written (digest field
+    /// Writes atomically: serialize to `<path>.tmp`, `sync_all` it, then
+    /// rename over `path`. A failed save returns `Err`, removes the temp
+    /// file and leaves the previous checkpoint untouched; a *process*
+    /// killed mid-save leaves `path` old or new, never torn (the rename is
+    /// atomic); a *machine* lost mid-save cannot surface an empty or
+    /// half-written `path`, because the bytes are on disk before the
+    /// rename shows them. Whether the rename itself survives a power cut
+    /// is best-effort — the parent directory is synced afterwards, errors
+    /// ignored — and the worst case is the previous good checkpoint.
+    ///
+    /// The digest is recomputed over the exact bytes written (digest field
     /// zeroed), so verification at load works on raw file bytes — any
     /// single-byte substitution anywhere in the file is detected (FNV-1a
     /// over a same-length substitution is injective per position).
@@ -108,8 +118,25 @@ impl Checkpoint {
             .ok_or("checkpoint serialization lost its digest field")?;
         let sealed = format!("{}{h}}}", &json[..at + DIGEST_FIELD.len()]);
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, sealed).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
+        let write = || -> std::io::Result<()> {
+            let mut f = File::create(&tmp)?;
+            f.write_all(sealed.as_bytes())?;
+            f.sync_all()?;
+            std::fs::rename(&tmp, path)
+        };
+        if let Err(e) = write() {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(format!(
+                "save {} via {}: {e}",
+                path.display(),
+                tmp.display()
+            ));
+        }
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        if let Ok(dir) = File::open(parent.unwrap_or(Path::new("."))) {
+            let _ = dir.sync_all();
+        }
+        Ok(())
     }
 
     /// Loads and verifies a checkpoint. The digest check runs over the raw

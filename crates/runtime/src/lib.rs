@@ -211,7 +211,8 @@ impl Runtime {
         // --- parameter-service transport -----------------------------------
         // In-process by default; with `ps_tcp` every fetch crosses a real
         // loopback socket through the wire codec, one listener per shard
-        // group.
+        // group. Dropping the server — at the end of the run or on any
+        // early `?` exit below — stops the listeners.
         let tcp = if cfg.ps_tcp {
             let groups = job.ps_shards.min(4);
             Some(TcpPsServer::bind(service.clone(), groups).map_err(|e| e.to_string())?)
@@ -298,9 +299,6 @@ impl Runtime {
         }
         if let Some(h) = delay_handle {
             h.join().map_err(|_| "the delay-line thread panicked")?;
-        }
-        if let Some(srv) = tcp {
-            srv.shutdown();
         }
 
         let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;

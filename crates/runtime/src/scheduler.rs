@@ -1,10 +1,11 @@
 //! The seeded step scheduler at the heart of deterministic simulation.
 //!
-//! A [`StepScheduler`] owns a [`VirtualClock`] and a slab of pending
-//! events. Actors never run freely: every state transition is an event
-//! scheduled at a virtual instant, and the simulation single-steps by
-//! asking [`StepScheduler::next`] for the one event that runs now. Two
-//! sources of seeded nondeterminism stand in for the OS scheduler:
+//! A [`StepScheduler`] owns an [`EventQueue`] of pending events and the
+//! [`VirtualClock`] that shows the instant being executed. Actors never
+//! run freely: every state transition is an event scheduled at a virtual
+//! instant, and the simulation single-steps by asking
+//! [`StepScheduler::next`] for the one event that runs now. Two sources
+//! of seeded nondeterminism stand in for the OS scheduler:
 //!
 //! 1. every `schedule_in` adds a small uniform **scheduling jitter** to the
 //!    requested delay — the analog of preemption latency, which perturbs
@@ -19,17 +20,14 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vc_middleware::VirtualClock;
-use vc_simnet::SimTime;
+use vc_simnet::{EventQueue, SimTime};
 
 /// A seeded, virtually-timed event scheduler.
 pub struct StepScheduler<E> {
     clock: VirtualClock,
     rng: StdRng,
     jitter_s: f64,
-    /// Token-indexed storage: the clock queue holds tokens, this holds the
-    /// events they stand for.
-    slots: Vec<Option<E>>,
-    free: Vec<usize>,
+    events: EventQueue<E>,
     /// Events due at the instant the clock currently shows, awaiting the
     /// random pick.
     ready: Vec<E>,
@@ -47,8 +45,7 @@ impl<E> StepScheduler<E> {
             clock: VirtualClock::new(),
             rng: StdRng::seed_from_u64(seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1)),
             jitter_s,
-            slots: Vec::new(),
-            free: Vec::new(),
+            events: EventQueue::new(),
             ready: Vec::new(),
         }
     }
@@ -61,7 +58,7 @@ impl<E> StepScheduler<E> {
 
     /// The current virtual instant.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.events.now()
     }
 
     /// Schedules `ev` to run `delay_s` virtual seconds from now, plus the
@@ -76,22 +73,7 @@ impl<E> StepScheduler<E> {
         } else {
             0.0
         };
-        let token = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(ev);
-                i
-            }
-            None => {
-                self.slots.push(Some(ev));
-                self.slots.len() - 1
-            }
-        };
-        self.clock.schedule_in(delay_s + jitter, token as u64);
-    }
-
-    /// Number of events not yet executed.
-    pub fn pending(&self) -> usize {
-        self.clock.pending() + self.ready.len()
+        self.events.schedule_in(delay_s + jitter, ev);
     }
 
     /// Advances virtual time to the next scheduled instant and returns one
@@ -101,12 +83,11 @@ impl<E> StepScheduler<E> {
     #[allow(clippy::should_implement_trait)] // steps the sim, not an Iterator
     pub fn next(&mut self) -> Option<(SimTime, E)> {
         if self.ready.is_empty() {
-            let (at, token) = self.clock.advance()?;
-            let ev = self.take(token);
+            let (at, ev) = self.events.pop()?;
+            self.clock.set(at);
             self.ready.push(ev);
-            while self.clock.peek() == Some(at) {
-                let (_, token) = self.clock.advance().expect("peeked");
-                let ev = self.take(token);
+            while self.events.peek() == Some(at) {
+                let (_, ev) = self.events.pop().expect("peeked");
                 self.ready.push(ev);
             }
         }
@@ -115,31 +96,85 @@ impl<E> StepScheduler<E> {
         } else {
             0
         };
-        Some((self.clock.now(), self.ready.swap_remove(i)))
-    }
-
-    fn take(&mut self, token: u64) -> E {
-        let i = token as usize;
-        let ev = self.slots[i].take().expect("scheduled token has an event");
-        self.free.push(i);
-        ev
+        Some((self.events.now(), self.ready.swap_remove(i)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vc_middleware::Clock;
 
     fn drain(seed: u64, jitter: f64) -> Vec<(f64, u32)> {
+        drain_with(seed, jitter, false)
+    }
+
+    /// Sixteen events over four instants; with `nested`, every third one
+    /// schedules a zero-delay follow-up from inside its instant.
+    fn drain_with(seed: u64, jitter: f64, nested: bool) -> Vec<(f64, u32)> {
         let mut s: StepScheduler<u32> = StepScheduler::new(seed, jitter);
         for i in 0..16 {
             s.schedule_in(f64::from(i % 4), i);
         }
         let mut out = Vec::new();
         while let Some((t, e)) = s.next() {
+            assert_eq!(s.clock().now(), t, "the shared reading shows the instant");
+            if nested && e < 16 && e % 3 == 0 {
+                s.schedule_in(0.0, e + 100);
+            }
             out.push((t.as_secs(), e));
         }
         out
+    }
+
+    /// FNV-1a over the drained `(time bits, event)` stream.
+    fn fingerprint(run: &[(f64, u32)]) -> u64 {
+        run.iter()
+            .flat_map(|&(t, e)| [t.to_bits(), u64::from(e)])
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+                (h ^ w).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// `(seed, jitter, nested, fingerprint)`, recorded at 90a46b2 — before
+    /// the scheduler's private token heap became the shared event queue.
+    const GOLDEN: [(u64, f64, bool, u64); 12] = [
+        (1, 0.0, false, 0x7e0afe705334b1a5),
+        (1, 0.0, true, 0xf747a31f05925cd0),
+        (1, 0.01, false, 0xa81e17cd51798bbd),
+        (1, 0.01, true, 0x6fd31140322fbf9a),
+        (7, 0.0, false, 0x9516f4c14fa702f5),
+        (7, 0.0, true, 0x141eb6d9d0b79620),
+        (7, 0.01, false, 0xd4dcd58ff96afec2),
+        (7, 0.01, true, 0xc39d5818d3766257),
+        (42, 0.0, false, 0x5a40c9eebf27c3a5),
+        (42, 0.0, true, 0xe1609b2fc0a0d740),
+        (42, 0.01, false, 0xdf3263012d9786b6),
+        (42, 0.01, true, 0x422abebce027fb70),
+    ];
+
+    #[test]
+    fn interleavings_match_recorded_fingerprints() {
+        for (seed, jitter, nested, want) in GOLDEN {
+            let run = drain_with(seed, jitter, nested);
+            assert_eq!(run.len(), if nested { 22 } else { 16 });
+            assert_eq!(
+                fingerprint(&run),
+                want,
+                "seed {seed} jitter {jitter} nested {nested}: {run:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn same_instant_follow_ups_form_the_next_batch() {
+        // Without jitter a zero-delay event lands on the instant that
+        // scheduled it, but only after that instant's current batch.
+        let run = drain_with(7, 0.0, true);
+        let at_zero: Vec<u32> = run.iter().filter(|r| r.0 == 0.0).map(|r| r.1).collect();
+        assert_eq!(at_zero.len(), 6);
+        assert!(at_zero[..4].iter().all(|&e| e < 16), "{at_zero:?}");
+        assert!(at_zero[4..].iter().all(|&e| e >= 100), "{at_zero:?}");
     }
 
     #[test]
@@ -176,14 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn tokens_are_recycled() {
+    fn drained_scheduler_accepts_new_events() {
         let mut s: StepScheduler<&str> = StepScheduler::new(1, 0.0);
         s.schedule_in(0.0, "a");
         assert_eq!(s.next().map(|(_, e)| e), Some("a"));
         s.schedule_in(0.0, "b");
-        assert_eq!(s.slots.len(), 1, "slot reused, not grown");
         assert_eq!(s.next().map(|(_, e)| e), Some("b"));
-        assert_eq!(s.pending(), 0);
         assert!(s.next().is_none());
     }
 }

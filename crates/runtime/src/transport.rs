@@ -1,21 +1,21 @@
 //! Worker→server transport, optionally routed through a delay line.
 //!
 //! With fault injection enabled, every worker message is stamped with a
-//! random future delivery instant and held in a [`DelayQueue`], which
-//! releases messages in *delivery-time* order. Messages with different
-//! draws overtake each other, so the coordinator sees genuinely reordered
-//! traffic (a result can arrive after the poll that was sent later, a
-//! straggler upload after its workunit already timed out and was
-//! reassigned).
+//! random future delivery instant and held in a [`DelayQueue`] keyed by
+//! [`Instant`], which a dedicated delay-line thread releases in
+//! *delivery-time* order. Messages with different draws overtake each
+//! other, so the coordinator sees genuinely reordered traffic (a result
+//! can arrive after the poll that was sent later, a straggler upload after
+//! its workunit already timed out and was reassigned).
 //!
-//! The queue is generic over its time axis: the threaded runtime drives it
-//! with [`Instant`]s from a dedicated delay-line thread, the deterministic
-//! simulation (`crate::sim`) with [`vc_simnet::SimTime`] stamps from the
-//! virtual clock — one reordering semantics, two substrates.
+//! The deterministic simulation (`crate::sim`) has no delay line: it
+//! schedules each message as a `Deliver` event on its own event queue,
+//! which is the same [`DelayQueue`] keyed by virtual time.
 
 use crate::protocol::ToServer;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
+use vc_simnet::DelayQueue;
 
 /// A worker's handle for sending to the coordinator: direct, or via the
 /// delay line.
@@ -42,13 +42,6 @@ impl Outbox {
     }
 }
 
-// The reordering core of the delay line — a min-heap of messages keyed by
-// delivery time with FIFO tie-breaking — now lives in `vc-ps`, where the
-// delayed in-memory transport reuses it to shuffle response frames. The
-// wall-clock delay line and the deterministic simulation keep using it
-// from here.
-pub use vc_ps::DelayQueue;
-
 /// The delay-line thread body: stamps incoming messages into the queue and
 /// releases each when its delivery instant passes. Drains the queue after
 /// the input disconnects, then exits.
@@ -57,7 +50,7 @@ pub fn delay_line_main(rx: Receiver<(Instant, ToServer)>, out: Sender<ToServer>)
     let mut open = true;
     while open || !queue.is_empty() {
         // Wait for the next due delivery or the next incoming message.
-        let next_due = queue.next_due();
+        let next_due = queue.peek().map(|(at, _)| at);
         if open {
             let incoming = match next_due {
                 Some(at) => {
@@ -86,7 +79,7 @@ pub fn delay_line_main(rx: Receiver<(Instant, ToServer)>, out: Sender<ToServer>)
             std::thread::sleep(at.saturating_duration_since(Instant::now()));
         }
         let now = Instant::now();
-        while let Some(msg) = queue.pop_due(now) {
+        while let Some((_, msg)) = queue.pop_due(now) {
             if out.send(msg).is_err() {
                 return; // coordinator gone: drop the rest
             }
@@ -116,23 +109,6 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn delay_queue_releases_in_delivery_order_fifo_on_ties() {
-        let mut q: DelayQueue<u64, &str> = DelayQueue::new();
-        q.push(30, "c");
-        q.push(10, "a1");
-        q.push(10, "a2");
-        q.push(20, "b");
-        assert_eq!(q.next_due(), Some(10));
-        assert_eq!(q.pop_due(5), None, "nothing due yet");
-        assert_eq!(q.pop_due(25), Some("a1"), "ties release FIFO");
-        assert_eq!(q.pop_due(25), Some("a2"));
-        assert_eq!(q.pop_due(25), Some("b"));
-        assert_eq!(q.pop_due(25), None, "30 not due at 25");
-        assert_eq!(q.pop_due(30), Some("c"));
-        assert!(q.is_empty());
     }
 
     #[test]

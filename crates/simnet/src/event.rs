@@ -1,47 +1,19 @@
 //! Deterministic event queue.
 
+use crate::queue::DelayQueue;
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// An entry in the queue: reversed ordering so the `BinaryHeap` (a max-heap)
-/// pops the *earliest* event; ties break by insertion sequence, making runs
-/// bit-reproducible.
-struct Scheduled<T> {
-    at: SimTime,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Scheduled<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Scheduled<T> {}
-impl<T> PartialOrd for Scheduled<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Scheduled<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: earliest time (then lowest seq) = greatest priority.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// A discrete-event queue over payloads of type `T`.
 ///
 /// The single source of causality in every simulation: all fleet activity —
 /// downloads finishing, subtasks completing, assimilations draining,
 /// preemptions firing — is an event popped from here in time order.
+///
+/// A [`DelayQueue`] keyed by [`SimTime`] — earliest first, ties in
+/// insertion order, so runs are bit-reproducible — plus the clock reading
+/// it implies.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Scheduled<T>>,
-    seq: u64,
+    queue: DelayQueue<SimTime, T>,
     now: SimTime,
 }
 
@@ -49,8 +21,7 @@ impl<T> EventQueue<T> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            queue: DelayQueue::new(),
             now: SimTime::ZERO,
         }
     }
@@ -68,12 +39,7 @@ impl<T> EventQueue<T> {
             "cannot schedule into the past ({at:?} < {:?})",
             self.now
         );
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
+        self.queue.push(at, payload);
     }
 
     /// Schedules `payload` `delay` seconds from now.
@@ -82,22 +48,26 @@ impl<T> EventQueue<T> {
         self.schedule(at, payload);
     }
 
+    /// The timestamp of the earliest pending event.
+    pub fn peek(&self) -> Option<SimTime> {
+        self.queue.peek().map(|(at, _)| at)
+    }
+
     /// Pops the earliest event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|s| {
-            self.now = s.at;
-            (s.at, s.payload)
-        })
+        let (at, payload) = self.queue.pop()?;
+        self.now = at;
+        Some((at, payload))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 }
 
@@ -119,17 +89,6 @@ mod tests {
         q.schedule(SimTime::from_secs(3.0), "b");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(2.0);
-        for i in 0..10 {
-            q.schedule(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! and preemptible-instance terminations. Reproducing those axes without
 //! the testbed requires simulating time while computing accuracy for real:
 //!
-//! * [`SimTime`]/[`EventQueue`] — a deterministic discrete-event core.
+//! * [`SimTime`]/[`EventQueue`] — a deterministic discrete-event core, over
+//!   [`DelayQueue`]: the workspace's one `(key, insertion order)` min-queue,
+//!   which the middleware's deadline timers, the DST step scheduler and the
+//!   threaded runtime's delay line key by their own notion of "when".
 //! * [`InstanceSpec`]/[`table1`] — the paper's instance catalog with vCPU,
 //!   clock, RAM, bandwidth and AWS-calibrated prices.
 //! * [`ComputeModel`] — client subtask service times under concurrency
@@ -29,6 +32,7 @@ pub mod compute;
 pub mod event;
 pub mod network;
 pub mod preempt;
+pub mod queue;
 pub mod specs;
 pub mod time;
 
@@ -36,5 +40,6 @@ pub use compute::ComputeModel;
 pub use event::EventQueue;
 pub use network::NetworkModel;
 pub use preempt::PreemptionModel;
+pub use queue::DelayQueue;
 pub use specs::{generated_fleet, table1, InstanceSpec};
 pub use time::SimTime;

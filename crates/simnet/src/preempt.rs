@@ -25,12 +25,6 @@ pub enum PreemptionModel {
 }
 
 impl PreemptionModel {
-    /// AWS interruption-frequency band "<5 %" from the spot-instance
-    /// advisor, the band the paper's instances fall in.
-    pub fn aws_band_under_5pct() -> Self {
-        PreemptionModel::BernoulliPerSubtask { p: 0.05 }
-    }
-
     /// Draws whether a subtask execution of `duration_s` seconds on an
     /// instance gets preempted, and if so after how many seconds.
     pub fn draw_preemption<R: Rng>(&self, duration_s: f64, rng: &mut R) -> Option<f64> {

@@ -1,4 +1,4 @@
-//! Structured events, spans, and the shared [`Telemetry`] handle.
+//! Structured events and the shared [`Telemetry`] handle.
 //!
 //! An [`Event`] is a timestamped, levelled name plus `key=value` fields.
 //! Events flow into two sinks: an optional stderr echo (gated by the
@@ -8,14 +8,14 @@
 //! deterministic simulation.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{Histogram, Registry};
+use crate::metrics::Registry;
 use crate::recorder::FlightRecorder;
 
 /// Severity of an [`Event`]. Ordered from most to least severe, so an
@@ -66,8 +66,8 @@ impl fmt::Display for Level {
     }
 }
 
-/// One typed field value. Constructed via `From` so the `event!` / `span!`
-/// macros accept bare literals of the common types.
+/// One typed field value. Constructed via `From` so the `event!` macro
+/// accepts bare literals of the common types.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum FieldValue {
     /// Boolean flag.
@@ -215,25 +215,6 @@ impl TimeSource for WallTime {
 /// Default flight-recorder capacity (events retained).
 pub const DEFAULT_CAPACITY: usize = 8192;
 
-// Echo level is packed into an AtomicU8: 0 = off, otherwise level + 1.
-fn pack_echo(level: Option<Level>) -> u8 {
-    match level {
-        None => 0,
-        Some(l) => l as u8 + 1,
-    }
-}
-
-fn unpack_echo(bits: u8) -> Option<Level> {
-    match bits {
-        0 => None,
-        1 => Some(Level::Error),
-        2 => Some(Level::Warn),
-        3 => Some(Level::Info),
-        4 => Some(Level::Debug),
-        _ => Some(Level::Trace),
-    }
-}
-
 /// Reads `VC_LOG`: a level name enables echo at that level, `off` /
 /// `none` / `0` disables it, anything else (or unset) yields `default`.
 fn env_echo(default: Option<Level>) -> Option<Level> {
@@ -253,7 +234,7 @@ fn env_echo(default: Option<Level>) -> Option<Level> {
 struct Inner {
     registry: Registry,
     recorder: FlightRecorder,
-    echo: AtomicU8,
+    echo: Option<Level>,
     tracing: AtomicBool,
     time: RwLock<Arc<dyn TimeSource>>,
 }
@@ -274,7 +255,7 @@ impl Telemetry {
             inner: Arc::new(Inner {
                 registry: Registry::new(),
                 recorder: FlightRecorder::new(capacity),
-                echo: AtomicU8::new(pack_echo(echo)),
+                echo,
                 tracing: AtomicBool::new(false),
                 time: RwLock::new(Arc::new(WallTime::new())),
             }),
@@ -326,16 +307,6 @@ impl Telemetry {
         self.inner.tracing.store(on, Ordering::Relaxed);
     }
 
-    /// Current stderr-echo threshold (`None` = off).
-    pub fn echo_level(&self) -> Option<Level> {
-        unpack_echo(self.inner.echo.load(Ordering::Relaxed))
-    }
-
-    /// Sets the stderr-echo threshold.
-    pub fn set_echo_level(&self, level: Option<Level>) {
-        self.inner.echo.store(pack_echo(level), Ordering::Relaxed);
-    }
-
     /// Records an event timestamped from the active time source.
     pub fn event(&self, level: Level, name: &str, fields: Vec<(&str, FieldValue)>) {
         self.event_at(self.now_s(), level, name, fields);
@@ -359,72 +330,12 @@ impl Telemetry {
     /// Records a fully-built event: echoes to stderr when the level
     /// passes the filter, then appends to the flight recorder.
     pub fn emit(&self, event: Event) {
-        if let Some(threshold) = self.echo_level() {
+        if let Some(threshold) = self.inner.echo {
             if event.level <= threshold {
                 eprintln!("{event}");
             }
         }
         self.inner.recorder.record(event);
-    }
-
-    /// Opens a span: an event emitted on drop with a `dur_s` field, and
-    /// optionally observed into a latency histogram.
-    pub fn span(&self, level: Level, name: &str, fields: Vec<(&str, FieldValue)>) -> Span {
-        Span {
-            tel: self.clone(),
-            level,
-            name: name.to_string(),
-            fields: fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            start_s: self.now_s(),
-            hist: None,
-        }
-    }
-}
-
-/// A timed region. Dropping the span emits its event (with a `dur_s`
-/// field appended) and, if [`Span::with_histogram`] was called, observes
-/// the duration into that histogram.
-pub struct Span {
-    tel: Telemetry,
-    level: Level,
-    name: String,
-    fields: Vec<(String, FieldValue)>,
-    start_s: f64,
-    hist: Option<Arc<Histogram>>,
-}
-
-impl Span {
-    /// Also observe the span's duration into the latency histogram named
-    /// `name` (created with [`Histogram::latency_bounds`] on first use).
-    pub fn with_histogram(mut self, name: &str) -> Self {
-        self.hist = Some(self.tel.registry().histogram(name));
-        self
-    }
-
-    /// The span's start time in seconds.
-    pub fn start_s(&self) -> f64 {
-        self.start_s
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let end_s = self.tel.now_s();
-        let dur_s = end_s - self.start_s;
-        if let Some(h) = &self.hist {
-            h.observe(dur_s);
-        }
-        let mut fields = std::mem::take(&mut self.fields);
-        fields.push(("dur_s".to_string(), FieldValue::F64(dur_s)));
-        self.tel.emit(Event {
-            t_s: end_s,
-            level: self.level,
-            name: std::mem::take(&mut self.name),
-            fields,
-        });
     }
 }
 
@@ -434,20 +345,6 @@ impl Drop for Span {
 macro_rules! event {
     ($tel:expr, $lvl:ident, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
         $tel.event(
-            $crate::Level::$lvl,
-            $name,
-            vec![$((stringify!($k), $crate::FieldValue::from($v))),*],
-        )
-    };
-}
-
-/// Opens a timed span on a [`Telemetry`] handle; bind the result so the
-/// span closes when it goes out of scope:
-/// `let _s = span!(tel, Debug, "train", wu = wu_id).with_histogram("train_s");`
-#[macro_export]
-macro_rules! span {
-    ($tel:expr, $lvl:ident, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $tel.span(
             $crate::Level::$lvl,
             $name,
             vec![$((stringify!($k), $crate::FieldValue::from($v))),*],
@@ -476,9 +373,7 @@ mod tests {
             Level::Trace,
         ] {
             assert_eq!(Level::parse(l.as_str()), Some(l));
-            assert_eq!(unpack_echo(pack_echo(Some(l))), Some(l));
         }
-        assert_eq!(unpack_echo(pack_echo(None)), None);
     }
 
     #[test]
@@ -516,25 +411,6 @@ mod tests {
         assert_eq!(tel.recorder().events()[0].t_s, 42.5);
         tel.event_at(7.0, Level::Debug, "explicit", vec![]);
         assert_eq!(tel.recorder().events()[1].t_s, 7.0);
-    }
-
-    #[test]
-    fn span_appends_duration_and_feeds_histogram() {
-        let tel = Telemetry::with_echo(16, None);
-        {
-            let _s = tel
-                .span(Level::Debug, "train", vec![("wu", 9_u64.into())])
-                .with_histogram("train_s");
-        }
-        let evs = tel.recorder().events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, "train");
-        assert_eq!(evs[0].field("wu"), Some(&FieldValue::U64(9)));
-        assert!(matches!(
-            evs[0].field("dur_s"),
-            Some(FieldValue::F64(d)) if *d >= 0.0
-        ));
-        assert_eq!(tel.registry().histogram("train_s").snapshot().count, 1);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! # vc-telemetry
 //!
 //! Observability substrate for the vc-dl workspace: a lock-cheap metrics
-//! registry, a structured event/span layer, and a per-run flight
+//! registry, a structured event layer, and a per-run flight
 //! recorder — with zero external dependencies beyond the vendored shims.
 //!
 //! The three pieces share one [`Telemetry`] handle, cloned across
 //! threads:
 //!
 //! - **Metrics** ([`Registry`]): counters, gauges, and fixed-bucket
-//!   histograms with merge, Prometheus text exposition
+//!   histograms, Prometheus text exposition
 //!   ([`Registry::render_prometheus`]) and a serde JSON snapshot
 //!   ([`Registry::snapshot`]).
-//! - **Events & spans** ([`event!`], [`span!`]): levelled, timestamped,
-//!   `key=value`-structured. Timestamps come from a pluggable
+//! - **Events** ([`event!`]): levelled, timestamped,
+//!   `key=value`-structured; a timed region is a `trace_span` event
+//!   ([`Telemetry::trace_span`]). Timestamps come from a pluggable
 //!   [`TimeSource`] — wall clock on OS threads, the `VirtualClock` under
 //!   deterministic simulation — so DST recorder output replays
 //!   byte-identically.
@@ -29,7 +30,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod trace;
 
-pub use event::{Event, FieldValue, Level, Span, Telemetry, TimeSource, WallTime};
+pub use event::{Event, FieldValue, Level, Telemetry, TimeSource, WallTime};
 pub use metrics::{
     Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, HistogramSnapshot,
     Registry, RegistrySnapshot,
@@ -62,18 +63,12 @@ mod tests {
         let tel = Telemetry::with_echo(32, None);
         event!(tel, Info, "epoch_finished", epoch = 2_u64, acc = 0.5_f64);
         event!(tel, Warn, "bare");
-        {
-            let _s = span!(tel, Debug, "assimilate", wu = 7_u64).with_histogram("assim_s");
-        }
         let evs = tel.recorder().events();
-        assert_eq!(evs.len(), 3);
+        assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].name, "epoch_finished");
         assert_eq!(evs[0].field("epoch"), Some(&FieldValue::U64(2)));
         assert_eq!(evs[1].name, "bare");
         assert!(evs[1].fields.is_empty());
-        assert_eq!(evs[2].name, "assimilate");
-        assert!(evs[2].field("dur_s").is_some());
-        assert_eq!(tel.registry().histogram("assim_s").snapshot().count, 1);
     }
 
     #[test]

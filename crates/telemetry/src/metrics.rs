@@ -190,24 +190,6 @@ impl HistogramSnapshot {
         }
         *self.bounds.last().expect("bounds are never empty")
     }
-
-    /// Adds `other`'s observations into `self`. Fails when the bucket
-    /// layouts differ — merging is only meaningful bucket-by-bucket.
-    pub fn merge(&mut self, other: &HistogramSnapshot) -> Result<(), String> {
-        if self.bounds != other.bounds {
-            return Err(format!(
-                "cannot merge histograms with different bounds ({} vs {})",
-                self.bounds.len(),
-                other.bounds.len()
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        Ok(())
-    }
 }
 
 impl Default for HistogramSnapshot {
@@ -223,7 +205,6 @@ struct RegistryInner {
     counters: Vec<(String, Arc<Counter>)>,
     gauges: Vec<(String, Arc<Gauge>)>,
     histograms: Vec<(String, Arc<Histogram>)>,
-    help: Vec<(String, String)>,
 }
 
 /// A named collection of metrics. Lookup takes the registry lock once;
@@ -327,28 +308,6 @@ impl Registry {
         }
     }
 
-    /// Registers free-text help for a metric name, emitted as the
-    /// `# HELP` line in the Prometheus exposition. Metrics without a
-    /// registered description get a generic fallback.
-    pub fn describe(&self, name: &str, help: &str) {
-        let mut g = self.inner.write();
-        if let Some((_, h)) = g.help.iter_mut().find(|(n, _)| n == name) {
-            help.clone_into(h);
-        } else {
-            g.help.push((name.to_string(), help.to_string()));
-        }
-    }
-
-    /// The registered help text for `name`, if any.
-    pub fn help(&self, name: &str) -> Option<String> {
-        self.inner
-            .read()
-            .help
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h.clone())
-    }
-
     /// Prometheus text exposition of every metric, sorted by name, with
     /// `# HELP` / `# TYPE` metadata and names sanitized to the exposition
     /// charset `[a-zA-Z_:][a-zA-Z0-9_:]*`.
@@ -356,10 +315,8 @@ impl Registry {
         let snap = self.snapshot();
         let mut out = String::new();
         let help_line = |out: &mut String, raw: &str, name: &str| {
-            let text = self
-                .help(raw)
-                .unwrap_or_else(|| format!("vc-dl metric {raw}"));
-            out.push_str(&format!("# HELP {name} {}\n", escape_help(&text)));
+            let text = escape_help(&format!("vc-dl metric {raw}"));
+            out.push_str(&format!("# HELP {name} {text}\n"));
         };
         for c in &snap.counters {
             let name = sanitize(&c.name);
@@ -531,44 +488,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_requires_identical_bounds_and_adds() {
-        let a = Histogram::new(vec![1.0, 2.0]);
-        a.observe(0.5);
-        a.observe(1.5);
-        let b = Histogram::new(vec![1.0, 2.0]);
-        b.observe(1.5);
-        b.observe(9.0);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot()).unwrap();
-        assert_eq!(m.counts, vec![1, 2, 1]);
-        assert_eq!(m.count, 4);
-        assert!((m.sum - 12.5).abs() < 1e-9);
-        assert!((m.mean() - 3.125).abs() < 1e-9);
-
-        let mut odd = HistogramSnapshot::empty(vec![3.0]);
-        assert!(odd.merge(&b.snapshot()).is_err(), "bounds mismatch refused");
-    }
-
-    #[test]
     fn exposition_format_golden() {
         let reg = Registry::new();
         reg.counter("vc_ops_total").add(3);
-        reg.describe("vc_ops_total", "total ops\nmulti-line");
-        reg.gauge("queue depth").set(1.5);
+        reg.gauge("queue\ndepth").set(1.5);
         let h = reg.histogram_with("lat_s", || vec![0.5, 1.0]);
         h.observe(0.25);
         h.observe(0.75);
         h.observe(2.0);
         // Counters render before gauges before histograms; every series
-        // gets # HELP (registered text, newline-escaped, or a fallback)
-        // and # TYPE; bucket counts are cumulative with an explicit +Inf
-        // edge plus _sum/_count; names are sanitized to the Prometheus
-        // charset.
+        // gets a generic # HELP (newline-escaped) and # TYPE; bucket
+        // counts are cumulative with an explicit +Inf edge plus
+        // _sum/_count; names are sanitized to the Prometheus charset.
         let expected = "\
-# HELP vc_ops_total total ops\\nmulti-line
+# HELP vc_ops_total vc-dl metric vc_ops_total
 # TYPE vc_ops_total counter
 vc_ops_total 3
-# HELP queue_depth vc-dl metric queue depth
+# HELP queue_depth vc-dl metric queue\\ndepth
 # TYPE queue_depth gauge
 queue_depth 1.5
 # HELP lat_s vc-dl metric lat_s

@@ -26,11 +26,6 @@ impl NormalSampler {
         }
     }
 
-    /// Wraps an existing RNG (used when one seed must drive several streams).
-    pub fn from_rng(rng: StdRng) -> Self {
-        NormalSampler { rng, spare: None }
-    }
-
     /// Draws one standard-normal sample.
     pub fn sample(&mut self) -> f32 {
         if let Some(s) = self.spare.take() {
@@ -48,11 +43,6 @@ impl NormalSampler {
     /// Draws a sample from `N(mean, std^2)`.
     pub fn sample_with(&mut self, mean: f32, std: f32) -> f32 {
         self.sample() * std + mean
-    }
-
-    /// Access to the underlying uniform RNG for mixed workloads.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 }
 

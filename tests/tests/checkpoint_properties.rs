@@ -97,3 +97,43 @@ proptest! {
         prop_assert!(res.is_err(), "kept {keep} of {} bytes", bytes.len());
     }
 }
+
+/// A save that fails — here the temp path cannot be created, because a
+/// directory already sits there — reports the failure and leaves the
+/// previous good checkpoint loadable; and neither a successful save nor
+/// one that fails after writing its temp file leaves a `.tmp` behind.
+#[test]
+fn failed_save_keeps_the_previous_checkpoint() {
+    let path = tmp_path("failed_save");
+    let tmp = path.with_extension("tmp");
+    let good = build(7, vec![0.5, -1.5], vec![0.25, -0.75], 1.0);
+    good.save(&path).unwrap();
+    assert!(!tmp.exists(), "a successful save left its temp file");
+
+    std::fs::create_dir(&tmp).unwrap();
+    let newer = build(8, vec![9.0, 9.0], vec![9.0, 9.0], 2.0);
+    let failed = newer.save(&path);
+    std::fs::remove_dir(&tmp).unwrap();
+    assert!(
+        failed.is_err(),
+        "a directory at the temp path must fail the save"
+    );
+
+    let back = Checkpoint::load(&path);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(back.unwrap(), good, "the failed save damaged the old file");
+    assert!(!tmp.exists());
+
+    // A failure after the temp file was written (the target is a non-empty
+    // directory, so the rename is refused) removes the temp file too.
+    let blocked = tmp_path("blocked_rename");
+    std::fs::create_dir_all(blocked.join("occupied")).unwrap();
+    let failed = newer.save(&blocked);
+    let leftover = blocked.with_extension("tmp").exists();
+    std::fs::remove_dir_all(&blocked).unwrap();
+    assert!(
+        failed.is_err(),
+        "renaming onto a non-empty directory must fail"
+    );
+    assert!(!leftover, "a refused rename left its temp file behind");
+}

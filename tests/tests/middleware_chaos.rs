@@ -1,15 +1,15 @@
 //! Failure-injection tests against the middleware state machine: the
 //! §III-B fault-tolerance guarantees under adversarial schedules, driven
-//! through the DST harness's [`VirtualClock`] — time is an explicit event
-//! queue, every step is seeded, and any failing seed replays bit-for-bit.
+//! through a [`vc_simnet::EventQueue`] — time is an explicit event queue,
+//! every step is seeded, and any failing seed replays bit-for-bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vc_middleware::{
-    BoincServer, Clock, FiniteBlobValidator, HostId, MiddlewareConfig, ReportStatus,
-    ValidationVerdict, Validator, VirtualClock,
+    BoincServer, FiniteBlobValidator, HostId, MiddlewareConfig, ReportStatus, ValidationVerdict,
+    Validator,
 };
-use vc_simnet::{table1, SimTime};
+use vc_simnet::{table1, EventQueue, SimTime};
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs(s)
@@ -21,13 +21,13 @@ fn fleet(n: usize, slots: usize) -> Vec<(vc_simnet::InstanceSpec, usize)> {
 
 /// Randomized schedule across 32 seeds: hosts flap, results arrive or
 /// vanish, virtual time jumps — every workunit must still complete exactly
-/// once. Time advances through a [`VirtualClock`] wakeup queue, so the
+/// once. Time advances through an [`EventQueue`] of wake-ups, so the
 /// whole schedule is a pure function of the seed named in any failure.
 #[test]
 fn every_workunit_completes_exactly_once_under_chaos() {
     for seed in 0..32u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let clock = VirtualClock::new();
+        let mut clock: EventQueue<()> = EventQueue::new();
         let mut server = BoincServer::new(
             MiddlewareConfig {
                 timeout_s: 100.0,
@@ -45,10 +45,10 @@ fn every_workunit_completes_exactly_once_under_chaos() {
         let mut in_flight: Vec<(vc_middleware::WuId, HostId)> = Vec::new();
         let mut completions = 0usize;
         let mut steps = 0u64;
-        clock.schedule_in(rng.gen_range(1.0..40.0), steps);
+        clock.schedule_in(rng.gen_range(1.0..40.0), ());
         while !server.all_done() {
-            let (now_t, _) = clock
-                .advance()
+            let (now_t, ()) = clock
+                .pop()
                 .unwrap_or_else(|| panic!("DST seed {seed}: clock ran dry mid-chaos"));
             steps += 1;
             assert!(
@@ -88,7 +88,7 @@ fn every_workunit_completes_exactly_once_under_chaos() {
             }
             in_flight = still;
             // Arm the next step of the schedule.
-            clock.schedule_in(rng.gen_range(1.0..40.0), steps);
+            clock.schedule_in(rng.gen_range(1.0..40.0), ());
         }
         assert_eq!(
             completions, wus,
@@ -97,7 +97,7 @@ fn every_workunit_completes_exactly_once_under_chaos() {
         let m = server.metrics();
         assert_eq!(m.completed as usize, wus, "DST seed {seed}");
         assert!(
-            clock.elapsed_s() > 0.0,
+            clock.now() > SimTime::ZERO,
             "DST seed {seed}: virtual time never advanced"
         );
     }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use vc_asgd::alpha::{blend_eq1, eq2_closed_form};
 use vc_data::{DataShard, Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
-use vc_simnet::{EventQueue, SimTime};
+use vc_simnet::DelayQueue;
 use vc_tensor::{decode_f32s, encode_f32s, Tensor};
 
 proptest! {
@@ -70,24 +70,40 @@ proptest! {
         }
     }
 
-    /// Event queue: pops are globally time-ordered regardless of insertion
-    /// order, and ties preserve insertion order.
+    /// The one time-ordered queue (`vc_simnet::DelayQueue`, under the DES
+    /// event queue, the DST step scheduler, the middleware's deadline
+    /// timers and the delay line) against a stable-sort oracle: any
+    /// interleaving of push / pop / pop_due over keys with many ties
+    /// releases earliest-key first and equal keys in insertion order, and
+    /// `pop_due(now)` releases a key `== now` but holds one `> now`.
     #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0.0f64..1e6, 1..256)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_secs(t), i);
-        }
-        let mut prev_t = f64::NEG_INFINITY;
-        let mut prev_seq_at_t = 0usize;
-        while let Some((t, seq)) = q.pop() {
-            prop_assert!(t.as_secs() >= prev_t);
-            if t.as_secs() == prev_t {
-                prop_assert!(seq > prev_seq_at_t, "tie broke insertion order");
+    fn event_queue_total_order(ops in prop::collection::vec((0u8..4, 0u8..8), 1..256)) {
+        let mut q: DelayQueue<u8, usize> = DelayQueue::new();
+        // Arrival order; a stable sort by key puts the next release first.
+        let mut oracle: Vec<(u8, usize)> = Vec::new();
+        for (id, (kind, key)) in ops.into_iter().enumerate() {
+            oracle.sort_by_key(|&(k, _)| k);
+            match kind {
+                0 | 1 => {
+                    q.push(key, id);
+                    oracle.push((key, id));
+                }
+                2 => {
+                    let want = (!oracle.is_empty()).then(|| oracle.remove(0));
+                    prop_assert_eq!(q.pop(), want);
+                }
+                _ => {
+                    let due = oracle.first().is_some_and(|&(k, _)| k <= key);
+                    let want = due.then(|| oracle.remove(0));
+                    prop_assert_eq!(q.pop_due(key), want);
+                }
             }
-            prev_t = t.as_secs();
-            prev_seq_at_t = seq;
+            prop_assert_eq!(q.len(), oracle.len());
         }
+        oracle.sort_by_key(|&(k, _)| k);
+        prop_assert_eq!(q.peek().map(|(k, &id)| (k, id)), oracle.first().copied());
+        let drained: Vec<(u8, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(drained, oracle);
     }
 
     /// Shard split: a partition (every sample exactly once, sizes within
