@@ -1,11 +1,14 @@
 //! # vc-bench
 //!
 //! The experiment harness: one runner binary per table/figure of the paper
-//! (see DESIGN.md §4 for the index) plus criterion micro-benchmarks.
+//! (see DESIGN.md §4 for the index) plus `bench_scale`, the thread-cap and
+//! fleet-size curves the contract benchmark has no axis for.
 //!
 //! Every runner prints a human-readable table to stdout and writes a CSV
 //! under `results/` so `fig5` (the zoom of `fig4`) and EXPERIMENTS.md can
-//! consume stable artifacts.
+//! consume stable artifacts. The timing-only runners ([`fig3`], [`sec4d`],
+//! [`sec4e`]) build their text here, as pure functions of the code, so
+//! `tests/artefacts.rs` can hold the committed files to it byte for byte.
 //!
 //! ## Scale knobs
 //!
@@ -19,7 +22,11 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-use vc_asgd::JobReport;
+use vc_asgd::{AlphaSchedule, JobConfig, JobReport};
+use vc_cost::{simulate_extra_time_s, DbOverhead, FleetCost, TimeoutAnalysis};
+use vc_kvstore::{Consistency, LatencyModel};
+use vc_runtime::des::run_job;
+use vc_simnet::{table1, PreemptionModel};
 
 /// Epochs for real-training experiment runs, honouring `REPRO_EPOCHS` /
 /// `REPRO_FAST` (see crate docs).
@@ -103,6 +110,192 @@ pub fn print_run(label: &str, report: &JobReport) {
         report.store_ops.lost_updates,
         report.server_metrics.timeouts
     );
+}
+
+/// What the `fig3` binary prints around its `write_results("fig3.csv", ..)`.
+pub struct Fig3 {
+    /// The hours table (stdout, before the CSV is written).
+    pub table: String,
+    /// `config,tn,total_hours` — the committed `results/fig3.csv`.
+    pub csv: String,
+    /// The paper's two headline observations (stdout, after).
+    pub checks: String,
+}
+
+/// Figure 3: total training time for {P1C3, P3C3, P5C5} × {T2, T4, T8} at
+/// α = 0.95 over 40 timing-only epochs.
+pub fn fig3() -> Fig3 {
+    let epochs = 40;
+    let groups = [(1usize, 3usize), (3, 3), (5, 5)];
+    let tns = [2usize, 4, 8];
+    // hours[group][tn]
+    let hours = groups.map(|(pn, cn)| {
+        tns.map(|tn| {
+            let mut cfg = JobConfig::paper_default(42).with_pct(pn, cn, tn);
+            cfg.alpha = AlphaSchedule::Const(0.95);
+            cfg.epochs = epochs;
+            cfg.timing_only = true;
+            run_job(cfg).expect("valid config").total_time_h
+        })
+    });
+
+    let mut csv = String::from("config,tn,total_hours\n");
+    let mut table = String::new();
+    table += &format!("Figure 3: total training time (hours), {epochs} epochs, alpha = 0.95\n");
+    table += &format!("{:<8} {:>8} {:>8} {:>8}\n", "", "T2", "T4", "T8");
+    for ((pn, cn), row_hours) in groups.into_iter().zip(hours) {
+        let mut row = format!("{:<8}", format!("P{pn}C{cn}"));
+        for (tn, h) in tns.into_iter().zip(row_hours) {
+            row.push_str(&format!(" {h:>8.2}"));
+            csv.push_str(&format!("P{pn}C{cn},{tn},{h:.4}\n"));
+        }
+        table += &format!("{row}\n");
+    }
+
+    // The paper's two headline observations, checked programmatically so a
+    // calibration regression is loud.
+    let (p1t4, p1t8, p3t8) = (hours[0][1], hours[0][2], hours[1][2]);
+    let mut checks = String::new();
+    checks += "\nShape checks:\n";
+    checks += &format!(
+        "  P1C3: T4 {:.2}h {} T8 {:.2}h (paper: T8 slower — server bound)\n",
+        p1t4,
+        if p1t8 > p1t4 { "<" } else { "!>" },
+        p1t8
+    );
+    checks += &format!(
+        "  P3C3T8 is {:.2}h faster than P1C3T8 (paper: ~3h faster)\n",
+        p1t8 - p3t8
+    );
+    Fig3 { table, csv, checks }
+}
+
+/// §IV-D: the calibrated per-update latency model, the strong-consistency
+/// overhead extrapolation and a timing-only P3C3T4 run under each mode —
+/// the `sec4d` binary's stdout.
+pub fn sec4d() -> String {
+    let mut out = String::new();
+    // 1. Per-update latency model at the paper's blob size.
+    let blob = (21.2 * 1024.0 * 1024.0) as usize;
+    let redis = LatencyModel::for_mode(Consistency::Eventual).update_s(blob);
+    let mysql = LatencyModel::for_mode(Consistency::Strong).update_s(blob);
+    out += "Per-update latency (21.2 MB parameter blob):\n";
+    out += &format!("  eventual (Redis analog): {redis:.2} s   (paper: 0.87 s)\n");
+    out += &format!("  strong   (MySQL analog): {mysql:.2} s   (paper: 1.29 s)\n");
+    out += &format!(
+        "  ratio: {:.2}x              (paper: 1.5x)\n",
+        mysql / redis
+    );
+
+    // 2. Overhead extrapolation.
+    let d = DbOverhead::paper_measured();
+    out += "\nStrong-consistency overhead:\n";
+    out += &format!(
+        "  CIFAR10, 40 epochs (~{} updates): +{:.1} min   (paper: ~14 min)\n",
+        DbOverhead::cifar10_updates(40),
+        d.extra_s(DbOverhead::cifar10_updates(40)) / 60.0
+    );
+    out += &format!(
+        "  ImageNet, 40 epochs (~{} updates): +{:.0} h   (paper: ~187 h)\n",
+        DbOverhead::imagenet_updates(40),
+        d.extra_s(DbOverhead::imagenet_updates(40)) / 3600.0
+    );
+
+    // 3. End-to-end effect on a training run (timing-only, full 40 epochs).
+    out += "\nEnd-to-end P3C3T4, 40 epochs (timing-only simulation):\n";
+    out += &format!(
+        "{:<10} {:>12} {:>14} {:>13}\n",
+        "mode", "total hours", "lost updates", "transactions"
+    );
+    for mode in [Consistency::Eventual, Consistency::Strong] {
+        let mut cfg = JobConfig::paper_default(42).with_pct(3, 3, 4);
+        cfg.epochs = 40;
+        cfg.timing_only = true;
+        cfg.consistency = mode;
+        let r = run_job(cfg).expect("valid config");
+        out += &format!(
+            "{:<10} {:>12.2} {:>14} {:>13}\n",
+            mode.to_string(),
+            r.total_time_h,
+            r.store_ops.lost_updates,
+            r.store_ops.transactions
+        );
+    }
+    out
+}
+
+/// §IV-E: the preemptible cost table, the binomial timeout model against
+/// Monte-Carlo and the full DES fleet, and cost with delay — the `sec4e`
+/// binary's stdout.
+pub fn sec4e() -> String {
+    let mut out = String::new();
+    // 1. Cost table.
+    let fleet = table1::uniform_fleet(5);
+    let cost = FleetCost::of(&fleet, 8.0);
+    out += "P5C5T2 fleet (5 x 8 vCPU / 32 GB):\n";
+    out += &format!(
+        "  standard:    ${:.2}/h, ${:.2} per 8 h run (paper: $1.67/h, $13.4)\n",
+        cost.standard_per_hour,
+        cost.standard_total()
+    );
+    out += &format!(
+        "  preemptible: ${:.2}/h, ${:.2} per 8 h run (paper: $0.50/h, $4.0)\n",
+        cost.preemptible_per_hour,
+        cost.preemptible_total()
+    );
+    out += &format!("  saving: {:.0}% (paper: 70%)\n", cost.saving() * 100.0);
+
+    // 2. Binomial model vs Monte-Carlo vs full DES.
+    let a = TimeoutAnalysis::paper_p5c5t2();
+    out += &format!(
+        "\nTimeout model: n = {} waves, t_e = {:.1} min, t_o = {:.0} min\n",
+        a.n_waves(),
+        a.t_e / 60.0,
+        a.t_o / 60.0
+    );
+    out += &format!(
+        "{:>6} {:>16} {:>16} {:>18}\n",
+        "p", "analytic (min)", "monte-carlo", "DES fleet (min)"
+    );
+
+    // Baseline DES run without preemption, for the delta.
+    let base_h = des_hours(PreemptionModel::None, 0);
+    for &p in &[0.05, 0.10, 0.20] {
+        let analytic = a.expected_extra_s(p) / 60.0;
+        let mc = simulate_extra_time_s(&a, p, 500, 42) / 60.0;
+        // Average the DES over a few seeds: a single 40-epoch run has only
+        // ~200 waves, so per-run variance is visible.
+        let mut des = 0.0;
+        let seeds = 3;
+        for s in 0..seeds {
+            des += des_hours(PreemptionModel::BernoulliPerSubtask { p }, s);
+        }
+        let des_extra_min = (des / seeds as f64 - base_h) * 60.0;
+        out += &format!("{p:>6.2} {analytic:>16.1} {mc:>16.1} {des_extra_min:>18.1}\n");
+    }
+    out += "(paper: 50 min expected at p = 0.05, 200 min at p = 0.20)\n";
+
+    // 3. Cost with delay.
+    out += "\nPreemptible cost including expected delay:\n";
+    for &p in &[0.05, 0.20] {
+        let extra_h = a.expected_extra_s(p) / 3600.0;
+        let total = cost.preemptible_total_with_delay(extra_h);
+        out += &format!(
+            "  p = {p:.2}: ${total:.2} (vs ${:.2} standard) — still {:.0}% cheaper\n",
+            cost.standard_total(),
+            (1.0 - total / cost.standard_total()) * 100.0
+        );
+    }
+    out
+}
+
+/// Total simulated hours of a timing-only P5C5T2 run under `preemption`.
+fn des_hours(preemption: PreemptionModel, seed_offset: u64) -> f64 {
+    let mut cfg = JobConfig::paper_default(42 + seed_offset).with_pct(5, 5, 2);
+    cfg.epochs = 40;
+    cfg.timing_only = true;
+    cfg.preemption = preemption;
+    run_job(cfg).expect("valid config").total_time_h
 }
 
 #[cfg(test)]

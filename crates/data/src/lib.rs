@@ -24,12 +24,10 @@
 //! reports realistic byte sizes that `vc-simnet` charges against instance
 //! bandwidth, mirroring the paper's 3.9 MB `.npz` subsets.
 
-pub mod augment;
 pub mod dataset;
 pub mod shard;
 pub mod synthetic;
 
-pub use augment::Augment;
 pub use dataset::Dataset;
 pub use shard::{DataShard, ShardSet};
 pub use synthetic::SyntheticSpec;

@@ -23,7 +23,6 @@
 //! Every backward pass is validated against finite differences in the test
 //! suite.
 
-pub mod act_extra;
 pub mod activation;
 pub mod conv;
 pub mod dense;
@@ -38,7 +37,6 @@ mod preact;
 pub mod residual;
 pub mod spec;
 
-pub use act_extra::{LeakyRelu, Sigmoid, Tanh};
 pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;

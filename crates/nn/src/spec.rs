@@ -42,12 +42,6 @@ pub enum LayerSpec {
     BatchNorm { ch: usize },
     /// Inverted dropout with drop probability `p` (seeded per build).
     Dropout { p: f32 },
-    /// Hyperbolic tangent activation.
-    Tanh,
-    /// Logistic sigmoid activation.
-    Sigmoid,
-    /// Leaky ReLU with the given negative slope.
-    LeakyRelu { slope: f32 },
     /// Residual block wrapping an inner pipeline.
     Residual { body: Vec<LayerSpec> },
 }
@@ -70,17 +64,6 @@ impl ModelSpec {
     /// Serializes to the JSON wire format (the paper's `.json` model file).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("ModelSpec serialization cannot fail")
-    }
-
-    /// Parses the JSON wire format.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Size in bytes of the serialized spec; drives the simulated download
-    /// of the model file.
-    pub fn json_len(&self) -> usize {
-        self.to_json().len()
     }
 
     /// Instantiates the model with seeded He-normal initialization. Two
@@ -129,9 +112,6 @@ fn build_layer(spec: &LayerSpec, sampler: &mut NormalSampler) -> Box<dyn Layer> 
             let seed = (sampler.sample().to_bits() as u64) << 16;
             Box::new(crate::dropout::Dropout::new(*p, seed))
         }
-        LayerSpec::Tanh => Box::new(crate::act_extra::Tanh::new()),
-        LayerSpec::Sigmoid => Box::new(crate::act_extra::Sigmoid::new()),
-        LayerSpec::LeakyRelu { slope } => Box::new(crate::act_extra::LeakyRelu::new(*slope)),
         LayerSpec::Residual { body } => {
             let mut inner = Sequential::new();
             for l in body {
@@ -318,9 +298,8 @@ mod tests {
     fn json_roundtrip() {
         let spec = resnet_lite(&[3, 16, 16], 2, 10);
         let json = spec.to_json();
-        let back = ModelSpec::from_json(&json).unwrap();
+        let back: ModelSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
-        assert_eq!(spec.json_len(), json.len());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # vc-optim
 //!
-//! Optimizers and learning-rate schedules for the `vc-dl` workspace.
+//! Optimizers for the `vc-dl` workspace.
 //!
 //! The paper trains client replicas with the Adam optimizer at a constant
 //! learning rate of 0.001, no momentum-SGD, no regularization (§IV-A); all
@@ -15,11 +15,9 @@
 //! [`Optimizer::update_at`], what the trainer does).
 
 pub mod clip;
-pub mod schedule;
 pub mod trainer;
 
 pub use clip::clip_by_global_norm;
-pub use schedule::LrSchedule;
 pub use trainer::{
     train_minibatch_ws, ResidentReplica, StepTimer, TrainBatchStats, TrainWorkspace,
 };
@@ -70,10 +68,6 @@ pub struct Optimizer {
     v: Vec<f32>,
     /// Step counter for Adam bias correction.
     t: u64,
-    /// Decoupled weight decay applied before the gradient step (AdamW
-    /// style); 0 disables it. The paper trains without regularization
-    /// (§IV-A) — this exists for the ablation benches and library users.
-    weight_decay: f32,
 }
 
 impl Optimizer {
@@ -89,16 +83,7 @@ impl Optimizer {
             m: if need_m { vec![0.0; n] } else { Vec::new() },
             v: if need_v { vec![0.0; n] } else { Vec::new() },
             t: 0,
-            weight_decay: 0.0,
         }
-    }
-
-    /// Enables decoupled weight decay at rate `wd` per step (builder
-    /// style).
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        assert!((0.0..1.0).contains(&wd), "weight decay {wd} outside [0, 1)");
-        self.weight_decay = wd;
-        self
     }
 
     /// The configured base learning rate.
@@ -140,12 +125,6 @@ impl Optimizer {
             grads.len()
         );
         let state = offset..offset + params.len();
-        if self.weight_decay > 0.0 {
-            let keep = 1.0 - self.weight_decay * lr_scale;
-            for p in params.iter_mut() {
-                *p *= keep;
-            }
-        }
         match self.spec {
             OptimizerSpec::Sgd { lr } => {
                 let step = lr * lr_scale;
@@ -286,41 +265,6 @@ mod tests {
         let mut opt = OptimizerSpec::Sgd { lr: 0.1 }.build(2);
         let mut p = vec![0.0f32, 0.0];
         opt.step(&mut p, &[1.0]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params_without_gradient() {
-        let mut opt = OptimizerSpec::Sgd { lr: 0.1 }
-            .build(2)
-            .with_weight_decay(0.01);
-        let mut p = vec![10.0f32, -10.0];
-        opt.step(&mut p, &[0.0, 0.0]);
-        assert!((p[0] - 9.9).abs() < 1e-5);
-        assert!((p[1] + 9.9).abs() < 1e-5);
-    }
-
-    #[test]
-    fn weight_decay_is_decoupled_from_adam_moments() {
-        // With AdamW-style decay the shrinkage is applied to the weights,
-        // not folded into the gradient moments: a constant gradient gives
-        // the same first step with or without decay, on top of the shrink.
-        let g = [1.0f32];
-        let mut plain = OptimizerSpec::paper_adam().build(1);
-        let mut decayed = OptimizerSpec::paper_adam().build(1).with_weight_decay(0.1);
-        let mut p1 = vec![1.0f32];
-        let mut p2 = vec![1.0f32];
-        plain.step(&mut p1, &g);
-        decayed.step(&mut p2, &g);
-        let adam_step = 1.0 - p1[0];
-        assert!(((1.0 * 0.9 - p2[0]) - adam_step).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1)")]
-    fn weight_decay_range_checked() {
-        let _ = OptimizerSpec::Sgd { lr: 0.1 }
-            .build(1)
-            .with_weight_decay(1.0);
     }
 
     #[test]

@@ -87,9 +87,9 @@ impl TrainWorkspace {
 
 /// Per-step timing sink for [`train_minibatch_ws`]: each optimizer step's
 /// wall-clock duration (from the telemetry hub's time source, so virtual
-/// clocks work too) is observed into `histogram`. This keeps the per-step
-/// numbers in `BENCH_train.json` and the runtime's `worker_train_step_s`
-/// phase histogram directly comparable.
+/// clocks work too) is observed into `histogram`, so the runtime's
+/// `worker_train_step_s` phase histogram measures the same interval as the
+/// `optim.step_s_p50.*` probes and `bench_scale`'s steps/s.
 pub struct StepTimer<'a> {
     /// The run's telemetry hub (provides the clock).
     pub telemetry: &'a Telemetry,

@@ -2,11 +2,13 @@
 //! generator, BOINC-like middleware, simulated fleet, real client training
 //! and the VC-ASGD parameter servers together under `vc-simnet`'s
 //! calibrated clock. It shares the client step, the parameter-server
-//! `begin`/`finish` and the scoring pass with the other two drivers of this
-//! crate; what is still its own — cost models for compute, transfer and
-//! store updates, `Tn` concurrent slots per host, parameter-server
-//! autoscaling, `timing_only` — is what porting it onto the `Scenario`
-//! engine has to carry over.
+//! `begin`/`finish`, the scoring pass and the `EventQueue` with the other
+//! two drivers of this crate, and keeps its own event loop on purpose
+//! (DESIGN.md §6f): cost models for compute, transfer and store updates,
+//! `Tn` concurrent slots per host, two-phase assimilation, stochastic
+//! per-subtask preemption, parameter-server autoscaling and `timing_only`
+//! are each a behaviour the `Scenario` engine would have to switch on per
+//! caller, to share under a hundred lines.
 //!
 //! ## What is simulated and what is real
 //!

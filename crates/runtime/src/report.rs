@@ -18,7 +18,8 @@ pub const WORKER_POLL_S: &str = "worker_poll_s";
 /// Registry name of the worker subtask-training duration histogram.
 pub const WORKER_TRAIN_S: &str = "worker_train_s";
 /// Registry name of the worker per-optimizer-step duration histogram
-/// (observed by the workspace trainer; comparable with `BENCH_train.json`).
+/// (observed by the workspace trainer; the interval `bench_scale` and the
+/// `optim.step_s_p50.*` probes time).
 pub const WORKER_TRAIN_STEP_S: &str = "worker_train_step_s";
 /// Registry name of the worker result-upload (channel send) histogram.
 pub const WORKER_UPLOAD_S: &str = "worker_upload_s";

@@ -116,8 +116,8 @@
 //!
 //! [`supports`] gates on geometry (3×3, stride 1, any padding) and is the
 //! whole decision: there is no switch. Anything that wants the lowered
-//! route for a supported shape — the property tests, `bench_train` — calls
-//! the im2col kernels directly.
+//! route for a supported shape — the property tests do — calls the im2col
+//! kernels directly.
 
 use crate::ops::{ConvGeom, Epilogue, PAR_THRESHOLD};
 use crate::tensor::Tensor;

@@ -30,10 +30,9 @@
 //!   and conv forward passes so the bias/activation never costs an extra
 //!   pass over the output.
 //!
-//! The previous kernels special-cased `a[i][k] == 0.0` to skip work; on the
-//! dense activations this codebase produces, that branch mispredicts and
-//! defeats vectorization (see `bench_train`'s legacy-vs-new numbers), so
-//! the blocked inner loops are branch-free.
+//! The inner loops are branch-free: skipping work on `a[i][k] == 0.0`
+//! mispredicts on the dense activations this codebase produces and defeats
+//! vectorization.
 //!
 //! Parallelism is over disjoint row bands of the output via the persistent
 //! worker pool in the vendored `rayon` shim; `matmul_at_b` (the

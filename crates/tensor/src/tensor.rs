@@ -224,14 +224,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self += s * other` (axpy).
-    pub fn axpy(&mut self, s: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy requires equal shapes");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += s * b;
-        }
-    }
-
     /// In-place `self = alpha * self + beta * other`; this is exactly Eq. (1)
     /// of the paper with `beta = 1 - alpha`, kept general for the baselines.
     pub fn blend(&mut self, alpha: f32, beta: f32, other: &Tensor) {
@@ -303,13 +295,6 @@ impl Tensor {
     /// L2 norm.
     pub fn norm(&self) -> f32 {
         self.norm_sq().sqrt()
-    }
-
-    /// True when any element is NaN or infinite. Training drivers use this to
-    /// reject diverged client results before assimilation (the paper's
-    /// validator step).
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 }
 
@@ -389,15 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut a = Tensor::zeros(&[3]);
-        let g = Tensor::ones(&[3]);
-        a.axpy(-0.1, &g);
-        a.axpy(-0.1, &g);
-        assert!(approx_eq(&a, &Tensor::full(&[3], -0.2), 1e-7));
-    }
-
-    #[test]
     fn broadcast_bias() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = Tensor::from_vec(vec![10.0, 20.0], &[2]);
@@ -419,16 +395,6 @@ mod tests {
     fn argmax_ties_take_first() {
         let t = Tensor::from_vec(vec![1.0, 3.0, 3.0, 0.0], &[4]);
         assert_eq!(t.argmax(), 1);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut t = Tensor::zeros(&[3]);
-        assert!(!t.has_non_finite());
-        t.data_mut()[1] = f32::NAN;
-        assert!(t.has_non_finite());
-        t.data_mut()[1] = f32::INFINITY;
-        assert!(t.has_non_finite());
     }
 
     #[test]
