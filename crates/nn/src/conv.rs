@@ -221,15 +221,38 @@ impl Conv2d {
         pre: Option<BnRelu<'_>>,
         ws: &mut Workspace,
     ) -> Tensor {
+        let (geom, batch) = self.direct_grads(&dy, pre, ws);
+        let mut dx_scratch = ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
+        let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
+        conv3x3_backward_dx_into(
+            &dy,
+            &self.kernel,
+            self.in_ch,
+            geom,
+            &mut dx,
+            &mut dx_scratch,
+        );
+        ws.recycle(dx_scratch);
+        ws.recycle(dy.into_vec());
+        Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
+    }
+
+    /// The parameter half of [`backward_direct`](Self::backward_direct):
+    /// `dkernel` and `dbias` from the cached input. Returns the cached
+    /// geometry and batch size.
+    fn direct_grads(
+        &mut self,
+        dy: &Tensor,
+        pre: Option<BnRelu<'_>>,
+        ws: &mut Workspace,
+    ) -> (ConvGeom, usize) {
         let Some(ConvCache::Input { x, geom, batch }) = &self.cache else {
             panic!("Conv2d::backward called without a cached direct forward");
         };
         let (geom, batch) = (*geom, *batch);
         let mut dk_scratch = ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom));
         let mut colsum = ws.take(self.out_ch);
-        let mut dx_scratch = ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
-        let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
-        conv3x3_backward_dk_pre_into(&dy, x, pre, geom, self.dkernel.data_mut(), &mut dk_scratch);
+        conv3x3_backward_dk_pre_into(dy, x, pre, geom, self.dkernel.data_mut(), &mut dk_scratch);
         // dbias += per-channel sums of dy. Each channel's chain runs
         // over (batch, pixel) ascending — exactly row-ascending order
         // over the `[rows, out_ch]` dy matrix, so this matches the
@@ -247,19 +270,45 @@ impl Conv2d {
         for (d, s) in self.dbias.data_mut().iter_mut().zip(colsum.iter()) {
             *d += s;
         }
-        conv3x3_backward_dx_into(
-            &dy,
-            &self.kernel,
-            self.in_ch,
-            geom,
-            &mut dx,
-            &mut dx_scratch,
-        );
         ws.recycle(dk_scratch);
         ws.recycle(colsum);
-        ws.recycle(dx_scratch);
+        (geom, batch)
+    }
+
+    /// The parameter half of the im2col backward: `dkernel` and `dbias`
+    /// from the cached column matrix. Returns `dy` as the `[rows, out_ch]`
+    /// matrix the input gradient is computed from, with the cached
+    /// geometry and batch size.
+    fn cols_grads(&mut self, dy: Tensor, ws: &mut Workspace) -> (Tensor, ConvGeom, usize) {
+        let Some(ConvCache::Cols { cols, geom, batch }) = &self.cache else {
+            panic!("Conv2d::backward called without a cached forward");
+        };
+        let (geom, batch) = (*geom, *batch);
+        let rows = batch * geom.out_h() * geom.out_w();
+        let mut dy_rows_buf = ws.take(rows * self.out_ch);
+        Self::images_to_rows_into(&dy, &mut dy_rows_buf);
         ws.recycle(dy.into_vec());
-        Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
+        let dy_rows = Tensor::from_vec(dy_rows_buf, &[rows, self.out_ch]);
+        matmul_at_b_epi_into(
+            &dy_rows,
+            cols,
+            self.dkernel.data_mut(),
+            Epilogue::Accumulate,
+        );
+        // dbias += column sums of dy_rows, rows ascending from a
+        // zero-initialized partial sum.
+        let mut colsum = ws.take(self.out_ch);
+        for r in 0..rows {
+            let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
+            for (o, v) in colsum.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
+            *d += s;
+        }
+        ws.recycle(colsum);
+        (dy_rows, geom, batch)
     }
 
     /// The input the last training [`forward_direct`](Self::forward_direct)
@@ -303,35 +352,9 @@ impl Layer for Conv2d {
         if let Some(ConvCache::Input { .. }) = self.cache {
             return self.backward_direct(dy, None, ws);
         }
-        let Some(ConvCache::Cols { cols, geom, batch }) = self.cache.take() else {
-            panic!("Conv2d::backward called without a cached forward");
-        };
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let rows = batch * oh * ow;
+        let (dy_rows, geom, batch) = self.cols_grads(dy, ws);
+        let rows = dy_rows.dims()[0];
         let patch = self.in_ch * self.kh * self.kw;
-        let mut dy_rows_buf = ws.take(rows * self.out_ch);
-        Self::images_to_rows_into(&dy, &mut dy_rows_buf);
-        ws.recycle(dy.into_vec());
-        let dy_rows = Tensor::from_vec(dy_rows_buf, &[rows, self.out_ch]);
-        matmul_at_b_epi_into(
-            &dy_rows,
-            &cols,
-            self.dkernel.data_mut(),
-            Epilogue::Accumulate,
-        );
-        // dbias += column sums of dy_rows, rows ascending from a
-        // zero-initialized partial sum.
-        let mut colsum = ws.take(self.out_ch);
-        for r in 0..rows {
-            let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
-            for (o, v) in colsum.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
-            *d += s;
-        }
-        ws.recycle(colsum);
         let mut dcols = ws.take(rows * patch);
         matmul_epi_into(&dy_rows, &self.kernel, &mut dcols, Epilogue::Store);
         ws.recycle(dy_rows.into_vec());
@@ -339,9 +362,17 @@ impl Layer for Conv2d {
         let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
         col2im_into(&dcols, batch, self.in_ch, geom, &mut dx);
         ws.recycle(dcols.into_vec());
-        let dims = [batch, self.in_ch, geom.h, geom.w];
-        self.cache = Some(ConvCache::Cols { cols, geom, batch });
-        Tensor::from_vec(dx, &dims)
+        Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
+    }
+
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        let spent = if let Some(ConvCache::Input { .. }) = self.cache {
+            self.direct_grads(&dy, None, ws);
+            dy
+        } else {
+            self.cols_grads(dy, ws).0
+        };
+        ws.recycle(spent.into_vec());
     }
 
     fn enable_relu_fusion(&mut self) -> bool {

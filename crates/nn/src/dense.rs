@@ -70,6 +70,30 @@ impl Dense {
         self.dw.data_mut()
     }
 
+    /// The parameter half of backward: `dW += x^T · dy` and
+    /// `db += column-sums of dy`, from the cached forward input.
+    fn accumulate_grads(&mut self, dy: &Tensor, ws: &mut Workspace) {
+        let x = self
+            .x_cache
+            .take()
+            .expect("Dense::backward called without a cached forward");
+        matmul_at_b_epi_into(&x, dy, self.dw(), Epilogue::Accumulate);
+        self.x_cache = Some(x);
+        // Zero-initialized partial sum, rows ascending.
+        let m = dy.dims()[0];
+        let mut colsum = ws.take(self.out_dim);
+        for r in 0..m {
+            let row = &dy.data()[r * self.out_dim..(r + 1) * self.out_dim];
+            for (o, v) in colsum.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        for (d, s) in self.db.data_mut().iter_mut().zip(&colsum) {
+            *d += s;
+        }
+        ws.recycle(colsum);
+    }
+
     /// Bias (or fused bias+ReLU) epilogue for the forward GEMM.
     fn epilogue(&self) -> Epilogue<'_> {
         if self.fused_relu {
@@ -100,30 +124,18 @@ impl Layer for Dense {
     }
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let x = self
-            .x_cache
-            .take()
-            .expect("Dense::backward called without a cached forward");
-        // dW += x^T · dy ; db += column-sums of dy ; dx = dy · W^T
-        matmul_at_b_epi_into(&x, &dy, self.dw(), Epilogue::Accumulate);
-        self.x_cache = Some(x);
-        // Zero-initialized partial sum, rows ascending.
+        self.accumulate_grads(&dy, ws);
+        // dx = dy · W^T
         let m = dy.dims()[0];
-        let mut colsum = ws.take(self.out_dim);
-        for r in 0..m {
-            let row = &dy.data()[r * self.out_dim..(r + 1) * self.out_dim];
-            for (o, v) in colsum.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        for (d, s) in self.db.data_mut().iter_mut().zip(&colsum) {
-            *d += s;
-        }
-        ws.recycle(colsum);
         let mut dx = ws.take(m * self.in_dim);
         matmul_a_bt_epi_into(&dy, &self.w, &mut dx, Epilogue::Store);
         ws.recycle(dy.into_vec());
         Tensor::from_vec(dx, &[m, self.in_dim])
+    }
+
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        self.accumulate_grads(&dy, ws);
+        ws.recycle(dy.into_vec());
     }
 
     fn enable_relu_fusion(&mut self) -> bool {

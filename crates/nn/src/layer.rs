@@ -54,6 +54,17 @@ pub trait Layer: Send {
     /// Must be called after a `forward_ws(.., true, ..)` on the same input.
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor;
 
+    /// [`backward_ws`](Layer::backward_ws) for a layer whose input gradient
+    /// nobody reads — the first parameterised layer of a model being
+    /// trained: parameter gradients accumulate exactly as there, `dy` is
+    /// consumed, nothing is returned. The default computes the input
+    /// gradient and recycles it; a layer that pays a kernel of its own
+    /// for it ([`Dense`](crate::dense::Dense), [`Conv2d`]) skips that.
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        let dx = self.backward_ws(dy, ws);
+        ws.recycle(dx.into_vec());
+    }
+
     /// Borrowing wrapper over [`forward_ws`](Layer::forward_ws).
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         self.forward_ws(x.clone(), train, &mut Workspace::new())

@@ -192,6 +192,38 @@ impl Sequential {
         cur
     }
 
+    /// Backward for a training step: parameter gradients accumulate
+    /// exactly as in [`backward_pipeline_ws`](Self::backward_pipeline_ws),
+    /// but the gradient with respect to the pipeline's input — which has
+    /// no reader — is never formed. The pass stops at the first
+    /// parameterised layer, which runs
+    /// [`Layer::backward_params_ws`]; the parameter-free layers before it
+    /// are not run at all.
+    pub fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        let Some(first) = self.layers.iter().position(|l| l.param_len() > 0) else {
+            return ws.recycle(dy.into_vec());
+        };
+        let mut cur = dy;
+        let mut end = self.layers.len();
+        // `first < end` holds throughout: the loop leaves on reaching it.
+        loop {
+            if end >= 3 && self.preact_units.binary_search(&(end - 3)).is_ok() {
+                let (bn, conv) = self.preact_parts(end - 3).expect("recorded by fuse_relu");
+                cur = preact::backward(bn, conv, cur, ws);
+                end -= 3;
+                if end <= first {
+                    // The unit held the first parameterised layer.
+                    return ws.recycle(cur.into_vec());
+                }
+            } else if end - 1 == first {
+                return self.layers[first].backward_params_ws(cur, ws);
+            } else {
+                cur = self.layers[end - 1].backward_ws(cur, ws);
+                end -= 1;
+            }
+        }
+    }
+
     /// One-line summary of the architecture, e.g. `conv2d→relu→…`.
     pub fn summary(&self) -> String {
         self.layers
@@ -230,6 +262,10 @@ impl Layer for Sequential {
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
         self.backward_pipeline_ws(dy, ws)
+    }
+
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        Sequential::backward_params_ws(self, dy, ws)
     }
 
     fn fusion_part(&mut self) -> FusionPart<'_> {
@@ -421,6 +457,97 @@ mod tests {
         let _ = fused.backward_pipeline_ws(dy2, &mut ws);
         let (_, misses_steady) = ws.stats();
         assert_eq!(misses_warm, misses_steady, "steady-state step allocated");
+    }
+
+    /// `backward_params_ws` leaves the same parameter gradients as the full
+    /// backward, whatever the first parameterised layer is: a `Dense`
+    /// behind a `Flatten`, a direct or an im2col `Conv2d`, a fused
+    /// pre-activation unit, a nested body — and a model with no parameters
+    /// at all only gives `dy` back to the pool.
+    #[test]
+    fn params_only_backward_leaves_the_full_backwards_gradients() {
+        use crate::spec::{mlp, resnet_lite, small_cnn, LayerSpec, ModelSpec};
+
+        let conv = |in_ch, out_ch, k, stride, pad| LayerSpec::Conv {
+            in_ch,
+            out_ch,
+            k,
+            stride,
+            pad,
+        };
+        let head = |ch: usize| {
+            vec![
+                LayerSpec::AvgPoolGlobal,
+                LayerSpec::Dense {
+                    input: ch,
+                    output: 3,
+                },
+            ]
+        };
+        let custom = |name: &str, mut layers: Vec<LayerSpec>, ch: usize| {
+            layers.extend(head(ch));
+            ModelSpec {
+                name: name.into(),
+                input: vec![2, 8, 8],
+                classes: 3,
+                layers,
+            }
+        };
+        let preact_unit = vec![
+            LayerSpec::BatchNorm { ch: 2 },
+            LayerSpec::Relu,
+            conv(2, 2, 3, 1, 1),
+        ];
+        let specs = [
+            mlp(&[2, 8, 8], 8, 3),
+            small_cnn(&[2, 8, 8], 3),
+            resnet_lite(&[2, 8, 8], 1, 3),
+            custom("im2col-first", vec![conv(2, 4, 3, 2, 1)], 4),
+            custom("unit-first", preact_unit.clone(), 2),
+            custom(
+                "body-first",
+                vec![LayerSpec::Residual { body: preact_unit }],
+                2,
+            ),
+            custom(
+                "pool-then-conv",
+                vec![LayerSpec::MaxPool2, conv(2, 4, 3, 1, 1)],
+                4,
+            ),
+        ];
+        for spec in specs {
+            let (mut full, mut lean) = (spec.build(3), spec.build(3));
+            full.fuse_relu();
+            lean.fuse_relu();
+            let (mut ws_full, mut ws_lean) = (Workspace::new(), Workspace::new());
+            let mut s = NormalSampler::seed_from(9);
+            // A second step runs on the caches the first one left behind.
+            for step in 0..2 {
+                let x = Tensor::randn(&[4, 2, 8, 8], 0.0, 1.0, &mut s);
+                let dy = Tensor::randn(&[4, 3], 0.0, 1.0, &mut s);
+                let y_full = full.forward_pipeline_ws(x.clone(), true, &mut ws_full);
+                let y_lean = lean.forward_pipeline_ws(x, true, &mut ws_lean);
+                assert_eq!(y_full.data(), y_lean.data(), "{} step {step}", spec.name);
+                full.zero_grads_all();
+                lean.zero_grads_all();
+                let _ = full.backward_pipeline_ws(dy.clone(), &mut ws_full);
+                lean.backward_params_ws(dy, &mut ws_lean);
+                let bits = |g: Vec<f32>| g.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(full.grads_flat()),
+                    bits(lean.grads_flat()),
+                    "{} step {step}",
+                    spec.name
+                );
+            }
+        }
+
+        let mut bare = Sequential::new().push(Relu::new());
+        let mut ws = Workspace::new();
+        let y = bare.forward_pipeline_ws(Tensor::ones(&[2, 3]), true, &mut ws);
+        bare.backward_params_ws(y, &mut ws);
+        assert_eq!(ws.take(6).capacity(), 6, "dy went back to the pool");
+        assert_eq!(ws.stats(), (1, 0));
     }
 
     #[test]

@@ -175,8 +175,7 @@ pub fn train_minibatch_ws<R: Rng>(
             let logits = model.forward_pipeline_ws(batch, true, ws);
             let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, batch_labels);
             model.zero_grads_all();
-            let dx = model.backward_pipeline_ws(dlogits, ws);
-            ws.recycle(dx.into_vec());
+            model.backward_params_ws(dlogits, ws);
             if clip_norm.is_finite() {
                 clip_slices_by_global_norm(
                     |f| model.visit_params(0, &mut |_, _, g| f(g)),

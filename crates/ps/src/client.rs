@@ -154,17 +154,15 @@ impl PsClient for MemClient {
 }
 
 /// A worker's sticky shard cache: versions held, assembled parameters, and
-/// reused buffers for the refresh path. With a lossy codec attached the
-/// cache also negotiates delta transfer — fetches apply quantized deltas
-/// on top of the tracked state — and falls back to `Raw` permanently if
-/// the service does not speak the codec.
+/// a reused want list for the refresh path. With a lossy codec attached
+/// the cache also negotiates delta transfer — fetches apply quantized
+/// deltas straight onto the tracked state — and falls back to `Raw`
+/// permanently if the service does not speak the codec.
 pub struct ShardCache {
     layout: ShardLayout,
     versions: Vec<u64>,
     full: Vec<f32>,
     wants: Vec<(u32, u64)>,
-    /// Decoded shard-delta scratch (stays empty under `Raw`).
-    scratch: Vec<f32>,
     codec: Codec,
 }
 
@@ -179,7 +177,6 @@ impl ShardCache {
             versions: vec![0; shards],
             full: vec![0.0; n],
             wants: Vec::with_capacity(shards),
-            scratch: Vec::new(),
             codec: Codec::Raw,
         }
     }
@@ -211,8 +208,9 @@ impl ShardCache {
     /// no allocation; otherwise the fetch request lists *every* shard with
     /// its cached version and the service ships back only the stale ones
     /// (counting the rest as cache hits). Each response payload is decoded
-    /// straight into its range of the assembled vector and dropped before
-    /// the next one is read.
+    /// straight into its range of the assembled vector — a full blob
+    /// overwrites it, a delta is validated whole and then added onto it —
+    /// and dropped before the next one is read.
     pub fn sync(
         &mut self,
         epoch: u64,
@@ -227,12 +225,7 @@ impl ShardCache {
         for (i, &have) in self.versions.iter().enumerate() {
             self.wants.push((i as u32, have));
         }
-        let (layout, versions, full, scratch) = (
-            &self.layout,
-            &mut self.versions,
-            &mut self.full,
-            &mut self.scratch,
-        );
+        let (layout, versions, full) = (&self.layout, &mut self.versions, &mut self.full);
         // Frames applied, or the first one that could not be (the frames
         // after it are dropped unapplied).
         let mut applied = Ok(0usize);
@@ -248,12 +241,8 @@ impl ShardCache {
                     FrameKind::ShardDelta => {
                         let d =
                             DeltaPayload::from_frame(&f).map_err(|_| "delta frame malformed")?;
-                        let update = d.codec.decode_update_into(&d.blob, part.len(), scratch);
-                        if d.base != versions[i] || update.is_err() {
+                        if d.base != versions[i] || d.codec.add_update_to(d.blob, part).is_err() {
                             return Err("delta base or blob invalid");
-                        }
-                        for (p, &u) in part.iter_mut().zip(scratch.iter()) {
-                            *p += u;
                         }
                     }
                     FrameKind::Shard => decode_f32s_into_slice(&f.payload, part)

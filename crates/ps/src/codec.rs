@@ -33,11 +33,20 @@
 //!
 //! The two directions differ. The service's publish path needs no explicit
 //! residual: its reference only advances by what was transmitted, so the
-//! lag *is* the feedback. A worker's upload does — its base re-syncs every
-//! round — and [`apply_update_roundtrip`] is that shaping: the residual
-//! lives with the worker, the upload is priced at [`Codec::blob_len`], and
-//! the shaped replica goes to the scheduler. Nothing is pushed to the
-//! parameter service.
+//! lag *is* the feedback — and the reference is nothing but the `Shard`
+//! payloads of the previous publish, which `advance_reference` reads and
+//! rewrites in one fused pass per moved shard. A worker's upload does need
+//! one — its base re-syncs every round — and [`apply_update_roundtrip`] is
+//! that shaping: the residual lives with the worker (cleared wherever the
+//! update is not finite, so one NaN cannot live in it for good), the
+//! upload is priced at [`Codec::blob_len`], and the shaped replica goes to
+//! the scheduler. Nothing is pushed to the parameter service.
+//!
+//! The `Int8` arithmetic — scale, quantize, dequantize, and the fused
+//! quantize → dequantize → residual pass — is `vc_tensor::quant`'s
+//! kernels, AVX2 where the host has it; this module owns the wire form
+//! around them: the token stream, its validation, and the order the
+//! passes run in.
 //!
 //! Every decode path here is hostile-input-safe: truncated, oversized,
 //! bit-flipped or internally inconsistent blobs return an error, never
@@ -45,8 +54,11 @@
 //! validated by the caller.
 
 use serde::{Deserialize, Serialize};
+use vc_tensor::codec::{read_le_values, write_le_values};
 use vc_tensor::quant::{
-    f16_bits_to_f32, f32_to_f16_bits, int8_quantize_one, int8_scale, int8_scale_of, topk_indices,
+    f16_bits_to_f32, f32_to_f16_bits, int8_codes_as_bytes, int8_codes_from_bytes,
+    int8_delta_roundtrip, int8_delta_scale, int8_dequantize_add, int8_dequantize_slice,
+    int8_quantize_slice, int8_scale, topk_indices,
 };
 
 /// Length of the codec descriptor appended to `FetchReq` payloads and
@@ -61,6 +73,157 @@ const INT8_ZERO_ESCAPE: u8 = 0x80;
 /// Zero runs shorter than this encode as literal zero bytes (the escape
 /// token itself costs 3 bytes).
 const INT8_MIN_RUN: usize = 4;
+/// Elements the Int8 paths quantize at a time: the codes of one block sit
+/// on the stack between the kernel that produces them and the token
+/// writer, so no path holds a shard's worth of codes.
+const INT8_BLOCK: usize = 1024;
+
+/// Folds a stream of int8 codes into wire tokens, a block at a time: runs
+/// of at least [`INT8_MIN_RUN`] zeros (and at most `u16::MAX`, the longest
+/// one token can carry) become `[0x80][run u16]`, everything else goes out
+/// as literal bytes. A run may span blocks; [`finish`](Self::finish) emits
+/// the one still open.
+struct Int8TokenWriter<'a> {
+    out: &'a mut Vec<u8>,
+    zeros: usize,
+}
+
+impl<'a> Int8TokenWriter<'a> {
+    /// Appends the blob header — `[n u32][scale f32]` — to `out`, sized for
+    /// the worst case, and returns the writer of the tokens that follow.
+    fn begin(out: &'a mut Vec<u8>, n: usize, scale: f32) -> Self {
+        assert!(n <= u32::MAX as usize, "update too large for wire header");
+        out.reserve(8 + n);
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+        out.extend_from_slice(&scale.to_le_bytes());
+        Int8TokenWriter { out, zeros: 0 }
+    }
+
+    fn push(&mut self, mut codes: &[i8]) {
+        const MAX_RUN: usize = u16::MAX as usize;
+        while !codes.is_empty() {
+            let mut zeros = codes.iter().position(|&c| c != 0).unwrap_or(codes.len());
+            codes = &codes[zeros..];
+            while self.zeros + zeros >= MAX_RUN {
+                zeros -= MAX_RUN - self.zeros;
+                self.zeros = MAX_RUN;
+                self.flush_zeros();
+            }
+            self.zeros += zeros;
+            let literals = codes.iter().position(|&c| c == 0).unwrap_or(codes.len());
+            if literals > 0 {
+                self.flush_zeros();
+                self.out
+                    .extend_from_slice(int8_codes_as_bytes(&codes[..literals]));
+            }
+            codes = &codes[literals..];
+        }
+    }
+
+    fn flush_zeros(&mut self) {
+        if self.zeros >= INT8_MIN_RUN {
+            self.out.push(INT8_ZERO_ESCAPE);
+            self.out
+                .extend_from_slice(&(self.zeros as u16).to_le_bytes());
+        } else {
+            self.out.extend(std::iter::repeat_n(0u8, self.zeros));
+        }
+        self.zeros = 0;
+    }
+
+    fn finish(mut self) {
+        self.flush_zeros();
+    }
+}
+
+/// One token of an Int8 blob, as the elements it stands for.
+enum Int8Token<'a> {
+    /// Literal codes, one element each.
+    Codes(&'a [i8]),
+    /// A run of this many zero codes.
+    Zeros(usize),
+}
+
+/// Walks the tokens of an Int8 blob body that must cover exactly `n`
+/// elements.
+#[derive(Clone)]
+struct Int8Tokens<'a> {
+    bytes: &'a [u8],
+    emitted: usize,
+    n: usize,
+}
+
+impl<'a> Int8Tokens<'a> {
+    /// The next token and the element offset it starts at; `None` once
+    /// the body has covered its `n` elements, an error at the first token
+    /// that is malformed or does not fit.
+    fn next(&mut self) -> Result<Option<(usize, Int8Token<'a>)>, &'static str> {
+        let at = self.emitted;
+        let left = self.n - at;
+        let Some(&first) = self.bytes.first() else {
+            return if left == 0 {
+                Ok(None)
+            } else {
+                Err("int8 blob short")
+            };
+        };
+        if first == INT8_ZERO_ESCAPE {
+            let Some(&[_, lo, hi]) = self.bytes.first_chunk::<3>() else {
+                return Err("int8 zero-run truncated");
+            };
+            let run = u16::from_le_bytes([lo, hi]) as usize;
+            if run == 0 || run > left {
+                return Err("int8 zero-run out of range");
+            }
+            self.bytes = &self.bytes[3..];
+            self.emitted += run;
+            return Ok(Some((at, Int8Token::Zeros(run))));
+        }
+        let len = self
+            .bytes
+            .iter()
+            .position(|&b| b == INT8_ZERO_ESCAPE)
+            .unwrap_or(self.bytes.len());
+        if len > left {
+            return Err("int8 blob overlong");
+        }
+        let (codes, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        self.emitted += len;
+        Ok(Some((at, Int8Token::Codes(int8_codes_from_bytes(codes)))))
+    }
+}
+
+/// The element count every non-`Raw` blob opens with must be the `n` its
+/// receiver expects — checked before anything is sized by it.
+fn check_count(blob: &[u8], n: usize) -> Result<(), &'static str> {
+    let Some(count) = blob.first_chunk::<4>() else {
+        return Err("update blob truncated");
+    };
+    if u32::from_le_bytes(*count) as usize != n {
+        return Err("update blob element count mismatch");
+    }
+    Ok(())
+}
+
+/// Checks an Int8 blob's header against the `n` elements the caller
+/// expects and returns its scale and token stream.
+fn int8_parse(blob: &[u8], n: usize) -> Result<(f32, Int8Tokens<'_>), &'static str> {
+    check_count(blob, n)?;
+    let Some(scale) = blob[4..].first_chunk::<4>() else {
+        return Err("int8 blob truncated");
+    };
+    let scale = f32::from_le_bytes(*scale);
+    if !scale.is_finite() {
+        return Err("int8 scale not finite");
+    }
+    let tokens = Int8Tokens {
+        bytes: &blob[8..],
+        emitted: 0,
+        n,
+    };
+    Ok((scale, tokens))
+}
 
 /// How a parameter update crosses the wire. `Raw` is the bit-exact legacy
 /// path; the lossy modes quantize deltas and rely on error feedback (where
@@ -192,37 +355,17 @@ impl Codec {
             }
             Codec::Int8 { .. } => {
                 let scale = int8_scale(x);
-                let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
-                out.reserve(8 + n);
-                out.extend_from_slice(&(n as u32).to_le_bytes());
-                out.extend_from_slice(&scale.to_le_bytes());
-                // Quantize and emit in one pass, folding zero runs — no
-                // scratch array, so the steady-state path never allocates
-                // beyond `out`'s retained capacity.
-                let mut i = 0;
-                while i < n {
-                    let c = int8_quantize_one(x[i], inv);
-                    if c == 0 {
-                        let mut j = i + 1;
-                        while j < n
-                            && j - i < u16::MAX as usize
-                            && int8_quantize_one(x[j], inv) == 0
-                        {
-                            j += 1;
-                        }
-                        let run = j - i;
-                        if run >= INT8_MIN_RUN {
-                            out.push(INT8_ZERO_ESCAPE);
-                            out.extend_from_slice(&(run as u16).to_le_bytes());
-                        } else {
-                            out.extend(std::iter::repeat_n(0u8, run));
-                        }
-                        i = j;
-                    } else {
-                        out.push(c as u8);
-                        i += 1;
-                    }
+                // Quantize a block at a time and fold zero runs over its
+                // bytes, so the steady-state path never allocates beyond
+                // `out`'s retained capacity.
+                let mut tokens = Int8TokenWriter::begin(out, n, scale);
+                let mut codes = [0i8; INT8_BLOCK];
+                for block in x.chunks(INT8_BLOCK) {
+                    let codes = &mut codes[..block.len()];
+                    int8_quantize_slice(block, scale, codes);
+                    tokens.push(codes);
                 }
+                tokens.finish();
             }
             Codec::TopK { k, .. } => {
                 let idx = topk_indices(x, k as usize);
@@ -260,13 +403,7 @@ impl Codec {
             }
             return Ok(());
         }
-        if blob.len() < 4 {
-            return Err("update blob truncated");
-        }
-        let declared = u32::from_le_bytes([blob[0], blob[1], blob[2], blob[3]]) as usize;
-        if declared != n {
-            return Err("update blob element count mismatch");
-        }
+        check_count(blob, n)?;
         match self {
             Codec::Raw => unreachable!("handled above"),
             Codec::Fp16 => {
@@ -281,43 +418,22 @@ impl Codec {
                 Ok(())
             }
             Codec::Int8 { .. } => {
-                if blob.len() < 8 {
-                    return Err("int8 blob truncated");
-                }
-                let scale = f32::from_le_bytes([blob[4], blob[5], blob[6], blob[7]]);
-                if !scale.is_finite() {
-                    return Err("int8 scale not finite");
-                }
+                let (scale, mut tokens) = int8_parse(blob, n)?;
+                // A zero run decodes to the `+0.0` the resize wrote.
                 out.resize(n, 0.0);
-                let mut emitted = 0usize;
-                let mut bytes = blob[8..].iter();
-                while let Some(&b) = bytes.next() {
-                    if b == INT8_ZERO_ESCAPE {
-                        let (Some(&lo), Some(&hi)) = (bytes.next(), bytes.next()) else {
-                            out.clear();
-                            return Err("int8 zero-run truncated");
-                        };
-                        let run = u16::from_le_bytes([lo, hi]) as usize;
-                        if run == 0 || emitted + run > n {
-                            out.clear();
-                            return Err("int8 zero-run out of range");
+                let mut literals = || {
+                    while let Some((at, token)) = tokens.next()? {
+                        if let Int8Token::Codes(codes) = token {
+                            int8_dequantize_slice(codes, scale, &mut out[at..at + codes.len()]);
                         }
-                        // out is pre-zeroed; just advance.
-                        emitted += run;
-                    } else {
-                        if emitted >= n {
-                            out.clear();
-                            return Err("int8 blob overlong");
-                        }
-                        out[emitted] = (b as i8) as f32 * scale;
-                        emitted += 1;
                     }
-                }
-                if emitted != n {
+                    Ok(())
+                };
+                let decoded = literals();
+                if decoded.is_err() {
                     out.clear();
-                    return Err("int8 blob short");
                 }
-                Ok(())
+                decoded
             }
             Codec::TopK { .. } => {
                 if blob.len() < 8 {
@@ -345,6 +461,42 @@ impl Codec {
             }
         }
     }
+
+    /// Adds the update in `blob` onto `dst`, the shard it updates:
+    /// `dst[i] += y[i]` for the `y` [`decode_update_into`]
+    /// (Self::decode_update_into) would produce, element for element. All
+    /// or nothing — `dst` is untouched unless the whole blob is valid for
+    /// `dst.len()` elements. `Int8` validates the token stream and then
+    /// dequantize-adds it in place; the other modes decode into a
+    /// transient vector first.
+    pub fn add_update_to(self, blob: &[u8], dst: &mut [f32]) -> Result<(), &'static str> {
+        if let Codec::Int8 { .. } = self {
+            let (scale, mut tokens) = int8_parse(blob, dst.len())?;
+            let mut check = tokens.clone();
+            while check.next()?.is_some() {}
+            while let Some((at, token)) = tokens.next().expect("validated above") {
+                match token {
+                    Int8Token::Codes(codes) => {
+                        int8_dequantize_add(codes, scale, &mut dst[at..at + codes.len()]);
+                    }
+                    // Adding the run's `+0.0` is not a no-op: it turns a
+                    // `-0.0` into `+0.0`, as adding the decoded vector does.
+                    Int8Token::Zeros(run) => {
+                        for p in &mut dst[at..at + run] {
+                            *p += 0.0;
+                        }
+                    }
+                }
+            }
+            return Ok(());
+        }
+        let mut y = Vec::new();
+        self.decode_update_into(blob, dst.len(), &mut y)?;
+        for (p, &u) in dst.iter_mut().zip(&y) {
+            *p += u;
+        }
+        Ok(())
+    }
 }
 
 /// Worker-side upload shaping: replace `params` with what the server will
@@ -363,12 +515,14 @@ impl Codec {
 /// wire), and an element's decode depends only on its own
 /// quantized code and the shard-wide scale. `Int8` therefore takes two
 /// passes over the caller's own vectors — the scale of
-/// `x = params − base + residual`, then the same `x` recomputed, quantized
-/// and written back — and `Fp16` one; neither allocates. `TopK` selects
-/// over a transient `x`.
+/// `x = params − base + residual` ([`int8_delta_scale`]), then the same
+/// `x` recomputed, quantized and written back ([`int8_delta_roundtrip`]) —
+/// and `Fp16` one; neither allocates. `TopK` selects over a transient `x`.
 ///
 /// `residual` must be empty (treated as all-zero) or exactly `params.len()`;
-/// a codec without error feedback leaves it untouched.
+/// a codec without error feedback leaves it untouched. Where `x` is not
+/// finite the residual is cleared rather than set to `x − y`: the NaN or
+/// Inf would otherwise come back in every later round's `x`.
 pub fn apply_update_roundtrip(
     codec: Codec,
     base: &[f32],
@@ -390,33 +544,10 @@ pub fn apply_update_roundtrip(
                 *p = b + f16_bits_to_f32(f32_to_f16_bits(*p - b));
             }
         }
-        Codec::Int8 {
-            error_feedback: true,
-        } => {
-            let scale = int8_scale_of(
-                params
-                    .iter()
-                    .zip(base)
-                    .zip(residual.iter())
-                    .map(|((&p, &b), &r)| (p - b) + r),
-            );
-            let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
-            for ((p, &b), r) in params.iter_mut().zip(base).zip(residual.iter_mut()) {
-                let x = (*p - b) + *r;
-                // A literal code and a zero inside a run decode alike.
-                let y = int8_quantize_one(x, inv) as f32 * scale;
-                *p = b + y;
-                *r = x - y;
-            }
-        }
-        Codec::Int8 {
-            error_feedback: false,
-        } => {
-            let scale = int8_scale_of(params.iter().zip(base).map(|(&p, &b)| p - b));
-            let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
-            for (p, &b) in params.iter_mut().zip(base) {
-                *p = b + int8_quantize_one(*p - b, inv) as f32 * scale;
-            }
+        Codec::Int8 { error_feedback } => {
+            let scale = int8_delta_scale(params, base, error_feedback.then_some(&residual[..]));
+            let residual = error_feedback.then_some(&mut residual[..]);
+            int8_delta_roundtrip(base, params, residual, scale, None);
         }
         Codec::TopK { k, error_feedback } => {
             let mut x: Vec<f32> = params.iter().zip(base).map(|(&p, &b)| p - b).collect();
@@ -433,11 +564,102 @@ pub fn apply_update_roundtrip(
                 };
                 params[i] = base[i] + y;
                 if error_feedback {
-                    residual[i] = xi - y;
+                    residual[i] = if xi.is_finite() { xi - y } else { 0.0 };
                 }
             }
         }
     }
+}
+
+/// Publish-side counterpart of [`apply_update_roundtrip`]: advances the
+/// reference every delta-tracking worker holds, read and written in wire
+/// form. `prev` is the `Shard` payload of the previous publish (a VCP1
+/// blob) — it *is* the reference — and `params` the shard's new
+/// full-precision values. The update `params − reference` is appended to
+/// `blob` encoded under `codec`, and the returned VCP1 blob holds
+/// `reference + decode(update)`: the next `Shard` payload, and exactly
+/// what a worker that applies the update to its copy of `prev` ends up
+/// with.
+///
+/// `Int8` does this in two passes over the shard, a block at a time — the
+/// scale of the update (the largest of the blocks' scales: dividing by 127
+/// is monotonic), then [`int8_delta_roundtrip`] writing the advanced
+/// reference into the new payload while the block's codes fold into
+/// tokens — and keeps nothing shard-sized besides the two payloads. The
+/// other lossy modes go through [`Codec::encode_update`] and
+/// [`Codec::decode_update_into`] on transient vectors. Both give the bits
+/// of the compose-from-primitives sequence `tests/codec_props.rs` keeps as
+/// the oracle.
+pub(crate) fn advance_reference(
+    codec: Codec,
+    params: &[f32],
+    prev: &[u8],
+    blob: &mut Vec<u8>,
+) -> Vec<u8> {
+    let n = params.len();
+    let prev = vc_tensor::codec::value_bytes(prev).expect("own shard blobs are valid");
+    assert_eq!(prev.len(), 4 * n, "reference length");
+    let mut next = vc_tensor::codec::zeroed_blob(n);
+    let next_values = &mut next[vc_tensor::codec::HEADER_LEN..];
+    match codec {
+        Codec::Int8 { .. } => int8_advance(params, prev, next_values, blob),
+        _ => composed_advance(codec, params, prev, next_values, blob),
+    }
+    next
+}
+
+/// [`advance_reference`] on value bytes, from the codec's own primitives.
+fn composed_advance(
+    codec: Codec,
+    params: &[f32],
+    prev: &[u8],
+    next: &mut [u8],
+    blob: &mut Vec<u8>,
+) {
+    let n = params.len();
+    let mut reference = vec![0.0f32; n];
+    read_le_values(prev, &mut reference);
+    let x: Vec<f32> = params.iter().zip(&reference).map(|(p, r)| p - r).collect();
+    let (mut update, mut y) = (Vec::new(), Vec::new());
+    codec.encode_update(&x, &mut update);
+    codec
+        .decode_update_into(&update, n, &mut y)
+        .expect("own encoding always decodes");
+    for (r, u) in reference.iter_mut().zip(&y) {
+        *r += u;
+    }
+    blob.extend_from_slice(&update);
+    write_le_values(&reference, next);
+}
+
+/// [`advance_reference`] on value bytes, fused, a block at a time.
+fn int8_advance(params: &[f32], prev: &[u8], next: &mut [u8], blob: &mut Vec<u8>) {
+    let (mut base, mut cur) = ([0.0f32; INT8_BLOCK], [0.0f32; INT8_BLOCK]);
+    let mut codes = [0i8; INT8_BLOCK];
+    let mut scale = 0.0f32;
+    for (p, prev) in params.chunks(INT8_BLOCK).zip(prev.chunks(4 * INT8_BLOCK)) {
+        let base = &mut base[..p.len()];
+        read_le_values(prev, base);
+        scale = scale.max(int8_delta_scale(p, base, None));
+    }
+    let mut tokens = Int8TokenWriter::begin(blob, params.len(), scale);
+    let blocks = params
+        .chunks(INT8_BLOCK)
+        .zip(prev.chunks(4 * INT8_BLOCK))
+        .zip(next.chunks_mut(4 * INT8_BLOCK));
+    for ((p, prev), next) in blocks {
+        let (base, cur, codes) = (
+            &mut base[..p.len()],
+            &mut cur[..p.len()],
+            &mut codes[..p.len()],
+        );
+        read_le_values(prev, base);
+        cur.copy_from_slice(p);
+        int8_delta_roundtrip(base, cur, None, scale, Some(codes));
+        write_le_values(cur, next);
+        tokens.push(codes);
+    }
+    tokens.finish();
 }
 
 #[cfg(test)]

@@ -12,12 +12,20 @@
 //! already caches a shard at the manifest version gets it skipped — the
 //! partial-fetch path that makes sharding pay off on the wire.
 //!
+//! Every frame a fetch ships is built and checksummed once, at publish.
+//! Under a lossy codec a publish is one fused pass per *moved* shard: the
+//! previous publish's sealed `Shard` payload is the delta reference, and
+//! the pass writes the advanced reference into the new `Shard` payload
+//! and the quantized delta into the `ShardDelta` payload as it goes — the
+//! latest frames are the only copy of the reference there is — while a
+//! shard that did not move keeps its sealed frame, payload and checksum.
+//!
 //! The service is read-only to workers: `Fetch` is the one request it
 //! answers. A trained replica reaches the store through the scheduler's
 //! validator and the assimilator ([`ShardedAssimilator::begin`] /
 //! [`ShardedAssimilator::finish`]), never over this protocol.
 
-use crate::codec::Codec;
+use crate::codec::{advance_reference, Codec};
 use crate::merge::ShardedAssimilator;
 use crate::wire::{
     decode_all, err_code, error_frame, error_frame_code, DeltaPayload, FetchReq, FetchSummary,
@@ -31,7 +39,6 @@ use std::sync::Arc;
 use vc_telemetry::metrics::{Counter, Histogram};
 use vc_telemetry::Telemetry;
 use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
-use vc_tensor::Workspace;
 
 /// Counter names for the service's wire accounting.
 pub const PS_BYTES_RX: &str = "ps_bytes_rx";
@@ -65,35 +72,14 @@ struct EpochSnapshot {
 }
 
 /// The fetch-response frame carrying shard `i`'s blob at `version`.
-fn shard_frame(i: usize, version: u64, values: &[f32]) -> SealedFrame {
+fn shard_frame(i: usize, version: u64, payload: Bytes) -> SealedFrame {
     Frame {
         kind: FrameKind::Shard,
         shard_id: i as u32,
         version,
-        payload: encode_f32s(values),
+        payload,
     }
     .into()
-}
-
-/// Server-side codec state: the reference parameter vector every worker
-/// converges to (the exact sum of quantized deltas) and scratch buffers
-/// so steady-state publishes do not allocate.
-///
-/// Note there is deliberately **no** error-feedback residual here. Each
-/// publish encodes `params − reference`, and the reference only advances
-/// by what was actually transmitted — so any mass a lossy codec drops is
-/// still present in the *next* delta automatically. Adding an explicit
-/// residual on top would count that mass twice per round and diverge.
-/// Explicit residuals belong to the worker's upload shaping (see
-/// [`crate::codec::apply_update_roundtrip`]), where the base is re-synced
-/// each round and dropped mass would otherwise be lost.
-#[derive(Default)]
-struct CodecState {
-    reference: Vec<f32>,
-    prev_manifest: Vec<u64>,
-    init: bool,
-    ws: Workspace,
-    blob_scratch: Vec<u8>,
 }
 
 struct PsInstruments {
@@ -156,7 +142,23 @@ pub struct PsService {
     codec: Codec,
     /// Bitmask of codec ids this service speaks (bit `1 << id`).
     supported: u8,
-    state: Mutex<CodecState>,
+    /// The `Shard` frames of the latest lossy publish (empty before the
+    /// first). They *are* the reference every delta-tracking worker
+    /// converges to — the exact sum of the quantized deltas — held in wire
+    /// form and shared with the snapshot that serves them, so the
+    /// reference costs no memory of its own; each frame's `version` is the
+    /// manifest entry the next delta applies on top of.
+    ///
+    /// Note there is deliberately **no** error-feedback residual here.
+    /// Each publish encodes `params − reference`, and the reference only
+    /// advances by what was actually transmitted — so any mass a lossy
+    /// codec drops is still present in the *next* delta automatically.
+    /// Adding an explicit residual on top would count that mass twice per
+    /// round and diverge. Explicit residuals belong to the worker's upload
+    /// shaping (see [`crate::codec::apply_update_roundtrip`]), where the
+    /// base is re-synced each round and dropped mass would otherwise be
+    /// lost.
+    latest: Mutex<Vec<SealedFrame>>,
     instruments: Option<PsInstruments>,
 }
 
@@ -169,7 +171,7 @@ impl PsService {
             metrics: Metrics::default(),
             codec: Codec::Raw,
             supported: 0b1111,
-            state: Mutex::new(CodecState::default()),
+            latest: Mutex::new(Vec::new()),
             instruments: None,
         }
     }
@@ -220,26 +222,30 @@ impl PsService {
     /// Publishes `params` as the snapshot workers fetch for `epoch`.
     /// `manifest` carries each shard's store version at publish time.
     ///
-    /// Under a lossy codec the service maintains a *reference* vector —
-    /// the exact value every delta-tracking worker reconstructs — and
-    /// publishes each moved shard twice: a full-precision blob of the
-    /// reference (for cold or stale workers) and the quantized delta that
-    /// advanced the reference from the previous publish. The first publish
-    /// is always exact (there is no base to delta against).
+    /// Under a lossy codec the service maintains a *reference* — the exact
+    /// value every delta-tracking worker reconstructs — and publishes each
+    /// moved shard twice: a full-precision blob of the reference (for cold
+    /// or stale workers) and the quantized delta that advanced the
+    /// reference from the previous publish. The reference is the previous
+    /// publish's `Shard` payloads themselves: a moved shard is one fused
+    /// pass ([`advance_reference`]) from the old payload and `params` to
+    /// the new payload and the delta's, both written where they will be
+    /// served from, and a shard that did not move re-uses its sealed frame
+    /// as it stands. The first publish is always exact (there is no base
+    /// to delta against).
     pub fn publish_snapshot(&self, epoch: u64, params: &[f32], manifest: &[u64]) {
         let layout = self.assim.layout();
         assert_eq!(params.len(), layout.param_count(), "snapshot length");
         assert_eq!(manifest.len(), layout.shards(), "manifest length");
+        let exact = |(i, range): (usize, std::ops::Range<usize>)| {
+            shard_frame(i, manifest[i], encode_f32s(&params[range]))
+        };
         if self.codec == Codec::Raw {
-            let shards = layout
-                .iter()
-                .map(|(i, range)| shard_frame(i, manifest[i], &params[range]))
-                .collect();
             self.snapshots.write().insert(
                 epoch,
                 EpochSnapshot {
                     manifest: manifest.to_vec(),
-                    shards,
+                    shards: layout.iter().map(exact).collect(),
                     deltas: Vec::new(),
                     base_manifest: Vec::new(),
                     codec: Codec::Raw,
@@ -247,62 +253,42 @@ impl PsService {
             );
             return;
         }
-        let n_shards = layout.shards();
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut deltas = Vec::with_capacity(n_shards);
-        let mut base_manifest = vec![0u64; n_shards];
-        if !st.init {
-            st.reference.clear();
-            st.reference.extend_from_slice(params);
-            st.prev_manifest = manifest.to_vec();
-            st.init = true;
-            for (i, range) in layout.iter() {
-                shards.push(shard_frame(i, manifest[i], &params[range]));
-                deltas.push(None);
-            }
-            base_manifest.copy_from_slice(manifest);
+        let mut latest = self.latest.lock();
+        let mut deltas = vec![None; layout.shards()];
+        let mut base_manifest = manifest.to_vec();
+        let shards: Vec<SealedFrame> = if latest.is_empty() {
+            layout.iter().map(exact).collect()
         } else {
-            for (i, range) in layout.iter() {
-                if manifest[i] == st.prev_manifest[i] {
-                    // Shard did not move: republish the reference as-is.
-                    shards.push(shard_frame(i, manifest[i], &st.reference[range]));
-                    deltas.push(None);
-                    base_manifest[i] = manifest[i];
-                    continue;
-                }
-                let len = range.len();
-                let mut x = st.ws.take(len);
-                let mut y = st.ws.take(len);
-                for (j, g) in range.clone().enumerate() {
-                    x[j] = params[g] - st.reference[g];
-                }
-                let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-                self.codec.encode_update(&x, &mut st.blob_scratch);
-                if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
-                    ins.encode_s.observe(ins.tel.now_s() - t0);
-                }
-                self.codec
-                    .decode_update_into(&st.blob_scratch, len, &mut y)
-                    .expect("own encoding always decodes");
-                for (j, g) in range.clone().enumerate() {
-                    st.reference[g] += y[j];
-                }
-                shards.push(shard_frame(i, manifest[i], &st.reference[range]));
-                let delta = DeltaPayload {
-                    base: st.prev_manifest[i],
-                    codec: self.codec,
-                    blob: Bytes::copy_from_slice(&st.blob_scratch),
-                };
-                deltas.push(Some(delta.to_frame(i as u32, manifest[i]).into()));
-                base_manifest[i] = st.prev_manifest[i];
-                st.ws.recycle(x);
-                st.ws.recycle(y);
-            }
-            st.prev_manifest.clear();
-            st.prev_manifest.extend_from_slice(manifest);
-        }
+            layout
+                .iter()
+                .map(|(i, range)| {
+                    let prev = &latest[i];
+                    if manifest[i] == prev.version {
+                        return prev.clone();
+                    }
+                    let worst = DeltaPayload::PREFIX_LEN + self.codec.blob_len(range.len());
+                    let mut delta = Vec::with_capacity(worst);
+                    DeltaPayload::write_prefix(prev.version, self.codec, &mut delta);
+                    let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
+                    let next =
+                        advance_reference(self.codec, &params[range], &prev.payload, &mut delta);
+                    if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
+                        ins.encode_s.observe(ins.tel.now_s() - t0);
+                    }
+                    delta.shrink_to_fit();
+                    let delta = Frame {
+                        kind: FrameKind::ShardDelta,
+                        shard_id: i as u32,
+                        version: manifest[i],
+                        payload: Bytes::from(delta),
+                    };
+                    deltas[i] = Some(delta.into());
+                    base_manifest[i] = prev.version;
+                    shard_frame(i, manifest[i], Bytes::from(next))
+                })
+                .collect()
+        };
+        latest.clone_from(&shards);
         self.snapshots.write().insert(
             epoch,
             EpochSnapshot {

@@ -495,27 +495,35 @@ impl FetchReq {
 }
 
 /// Payload of a [`FrameKind::ShardDelta`] frame: which shard version the
-/// update is relative to, how it is encoded, and the quantized blob itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaPayload {
+/// update is relative to, how it is encoded, and the quantized blob — a
+/// view into the frame it was parsed from, so applying a delta copies
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaPayload<'a> {
     /// Shard version the delta applies on top of.
     pub base: u64,
     /// How the blob is encoded.
     pub codec: Codec,
     /// The quantized update bytes (codec-specific layout).
-    pub blob: Bytes,
+    pub blob: &'a [u8],
 }
 
-impl DeltaPayload {
+impl<'a> DeltaPayload<'a> {
     /// Bytes before the blob: base (8) + codec descriptor (6).
     pub const PREFIX_LEN: usize = 8 + DESC_LEN;
+
+    /// Appends the bytes that precede the blob, for a caller that encodes
+    /// the blob straight into the payload after them.
+    pub fn write_prefix(base: u64, codec: Codec, payload: &mut Vec<u8>) {
+        payload.put_u64_le(base);
+        codec.write_desc(payload);
+    }
 
     /// Encodes as a [`FrameKind::ShardDelta`] frame.
     pub fn to_frame(&self, shard_id: u32, version: u64) -> Frame {
         let mut payload = Vec::with_capacity(Self::PREFIX_LEN + self.blob.len());
-        payload.put_u64_le(self.base);
-        self.codec.write_desc(&mut payload);
-        payload.extend_from_slice(&self.blob);
+        Self::write_prefix(self.base, self.codec, &mut payload);
+        payload.extend_from_slice(self.blob);
         Frame {
             kind: FrameKind::ShardDelta,
             shard_id,
@@ -526,23 +534,17 @@ impl DeltaPayload {
 
     /// Parses a [`FrameKind::ShardDelta`] frame's payload. Unknown codec
     /// ids surface as [`WireError::UnsupportedCodec`]; the blob itself is
-    /// validated by [`Codec::decode_update_into`] at apply time.
-    pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
+    /// validated by the codec at apply time.
+    pub fn from_frame(frame: &'a Frame) -> Result<Self, WireError> {
         if frame.kind != FrameKind::ShardDelta {
             return Err(WireError::BadPayload("not a ShardDelta frame"));
         }
-        let p: &[u8] = &frame.payload;
-        if p.len() < Self::PREFIX_LEN {
+        let Some((prefix, blob)) = frame.payload.split_at_checked(Self::PREFIX_LEN) else {
             return Err(WireError::BadPayload("delta payload too short"));
-        }
-        let base = u64::from_le_bytes(p[..8].try_into().expect("length checked"));
-        let codec =
-            Codec::read_desc(&p[8..Self::PREFIX_LEN]).map_err(WireError::UnsupportedCodec)?;
-        Ok(DeltaPayload {
-            base,
-            codec,
-            blob: Bytes::copy_from_slice(&frame.payload[Self::PREFIX_LEN..]),
-        })
+        };
+        let base = u64::from_le_bytes(prefix[..8].try_into().expect("length checked"));
+        let codec = Codec::read_desc(&prefix[8..]).map_err(WireError::UnsupportedCodec)?;
+        Ok(DeltaPayload { base, codec, blob })
     }
 }
 
@@ -785,7 +787,7 @@ mod tests {
                 k: 5,
                 error_feedback: true,
             },
-            blob: Bytes::copy_from_slice(&[1, 2, 3, 4]),
+            blob: &[1, 2, 3, 4],
         };
         let f = d.to_frame(3, 99);
         assert_eq!(f.kind, FrameKind::ShardDelta);

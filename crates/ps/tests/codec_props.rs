@@ -3,7 +3,11 @@
 //! upload streams unbiased with a bounded residual, and no hostile blob —
 //! truncated, bit-flipped, or wholly fabricated — ever panics a decoder.
 //! The worker's in-place upload shaping is held, bit for bit, to the
-//! `encode_delta` → decode oracle it replaced (kept here, as the oracle).
+//! `encode_delta` → decode oracle it replaced (kept here, as the oracle),
+//! the block-wise Int8 encoder to the per-element one it replaced, and the
+//! service's fused publish to the compose-from-primitives sequence it
+//! replaced — `Shard` and `ShardDelta` frames byte for byte, on the AVX2
+//! and the portable kernel bodies.
 //! Plain #[test]s at the bottom pin the codec negotiation contract: a
 //! client asking for a codec the service does not speak gets a structured
 //! error and degrades to `Raw` on a live connection.
@@ -14,7 +18,13 @@ use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
 use vc_ps::codec::apply_update_roundtrip;
 use vc_ps::merge::ShardedAssimilator;
-use vc_ps::{Codec, MemClient, PsService, ShardCache};
+use vc_ps::wire::DeltaPayload;
+use vc_ps::{
+    Codec, FetchReq, FetchSink, FetchSummary, Frame, FrameKind, MemClient, PsClient, PsError,
+    PsService, SealedFrame, ShardCache,
+};
+use vc_tensor::codec::encode_f32s;
+use vc_tensor::quant::{int8_quantize_one, int8_scale, with_portable_bodies};
 
 /// The oracle `apply_update_roundtrip` replaced: encode the update
 /// `new − base` (plus the error-feedback residual when the codec carries
@@ -23,7 +33,9 @@ use vc_ps::{Codec, MemClient, PsService, ShardCache};
 /// On return `blob` holds the wire bytes, `y` the decoded (quantized)
 /// update the receiver would add to its copy of `base`, and `residual` —
 /// when error feedback is on — the quantization error to fold into the
-/// next update. `residual` must be empty (all-zero) or `new.len()` long.
+/// next update (0 where the update is not finite: a NaN or Inf coordinate
+/// must not live on in it). `residual` must be empty (all-zero) or
+/// `new.len()` long.
 fn encode_delta(
     codec: Codec,
     new: &[f32],
@@ -54,7 +66,7 @@ fn encode_delta(
     codec.decode_update_into(blob, n, y)?;
     if ef {
         for i in 0..n {
-            residual[i] = x[i] - y[i];
+            residual[i] = if x[i].is_finite() { x[i] - y[i] } else { 0.0 };
         }
     }
     Ok(())
@@ -504,5 +516,480 @@ fn int8_ef_moves_at_most_a_quarter_of_raw_bytes_on_blocky_sparse_updates() {
             lossy * 4 <= raw,
             "{shards} shards: int8+ef {lossy} B/round vs raw {raw} B/round"
         );
+    }
+}
+
+/// The Int8 encoder `Codec::encode_update` replaced: one `roundf`-defined
+/// code at a time, each zero run found by looking ahead.
+fn encode_int8_per_element(x: &[f32], out: &mut Vec<u8>) {
+    out.clear();
+    let n = x.len();
+    let scale = int8_scale(x);
+    let inv = if scale == 0.0 { 0.0 } else { 1.0 / scale };
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    out.extend_from_slice(&scale.to_le_bytes());
+    let mut i = 0;
+    while i < n {
+        let c = int8_quantize_one(x[i], inv);
+        if c != 0 {
+            out.push(c as u8);
+            i += 1;
+            continue;
+        }
+        let mut j = i + 1;
+        while j < n && j - i < u16::MAX as usize && int8_quantize_one(x[j], inv) == 0 {
+            j += 1;
+        }
+        let run = j - i;
+        if run >= 4 {
+            out.push(0x80);
+            out.extend_from_slice(&(run as u16).to_le_bytes());
+        } else {
+            out.extend(std::iter::repeat_n(0u8, run));
+        }
+        i = j;
+    }
+}
+
+/// Updates whose zero runs sit on every boundary the block-wise encoder
+/// has: shorter and longer than the 4-zero escape threshold, across its
+/// 1024-element blocks, past the 65 535 zeros one token can carry, and at
+/// both ends of the vector.
+fn runny_updates() -> Vec<Vec<f32>> {
+    let mut updates = Vec::new();
+    for n in [0usize, 1, 3, 4, 5, 1023, 1024, 1025, 2050, 70_000, 140_000] {
+        // All zero, all nonzero, and one literal at each end.
+        updates.push(vec![0.0; n]);
+        updates.push((0..n).map(|i| (i % 7) as f32 - 3.5).collect());
+        if n >= 2 {
+            let mut ends = vec![0.0f32; n];
+            ends[0] = 1.0;
+            ends[n - 1] = -1.0;
+            updates.push(ends);
+        }
+        // Zero runs of every length 1..=9 in turn, so runs of 3, 4 and 5
+        // land on a block boundary somewhere.
+        let mut cycling = Vec::with_capacity(n);
+        let mut run = 1;
+        while cycling.len() < n {
+            cycling.extend(std::iter::repeat_n(0.0f32, run));
+            cycling.push(if run % 2 == 0 { 0.75 } else { -0.5 });
+            run = run % 9 + 1;
+        }
+        cycling.truncate(n);
+        updates.push(cycling);
+    }
+    updates
+}
+
+#[test]
+fn block_wise_int8_encoder_matches_the_per_element_encoder() {
+    let codec = Codec::Int8 {
+        error_feedback: false,
+    };
+    let (mut blob, mut want) = (Vec::new(), Vec::new());
+    for x in runny_updates() {
+        encode_int8_per_element(&x, &mut want);
+        for portable in [false, true] {
+            if portable {
+                with_portable_bodies(|| codec.encode_update(&x, &mut blob));
+            } else {
+                codec.encode_update(&x, &mut blob);
+            }
+            assert!(blob == want, "n {} portable {portable}", x.len());
+        }
+        // And the blob decodes, and applies in place, to the same update.
+        let (mut y, mut acc) = (Vec::new(), vec![-0.0f32; x.len()]);
+        codec
+            .decode_update_into(&blob, x.len(), &mut y)
+            .expect("own blob decodes");
+        codec.add_update_to(&blob, &mut acc).expect("own blob adds");
+        for (a, y) in acc.iter().zip(&y) {
+            assert_eq!(a.to_bits(), (-0.0f32 + y).to_bits());
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn block_wise_int8_encoder_matches_the_per_element_encoder_on_random_updates(
+        x in proptest::collection::vec(-1.0f32..1.0, 0..3000),
+        sparsity in 1usize..12,
+    ) {
+        // Most elements round to zero at the scale the few large ones set.
+        let x: Vec<f32> = x
+            .iter()
+            .enumerate()
+            .map(|(i, v)| if i % sparsity == 0 { *v } else { v * 1.0e-3 })
+            .collect();
+        let (mut blob, mut want) = (Vec::new(), Vec::new());
+        encode_int8_per_element(&x, &mut want);
+        Codec::Int8 { error_feedback: true }.encode_update(&x, &mut blob);
+        prop_assert!(blob == want);
+    }
+}
+
+fn service_with_codec(n: usize, shards: usize, codec: Codec) -> Arc<PsService> {
+    let assim = Arc::new(ShardedAssimilator::new(
+        Arc::new(VersionedStore::new()),
+        n,
+        shards,
+        Consistency::Eventual,
+        AlphaSchedule::Const(0.5),
+    ));
+    Arc::new(
+        PsService::new(assim)
+            .with_codec(codec)
+            .with_supported(&[codec]),
+    )
+}
+
+/// The frames a fetch of `epoch` answers `wants` with, summary dropped.
+fn fetch_frames(
+    svc: &PsService,
+    epoch: u64,
+    wants: Vec<(u32, u64)>,
+    codec: Codec,
+) -> Vec<SealedFrame> {
+    let mut out = Vec::new();
+    svc.handle(
+        &FetchReq {
+            epoch,
+            wants,
+            codec,
+        }
+        .to_frame(),
+        &mut out,
+    );
+    let done = out.pop().expect("a fetch ends with its summary");
+    assert_eq!(done.kind, FrameKind::FetchDone, "{:?}", done.payload);
+    out
+}
+
+/// The publish sequence `PsService::publish_snapshot` replaced, kept as
+/// its oracle: a full-precision reference vector beside the frames, each
+/// moved shard's update formed in a scratch vector, encoded, decoded and
+/// added to the reference, and both frames built from copies.
+struct ComposedPublisher {
+    codec: Codec,
+    reference: Vec<f32>,
+    manifest: Vec<u64>,
+}
+
+impl ComposedPublisher {
+    /// The `Shard` frame of every shard and the `ShardDelta` frame of each
+    /// moved one, as publishing `params` under `manifest` must produce.
+    fn publish(
+        &mut self,
+        ranges: &[std::ops::Range<usize>],
+        params: &[f32],
+        manifest: &[u64],
+    ) -> (Vec<SealedFrame>, Vec<Option<SealedFrame>>) {
+        let first = self.reference.is_empty();
+        if first {
+            self.reference = params.to_vec();
+        }
+        let (mut shards, mut deltas) = (Vec::new(), Vec::new());
+        for (i, range) in ranges.iter().enumerate() {
+            let mut delta = None;
+            if !first && manifest[i] != self.manifest[i] {
+                let x: Vec<f32> = range
+                    .clone()
+                    .map(|g| params[g] - self.reference[g])
+                    .collect();
+                let (mut blob, mut y) = (Vec::new(), Vec::new());
+                self.codec.encode_update(&x, &mut blob);
+                self.codec
+                    .decode_update_into(&blob, x.len(), &mut y)
+                    .expect("own encoding decodes");
+                for (g, y) in range.clone().zip(&y) {
+                    self.reference[g] += y;
+                }
+                let payload = DeltaPayload {
+                    base: self.manifest[i],
+                    codec: self.codec,
+                    blob: &blob,
+                };
+                delta = Some(payload.to_frame(i as u32, manifest[i]).into());
+            }
+            deltas.push(delta);
+            shards.push(
+                Frame {
+                    kind: FrameKind::Shard,
+                    shard_id: i as u32,
+                    version: manifest[i],
+                    payload: encode_f32s(&self.reference[range.clone()]),
+                }
+                .into(),
+            );
+        }
+        self.manifest = manifest.to_vec();
+        (shards, deltas)
+    }
+}
+
+/// Publishes eight epochs — every shard moving, some, one, none — through
+/// the service and through [`ComposedPublisher`], and holds every `Shard`
+/// and `ShardDelta` frame the service then serves to the oracle's, sealed
+/// checksum included. The update moves in stretches of `stretch` elements
+/// (dense, near-zero, zero) with an outlier every `outlier_every`; returns
+/// whether some delta carried a maximal `[0x80][0xFFFF]` zero run.
+fn assert_fused_publish_matches_composed(
+    codec: Codec,
+    n: usize,
+    shards: usize,
+    stretch: usize,
+    outlier_every: usize,
+) -> bool {
+    let svc = service_with_codec(n, shards, codec);
+    let layout = *svc.assimilator().layout();
+    let ranges: Vec<_> = layout.iter().map(|(_, r)| r).collect();
+    let mut oracle = ComposedPublisher {
+        codec,
+        reference: Vec::new(),
+        manifest: Vec::new(),
+    };
+    let mut params: Vec<f32> = (0..n)
+        .map(|i| ((i * 31 % 211) as f32 - 105.0) * 0.01)
+        .collect();
+    let mut manifest = vec![1u64; shards];
+    // Which shards move at each publish after the first (bit i: shard i).
+    let moves = [!0usize, 0b0101, 0, 0b0010, !0, 0b1000, 0b0111];
+    let mut saw_max_run = false;
+    for (step, moved) in std::iter::once(!0).chain(moves).enumerate() {
+        let epoch = step as u64 + 1;
+        let before = manifest.clone();
+        if step > 0 {
+            for (g, p) in params.iter_mut().enumerate() {
+                // Dense small steps, a sparse stretch that rounds to long
+                // zero runs, and an occasional outlier. Unmoved shards
+                // drift too: the service must not look at them.
+                let wave = (((g * 7 + step * 13) % 29) as f32 - 14.0) * 1.0e-3;
+                *p += match (g / stretch + step) % 3 {
+                    0 => wave,
+                    1 => wave * 1.0e-3,
+                    _ => 0.0,
+                };
+                if (g + step * 17) % outlier_every == 0 {
+                    *p -= 0.8;
+                }
+            }
+            for (i, v) in manifest.iter_mut().enumerate() {
+                if moved >> i & 1 == 1 {
+                    *v += 1 + step as u64 % 2;
+                }
+            }
+        }
+        svc.publish_snapshot(epoch, &params, &manifest);
+        let (want_shards, want_deltas) = oracle.publish(&ranges, &params, &manifest);
+
+        let cold = (0..shards as u32).map(|i| (i, 0)).collect();
+        let got_shards = fetch_frames(&svc, epoch, cold, Codec::Raw);
+        assert!(
+            got_shards == want_shards,
+            "{codec:?} step {step}: shard frames"
+        );
+        let tracking = (0..shards as u32).zip(before).collect();
+        let got_deltas = fetch_frames(&svc, epoch, tracking, codec);
+        let want_deltas: Vec<SealedFrame> = want_deltas.into_iter().flatten().collect();
+        assert!(
+            got_deltas == want_deltas,
+            "{codec:?} step {step}: delta frames"
+        );
+        saw_max_run |= got_deltas
+            .iter()
+            .any(|f| f.payload.windows(3).any(|w| w == [0x80, 0xFF, 0xFF]));
+        if step > 0 {
+            let moved_shards = (0..shards).filter(|i| moved >> i & 1 == 1).count();
+            assert_eq!(got_deltas.len(), moved_shards, "{codec:?} step {step}");
+        }
+        svc.retire_snapshots_before(epoch);
+    }
+    saw_max_run
+}
+
+#[test]
+fn fused_publish_matches_compose_from_primitives() {
+    for codec in lossy_codecs() {
+        // 1250-element shards: one full kernel block and a ragged one.
+        assert_fused_publish_matches_composed(codec, 5_000, 4, 700, 1901);
+        with_portable_bodies(|| assert_fused_publish_matches_composed(codec, 5_000, 4, 700, 1901));
+    }
+    // Shards long enough, and updates sparse enough, for a zero run to
+    // outgrow the 65 535 elements one token can carry.
+    let int8 = Codec::Int8 {
+        error_feedback: true,
+    };
+    assert!(
+        assert_fused_publish_matches_composed(int8, 280_003, 4, 100_000, 69_997),
+        "no delta carried a maximal zero run"
+    );
+}
+
+/// A transport that answers every fetch with the same prepared frames.
+struct Replay {
+    frames: Vec<Frame>,
+}
+
+impl PsClient for Replay {
+    fn fetch(
+        &mut self,
+        _epoch: u64,
+        _wants: &[(u32, u64)],
+        _codec: Codec,
+        sink: &mut FetchSink<'_>,
+    ) -> Result<FetchSummary, PsError> {
+        for f in &self.frames {
+            sink(f.clone());
+        }
+        Ok(FetchSummary {
+            sent: self.frames.len() as u32,
+            skipped: 0,
+        })
+    }
+}
+
+/// A delta that does not apply — truncated run, overlong, short, wrong
+/// base, non-finite scale, wrong count — leaves the cache exactly as it
+/// was, even when it arrives after a frame that did apply to another
+/// shard's range.
+#[test]
+fn hostile_delta_leaves_the_cache_untouched() {
+    let codec = Codec::Int8 {
+        error_feedback: true,
+    };
+    let (n, shards) = (64usize, 2usize);
+    let svc = service_with_codec(n, shards, codec);
+    let params: Vec<f32> = (0..n).map(|i| i as f32 * 0.5 - 9.0).collect();
+    svc.publish_snapshot(1, &params, &[1, 1]);
+    let mut cache = ShardCache::new(*svc.assimilator().layout()).with_codec(codec);
+    cache
+        .sync(1, &[1, 1], &mut MemClient::new(svc.clone()))
+        .expect("cold sync");
+    let held: Vec<u32> = cache.params().iter().map(|p| p.to_bits()).collect();
+
+    // A valid blob for shard 1 (32 elements) to corrupt.
+    let update: Vec<f32> = (0..32)
+        .map(|i| if i % 8 < 6 { 0.0 } else { 0.01 * i as f32 })
+        .collect();
+    let mut good = Vec::new();
+    codec.encode_update(&update, &mut good);
+    assert!(good.contains(&0x80), "the blob must carry a zero run");
+    let with_blob = |base: u64, blob: &[u8]| DeltaPayload { base, codec, blob }.to_frame(1, 2);
+    let mut hostile = vec![
+        ("wrong base", with_blob(7, &good)),
+        ("run cut short", with_blob(1, &good[..good.len() - 1])),
+        ("short of n", with_blob(1, &good[..9])),
+    ];
+    let mut overlong = good.clone();
+    overlong.push(5);
+    hostile.push(("overlong", with_blob(1, &overlong)));
+    let mut escape_at_end = good.clone();
+    escape_at_end.extend_from_slice(&[0x80, 1]);
+    hostile.push(("escape truncated", with_blob(1, &escape_at_end)));
+    let mut long_run = good[..8].to_vec();
+    long_run.extend_from_slice(&[0x80, 33, 0]);
+    hostile.push(("run past the end", with_blob(1, &long_run)));
+    let mut nan_scale = good.clone();
+    nan_scale[4..8].copy_from_slice(&f32::NAN.to_le_bytes());
+    hostile.push(("scale not finite", with_blob(1, &nan_scale)));
+    let mut wrong_count = good.clone();
+    wrong_count[0] ^= 1;
+    hostile.push(("wrong count", with_blob(1, &wrong_count)));
+
+    for (what, frame) in hostile {
+        let err = cache
+            .sync(
+                2,
+                &[1, 2],
+                &mut Replay {
+                    frames: vec![frame],
+                },
+            )
+            .expect_err(what);
+        assert!(matches!(err, PsError::ShortResponse(_)), "{what}: {err:?}");
+        let now: Vec<u32> = cache.params().iter().map(|p| p.to_bits()).collect();
+        assert!(now == held, "{what}: params moved");
+        assert_eq!(cache.versions(), &[1, 1], "{what}: versions moved");
+    }
+    // The untampered delta does apply, so the rejections above were about
+    // the bytes, not the set-up.
+    let frames = vec![with_blob(1, &good)];
+    let got = cache
+        .sync(2, &[1, 2], &mut Replay { frames })
+        .expect("valid delta");
+    let mut y = Vec::new();
+    codec.decode_update_into(&good, 32, &mut y).unwrap();
+    for i in 0..32 {
+        assert_eq!(got[32 + i].to_bits(), (params[32 + i] + y[i]).to_bits());
+    }
+    assert_eq!(cache.versions(), &[1, 2]);
+}
+
+/// One NaN and one Inf in a trained replica must not outlive the round
+/// they appeared in. Before the residual was cleared where the update is
+/// not finite, the NaN coordinate quantized to 0 and kept `residual = NaN`
+/// for the worker's whole life (its upload never moving again, and passing
+/// `result_is_valid` as `base + 0`), and the Inf coordinate uploaded
+/// `base + 127·scale` every round.
+#[test]
+fn a_non_finite_coordinate_does_not_poison_the_residual() {
+    let (nan_at, inf_at) = (5usize, 21usize);
+    let n = 40;
+    for codec in [
+        Codec::Int8 {
+            error_feedback: true,
+        },
+        Codec::TopK {
+            k: 40,
+            error_feedback: true,
+        },
+    ] {
+        let base: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
+        // Every round trains the same step onto the base: +1.0 on one
+        // coordinate (it sets the Int8 scale), +0.5 and +0.25 on the two
+        // that get poisoned, small steps elsewhere.
+        let trained: Vec<f32> = (0..n)
+            .map(|i| {
+                base[i]
+                    + match i {
+                        0 => 1.0,
+                        i if i == nan_at => 0.5,
+                        i if i == inf_at => 0.25,
+                        _ => 0.01 * (i % 5) as f32,
+                    }
+            })
+            .collect();
+        let (mut clean_residual, mut residual) = (Vec::new(), Vec::new());
+        for round in 0..4 {
+            let mut clean = trained.clone();
+            apply_update_roundtrip(codec, &base, &mut clean, &mut clean_residual);
+            let mut poisoned = trained.clone();
+            if round == 0 {
+                poisoned[nan_at] = f32::NAN;
+                poisoned[inf_at] = f32::INFINITY;
+            }
+            apply_update_roundtrip(codec, &base, &mut poisoned, &mut residual);
+            assert!(
+                residual.iter().all(|r| r.is_finite()),
+                "{codec:?} round {round}: residual {residual:?}"
+            );
+            if round == 0 {
+                assert_eq!(residual[nan_at], 0.0, "{codec:?}");
+                assert_eq!(residual[inf_at], 0.0, "{codec:?}");
+                continue;
+            }
+            // From the next round on both coordinates are within one
+            // quantization step (1/127 at this scale) of the clean run's,
+            // which carries a round-0 residual the poisoned run dropped.
+            for at in [nan_at, inf_at] {
+                assert!(
+                    (poisoned[at] - clean[at]).abs() <= 1.0 / 127.0,
+                    "{codec:?} round {round} coordinate {at}: {} vs clean {}",
+                    poisoned[at],
+                    clean[at]
+                );
+            }
+        }
     }
 }

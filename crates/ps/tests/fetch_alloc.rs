@@ -3,10 +3,13 @@
 //! its parameter slice back without touching the heap — no blob clone, no
 //! frame encode, no transport call. This is the per-assignment steady
 //! state: parameters only move when an assimilation actually bumped a
-//! shard's version.
+//! shard's version. And when they do move under `Int8`, applying the delta
+//! frames allocates nothing either: the payload is parsed in place,
+//! validated, and dequantize-added straight onto the assembled vector.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -40,6 +43,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The tests share the process-wide counter, and everything a test
+/// allocates while another counts would be counted: one runs at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 #[test]
 fn cache_hit_sync_does_not_allocate() {
     use std::sync::Arc;
@@ -47,6 +54,7 @@ fn cache_hit_sync_does_not_allocate() {
     use vc_kvstore::{Consistency, VersionedStore};
     use vc_ps::{MemClient, PsService, ShardCache, ShardedAssimilator};
 
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let n = 4096;
     let store = Arc::new(VersionedStore::new());
     let assim = Arc::new(ShardedAssimilator::new(
@@ -92,4 +100,101 @@ fn cache_hit_sync_does_not_allocate() {
         params.as_slice(),
         "cache still serves the snapshot"
     );
+}
+
+#[test]
+fn warm_int8_delta_sync_does_not_allocate() {
+    use std::sync::Arc;
+    use vc_asgd::AlphaSchedule;
+    use vc_kvstore::{Consistency, VersionedStore};
+    use vc_ps::{
+        Codec, FetchReq, FetchSink, FetchSummary, Frame, FrameKind, MemClient, PsClient, PsError,
+        PsService, ShardCache, ShardedAssimilator,
+    };
+
+    /// Hands the sink frames read earlier: the transport's own allocations
+    /// (socket buffers, the frames themselves) are not the cache's.
+    struct Replay(Vec<Frame>);
+    impl PsClient for Replay {
+        fn fetch(
+            &mut self,
+            _epoch: u64,
+            _wants: &[(u32, u64)],
+            _codec: Codec,
+            sink: &mut FetchSink<'_>,
+        ) -> Result<FetchSummary, PsError> {
+            for f in &self.0 {
+                sink(f.clone());
+            }
+            Ok(FetchSummary {
+                sent: self.0.len() as u32,
+                skipped: 0,
+            })
+        }
+    }
+
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let codec = Codec::Int8 {
+        error_feedback: true,
+    };
+    let n = 6000;
+    let assim = Arc::new(ShardedAssimilator::new(
+        Arc::new(VersionedStore::new()),
+        n,
+        4,
+        Consistency::Strong,
+        AlphaSchedule::Const(0.6),
+    ));
+    let svc = Arc::new(PsService::new(assim.clone()).with_codec(codec));
+    let params: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+    svc.publish_snapshot(1, &params, &[1; 4]);
+    let mut cache = ShardCache::new(*assim.layout()).with_codec(codec);
+    cache
+        .sync(1, &[1; 4], &mut MemClient::new(svc.clone()))
+        .expect("cold sync");
+
+    // Every shard moves: dense steps, with stretches that round to zero
+    // runs, so both token kinds are applied.
+    let moved: Vec<f32> = params
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            p + if i % 40 < 25 {
+                0.01 * (i % 7) as f32
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    svc.publish_snapshot(2, &moved, &[2; 4]);
+    let mut response = Vec::new();
+    let req = FetchReq {
+        epoch: 2,
+        wants: (0..4).map(|i| (i, 1)).collect(),
+        codec,
+    };
+    svc.handle(&req.to_frame(), &mut response);
+    response.pop(); // the summary
+    let frames: Vec<Frame> = response.iter().map(|f| Frame::clone(f)).collect();
+    assert_eq!(frames.len(), 4);
+    assert!(frames.iter().all(|f| f.kind == FrameKind::ShardDelta));
+    let mut replay = Replay(frames);
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let synced = cache.sync(2, &[2; 4], &mut replay).map(|p| p.len());
+    COUNTING.store(false, Ordering::SeqCst);
+    assert_eq!(synced, Ok(n));
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst),
+        0,
+        "applying Int8 delta frames must not touch the heap"
+    );
+    // The deltas landed: the cache holds what a cold fetch of epoch 2 gets.
+    let mut cold = ShardCache::new(*assim.layout());
+    let want = cold
+        .sync(2, &[2; 4], &mut MemClient::new(svc.clone()))
+        .expect("cold sync");
+    assert_eq!(cache.params(), want);
+    assert_ne!(cache.params(), params.as_slice());
 }

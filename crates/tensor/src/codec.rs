@@ -35,14 +35,40 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encodes a flat `f32` slice into a framed little-endian blob.
-pub fn encode_f32s(values: &[f32]) -> Bytes {
-    let mut buf = vec![0u8; encoded_len(values.len())];
+/// Bytes of a blob before its values: the magic tag and the count.
+pub const HEADER_LEN: usize = 12;
+
+/// A blob for `n` values with its header written and every value zero, for
+/// a caller that produces the values in place: little-endian `f32`s from
+/// [`HEADER_LEN`] on (see [`write_le_values`]).
+pub fn zeroed_blob(n: usize) -> Vec<u8> {
+    let mut buf = vec![0u8; encoded_len(n)];
     buf[..4].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[4..12].copy_from_slice(&(values.len() as u64).to_le_bytes());
-    for (b, v) in buf[12..].chunks_exact_mut(4).zip(values) {
+    buf[4..HEADER_LEN].copy_from_slice(&(n as u64).to_le_bytes());
+    buf
+}
+
+/// Writes `values` as little-endian bytes over `out` (`4 × values.len()`
+/// long).
+pub fn write_le_values(values: &[f32], out: &mut [u8]) {
+    assert_eq!(out.len(), values.len() * 4);
+    for (b, v) in out.chunks_exact_mut(4).zip(values) {
         b.copy_from_slice(&v.to_le_bytes());
     }
+}
+
+/// Reads little-endian value bytes (`4 × out.len()` long) into `out`.
+pub fn read_le_values(bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(bytes.len(), out.len() * 4);
+    for (o, v) in out.iter_mut().zip(le_values(bytes)) {
+        *o = v;
+    }
+}
+
+/// Encodes a flat `f32` slice into a framed little-endian blob.
+pub fn encode_f32s(values: &[f32]) -> Bytes {
+    let mut buf = zeroed_blob(values.len());
+    write_le_values(values, &mut buf[HEADER_LEN..]);
     Bytes::from(buf)
 }
 
@@ -54,10 +80,10 @@ pub fn decode_f32s(blob: &[u8]) -> Result<Vec<f32>, CodecError> {
 }
 
 /// Validates a blob's header and returns its value bytes (`4 × count`).
-fn body(mut blob: &[u8]) -> Result<&[u8], CodecError> {
-    if blob.len() < 12 {
+pub fn value_bytes(mut blob: &[u8]) -> Result<&[u8], CodecError> {
+    if blob.len() < HEADER_LEN {
         return Err(CodecError::Truncated {
-            expected: 12,
+            expected: HEADER_LEN,
             got: blob.len(),
         });
     }
@@ -86,7 +112,7 @@ fn le_values(body: &[u8]) -> impl Iterator<Item = f32> + '_ {
 /// empty.
 pub fn decode_f32s_into(blob: &[u8], out: &mut Vec<f32>) -> Result<(), CodecError> {
     out.clear();
-    out.extend(le_values(body(blob)?));
+    out.extend(le_values(value_bytes(blob)?));
     Ok(())
 }
 
@@ -94,22 +120,20 @@ pub fn decode_f32s_into(blob: &[u8], out: &mut Vec<f32>) -> Result<(), CodecErro
 /// `out` — a shard into its range of an assembled parameter vector, with no
 /// temporary. `out` is untouched unless the whole blob is valid.
 pub fn decode_f32s_into_slice(blob: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
-    let body = body(blob)?;
+    let body = value_bytes(blob)?;
     if body.len() != out.len() * 4 {
         return Err(CodecError::Truncated {
             expected: encoded_len(out.len()),
             got: blob.len(),
         });
     }
-    for (o, v) in out.iter_mut().zip(le_values(body)) {
-        *o = v;
-    }
+    read_le_values(body, out);
     Ok(())
 }
 
 /// Size in bytes of an encoded parameter vector of `n` values.
 pub fn encoded_len(n: usize) -> usize {
-    12 + 4 * n
+    HEADER_LEN + 4 * n
 }
 
 #[cfg(test)]

@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# AddressSanitizer over the code that holds the repo's hand-written
+# `unsafe` on the parameter path: the int8 kernels of `vc-tensor::quant`
+# (AVX2 loads and stores, the i8 <-> u8 slice views) and everything
+# `vc-ps` drives them with — the block-wise encoder, the token walker over
+# hostile bytes, the fused publish and the in-place delta apply.
+#
+# Usage: deploy/sanitize.sh [extra `cargo test` arguments]
+#
+#   Runs, under `RUSTFLAGS=-Zsanitizer=address` on the nightly toolchain:
+#     vc-tensor  lib unit tests + tests/quant_kernels.rs (every kernel on
+#                the AVX2 and the portable body, every length and tail)
+#     vc-ps      tests/codec_props.rs + tests/wire_props.rs
+#   An out-of-bounds lane, a misaligned assumption or a use after free
+#   aborts the test binary with ASan's report; exit status is cargo's.
+#
+#   Needs no network and no `rust-src`: the installed nightly ships the
+#   sanitizer runtime, and `--target` keeps the flag off build scripts and
+#   proc macros. Builds into target/sanitize (override with
+#   CARGO_TARGET_DIR) so the ordinary build cache is left alone.
+set -euo pipefail
+
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$repo"
+
+export RUSTFLAGS="-Zsanitizer=address ${RUSTFLAGS:-}"
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$repo/target/sanitize}"
+# One kernel thread: the pool's workers are not what is under test.
+export VC_THREADS=1
+
+run() {
+    cargo +nightly test --offline --target x86_64-unknown-linux-gnu "$@"
+}
+
+run -p vc-tensor --lib "$@"
+run -p vc-tensor --test quant_kernels "$@"
+run -p vc-ps --test codec_props --test wire_props "$@"
