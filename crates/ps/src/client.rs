@@ -15,9 +15,7 @@
 
 use crate::codec::Codec;
 use crate::service::PsService;
-use crate::wire::{
-    decode_all, err_code, DeltaPayload, FetchReq, FetchSummary, Frame, FrameKind, WireError,
-};
+use crate::wire::{decode_all, DeltaPayload, FetchReq, FetchSummary, Frame, FrameKind, WireError};
 use std::sync::Arc;
 use vc_kvstore::ShardLayout;
 use vc_tensor::codec::decode_f32s_into_slice;
@@ -31,9 +29,6 @@ pub enum PsError {
     Transport(String),
     /// The service answered with an error frame.
     Server(String),
-    /// The service does not speak the requested codec (structured error
-    /// code [`err_code::UNSUPPORTED_CODEC`]); callers fall back to `Raw`.
-    UnsupportedCodec(String),
     /// The response did not cover everything the request asked for.
     ShortResponse(&'static str),
 }
@@ -44,19 +39,8 @@ impl std::fmt::Display for PsError {
             PsError::Wire(e) => write!(f, "wire: {e}"),
             PsError::Transport(e) => write!(f, "transport: {e}"),
             PsError::Server(e) => write!(f, "server: {e}"),
-            PsError::UnsupportedCodec(e) => write!(f, "unsupported codec: {e}"),
             PsError::ShortResponse(what) => write!(f, "short response: {what}"),
         }
-    }
-}
-
-/// Maps an `Error` frame to the matching [`PsError`] via its structured
-/// code (carried in the frame's `version` field).
-fn server_error(f: &Frame) -> PsError {
-    let msg = String::from_utf8_lossy(&f.payload).into_owned();
-    match f.version {
-        err_code::UNSUPPORTED_CODEC => PsError::UnsupportedCodec(msg),
-        _ => PsError::Server(msg),
     }
 }
 
@@ -99,7 +83,9 @@ pub(crate) fn route_fetch_frame(
 ) -> Option<Result<FetchSummary, PsError>> {
     match f.kind {
         FrameKind::FetchDone => Some(FetchSummary::from_frame(&f).map_err(PsError::Wire)),
-        FrameKind::Error => Some(Err(server_error(&f))),
+        FrameKind::Error => Some(Err(PsError::Server(
+            String::from_utf8_lossy(&f.payload).into_owned(),
+        ))),
         _ => {
             sink(f);
             None
@@ -154,10 +140,9 @@ impl PsClient for MemClient {
 }
 
 /// A worker's sticky shard cache: versions held, assembled parameters, and
-/// a reused want list for the refresh path. With a lossy codec attached
-/// the cache also negotiates delta transfer — fetches apply quantized
-/// deltas straight onto the tracked state — and falls back to `Raw`
-/// permanently if the service does not speak the codec.
+/// a reused want list for the refresh path. With `Int8` attached the cache
+/// asks for delta transfer, and fetches apply quantized deltas straight
+/// onto the tracked state.
 pub struct ShardCache {
     layout: ShardLayout,
     versions: Vec<u64>,
@@ -185,12 +170,6 @@ impl ShardCache {
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
         self
-    }
-
-    /// The codec currently in effect (may have downgraded to `Raw` after
-    /// a structured unsupported-codec error).
-    pub fn codec(&self) -> Codec {
-        self.codec
     }
 
     /// The cached shard versions.
@@ -254,18 +233,7 @@ impl ShardCache {
             };
             applied = one().map_err(PsError::ShortResponse);
         };
-        let summary = loop {
-            match client.fetch(epoch, &self.wants, self.codec, &mut apply) {
-                Ok(s) => break s,
-                Err(PsError::UnsupportedCodec(_)) if self.codec != Codec::Raw => {
-                    // Negotiation: the service answered with a structured
-                    // error instead of a dead connection — downgrade to
-                    // Raw for the rest of this cache's life and retry.
-                    self.codec = Codec::Raw;
-                }
-                Err(e) => return Err(e),
-            }
-        };
+        let summary = client.fetch(epoch, &self.wants, self.codec, &mut apply)?;
         if applied? != summary.sent as usize {
             return Err(PsError::ShortResponse("shard count != summary"));
         }

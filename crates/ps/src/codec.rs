@@ -3,18 +3,18 @@
 //! The paper's modeled cost is dominated by shipping the full parameter
 //! file between server and volunteers every round. This module cuts that
 //! cost the way DeDLOC does for open collaborations: each shard moves as a
-//! **delta against the version the peer already holds**, quantized by a
-//! pluggable [`Codec`], with error-feedback residuals keeping the lossy
-//! modes unbiased over time.
+//! **delta against the version the peer already holds**, quantized to
+//! int8, with an error-feedback residual keeping the upload stream
+//! unbiased over time. [`Codec`] is the choice between that and the
+//! paper's full-precision transfer — the two shapes of traffic the system
+//! runs.
 //!
 //! ## Blob formats (all little-endian)
 //!
 //! | codec | layout | size |
 //! |-------|--------|------|
 //! | `Raw`  | VCP1 (`vc-tensor::codec`) | `12 + 4n` |
-//! | `Fp16` | `[n u32][n × f16 bits u16]` | `4 + 2n` |
 //! | `Int8` | `[n u32][scale f32][tokens]` | `≤ 8 + n` |
-//! | `TopK` | `[n u32][k u32][k × idx u32, ascending][k × val f32]` | `8 + 8k` |
 //!
 //! `Int8` tokens are literal `i8` codes except the reserved byte `0x80`
 //! (`-128`, never produced by quantization) which escapes a zero run:
@@ -24,8 +24,8 @@
 //!
 //! ## Error feedback
 //!
-//! For a lossy codec `Q`, the sender keeps a residual `r` per element and
-//! transmits `ŷ = Q(x + r)` for update `x`, then sets `r ← (x + r) − ŷ`.
+//! With `Q` the int8 quantizer, the sender keeps a residual `r` per element
+//! and transmits `ŷ = Q(x + r)` for update `x`, then sets `r ← (x + r) − ŷ`.
 //! The quantization error is re-injected into the next update instead of
 //! being lost, so the *accumulated* transmitted signal tracks the true
 //! accumulated updates — compression error stays bounded instead of
@@ -56,13 +56,14 @@
 use serde::{Deserialize, Serialize};
 use vc_tensor::codec::{read_le_values, write_le_values};
 use vc_tensor::quant::{
-    f16_bits_to_f32, f32_to_f16_bits, int8_codes_as_bytes, int8_codes_from_bytes,
-    int8_delta_roundtrip, int8_delta_scale, int8_dequantize_add, int8_dequantize_slice,
-    int8_quantize_slice, int8_scale, topk_indices,
+    int8_codes_as_bytes, int8_codes_from_bytes, int8_delta_roundtrip, int8_delta_scale,
+    int8_dequantize_add, int8_dequantize_slice, int8_quantize_slice, int8_scale,
 };
 
 /// Length of the codec descriptor appended to `FetchReq` payloads and
-/// embedded in delta frames: `[id u8][flags u8][k u32]`.
+/// embedded in delta frames: `[id u8][flags u8][reserved u32]`. The four
+/// reserved bytes are written 0 and ignored on read; they stay so that no
+/// frame changes size.
 pub const DESC_LEN: usize = 6;
 
 /// Flag bit: sender maintains an error-feedback residual for this stream.
@@ -194,84 +195,65 @@ impl<'a> Int8Tokens<'a> {
     }
 }
 
-/// The element count every non-`Raw` blob opens with must be the `n` its
-/// receiver expects — checked before anything is sized by it.
-fn check_count(blob: &[u8], n: usize) -> Result<(), &'static str> {
-    let Some(count) = blob.first_chunk::<4>() else {
-        return Err("update blob truncated");
-    };
-    if u32::from_le_bytes(*count) as usize != n {
-        return Err("update blob element count mismatch");
-    }
-    Ok(())
-}
-
 /// Checks an Int8 blob's header against the `n` elements the caller
-/// expects and returns its scale and token stream.
+/// expects — before anything is sized by the count it declares — and
+/// returns its scale and token stream.
 fn int8_parse(blob: &[u8], n: usize) -> Result<(f32, Int8Tokens<'_>), &'static str> {
-    check_count(blob, n)?;
-    let Some(scale) = blob[4..].first_chunk::<4>() else {
+    let Some((header, body)) = blob.split_first_chunk::<8>() else {
         return Err("int8 blob truncated");
     };
-    let scale = f32::from_le_bytes(*scale);
+    let [n0, n1, n2, n3, s0, s1, s2, s3] = *header;
+    if u32::from_le_bytes([n0, n1, n2, n3]) as usize != n {
+        return Err("update blob element count mismatch");
+    }
+    let scale = f32::from_le_bytes([s0, s1, s2, s3]);
     if !scale.is_finite() {
         return Err("int8 scale not finite");
     }
     let tokens = Int8Tokens {
-        bytes: &blob[8..],
+        bytes: body,
         emitted: 0,
         n,
     };
     Ok((scale, tokens))
 }
 
-/// How a parameter update crosses the wire. `Raw` is the bit-exact legacy
-/// path; the lossy modes quantize deltas and rely on error feedback (where
-/// enabled) plus the quorum tolerance comparator to stay in the clean
-/// accuracy band.
+/// How a parameter update crosses the wire: `Raw` is the paper's
+/// full-precision transfer, bit-exact; `Int8` quantizes deltas and relies on
+/// error feedback (where enabled) plus the quorum tolerance comparator to
+/// stay in the clean accuracy band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Codec {
     /// Full-precision VCP1 blobs; byte-identical to the pre-codec protocol.
     #[default]
     Raw,
-    /// IEEE binary16 per element: 2× smaller, ~2^-11 relative error.
-    Fp16,
     /// Symmetric int8 with zero-run suppression: ≥4× smaller on update
     /// deltas.
     Int8 {
         /// Keep a residual so quantization error feeds the next update.
         error_feedback: bool,
     },
-    /// Ship only the `k` largest-magnitude elements of the delta.
-    TopK {
-        /// Elements kept per shard (clamped to the shard length).
-        k: u32,
-        /// Keep a residual so dropped elements feed the next update.
-        error_feedback: bool,
-    },
 }
 
 impl Codec {
-    /// Stable wire identifier. New codecs append; ids are never reused.
+    /// Stable wire identifier. Ids are never reused: ids 1 and 3 are
+    /// retired (DESIGN §12a) and a new codec would append.
     pub fn id(self) -> u8 {
         match self {
             Codec::Raw => 0,
-            Codec::Fp16 => 1,
             Codec::Int8 { .. } => 2,
-            Codec::TopK { .. } => 3,
         }
     }
 
-    /// True for every mode that loses bits on the wire.
+    /// True for the mode that loses bits on the wire.
     pub fn is_lossy(self) -> bool {
         self != Codec::Raw
     }
 
     /// Whether the sender maintains an error-feedback residual.
     pub fn error_feedback(self) -> bool {
-        match self {
-            Codec::Raw | Codec::Fp16 => false,
-            Codec::Int8 { error_feedback } | Codec::TopK { error_feedback, .. } => error_feedback,
+        self == Codec::Int8 {
+            error_feedback: true,
         }
     }
 
@@ -282,9 +264,7 @@ impl Codec {
     pub fn blob_len(self, n: usize) -> usize {
         match self {
             Codec::Raw => vc_tensor::codec::encoded_len(n),
-            Codec::Fp16 => 4 + 2 * n,
             Codec::Int8 { .. } => 8 + n,
-            Codec::TopK { k, .. } => 8 + 8 * (k as usize).min(n),
         }
     }
 
@@ -299,66 +279,46 @@ impl Codec {
     pub fn quorum_tolerance(self) -> (f32, f32) {
         match self {
             Codec::Raw => (0.0, 0.0),
-            Codec::Fp16 => (2e-2, 0.0),
             Codec::Int8 { .. } => (1e-1, 0.0),
-            Codec::TopK { .. } => (7.5e-1, 0.0),
         }
     }
 
     /// Append the 6-byte wire descriptor.
     pub fn write_desc(self, out: &mut Vec<u8>) {
-        let mut flags = 0u8;
-        if self.error_feedback() {
-            flags |= FLAG_ERROR_FEEDBACK;
-        }
-        let k = match self {
-            Codec::TopK { k, .. } => k,
-            _ => 0,
+        let flags = if self.error_feedback() {
+            FLAG_ERROR_FEEDBACK
+        } else {
+            0
         };
-        out.push(self.id());
-        out.push(flags);
-        out.extend_from_slice(&k.to_le_bytes());
+        out.extend_from_slice(&[self.id(), flags, 0, 0, 0, 0]);
     }
 
     /// Parse a 6-byte descriptor. `Err(id)` reports an id this build does
-    /// not speak so the caller can answer with a structured `Error` frame.
+    /// not speak — unassigned or retired — so the caller can answer with a
+    /// structured `Error` frame.
     pub fn read_desc(desc: &[u8]) -> Result<Codec, u8> {
         assert_eq!(desc.len(), DESC_LEN, "descriptor must be exactly 6 bytes");
-        let ef = desc[1] & FLAG_ERROR_FEEDBACK != 0;
-        let k = u32::from_le_bytes([desc[2], desc[3], desc[4], desc[5]]);
         match desc[0] {
             0 => Ok(Codec::Raw),
-            1 => Ok(Codec::Fp16),
-            2 => Ok(Codec::Int8 { error_feedback: ef }),
-            3 => Ok(Codec::TopK {
-                k,
-                error_feedback: ef,
+            2 => Ok(Codec::Int8 {
+                error_feedback: desc[1] & FLAG_ERROR_FEEDBACK != 0,
             }),
             id => Err(id),
         }
     }
 
     /// Quantize update `x` into `out` (cleared first). `Raw` writes a VCP1
-    /// blob so every mode is drivable through one entry point.
+    /// blob so both modes are drivable through one entry point.
     pub fn encode_update(self, x: &[f32], out: &mut Vec<u8>) {
         out.clear();
-        let n = x.len();
-        assert!(n <= u32::MAX as usize, "update too large for wire header");
         match self {
             Codec::Raw => out.extend_from_slice(&vc_tensor::codec::encode_f32s(x)),
-            Codec::Fp16 => {
-                out.reserve(4 + 2 * n);
-                out.extend_from_slice(&(n as u32).to_le_bytes());
-                for &v in x {
-                    out.extend_from_slice(&f32_to_f16_bits(v).to_le_bytes());
-                }
-            }
             Codec::Int8 { .. } => {
                 let scale = int8_scale(x);
                 // Quantize a block at a time and fold zero runs over its
                 // bytes, so the steady-state path never allocates beyond
                 // `out`'s retained capacity.
-                let mut tokens = Int8TokenWriter::begin(out, n, scale);
+                let mut tokens = Int8TokenWriter::begin(out, x.len(), scale);
                 let mut codes = [0i8; INT8_BLOCK];
                 for block in x.chunks(INT8_BLOCK) {
                     let codes = &mut codes[..block.len()];
@@ -367,140 +327,86 @@ impl Codec {
                 }
                 tokens.finish();
             }
-            Codec::TopK { k, .. } => {
-                let idx = topk_indices(x, k as usize);
-                let kept = idx.len();
-                out.reserve(8 + 8 * kept);
-                out.extend_from_slice(&(n as u32).to_le_bytes());
-                out.extend_from_slice(&(kept as u32).to_le_bytes());
-                for &i in &idx {
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-                for &i in &idx {
-                    out.extend_from_slice(&x[i as usize].to_le_bytes());
-                }
-            }
         }
     }
 
-    /// Decode an update blob into `out` (cleared, then resized to `n`).
-    /// `n` is the shard length the *caller* expects — a blob declaring any
-    /// other element count is rejected before any allocation happens, so a
-    /// hostile length field cannot balloon memory. On error `out` is left
-    /// empty.
+    /// Decode an update blob into `out`, replacing what it held with the
+    /// `n` decoded elements. `n` is the shard length the *caller* expects —
+    /// a blob declaring any other element count is rejected before any
+    /// allocation happens, so a hostile length field cannot balloon memory.
+    /// On error `out` is left empty.
     pub fn decode_update_into(
         self,
         blob: &[u8],
         n: usize,
         out: &mut Vec<f32>,
     ) -> Result<(), &'static str> {
-        out.clear();
-        if let Codec::Raw = self {
-            vc_tensor::codec::decode_f32s_into(blob, out).map_err(|_| "bad raw blob")?;
-            if out.len() != n {
-                out.clear();
-                return Err("raw blob length mismatch");
-            }
-            return Ok(());
-        }
-        check_count(blob, n)?;
-        match self {
-            Codec::Raw => unreachable!("handled above"),
-            Codec::Fp16 => {
-                let body = &blob[4..];
-                if body.len() != 2 * n {
-                    return Err("fp16 blob length mismatch");
-                }
-                out.resize(n, 0.0);
-                for (d, h) in out.iter_mut().zip(body.chunks_exact(2)) {
-                    *d = f16_bits_to_f32(u16::from_le_bytes([h[0], h[1]]));
+        let mut decode = || match self {
+            Codec::Raw => {
+                vc_tensor::codec::decode_f32s_into(blob, out).map_err(|_| "bad raw blob")?;
+                if out.len() != n {
+                    return Err("raw blob length mismatch");
                 }
                 Ok(())
             }
             Codec::Int8 { .. } => {
                 let (scale, mut tokens) = int8_parse(blob, n)?;
-                // A zero run decodes to the `+0.0` the resize wrote.
+                // Every element is written below, so what a reused `out`
+                // still holds needs no clearing first.
                 out.resize(n, 0.0);
-                let mut literals = || {
-                    while let Some((at, token)) = tokens.next()? {
-                        if let Int8Token::Codes(codes) = token {
+                while let Some((at, token)) = tokens.next()? {
+                    match token {
+                        Int8Token::Codes(codes) => {
                             int8_dequantize_slice(codes, scale, &mut out[at..at + codes.len()]);
                         }
+                        Int8Token::Zeros(run) => out[at..at + run].fill(0.0),
                     }
-                    Ok(())
-                };
-                let decoded = literals();
-                if decoded.is_err() {
-                    out.clear();
-                }
-                decoded
-            }
-            Codec::TopK { .. } => {
-                if blob.len() < 8 {
-                    return Err("topk blob truncated");
-                }
-                let k = u32::from_le_bytes([blob[4], blob[5], blob[6], blob[7]]) as usize;
-                if k > n {
-                    return Err("topk k exceeds shard length");
-                }
-                if blob.len() != 8 + 8 * k {
-                    return Err("topk blob length mismatch");
-                }
-                out.resize(n, 0.0);
-                let idx_bytes = &blob[8..8 + 4 * k];
-                let val_bytes = &blob[8 + 4 * k..];
-                for (ib, vb) in idx_bytes.chunks_exact(4).zip(val_bytes.chunks_exact(4)) {
-                    let i = u32::from_le_bytes([ib[0], ib[1], ib[2], ib[3]]) as usize;
-                    if i >= n {
-                        out.clear();
-                        return Err("topk index out of range");
-                    }
-                    out[i] = f32::from_le_bytes([vb[0], vb[1], vb[2], vb[3]]);
                 }
                 Ok(())
             }
+        };
+        let decoded = decode();
+        if decoded.is_err() {
+            out.clear();
         }
+        decoded
     }
 
-    /// Adds the update in `blob` onto `dst`, the shard it updates:
+    /// Adds the quantized delta in `blob` onto `dst`, the shard it updates:
     /// `dst[i] += y[i]` for the `y` [`decode_update_into`]
     /// (Self::decode_update_into) would produce, element for element. All
-    /// or nothing — `dst` is untouched unless the whole blob is valid for
-    /// `dst.len()` elements. `Int8` validates the token stream and then
-    /// dequantize-adds it in place; the other modes decode into a
-    /// transient vector first.
+    /// or nothing — `dst` is untouched unless the whole token stream is
+    /// valid for `dst.len()` elements; it is validated first and then
+    /// dequantize-added in place, so nothing is allocated. A `Raw` blob is a
+    /// shard's values, not an update to them, and is an error.
     pub fn add_update_to(self, blob: &[u8], dst: &mut [f32]) -> Result<(), &'static str> {
-        if let Codec::Int8 { .. } = self {
-            let (scale, mut tokens) = int8_parse(blob, dst.len())?;
-            let mut check = tokens.clone();
-            while check.next()?.is_some() {}
-            while let Some((at, token)) = tokens.next().expect("validated above") {
-                match token {
-                    Int8Token::Codes(codes) => {
-                        int8_dequantize_add(codes, scale, &mut dst[at..at + codes.len()]);
-                    }
-                    // Adding the run's `+0.0` is not a no-op: it turns a
-                    // `-0.0` into `+0.0`, as adding the decoded vector does.
-                    Int8Token::Zeros(run) => {
-                        for p in &mut dst[at..at + run] {
-                            *p += 0.0;
-                        }
+        let Codec::Int8 { .. } = self else {
+            return Err("a raw blob is not a delta");
+        };
+        let (scale, mut tokens) = int8_parse(blob, dst.len())?;
+        let mut check = tokens.clone();
+        while check.next()?.is_some() {}
+        while let Some((at, token)) = tokens.next().expect("validated above") {
+            match token {
+                Int8Token::Codes(codes) => {
+                    int8_dequantize_add(codes, scale, &mut dst[at..at + codes.len()]);
+                }
+                // Adding the run's `+0.0` is not a no-op: it turns a
+                // `-0.0` into `+0.0`, as adding the decoded vector does.
+                Int8Token::Zeros(run) => {
+                    for p in &mut dst[at..at + run] {
+                        *p += 0.0;
                     }
                 }
             }
-            return Ok(());
-        }
-        let mut y = Vec::new();
-        self.decode_update_into(blob, dst.len(), &mut y)?;
-        for (p, &u) in dst.iter_mut().zip(&y) {
-            *p += u;
         }
         Ok(())
     }
 }
 
 /// Worker-side upload shaping: replace `params` with what the server will
-/// reconstruct after this worker's update crosses a lossy wire.
+/// reconstruct after this worker's update crosses the `Int8` wire (`Raw`
+/// loses nothing and leaves everything as it is).
 ///
 /// `base` is the parameter vector the worker fetched (which the server can
 /// reconstruct from its snapshot history); the transmitted update is
@@ -513,16 +419,15 @@ impl Codec {
 /// `tests/codec_props.rs`), but no blob is materialized: nothing reads it
 /// (uploads are charged [`Codec::blob_len`], nothing is pushed over the
 /// wire), and an element's decode depends only on its own
-/// quantized code and the shard-wide scale. `Int8` therefore takes two
-/// passes over the caller's own vectors — the scale of
-/// `x = params − base + residual` ([`int8_delta_scale`]), then the same
-/// `x` recomputed, quantized and written back ([`int8_delta_roundtrip`]) —
-/// and `Fp16` one; neither allocates. `TopK` selects over a transient `x`.
+/// quantized code and the shard-wide scale. So it takes two passes over the
+/// caller's own vectors — the scale of `x = params − base + residual`
+/// ([`int8_delta_scale`]), then the same `x` recomputed, quantized and
+/// written back ([`int8_delta_roundtrip`]) — and allocates nothing.
 ///
 /// `residual` must be empty (treated as all-zero) or exactly `params.len()`;
-/// a codec without error feedback leaves it untouched. Where `x` is not
-/// finite the residual is cleared rather than set to `x − y`: the NaN or
-/// Inf would otherwise come back in every later round's `x`.
+/// without error feedback it is left untouched. Where `x` is not finite the
+/// residual is cleared rather than set to `x − y`: the NaN or Inf would
+/// otherwise come back in every later round's `x`.
 pub fn apply_update_roundtrip(
     codec: Codec,
     base: &[f32],
@@ -530,45 +435,16 @@ pub fn apply_update_roundtrip(
     residual: &mut Vec<f32>,
 ) {
     assert_eq!(base.len(), params.len());
-    let n = params.len();
-    if codec.error_feedback() && residual.len() != n {
+    let Codec::Int8 { error_feedback } = codec else {
+        return;
+    };
+    if error_feedback && residual.len() != params.len() {
         residual.clear();
-        residual.resize(n, 0.0);
+        residual.resize(params.len(), 0.0);
     }
-    // Every arm forms `x` as the oracle does: the difference first, then
-    // the residual.
-    match codec {
-        Codec::Raw => {}
-        Codec::Fp16 => {
-            for (p, &b) in params.iter_mut().zip(base) {
-                *p = b + f16_bits_to_f32(f32_to_f16_bits(*p - b));
-            }
-        }
-        Codec::Int8 { error_feedback } => {
-            let scale = int8_delta_scale(params, base, error_feedback.then_some(&residual[..]));
-            let residual = error_feedback.then_some(&mut residual[..]);
-            int8_delta_roundtrip(base, params, residual, scale, None);
-        }
-        Codec::TopK { k, error_feedback } => {
-            let mut x: Vec<f32> = params.iter().zip(base).map(|(&p, &b)| p - b).collect();
-            if error_feedback {
-                for (x, &r) in x.iter_mut().zip(residual.iter()) {
-                    *x += r;
-                }
-            }
-            let mut kept = topk_indices(&x, k as usize).into_iter().peekable();
-            for (i, &xi) in x.iter().enumerate() {
-                let y = match kept.next_if_eq(&(i as u32)) {
-                    Some(_) => xi,
-                    None => 0.0,
-                };
-                params[i] = base[i] + y;
-                if error_feedback {
-                    residual[i] = if xi.is_finite() { xi - y } else { 0.0 };
-                }
-            }
-        }
-    }
+    let scale = int8_delta_scale(params, base, error_feedback.then_some(&residual[..]));
+    let residual = error_feedback.then_some(&mut residual[..]);
+    int8_delta_roundtrip(base, params, residual, scale, None);
 }
 
 /// Publish-side counterpart of [`apply_update_roundtrip`]: advances the
@@ -576,64 +452,24 @@ pub fn apply_update_roundtrip(
 /// form. `prev` is the `Shard` payload of the previous publish (a VCP1
 /// blob) — it *is* the reference — and `params` the shard's new
 /// full-precision values. The update `params − reference` is appended to
-/// `blob` encoded under `codec`, and the returned VCP1 blob holds
+/// `blob` as an `Int8` blob, and the returned VCP1 blob holds
 /// `reference + decode(update)`: the next `Shard` payload, and exactly
 /// what a worker that applies the update to its copy of `prev` ends up
 /// with.
 ///
-/// `Int8` does this in two passes over the shard, a block at a time — the
-/// scale of the update (the largest of the blocks' scales: dividing by 127
-/// is monotonic), then [`int8_delta_roundtrip`] writing the advanced
-/// reference into the new payload while the block's codes fold into
-/// tokens — and keeps nothing shard-sized besides the two payloads. The
-/// other lossy modes go through [`Codec::encode_update`] and
-/// [`Codec::decode_update_into`] on transient vectors. Both give the bits
-/// of the compose-from-primitives sequence `tests/codec_props.rs` keeps as
-/// the oracle.
-pub(crate) fn advance_reference(
-    codec: Codec,
-    params: &[f32],
-    prev: &[u8],
-    blob: &mut Vec<u8>,
-) -> Vec<u8> {
+/// Two passes over the shard, a block at a time — the scale of the update
+/// (the largest of the blocks' scales: dividing by 127 is monotonic), then
+/// [`int8_delta_roundtrip`] writing the advanced reference into the new
+/// payload while the block's codes fold into tokens — keeping nothing
+/// shard-sized besides the two payloads, and giving the bits of the
+/// compose-from-primitives sequence `tests/codec_props.rs` keeps as the
+/// oracle.
+pub(crate) fn advance_reference(params: &[f32], prev: &[u8], blob: &mut Vec<u8>) -> Vec<u8> {
     let n = params.len();
     let prev = vc_tensor::codec::value_bytes(prev).expect("own shard blobs are valid");
     assert_eq!(prev.len(), 4 * n, "reference length");
     let mut next = vc_tensor::codec::zeroed_blob(n);
     let next_values = &mut next[vc_tensor::codec::HEADER_LEN..];
-    match codec {
-        Codec::Int8 { .. } => int8_advance(params, prev, next_values, blob),
-        _ => composed_advance(codec, params, prev, next_values, blob),
-    }
-    next
-}
-
-/// [`advance_reference`] on value bytes, from the codec's own primitives.
-fn composed_advance(
-    codec: Codec,
-    params: &[f32],
-    prev: &[u8],
-    next: &mut [u8],
-    blob: &mut Vec<u8>,
-) {
-    let n = params.len();
-    let mut reference = vec![0.0f32; n];
-    read_le_values(prev, &mut reference);
-    let x: Vec<f32> = params.iter().zip(&reference).map(|(p, r)| p - r).collect();
-    let (mut update, mut y) = (Vec::new(), Vec::new());
-    codec.encode_update(&x, &mut update);
-    codec
-        .decode_update_into(&update, n, &mut y)
-        .expect("own encoding always decodes");
-    for (r, u) in reference.iter_mut().zip(&y) {
-        *r += u;
-    }
-    blob.extend_from_slice(&update);
-    write_le_values(&reference, next);
-}
-
-/// [`advance_reference`] on value bytes, fused, a block at a time.
-fn int8_advance(params: &[f32], prev: &[u8], next: &mut [u8], blob: &mut Vec<u8>) {
     let (mut base, mut cur) = ([0.0f32; INT8_BLOCK], [0.0f32; INT8_BLOCK]);
     let mut codes = [0i8; INT8_BLOCK];
     let mut scale = 0.0f32;
@@ -642,11 +478,11 @@ fn int8_advance(params: &[f32], prev: &[u8], next: &mut [u8], blob: &mut Vec<u8>
         read_le_values(prev, base);
         scale = scale.max(int8_delta_scale(p, base, None));
     }
-    let mut tokens = Int8TokenWriter::begin(blob, params.len(), scale);
+    let mut tokens = Int8TokenWriter::begin(blob, n, scale);
     let blocks = params
         .chunks(INT8_BLOCK)
         .zip(prev.chunks(4 * INT8_BLOCK))
-        .zip(next.chunks_mut(4 * INT8_BLOCK));
+        .zip(next_values.chunks_mut(4 * INT8_BLOCK));
     for ((p, prev), next) in blocks {
         let (base, cur, codes) = (
             &mut base[..p.len()],
@@ -660,6 +496,7 @@ fn int8_advance(params: &[f32], prev: &[u8], next: &mut [u8], blob: &mut Vec<u8>
         tokens.push(codes);
     }
     tokens.finish();
+    next
 }
 
 #[cfg(test)]
@@ -676,24 +513,26 @@ mod tests {
     fn descriptor_roundtrips_every_mode() {
         for codec in [
             Codec::Raw,
-            Codec::Fp16,
             Codec::Int8 {
                 error_feedback: true,
             },
             Codec::Int8 {
                 error_feedback: false,
             },
-            Codec::TopK {
-                k: 1234,
-                error_feedback: true,
-            },
         ] {
             let mut d = Vec::new();
             codec.write_desc(&mut d);
             assert_eq!(d.len(), DESC_LEN);
+            assert_eq!(d[2..], [0; 4], "reserved bytes are written 0");
+            assert_eq!(Codec::read_desc(&d), Ok(codec));
+            // ... and ignored on read.
+            d[2..].copy_from_slice(&1234u32.to_le_bytes());
             assert_eq!(Codec::read_desc(&d), Ok(codec));
         }
-        assert_eq!(Codec::read_desc(&[9, 0, 0, 0, 0, 0]), Err(9));
+        // Unassigned and retired ids alike.
+        for id in [1, 3, 9] {
+            assert_eq!(Codec::read_desc(&[id, 1, 0, 0, 0, 0]), Err(id));
+        }
     }
 
     #[test]
@@ -706,20 +545,6 @@ mod tests {
             .decode_update_into(&blob, x.len(), &mut y)
             .unwrap();
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn fp16_update_within_half_precision() {
-        let x = ramp(257);
-        let (mut blob, mut y) = (Vec::new(), Vec::new());
-        Codec::Fp16.encode_update(&x, &mut blob);
-        assert_eq!(blob.len(), Codec::Fp16.blob_len(x.len()));
-        Codec::Fp16
-            .decode_update_into(&blob, x.len(), &mut y)
-            .unwrap();
-        for (&a, &b) in x.iter().zip(&y) {
-            assert!((a - b).abs() <= a.abs() * 1e-3 + 1e-6);
-        }
     }
 
     #[test]
@@ -746,20 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_keeps_largest_and_zeroes_rest() {
-        let x = [0.0f32, 5.0, -0.1, -7.0, 0.2, 1.0];
-        let codec = Codec::TopK {
-            k: 2,
-            error_feedback: false,
-        };
-        let (mut blob, mut y) = (Vec::new(), Vec::new());
-        codec.encode_update(&x, &mut blob);
-        assert_eq!(blob.len(), codec.blob_len(x.len()));
-        codec.decode_update_into(&blob, x.len(), &mut y).unwrap();
-        assert_eq!(y, vec![0.0, 5.0, 0.0, -7.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn hostile_blobs_error_instead_of_panicking() {
         let codec = Codec::Int8 {
             error_feedback: false,
@@ -781,47 +592,37 @@ mod tests {
         evil.push(INT8_ZERO_ESCAPE);
         evil.extend_from_slice(&u16::MAX.to_le_bytes());
         assert!(codec.decode_update_into(&evil, 64, &mut out).is_err());
-        // Top-k index out of range.
-        let tk = Codec::TopK {
-            k: 1,
-            error_feedback: false,
-        };
-        let mut evil = Vec::new();
-        evil.extend_from_slice(&4u32.to_le_bytes());
-        evil.extend_from_slice(&1u32.to_le_bytes());
-        evil.extend_from_slice(&9u32.to_le_bytes());
-        evil.extend_from_slice(&1.0f32.to_le_bytes());
-        assert!(tk.decode_update_into(&evil, 4, &mut out).is_err());
         assert!(out.is_empty(), "failed decode leaves out empty");
     }
 
     /// Simulates a worker's upload stream: each round the sender's base
     /// is re-synced to the receiver's state (as `ShardCache::sync` does),
-    /// so any mass TopK drops would be lost forever without an explicit
-    /// residual. With EF the dropped mass rides along until it crosses
-    /// the top-k threshold and ships.
+    /// so the small steps Int8 rounds to zero — one large coordinate sets
+    /// the scale — would be lost forever without an explicit residual.
+    /// With EF the dropped mass rides along until it crosses half a
+    /// quantization step and ships. Error, mass and residual norm are over
+    /// the small coordinates.
     fn run_upload_stream(ef: bool) -> (f32, f32, f32) {
         let n = 32;
-        let codec = Codec::TopK {
-            k: 4,
-            error_feedback: ef,
-        };
-        let mut acc = vec![0.0f32; n]; // receiver state == re-synced base
+        let codec = Codec::Int8 { error_feedback: ef };
+        let mut acc = vec![0.0f32; n + 1]; // receiver state == re-synced base
         let mut sum_u = vec![0.0f32; n]; // total true update mass
-        let mut new = vec![0.0f32; n];
+        let mut new = vec![0.0f32; n + 1];
         let mut residual = Vec::new();
         for step in 0..200 {
             for i in 0..n {
-                let u = 0.01 * ((i + 1) as f32) * if step % 2 == 0 { 1.0 } else { 0.9 };
+                let u = 0.001 * ((i + 1) as f32) * if step % 2 == 0 { 1.0 } else { 0.9 };
                 sum_u[i] += u;
                 new[i] = acc[i] + u;
             }
+            // Scale 10/127: every small step is below half of it.
+            new[n] = acc[n] + 10.0;
             apply_update_roundtrip(codec, &acc, &mut new, &mut residual);
             acc.copy_from_slice(&new);
         }
         let err: f32 = sum_u.iter().zip(&acc).map(|(a, b)| (a - b).abs()).sum();
         let mass: f32 = sum_u.iter().map(|t| t.abs()).sum();
-        let rnorm: f32 = residual.iter().map(|r| r * r).sum::<f32>().sqrt();
+        let rnorm: f32 = residual.iter().take(n).map(|r| r * r).sum::<f32>().sqrt();
         (err, mass, rnorm)
     }
 
@@ -834,7 +635,7 @@ mod tests {
         );
         // The residual itself stays bounded (no blow-up).
         assert!(rnorm.is_finite() && rnorm < mass, "residual norm bounded");
-        // Without EF, mass below the top-k threshold is dropped forever.
+        // Without EF, mass below half a quantization step is dropped forever.
         let (err_no_ef, _, _) = run_upload_stream(false);
         assert!(
             err_no_ef > mass * 0.3,

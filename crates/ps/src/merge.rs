@@ -470,8 +470,8 @@ mod tests {
         a.seed_params(&vec![0.0; n]);
         let range = a.layout().range(2);
         let part = vec![10.0; range.len()];
-        let ack = a.merge_shard(2, &part, 1);
-        assert_eq!(ack.clobbered, 0);
+        let outcome = a.merge_shard(2, &part, 1);
+        assert_eq!(outcome.clobbered, 0);
         let (params, _) = a.read_params();
         for (i, v) in params.iter().enumerate() {
             if range.contains(&i) {

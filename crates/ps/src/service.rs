@@ -40,10 +40,6 @@ use vc_telemetry::metrics::{Counter, Histogram};
 use vc_telemetry::Telemetry;
 use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
 
-/// Counter names for the service's wire accounting.
-pub const PS_BYTES_RX: &str = "ps_bytes_rx";
-/// Counter: response bytes the service produced.
-pub const PS_BYTES_TX: &str = "ps_bytes_tx";
 /// Counter: bytes the codec layer kept off the wire (full-blob size minus
 /// the delta frame actually sent).
 pub const PS_BYTES_SAVED: &str = "ps_bytes_saved";
@@ -52,7 +48,7 @@ pub const PS_ENCODE_S: &str = "ps_encode_s";
 
 /// One epoch's published parameters, pre-framed per shard: each blob is
 /// encoded and checksummed once here, and every fetch that ships it clones
-/// the ready frame (a shared payload, no bytes copied). Under a lossy codec
+/// the ready frame (a shared payload, no bytes copied). Under `Int8`
 /// each *moved* shard also carries its quantized delta against the
 /// previous publish (`base_manifest` names the version the delta applies
 /// on top of), so a worker that tracked the last epoch downloads the
@@ -67,8 +63,6 @@ struct EpochSnapshot {
     deltas: Vec<Option<SealedFrame>>,
     /// Version each delta applies on top of (previous publish's manifest).
     base_manifest: Vec<u64>,
-    /// Codec the deltas are encoded in.
-    codec: Codec,
 }
 
 /// The fetch-response frame carrying shard `i`'s blob at `version`.
@@ -140,8 +134,6 @@ pub struct PsService {
     snapshots: RwLock<HashMap<u64, EpochSnapshot>>,
     metrics: Metrics,
     codec: Codec,
-    /// Bitmask of codec ids this service speaks (bit `1 << id`).
-    supported: u8,
     /// The `Shard` frames of the latest lossy publish (empty before the
     /// first). They *are* the reference every delta-tracking worker
     /// converges to — the exact sum of the quantized deltas — held in wire
@@ -170,7 +162,6 @@ impl PsService {
             snapshots: RwLock::new(HashMap::new()),
             metrics: Metrics::default(),
             codec: Codec::Raw,
-            supported: 0b1111,
             latest: Mutex::new(Vec::new()),
             instruments: None,
         }
@@ -180,16 +171,6 @@ impl PsService {
     /// only ship deltas to workers requesting this same codec.
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// Restricts which codec ids this service answers (for negotiation
-    /// tests and staged rollouts). `Raw` is always spoken.
-    pub fn with_supported(mut self, codecs: &[Codec]) -> Self {
-        self.supported = 1; // Raw
-        for c in codecs {
-            self.supported |= 1 << c.id();
-        }
         self
     }
 
@@ -203,15 +184,6 @@ impl PsService {
             encode_s: reg.histogram(PS_ENCODE_S),
         });
         self
-    }
-
-    /// The codec this service publishes snapshots under.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    fn speaks(&self, codec: Codec) -> bool {
-        self.supported & (1 << codec.id()) != 0
     }
 
     /// The merge pipeline behind this service.
@@ -248,7 +220,6 @@ impl PsService {
                     shards: layout.iter().map(exact).collect(),
                     deltas: Vec::new(),
                     base_manifest: Vec::new(),
-                    codec: Codec::Raw,
                 },
             );
             return;
@@ -270,8 +241,7 @@ impl PsService {
                     let mut delta = Vec::with_capacity(worst);
                     DeltaPayload::write_prefix(prev.version, self.codec, &mut delta);
                     let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-                    let next =
-                        advance_reference(self.codec, &params[range], &prev.payload, &mut delta);
+                    let next = advance_reference(&params[range], &prev.payload, &mut delta);
                     if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
                         ins.encode_s.observe(ins.tel.now_s() - t0);
                     }
@@ -296,7 +266,6 @@ impl PsService {
                 shards,
                 deltas,
                 base_manifest,
-                codec: self.codec,
             },
         );
     }
@@ -376,12 +345,6 @@ impl PsService {
             }
             Err(e) => return error_frame(&format!("bad fetch: {e}")),
         };
-        if !self.speaks(fetch.codec) {
-            return error_frame_code(
-                err_code::UNSUPPORTED_CODEC,
-                &format!("codec id {} not enabled here", fetch.codec.id()),
-            );
-        }
         let snaps = self.snapshots.read();
         let Some(snap) = snaps.get(&fetch.epoch) else {
             return error_frame(&format!("no snapshot for epoch {}", fetch.epoch));
@@ -403,7 +366,7 @@ impl PsService {
             // A worker tracking the previous publish under the same codec
             // gets the quantized delta; everyone else the full blob.
             if fetch.codec != Codec::Raw
-                && fetch.codec == snap.codec
+                && fetch.codec == self.codec
                 && !snap.deltas.is_empty()
                 && cached == snap.base_manifest[i]
             {

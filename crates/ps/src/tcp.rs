@@ -285,7 +285,7 @@ mod tests {
     use super::*;
     use crate::client::ShardCache;
     use crate::merge::ShardedAssimilator;
-    use crate::wire::{Crc32, FrameKind};
+    use crate::wire::{err_code, Crc32, FrameKind};
     use bytes::Bytes;
     use std::io::Read;
     use vc_asgd::AlphaSchedule;
@@ -320,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn loopback_fetch_and_push_roundtrip() {
+    fn loopback_fetch_roundtrip() {
         let svc = service(40, 8);
         let server = TcpPsServer::bind(svc.clone(), 3).unwrap();
         let mut client = TcpClient::connect(server.addrs(), server.groups()).unwrap();
@@ -432,10 +432,13 @@ mod tests {
         // Kind 4 carried the replica as a VCP1 blob, kind 8 as
         // `[base_epoch u64][codec descriptor][blob]`; both named the
         // epoch in `version`.
+        let int8 = Codec::Int8 {
+            error_feedback: false,
+        };
         let mut delta = 1u64.to_le_bytes().to_vec();
-        Codec::Fp16.write_desc(&mut delta);
+        int8.write_desc(&mut delta);
         let mut blob = Vec::new();
-        Codec::Fp16.encode_update(&nans, &mut blob);
+        int8.encode_update(&nans, &mut blob);
         delta.extend_from_slice(&blob);
         let mut hung_up = Vec::new();
         for (kind, payload) in [(4, &encode_f32s(&nans)[..]), (8, &delta[..])] {
@@ -463,6 +466,49 @@ mod tests {
         let mut cache = ShardCache::new(*svc.assimilator().layout());
         let got = cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(bits(got), bits(&want));
+        server.shutdown();
+    }
+
+    /// Codec ids 1 and 3 are retired (DESIGN §12a): a fetch naming one is
+    /// refused with the structured code, costs the connection nothing, and
+    /// ships no shard.
+    #[test]
+    fn retired_codec_ids_get_a_structured_error_and_the_connection_survives() {
+        let int8 = Codec::Int8 {
+            error_feedback: true,
+        };
+        let svc = service(10, 2);
+        let server = TcpPsServer::bind(svc.clone(), 1).unwrap();
+        let mut s = TcpStream::connect(server.addrs()[0]).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let valid = FetchReq {
+            epoch: 1,
+            wants: vec![(0, 0), (1, 0)],
+            codec: int8,
+        }
+        .to_frame();
+        for id in [1u8, 3] {
+            let mut retired = valid.clone();
+            let mut payload = retired.payload.to_vec();
+            let desc = payload.len() - crate::codec::DESC_LEN;
+            payload[desc] = id;
+            retired.payload = Bytes::from(payload);
+            s.write_all(&retired.encode()).unwrap();
+            let answer = read_frame(&mut s).expect("an answer, not a hang-up");
+            assert_eq!(answer.kind, FrameKind::Error, "id {id}");
+            assert_eq!(answer.version, err_code::UNSUPPORTED_CODEC, "id {id}");
+        }
+        assert_eq!(svc.ops().shards_sent, 0);
+        // Same connection, valid request: both shards, then the summary.
+        s.write_all(&valid.encode()).unwrap();
+        for shard in 0..2 {
+            let f = read_frame(&mut s).unwrap();
+            assert_eq!((f.kind, f.shard_id), (FrameKind::Shard, shard));
+        }
+        assert_eq!(read_frame(&mut s).unwrap().kind, FrameKind::FetchDone);
+        assert_eq!(svc.ops().shards_sent, 2);
+        assert_eq!(svc.ops().fetches, 1);
         server.shutdown();
     }
 }

@@ -111,7 +111,7 @@ pub enum WireError {
     BadPayload(&'static str),
     /// The frame names a codec id this build does not speak. The service
     /// answers with a structured `Error` frame instead of dropping the
-    /// connection so the client can renegotiate down to `Raw`.
+    /// connection; a worker rejects the delta before reading its blob.
     UnsupportedCodec(u8),
 }
 
@@ -593,8 +593,8 @@ impl FetchSummary {
 pub mod err_code {
     /// Unclassified failure; payload text is the only detail.
     pub const GENERIC: u64 = 0;
-    /// The request named a codec the service does not speak. The client
-    /// should fall back to `Raw` and retry.
+    /// The request named a codec id the service does not speak
+    /// (unassigned or retired). The connection stays usable.
     pub const UNSUPPORTED_CODEC: u64 = 1;
 }
 
@@ -753,16 +753,21 @@ mod tests {
         let mut frame = FetchReq {
             epoch: 4,
             wants: vec![(0, 7)],
-            codec: Codec::Fp16,
+            codec: Codec::Int8 {
+                error_feedback: false,
+            },
         }
         .to_frame();
-        let mut bytes = frame.payload.to_vec();
-        bytes[4 + 12] = 200; // forge an unassigned codec id
-        frame.payload = Bytes::from(bytes);
-        assert_eq!(
-            FetchReq::from_frame(&frame),
-            Err(WireError::UnsupportedCodec(200))
-        );
+        // An unassigned id and the two retired ones.
+        for id in [200, 1, 3] {
+            let mut bytes = frame.payload.to_vec();
+            bytes[4 + 12] = id;
+            frame.payload = Bytes::from(bytes);
+            assert_eq!(
+                FetchReq::from_frame(&frame),
+                Err(WireError::UnsupportedCodec(id))
+            );
+        }
     }
 
     #[test]
@@ -783,19 +788,26 @@ mod tests {
     fn delta_payload_roundtrips_both_kinds() {
         let d = DeltaPayload {
             base: 31,
-            codec: Codec::TopK {
-                k: 5,
+            codec: Codec::Int8 {
                 error_feedback: true,
             },
             blob: &[1, 2, 3, 4],
         };
-        let f = d.to_frame(3, 99);
-        assert_eq!(f.kind, FrameKind::ShardDelta);
-        assert_eq!(f.version, 99);
-        assert_eq!(f.shard_id, 3);
-        let bytes = f.encode();
-        let (back, _) = Frame::decode(&bytes).unwrap();
-        assert_eq!(DeltaPayload::from_frame(&back).unwrap(), d);
+        for d in [
+            d,
+            DeltaPayload {
+                codec: Codec::Raw,
+                ..d
+            },
+        ] {
+            let f = d.to_frame(3, 99);
+            assert_eq!(f.kind, FrameKind::ShardDelta);
+            assert_eq!(f.version, 99);
+            assert_eq!(f.shard_id, 3);
+            let bytes = f.encode();
+            let (back, _) = Frame::decode(&bytes).unwrap();
+            assert_eq!(DeltaPayload::from_frame(&back).unwrap(), d);
+        }
         // Truncated prefix and unknown id both error gracefully.
         let mut f = d.to_frame(0, 1);
         f.payload = Bytes::copy_from_slice(&f.payload[..10]);
@@ -820,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_and_ack_roundtrip() {
+    fn fetch_summary_roundtrip() {
         let s = FetchSummary {
             sent: 3,
             skipped: 13,

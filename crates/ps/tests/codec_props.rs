@@ -1,4 +1,4 @@
-//! Property tests over the parameter codec layer: every mode's round-trip
+//! Property tests over the parameter codec layer: both modes' round-trip
 //! error stays inside its documented bound, error feedback keeps lossy
 //! upload streams unbiased with a bounded residual, and no hostile blob —
 //! truncated, bit-flipped, or wholly fabricated — ever panics a decoder.
@@ -8,9 +8,8 @@
 //! service's fused publish to the compose-from-primitives sequence it
 //! replaced — `Shard` and `ShardDelta` frames byte for byte, on the AVX2
 //! and the portable kernel bodies.
-//! Plain #[test]s at the bottom pin the codec negotiation contract: a
-//! client asking for a codec the service does not speak gets a structured
-//! error and degrades to `Raw` on a live connection.
+//! Plain #[test]s at the bottom hold a worker's cache still — bit for bit
+//! and without an allocation — under every delta frame that must not apply.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -75,9 +74,7 @@ fn encode_delta(
 fn arb_codec() -> impl Strategy<Value = Codec> {
     prop_oneof![
         Just(Codec::Raw),
-        Just(Codec::Fp16),
         any::<bool>().prop_map(|error_feedback| Codec::Int8 { error_feedback }),
-        (1u32..64, any::<bool>()).prop_map(|(k, error_feedback)| Codec::TopK { k, error_feedback }),
     ]
 }
 
@@ -90,29 +87,14 @@ fn bound(codec: Codec, x: &[f32]) -> f32 {
     let max = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
     match codec {
         Codec::Raw => 0.0,
-        // Half precision: 2⁻¹¹ relative error for normals, absolute
-        // 2⁻²⁵ quantum below the subnormal threshold.
-        Codec::Fp16 => max * 4.9e-4 + 3.0e-8,
         // Symmetric int8: half a quantization step of max/127.
         Codec::Int8 { .. } => max / 254.0 + max * 1.0e-6,
-        // TopK transmits survivors exactly; dropped entries err by their
-        // own magnitude, bounded by the k-th largest one (checked
-        // separately below).
-        Codec::TopK { .. } => max,
     }
 }
 
 /// Every lossy mode the worker can be configured with.
-fn lossy_codecs() -> Vec<Codec> {
-    let mut codecs = vec![Codec::Fp16];
-    for error_feedback in [true, false] {
-        codecs.push(Codec::Int8 { error_feedback });
-        codecs.push(Codec::TopK {
-            k: 3,
-            error_feedback,
-        });
-    }
-    codecs
+fn lossy_codecs() -> [Codec; 2] {
+    [true, false].map(|error_feedback| Codec::Int8 { error_feedback })
 }
 
 /// Shapes a stream of uploads — one per element of `rounds`, each a
@@ -253,14 +235,6 @@ proptest! {
                 "{codec:?} elem {i}: |{xi} - {yi}| > {b}"
             );
         }
-        // TopK: every transmitted element is exact, and at most k are.
-        if let Codec::TopK { k, .. } = codec {
-            let sent = y.iter().filter(|v| **v != 0.0).count();
-            prop_assert!(sent <= k as usize, "TopK sent {sent} > k {k}");
-            for (&xi, &yi) in x.iter().zip(&y) {
-                prop_assert!(yi == 0.0 || yi == xi, "TopK must send exact values");
-            }
-        }
     }
 
     /// Raw is bit-exact, always.
@@ -279,11 +253,8 @@ proptest! {
     #[test]
     fn error_feedback_residual_is_exact_and_bounded(
         updates in proptest::collection::vec(arb_update(), 1..8),
-        ef_codec in prop_oneof![
-            Just(Codec::Int8 { error_feedback: true }),
-            Just(Codec::TopK { k: 3, error_feedback: true }),
-        ],
     ) {
+        let ef_codec = Codec::Int8 { error_feedback: true };
         let n = updates[0].len();
         let mut acc = vec![0.0f32; n];
         let mut sum_u = vec![0.0f32; n];
@@ -356,49 +327,6 @@ proptest! {
     }
 }
 
-fn setup(n: usize, p: usize, supported: &[Codec]) -> (Arc<PsService>, Vec<f32>, Vec<u64>) {
-    let assim = Arc::new(ShardedAssimilator::new(
-        Arc::new(VersionedStore::new()),
-        n,
-        p,
-        Consistency::Eventual,
-        AlphaSchedule::Const(0.5),
-    ));
-    let params: Vec<f32> = (0..n).map(|i| (i as f32) * 0.25).collect();
-    assim.seed_params(&params);
-    let svc = Arc::new(PsService::new(assim).with_supported(supported));
-    let (full, manifest) = svc.assimilator().read_params();
-    svc.publish_snapshot(1, &full, &manifest);
-    (svc, full, manifest)
-}
-
-/// Satellite fix: a client requesting a codec the service does not speak
-/// must get a structured error and fall back to Raw on the same
-/// connection — not a dead connection, not a panic.
-#[test]
-fn unsupported_codec_negotiates_down_to_raw() {
-    let (svc, want, manifest) = setup(40, 4, &[]); // Raw only
-    let mut client = MemClient::new(svc.clone());
-    let mut cache = ShardCache::new(*svc.assimilator().layout()).with_codec(Codec::Int8 {
-        error_feedback: true,
-    });
-    let got = cache
-        .sync(1, &manifest, &mut client)
-        .expect("sync survives");
-    assert_eq!(got, &want[..]);
-    assert_eq!(cache.codec(), Codec::Raw, "cache downgraded for good");
-    // The downgraded connection keeps working: a republish is fetched
-    // as plain `Raw` shards, no renegotiation.
-    let moved: Vec<f32> = want.iter().map(|v| v + 1.0).collect();
-    let full = svc
-        .assimilator()
-        .finish(svc.assimilator().begin(), &moved, 1);
-    let manifest = svc.assimilator().versions();
-    svc.publish_snapshot(2, &full, &manifest);
-    let got = cache.sync(2, &manifest, &mut client).expect("raw sync");
-    assert_eq!(got, &full[..]);
-}
-
 /// A supported lossy codec actually ships deltas once the second epoch
 /// publishes, and the service accounts the saved bytes.
 #[test]
@@ -416,11 +344,7 @@ fn supported_lossy_codec_ships_deltas() {
     ));
     let params: Vec<f32> = (0..n).map(|i| (i as f32) * 0.25).collect();
     assim.seed_params(&params);
-    let svc = Arc::new(
-        PsService::new(assim)
-            .with_codec(codec)
-            .with_supported(&[codec]),
-    );
+    let svc = Arc::new(PsService::new(assim).with_codec(codec));
     let (full0, manifest) = svc.assimilator().read_params();
     svc.publish_snapshot(1, &full0, &manifest);
     let mut client = MemClient::new(svc.clone());
@@ -462,11 +386,7 @@ fn bytes_per_round(codec: Codec, n: usize, p: usize, rounds: usize) -> u64 {
     ));
     let params: Vec<f32> = (0..n).map(|i| (i % 97) as f32 * 0.01).collect();
     assim.seed_params(&params);
-    let svc = Arc::new(
-        PsService::new(assim.clone())
-            .with_codec(codec)
-            .with_supported(&[codec]),
-    );
+    let svc = Arc::new(PsService::new(assim.clone()).with_codec(codec));
     svc.publish_snapshot(1, &params, &assim.versions());
     let mut client = MemClient::new(svc.clone());
     let mut cache = ShardCache::new(*assim.layout()).with_codec(codec);
@@ -637,11 +557,7 @@ fn service_with_codec(n: usize, shards: usize, codec: Codec) -> Arc<PsService> {
         Consistency::Eventual,
         AlphaSchedule::Const(0.5),
     ));
-    Arc::new(
-        PsService::new(assim)
-            .with_codec(codec)
-            .with_supported(&[codec]),
-    )
+    Arc::new(PsService::new(assim).with_codec(codec))
 }
 
 /// The frames a fetch of `epoch` answers `wants` with, summary dropped.
@@ -850,9 +766,9 @@ impl PsClient for Replay {
 }
 
 /// A delta that does not apply — truncated run, overlong, short, wrong
-/// base, non-finite scale, wrong count — leaves the cache exactly as it
-/// was, even when it arrives after a frame that did apply to another
-/// shard's range.
+/// base, non-finite scale, wrong count, or a descriptor that does not say
+/// `Int8` — leaves the cache exactly as it was, even when it arrives after
+/// a frame that did apply to another shard's range.
 #[test]
 fn hostile_delta_leaves_the_cache_untouched() {
     let codec = Codec::Int8 {
@@ -896,6 +812,26 @@ fn hostile_delta_leaves_the_cache_untouched() {
     let mut wrong_count = good.clone();
     wrong_count[0] ^= 1;
     hostile.push(("wrong count", with_blob(1, &wrong_count)));
+    // Descriptors that are not `Int8`, each over a blob its own decoder
+    // would have taken: a `Raw` frame holds a shard's values, not an update
+    // to them, and ids 1 and 3 are retired (DESIGN §12a) — 32 binary16
+    // ones, and one `(index, value)` pair of 32.
+    let with_desc = |desc: [u8; 6], blob: &[u8]| {
+        let mut f = with_blob(1, blob);
+        let mut payload = f.payload.to_vec();
+        payload[8..14].copy_from_slice(&desc);
+        f.payload = payload.into();
+        f
+    };
+    hostile.push(("raw descriptor", with_desc([0; 6], &encode_f32s(&update))));
+    let mut halves = 32u32.to_le_bytes().to_vec();
+    halves.extend(std::iter::repeat_n([0x00, 0x3c], 32).flatten());
+    hostile.push(("retired id 1", with_desc([1, 0, 0, 0, 0, 0], &halves)));
+    let pair: Vec<u8> = [32u32, 1, 0, 1.0f32.to_bits()]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    hostile.push(("retired id 3", with_desc([3, 0, 1, 0, 0, 0], &pair)));
 
     for (what, frame) in hostile {
         let err = cache
@@ -913,8 +849,9 @@ fn hostile_delta_leaves_the_cache_untouched() {
         assert_eq!(cache.versions(), &[1, 1], "{what}: versions moved");
     }
     // The untampered delta does apply, so the rejections above were about
-    // the bytes, not the set-up.
-    let frames = vec![with_blob(1, &good)];
+    // the bytes, not the set-up — whatever the descriptor's four reserved
+    // bytes hold.
+    let frames = vec![with_desc([2, 1, 0xEF, 0xBE, 0xAD, 0xDE], &good)];
     let got = cache
         .sync(2, &[1, 2], &mut Replay { frames })
         .expect("valid delta");
@@ -936,60 +873,53 @@ fn hostile_delta_leaves_the_cache_untouched() {
 fn a_non_finite_coordinate_does_not_poison_the_residual() {
     let (nan_at, inf_at) = (5usize, 21usize);
     let n = 40;
-    for codec in [
-        Codec::Int8 {
-            error_feedback: true,
-        },
-        Codec::TopK {
-            k: 40,
-            error_feedback: true,
-        },
-    ] {
-        let base: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
-        // Every round trains the same step onto the base: +1.0 on one
-        // coordinate (it sets the Int8 scale), +0.5 and +0.25 on the two
-        // that get poisoned, small steps elsewhere.
-        let trained: Vec<f32> = (0..n)
-            .map(|i| {
-                base[i]
-                    + match i {
-                        0 => 1.0,
-                        i if i == nan_at => 0.5,
-                        i if i == inf_at => 0.25,
-                        _ => 0.01 * (i % 5) as f32,
-                    }
-            })
-            .collect();
-        let (mut clean_residual, mut residual) = (Vec::new(), Vec::new());
-        for round in 0..4 {
-            let mut clean = trained.clone();
-            apply_update_roundtrip(codec, &base, &mut clean, &mut clean_residual);
-            let mut poisoned = trained.clone();
-            if round == 0 {
-                poisoned[nan_at] = f32::NAN;
-                poisoned[inf_at] = f32::INFINITY;
-            }
-            apply_update_roundtrip(codec, &base, &mut poisoned, &mut residual);
+    let codec = Codec::Int8 {
+        error_feedback: true,
+    };
+    let base: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
+    // Every round trains the same step onto the base: +1.0 on one
+    // coordinate (it sets the Int8 scale), +0.5 and +0.25 on the two
+    // that get poisoned, small steps elsewhere.
+    let trained: Vec<f32> = (0..n)
+        .map(|i| {
+            base[i]
+                + match i {
+                    0 => 1.0,
+                    i if i == nan_at => 0.5,
+                    i if i == inf_at => 0.25,
+                    _ => 0.01 * (i % 5) as f32,
+                }
+        })
+        .collect();
+    let (mut clean_residual, mut residual) = (Vec::new(), Vec::new());
+    for round in 0..4 {
+        let mut clean = trained.clone();
+        apply_update_roundtrip(codec, &base, &mut clean, &mut clean_residual);
+        let mut poisoned = trained.clone();
+        if round == 0 {
+            poisoned[nan_at] = f32::NAN;
+            poisoned[inf_at] = f32::INFINITY;
+        }
+        apply_update_roundtrip(codec, &base, &mut poisoned, &mut residual);
+        assert!(
+            residual.iter().all(|r| r.is_finite()),
+            "{codec:?} round {round}: residual {residual:?}"
+        );
+        if round == 0 {
+            assert_eq!(residual[nan_at], 0.0, "{codec:?}");
+            assert_eq!(residual[inf_at], 0.0, "{codec:?}");
+            continue;
+        }
+        // From the next round on both coordinates are within one
+        // quantization step (1/127 at this scale) of the clean run's,
+        // which carries a round-0 residual the poisoned run dropped.
+        for at in [nan_at, inf_at] {
             assert!(
-                residual.iter().all(|r| r.is_finite()),
-                "{codec:?} round {round}: residual {residual:?}"
+                (poisoned[at] - clean[at]).abs() <= 1.0 / 127.0,
+                "{codec:?} round {round} coordinate {at}: {} vs clean {}",
+                poisoned[at],
+                clean[at]
             );
-            if round == 0 {
-                assert_eq!(residual[nan_at], 0.0, "{codec:?}");
-                assert_eq!(residual[inf_at], 0.0, "{codec:?}");
-                continue;
-            }
-            // From the next round on both coordinates are within one
-            // quantization step (1/127 at this scale) of the clean run's,
-            // which carries a round-0 residual the poisoned run dropped.
-            for at in [nan_at, inf_at] {
-                assert!(
-                    (poisoned[at] - clean[at]).abs() <= 1.0 / 127.0,
-                    "{codec:?} round {round} coordinate {at}: {} vs clean {}",
-                    poisoned[at],
-                    clean[at]
-                );
-            }
         }
     }
 }

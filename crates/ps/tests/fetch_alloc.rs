@@ -5,7 +5,8 @@
 //! state: parameters only move when an assimilation actually bumped a
 //! shard's version. And when they do move under `Int8`, applying the delta
 //! frames allocates nothing either: the payload is parsed in place,
-//! validated, and dequantize-added straight onto the assembled vector.
+//! validated, and dequantize-added straight onto the assembled vector —
+//! or refused on its descriptor before its blob is looked at.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -197,4 +198,85 @@ fn warm_int8_delta_sync_does_not_allocate() {
         .expect("cold sync");
     assert_eq!(cache.params(), want);
     assert_ne!(cache.params(), params.as_slice());
+}
+
+/// A `ShardDelta` frame whose descriptor does not say `Int8` — `Raw`, or
+/// one of the retired ids 1 and 3 — is refused on its descriptor: no
+/// shard-sized scratch vector is decoded first, nothing touches the heap.
+#[test]
+fn rejected_delta_descriptors_do_not_allocate() {
+    use std::sync::Arc;
+    use vc_asgd::AlphaSchedule;
+    use vc_kvstore::{Consistency, VersionedStore};
+    use vc_ps::wire::DeltaPayload;
+    use vc_ps::{
+        Codec, FetchSink, FetchSummary, Frame, MemClient, PsClient, PsError, PsService, ShardCache,
+        ShardedAssimilator,
+    };
+
+    /// Hands its one frame to the sink by value.
+    struct Once(Option<Frame>);
+    impl PsClient for Once {
+        fn fetch(
+            &mut self,
+            _epoch: u64,
+            _wants: &[(u32, u64)],
+            _codec: Codec,
+            sink: &mut FetchSink<'_>,
+        ) -> Result<FetchSummary, PsError> {
+            sink(self.0.take().expect("one fetch per frame"));
+            Ok(FetchSummary {
+                sent: 1,
+                skipped: 0,
+            })
+        }
+    }
+
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let codec = Codec::Int8 {
+        error_feedback: true,
+    };
+    let n = 6000;
+    let assim = Arc::new(ShardedAssimilator::new(
+        Arc::new(VersionedStore::new()),
+        n,
+        1,
+        Consistency::Strong,
+        AlphaSchedule::Const(0.6),
+    ));
+    let svc = Arc::new(PsService::new(assim.clone()).with_codec(codec));
+    let params: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+    svc.publish_snapshot(1, &params, &[1]);
+    let mut cache = ShardCache::new(*assim.layout()).with_codec(codec);
+    cache
+        .sync(1, &[1], &mut MemClient::new(svc.clone()))
+        .expect("cold sync");
+
+    // A well-formed full-length blob under each descriptor.
+    let raw_blob = vc_tensor::codec::encode_f32s(&params);
+    for desc in [[0u8; 6], [1, 0, 0, 0, 0, 0], [3, 0, 1, 0, 0, 0]] {
+        let mut frame = DeltaPayload {
+            base: 1,
+            codec,
+            blob: &raw_blob,
+        }
+        .to_frame(0, 2);
+        let mut payload = frame.payload.to_vec();
+        payload[8..14].copy_from_slice(&desc);
+        frame.payload = payload.into();
+        let mut once = Once(Some(frame));
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        let refused = cache.sync(2, &[2], &mut once).is_err();
+        COUNTING.store(false, Ordering::SeqCst);
+        assert!(refused, "descriptor {desc:?} applied");
+        assert_eq!(
+            ALLOCS.load(Ordering::SeqCst),
+            0,
+            "descriptor {desc:?}: a refused delta must not touch the heap"
+        );
+        assert_eq!(cache.params(), params.as_slice(), "descriptor {desc:?}");
+        assert_eq!(cache.versions(), &[1], "descriptor {desc:?}");
+    }
 }

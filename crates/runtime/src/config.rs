@@ -70,10 +70,11 @@ pub struct RuntimeConfig {
     pub trace: bool,
     /// Parameter-transfer codec: how shard fetches are encoded on the
     /// wire, and how a worker shapes (and the coordinator prices) the
-    /// upload it hands the scheduler. `Raw` (the default) is the legacy
-    /// bit-exact path; lossy modes quantize deltas against the version the
-    /// peer already holds and imply a tolerance comparator for result
-    /// quorums (quantization makes honest replicas differ by a few ulps).
+    /// upload it hands the scheduler. `Raw` (the default) is the paper's
+    /// bit-exact full-precision transfer; `Int8` quantizes deltas against
+    /// the version the peer already holds and implies a tolerance
+    /// comparator for result quorums (quantization makes honest replicas
+    /// differ by up to a quantization step).
     #[serde(default)]
     pub codec: Codec,
 }
@@ -150,11 +151,6 @@ impl RuntimeConfig {
         if self.halt_after_assims == Some(0) {
             return Err("halt_after_assims must be >= 1".into());
         }
-        if let Codec::TopK { k, .. } = self.codec {
-            if k == 0 {
-                return Err("codec TopK needs k >= 1".into());
-            }
-        }
         Ok(())
     }
 }
@@ -198,22 +194,11 @@ mod tests {
         cfg.faults.respawn_after_s = Some(1.5);
         cfg.ops_addr = Some("127.0.0.1:0".into());
         cfg.trace = true;
-        cfg.codec = Codec::TopK {
-            k: 8,
+        cfg.codec = Codec::Int8 {
             error_feedback: true,
         };
         let json = serde_json::to_string(&cfg).unwrap();
         let back: RuntimeConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn rejects_degenerate_topk() {
-        let mut cfg = RuntimeConfig::test_small(1);
-        cfg.codec = Codec::TopK {
-            k: 0,
-            error_feedback: false,
-        };
-        assert!(cfg.validate().is_err());
     }
 }

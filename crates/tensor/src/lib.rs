@@ -18,8 +18,8 @@
 //!   for the paper's compressed `.h5` parameter files (21.2 MB for the
 //!   ResNetV2 model); byte sizes from this codec drive the network-transfer
 //!   model in `vc-simnet`.
-//! * [`quant`] — quantize/dequantize kernels (f16 conversion, symmetric
-//!   int8, top-k selection) behind `vc-ps`'s lossy update codecs.
+//! * [`quant`] — symmetric int8 quantize/dequantize kernels behind
+//!   `vc-ps`'s lossy update codec.
 //!
 //! The crate deliberately supports only `f32`: every system in the paper
 //! (TensorFlow training, Redis parameter blobs) operates on single-precision

@@ -137,3 +137,20 @@ fn failed_save_keeps_the_previous_checkpoint() {
     );
     assert!(!leftover, "a refused rename left its temp file behind");
 }
+
+/// A checkpoint embeds its run's config. One written while the retired
+/// codecs (DESIGN §12a) could still be configured must fail to load — an
+/// error, not a panic, and not a silent read as some other codec.
+#[test]
+fn retired_codec_names_do_not_parse() {
+    let json = serde_json::to_string(&RuntimeConfig::test_small(1)).unwrap();
+    assert!(json.contains(r#""codec":"Raw""#), "{json}");
+    for retired in [
+        r#""codec":"Fp16""#,
+        r#""codec":{"TopK":{"k":8,"error_feedback":true}}"#,
+    ] {
+        let old = json.replace(r#""codec":"Raw""#, retired);
+        let parsed = serde_json::from_str::<RuntimeConfig>(&old);
+        assert!(parsed.is_err(), "{retired} parsed as {parsed:?}");
+    }
+}
