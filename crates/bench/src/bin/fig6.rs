@@ -10,7 +10,7 @@
 //! Run: `cargo run -p vc-bench --bin fig6 --release`
 
 use vc_asgd::{AlphaSchedule, JobConfig};
-use vc_baselines::serial::{run_serial, SerialConfig};
+use vc_bench::serial::{run_serial, SerialConfig};
 use vc_bench::{repro_epochs, write_results};
 use vc_runtime::des::run_job;
 

@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: one runner binary per table/figure of the paper
 //! (see DESIGN.md §4 for the index) plus `bench_scale`, the thread-cap and
-//! fleet-size curves the contract benchmark has no axis for.
+//! fleet-size curves the contract benchmark has no axis for. [`serial`] is
+//! the one baseline the paper runs: Figure 6's single-instance training.
 //!
 //! Every runner prints a human-readable table to stdout and writes a CSV
 //! under `results/` so `fig5` (the zoom of `fig4`) and EXPERIMENTS.md can
@@ -19,6 +20,8 @@
 //!
 //! Timing-shape experiments (fig3, sec4d, sec4e) always run the full 40
 //! epochs — they skip real training, so they are cheap at any scale.
+
+pub mod serial;
 
 use std::io::Write;
 use std::path::PathBuf;

@@ -170,6 +170,22 @@ mod tests {
     }
 
     #[test]
+    fn serial_sees_the_whole_set_every_epoch() {
+        // Three passes over all 600 samples end far above the 10-class
+        // chance level, and above three passes over the quarter of the set
+        // one client of a 4-way split would hold.
+        let final_val_acc = |train_n: usize| {
+            let mut cfg = tiny_cfg(7);
+            cfg.data.train_n = train_n;
+            cfg.epochs = 3;
+            run_serial(&cfg).epochs.last().unwrap().val_acc
+        };
+        let (full, quarter) = (final_val_acc(600), final_val_acc(150));
+        assert!(full > 0.8, "val acc {full}");
+        assert!(full > quarter, "whole set {full} vs a quarter {quarter}");
+    }
+
+    #[test]
     fn simulated_clock_is_uniform_per_epoch() {
         let r = run_serial(&tiny_cfg(2));
         let d1 = r.epochs[1].end_time_h - r.epochs[0].end_time_h;

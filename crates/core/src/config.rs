@@ -17,8 +17,6 @@ pub enum FleetKind {
     Uniform,
     /// Cycle through the four Table I client types (§III-E heterogeneity).
     Mixed,
-    /// An explicit instance list (length must equal `cn`).
-    Custom(Vec<InstanceSpec>),
     /// A synthesized volunteer population with a heavy-tailed speed
     /// distribution ([`vc_simnet::generated_fleet`]), deterministic in
     /// `(cn, seed)` — the 10k–100k-host fleets of the scale sweeps.
@@ -35,10 +33,6 @@ impl FleetKind {
         match self {
             FleetKind::Uniform => table1::uniform_fleet(cn),
             FleetKind::Mixed => table1::mixed_fleet(cn),
-            FleetKind::Custom(list) => {
-                assert_eq!(list.len(), cn, "custom fleet size must equal cn");
-                list.clone()
-            }
             FleetKind::Generated { seed } => vc_simnet::generated_fleet(cn, *seed),
         }
     }
@@ -203,6 +197,9 @@ impl JobConfig {
         if self.epochs == 0 {
             return Err("need at least one epoch".into());
         }
+        if self.batch_size == 0 {
+            return Err("batch_size must be positive".into());
+        }
         if self.pn_autoscale && self.pn_max < self.pn {
             return Err(format!(
                 "pn_max {} below starting pn {}",
@@ -220,11 +217,6 @@ impl JobConfig {
                 "val_eval_n {} outside 1..={}",
                 self.val_eval_n, self.data.val_n
             ));
-        }
-        if let FleetKind::Custom(list) = &self.fleet {
-            if list.len() != self.cn {
-                return Err("custom fleet size must equal cn".into());
-            }
         }
         self.middleware.validate()?;
         Ok(())
@@ -278,8 +270,8 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = JobConfig::test_small(1);
-        c.fleet = FleetKind::Custom(vec![]);
-        assert!(c.validate().is_err());
+        c.batch_size = 0;
+        assert_eq!(c.validate().unwrap_err(), "batch_size must be positive");
     }
 
     #[test]
@@ -288,8 +280,6 @@ mod tests {
         let mixed = FleetKind::Mixed.build(5);
         assert_eq!(mixed.len(), 5);
         assert_ne!(mixed[0].name, mixed[1].name);
-        let custom = FleetKind::Custom(table1::uniform_fleet(2)).build(2);
-        assert_eq!(custom.len(), 2);
     }
 
     #[test]

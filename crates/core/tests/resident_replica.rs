@@ -1,12 +1,11 @@
 //! The replica a `TrainWorkspace` keeps between workunits is not state: a
 //! warm workspace returns, bit for bit, what a new one returns — for every
-//! model family at the paper's 32×32×3, and for a spec with `Dropout`, the
-//! one layer whose build seeds more than parameters.
+//! model family at the paper's 32×32×3.
 
 use vc_asgd::{train_client_replica_ws, JobConfig};
 use vc_data::ShardSet;
 use vc_nn::spec::{mlp, resnet_lite, small_cnn};
-use vc_nn::{LayerSpec, ModelSpec};
+use vc_nn::ModelSpec;
 use vc_optim::TrainWorkspace;
 
 const IMG: [usize; 3] = [3, 32, 32];
@@ -21,13 +20,6 @@ fn job(model: ModelSpec, seed: u64) -> JobConfig {
     cfg.local_epochs = 1;
     cfg.model = model;
     cfg
-}
-
-fn mlp_with_dropout(hidden: usize) -> ModelSpec {
-    let mut spec = mlp(&IMG, hidden, 10);
-    spec.name = "mlp-dropout".into();
-    spec.layers.insert(3, LayerSpec::Dropout { p: 0.3 });
-    spec
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -60,7 +52,6 @@ fn resident_replica_matches_fresh_build() {
         mlp(&IMG, 32, 10),
         small_cnn(&IMG, 10),
         resnet_lite(&IMG, 1, 10),
-        mlp_with_dropout(32),
     ] {
         let cfg = job(model, 21);
         let mut warm = TrainWorkspace::new();
@@ -79,12 +70,11 @@ fn resident_replica_matches_fresh_build() {
 
 #[test]
 fn a_different_spec_or_seed_rebuilds_the_replica() {
-    let first = job(mlp_with_dropout(32), 21);
+    let first = job(mlp(&IMG, 32, 10), 21);
     // Another architecture (a kept replica could not even load its
-    // snapshot) and another seed (a kept replica would draw the first
-    // seed's dropout masks).
-    let other_spec = job(mlp_with_dropout(24), 21);
-    let other_seed = job(mlp_with_dropout(32), 22);
+    // snapshot) and another seed.
+    let other_spec = job(mlp(&IMG, 24, 10), 21);
+    let other_seed = job(mlp(&IMG, 32, 10), 22);
     let mut warm = TrainWorkspace::new();
     three_workunits(&first, Some(&mut warm));
     for cfg in [&other_spec, &other_seed, &first] {

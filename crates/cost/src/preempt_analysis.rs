@@ -42,12 +42,6 @@ impl TimeoutAnalysis {
         self.n_waves() * self.t_e
     }
 
-    /// Expected training time at interruption probability `p`:
-    /// `n·p·(t_e + t_o) + n·(1−p)·t_e = n·t_e + n·p·t_o`.
-    pub fn expected_time_s(&self, p: f64) -> f64 {
-        self.base_time_s() + self.expected_extra_s(p)
-    }
-
     /// The expected increase: `n·p·t_o`.
     pub fn expected_extra_s(&self, p: f64) -> f64 {
         self.n_waves() * p * self.t_o
@@ -103,13 +97,6 @@ mod tests {
             let rel = (simulated - analytic).abs() / analytic;
             assert!(rel < 0.05, "p={p}: {simulated} vs {analytic}");
         }
-    }
-
-    #[test]
-    fn expected_time_is_base_plus_extra() {
-        let a = TimeoutAnalysis::paper_p5c5t2();
-        let p = 0.1;
-        assert!((a.expected_time_s(p) - (a.base_time_s() + a.expected_extra_s(p))).abs() < 1e-9);
     }
 
     #[test]

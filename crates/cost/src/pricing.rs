@@ -48,13 +48,6 @@ impl FleetCost {
     }
 }
 
-/// Cost of `count` instances of a type for `hours`, preemptible. Used for
-/// the horizontal-vs-vertical comparison in §IV-E (many small instances vs
-/// few large ones).
-pub fn scale_out_cost(instance: &InstanceSpec, count: usize, hours: f64) -> f64 {
-    instance.hourly_usd_preemptible * count as f64 * hours
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,14 +74,6 @@ mod tests {
         assert!(with_delay > cost.preemptible_total());
         // Still far below standard.
         assert!(with_delay < 0.4 * cost.standard_total());
-    }
-
-    #[test]
-    fn scale_out_is_linear() {
-        let c = table1::client_8v_2_2();
-        let five = scale_out_cost(&c, 5, 8.0);
-        let ten = scale_out_cost(&c, 10, 8.0);
-        assert!((ten / five - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -151,15 +151,6 @@ impl ShardSet {
     pub fn total_samples(&self) -> usize {
         self.shards.iter().map(|s| s.data.len()).sum()
     }
-
-    /// Mean encoded shard size in bytes.
-    pub fn mean_byte_size(&self) -> usize {
-        if self.shards.is_empty() {
-            0
-        } else {
-            self.shards.iter().map(|s| s.byte_size()).sum::<usize>() / self.shards.len()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +240,7 @@ mod tests {
         };
         let (tr, _, _) = spec.generate();
         let set = ShardSet::split(&tr, 1);
-        let mb = set.mean_byte_size() as f64 / (1024.0 * 1024.0);
+        let mb = set.shard(0).byte_size() as f64 / (1024.0 * 1024.0);
         assert!(mb > 11.0 && mb < 13.0, "{mb} MB");
     }
 

@@ -59,13 +59,6 @@ impl LatencyModel {
     }
 }
 
-/// Ratio of strong to eventual update latency at the paper's blob size
-/// (the paper reports 1.5×).
-pub fn strong_over_eventual_ratio() -> f64 {
-    LatencyModel::for_mode(Consistency::Strong).update_s(PAPER_BLOB_BYTES as usize)
-        / LatencyModel::for_mode(Consistency::Eventual).update_s(PAPER_BLOB_BYTES as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +74,9 @@ mod tests {
 
     #[test]
     fn ratio_matches_paper_1_5x() {
-        let r = strong_over_eventual_ratio();
+        let b = PAPER_BLOB_BYTES as usize;
+        let r = LatencyModel::for_mode(Consistency::Strong).update_s(b)
+            / LatencyModel::for_mode(Consistency::Eventual).update_s(b);
         assert!((r - 1.29 / 0.87).abs() < 1e-9);
         assert!(r > 1.45 && r < 1.55);
     }

@@ -140,16 +140,6 @@ impl HostHot {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
     }
 
-    /// Fraction of this host's finished assignments that went bad.
-    pub fn error_rate(&self) -> f64 {
-        let total = self.completed + self.timeouts + self.invalids;
-        if total == 0 {
-            0.0
-        } else {
-            (self.timeouts + self.invalids) as f64 / total as f64
-        }
-    }
-
     /// Folds one observed turnaround (seconds) into the EWMA. The first
     /// observation seeds the estimate directly.
     pub fn record_turnaround(&mut self, secs: f64, alpha: f64) {
@@ -302,7 +292,6 @@ mod tests {
         assert!(hostile.reliability < slow.reliability);
         assert_eq!((hostile.invalids, hostile.timeouts), (1, 0));
         assert_eq!((slow.invalids, slow.timeouts), (0, 1));
-        assert_eq!(hostile.error_rate(), 1.0);
     }
 
     #[test]

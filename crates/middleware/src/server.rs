@@ -1122,11 +1122,6 @@ impl BoincServer {
         self.wus[wu_id.0 as usize].target_results
     }
 
-    /// Banked quorum candidates for a workunit.
-    pub fn candidate_count(&self, wu_id: WuId) -> usize {
-        self.wus[wu_id.0 as usize].candidates.len()
-    }
-
     /// Earliest in-progress deadline, for event-driven timeout scans.
     /// Prunes stale timer entries from the heap top on the way (hence
     /// `&mut`); amortized O(1).
@@ -1137,6 +1132,12 @@ impl BoincServer {
                 WuPhase::InProgress { assignments } => assignments.iter().any(|a| a.seq == e.seq),
                 _ => false,
             })
+    }
+
+    /// Banked quorum candidates for a workunit.
+    #[cfg(test)]
+    fn candidate_count(&self, wu_id: WuId) -> usize {
+        self.wus[wu_id.0 as usize].candidates.len()
     }
 }
 

@@ -17,6 +17,12 @@ use vc_tensor::{Tensor, Workspace};
 /// simulated volunteer fleet trains one independent model replica per
 /// subtask, in parallel.
 ///
+/// A constructor draws from the build's sampler only to initialise what
+/// `collect_params` / `load_params` carry, and no layer keeps other state
+/// between passes (training caches are replaced by every forward). A replica
+/// kept across workunits is therefore a fresh build as soon as its
+/// parameters are loaded; there is no reset step to implement or to forget.
+///
 /// ## One pipeline
 ///
 /// [`forward_ws`](Layer::forward_ws) / [`backward_ws`](Layer::backward_ws)
@@ -140,12 +146,6 @@ pub trait Layer: Send {
 
     /// Clears accumulated gradients.
     fn zero_grads(&mut self) {}
-
-    /// Puts back whatever [`crate::ModelSpec::build`] seeded besides the
-    /// parameters — today only [`crate::dropout::Dropout`]'s mask RNG — so a
-    /// replica kept across workunits starts each one exactly like a fresh
-    /// build. Training caches need no reset: every forward replaces them.
-    fn reset_build_state(&mut self) {}
 
     /// Human-readable layer kind, for summaries and error messages.
     fn name(&self) -> &'static str;

@@ -26,7 +26,6 @@
 pub mod activation;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod layer;
 pub mod loss;
 pub mod metrics;
@@ -40,7 +39,6 @@ pub mod spec;
 pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use layer::{Layer, ParamVisitor};
 pub use loss::SoftmaxCrossEntropy;
 pub use model::Sequential;

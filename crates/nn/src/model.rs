@@ -302,12 +302,6 @@ impl Layer for Sequential {
         self.zero_grads_all();
     }
 
-    fn reset_build_state(&mut self) {
-        for l in &mut self.layers {
-            l.reset_build_state();
-        }
-    }
-
     fn name(&self) -> &'static str {
         "sequential"
     }

@@ -80,10 +80,6 @@ impl Layer for Residual {
         self.body.zero_grads();
     }
 
-    fn reset_build_state(&mut self) {
-        self.body.reset_build_state();
-    }
-
     fn name(&self) -> &'static str {
         "residual"
     }

@@ -40,8 +40,6 @@ pub enum LayerSpec {
     Flatten,
     /// Batch normalization over `ch` channels.
     BatchNorm { ch: usize },
-    /// Inverted dropout with drop probability `p` (seeded per build).
-    Dropout { p: f32 },
     /// Residual block wrapping an inner pipeline.
     Residual { body: Vec<LayerSpec> },
 }
@@ -106,12 +104,6 @@ fn build_layer(spec: &LayerSpec, sampler: &mut NormalSampler) -> Box<dyn Layer> 
         LayerSpec::AvgPoolGlobal => Box::new(AvgPoolGlobal::new()),
         LayerSpec::Flatten => Box::new(Flatten::new()),
         LayerSpec::BatchNorm { ch } => Box::new(BatchNorm::new(*ch, 0.9)),
-        LayerSpec::Dropout { p } => {
-            // Derive the layer seed from the sampler stream so two builds
-            // with the same model seed drop the same units.
-            let seed = (sampler.sample().to_bits() as u64) << 16;
-            Box::new(crate::dropout::Dropout::new(*p, seed))
-        }
         LayerSpec::Residual { body } => {
             let mut inner = Sequential::new();
             for l in body {

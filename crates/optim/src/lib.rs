@@ -1,11 +1,12 @@
 //! # vc-optim
 //!
-//! Optimizers for the `vc-dl` workspace.
+//! The client optimizer of the `vc-dl` workspace.
 //!
 //! The paper trains client replicas with the Adam optimizer at a constant
-//! learning rate of 0.001, no momentum-SGD, no regularization (§IV-A); all
-//! of those variants exist here anyway because the baselines (Downpour,
-//! EASGD, the serial reference) use them, and because ablations sweep them.
+//! learning rate of 0.001, no momentum-SGD, no regularization (§IV-A), and
+//! every volunteer runs the same application, so Adam is the one update
+//! rule here: every driver, the serial reference of Figure 6 and the tests
+//! step with it.
 //!
 //! Optimizer state is indexed like the *flat* parameter vector — the same
 //! representation the distributed layer ships across the simulated network —
@@ -28,10 +29,6 @@ use serde::{Deserialize, Serialize};
 /// carry it (the paper ships training code + hyperparameters to clients).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum OptimizerSpec {
-    /// Plain stochastic gradient descent.
-    Sgd { lr: f32 },
-    /// SGD with classical momentum.
-    Momentum { lr: f32, beta: f32 },
     /// Adam (Kingma & Ba). The paper's client optimizer with
     /// `lr = 0.001, beta1 = 0.9, beta2 = 0.999`.
     Adam {
@@ -62,7 +59,7 @@ impl OptimizerSpec {
 /// Optimizer state bound to a parameter vector length.
 pub struct Optimizer {
     spec: OptimizerSpec,
-    /// First-moment buffer (momentum / Adam m).
+    /// First-moment buffer (Adam m).
     m: Vec<f32>,
     /// Second-moment buffer (Adam v).
     v: Vec<f32>,
@@ -71,33 +68,14 @@ pub struct Optimizer {
 }
 
 impl Optimizer {
-    /// Creates fresh state. Buffers are allocated lazily per variant.
+    /// Creates fresh state: zero moments, no steps taken.
     pub fn new(spec: OptimizerSpec, n: usize) -> Self {
-        let (need_m, need_v) = match spec {
-            OptimizerSpec::Sgd { .. } => (false, false),
-            OptimizerSpec::Momentum { .. } => (true, false),
-            OptimizerSpec::Adam { .. } => (true, true),
-        };
         Optimizer {
             spec,
-            m: if need_m { vec![0.0; n] } else { Vec::new() },
-            v: if need_v { vec![0.0; n] } else { Vec::new() },
+            m: vec![0.0; n],
+            v: vec![0.0; n],
             t: 0,
         }
-    }
-
-    /// The configured base learning rate.
-    pub fn lr(&self) -> f32 {
-        match self.spec {
-            OptimizerSpec::Sgd { lr }
-            | OptimizerSpec::Momentum { lr, .. }
-            | OptimizerSpec::Adam { lr, .. } => lr,
-        }
-    }
-
-    /// Number of optimizer steps taken.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Applies one update in place: `params -= update(grads)`, using
@@ -125,51 +103,31 @@ impl Optimizer {
             grads.len()
         );
         let state = offset..offset + params.len();
-        match self.spec {
-            OptimizerSpec::Sgd { lr } => {
-                let step = lr * lr_scale;
-                for (p, &g) in params.iter_mut().zip(grads) {
-                    *p -= step * g;
-                }
-            }
-            OptimizerSpec::Momentum { lr, beta } => {
-                assert!(
-                    state.end <= self.m.len(),
-                    "optimizer built for another model"
-                );
-                let step = lr * lr_scale;
-                for ((p, &g), m) in params.iter_mut().zip(grads).zip(&mut self.m[state]) {
-                    *m = beta * *m + g;
-                    *p -= step * *m;
-                }
-            }
-            OptimizerSpec::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-            } => {
-                assert!(
-                    state.end <= self.m.len(),
-                    "optimizer built for another model"
-                );
-                let t = self.t as f32;
-                let bc1 = 1.0 - beta1.powf(t);
-                let bc2 = 1.0 - beta2.powf(t);
-                let step = lr * lr_scale;
-                for (((p, &g), m), v) in params
-                    .iter_mut()
-                    .zip(grads)
-                    .zip(&mut self.m[state.clone()])
-                    .zip(&mut self.v[state])
-                {
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *v = beta2 * *v + (1.0 - beta2) * g * g;
-                    let m_hat = *m / bc1;
-                    let v_hat = *v / bc2;
-                    *p -= step * m_hat / (v_hat.sqrt() + eps);
-                }
-            }
+        assert!(
+            state.end <= self.m.len(),
+            "optimizer built for another model"
+        );
+        let OptimizerSpec::Adam {
+            lr,
+            beta1,
+            beta2,
+            eps,
+        } = self.spec;
+        let t = self.t as f32;
+        let bc1 = 1.0 - beta1.powf(t);
+        let bc2 = 1.0 - beta2.powf(t);
+        let step = lr * lr_scale;
+        for (((p, &g), m), v) in params
+            .iter_mut()
+            .zip(grads)
+            .zip(&mut self.m[state.clone()])
+            .zip(&mut self.v[state])
+        {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= step * m_hat / (v_hat.sqrt() + eps);
         }
     }
 
@@ -195,24 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = descend(OptimizerSpec::Sgd { lr: 0.1 }, 100);
-        assert!(x.abs() < 1e-4, "x = {x}");
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let x = descend(
-            OptimizerSpec::Momentum {
-                lr: 0.02,
-                beta: 0.9,
-            },
-            300,
-        );
-        assert!(x.abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         // Adam's effective step is ~lr per iteration, so crossing from
         // x = 5 to the optimum needs >5000 steps at lr = 1e-3.
@@ -231,38 +171,21 @@ mod tests {
     }
 
     #[test]
-    fn sgd_matches_hand_computation() {
-        let mut opt = OptimizerSpec::Sgd { lr: 0.5 }.build(2);
-        let mut p = vec![1.0f32, -2.0];
-        opt.step(&mut p, &[0.2, -0.4]);
-        assert_eq!(p, vec![0.9, -1.8]);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut opt = OptimizerSpec::Momentum { lr: 1.0, beta: 1.0 }.build(1);
-        let mut p = vec![0.0f32];
-        opt.step(&mut p, &[1.0]); // v=1, p=-1
-        opt.step(&mut p, &[1.0]); // v=2, p=-3
-        assert_eq!(p[0], -3.0);
-    }
-
-    #[test]
     fn lr_scale_multiplies_step() {
-        let mut a = OptimizerSpec::Sgd { lr: 0.1 }.build(1);
-        let mut b = OptimizerSpec::Sgd { lr: 0.1 }.build(1);
-        let mut pa = vec![1.0f32];
-        let mut pb = vec![1.0f32];
+        let mut a = OptimizerSpec::paper_adam().build(1);
+        let mut b = OptimizerSpec::paper_adam().build(1);
+        let mut pa = vec![0.0f32];
+        let mut pb = vec![0.0f32];
         a.step_scaled(&mut pa, &[1.0], 1.0);
         b.step_scaled(&mut pb, &[1.0], 0.5);
-        assert!((1.0 - pa[0]) > (1.0 - pb[0]));
-        assert!(((1.0 - pa[0]) - 2.0 * (1.0 - pb[0])).abs() < 1e-7);
+        assert!(pa[0] < 0.0);
+        assert_eq!(pa[0], 2.0 * pb[0]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn rejects_mismatched_grads() {
-        let mut opt = OptimizerSpec::Sgd { lr: 0.1 }.build(2);
+        let mut opt = OptimizerSpec::paper_adam().build(2);
         let mut p = vec![0.0f32, 0.0];
         opt.step(&mut p, &[1.0]);
     }

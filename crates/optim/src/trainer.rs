@@ -1,4 +1,4 @@
-//! Mini-batch training loop shared by client subtasks and baselines.
+//! Mini-batch training loop shared by client subtasks and the serial baseline.
 
 use crate::clip::clip_slices_by_global_norm;
 use crate::Optimizer;
@@ -56,15 +56,13 @@ impl TrainWorkspace {
 
     /// Lends out the replica for `(spec, seed)`, in every respect but its
     /// parameters as `spec.build(seed)` would return it (the caller loads
-    /// its own). The kept replica is reused when it was built for the same
-    /// spec and seed, otherwise a new one is built. Hand it back with
-    /// [`TrainWorkspace::put_replica`].
+    /// its own). The kept replica is reused as it is when it was built for
+    /// the same spec and seed: a build seeds nothing but parameters, so
+    /// there is no other state to put back. Otherwise a new one is built.
+    /// Hand it back with [`TrainWorkspace::put_replica`].
     pub fn take_replica(&mut self, spec: &ModelSpec, seed: u64) -> ResidentReplica {
         match self.replica.take() {
-            Some(mut r) if r.seed == seed && r.spec == *spec => {
-                r.model.reset_build_state();
-                r
-            }
+            Some(r) if r.seed == seed && r.spec == *spec => r,
             _ => ResidentReplica {
                 spec: spec.clone(),
                 seed,
@@ -101,7 +99,7 @@ pub struct StepTimer<'a> {
 /// with shuffled mini-batches, clipping gradients at `clip_norm` (pass
 /// `f32::INFINITY` to disable). This is precisely what a volunteer client
 /// executes for one training subtask, and the only training loop in the
-/// workspace: every driver, baseline and test runs it.
+/// workspace: every driver, the serial reference and every test runs it.
 ///
 /// Tensors move by value through the layer chain drawing buffers from
 /// `tws`, the ReLU activations are fused into the GEMM epilogues, and the
@@ -243,6 +241,16 @@ mod tests {
         (Tensor::from_vec(data, &[n, 2]), labels)
     }
 
+    /// The paper's Adam at another learning rate.
+    fn adam(lr: f32) -> OptimizerSpec {
+        OptimizerSpec::Adam {
+            lr,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+        }
+    }
+
     /// One [`train_minibatch_ws`] pass against a fresh workspace.
     #[allow(clippy::too_many_arguments)]
     fn train(
@@ -274,13 +282,7 @@ mod tests {
     fn learns_separable_blobs() {
         let spec = mlp(&[2], 16, 2);
         let mut model = spec.build(1);
-        let mut opt = OptimizerSpec::Adam {
-            lr: 0.01,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-        .build(model.param_count());
+        let mut opt = adam(0.01).build(model.param_count());
         let (x, y) = blobs(200, 2);
         let mut rng = StdRng::seed_from_u64(3);
         let stats = train(&mut model, &mut opt, &x, &y, 32, 10, 5.0, &mut rng);
@@ -294,7 +296,7 @@ mod tests {
     fn loss_decreases_across_epochs() {
         let spec = mlp(&[2], 8, 2);
         let mut model = spec.build(4);
-        let mut opt = OptimizerSpec::Sgd { lr: 0.1 }.build(model.param_count());
+        let mut opt = adam(0.1).build(model.param_count());
         let (x, y) = blobs(100, 5);
         let mut rng = StdRng::seed_from_u64(6);
         let first = train(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
@@ -323,7 +325,7 @@ mod tests {
     fn steady_state_reuses_buffers() {
         let spec = mlp(&[2], 8, 2);
         let mut model = spec.build(30);
-        let mut opt = OptimizerSpec::Sgd { lr: 0.05 }.build(model.param_count());
+        let mut opt = adam(0.05).build(model.param_count());
         let (x, y) = blobs(48, 31);
         let mut rng = StdRng::seed_from_u64(32);
         let mut tws = TrainWorkspace::new();
@@ -346,7 +348,7 @@ mod tests {
         let hist = tel.registry().histogram("train_step_s");
         let spec = mlp(&[2], 4, 2);
         let mut model = spec.build(33);
-        let mut opt = OptimizerSpec::Sgd { lr: 0.05 }.build(model.param_count());
+        let mut opt = adam(0.05).build(model.param_count());
         let (x, y) = blobs(40, 34);
         let mut rng = StdRng::seed_from_u64(35);
         let mut tws = TrainWorkspace::new();
@@ -373,7 +375,7 @@ mod tests {
     fn handles_batch_larger_than_dataset() {
         let spec = mlp(&[2], 4, 2);
         let mut model = spec.build(10);
-        let mut opt = OptimizerSpec::Sgd { lr: 0.01 }.build(model.param_count());
+        let mut opt = adam(0.01).build(model.param_count());
         let (x, y) = blobs(5, 11);
         let mut rng = StdRng::seed_from_u64(12);
         let stats = train(&mut model, &mut opt, &x, &y, 64, 1, 1.0, &mut rng);

@@ -497,7 +497,7 @@ impl TrainingJob {
         }
         let server_spec = vc_simnet::table1::server();
         // One serial epoch covers all shards back-to-back with the intra-op
-        // parallelism a dedicated instance sustains (see vc-baselines).
+        // parallelism a dedicated instance sustains (see `vc_bench::serial`).
         let epoch_s = self.cfg.shards as f64 * self.cfg.compute.base_subtask_s
             / server_spec.core_speed()
             / 4.0;

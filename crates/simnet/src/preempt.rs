@@ -3,9 +3,9 @@
 //! The paper models instance usage as independent Bernoulli trials with
 //! per-subtask termination probability `p`, derives the expected training-
 //! time inflation `E[extra] = n·p·t_o`, and reports AWS interruption-
-//! frequency bands (<5 %, 5–10 %, …, >20 %). Both that analytic model and a
-//! stochastic per-subtask / per-lifetime process are provided; the §IV-E
-//! bench verifies that simulation and analysis agree.
+//! frequency bands (<5 %, 5–10 %, …, >20 %). Both that analytic model and
+//! the stochastic per-subtask process are provided; the §IV-E bench verifies
+//! that simulation and analysis agree.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -19,9 +19,6 @@ pub enum PreemptionModel {
     /// probability `p` the instance is reclaimed mid-subtask (the paper's
     /// model).
     BernoulliPerSubtask { p: f64 },
-    /// Instance lifetimes are exponential with the given mean (hours); a
-    /// subtask is killed when the instance's lifetime expires during it.
-    ExponentialLifetime { mean_hours: f64 },
 }
 
 impl PreemptionModel {
@@ -38,14 +35,6 @@ impl PreemptionModel {
                 } else {
                     None
                 }
-            }
-            PreemptionModel::ExponentialLifetime { mean_hours } => {
-                assert!(mean_hours > 0.0);
-                let mean_s = mean_hours * 3600.0;
-                // Memoryless: time-to-kill ~ Exp(1/mean) from subtask start.
-                let u: f64 = 1.0 - rng.gen::<f64>();
-                let kill_after = -mean_s * u.ln();
-                (kill_after < duration_s).then_some(kill_after)
             }
         }
     }
@@ -110,22 +99,6 @@ mod tests {
             let at = m.draw_preemption(60.0, &mut rng).unwrap();
             assert!((0.0..60.0).contains(&at));
         }
-    }
-
-    #[test]
-    fn exponential_rate_matches_closed_form() {
-        // P(kill within d) = 1 - exp(-d / mean).
-        let mean_h = 2.0;
-        let m = PreemptionModel::ExponentialLifetime { mean_hours: mean_h };
-        let d = 3600.0; // one hour
-        let expect = 1.0 - (-0.5f64).exp();
-        let mut rng = StdRng::seed_from_u64(4);
-        let n = 20_000;
-        let hits = (0..n)
-            .filter(|_| m.draw_preemption(d, &mut rng).is_some())
-            .count();
-        let rate = hits as f64 / n as f64;
-        assert!((rate - expect).abs() < 0.01, "rate {rate} vs {expect}");
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl InstanceSpec {
     pub fn core_speed(&self) -> f64 {
         self.clock_ghz / 2.2
     }
-
-    /// Preemptible discount as a fraction (0.7 = 70 % cheaper).
-    pub fn preemptible_discount(&self) -> f64 {
-        1.0 - self.hourly_usd_preemptible / self.hourly_usd
-    }
 }
 
 /// The paper's Table I, plus pricing derived from §IV-E.
@@ -240,14 +235,6 @@ mod tests {
         // The paper's 8-hour experiment: $13.4 vs $4.
         assert!((std * 8.0 - 13.36).abs() < 0.1);
         assert!((pre * 8.0 - 4.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn preemptible_discount_is_70_percent() {
-        for c in table1::client_types() {
-            let d = c.preemptible_discount();
-            assert!((d - 0.7006).abs() < 0.01, "{d}");
-        }
     }
 
     #[test]

@@ -719,7 +719,7 @@ mod tests {
         let a = randt(&[5, 5], 1);
         let mut eye = Tensor::zeros(&[5, 5]);
         for i in 0..5 {
-            *eye.at_mut(&[i, i]) = 1.0;
+            eye.data_mut()[i * 5 + i] = 1.0;
         }
         assert!(approx_eq(&matmul(&a, &eye), &a, TEST_EPS));
         assert!(approx_eq(&matmul(&eye, &a), &a, TEST_EPS));

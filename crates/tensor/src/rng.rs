@@ -39,11 +39,6 @@ impl NormalSampler {
         self.spare = Some(r * theta.sin());
         r * theta.cos()
     }
-
-    /// Draws a sample from `N(mean, std^2)`.
-    pub fn sample_with(&mut self, mean: f32, std: f32) -> f32 {
-        self.sample() * std + mean
-    }
 }
 
 #[cfg(test)]
@@ -82,14 +77,5 @@ mod tests {
     fn all_samples_finite() {
         let mut s = NormalSampler::seed_from(99);
         assert!((0..10_000).all(|_| s.sample().is_finite()));
-    }
-
-    #[test]
-    fn sample_with_scales_and_shifts() {
-        let mut s = NormalSampler::seed_from(5);
-        let n = 50_000;
-        let xs: Vec<f32> = (0..n).map(|_| s.sample_with(3.0, 0.5)).collect();
-        let mean = xs.iter().sum::<f32>() / n as f32;
-        assert!((mean - 3.0).abs() < 0.02, "mean {mean}");
     }
 }

@@ -115,12 +115,6 @@ impl Tensor {
         self.data[self.shape.offset(index)]
     }
 
-    /// Mutable element at a multi-index.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
-    }
-
     // ------------------------------------------------------------- reshapes
 
     /// Returns a tensor with the same data and a new shape of equal element

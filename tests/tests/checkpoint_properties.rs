@@ -154,3 +154,45 @@ fn retired_codec_names_do_not_parse() {
         assert!(parsed.is_err(), "{retired} parsed as {parsed:?}");
     }
 }
+
+/// The same for the algorithm layer's retired choices (DESIGN §3): each is
+/// an error naming the variant, on its own and inside the config a stale
+/// checkpoint embeds.
+#[test]
+fn retired_algorithm_variants_do_not_parse() {
+    fn names(parsed: Result<impl std::fmt::Debug, serde_json::Error>, variant: &str) {
+        let err = parsed.expect_err("a retired variant parsed").to_string();
+        assert!(err.contains(variant), "error for {variant} reads: {err}");
+    }
+    use serde_json::from_str;
+    names(
+        from_str::<vc_optim::OptimizerSpec>(r#"{"Sgd":{"lr":0.1}}"#),
+        "Sgd",
+    );
+    names(
+        from_str::<vc_nn::LayerSpec>(r#"{"Dropout":{"p":0.3}}"#),
+        "Dropout",
+    );
+    names(from_str::<vc_asgd::FleetKind>(r#"{"Custom":[]}"#), "Custom");
+    names(
+        from_str::<vc_simnet::PreemptionModel>(r#"{"ExponentialLifetime":{"mean_hours":1.0}}"#),
+        "ExponentialLifetime",
+    );
+
+    let json = serde_json::to_string(&RuntimeConfig::test_small(1)).unwrap();
+    let adam = serde_json::to_string(&vc_optim::OptimizerSpec::paper_adam()).unwrap();
+    for (current, retired, variant) in [
+        (adam.as_str(), r#"{"Sgd":{"lr":0.1}}"#, "Sgd"),
+        (r#"["Flatten","#, r#"[{"Dropout":{"p":0.3}},"#, "Dropout"),
+        (r#""fleet":"Uniform""#, r#""fleet":{"Custom":[]}"#, "Custom"),
+        (
+            r#""preemption":"None""#,
+            r#""preemption":{"ExponentialLifetime":{"mean_hours":1.0}}"#,
+            "ExponentialLifetime",
+        ),
+    ] {
+        assert!(json.contains(current), "{current} not in {json}");
+        let old = json.replace(current, retired);
+        names(from_str::<RuntimeConfig>(&old), variant);
+    }
+}

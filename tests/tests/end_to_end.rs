@@ -84,17 +84,6 @@ fn survives_sustained_preemption_storm() {
 }
 
 #[test]
-fn exponential_lifetime_preemption_also_recovers() {
-    let mut cfg = quick_cfg(6);
-    cfg.epochs = 2;
-    // Mean lifetime shorter than the job: several kills guaranteed.
-    cfg.preemption = PreemptionModel::ExponentialLifetime { mean_hours: 0.05 };
-    let r = run_job(cfg).unwrap();
-    assert_eq!(r.epochs.len(), 2);
-    assert!(r.preemptions > 0);
-}
-
-#[test]
 fn timing_only_matches_real_run_clock() {
     // The fast path must reproduce the same simulated clock as the real
     // run (same seeds, same event sequence) — it only skips the learning.
