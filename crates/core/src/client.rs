@@ -19,6 +19,7 @@ use crate::config::JobConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_data::Dataset;
+use vc_nn::Sequential;
 use vc_optim::{train_minibatch_ws, StepTimer, TrainWorkspace};
 
 /// The RNG stream a client replica uses for `(epoch, shard)`. Deterministic
@@ -77,20 +78,17 @@ pub fn result_is_valid(params: &[f32]) -> bool {
     params.iter().all(|v| v.is_finite())
 }
 
-/// Runs the configured warm-start epochs (§II-B): serial synchronous passes
-/// over all shards starting from `init`, returning the warmed parameters.
-/// Returns `None` when no warm start is configured.
-pub fn warm_start_params(
-    cfg: &JobConfig,
-    shards: &vc_data::ShardSet,
-    init: &[f32],
-) -> Option<Vec<f32>> {
+/// Runs the configured warm-start epochs (§II-B) on `model` in place:
+/// serial synchronous passes over all shards, starting from the parameters
+/// it holds. `model` is the run's one built model (its init parameters),
+/// trained here and handed on, so no second model is built to hold them.
+/// Returns `false`, leaving `model` untouched, when no warm start is
+/// configured.
+pub fn warm_start(cfg: &JobConfig, shards: &vc_data::ShardSet, model: &mut Sequential) -> bool {
     if cfg.warm_start_epochs == 0 {
-        return None;
+        return false;
     }
-    let mut model = cfg.model.build(cfg.seed);
-    model.set_params_flat(init);
-    let mut opt = cfg.optimizer.build(init.len());
+    let mut opt = cfg.optimizer.build(model.param_count());
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xDA7A));
     let mut tws = TrainWorkspace::new();
     // The serial phase sees the full training set, shard by shard.
@@ -98,7 +96,7 @@ pub fn warm_start_params(
         for shard in 0..cfg.shards {
             let d = &shards.shard(shard).data;
             train_minibatch_ws(
-                &mut model,
+                model,
                 &mut opt,
                 &d.images,
                 &d.labels,
@@ -111,7 +109,7 @@ pub fn warm_start_params(
             );
         }
     }
-    Some(model.params_flat())
+    true
 }
 
 #[cfg(test)]
@@ -163,10 +161,13 @@ mod tests {
         let mut cfg = JobConfig::test_small(13);
         let (train, _, _) = cfg.data.generate();
         let shards = ShardSet::split(&train, cfg.shards);
-        let init = cfg.model.build(cfg.seed).params_flat();
-        assert!(warm_start_params(&cfg, &shards, &init).is_none());
+        let mut model = cfg.model.build(cfg.seed);
+        let init = model.params_flat();
+        assert!(!warm_start(&cfg, &shards, &mut model));
+        assert_eq!(model.params_flat(), init, "no warm start, no step");
         cfg.warm_start_epochs = 1;
-        let warmed = warm_start_params(&cfg, &shards, &init).unwrap();
+        assert!(warm_start(&cfg, &shards, &mut model));
+        let warmed = model.params_flat();
         assert_eq!(warmed.len(), init.len());
         assert!(warmed != init);
     }

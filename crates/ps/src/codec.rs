@@ -450,47 +450,49 @@ pub fn apply_update_roundtrip(
 /// Publish-side counterpart of [`apply_update_roundtrip`]: advances the
 /// reference every delta-tracking worker holds, read and written in wire
 /// form. `prev` is the `Shard` payload of the previous publish (a VCP1
-/// blob) — it *is* the reference — and `params` the shard's new
-/// full-precision values. The update `params − reference` is appended to
-/// `blob` as an `Int8` blob, and the returned VCP1 blob holds
-/// `reference + decode(update)`: the next `Shard` payload, and exactly
-/// what a worker that applies the update to its copy of `prev` ends up
-/// with.
+/// blob) — it *is* the reference — and `values` the shard's new
+/// full-precision values, as the VCP1 blob the store holds them in. The
+/// update `values − reference` is appended to `blob` as an `Int8` blob, and
+/// the returned VCP1 blob holds `reference + decode(update)`: the next
+/// `Shard` payload, and exactly what a worker that applies the update to
+/// its copy of `prev` ends up with.
 ///
 /// Two passes over the shard, a block at a time — the scale of the update
 /// (the largest of the blocks' scales: dividing by 127 is monotonic), then
 /// [`int8_delta_roundtrip`] writing the advanced reference into the new
-/// payload while the block's codes fold into tokens — keeping nothing
-/// shard-sized besides the two payloads, and giving the bits of the
-/// compose-from-primitives sequence `tests/codec_props.rs` keeps as the
-/// oracle.
-pub(crate) fn advance_reference(params: &[f32], prev: &[u8], blob: &mut Vec<u8>) -> Vec<u8> {
-    let n = params.len();
+/// payload while the block's codes fold into tokens — reading both blobs
+/// through stack blocks and keeping nothing shard-sized besides the two
+/// payloads, and giving the bits of the compose-from-primitives sequence
+/// `tests/codec_props.rs` keeps as the oracle.
+pub(crate) fn advance_reference(values: &[u8], prev: &[u8], blob: &mut Vec<u8>) -> Vec<u8> {
+    let values = vc_tensor::codec::value_bytes(values).expect("own shard blobs are valid");
     let prev = vc_tensor::codec::value_bytes(prev).expect("own shard blobs are valid");
-    assert_eq!(prev.len(), 4 * n, "reference length");
+    assert_eq!(prev.len(), values.len(), "reference length");
+    let n = values.len() / 4;
     let mut next = vc_tensor::codec::zeroed_blob(n);
     let next_values = &mut next[vc_tensor::codec::HEADER_LEN..];
     let (mut base, mut cur) = ([0.0f32; INT8_BLOCK], [0.0f32; INT8_BLOCK]);
     let mut codes = [0i8; INT8_BLOCK];
     let mut scale = 0.0f32;
-    for (p, prev) in params.chunks(INT8_BLOCK).zip(prev.chunks(4 * INT8_BLOCK)) {
-        let base = &mut base[..p.len()];
+    for (v, prev) in values
+        .chunks(4 * INT8_BLOCK)
+        .zip(prev.chunks(4 * INT8_BLOCK))
+    {
+        let (base, cur) = (&mut base[..v.len() / 4], &mut cur[..v.len() / 4]);
         read_le_values(prev, base);
-        scale = scale.max(int8_delta_scale(p, base, None));
+        read_le_values(v, cur);
+        scale = scale.max(int8_delta_scale(cur, base, None));
     }
     let mut tokens = Int8TokenWriter::begin(blob, n, scale);
-    let blocks = params
-        .chunks(INT8_BLOCK)
+    let blocks = values
+        .chunks(4 * INT8_BLOCK)
         .zip(prev.chunks(4 * INT8_BLOCK))
         .zip(next_values.chunks_mut(4 * INT8_BLOCK));
-    for ((p, prev), next) in blocks {
-        let (base, cur, codes) = (
-            &mut base[..p.len()],
-            &mut cur[..p.len()],
-            &mut codes[..p.len()],
-        );
+    for ((v, prev), next) in blocks {
+        let len = v.len() / 4;
+        let (base, cur, codes) = (&mut base[..len], &mut cur[..len], &mut codes[..len]);
         read_le_values(prev, base);
-        cur.copy_from_slice(p);
+        read_le_values(v, cur);
         int8_delta_roundtrip(base, cur, None, scale, Some(codes));
         write_le_values(cur, next);
         tokens.push(codes);

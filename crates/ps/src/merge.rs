@@ -14,12 +14,24 @@
 //! The consistency mode is decided here once: drivers call
 //! [`ShardedAssimilator::begin`] when an assimilation starts and
 //! [`ShardedAssimilator::finish`] when it ends, and never name a mode.
+//!
+//! The store's shard blobs are the server's only copy of `W_s`. `finish`
+//! takes the accepted upload by value and blends the stored values into it
+//! — `c ← α·s + (1−α)·c`, [`blend_eq1`]'s operands in its order, so the
+//! same bits — reading `s` straight from the blob; the upload is then the
+//! updated vector the caller scores. An eventual-mode `begin` holds the
+//! blobs it read (shared with the store, never mutated), not a decoded
+//! copy; and an epoch publish shares the blobs too
+//! ([`ShardedAssimilator::read_blobs`] → `PsService::publish`).
+//!
+//! [`blend_eq1`]: vc_asgd::alpha::blend_eq1
 
+use bytes::Bytes;
 use std::sync::Arc;
-use vc_asgd::alpha::{blend_eq1, AlphaSchedule};
+use vc_asgd::alpha::AlphaSchedule;
 use vc_kvstore::{Consistency, ShardLayout, VersionedStore, WriteOutcome};
 use vc_telemetry::{Histogram, Telemetry};
-use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
+use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s, value_bytes};
 
 /// Histogram: wall (or virtual) seconds per single-shard merge.
 pub const PS_MERGE_S: &str = "ps_merge_s";
@@ -40,10 +52,11 @@ pub fn shard_key(shards: usize, i: usize) -> String {
     }
 }
 
-/// An eventual-mode snapshot taken at assimilation start: the stale copy
-/// of the whole vector and the version each shard was read at.
+/// An eventual-mode stale read, taken at assimilation start: each shard's
+/// stored blob — the store's own buffer, shared — and the version it was
+/// read at.
 pub struct ShardSnapshot {
-    params: Vec<f32>,
+    blobs: Vec<Bytes>,
     versions: Vec<u64>,
 }
 
@@ -51,6 +64,20 @@ impl ShardSnapshot {
     /// Versions the shards were read at.
     pub fn versions(&self) -> &[u64] {
         &self.versions
+    }
+}
+
+/// Eq. (1) into the upload: `c ← α·s + (1−α)·c`, with the server copy `s`
+/// read from its stored blob. The operands [`vc_asgd::alpha::blend_eq1`]
+/// multiplies and adds, in its order, so the upload ends up with the bits
+/// a decoded copy of the store would have.
+fn blend_into_upload(stored: &[u8], upload: &mut [f32], alpha: f32) {
+    let s = value_bytes(stored).expect("store holds a valid shard blob");
+    assert_eq!(s.len(), 4 * upload.len(), "stored shard length");
+    let beta = 1.0 - alpha;
+    for (c, s) in upload.iter_mut().zip(s.chunks_exact(4)) {
+        let s = f32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        *c = alpha * s + beta * *c;
     }
 }
 
@@ -130,17 +157,42 @@ impl ShardedAssimilator {
         &self.store
     }
 
-    /// Seeds every shard from the initial parameter vector (version 1).
-    pub fn seed_params(&self, params: &[f32]) {
-        assert_eq!(params.len(), self.layout.param_count(), "seed length");
-        for (i, range) in self.layout.iter() {
-            self.store.put(&self.keys[i], encode_f32s(&params[range]));
-        }
+    /// `params` cut along the layout into one VCP1 blob per shard — the
+    /// form the store and a published snapshot hold shards in.
+    pub fn encode_shards(&self, params: &[f32]) -> Vec<Bytes> {
+        assert_eq!(params.len(), self.layout.param_count(), "parameter length");
+        self.layout
+            .iter()
+            .map(|(_, range)| encode_f32s(&params[range]))
+            .collect()
+    }
+
+    /// Seeds every shard from the initial parameter vector and returns the
+    /// blobs it stored with their new versions — what a publish of the seed
+    /// shares, without reading them back (no read is recorded).
+    pub fn seed_params(&self, params: &[f32]) -> Vec<(Bytes, u64)> {
+        self.encode_shards(params)
+            .into_iter()
+            .zip(&self.keys)
+            .map(|(blob, key)| {
+                let version = self.store.put(key, blob.clone());
+                (blob, version)
+            })
+            .collect()
     }
 
     /// Current version of every shard (no read is recorded).
     pub fn versions(&self) -> Vec<u64> {
         self.keys.iter().map(|k| self.store.version(k)).collect()
+    }
+
+    /// Reads every shard's stored blob and version: the store's own
+    /// buffers, shared and not decoded — what an epoch publish serves.
+    /// Observed in [`PS_SHARD_SKEW_VERSIONS`] like any full read.
+    pub fn read_blobs(&self) -> Vec<(Bytes, u64)> {
+        let blobs: Vec<(Bytes, u64)> = self.keys.iter().map(|k| self.store.get(k)).collect();
+        self.observe_skew(blobs.iter().map(|&(_, v)| v));
+        blobs
     }
 
     /// Reads the full parameter vector and the per-shard version manifest.
@@ -155,23 +207,22 @@ impl ShardedAssimilator {
     /// the hot fetch path allocates nothing (the store hands back shared
     /// blob views, each decoded straight into its range of `params`).
     pub fn read_params_into(&self, params: &mut Vec<f32>, manifest: &mut Vec<u64>) {
-        self.read_shards(params, manifest);
-        if let Some(ins) = &self.instruments {
-            let min = manifest.iter().copied().min().unwrap_or(0);
-            let max = manifest.iter().copied().max().unwrap_or(0);
-            ins.skew.observe((max - min) as f64);
-        }
-    }
-
-    fn read_shards(&self, params: &mut Vec<f32>, versions: &mut Vec<u64>) {
         // Every range is overwritten below, so a warm buffer is not cleared.
         params.resize(self.layout.param_count(), 0.0);
-        versions.clear();
+        manifest.clear();
         for (i, range) in self.layout.iter() {
             let (blob, version) = self.store.get(&self.keys[i]);
             decode_f32s_into_slice(&blob, &mut params[range])
                 .expect("store holds a valid shard blob of the layout's length");
-            versions.push(version);
+            manifest.push(version);
+        }
+        self.observe_skew(manifest.iter().copied());
+    }
+
+    fn observe_skew(&self, versions: impl Iterator<Item = u64>) {
+        if let Some(ins) = &self.instruments {
+            let (min, max) = versions.fold((u64::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            ins.skew.observe(max.saturating_sub(min) as f64);
         }
     }
 
@@ -187,65 +238,95 @@ impl ShardedAssimilator {
     }
 
     /// Ends the assimilation [`Self::begin`] started: applies Eq. (1) with
-    /// the epoch's α through the mode's store path and returns the updated
-    /// full vector.
-    pub fn finish(&self, begun: Option<ShardSnapshot>, client: &[f32], epoch: usize) -> Vec<f32> {
-        match begun {
-            Some(snapshot) => self.commit_eventual(snapshot, client, epoch).0,
-            None => self.assimilate_strong(client, epoch),
+    /// the epoch's α into `upload` — the accepted client copy, taken by
+    /// value — shard by shard through the mode's store path, and returns
+    /// it: the updated full vector.
+    pub fn finish(
+        &self,
+        begun: Option<ShardSnapshot>,
+        mut upload: Vec<f32>,
+        epoch: usize,
+    ) -> Vec<f32> {
+        self.blend(begun, &mut upload, epoch);
+        upload
+    }
+
+    /// The body of [`Self::finish`]: shard by shard, in order, blends the
+    /// stored values into `upload` and writes the result back —
+    /// last-write-wins against the read `begun` holds (eventual), or in one
+    /// serialized read-blend-write transaction per shard (strong: under
+    /// concurrency this pipelines, while one merger transacts shard `i+1`
+    /// the next can already be in shard `i`, which is where sharding buys
+    /// its latency). Returns the clobbered-update count.
+    fn blend(&self, begun: Option<ShardSnapshot>, upload: &mut [f32], epoch: usize) -> u64 {
+        assert_eq!(upload.len(), self.layout.param_count(), "client length");
+        let alpha = self.schedule.alpha(epoch);
+        let mut clobbered = 0;
+        for (i, range) in self.layout.iter() {
+            let part = &mut upload[range];
+            let read = begun.as_ref().map(|s| (&s.blobs[i], s.versions[i]));
+            clobbered += self.timed(|| self.merge_into(i, part, alpha, read).clobbered);
+        }
+        clobbered
+    }
+
+    /// Eq. (1) on shard `i` into `part`, the client's values of it: against
+    /// the `read` an eventual merge holds, written back last-write-wins, or
+    /// (no read) inside one strong transaction on the shard's key.
+    fn merge_into(
+        &self,
+        i: usize,
+        part: &mut [f32],
+        alpha: f32,
+        read: Option<(&Bytes, u64)>,
+    ) -> WriteOutcome {
+        match read {
+            Some((blob, version)) => {
+                blend_into_upload(blob, part, alpha);
+                self.store
+                    .put_versioned(&self.keys[i], version, encode_f32s(part))
+            }
+            None => {
+                let (new_version, ()) = self.store.transact(&self.keys[i], |blob, _v| {
+                    blend_into_upload(blob, part, alpha);
+                    (encode_f32s(part), ())
+                });
+                WriteOutcome {
+                    new_version,
+                    clobbered: 0,
+                }
+            }
         }
     }
 
-    /// Eventual-mode assimilation start: snapshots every shard (the stale
-    /// read whose age decides what gets clobbered at commit).
+    /// The stale read [`Self::begin`] takes in eventual mode: one blob per
+    /// shard, as the store holds it now (a get each). Public for
+    /// `benchmark/src/probes.rs`; drivers call `begin`.
+    #[doc(hidden)]
     pub fn begin_eventual(&self) -> ShardSnapshot {
-        let (mut params, mut versions) = (Vec::new(), Vec::new());
-        self.read_shards(&mut params, &mut versions);
-        ShardSnapshot { params, versions }
+        let (blobs, versions) = self.keys.iter().map(|k| self.store.get(k)).unzip();
+        ShardSnapshot { blobs, versions }
     }
 
-    /// Eventual-mode assimilation end: shard by shard, blends the client
-    /// copy into the snapshot in place and writes it back last-write-wins.
-    /// Returns the snapshot's vector — now the updated one — and the total
-    /// clobbered-update count.
+    /// Wrapper kept for `benchmark/src/probes.rs`: [`Self::finish`] of an
+    /// eventual read on a copy of `client`, with the clobbered-update count.
+    #[doc(hidden)]
     pub fn commit_eventual(
         &self,
         snapshot: ShardSnapshot,
         client: &[f32],
         epoch: usize,
     ) -> (Vec<f32>, u64) {
-        assert_eq!(client.len(), self.layout.param_count(), "client length");
-        let alpha = self.schedule.alpha(epoch);
-        let mut clobbered = 0;
-        let ShardSnapshot {
-            params: mut full,
-            versions,
-        } = snapshot;
-        for (i, range) in self.layout.iter() {
-            let part = &mut full[range.clone()];
-            clobbered += self.timed(|| {
-                blend_eq1(part, &client[range], alpha);
-                self.store
-                    .put_versioned(&self.keys[i], versions[i], encode_f32s(part))
-                    .clobbered
-            });
-        }
+        let mut full = client.to_vec();
+        let clobbered = self.blend(Some(snapshot), &mut full, epoch);
         (full, clobbered)
     }
 
-    /// Strong-mode assimilation: one serialized read-blend-write
-    /// transaction *per shard*, in shard order. Under concurrency this
-    /// pipelines — while one merger transacts shard `i+1`, the next can
-    /// already be in shard `i` — which is where sharding buys its latency.
-    /// Returns the post-update full vector.
+    /// Wrapper kept for `benchmark/src/probes.rs`: [`Self::finish`] of a
+    /// strong-mode assimilation on a copy of `client`.
+    #[doc(hidden)]
     pub fn assimilate_strong(&self, client: &[f32], epoch: usize) -> Vec<f32> {
-        assert_eq!(client.len(), self.layout.param_count(), "client length");
-        let alpha = self.schedule.alpha(epoch);
-        let mut full = vec![0.0; self.layout.param_count()];
-        for (i, range) in self.layout.iter() {
-            self.timed(|| self.transact_shard(i, &client[range.clone()], alpha, &mut full[range]));
-        }
-        full
+        self.finish(None, client.to_vec(), epoch)
     }
 
     /// Merges a single client shard, independent of the others, under the
@@ -254,32 +335,14 @@ impl ShardedAssimilator {
     pub fn merge_shard(&self, shard_id: usize, client_part: &[f32], epoch: usize) -> WriteOutcome {
         assert_eq!(client_part.len(), self.layout.len(shard_id), "shard length");
         let alpha = self.schedule.alpha(epoch);
-        let mut part = vec![0.0; client_part.len()];
+        let mut part = client_part.to_vec();
         self.timed(|| match self.mode {
-            Consistency::Strong => WriteOutcome {
-                new_version: self.transact_shard(shard_id, client_part, alpha, &mut part),
-                clobbered: 0,
-            },
+            Consistency::Strong => self.merge_into(shard_id, &mut part, alpha, None),
             Consistency::Eventual => {
-                let (blob, read_version) = self.store.get(&self.keys[shard_id]);
-                decode_f32s_into_slice(&blob, &mut part).expect("store holds a valid shard blob");
-                blend_eq1(&mut part, client_part, alpha);
-                self.store
-                    .put_versioned(&self.keys[shard_id], read_version, encode_f32s(&part))
+                let (blob, version) = self.store.get(&self.keys[shard_id]);
+                self.merge_into(shard_id, &mut part, alpha, Some((&blob, version)))
             }
         })
-    }
-
-    /// The strong-mode transaction on shard `i`: reads the stored blob into
-    /// `part`, blends `client_part` in, writes it back. Returns the shard's
-    /// new version.
-    fn transact_shard(&self, i: usize, client_part: &[f32], alpha: f32, part: &mut [f32]) -> u64 {
-        let (new_version, ()) = self.store.transact(&self.keys[i], |blob, _v| {
-            decode_f32s_into_slice(blob, part).expect("store holds a valid shard blob");
-            blend_eq1(part, client_part, alpha);
-            (encode_f32s(part), ())
-        });
-        new_version
     }
 
     /// Runs one shard's merge, observing its duration in [`PS_MERGE_S`].
@@ -367,7 +430,7 @@ mod tests {
             let mut got = Vec::new();
             for c in &clients {
                 assert!(a.begin().is_none(), "strong mode holds no stale read");
-                got = a.finish(None, c, 1);
+                got = a.finish(None, c.clone(), 1);
             }
             assert_eq!(
                 bits(&got),
@@ -388,14 +451,34 @@ mod tests {
         // commit blends into the seed and the first one's update is gone.
         let want = eq1(&w0, &c2, 0.7);
         for p in [1, 4] {
-            let a = sharded(n, p, Consistency::Eventual);
+            let a = ShardedAssimilator::new(
+                VersionedStore::shared_recording(),
+                n,
+                p,
+                Consistency::Eventual,
+                AlphaSchedule::Const(0.7),
+            );
             a.seed_params(&w0);
             let s1 = a.begin();
             let s2 = a.begin();
-            assert_eq!(bits(&a.finish(s1, &c1, 1)), bits(&eq1(&w0, &c1, 0.7)));
+            assert_eq!(
+                bits(&a.finish(s1, c1.clone(), 1)),
+                bits(&eq1(&w0, &c1, 0.7))
+            );
             assert_eq!(a.lost_updates(), 0);
-            let got = a.finish(s2, &c2, 1);
-            // Each shard clobbers one concurrent update.
+            a.store().take_history();
+            let got = a.finish(s2, c2.clone(), 1);
+            // Each shard write clobbers exactly one concurrent update.
+            let clobbers: Vec<u64> = a
+                .store()
+                .take_history()
+                .iter()
+                .filter_map(|e| match e.op {
+                    vc_kvstore::history::Op::PutVersioned { clobbered, .. } => Some(clobbered),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(clobbers, vec![1; p], "{p} shards: one clobber per write");
             assert_eq!(a.lost_updates(), p as u64);
             assert_eq!(bits(&got), bits(&want), "{p} shards");
             assert_eq!(bits(&a.read_params().0), bits(&want));
@@ -410,7 +493,7 @@ mod tests {
         let clients: Vec<Vec<f32>> = (0..5).map(|i| vec![i as f32, -(i as f32)]).collect();
         let mut last = Vec::new();
         for wc in &clients {
-            last = a.finish(a.begin(), wc, 1);
+            last = a.finish(a.begin(), wc.clone(), 1);
         }
         let expect = vc_asgd::alpha::eq2_closed_form(&w0, &clients, 0.7);
         for (l, e) in last.iter().zip(&expect) {
@@ -424,7 +507,7 @@ mod tests {
         let a = sharded(1, 1, Consistency::Eventual);
         a.seed_params(&[1.0]);
         for i in 0..10 {
-            a.finish(a.begin(), &[i as f32], 1);
+            a.finish(a.begin(), vec![i as f32], 1);
         }
         assert_eq!(a.lost_updates(), 0);
     }
@@ -440,7 +523,7 @@ mod tests {
                 AlphaSchedule::VarEOverE1,
             );
             a.seed_params(&[0.0]);
-            a.finish(a.begin(), &[1.0], epoch)[0]
+            a.finish(a.begin(), vec![1.0], epoch)[0]
         };
         // Epoch 1: alpha 0.5 — the server moves halfway to the client.
         assert!((var(1) - 0.5).abs() < 1e-6);

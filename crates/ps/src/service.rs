@@ -13,7 +13,11 @@
 //! partial-fetch path that makes sharding pay off on the wire.
 //!
 //! Every frame a fetch ships is built and checksummed once, at publish.
-//! Under a lossy codec a publish is one fused pass per *moved* shard: the
+//! Under `Raw` the `Shard` frames *are* the store's blobs: a publish reads
+//! each shard's stored `Bytes` ([`ShardedAssimilator::read_blobs`]) and
+//! makes it the frame payload, so the snapshot costs a checksum pass and
+//! no copy of the parameters. Under a lossy codec a publish is one fused
+//! pass per *moved* shard, reading the stored blob's values: the
 //! previous publish's sealed `Shard` payload is the delta reference, and
 //! the pass writes the advanced reference into the new `Shard` payload
 //! and the quantized delta into the `ShardDelta` payload as it goes — the
@@ -38,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vc_telemetry::metrics::{Counter, Histogram};
 use vc_telemetry::Telemetry;
-use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
+use vc_tensor::codec::{decode_f32s_into_slice, encoded_len};
 
 /// Counter: bytes the codec layer kept off the wire (full-blob size minus
 /// the delta frame actually sent).
@@ -47,8 +51,8 @@ pub const PS_BYTES_SAVED: &str = "ps_bytes_saved";
 pub const PS_ENCODE_S: &str = "ps_encode_s";
 
 /// One epoch's published parameters, pre-framed per shard: each blob is
-/// encoded and checksummed once here, and every fetch that ships it clones
-/// the ready frame (a shared payload, no bytes copied). Under `Int8`
+/// checksummed once here, and every fetch that ships it clones the ready
+/// frame (a shared payload, no bytes copied). Under `Int8`
 /// each *moved* shard also carries its quantized delta against the
 /// previous publish (`base_manifest` names the version the delta applies
 /// on top of), so a worker that tracked the last epoch downloads the
@@ -191,8 +195,13 @@ impl PsService {
         &self.assim
     }
 
-    /// Publishes `params` as the snapshot workers fetch for `epoch`.
-    /// `manifest` carries each shard's store version at publish time.
+    /// Publishes `shards` — each shard's VCP1 blob with its store version,
+    /// as [`ShardedAssimilator::read_blobs`] returns them — as the snapshot
+    /// workers fetch for `epoch`.
+    ///
+    /// Under `Raw` each blob *is* its `Shard` frame's payload: the store's
+    /// own buffer, shared (the store installs a fresh one on every write,
+    /// so a published payload never changes under its banked checksum).
     ///
     /// Under a lossy codec the service maintains a *reference* — the exact
     /// value every delta-tracking worker reconstructs — and publishes each
@@ -200,24 +209,30 @@ impl PsService {
     /// or stale workers) and the quantized delta that advanced the
     /// reference from the previous publish. The reference is the previous
     /// publish's `Shard` payloads themselves: a moved shard is one fused
-    /// pass ([`advance_reference`]) from the old payload and `params` to
-    /// the new payload and the delta's, both written where they will be
+    /// pass ([`advance_reference`]) from the old payload and the new blob
+    /// to the new payload and the delta's, both written where they will be
     /// served from, and a shard that did not move re-uses its sealed frame
     /// as it stands. The first publish is always exact (there is no base
     /// to delta against).
-    pub fn publish_snapshot(&self, epoch: u64, params: &[f32], manifest: &[u64]) {
+    pub fn publish(&self, epoch: u64, shards: &[(Bytes, u64)]) {
         let layout = self.assim.layout();
-        assert_eq!(params.len(), layout.param_count(), "snapshot length");
-        assert_eq!(manifest.len(), layout.shards(), "manifest length");
-        let exact = |(i, range): (usize, std::ops::Range<usize>)| {
-            shard_frame(i, manifest[i], encode_f32s(&params[range]))
-        };
+        assert_eq!(shards.len(), layout.shards(), "one blob per shard");
+        for (i, (blob, _)) in shards.iter().enumerate() {
+            assert_eq!(
+                blob.len(),
+                encoded_len(layout.len(i)),
+                "shard {i} blob length"
+            );
+        }
+        let manifest: Vec<u64> = shards.iter().map(|&(_, v)| v).collect();
+        let exact =
+            |(i, (blob, version)): (usize, &(Bytes, u64))| shard_frame(i, *version, blob.clone());
         if self.codec == Codec::Raw {
             self.snapshots.write().insert(
                 epoch,
                 EpochSnapshot {
-                    manifest: manifest.to_vec(),
-                    shards: layout.iter().map(exact).collect(),
+                    manifest,
+                    shards: shards.iter().enumerate().map(exact).collect(),
                     deltas: Vec::new(),
                     base_manifest: Vec::new(),
                 },
@@ -226,22 +241,23 @@ impl PsService {
         }
         let mut latest = self.latest.lock();
         let mut deltas = vec![None; layout.shards()];
-        let mut base_manifest = manifest.to_vec();
-        let shards: Vec<SealedFrame> = if latest.is_empty() {
-            layout.iter().map(exact).collect()
+        let mut base_manifest = manifest.clone();
+        let frames: Vec<SealedFrame> = if latest.is_empty() {
+            shards.iter().enumerate().map(exact).collect()
         } else {
-            layout
+            shards
                 .iter()
-                .map(|(i, range)| {
+                .enumerate()
+                .map(|(i, (blob, version))| {
                     let prev = &latest[i];
-                    if manifest[i] == prev.version {
+                    if *version == prev.version {
                         return prev.clone();
                     }
-                    let worst = DeltaPayload::PREFIX_LEN + self.codec.blob_len(range.len());
+                    let worst = DeltaPayload::PREFIX_LEN + self.codec.blob_len(layout.len(i));
                     let mut delta = Vec::with_capacity(worst);
                     DeltaPayload::write_prefix(prev.version, self.codec, &mut delta);
                     let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-                    let next = advance_reference(&params[range], &prev.payload, &mut delta);
+                    let next = advance_reference(blob, &prev.payload, &mut delta);
                     if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
                         ins.encode_s.observe(ins.tel.now_s() - t0);
                     }
@@ -249,25 +265,45 @@ impl PsService {
                     let delta = Frame {
                         kind: FrameKind::ShardDelta,
                         shard_id: i as u32,
-                        version: manifest[i],
+                        version: *version,
                         payload: Bytes::from(delta),
                     };
                     deltas[i] = Some(delta.into());
                     base_manifest[i] = prev.version;
-                    shard_frame(i, manifest[i], Bytes::from(next))
+                    shard_frame(i, *version, Bytes::from(next))
                 })
                 .collect()
         };
-        latest.clone_from(&shards);
+        latest.clone_from(&frames);
         self.snapshots.write().insert(
             epoch,
             EpochSnapshot {
-                manifest: manifest.to_vec(),
-                shards,
+                manifest,
+                shards: frames,
                 deltas,
                 base_manifest,
             },
         );
+    }
+
+    /// [`Self::publish`] of `params`, encoded along the layout, with
+    /// `manifest` as the shard versions. Kept for `benchmark/src/probes.rs`,
+    /// tests and a resume, whose checkpointed snapshot is not what the
+    /// store holds; every other publish shares the store's blobs.
+    #[doc(hidden)]
+    pub fn publish_snapshot(&self, epoch: u64, params: &[f32], manifest: &[u64]) {
+        assert_eq!(
+            manifest.len(),
+            self.assim.layout().shards(),
+            "manifest length"
+        );
+        let shards: Vec<(Bytes, u64)> = self
+            .assim
+            .encode_shards(params)
+            .into_iter()
+            .zip(manifest.iter().copied())
+            .collect();
+        self.publish(epoch, &shards);
     }
 
     /// Drops snapshots older than `keep_from`. Epochs are monotonic; the
@@ -430,10 +466,9 @@ mod tests {
             AlphaSchedule::Const(0.5),
         ));
         let params: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        assim.seed_params(&params);
+        let seeded = assim.seed_params(&params);
         let svc = PsService::new(assim);
-        let (params, manifest) = svc.assimilator().read_params();
-        svc.publish_snapshot(1, &params, &manifest);
+        svc.publish(1, &seeded);
         svc
     }
 

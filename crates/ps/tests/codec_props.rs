@@ -355,7 +355,7 @@ fn supported_lossy_codec_ships_deltas() {
     let nudged: Vec<f32> = full0.iter().map(|v| v + 0.5).collect();
     let full2 = svc
         .assimilator()
-        .finish(svc.assimilator().begin(), &nudged, 1);
+        .finish(svc.assimilator().begin(), nudged, 1);
     let m2 = svc.assimilator().versions();
     assert_ne!(manifest, m2);
     svc.publish_snapshot(2, &full2, &m2);
@@ -409,7 +409,7 @@ fn bytes_per_round(codec: Codec, n: usize, p: usize, rounds: usize) -> u64 {
         }
         apply_update_roundtrip(codec, cache.params(), &mut replica, &mut residual);
         let epoch = round + 1;
-        let full = assim.finish(assim.begin(), &replica, epoch);
+        let full = assim.finish(assim.begin(), replica, epoch);
         let manifest = assim.versions();
         svc.publish_snapshot(epoch as u64 + 1, &full, &manifest);
         cache

@@ -14,10 +14,17 @@
 //! deterministic simulation (`crate::sim`) instantiates the same
 //! coordinator over a `VirtualClock` and executes each effect directly.
 //!
+//! The server side keeps one copy of the parameters, the store's shard
+//! blobs: an assimilator moves the accepted upload into
+//! `ShardedAssimilator::finish`, which blends the stored values into it and
+//! hands it back to score, and an epoch publish serves the stored blobs
+//! themselves (`read_blobs` → `PsService::publish`).
+//!
 //! [`assemble`] is the one place a run is put together — data, seeded
-//! parameter service, middleware, coordinator — for both substrates, and
-//! [`score`] the one validation-scoring pass behind every accuracy a report
-//! carries.
+//! parameter service, middleware, coordinator — for both substrates, from
+//! the run's one model build, which it hands on as the first parameter
+//! server's scoring replica; [`score`] is the one validation-scoring pass
+//! behind every accuracy a report carries.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::config::RuntimeConfig;
@@ -28,7 +35,7 @@ use crate::worker::WorkerCore;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-use vc_asgd::{result_is_valid, warm_start_params};
+use vc_asgd::{result_is_valid, warm_start};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
 use vc_middleware::{BoincServer, Clock, HostId, ReportStatus, ShardManifest, ToleranceComparator};
@@ -64,8 +71,9 @@ pub(crate) fn score_final(
 pub struct AssimCtx {
     /// Shared per-shard Eq. (1) applier over the shared store.
     pub assim: Arc<ShardedAssimilator>,
-    /// Shared run configuration (model spec for the eval replica).
-    pub cfg: Arc<RuntimeConfig>,
+    /// The thread's scoring replica: for assimilator 0 the run's one built
+    /// model, handed on by [`assemble`].
+    pub eval_model: Sequential,
     /// The validation subset scored after every assimilation.
     pub val_eval: Arc<Dataset>,
     /// Task intake (MPMC: the pool shares one receiver).
@@ -75,11 +83,13 @@ pub struct AssimCtx {
 }
 
 /// The assimilator thread body: blend, score, report, until the task
-/// channel closes or the coordinator is gone. Returns its scoring replica,
-/// which `Runtime::run` reuses for the final evaluation.
-pub fn assimilator_main(ctx: AssimCtx) -> Sequential {
-    let mut eval_model = ctx.cfg.job.model.build(ctx.cfg.job.seed);
-    while let Ok(t) = ctx.task_rx.recv() {
+/// channel closes or the coordinator is gone. The accepted upload is moved
+/// into `finish`, which blends the stored shards into it and hands it back
+/// as the updated vector the replica scores — the thread holds no
+/// model-sized buffer of its own besides that replica, which it returns
+/// for `Runtime::run`'s final evaluation.
+pub fn assimilator_main(mut ctx: AssimCtx) -> Sequential {
+    while let Ok(mut t) = ctx.task_rx.recv() {
         let begun = ctx.assim.begin();
         if begun.is_some() {
             // A stale read is in hand: until the finish below this is a
@@ -87,13 +97,16 @@ pub fn assimilator_main(ctx: AssimCtx) -> Sequential {
             // widens the window the same way a network hop to Redis would.
             std::thread::yield_now();
         }
-        let updated = ctx.assim.finish(begun, &t.client, t.epoch);
-        let acc = score(&mut eval_model, &updated, &ctx.val_eval);
+        let updated = ctx
+            .assim
+            .finish(begun, std::mem::take(&mut t.client), t.epoch);
+        let acc = score(&mut ctx.eval_model, &updated, &ctx.val_eval);
+        drop(updated);
         if ctx.out.send(t.assimilated(acc)).is_err() {
             break; // coordinator gone
         }
     }
-    eval_model
+    ctx.eval_model
 }
 
 /// The coordinator's state, put together by [`assemble`]: over a
@@ -170,6 +183,9 @@ pub(crate) enum Effect {
 /// substrate's actors and the final evaluation need.
 pub(crate) struct Assembled<C: Clock> {
     pub coord: Coordinator<C>,
+    /// The run's one built model, warm-started if configured: the first
+    /// parameter server's scoring replica.
+    pub model: Sequential,
     /// The sharded training set (the full split is already dropped).
     pub shards: Arc<ShardSet>,
     /// The validation subset scored after every assimilation.
@@ -180,12 +196,16 @@ pub(crate) struct Assembled<C: Clock> {
 
 /// Puts a run together: data, the parameter store seeded behind its
 /// sharded service, the middleware with the first (or the resumed) epoch's
-/// workunits queued, and the coordinator over all of it. `store` arrives
-/// bare (recording or not) and `tel` with whatever time source should stamp
-/// the seeding operations; `start_clock` is called with the resume offset
-/// once seeding is done, so set-up time never counts against the run clock.
+/// workunits queued, and the coordinator over all of it. `model` is the
+/// run's one build of `job.model` at `job.seed`: a fresh run warm-starts it
+/// in place and seeds the store from it, and either way it comes back in
+/// [`Assembled::model`] to score. `store` arrives bare (recording or not)
+/// and `tel` with whatever time source should stamp the seeding
+/// operations; `start_clock` is called with the resume offset once seeding
+/// is done, so set-up time never counts against the run clock.
 pub(crate) fn assemble<C: Clock>(
     cfg: Arc<RuntimeConfig>,
+    mut model: Sequential,
     tel: &Telemetry,
     store: VersionedStore,
     resume: Option<Checkpoint>,
@@ -217,10 +237,11 @@ pub(crate) fn assemble<C: Clock>(
             Some((ck.params, ck.snapshot)),
         ),
     };
-    // Seeds the store from `params` and publishes `snapshot` as the
-    // in-progress epoch's fetchable snapshot (Eq. (2)'s W_{s,e-1}). Both
-    // are only borrowed: store and service keep their own encoded blobs.
-    let seed = |params: &[f32], snapshot: &[f32]| {
+    // Seeds the store from `params` and publishes the in-progress epoch's
+    // fetchable snapshot (Eq. (2)'s W_{s,e-1}): the seeded blobs themselves
+    // on a fresh run, `snapshot` on a resume, where the checkpointed
+    // snapshot differs from the store. Both vectors are only borrowed.
+    let seed = |params: &[f32], snapshot: Option<&[f32]>| {
         let assim = Arc::new(
             ShardedAssimilator::new(
                 store.clone(),
@@ -231,24 +252,27 @@ pub(crate) fn assemble<C: Clock>(
             )
             .with_telemetry(tel),
         );
-        assim.seed_params(params);
+        let seeded = assim.seed_params(params);
         let service = Arc::new(
             PsService::new(assim.clone())
                 .with_codec(cfg.codec)
                 .with_telemetry(tel),
         );
-        service.publish_snapshot(epoch as u64, snapshot, &assim.versions());
+        match snapshot {
+            None => service.publish(epoch as u64, &seeded),
+            Some(snapshot) => {
+                let versions: Vec<u64> = seeded.into_iter().map(|(_, v)| v).collect();
+                service.publish_snapshot(epoch as u64, snapshot, &versions);
+            }
+        }
         (assim, service)
     };
     let (assim, service) = match vectors {
         None => {
-            let mut init = job.model.build(job.seed).params_flat();
-            if let Some(warmed) = warm_start_params(job, &shards, &init) {
-                init = warmed;
-            }
-            seed(&init, &init)
+            warm_start(job, &shards, &mut model);
+            seed(&model.params_flat(), None)
         }
-        Some((params, snapshot)) => seed(&params, &snapshot),
+        Some((params, snapshot)) => seed(&params, Some(&snapshot)),
     };
 
     let fleet = job.fleet.build(job.cn);
@@ -295,6 +319,7 @@ pub(crate) fn assemble<C: Clock>(
     };
     Assembled {
         coord,
+        model,
         shards,
         val_eval,
         val,
@@ -568,13 +593,14 @@ impl<C: Clock> Coordinator<C> {
             return true;
         }
 
-        // Next epoch: publish the server parameters as this epoch's
-        // fetchable snapshot (Eq. (2)'s W_{s,e-1}) and hand the middleware
-        // the shard-version manifest its workunits will carry.
+        // Next epoch: publish the store's shard blobs as they stand —
+        // shared, not copied — as this epoch's fetchable snapshot (Eq. (2)'s
+        // W_{s,e-1}) and hand the middleware the shard-version manifest its
+        // workunits will carry.
         self.epoch += 1;
-        let (params, manifest) = self.assim.read_params();
-        self.service
-            .publish_snapshot(self.epoch as u64, &params, &manifest);
+        let shards = self.assim.read_blobs();
+        self.service.publish(self.epoch as u64, &shards);
+        let manifest = shards.iter().map(|&(_, v)| v).collect();
         // Keep the new epoch (fetches, checkpoints) and the one that just
         // closed (a replica handed out as it closed may still fetch it).
         self.service.retire_snapshots_before(self.epoch as u64 - 1);

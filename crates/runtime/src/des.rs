@@ -35,7 +35,7 @@ use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use vc_asgd::{
-    result_is_valid, train_client_replica_ws, warm_start_params, EpochStats, JobConfig, JobReport,
+    result_is_valid, train_client_replica_ws, warm_start, EpochStats, JobConfig, JobReport,
 };
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{LatencyModel, VersionedStore};
@@ -394,8 +394,12 @@ impl TrainingJob {
 
     fn on_assim_done(&mut self, task: PendingAssim, begun: Option<ShardSnapshot>) {
         let PendingAssim { epoch, client } = task;
-        // Apply Eq. (1) through the configured consistency path.
-        let updated = self.assim.finish(begun, &client, epoch);
+        // Apply Eq. (1) through the configured consistency path, into a
+        // copy of the upload: the result cache keeps the original for a
+        // reassigned replica.
+        let updated = self
+            .assim
+            .finish(begun, Arc::unwrap_or_clone(client), epoch);
         self.busy_ps -= 1;
 
         // Parameter-server validation scoring (§III-A): accuracy of the
@@ -501,12 +505,12 @@ impl TrainingJob {
         let epoch_s = self.cfg.shards as f64 * self.cfg.compute.base_subtask_s
             / server_spec.core_speed()
             / 4.0;
-        if !self.cfg.timing_only {
-            let init = self.snapshots.get(&1).expect("seed snapshot").clone();
-            if let Some(warmed) = warm_start_params(&self.cfg, &self.shards, &init) {
-                self.assim.seed_params(&warmed);
-                self.snapshots.insert(1, Arc::new(warmed));
-            }
+        // The scoring replica is still the untouched init model: train it
+        // in place.
+        if !self.cfg.timing_only && warm_start(&self.cfg, &self.shards, &mut self.eval_model) {
+            let warmed = self.eval_model.params_flat();
+            self.assim.seed_params(&warmed);
+            self.snapshots.insert(1, Arc::new(warmed));
         }
         self.cfg.warm_start_epochs as f64 * epoch_s
     }

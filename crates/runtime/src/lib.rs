@@ -137,6 +137,10 @@ impl Runtime {
     /// joins every thread, and reports.
     pub fn run(mut self) -> Result<RuntimeReport, String> {
         self.cfg.validate()?;
+        // The run's one build of its model: the resume guard reads its size,
+        // a fresh run warm-starts it and seeds the store from it, and
+        // assimilator 0 scores on it.
+        let model = self.cfg.job.model.build(self.cfg.job.seed);
         if let Some(ck) = &self.resume {
             // config_mut may have edited anything; what the checkpointed
             // parameters and shard bookkeeping were shaped by must not move.
@@ -147,7 +151,7 @@ impl Runtime {
             if now.model != then.model {
                 return Err("cannot change the model across a resume".into());
             }
-            let param_count = now.model.build(now.seed).param_count();
+            let param_count = model.param_count();
             // (`Checkpoint::load` already holds the snapshot to this length.)
             if ck.params.len() != param_count {
                 return Err(format!(
@@ -194,12 +198,14 @@ impl Runtime {
         };
         let Assembled {
             coord,
+            model,
             shards,
             val_eval,
             val,
             test,
         } = assemble(
             cfg.clone(),
+            model,
             &tel,
             VersionedStore::new(),
             self.resume.take(),
@@ -233,11 +239,13 @@ impl Runtime {
         };
 
         // --- assimilator pool ---------------------------------------------
+        // Assimilator 0 scores on the run's model; any other builds its own.
+        let mut model = Some(model);
         let mut assim_handles = Vec::new();
         for i in 0..job.pn {
             let ctx = AssimCtx {
                 assim: assim.clone(),
-                cfg: cfg.clone(),
+                eval_model: model.take().unwrap_or_else(|| job.model.build(job.seed)),
                 val_eval: val_eval.clone(),
                 task_rx: assim_rx.clone(),
                 out: server_tx.clone(),

@@ -559,11 +559,12 @@ impl Sim {
     }
 
     fn commit(&mut self, slot: usize) {
-        let InFlight { task, begun } = self.slots[slot]
+        let InFlight { mut task, begun } = self.slots[slot]
             .busy
             .take()
             .expect("commit event for an idle slot");
-        let updated = self.coord.assim.finish(begun, &task.client, task.epoch);
+        let upload = std::mem::take(&mut task.client);
+        let updated = self.coord.assim.finish(begun, upload, task.epoch);
         let acc = score(&mut self.slots[slot].eval, &updated, &self.val_eval);
         if let Some(next) = self.assim_queue.pop_front() {
             self.start(slot, next);
@@ -600,12 +601,14 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let ops_hub = sc.ops.then(|| Arc::new(vc_ops::OpsHub::new(tel.clone())));
     let Assembled {
         coord,
+        model,
         shards,
         val_eval,
         val,
         test,
     } = assemble(
         cfg.clone(),
+        job.model.build(job.seed),
         &tel,
         VersionedStore::recording(),
         None,
@@ -619,9 +622,11 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
             state: WState::Alive,
         })
         .collect();
+    // Slot 0 scores on the run's model; any other builds its own.
+    let mut model = Some(model);
     let slots = (0..job.pn)
         .map(|_| Slot {
-            eval: job.model.build(job.seed),
+            eval: model.take().unwrap_or_else(|| job.model.build(job.seed)),
             busy: None,
         })
         .collect();

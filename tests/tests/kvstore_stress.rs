@@ -40,7 +40,7 @@ fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
                     // Widen the read-modify-write window the way a network
                     // hop to the store would.
                     std::thread::yield_now();
-                    assim.finish(begun, &client, 1);
+                    assim.finish(begun, client.clone(), 1);
                 }
             })
         })
@@ -82,8 +82,7 @@ fn deterministic_interleaving_loses_updates_reproducibly() {
                     sched.schedule_in(0.02, Ev::Commit(assim.begin(), w));
                 }
                 Ev::Commit(begun, w) => {
-                    let client = vec![(w + 1) as f32; 8];
-                    assim.finish(begun, &client, 1);
+                    assim.finish(begun, vec![(w + 1) as f32; 8], 1);
                 }
             }
         }
@@ -154,8 +153,8 @@ fn store_write_counts_match_the_workload() {
     let assim = assimilator(store.clone(), 8, Consistency::Strong);
     assim.seed_params(&[0.0; 8]);
     let before = store.metrics().snapshot();
-    assim.finish(assim.begin(), &[1.0; 8], 1);
-    assim.finish(assim.begin(), &[2.0; 8], 1);
+    assim.finish(assim.begin(), vec![1.0; 8], 1);
+    assim.finish(assim.begin(), vec![2.0; 8], 1);
     let after = store.metrics().snapshot();
     assert_eq!(
         after.transactions - before.transactions,

@@ -7,17 +7,21 @@
 //! `Int8` with error feedback it also keeps the upload residual — and nothing
 //! else: the upload is shaped in place, and a delta frame is dequantize-added
 //! straight onto the assembled vector. The server needs the store's blobs,
-//! the retained epoch snapshots — whose latest `Shard` frames *are* the delta
-//! reference under a lossy codec, not a copy beside them — the scoring
-//! replica's `w`, an upload in flight (banked a second time only while its
-//! quorum is open) and a merge result.
+//! the retained epoch snapshots — whose `Shard` frames under `Raw` *are*
+//! blobs the store held at publish, and under a lossy codec the delta
+//! reference, not a copy beside either — the scoring replica's `w` (the
+//! run's one built model) and an upload in flight, banked a second time only
+//! while its quorum is open; the assimilation blends the stored values into
+//! that upload, so there is no merge result beside it.
 //!
 //! Both runs are held to `(7·Cn + 8) × param_bytes` plus a fixed allowance
 //! for data sets, activations and thread stacks. The Raw run measures
-//! 18.5–19.5 buffers at its peak (which phases overlap is up to the
+//! 17.3–18.4 buffers at its peak (which phases overlap is up to the
 //! scheduler; the top of the range is both workers training while both their
-//! previous uploads are still being assimilated); the Int8 run 20.8–21.8,
-//! the two residuals more. Until PR 22 the Int8 run had a bound of its own,
+//! previous uploads are still being assimilated); the Int8 run 20.6–21.5,
+//! the two residuals more. With the server's decoded reads, merge results,
+//! re-encoded snapshots and second model (PR 24) they measured 18.3–19.5
+//! and 20.8–21.6. Until PR 22 the Int8 run had a bound of its own,
 //! `(8·Cn + 8)`, and measured 23.3–24.3: the service kept a full-precision
 //! reference vector beside its frames and shaped each publish through two
 //! pooled shard-sized vectors and a blob it then copied, and each worker's
