@@ -16,14 +16,16 @@
 
 use vc_asgd::{FleetKind, JobConfig};
 use vc_kvstore::Consistency;
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 use vc_simnet::PreemptionModel;
 
-fn base() -> JobConfig {
-    let mut cfg = JobConfig::paper_default(42).with_pct(3, 3, 4);
-    cfg.epochs = 40;
-    cfg.timing_only = true;
-    cfg
+fn base(pn: usize, cn: usize, tn: usize) -> DesConfig {
+    let mut job = JobConfig::paper_default(42).with_pct(pn, cn, tn);
+    job.epochs = 40;
+    DesConfig {
+        timing_only: true,
+        ..DesConfig::new(job)
+    }
 }
 
 fn main() {
@@ -34,8 +36,8 @@ fn main() {
         "sticky", "GB moved", "cache hits", "hours"
     );
     for sticky in [true, false] {
-        let mut cfg = base();
-        cfg.middleware.sticky_files = sticky;
+        let mut cfg = base(3, 3, 4);
+        cfg.job.middleware.sticky_files = sticky;
         let r = run_job(cfg).unwrap();
         println!(
             "{:<10} {:>12.2} {:>12} {:>10.2}",
@@ -53,9 +55,9 @@ fn main() {
         "t_o (min)", "hours", "timeouts", "reassigned", "stale"
     );
     for to_min in [1.5, 5.0, 15.0, 45.0] {
-        let mut cfg = base();
+        let mut cfg = base(3, 3, 4);
         cfg.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.10 };
-        cfg.middleware.timeout_s = to_min * 60.0;
+        cfg.job.middleware.timeout_s = to_min * 60.0;
         let r = run_job(cfg).unwrap();
         println!(
             "{:<12} {:>10.2} {:>10} {:>12} {:>10}",
@@ -75,8 +77,8 @@ fn main() {
     );
     for pn in [1usize, 3, 5, 8] {
         for mode in [Consistency::Eventual, Consistency::Strong] {
-            let mut cfg = base().with_pct(pn, 3, 4);
-            cfg.consistency = mode;
+            let mut cfg = base(pn, 3, 4);
+            cfg.job.consistency = mode;
             let r = run_job(cfg).unwrap();
             println!(
                 "{:<10} {:>4} {:>10.2} {:>14}",
@@ -92,8 +94,8 @@ fn main() {
     println!("\nAblation 4: uniform vs mixed (Table I) fleet, P5C5T2");
     println!("{:<10} {:>10} {:>10}", "fleet", "hours", "timeouts");
     for (name, fleet) in [("uniform", FleetKind::Uniform), ("mixed", FleetKind::Mixed)] {
-        let mut cfg = base().with_pct(5, 5, 2);
-        cfg.fleet = fleet;
+        let mut cfg = base(5, 5, 2);
+        cfg.job.fleet = fleet;
         let r = run_job(cfg).unwrap();
         println!(
             "{:<10} {:>10.2} {:>10}",
@@ -108,9 +110,9 @@ fn main() {
         "replication", "hours", "timeouts", "assignments"
     );
     for replication in [1u32, 2, 3] {
-        let mut cfg = base().with_pct(3, 4, 2);
+        let mut cfg = base(3, 4, 2);
         cfg.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.20 };
-        cfg.middleware.replication = replication;
+        cfg.job.middleware.replication = replication;
         let r = run_job(cfg).unwrap();
         println!(
             "{:<12} {:>10.2} {:>10} {:>12}",
@@ -127,8 +129,8 @@ fn main() {
         ("async-eventual", 5usize, Consistency::Eventual),
         ("serialized", 1, Consistency::Strong),
     ] {
-        let mut cfg = base().with_pct(pn, 5, 4);
-        cfg.consistency = mode;
+        let mut cfg = base(pn, 5, 4);
+        cfg.job.consistency = mode;
         let r = run_job(cfg).unwrap();
         println!("  {name:<16} {:.2} h", r.total_time_h);
     }

@@ -12,15 +12,18 @@
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_bench::serial::{run_serial, SerialConfig};
 use vc_bench::{repro_epochs, write_results};
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 
 fn main() {
     let epochs = repro_epochs();
 
-    let mut cfg = JobConfig::paper_default(42).with_pct(5, 5, 2);
-    cfg.alpha = AlphaSchedule::VarEOverE1;
-    cfg.epochs = epochs;
-    cfg.track_test_acc = true;
+    let mut job = JobConfig::paper_default(42).with_pct(5, 5, 2);
+    job.alpha = AlphaSchedule::VarEOverE1;
+    job.epochs = epochs;
+    let cfg = DesConfig {
+        track_test_acc: true,
+        ..DesConfig::new(job)
+    };
     eprintln!("# running distributed P5C5T2 Var ({epochs} epochs)...");
     let dist = run_job(cfg).expect("valid config");
 

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use vc_asgd::{AlphaSchedule, JobConfig, JobReport};
 use vc_cost::{simulate_extra_time_s, DbOverhead, FleetCost, TimeoutAnalysis};
 use vc_kvstore::{Consistency, LatencyModel};
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 use vc_simnet::{table1, PreemptionModel};
 
 /// Epochs for real-training experiment runs, honouring `REPRO_EPOCHS` /
@@ -134,10 +134,13 @@ pub fn fig3() -> Fig3 {
     // hours[group][tn]
     let hours = groups.map(|(pn, cn)| {
         tns.map(|tn| {
-            let mut cfg = JobConfig::paper_default(42).with_pct(pn, cn, tn);
-            cfg.alpha = AlphaSchedule::Const(0.95);
-            cfg.epochs = epochs;
-            cfg.timing_only = true;
+            let mut job = JobConfig::paper_default(42).with_pct(pn, cn, tn);
+            job.alpha = AlphaSchedule::Const(0.95);
+            job.epochs = epochs;
+            let cfg = DesConfig {
+                timing_only: true,
+                ..DesConfig::new(job)
+            };
             run_job(cfg).expect("valid config").total_time_h
         })
     });
@@ -211,10 +214,13 @@ pub fn sec4d() -> String {
         "mode", "total hours", "lost updates", "transactions"
     );
     for mode in [Consistency::Eventual, Consistency::Strong] {
-        let mut cfg = JobConfig::paper_default(42).with_pct(3, 3, 4);
-        cfg.epochs = 40;
-        cfg.timing_only = true;
-        cfg.consistency = mode;
+        let mut job = JobConfig::paper_default(42).with_pct(3, 3, 4);
+        job.epochs = 40;
+        job.consistency = mode;
+        let cfg = DesConfig {
+            timing_only: true,
+            ..DesConfig::new(job)
+        };
         let r = run_job(cfg).expect("valid config");
         out += &format!(
             "{:<10} {:>12.2} {:>14} {:>13}\n",
@@ -294,10 +300,13 @@ pub fn sec4e() -> String {
 
 /// Total simulated hours of a timing-only P5C5T2 run under `preemption`.
 fn des_hours(preemption: PreemptionModel, seed_offset: u64) -> f64 {
-    let mut cfg = JobConfig::paper_default(42 + seed_offset).with_pct(5, 5, 2);
-    cfg.epochs = 40;
-    cfg.timing_only = true;
-    cfg.preemption = preemption;
+    let mut job = JobConfig::paper_default(42 + seed_offset).with_pct(5, 5, 2);
+    job.epochs = 40;
+    let cfg = DesConfig {
+        timing_only: true,
+        preemption,
+        ..DesConfig::new(job)
+    };
     run_job(cfg).expect("valid config").total_time_h
 }
 

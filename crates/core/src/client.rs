@@ -11,7 +11,7 @@
 //! replica, same fresh optimizer state, same RNG stream per
 //! `(seed, epoch, shard)`, same kernels — and differ only in scheduling,
 //! never in the learning dynamics of an individual subtask. The workspace
-//! keeps the replica it built for the job's `(model, seed)` and a buffer
+//! keeps the replica it built for the job's model and a buffer
 //! pool, like a BOINC client keeps its application between workunits;
 //! neither is state: a warm workspace and a new one return the same bits.
 
@@ -19,7 +19,6 @@ use crate::config::JobConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_data::Dataset;
-use vc_nn::Sequential;
 use vc_optim::{train_minibatch_ws, StepTimer, TrainWorkspace};
 
 /// The RNG stream a client replica uses for `(epoch, shard)`. Deterministic
@@ -47,7 +46,7 @@ pub fn train_client_replica_ws(
     tws: &mut TrainWorkspace,
     timer: Option<&StepTimer<'_>>,
 ) -> Vec<f32> {
-    let mut replica = tws.take_replica(&cfg.model, cfg.seed);
+    let mut replica = tws.take_replica(&cfg.model);
     replica.model.set_params_flat(snapshot);
     let mut opt = cfg.optimizer.build(snapshot.len());
     let mut rng = client_rng(cfg.seed, epoch, shard);
@@ -76,40 +75,6 @@ pub fn train_client_replica_ws(
 /// rejects it — this predicate is that validator's criterion.
 pub fn result_is_valid(params: &[f32]) -> bool {
     params.iter().all(|v| v.is_finite())
-}
-
-/// Runs the configured warm-start epochs (§II-B) on `model` in place:
-/// serial synchronous passes over all shards, starting from the parameters
-/// it holds. `model` is the run's one built model (its init parameters),
-/// trained here and handed on, so no second model is built to hold them.
-/// Returns `false`, leaving `model` untouched, when no warm start is
-/// configured.
-pub fn warm_start(cfg: &JobConfig, shards: &vc_data::ShardSet, model: &mut Sequential) -> bool {
-    if cfg.warm_start_epochs == 0 {
-        return false;
-    }
-    let mut opt = cfg.optimizer.build(model.param_count());
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xDA7A));
-    let mut tws = TrainWorkspace::new();
-    // The serial phase sees the full training set, shard by shard.
-    for _ in 0..cfg.warm_start_epochs {
-        for shard in 0..cfg.shards {
-            let d = &shards.shard(shard).data;
-            train_minibatch_ws(
-                model,
-                &mut opt,
-                &d.images,
-                &d.labels,
-                cfg.batch_size,
-                1,
-                5.0,
-                &mut rng,
-                &mut tws,
-                None,
-            );
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -154,21 +119,5 @@ mod tests {
         assert!(result_is_valid(&[0.0, -1.5, 3.0]));
         assert!(!result_is_valid(&[0.0, f32::NAN]));
         assert!(!result_is_valid(&[f32::INFINITY]));
-    }
-
-    #[test]
-    fn warm_start_respects_config() {
-        let mut cfg = JobConfig::test_small(13);
-        let (train, _, _) = cfg.data.generate();
-        let shards = ShardSet::split(&train, cfg.shards);
-        let mut model = cfg.model.build(cfg.seed);
-        let init = model.params_flat();
-        assert!(!warm_start(&cfg, &shards, &mut model));
-        assert_eq!(model.params_flat(), init, "no warm start, no step");
-        cfg.warm_start_epochs = 1;
-        assert!(warm_start(&cfg, &shards, &mut model));
-        let warmed = model.params_flat();
-        assert_eq!(warmed.len(), init.len());
-        assert!(warmed != init);
     }
 }

@@ -7,7 +7,7 @@ use vc_kvstore::Consistency;
 use vc_middleware::MiddlewareConfig;
 use vc_nn::ModelSpec;
 use vc_optim::OptimizerSpec;
-use vc_simnet::{table1, ComputeModel, InstanceSpec, NetworkModel, PreemptionModel};
+use vc_simnet::{table1, InstanceSpec};
 
 /// Which instances make up the client fleet.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -38,9 +38,13 @@ impl FleetKind {
     }
 }
 
-/// Everything one distributed training run needs. The defaults encode the
-/// paper's experimental setup (§IV-A) at the reproduction scale documented
-/// in DESIGN.md.
+/// What every driver of a distributed training run reads. The defaults
+/// encode the paper's experimental setup (§IV-A) at the reproduction scale
+/// documented in DESIGN.md. A knob only one driver reads lives in that
+/// driver's config, which embeds this one: the discrete-event driver's cost
+/// models, preemption and timing-only mode in `vc_runtime::des::DesConfig`,
+/// the real runtime's cadences, faults and codec in
+/// `vc_runtime::RuntimeConfig`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobConfig {
     /// Model architecture (the paper: ResNetV2; default here: the small
@@ -65,16 +69,12 @@ pub struct JobConfig {
     pub tn: usize,
     /// The VC-ASGD α schedule.
     pub alpha: AlphaSchedule,
-    /// Maximum epochs to run.
+    /// Epochs to run.
     pub epochs: usize,
-    /// Stop early when the epoch-mean validation accuracy reaches this.
-    pub target_accuracy: Option<f32>,
     /// Parameter-store consistency (paper default: eventual/Redis).
     pub consistency: Consistency,
     /// Fleet composition.
     pub fleet: FleetKind,
-    /// Instance-termination process (§IV-E).
-    pub preemption: PreemptionModel,
     /// Client optimizer (paper: Adam, lr 0.001).
     pub optimizer: OptimizerSpec,
     /// Local passes a client makes over its shard per subtask.
@@ -85,32 +85,6 @@ pub struct JobConfig {
     pub val_eval_n: usize,
     /// Middleware policy (timeout `t_o`, sticky files, …).
     pub middleware: MiddlewareConfig,
-    /// Fleet compute model.
-    pub compute: ComputeModel,
-    /// Network model.
-    pub network: NetworkModel,
-    /// Seconds a preempted host slot takes to be replaced by a fresh
-    /// instance (the fleet keeps its size; §IV-E runs "a fleet").
-    pub replacement_delay_s: f64,
-    /// Skip real training and per-update evaluation: clients return the
-    /// snapshot unchanged and accuracies read as zero. The simulated
-    /// *timing* is identical, so time-shape experiments (Fig. 3, §IV-D,
-    /// §IV-E) run in milliseconds.
-    pub timing_only: bool,
-    /// Also score the held-out test split at every epoch end (Fig. 6's
-    /// right panel). Costs one extra evaluation per epoch.
-    pub track_test_acc: bool,
-    /// Dynamic parameter-server scaling (§III-D's proposed extension):
-    /// when enabled, the driver grows the parameter-server pool (up to
-    /// `pn_max`) while the assimilation queue backs up and shrinks it when
-    /// idle; `pn` is the starting size.
-    pub pn_autoscale: bool,
-    /// Upper bound for autoscaling.
-    pub pn_max: usize,
-    /// Warm-start epochs (§II-B, Downpour's remedy for delayed gradients):
-    /// serial synchronous passes over the full training set before
-    /// distributed training begins, charged against the simulated clock.
-    pub warm_start_epochs: usize,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
 }
@@ -131,23 +105,13 @@ impl JobConfig {
             tn: 4,
             alpha: AlphaSchedule::Const(0.95),
             epochs: 40,
-            target_accuracy: None,
             consistency: Consistency::Eventual,
             fleet: FleetKind::Uniform,
-            preemption: PreemptionModel::None,
             optimizer: OptimizerSpec::paper_adam(),
             local_epochs: 2,
             batch_size: 32,
             val_eval_n: 256,
             middleware: MiddlewareConfig::default(),
-            compute: ComputeModel::default(),
-            network: NetworkModel::default(),
-            replacement_delay_s: 120.0,
-            timing_only: false,
-            track_test_acc: false,
-            pn_autoscale: false,
-            pn_max: 8,
-            warm_start_epochs: 0,
             seed,
         }
     }
@@ -199,12 +163,6 @@ impl JobConfig {
         }
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
-        }
-        if self.pn_autoscale && self.pn_max < self.pn {
-            return Err(format!(
-                "pn_max {} below starting pn {}",
-                self.pn_max, self.pn
-            ));
         }
         if self.data.train_n < self.shards {
             return Err(format!(

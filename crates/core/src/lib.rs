@@ -36,6 +36,6 @@ pub mod config;
 pub mod report;
 
 pub use alpha::AlphaSchedule;
-pub use client::{result_is_valid, train_client_replica_ws, warm_start};
+pub use client::{result_is_valid, train_client_replica_ws};
 pub use config::{FleetKind, JobConfig};
 pub use report::{EpochStats, JobReport};

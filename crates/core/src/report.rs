@@ -24,9 +24,6 @@ pub struct EpochStats {
     pub max_val_acc: f32,
     /// Test accuracy at epoch end, when the run tracks it (Fig. 6).
     pub test_acc: Option<f32>,
-    /// Parameter servers active during this epoch (varies when
-    /// autoscaling is on).
-    pub pn: usize,
     /// Subtask results assimilated this epoch.
     pub assimilated: usize,
     /// Cumulative lost updates in the parameter store so far.
@@ -102,7 +99,6 @@ mod tests {
             min_val_acc: acc - 0.05,
             max_val_acc: acc + 0.05,
             test_acc: None,
-            pn: 3,
             assimilated: 50,
             lost_updates: 0,
             timeouts: 0,

@@ -68,11 +68,13 @@ fn resident_replica_matches_fresh_build() {
     }
 }
 
+/// Another architecture rebuilds the replica (the kept one could not even
+/// load its snapshot); another seed reuses it, because a build seeds
+/// nothing but the parameters each workunit overwrites. Either way the
+/// uploads are a fresh build's, bit for bit.
 #[test]
-fn a_different_spec_or_seed_rebuilds_the_replica() {
+fn another_spec_or_seed_matches_a_fresh_build() {
     let first = job(mlp(&IMG, 32, 10), 21);
-    // Another architecture (a kept replica could not even load its
-    // snapshot) and another seed.
     let other_spec = job(mlp(&IMG, 24, 10), 21);
     let other_seed = job(mlp(&IMG, 32, 10), 22);
     let mut warm = TrainWorkspace::new();
@@ -81,7 +83,11 @@ fn a_different_spec_or_seed_rebuilds_the_replica() {
         let resident = three_workunits(cfg, Some(&mut warm));
         let fresh = three_workunits(cfg, None);
         for (a, b) in resident.iter().zip(&fresh) {
-            assert_eq!(bits(a), bits(b), "a stale replica served a new job");
+            assert_eq!(
+                bits(a),
+                bits(b),
+                "a kept replica changed a new job's upload"
+            );
         }
     }
 }

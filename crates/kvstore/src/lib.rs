@@ -28,12 +28,10 @@
 
 pub mod history;
 pub mod latency;
-pub mod shard;
 pub mod store;
 
 pub use history::{check_sequential, count_lost_updates, HistoryEvent, Op};
 pub use latency::LatencyModel;
-pub use shard::ShardLayout;
 pub use store::{
     Consistency, StoreMetrics, StoreOps, VersionedStore, WriteOutcome, STORE_READ_S,
     STORE_STALENESS_VERSIONS, STORE_TRANSACT_S, STORE_WRITE_S,

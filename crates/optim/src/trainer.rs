@@ -38,12 +38,11 @@ pub struct TrainWorkspace {
     replica: Option<ResidentReplica>,
 }
 
-/// A model built once for a `(spec, seed)` and reloaded per workunit, the
-/// way a BOINC client keeps its application across subtasks. Out on loan
-/// from [`TrainWorkspace::take_replica`] while a workunit trains it.
+/// A model built once for a spec and reloaded per workunit, the way a
+/// BOINC client keeps its application across subtasks. Out on loan from
+/// [`TrainWorkspace::take_replica`] while a workunit trains it.
 pub struct ResidentReplica {
     spec: ModelSpec,
-    seed: u64,
     /// The replica; its parameters are whatever the last workunit left.
     pub model: Sequential,
 }
@@ -54,19 +53,17 @@ impl TrainWorkspace {
         TrainWorkspace::default()
     }
 
-    /// Lends out the replica for `(spec, seed)`, in every respect but its
-    /// parameters as `spec.build(seed)` would return it (the caller loads
-    /// its own). The kept replica is reused as it is when it was built for
-    /// the same spec and seed: a build seeds nothing but parameters, so
-    /// there is no other state to put back. Otherwise a new one is built.
-    /// Hand it back with [`TrainWorkspace::put_replica`].
-    pub fn take_replica(&mut self, spec: &ModelSpec, seed: u64) -> ResidentReplica {
+    /// Lends out a replica of `spec`, in every respect but its parameters
+    /// as `spec.build` would return it (the caller loads its own). A build
+    /// seeds nothing but parameters, so the kept replica is reused as it is
+    /// when it was built for the same spec; only a spec change builds a new
+    /// one. Hand it back with [`TrainWorkspace::put_replica`].
+    pub fn take_replica(&mut self, spec: &ModelSpec) -> ResidentReplica {
         match self.replica.take() {
-            Some(r) if r.seed == seed && r.spec == *spec => r,
+            Some(r) if r.spec == *spec => r,
             _ => ResidentReplica {
                 spec: spec.clone(),
-                seed,
-                model: spec.build(seed),
+                model: spec.build(0),
             },
         }
     }

@@ -16,8 +16,8 @@
 use crate::codec::Codec;
 use crate::service::PsService;
 use crate::wire::{decode_all, DeltaPayload, FetchReq, FetchSummary, Frame, FrameKind, WireError};
+use crate::ShardLayout;
 use std::sync::Arc;
-use vc_kvstore::ShardLayout;
 use vc_tensor::codec::decode_f32s_into_slice;
 
 /// Why a parameter-service request failed.

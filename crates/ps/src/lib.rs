@@ -31,6 +31,7 @@ pub mod client;
 pub mod codec;
 pub mod merge;
 pub mod service;
+pub mod shard;
 pub mod tcp;
 pub mod wire;
 
@@ -40,6 +41,7 @@ pub use merge::{
     shard_key, ShardSnapshot, ShardedAssimilator, PARAMS_KEY, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS,
 };
 pub use service::{CodecOps, PsOps, PsService};
+pub use shard::ShardLayout;
 pub use tcp::{ShardGroups, TcpClient, TcpPsServer};
 pub use wire::{
     crc32, error_frame, Crc32, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError,

@@ -26,10 +26,11 @@
 //!
 //! [`blend_eq1`]: vc_asgd::alpha::blend_eq1
 
+use crate::ShardLayout;
 use bytes::Bytes;
 use std::sync::Arc;
 use vc_asgd::alpha::AlphaSchedule;
-use vc_kvstore::{Consistency, ShardLayout, VersionedStore, WriteOutcome};
+use vc_kvstore::{Consistency, VersionedStore, WriteOutcome};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s, value_bytes};
 

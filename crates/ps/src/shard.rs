@@ -4,7 +4,7 @@
 //! value" — one key, one version counter, one lock. A [`ShardLayout`]
 //! splits the same flat vector into `P` contiguous, near-equal ranges so
 //! each shard can live under its own key with its own version counter and
-//! its own per-key lock in [`crate::VersionedStore`]. Because the VC-ASGD
+//! its own per-key lock in [`vc_kvstore::VersionedStore`]. Because the VC-ASGD
 //! blend (Eq. (1)) is elementwise, merging shard-by-shard over disjoint
 //! ranges is bitwise-identical to merging the whole vector at once — the
 //! layout changes contention and transfer granularity, never the math.

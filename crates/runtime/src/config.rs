@@ -5,21 +5,17 @@ use crate::fault::FaultPlan;
 use serde::{Deserialize, Serialize};
 use vc_asgd::JobConfig;
 use vc_ps::Codec;
-use vc_simnet::PreemptionModel;
 
-/// Everything a real threaded run needs.
+/// Everything a real threaded run (or its deterministic simulation) needs.
 ///
 /// The embedded [`JobConfig`] is interpreted as follows: `cn` is the number
 /// of worker OS threads, `pn` the number of parameter-server (assimilator)
 /// OS threads, `tn` the per-host slot cap the scheduler enforces, and
-/// `middleware.timeout_s` is a *wall-clock* deadline. The fields only the
-/// discrete-event driver reads are of two kinds. Those with an off value —
-/// `timing_only`, `pn_autoscale`, `preemption`, `track_test_acc` — must be
-/// off: [`RuntimeConfig::validate`] rejects a run that sets one, naming the
-/// field, because it would otherwise be silently ignored (preemption comes
-/// from [`FaultPlan`] instead). `compute`, `network` and
-/// `replacement_delay_s` have no off value and are ignored: compute time is
-/// real and transfers are channel sends or sockets.
+/// `middleware.timeout_s` is a *wall-clock* deadline. Every field of it is
+/// read. The discrete-event driver's knobs — cost models, preemption,
+/// timing-only mode — are `vc_runtime::des::DesConfig`'s and cannot be
+/// set here: compute time is real, transfers are channel sends or sockets,
+/// and hosts die by [`FaultPlan`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// The training job (model, data, shards, `PnCnTn`, α, consistency…).
@@ -127,23 +123,6 @@ impl RuntimeConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.job.validate()?;
         self.faults.validate(self.job.cn)?;
-        if self.job.timing_only {
-            return Err("timing_only is simulator-only: the runtime always trains for real".into());
-        }
-        if self.job.pn_autoscale {
-            return Err(
-                "pn_autoscale is simulator-only: the runtime's pool is fixed, size it with `pn`"
-                    .into(),
-            );
-        }
-        if self.job.preemption != PreemptionModel::None {
-            return Err("preemption is simulator-only: use `FaultPlan` to kill workers".into());
-        }
-        if self.job.track_test_acc {
-            return Err(
-                "track_test_acc is simulator-only: read `final_test_acc` from the report".into(),
-            );
-        }
         if self.poll_interval_s <= 0.0 || !self.poll_interval_s.is_finite() {
             return Err(format!("invalid poll_interval_s {}", self.poll_interval_s));
         }
@@ -186,27 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_timing_only_and_bad_checkpoint_policy() {
-        let mut cfg = RuntimeConfig::test_small(1);
-        cfg.job.timing_only = true;
-        assert!(cfg.validate().is_err());
-
-        // A simulator-only knob that is set is an error naming it, not a
-        // setting the run silently drops.
-        let mut cfg = RuntimeConfig::test_small(1);
-        cfg.job.pn_autoscale = true;
-        assert!(cfg.validate().unwrap_err().contains("pn_autoscale"));
-        let mut cfg = RuntimeConfig::test_small(1);
-        cfg.job.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.1 };
-        let err = cfg.validate().unwrap_err();
-        assert!(
-            err.contains("preemption") && err.contains("FaultPlan"),
-            "{err}"
-        );
-        let mut cfg = RuntimeConfig::test_small(1);
-        cfg.job.track_test_acc = true;
-        assert!(cfg.validate().unwrap_err().contains("track_test_acc"));
-
+    fn rejects_bad_checkpoint_policy() {
         let mut cfg = RuntimeConfig::test_small(1);
         cfg.checkpoint_every_assims = Some(4);
         assert!(cfg.validate().is_err(), "checkpoint interval without path");

@@ -35,7 +35,7 @@ use crate::worker::WorkerCore;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-use vc_asgd::{result_is_valid, warm_start};
+use vc_asgd::result_is_valid;
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
 use vc_middleware::{BoincServer, Clock, HostId, ReportStatus, ShardManifest, ToleranceComparator};
@@ -183,8 +183,8 @@ pub(crate) enum Effect {
 /// substrate's actors and the final evaluation need.
 pub(crate) struct Assembled<C: Clock> {
     pub coord: Coordinator<C>,
-    /// The run's one built model, warm-started if configured: the first
-    /// parameter server's scoring replica.
+    /// The run's one built model: the first parameter server's scoring
+    /// replica.
     pub model: Sequential,
     /// The sharded training set (the full split is already dropped).
     pub shards: Arc<ShardSet>,
@@ -197,15 +197,15 @@ pub(crate) struct Assembled<C: Clock> {
 /// Puts a run together: data, the parameter store seeded behind its
 /// sharded service, the middleware with the first (or the resumed) epoch's
 /// workunits queued, and the coordinator over all of it. `model` is the
-/// run's one build of `job.model` at `job.seed`: a fresh run warm-starts it
-/// in place and seeds the store from it, and either way it comes back in
-/// [`Assembled::model`] to score. `store` arrives bare (recording or not)
+/// run's one build of `job.model` at `job.seed`: a fresh run seeds the
+/// store from it, and either way it comes back in [`Assembled::model`] to
+/// score. `store` arrives bare (recording or not)
 /// and `tel` with whatever time source should stamp the seeding
 /// operations; `start_clock` is called with the resume offset once seeding
 /// is done, so set-up time never counts against the run clock.
 pub(crate) fn assemble<C: Clock>(
     cfg: Arc<RuntimeConfig>,
-    mut model: Sequential,
+    model: Sequential,
     tel: &Telemetry,
     store: VersionedStore,
     resume: Option<Checkpoint>,
@@ -268,10 +268,7 @@ pub(crate) fn assemble<C: Clock>(
         (assim, service)
     };
     let (assim, service) = match vectors {
-        None => {
-            warm_start(job, &shards, &mut model);
-            seed(&model.params_flat(), None)
-        }
+        None => seed(&model.params_flat(), None),
         Some((params, snapshot)) => seed(&params, Some(&snapshot)),
     };
 
@@ -583,13 +580,7 @@ impl<C: Clock> Coordinator<C> {
         );
         self.done.clear();
 
-        let reached = self
-            .cfg
-            .job
-            .target_accuracy
-            .map(|t| mean >= t)
-            .unwrap_or(false);
-        if reached || self.epoch >= self.cfg.job.epochs {
+        if self.epoch >= self.cfg.job.epochs {
             return true;
         }
 

@@ -6,9 +6,10 @@
 //! two drivers of this crate, and keeps its own event loop on purpose
 //! (DESIGN.md §6f): cost models for compute, transfer and store updates,
 //! `Tn` concurrent slots per host, two-phase assimilation, stochastic
-//! per-subtask preemption, parameter-server autoscaling and `timing_only`
-//! are each a behaviour the `Scenario` engine would have to switch on per
-//! caller, to share under a hundred lines.
+//! per-subtask preemption and `timing_only` are each a behaviour the
+//! `Scenario` engine would have to switch on per caller, to share under a
+//! hundred lines. The knobs for them are [`DesConfig`]'s, so no other
+//! driver's config can name one.
 //!
 //! ## What is simulated and what is real
 //!
@@ -34,17 +35,64 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use vc_asgd::{
-    result_is_valid, train_client_replica_ws, warm_start, EpochStats, JobConfig, JobReport,
-};
+use vc_asgd::{result_is_valid, train_client_replica_ws, EpochStats, JobConfig, JobReport};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{LatencyModel, VersionedStore};
 use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, WuId};
 use vc_nn::Sequential;
 use vc_optim::TrainWorkspace;
 use vc_ps::{ShardSnapshot, ShardedAssimilator};
-use vc_simnet::{EventQueue, InstanceSpec, SimTime};
+use vc_simnet::{ComputeModel, EventQueue, InstanceSpec, NetworkModel, PreemptionModel, SimTime};
 use vc_tensor::codec::encoded_len;
+
+/// A discrete-event run: the job every driver reads, plus what only this
+/// driver models — simulated compute and transfer costs, instance
+/// preemption, and the timing-only shortcut.
+#[derive(Clone, Debug)]
+pub struct DesConfig {
+    /// The training job.
+    pub job: JobConfig,
+    /// Fleet compute model.
+    pub compute: ComputeModel,
+    /// Network model.
+    pub network: NetworkModel,
+    /// Instance-termination process (§IV-E).
+    pub preemption: PreemptionModel,
+    /// Seconds a preempted host slot takes to be replaced by a fresh
+    /// instance (the fleet keeps its size; §IV-E runs "a fleet").
+    pub replacement_delay_s: f64,
+    /// Skip real training and per-update evaluation: clients return the
+    /// snapshot unchanged and accuracies read as zero. The simulated
+    /// *timing* is identical, so time-shape experiments (Fig. 3, §IV-D,
+    /// §IV-E) run in milliseconds.
+    pub timing_only: bool,
+    /// Also score the held-out test split at every epoch end (Fig. 6's
+    /// right panel). Costs one extra evaluation per epoch.
+    pub track_test_acc: bool,
+}
+
+impl DesConfig {
+    /// Simulates `job` on the calibrated testbed: default cost models, no
+    /// preemption, a 120 s replacement delay, real training, no per-epoch
+    /// test scoring.
+    pub fn new(job: JobConfig) -> Self {
+        DesConfig {
+            job,
+            compute: ComputeModel::default(),
+            network: NetworkModel::default(),
+            preemption: PreemptionModel::None,
+            replacement_delay_s: 120.0,
+            timing_only: false,
+            track_test_acc: false,
+        }
+    }
+}
+
+impl From<JobConfig> for DesConfig {
+    fn from(job: JobConfig) -> Self {
+        DesConfig::new(job)
+    }
+}
 
 /// Discrete events driving the simulation.
 enum Ev {
@@ -80,7 +128,7 @@ struct PendingAssim {
 
 /// The end-to-end distributed training run.
 struct TrainingJob {
-    cfg: JobConfig,
+    cfg: DesConfig,
     // Data.
     shards: ShardSet,
     val: Dataset,
@@ -101,9 +149,6 @@ struct TrainingJob {
     epoch_stats: Vec<EpochStats>,
     // Server-side resources.
     busy_ps: usize,
-    current_pn: usize,
-    queue_len_sum: u64,
-    queue_len_samples: u64,
     assim_queue: VecDeque<PendingAssim>,
     eval_model: Sequential,
     /// Reused decode buffers for server-parameter reads (the hot fetch
@@ -125,27 +170,28 @@ struct TrainingJob {
 
 impl TrainingJob {
     /// Builds a job, generating data and seeding the parameter store.
-    fn new(cfg: JobConfig) -> Result<Self, String> {
-        cfg.validate()?;
-        let (train, val, test) = cfg.data.generate();
-        let shards = ShardSet::split(&train, cfg.shards);
-        let val_eval = val.select(&(0..cfg.val_eval_n).collect::<Vec<_>>());
+    fn new(cfg: DesConfig) -> Result<Self, String> {
+        let job = &cfg.job;
+        job.validate()?;
+        let (train, val, test) = job.data.generate();
+        let shards = ShardSet::split(&train, job.shards);
+        let val_eval = val.select(&(0..job.val_eval_n).collect::<Vec<_>>());
 
-        let fleet = cfg.fleet.build(cfg.cn);
+        let fleet = job.fleet.build(job.cn);
         let server = BoincServer::new(
-            cfg.middleware.clone(),
-            fleet.iter().map(|s| (s.clone(), cfg.tn)).collect(),
+            job.middleware.clone(),
+            fleet.iter().map(|s| (s.clone(), job.tn)).collect(),
         );
 
-        let init_model = cfg.model.build(cfg.seed);
+        let init_model = job.model.build(job.seed);
         let init_params = init_model.params_flat();
         let param_count = init_params.len();
         let assim = ShardedAssimilator::new(
             VersionedStore::shared(),
             param_count,
-            cfg.ps_shards,
-            cfg.consistency,
-            cfg.alpha,
+            job.ps_shards,
+            job.consistency,
+            job.alpha,
         );
         assim.seed_params(&init_params);
 
@@ -154,8 +200,8 @@ impl TrainingJob {
 
         let cn = fleet.len();
         Ok(TrainingJob {
-            net_rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x2545_F491).wrapping_add(11)),
-            preempt_rng: StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(13)),
+            net_rng: StdRng::seed_from_u64(job.seed.wrapping_mul(0x2545_F491).wrapping_add(11)),
+            preempt_rng: StdRng::seed_from_u64(job.seed.wrapping_mul(0x9E37_79B9).wrapping_add(13)),
             eval_model: init_model,
             eval_params: Vec::new(),
             manifest: Vec::new(),
@@ -173,9 +219,6 @@ impl TrainingJob {
             epoch_accs: Vec::new(),
             epoch_stats: Vec::new(),
             busy_ps: 0,
-            current_pn: cfg.pn,
-            queue_len_sum: 0,
-            queue_len_samples: 0,
             assim_queue: VecDeque::new(),
             fleet,
             generations: vec![0; cn],
@@ -189,17 +232,12 @@ impl TrainingJob {
 
     /// Executes the run to completion and returns the report.
     fn run(&mut self) -> JobReport {
-        // Warm start (§II-B): serial synchronous passes before going
-        // distributed, charged against the clock at the serial rate.
-        let start_at = self.warm_start();
-
         // Kick off epoch 1 and the first round of polls.
         let manifest = ShardManifest(self.assim.versions());
         self.server
-            .add_epoch_sharded(1, self.cfg.shards, &manifest, SimTime::ZERO);
+            .add_epoch_sharded(1, self.cfg.job.shards, &manifest, SimTime::ZERO);
         for h in 0..self.fleet.len() {
-            self.events
-                .schedule_in(start_at, Ev::Poll(HostId(h as u32)));
+            self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
         }
 
         let mut safety = 0u64;
@@ -360,9 +398,7 @@ impl TrainingJob {
     /// would, so overlap between parameter servers loses updates at the
     /// §IV-D rate rather than across the whole CPU phase.
     fn pump_assimilators(&mut self) {
-        self.queue_len_sum += self.assim_queue.len() as u64;
-        self.queue_len_samples += 1;
-        while self.busy_ps < self.current_pn {
+        while self.busy_ps < self.cfg.job.pn {
             let Some(task) = self.assim_queue.pop_front() else {
                 break;
             };
@@ -377,7 +413,7 @@ impl TrainingJob {
             let cpu = self
                 .cfg
                 .compute
-                .assim_s(&server_spec, self.current_pn, inflight)
+                .assim_s(&server_spec, self.cfg.job.pn, inflight)
                 * jitter;
             self.events.schedule_in(cpu, Ev::AssimCommit(task));
         }
@@ -387,8 +423,8 @@ impl TrainingJob {
         let begun = self.assim.begin();
         // One update transaction on the whole parameter blob, priced by
         // the §IV-D latency model of the configured store.
-        let dur =
-            LatencyModel::for_mode(self.cfg.consistency).update_s(encoded_len(self.param_count));
+        let dur = LatencyModel::for_mode(self.cfg.job.consistency)
+            .update_s(encoded_len(self.param_count));
         self.events.schedule_in(dur, Ev::AssimDone { task, begun });
     }
 
@@ -411,7 +447,7 @@ impl TrainingJob {
         };
         if epoch == self.epoch {
             self.epoch_accs.push(acc);
-            if self.epoch_accs.len() == self.cfg.shards {
+            if self.epoch_accs.len() == self.cfg.job.shards {
                 self.finish_epoch();
             }
         }
@@ -434,33 +470,33 @@ impl TrainingJob {
         };
         self.epoch_stats.push(EpochStats {
             epoch: self.epoch,
-            alpha: self.cfg.alpha.alpha(self.epoch),
+            alpha: self.cfg.job.alpha.alpha(self.epoch),
             end_time_h: now.as_hours(),
             mean_val_acc: mean,
             min_val_acc: min,
             max_val_acc: max,
             test_acc,
-            pn: self.current_pn,
             assimilated: accs.len(),
             lost_updates: self.assim.lost_updates(),
             timeouts: sm.timeouts,
         });
 
-        let reached_target = self.cfg.target_accuracy.map(|t| mean >= t).unwrap_or(false);
-        if reached_target || self.epoch >= self.cfg.epochs {
+        if self.epoch >= self.cfg.job.epochs {
             self.done = true;
             return;
         }
-
-        self.autoscale_ps();
 
         // Next epoch: snapshot the current server parameters for all of its
         // subtasks (Eq. (2)'s W_{s,e-1}).
         self.epoch += 1;
         let (params, manifest) = self.assim.read_params();
         self.snapshots.insert(self.epoch, Arc::new(params));
-        self.server
-            .add_epoch_sharded(self.epoch, self.cfg.shards, &ShardManifest(manifest), now);
+        self.server.add_epoch_sharded(
+            self.epoch,
+            self.cfg.job.shards,
+            &ShardManifest(manifest),
+            now,
+        );
         for h in 0..self.fleet.len() {
             self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
         }
@@ -493,44 +529,6 @@ impl TrainingJob {
         self.events.schedule_in(0.0, Ev::Poll(host));
     }
 
-    /// Runs the configured warm-start epochs on the seed parameters and
-    /// returns the simulated seconds they consumed.
-    fn warm_start(&mut self) -> f64 {
-        if self.cfg.warm_start_epochs == 0 {
-            return 0.0;
-        }
-        let server_spec = vc_simnet::table1::server();
-        // One serial epoch covers all shards back-to-back with the intra-op
-        // parallelism a dedicated instance sustains (see `vc_bench::serial`).
-        let epoch_s = self.cfg.shards as f64 * self.cfg.compute.base_subtask_s
-            / server_spec.core_speed()
-            / 4.0;
-        // The scoring replica is still the untouched init model: train it
-        // in place.
-        if !self.cfg.timing_only && warm_start(&self.cfg, &self.shards, &mut self.eval_model) {
-            let warmed = self.eval_model.params_flat();
-            self.assim.seed_params(&warmed);
-            self.snapshots.insert(1, Arc::new(warmed));
-        }
-        self.cfg.warm_start_epochs as f64 * epoch_s
-    }
-
-    /// Adjusts the parameter-server pool at an epoch boundary based on the
-    /// observed assimilation-queue backlog (§III-D's dynamic scaling).
-    fn autoscale_ps(&mut self) {
-        if !self.cfg.pn_autoscale || self.queue_len_samples == 0 {
-            return;
-        }
-        let mean_backlog = self.queue_len_sum as f64 / self.queue_len_samples as f64;
-        self.queue_len_sum = 0;
-        self.queue_len_samples = 0;
-        if mean_backlog > self.current_pn as f64 && self.current_pn < self.cfg.pn_max {
-            self.current_pn += 1;
-        } else if mean_backlog < 0.5 && self.current_pn > 1 {
-            self.current_pn -= 1;
-        }
-    }
-
     // ---------------------------------------------------------- client side
 
     /// The (cached) result of training a client replica for `(epoch,
@@ -555,7 +553,7 @@ impl TrainingJob {
         }
         let data = &self.shards.shard(shard).data;
         let result = Arc::new(train_client_replica_ws(
-            &self.cfg,
+            &self.cfg.job,
             &snapshot,
             data,
             epoch,
@@ -581,7 +579,7 @@ impl TrainingJob {
             )
         };
         JobReport {
-            label: self.cfg.pct_label(),
+            label: self.cfg.job.pct_label(),
             epochs: self.epoch_stats.clone(),
             final_test_acc: final_test,
             final_val_acc: final_val,
@@ -594,16 +592,16 @@ impl TrainingJob {
     }
 }
 
-/// Runs one job under the discrete-event clock and returns its report.
-pub fn run_job(cfg: JobConfig) -> Result<JobReport, String> {
-    Ok(TrainingJob::new(cfg)?.run())
+/// Runs one job under the discrete-event clock and returns its report. A
+/// bare [`JobConfig`] runs with [`DesConfig::new`]'s defaults.
+pub fn run_job(cfg: impl Into<DesConfig>) -> Result<JobReport, String> {
+    Ok(TrainingJob::new(cfg.into())?.run())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vc_kvstore::Consistency;
-    use vc_simnet::PreemptionModel;
 
     #[test]
     fn small_job_completes_all_epochs() {
@@ -647,24 +645,15 @@ mod tests {
     }
 
     #[test]
-    fn target_accuracy_stops_early() {
-        let mut cfg = JobConfig::test_small(3);
-        cfg.epochs = 50;
-        cfg.target_accuracy = Some(0.15); // trivially reachable
-        let report = run_job(cfg).unwrap();
-        assert!(report.epochs.len() < 50);
-        let last = report.epochs.last().unwrap();
-        assert!(last.mean_val_acc >= 0.15);
-    }
-
-    #[test]
     fn preemption_inflates_time_but_job_finishes() {
         let mut base = JobConfig::test_small(4);
         base.epochs = 2;
         let clean = run_job(base.clone()).unwrap();
 
-        let mut stormy = base;
-        stormy.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.3 };
+        let stormy = DesConfig {
+            preemption: PreemptionModel::BernoulliPerSubtask { p: 0.3 },
+            ..DesConfig::new(base)
+        };
         let hit = run_job(stormy).unwrap();
         assert!(hit.preemptions > 0, "a 30% storm must hit at least once");
         assert!(hit.server_metrics.timeouts > 0);
@@ -702,14 +691,14 @@ mod tests {
         // Zeroing the CPU phase makes queued results commit
         // simultaneously, so the read-modify-write windows reliably
         // collide.
-        let mut cfg = JobConfig::test_small(6);
-        cfg.pn = 4;
-        cfg.epochs = 2;
+        let mut cfg = DesConfig::new(JobConfig::test_small(6));
+        cfg.job.pn = 4;
+        cfg.job.epochs = 2;
         cfg.compute.assim_cpu_s = 0.0;
-        cfg.consistency = Consistency::Eventual;
+        cfg.job.consistency = Consistency::Eventual;
         let ev = run_job(cfg.clone()).unwrap();
         let mut cfg_s = cfg;
-        cfg_s.consistency = Consistency::Strong;
+        cfg_s.job.consistency = Consistency::Strong;
         let st = run_job(cfg_s).unwrap();
         assert_eq!(
             st.store_ops.lost_updates, 0,

@@ -138,7 +138,7 @@ impl Runtime {
     pub fn run(mut self) -> Result<RuntimeReport, String> {
         self.cfg.validate()?;
         // The run's one build of its model: the resume guard reads its size,
-        // a fresh run warm-starts it and seeds the store from it, and
+        // a fresh run seeds the store from it, and
         // assimilator 0 scores on it.
         let model = self.cfg.job.model.build(self.cfg.job.seed);
         if let Some(ck) = &self.resume {
@@ -450,10 +450,6 @@ mod tests {
 
     #[test]
     fn rejects_invalid_configs() {
-        let mut cfg = RuntimeConfig::test_small(1);
-        cfg.job.timing_only = true;
-        assert!(Runtime::new(cfg).is_err());
-
         let mut cfg = RuntimeConfig::test_small(1);
         cfg.faults.kill_hosts = (0..cfg.job.cn as u32).collect();
         assert!(

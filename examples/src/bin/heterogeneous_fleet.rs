@@ -6,23 +6,26 @@
 //! Run: `cargo run -p vc-examples --bin heterogeneous_fleet --release`
 
 use vc_asgd::{FleetKind, JobConfig};
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {
-    let mut cfg = JobConfig::paper_default(11).with_pct(3, 4, 2);
-    cfg.fleet = FleetKind::Mixed;
-    cfg.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.15 };
-    cfg.middleware.timeout_s = 240.0;
-    cfg.replacement_delay_s = 180.0;
+    let mut job = JobConfig::paper_default(11).with_pct(3, 4, 2);
+    job.fleet = FleetKind::Mixed;
+    job.middleware.timeout_s = 240.0;
     // Keep the run quick: timing fidelity matters here, learning less so.
-    cfg.data.train_n = 1_000;
-    cfg.data.val_n = 200;
-    cfg.data.test_n = 200;
-    cfg.data.noise = 1.2;
-    cfg.shards = 12;
-    cfg.epochs = 5;
-    cfg.val_eval_n = 200;
+    job.data.train_n = 1_000;
+    job.data.val_n = 200;
+    job.data.test_n = 200;
+    job.data.noise = 1.2;
+    job.shards = 12;
+    job.epochs = 5;
+    job.val_eval_n = 200;
+    let cfg = DesConfig {
+        preemption: PreemptionModel::BernoulliPerSubtask { p: 0.15 },
+        replacement_delay_s: 180.0,
+        ..DesConfig::new(job)
+    };
 
     println!("fleet:");
     for (i, spec) in FleetKind::Mixed.build(4).iter().enumerate() {
@@ -33,7 +36,7 @@ fn main() {
     }
     println!(
         "preemption: 15% per subtask; timeout t_o = {:.0}s\n",
-        cfg.middleware.timeout_s
+        cfg.job.middleware.timeout_s
     );
 
     let report = run_job(cfg).expect("config is valid");

@@ -6,7 +6,7 @@
 
 use vc_asgd::JobConfig;
 use vc_cost::{FleetCost, TimeoutAnalysis};
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {
@@ -43,9 +43,12 @@ fn main() {
 }
 
 fn job_hours(preemption: PreemptionModel) -> f64 {
-    let mut cfg = JobConfig::paper_default(42).with_pct(5, 5, 2);
-    cfg.epochs = 40;
-    cfg.timing_only = true;
-    cfg.preemption = preemption;
+    let mut job = JobConfig::paper_default(42).with_pct(5, 5, 2);
+    job.epochs = 40;
+    let cfg = DesConfig {
+        timing_only: true,
+        preemption,
+        ..DesConfig::new(job)
+    };
     run_job(cfg).expect("valid config").total_time_h
 }

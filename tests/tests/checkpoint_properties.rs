@@ -179,20 +179,70 @@ fn retired_algorithm_variants_do_not_parse() {
         "ExponentialLifetime",
     );
 
+    // `PreemptionModel` is the discrete-event driver's, not a field of a
+    // `RuntimeConfig`, so only its standalone case above applies.
     let json = serde_json::to_string(&RuntimeConfig::test_small(1)).unwrap();
     let adam = serde_json::to_string(&vc_optim::OptimizerSpec::paper_adam()).unwrap();
     for (current, retired, variant) in [
         (adam.as_str(), r#"{"Sgd":{"lr":0.1}}"#, "Sgd"),
         (r#"["Flatten","#, r#"[{"Dropout":{"p":0.3}},"#, "Dropout"),
         (r#""fleet":"Uniform""#, r#""fleet":{"Custom":[]}"#, "Custom"),
-        (
-            r#""preemption":"None""#,
-            r#""preemption":{"ExponentialLifetime":{"mean_hours":1.0}}"#,
-            "ExponentialLifetime",
-        ),
     ] {
         assert!(json.contains(current), "{current} not in {json}");
         let old = json.replace(current, retired);
         names(from_str::<RuntimeConfig>(&old), variant);
     }
+}
+
+/// `RuntimeConfig::test_small(1)` as the runtime serialized it while its
+/// `JobConfig` still carried the discrete-event driver's knobs (`compute`,
+/// `network`, `preemption`, `replacement_delay_s`, `timing_only`,
+/// `track_test_acc`) and the retired ones (`target_accuracy`,
+/// `pn_autoscale`, `pn_max`, `warm_start_epochs`), every one at the value a
+/// runtime accepted. The text is that build's output, byte for byte apart
+/// from line breaks.
+const PRE_SPLIT_CONFIG: &str = r#"{"job":{"model":{"name":"mlp","input":[3,16,16],"classes":10,
+"layers":["Flatten",{"Dense":{"input":768,"output":32}},"Relu",{"Dense":{"input":32,
+"output":10}}]},"data":{"classes":10,"img":[3,16,16],"train_n":400,"val_n":120,"test_n":120,
+"noise":1,"label_noise":0,"max_shift":2,"seed":1},"shards":8,"ps_shards":1,"pn":2,"cn":2,
+"tn":2,"alpha":{"Const":0.6000000238418579},"epochs":3,"target_accuracy":null,
+"consistency":"Eventual","fleet":"Uniform","preemption":"None",
+"optimizer":{"Adam":{"lr":0.0010000000474974513,"beta1":0.8999999761581421,
+"beta2":0.9990000128746033,"eps":0.00000000999999993922529}},"local_epochs":2,
+"batch_size":32,"val_eval_n":120,"middleware":{"timeout_s":2,"max_attempts":8,
+"sticky_files":true,"replication":1,"min_timeout_s":2,"max_timeout_s":10,"deadline_grace":3,
+"deadline_alpha":0.25,"quorum":1,"backoff_base_s":0.2,"backoff_max_s":2},
+"compute":{"base_subtask_s":144,"cores_per_task":1,"concurrency_overhead":0.06,
+"ram_per_task_gb":3.5,"paging_penalty":0.35,"assim_cpu_s":16,"cores_per_ps":1.5,
+"ps_overhead":0.05,"inflight_overhead":0.03},"network":{"rtt_median_s":0.08,"rtt_sigma":0.5,
+"bandwidth_efficiency":0.3,"compression":1},"replacement_delay_s":120,"timing_only":false,
+"track_test_acc":false,"pn_autoscale":false,"pn_max":8,"warm_start_epochs":0,"seed":1},
+"poll_interval_s":0.01,"reply_timeout_s":1,"faults":{"kill_hosts":[],
+"kill_on_nth_assignment":1,"respawn_after_s":null,"max_msg_delay_s":0,"byzantine_hosts":[],
+"byzantine_mode":"Poison","seed":0},"checkpoint_every_assims":null,
+"checkpoint_every_s":null,"checkpoint_path":null,"halt_after_assims":null,"max_wall_s":600,
+"flight_recorder_path":null,"ps_tcp":false,"ops_addr":null,"trace":false,"codec":"Raw"}"#;
+
+/// A checkpoint written before the config split still resumes: its config
+/// parses, names the ten keys the runtime no longer has, and reads as
+/// today's config — the keys it drops are ones the runtime never read.
+#[test]
+fn a_pre_split_config_still_parses() {
+    for key in [
+        "compute",
+        "network",
+        "preemption",
+        "replacement_delay_s",
+        "timing_only",
+        "track_test_acc",
+        "target_accuracy",
+        "pn_autoscale",
+        "pn_max",
+        "warm_start_epochs",
+    ] {
+        assert!(PRE_SPLIT_CONFIG.contains(&format!("\"{key}\":")), "{key}");
+    }
+    let parsed: RuntimeConfig = serde_json::from_str(PRE_SPLIT_CONFIG).unwrap();
+    assert_eq!(parsed, RuntimeConfig::test_small(1));
+    parsed.validate().unwrap();
 }

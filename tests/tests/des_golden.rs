@@ -7,7 +7,7 @@
 
 use vc_asgd::{JobConfig, JobReport};
 use vc_kvstore::Consistency;
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 
 /// Everything the figures read off a run, as integers: per epoch the
 /// mean/min/max accuracy bits and the clock bits, then the store counters
@@ -36,12 +36,12 @@ fn fingerprint(r: &JobReport) -> Vec<u64> {
 }
 
 /// Four parameter servers and no CPU phase, so store updates overlap.
-fn pn4(consistency: Consistency) -> JobConfig {
-    let mut cfg = JobConfig::test_small(6);
-    cfg.pn = 4;
-    cfg.epochs = 2;
+fn pn4(consistency: Consistency) -> DesConfig {
+    let mut cfg = DesConfig::new(JobConfig::test_small(6));
+    cfg.job.pn = 4;
+    cfg.job.epochs = 2;
     cfg.compute.assim_cpu_s = 0.0;
-    cfg.consistency = consistency;
+    cfg.job.consistency = consistency;
     cfg
 }
 

@@ -3,7 +3,7 @@
 
 use vc_asgd::{AlphaSchedule, FleetKind, JobConfig};
 use vc_kvstore::Consistency;
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 use vc_simnet::PreemptionModel;
 
 fn quick_cfg(seed: u64) -> JobConfig {
@@ -72,10 +72,13 @@ fn strong_consistency_serializes_under_contention() {
 fn survives_sustained_preemption_storm() {
     // 40% per-subtask interruption: brutal, but the job must finish and
     // still learn (the §III-E fault-tolerance claim, stress-tested).
-    let mut cfg = quick_cfg(5);
-    cfg.epochs = 3;
-    cfg.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.4 };
-    cfg.replacement_delay_s = 60.0;
+    let mut job = quick_cfg(5);
+    job.epochs = 3;
+    let cfg = DesConfig {
+        preemption: PreemptionModel::BernoulliPerSubtask { p: 0.4 },
+        replacement_delay_s: 60.0,
+        ..DesConfig::new(job)
+    };
     let r = run_job(cfg).unwrap();
     assert_eq!(r.epochs.len(), 3);
     assert!(r.preemptions > 0);
@@ -88,9 +91,11 @@ fn timing_only_matches_real_run_clock() {
     // The fast path must reproduce the same simulated clock as the real
     // run (same seeds, same event sequence) — it only skips the learning.
     let real = run_job(quick_cfg(7)).unwrap();
-    let mut fast_cfg = quick_cfg(7);
-    fast_cfg.timing_only = true;
-    let fast = run_job(fast_cfg).unwrap();
+    let fast = run_job(DesConfig {
+        timing_only: true,
+        ..DesConfig::new(quick_cfg(7))
+    })
+    .unwrap();
     assert_eq!(real.epochs.len(), fast.epochs.len());
     for (a, b) in real.epochs.iter().zip(&fast.epochs) {
         assert!(
@@ -109,8 +114,8 @@ fn vertical_scaling_reduces_wall_clock_up_to_capacity() {
     // More simultaneous subtasks per client (T1 -> T4) shortens the epoch
     // while the server keeps up — §IV-B's vertical-scaling observation.
     let time_for = |tn: usize| {
-        let mut cfg = quick_cfg(8);
-        cfg.tn = tn;
+        let mut cfg = DesConfig::new(quick_cfg(8));
+        cfg.job.tn = tn;
         cfg.timing_only = true;
         run_job(cfg).unwrap().total_time_h
     };
@@ -154,14 +159,13 @@ fn replicated_workunits_run_redundantly_and_converge() {
 fn replication_hedges_against_preemption() {
     // With instances dying, redundant execution reduces the timeout stalls
     // on the critical path (at the price of extra assignments).
-    let storm = PreemptionModel::BernoulliPerSubtask { p: 0.35 };
-    let mut single = quick_cfg(11);
-    single.cn = 4;
-    single.epochs = 3;
+    let mut single = DesConfig::new(quick_cfg(11));
+    single.job.cn = 4;
+    single.job.epochs = 3;
     single.timing_only = true;
-    single.preemption = storm;
+    single.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.35 };
     let mut redundant = single.clone();
-    redundant.middleware.replication = 2;
+    redundant.job.middleware.replication = 2;
     let r1 = run_job(single).unwrap();
     let r2 = run_job(redundant).unwrap();
     // Not asserting a strict win (stochastic); assert both finish and the
@@ -169,60 +173,4 @@ fn replication_hedges_against_preemption() {
     assert!(r2.server_metrics.assigned > r1.server_metrics.assigned);
     assert_eq!(r1.epochs.len(), 3);
     assert_eq!(r2.epochs.len(), 3);
-}
-
-#[test]
-fn warm_start_charges_time_and_improves_the_seed() {
-    let mut cold = quick_cfg(12);
-    cold.epochs = 2;
-    let mut warm = cold.clone();
-    warm.warm_start_epochs = 2;
-    let rc = run_job(cold).unwrap();
-    let rw = run_job(warm).unwrap();
-    // The warm run's clock starts later (serial phase charged).
-    assert!(rw.epochs[0].end_time_h > rc.epochs[0].end_time_h);
-    // And epoch-1 accuracy benefits from the warm seed.
-    assert!(
-        rw.epochs[0].mean_val_acc > rc.epochs[0].mean_val_acc,
-        "warm {} vs cold {}",
-        rw.epochs[0].mean_val_acc,
-        rc.epochs[0].mean_val_acc
-    );
-}
-
-#[test]
-fn ps_autoscaling_grows_under_backlog_and_shrinks_when_idle() {
-    // Start with one parameter server against a burst-heavy fleet: the
-    // backlog forces the pool to grow (§III-D's dynamic scaling idea).
-    let mut cfg = quick_cfg(13);
-    cfg.pn = 1;
-    cfg.pn_autoscale = true;
-    cfg.pn_max = 6;
-    cfg.cn = 4;
-    cfg.tn = 4;
-    cfg.epochs = 6;
-    cfg.timing_only = true;
-    // Make assimilation genuinely slow so the queue backs up.
-    cfg.compute.assim_cpu_s = 120.0;
-    let r = run_job(cfg).unwrap();
-    let pns: Vec<usize> = r.epochs.iter().map(|e| e.pn).collect();
-    assert!(
-        pns.iter().any(|&p| p > 1),
-        "autoscaler never grew the pool: {pns:?}"
-    );
-    // Autoscaling must shorten the run vs the fixed-P1 config.
-    let mut fixed = quick_cfg(13);
-    fixed.pn = 1;
-    fixed.cn = 4;
-    fixed.tn = 4;
-    fixed.epochs = 6;
-    fixed.timing_only = true;
-    fixed.compute.assim_cpu_s = 120.0;
-    let rf = run_job(fixed).unwrap();
-    assert!(
-        r.total_time_h < rf.total_time_h,
-        "autoscaled {} vs fixed {}",
-        r.total_time_h,
-        rf.total_time_h
-    );
 }

@@ -6,14 +6,16 @@
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_cost::{DbOverhead, FleetCost, TimeoutAnalysis};
 use vc_kvstore::{Consistency, LatencyModel};
-use vc_runtime::des::run_job;
+use vc_runtime::des::{run_job, DesConfig};
 use vc_simnet::{table1, PreemptionModel};
 
-fn timing_cfg(pn: usize, cn: usize, tn: usize) -> JobConfig {
-    let mut cfg = JobConfig::paper_default(42).with_pct(pn, cn, tn);
-    cfg.epochs = 40;
-    cfg.timing_only = true;
-    cfg
+fn timing_cfg(pn: usize, cn: usize, tn: usize) -> DesConfig {
+    let mut job = JobConfig::paper_default(42).with_pct(pn, cn, tn);
+    job.epochs = 40;
+    DesConfig {
+        timing_only: true,
+        ..DesConfig::new(job)
+    }
 }
 
 #[test]
@@ -66,9 +68,9 @@ fn sec4d_latency_model_matches_measurements() {
 fn sec4d_strong_consistency_stretches_training() {
     // §IV-D: over ~2000 updates the MySQL path adds ~14 minutes.
     let mut ev = timing_cfg(3, 3, 4);
-    ev.consistency = Consistency::Eventual;
+    ev.job.consistency = Consistency::Eventual;
     let mut st = ev.clone();
-    st.consistency = Consistency::Strong;
+    st.job.consistency = Consistency::Strong;
     let ev_h = run_job(ev).unwrap().total_time_h;
     let st_h = run_job(st).unwrap().total_time_h;
     assert!(
