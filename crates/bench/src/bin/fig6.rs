@@ -1,6 +1,6 @@
 //! Figure 6 — validation (left) and test (right) accuracy: distributed
-//! P5C5T2 with the Var α schedule vs single-instance serial synchronous
-//! training on the server-class instance.
+//! P5C5T2 with the Var α schedule vs the same job trained serially and
+//! synchronously on the server-class instance (`vc_bench::serial`).
 //!
 //! Expected shape (paper): the serial curve is higher at any matched time
 //! (0.82 vs 0.73 at the 8.4 h mark), the gap narrows as training
@@ -10,7 +10,7 @@
 //! Run: `cargo run -p vc-bench --bin fig6 --release`
 
 use vc_asgd::{AlphaSchedule, JobConfig};
-use vc_bench::serial::{run_serial, SerialConfig};
+use vc_bench::serial::{epoch_duration_s, run_serial};
 use vc_bench::{repro_epochs, write_results};
 use vc_runtime::des::{run_job, DesConfig};
 
@@ -22,17 +22,16 @@ fn main() {
     job.epochs = epochs;
     let cfg = DesConfig {
         track_test_acc: true,
-        ..DesConfig::new(job)
+        ..DesConfig::new(job.clone())
     };
     eprintln!("# running distributed P5C5T2 Var ({epochs} epochs)...");
     let dist = run_job(cfg).expect("valid config");
 
     // Size the serial run to cover the same simulated horizon.
-    let mut scfg = SerialConfig::paper_default(42);
-    let serial_epoch_h = scfg.epoch_duration_s(50) / 3600.0;
-    scfg.epochs = ((dist.total_time_h / serial_epoch_h).ceil() as usize).max(2);
-    eprintln!("# running serial baseline ({} epochs)...", scfg.epochs);
-    let serial = run_serial(&scfg);
+    let serial_epoch_h = epoch_duration_s(job.shards) / 3600.0;
+    let serial_epochs = ((dist.total_time_h / serial_epoch_h).ceil() as usize).max(2);
+    eprintln!("# running serial baseline ({serial_epochs} epochs)...");
+    let serial = run_serial(&job, serial_epochs);
 
     println!("Figure 6: distributed (P5C5T2, Var) vs single-instance serial");
     println!(

@@ -1,64 +1,30 @@
-//! Single-instance synchronous training (the paper's Figure 6 baseline).
+//! Single-instance synchronous training (the paper's Figure 6 baseline):
+//! "the same job on one instance". [`run_serial`] reads the model, data,
+//! optimizer, batch size, seed and shard count of the distributed
+//! [`JobConfig`] it is compared against, and trains on the server-class
+//! Table I instance, whose single synchronous process exploits
+//! `EFFECTIVE_CORES` of its vCPUs, with epochs timed by the default
+//! [`ComputeModel`] the fleet simulation is calibrated with.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vc_data::SyntheticSpec;
+use vc_asgd::JobConfig;
 use vc_nn::metrics::evaluate;
-use vc_nn::ModelSpec;
-use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
-use vc_simnet::{table1, ComputeModel, InstanceSpec};
+use vc_optim::{train_minibatch_ws, TrainWorkspace};
+use vc_simnet::{table1, ComputeModel};
 
-/// Configuration of the serial run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SerialConfig {
-    /// Model architecture (must match the distributed run for Figure 6).
-    pub model: ModelSpec,
-    /// Dataset generator (same seed as the distributed run → same data).
-    pub data: SyntheticSpec,
-    /// Epochs to train.
-    pub epochs: usize,
-    /// Optimizer (paper: Adam, lr 0.001).
-    pub optimizer: OptimizerSpec,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Instance the job runs on (paper: the server-class instance).
-    pub instance: InstanceSpec,
-    /// Effective cores a single synchronous training process exploits
-    /// (TensorFlow intra-op parallelism on the 8-vCPU box).
-    pub effective_cores: f64,
-    /// Compute model shared with the fleet simulation, for calibration.
-    pub compute: ComputeModel,
-    /// Seed.
-    pub seed: u64,
-}
+/// Effective cores a single synchronous training process exploits
+/// (TensorFlow intra-op parallelism on the 8-vCPU server instance).
+const EFFECTIVE_CORES: f64 = 4.0;
 
-impl SerialConfig {
-    /// The paper's serial baseline: same CIFAR-like job on the server
-    /// instance.
-    pub fn paper_default(seed: u64) -> Self {
-        let data = SyntheticSpec::cifar_like(seed);
-        let model = vc_nn::spec::small_cnn(&data.img, data.classes);
-        SerialConfig {
-            model,
-            data,
-            epochs: 18,
-            optimizer: OptimizerSpec::paper_adam(),
-            batch_size: 32,
-            instance: table1::server(),
-            effective_cores: 4.0,
-            compute: ComputeModel::default(),
-            seed,
-        }
-    }
-
-    /// Simulated wall-clock seconds one full epoch takes: the work of all
-    /// shards' subtasks executed back-to-back on this instance, sped up by
-    /// the intra-op parallelism a dedicated box sustains.
-    pub fn epoch_duration_s(&self, shards_equivalent: usize) -> f64 {
-        let per_subtask = self.compute.base_subtask_s / self.instance.core_speed();
-        shards_equivalent as f64 * per_subtask / self.effective_cores
-    }
+/// Simulated wall-clock seconds one serial epoch over a job of `shards`
+/// subtasks takes: the work of all of them executed back-to-back on the
+/// server instance, sped up by the intra-op parallelism a dedicated box
+/// sustains.
+pub fn epoch_duration_s(shards: usize) -> f64 {
+    let per_subtask = ComputeModel::default().base_subtask_s / table1::server().core_speed();
+    shards as f64 * per_subtask / EFFECTIVE_CORES
 }
 
 /// One epoch of the serial run.
@@ -97,29 +63,27 @@ impl SerialReport {
     }
 }
 
-/// Runs the serial synchronous baseline: real minibatch SGD over the full
-/// training set, one pass per epoch, with simulated epoch durations.
-pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
-    let (train, val, test) = cfg.data.generate();
-    let mut model = cfg.model.build(cfg.seed);
-    let mut opt = cfg.optimizer.build(model.param_count());
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(17));
-
-    // The distributed job splits this dataset into 50 shards; time one
-    // serial epoch as the equivalent 50 subtasks run back-to-back.
-    let shards_equivalent = 50;
-    let epoch_s = cfg.epoch_duration_s(shards_equivalent);
+/// Runs `job` as the serial synchronous baseline for `epochs` epochs: real
+/// minibatch SGD over the full training set, one pass per epoch, each
+/// epoch timed as the job's `shards` subtasks run back-to-back
+/// ([`epoch_duration_s`]).
+pub fn run_serial(job: &JobConfig, epochs: usize) -> SerialReport {
+    let (train, val, test) = job.data.generate();
+    let mut model = job.model.build(job.seed);
+    let mut opt = job.optimizer.build(model.param_count());
+    let mut rng = StdRng::seed_from_u64(job.seed.wrapping_add(17));
+    let epoch_s = epoch_duration_s(job.shards);
 
     let mut tws = TrainWorkspace::new();
-    let mut epochs = Vec::with_capacity(cfg.epochs);
+    let mut series = Vec::with_capacity(epochs);
     let mut now_s = 0.0;
-    for e in 1..=cfg.epochs {
+    for e in 1..=epochs {
         let stats = train_minibatch_ws(
             &mut model,
             &mut opt,
             &train.images,
             &train.labels,
-            cfg.batch_size,
+            job.batch_size,
             1,
             5.0,
             &mut rng,
@@ -129,7 +93,7 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
         now_s += epoch_s;
         let (_, val_acc) = evaluate(&mut model, &val.images, &val.labels, 256);
         let (_, test_acc) = evaluate(&mut model, &test.images, &test.labels, 256);
-        epochs.push(SerialEpoch {
+        series.push(SerialEpoch {
             epoch: e,
             end_time_h: now_s / 3600.0,
             train_loss: stats.mean_loss,
@@ -139,7 +103,7 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
     }
     SerialReport {
         total_time_h: now_s / 3600.0,
-        epochs,
+        epochs: series,
     }
 }
 
@@ -147,21 +111,20 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
 mod tests {
     use super::*;
 
-    fn tiny_cfg(seed: u64) -> SerialConfig {
-        let mut cfg = SerialConfig::paper_default(seed);
-        cfg.data.train_n = 600;
-        cfg.data.val_n = 150;
-        cfg.data.test_n = 150;
-        cfg.data.noise = 1.0;
-        cfg.data.label_noise = 0.0;
-        cfg.model = vc_nn::spec::mlp(&cfg.data.img, 32, cfg.data.classes);
-        cfg.epochs = 4;
-        cfg
+    fn tiny_job(seed: u64) -> JobConfig {
+        let mut job = JobConfig::paper_default(seed);
+        job.data.train_n = 600;
+        job.data.val_n = 150;
+        job.data.test_n = 150;
+        job.data.noise = 1.0;
+        job.data.label_noise = 0.0;
+        job.model = vc_nn::spec::mlp(&job.data.img, 32, job.data.classes);
+        job
     }
 
     #[test]
     fn serial_learns() {
-        let r = run_serial(&tiny_cfg(1));
+        let r = run_serial(&tiny_job(1), 4);
         assert_eq!(r.epochs.len(), 4);
         let first = r.epochs.first().unwrap();
         let last = r.epochs.last().unwrap();
@@ -175,10 +138,9 @@ mod tests {
         // chance level, and above three passes over the quarter of the set
         // one client of a 4-way split would hold.
         let final_val_acc = |train_n: usize| {
-            let mut cfg = tiny_cfg(7);
-            cfg.data.train_n = train_n;
-            cfg.epochs = 3;
-            run_serial(&cfg).epochs.last().unwrap().val_acc
+            let mut job = tiny_job(7);
+            job.data.train_n = train_n;
+            run_serial(&job, 3).epochs.last().unwrap().val_acc
         };
         let (full, quarter) = (final_val_acc(600), final_val_acc(150));
         assert!(full > 0.8, "val acc {full}");
@@ -187,7 +149,7 @@ mod tests {
 
     #[test]
     fn simulated_clock_is_uniform_per_epoch() {
-        let r = run_serial(&tiny_cfg(2));
+        let r = run_serial(&tiny_job(2), 4);
         let d1 = r.epochs[1].end_time_h - r.epochs[0].end_time_h;
         let d2 = r.epochs[3].end_time_h - r.epochs[2].end_time_h;
         assert!((d1 - d2).abs() < 1e-9);
@@ -199,14 +161,13 @@ mod tests {
         // 50 subtasks of ~2.4 min on a 2.3 GHz box over 4 effective cores:
         // ~29 minutes per serial epoch, so ~17 epochs fit in the 8.4 h
         // window of Figure 6.
-        let cfg = SerialConfig::paper_default(0);
-        let epoch_min = cfg.epoch_duration_s(50) / 60.0;
+        let epoch_min = epoch_duration_s(JobConfig::paper_default(0).shards) / 60.0;
         assert!(epoch_min > 20.0 && epoch_min < 40.0, "{epoch_min} min");
     }
 
     #[test]
     fn val_acc_at_hours_interpolates_left() {
-        let r = run_serial(&tiny_cfg(3));
+        let r = run_serial(&tiny_job(3), 4);
         let t1 = r.epochs[0].end_time_h;
         assert_eq!(r.val_acc_at_hours(t1), Some(r.epochs[0].val_acc));
         assert_eq!(r.val_acc_at_hours(t1 * 0.5), None, "before first epoch");
@@ -218,8 +179,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_serial(&tiny_cfg(4));
-        let b = run_serial(&tiny_cfg(4));
+        let a = run_serial(&tiny_job(4), 4);
+        let b = run_serial(&tiny_job(4), 4);
         assert_eq!(a, b);
     }
 }

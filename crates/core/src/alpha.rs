@@ -16,15 +16,6 @@ pub enum AlphaSchedule {
     /// The paper's "Var" experiment: `α_e = e/(e+1)`, rising from 0.5
     /// (e = 1) toward 0.98 (e = 40).
     VarEOverE1,
-    /// Linear ramp from `from` to `to` across `over` epochs, clamped after.
-    Linear {
-        /// α at epoch 1.
-        from: f32,
-        /// α at epoch `over` and beyond.
-        to: f32,
-        /// Ramp length in epochs.
-        over: usize,
-    },
 }
 
 impl AlphaSchedule {
@@ -34,13 +25,6 @@ impl AlphaSchedule {
         let a = match *self {
             AlphaSchedule::Const(a) => a,
             AlphaSchedule::VarEOverE1 => e as f32 / (e as f32 + 1.0),
-            AlphaSchedule::Linear { from, to, over } => {
-                if over <= 1 || e >= over {
-                    to
-                } else {
-                    from + (to - from) * (e - 1) as f32 / (over - 1) as f32
-                }
-            }
         };
         assert!(
             (0.0..=1.0).contains(&a),
@@ -55,7 +39,6 @@ impl AlphaSchedule {
         match *self {
             AlphaSchedule::Const(a) => format!("alpha={a}"),
             AlphaSchedule::VarEOverE1 => "Var".to_string(),
-            AlphaSchedule::Linear { from, to, .. } => format!("linear {from}->{to}"),
         }
     }
 }
@@ -110,19 +93,6 @@ mod tests {
         for e in 1..60 {
             assert!(s.alpha(e + 1) > s.alpha(e));
         }
-    }
-
-    #[test]
-    fn linear_ramp_endpoints() {
-        let s = AlphaSchedule::Linear {
-            from: 0.6,
-            to: 0.9,
-            over: 4,
-        };
-        assert!((s.alpha(1) - 0.6).abs() < 1e-6);
-        assert!((s.alpha(2) - 0.7).abs() < 1e-6);
-        assert!((s.alpha(4) - 0.9).abs() < 1e-6);
-        assert!((s.alpha(100) - 0.9).abs() < 1e-6);
     }
 
     #[test]

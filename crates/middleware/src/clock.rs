@@ -1,4 +1,4 @@
-//! Clock abstraction: wall-clock and virtual drivability.
+//! The two clocks a run reads time from: wall-clock and virtual.
 //!
 //! [`crate::BoincServer`] is a pure state machine over [`SimTime`]: every
 //! entry point takes `now` explicitly, so the *caller* decides what a clock
@@ -6,29 +6,14 @@
 //! runtime feeds it wall-clock readings through [`WallClock`]; and the
 //! deterministic-simulation harness (`vc-runtime::sim`) feeds it a
 //! [`VirtualClock`] whose time only advances when the simulation says so.
-//! The [`Clock`] trait is the seam: code written against it (the
-//! `vc-runtime` coordinator, the checkpoint timer) runs unmodified on
-//! either substrate.
+//! Both are telemetry time sources: a `vc-runtime` run installs its clock
+//! in its telemetry hub, and the coordinator, the checkpoint timer and
+//! every event timestamp read that one reading.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 use vc_simnet::SimTime;
-
-/// A source of `now` readings on the [`SimTime`] axis.
-///
-/// Implementations must be monotone: successive [`Clock::now`] readings
-/// never decrease. Beyond that the trait is silent about *what* drives the
-/// clock — real time ([`WallClock`]) or an event loop ([`VirtualClock`]).
-pub trait Clock {
-    /// The current reading, suitable for every `now` parameter of
-    /// [`crate::BoincServer`].
-    fn now(&self) -> SimTime;
-
-    /// Seconds elapsed since the clock started (excluding any resume
-    /// offset) — the time *this run* has consumed.
-    fn elapsed_s(&self) -> f64;
-}
 
 /// Maps real elapsed time onto the [`SimTime`] axis the middleware's
 /// deadlines and metrics are expressed in.
@@ -58,20 +43,9 @@ impl WallClock {
         }
     }
 
-    /// The current reading (inherent form, so callers need not import
-    /// [`Clock`]).
+    /// The current reading.
     pub fn now(&self) -> SimTime {
         SimTime::from_secs(self.offset_s + self.start.elapsed().as_secs_f64())
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        WallClock::now(self)
-    }
-
-    fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -90,29 +64,23 @@ impl Clock for WallClock {
 #[derive(Clone)]
 pub struct VirtualClock {
     now: Arc<Mutex<SimTime>>,
-    offset_s: f64,
 }
 
 impl VirtualClock {
     /// A clock at `SimTime::ZERO`.
     pub fn new() -> Self {
-        Self::resumed_at(0.0)
-    }
-
-    /// A clock that already shows `offset_s` seconds elapsed.
-    pub fn resumed_at(offset_s: f64) -> Self {
-        assert!(
-            offset_s.is_finite() && offset_s >= 0.0,
-            "invalid clock offset {offset_s}"
-        );
         VirtualClock {
-            now: Arc::new(Mutex::new(SimTime::from_secs(offset_s))),
-            offset_s,
+            now: Arc::new(Mutex::new(SimTime::ZERO)),
         }
     }
 
+    /// The current reading.
+    pub fn now(&self) -> SimTime {
+        *self.now.lock()
+    }
+
     /// Moves the reading forward to `at`; an earlier `at` leaves it where
-    /// it is, so the [`Clock`] monotonicity contract holds by construction.
+    /// it is, so readings never decrease.
     pub fn set(&self, at: SimTime) {
         let mut now = self.now.lock();
         *now = now.max(at);
@@ -125,28 +93,18 @@ impl Default for VirtualClock {
     }
 }
 
-// Both clocks also serve as telemetry time sources, so event timestamps
-// ride the same SimTime axis as the middleware's deadlines — wall-driven
-// on threads, simulation-driven (and therefore replayable) under DST.
+// Both clocks serve as telemetry time sources, so event timestamps ride
+// the same SimTime axis as the middleware's deadlines — wall-driven on
+// threads, simulation-driven (and therefore replayable) under DST.
 impl vc_telemetry::TimeSource for WallClock {
     fn now_s(&self) -> f64 {
-        WallClock::now(self).as_secs()
+        self.now().as_secs()
     }
 }
 
 impl vc_telemetry::TimeSource for VirtualClock {
     fn now_s(&self) -> f64 {
-        Clock::now(self).as_secs()
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        *self.now.lock()
-    }
-
-    fn elapsed_s(&self) -> f64 {
-        self.now().as_secs() - self.offset_s
+        self.now().as_secs()
     }
 }
 
@@ -167,8 +125,9 @@ mod tests {
     #[test]
     fn resume_offset_shifts_readings() {
         let c = WallClock::resumed_at(100.0);
-        assert!(c.now().as_secs() >= 100.0);
-        assert!(c.elapsed_s() < 1.0, "offset must not count as elapsed");
+        let now = c.now().as_secs();
+        assert!(now >= 100.0);
+        assert!(now < 101.0, "the offset is where the reading starts");
     }
 
     #[test]
@@ -179,7 +138,7 @@ mod tests {
         c.set(SimTime::from_secs(2.0));
         assert_eq!(reader.now(), SimTime::from_secs(2.0), "clones share");
         c.set(SimTime::from_secs(5.0));
-        assert!((Clock::elapsed_s(&reader) - 5.0).abs() < 1e-12);
+        assert_eq!(vc_telemetry::TimeSource::now_s(&reader), 5.0);
     }
 
     #[test]
@@ -188,13 +147,5 @@ mod tests {
         c.set(SimTime::from_secs(3.0));
         c.set(SimTime::from_secs(1.0));
         assert_eq!(c.now(), SimTime::from_secs(3.0));
-    }
-
-    #[test]
-    fn virtual_resume_offset_excluded_from_elapsed() {
-        let c = VirtualClock::resumed_at(50.0);
-        c.set(SimTime::from_secs(54.0));
-        assert_eq!(c.now(), SimTime::from_secs(54.0));
-        assert!((Clock::elapsed_s(&c) - 4.0).abs() < 1e-12);
     }
 }

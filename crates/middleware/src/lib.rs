@@ -19,9 +19,10 @@
 //! while the scheduler tracks workunit state.
 //!
 //! Time is the caller's: every entry point takes `now`, read from a
-//! [`Clock`] ([`WallClock`] on threads, the [`VirtualClock`] reading under
-//! simulation). Assignment deadlines wait in a [`TimerQueue`], which is the
-//! workspace's one time-ordered queue ([`vc_simnet::DelayQueue`]) keyed by
+//! [`WallClock`] on threads or the [`VirtualClock`] under simulation (the
+//! runtime reads either through its telemetry time source). Assignment
+//! deadlines wait in a [`TimerQueue`], which is the workspace's one
+//! time-ordered queue ([`vc_simnet::DelayQueue`]) keyed by
 //! `(deadline, assignment seq)`.
 
 pub mod clock;
@@ -31,7 +32,7 @@ pub mod timer;
 pub mod validate;
 pub mod workunit;
 
-pub use clock::{Clock, VirtualClock, WallClock};
+pub use clock::{VirtualClock, WallClock};
 pub use host::{HostCold, HostHot, HostId, HostSummary};
 pub use server::{
     Assignment, BoincServer, MiddlewareConfig, ReportStatus, ServerMetrics, HOST_TURNAROUND_S,

@@ -34,6 +34,17 @@ pub const WU_DEADLINE_S: &str = "wu_deadline_s";
 /// (not tighter) deadlines — BOINC's "exponential deadline growth".
 const TIMEOUT_TURNAROUND_GROWTH: f64 = 1.5;
 
+/// The adaptive deadline is this many times the host's turnaround EWMA,
+/// clamped to `[min_timeout_s, max_timeout_s]`.
+const DEADLINE_GRACE: f64 = 3.0;
+
+/// Smoothing factor of the per-host turnaround EWMA.
+const DEADLINE_ALPHA: f64 = 0.25;
+
+/// The replica count a quorum disagreement may grow a workunit to (or the
+/// replication factor, if larger).
+const MAX_ATTEMPTS: u32 = 8;
+
 /// Server-side policy knobs (BOINC project configuration).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MiddlewareConfig {
@@ -41,9 +52,6 @@ pub struct MiddlewareConfig {
     /// has been observed for a host, after which the per-host EWMA takes
     /// over. Paper: 5 min, fixed; here it is only the seed.
     pub timeout_s: f64,
-    /// Attempts after which a workunit is still re-queued but counted as
-    /// pathological (surfaced in metrics; BOINC would error the workunit).
-    pub max_attempts: u32,
     /// Enable sticky-file locality-aware assignment (§III-B).
     pub sticky_files: bool,
     /// Replication factor: how many hosts may execute the same workunit
@@ -57,12 +65,6 @@ pub struct MiddlewareConfig {
     /// `timeout_s` is configured higher).
     #[serde(default = "default_max_timeout_s")]
     pub max_timeout_s: f64,
-    /// Deadline = `deadline_grace ×` the host's turnaround EWMA, clamped.
-    #[serde(default = "default_deadline_grace")]
-    pub deadline_grace: f64,
-    /// Smoothing factor of the turnaround EWMA.
-    #[serde(default = "default_deadline_alpha")]
-    pub deadline_alpha: f64,
     /// Matching uploads required before a result is handed to the
     /// assimilator (BOINC's `min_quorum`). Must be ≤ `replication`.
     #[serde(default = "default_quorum")]
@@ -82,12 +84,6 @@ fn default_min_timeout_s() -> f64 {
 fn default_max_timeout_s() -> f64 {
     3600.0
 }
-fn default_deadline_grace() -> f64 {
-    3.0
-}
-fn default_deadline_alpha() -> f64 {
-    0.25
-}
 fn default_quorum() -> u32 {
     1
 }
@@ -102,13 +98,10 @@ impl Default for MiddlewareConfig {
     fn default() -> Self {
         MiddlewareConfig {
             timeout_s: 300.0,
-            max_attempts: 8,
             sticky_files: true,
             replication: 1,
             min_timeout_s: default_min_timeout_s(),
             max_timeout_s: default_max_timeout_s(),
-            deadline_grace: default_deadline_grace(),
-            deadline_alpha: default_deadline_alpha(),
             quorum: default_quorum(),
             backoff_base_s: default_backoff_base_s(),
             backoff_max_s: default_backoff_max_s(),
@@ -123,7 +116,6 @@ impl MiddlewareConfig {
             ("timeout_s", self.timeout_s),
             ("min_timeout_s", self.min_timeout_s),
             ("max_timeout_s", self.max_timeout_s),
-            ("deadline_grace", self.deadline_grace),
         ] {
             if !v.is_finite() || v <= 0.0 {
                 return Err(format!("middleware.{name} must be finite and positive"));
@@ -131,15 +123,6 @@ impl MiddlewareConfig {
         }
         if self.min_timeout_s > self.max_timeout_s {
             return Err("middleware.min_timeout_s exceeds max_timeout_s".into());
-        }
-        if !self.deadline_alpha.is_finite()
-            || self.deadline_alpha <= 0.0
-            || self.deadline_alpha > 1.0
-        {
-            return Err("middleware.deadline_alpha must be in (0, 1]".into());
-        }
-        if self.max_attempts == 0 {
-            return Err("middleware.max_attempts must be >= 1".into());
         }
         if self.replication == 0 {
             return Err("middleware.replication must be >= 1".into());
@@ -470,7 +453,7 @@ impl BoincServer {
         }
     }
 
-    /// The adaptive completion deadline for `host`: `deadline_grace ×` its
+    /// The adaptive completion deadline for `host`: [`DEADLINE_GRACE`] × its
     /// turnaround EWMA, clamped to `[min_timeout_s, max_timeout_s]` (both
     /// widened to admit the configured `timeout_s`, which is also the
     /// unseeded default).
@@ -479,7 +462,7 @@ impl BoincServer {
             Some(ewma) => {
                 let lo = self.cfg.min_timeout_s.min(self.cfg.timeout_s);
                 let hi = self.cfg.max_timeout_s.max(self.cfg.timeout_s);
-                (self.cfg.deadline_grace * ewma).clamp(lo, hi)
+                (DEADLINE_GRACE * ewma).clamp(lo, hi)
             }
             None => self.cfg.timeout_s,
         }
@@ -754,7 +737,7 @@ impl BoincServer {
                 .find(|a| a.host == host && a.incarnation == self.hosts[host.0 as usize].lives)
             {
                 let turnaround = (now - a.issued_at).max(0.0);
-                self.hosts[host.0 as usize].record_turnaround(turnaround, self.cfg.deadline_alpha);
+                self.hosts[host.0 as usize].record_turnaround(turnaround, DEADLINE_ALPHA);
                 self.observe(HOST_TURNAROUND_S, turnaround);
             }
         }
@@ -809,7 +792,7 @@ impl BoincServer {
         let quorum = self.cfg.quorum as usize;
         let outstanding = target.saturating_sub(live + banked);
         if best_group + live + outstanding < quorum {
-            let cap = self.cfg.max_attempts.max(self.cfg.replication) as usize;
+            let cap = MAX_ATTEMPTS.max(self.cfg.replication) as usize;
             let need = quorum - (best_group + live + outstanding);
             let new_target = (target + need).min(cap.max(target));
             if new_target > target {
@@ -1010,12 +993,10 @@ impl BoincServer {
                 // Feed the EWMA a grown estimate of the blown deadline
                 // so a slow-but-honest host earns a longer one next
                 // time instead of timing out forever.
-                let blown =
-                    (deadline - issued_at) / self.cfg.deadline_grace * TIMEOUT_TURNAROUND_GROWTH;
-                let alpha = self.cfg.deadline_alpha;
+                let blown = (deadline - issued_at) / DEADLINE_GRACE * TIMEOUT_TURNAROUND_GROWTH;
                 let h = &mut self.hosts[e.host.0 as usize];
                 h.record_timeout();
-                h.record_turnaround(blown, alpha);
+                h.record_turnaround(blown, DEADLINE_ALPHA);
                 self.apply_backoff(e.host, now);
             }
             self.metrics.timeouts += 1;

@@ -82,7 +82,6 @@ fn shard_frame(i: usize, version: u64, payload: Bytes) -> SealedFrame {
 
 struct PsInstruments {
     tel: Telemetry,
-    bytes_saved: Arc<Counter>,
     encode_s: Arc<Histogram>,
 }
 
@@ -128,7 +127,6 @@ struct Metrics {
     cache_hits: AtomicU64,
     bytes_rx: AtomicU64,
     bytes_tx: AtomicU64,
-    bytes_saved: AtomicU64,
     deltas_sent: AtomicU64,
 }
 
@@ -137,6 +135,9 @@ pub struct PsService {
     assim: Arc<ShardedAssimilator>,
     snapshots: RwLock<HashMap<u64, EpochSnapshot>>,
     metrics: Metrics,
+    /// Bytes the codec kept off the wire: the registry's `ps_bytes_saved`
+    /// counter once telemetry is attached, a private one before.
+    bytes_saved: Arc<Counter>,
     codec: Codec,
     /// The `Shard` frames of the latest lossy publish (empty before the
     /// first). They *are* the reference every delta-tracking worker
@@ -165,6 +166,7 @@ impl PsService {
             assim,
             snapshots: RwLock::new(HashMap::new()),
             metrics: Metrics::default(),
+            bytes_saved: Arc::default(),
             codec: Codec::Raw,
             latest: Mutex::new(Vec::new()),
             instruments: None,
@@ -178,13 +180,14 @@ impl PsService {
         self
     }
 
-    /// Attaches codec telemetry: the `ps_bytes_saved` counter and the
-    /// publish-time encode duration histogram.
+    /// Attaches codec telemetry: the `ps_bytes_saved` counter (which
+    /// [`Self::codec_ops`] then reads) and the publish-time encode
+    /// duration histogram.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         let reg = tel.registry();
+        self.bytes_saved = reg.counter(PS_BYTES_SAVED);
         self.instruments = Some(PsInstruments {
             tel: tel.clone(),
-            bytes_saved: reg.counter(PS_BYTES_SAVED),
             encode_s: reg.histogram(PS_ENCODE_S),
         });
         self
@@ -344,7 +347,7 @@ impl PsService {
     /// separate from [`ops`](Self::ops)).
     pub fn codec_ops(&self) -> CodecOps {
         CodecOps {
-            bytes_saved: self.metrics.bytes_saved.load(Ordering::Relaxed),
+            bytes_saved: self.bytes_saved.get(),
             deltas_sent: self.metrics.deltas_sent.load(Ordering::Relaxed),
         }
     }
@@ -409,10 +412,7 @@ impl PsService {
                 if let Some(delta) = &snap.deltas[i] {
                     let full_len = snap.shards[i].encoded_len();
                     let saved = full_len.saturating_sub(delta.encoded_len()) as u64;
-                    self.metrics.bytes_saved.fetch_add(saved, Ordering::Relaxed);
-                    if let Some(ins) = &self.instruments {
-                        ins.bytes_saved.add(saved);
-                    }
+                    self.bytes_saved.add(saved);
                     deltas_sent += 1;
                     out.push(delta.clone());
                     continue;

@@ -22,9 +22,6 @@ pub struct RuntimeConfig {
     pub job: JobConfig,
     /// Seconds a worker sleeps after a `NoWork` reply before polling again.
     pub poll_interval_s: f64,
-    /// Seconds a worker waits for a scheduler reply before re-polling
-    /// (covers replies lost to its own death/respawn cycle).
-    pub reply_timeout_s: f64,
     /// Fault injection plan.
     pub faults: FaultPlan,
     /// Write a checkpoint after every N assimilations (requires
@@ -86,7 +83,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             job,
             poll_interval_s: 0.01,
-            reply_timeout_s: 1.0,
             faults: FaultPlan::none(),
             checkpoint_every_assims: None,
             checkpoint_every_s: None,
@@ -125,9 +121,6 @@ impl RuntimeConfig {
         self.faults.validate(self.job.cn)?;
         if self.poll_interval_s <= 0.0 || !self.poll_interval_s.is_finite() {
             return Err(format!("invalid poll_interval_s {}", self.poll_interval_s));
-        }
-        if self.reply_timeout_s <= 0.0 || !self.reply_timeout_s.is_finite() {
-            return Err(format!("invalid reply_timeout_s {}", self.reply_timeout_s));
         }
         if self.max_wall_s <= 0.0 || !self.max_wall_s.is_finite() {
             return Err(format!("invalid max_wall_s {}", self.max_wall_s));

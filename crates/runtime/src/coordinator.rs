@@ -7,12 +7,14 @@
 //! next — at most one worker reply or one assimilation task — as an
 //! [`Effect`]. It holds no channel and starts no thread. The threaded
 //! runtime wraps it in [`Coordinator::run`], which reads an MPMC inbox
-//! against a [`vc_middleware::WallClock`] and forwards effects to worker
-//! and assimilator channels; `Pn` [`assimilator_main`] threads then contend
-//! on the shared [`VersionedStore`] for real — in eventual mode overlapping
+//! and forwards effects to worker and assimilator channels; `Pn`
+//! [`assimilator_main`] threads then contend on the shared
+//! [`VersionedStore`] for real — in eventual mode overlapping
 //! read-blend-write cycles genuinely lose updates, by racing. The
-//! deterministic simulation (`crate::sim`) instantiates the same
-//! coordinator over a `VirtualClock` and executes each effect directly.
+//! deterministic simulation (`crate::sim`) executes each effect directly.
+//! Either way the coordinator reads one clock, its telemetry hub's time
+//! source: a [`vc_middleware::WallClock`] on threads, the scheduler's
+//! `VirtualClock` under simulation.
 //!
 //! The server side keeps one copy of the parameters, the store's shard
 //! blobs: an assimilator moves the accepted upload into
@@ -38,7 +40,7 @@ use std::time::Duration;
 use vc_asgd::result_is_valid;
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
-use vc_middleware::{BoincServer, Clock, HostId, ReportStatus, ShardManifest, ToleranceComparator};
+use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, ToleranceComparator};
 use vc_nn::metrics::evaluate;
 use vc_nn::Sequential;
 use vc_ops::{FleetStatus, OpsHub, PsStatus, StatusSnapshot};
@@ -109,18 +111,17 @@ pub fn assimilator_main(mut ctx: AssimCtx) -> Sequential {
     ctx.eval_model
 }
 
-/// The coordinator's state, put together by [`assemble`]: over a
-/// [`vc_middleware::WallClock`] for the threaded runtime, over a
-/// `VirtualClock` for the simulation.
-pub struct Coordinator<C: Clock> {
+/// The coordinator's state, put together by [`assemble`]. It reads time
+/// from its telemetry hub, whose time source the run points at a
+/// [`vc_middleware::WallClock`] on threads and at the scheduler's
+/// `VirtualClock` under simulation.
+pub struct Coordinator {
     /// Shared run configuration.
     pub cfg: Arc<RuntimeConfig>,
     /// The middleware state machine.
     pub server: BoincServer,
     /// Per-shard Eq. (1) applier (same instance the pool shares).
     pub assim: Arc<ShardedAssimilator>,
-    /// Clock driving every middleware `now` (wall or virtual).
-    pub clock: C,
     /// The parameter service workers fetch epoch snapshots from (shard
     /// blobs pre-encoded per epoch; wire-byte counters).
     pub service: Arc<PsService>,
@@ -138,10 +139,11 @@ pub struct Coordinator<C: Clock> {
     pub wall_base_s: f64,
     /// Shared fault counters.
     pub stats_faults: Arc<FaultStats>,
-    /// Runtime second (clock `elapsed_s`) at which the next timed
+    /// Runtime second ([`Coordinator::elapsed_s`]) at which the next timed
     /// checkpoint is due; `None` disables the timer.
     pub next_checkpoint_s: Option<f64>,
-    /// The run's telemetry hub (registry + flight recorder).
+    /// The run's telemetry hub (registry + flight recorder) and its one
+    /// clock: every middleware `now` is its `now_s`.
     pub telemetry: Telemetry,
     /// The live ops hub the coordinator publishes status snapshots into
     /// (`None` when no ops surface is attached).
@@ -181,8 +183,8 @@ pub(crate) enum Effect {
 
 /// A run put together by [`assemble`]: the coordinator plus the data the
 /// substrate's actors and the final evaluation need.
-pub(crate) struct Assembled<C: Clock> {
-    pub coord: Coordinator<C>,
+pub(crate) struct Assembled {
+    pub coord: Coordinator,
     /// The run's one built model: the first parameter server's scoring
     /// replica.
     pub model: Sequential,
@@ -202,16 +204,17 @@ pub(crate) struct Assembled<C: Clock> {
 /// score. `store` arrives bare (recording or not)
 /// and `tel` with whatever time source should stamp the seeding
 /// operations; `start_clock` is called with the resume offset once seeding
-/// is done, so set-up time never counts against the run clock.
-pub(crate) fn assemble<C: Clock>(
+/// is done, to point `tel` at the run's clock, so set-up time never counts
+/// against it.
+pub(crate) fn assemble(
     cfg: Arc<RuntimeConfig>,
     model: Sequential,
     tel: &Telemetry,
     store: VersionedStore,
     resume: Option<Checkpoint>,
     ops: Option<Arc<OpsHub>>,
-    start_clock: impl FnOnce(f64) -> C,
-) -> Assembled<C> {
+    start_clock: impl FnOnce(f64),
+) -> Assembled {
     let job = &cfg.job;
     // Causal workunit tracing: off by default so untraced runs record
     // byte-identical telemetry; `cfg.trace` opts a run in.
@@ -277,7 +280,7 @@ pub(crate) fn assemble<C: Clock>(
         job.middleware.clone(),
         fleet.iter().map(|s| (s.clone(), job.tn)).collect(),
     );
-    let clock = start_clock(wall_base_s);
+    start_clock(wall_base_s);
     server.set_telemetry(tel.clone());
     if cfg.codec.is_lossy() {
         // Quantized honest replicas differ by a few quantization steps;
@@ -299,7 +302,6 @@ pub(crate) fn assemble<C: Clock>(
     let coord = Coordinator {
         server,
         assim,
-        clock,
         service,
         epoch,
         done,
@@ -337,7 +339,7 @@ pub(crate) enum Stop {
     Halted,
 }
 
-impl<C: Clock> Coordinator<C> {
+impl Coordinator {
     /// The threaded driver: serves `links.inbox` to completion (or halt),
     /// shuts the fleet down, and returns the report. Final accuracies are
     /// evaluated by the caller — the coordinator has no model of its own.
@@ -394,7 +396,7 @@ impl<C: Clock> Coordinator<C> {
             epochs: self.stats.clone(),
             final_val_acc: 0.0,  // filled by `score_final`
             final_test_acc: 0.0, // filled by `score_final`
-            wall_s: self.wall_base_s + self.clock.elapsed_s(),
+            wall_s: self.telemetry.now_s(),
             workers: self.cfg.job.cn,
             server_metrics: self.server.metrics(),
             hosts: self.server.host_summaries(),
@@ -411,11 +413,10 @@ impl<C: Clock> Coordinator<C> {
 
     fn event_loop(&mut self, links: &Links) -> Stop {
         loop {
-            let now = self.clock.now();
-            self.server.scan_timeouts(now);
+            self.server.scan_timeouts(self.now());
             self.maybe_timed_checkpoint();
             self.maybe_publish_ops();
-            if self.clock.elapsed_s() > self.cfg.max_wall_s {
+            if self.elapsed_s() > self.cfg.max_wall_s {
                 self.write_checkpoint();
                 return Stop::Halted;
             }
@@ -443,9 +444,19 @@ impl<C: Clock> Coordinator<C> {
         }
     }
 
+    /// The run clock's current reading, on the middleware's time axis.
+    fn now(&self) -> SimTime {
+        SimTime::from_secs(self.telemetry.now_s())
+    }
+
+    /// Seconds this process has run: the reading less the resume offset.
+    pub(crate) fn elapsed_s(&self) -> f64 {
+        self.telemetry.now_s() - self.wall_base_s
+    }
+
     /// Serves one message against the clock's current reading.
     pub(crate) fn handle(&mut self, msg: ToServer) -> Effect {
-        let now = self.clock.now();
+        let now = self.now();
         match msg {
             ToServer::RequestWork { host } => {
                 // Download bytes are no longer estimated here: the worker
@@ -561,7 +572,7 @@ impl<C: Clock> Coordinator<C> {
         self.stats.push(RuntimeEpoch {
             epoch: self.epoch,
             alpha: self.cfg.job.alpha.alpha(self.epoch),
-            end_wall_s: self.wall_base_s + self.clock.elapsed_s(),
+            end_wall_s: self.telemetry.now_s(),
             mean_val_acc: mean,
             min_val_acc: min,
             max_val_acc: max,
@@ -595,7 +606,7 @@ impl<C: Clock> Coordinator<C> {
         // Keep the new epoch (fetches, checkpoints) and the one that just
         // closed (a replica handed out as it closed may still fetch it).
         self.service.retire_snapshots_before(self.epoch as u64 - 1);
-        let now = self.clock.now();
+        let now = self.now();
         self.server.add_epoch_sharded(
             self.epoch,
             self.cfg.job.shards,
@@ -609,7 +620,7 @@ impl<C: Clock> Coordinator<C> {
     /// progress, fleet health, queue backlog, and parameter-service shard
     /// versions — read-only over state the coordinator already owns.
     pub(crate) fn build_status(&self, done: bool) -> StatusSnapshot {
-        let now = self.clock.now();
+        let now = self.now();
         let ops = self.service.ops();
         let mut ps = PsStatus::from_versions(self.assim.versions());
         ps.fetches = ops.fetches;
@@ -625,7 +636,7 @@ impl<C: Clock> Coordinator<C> {
             1.0
         };
         StatusSnapshot {
-            t_s: self.wall_base_s + self.clock.elapsed_s(),
+            t_s: self.telemetry.now_s(),
             label: self.cfg.job.pct_label(),
             epochs_done: self.stats.len() as u32,
             epochs_total: self.cfg.job.epochs as u32,
@@ -659,7 +670,7 @@ impl<C: Clock> Coordinator<C> {
         if self.ops.is_none() {
             return;
         }
-        let elapsed = self.clock.elapsed_s();
+        let elapsed = self.elapsed_s();
         if elapsed - self.last_ops_publish_s >= OPS_PUBLISH_EVERY_S {
             self.last_ops_publish_s = elapsed;
             self.publish_ops(false);
@@ -688,7 +699,7 @@ impl<C: Clock> Coordinator<C> {
         let Some(every) = self.cfg.checkpoint_every_s else {
             return;
         };
-        let elapsed = self.clock.elapsed_s();
+        let elapsed = self.elapsed_s();
         if self.next_checkpoint_s.is_some_and(|due| elapsed >= due) {
             self.write_checkpoint();
             self.next_checkpoint_s = Some(elapsed + every);
@@ -717,7 +728,7 @@ impl<C: Clock> Coordinator<C> {
             stats: self.stats.clone(),
             assimilations: self.assimilations,
             bytes_transferred: self.total_bytes(),
-            wall_s: self.wall_base_s + self.clock.elapsed_s(),
+            wall_s: self.telemetry.now_s(),
             digest: 0,
         };
         ck.seal();

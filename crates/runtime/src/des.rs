@@ -45,22 +45,23 @@ use vc_ps::{ShardSnapshot, ShardedAssimilator};
 use vc_simnet::{ComputeModel, EventQueue, InstanceSpec, NetworkModel, PreemptionModel, SimTime};
 use vc_tensor::codec::encoded_len;
 
+/// Seconds a preempted host slot takes to be replaced by a fresh instance
+/// (the fleet keeps its size; §IV-E runs "a fleet").
+pub const REPLACEMENT_DELAY_S: f64 = 120.0;
+
 /// A discrete-event run: the job every driver reads, plus what only this
-/// driver models — simulated compute and transfer costs, instance
-/// preemption, and the timing-only shortcut.
+/// driver models — simulated compute costs, instance preemption, and the
+/// timing-only shortcut. Transfers are priced by the default
+/// [`NetworkModel`], and a preempted host comes back after
+/// [`REPLACEMENT_DELAY_S`].
 #[derive(Clone, Debug)]
 pub struct DesConfig {
     /// The training job.
     pub job: JobConfig,
     /// Fleet compute model.
     pub compute: ComputeModel,
-    /// Network model.
-    pub network: NetworkModel,
     /// Instance-termination process (§IV-E).
     pub preemption: PreemptionModel,
-    /// Seconds a preempted host slot takes to be replaced by a fresh
-    /// instance (the fleet keeps its size; §IV-E runs "a fleet").
-    pub replacement_delay_s: f64,
     /// Skip real training and per-update evaluation: clients return the
     /// snapshot unchanged and accuracies read as zero. The simulated
     /// *timing* is identical, so time-shape experiments (Fig. 3, §IV-D,
@@ -72,16 +73,13 @@ pub struct DesConfig {
 }
 
 impl DesConfig {
-    /// Simulates `job` on the calibrated testbed: default cost models, no
-    /// preemption, a 120 s replacement delay, real training, no per-epoch
-    /// test scoring.
+    /// Simulates `job` on the calibrated testbed: the default compute
+    /// model, no preemption, real training, no per-epoch test scoring.
     pub fn new(job: JobConfig) -> Self {
         DesConfig {
             job,
             compute: ComputeModel::default(),
-            network: NetworkModel::default(),
             preemption: PreemptionModel::None,
-            replacement_delay_s: 120.0,
             timing_only: false,
             track_test_acc: false,
         }
@@ -157,6 +155,7 @@ struct TrainingJob {
     manifest: Vec<u64>,
     // Fleet state.
     fleet: Vec<InstanceSpec>,
+    network: NetworkModel,
     generations: Vec<u32>,
     // RNG streams.
     net_rng: StdRng,
@@ -221,6 +220,7 @@ impl TrainingJob {
             busy_ps: 0,
             assim_queue: VecDeque::new(),
             fleet,
+            network: NetworkModel::default(),
             generations: vec![0; cn],
             bytes: 0,
             preemptions: 0,
@@ -283,14 +283,12 @@ impl TrainingJob {
             // Download: parameter snapshot always; shard only on cache miss.
             let param_bytes = encoded_len(self.param_count);
             let mut dl = self
-                .cfg
                 .network
                 .transfer_s(spec, param_bytes, &mut self.net_rng);
             self.bytes += param_bytes as u64;
             if !asg.shard_cached {
                 let shard_bytes = self.shards.shard(asg.wu.shard_id).byte_size();
                 dl += self
-                    .cfg
                     .network
                     .transfer_s(spec, shard_bytes, &mut self.net_rng);
                 self.bytes += shard_bytes as u64;
@@ -352,10 +350,9 @@ impl TrainingJob {
         }
 
         let spec = &self.fleet[host.0 as usize];
-        let up =
-            self.cfg
-                .network
-                .transfer_s(spec, encoded_len(self.param_count), &mut self.net_rng);
+        let up = self
+            .network
+            .transfer_s(spec, encoded_len(self.param_count), &mut self.net_rng);
         self.bytes += encoded_len(self.param_count) as u64;
         self.events
             .schedule_in(up, Ev::UploadDone { host, gen, wu });
@@ -520,7 +517,7 @@ impl TrainingJob {
         self.generations[host.0 as usize] += 1;
         self.server.preempt_host(host);
         self.events
-            .schedule_in(self.cfg.replacement_delay_s, Ev::Revive(host));
+            .schedule_in(REPLACEMENT_DELAY_S, Ev::Revive(host));
     }
 
     fn on_revive(&mut self, host: HostId) {

@@ -43,8 +43,8 @@ pub struct FaultPlan {
     /// very first subtask it receives).
     pub kill_on_nth_assignment: u64,
     /// When set, a killed worker comes back as a fresh instance after this
-    /// many wall-clock seconds (the simulator's `replacement_delay_s`
-    /// analog). When `None`, the fleet stays shrunken.
+    /// many wall-clock seconds (the analog of the discrete-event driver's
+    /// `REPLACEMENT_DELAY_S`). When `None`, the fleet stays shrunken.
     pub respawn_after_s: Option<f64>,
     /// Upper bound of the uniform random delay injected on every
     /// worker→server message. Delayed messages can overtake each other, so

@@ -189,12 +189,10 @@ impl Runtime {
         };
 
         // --- data, parameter service, middleware, coordinator --------------
-        // Event timestamps ride the same SimTime axis as the middleware's
-        // deadlines (cumulative across resumes).
+        // The run's one clock (cumulative across resumes): the
+        // coordinator's deadlines and every event timestamp read it.
         let start_clock = |wall_base_s| {
-            let clock = WallClock::resumed_at(wall_base_s);
-            tel.set_time_source(Arc::new(clock));
-            clock
+            tel.set_time_source(Arc::new(WallClock::resumed_at(wall_base_s)));
         };
         let Assembled {
             coord,

@@ -51,7 +51,7 @@ impl<E> StepScheduler<E> {
     }
 
     /// A shared handle on the scheduler's clock (for code that only reads
-    /// `now`, like the coordinator's timeout scans).
+    /// `now`, like the run's telemetry time source).
     pub fn clock(&self) -> VirtualClock {
         self.clock.clone()
     }
@@ -103,7 +103,6 @@ impl<E> StepScheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc_middleware::Clock;
 
     fn drain(seed: u64, jitter: f64) -> Vec<(f64, u32)> {
         drain_with(seed, jitter, false)

@@ -20,6 +20,14 @@
 //! The entry point is [`run_scenario`]; [`sweep`] runs a seed range and
 //! panics with the offending seed in the message, so any CI failure is a
 //! one-command local replay.
+//!
+//! What takes real time on threads costs fixed virtual time here: a
+//! subtask trains for `TRAIN_S` plus a straggler draw up to
+//! `TRAIN_JITTER_S`, an assimilation holds its race window open for
+//! `ASSIM_S`, and the scheduler adds up to `SCHED_JITTER_S` to every
+//! event. These are constants, sized so the test-scale timeouts (2 s)
+//! catch dead workers without firing on stragglers; a [`Scenario`] varies
+//! only the run configuration and the housekeeping cadence.
 
 use crate::config::RuntimeConfig;
 use crate::coordinator::{assemble, score, score_final, Assembled, Coordinator, Effect, Stop};
@@ -33,14 +41,25 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{check_sequential, count_lost_updates, Consistency, HistoryEvent, VersionedStore};
-use vc_middleware::{Clock, HostId, VirtualClock, WuId};
+use vc_middleware::{HostId, WuId};
 use vc_nn::Sequential;
 use vc_optim::TrainWorkspace;
 use vc_ps::{MemClient, PsService, ShardSnapshot};
 use vc_telemetry::{Histogram, Telemetry, TraceStage};
 
+/// Base virtual seconds one subtask's training occupies a worker.
+const TRAIN_S: f64 = 0.8;
+/// Straggler spread: each subtask trains an extra uniform draw in
+/// `[0, TRAIN_JITTER_S]` from the worker's private RNG stream.
+const TRAIN_JITTER_S: f64 = 0.4;
+/// Virtual seconds between an assimilation's begin (stale read) and commit
+/// (write-back) — the race window eventual mode loses updates in.
+const ASSIM_S: f64 = 0.05;
+/// Scheduling-latency bound the [`StepScheduler`] adds to every event.
+const SCHED_JITTER_S: f64 = 0.002;
+
 /// One deterministic chaos scenario: a runtime configuration plus the
-/// virtual-time costs of the things that take real time on threads.
+/// cadence of the coordinator's housekeeping under virtual time.
 ///
 /// `seed` drives the [`StepScheduler`] (scheduling jitter + same-instant
 /// picks) and, via [`Scenario::new`], the job's data/model seed — so one
@@ -53,20 +72,9 @@ pub struct Scenario {
     /// simulation honors the same fields the threaded runtime does;
     /// `max_wall_s` bounds *virtual* seconds here.
     pub cfg: RuntimeConfig,
-    /// Base virtual seconds one subtask's training occupies a worker.
-    pub train_s: f64,
-    /// Straggler spread: per-subtask extra uniform in `[0, this]`, drawn
-    /// from the worker's private RNG stream.
-    pub train_jitter_s: f64,
-    /// Virtual seconds between an assimilation's begin (stale read) and
-    /// commit (write-back) — the race window eventual mode loses updates
-    /// in.
-    pub assim_s: f64,
     /// Cadence of the coordinator's housekeeping tick (timeout scans,
     /// checkpoint timer, `max_wall_s` safety net).
     pub tick_s: f64,
-    /// Scheduling-latency bound the [`StepScheduler`] adds to every event.
-    pub sched_jitter_s: f64,
     /// Attach an in-memory [`vc_ops::OpsHub`] to the run: the coordinator
     /// publishes a status snapshot on every housekeeping tick, and
     /// [`SimOutcome::ops`] exposes the hub so tests can call the same
@@ -76,19 +84,14 @@ pub struct Scenario {
 
 impl Scenario {
     /// The test-scale scenario: `seed` names the schedule *and* the job's
-    /// data/model seed, faults off, virtual costs sized so assignment
-    /// timeouts (2 s) catch dead workers without firing on stragglers.
+    /// data/model seed, faults off, a housekeeping tick every 0.25 s.
     pub fn new(seed: u64) -> Self {
         let mut cfg = RuntimeConfig::test_small(seed);
         cfg.poll_interval_s = 0.05;
         Scenario {
             seed,
             cfg,
-            train_s: 0.8,
-            train_jitter_s: 0.4,
-            assim_s: 0.05,
             tick_s: 0.25,
-            sched_jitter_s: 0.002,
             ops: false,
         }
     }
@@ -225,25 +228,11 @@ impl Scenario {
         self
     }
 
-    /// Cross-field validation (config plus the sim-only knobs).
+    /// Cross-field validation (config plus the housekeeping cadence).
     pub fn validate(&self) -> Result<(), String> {
         self.cfg.validate()?;
-        for (name, v) in [
-            ("train_s", self.train_s),
-            ("assim_s", self.assim_s),
-            ("tick_s", self.tick_s),
-        ] {
-            if v <= 0.0 || !v.is_finite() {
-                return Err(format!("invalid {name} {v}"));
-            }
-        }
-        for (name, v) in [
-            ("train_jitter_s", self.train_jitter_s),
-            ("sched_jitter_s", self.sched_jitter_s),
-        ] {
-            if v < 0.0 || !v.is_finite() {
-                return Err(format!("invalid {name} {v}"));
-            }
+        if self.tick_s <= 0.0 || !self.tick_s.is_finite() {
+            return Err(format!("invalid tick_s {}", self.tick_s));
         }
         Ok(())
     }
@@ -366,7 +355,7 @@ enum Ev {
 struct Sim {
     sc: Scenario,
     sched: StepScheduler<Ev>,
-    coord: Coordinator<VirtualClock>,
+    coord: Coordinator,
     workers: Vec<SimWorker>,
     slots: Vec<Slot>,
     assim_queue: VecDeque<AssimTask>,
@@ -462,7 +451,7 @@ impl Sim {
                 // summarization: no RNG, no events, so attaching the ops
                 // hub never perturbs a trajectory.
                 self.coord.publish_ops(false);
-                if self.coord.clock.elapsed_s() > self.coord.cfg.max_wall_s {
+                if self.coord.elapsed_s() > self.coord.cfg.max_wall_s {
                     self.coord.write_checkpoint();
                     return Some(Stop::Halted);
                 }
@@ -505,10 +494,7 @@ impl Sim {
                     .core
                     .execute(&wu, &self.shards, &mut self.train_ws, None)
                     .expect("sim fetch: a snapshot is published for every generated epoch");
-                let mut dur = self.sc.train_s;
-                if self.sc.train_jitter_s > 0.0 {
-                    dur += w.core.rng.gen_range(0.0..=self.sc.train_jitter_s);
-                }
+                let dur = TRAIN_S + w.core.rng.gen_range(0.0..=TRAIN_JITTER_S);
                 // The virtual analogue of the threaded worker's measured
                 // training time.
                 self.coord
@@ -550,12 +536,12 @@ impl Sim {
 
     fn start(&mut self, slot: usize, task: AssimTask) {
         // Eventual mode reads its (possibly stale) snapshot when the
-        // assimilation *starts*; the commit lands `assim_s` later, and
+        // assimilation *starts*; the commit lands `ASSIM_S` later, and
         // anything that commits in between is clobbered — the same race
         // the threaded pool runs, under scheduler control.
         let begun = self.coord.assim.begin();
         self.slots[slot].busy = Some(InFlight { task, begun });
-        self.sched.schedule_in(self.sc.assim_s, Ev::Commit(slot));
+        self.sched.schedule_in(ASSIM_S, Ev::Commit(slot));
     }
 
     fn commit(&mut self, slot: usize) {
@@ -591,13 +577,14 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let job = &cfg.job;
 
     // The telemetry hub reads the virtual clock from the very first store
-    // operation, so every event timestamp and latency observation is a
-    // pure function of the schedule — replays dump byte-identical traces.
-    // The store records its operation history for the consistency checks.
-    let sched = StepScheduler::new(sc.seed, sc.sched_jitter_s);
-    let clock = sched.clock();
+    // operation, so every event timestamp, latency observation and
+    // coordinator `now` is a pure function of the schedule — replays dump
+    // byte-identical traces. A simulated run starts fresh, so there is no
+    // resume offset to start the clock at. The store records its operation
+    // history for the consistency checks.
+    let sched = StepScheduler::new(sc.seed, SCHED_JITTER_S);
     let tel = Telemetry::silent();
-    tel.set_time_source(Arc::new(clock.clone()));
+    tel.set_time_source(Arc::new(sched.clock()));
     let ops_hub = sc.ops.then(|| Arc::new(vc_ops::OpsHub::new(tel.clone())));
     let Assembled {
         coord,
@@ -613,7 +600,7 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
         VersionedStore::recording(),
         None,
         ops_hub.clone(),
-        |_| clock,
+        |_| {},
     );
 
     let workers = (0..job.cn)
@@ -794,7 +781,7 @@ mod tests {
     #[test]
     fn rejects_invalid_scenarios() {
         let mut sc = tiny(1);
-        sc.train_s = 0.0;
+        sc.tick_s = 0.0;
         assert!(run_scenario(&sc).is_err());
         let sc = tiny(1).cn(2).kill_fraction(1.0, 1);
         assert!(

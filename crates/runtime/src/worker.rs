@@ -43,6 +43,10 @@ use crate::report::{
     WORKER_UPLOAD_S,
 };
 
+/// How long a worker thread waits for a scheduler reply before polling
+/// again (covers replies lost to its own death/respawn cycle).
+const REPLY_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// One volunteer host, whatever drives it.
 pub struct WorkerCore {
     /// This worker's host identity.
@@ -274,7 +278,6 @@ pub fn worker_main(ctx: WorkerCtx) {
     } = ctx;
     let (id, cfg, telemetry) = (core.id, core.cfg.clone(), core.telemetry.clone());
     let poll = Duration::from_secs_f64(cfg.poll_interval_s);
-    let reply_timeout = Duration::from_secs_f64(cfg.reply_timeout_s);
     let latency = |name| {
         telemetry
             .registry()
@@ -299,7 +302,7 @@ pub fn worker_main(ctx: WorkerCtx) {
         {
             return; // coordinator gone
         }
-        let reply = cmd_rx.recv_timeout(reply_timeout);
+        let reply = cmd_rx.recv_timeout(REPLY_TIMEOUT);
         if reply.is_ok() {
             // Scheduler round-trip: request sent to reply in hand.
             poll_h.observe((telemetry.now_s() - poll_t0).max(0.0));

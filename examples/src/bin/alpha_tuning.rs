@@ -28,11 +28,6 @@ fn main() {
         AlphaSchedule::Const(0.7),
         AlphaSchedule::Const(0.95),
         AlphaSchedule::VarEOverE1,
-        AlphaSchedule::Linear {
-            from: 0.5,
-            to: 0.95,
-            over: 8,
-        },
     ];
     let target = 0.5f32;
 

@@ -6,7 +6,7 @@
 //! Run: `cargo run -p vc-examples --bin heterogeneous_fleet --release`
 
 use vc_asgd::{FleetKind, JobConfig};
-use vc_runtime::des::{run_job, DesConfig};
+use vc_runtime::des::{run_job, DesConfig, REPLACEMENT_DELAY_S};
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {
@@ -23,7 +23,6 @@ fn main() {
     job.val_eval_n = 200;
     let cfg = DesConfig {
         preemption: PreemptionModel::BernoulliPerSubtask { p: 0.15 },
-        replacement_delay_s: 180.0,
         ..DesConfig::new(job)
     };
 
@@ -35,7 +34,7 @@ fn main() {
         );
     }
     println!(
-        "preemption: 15% per subtask; timeout t_o = {:.0}s\n",
+        "preemption: 15% per subtask, replaced after {REPLACEMENT_DELAY_S:.0}s; timeout t_o = {:.0}s\n",
         cfg.job.middleware.timeout_s
     );
 

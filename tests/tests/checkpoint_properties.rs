@@ -175,6 +175,10 @@ fn retired_algorithm_variants_do_not_parse() {
     );
     names(from_str::<vc_asgd::FleetKind>(r#"{"Custom":[]}"#), "Custom");
     names(
+        from_str::<vc_asgd::AlphaSchedule>(r#"{"Linear":{"from":0.5,"to":0.95,"over":8}}"#),
+        "Linear",
+    );
+    names(
         from_str::<vc_simnet::PreemptionModel>(r#"{"ExponentialLifetime":{"mean_hours":1.0}}"#),
         "ExponentialLifetime",
     );
@@ -187,6 +191,11 @@ fn retired_algorithm_variants_do_not_parse() {
         (adam.as_str(), r#"{"Sgd":{"lr":0.1}}"#, "Sgd"),
         (r#"["Flatten","#, r#"[{"Dropout":{"p":0.3}},"#, "Dropout"),
         (r#""fleet":"Uniform""#, r#""fleet":{"Custom":[]}"#, "Custom"),
+        (
+            r#""alpha":{"Const":0.6000000238418579}"#,
+            r#""alpha":{"Linear":{"from":0.5,"to":0.95,"over":8}}"#,
+            "Linear",
+        ),
     ] {
         assert!(json.contains(current), "{current} not in {json}");
         let old = json.replace(current, retired);
@@ -245,4 +254,44 @@ fn a_pre_split_config_still_parses() {
     let parsed: RuntimeConfig = serde_json::from_str(PRE_SPLIT_CONFIG).unwrap();
     assert_eq!(parsed, RuntimeConfig::test_small(1));
     parsed.validate().unwrap();
+}
+
+/// `RuntimeConfig::test_small(1)` as the runtime serialized it while the
+/// worker's reply timeout (`reply_timeout_s`) and the middleware's
+/// deadline policy (`max_attempts`, `deadline_grace`, `deadline_alpha`)
+/// were still settings. The text is that build's output, byte for byte
+/// apart from line breaks and those four values, which are set away from
+/// the defaults the constants now hold.
+const PRE_CONSTANTS_CONFIG: &str = r#"{"job":{"model":{"name":"mlp","input":[3,16,16],
+"classes":10,"layers":["Flatten",{"Dense":{"input":768,"output":32}},"Relu",{"Dense":{
+"input":32,"output":10}}]},"data":{"classes":10,"img":[3,16,16],"train_n":400,"val_n":120,
+"test_n":120,"noise":1,"label_noise":0,"max_shift":2,"seed":1},"shards":8,"ps_shards":1,
+"pn":2,"cn":2,"tn":2,"alpha":{"Const":0.6000000238418579},"epochs":3,
+"consistency":"Eventual","fleet":"Uniform","optimizer":{"Adam":{"lr":0.0010000000474974513,
+"beta1":0.8999999761581421,"beta2":0.9990000128746033,"eps":0.00000000999999993922529}},
+"local_epochs":2,"batch_size":32,"val_eval_n":120,"middleware":{"timeout_s":2,
+"max_attempts":3,"sticky_files":true,"replication":1,"min_timeout_s":2,"max_timeout_s":10,
+"deadline_grace":2.5,"deadline_alpha":0.5,"quorum":1,"backoff_base_s":0.2,
+"backoff_max_s":2},"seed":1},"poll_interval_s":0.01,"reply_timeout_s":2.5,"faults":{
+"kill_hosts":[],"kill_on_nth_assignment":1,"respawn_after_s":null,"max_msg_delay_s":0,
+"byzantine_hosts":[],"byzantine_mode":"Poison","seed":0},"checkpoint_every_assims":null,
+"checkpoint_every_s":null,"checkpoint_path":null,"halt_after_assims":null,"max_wall_s":600,
+"flight_recorder_path":null,"ps_tcp":false,"ops_addr":null,"trace":false,"codec":"Raw"}"#;
+
+/// A checkpoint written while those four values were settings still
+/// resumes, whatever they were set to: its config parses, validates, and
+/// reads as today's config, which holds them as constants.
+#[test]
+fn a_config_with_the_retired_settings_still_parses() {
+    for key in [
+        r#""reply_timeout_s":2.5"#,
+        r#""max_attempts":3"#,
+        r#""deadline_grace":2.5"#,
+        r#""deadline_alpha":0.5"#,
+    ] {
+        assert!(PRE_CONSTANTS_CONFIG.contains(key), "{key}");
+    }
+    let parsed: RuntimeConfig = serde_json::from_str(PRE_CONSTANTS_CONFIG).unwrap();
+    parsed.validate().unwrap();
+    assert_eq!(parsed, RuntimeConfig::test_small(1));
 }

@@ -76,7 +76,6 @@ fn survives_sustained_preemption_storm() {
     job.epochs = 3;
     let cfg = DesConfig {
         preemption: PreemptionModel::BernoulliPerSubtask { p: 0.4 },
-        replacement_delay_s: 60.0,
         ..DesConfig::new(job)
     };
     let r = run_job(cfg).unwrap();

@@ -105,7 +105,6 @@ proptest! {
             AlphaSchedule::Const(0.0),
             AlphaSchedule::Const(1.0),
             AlphaSchedule::VarEOverE1,
-            AlphaSchedule::Linear { from: 0.3, to: 0.99, over: 17 },
         ] {
             let a = s.alpha(e);
             prop_assert!((0.0..=1.0).contains(&a), "{:?} at {}: {}", s, e, a);

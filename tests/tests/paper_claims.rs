@@ -96,7 +96,7 @@ fn sec4e_des_preemption_cost_is_same_order_as_model() {
     // The full fleet simulation should inflate training time by the same
     // order of magnitude the binomial model predicts at p = 0.10. The
     // model assumes a fixed timeout `t_o`; the adaptive scheduler instead
-    // grants `deadline_grace × EWMA(turnaround)`, which stretches each
+    // grants 3 × EWMA(turnaround) (`DEADLINE_GRACE`), which stretches each
     // loss-discovery wait by roughly the grace factor (see
     // EXPERIMENTS.md), so the band is wider than a fixed-timeout run
     // would need.
