@@ -8,7 +8,8 @@
 //! wire protocol with two interchangeable transports:
 //!
 //! * **TCP** ([`TcpPsServer`]/[`TcpClient`]): blocking sockets on loopback,
-//!   one listener per shard group.
+//!   one listener for every shard and one stream per worker, so a sync is
+//!   one request as it is in process.
 //! * **In-memory** ([`MemClient`]): the same bytes through the same codec
 //!   against an in-process service, synchronous, so deterministic
 //!   simulation sweeps stay single-threaded and byte-identical.
@@ -27,6 +28,8 @@
 //! the scheduler, validated, then blended by the assimilator through
 //! [`ShardedAssimilator::begin`] / [`ShardedAssimilator::finish`].
 
+#[doc(hidden)]
+mod bench_compat;
 pub mod client;
 pub mod codec;
 pub mod merge;
@@ -42,7 +45,7 @@ pub use merge::{
 };
 pub use service::{CodecOps, PsOps, PsService};
 pub use shard::ShardLayout;
-pub use tcp::{ShardGroups, TcpClient, TcpPsServer};
+pub use tcp::{TcpClient, TcpPsServer};
 pub use wire::{
     crc32, error_frame, Crc32, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError,
     SealedFrame, WireError, HEADER_LEN, MAX_PAYLOAD,

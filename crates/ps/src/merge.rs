@@ -259,7 +259,12 @@ impl ShardedAssimilator {
     /// concurrency this pipelines, while one merger transacts shard `i+1`
     /// the next can already be in shard `i`, which is where sharding buys
     /// its latency). Returns the clobbered-update count.
-    fn blend(&self, begun: Option<ShardSnapshot>, upload: &mut [f32], epoch: usize) -> u64 {
+    pub(crate) fn blend(
+        &self,
+        begun: Option<ShardSnapshot>,
+        upload: &mut [f32],
+        epoch: usize,
+    ) -> u64 {
         assert_eq!(upload.len(), self.layout.param_count(), "client length");
         let alpha = self.schedule.alpha(epoch);
         let mut clobbered = 0;
@@ -307,27 +312,6 @@ impl ShardedAssimilator {
     pub fn begin_eventual(&self) -> ShardSnapshot {
         let (blobs, versions) = self.keys.iter().map(|k| self.store.get(k)).unzip();
         ShardSnapshot { blobs, versions }
-    }
-
-    /// Wrapper kept for `benchmark/src/probes.rs`: [`Self::finish`] of an
-    /// eventual read on a copy of `client`, with the clobbered-update count.
-    #[doc(hidden)]
-    pub fn commit_eventual(
-        &self,
-        snapshot: ShardSnapshot,
-        client: &[f32],
-        epoch: usize,
-    ) -> (Vec<f32>, u64) {
-        let mut full = client.to_vec();
-        let clobbered = self.blend(Some(snapshot), &mut full, epoch);
-        (full, clobbered)
-    }
-
-    /// Wrapper kept for `benchmark/src/probes.rs`: [`Self::finish`] of a
-    /// strong-mode assimilation on a copy of `client`.
-    #[doc(hidden)]
-    pub fn assimilate_strong(&self, client: &[f32], epoch: usize) -> Vec<f32> {
-        self.finish(None, client.to_vec(), epoch)
     }
 
     /// Merges a single client shard, independent of the others, under the

@@ -90,7 +90,8 @@ struct PsInstruments {
 /// assert on them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PsOps {
-    /// Fetch requests served.
+    /// Fetch requests served: one per sync that reaches the wire, on
+    /// either transport.
     pub fetches: u64,
     /// Shard blobs actually sent.
     pub shards_sent: u64,

@@ -1,111 +1,63 @@
 //! Real-socket transport: blocking TCP on loopback.
 //!
-//! Shards are partitioned into contiguous *groups*, one listener (and one
-//! client stream) per group — the paper's "several parameter servers"
-//! shape, where different parts of the model live behind different
-//! endpoints. Every connection speaks the same frame protocol as the
-//! in-memory transport, handled by the same [`PsService`]; the only
-//! difference is that bytes cross a socket.
+//! One listener fronts the [`PsService`], as the one project server hands
+//! every client the parameter file in the paper (§III-A). A client holds
+//! one stream, and a sync is one `Fetch` request on it — the same request
+//! [`crate::MemClient`] hands the service in process, handled by the same
+//! [`PsService`]; the only difference is that bytes cross a socket.
 
 use crate::client::{route_fetch_frame, FetchSink, PsClient, PsError};
 use crate::codec::Codec;
 use crate::service::PsService;
-use crate::wire::{read_frame, FetchReq, FetchSummary, Frame, FrameReadError, SealedFrame};
+use crate::wire::{read_frame, FetchReq, FetchSummary, FrameReadError, SealedFrame};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Maps shards onto `groups` contiguous endpoint groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardGroups {
-    shards: usize,
-    groups: usize,
-}
-
-impl ShardGroups {
-    /// `groups` is clamped to `1..=shards`.
-    pub fn new(shards: usize, groups: usize) -> Self {
-        ShardGroups {
-            shards: shards.max(1),
-            groups: groups.clamp(1, shards.max(1)),
-        }
-    }
-
-    /// Number of endpoint groups.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// The group serving `shard`.
-    pub fn group_of(&self, shard: u32) -> usize {
-        let per = self.shards.div_ceil(self.groups);
-        ((shard as usize) / per).min(self.groups - 1)
-    }
-}
-
-/// A running TCP front for a [`PsService`]: one loopback listener per
-/// shard group, each with its own accept thread.
+/// A running TCP front for a [`PsService`]: one loopback listener, one
+/// accept thread, and one thread per accepted connection.
 pub struct TcpPsServer {
-    addrs: Vec<SocketAddr>,
-    groups: ShardGroups,
+    pub(crate) addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_threads: Vec<JoinHandle<()>>,
+    accept: Option<JoinHandle<()>>,
     // Clones of every accepted connection, so shutdown can unblock the
     // connection threads' reads even while clients are still connected.
     conns: Arc<Mutex<Vec<TcpStream>>>,
 }
 
 impl TcpPsServer {
-    /// Binds `groups` listeners on `127.0.0.1:0` and starts serving.
-    pub fn bind(service: Arc<PsService>, groups: usize) -> std::io::Result<Self> {
-        let shards = service.assimilator().layout().shards();
-        let groups = ShardGroups::new(shards, groups);
-        // Built first and filled in place, so a failed bind drops — and so
-        // tears down — the listeners already started.
-        let mut server = TcpPsServer {
-            addrs: Vec::with_capacity(groups.groups()),
-            groups,
-            stop: Arc::new(AtomicBool::new(false)),
-            accept_threads: Vec::with_capacity(groups.groups()),
-            conns: Arc::new(Mutex::new(Vec::new())),
+    /// Binds `127.0.0.1:0` and starts serving `service`.
+    pub fn start(service: Arc<PsService>) -> std::io::Result<Self> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let conns = Arc::new(Mutex::new(Vec::new()));
+        let accept = {
+            let (stop, conns) = (stop.clone(), conns.clone());
+            std::thread::Builder::new()
+                .name("vc-ps-listen".to_string())
+                .spawn(move || accept_loop(listener, service, stop, conns))?
         };
-        for g in 0..groups.groups() {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            server.addrs.push(listener.local_addr()?);
-            let service = service.clone();
-            let stop = server.stop.clone();
-            let conns = server.conns.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("vc-ps-listen-{g}"))
-                .spawn(move || accept_loop(listener, service, stop, conns))
-                .expect("spawn ps listener");
-            server.accept_threads.push(handle);
-        }
-        Ok(server)
+        Ok(TcpPsServer {
+            addr,
+            stop,
+            accept: Some(accept),
+            conns,
+        })
     }
 
-    /// The bound addresses, one per shard group.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-
-    /// The shard→group mapping clients must use.
-    pub fn groups(&self) -> ShardGroups {
-        self.groups
-    }
-
-    /// Stops serving and joins every server thread — an explicit [`Drop`].
-    pub fn shutdown(self) {
-        drop(self);
+    /// The bound address (the port `start` was given by the OS).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
     }
 }
 
 /// Stops serving and joins every server thread, even while clients are
 /// still connected: open connection sockets are shut down, which unblocks
 /// their reads mid-wait. In `Drop` so that an owner's early exit cannot
-/// leave accept threads blocked in `accept()`, pinning the [`PsService`].
+/// leave the accept thread blocked in `accept()`, pinning the [`PsService`].
 impl Drop for TcpPsServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -113,11 +65,9 @@ impl Drop for TcpPsServer {
         for conn in self.conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        // Unblock each accept() with a throwaway connection.
-        for addr in &self.addrs {
-            let _ = TcpStream::connect(addr);
-        }
-        for t in self.accept_threads.drain(..) {
+        // Unblock accept() with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
     }
@@ -183,65 +133,23 @@ fn connection_loop(mut stream: TcpStream, service: Arc<PsService>, stop: Arc<Ato
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Client side of the TCP transport: one stream per shard group.
+/// Client side of the TCP transport: one stream to the server.
 pub struct TcpClient {
-    streams: Vec<TcpStream>,
-    groups: ShardGroups,
-    // Reused per-group request split.
-    per_group: Vec<Vec<(u32, u64)>>,
+    stream: TcpStream,
 }
 
 impl TcpClient {
-    /// Connects one stream to each group endpoint.
-    pub fn connect(addrs: &[SocketAddr], groups: ShardGroups) -> std::io::Result<Self> {
-        assert_eq!(addrs.len(), groups.groups(), "one address per group");
-        let mut streams = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            let s = TcpStream::connect(addr)?;
-            s.set_nodelay(true)?;
-            streams.push(s);
-        }
-        Ok(TcpClient {
-            streams,
-            groups,
-            per_group: vec![Vec::new(); groups.groups()],
-        })
-    }
-
-    fn io_err(e: std::io::Error) -> PsError {
-        PsError::Transport(e.to_string())
-    }
-
-    fn read_err(e: FrameReadError) -> PsError {
-        match e {
-            FrameReadError::Wire(w) => PsError::Wire(w),
-            other => PsError::Transport(other.to_string()),
-        }
-    }
-
-    /// Sends one fetch request on group `g`, then routes each response
-    /// frame as it is read until the summary (or an error frame) ends it.
-    fn exchange(
-        &mut self,
-        g: usize,
-        req: Frame,
-        sink: &mut FetchSink<'_>,
-    ) -> Result<FetchSummary, PsError> {
-        let stream = &mut self.streams[g];
-        SealedFrame::from(req)
-            .write_to(stream)
-            .map_err(Self::io_err)?;
-        stream.flush().map_err(Self::io_err)?;
-        loop {
-            let frame = read_frame(stream).map_err(Self::read_err)?;
-            if let Some(done) = route_fetch_frame(frame, sink) {
-                return done;
-            }
-        }
+    /// Connects to the server listening on `addr`.
+    pub fn new(addr: SocketAddr) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(TcpClient { stream })
     }
 }
 
 impl PsClient for TcpClient {
+    /// Sends the whole want list as one request, then routes each response
+    /// frame as it is read until the summary (or an error frame) ends it.
     fn fetch(
         &mut self,
         epoch: u64,
@@ -249,34 +157,25 @@ impl PsClient for TcpClient {
         codec: Codec,
         sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError> {
-        for group in &mut self.per_group {
-            group.clear();
-        }
-        for &(id, ver) in wants {
-            let g = self.groups.group_of(id);
-            self.per_group[g].push((id, ver));
-        }
-        let mut total = FetchSummary {
-            sent: 0,
-            skipped: 0,
+        let io_err = |e: std::io::Error| PsError::Transport(e.to_string());
+        let req = FetchReq {
+            epoch,
+            wants: wants.to_vec(),
+            codec,
         };
-        for g in 0..self.groups.groups() {
-            if self.per_group[g].is_empty() {
-                continue;
+        SealedFrame::from(req.to_frame())
+            .write_to(&mut self.stream)
+            .map_err(io_err)?;
+        self.stream.flush().map_err(io_err)?;
+        loop {
+            let frame = read_frame(&mut self.stream).map_err(|e| match e {
+                FrameReadError::Wire(w) => PsError::Wire(w),
+                other => PsError::Transport(other.to_string()),
+            })?;
+            if let Some(done) = route_fetch_frame(frame, sink) {
+                return done;
             }
-            // The request borrows the group's want list and gives it back.
-            let req = FetchReq {
-                epoch,
-                wants: std::mem::take(&mut self.per_group[g]),
-                codec,
-            };
-            let frame = req.to_frame();
-            self.per_group[g] = req.wants;
-            let summary = self.exchange(g, frame, sink)?;
-            total.sent += summary.sent;
-            total.skipped += summary.skipped;
         }
-        Ok(total)
     }
 }
 
@@ -285,7 +184,7 @@ mod tests {
     use super::*;
     use crate::client::ShardCache;
     use crate::merge::ShardedAssimilator;
-    use crate::wire::{err_code, Crc32, FrameKind};
+    use crate::wire::{err_code, Crc32, Frame, FrameKind};
     use bytes::Bytes;
     use std::io::Read;
     use vc_asgd::AlphaSchedule;
@@ -309,21 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn group_mapping_is_contiguous_and_total() {
-        let g = ShardGroups::new(16, 4);
-        assert_eq!(g.groups(), 4);
-        for shard in 0..16u32 {
-            assert_eq!(g.group_of(shard), (shard / 4) as usize);
-        }
-        // More groups than shards clamps.
-        assert_eq!(ShardGroups::new(2, 8).groups(), 2);
-    }
-
-    #[test]
     fn loopback_fetch_roundtrip() {
         let svc = service(40, 8);
-        let server = TcpPsServer::bind(svc.clone(), 3).unwrap();
-        let mut client = TcpClient::connect(server.addrs(), server.groups()).unwrap();
+        let server = TcpPsServer::start(svc.clone()).unwrap();
+        let mut client = TcpClient::new(server.local_addr()).unwrap();
         let (want, manifest) = svc.assimilator().read_params();
         let mut cache = ShardCache::new(*svc.assimilator().layout());
         let got = cache.sync(1, &manifest, &mut client).unwrap();
@@ -332,24 +220,23 @@ mod tests {
         let sent_before = svc.ops().shards_sent;
         cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(svc.ops().shards_sent, sent_before);
-        server.shutdown();
+        // One request crossed the socket, for all eight shards.
+        assert_eq!(svc.ops().fetches, 1);
     }
 
     #[test]
     fn two_clients_share_the_server() {
         let svc = service(24, 4);
-        let server = TcpPsServer::bind(svc.clone(), 2).unwrap();
-        let addrs = server.addrs().to_vec();
-        let groups = server.groups();
+        let server = TcpPsServer::start(svc.clone()).unwrap();
+        let addr = server.local_addr();
         let (want, manifest) = svc.assimilator().read_params();
         let threads: Vec<_> = (0..2)
             .map(|_| {
-                let addrs = addrs.clone();
                 let manifest = manifest.clone();
                 let want = want.clone();
                 let svc = svc.clone();
                 std::thread::spawn(move || {
-                    let mut client = TcpClient::connect(&addrs, groups).unwrap();
+                    let mut client = TcpClient::new(addr).unwrap();
                     let mut cache = ShardCache::new(*svc.assimilator().layout());
                     let got = cache.sync(1, &manifest, &mut client).unwrap();
                     assert_eq!(got, &want[..]);
@@ -359,16 +246,15 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        server.shutdown();
     }
 
     #[test]
     fn garbage_on_the_socket_drops_the_connection_not_the_server() {
         let svc = service(10, 2);
-        let server = TcpPsServer::bind(svc.clone(), 1).unwrap();
+        let server = TcpPsServer::start(svc.clone()).unwrap();
         // Hostile connection: a forged 4 GiB length prefix.
         {
-            let mut s = TcpStream::connect(server.addrs()[0]).unwrap();
+            let mut s = TcpStream::connect(server.local_addr()).unwrap();
             s.write_all(&u32::MAX.to_le_bytes()).unwrap();
             s.write_all(&[0u8; 32]).unwrap();
             // The server closes on us; either the read returns 0 or errors.
@@ -376,29 +262,29 @@ mod tests {
             let _ = s.read(&mut buf);
         }
         // A well-formed client still gets served afterwards.
-        let mut client = TcpClient::connect(server.addrs(), server.groups()).unwrap();
+        let mut client = TcpClient::new(server.local_addr()).unwrap();
         let (want, manifest) = svc.assimilator().read_params();
         let mut cache = ShardCache::new(*svc.assimilator().layout());
         let got = cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(got, &want[..]);
-        server.shutdown();
     }
 
-    /// A start-up that fails after the bind never reaches `shutdown`: the
-    /// drop alone must stop the listeners and release the service.
+    /// A start-up that fails after the bind drops the server on its early
+    /// exit: the drop alone must stop the listener and release the service.
     #[test]
     fn dropping_the_server_stops_listeners_and_releases_the_service() {
         let svc = service(10, 2);
-        let server = TcpPsServer::bind(svc.clone(), 2).unwrap();
-        let addrs = server.addrs().to_vec();
-        let _client = TcpClient::connect(&addrs, server.groups()).unwrap();
-        assert!(Arc::strong_count(&svc) > 1, "listeners share the service");
+        let server = TcpPsServer::start(svc.clone()).unwrap();
+        let addr = server.local_addr();
+        let _client = TcpClient::new(addr).unwrap();
+        assert!(
+            Arc::strong_count(&svc) > 1,
+            "the listener shares the service"
+        );
         drop(server);
         assert_eq!(Arc::strong_count(&svc), 1, "a server thread outlived drop");
-        for addr in addrs {
-            let err = TcpStream::connect(addr).expect_err("listener still bound");
-            assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
-        }
+        let err = TcpStream::connect(addr).expect_err("listener still bound");
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 
     /// A well-formed frame (valid length and CRC) carrying a kind byte
@@ -426,7 +312,7 @@ mod tests {
     #[test]
     fn legacy_push_frames_cannot_reach_the_store() {
         let svc = service(10, 2);
-        let server = TcpPsServer::bind(svc.clone(), 1).unwrap();
+        let server = TcpPsServer::start(svc.clone()).unwrap();
         let (want, manifest) = svc.assimilator().read_params();
         let nans = vec![f32::NAN; svc.assimilator().layout().len(0)];
         // Kind 4 carried the replica as a VCP1 blob, kind 8 as
@@ -442,7 +328,7 @@ mod tests {
         delta.extend_from_slice(&blob);
         let mut hung_up = Vec::new();
         for (kind, payload) in [(4, &encode_f32s(&nans)[..]), (8, &delta[..])] {
-            let mut s = TcpStream::connect(server.addrs()[0]).unwrap();
+            let mut s = TcpStream::connect(server.local_addr()).unwrap();
             s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
                 .unwrap();
             s.write_all(&frame_with_kind(kind, 0, 1, payload)).unwrap();
@@ -462,11 +348,10 @@ mod tests {
             assert!(answer.is_empty(), "kind {kind} was answered: {answer:?}");
         }
         // Fetching is unaffected.
-        let mut client = TcpClient::connect(server.addrs(), server.groups()).unwrap();
+        let mut client = TcpClient::new(server.local_addr()).unwrap();
         let mut cache = ShardCache::new(*svc.assimilator().layout());
         let got = cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(bits(got), bits(&want));
-        server.shutdown();
     }
 
     /// Codec ids 1 and 3 are retired (DESIGN §12a): a fetch naming one is
@@ -478,8 +363,8 @@ mod tests {
             error_feedback: true,
         };
         let svc = service(10, 2);
-        let server = TcpPsServer::bind(svc.clone(), 1).unwrap();
-        let mut s = TcpStream::connect(server.addrs()[0]).unwrap();
+        let server = TcpPsServer::start(svc.clone()).unwrap();
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
         s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .unwrap();
         let valid = FetchReq {
@@ -509,6 +394,5 @@ mod tests {
         assert_eq!(read_frame(&mut s).unwrap().kind, FrameKind::FetchDone);
         assert_eq!(svc.ops().shards_sent, 2);
         assert_eq!(svc.ops().fetches, 1);
-        server.shutdown();
     }
 }

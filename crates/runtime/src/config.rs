@@ -48,8 +48,9 @@ pub struct RuntimeConfig {
     #[serde(default)]
     pub flight_recorder_path: Option<String>,
     /// Serve parameter fetches over real loopback TCP sockets (one
-    /// listener per shard group) instead of the in-process transport. Both
-    /// paths run the same wire codec; TCP adds real sockets and threads.
+    /// listener, one stream per worker) instead of the in-process
+    /// transport. Both paths send one request per sync through the same
+    /// wire codec; TCP adds real sockets and threads.
     #[serde(default)]
     pub ps_tcp: bool,
     /// Bind the live ops HTTP server (`/`, `/metrics`, `/status`,

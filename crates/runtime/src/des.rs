@@ -138,8 +138,11 @@ struct TrainingJob {
     events: EventQueue<Ev>,
     // Per-epoch state.
     epoch: usize,
-    snapshots: HashMap<usize, Arc<Vec<f32>>>,
-    client_cache: HashMap<(usize, usize), Arc<Vec<f32>>>,
+    /// The server snapshot the current epoch's workunits train from (the
+    /// only ones open: an epoch closes once every workunit is decided).
+    snapshot: Arc<Vec<f32>>,
+    /// Each open workunit's trained result, dropped when it is accepted.
+    client_cache: HashMap<WuId, Arc<Vec<f32>>>,
     /// Simulated clients train one at a time, so one buffer pool serves
     /// every replica.
     train_ws: TrainWorkspace,
@@ -194,9 +197,6 @@ impl TrainingJob {
         );
         assim.seed_params(&init_params);
 
-        let mut snapshots = HashMap::new();
-        snapshots.insert(1usize, Arc::new(init_params));
-
         let cn = fleet.len();
         Ok(TrainingJob {
             net_rng: StdRng::seed_from_u64(job.seed.wrapping_mul(0x2545_F491).wrapping_add(11)),
@@ -212,7 +212,7 @@ impl TrainingJob {
             assim,
             events: EventQueue::new(),
             epoch: 1,
-            snapshots,
+            snapshot: Arc::new(init_params),
             client_cache: HashMap::new(),
             train_ws: TrainWorkspace::new(),
             epoch_accs: Vec::new(),
@@ -338,12 +338,10 @@ impl TrainingJob {
             return; // the instance died before finishing
         }
         let now = self.events.now();
-        let info = self.server.workunit(wu).clone();
-        let params = self.client_result(info.epoch, info.shard_id);
-
         // Client-side sanity: a diverged replica uploads anyway; the
-        // server-side validator rejects it (BOINC validator step).
-        if !result_is_valid(&params) {
+        // server-side validator rejects it (BOINC validator step). A
+        // decided workunit's result is the accepted one, which passed.
+        if self.client_result(wu).is_some_and(|p| !result_is_valid(&p)) {
             self.server.report_invalid(wu, host, now);
             self.events.schedule_in(0.0, Ev::Poll(host));
             return;
@@ -363,8 +361,8 @@ impl TrainingJob {
             return; // died mid-upload; the timeout will recover the workunit
         }
         let now = self.events.now();
-        let info = self.server.workunit(wu).clone();
-        let client = self.client_result(info.epoch, info.shard_id);
+        // A decided workunit's upload is `Stale` whatever it carries.
+        let client = self.client_result(wu).unwrap_or_default();
         let status = self.server.report_result(wu, host, &client, now);
         // Either way the slot is free again.
         self.events.schedule_in(0.0, Ev::Poll(host));
@@ -378,8 +376,9 @@ impl TrainingJob {
             }
             return;
         }
+        self.client_cache.remove(&wu);
         self.assim_queue.push_back(PendingAssim {
-            epoch: info.epoch,
+            epoch: self.server.workunit(wu).epoch,
             client,
         });
         self.pump_assimilators();
@@ -427,9 +426,9 @@ impl TrainingJob {
 
     fn on_assim_done(&mut self, task: PendingAssim, begun: Option<ShardSnapshot>) {
         let PendingAssim { epoch, client } = task;
-        // Apply Eq. (1) through the configured consistency path, into a
-        // copy of the upload: the result cache keeps the original for a
-        // reassigned replica.
+        // Apply Eq. (1) through the configured consistency path, into the
+        // upload: the result cache let go of it at acceptance (a
+        // timing-only result is the epoch snapshot, and is copied).
         let updated = self
             .assim
             .finish(begun, Arc::unwrap_or_clone(client), epoch);
@@ -487,7 +486,7 @@ impl TrainingJob {
         // subtasks (Eq. (2)'s W_{s,e-1}).
         self.epoch += 1;
         let (params, manifest) = self.assim.read_params();
-        self.snapshots.insert(self.epoch, Arc::new(params));
+        self.snapshot = Arc::new(params);
         self.server.add_epoch_sharded(
             self.epoch,
             self.cfg.job.shards,
@@ -528,38 +527,39 @@ impl TrainingJob {
 
     // ---------------------------------------------------------- client side
 
-    /// The (cached) result of training a client replica for `(epoch,
-    /// shard)`: start from the epoch snapshot, run `local_epochs` over the
-    /// shard, return the replica's parameters. Deterministic per
-    /// (seed, epoch, shard) — a reassigned subtask reproduces the same
-    /// result, like re-running the same workunit payload.
-    fn client_result(&mut self, epoch: usize, shard: usize) -> Arc<Vec<f32>> {
-        if let Some(r) = self.client_cache.get(&(epoch, shard)) {
-            return r.clone();
+    /// The (cached) result of training a client replica for open workunit
+    /// `wu`: start from the epoch snapshot, run `local_epochs` over its
+    /// shard, return the replica's parameters. Deterministic per (seed,
+    /// epoch, shard) — a reassigned subtask reproduces the same result,
+    /// like re-running the same workunit payload. `None` once `wu` is
+    /// decided: its result was the accepted one, dropped at acceptance.
+    fn client_result(&mut self, wu: WuId) -> Option<Arc<Vec<f32>>> {
+        if !self.server.phase(wu).is_open() {
+            return None;
         }
-        let snapshot = self
-            .snapshots
-            .get(&epoch)
-            .expect("snapshot exists for every generated epoch")
-            .clone();
-        if self.cfg.timing_only {
-            // Time-shape mode: the result is the unchanged snapshot; the
-            // simulated durations are identical to a real run.
-            self.client_cache.insert((epoch, shard), snapshot.clone());
-            return snapshot;
+        if let Some(r) = self.client_cache.get(&wu) {
+            return Some(r.clone());
         }
-        let data = &self.shards.shard(shard).data;
-        let result = Arc::new(train_client_replica_ws(
-            &self.cfg.job,
-            &snapshot,
-            data,
-            epoch,
-            shard,
-            &mut self.train_ws,
-            None,
-        ));
-        self.client_cache.insert((epoch, shard), result.clone());
-        result
+        let info = self.server.workunit(wu);
+        debug_assert_eq!(info.epoch, self.epoch, "only the current epoch is open");
+        let shard = info.shard_id;
+        // Time-shape mode: the result is the unchanged snapshot; the
+        // simulated durations are identical to a real run.
+        let result = if self.cfg.timing_only {
+            self.snapshot.clone()
+        } else {
+            Arc::new(train_client_replica_ws(
+                &self.cfg.job,
+                &self.snapshot,
+                &self.shards.shard(shard).data,
+                self.epoch,
+                shard,
+                &mut self.train_ws,
+                None,
+            ))
+        };
+        self.client_cache.insert(wu, result.clone());
+        Some(result)
     }
 
     // -------------------------------------------------------------- report

@@ -214,15 +214,11 @@ impl Runtime {
 
         // --- parameter-service transport -----------------------------------
         // In-process by default; with `ps_tcp` every fetch crosses a real
-        // loopback socket through the wire codec, one listener per shard
-        // group. Dropping the server — at the end of the run or on any
-        // early `?` exit below — stops the listeners.
-        let tcp = if cfg.ps_tcp {
-            let groups = job.ps_shards.min(4);
-            Some(TcpPsServer::bind(service.clone(), groups).map_err(|e| e.to_string())?)
-        } else {
-            None
-        };
+        // loopback socket through the wire codec: one listener, one stream
+        // per worker, one request per sync. Dropping the server — at the
+        // end of the run or on any early `?` exit below — stops it.
+        let start_tcp = || TcpPsServer::start(service.clone()).map_err(|e| e.to_string());
+        let tcp = cfg.ps_tcp.then(start_tcp).transpose()?;
 
         // --- channels ------------------------------------------------------
         let (server_tx, server_rx) = unbounded();
@@ -265,9 +261,7 @@ impl Runtime {
                 None => Outbox::Direct(server_tx.clone()),
             };
             let ps: Box<dyn PsClient> = match &tcp {
-                Some(srv) => Box::new(
-                    TcpClient::connect(srv.addrs(), srv.groups()).map_err(|e| e.to_string())?,
-                ),
+                Some(srv) => Box::new(TcpClient::new(srv.local_addr()).map_err(|e| e.to_string())?),
                 None => Box::new(MemClient::new(service.clone())),
             };
             let ctx = WorkerCtx {

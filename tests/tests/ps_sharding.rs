@@ -304,6 +304,7 @@ fn tcp_loopback_fleet_learns_above_chance() {
     cfg.job.epochs = 5;
     cfg.job.ps_shards = 4;
     cfg.ps_tcp = true;
+    let max_syncs = (cfg.job.cn * cfg.job.epochs) as u64;
     let report = vc_runtime::run_runtime(cfg).unwrap();
     assert!(!report.halted_early, "TCP run must finish on its own");
     assert!(
@@ -312,4 +313,11 @@ fn tcp_loopback_fleet_learns_above_chance() {
         report.final_mean_acc()
     );
     assert!(report.ps_ops.fetches > 0 && report.ps_ops.bytes_tx > 0);
+    // One request per sync, and at most one sync per worker per epoch:
+    // the closed form the benchmark's Raw wire check is built on.
+    assert!(
+        report.ps_ops.fetches <= max_syncs,
+        "{} fetch requests exceed Cn x epochs = {max_syncs}",
+        report.ps_ops.fetches
+    );
 }
