@@ -1,53 +1,15 @@
-//! The two clocks a run reads time from: wall-clock and virtual.
+//! The virtual clock a deterministic simulation reads time from.
 //!
 //! [`crate::BoincServer`] is a pure state machine over [`SimTime`]: every
-//! entry point takes `now` explicitly, so the *caller* decides what a clock
-//! is. The discrete-event simulator feeds it event-queue timestamps; a real
-//! runtime feeds it wall-clock readings through [`WallClock`]; and the
-//! deterministic-simulation harness (`vc-runtime::sim`) feeds it a
-//! [`VirtualClock`] whose time only advances when the simulation says so.
-//! Both are telemetry time sources: a `vc-runtime` run installs its clock
-//! in its telemetry hub, and the coordinator, the checkpoint timer and
-//! every event timestamp read that one reading.
+//! entry point takes `now`, so the *caller* decides what a clock is — the
+//! DES's event-queue timestamps, the threaded runtime's
+//! [`vc_telemetry::WallTime`], or, under deterministic simulation
+//! (`vc-runtime::sim`), a [`VirtualClock`] that advances only when the
+//! simulation says so. A run reads its one clock through its telemetry hub.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Instant;
 use vc_simnet::SimTime;
-
-/// Maps real elapsed time onto the [`SimTime`] axis the middleware's
-/// deadlines and metrics are expressed in.
-#[derive(Clone, Copy, Debug)]
-pub struct WallClock {
-    start: Instant,
-    /// Seconds already on the clock when this process started (non-zero
-    /// when resuming from a checkpoint, so reported times stay cumulative).
-    offset_s: f64,
-}
-
-impl WallClock {
-    /// Starts a clock at `SimTime::ZERO`.
-    pub fn start() -> Self {
-        Self::resumed_at(0.0)
-    }
-
-    /// Starts a clock that already shows `offset_s` seconds elapsed.
-    pub fn resumed_at(offset_s: f64) -> Self {
-        assert!(
-            offset_s.is_finite() && offset_s >= 0.0,
-            "invalid clock offset {offset_s}"
-        );
-        WallClock {
-            start: Instant::now(),
-            offset_s,
-        }
-    }
-
-    /// The current reading.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_secs(self.offset_s + self.start.elapsed().as_secs_f64())
-    }
-}
 
 /// A clock that advances only when told to: the reading half of
 /// deterministic simulation testing.
@@ -59,8 +21,7 @@ impl WallClock {
 /// simulated timeouts costs microseconds of real time, and two runs that
 /// pop the same events read identical timestamps — bit for bit.
 ///
-/// Handles are cheap clones sharing one reading, mirroring how
-/// [`WallClock`] is `Copy`.
+/// Handles are cheap clones sharing one reading.
 #[derive(Clone)]
 pub struct VirtualClock {
     now: Arc<Mutex<SimTime>>,
@@ -93,15 +54,9 @@ impl Default for VirtualClock {
     }
 }
 
-// Both clocks serve as telemetry time sources, so event timestamps ride
-// the same SimTime axis as the middleware's deadlines — wall-driven on
-// threads, simulation-driven (and therefore replayable) under DST.
-impl vc_telemetry::TimeSource for WallClock {
-    fn now_s(&self) -> f64 {
-        self.now().as_secs()
-    }
-}
-
+// A telemetry time source, so event timestamps ride the same SimTime axis
+// as the middleware's deadlines — simulation-driven, and therefore
+// replayable, under DST.
 impl vc_telemetry::TimeSource for VirtualClock {
     fn now_s(&self) -> f64 {
         self.now().as_secs()
@@ -111,24 +66,6 @@ impl vc_telemetry::TimeSource for VirtualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_is_monotonic_and_measures_sleep() {
-        let c = WallClock::start();
-        let a = c.now();
-        std::thread::sleep(std::time::Duration::from_millis(15));
-        let b = c.now();
-        assert!(b > a);
-        assert!(b - a >= 0.014, "slept 15ms but clock shows {}", b - a);
-    }
-
-    #[test]
-    fn resume_offset_shifts_readings() {
-        let c = WallClock::resumed_at(100.0);
-        let now = c.now().as_secs();
-        assert!(now >= 100.0);
-        assert!(now < 101.0, "the offset is where the reading starts");
-    }
 
     #[test]
     fn virtual_clock_advances_only_on_demand() {

@@ -19,12 +19,15 @@
 //! while the scheduler tracks workunit state.
 //!
 //! Time is the caller's: every entry point takes `now`, read from a
-//! [`WallClock`] on threads or the [`VirtualClock`] under simulation (the
-//! runtime reads either through its telemetry time source). Assignment
+//! [`vc_telemetry::WallTime`] on threads or the [`VirtualClock`] under
+//! simulation (the runtime reads either through its telemetry time
+//! source). Assignment
 //! deadlines wait in a [`TimerQueue`], which is the workspace's one
 //! time-ordered queue ([`vc_simnet::DelayQueue`]) keyed by
 //! `(deadline, assignment seq)`.
 
+#[doc(hidden)]
+mod bench_compat;
 pub mod clock;
 pub mod host;
 pub mod server;
@@ -32,7 +35,9 @@ pub mod timer;
 pub mod validate;
 pub mod workunit;
 
-pub use clock::{VirtualClock, WallClock};
+#[doc(hidden)]
+pub use bench_compat::WallClock;
+pub use clock::VirtualClock;
 pub use host::{HostCold, HostHot, HostId, HostSummary};
 pub use server::{
     Assignment, BoincServer, MiddlewareConfig, ReportStatus, ServerMetrics, HOST_TURNAROUND_S,

@@ -24,13 +24,9 @@ pub struct RuntimeConfig {
     pub poll_interval_s: f64,
     /// Fault injection plan.
     pub faults: FaultPlan,
-    /// Write a checkpoint after every N assimilations (requires
-    /// `checkpoint_path`).
-    pub checkpoint_every_assims: Option<u64>,
     /// Write a checkpoint every this-many seconds of runtime — wall-clock
     /// in the threaded runtime, virtual time in the simulation (requires
-    /// `checkpoint_path`). Composes with `checkpoint_every_assims`: either
-    /// trigger writes.
+    /// `checkpoint_path`). The one periodic trigger; a halt also writes.
     #[serde(default)]
     pub checkpoint_every_s: Option<f64>,
     /// Where checkpoints are written (atomically: temp file + rename).
@@ -85,7 +81,6 @@ impl RuntimeConfig {
             job,
             poll_interval_s: 0.01,
             faults: FaultPlan::none(),
-            checkpoint_every_assims: None,
             checkpoint_every_s: None,
             checkpoint_path: None,
             halt_after_assims: None,
@@ -126,12 +121,6 @@ impl RuntimeConfig {
         if self.max_wall_s <= 0.0 || !self.max_wall_s.is_finite() {
             return Err(format!("invalid max_wall_s {}", self.max_wall_s));
         }
-        if self.checkpoint_every_assims == Some(0) {
-            return Err("checkpoint_every_assims must be >= 1".into());
-        }
-        if self.checkpoint_every_assims.is_some() && self.checkpoint_path.is_none() {
-            return Err("checkpoint_every_assims needs a checkpoint_path".into());
-        }
         if let Some(every_s) = self.checkpoint_every_s {
             if every_s <= 0.0 || !every_s.is_finite() {
                 return Err(format!("invalid checkpoint_every_s {every_s}"));
@@ -161,17 +150,12 @@ mod tests {
     #[test]
     fn rejects_bad_checkpoint_policy() {
         let mut cfg = RuntimeConfig::test_small(1);
-        cfg.checkpoint_every_assims = Some(4);
-        assert!(cfg.validate().is_err(), "checkpoint interval without path");
         cfg.checkpoint_path = Some("/tmp/ck.json".into());
-        cfg.validate().unwrap();
-
         cfg.checkpoint_every_s = Some(0.0);
         assert!(cfg.validate().is_err(), "timer interval must be positive");
         cfg.checkpoint_every_s = Some(0.5);
         cfg.validate().unwrap();
         cfg.checkpoint_path = None;
-        cfg.checkpoint_every_assims = None;
         assert!(cfg.validate().is_err(), "timer interval without path");
     }
 

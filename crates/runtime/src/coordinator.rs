@@ -13,8 +13,11 @@
 //! read-blend-write cycles genuinely lose updates, by racing. The
 //! deterministic simulation (`crate::sim`) executes each effect directly.
 //! Either way the coordinator reads one clock, its telemetry hub's time
-//! source: a [`vc_middleware::WallClock`] on threads, the scheduler's
-//! `VirtualClock` under simulation.
+//! source: a [`vc_telemetry::WallTime`] on threads, the scheduler's
+//! `VirtualClock` under simulation. And either way a delayed worker
+//! message waits in one time-ordered queue until that clock reaches its
+//! due reading: the scheduler's, as a `Deliver` event, under simulation;
+//! the event loop's own [`DelayQueue`] on threads.
 //!
 //! The server side keeps one copy of the parameters, the store's shard
 //! blobs: an assimilator moves the accepted upload into
@@ -45,7 +48,7 @@ use vc_nn::metrics::evaluate;
 use vc_nn::Sequential;
 use vc_ops::{FleetStatus, OpsHub, PsStatus, StatusSnapshot};
 use vc_ps::{PsClient, PsService, ShardCache, ShardedAssimilator};
-use vc_simnet::SimTime;
+use vc_simnet::{DelayQueue, SimTime};
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
 
 /// Parameter-server validation scoring (§III-A): loads `params` into the
@@ -81,7 +84,7 @@ pub struct AssimCtx {
     /// Task intake (MPMC: the pool shares one receiver).
     pub task_rx: Receiver<AssimTask>,
     /// Outcome uplink into the coordinator's inbox.
-    pub out: Sender<ToServer>,
+    pub out: Sender<(SimTime, ToServer)>,
 }
 
 /// The assimilator thread body: blend, score, report, until the task
@@ -104,7 +107,8 @@ pub fn assimilator_main(mut ctx: AssimCtx) -> Sequential {
             .finish(begun, std::mem::take(&mut t.client), t.epoch);
         let acc = score(&mut ctx.eval_model, &updated, &ctx.val_eval);
         drop(updated);
-        if ctx.out.send(t.assimilated(acc)).is_err() {
+        // An outcome is due on arrival: its acceptance reading has passed.
+        if ctx.out.send((t.accepted_at, t.assimilated(acc))).is_err() {
             break; // coordinator gone
         }
     }
@@ -113,7 +117,7 @@ pub fn assimilator_main(mut ctx: AssimCtx) -> Sequential {
 
 /// The coordinator's state, put together by [`assemble`]. It reads time
 /// from its telemetry hub, whose time source the run points at a
-/// [`vc_middleware::WallClock`] on threads and at the scheduler's
+/// [`vc_telemetry::WallTime`] on threads and at the scheduler's
 /// `VirtualClock` under simulation.
 pub struct Coordinator {
     /// Shared run configuration.
@@ -139,8 +143,9 @@ pub struct Coordinator {
     pub wall_base_s: f64,
     /// Shared fault counters.
     pub stats_faults: Arc<FaultStats>,
-    /// Runtime second ([`Coordinator::elapsed_s`]) at which the next timed
-    /// checkpoint is due; `None` disables the timer.
+    /// Second of this process's run (the clock reading less
+    /// `wall_base_s`) at which the next timed checkpoint is due; `None`
+    /// disables the timer.
     pub next_checkpoint_s: Option<f64>,
     /// The run's telemetry hub (registry + flight recorder) and its one
     /// clock: every middleware `now` is its `now_s`.
@@ -148,15 +153,16 @@ pub struct Coordinator {
     /// The live ops hub the coordinator publishes status snapshots into
     /// (`None` when no ops surface is attached).
     pub ops: Option<Arc<OpsHub>>,
-    /// Clock second of the last ops publish (throttles event-loop
+    /// Clock second of the last ops publish (throttles housekeeping
     /// publishing to [`OPS_PUBLISH_EVERY_S`]).
     pub last_ops_publish_s: f64,
 }
 
 /// The channel ends the threaded coordinator loop reads and feeds.
 pub struct Links {
-    /// The shared inbox: workers, assimilators and the delay line send.
-    pub inbox: Receiver<ToServer>,
+    /// The shared inbox: workers and assimilators send each message with
+    /// the reading it is due at.
+    pub inbox: Receiver<(SimTime, ToServer)>,
     /// Reply channels, indexed by host id.
     pub worker_txs: Vec<Sender<ToWorker>>,
     /// Intake of the assimilator pool.
@@ -326,10 +332,15 @@ pub(crate) fn assemble(
     }
 }
 
-/// Minimum clock seconds between event-loop status publishes: scrapes see
-/// fresh-enough state without the coordinator re-summarizing a 100k-host
-/// fleet on every message.
+/// Minimum clock seconds between housekeeping status publishes: scrapes
+/// see fresh-enough state without the coordinator re-summarizing a
+/// 100k-host fleet on every message. Simulation ticks are at least this
+/// far apart, so a simulated run publishes on every tick.
 const OPS_PUBLISH_EVERY_S: f64 = 0.25;
+
+/// Longest the threaded event loop blocks on its inbox between
+/// housekeeping passes.
+const MAX_WAIT: Duration = Duration::from_millis(20);
 
 /// Why the coordinator stopped.
 pub(crate) enum Stop {
@@ -411,47 +422,79 @@ impl Coordinator {
         }
     }
 
+    /// Serves the inbox: each pass housekeeps, then serves the earliest
+    /// held message that has come due, else the next arrival if it is due
+    /// (an early one waits in `held`), waiting at most until the next due
+    /// stamp or [`MAX_WAIT`].
     fn event_loop(&mut self, links: &Links) -> Stop {
+        let mut held: DelayQueue<SimTime, ToServer> = DelayQueue::new();
         loop {
-            self.server.scan_timeouts(self.now());
-            self.maybe_timed_checkpoint();
-            self.maybe_publish_ops();
-            if self.elapsed_s() > self.cfg.max_wall_s {
-                self.write_checkpoint();
-                return Stop::Halted;
+            if let Some(stop) = self.housekeep() {
+                return stop;
             }
-            match links.inbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(msg) => match self.handle(msg) {
-                    Effect::None => {}
-                    // A dead worker's channel errors; its assignment (if
-                    // any) recovers through the timeout path like any lost
-                    // host.
-                    Effect::Reply { host, msg } => {
-                        let _ = links.worker_txs[host.0 as usize].send(msg);
+            let now = self.now();
+            let msg = match held.pop_due(now) {
+                Some((_, msg)) => msg,
+                None => {
+                    let wait = held.peek().map_or(MAX_WAIT, |(due, _)| {
+                        Duration::from_secs_f64(due - now).min(MAX_WAIT)
+                    });
+                    match links.inbox.recv_timeout(wait) {
+                        Ok((due, msg)) if due <= self.now() => msg,
+                        Ok((due, msg)) => {
+                            held.push(due, msg);
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        // Every worker and assimilator is gone; nothing can
+                        // ever complete the job.
+                        Err(RecvTimeoutError::Disconnected) => return Stop::Halted,
                     }
-                    Effect::Assimilate(task) => {
-                        let _ = links.assim_tx.send(task);
-                    }
-                    Effect::Stop(stop) => return stop,
-                },
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every worker and assimilator is gone; nothing can
-                    // ever complete the job.
-                    return Stop::Halted;
                 }
+            };
+            match self.handle(msg) {
+                Effect::None => {}
+                // A dead worker's channel errors; its assignment (if any)
+                // recovers through the timeout path like any lost host.
+                Effect::Reply { host, msg } => {
+                    let _ = links.worker_txs[host.0 as usize].send(msg);
+                }
+                Effect::Assimilate(task) => {
+                    let _ = links.assim_tx.send(task);
+                }
+                Effect::Stop(stop) => return stop,
             }
         }
+    }
+
+    /// The housekeeping both drivers run between messages — before each
+    /// one on threads, on every tick under simulation: the timeout scan,
+    /// the interval checkpoint (re-armed from the current reading), a
+    /// status publish at most every [`OPS_PUBLISH_EVERY_S`], and the
+    /// `max_wall_s` safety net, which checkpoints and halts the run.
+    pub(crate) fn housekeep(&mut self) -> Option<Stop> {
+        self.server.scan_timeouts(self.now());
+        let elapsed = self.telemetry.now_s() - self.wall_base_s;
+        if let (Some(every), Some(due)) = (self.cfg.checkpoint_every_s, self.next_checkpoint_s) {
+            if elapsed >= due {
+                self.write_checkpoint();
+                self.next_checkpoint_s = Some(elapsed + every);
+            }
+        }
+        if self.ops.is_some() && elapsed - self.last_ops_publish_s >= OPS_PUBLISH_EVERY_S {
+            self.last_ops_publish_s = elapsed;
+            self.publish_ops(false);
+        }
+        if elapsed > self.cfg.max_wall_s {
+            self.write_checkpoint();
+            return Some(Stop::Halted);
+        }
+        None
     }
 
     /// The run clock's current reading, on the middleware's time axis.
     fn now(&self) -> SimTime {
         SimTime::from_secs(self.telemetry.now_s())
-    }
-
-    /// Seconds this process has run: the reading less the resume offset.
-    pub(crate) fn elapsed_s(&self) -> f64 {
-        self.telemetry.now_s() - self.wall_base_s
     }
 
     /// Serves one message against the clock's current reading.
@@ -541,11 +584,6 @@ impl Coordinator {
                         finished = self.finish_epoch();
                     }
                 }
-                if let Some(every) = self.cfg.checkpoint_every_assims {
-                    if self.assimilations.is_multiple_of(every) {
-                        self.write_checkpoint();
-                    }
-                }
                 if finished {
                     return Effect::Stop(Stop::Finished);
                 }
@@ -619,7 +657,7 @@ impl Coordinator {
     /// Summarizes live coordinator state into the `/status` document: job
     /// progress, fleet health, queue backlog, and parameter-service shard
     /// versions — read-only over state the coordinator already owns.
-    pub(crate) fn build_status(&self, done: bool) -> StatusSnapshot {
+    fn build_status(&self, done: bool) -> StatusSnapshot {
         let now = self.now();
         let ops = self.service.ops();
         let mut ps = PsStatus::from_versions(self.assim.versions());
@@ -658,22 +696,9 @@ impl Coordinator {
     /// Publishes a fresh status snapshot into the ops hub, if one is
     /// attached. Pure state summarization — no RNG, no telemetry events —
     /// so attaching an ops surface never perturbs a trajectory.
-    pub(crate) fn publish_ops(&self, done: bool) {
+    fn publish_ops(&self, done: bool) {
         if let Some(hub) = &self.ops {
             hub.publish(self.build_status(done));
-        }
-    }
-
-    /// Event-loop beat: publish at most every [`OPS_PUBLISH_EVERY_S`]
-    /// clock seconds.
-    fn maybe_publish_ops(&mut self) {
-        if self.ops.is_none() {
-            return;
-        }
-        let elapsed = self.elapsed_s();
-        if elapsed - self.last_ops_publish_s >= OPS_PUBLISH_EVERY_S {
-            self.last_ops_publish_s = elapsed;
-            self.publish_ops(false);
         }
     }
 
@@ -692,24 +717,10 @@ impl Coordinator {
         self.cfg.codec.blob_len(self.assim.layout().param_count()) as u64
     }
 
-    /// Fires the interval checkpoint timer when its due second has passed,
-    /// then re-arms it relative to the current reading — wall-clock in the
-    /// threaded runtime, virtual time in the simulation.
-    pub(crate) fn maybe_timed_checkpoint(&mut self) {
-        let Some(every) = self.cfg.checkpoint_every_s else {
-            return;
-        };
-        let elapsed = self.elapsed_s();
-        if self.next_checkpoint_s.is_some_and(|due| elapsed >= due) {
-            self.write_checkpoint();
-            self.next_checkpoint_s = Some(elapsed + every);
-        }
-    }
-
     /// Serializes the current state to the configured path (no-op without
     /// one). I/O errors become `checkpoint_write_failed` telemetry events,
     /// not fatal: losing a checkpoint must not kill a healthy run.
-    pub(crate) fn write_checkpoint(&mut self) {
+    fn write_checkpoint(&mut self) {
         let Some(path) = self.cfg.checkpoint_path.clone() else {
             return;
         };
@@ -749,5 +760,102 @@ impl Coordinator {
                 err = e
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::bounded;
+    use vc_middleware::{VirtualClock, WuId};
+    use vc_telemetry::FieldValue;
+
+    /// The threaded event loop over an assembled coordinator and real
+    /// channel ends, on a clock the test moves. An outcome stamped after
+    /// everything else arrives first (it halts the run once served), then
+    /// one work request per host, stamped with `dues[host]`. Once the loop
+    /// has taken the last message, the clock passes every stamp at once.
+    /// Returns the hosts in `wu_assigned` order, after checking that every
+    /// host got its assignment and its shutdown: none is lost.
+    fn serve_requests(dues: &[f64]) -> Vec<u64> {
+        let hosts = dues.len();
+        let mut cfg = RuntimeConfig::test_small(1);
+        cfg.job.cn = hosts;
+        cfg.halt_after_assims = Some(1);
+        let cfg = Arc::new(cfg);
+        let clock = VirtualClock::new();
+        let tel = Telemetry::silent();
+        tel.set_time_source(Arc::new(clock.clone()));
+        let (tx, inbox) = bounded(hosts + 2);
+        let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..hosts).map(|_| bounded(4)).unzip();
+        let (assim_tx, _assim_rx) = bounded(1);
+
+        let outcome = ToServer::Assimilated {
+            wu: WuId(0),
+            host: HostId(0),
+            epoch: 1,
+            shard_id: 0,
+            acc: 0.5,
+            accepted_at: SimTime::ZERO,
+        };
+        tx.send((SimTime::from_secs(1.1), outcome)).unwrap();
+        for (h, &due) in dues.iter().enumerate() {
+            let msg = ToServer::RequestWork {
+                host: HostId(h as u32),
+            };
+            tx.send((SimTime::from_secs(due), msg)).unwrap();
+        }
+        let report = std::thread::scope(|s| {
+            let coordinator = s.spawn(|| {
+                let model = cfg.job.model.build(cfg.job.seed);
+                let Assembled { coord, .. } =
+                    assemble(cfg, model, &tel, VersionedStore::new(), None, None, |_| {});
+                coord.run(Links {
+                    inbox,
+                    worker_txs,
+                    assim_tx,
+                })
+            });
+            // (A loop that stops early leaves messages behind; the
+            // assertions below then fail instead of this wait hanging.)
+            while !tx.is_empty() && !coordinator.is_finished() {
+                std::thread::yield_now();
+            }
+            // Before any assignment's 2 s deadline.
+            clock.set(SimTime::from_secs(1.5));
+            coordinator.join().expect("coordinator thread")
+        });
+
+        assert!(report.halted_early, "the outcome was served");
+        for rx in worker_rxs {
+            assert!(matches!(rx.try_recv(), Ok(ToWorker::Assign { .. })));
+            assert!(matches!(rx.try_recv(), Ok(ToWorker::Shutdown)));
+        }
+        tel.recorder()
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "wu_assigned")
+            .map(|e| match e.field("host") {
+                Some(FieldValue::U64(h)) => *h,
+                other => panic!("wu_assigned without a host: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Four requests whose stamps run against their arrival order, then two
+    /// that are due on arrival. The due ones are served on arrival, in
+    /// arrival order; the held ones in due order; none is lost.
+    #[test]
+    fn held_messages_are_served_in_due_order_and_none_is_lost() {
+        let assigned = serve_requests(&[1.0, 0.9, 0.8, 0.7, 0.0, 0.0]);
+        assert_eq!(assigned, [4, 5, 3, 2, 1, 0]);
+    }
+
+    /// Messages with no delay bypass the queue and keep the order they
+    /// were sent in.
+    #[test]
+    fn messages_due_on_arrival_are_served_in_arrival_order() {
+        let assigned = serve_requests(&[0.0; 5]);
+        assert_eq!(assigned, [0, 1, 2, 3, 4]);
     }
 }

@@ -6,15 +6,17 @@
 //!
 //! ## One set of bodies
 //!
-//! [`worker::WorkerCore`] is the volunteer host (sync the shard cache,
+//! `worker::WorkerCore` is the volunteer host (sync the shard cache,
 //! train with [`vc_asgd::train_client_replica_ws`], shape and possibly
 //! corrupt the upload; die, respawn, draw message delays);
-//! [`coordinator::Coordinator`] is the BOINC server over the
+//! `coordinator::Coordinator` is the BOINC server over the
 //! `vc-middleware` state machine, returning the effect of each message it
 //! handles; `vc_ps::ShardedAssimilator::{begin, finish}` is the parameter
 //! server's Eq. (1) under the configured consistency mode;
-//! [`coordinator::score`] is the validation pass behind every reported
-//! accuracy; `coordinator::assemble` puts a run together.
+//! `coordinator::score` is the validation pass behind every reported
+//! accuracy; `coordinator::assemble` puts a run together. All three
+//! modules, and the channel protocol between them, are private: a caller
+//! drives a run through [`Runtime`], [`sim`] or [`des`].
 //!
 //! ## Three drivers
 //!
@@ -36,21 +38,23 @@
 //! A [`FaultPlan`] preempts chosen workers mid-subtask — they vanish
 //! silently, and the server discovers the loss the BOINC way, through
 //! assignment timeouts, then reassigns to surviving hosts. An optional
-//! delay line randomly delays and reorders worker messages. Periodic
-//! [`Checkpoint`]s capture server parameters plus open-workunit state;
-//! [`Runtime::resume`] continues an interrupted job mid-epoch.
+//! delay line randomly delays and reorders worker messages: each worker
+//! stamps a message with the clock reading it is due at, and the
+//! coordinator holds it in its own time-ordered queue until then — on
+//! threads and under simulation alike. Timed [`Checkpoint`]s capture
+//! server parameters plus open-workunit state; [`Runtime::resume`]
+//! continues an interrupted job mid-epoch.
 
 pub mod checkpoint;
 pub mod config;
-pub mod coordinator;
+mod coordinator;
 pub mod des;
 pub mod fault;
-pub mod protocol;
+mod protocol;
 pub mod report;
 pub mod scheduler;
 pub mod sim;
-pub mod transport;
-pub mod worker;
+mod worker;
 
 pub use checkpoint::Checkpoint;
 pub use config::RuntimeConfig;
@@ -66,12 +70,10 @@ use coordinator::{assemble, assimilator_main, score_final, Assembled, AssimCtx, 
 use crossbeam::channel::unbounded;
 use std::path::Path;
 use std::sync::Arc;
-use transport::{delay_line_main, Outbox};
 use vc_kvstore::VersionedStore;
-use vc_middleware::WallClock;
 use vc_ops::{OpsHub, OpsServer};
 use vc_ps::{MemClient, PsClient, TcpClient, TcpPsServer};
-use vc_telemetry::Telemetry;
+use vc_telemetry::{Telemetry, WallTime};
 use worker::{worker_main, WorkerCtx};
 
 /// A configured (possibly resumed) run, executed with [`Runtime::run`].
@@ -190,9 +192,10 @@ impl Runtime {
 
         // --- data, parameter service, middleware, coordinator --------------
         // The run's one clock (cumulative across resumes): the
-        // coordinator's deadlines and every event timestamp read it.
+        // coordinator's deadlines, every due stamp and every event
+        // timestamp read it.
         let start_clock = |wall_base_s| {
-            tel.set_time_source(Arc::new(WallClock::resumed_at(wall_base_s)));
+            tel.set_time_source(Arc::new(WallTime::resumed_at(wall_base_s)));
         };
         let Assembled {
             coord,
@@ -221,16 +224,10 @@ impl Runtime {
         let tcp = cfg.ps_tcp.then(start_tcp).transpose()?;
 
         // --- channels ------------------------------------------------------
+        // Every message into the coordinator carries the clock reading it is
+        // due at; the coordinator holds one that arrives early.
         let (server_tx, server_rx) = unbounded();
         let (assim_tx, assim_rx) = unbounded();
-        let (delay_tx, delay_handle) = if cfg.faults.max_msg_delay_s > 0.0 {
-            let (dtx, drx) = unbounded();
-            let out = server_tx.clone();
-            let h = spawn("vc-delay-line".into(), move || delay_line_main(drx, out))?;
-            (Some(dtx), Some(h))
-        } else {
-            (None, None)
-        };
 
         // --- assimilator pool ---------------------------------------------
         // Assimilator 0 scores on the run's model; any other builds its own.
@@ -256,10 +253,6 @@ impl Runtime {
         for h in 0..job.cn {
             let (tx, rx) = unbounded();
             worker_txs.push(tx);
-            let outbox = match &delay_tx {
-                Some(dtx) => Outbox::Delayed(dtx.clone()),
-                None => Outbox::Direct(server_tx.clone()),
-            };
             let ps: Box<dyn PsClient> = match &tcp {
                 Some(srv) => Box::new(TcpClient::new(srv.local_addr()).map_err(|e| e.to_string())?),
                 None => Box::new(MemClient::new(service.clone())),
@@ -268,13 +261,12 @@ impl Runtime {
                 core: coord.worker(h, ps),
                 shards: shards.clone(),
                 cmd_rx: rx,
-                outbox,
+                out: server_tx.clone(),
             };
             worker_handles.push(spawn(format!("vc-worker-{h}"), move || worker_main(ctx))?);
         }
         // The coordinator's inbox must disconnect once the fleet is gone:
-        // only workers, assimilators and the delay line may hold senders.
-        drop(delay_tx);
+        // only workers and assimilators may hold senders.
         drop(server_tx);
 
         // --- coordinate ----------------------------------------------------
@@ -285,8 +277,8 @@ impl Runtime {
         });
 
         // The coordinator dropped its channel ends on return: every worker's
-        // next recv/send errors, the assimilator intake closes, the delay
-        // line drains and exits. Join them all.
+        // next recv/send errors and the assimilator intake closes. Join them
+        // all.
         for h in worker_handles {
             h.join().map_err(|_| "a worker thread panicked")?;
         }
@@ -296,9 +288,6 @@ impl Runtime {
         for h in assim_handles {
             let eval_model = h.join().map_err(|_| "an assimilator thread panicked")?;
             model.get_or_insert(eval_model);
-        }
-        if let Some(h) = delay_handle {
-            h.join().map_err(|_| "the delay-line thread panicked")?;
         }
 
         let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;
@@ -379,7 +368,6 @@ mod tests {
 
         let mut resumed = Runtime::resume(&path).unwrap();
         resumed.config_mut().halt_after_assims = None;
-        resumed.config_mut().checkpoint_every_assims = None;
         resumed.config_mut().checkpoint_path = None;
         let done = resumed.run().unwrap();
         std::fs::remove_file(&path).ok();

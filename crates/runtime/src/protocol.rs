@@ -11,7 +11,8 @@ use vc_middleware::{HostId, WorkUnit, WuId};
 use vc_simnet::SimTime;
 
 /// Worker → coordinator (and assimilator → coordinator) traffic. All
-/// senders share one MPMC channel; the coordinator is the single consumer.
+/// senders share one MPMC channel, each message paired with the clock
+/// reading it is due at; the coordinator is the single consumer.
 #[derive(Debug)]
 pub enum ToServer {
     /// Scheduler RPC: `host` asks for one subtask.

@@ -73,10 +73,11 @@ pub struct Scenario {
     /// `max_wall_s` bounds *virtual* seconds here.
     pub cfg: RuntimeConfig,
     /// Cadence of the coordinator's housekeeping tick (timeout scans,
-    /// checkpoint timer, `max_wall_s` safety net).
+    /// checkpoint timer, status publish, `max_wall_s` safety net).
     pub tick_s: f64,
     /// Attach an in-memory [`vc_ops::OpsHub`] to the run: the coordinator
-    /// publishes a status snapshot on every housekeeping tick, and
+    /// publishes a status snapshot on every housekeeping tick at least
+    /// 0.25 virtual seconds after the last one, and
     /// [`SimOutcome::ops`] exposes the hub so tests can call the same
     /// endpoint router a live HTTP scrape would hit — deterministically.
     pub ops: bool,
@@ -347,8 +348,8 @@ enum Ev {
     Respawn(u32),
     /// Parameter-server slot `slot` commits its in-flight assimilation.
     Commit(usize),
-    /// Coordinator housekeeping: timeout scan, checkpoint timer, safety
-    /// net.
+    /// Coordinator housekeeping: timeout scan, checkpoint timer, status
+    /// publish, safety net.
     Tick,
 }
 
@@ -389,9 +390,10 @@ impl Sim {
                 None
             }
             Ev::Deliver(msg) => {
-                // Mirror the threaded event loop: deadlines are scanned
-                // before each message is served, and the one effect the
-                // coordinator returns is carried out on the spot.
+                // As on threads, deadlines are scanned before each message
+                // is served (the rest of the housekeeping waits for `Tick`),
+                // and the one effect the coordinator returns is carried
+                // out on the spot.
                 let now = self.sched.now();
                 self.coord.server.scan_timeouts(now);
                 match self.coord.handle(msg) {
@@ -443,28 +445,22 @@ impl Sim {
                 None
             }
             Ev::Tick => {
-                let now = self.sched.now();
-                self.coord.server.scan_timeouts(now);
-                self.coord.maybe_timed_checkpoint();
-                // Per-tick status publish, the sim's analogue of the
-                // threaded event loop's throttled publish. Pure state
-                // summarization: no RNG, no events, so attaching the ops
-                // hub never perturbs a trajectory.
-                self.coord.publish_ops(false);
-                if self.coord.elapsed_s() > self.coord.cfg.max_wall_s {
-                    self.coord.write_checkpoint();
-                    return Some(Stop::Halted);
+                // The threaded event loop's housekeeping. Its status
+                // publish is pure state summarization — no RNG, no events —
+                // so attaching the ops hub never perturbs a trajectory.
+                let stop = self.coord.housekeep();
+                if stop.is_none() {
+                    self.sched.schedule_in(self.sc.tick_s, Ev::Tick);
                 }
-                self.sched.schedule_in(self.sc.tick_s, Ev::Tick);
-                None
+                stop
             }
         }
     }
 
     /// Sends a worker message toward the coordinator, held for whatever
     /// the worker's delay line draws (the exact draw a threaded worker
-    /// makes before its `Outbox` send). Returns the hold, so the caller can
-    /// stamp an upload span with it.
+    /// adds to its send time to stamp the message's due reading). Returns
+    /// the hold, so the caller can stamp an upload span with it.
     fn send_to_server(&mut self, host: u32, msg: ToServer) -> f64 {
         let delay = self.workers[host as usize].core.draw_delay();
         self.sched.schedule_in(delay, Ev::Deliver(msg));

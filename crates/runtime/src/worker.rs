@@ -3,18 +3,20 @@
 //! [`WorkerCore`] is everything one volunteer host is and does, independent
 //! of what drives it: its identity and lives, its fault-plan arithmetic
 //! (when it dies, when its replacement comes up, how long the delay line
-//! holds its messages), its parameter-service connection with the sticky
-//! shard cache and upload-codec residual, and [`WorkerCore::execute`] — the
-//! one workunit body: sync the cache, train the shard with real SGD
-//! ([`vc_asgd::train_client_replica_ws`]), shape the upload through the
-//! lossy codec, corrupt it if the host is byzantine.
+//! holds each of its messages), its parameter-service connection with the
+//! sticky shard cache and upload-codec residual, and
+//! [`WorkerCore::execute`] — the one workunit body: sync the cache, train
+//! the shard with real SGD ([`vc_asgd::train_client_replica_ws`]), shape
+//! the upload through the lossy codec, corrupt it if the host is byzantine.
 //!
 //! The threaded runtime wraps a core in [`worker_main`], the BOINC client
 //! loop on an OS thread: poll the scheduler, execute, upload, repeat, one
 //! subtask at a time (the server-side slot cap `Tn` still bounds how much
-//! work can be assigned to the host record). The deterministic simulation
-//! (`crate::sim`) drives the same core from its event loop, so a fault plan,
-//! a codec and a workunit mean the same thing under both.
+//! work can be assigned to the host record). Each message goes straight
+//! into the coordinator's inbox, stamped due at its send time plus the
+//! drawn delay; the coordinator holds it until then. The deterministic
+//! simulation (`crate::sim`) drives the same core from its event loop, so
+//! a fault plan, a codec and a workunit mean the same thing under both.
 //!
 //! Death is silent: a preempted worker simply stops participating, exactly
 //! like a terminated spot instance. The server learns only when the
@@ -23,8 +25,7 @@
 use crate::config::RuntimeConfig;
 use crate::fault::FaultStats;
 use crate::protocol::{ToServer, ToWorker};
-use crate::transport::Outbox;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
@@ -36,6 +37,7 @@ use vc_middleware::{HostId, WorkUnit};
 use vc_optim::{StepTimer, TrainWorkspace};
 use vc_ps::codec::apply_update_roundtrip;
 use vc_ps::{PsClient, PsError, ShardCache};
+use vc_simnet::SimTime;
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
 
 use crate::report::{
@@ -264,8 +266,8 @@ pub struct WorkerCtx {
     pub shards: Arc<ShardSet>,
     /// Replies from the coordinator.
     pub cmd_rx: Receiver<ToWorker>,
-    /// Uplink to the coordinator (possibly through the delay line).
-    pub outbox: Outbox,
+    /// The coordinator's inbox: each message with the reading it is due at.
+    pub out: Sender<(SimTime, ToServer)>,
 }
 
 /// The worker thread body.
@@ -274,9 +276,15 @@ pub fn worker_main(ctx: WorkerCtx) {
         mut core,
         shards,
         cmd_rx,
-        outbox,
+        out,
     } = ctx;
     let (id, cfg, telemetry) = (core.id, core.cfg.clone(), core.telemetry.clone());
+    // Sends `msg` due its drawn delay from now; `false` once the
+    // coordinator is gone.
+    let send = |core: &mut WorkerCore, msg| {
+        let due = SimTime::from_secs(telemetry.now_s() + core.draw_delay());
+        out.send((due, msg)).is_ok()
+    };
     let poll = Duration::from_secs_f64(cfg.poll_interval_s);
     let latency = |name| {
         telemetry
@@ -295,11 +303,7 @@ pub fn worker_main(ctx: WorkerCtx) {
 
     loop {
         let poll_t0 = telemetry.now_s();
-        let delay = core.draw_delay();
-        if outbox
-            .send(delay, ToServer::RequestWork { host: id })
-            .is_err()
-        {
+        if !send(&mut core, ToServer::RequestWork { host: id }) {
             return; // coordinator gone
         }
         let reply = cmd_rx.recv_timeout(REPLY_TIMEOUT);
@@ -342,13 +346,12 @@ pub fn worker_main(ctx: WorkerCtx) {
                 train_h.observe(train_s);
                 core.trace_phases(&wu, done.fetch_t1, fetch_s, done.train_t1, train_s);
                 let upload_t0 = telemetry.now_s();
-                let delay = core.draw_delay();
                 let upload = ToServer::Result {
                     host: id,
                     wu: wu.id,
                     params: done.params,
                 };
-                if outbox.send(delay, upload).is_err() {
+                if !send(&mut core, upload) {
                     return;
                 }
                 let upload_t1 = telemetry.now_s();

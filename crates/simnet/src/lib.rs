@@ -10,8 +10,8 @@
 //!
 //! * [`SimTime`]/[`EventQueue`] — a deterministic discrete-event core, over
 //!   [`DelayQueue`]: the workspace's one `(key, insertion order)` min-queue,
-//!   which the middleware's deadline timers, the DST step scheduler and the
-//!   threaded runtime's delay line key by their own notion of "when".
+//!   which the deadline timers, the DST step scheduler and the threaded
+//!   coordinator's early-message hold key by their own notion of "when".
 //! * [`InstanceSpec`]/[`table1`] — the paper's instance catalog with vCPU,
 //!   clock, RAM, bandwidth and AWS-calibrated prices.
 //! * [`ComputeModel`] — client subtask service times under concurrency

@@ -4,8 +4,8 @@
 //! and equal keys pop FIFO. The key is whatever "when" means to the
 //! caller — [`crate::EventQueue`] keys it by [`crate::SimTime`], the
 //! middleware's deadline timers by `(deadline, assignment seq)`, the
-//! threaded runtime's delay line by `std::time::Instant` — so every
-//! driver shares one tie-break contract.
+//! threaded coordinator's hold on early worker messages by their due
+//! `SimTime` — so every driver shares one tie-break contract.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -185,17 +185,31 @@ pub trait TimeSource: Send + Sync {
     fn now_s(&self) -> f64;
 }
 
-/// The default [`TimeSource`]: monotonic wall time since construction.
+/// The default [`TimeSource`] and the threaded runtime's one clock:
+/// monotonic wall time since construction, plus a resume offset.
 #[derive(Clone, Copy, Debug)]
 pub struct WallTime {
     start: Instant,
+    /// Seconds already on the clock at construction (non-zero when a run
+    /// resumes from a checkpoint, so reported times stay cumulative).
+    offset_s: f64,
 }
 
 impl WallTime {
     /// A wall-time source anchored at "now".
     pub fn new() -> Self {
+        Self::resumed_at(0.0)
+    }
+
+    /// A wall-time source that already shows `offset_s` seconds.
+    pub fn resumed_at(offset_s: f64) -> Self {
+        assert!(
+            offset_s.is_finite() && offset_s >= 0.0,
+            "invalid clock offset {offset_s}"
+        );
         WallTime {
             start: Instant::now(),
+            offset_s,
         }
     }
 }
@@ -208,7 +222,7 @@ impl Default for WallTime {
 
 impl TimeSource for WallTime {
     fn now_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
+        self.offset_s + self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -411,6 +425,23 @@ mod tests {
         assert_eq!(tel.recorder().events()[0].t_s, 42.5);
         tel.event_at(7.0, Level::Debug, "explicit", vec![]);
         assert_eq!(tel.recorder().events()[1].t_s, 7.0);
+    }
+
+    #[test]
+    fn clock_is_monotonic_and_measures_sleep() {
+        let c = WallTime::new();
+        let a = c.now_s();
+        std::thread::sleep(std::time::Duration::from_millis(15));
+        let b = c.now_s();
+        assert!(b > a);
+        assert!(b - a >= 0.014, "slept 15ms but clock shows {}", b - a);
+    }
+
+    #[test]
+    fn resume_offset_shifts_readings() {
+        let now = WallTime::resumed_at(100.0).now_s();
+        assert!(now >= 100.0);
+        assert!(now < 101.0, "the offset is where the reading starts");
     }
 
     #[test]

@@ -295,3 +295,36 @@ fn a_config_with_the_retired_settings_still_parses() {
     parsed.validate().unwrap();
     assert_eq!(parsed, RuntimeConfig::test_small(1));
 }
+
+/// `RuntimeConfig::test_small(1)` with an every-4-assimilations checkpoint
+/// trigger (`checkpoint_every_assims`) and the path it wrote to, as the
+/// runtime serialized it while that trigger was a setting. The text is that
+/// build's output, byte for byte apart from line breaks.
+const PRE_ONE_TRIGGER_CONFIG: &str = r#"{"job":{"model":{"name":"mlp","input":[3,16,16],
+"classes":10,"layers":["Flatten",{"Dense":{"input":768,"output":32}},"Relu",{"Dense":{
+"input":32,"output":10}}]},"data":{"classes":10,"img":[3,16,16],"train_n":400,"val_n":120,
+"test_n":120,"noise":1,"label_noise":0,"max_shift":2,"seed":1},"shards":8,"ps_shards":1,
+"pn":2,"cn":2,"tn":2,"alpha":{"Const":0.6000000238418579},"epochs":3,
+"consistency":"Eventual","fleet":"Uniform","optimizer":{"Adam":{"lr":0.0010000000474974513,
+"beta1":0.8999999761581421,"beta2":0.9990000128746033,"eps":0.00000000999999993922529}},
+"local_epochs":2,"batch_size":32,"val_eval_n":120,"middleware":{"timeout_s":2,
+"sticky_files":true,"replication":1,"min_timeout_s":2,"max_timeout_s":10,"quorum":1,
+"backoff_base_s":0.2,"backoff_max_s":2},"seed":1},"poll_interval_s":0.01,"faults":{
+"kill_hosts":[],"kill_on_nth_assignment":1,"respawn_after_s":null,"max_msg_delay_s":0,
+"byzantine_hosts":[],"byzantine_mode":"Poison","seed":0},"checkpoint_every_assims":4,
+"checkpoint_every_s":null,"checkpoint_path":"run_ck.json","halt_after_assims":null,
+"max_wall_s":600,"flight_recorder_path":null,"ps_tcp":false,"ops_addr":null,"trace":false,
+"codec":"Raw"}"#;
+
+/// A checkpoint written while assimilation counts could trigger one still
+/// resumes: its config parses, validates, and reads as today's config with
+/// the same path, whose one periodic trigger is `checkpoint_every_s`.
+#[test]
+fn a_config_with_the_assimilation_trigger_still_parses() {
+    assert!(PRE_ONE_TRIGGER_CONFIG.contains(r#""checkpoint_every_assims":4"#));
+    let parsed: RuntimeConfig = serde_json::from_str(PRE_ONE_TRIGGER_CONFIG).unwrap();
+    parsed.validate().unwrap();
+    let mut today = RuntimeConfig::test_small(1);
+    today.checkpoint_path = Some("run_ck.json".into());
+    assert_eq!(parsed, today);
+}

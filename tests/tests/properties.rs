@@ -72,7 +72,8 @@ proptest! {
 
     /// The one time-ordered queue (`vc_simnet::DelayQueue`, under the DES
     /// event queue, the DST step scheduler, the middleware's deadline
-    /// timers and the delay line) against a stable-sort oracle: any
+    /// timers and the threaded coordinator's early-message hold) against a
+    /// stable-sort oracle: any
     /// interleaving of push / pop / pop_due over keys with many ties
     /// releases earliest-key first and equal keys in insertion order, and
     /// `pop_due(now)` releases a key `== now` but holds one `> now`.
