@@ -116,6 +116,11 @@ fn warm_resnet_replica_stays_inside_its_memory_budget() {
         assert!(stats.mean_loss.is_finite());
     }
     let peak = PEAK.load(Ordering::Relaxed) - before;
+    println!(
+        "warm resnet_lite replica: peak live heap {:.2} MB ({} pool threads)",
+        peak as f64 / 1e6,
+        rayon::current_threads()
+    );
     assert!(
         peak <= BUDGET,
         "a warm resnet_lite replica peaked at {:.1} MB of live heap, budget {:.1} MB",

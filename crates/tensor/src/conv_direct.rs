@@ -15,7 +15,8 @@
 //! * **forward** — each image is staged once into a zero-padded copy
 //!   (`[ch, h+2p, w+2p]`, caller scratch), which makes *every* output
 //!   column vectorizable and every tap an unconditional in-bounds load,
-//!   for the AVX2 and the portable row kernel alike. The AVX2 kernel
+//!   for the AVX2 and the portable row kernel alike. The copy lives in a
+//!   *slot*, one slot per pool participant (see "Scratch" below). The AVX2 kernel
 //!   covers a row with 16-pixel spans (2 vectors × 4 output channels =
 //!   8 independent FMA chains; 8-pixel spans run 4, half of what two FMA
 //!   ports at 4-cycle latency can retire) and finishes it with 8-pixel
@@ -32,6 +33,27 @@
 //! * **backward/dx** — per image, bands of 32 gradient-column rows are
 //!   computed with a register tile (4 rows × 16 patch columns) against a
 //!   zero-padded copy of the kernel, then scattered in col2im order.
+//!
+//! ## Scratch: one slot per participant, not per image
+//!
+//! The forward staging copy and the dx band live in per-thread *slots*:
+//! [`fwd_scratch_len`] and [`dx_scratch_len`] size `min(batch,
+//! rayon::current_threads())` of them, and the parallel per-image loop
+//! runs on at most that many threads, each image in the slot of the
+//! participant that claimed it (`for_each_participant` in the vendored
+//! pool: two images that run at the same time never share an index, and
+//! the images are still claimed one at a time, so the split balances
+//! itself). A batch of 32 on one thread stages through one 74 KB slot
+//! instead of 32 of them (2.37 MB at 16 ch × 32²). The kernels take the
+//! slot count from the scratch they are handed, not from the pool, so a
+//! thread cap changed between sizing and calling costs parallelism, never
+//! a shared slot. Slots are padded to a cache line apart, so neighbours
+//! never false-share.
+//!
+//! A slot's zero border is written once per call ([`zero_border`]);
+//! [`pack_padded_image`] then only overwrites the interior, image after
+//! image. The interior is fully rewritten by every image, so what the
+//! previous image left there is never read.
 //!
 //! ## Bit-identity contract
 //!
@@ -122,6 +144,10 @@
 use crate::ops::{ConvGeom, Epilogue, PAR_THRESHOLD};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::cell::Cell;
+
+#[doc(hidden)]
+pub use crate::bench_compat::{conv3x3_backward_dk_into, conv3x3_forward_into};
 
 /// Output-channel block: each pass over an image row computes `OCB`
 /// channels at once so every loaded input vector feeds 4 accumulators.
@@ -144,11 +170,18 @@ fn patch_pad(patch: usize) -> usize {
     patch.div_ceil(16) * 16
 }
 
+/// Staging slots a call over `batch` images is sized for: one per pool
+/// participant, never more than there are images.
+fn slots(batch: usize) -> usize {
+    batch.min(rayon::current_threads())
+}
+
 /// Scratch length (in floats) callers must provide to
-/// [`conv3x3_forward_into`]: one cache-line-padded zero-padded image copy
-/// per batch element so parallel images never share a line of scratch.
+/// [`conv3x3_forward_pre_into`]: one cache-line-padded zero-padded image
+/// copy per participant — `min(batch, rayon::current_threads())` slots —
+/// so parallel images never share a line of scratch.
 pub fn fwd_scratch_len(batch: usize, ch: usize, geom: ConvGeom) -> usize {
-    batch * fwd_slot(ch, geom)
+    slots(batch) * fwd_slot(ch, geom)
 }
 
 fn fwd_slot(ch: usize, geom: ConvGeom) -> usize {
@@ -158,9 +191,10 @@ fn fwd_slot(ch: usize, geom: ConvGeom) -> usize {
 
 /// Scratch length (in floats) callers must provide to
 /// [`conv3x3_backward_dx_into`]: a zero-padded kernel copy (shared,
-/// read-only) plus one cache-line-padded band slot per image.
+/// read-only) plus one cache-line-padded band slot per participant —
+/// `min(batch, rayon::current_threads())` slots.
 pub fn dx_scratch_len(batch: usize, ch: usize, out_ch: usize) -> usize {
-    out_ch * patch_pad(ch * 9) + batch * dx_slot(ch, out_ch)
+    out_ch * patch_pad(ch * 9) + slots(batch) * dx_slot(ch, out_ch)
 }
 
 fn dx_slot(ch: usize, out_ch: usize) -> usize {
@@ -169,7 +203,7 @@ fn dx_slot(ch: usize, out_ch: usize) -> usize {
 }
 
 /// Scratch length (in floats) callers must provide to
-/// [`conv3x3_backward_dk_into`]: a padded image copy, one column band, one
+/// [`conv3x3_backward_dk_pre_into`]: a padded image copy, one column band, one
 /// transposed dy band and the padded `out_ch × patch` accumulator.
 pub fn dk_scratch_len(ch: usize, out_ch: usize, geom: ConvGeom) -> usize {
     let (ph, pw) = (geom.h + 2 * geom.pad, geom.w + 2 * geom.pad);
@@ -201,11 +235,37 @@ fn ctx_for(ch: usize, geom: ConvGeom) -> Ctx {
     }
 }
 
+thread_local! {
+    /// Set while [`with_portable_bodies`] runs on this thread.
+    static PORTABLE_ONLY: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with every kernel called from this thread held to its
+/// portable body, so a host with AVX2 can test both (and run both under a
+/// sanitizer). A test hook, not a switch: the two bodies produce the same
+/// bits. Each kernel reads it once, on the calling thread, before it fans
+/// out, so the pool's workers follow the caller's choice.
+#[doc(hidden)]
+pub fn with_portable_bodies<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PORTABLE_ONLY.with(|p| p.set(self.0));
+        }
+    }
+    let _restore = Restore(PORTABLE_ONLY.with(|p| p.replace(true)));
+    f()
+}
+
+/// Whether the AVX2+FMA bodies run. Read once per kernel call, on the
+/// calling thread.
 #[inline(always)]
 fn has_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        !PORTABLE_ONLY.with(Cell::get)
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -285,14 +345,29 @@ impl BnReluChannel {
     }
 }
 
-/// Stages one image as a zero-padded copy `[ch, h+2p, w+2p]` — the literal
+/// Writes the border of a staging slot `[ch, h+2p, w+2p]`: the literal
 /// zeros around each plane are the same explicit zero operands the im2col
-/// matrix materializes for padded taps. With a prologue the interior holds
-/// `pre.apply(x)` instead of `x`; the border stays literal zeros either
-/// way, because the reference pads the *activated* tensor.
+/// matrix materializes for padded taps. They stay literal zeros with or
+/// without a prologue, because the reference pads the *activated* tensor.
+/// Once per slot per call: [`pack_padded_image`] never writes there.
+fn zero_border(ctx: Ctx, dst: &mut [f32]) {
+    let (ph, pw) = (ctx.h + 2 * ctx.pad, ctx.w + 2 * ctx.pad);
+    let (top, bottom) = (ctx.pad * pw, (ctx.pad + ctx.h) * pw);
+    for plane in dst[..ctx.ch * ph * pw].chunks_exact_mut(ph * pw) {
+        plane[..top].fill(0.0);
+        plane[bottom..].fill(0.0);
+        for row in plane[top..bottom].chunks_exact_mut(pw) {
+            row[..ctx.pad].fill(0.0);
+            row[ctx.pad + ctx.w..].fill(0.0);
+        }
+    }
+}
+
+/// Stages one image into the interior of a slot whose border
+/// [`zero_border`] has written. With a prologue the interior holds
+/// `pre.apply(x)` instead of `x`.
 fn pack_padded_image(x: &[f32], pre: Option<BnRelu<'_>>, ctx: Ctx, dst: &mut [f32]) {
     let (ph, pw) = (ctx.h + 2 * ctx.pad, ctx.w + 2 * ctx.pad);
-    dst[..ctx.ch * ph * pw].fill(0.0);
     for c in 0..ctx.ch {
         let chan = pre.map(|p| p.channel(c));
         for y in 0..ctx.h {
@@ -328,21 +403,11 @@ fn apply_epi(o: &mut f32, v: f32, oc: usize, epi: Epilogue<'_>) {
 /// Direct 3×3 stride-1 conv forward: `input [batch, ch, h, w]` ×
 /// `kernel [out_ch, ch*9]` → `out [batch, out_ch, oh, ow]`, writing the
 /// image layout directly (the im2col path needs a separate
-/// rows→images permutation pass; this one doesn't). `scratch` must hold
-/// [`fwd_scratch_len`]`(batch, ch, geom)` floats.
-pub fn conv3x3_forward_into(
-    input: &Tensor,
-    kernel: &Tensor,
-    geom: ConvGeom,
-    out: &mut [f32],
-    epi: Epilogue<'_>,
-    scratch: &mut [f32],
-) {
-    conv3x3_forward_pre_into(input, None, kernel, geom, out, epi, scratch);
-}
-
-/// [`conv3x3_forward_into`] over `pre.apply(input)` — the activated tensor
-/// exists only as each image's staged copy.
+/// rows→images permutation pass; this one doesn't). With `pre` it
+/// convolves `pre.apply(input)`, which exists only as each image's staged
+/// copy. `scratch` holds [`fwd_scratch_len`]`(batch, ch, geom)` floats;
+/// any whole number of slots, at least one, works — the call runs on at
+/// most as many threads as `scratch` has slots.
 pub fn conv3x3_forward_pre_into(
     input: &Tensor,
     pre: Option<BnRelu<'_>>,
@@ -366,39 +431,48 @@ pub fn conv3x3_forward_pre_into(
     assert_eq!(kernel.dims()[1], ctx.patch, "kernel patch width");
     let plane = out_ch * ctx.oh * ctx.ow;
     assert_eq!(out.len(), batch * plane, "conv3x3 output buffer length");
-    assert!(
-        scratch.len() >= fwd_scratch_len(batch, ch, geom),
-        "forward scratch length"
-    );
     if out.is_empty() {
         return;
+    }
+    let slot = fwd_slot(ch, geom);
+    let parallel = batch > 1 && out.len() >= PAR_THRESHOLD;
+    let n_slots = if parallel {
+        (scratch.len() / slot).min(batch)
+    } else {
+        1
+    };
+    assert!(scratch.len() >= slot, "forward scratch length");
+    for s in scratch.chunks_exact_mut(slot).take(n_slots) {
+        zero_border(ctx, s);
     }
     let x = input.data();
     let kd = kernel.data();
     let img_len = ch * h * w;
-    let slot = fwd_slot(ch, geom);
+    let vector = has_fma() && ctx.ow >= 8;
     let base = scratch.as_mut_ptr() as usize;
-    let run = |b: usize, dst: &mut [f32]| {
-        // Safety: image b writes only its own line-padded scratch slot;
-        // slots are disjoint and the scratch borrow outlives the blocking
-        // parallel call.
+    let run = |who: usize, b: usize, dst: &mut [f32]| {
+        // Safety: `who` < n_slots, and no two images that run at the same
+        // time share a participant index, so each writes a slot no one else
+        // touches meanwhile; slots are disjoint and the scratch borrow
+        // outlives the blocking parallel call.
         let pimg =
-            unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(b * slot), slot) };
+            unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(who * slot), slot) };
         pack_padded_image(&x[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
-        fwd_image(pimg, kd, out_ch, ctx, dst, epi);
+        fwd_image(pimg, kd, out_ch, ctx, dst, epi, vector);
     };
-    if batch > 1 && out.len() >= PAR_THRESHOLD {
+    if parallel {
         out.par_chunks_mut(plane)
             .enumerate()
-            .for_each(|(b, dst)| run(b, dst));
+            .for_each_participant(n_slots, |who, (b, dst)| run(who, b, dst));
     } else {
         for (b, dst) in out.chunks_mut(plane).enumerate() {
-            run(b, dst);
+            run(0, b, dst);
         }
     }
 }
 
-/// All output rows of one staged image, `OCB` channels at a time.
+/// All output rows of one staged image, `OCB` channels at a time; the
+/// AVX2 row kernel when `vector` (AVX2+FMA present and `ow ≥ 8`).
 fn fwd_image(
     pimg: &[f32],
     kd: &[f32],
@@ -406,15 +480,15 @@ fn fwd_image(
     ctx: Ctx,
     dst: &mut [f32],
     epi: Epilogue<'_>,
+    vector: bool,
 ) {
-    let vector = has_fma() && ctx.ow >= 8;
     let mut oc0 = 0;
     while oc0 < out_ch {
         let noc = OCB.min(out_ch - oc0);
         for oy in 0..ctx.oh {
             #[cfg(target_arch = "x86_64")]
             if vector {
-                // SAFETY: AVX2+FMA presence checked by has_fma above.
+                // SAFETY: `vector` implies has_fma() held for this call.
                 unsafe { fwd_row_avx2(pimg, kd, ctx, oy, oc0, noc, dst, epi) };
                 continue;
             }
@@ -655,8 +729,9 @@ fn gather_dy_band(dyp: &[f32], ohw: usize, out_ch: usize, r0: usize, nb: usize, 
 /// `kernel [out_ch, ch*9]` → `dx [batch, ch, h, w]`, fusing the
 /// `dy · K` GEMM with the col2im scatter so the `[rows, ch*9]` gradient
 /// column matrix is never materialized — only one 32-row band per image
-/// lives in scratch. `scratch` must hold
-/// [`dx_scratch_len`]`(batch, ch, out_ch)` floats.
+/// lives in scratch. `scratch` holds [`dx_scratch_len`]`(batch, ch,
+/// out_ch)` floats; any whole number of band slots, at least one, works —
+/// the call runs on at most as many threads as it has slots.
 pub fn conv3x3_backward_dx_into(
     dy: &Tensor,
     kernel: &Tensor,
@@ -674,10 +749,6 @@ pub fn conv3x3_backward_dx_into(
     assert_eq!(kernel.dims(), &[out_ch, ctx.patch], "kernel dims");
     let img_len = ch * ctx.h * ctx.w;
     assert_eq!(dx.len(), batch * img_len, "dx buffer length");
-    assert!(
-        scratch.len() >= dx_scratch_len(batch, ch, out_ch),
-        "dx scratch length"
-    );
     if dx.is_empty() {
         return;
     }
@@ -685,8 +756,17 @@ pub fn conv3x3_backward_dx_into(
     let kd = kernel.data();
     let dy_plane = out_ch * ctx.oh * ctx.ow;
     let pp = patch_pad(ctx.patch);
+    let slot = dx_slot(ch, out_ch);
+    assert!(scratch.len() >= out_ch * pp + slot, "dx scratch length");
     let use_fma = has_fma();
     let (kpad, slots) = scratch.split_at_mut(out_ch * pp);
+    // Same serial-vs-parallel policy as col2im_into over the same shapes.
+    let parallel = batch > 1 && dx.len() >= PAR_THRESHOLD;
+    let n_slots = if parallel {
+        (slots.len() / slot).min(batch)
+    } else {
+        1
+    };
     if use_fma {
         // Pad the kernel once, up front: the band tile loads 16-wide even
         // past `patch`, and the zero columns only ever feed scratch
@@ -697,13 +777,13 @@ pub fn conv3x3_backward_dx_into(
         }
     }
     let kpad = &*kpad;
-    let slot = dx_slot(ch, out_ch);
     let base = slots.as_mut_ptr() as usize;
-    let run = |b: usize, img: &mut [f32]| {
-        // Safety: image b writes only its own line-padded scratch slot;
-        // slots are disjoint and the scratch borrow outlives the blocking
-        // parallel call.
-        let s = unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(b * slot), slot) };
+    let run = |who: usize, b: usize, img: &mut [f32]| {
+        // Safety: `who` < n_slots, and no two images that run at the same
+        // time share a participant index, so each writes a slot no one else
+        // touches meanwhile; slots are disjoint and the scratch borrow
+        // outlives the blocking parallel call.
+        let s = unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(who * slot), slot) };
         let dyp = &dyd[b * dy_plane..(b + 1) * dy_plane];
         if use_fma {
             let (dcols, dyb) = s.split_at_mut(BAND * pp);
@@ -721,21 +801,15 @@ pub fn conv3x3_backward_dx_into(
             dx_image_generic(dyp, kd, out_ch, ctx, img, &mut s[..ctx.patch]);
         }
     };
-    // Same serial-vs-parallel policy as col2im_into over the same shapes.
-    if batch > 1 && dx.len() >= PAR_THRESHOLD {
-        out_par(dx, img_len, run);
+    if parallel {
+        dx.par_chunks_mut(img_len)
+            .enumerate()
+            .for_each_participant(n_slots, |who, (b, img)| run(who, b, img));
     } else {
         for (b, img) in dx.chunks_mut(img_len).enumerate() {
-            run(b, img);
+            run(0, b, img);
         }
     }
-}
-
-/// Helper so the closure capture for the parallel scatter stays tidy.
-fn out_par(out: &mut [f32], chunk: usize, run: impl Fn(usize, &mut [f32]) + Sync) {
-    out.par_chunks_mut(chunk)
-        .enumerate()
-        .for_each(|(b, dst)| run(b, dst));
 }
 
 /// Banded dx for one image: compute a band of gradient column rows with
@@ -865,26 +939,16 @@ unsafe fn dx_band_avx2(
 /// Direct weight-gradient: `dkernel [out_ch, ch*9] += dyᵀ · cols`, reading
 /// patches straight from `input` — one 32-row column band at a time in
 /// L1-sized scratch, versus the whole `[rows, ch*9]` matrix the im2col
-/// path keeps alive. The padded accumulator holds the complete reduction
-/// before it is added to `dkernel`, matching the GEMM's `Accumulate`
-/// epilogue, which also adds only finished tiles. `scratch` must hold
-/// [`dk_scratch_len`]`(ch, out_ch, geom)` floats.
+/// path keeps alive. With `pre` the columns are those of
+/// `pre.apply(input)`: the staging pass recomputes the activated image the
+/// forward convolved, bit for bit. The padded accumulator holds the
+/// complete reduction before it is added to `dkernel`, matching the GEMM's
+/// `Accumulate` epilogue, which also adds only finished tiles. `scratch`
+/// must hold [`dk_scratch_len`]`(ch, out_ch, geom)` floats.
 ///
 /// Serial by design: for training-shaped problems `out_ch ≤ 64`, the GEMM
 /// this replaces had at most one row band in flight, so there is no
 /// parallelism to lose.
-pub fn conv3x3_backward_dk_into(
-    dy: &Tensor,
-    input: &Tensor,
-    geom: ConvGeom,
-    dkernel: &mut [f32],
-    scratch: &mut [f32],
-) {
-    conv3x3_backward_dk_pre_into(dy, input, None, geom, dkernel, scratch);
-}
-
-/// [`conv3x3_backward_dk_into`] against `pre.apply(input)`: the staging
-/// pass recomputes the activated image the forward convolved, bit for bit.
 pub fn conv3x3_backward_dk_pre_into(
     dy: &Tensor,
     input: &Tensor,
@@ -922,6 +986,7 @@ pub fn conv3x3_backward_dk_pre_into(
     let ohw = ctx.oh * ctx.ow;
     let dy_plane = out_ch * ohw;
     let use_fma = has_fma();
+    zero_border(ctx, pimg);
     for b in 0..batch {
         pack_padded_image(&xd[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
         let dyp = &dyd[b * dy_plane..(b + 1) * dy_plane];
@@ -1036,8 +1101,9 @@ mod tests {
 
     #[test]
     fn scratch_slots_are_line_padded() {
-        // Adjacent per-image slots must be ≥ one cache line apart even for
-        // the smallest shapes, so parallel images never false-share.
+        // Adjacent slots must be ≥ one cache line apart even for the
+        // smallest shapes, so parallel images never false-share; there is
+        // one per participant, never more than there are images.
         let g = ConvGeom {
             h: 1,
             w: 1,
@@ -1046,12 +1112,15 @@ mod tests {
             stride: 1,
             pad: 1,
         };
+        let threads = rayon::current_threads();
         assert!(fwd_slot(1, g) * 4 >= 9 * 4 + 64);
-        assert_eq!(fwd_scratch_len(3, 2, g), 3 * fwd_slot(2, g));
+        assert_eq!(fwd_scratch_len(3, 2, g), 3.min(threads) * fwd_slot(2, g));
+        assert_eq!(fwd_scratch_len(1, 2, g), fwd_slot(2, g));
+        assert_eq!(fwd_scratch_len(0, 2, g), 0);
         assert!(dx_slot(1, 1) * 4 >= (BAND * 16 + BAND) * 4 + 64);
         assert_eq!(
             dx_scratch_len(3, 2, 5),
-            5 * patch_pad(18) + 3 * dx_slot(2, 5)
+            5 * patch_pad(18) + 3.min(threads) * dx_slot(2, 5)
         );
     }
 

@@ -25,6 +25,7 @@
 //! (TensorFlow training, Redis parameter blobs) operates on single-precision
 //! weights.
 
+mod bench_compat;
 pub mod codec;
 pub mod conv_direct;
 pub mod ops;

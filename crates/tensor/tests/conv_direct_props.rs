@@ -14,12 +14,17 @@
 //! on the **materialized** activation: batch-norm affine and ReLU written
 //! out as a tensor first (with the expression spelled out here, not
 //! borrowed from the kernel), then im2col + GEMM.
+//!
+//! Every direct call runs twice, on the body the host selects (AVX2 where
+//! present) and on the portable one (`conv_direct::with_portable_bodies`),
+//! so one case holds both to the reference — and `deploy/sanitize.sh` runs
+//! both under AddressSanitizer. CI also runs this file with
+//! `VC_THREADS=4`, so the slot-sharing case reaches four participants.
 
 use proptest::prelude::*;
 use vc_tensor::conv_direct::{
-    conv3x3_backward_dk_into, conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into,
-    conv3x3_forward_into, conv3x3_forward_pre_into, dk_scratch_len, dx_scratch_len,
-    fwd_scratch_len, BnRelu,
+    conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into, conv3x3_forward_pre_into,
+    dk_scratch_len, dx_scratch_len, fwd_scratch_len, with_portable_bodies, BnRelu,
 };
 use vc_tensor::ops::{
     col2im_into, im2col, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into, ConvGeom,
@@ -29,6 +34,19 @@ use vc_tensor::{NormalSampler, Tensor};
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Scratch as a pooled buffer may arrive: full of someone else's values.
+/// NaN, so a kernel that reads scratch it did not write shows in the bits.
+fn garbage(len: usize) -> Vec<f32> {
+    vec![f32::NAN; len]
+}
+
+/// Runs `f` on the body the host selects, then on the portable body,
+/// naming each.
+fn on_both_bodies(mut f: impl FnMut(&str)) {
+    f("detected body");
+    with_portable_bodies(|| f("portable body"));
 }
 
 fn geom(h: usize, w: usize, pad: usize) -> ConvGeom {
@@ -151,6 +169,11 @@ impl Pre {
 }
 
 fn check_forward(c: &Case, epi_kind: u8) {
+    check_forward_sized(c, epi_kind, fwd_scratch_len(c.batch, c.ch, c.g));
+}
+
+/// [`check_forward`] with `stage_len` floats of staging scratch.
+fn check_forward_sized(c: &Case, epi_kind: u8, stage_len: usize) {
     let (oh, ow) = (c.g.out_h(), c.g.out_w());
     let ohw = oh * ow;
     let epi = match epi_kind {
@@ -165,29 +188,40 @@ fn check_forward(c: &Case, epi_kind: u8) {
         matmul_a_bt_epi_into(&cols, &c.kernel, &mut flat, epi);
         rows_to_images(&flat, c.batch, c.out_ch, ohw)
     };
-    // Direct.
     let want = reference(&c.input);
-    let mut got = vec![0.0f32; want.len()];
-    let mut stage = vec![0.0f32; fwd_scratch_len(c.batch, c.ch, c.g)];
-    conv3x3_forward_into(&c.input, &c.kernel, c.g, &mut got, epi, &mut stage);
-    assert_eq!(bits(&got), bits(&want), "forward epi={epi_kind}");
-    // Direct with the prologue, against the materialized activation.
     let pre = Pre::new(c.ch, c.batch as u64);
     let (raw, act) = pre.materialize(c);
-    let want = reference(&act);
-    conv3x3_forward_pre_into(
-        &raw,
-        Some(pre.as_prologue()),
-        &c.kernel,
-        c.g,
-        &mut got,
-        epi,
-        &mut stage,
-    );
-    assert_eq!(bits(&got), bits(&want), "prologue forward epi={epi_kind}");
+    let want_pre = reference(&act);
+    let mut got = vec![0.0f32; want.len()];
+    let mut stage = garbage(stage_len);
+    on_both_bodies(|body| {
+        // Direct.
+        conv3x3_forward_pre_into(&c.input, None, &c.kernel, c.g, &mut got, epi, &mut stage);
+        assert_eq!(bits(&got), bits(&want), "forward epi={epi_kind}, {body}");
+        // Direct with the prologue, against the materialized activation.
+        conv3x3_forward_pre_into(
+            &raw,
+            Some(pre.as_prologue()),
+            &c.kernel,
+            c.g,
+            &mut got,
+            epi,
+            &mut stage,
+        );
+        assert_eq!(
+            bits(&got),
+            bits(&want_pre),
+            "prologue forward epi={epi_kind}, {body}"
+        );
+    });
 }
 
 fn check_dx(c: &Case) {
+    check_dx_sized(c, dx_scratch_len(c.batch, c.ch, c.out_ch));
+}
+
+/// [`check_dx`] with `scratch_len` floats of scratch.
+fn check_dx_sized(c: &Case, scratch_len: usize) {
     let (oh, ow) = (c.g.out_h(), c.g.out_w());
     let ohw = oh * ow;
     let rows = c.batch * ohw;
@@ -206,11 +240,13 @@ fn check_dx(c: &Case) {
         c.g,
         &mut want,
     );
-    // Direct (fused): no dcols matrix, per-image band scratch.
+    // Direct (fused): no dcols matrix, per-participant band scratch.
     let mut got = vec![0.0f32; want.len()];
-    let mut scratch = vec![0.0f32; dx_scratch_len(c.batch, c.ch, c.out_ch)];
-    conv3x3_backward_dx_into(&c.dy, &c.kernel, c.ch, c.g, &mut got, &mut scratch);
-    assert_eq!(bits(&got), bits(&want), "dx");
+    let mut scratch = garbage(scratch_len);
+    on_both_bodies(|body| {
+        conv3x3_backward_dx_into(&c.dy, &c.kernel, c.ch, c.g, &mut got, &mut scratch);
+        assert_eq!(bits(&got), bits(&want), "dx, {body}");
+    });
 }
 
 fn check_dk(c: &Case, seed: u64) {
@@ -233,24 +269,26 @@ fn check_dk(c: &Case, seed: u64) {
         want
     };
     let want = reference(&c.input);
-    let mut got = dk0.data().to_vec();
-    let mut scratch = vec![0.0f32; dk_scratch_len(c.ch, c.out_ch, c.g)];
-    conv3x3_backward_dk_into(&c.dy, &c.input, c.g, &mut got, &mut scratch);
-    assert_eq!(bits(&got), bits(&want), "dK");
-    // With the prologue, against the materialized activation.
     let pre = Pre::new(c.ch, seed);
     let (raw, act) = pre.materialize(c);
-    let want = reference(&act);
-    let mut got = dk0.data().to_vec();
-    conv3x3_backward_dk_pre_into(
-        &c.dy,
-        &raw,
-        Some(pre.as_prologue()),
-        c.g,
-        &mut got,
-        &mut scratch,
-    );
-    assert_eq!(bits(&got), bits(&want), "prologue dK");
+    let want_pre = reference(&act);
+    let mut scratch = garbage(dk_scratch_len(c.ch, c.out_ch, c.g));
+    on_both_bodies(|body| {
+        let mut got = dk0.data().to_vec();
+        conv3x3_backward_dk_pre_into(&c.dy, &c.input, None, c.g, &mut got, &mut scratch);
+        assert_eq!(bits(&got), bits(&want), "dK, {body}");
+        // With the prologue, against the materialized activation.
+        let mut got = dk0.data().to_vec();
+        conv3x3_backward_dk_pre_into(
+            &c.dy,
+            &raw,
+            Some(pre.as_prologue()),
+            c.g,
+            &mut got,
+            &mut scratch,
+        );
+        assert_eq!(bits(&got), bits(&want_pre), "prologue dK, {body}");
+    });
 }
 
 proptest! {
@@ -334,8 +372,9 @@ fn parallel_path_bitwise_and_deterministic() {
     for _ in 0..4 {
         let mut out = vec![0.0f32; 4 * 8 * 16 * 16];
         let mut stage = vec![0.0f32; fwd_scratch_len(4, 8, c.g)];
-        conv3x3_forward_into(
+        conv3x3_forward_pre_into(
             &c.input,
+            None,
             &c.kernel,
             c.g,
             &mut out,
@@ -346,6 +385,44 @@ fn parallel_path_bitwise_and_deterministic() {
         match &first {
             None => first = Some(b),
             Some(f) => assert_eq!(&b, f, "pool run changed the bytes"),
+        }
+    }
+}
+
+/// One staging slot and one dx band per participant, not per image: at
+/// every thread cap, with batches below and above the cap, on rows wide
+/// enough for the vector spans and on rows narrower than one (`ow < 8`),
+/// forward, forward with the prologue and dx stay bitwise the reference —
+/// two images sharing a slot at once would corrupt one of them. Both
+/// shapes cross `PAR_THRESHOLD` from batch 3 up, so the per-image loop runs
+/// on the pool. Scratch sized under one cap and used under another only
+/// changes how many threads the call takes.
+#[test]
+fn slot_sharing_bitwise_across_thread_caps() {
+    let shapes = [(8, 8, 16, 16), (32, 32, 7, 7)];
+    for cap in [1, 2, 4, 8] {
+        let prev = rayon::set_thread_cap(cap);
+        for batch in [1, 3, 9] {
+            for (ch, out_ch, h, w) in shapes {
+                let c = make_case(batch, ch, out_ch, h, w, 1, (cap * 100 + batch + w) as u64);
+                check_forward(&c, 2);
+                check_dx(&c);
+            }
+        }
+        rayon::set_thread_cap(prev);
+    }
+    for (size_cap, run_cap) in [(1, 8), (8, 1), (2, 4), (4, 2)] {
+        for (ch, out_ch, h, w) in shapes {
+            let c = make_case(9, ch, out_ch, h, w, 1, (size_cap * 10 + run_cap) as u64);
+            let prev = rayon::set_thread_cap(size_cap);
+            let (stage_len, dx_len) = (
+                fwd_scratch_len(9, ch, c.g),
+                dx_scratch_len(9, ch, out_ch),
+            );
+            rayon::set_thread_cap(run_cap);
+            check_forward_sized(&c, 1, stage_len);
+            check_dx_sized(&c, dx_len);
+            rayon::set_thread_cap(prev);
         }
     }
 }
