@@ -179,14 +179,15 @@ impl Conv2d {
         self.in_ch == ch && conv_direct::supports(&self.geom_for(0, 0))
     }
 
-    /// Forward on the direct 3×3 path: no column matrix at all. The
-    /// training cache is the input itself — the *raw* input when `pre` is
-    /// given, since backward's staging pass re-applies the prologue.
+    /// Forward on the direct 3×3 path: no column matrix at all. With
+    /// `cache` (every training forward) the input itself is kept for
+    /// backward — the *raw* input when `pre` is given, since backward's
+    /// staging pass re-applies the prologue; otherwise it goes back to `ws`.
     pub(crate) fn forward_direct(
         &mut self,
         x: Tensor,
         pre: Option<BnRelu<'_>>,
-        train: bool,
+        cache: bool,
         ws: &mut Workspace,
     ) -> Tensor {
         let (batch, geom) = self.checked_geom(&x);
@@ -204,7 +205,7 @@ impl Conv2d {
             &mut stage,
         );
         ws.recycle(stage);
-        if train {
+        if cache {
             self.cache = Some(ConvCache::Input { x, geom, batch });
         } else {
             ws.recycle(x.into_vec());
@@ -214,18 +215,19 @@ impl Conv2d {
 
     /// Backward of [`forward_direct`](Self::forward_direct), with the same
     /// `pre`. The returned gradient is with respect to what the kernel
-    /// convolved — the activated tensor when `pre` is given.
+    /// convolved — the activated tensor when `pre` is given. `dy` is only
+    /// read: it stays the caller's to recycle or to keep.
     pub(crate) fn backward_direct(
         &mut self,
-        dy: Tensor,
+        dy: &Tensor,
         pre: Option<BnRelu<'_>>,
         ws: &mut Workspace,
     ) -> Tensor {
-        let (geom, batch) = self.direct_grads(&dy, pre, ws);
+        let (geom, batch) = self.direct_grads(dy, pre, ws);
         let mut dx_scratch = ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
         let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
         conv3x3_backward_dx_into(
-            &dy,
+            dy,
             &self.kernel,
             self.in_ch,
             geom,
@@ -233,7 +235,6 @@ impl Conv2d {
             &mut dx_scratch,
         );
         ws.recycle(dx_scratch);
-        ws.recycle(dy.into_vec());
         Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
     }
 
@@ -311,13 +312,19 @@ impl Conv2d {
         (dy_rows, geom, batch)
     }
 
-    /// The input the last training [`forward_direct`](Self::forward_direct)
+    /// The input the last caching [`forward_direct`](Self::forward_direct)
     /// kept.
     pub(crate) fn cached_input(&self) -> &Tensor {
         match &self.cache {
             Some(ConvCache::Input { x, .. }) => x,
             _ => panic!("Conv2d has no cached direct forward"),
         }
+    }
+
+    /// Gives the cached input back to `ws` — after an inference forward
+    /// that kept it only for a residual skip to read.
+    pub(crate) fn release_cache(&mut self, ws: &mut Workspace) {
+        self.recycle_cache(ws);
     }
 }
 
@@ -350,7 +357,9 @@ impl Layer for Conv2d {
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
         if let Some(ConvCache::Input { .. }) = self.cache {
-            return self.backward_direct(dy, None, ws);
+            let dx = self.backward_direct(&dy, None, ws);
+            ws.recycle(dy.into_vec());
+            return dx;
         }
         let (dy_rows, geom, batch) = self.cols_grads(dy, ws);
         let rows = dy_rows.dims()[0];

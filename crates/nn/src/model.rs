@@ -159,12 +159,25 @@ impl Sequential {
     /// Forward over the whole pipeline: tensors move by value, buffers
     /// recycle through `ws`.
     pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        self.forward_steps(x, train, false, ws)
+    }
+
+    /// The forward traversal. With `keep_head_input`, a pre-activation unit
+    /// at layer 0 keeps its input after an inference forward as well as a
+    /// training one ([`head_input`](Self::head_input)).
+    fn forward_steps(
+        &mut self,
+        x: Tensor,
+        train: bool,
+        keep_head_input: bool,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let mut cur = x;
         let mut i = 0;
         while i < self.layers.len() {
             if self.preact_units.binary_search(&i).is_ok() {
                 let (bn, conv) = self.preact_parts(i).expect("recorded by fuse_relu");
-                cur = preact::forward(bn, conv, cur, train, ws);
+                cur = preact::forward(bn, conv, cur, train, keep_head_input && i == 0, ws);
                 i += 3;
             } else {
                 cur = self.layers[i].forward_ws(cur, train, ws);
@@ -177,12 +190,25 @@ impl Sequential {
     /// Backward over the whole pipeline; the returned input gradient's
     /// buffer also comes from `ws`.
     pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+        let end = self.layers.len();
+        self.backward_span(dy, 0, end, ws)
+    }
+
+    /// Backward over layers `start..end`, last step first.
+    fn backward_span(
+        &mut self,
+        dy: Tensor,
+        start: usize,
+        mut end: usize,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let mut cur = dy;
-        let mut end = self.layers.len();
-        while end > 0 {
-            if end >= 3 && self.preact_units.binary_search(&(end - 3)).is_ok() {
+        while end > start {
+            if end >= start + 3 && self.preact_units.binary_search(&(end - 3)).is_ok() {
                 let (bn, conv) = self.preact_parts(end - 3).expect("recorded by fuse_relu");
-                cur = preact::backward(bn, conv, cur, ws);
+                let dx = preact::backward(bn, conv, &cur, None, ws);
+                ws.recycle(cur.into_vec());
+                cur = dx;
                 end -= 3;
             } else {
                 cur = self.layers[end - 1].backward_ws(cur, ws);
@@ -190,6 +216,59 @@ impl Sequential {
             }
         }
         cur
+    }
+
+    /// Whether a fused pre-activation unit heads this pipeline — the case
+    /// in which a [`Residual`](crate::Residual) body serves its own skip.
+    pub(crate) fn heads_with_unit(&self) -> bool {
+        self.preact_units.first() == Some(&0)
+    }
+
+    /// [`forward_pipeline_ws`](Self::forward_pipeline_ws) for a residual
+    /// body headed by a unit: the unit keeps `x` for
+    /// [`head_input`](Self::head_input) even in inference.
+    pub(crate) fn forward_keeping_head_input(
+        &mut self,
+        x: Tensor,
+        train: bool,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        debug_assert!(self.heads_with_unit());
+        self.forward_steps(x, train, true, ws)
+    }
+
+    /// The input the heading unit kept, i.e. the body's own input.
+    pub(crate) fn head_input(&mut self) -> &Tensor {
+        let (_, conv) = self.preact_parts(0).expect("a unit heads the body");
+        conv.cached_input()
+    }
+
+    /// Gives the heading unit's kept input back to `ws`: an inference
+    /// forward kept it only for the skip.
+    pub(crate) fn release_head_input(&mut self, ws: &mut Workspace) {
+        let (_, conv) = self.preact_parts(0).expect("a unit heads the body");
+        conv.release_cache(ws);
+    }
+
+    /// `F'(dy) + dy` for a residual body `F` that a unit both heads and
+    /// closes, with no copy of `dy`: the closing unit only reads `dy`, and
+    /// the heading unit's batch-norm backward adds it where it writes
+    /// `dx`. `None` for any other body; `dy` stays the caller's.
+    pub(crate) fn backward_residual(&mut self, dy: &Tensor, ws: &mut Workspace) -> Option<Tensor> {
+        let n = self.layers.len();
+        if !self.heads_with_unit() || self.preact_units.last() != Some(&(n - 3)) {
+            return None;
+        }
+        let (bn, conv) = self.preact_parts(n - 3).expect("recorded by fuse_relu");
+        if n == 3 {
+            return Some(preact::backward(bn, conv, dy, Some(dy), ws));
+        }
+        let d = preact::backward(bn, conv, dy, None, ws);
+        let d = self.backward_span(d, 3, n - 3, ws);
+        let (bn, conv) = self.preact_parts(0).expect("recorded by fuse_relu");
+        let dx = preact::backward(bn, conv, &d, Some(dy), ws);
+        ws.recycle(d.into_vec());
+        Some(dx)
     }
 
     /// Backward for a training step: parameter gradients accumulate
@@ -209,7 +288,9 @@ impl Sequential {
         loop {
             if end >= 3 && self.preact_units.binary_search(&(end - 3)).is_ok() {
                 let (bn, conv) = self.preact_parts(end - 3).expect("recorded by fuse_relu");
-                cur = preact::backward(bn, conv, cur, ws);
+                let dx = preact::backward(bn, conv, &cur, None, ws);
+                ws.recycle(cur.into_vec());
+                cur = dx;
                 end -= 3;
                 if end <= first {
                     // The unit held the first parameterised layer.

@@ -148,13 +148,17 @@ fn bn_relu<'a>(
 /// The closed-form gradient's two passes over `dy`, which `dx` overwrites
 /// element by element; `dgamma`/`dbeta` accumulate. `at(channel, aux, dy)`
 /// yields the element's `(x_hat, dy as the layer sees it)`: the identity
-/// over a stored `x_hat`, or the recompute over the raw input.
+/// over a stored `x_hat`, or the recompute over the raw input. `skip`, when
+/// given, is added to each finished plane of `dx` (a residual block's
+/// skip gradient: `dx + skip`, element by element, as the block would).
 #[allow(clippy::needless_range_loop)] // `s` indexes every lane's planes at once
+#[allow(clippy::too_many_arguments)] // one private body behind two entry points
 fn backward_passes(
     pre: BnRelu<'_>,
     (dgamma, dbeta): (&mut [f32], &mut [f32]),
     mut dy: Tensor,
     aux: &[f32],
+    skip: Option<&[f32]>,
     planes @ (b, ch, sp): Planes,
     ws: &mut Workspace,
     at: impl Fn(&BnReluChannel, f32, f32) -> (f32, f32),
@@ -190,9 +194,14 @@ fn backward_passes(
             let plane = (bi * ch + c) * sp..(bi * ch + c + 1) * sp;
             let chan = pre.channel(c);
             let k = pre.gamma[c] * pre.inv_std[c];
-            for (d, &a) in dyd[plane.clone()].iter_mut().zip(&aux[plane]) {
+            for (d, &a) in dyd[plane.clone()].iter_mut().zip(&aux[plane.clone()]) {
                 let (x_hat, dyv) = at(&chan, a, *d);
                 *d = k * (dyv - sum_dy[c] / n - x_hat * sum_dy_xh[c] / n);
+            }
+            if let Some(skip) = skip {
+                for (d, s) in dyd[plane.clone()].iter_mut().zip(&skip[plane]) {
+                    *d += s;
+                }
             }
         }
     }
@@ -366,16 +375,23 @@ impl BatchNorm {
     /// the standalone layers read a stored `x_hat` and a stored mask, this
     /// recomputes both from `x` with the forward's expressions — same
     /// operands, same operations, same bits — inside the same two passes.
+    /// `skip` is added to the result as it is written (a residual block's
+    /// `dy`, when this step heads the block's body).
     pub(crate) fn backward_recompute(
         &mut self,
         dy: Tensor,
         x: &Tensor,
+        skip: Option<&Tensor>,
         ws: &mut Workspace,
     ) -> Tensor {
         assert_eq!(dy.dims(), x.dims(), "BatchNorm grad shape mismatch");
+        if let Some(skip) = skip {
+            assert_eq!(skip.dims(), x.dims(), "residual skip shape mismatch");
+        }
         let planes = self.plane_geometry(dy.dims());
         let (pre, _, grads) = self.backward_parts();
-        backward_passes(pre, grads, dy, x.data(), planes, ws, |chan, x, dy| {
+        let skip = skip.map(Tensor::data);
+        backward_passes(pre, grads, dy, x.data(), skip, planes, ws, |chan, x, dy| {
             let x_hat = chan.x_hat(x);
             // The ReLU's mask is `its input > 0`, and its input was
             // `affine(x_hat)`; NaN compares false on both sides.
@@ -416,7 +432,7 @@ impl Layer for BatchNorm {
         let (pre, x_hat, grads) = self.backward_parts();
         let x_hat = x_hat.expect("BatchNorm::backward after a pre-activation forward");
         assert_eq!(dy.dims(), x_hat.dims(), "BatchNorm grad shape mismatch");
-        backward_passes(pre, grads, dy, x_hat.data(), planes, ws, |_, x_hat, dy| {
+        backward_passes(pre, grads, dy, x_hat.data(), None, planes, ws, |_, x_hat, dy| {
             (x_hat, dy)
         })
     }

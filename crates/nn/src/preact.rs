@@ -20,32 +20,42 @@
 //! argument), so outputs, gradients and running statistics are
 //! bit-identical to calling the three layers one by one — which is exactly
 //! what the tests below do.
+//!
+//! A unit that heads a [`Residual`](crate::Residual) body also serves the
+//! skip path: its cached `x` *is* the skip operand (kept past an inference
+//! forward too, until the block's add), and its batch-norm backward adds
+//! the block's `dy` where it writes `dx`.
 
 use crate::conv::Conv2d;
 use crate::norm::BatchNorm;
 use vc_tensor::{Tensor, Workspace};
 
-/// Forward of the unit headed by `bn` and closed by `conv`.
+/// Forward of the unit headed by `bn` and closed by `conv`. The unit keeps
+/// `x` after a training forward, and after an inference one too when
+/// `keep_input` (for a residual skip to read; `conv` gives it back).
 pub(crate) fn forward(
     bn: &mut BatchNorm,
     conv: &mut Conv2d,
     x: Tensor,
     train: bool,
+    keep_input: bool,
     ws: &mut Workspace,
 ) -> Tensor {
     bn.prepare_prologue(&x, train, ws);
-    conv.forward_direct(x, Some(bn.prologue()), train, ws)
+    conv.forward_direct(x, Some(bn.prologue()), train || keep_input, ws)
 }
 
-/// Backward of the unit, after a training [`forward`].
+/// Backward of the unit, after a training [`forward`]. `dy` is only read;
+/// `skip`, when given, is added to `dx` where batch norm writes it.
 pub(crate) fn backward(
     bn: &mut BatchNorm,
     conv: &mut Conv2d,
-    dy: Tensor,
+    dy: &Tensor,
+    skip: Option<&Tensor>,
     ws: &mut Workspace,
 ) -> Tensor {
     let d_act = conv.backward_direct(dy, Some(bn.prologue()), ws);
-    bn.backward_recompute(d_act, conv.cached_input(), ws)
+    bn.backward_recompute(d_act, conv.cached_input(), skip, ws)
 }
 
 #[cfg(test)]
