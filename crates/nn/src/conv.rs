@@ -164,8 +164,9 @@ impl Conv2d {
     }
 
     /// Recycles last step's cache — before the forward takes anything, so
-    /// one warm-up step is enough to make the pool self-sufficient.
-    fn recycle_cache(&mut self, ws: &mut Workspace) {
+    /// one warm-up step is enough to make the pool self-sufficient — or an
+    /// inference forward's, kept only for a residual skip to read.
+    pub(crate) fn recycle_cache(&mut self, ws: &mut Workspace) {
         if let Some(prev) = self.cache.take() {
             ws.recycle(prev.into_vec());
         }
@@ -319,12 +320,6 @@ impl Conv2d {
             Some(ConvCache::Input { x, .. }) => x,
             _ => panic!("Conv2d has no cached direct forward"),
         }
-    }
-
-    /// Gives the cached input back to `ws` — after an inference forward
-    /// that kept it only for a residual skip to read.
-    pub(crate) fn release_cache(&mut self, ws: &mut Workspace) {
-        self.recycle_cache(ws);
     }
 }
 

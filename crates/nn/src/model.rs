@@ -164,8 +164,9 @@ impl Sequential {
 
     /// The forward traversal. With `keep_head_input`, a pre-activation unit
     /// at layer 0 keeps its input after an inference forward as well as a
-    /// training one ([`head_input`](Self::head_input)).
-    fn forward_steps(
+    /// training one, for a residual block to read through
+    /// [`head_conv`](Self::head_conv).
+    pub(crate) fn forward_steps(
         &mut self,
         x: Tensor,
         train: bool,
@@ -218,36 +219,14 @@ impl Sequential {
         cur
     }
 
-    /// Whether a fused pre-activation unit heads this pipeline — the case
-    /// in which a [`Residual`](crate::Residual) body serves its own skip.
-    pub(crate) fn heads_with_unit(&self) -> bool {
-        self.preact_units.first() == Some(&0)
-    }
-
-    /// [`forward_pipeline_ws`](Self::forward_pipeline_ws) for a residual
-    /// body headed by a unit: the unit keeps `x` for
-    /// [`head_input`](Self::head_input) even in inference.
-    pub(crate) fn forward_keeping_head_input(
-        &mut self,
-        x: Tensor,
-        train: bool,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        debug_assert!(self.heads_with_unit());
-        self.forward_steps(x, train, true, ws)
-    }
-
-    /// The input the heading unit kept, i.e. the body's own input.
-    pub(crate) fn head_input(&mut self) -> &Tensor {
-        let (_, conv) = self.preact_parts(0).expect("a unit heads the body");
-        conv.cached_input()
-    }
-
-    /// Gives the heading unit's kept input back to `ws`: an inference
-    /// forward kept it only for the skip.
-    pub(crate) fn release_head_input(&mut self, ws: &mut Workspace) {
-        let (_, conv) = self.preact_parts(0).expect("a unit heads the body");
-        conv.release_cache(ws);
+    /// The convolution of the fused pre-activation unit heading this
+    /// pipeline, if one does: the one that keeps the pipeline's own input —
+    /// which a [`Residual`](crate::Residual) body's skip path reads.
+    pub(crate) fn head_conv(&mut self) -> Option<&mut Conv2d> {
+        if self.preact_units.first() != Some(&0) {
+            return None;
+        }
+        self.preact_parts(0).map(|(_, conv)| conv)
     }
 
     /// `F'(dy) + dy` for a residual body `F` that a unit both heads and
@@ -256,7 +235,7 @@ impl Sequential {
     /// `dx`. `None` for any other body; `dy` stays the caller's.
     pub(crate) fn backward_residual(&mut self, dy: &Tensor, ws: &mut Workspace) -> Option<Tensor> {
         let n = self.layers.len();
-        if !self.heads_with_unit() || self.preact_units.last() != Some(&(n - 3)) {
+        if self.preact_units.first() != Some(&0) || self.preact_units.last() != Some(&(n - 3)) {
             return None;
         }
         let (bn, conv) = self.preact_parts(n - 3).expect("recorded by fuse_relu");

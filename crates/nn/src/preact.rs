@@ -230,6 +230,25 @@ mod tests {
     }
 
     #[test]
+    fn portable_body_unit_is_bitwise_the_three_layers() {
+        // Cases of the test above with the convolutions held to their
+        // portable bodies on both routes (an AVX2 host runs the vector
+        // bodies everywhere else), so `deploy/sanitize.sh` puts the
+        // portable body's slot arithmetic under ASan too.
+        vc_tensor::conv_direct::with_portable_bodies(|| {
+            for (batch, h, w) in [(1, 5, 5), (3, 4, 7), (2, 6, 29)] {
+                for (ch, out_ch) in [(3, 5), (16, 16)] {
+                    let dims = [batch, ch, h, w];
+                    let x = input(dims, (h * w + ch) as u64);
+                    assert_unit_matches(dims, out_ch, 1, &x);
+                }
+            }
+            let dims = [4, 16, 16, 16];
+            assert_unit_matches(dims, 16, 1, &input(dims, 99));
+        });
+    }
+
+    #[test]
     fn nan_and_infinite_inputs_propagate_identically() {
         for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let dims = [2, 5, 6, 9];

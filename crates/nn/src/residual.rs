@@ -45,13 +45,14 @@ impl Residual {
 impl Layer for Residual {
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let in_shape = *x.shape();
-        if self.body.heads_with_unit() {
+        if self.body.head_conv().is_some() {
             // The heading unit keeps `x`; the skip reads it there.
-            let mut fx = self.body.forward_keeping_head_input(x, train, ws);
+            let mut fx = self.body.forward_steps(x, train, true, ws);
             check_shape(&in_shape, &fx);
-            add_skip(&mut fx, self.body.head_input().data());
+            let conv = self.body.head_conv().expect("a unit heads the body");
+            add_skip(&mut fx, conv.cached_input().data());
             if !train {
-                self.body.release_head_input(ws);
+                conv.recycle_cache(ws);
             }
             return fx;
         }
@@ -248,7 +249,7 @@ mod tests {
             let mut copying = Residual::new(unit_body(units, open_end, 12));
             let mut fused = Residual::new(unit_body(units, open_end, 12));
             fused.body.fuse_relu();
-            assert!(fused.body.heads_with_unit());
+            assert!(fused.body.head_conv().is_some());
             let what = format!("{units} unit(s), open end {open_end}");
             let (want, got) = (step_bits(&mut copying, &x, &dy), step_bits(&mut fused, &x, &dy));
             for (i, part) in ["training output", "dx", "gradients", "inference output"]
