@@ -163,9 +163,10 @@ impl Conv2d {
         (dims[0], self.geom_for(dims[2], dims[3]))
     }
 
-    /// Recycles last step's cache — before the forward takes anything, so
-    /// one warm-up step is enough to make the pool self-sufficient — or an
-    /// inference forward's, kept only for a residual skip to read.
+    /// Gives the cache back to `ws`: last step's, before the forward takes
+    /// anything (so one warm-up step is enough to make the pool
+    /// self-sufficient); a fused unit's, as soon as its backward has read
+    /// it; or an inference forward's, kept only for a residual skip to read.
     pub(crate) fn recycle_cache(&mut self, ws: &mut Workspace) {
         if let Some(prev) = self.cache.take() {
             ws.recycle(prev.into_vec());

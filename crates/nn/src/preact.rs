@@ -13,7 +13,9 @@
 //!   value, no copy — and two `[ch]` vectors.
 //! * **backward** — dK re-stages `x` through the same prologue; then
 //!   [`BatchNorm::backward_recompute`] runs batch-norm backward's two
-//!   passes, recomputing `x_hat` and the mask from `x` as it reads.
+//!   passes, recomputing `x_hat` and the mask from `x` as it reads. Then
+//!   the step gives `x` back to the pool, so a backward pass holds the
+//!   caches of the steps it has not reached yet and no others.
 //!
 //! Both halves evaluate the standalone layers' own expressions on the same
 //! operands in the same order (`conv_direct`'s module docs carry the
@@ -46,7 +48,10 @@ pub(crate) fn forward(
 }
 
 /// Backward of the unit, after a training [`forward`]. `dy` is only read;
-/// `skip`, when given, is added to `dx` where batch norm writes it.
+/// `skip`, when given, is added to `dx` where batch norm writes it. The
+/// cached `x` goes back to `ws` once batch norm has read it: nothing reads
+/// it before the next forward, and the gradients of the steps below take
+/// its buffer instead of a new one.
 pub(crate) fn backward(
     bn: &mut BatchNorm,
     conv: &mut Conv2d,
@@ -55,7 +60,9 @@ pub(crate) fn backward(
     ws: &mut Workspace,
 ) -> Tensor {
     let d_act = conv.backward_direct(dy, Some(bn.prologue()), ws);
-    bn.backward_recompute(d_act, conv.cached_input(), skip, ws)
+    let dx = bn.backward_recompute(d_act, conv.cached_input(), skip, ws);
+    conv.recycle_cache(ws);
+    dx
 }
 
 #[cfg(test)]
@@ -370,7 +377,8 @@ mod tests {
         let (takes, _) = ws.stats();
         assert_eq!(takes, 4, "mean, var, output, stage");
         assert_eq!(y.numel(), n);
-        // Steady state: the step gives back everything it takes.
+        // Steady state: the step gives back everything it takes, its cached
+        // input included, by the end of backward.
         let dx = model.backward_pipeline_ws(y, &mut ws);
         ws.recycle(dx.into_vec());
         let mut misses = [0; 2];
@@ -380,6 +388,10 @@ mod tests {
             let dx = model.backward_pipeline_ws(y, &mut ws);
             ws.recycle(dx.into_vec());
             *m = ws.stats().1;
+            // Out of the pool: what it allocated, plus the first step's
+            // input (allocated outside it), minus what it holds.
+            let out = *m + 1 - ws.pooled() as u64;
+            assert_eq!(out, 2, "after backward only batch norm's [ch] statistics are out");
         }
         assert_eq!(misses[0], misses[1], "steady-state step allocated");
     }
