@@ -34,6 +34,26 @@
 //!   computed with a register tile (4 rows × 16 patch columns) against a
 //!   zero-padded copy of the kernel, then scattered in col2im order.
 //!
+//! **Codegen rules.** The AVX2 tiles are written so that they compile to
+//! the register-resident FMA chains above, with nothing spilled between
+//! FMAs:
+//!
+//! * *A compile-time tile width.* The forward span and the dK band tile
+//!   are generic over their channel count `NOC`. Each call dispatches once
+//!   per channel block, to `OCB` for a full block and to 1–3 for the
+//!   `out_ch % 4` remainder, and every block runs the one monomorphised
+//!   body. With a runtime count (`take(noc)`) the accumulators were an
+//!   array in memory, spilled to the stack between FMAs.
+//! * *Hoisted rows.* A block's weight rows (forward) and the band's dy
+//!   rows (dK, dx) become raw pointers before the tap loop, so a broadcast
+//!   is one `vbroadcastss` from a base register and a constant offset.
+//! * *One assert per call, then raw loads.* Each tile opens with one
+//!   `assert!` covering every index its loops form: the buffer lengths,
+//!   and for a forward span its row and column bounds. After that it
+//!   loads and stores through raw pointers, and no slice indexing is left
+//!   inside a tap loop. Each raw access names that assert in its `SAFETY`
+//!   comment.
+//!
 //! ## Scratch: one slot per participant, not per image
 //!
 //! The forward staging copy and the dx band live in per-thread *slots*:
@@ -80,11 +100,39 @@
 //!   epilogue, which also adds a *finished* tile.
 //!
 //! AVX2 lanes compute the same bits as the scalar `mul_add` fallback
-//! (IEEE-754 specifies one rounding for fused multiply-add), and epilogues
-//! are applied by the same scalar code the GEMM's write-back uses, so
-//! vectorization never enters the equality argument. The property tests
-//! (`conv_direct_props.rs`) enforce all of this bitwise against the
-//! im2col reference.
+//! (IEEE-754 specifies one rounding for fused multiply-add). An epilogue is
+//! either the GEMM write-back's scalar expression or a lane op proven equal
+//! to it (see "Write-back"). The property tests (`conv_direct_props.rs`)
+//! enforce all of this bitwise against the im2col reference.
+//!
+//! ## Write-back
+//!
+//! A whole span of a full block (no lane skipped, all `OCB` channels) is
+//! written vector-wide under `Store`, `Bias` and `Accumulate`. Everything
+//! else goes lane by lane through `apply_epi`, which holds the scalar
+//! expressions of the GEMM's write-back: backed-up spans, remainder blocks,
+//! `BiasRelu` and the portable body. The vector lanes are bit-identical to
+//! `apply_epi`:
+//!
+//! * `Store` writes the accumulator's bits unchanged.
+//! * `Bias` is `v + bias[oc]` and `Accumulate` is `out + v` (`*o += v`).
+//!   Each is one IEEE-754 addition, issued as `vaddps` with the operands
+//!   in the scalar expression's order. Addition is correctly rounded, so a
+//!   non-NaN result depends on the operand values alone, and `addps`
+//!   computes per lane what `addss` computes. Signed zeros are part of
+//!   that: under round-to-nearest `+0 + −0 = +0` and `−0 + −0 = −0` on
+//!   both routes. A NaN operand gives NaN on both routes, and with one NaN
+//!   operand x86 returns that NaN quieted, scalar and vector alike. Only a
+//!   lane whose two operands are both NaN could keep a different payload,
+//!   because Rust leaves the surviving payload unspecified on either route
+//!   (the GEMM's own write-back included). The accumulator is NaN only
+//!   when the input or the kernel holds a NaN or an infinity.
+//! * `BiasRelu` stays scalar. `f32::max(−0.0, 0.0)` may return either zero
+//!   (IEEE `maxNum` and Rust both leave it open), while `vmaxps` returns
+//!   its second operand, so no lane op is proven equal to it.
+//!
+//! `conv_direct_props` holds all four epilogues to the im2col reference on
+//! both bodies, with `±0.0` and NaN bias lanes and starting outputs.
 //!
 //! ## Prologue: the pre-activation unit's BN→ReLU, applied while staging
 //!
@@ -472,7 +520,8 @@ pub fn conv3x3_forward_pre_into(
 }
 
 /// All output rows of one staged image, `OCB` channels at a time; the
-/// AVX2 row kernel when `vector` (AVX2+FMA present and `ow ≥ 8`).
+/// AVX2 row kernel when `vector` (AVX2+FMA present and `ow ≥ 8`), with the
+/// block's channel count fixed at compile time.
 fn fwd_image(
     pimg: &[f32],
     kd: &[f32],
@@ -485,14 +534,22 @@ fn fwd_image(
     let mut oc0 = 0;
     while oc0 < out_ch {
         let noc = OCB.min(out_ch - oc0);
-        for oy in 0..ctx.oh {
-            #[cfg(target_arch = "x86_64")]
-            if vector {
-                // SAFETY: `vector` implies has_fma() held for this call.
-                unsafe { fwd_row_avx2(pimg, kd, ctx, oy, oc0, noc, dst, epi) };
-                continue;
+        #[cfg(target_arch = "x86_64")]
+        if vector {
+            // SAFETY: `vector` implies has_fma() held for this call.
+            unsafe {
+                match noc {
+                    1 => fwd_rows_avx2::<1>(pimg, kd, ctx, oc0, dst, epi),
+                    2 => fwd_rows_avx2::<2>(pimg, kd, ctx, oc0, dst, epi),
+                    3 => fwd_rows_avx2::<3>(pimg, kd, ctx, oc0, dst, epi),
+                    _ => fwd_rows_avx2::<OCB>(pimg, kd, ctx, oc0, dst, epi),
+                }
             }
-            let _ = vector;
+            oc0 += OCB;
+            continue;
+        }
+        let _ = vector;
+        for oy in 0..ctx.oh {
             fwd_row_generic(pimg, kd, ctx, oy, oc0, noc, dst, epi);
         }
         oc0 += OCB;
@@ -569,47 +626,46 @@ fn fwd_row_generic(
     }
 }
 
-/// AVX2 row kernel over the padded image. Every tap is an in-bounds
-/// unaligned load (zeros come from the staging pad), so there is no scalar
-/// edge handling at all. The row is covered by 16-pixel spans — 2 vectors
-/// × `noc` channels = 8 independent FMA chains, what two FMA ports at
-/// 4-cycle latency need to stay busy — and the < 16 pixels left over by
-/// 8-pixel spans, the last one backed up to end exactly at the row edge:
-/// its overlapped lanes re-compute identical bits and are skipped at
-/// write-back, so no element is written twice.
+/// AVX2 rows of one `NOC`-channel block over the padded image. Every tap
+/// is an in-bounds unaligned load (zeros come from the staging pad), so
+/// there is no scalar edge handling at all. Each row is covered by
+/// 16-pixel spans — 2 vectors × 4 channels = 8 independent FMA chains,
+/// what two FMA ports at 4-cycle latency need to stay busy — and the
+/// < 16 pixels left over by 8-pixel spans, the last one backed up to end
+/// exactly at the row edge: its overlapped lanes re-compute identical bits
+/// and are skipped at write-back, so no element is written twice.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
-unsafe fn fwd_row_avx2(
+unsafe fn fwd_rows_avx2<const NOC: usize>(
     pimg: &[f32],
     kd: &[f32],
     ctx: Ctx,
-    oy: usize,
     oc0: usize,
-    noc: usize,
     dst: &mut [f32],
     epi: Epilogue<'_>,
 ) {
     debug_assert!(ctx.ow >= 8);
-    let mut done = 0usize; // pixels [0, done) already written
-    while done + 16 <= ctx.ow {
-        fwd_span_avx2::<2>(pimg, kd, ctx, oy, done, 0, oc0, noc, dst, epi);
-        done += 16;
-    }
-    while done < ctx.ow {
-        let ox0 = done.min(ctx.ow - 8);
-        fwd_span_avx2::<1>(pimg, kd, ctx, oy, ox0, done - ox0, oc0, noc, dst, epi);
-        done = ox0 + 8;
+    for oy in 0..ctx.oh {
+        let mut done = 0usize; // pixels [0, done) already written
+        while done + 16 <= ctx.ow {
+            fwd_span_avx2::<2, NOC>(pimg, kd, ctx, oy, done, 0, oc0, dst, epi);
+            done += 16;
+        }
+        while done < ctx.ow {
+            let ox0 = done.min(ctx.ow - 8);
+            fwd_span_avx2::<1, NOC>(pimg, kd, ctx, oy, ox0, done - ox0, oc0, dst, epi);
+            done = ox0 + 8;
+        }
     }
 }
 
-/// One span of `8·V` output pixels from `ox0`, `noc` channels: each output
+/// One span of `8·V` output pixels from `ox0`, `NOC` channels: each output
 /// is its own `p`-ascending FMA chain from zero, whatever the span width.
 /// Lanes below `skip` were written by the previous span and are left alone.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
-unsafe fn fwd_span_avx2<const V: usize>(
+unsafe fn fwd_span_avx2<const V: usize, const NOC: usize>(
     pimg: &[f32],
     kd: &[f32],
     ctx: Ctx,
@@ -617,17 +673,31 @@ unsafe fn fwd_span_avx2<const V: usize>(
     ox0: usize,
     skip: usize,
     oc0: usize,
-    noc: usize,
     dst: &mut [f32],
     epi: Epilogue<'_>,
 ) {
     use std::arch::x86_64::*;
     let pw = ctx.w + 2 * ctx.pad;
     let plane = (ctx.h + 2 * ctx.pad) * pw;
-    let mut acc = [[_mm256_setzero_ps(); V]; OCB];
+    // The one bounds check: `oy < oh` puts tap rows oy..oy+3 inside the
+    // padded height, `ox0 + 8·V ≤ ow` puts tap columns ox0..ox0+8·V+2
+    // inside the padded width, and the lengths cover the staged image, the
+    // block's `NOC` weight rows and its `NOC` output planes.
+    assert!(
+        oy < ctx.oh
+            && ox0 + 8 * V <= ctx.ow
+            && pimg.len() >= ctx.ch * plane
+            && kd.len() >= (oc0 + NOC) * ctx.patch
+            && dst.len() >= (oc0 + NOC) * ctx.oh * ctx.ow,
+        "conv3x3 forward span out of bounds"
+    );
+    let krow: [*const f32; NOC] = std::array::from_fn(|jj| kd[(oc0 + jj) * ctx.patch..].as_ptr());
+    let mut acc = [[_mm256_setzero_ps(); V]; NOC];
     for c in 0..ctx.ch {
         // Padded row oy+ky holds input row oy+ky-pad; padded column
         // ox+kx holds input column ox+kx-pad — all taps in-bounds.
+        // SAFETY: c < ch, oy + ky < ph and ox0 + kx + 8·V ≤ pw by the
+        // assert above, so every load stays inside `pimg`.
         let base = pimg.as_ptr().add(c * plane + oy * pw + ox0);
         for ky in 0..3 {
             let row = base.add(ky * pw);
@@ -637,8 +707,10 @@ unsafe fn fwd_span_avx2<const V: usize>(
                     *x = _mm256_loadu_ps(row.add(kx + 8 * v));
                 }
                 let p = (c * 3 + ky) * 3 + kx;
-                for (jj, a) in acc.iter_mut().enumerate().take(noc) {
-                    let kv = _mm256_broadcast_ss(&kd[(oc0 + jj) * ctx.patch + p]);
+                for (a, k) in acc.iter_mut().zip(&krow) {
+                    // SAFETY: p < patch, and the assert above puts all
+                    // `NOC` weight rows of the block inside `kd`.
+                    let kv = _mm256_broadcast_ss(&*k.add(p));
                     for (av, x) in a.iter_mut().zip(&xv) {
                         *av = _mm256_fmadd_ps(*x, kv, *av);
                     }
@@ -646,22 +718,46 @@ unsafe fn fwd_span_avx2<const V: usize>(
             }
         }
     }
-    // Scalar write-back: lanes go through the exact same epilogue code
-    // as every other path (no vector max/add variants to reason about).
-    let mut lanes = [[[0.0f32; 8]; V]; OCB];
+    // Vector write-back of a whole span of a full block: the same IEEE
+    // operation per lane as `apply_epi`, operands in the same order (see
+    // "Write-back" in the module docs). `BiasRelu` stays lane by lane.
+    if NOC == OCB && skip == 0 && !matches!(epi, Epilogue::BiasRelu(_)) {
+        for (jj, a) in acc.iter().enumerate() {
+            let bias = match epi {
+                Epilogue::Bias(b) => _mm256_set1_ps(b[oc0 + jj]),
+                _ => _mm256_setzero_ps(),
+            };
+            // SAFETY: oc0 + jj < oc0 + NOC, oy < oh and ox0 + 8·V ≤ ow by
+            // the assert above, so all `8·V` lanes are inside `dst`.
+            let o = dst
+                .as_mut_ptr()
+                .add(((oc0 + jj) * ctx.oh + oy) * ctx.ow + ox0);
+            for (v, &av) in a.iter().enumerate() {
+                let o = o.add(8 * v);
+                let r = match epi {
+                    Epilogue::Store => av,
+                    Epilogue::Accumulate => _mm256_add_ps(_mm256_loadu_ps(o), av),
+                    Epilogue::Bias(_) => _mm256_add_ps(av, bias),
+                    Epilogue::BiasRelu(_) => unreachable!("BiasRelu writes back lane by lane"),
+                };
+                _mm256_storeu_ps(o, r);
+            }
+        }
+        return;
+    }
+    // Lane by lane through `apply_epi`: backed-up spans, remainder blocks
+    // and `BiasRelu`.
+    let mut lanes = [[[0.0f32; 8]; V]; NOC];
     for (la, a) in lanes.iter_mut().zip(&acc) {
         for (l, av) in la.iter_mut().zip(a) {
             _mm256_storeu_ps(l.as_mut_ptr(), *av);
         }
     }
     for l in skip..8 * V {
-        let px = [
-            lanes[0][l / 8][l % 8],
-            lanes[1][l / 8][l % 8],
-            lanes[2][l / 8][l % 8],
-            lanes[3][l / 8][l % 8],
-        ];
-        fwd_write_px(dst, ctx, oy, ox0 + l, oc0, noc, &px, epi);
+        for (jj, la) in lanes.iter().enumerate() {
+            let o = &mut dst[((oc0 + jj) * ctx.oh + oy) * ctx.ow + ox0 + l];
+            apply_epi(o, la[l / 8][l % 8], oc0 + jj, epi);
+        }
     }
 }
 
@@ -892,22 +988,38 @@ unsafe fn dx_band_avx2(
     dcols: &mut [f32],
 ) {
     use std::arch::x86_64::*;
+    // The one bounds check: `nb` dy rows of `out_ch` values, `out_ch`
+    // padded kernel rows and `nb` column rows, `pp` a multiple of the
+    // 16-column tile.
+    assert!(
+        pp.is_multiple_of(16)
+            && dyb.len() >= nb * out_ch
+            && kpad.len() >= out_ch * pp
+            && dcols.len() >= nb * pp,
+        "conv3x3 dx band out of bounds"
+    );
+    let dy = dyb.as_ptr();
     let mut ri = 0;
     while ri + 4 <= nb {
+        // SAFETY: ri + q < nb, so row `ri + q` of `dyb` is inside it by
+        // the assert; `oc < out_ch` below keeps each broadcast in its row.
+        let rows: [*const f32; 4] = std::array::from_fn(|q| dy.add((ri + q) * out_ch));
         let mut p0 = 0;
         while p0 < pp {
             let mut t = [[_mm256_setzero_ps(); 2]; 4];
             for oc in 0..out_ch {
+                // SAFETY: oc < out_ch and p0 + 16 ≤ pp by the assert.
                 let k = kpad.as_ptr().add(oc * pp + p0);
                 let k0 = _mm256_loadu_ps(k);
                 let k1 = _mm256_loadu_ps(k.add(8));
-                for (q, tq) in t.iter_mut().enumerate() {
-                    let dv = _mm256_broadcast_ss(&dyb[(ri + q) * out_ch + oc]);
+                for (tq, row) in t.iter_mut().zip(&rows) {
+                    let dv = _mm256_broadcast_ss(&*row.add(oc));
                     tq[0] = _mm256_fmadd_ps(k0, dv, tq[0]);
                     tq[1] = _mm256_fmadd_ps(k1, dv, tq[1]);
                 }
             }
             for (q, tq) in t.iter().enumerate() {
+                // SAFETY: ri + q < nb and p0 + 16 ≤ pp by the assert.
                 let d = dcols.as_mut_ptr().add((ri + q) * pp + p0);
                 _mm256_storeu_ps(d, tq[0]);
                 _mm256_storeu_ps(d.add(8), tq[1]);
@@ -917,16 +1029,20 @@ unsafe fn dx_band_avx2(
         ri += 4;
     }
     while ri < nb {
+        // SAFETY: ri < nb by the loop, inside `dyb` by the assert.
+        let row = dy.add(ri * out_ch);
         let mut p0 = 0;
         while p0 < pp {
             let mut t0 = _mm256_setzero_ps();
             let mut t1 = _mm256_setzero_ps();
             for oc in 0..out_ch {
+                // SAFETY: oc < out_ch and p0 + 16 ≤ pp by the assert.
                 let k = kpad.as_ptr().add(oc * pp + p0);
-                let dv = _mm256_broadcast_ss(&dyb[ri * out_ch + oc]);
+                let dv = _mm256_broadcast_ss(&*row.add(oc));
                 t0 = _mm256_fmadd_ps(_mm256_loadu_ps(k), dv, t0);
                 t1 = _mm256_fmadd_ps(_mm256_loadu_ps(k.add(8)), dv, t1);
             }
+            // SAFETY: ri < nb and p0 + 16 ≤ pp by the assert.
             let d = dcols.as_mut_ptr().add(ri * pp + p0);
             _mm256_storeu_ps(d, t0);
             _mm256_storeu_ps(d.add(8), t1);
@@ -1002,10 +1118,18 @@ pub fn conv3x3_backward_dk_pre_into(
                 }
                 gather_dy_band(dyp, ohw, out_ch, r0, nb, dyb);
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: use_fma is true only when AVX2+FMA are present.
-                unsafe {
-                    dk_band_avx2(band, dyb, nb, out_ch, pp, acc)
-                };
+                for oc0 in (0..out_ch).step_by(OCB) {
+                    let (band, dyb) = (&*band, &*dyb);
+                    // SAFETY: use_fma is true only when AVX2+FMA are present.
+                    unsafe {
+                        match OCB.min(out_ch - oc0) {
+                            1 => dk_band_avx2::<1>(band, dyb, nb, out_ch, pp, oc0, acc),
+                            2 => dk_band_avx2::<2>(band, dyb, nb, out_ch, pp, oc0, acc),
+                            3 => dk_band_avx2::<3>(band, dyb, nb, out_ch, pp, oc0, acc),
+                            _ => dk_band_avx2::<OCB>(band, dyb, nb, out_ch, pp, oc0, acc),
+                        }
+                    }
+                }
                 r0 += nb;
             }
         } else {
@@ -1032,50 +1156,65 @@ pub fn conv3x3_backward_dk_pre_into(
     }
 }
 
-/// Band tile for dK: 4 output channels × 16 patch columns held in
-/// registers; the running accumulator is loaded once per band, continued
-/// through all band rows (`r` ascending — the global GEMM k-order), and
-/// stored back.
+/// Band tile for dK: `NOC` output channels (one block, from `oc0`) × 16
+/// patch columns held in registers; the running accumulator is loaded once
+/// per band, continued through all band rows (`r` ascending — the global
+/// GEMM k-order), and stored back.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dk_band_avx2(
+unsafe fn dk_band_avx2<const NOC: usize>(
     band: &[f32],
     dyb: &[f32],
     nb: usize,
     out_ch: usize,
     pp: usize,
+    oc0: usize,
     acc: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    let mut oc0 = 0;
-    while oc0 < out_ch {
-        let noc = OCB.min(out_ch - oc0);
-        let mut p0 = 0;
-        while p0 < pp {
-            let mut t = [[_mm256_setzero_ps(); 2]; OCB];
-            for (jj, tj) in t.iter_mut().enumerate().take(noc) {
-                let a = acc.as_ptr().add((oc0 + jj) * pp + p0);
-                tj[0] = _mm256_loadu_ps(a);
-                tj[1] = _mm256_loadu_ps(a.add(8));
-            }
-            for ri in 0..nb {
-                let x = band.as_ptr().add(ri * pp + p0);
-                let x0 = _mm256_loadu_ps(x);
-                let x1 = _mm256_loadu_ps(x.add(8));
-                for (jj, tj) in t.iter_mut().enumerate().take(noc) {
-                    let dv = _mm256_broadcast_ss(&dyb[ri * out_ch + oc0 + jj]);
-                    tj[0] = _mm256_fmadd_ps(x0, dv, tj[0]);
-                    tj[1] = _mm256_fmadd_ps(x1, dv, tj[1]);
-                }
-            }
-            for (jj, tj) in t.iter().enumerate().take(noc) {
-                let a = acc.as_mut_ptr().add((oc0 + jj) * pp + p0);
-                _mm256_storeu_ps(a, tj[0]);
-                _mm256_storeu_ps(a.add(8), tj[1]);
-            }
-            p0 += 16;
+    // The one bounds check: `nb` band rows of `pp` columns (a multiple of
+    // the 16-column tile), `nb` dy rows of `out_ch` values, the block's
+    // channels inside `out_ch`, and `out_ch` accumulator rows.
+    assert!(
+        pp.is_multiple_of(16)
+            && band.len() >= nb * pp
+            && dyb.len() >= nb * out_ch
+            && oc0 + NOC <= out_ch
+            && acc.len() >= out_ch * pp,
+        "conv3x3 dK band out of bounds"
+    );
+    // Band row `ri`'s dy values for this block start at `dys + ri·out_ch`.
+    let dys = dyb[oc0..].as_ptr();
+    let mut p0 = 0;
+    while p0 < pp {
+        let mut t = [[_mm256_setzero_ps(); 2]; NOC];
+        for (jj, tj) in t.iter_mut().enumerate() {
+            // SAFETY: oc0 + jj < out_ch and p0 + 16 ≤ pp by the assert.
+            let a = acc.as_ptr().add((oc0 + jj) * pp + p0);
+            tj[0] = _mm256_loadu_ps(a);
+            tj[1] = _mm256_loadu_ps(a.add(8));
         }
-        oc0 += OCB;
+        for ri in 0..nb {
+            // SAFETY: ri < nb and p0 + 16 ≤ pp by the assert.
+            let x = band.as_ptr().add(ri * pp + p0);
+            let x0 = _mm256_loadu_ps(x);
+            let x1 = _mm256_loadu_ps(x.add(8));
+            // SAFETY: ri < nb and oc0 + jj < out_ch, so each broadcast
+            // reads `dyb[ri·out_ch + oc0 + jj]`, inside it by the assert.
+            let d = dys.add(ri * out_ch);
+            for (jj, tj) in t.iter_mut().enumerate() {
+                let dv = _mm256_broadcast_ss(&*d.add(jj));
+                tj[0] = _mm256_fmadd_ps(x0, dv, tj[0]);
+                tj[1] = _mm256_fmadd_ps(x1, dv, tj[1]);
+            }
+        }
+        for (jj, tj) in t.iter().enumerate() {
+            // SAFETY: as for the load above.
+            let a = acc.as_mut_ptr().add((oc0 + jj) * pp + p0);
+            _mm256_storeu_ps(a, tj[0]);
+            _mm256_storeu_ps(a.add(8), tj[1]);
+        }
+        p0 += 16;
     }
 }
 

@@ -15,11 +15,19 @@
 //! out as a tensor first (with the expression spelled out here, not
 //! borrowed from the kernel), then im2col + GEMM.
 //!
+//! The random cases reach every AVX2 tile shape: rows up to 40 wide run
+//! 16-pixel spans, exact 8-pixel spans and backed-up ones, and up to 9
+//! output channels put a full 4-channel block beside each remainder.
+//! `check_forward` covers all four epilogues, `Accumulate` onto a random
+//! starting output, and `signed_zero_and_nan_lanes_bitwise` feeds the
+//! vector write-back's epilogues `±0.0` and NaN operands.
+//!
 //! Every direct call runs twice, on the body the host selects (AVX2 where
 //! present) and on the portable one (`conv_direct::with_portable_bodies`),
 //! so one case holds both to the reference — and `deploy/sanitize.sh` runs
 //! both under AddressSanitizer. CI also runs this file with
-//! `VC_THREADS=4`, so the slot-sharing case reaches four participants.
+//! `VC_THREADS=1` and `VC_THREADS=4`, so the slot-sharing case reaches
+//! four participants and the single-thread path is held as measured.
 
 use proptest::prelude::*;
 use vc_tensor::conv_direct::{
@@ -90,6 +98,9 @@ struct Case {
     input: Tensor,
     kernel: Tensor,
     bias: Tensor,
+    /// What the output buffer holds before a forward: `Accumulate` adds
+    /// onto it, every other epilogue overwrites it.
+    out0: Tensor,
     dy: Tensor,
     g: ConvGeom,
     batch: usize,
@@ -114,6 +125,7 @@ fn make_case(
         kernel: Tensor::randn(&[out_ch, ch * 9], 0.0, 0.5, &mut s),
         bias: Tensor::randn(&[out_ch], 0.0, 0.5, &mut s),
         dy: Tensor::randn(&[batch, out_ch, oh, ow], 0.0, 1.0, &mut s),
+        out0: Tensor::randn(&[batch, out_ch, oh, ow], 0.0, 1.0, &mut s),
         g,
         batch,
         ch,
@@ -179,12 +191,14 @@ fn check_forward_sized(c: &Case, epi_kind: u8, stage_len: usize) {
     let epi = match epi_kind {
         0 => Epilogue::Store,
         1 => Epilogue::Bias(c.bias.data()),
-        _ => Epilogue::BiasRelu(c.bias.data()),
+        2 => Epilogue::BiasRelu(c.bias.data()),
+        _ => Epilogue::Accumulate,
     };
-    // Reference: materialize columns, GEMM against Kᵀ, permute to images.
+    // Reference: materialize columns, GEMM against Kᵀ onto the starting
+    // output, permute to images.
     let reference = |input: &Tensor| {
         let cols = im2col(input, c.ch, c.g);
-        let mut flat = vec![0.0f32; c.batch * ohw * c.out_ch];
+        let mut flat = images_to_rows(c.out0.data(), c.batch, c.out_ch, ohw);
         matmul_a_bt_epi_into(&cols, &c.kernel, &mut flat, epi);
         rows_to_images(&flat, c.batch, c.out_ch, ohw)
     };
@@ -196,9 +210,11 @@ fn check_forward_sized(c: &Case, epi_kind: u8, stage_len: usize) {
     let mut stage = garbage(stage_len);
     on_both_bodies(|body| {
         // Direct.
+        got.copy_from_slice(c.out0.data());
         conv3x3_forward_pre_into(&c.input, None, &c.kernel, c.g, &mut got, epi, &mut stage);
         assert_eq!(bits(&got), bits(&want), "forward epi={epi_kind}, {body}");
         // Direct with the prologue, against the materialized activation.
+        got.copy_from_slice(c.out0.data());
         conv3x3_forward_pre_into(
             &raw,
             Some(pre.as_prologue()),
@@ -296,11 +312,11 @@ proptest! {
     fn forward_bitwise_vs_im2col(
         batch in 1usize..4,
         ch in 1usize..4,
-        out_ch in 1usize..7,
+        out_ch in 1usize..10,
         h in 1usize..8,
-        w in 1usize..8,
+        w in 1usize..41,
         pad in 0usize..3,
-        epi_kind in 0u8..3,
+        epi_kind in 0u8..4,
         seed in 0u64..1_000_000,
     ) {
         prop_assume!(h + 2 * pad >= 3 && w + 2 * pad >= 3);
@@ -312,9 +328,9 @@ proptest! {
     fn backward_bitwise_vs_im2col(
         batch in 1usize..4,
         ch in 1usize..4,
-        out_ch in 1usize..7,
+        out_ch in 1usize..10,
         h in 1usize..8,
-        w in 1usize..8,
+        w in 1usize..41,
         pad in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
@@ -351,11 +367,37 @@ fn degenerate_geometries_bitwise() {
             pad,
             (batch * 31 + h * 7 + w) as u64,
         );
-        for epi in 0..3 {
+        for epi in 0..4 {
             check_forward(&c, epi);
         }
         check_dx(&c);
         check_dk(&c, 17);
+    }
+}
+
+/// Signed zeros and NaN where the vector write-back meets them: bias lanes
+/// of `-0.0`, `+0.0` and NaN (`Bias`, and `BiasRelu` beside it), a starting
+/// output of `-0.0`, `+0.0` and NaN (`Accumulate`), and an all-zero image,
+/// whose accumulators are exact `+0.0` so `+0.0 + -0.0` is decided by the
+/// write-back alone. Rows of 40 run whole 16-pixel spans and an exact
+/// 8-pixel one; 9 channels put two full blocks beside a remainder of one.
+#[test]
+fn signed_zero_and_nan_lanes_bitwise() {
+    let special = [-0.0, 0.0, f32::NAN];
+    let mut c = make_case(2, 3, 9, 3, 40, 1, 909);
+    c.input.data_mut()[..3 * 3 * 40].fill(0.0);
+    for (i, b) in c.bias.data_mut().iter_mut().enumerate() {
+        if i % 2 == 0 {
+            *b = special[(i / 2) % 3];
+        }
+    }
+    for (i, o) in c.out0.data_mut().iter_mut().enumerate() {
+        if i % 5 < 3 {
+            *o = special[i % 5];
+        }
+    }
+    for epi in 0..4 {
+        check_forward(&c, epi);
     }
 }
 
