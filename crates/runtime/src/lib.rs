@@ -291,7 +291,17 @@ impl Runtime {
         }
 
         let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;
+        // The closing evaluation is most of a short run's set-up cost; the
+        // event names it. Wall time stays out of `RuntimeReport`, whose
+        // bits the DES and DST drivers reproduce.
+        let scoring = std::time::Instant::now();
         score_final(&mut report, &mut model, &assim, &val, &test);
+        vc_telemetry::event!(
+            tel,
+            Info,
+            "final_scored",
+            seconds = scoring.elapsed().as_secs_f64()
+        );
         Ok(report)
     }
 }
@@ -324,7 +334,12 @@ mod tests {
         cfg.job.cn = 4;
         cfg.job.tn = 2;
         cfg.job.epochs = 5;
-        let report = run_runtime(cfg.clone()).unwrap();
+        let tel = Telemetry::silent();
+        let report = Runtime::new(cfg.clone())
+            .unwrap()
+            .with_telemetry(tel.clone())
+            .run()
+            .unwrap();
         assert!(!report.halted_early, "run must finish on its own");
         assert_eq!(report.epochs.len(), cfg.job.epochs);
         for (i, e) in report.epochs.iter().enumerate() {
@@ -340,6 +355,18 @@ mod tests {
         assert!((report.final_val_acc - report.final_mean_acc()).abs() < 0.25);
         assert!(report.wall_s > 0.0);
         assert!(report.bytes_transferred > 0);
+        // The run names what its closing evaluation cost, once.
+        let scored: Vec<_> = tel
+            .recorder()
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "final_scored")
+            .collect();
+        assert_eq!(scored.len(), 1, "one final_scored event per run");
+        match scored[0].field("seconds") {
+            Some(vc_telemetry::FieldValue::F64(s)) => assert!(s.is_finite() && *s > 0.0),
+            other => panic!("final_scored seconds: {other:?}"),
+        }
     }
 
     /// Satellite: checkpoint mid-epoch, resume in a fresh `Runtime`, and

@@ -20,9 +20,9 @@
 use std::sync::Arc;
 use vc_ops::{OpsHub, OpsServer};
 use vc_runtime::{FaultPlan, Runtime, RuntimeConfig, RuntimeReport};
-use vc_telemetry::{install_panic_dump, Telemetry};
+use vc_telemetry::{install_panic_dump, FieldValue, Telemetry};
 
-fn print_report(tag: &str, r: &RuntimeReport) {
+fn print_report(tag: &str, r: &RuntimeReport, tel: &Telemetry) {
     println!(
         "{:>5} {:>7} {:>9} {:>9} {:>17}",
         "epoch", "alpha", "wall", "val acc", "min..max"
@@ -57,6 +57,16 @@ fn print_report(tag: &str, r: &RuntimeReport) {
         h.quantile(0.99),
         h.count
     );
+    // The run's last event of the name is its own: runs here are sequential.
+    let scored = tel
+        .recorder()
+        .events()
+        .into_iter()
+        .rev()
+        .find(|e| e.name == "final_scored");
+    if let Some(FieldValue::F64(s)) = scored.as_ref().and_then(|e| e.field("seconds")) {
+        println!("final evaluation: {s:.3}s (val + test scoring)");
+    }
     println!();
 }
 
@@ -108,7 +118,7 @@ fn main() {
         rt = rt.with_ops_hub(hub.clone());
     }
     let clean = rt.run().expect("run completes");
-    print_report("faulty fleet", &clean);
+    print_report("faulty fleet", &clean, &tel);
 
     // Same job again, now interrupted after 12 assimilations and resumed
     // from the checkpoint — the resumed run finishes the remaining epochs.
@@ -136,7 +146,7 @@ fn main() {
     }
     let done = rt.run().expect("resume is valid");
     std::fs::remove_file(&ck_path).ok();
-    print_report("resumed run", &done);
+    print_report("resumed run", &done, &tel);
 
     // Dump the merged registry — all three runs' counters and histograms.
     let snapshot = tel.registry().snapshot();
