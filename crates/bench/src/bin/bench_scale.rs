@@ -17,7 +17,14 @@
 //!   `scan_timeouts` (every armed deadline in the future). Each cycle also
 //!   expires, reissues and reports the work, untimed, to recycle the slots.
 //!
-//! `--smoke` runs both at toy sizes (an 8×8 one-block model, 200 / 1k
+//! * **eval** — `metrics::evaluate` of `resnet_lite [3, 32, 32]` over 128
+//!   images at batch 256, one pool thread: the scoring pass that closes a
+//!   run and most of `resnet_compute`'s `setup_s`. Beside its total, each
+//!   fused BN→ReLU→3×3 unit shape's direct forward kernel is timed alone
+//!   and counted exactly, `2·out_ch·ch·9·oh·ow·batch` flop, for GFLOP/s.
+//!   Reported, not gated.
+//!
+//! `--smoke` runs all three at toy sizes (an 8×8 one-block model, 200 / 1k
 //! hosts), asserts every number finite and positive, writes nothing.
 //! `--check` gates GEMM efficiency ≥ [`GEMM_EFF_FLOOR`], training efficiency
 //! ≥ [`TRAIN_EFF_FLOOR`] (full runs only: the smoke model is too small to
@@ -29,10 +36,12 @@ use serde::Serialize;
 use std::time::Instant;
 use vc_middleware::server::{BoincServer, MiddlewareConfig};
 use vc_middleware::{HostId, ReportStatus};
+use vc_nn::metrics::evaluate;
 use vc_nn::spec::resnet_lite;
 use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
 use vc_simnet::{generated_fleet, SimTime};
-use vc_tensor::ops::matmul;
+use vc_tensor::conv_direct::{conv3x3_forward_pre_into, fwd_scratch_len, BnRelu};
+use vc_tensor::ops::{matmul, ConvGeom, Epilogue};
 use vc_tensor::{NormalSampler, Tensor};
 
 /// Widest-cap GEMM efficiency floor (0.71 / 0.76 / 0.79 in the three full
@@ -76,10 +85,41 @@ struct HostsRow {
     scan_timeouts_us: f64,
 }
 
+/// One fused BN→ReLU→3×3 unit shape of the evaluated model (`ch` in and
+/// out, `side × side` images), its direct forward kernel timed alone.
+#[derive(Serialize)]
+struct EvalUnit {
+    ch: usize,
+    side: usize,
+    /// Units of this shape in the model.
+    count: usize,
+    /// `2·out_ch·ch·9·oh·ow·batch`: two flop per FMA the kernel issues.
+    flop: f64,
+    ms: f64,
+    gflops: f64,
+}
+
+#[derive(Serialize)]
+struct Eval {
+    model: String,
+    images: usize,
+    batch_size: usize,
+    thread_cap: usize,
+    cpu_model: String,
+    hw_threads: usize,
+    isa: String,
+    /// Best-of wall time of the whole `evaluate` call.
+    total_ms: f64,
+    units: Vec<EvalUnit>,
+    /// `Σ count·ms / total_ms`: the share of the pass the units' kernels take.
+    unit_share: f64,
+}
+
 #[derive(Serialize)]
 struct BenchScale {
     threads: Threads,
     hosts: Vec<HostsRow>,
+    eval: Eval,
 }
 
 /// `(last / first) / min(widest cap, hw)`: the share of the achievable
@@ -183,6 +223,110 @@ fn bench_threads(smoke: bool) -> Threads {
     }
 }
 
+/// The host's CPU model name, from `/proc/cpuinfo` where there is one.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The closing evaluation's shape on one pool thread: the whole pass, then
+/// each fused unit shape's forward kernel (prologue, bias epilogue) alone.
+fn bench_eval(smoke: bool) -> Eval {
+    let (input, blocks, images, reps) = if smoke {
+        ([3, 8, 8], 1, 16, 2)
+    } else {
+        ([3, 32, 32], 2, 128, 10)
+    };
+    let batch_size = 256;
+    let prev = rayon::set_thread_cap(1);
+    let mut s = NormalSampler::seed_from(17);
+    let x = Tensor::randn(&[images, input[0], input[1], input[2]], 0.0, 1.0, &mut s);
+    let labels: Vec<usize> = (0..images).map(|i| i % 10).collect();
+    let mut model = resnet_lite(&input, blocks, 10).build(42);
+    let total = time_best(reps, || {
+        evaluate(&mut model, &x, &labels, batch_size);
+    });
+
+    // Stage 1 runs at the input side with 16 channels, stage 2 at half the
+    // side with 32; each stage has two units per block.
+    let units: Vec<EvalUnit> = [(16, input[1]), (32, input[1] / 2)]
+        .into_iter()
+        .map(|(ch, side)| {
+            let geom = ConvGeom {
+                h: side,
+                w: side,
+                kh: 3,
+                kw: 3,
+                stride: 1,
+                pad: 1,
+            };
+            let xin = Tensor::randn(&[images, ch, side, side], 0.0, 1.0, &mut s);
+            let kernel = Tensor::randn(&[ch, ch * 9], 0.0, 0.1, &mut s);
+            let (bias, mean, gamma, beta) =
+                (vec![0.1; ch], vec![0.0; ch], vec![1.0; ch], vec![0.0; ch]);
+            let inv_std = vec![1.0; ch];
+            let pre = BnRelu {
+                mean: &mean,
+                inv_std: &inv_std,
+                gamma: &gamma,
+                beta: &beta,
+            };
+            let mut out = vec![0.0f32; images * ch * side * side];
+            let mut stage = vec![0.0f32; fwd_scratch_len(images, ch, geom)];
+            let secs = time_best(reps, || {
+                conv3x3_forward_pre_into(
+                    &xin,
+                    Some(pre),
+                    &kernel,
+                    geom,
+                    &mut out,
+                    Epilogue::Bias(&bias),
+                    &mut stage,
+                )
+            });
+            let flop = 2.0 * (ch * ch * 9 * side * side * images) as f64;
+            EvalUnit {
+                ch,
+                side,
+                count: 2 * blocks,
+                flop,
+                ms: secs * 1e3,
+                gflops: flop / secs / 1e9,
+            }
+        })
+        .collect();
+    rayon::set_thread_cap(prev);
+    let unit_ms: f64 = units.iter().map(|u| u.count as f64 * u.ms).sum();
+    for u in &units {
+        println!(
+            "eval unit {}ch @{}²: {:.2} ms × {}  {:.2} GFLOP/s",
+            u.ch, u.side, u.ms, u.count, u.gflops
+        );
+    }
+    println!(
+        "eval {images} images (batch {batch_size}, 1 thread): {:.2} ms, units {:.0} %",
+        total * 1e3,
+        100.0 * unit_ms / (total * 1e3)
+    );
+    Eval {
+        model: format!("resnet_lite {input:?} blocks={blocks} classes=10"),
+        images,
+        batch_size,
+        thread_cap: 1,
+        cpu_model: cpu_model(),
+        hw_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+        isa: isa().to_string(),
+        total_ms: total * 1e3,
+        unit_share: unit_ms / (total * 1e3),
+        units,
+    }
+}
+
 /// `cycles` rounds of: enqueue `n` workunits, one assigning poll per host
 /// (timed), 1 000 deadline scans with nothing due (timed), then — untimed —
 /// expire everything, reissue it and report it through quorum.
@@ -270,7 +414,12 @@ fn main() {
             row
         })
         .collect();
-    let out = BenchScale { threads, hosts };
+    let eval = bench_eval(smoke);
+    let out = BenchScale {
+        threads,
+        hosts,
+        eval,
+    };
 
     let t = &out.threads;
     assert!(
@@ -285,6 +434,8 @@ fn main() {
             .iter()
             .flat_map(|r| [r.request_work_us, r.scan_timeouts_us]),
     );
+    numbers.push(out.eval.total_ms);
+    numbers.extend(out.eval.units.iter().flat_map(|u| [u.ms, u.gflops]));
     for v in numbers {
         assert!(v.is_finite() && v > 0.0, "degenerate measurement {v}");
     }
