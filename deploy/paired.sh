@@ -4,12 +4,14 @@
 # (benchmark/README.md — the 2-vCPU box has a fast and a slow state that
 # move timings by a third, so only back-to-back pairs compare).
 #
-# Usage: deploy/paired.sh <parent-ref> <change-ref> <workload> <n>
+# Usage: deploy/paired.sh <parent-ref> <change-ref> <workload> <n> [first-seed]
 #
 #   Checks each ref out into its own `git worktree`, builds each side's
 #   `benchmark/` into its own CARGO_TARGET_DIR, then runs
 #       benchmark/run.sh --workload <workload> --seed <i> --trace 0
-#   for i = 1..n on both sides, alternating which side goes first. Prints,
+#   for i = first-seed..first-seed+n-1 (first-seed defaults to 1; a later
+#   one reruns a claim on seeds it was not tuned on) on both sides,
+#   alternating which side goes first. Prints,
 #   per metric, both medians with their quartiles and how many pairs the
 #   change won, lost and tied, and appends the same table as one JSON line
 #   to results/BENCH_history.jsonl. A <ref> that names a directory is used
@@ -25,12 +27,13 @@
 #   target directories stay, so a second invocation rebuilds incrementally.
 set -euo pipefail
 
-if [[ $# -ne 4 ]]; then
-    sed -n '2,25p' "$0" >&2
+if [[ $# -ne 4 && $# -ne 5 ]]; then
+    sed -n '2,27p' "$0" >&2
     exit 2
 fi
 workload="$3"
 pairs="$4"
+first="${5:-1}"
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$repo/target/paired"
 mkdir -p "$work"
@@ -76,19 +79,21 @@ run_side() { # side seed
 
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then order=(parent change); else order=(change parent); fi
-    echo "pair $i/$pairs: ${order[0]} then ${order[1]}" >&2
+    seed=$((first + i - 1))
+    echo "pair $i/$pairs (seed $seed): ${order[0]} then ${order[1]}" >&2
     for side in "${order[@]}"; do
-        run_side "$side" "$i"
+        run_side "$side" "$seed"
     done
 done
 echo "raw outputs: $out" >&2
 
 python3 - "$out" "$workload" "$pairs" "$repo/results/BENCH_history.jsonl" \
-    "${commit[parent]}" "${commit[change]}" <<'EOF'
+    "${commit[parent]}" "${commit[change]}" "$first" <<'EOF'
 import json, statistics, sys
 
 out, workload, pairs, history = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 commits = {"parent": sys.argv[5], "change": sys.argv[6]}
+seeds = list(range(int(sys.argv[7]), int(sys.argv[7]) + pairs))
 HIGHER_IS_BETTER = {"wu_per_s", "final_val_acc"}
 
 def read(side, seed):
@@ -103,11 +108,11 @@ def read(side, seed):
             metrics[parts[1]] = float(parts[2])
     return metrics, verdict, host
 
-runs = {side: [read(side, i) for i in range(1, pairs + 1)] for side in commits}
+runs = {side: [read(side, i) for i in seeds] for side in commits}
 every = [r for side in runs.values() for r in side]
 bounded = list(dict.fromkeys(m for r in every if r[1] for m in r[1]["metrics"]))
 bad = [f"  {side} seed {seed}: " + ("no verdict line" if r[1] is None else f"lacks {lacks}")
-       for side in runs for seed, r in enumerate(runs[side], 1)
+       for side in runs for seed, r in zip(seeds, runs[side])
        if (lacks := [m for m in bounded if m not in r[0]]) or r[1] is None]
 if bad:
     sys.exit("\n".join([f"paired: {workload}: incomplete runs, no table, no history line"] + bad))
@@ -126,7 +131,8 @@ print(f"{'metric':<24} {'parent median [q1, q3]':>44} {'change median [q1, q3]':
 for name in names:
     p = [r[0][name] for r in runs["parent"]]
     c = [r[0][name] for r in runs["change"]]
-    sign = 1 if name in HIGHER_IS_BETTER else -1
+    higher = name in HIGHER_IS_BETTER or "gflops" in name or "_mb_s" in name
+    sign = 1 if higher else -1
     won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
     lost = sum(sign * (b - a) < 0 for a, b in zip(p, c))
     tied = pairs - won - lost
@@ -140,6 +146,9 @@ for side in runs:
           f"{failed[side][0]} of {failed[side][1]} operations failed")
 host = {k: runs["change"][0][2].get(k) for k in ("nproc", "cpu_model", "vc_threads")}
 with open(history, "a") as f:
-    f.write(json.dumps({**commits, "workload": workload, "pairs": pairs, "host": host,
-                        "metrics": table, "correct": correct, "failed": failed}) + "\n")
+    line = {**commits, "workload": workload, "pairs": pairs}
+    if seeds[0] != 1:
+        line["seeds"] = seeds
+    f.write(json.dumps({**line, "host": host, "metrics": table, "correct": correct,
+                        "failed": failed}) + "\n")
 EOF
