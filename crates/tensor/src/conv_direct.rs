@@ -42,7 +42,7 @@
 //!   are generic over their channel count `NOC`. Each call dispatches once
 //!   per channel block, to `OCB` for a full block and to 1–3 for the
 //!   `out_ch % 4` remainder, and every block runs the one monomorphised
-//!   body. With a runtime count (`take(noc)`) the accumulators were an
+//!   body. A runtime count (`take(noc)`) leaves the accumulators an
 //!   array in memory, spilled to the stack between FMAs.
 //! * *Hoisted rows.* A block's weight rows (forward) and the band's dy
 //!   rows (dK, dx) become raw pointers before the tap loop, so a broadcast
@@ -629,8 +629,9 @@ fn fwd_row_generic(
 /// AVX2 rows of one `NOC`-channel block over the padded image. Every tap
 /// is an in-bounds unaligned load (zeros come from the staging pad), so
 /// there is no scalar edge handling at all. Each row is covered by
-/// 16-pixel spans — 2 vectors × 4 channels = 8 independent FMA chains,
-/// what two FMA ports at 4-cycle latency need to stay busy — and the
+/// 16-pixel spans — 2 vectors × `NOC` channels, 8 independent FMA chains
+/// in a full block, what two FMA ports at 4-cycle latency need to stay
+/// busy — and the
 /// < 16 pixels left over by 8-pixel spans, the last one backed up to end
 /// exactly at the row edge: its overlapped lanes re-compute identical bits
 /// and are skipped at write-back, so no element is written twice.

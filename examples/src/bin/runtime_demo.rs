@@ -65,7 +65,7 @@ fn print_report(tag: &str, r: &RuntimeReport, tel: &Telemetry) {
         .rev()
         .find(|e| e.name == "final_scored");
     if let Some(FieldValue::F64(s)) = scored.as_ref().and_then(|e| e.field("seconds")) {
-        println!("final evaluation: {s:.3}s (val + test scoring)");
+        println!("final evaluation: {:.2} ms (val + test scoring)", s * 1e3);
     }
     println!();
 }
