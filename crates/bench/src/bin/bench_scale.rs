@@ -5,7 +5,7 @@
 //! `middleware.*_s`), at the workloads' own shapes.
 //!
 //! * **threads** — pool cap ∈ {1, 2, 4, 8} × {256³ blocked `matmul`
-//!   GFLOP/s, [`train_minibatch_ws`] steps/s on `resnet_lite [3, 32, 32]`
+//!   GFLOP/s, [`train_minibatch`] steps/s on `resnet_lite [3, 32, 32]`
 //!   at batch 32 under Adam: the `resnet_compute` workunit shape, so the
 //!   curve is the `VC_THREADS` axis of `optim.step_s_p50.resnet`}. The pool
 //!   is forced 8 wide (`VC_THREADS`, unless the caller set it) so the curve
@@ -38,7 +38,7 @@ use vc_middleware::server::{BoincServer, MiddlewareConfig};
 use vc_middleware::{HostId, ReportStatus};
 use vc_nn::metrics::evaluate;
 use vc_nn::spec::resnet_lite;
-use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
+use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
 use vc_simnet::{generated_fleet, SimTime};
 use vc_tensor::conv_direct::{conv3x3_forward_pre_into, fwd_scratch_len, BnRelu};
 use vc_tensor::ops::{matmul, ConvGeom, Epilogue};
@@ -196,7 +196,7 @@ fn bench_threads(smoke: bool) -> Threads {
         let mut tws = TrainWorkspace::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let secs = time_best(reps, || {
-            let stats = train_minibatch_ws(
+            let stats = train_minibatch(
                 &mut model, &mut opt, &images, &labels, batch, 1, 5.0, &mut rng, &mut tws, None,
             );
             assert!(stats.mean_loss.is_finite(), "training diverged");

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vc_asgd::JobConfig;
 use vc_nn::metrics::evaluate;
-use vc_optim::{train_minibatch_ws, TrainWorkspace};
+use vc_optim::{train_minibatch, TrainWorkspace};
 use vc_simnet::{table1, ComputeModel};
 
 /// Effective cores a single synchronous training process exploits
@@ -78,7 +78,7 @@ pub fn run_serial(job: &JobConfig, epochs: usize) -> SerialReport {
     let mut series = Vec::with_capacity(epochs);
     let mut now_s = 0.0;
     for e in 1..=epochs {
-        let stats = train_minibatch_ws(
+        let stats = train_minibatch(
             &mut model,
             &mut opt,
             &train.images,

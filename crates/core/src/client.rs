@@ -5,7 +5,7 @@
 //! A BOINC client that receives a workunit does exactly one thing: load the
 //! shipped parameter snapshot into a model replica, run `local_epochs`
 //! passes of minibatch SGD over its shard, and upload the replica's
-//! parameters. [`train_client_replica_ws`] is that step and there is no
+//! parameters. [`train_client_replica`] is that step and there is no
 //! other: every driver calls it with a [`TrainWorkspace`] it owns, so a
 //! simulated run and a real threaded run perform it *identically* — same
 //! replica, same fresh optimizer state, same RNG stream per
@@ -19,7 +19,7 @@ use crate::config::JobConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_data::Dataset;
-use vc_optim::{train_minibatch_ws, StepTimer, TrainWorkspace};
+use vc_optim::{train_minibatch, StepTimer, TrainWorkspace};
 
 /// The RNG stream a client replica uses for `(epoch, shard)`. Deterministic
 /// per `(seed, epoch, shard)` — a reassigned subtask reproduces the same
@@ -37,7 +37,7 @@ pub fn client_rng(seed: u64, epoch: usize, shard: usize) -> StdRng {
 /// the same `tws` to every subtask, so the replica is built once and only
 /// reloaded here, and steady-state steps reuse all buffers. `timer`, when
 /// given, receives one observation per optimizer step.
-pub fn train_client_replica_ws(
+pub fn train_client_replica(
     cfg: &JobConfig,
     snapshot: &[f32],
     data: &Dataset,
@@ -50,7 +50,7 @@ pub fn train_client_replica_ws(
     replica.model.set_params_flat(snapshot);
     let mut opt = cfg.optimizer.build(snapshot.len());
     let mut rng = client_rng(cfg.seed, epoch, shard);
-    train_minibatch_ws(
+    train_minibatch(
         &mut replica.model,
         &mut opt,
         &data.images,
@@ -90,14 +90,14 @@ mod tests {
         let init = cfg.model.build(cfg.seed).params_flat();
         let data = &shards.shard(3).data;
         let mut tws = TrainWorkspace::new();
-        let a = train_client_replica_ws(&cfg, &init, data, 2, 3, &mut tws, None);
+        let a = train_client_replica(&cfg, &init, data, 2, 3, &mut tws, None);
         // Neither a used workspace nor a fresh one changes the result.
-        let b = train_client_replica_ws(&cfg, &init, data, 2, 3, &mut tws, None);
-        let c = train_client_replica_ws(&cfg, &init, data, 2, 3, &mut TrainWorkspace::new(), None);
+        let b = train_client_replica(&cfg, &init, data, 2, 3, &mut tws, None);
+        let c = train_client_replica(&cfg, &init, data, 2, 3, &mut TrainWorkspace::new(), None);
         assert_eq!(a, b, "same (seed, epoch, shard) must reproduce exactly");
         assert_eq!(a, c, "the workspace is a buffer pool, not state");
         // A different shard draws a different RNG stream.
-        let d = train_client_replica_ws(&cfg, &init, data, 2, 4, &mut tws, None);
+        let d = train_client_replica(&cfg, &init, data, 2, 4, &mut tws, None);
         assert_ne!(a, d);
     }
 
@@ -108,7 +108,7 @@ mod tests {
         let shards = ShardSet::split(&train, cfg.shards);
         let init = cfg.model.build(cfg.seed).params_flat();
         let mut tws = TrainWorkspace::new();
-        let out = train_client_replica_ws(&cfg, &init, &shards.shard(0).data, 1, 0, &mut tws, None);
+        let out = train_client_replica(&cfg, &init, &shards.shard(0).data, 1, 0, &mut tws, None);
         assert_eq!(out.len(), init.len());
         assert!(out != init, "SGD must move the replica off the snapshot");
         assert!(result_is_valid(&out));

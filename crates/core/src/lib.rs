@@ -36,6 +36,9 @@ pub mod config;
 pub mod report;
 
 pub use alpha::AlphaSchedule;
-pub use client::{result_is_valid, train_client_replica_ws};
+/// The old name, which the frozen `benchmark/src/probes.rs` imports.
+#[doc(hidden)]
+pub use client::train_client_replica as train_client_replica_ws;
+pub use client::{result_is_valid, train_client_replica};
 pub use config::{FleetKind, JobConfig};
 pub use report::{EpochStats, JobReport};

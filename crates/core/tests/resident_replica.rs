@@ -2,7 +2,7 @@
 //! warm workspace returns, bit for bit, what a new one returns — for every
 //! model family at the paper's 32×32×3.
 
-use vc_asgd::{train_client_replica_ws, JobConfig};
+use vc_asgd::{train_client_replica, JobConfig};
 use vc_data::ShardSet;
 use vc_nn::spec::{mlp, resnet_lite, small_cnn};
 use vc_nn::ModelSpec;
@@ -38,7 +38,7 @@ fn three_workunits(cfg: &JobConfig, mut tws: Option<&mut TrainWorkspace>) -> Vec
         let mut fresh = TrainWorkspace::new();
         let tws = tws.as_deref_mut().unwrap_or(&mut fresh);
         let data = &shards.shard(shard).data;
-        let out = train_client_replica_ws(cfg, &snapshot, data, epoch, shard, tws, None);
+        let out = train_client_replica(cfg, &snapshot, data, epoch, shard, tws, None);
         assert_ne!(bits(&out), bits(&snapshot), "the workunit must train");
         snapshot = out.clone();
         uploads.push(out);

@@ -6,7 +6,7 @@
 //! `resnet_lite` at the paper's 32×32×3 alike.
 //!
 //! `vc-optim`'s `zero_alloc` sweep proves the steps in between allocate
-//! nothing; it cannot call `train_client_replica_ws` (this crate depends on
+//! nothing; it cannot call `train_client_replica` (this crate depends on
 //! that one), so the workunit-level count lives here. The kernel pool is held
 //! to one thread, as the contract benchmark holds it: with helpers, which of
 //! them first meets a GEMM shape — and grows its own pack arena for it — is
@@ -16,7 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use vc_asgd::{train_client_replica_ws, JobConfig};
+use vc_asgd::{train_client_replica, JobConfig};
 use vc_data::ShardSet;
 use vc_nn::spec::{mlp, resnet_lite};
 use vc_optim::TrainWorkspace;
@@ -83,12 +83,12 @@ fn warm_workunit_allocates_only_optimizer_state_and_the_upload() {
         // The first workunit builds the replica and warms the pools (and,
         // the first time round, starts the kernel thread pool).
         let first =
-            train_client_replica_ws(&cfg, &snapshot, &shards.shard(0).data, 1, 0, &mut tws, None);
+            train_client_replica(&cfg, &snapshot, &shards.shard(0).data, 1, 0, &mut tws, None);
 
         ALLOCS.store(0, Ordering::SeqCst);
         COUNTING.store(true, Ordering::SeqCst);
         let second =
-            train_client_replica_ws(&cfg, &first, &shards.shard(1).data, 1, 1, &mut tws, None);
+            train_client_replica(&cfg, &first, &shards.shard(1).data, 1, 1, &mut tws, None);
         COUNTING.store(false, Ordering::SeqCst);
 
         assert_ne!(second, first, "the counted workunit must train");

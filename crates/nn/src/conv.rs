@@ -1,32 +1,38 @@
-//! 2-D convolution via im2col lowering, with a direct (implicit-GEMM)
-//! fast path for 3×3 stride-1 kernels.
+//! 2-D convolution, one lowering-free route per geometry.
 //!
-//! The dispatch is on geometry alone: when [`conv_direct::supports`] the
-//! shape (3×3, stride 1), forward and backward run `vc_tensor::conv_direct`'s
-//! fused kernels and never materialize the im2col column matrix; every
-//! other geometry takes the lowered route. Both routes are bit-identical by
-//! construction — see the `conv_direct` module docs for the FMA-chain
-//! argument, `conv_direct_props.rs` for the kernel-level check against the
-//! im2col oracle and `tests/tests/conv_paths.rs` for a trajectory pinned
-//! before the direct kernels existed.
+//! A [`Conv2d`] is either 3×3 stride 1 (any padding) or 1×1 stride 1 with
+//! no padding; [`Conv2d::new`] panics on anything else and names the
+//! geometry. The dispatch is on that geometry alone:
+//!
+//! * **3×3** runs `vc_tensor::conv_direct`'s fused kernels, which read the
+//!   image through a zero-padded staging copy (and can apply a
+//!   pre-activation unit's BN→ReLU while staging — see `preact`);
+//! * **1×1** runs `vc_tensor::ops`'s GEMMs on the `[batch, ch, h·w]`
+//!   planes: for this geometry the im2col matrix would only be the
+//!   transpose of the input.
+//!
+//! Both routes cache the input itself for backward. Each output element is
+//! the same fused-multiply-add chain, in the same order, as the im2col +
+//! GEMM lowering, which survives only as the test oracle: see
+//! `conv_direct_props.rs` for the kernel-level check and
+//! `tests/tests/conv_paths.rs` for a trajectory pinned while the lowering
+//! was still the production route.
 
 use crate::layer::{FusionPart, Layer, ParamVisitor};
 use vc_tensor::conv_direct::{
     self, conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into, conv3x3_forward_pre_into, BnRelu,
 };
 use vc_tensor::ops::{
-    col2im_into, im2col_into, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into,
-    ConvGeom, Epilogue,
+    conv1x1_backward_dk_into, conv1x1_backward_dx_into, conv1x1_forward_into, ConvGeom, Epilogue,
 };
 use vc_tensor::{NormalSampler, Tensor, Workspace};
 
 /// A 2-D convolution over `[batch, in_ch, h, w]` inputs producing
-/// `[batch, out_ch, oh, ow]`.
+/// `[batch, out_ch, oh, ow]`, 3×3 stride 1 or 1×1 stride 1 unpadded.
 ///
-/// The kernel is stored flattened as `[out_ch, in_ch * kh * kw]` so both the
-/// forward pass and the weight gradient are single matmuls against the
-/// im2col matrix — the same lowering TensorFlow and cuDNN use for small
-/// kernels.
+/// The kernel is stored flattened as `[out_ch, in_ch * k * k]`, the layout
+/// in which the forward pass is a product against the (never materialized)
+/// im2col matrix.
 pub struct Conv2d {
     kernel: Tensor,
     bias: Tensor,
@@ -34,46 +40,24 @@ pub struct Conv2d {
     dbias: Tensor,
     in_ch: usize,
     out_ch: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
+    /// Kernel side: 3 or 1.
+    k: usize,
     pad: usize,
-    cache: Option<ConvCache>,
-    /// When set (by [`Layer::enable_relu_fusion`]), the GEMM epilogue also
-    /// applies `max(0, ·)` so the following ReLU layer becomes mask-only.
+    /// The input of the last caching forward, kept for backward.
+    cache: Option<Tensor>,
+    /// When set (by [`Layer::enable_relu_fusion`]), the forward epilogue
+    /// also applies `max(0, ·)` so the following ReLU layer becomes
+    /// mask-only.
     fused_relu: bool,
 }
 
-/// What the training forward stashed for backward. The im2col path keeps
-/// the materialized column matrix; the direct 3×3 path keeps the input
-/// images themselves (its dK kernel re-materializes one L1-sized band of
-/// patch rows at a time, so the `[rows, patch]` matrix never exists).
-/// Backward dispatches on this variant.
-enum ConvCache {
-    Cols {
-        cols: Tensor,
-        geom: ConvGeom,
-        batch: usize,
-    },
-    Input {
-        x: Tensor,
-        geom: ConvGeom,
-        batch: usize,
-    },
-}
-
-impl ConvCache {
-    /// Consumes the cache, returning its backing buffer for recycling.
-    fn into_vec(self) -> Vec<f32> {
-        match self {
-            ConvCache::Cols { cols, .. } => cols.into_vec(),
-            ConvCache::Input { x, .. } => x.into_vec(),
-        }
-    }
-}
-
 impl Conv2d {
-    /// Builds a convolution with He-normal kernels (fan-in = `in_ch·kh·kw`).
+    /// Builds a convolution with He-normal kernels (fan-in = `in_ch·k·k`).
+    ///
+    /// # Panics
+    ///
+    /// On any geometry but 3×3 stride 1 or 1×1 stride 1 pad 0. A model file
+    /// comes from outside the program, so the message names the layer.
     pub fn new(
         in_ch: usize,
         out_ch: usize,
@@ -82,6 +66,11 @@ impl Conv2d {
         pad: usize,
         sampler: &mut NormalSampler,
     ) -> Self {
+        assert!(
+            matches!((k, stride, pad), (3, 1, _) | (1, 1, 0)),
+            "Conv2d runs 3×3 stride 1 (any pad) or 1×1 stride 1 pad 0, not \
+             in_ch {in_ch}, out_ch {out_ch}, k {k}, stride {stride}, pad {pad}"
+        );
         let fan_in = in_ch * k * k;
         Conv2d {
             kernel: Tensor::he_normal(&[out_ch, fan_in], fan_in, sampler),
@@ -90,9 +79,7 @@ impl Conv2d {
             dbias: Tensor::zeros(&[out_ch]),
             in_ch,
             out_ch,
-            kh: k,
-            kw: k,
-            stride,
+            k,
             pad,
             cache: None,
             fused_relu: false,
@@ -103,50 +90,14 @@ impl Conv2d {
         ConvGeom {
             h,
             w,
-            kh: self.kh,
-            kw: self.kw,
-            stride: self.stride,
+            kh: self.k,
+            kw: self.k,
+            stride: 1,
             pad: self.pad,
         }
     }
 
-    /// Permutes `[batch*oh*ow, out_ch]` (im2col output order) into the image
-    /// layout `[batch, out_ch, oh, ow]`, writing into `out`.
-    fn rows_to_images_into(
-        src: &[f32],
-        batch: usize,
-        out_ch: usize,
-        oh: usize,
-        ow: usize,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(out.len(), batch * out_ch * oh * ow);
-        for b in 0..batch {
-            for p in 0..oh * ow {
-                let row = (b * oh * ow + p) * out_ch;
-                for c in 0..out_ch {
-                    out[((b * out_ch + c) * oh * ow) + p] = src[row + c];
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`Self::rows_to_images_into`].
-    fn images_to_rows_into(img: &Tensor, out: &mut [f32]) {
-        let dims = img.dims();
-        let (batch, ch, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
-        debug_assert_eq!(out.len(), batch * oh * ow * ch);
-        let src = img.data();
-        for b in 0..batch {
-            for c in 0..ch {
-                for p in 0..oh * ow {
-                    out[(b * oh * ow + p) * ch + c] = src[(b * ch + c) * oh * ow + p];
-                }
-            }
-        }
-    }
-
-    /// Bias (or fused bias+ReLU) epilogue for the forward GEMM.
+    /// Bias (or fused bias+ReLU) epilogue for the forward kernels.
     fn epilogue(&self) -> Epilogue<'_> {
         if self.fused_relu {
             Epilogue::BiasRelu(self.bias.data())
@@ -174,17 +125,17 @@ impl Conv2d {
     }
 
     /// Whether this convolution can close a pre-activation unit over `ch`
-    /// channels: the direct kernels' geometry (which does not depend on
-    /// the image size), whose staging pass is where the unit's prologue
+    /// channels: a 3×3 one, whose staging pass is where the unit's prologue
     /// runs.
     pub(crate) fn takes_prologue(&self, ch: usize) -> bool {
-        self.in_ch == ch && conv_direct::supports(&self.geom_for(0, 0))
+        self.in_ch == ch && self.k == 3
     }
 
-    /// Forward on the direct 3×3 path: no column matrix at all. With
-    /// `cache` (every training forward) the input itself is kept for
-    /// backward — the *raw* input when `pre` is given, since backward's
-    /// staging pass re-applies the prologue; otherwise it goes back to `ws`.
+    /// Forward on this geometry's route. With `cache` (every training
+    /// forward) the input itself is kept for backward — the *raw* input
+    /// when `pre` is given, since backward's staging pass re-applies the
+    /// prologue; otherwise it goes back to `ws`. Only a 3×3 convolution
+    /// takes a `pre`.
     pub(crate) fn forward_direct(
         &mut self,
         x: Tensor,
@@ -196,19 +147,24 @@ impl Conv2d {
         let (oh, ow) = (geom.out_h(), geom.out_w());
         self.recycle_cache(ws);
         let mut y = ws.take(batch * self.out_ch * oh * ow);
-        let mut stage = ws.take(conv_direct::fwd_scratch_len(batch, self.in_ch, geom));
-        conv3x3_forward_pre_into(
-            &x,
-            pre,
-            &self.kernel,
-            geom,
-            &mut y,
-            self.epilogue(),
-            &mut stage,
-        );
-        ws.recycle(stage);
+        if self.k == 1 {
+            debug_assert!(pre.is_none(), "a 1×1 convolution takes no prologue");
+            conv1x1_forward_into(&x, &self.kernel, &mut y, self.epilogue());
+        } else {
+            let mut stage = ws.take(conv_direct::fwd_scratch_len(batch, self.in_ch, geom));
+            conv3x3_forward_pre_into(
+                &x,
+                pre,
+                &self.kernel,
+                geom,
+                &mut y,
+                self.epilogue(),
+                &mut stage,
+            );
+            ws.recycle(stage);
+        }
         if cache {
-            self.cache = Some(ConvCache::Input { x, geom, batch });
+            self.cache = Some(x);
         } else {
             ws.recycle(x.into_vec());
         }
@@ -225,41 +181,49 @@ impl Conv2d {
         pre: Option<BnRelu<'_>>,
         ws: &mut Workspace,
     ) -> Tensor {
-        let (geom, batch) = self.direct_grads(dy, pre, ws);
-        let mut dx_scratch = ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
-        let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
-        conv3x3_backward_dx_into(
-            dy,
-            &self.kernel,
-            self.in_ch,
-            geom,
-            &mut dx,
-            &mut dx_scratch,
-        );
-        ws.recycle(dx_scratch);
+        let geom = self.param_grads(dy, pre, ws);
+        let batch = dy.dims()[0];
+        let dx_len = batch * self.in_ch * geom.h * geom.w;
+        let dx = if self.k == 1 {
+            let mut dx = ws.take(dx_len);
+            conv1x1_backward_dx_into(dy, &self.kernel, &mut dx);
+            dx
+        } else {
+            let mut scratch = ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
+            let mut dx = ws.take(dx_len);
+            conv3x3_backward_dx_into(dy, &self.kernel, self.in_ch, geom, &mut dx, &mut scratch);
+            ws.recycle(scratch);
+            dx
+        };
         Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
     }
 
     /// The parameter half of [`backward_direct`](Self::backward_direct):
     /// `dkernel` and `dbias` from the cached input. Returns the cached
-    /// geometry and batch size.
-    fn direct_grads(
+    /// input's geometry.
+    fn param_grads(
         &mut self,
         dy: &Tensor,
         pre: Option<BnRelu<'_>>,
         ws: &mut Workspace,
-    ) -> (ConvGeom, usize) {
-        let Some(ConvCache::Input { x, geom, batch }) = &self.cache else {
-            panic!("Conv2d::backward called without a cached direct forward");
+    ) -> ConvGeom {
+        let Some(x) = &self.cache else {
+            panic!("Conv2d::backward called without a cached forward");
         };
-        let (geom, batch) = (*geom, *batch);
-        let mut dk_scratch = ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom));
+        let dims = x.dims();
+        let (batch, geom) = (dims[0], self.geom_for(dims[2], dims[3]));
+        if self.k == 1 {
+            conv1x1_backward_dk_into(dy, x, self.dkernel.data_mut());
+        } else {
+            let mut scratch = ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom));
+            conv3x3_backward_dk_pre_into(dy, x, pre, geom, self.dkernel.data_mut(), &mut scratch);
+            ws.recycle(scratch);
+        }
+        // dbias += per-channel sums of dy. Each channel's chain runs over
+        // (batch, pixel) ascending — row-ascending order over the lowered
+        // route's `[rows, out_ch]` dy matrix, so this matches its
+        // column-sum loop bit for bit.
         let mut colsum = ws.take(self.out_ch);
-        conv3x3_backward_dk_pre_into(dy, x, pre, geom, self.dkernel.data_mut(), &mut dk_scratch);
-        // dbias += per-channel sums of dy. Each channel's chain runs
-        // over (batch, pixel) ascending — exactly row-ascending order
-        // over the `[rows, out_ch]` dy matrix, so this matches the
-        // im2col route's column-sum loop bit for bit.
         let ohw = geom.out_h() * geom.out_w();
         let dyd = dy.data();
         for (oc, s) in colsum.iter_mut().enumerate() {
@@ -273,111 +237,31 @@ impl Conv2d {
         for (d, s) in self.dbias.data_mut().iter_mut().zip(colsum.iter()) {
             *d += s;
         }
-        ws.recycle(dk_scratch);
         ws.recycle(colsum);
-        (geom, batch)
-    }
-
-    /// The parameter half of the im2col backward: `dkernel` and `dbias`
-    /// from the cached column matrix. Returns `dy` as the `[rows, out_ch]`
-    /// matrix the input gradient is computed from, with the cached
-    /// geometry and batch size.
-    fn cols_grads(&mut self, dy: Tensor, ws: &mut Workspace) -> (Tensor, ConvGeom, usize) {
-        let Some(ConvCache::Cols { cols, geom, batch }) = &self.cache else {
-            panic!("Conv2d::backward called without a cached forward");
-        };
-        let (geom, batch) = (*geom, *batch);
-        let rows = batch * geom.out_h() * geom.out_w();
-        let mut dy_rows_buf = ws.take(rows * self.out_ch);
-        Self::images_to_rows_into(&dy, &mut dy_rows_buf);
-        ws.recycle(dy.into_vec());
-        let dy_rows = Tensor::from_vec(dy_rows_buf, &[rows, self.out_ch]);
-        matmul_at_b_epi_into(
-            &dy_rows,
-            cols,
-            self.dkernel.data_mut(),
-            Epilogue::Accumulate,
-        );
-        // dbias += column sums of dy_rows, rows ascending from a
-        // zero-initialized partial sum.
-        let mut colsum = ws.take(self.out_ch);
-        for r in 0..rows {
-            let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
-            for (o, v) in colsum.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
-            *d += s;
-        }
-        ws.recycle(colsum);
-        (dy_rows, geom, batch)
+        geom
     }
 
     /// The input the last caching [`forward_direct`](Self::forward_direct)
     /// kept.
     pub(crate) fn cached_input(&self) -> &Tensor {
-        match &self.cache {
-            Some(ConvCache::Input { x, .. }) => x,
-            _ => panic!("Conv2d has no cached direct forward"),
-        }
+        self.cache.as_ref().expect("Conv2d has no cached forward")
     }
 }
 
 impl Layer for Conv2d {
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let (batch, geom) = self.checked_geom(&x);
-        if conv_direct::supports(&geom) {
-            return self.forward_direct(x, None, train, ws);
-        }
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let rows = batch * oh * ow;
-        let patch = self.in_ch * self.kh * self.kw;
-        self.recycle_cache(ws);
-        let mut cols_buf = ws.take(rows * patch);
-        im2col_into(&x, self.in_ch, geom, &mut cols_buf);
-        let cols = Tensor::from_vec(cols_buf, &[rows, patch]);
-        ws.recycle(x.into_vec());
-        let mut flat = ws.take(rows * self.out_ch);
-        matmul_a_bt_epi_into(&cols, &self.kernel, &mut flat, self.epilogue());
-        let mut y = ws.take(batch * self.out_ch * oh * ow);
-        Self::rows_to_images_into(&flat, batch, self.out_ch, oh, ow, &mut y);
-        ws.recycle(flat);
-        if train {
-            self.cache = Some(ConvCache::Cols { cols, geom, batch });
-        } else {
-            ws.recycle(cols.into_vec());
-        }
-        Tensor::from_vec(y, &[batch, self.out_ch, oh, ow])
+        self.forward_direct(x, None, train, ws)
     }
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        if let Some(ConvCache::Input { .. }) = self.cache {
-            let dx = self.backward_direct(&dy, None, ws);
-            ws.recycle(dy.into_vec());
-            return dx;
-        }
-        let (dy_rows, geom, batch) = self.cols_grads(dy, ws);
-        let rows = dy_rows.dims()[0];
-        let patch = self.in_ch * self.kh * self.kw;
-        let mut dcols = ws.take(rows * patch);
-        matmul_epi_into(&dy_rows, &self.kernel, &mut dcols, Epilogue::Store);
-        ws.recycle(dy_rows.into_vec());
-        let dcols = Tensor::from_vec(dcols, &[rows, patch]);
-        let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
-        col2im_into(&dcols, batch, self.in_ch, geom, &mut dx);
-        ws.recycle(dcols.into_vec());
-        Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
+        let dx = self.backward_direct(&dy, None, ws);
+        ws.recycle(dy.into_vec());
+        dx
     }
 
     fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
-        let spent = if let Some(ConvCache::Input { .. }) = self.cache {
-            self.direct_grads(&dy, None, ws);
-            dy
-        } else {
-            self.cols_grads(dy, ws).0
-        };
-        ws.recycle(spent.into_vec());
+        self.param_grads(&dy, None, ws);
+        ws.recycle(dy.into_vec());
     }
 
     fn enable_relu_fusion(&mut self) -> bool {
@@ -447,11 +331,27 @@ mod tests {
         assert_eq!(c.out_dims(&[2, 3, 16, 16]), vec![2, 8, 16, 16]);
     }
 
+    /// Every geometry without a route panics at build time, naming the
+    /// layer — before any input reaches it.
     #[test]
-    fn strided_forward_shape() {
-        let mut c = conv(1, 4, 3, 2, 1);
-        let y = c.forward(&Tensor::zeros(&[1, 1, 8, 8]), false);
-        assert_eq!(y.dims(), &[1, 4, 4, 4]);
+    fn unsupported_geometry_is_rejected_by_name() {
+        for (k, stride, pad) in [
+            (3, 2, 1),
+            (5, 1, 2),
+            (3, 0, 1),
+            (1, 1, 1),
+            (1, 2, 0),
+            (2, 1, 0),
+        ] {
+            let err = std::panic::catch_unwind(|| conv(2, 4, k, stride, pad))
+                .err()
+                .unwrap_or_else(|| panic!("k {k} stride {stride} pad {pad} was accepted"));
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            let geometry = format!("in_ch 2, out_ch 4, k {k}, stride {stride}, pad {pad}");
+            assert!(msg.contains(&geometry), "{msg}");
+        }
     }
 
     #[test]
@@ -477,37 +377,18 @@ mod tests {
 
     #[test]
     fn gradcheck_inputs() {
-        let mut c = conv(2, 3, 3, 1, 1);
         let mut s = NormalSampler::seed_from(31);
         let x = Tensor::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut s);
-        gradcheck::check_input_grad(&mut c, &x, 2e-2);
+        gradcheck::check_input_grad(&mut conv(2, 3, 3, 1, 1), &x, 2e-2);
+        gradcheck::check_input_grad(&mut conv(2, 3, 1, 1, 0), &x, 2e-2);
     }
 
     #[test]
     fn gradcheck_params() {
-        let mut c = conv(1, 2, 2, 1, 0);
+        let mut c = conv(2, 3, 1, 1, 0);
         let mut s = NormalSampler::seed_from(32);
-        let x = Tensor::randn(&[2, 1, 3, 3], 0.0, 1.0, &mut s);
+        let x = Tensor::randn(&[2, 2, 3, 3], 0.0, 1.0, &mut s);
         gradcheck::check_param_grad(&mut c, &x, 2e-2);
-    }
-
-    #[test]
-    fn gradcheck_strided() {
-        let mut c = conv(1, 1, 3, 2, 1);
-        let mut s = NormalSampler::seed_from(33);
-        let x = Tensor::randn(&[1, 1, 5, 5], 0.0, 1.0, &mut s);
-        gradcheck::check_input_grad(&mut c, &x, 2e-2);
-    }
-
-    #[test]
-    fn row_image_permutations_are_inverse() {
-        let mut s = NormalSampler::seed_from(34);
-        let img = Tensor::randn(&[2, 3, 4, 5], 0.0, 1.0, &mut s);
-        let mut rows = vec![0.0f32; img.numel()];
-        Conv2d::images_to_rows_into(&img, &mut rows);
-        let mut back = vec![0.0f32; img.numel()];
-        Conv2d::rows_to_images_into(&rows, 2, 3, 4, 5, &mut back);
-        assert_eq!(back, img.data());
     }
 
     #[test]
@@ -521,16 +402,17 @@ mod tests {
 
     #[test]
     fn dispatch_is_on_geometry_alone() {
-        let mut ws = Workspace::new();
-        // 3×3 stride 1: the direct kernels, which cache the input itself.
-        let mut direct = conv(2, 3, 3, 1, 1);
-        let _ = direct.forward_ws(Tensor::zeros(&[1, 2, 6, 6]), true, &mut ws);
-        assert!(matches!(direct.cache, Some(ConvCache::Input { .. })));
-        // Anything else: the im2col lowering, which caches the columns.
-        for (k, stride, pad) in [(3, 2, 1), (1, 1, 0), (5, 1, 2)] {
-            let mut lowered = conv(2, 3, k, stride, pad);
-            let _ = lowered.forward_ws(Tensor::zeros(&[1, 2, 6, 6]), true, &mut ws);
-            assert!(matches!(lowered.cache, Some(ConvCache::Cols { .. })));
+        let mut s = NormalSampler::seed_from(35);
+        let x = Tensor::randn(&[2, 2, 6, 6], 0.0, 1.0, &mut s);
+        // 3×3 (either padding) runs the direct kernels, 1×1 the GEMMs on
+        // the image layout; both keep the input itself for backward, and
+        // both give every buffer back once warm.
+        for (k, pad) in [(3, 1), (3, 0), (1, 0)] {
+            let mut c = conv(2, 3, k, 1, pad);
+            let mut ws = Workspace::new();
+            let _ = c.forward_ws(x.clone(), true, &mut ws);
+            assert_eq!(c.cached_input().data(), x.data(), "k {k} pad {pad}");
+            gradcheck::check_steady_state_pool(&mut c, &x);
         }
     }
 }

@@ -55,7 +55,7 @@ pub fn evaluate(
         let bs = end - start;
         dims[0] = bs;
         let batch = ws.take_copy(&images.data()[start * sample_len..end * sample_len]);
-        let logits = model.forward_pipeline_ws(Tensor::from_vec(batch, &dims), false, &mut ws);
+        let logits = model.forward_pipeline(Tensor::from_vec(batch, &dims), false, &mut ws);
         total_loss += SoftmaxCrossEntropy::loss(&logits, &labels[start..end]) * bs as f32;
         total_correct += accuracy(&logits, &labels[start..end]) * bs as f32;
         ws.recycle(logits.into_vec());

@@ -58,7 +58,7 @@ impl Layer for Residual {
         }
         // The body consumes `x`; the skip path keeps a pooled copy.
         let skip = ws.take_copy(x.data());
-        let mut fx = self.body.forward_pipeline_ws(x, train, ws);
+        let mut fx = self.body.forward_pipeline(x, train, ws);
         check_shape(&in_shape, &fx);
         add_skip(&mut fx, &skip);
         ws.recycle(skip);
@@ -71,7 +71,7 @@ impl Layer for Residual {
             return dx;
         }
         let skip = ws.take_copy(dy.data());
-        let mut dx = self.body.backward_pipeline_ws(dy, ws);
+        let mut dx = self.body.backward_pipeline(dy, ws);
         add_skip(&mut dx, &skip);
         ws.recycle(skip);
         dx
@@ -251,7 +251,10 @@ mod tests {
             fused.body.fuse_relu();
             assert!(fused.body.head_conv().is_some());
             let what = format!("{units} unit(s), open end {open_end}");
-            let (want, got) = (step_bits(&mut copying, &x, &dy), step_bits(&mut fused, &x, &dy));
+            let (want, got) = (
+                step_bits(&mut copying, &x, &dy),
+                step_bits(&mut fused, &x, &dy),
+            );
             for (i, part) in ["training output", "dx", "gradients", "inference output"]
                 .iter()
                 .enumerate()
@@ -279,14 +282,14 @@ mod tests {
             body.fuse_relu();
             let (mut ws_block, mut ws_body) = (Workspace::new(), Workspace::new());
             let y = block.forward_ws(x.clone(), true, &mut ws_block);
-            let fy = body.forward_pipeline_ws(x.clone(), true, &mut ws_body);
+            let fy = body.forward_pipeline(x.clone(), true, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "training forward");
             block.backward_ws(y, &mut ws_block);
-            body.backward_pipeline_ws(fy, &mut ws_body);
+            body.backward_pipeline(fy, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "backward");
             let (mut ws_block, mut ws_body) = (Workspace::new(), Workspace::new());
             block.forward_ws(x.clone(), false, &mut ws_block);
-            body.forward_pipeline_ws(x.clone(), false, &mut ws_body);
+            body.forward_pipeline(x.clone(), false, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "inference forward");
             assert_eq!(held(&ws_block), held(&ws_body), "inference keeps nothing");
         }

@@ -315,6 +315,28 @@ mod tests {
         spec.build(1);
     }
 
+    /// Model files come from outside the program: a convolution that no
+    /// route runs is refused when the model is built, by name.
+    #[test]
+    fn build_rejects_convolutions_without_a_route() {
+        for (k, stride, pad) in [(5, 1, 2), (3, 2, 1), (3, 0, 1), (1, 1, 1)] {
+            let json = format!(
+                r#"{{"name":"odd-conv","input":[2,8,8],"classes":3,"layers":[
+                    {{"Conv":{{"in_ch":2,"out_ch":4,"k":{k},"stride":{stride},"pad":{pad}}}}},
+                    "AvgPoolGlobal",{{"Dense":{{"input":4,"output":3}}}}]}}"#
+            );
+            let spec: ModelSpec = serde_json::from_str(&json).expect("well-formed JSON");
+            let err = std::panic::catch_unwind(|| spec.build(1))
+                .err()
+                .unwrap_or_else(|| panic!("k {k} stride {stride} pad {pad} was built"));
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            let geometry = format!("in_ch 2, out_ch 4, k {k}, stride {stride}, pad {pad}");
+            assert!(msg.contains(&geometry), "{msg}");
+        }
+    }
+
     #[test]
     fn paramless_layers_serialize_compactly() {
         let json = serde_json::to_string(&LayerSpec::Relu).unwrap();

@@ -16,9 +16,13 @@
 //! |--------------------------------------------------------|----------|-----------|
 //! | a slot per image, a pooled copy of each skip           | 55.0 MB  | 55.0 MB   |
 //! | a slot per pool thread, the skip read from its unit    | 43.8 MB  | 44.4 MB   |
+//! | the 1×1 conv on the image layout, no column matrix     | 41.6 MB  | 42.2 MB   |
 //!
 //! (Less than the two sizes added: the bounded pool used to let an idle
-//! staging buffer serve an activation.)
+//! staging buffer serve an activation.) The last row is the widening 1×1
+//! convolution run as GEMMs on the image planes instead of through im2col:
+//! it no longer takes a `[rows, in_ch]` column matrix and a `[rows,
+//! out_ch]` staging matrix beside its output.
 //!
 //! This file must stay a single-test binary: the counters are process-wide.
 
@@ -71,8 +75,9 @@ unsafe impl GlobalAlloc for PeakAlloc {
 static GLOBAL: PeakAlloc = PeakAlloc;
 
 /// The measured peak at eight pool threads, the widest pool the kernels
-/// size scratch for; one thread reads 43.8 MB.
-const BOUND: usize = 44_500_000;
+/// size scratch for, with the same 0.1 MB of slack as before the last row;
+/// one thread reads 41.6 MB.
+const BOUND: usize = 42_250_000;
 
 #[test]
 fn final_evaluation_stays_inside_its_memory_bound() {
@@ -101,5 +106,8 @@ fn final_evaluation_stays_inside_its_memory_bound() {
         BOUND as f64 / 1e6
     );
     // Not vacuous: the first stage's activation alone is 8.4 MB.
-    assert!(peak > 8 << 20, "measured {peak} B: the counter is not wired");
+    assert!(
+        peak > 8 << 20,
+        "measured {peak} B: the counter is not wired"
+    );
 }

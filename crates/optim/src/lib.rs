@@ -19,9 +19,10 @@ pub mod clip;
 pub mod trainer;
 
 pub use clip::clip_by_global_norm;
-pub use trainer::{
-    train_minibatch_ws, ResidentReplica, StepTimer, TrainBatchStats, TrainWorkspace,
-};
+/// The old name, which the frozen `benchmark/src/probes.rs` imports.
+#[doc(hidden)]
+pub use trainer::train_minibatch as train_minibatch_ws;
+pub use trainer::{train_minibatch, ResidentReplica, StepTimer, TrainBatchStats, TrainWorkspace};
 
 use serde::{Deserialize, Serialize};
 

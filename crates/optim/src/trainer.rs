@@ -8,7 +8,7 @@ use vc_nn::{Layer, ModelSpec, Sequential, SoftmaxCrossEntropy};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::{Tensor, Workspace};
 
-/// Statistics from one pass of [`train_minibatch_ws`].
+/// Statistics from one pass of [`train_minibatch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainBatchStats {
     /// Mean training loss over all processed batches.
@@ -23,7 +23,7 @@ pub struct TrainBatchStats {
 /// shuffle order, the label batch and the resident model replica. There are
 /// no flat parameter/gradient mirrors: clipping and the optimizer step visit
 /// the layers' own buffers. Hold one per worker thread (or simulated client)
-/// and pass it to every [`train_minibatch_ws`] call; after the first step
+/// and pass it to every [`train_minibatch`] call; after the first step
 /// warms the pools, the steady-state training loop performs zero heap
 /// allocations.
 #[derive(Default)]
@@ -80,7 +80,7 @@ impl TrainWorkspace {
     }
 }
 
-/// Per-step timing sink for [`train_minibatch_ws`]: each optimizer step's
+/// Per-step timing sink for [`train_minibatch`]: each optimizer step's
 /// wall-clock duration (from the telemetry hub's time source, so virtual
 /// clocks work too) is observed into `histogram`, so the runtime's
 /// `worker_train_step_s` phase histogram measures the same interval as the
@@ -107,7 +107,7 @@ pub struct StepTimer<'a> {
 /// When `timer` is given, each optimizer step's duration is observed into
 /// its histogram.
 #[allow(clippy::too_many_arguments)]
-pub fn train_minibatch_ws<R: Rng>(
+pub fn train_minibatch<R: Rng>(
     model: &mut Sequential,
     opt: &mut Optimizer,
     images: &Tensor,
@@ -167,7 +167,7 @@ pub fn train_minibatch_ws<R: Rng>(
             dims[1..rank].copy_from_slice(&images.dims()[1..]);
             let batch = Tensor::from_vec(batch_data, &dims[..rank]);
 
-            let logits = model.forward_pipeline_ws(batch, true, ws);
+            let logits = model.forward_pipeline(batch, true, ws);
             let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, batch_labels);
             model.zero_grads_all();
             model.backward_params_ws(dlogits, ws);
@@ -248,7 +248,7 @@ mod tests {
         }
     }
 
-    /// One [`train_minibatch_ws`] pass against a fresh workspace.
+    /// One [`train_minibatch`] pass against a fresh workspace.
     #[allow(clippy::too_many_arguments)]
     fn train(
         model: &mut Sequential,
@@ -261,7 +261,7 @@ mod tests {
         rng: &mut StdRng,
     ) -> TrainBatchStats {
         let mut tws = TrainWorkspace::new();
-        train_minibatch_ws(
+        train_minibatch(
             model,
             opt,
             x,
@@ -326,11 +326,11 @@ mod tests {
         let (x, y) = blobs(48, 31);
         let mut rng = StdRng::seed_from_u64(32);
         let mut tws = TrainWorkspace::new();
-        train_minibatch_ws(
+        train_minibatch(
             &mut model, &mut opt, &x, &y, 16, 1, 1.0, &mut rng, &mut tws, None,
         );
         let (_, warm_misses) = tws.pool_stats();
-        train_minibatch_ws(
+        train_minibatch(
             &mut model, &mut opt, &x, &y, 16, 2, 1.0, &mut rng, &mut tws, None,
         );
         let (takes, misses) = tws.pool_stats();
@@ -353,7 +353,7 @@ mod tests {
             telemetry: &tel,
             histogram: &hist,
         };
-        let stats = train_minibatch_ws(
+        let stats = train_minibatch(
             &mut model,
             &mut opt,
             &x,

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_nn::spec::{mlp, resnet_lite, small_cnn};
 use vc_nn::ModelSpec;
-use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
+use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
 use vc_tensor::{NormalSampler, Tensor};
 
 fn fnv1a(vals: &[f32]) -> u64 {
@@ -36,7 +36,7 @@ fn run(spec: &ModelSpec) -> (u64, u64, u32) {
     let labels: Vec<usize> = (0..48).map(|i| i % 10).collect();
     let mut rng = StdRng::seed_from_u64(13);
     let mut tws = TrainWorkspace::new();
-    let stats = train_minibatch_ws(
+    let stats = train_minibatch(
         &mut model, &mut opt, &images, &labels, 16, 1, 5.0, &mut rng, &mut tws, None,
     );
     assert_eq!(stats.steps, 3);

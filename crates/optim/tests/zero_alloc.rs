@@ -1,5 +1,5 @@
 //! Counting-allocator proof of the workspace trainer's zero-alloc claim:
-//! after one warm-up pass, steady-state `train_minibatch_ws` steps perform
+//! after one warm-up pass, steady-state `train_minibatch` steps perform
 //! **no heap allocation at all** — forward caches, direct-conv scratch,
 //! gradient flats, batch assembly and optimizer state all live in reused
 //! buffers.
@@ -16,7 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
+use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
 use vc_tensor::{NormalSampler, Tensor};
 
 struct CountingAlloc;
@@ -67,14 +67,14 @@ fn sweep(name: &str, mut model: vc_nn::Sequential, images: &Tensor, classes: usi
         // Warm-up at this cap: fills the workspace pools, the flat
         // param/grad vectors and the optimizer state — and, on the first
         // iteration, spawns the pool's worker threads.
-        train_minibatch_ws(
+        train_minibatch(
             &mut model, &mut opt, images, &labels, batch, 2, 5.0, &mut rng, &mut tws, None,
         );
 
         let (takes_before, misses_before) = tws.pool_stats();
         ALLOCS.store(0, Ordering::SeqCst);
         COUNTING.store(true, Ordering::SeqCst);
-        let stats = train_minibatch_ws(
+        let stats = train_minibatch(
             &mut model, &mut opt, images, &labels, batch, 3, 5.0, &mut rng, &mut tws, None,
         );
         COUNTING.store(false, Ordering::SeqCst);
@@ -92,7 +92,7 @@ fn sweep(name: &str, mut model: vc_nn::Sequential, images: &Tensor, classes: usi
         assert_eq!(
             ALLOCS.load(Ordering::SeqCst),
             0,
-            "{name} cap {cap}: steady-state train_minibatch_ws steps must not touch the heap"
+            "{name} cap {cap}: steady-state train_minibatch steps must not touch the heap"
         );
     }
     rayon::set_thread_cap(usize::MAX);

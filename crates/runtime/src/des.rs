@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use vc_asgd::{result_is_valid, train_client_replica_ws, EpochStats, JobConfig, JobReport};
+use vc_asgd::{result_is_valid, train_client_replica, EpochStats, JobConfig, JobReport};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{LatencyModel, VersionedStore};
 use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, WuId};
@@ -548,7 +548,7 @@ impl TrainingJob {
         let result = if self.cfg.timing_only {
             self.snapshot.clone()
         } else {
-            Arc::new(train_client_replica_ws(
+            Arc::new(train_client_replica(
                 &self.cfg.job,
                 &self.snapshot,
                 &self.shards.shard(shard).data,

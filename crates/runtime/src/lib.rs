@@ -7,7 +7,7 @@
 //! ## One set of bodies
 //!
 //! `worker::WorkerCore` is the volunteer host (sync the shard cache,
-//! train with [`vc_asgd::train_client_replica_ws`], shape and possibly
+//! train with [`vc_asgd::train_client_replica`], shape and possibly
 //! corrupt the upload; die, respawn, draw message delays);
 //! `coordinator::Coordinator` is the BOINC server over the
 //! `vc-middleware` state machine, returning the effect of each message it

@@ -6,7 +6,7 @@
 //! holds each of its messages), its parameter-service connection with the
 //! sticky shard cache and upload-codec residual, and
 //! [`WorkerCore::execute`] — the one workunit body: sync the cache, train
-//! the shard with real SGD ([`vc_asgd::train_client_replica_ws`]), shape
+//! the shard with real SGD ([`vc_asgd::train_client_replica`]), shape
 //! the upload through the lossy codec, corrupt it if the host is byzantine.
 //!
 //! The threaded runtime wraps a core in [`worker_main`], the BOINC client
@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use vc_asgd::train_client_replica_ws;
+use vc_asgd::train_client_replica;
 use vc_data::ShardSet;
 use vc_middleware::{HostId, WorkUnit};
 use vc_optim::{StepTimer, TrainWorkspace};
@@ -188,7 +188,7 @@ impl WorkerCore {
             .cache
             .sync(wu.epoch as u64, &wu.param_versions.0, self.ps.as_mut())?;
         let fetch_t1 = self.telemetry.now_s();
-        let mut params = train_client_replica_ws(
+        let mut params = train_client_replica(
             &self.cfg.job,
             snapshot,
             &shards.shard(wu.shard_id).data,

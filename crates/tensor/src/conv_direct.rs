@@ -1,14 +1,15 @@
 //! Direct (implicit-GEMM) kernels for 3×3 stride-1 convolution.
 //!
-//! The general conv path lowers to GEMM via [`crate::ops::im2col_into`],
-//! which materializes every 3×3 patch as a row — a 9× blow-up of the input
-//! that is pure memory traffic (written once by im2col, streamed once by
-//! the GEMM's pack, then dead). For the 3×3 stride-1 blocks `small_cnn`
-//! and `resnet_lite` are built from, the kernels here compute the same
-//! sums straight from the image tensor: the "column matrix" exists only
-//! implicitly, one L1-resident band at a time. im2col/col2im stay as the
-//! general-case path (other kernel sizes, strides) and as the reference
-//! the property tests compare against.
+//! Lowering a convolution to GEMM through im2col materializes every 3×3
+//! patch as a row — a 9× blow-up of the input that is pure memory traffic
+//! (written once by im2col, streamed once by the GEMM's pack, then dead).
+//! The kernels here compute the same sums straight from the image tensor:
+//! the "column matrix" exists only implicitly, one L1-resident band at a
+//! time. Every 3×3 convolution of `small_cnn` and `resnet_lite` runs here;
+//! the one 1×1 runs as GEMMs on the image layout
+//! ([`crate::ops::conv1x1_forward_into`]). im2col/col2im are no route at
+//! all: they are the reference the property tests compare against
+//! (`crates/tensor/tests/im2col`).
 //!
 //! ## Kernel structure
 //!
@@ -90,7 +91,7 @@
 //! * **backward/dx** — each column-row gradient `dcols[r][p]` reduces over
 //!   `oc` ascending (the GEMM's k-order for `dy · K`; padded kernel
 //!   columns only feed padded scratch columns that are never read back),
-//!   then scatters onto the image in [`crate::ops::col2im_into`]'s exact
+//!   then scatters onto the image in the reference `col2im_into`'s exact
 //!   iteration order.
 //! * **backward/dK** — each `dK[oc][p]` reduces over the GEMM row index
 //!   `(b, oy, ox)` ascending (the k-order of `dyᵀ · cols`): the register
@@ -184,10 +185,11 @@
 //!
 //! ## Selection
 //!
-//! [`supports`] gates on geometry (3×3, stride 1, any padding) and is the
-//! whole decision: there is no switch. Anything that wants the lowered
-//! route for a supported shape — the property tests do — calls the im2col
-//! kernels directly.
+//! [`supports`] gates on geometry (3×3, stride 1, any padding). `vc_nn`'s
+//! `Conv2d` accepts that geometry and 1×1 stride 1 pad 0 (which runs
+//! [`crate::ops::conv1x1_forward_into`] and its gradients) and panics at
+//! build time on any other, so each geometry has one route and there is
+//! no switch. The lowered route exists only in the tests, as the oracle.
 
 use crate::ops::{ConvGeom, Epilogue, PAR_THRESHOLD};
 use crate::tensor::Tensor;
@@ -450,7 +452,7 @@ fn apply_epi(o: &mut f32, v: f32, oc: usize, epi: Epilogue<'_>) {
 
 /// Direct 3×3 stride-1 conv forward: `input [batch, ch, h, w]` ×
 /// `kernel [out_ch, ch*9]` → `out [batch, out_ch, oh, ow]`, writing the
-/// image layout directly (the im2col path needs a separate
+/// image layout directly (the lowered route needs a separate
 /// rows→images permutation pass; this one doesn't). With `pre` it
 /// convolves `pre.apply(input)`, which exists only as each image's staged
 /// copy. `scratch` holds [`fwd_scratch_len`]`(batch, ch, geom)` floats;
@@ -788,7 +790,7 @@ fn fill_patch_row_padded(
 }
 
 /// Scatters one gradient column row onto the image in
-/// [`crate::ops::col2im_into`]'s exact iteration order (`c, ky, kx`
+/// the reference `col2im_into`'s exact iteration order (`c, ky, kx`
 /// ascending; out-of-bounds taps have no destination).
 #[inline(always)]
 fn scatter_row(img: &mut [f32], ctx: Ctx, oy: usize, ox: usize, drow: &[f32]) {
@@ -857,7 +859,7 @@ pub fn conv3x3_backward_dx_into(
     assert!(scratch.len() >= out_ch * pp + slot, "dx scratch length");
     let use_fma = has_fma();
     let (kpad, slots) = scratch.split_at_mut(out_ch * pp);
-    // Same serial-vs-parallel policy as col2im_into over the same shapes.
+    // Images in parallel once the output is past `PAR_THRESHOLD`.
     let parallel = batch > 1 && dx.len() >= PAR_THRESHOLD;
     let n_slots = if parallel {
         (slots.len() / slot).min(batch)
@@ -1055,8 +1057,8 @@ unsafe fn dx_band_avx2(
 
 /// Direct weight-gradient: `dkernel [out_ch, ch*9] += dyᵀ · cols`, reading
 /// patches straight from `input` — one 32-row column band at a time in
-/// L1-sized scratch, versus the whole `[rows, ch*9]` matrix the im2col
-/// path keeps alive. With `pre` the columns are those of
+/// L1-sized scratch, versus the whole `[rows, ch*9]` matrix the lowered
+/// route keeps alive. With `pre` the columns are those of
 /// `pre.apply(input)`: the staging pass recomputes the activated image the
 /// forward convolved, bit for bit. The padded accumulator holds the
 /// complete reduction before it is added to `dkernel`, matching the GEMM's

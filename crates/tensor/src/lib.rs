@@ -8,10 +8,13 @@
 //!
 //! * [`Tensor`] — an owned, contiguous, row-major `f32` tensor with a dynamic
 //!   shape, elementwise arithmetic, reductions and broadcasting-by-row.
-//! * [`ops`] — rayon-parallel matrix multiplication and the im2col/col2im
-//!   transforms that back the convolution layers in `vc-nn`.
-//! * [`conv_direct`] — implicit-GEMM 3×3 stride-1 conv kernels that skip
-//!   im2col materialization, bit-identical to the im2col+GEMM route.
+//! * [`ops`] — rayon-parallel matrix multiplication, and the 1×1 stride-1
+//!   convolution as GEMMs on the image layout.
+//! * [`conv_direct`] — implicit-GEMM 3×3 stride-1 conv kernels.
+//!
+//!   Between them they run every convolution `vc-nn` builds, one route per
+//!   geometry, each bit-identical to the im2col+GEMM lowering. That
+//!   lowering is no route: it lives under `tests/` as their oracle.
 //! * [`rng`] — seeded Gaussian sampling (Box–Muller) used for He-normal
 //!   parameter initialization, mirroring the paper's initializer.
 //! * [`codec`] — a compact binary encoding of parameter vectors, standing in

@@ -1,4 +1,4 @@
-//! Blocked, pool-parallel linear algebra and convolution transforms.
+//! Blocked, pool-parallel linear algebra and the 1×1 convolution.
 //!
 //! The hot kernels of the DL substrate live here. All three matmul variants
 //! route through one cache-blocked GEMM in the GotoBLAS style:
@@ -44,16 +44,21 @@
 //! fixed 64-row band leaving most of an 8-thread pool idle on the 128–512
 //! row matrices training actually produces (m=256 is just 4 bands).
 //!
-//! [`im2col`] / [`col2im`] lower 2-D convolution to matmul; the `_into`
-//! variants of every kernel write into caller-provided buffers so the
-//! training workspace can run the whole step without heap allocation.
+//! The 1×1 stride-1 convolution runs here too, on the image layout
+//! ([`conv1x1_forward_into`] and its two gradients): its GEMMs read the
+//! `[batch, ch, h·w]` planes through the same packing, with no column
+//! matrix. The 3×3 convolutions run in [`crate::conv_direct`]. Neither
+//! lowers through im2col: that is the test oracle, under
+//! `crates/tensor/tests/`. The `_into` variants of every kernel write into
+//! caller-provided buffers so the training workspace can run the whole
+//! step without heap allocation.
 
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
 /// Threshold (in output elements) below which kernels run serially; farming
 /// tiny matrices out to the pool costs more than the multiply. Shared with
-/// the direct conv path (`conv_direct`) so both lowerings make the same
+/// the direct conv path (`conv_direct`) so both make the same
 /// serial-vs-parallel choice at a given problem size.
 pub(crate) const PAR_THRESHOLD: usize = 64 * 64;
 
@@ -104,6 +109,9 @@ enum AMat<'a> {
     /// Transposed view of row-major `[k, m]` storage:
     /// `A[i][p] = d[p*m + i]` (the `matmul_at_b` layout, never materialized).
     Trans { d: &'a [f32], m: usize },
+    /// Image planes `[batch, ch, hw]` over `p = b·hw + q`:
+    /// `A[i][p] = d[((p / hw)·ch + i)·hw + p % hw]`.
+    Planes { d: &'a [f32], ch: usize, hw: usize },
 }
 
 /// The logical B operand: `B[p][j]`, `p < k`, `j < n`.
@@ -114,6 +122,17 @@ enum BMat<'a> {
     /// Transposed view of row-major `[n, k]` storage:
     /// `B[p][j] = d[j*k + p]` (the `matmul_a_bt` layout).
     Trans { d: &'a [f32], k: usize },
+    /// Image planes `[batch, ch, hw]` over `p = b·hw + q`:
+    /// `B[p][j] = d[((p / hw)·ch + j)·hw + p % hw]`.
+    Planes { d: &'a [f32], ch: usize, hw: usize },
+}
+
+/// Channel `i` of `[batch, ch, hw]` planes, image after image: the `p`
+/// ascending sequence of a [`AMat::Planes`] row or a [`BMat::Planes`]
+/// column.
+fn plane_lane(d: &[f32], ch: usize, hw: usize, i: usize) -> impl Iterator<Item = &f32> {
+    d.chunks_exact(ch * hw)
+        .flat_map(move |img| &img[i * hw..(i + 1) * hw])
 }
 
 // Pack scratch, thread-local to the *submitting* thread. Capacities persist
@@ -161,6 +180,16 @@ fn pack_b(b: BMat, k: usize, n: usize, j0: usize, cols: usize, bpack: &mut Vec<f
                 }
             }
         }
+        BMat::Planes { d, ch, hw } => {
+            debug_assert_eq!(ch, n);
+            for j in 0..cols {
+                let (jp, jj) = (j / NR, j % NR);
+                let panel = &mut bpack[jp * k * NR..(jp + 1) * k * NR];
+                for (p, &v) in plane_lane(d, ch, hw, j0 + j).enumerate() {
+                    panel[p * NR + jj] = v;
+                }
+            }
+        }
     }
 }
 
@@ -184,6 +213,13 @@ fn pack_a(a: AMat, i0: usize, mr: usize, k: usize, apack: &mut [f32]) {
             for p in 0..k {
                 let src = &d[p * m + i0..p * m + i0 + mr];
                 apack[p * MR..p * MR + mr].copy_from_slice(src);
+            }
+        }
+        AMat::Planes { d, ch, hw } => {
+            for ii in 0..mr {
+                for (p, &v) in plane_lane(d, ch, hw, i0 + ii).enumerate() {
+                    apack[p * MR + ii] = v;
+                }
             }
         }
     }
@@ -553,126 +589,140 @@ impl ConvGeom {
     }
 }
 
-/// Lowers an input image batch `[batch, ch, h, w]` to a matrix
-/// `[batch * out_h * out_w, ch * kh * kw]` so convolution becomes a matmul
-/// against the reshaped kernel.
-pub fn im2col(input: &Tensor, ch: usize, geom: ConvGeom) -> Tensor {
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let patch = ch * geom.kh * geom.kw;
-    let rows = input.dims()[0] * oh * ow;
-    let mut out = vec![0.0f32; rows * patch];
-    im2col_into(input, ch, geom, &mut out);
-    Tensor::from_vec(out, &[rows, patch])
+/// `[batch, ch, h·w]`: the image tensor `x` seen as per-image channel
+/// planes.
+fn planes(x: &Tensor) -> (usize, usize, usize) {
+    let dims = x.dims();
+    assert_eq!(dims.len(), 4, "conv1x1 expects [batch, ch, h, w]");
+    (dims[0], dims[1], dims[2] * dims[3])
 }
 
-/// [`im2col`] into a caller-provided buffer of length
-/// `batch * out_h * out_w * ch * kh * kw`.
-pub fn im2col_into(input: &Tensor, ch: usize, geom: ConvGeom, out: &mut [f32]) {
-    let dims = input.dims();
-    assert_eq!(dims.len(), 4, "im2col expects [batch, ch, h, w]");
-    let (batch, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    assert_eq!(c, ch);
-    assert_eq!(h, geom.h);
-    assert_eq!(w, geom.w);
-    geom.validate().expect("invalid conv geometry");
-
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let patch = ch * geom.kh * geom.kw;
-    let rows = batch * oh * ow;
-    assert_eq!(out.len(), rows * patch, "im2col output buffer length");
-    let data = input.data();
-
-    let fill_row = |row_idx: usize, dst: &mut [f32]| {
-        let b = row_idx / (oh * ow);
-        let rest = row_idx % (oh * ow);
-        let oy = rest / ow;
-        let ox = rest % ow;
-        let iy0 = (oy * geom.stride) as isize - geom.pad as isize;
-        let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
-        let mut k = 0;
-        for c in 0..ch {
-            let plane = &data[(b * ch + c) * h * w..(b * ch + c + 1) * h * w];
-            for ky in 0..geom.kh {
-                let iy = iy0 + ky as isize;
-                for kx in 0..geom.kw {
-                    let ix = ix0 + kx as isize;
-                    dst[k] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                        plane[iy as usize * w + ix as usize]
-                    } else {
-                        0.0
-                    };
-                    k += 1;
+/// Forward of a 1×1 stride-1 unpadded convolution on the image layout:
+/// per image, the GEMM `y_b[oc][q] = Σ_c K[oc][c]·x_b[c][q]` of the kernel
+/// `[out_ch, in_ch]` against the `[in_ch, h·w]` planes, into `out`
+/// (`[batch, out_ch, h, w]`).
+///
+/// For this geometry the lowered column matrix is only the transpose of
+/// `x`, so each element is the `c`-ascending chain from `+0.0` that
+/// `cols · Kᵀ` computes, bit for bit (a fused multiply-add does not care
+/// which factor comes first). `Bias` and `BiasRelu` add `bias[oc]` per
+/// output channel, as the conv kernels' epilogues do, with the GEMM
+/// write-back's expressions `acc + bias` and `(acc + bias).max(0.0)`;
+/// `Store` and `Accumulate` are the GEMM's own.
+pub fn conv1x1_forward_into(x: &Tensor, kernel: &Tensor, out: &mut [f32], epi: Epilogue<'_>) {
+    let (batch, ch, hw) = planes(x);
+    let oc = kernel.dims()[0];
+    assert_eq!(
+        kernel.dims(),
+        &[oc, ch],
+        "conv1x1 kernel is [out_ch, in_ch]"
+    );
+    assert_eq!(out.len(), batch * oc * hw, "conv1x1 output buffer length");
+    let gemm_epi = match epi {
+        Epilogue::Bias(b) | Epilogue::BiasRelu(b) => {
+            assert_eq!(b.len(), oc, "conv1x1 bias length");
+            Epilogue::Store
+        }
+        other => other,
+    };
+    for (xb, yb) in x
+        .data()
+        .chunks_exact(ch * hw)
+        .zip(out.chunks_exact_mut(oc * hw))
+    {
+        gemm(
+            AMat::RowMajor(kernel.data()),
+            BMat::RowMajor(xb),
+            oc,
+            ch,
+            hw,
+            yb,
+            gemm_epi,
+        );
+        let rows = yb.chunks_exact_mut(hw);
+        match epi {
+            Epilogue::Bias(bias) => {
+                for (row, &b) in rows.zip(bias) {
+                    row.iter_mut().for_each(|o| *o += b);
                 }
             }
-        }
-    };
-
-    if rows * patch >= PAR_THRESHOLD {
-        out.par_chunks_mut(patch)
-            .enumerate()
-            .for_each(|(i, dst)| fill_row(i, dst));
-    } else {
-        for (i, dst) in out.chunks_mut(patch).enumerate() {
-            fill_row(i, dst);
+            Epilogue::BiasRelu(bias) => {
+                for (row, &b) in rows.zip(bias) {
+                    row.iter_mut().for_each(|o| *o = (*o + b).max(0.0));
+                }
+            }
+            Epilogue::Store | Epilogue::Accumulate => {}
         }
     }
 }
 
-/// The adjoint of [`im2col`]: scatters a column matrix back onto an image
-/// batch of shape `[batch, ch, h, w]`, summing overlapping contributions.
-/// Used to compute input gradients of convolutions.
-pub fn col2im(cols: &Tensor, batch: usize, ch: usize, geom: ConvGeom) -> Tensor {
-    let mut out = vec![0.0f32; batch * ch * geom.h * geom.w];
-    col2im_into(cols, batch, ch, geom, &mut out);
-    Tensor::from_vec(out, &[batch, ch, geom.h, geom.w])
+/// Input gradient of [`conv1x1_forward_into`]: per image,
+/// `dx_b[c][q] = Σ_oc K[oc][c]·dy_b[oc][q]`, overwriting `dx`
+/// (`[batch, in_ch, h, w]`).
+///
+/// The lowered route stores the `oc`-ascending chain in a column matrix
+/// and scatters it onto a zero-filled image, so it writes `0.0 + chain`:
+/// a chain that ends at `−0.0` comes out `+0.0`. This zero-fills `dx` and
+/// accumulates onto it for the same bits.
+pub fn conv1x1_backward_dx_into(dy: &Tensor, kernel: &Tensor, dx: &mut [f32]) {
+    let (batch, oc, hw) = planes(dy);
+    let ch = kernel.dims()[1];
+    assert_eq!(
+        kernel.dims(),
+        &[oc, ch],
+        "conv1x1 kernel is [out_ch, in_ch]"
+    );
+    assert_eq!(dx.len(), batch * ch * hw, "conv1x1 dx buffer length");
+    dx.fill(0.0);
+    for (dyb, dxb) in dy
+        .data()
+        .chunks_exact(oc * hw)
+        .zip(dx.chunks_exact_mut(ch * hw))
+    {
+        gemm(
+            AMat::Trans {
+                d: kernel.data(),
+                m: ch,
+            },
+            BMat::RowMajor(dyb),
+            ch,
+            oc,
+            hw,
+            dxb,
+            Epilogue::Accumulate,
+        );
+    }
 }
 
-/// [`col2im`] into a caller-provided buffer; the buffer is overwritten (the
-/// scatter-sum starts from zero).
-pub fn col2im_into(cols: &Tensor, batch: usize, ch: usize, geom: ConvGeom, out: &mut [f32]) {
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let patch = ch * geom.kh * geom.kw;
-    assert_eq!(cols.dims(), &[batch * oh * ow, patch], "col2im shape");
-    let (h, w) = (geom.h, geom.w);
-    assert_eq!(out.len(), batch * ch * h * w, "col2im output buffer length");
-    out.fill(0.0);
-    let data = cols.data();
-
-    // Scatter is a reduction into the output image, so parallelize over the
-    // batch axis: rows of a given image never collide with another image's.
-    let per_image = |b: usize, img: &mut [f32]| {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (b * oh + oy) * ow + ox;
-                let src = &data[row * patch..(row + 1) * patch];
-                let iy0 = (oy * geom.stride) as isize - geom.pad as isize;
-                let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
-                let mut k = 0;
-                for c in 0..ch {
-                    for ky in 0..geom.kh {
-                        let iy = iy0 + ky as isize;
-                        for kx in 0..geom.kw {
-                            let ix = ix0 + kx as isize;
-                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                img[(c * h + iy as usize) * w + ix as usize] += src[k];
-                            }
-                            k += 1;
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    if batch > 1 && batch * ch * h * w >= PAR_THRESHOLD {
-        out.par_chunks_mut(ch * h * w)
-            .enumerate()
-            .for_each(|(b, img)| per_image(b, img));
-    } else {
-        for (b, img) in out.chunks_mut(ch * h * w).enumerate() {
-            per_image(b, img);
-        }
-    }
+/// Kernel gradient of [`conv1x1_forward_into`]: `dk[oc][c] += Σ_(b,q)
+/// dy[b][oc][q]·x[b][c][q]`, one GEMM over the whole batch.
+///
+/// Each element is one chain over `(b, q)` ascending, added to `dk` once
+/// it is finished — what the lowered `dyᵀ · cols` with `Accumulate`
+/// computes. A GEMM per image would add one finished chain per image and
+/// round differently.
+pub fn conv1x1_backward_dk_into(dy: &Tensor, x: &Tensor, dk: &mut [f32]) {
+    let (batch, oc, hw) = planes(dy);
+    let ch = x.dims()[1];
+    assert_eq!(planes(x), (batch, ch, hw), "conv1x1 dy and x disagree");
+    assert_eq!(dk.len(), oc * ch, "conv1x1 dk buffer length");
+    gemm(
+        AMat::Planes {
+            d: dy.data(),
+            ch: oc,
+            hw,
+        },
+        BMat::Planes {
+            d: x.data(),
+            ch,
+            hw,
+        },
+        oc,
+        batch * hw,
+        ch,
+        dk,
+        Epilogue::Accumulate,
+    );
 }
 
 /// Reference (naive, serial) matmul used by tests to validate the blocked
@@ -864,114 +914,5 @@ mod tests {
             pad: 0,
         };
         assert!(g.validate().is_err());
-    }
-
-    #[test]
-    fn im2col_identity_kernel_1x1() {
-        // A 1x1 kernel with stride 1 and no padding is a pure reshuffle.
-        let input = randt(&[2, 3, 4, 4], 8);
-        let g = ConvGeom {
-            h: 4,
-            w: 4,
-            kh: 1,
-            kw: 1,
-            stride: 1,
-            pad: 0,
-        };
-        let cols = im2col(&input, 3, g);
-        assert_eq!(cols.dims(), &[2 * 16, 3]);
-        // Element [b, c, y, x] must appear at cols[(b*16 + y*4 + x), c].
-        assert_eq!(cols.at(&[0, 0]), input.at(&[0, 0, 0, 0]));
-        assert_eq!(cols.at(&[5, 2]), input.at(&[0, 2, 1, 1]));
-        assert_eq!(cols.at(&[16 + 3, 1]), input.at(&[1, 1, 0, 3]));
-    }
-
-    #[test]
-    fn im2col_padding_zeroes_border() {
-        let input = Tensor::ones(&[1, 1, 2, 2]);
-        let g = ConvGeom {
-            h: 2,
-            w: 2,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            pad: 1,
-        };
-        let cols = im2col(&input, 1, g);
-        assert_eq!(cols.dims(), &[4, 9]);
-        // Top-left output position: only the bottom-right 2x2 of the kernel
-        // overlaps real pixels.
-        let row0: Vec<f32> = cols.data()[0..9].to_vec();
-        assert_eq!(row0, vec![0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for arbitrary x, y: the defining
-        // property of an adjoint pair, which is exactly what backprop needs.
-        let g = ConvGeom {
-            h: 5,
-            w: 4,
-            kh: 3,
-            kw: 2,
-            stride: 1,
-            pad: 1,
-        };
-        let x = randt(&[2, 3, 5, 4], 9);
-        let cols_shape = [2 * g.out_h() * g.out_w(), 3 * g.kh * g.kw];
-        let y = randt(&cols_shape, 10);
-        let lhs: f32 = im2col(&x, 3, g)
-            .data()
-            .iter()
-            .zip(y.data())
-            .map(|(a, b)| a * b)
-            .sum();
-        let rhs: f32 = x
-            .data()
-            .iter()
-            .zip(col2im(&y, 2, 3, g).data())
-            .map(|(a, b)| a * b)
-            .sum();
-        assert!((lhs - rhs).abs() < 1e-2, "{lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn col2im_into_overwrites_stale_contents() {
-        let g = ConvGeom {
-            h: 3,
-            w: 3,
-            kh: 2,
-            kw: 2,
-            stride: 1,
-            pad: 0,
-        };
-        let cols = randt(&[4, 4], 18);
-        let fresh = col2im(&cols, 1, 1, g);
-        let mut buf = vec![99.0f32; 9];
-        col2im_into(&cols, 1, 1, g, &mut buf);
-        assert_eq!(buf, fresh.data());
-    }
-
-    #[test]
-    fn conv_via_im2col_matches_direct() {
-        // Convolve a single 3x3 input with a single 2x2 kernel by hand and
-        // via the im2col-matmul lowering.
-        let input = Tensor::from_vec((1..=9).map(|x| x as f32).collect(), &[1, 1, 3, 3]);
-        let kernel = Tensor::from_vec(vec![1.0, 0.0, 0.0, -1.0], &[1, 4]); // [out_ch, ch*kh*kw]
-        let g = ConvGeom {
-            h: 3,
-            w: 3,
-            kh: 2,
-            kw: 2,
-            stride: 1,
-            pad: 0,
-        };
-        let cols = im2col(&input, 1, g);
-        let out = matmul_a_bt(&cols, &kernel); // [4, 1]
-                                               // direct: out[y][x] = in[y][x] - in[y+1][x+1]
-        let expect = [1.0 - 5.0, 2.0 - 6.0, 4.0 - 8.0, 5.0 - 9.0];
-        for (o, e) in out.data().iter().zip(expect) {
-            assert!((o - e).abs() < 1e-6);
-        }
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! A [`Workspace`] is a pool of `Vec<f32>` buffers owned by one replica
 //! (one worker thread / one simulated client). Layers and the trainer
-//! [`take`](Workspace::take) buffers for activations, im2col columns and
-//! gradient scratch at the start of an operation and
+//! [`take`](Workspace::take) buffers for activations, convolution staging
+//! and gradient scratch at the start of an operation and
 //! [`recycle`](Workspace::recycle) them once consumed. After a warm-up step
 //! has populated the pool with every size the model needs, the steady-state
 //! training loop performs **zero heap allocations**: every `take` is served
-//! by reusing a previously recycled buffer's capacity.
+//! by reusing a previously recycled buffer's capacity. No request is an
+//! im2col column matrix: each convolution geometry has one lowering-free
+//! route, and the lowering is only the tests' oracle.
 //!
 //! The pool is deliberately dumb — a flat list with best-fit-by-capacity
 //! matching — because one replica only cycles through a handful of distinct

@@ -1,11 +1,13 @@
-//! Property tests: the direct 3×3 stride-1 conv kernels vs the
+//! Property tests: every convolution route — the direct 3×3 stride-1
+//! kernels and the 1×1 stride-1 GEMMs on the image layout — vs the
 //! im2col+GEMM reference, compared **bitwise**.
 //!
-//! The direct path's contract (see `conv_direct`'s module docs) is that
-//! every output element is the same fused-multiply-add chain in the same
-//! order as the lowered route, so these properties never use a tolerance.
-//! The reference here is assembled from the exact public pieces the layer
-//! code uses: `im2col` → `matmul_a_bt_epi_into` (forward),
+//! Each route's contract (see `conv_direct`'s module docs and
+//! `ops::conv1x1_forward_into`) is that every output element is the same
+//! fused-multiply-add chain in the same order as the lowered route, so
+//! these properties never use a tolerance. The reference is the im2col
+//! lowering (the `im2col` module here, which only tests use) and the
+//! public GEMMs: `im2col` → `matmul_a_bt_epi_into` (forward),
 //! `matmul_epi_into` → `col2im_into` (dx), `matmul_at_b_epi_into` with
 //! `Accumulate` (dK), plus the pure index permutations between row-major
 //! `[rows, oc]` matrices and `[b, oc, oh, ow]` image tensors.
@@ -20,7 +22,9 @@
 //! output channels put a full 4-channel block beside each remainder.
 //! `check_forward` covers all four epilogues, `Accumulate` onto a random
 //! starting output, and `signed_zero_and_nan_lanes_bitwise` feeds the
-//! vector write-back's epilogues `±0.0` and NaN operands.
+//! vector write-back's epilogues `±0.0` and NaN operands. The 1×1 cases
+//! cover the same four epilogues, a dx chain that underflows to `−0.0`,
+//! and a dK that must be one chain over the whole batch.
 //!
 //! Every direct call runs twice, on the body the host selects (AVX2 where
 //! present) and on the portable one (`conv_direct::with_portable_bodies`),
@@ -29,14 +33,17 @@
 //! `VC_THREADS=1` and `VC_THREADS=4`, so the slot-sharing case reaches
 //! four participants and the single-thread path is held as measured.
 
+mod im2col;
+
+use im2col::{col2im_into, im2col};
 use proptest::prelude::*;
 use vc_tensor::conv_direct::{
     conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into, conv3x3_forward_pre_into,
     dk_scratch_len, dx_scratch_len, fwd_scratch_len, with_portable_bodies, BnRelu,
 };
 use vc_tensor::ops::{
-    col2im_into, im2col, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into, ConvGeom,
-    Epilogue,
+    conv1x1_backward_dk_into, conv1x1_backward_dx_into, conv1x1_forward_into, matmul_a_bt_epi_into,
+    matmul_at_b_epi_into, matmul_epi_into, ConvGeom, Epilogue,
 };
 use vc_tensor::{NormalSampler, Tensor};
 
@@ -117,12 +124,16 @@ fn make_case(
     pad: usize,
     seed: u64,
 ) -> Case {
-    let g = geom(h, w, pad);
+    make_case_in(geom(h, w, pad), batch, ch, out_ch, seed)
+}
+
+/// A random case over geometry `g`.
+fn make_case_in(g: ConvGeom, batch: usize, ch: usize, out_ch: usize, seed: u64) -> Case {
     let (oh, ow) = (g.out_h(), g.out_w());
     let mut s = NormalSampler::seed_from(seed);
     Case {
-        input: Tensor::randn(&[batch, ch, h, w], 0.0, 1.0, &mut s),
-        kernel: Tensor::randn(&[out_ch, ch * 9], 0.0, 0.5, &mut s),
+        input: Tensor::randn(&[batch, ch, g.h, g.w], 0.0, 1.0, &mut s),
+        kernel: Tensor::randn(&[out_ch, ch * g.kh * g.kw], 0.0, 0.5, &mut s),
         bias: Tensor::randn(&[out_ch], 0.0, 0.5, &mut s),
         dy: Tensor::randn(&[batch, out_ch, oh, ow], 0.0, 1.0, &mut s),
         out0: Tensor::randn(&[batch, out_ch, oh, ow], 0.0, 1.0, &mut s),
@@ -180,32 +191,75 @@ impl Pre {
     }
 }
 
+impl Case {
+    fn epilogue(&self, kind: u8) -> Epilogue<'_> {
+        match kind {
+            0 => Epilogue::Store,
+            1 => Epilogue::Bias(self.bias.data()),
+            2 => Epilogue::BiasRelu(self.bias.data()),
+            _ => Epilogue::Accumulate,
+        }
+    }
+
+    fn ohw(&self) -> usize {
+        self.g.out_h() * self.g.out_w()
+    }
+
+    /// `dy` as the lowered route's `[rows, out_ch]` matrix.
+    fn dy_rows(&self) -> Tensor {
+        let rows = self.batch * self.ohw();
+        Tensor::from_vec(
+            images_to_rows(self.dy.data(), self.batch, self.out_ch, self.ohw()),
+            &[rows, self.out_ch],
+        )
+    }
+
+    /// Reference forward of `input`: materialize columns, GEMM against Kᵀ
+    /// onto the starting output, permute to images.
+    fn ref_forward(&self, input: &Tensor, epi: Epilogue<'_>) -> Vec<f32> {
+        let cols = im2col(input, self.ch, self.g);
+        let mut flat = images_to_rows(self.out0.data(), self.batch, self.out_ch, self.ohw());
+        matmul_a_bt_epi_into(&cols, &self.kernel, &mut flat, epi);
+        rows_to_images(&flat, self.batch, self.out_ch, self.ohw())
+    }
+
+    /// Reference dx: dy → rows, dcols = dy_rows · K, col2im scatter.
+    fn ref_dx(&self) -> Vec<f32> {
+        let rows = self.batch * self.ohw();
+        let patch = self.kernel.dims()[1];
+        let mut dcols = vec![0.0f32; rows * patch];
+        matmul_epi_into(&self.dy_rows(), &self.kernel, &mut dcols, Epilogue::Store);
+        let mut want = vec![0.0f32; self.batch * self.ch * self.g.h * self.g.w];
+        col2im_into(
+            &Tensor::from_vec(dcols, &[rows, patch]),
+            self.batch,
+            self.ch,
+            self.g,
+            &mut want,
+        );
+        want
+    }
+
+    /// Reference dK of `input`: `dk0 += dy_rowsᵀ · cols`.
+    fn ref_dk(&self, dk0: &[f32], input: &Tensor) -> Vec<f32> {
+        let cols = im2col(input, self.ch, self.g);
+        let mut want = dk0.to_vec();
+        matmul_at_b_epi_into(&self.dy_rows(), &cols, &mut want, Epilogue::Accumulate);
+        want
+    }
+}
+
 fn check_forward(c: &Case, epi_kind: u8) {
     check_forward_sized(c, epi_kind, fwd_scratch_len(c.batch, c.ch, c.g));
 }
 
 /// [`check_forward`] with `stage_len` floats of staging scratch.
 fn check_forward_sized(c: &Case, epi_kind: u8, stage_len: usize) {
-    let (oh, ow) = (c.g.out_h(), c.g.out_w());
-    let ohw = oh * ow;
-    let epi = match epi_kind {
-        0 => Epilogue::Store,
-        1 => Epilogue::Bias(c.bias.data()),
-        2 => Epilogue::BiasRelu(c.bias.data()),
-        _ => Epilogue::Accumulate,
-    };
-    // Reference: materialize columns, GEMM against Kᵀ onto the starting
-    // output, permute to images.
-    let reference = |input: &Tensor| {
-        let cols = im2col(input, c.ch, c.g);
-        let mut flat = images_to_rows(c.out0.data(), c.batch, c.out_ch, ohw);
-        matmul_a_bt_epi_into(&cols, &c.kernel, &mut flat, epi);
-        rows_to_images(&flat, c.batch, c.out_ch, ohw)
-    };
-    let want = reference(&c.input);
+    let epi = c.epilogue(epi_kind);
+    let want = c.ref_forward(&c.input, epi);
     let pre = Pre::new(c.ch, c.batch as u64);
     let (raw, act) = pre.materialize(c);
-    let want_pre = reference(&act);
+    let want_pre = c.ref_forward(&act, epi);
     let mut got = vec![0.0f32; want.len()];
     let mut stage = garbage(stage_len);
     on_both_bodies(|body| {
@@ -238,24 +292,7 @@ fn check_dx(c: &Case) {
 
 /// [`check_dx`] with `scratch_len` floats of scratch.
 fn check_dx_sized(c: &Case, scratch_len: usize) {
-    let (oh, ow) = (c.g.out_h(), c.g.out_w());
-    let ohw = oh * ow;
-    let rows = c.batch * ohw;
-    // Reference: dy → rows, dcols = dy_rows · K, col2im scatter.
-    let dy_rows = Tensor::from_vec(
-        images_to_rows(c.dy.data(), c.batch, c.out_ch, ohw),
-        &[rows, c.out_ch],
-    );
-    let mut dcols = vec![0.0f32; rows * c.ch * 9];
-    matmul_epi_into(&dy_rows, &c.kernel, &mut dcols, Epilogue::Store);
-    let mut want = vec![0.0f32; c.batch * c.ch * c.g.h * c.g.w];
-    col2im_into(
-        &Tensor::from_vec(dcols, &[rows, c.ch * 9]),
-        c.batch,
-        c.ch,
-        c.g,
-        &mut want,
-    );
+    let want = c.ref_dx();
     // Direct (fused): no dcols matrix, per-participant band scratch.
     let mut got = vec![0.0f32; want.len()];
     let mut scratch = garbage(scratch_len);
@@ -265,36 +302,26 @@ fn check_dx_sized(c: &Case, scratch_len: usize) {
     });
 }
 
-fn check_dk(c: &Case, seed: u64) {
-    let (oh, ow) = (c.g.out_h(), c.g.out_w());
-    let ohw = oh * ow;
-    let rows = c.batch * ohw;
-    let patch = c.ch * 9;
-    // Both paths accumulate onto the same nonzero starting gradient, so the
-    // Accumulate epilogue semantics are covered too.
+/// A nonzero starting kernel gradient: every dK is checked accumulating
+/// onto one, so the `Accumulate` semantics are covered too.
+fn dk_start(c: &Case, seed: u64) -> Vec<f32> {
     let mut s = NormalSampler::seed_from(seed ^ 0xdead);
-    let dk0 = Tensor::randn(&[c.out_ch, patch], 0.0, 1.0, &mut s);
-    let dy_rows = Tensor::from_vec(
-        images_to_rows(c.dy.data(), c.batch, c.out_ch, ohw),
-        &[rows, c.out_ch],
-    );
-    let reference = |input: &Tensor| {
-        let cols = im2col(input, c.ch, c.g);
-        let mut want = dk0.data().to_vec();
-        matmul_at_b_epi_into(&dy_rows, &cols, &mut want, Epilogue::Accumulate);
-        want
-    };
-    let want = reference(&c.input);
+    Tensor::randn(c.kernel.dims(), 0.0, 1.0, &mut s).into_vec()
+}
+
+fn check_dk(c: &Case, seed: u64) {
+    let dk0 = dk_start(c, seed);
+    let want = c.ref_dk(&dk0, &c.input);
     let pre = Pre::new(c.ch, seed);
     let (raw, act) = pre.materialize(c);
-    let want_pre = reference(&act);
+    let want_pre = c.ref_dk(&dk0, &act);
     let mut scratch = garbage(dk_scratch_len(c.ch, c.out_ch, c.g));
     on_both_bodies(|body| {
-        let mut got = dk0.data().to_vec();
+        let mut got = dk0.clone();
         conv3x3_backward_dk_pre_into(&c.dy, &c.input, None, c.g, &mut got, &mut scratch);
         assert_eq!(bits(&got), bits(&want), "dK, {body}");
         // With the prologue, against the materialized activation.
-        let mut got = dk0.data().to_vec();
+        let mut got = dk0.clone();
         conv3x3_backward_dk_pre_into(
             &c.dy,
             &raw,
@@ -307,7 +334,58 @@ fn check_dk(c: &Case, seed: u64) {
     });
 }
 
+/// A random 1×1 stride-1 unpadded case.
+fn case_1x1(batch: usize, ch: usize, out_ch: usize, h: usize, w: usize, seed: u64) -> Case {
+    let g = ConvGeom {
+        h,
+        w,
+        kh: 1,
+        kw: 1,
+        stride: 1,
+        pad: 0,
+    };
+    make_case_in(g, batch, ch, out_ch, seed)
+}
+
+/// The 1×1 GEMMs on the image layout against the lowering: forward under
+/// all four epilogues (`Accumulate` onto the random starting output), dx
+/// over a buffer of stale values, and dK accumulating onto a nonzero
+/// start.
+fn check_1x1(c: &Case, seed: u64) {
+    for kind in 0..4 {
+        let epi = c.epilogue(kind);
+        let mut got = c.out0.data().to_vec();
+        conv1x1_forward_into(&c.input, &c.kernel, &mut got, epi);
+        assert_eq!(
+            bits(&got),
+            bits(&c.ref_forward(&c.input, epi)),
+            "1×1 forward epi={kind}"
+        );
+    }
+    let mut got = garbage(c.input.numel());
+    conv1x1_backward_dx_into(&c.dy, &c.kernel, &mut got);
+    assert_eq!(bits(&got), bits(&c.ref_dx()), "1×1 dx");
+    let dk0 = dk_start(c, seed);
+    let mut got = dk0.clone();
+    conv1x1_backward_dk_into(&c.dy, &c.input, &mut got);
+    assert_eq!(bits(&got), bits(&c.ref_dk(&dk0, &c.input)), "1×1 dK");
+}
+
 proptest! {
+    /// Channel counts up to 9 and `h·w` from 1 to 56, below and above the
+    /// GEMM's 16-column panel.
+    #[test]
+    fn conv1x1_bitwise_vs_im2col(
+        batch in 1usize..4,
+        ch in 1usize..10,
+        out_ch in 1usize..10,
+        h in 1usize..8,
+        w in 1usize..9,
+        seed in 0u64..1_000_000,
+    ) {
+        check_1x1(&case_1x1(batch, ch, out_ch, h, w, seed), seed);
+    }
+
     #[test]
     fn forward_bitwise_vs_im2col(
         batch in 1usize..4,
@@ -457,14 +535,39 @@ fn slot_sharing_bitwise_across_thread_caps() {
         for (ch, out_ch, h, w) in shapes {
             let c = make_case(9, ch, out_ch, h, w, 1, (size_cap * 10 + run_cap) as u64);
             let prev = rayon::set_thread_cap(size_cap);
-            let (stage_len, dx_len) = (
-                fwd_scratch_len(9, ch, c.g),
-                dx_scratch_len(9, ch, out_ch),
-            );
+            let (stage_len, dx_len) = (fwd_scratch_len(9, ch, c.g), dx_scratch_len(9, ch, out_ch));
             rayon::set_thread_cap(run_cap);
             check_forward_sized(&c, 1, stage_len);
             check_dx_sized(&c, dx_len);
             rayon::set_thread_cap(prev);
         }
     }
+}
+
+/// The lowered dx stores each `oc`-ascending chain, then scatters it onto
+/// a zeroed image: `0.0 + chain`. Here every product underflows, so every
+/// chain ends at `−0.0`, and the image must still read `+0.0` — a dx GEMM
+/// that stored its chains would keep the sign.
+#[test]
+fn conv1x1_dx_underflow_comes_out_positive_zero() {
+    let mut c = case_1x1(2, 3, 5, 4, 5, 31);
+    c.dy.data_mut().fill(-1e-30);
+    c.kernel.data_mut().fill(1e-30);
+    let want = c.ref_dx();
+    assert!(
+        want.iter().all(|v| v.to_bits() == 0),
+        "the oracle reads +0.0"
+    );
+    let mut got = garbage(c.input.numel());
+    conv1x1_backward_dx_into(&c.dy, &c.kernel, &mut got);
+    assert_eq!(bits(&got), bits(&want));
+}
+
+/// `resnet_lite`'s widening conv at training shape: 16 → 32 channels on
+/// 16×16 planes, past `PAR_THRESHOLD` so each image's GEMM runs on the
+/// pool, and a batch of 3 whose dK must be one chain over every image —
+/// one GEMM per image adding its finished chain would round differently.
+#[test]
+fn conv1x1_training_shape_bitwise() {
+    check_1x1(&case_1x1(3, 16, 32, 16, 16, 77), 77);
 }

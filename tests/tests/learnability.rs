@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use vc_data::SyntheticSpec;
 use vc_nn::metrics::evaluate;
 use vc_nn::spec::small_cnn;
-use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
+use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
 
 #[test]
 fn small_cnn_learns_cifar_like() {
@@ -18,7 +18,7 @@ fn small_cnn_learns_cifar_like() {
     let mut rng = StdRng::seed_from_u64(2);
     let mut tws = TrainWorkspace::new();
     for e in 0..8 {
-        let st = train_minibatch_ws(
+        let st = train_minibatch(
             &mut model,
             &mut opt,
             &train.images,
