@@ -316,6 +316,8 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck;
+    use crate::model::Sequential;
+    use crate::pool::MaxPool2;
 
     fn conv(in_ch: usize, out_ch: usize, k: usize, stride: usize, pad: usize) -> Conv2d {
         let mut s = NormalSampler::seed_from(21);
@@ -354,6 +356,20 @@ mod tests {
         }
     }
 
+    /// `resnet_lite` downsamples with `MaxPool2` then the 1×1 widening
+    /// conv, not with a strided conv: that pair gives the shape a 3×3
+    /// stride-2 pad-1 conv would, and the strided conv itself is refused.
+    #[test]
+    fn strided_forward_shape() {
+        let mut down = Sequential::new()
+            .push(MaxPool2::new())
+            .push(conv(1, 4, 1, 1, 0));
+        let y = down.forward(&Tensor::zeros(&[1, 1, 8, 8]), false);
+        assert_eq!(y.dims(), &[1, 4, 4, 4]);
+        assert_eq!(down.out_dims(&[1, 1, 8, 8]), vec![1, 4, 4, 4]);
+        assert!(std::panic::catch_unwind(|| conv(1, 4, 3, 2, 1)).is_err());
+    }
+
     #[test]
     fn identity_kernel_reproduces_input() {
         // 1x1 conv, single channel, kernel weight 1, bias 0 = identity.
@@ -389,6 +405,22 @@ mod tests {
         let mut s = NormalSampler::seed_from(32);
         let x = Tensor::randn(&[2, 2, 3, 3], 0.0, 1.0, &mut s);
         gradcheck::check_param_grad(&mut c, &x, 2e-2);
+    }
+
+    /// Input and parameter gradients through the stride-2 step of
+    /// `resnet_lite`: the 1×1 conv's `dx` lands on the 2×2 window maxima.
+    #[test]
+    fn gradcheck_strided() {
+        let mut down = Sequential::new()
+            .push(MaxPool2::new())
+            .push(conv(2, 3, 1, 1, 0));
+        // A permutation of values 0.1 apart: no window holds a near-tie
+        // that a finite-difference step could cross.
+        let n = 2 * 2 * 4 * 4;
+        let vals = (0..n).map(|i| ((i * 37) % n) as f32 * 0.1 - 1.5).collect();
+        let x = Tensor::from_vec(vals, &[2, 2, 4, 4]);
+        gradcheck::check_input_grad(&mut down, &x, 2e-2);
+        gradcheck::check_param_grad(&mut down, &x, 2e-2);
     }
 
     #[test]
