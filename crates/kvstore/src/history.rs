@@ -13,7 +13,7 @@
 //!   log point.
 //! - [`count_lost_updates`] independently recounts, from versions alone,
 //!   how many concurrent updates eventual-mode writes clobbered. The result
-//!   must match [`crate::StoreMetrics`]'s `lost_updates` counter *exactly* —
+//!   must match the store's `lost_updates` count ([`crate::StoreOps`]) *exactly* —
 //!   the counter is an accounting claim, the history is the evidence.
 //!
 //! Histories are cheap (a few enum words per store call), so the
@@ -142,7 +142,7 @@ pub fn check_sequential(events: &[HistoryEvent]) -> Result<(), String> {
 /// computed from `read_version` that lands when the key is already at
 /// version `v > read_version` overwrote `v - read_version` updates it never
 /// saw. Deliberately ignores the `clobbered` field the store reported — the
-/// caller cross-checks this recount against [`crate::StoreMetrics`].
+/// caller cross-checks this recount against [`crate::StoreOps::lost_updates`].
 pub fn count_lost_updates(events: &[HistoryEvent]) -> u64 {
     let mut current: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
     let mut lost = 0u64;

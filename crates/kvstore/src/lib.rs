@@ -33,6 +33,7 @@ pub mod store;
 pub use history::{check_sequential, count_lost_updates, HistoryEvent, Op};
 pub use latency::LatencyModel;
 pub use store::{
-    Consistency, StoreMetrics, StoreOps, VersionedStore, WriteOutcome, STORE_READ_S,
-    STORE_STALENESS_VERSIONS, STORE_TRANSACT_S, STORE_WRITE_S,
+    Consistency, StoreOps, VersionedStore, WriteOutcome, STORE_LOST_UPDATES, STORE_READS,
+    STORE_READ_S, STORE_STALENESS_VERSIONS, STORE_TRANSACTIONS, STORE_TRANSACT_S, STORE_WRITES,
+    STORE_WRITE_S,
 };

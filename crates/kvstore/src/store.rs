@@ -4,9 +4,8 @@ use crate::history::{HistoryEvent, Op};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vc_telemetry::{Histogram, Level, Telemetry};
+use vc_telemetry::{Counter, Histogram, Level, Telemetry};
 
 /// Histogram name: `get` latency in seconds.
 pub const STORE_READ_S: &str = "store_read_s";
@@ -17,6 +16,15 @@ pub const STORE_TRANSACT_S: &str = "store_transact_s";
 /// Histogram name: write staleness in versions
 /// (`server_version − read_version`, observed on every `put_versioned`).
 pub const STORE_STALENESS_VERSIONS: &str = "store_staleness_versions";
+/// Counter name: completed reads.
+pub const STORE_READS: &str = "store_reads";
+/// Counter name: completed writes (both paths; transactions count too).
+pub const STORE_WRITES: &str = "store_writes";
+/// Counter name: serialized transactions executed.
+pub const STORE_TRANSACTIONS: &str = "store_transactions";
+/// Counter name: versions overwritten unseen by eventual-mode writes —
+/// each one a concurrent update lost.
+pub const STORE_LOST_UPDATES: &str = "store_lost_updates";
 
 /// Consistency mode for parameter updates, selecting which access pattern
 /// the parameter servers use.
@@ -37,35 +45,8 @@ impl std::fmt::Display for Consistency {
     }
 }
 
-/// Operation counters, cheap enough to keep always-on.
-#[derive(Debug, Default)]
-pub struct StoreMetrics {
-    /// Completed reads.
-    pub reads: AtomicU64,
-    /// Completed writes (both paths).
-    pub writes: AtomicU64,
-    /// Serialized transactions executed.
-    pub transactions: AtomicU64,
-    /// Writes that overwrote versions the writer never saw — each one means
-    /// at least one concurrent update was lost (eventual mode only).
-    pub lost_updates: AtomicU64,
-}
-
-impl StoreMetrics {
-    /// Point-in-time copy of the counters as a named struct.
-    pub fn snapshot(&self) -> StoreOps {
-        StoreOps {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            transactions: self.transactions.load(Ordering::Relaxed),
-            lost_updates: self.lost_updates.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A snapshot of [`StoreMetrics`]. Previously an anonymous
-/// `(u64, u64, u64, u64)` whose positional order call sites silently
-/// relied on; the fields now carry their names through reports and JSON.
+/// The store's operation counts, as [`VersionedStore::ops`] reads them;
+/// the fields carry their names through reports and JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct StoreOps {
     /// Completed reads.
@@ -135,9 +116,16 @@ impl Instruments {
 /// completed operation as a [`HistoryEvent`] — while still holding the
 /// per-key lock, so per-key log order equals serialization order. The
 /// checkers in [`crate::history`] consume these logs.
+///
+/// Its four operation counters are always on: private to the store until
+/// [`VersionedStore::with_telemetry`] swaps in the registry's, so
+/// `/metrics` exports the very counts [`VersionedStore::ops`] reports.
 pub struct VersionedStore {
     map: RwLock<HashMap<String, Arc<Mutex<Entry>>>>,
-    metrics: StoreMetrics,
+    reads: Arc<Counter>,
+    writes: Arc<Counter>,
+    transactions: Arc<Counter>,
+    lost_updates: Arc<Counter>,
     history: Option<Mutex<HistoryLog>>,
     instruments: Option<Instruments>,
 }
@@ -147,17 +135,26 @@ impl VersionedStore {
     pub fn new() -> Self {
         VersionedStore {
             map: RwLock::new(HashMap::new()),
-            metrics: StoreMetrics::default(),
+            reads: Arc::default(),
+            writes: Arc::default(),
+            transactions: Arc::default(),
+            lost_updates: Arc::default(),
             history: None,
             instruments: None,
         }
     }
 
-    /// Attaches a telemetry handle: operation latencies flow into the
-    /// `store_*_s` histograms, write staleness into
+    /// Attaches a telemetry handle before first use: the operation
+    /// counters become the registry's `store_*` counters, operation
+    /// latencies flow into the `store_*_s` histograms, write staleness into
     /// [`STORE_STALENESS_VERSIONS`], and every clobbering write emits a
     /// `lost_update` event.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
+        let reg = tel.registry();
+        self.reads = reg.counter(STORE_READS);
+        self.writes = reg.counter(STORE_WRITES);
+        self.transactions = reg.counter(STORE_TRANSACTIONS);
+        self.lost_updates = reg.counter(STORE_LOST_UPDATES);
         self.instruments = Some(Instruments::new(tel));
         self
     }
@@ -233,7 +230,7 @@ impl VersionedStore {
     /// buffers, so a held read view is never mutated underneath.)
     pub fn get(&self, key: &str) -> (Bytes, u64) {
         let t0 = self.instruments.as_ref().map(|i| i.tel.now_s());
-        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.inc();
         let e = self.entry(key);
         let g = e.lock();
         self.record(key, Op::Get { version: g.version });
@@ -249,7 +246,7 @@ impl VersionedStore {
     /// seeding of the parameter blob.
     pub fn put(&self, key: &str, value: Bytes) -> u64 {
         let t0 = self.instruments.as_ref().map(|i| i.tel.now_s());
-        self.metrics.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.inc();
         let e = self.entry(key);
         let mut g = e.lock();
         g.version += 1;
@@ -274,15 +271,11 @@ impl VersionedStore {
     /// the concurrent updates.
     pub fn put_versioned(&self, key: &str, read_version: u64, value: Bytes) -> WriteOutcome {
         let t0 = self.instruments.as_ref().map(|i| i.tel.now_s());
-        self.metrics.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.inc();
         let e = self.entry(key);
         let mut g = e.lock();
         let clobbered = g.version.saturating_sub(read_version);
-        if clobbered > 0 {
-            self.metrics
-                .lost_updates
-                .fetch_add(clobbered, Ordering::Relaxed);
-        }
+        self.lost_updates.add(clobbered);
         g.version += 1;
         g.value = value;
         self.record(
@@ -321,8 +314,8 @@ impl VersionedStore {
     /// transaction on the same key can interleave — the MySQL path.
     pub fn transact<T>(&self, key: &str, f: impl FnOnce(&Bytes, u64) -> (Bytes, T)) -> (u64, T) {
         let t0 = self.instruments.as_ref().map(|i| i.tel.now_s());
-        self.metrics.transactions.fetch_add(1, Ordering::Relaxed);
-        self.metrics.writes.fetch_add(1, Ordering::Relaxed);
+        self.transactions.inc();
+        self.writes.inc();
         let e = self.entry(key);
         let mut g = e.lock();
         let read_version = g.version;
@@ -363,9 +356,14 @@ impl VersionedStore {
         self.map.read().is_empty()
     }
 
-    /// Metric counters.
-    pub fn metrics(&self) -> &StoreMetrics {
-        &self.metrics
+    /// Operation counts so far.
+    pub fn ops(&self) -> StoreOps {
+        StoreOps {
+            reads: self.reads.get(),
+            writes: self.writes.get(),
+            transactions: self.transactions.get(),
+            lost_updates: self.lost_updates.get(),
+        }
     }
 }
 
@@ -410,7 +408,7 @@ mod tests {
         assert_eq!(out.new_version, 3);
         let (v, _) = s.get("w");
         assert_eq!(&v[..], b"mine"); // last write wins
-        assert_eq!(s.metrics().snapshot().lost_updates, 1);
+        assert_eq!(s.ops().lost_updates, 1);
     }
 
     #[test]
@@ -420,7 +418,7 @@ mod tests {
         let (_, v) = s.get("w");
         let out = s.put_versioned("w", v, Bytes::from_static(b"next"));
         assert_eq!(out.clobbered, 0);
-        assert_eq!(s.metrics().snapshot().lost_updates, 0);
+        assert_eq!(s.ops().lost_updates, 0);
     }
 
     #[test]
@@ -462,7 +460,7 @@ mod tests {
         let mut b = [0u8; 8];
         b.copy_from_slice(&s.get("ctr").0);
         assert_eq!(u64::from_le_bytes(b), 800);
-        assert_eq!(s.metrics().snapshot().lost_updates, 0, "no lost updates");
+        assert_eq!(s.ops().lost_updates, 0, "no lost updates");
     }
 
     #[test]
@@ -493,7 +491,7 @@ mod tests {
         let mut b = [0u8; 8];
         b.copy_from_slice(&s.get("ctr").0);
         let final_n = u64::from_le_bytes(b);
-        let lost = s.metrics().snapshot().lost_updates;
+        let lost = s.ops().lost_updates;
         assert!(final_n <= 1600);
         // Every increment missing from the counter sat inside at least one
         // writer's read→write gap, so the clobber metric bounds the deficit.
@@ -544,7 +542,7 @@ mod tests {
         let history = s.take_history();
         assert_eq!(
             crate::history::count_lost_updates(&history),
-            s.metrics().snapshot().lost_updates,
+            s.ops().lost_updates,
             "history recount must equal the metric"
         );
         assert!(crate::history::check_sequential(&history).is_err());
@@ -595,7 +593,7 @@ mod tests {
         s.get("k");
         s.get("k");
         s.transact("k", |c, _| (c.clone(), ()));
-        let ops = s.metrics().snapshot();
+        let ops = s.ops();
         assert_eq!(
             ops,
             StoreOps {
@@ -628,5 +626,25 @@ mod tests {
         assert_eq!(staleness.count, 1, "observed once per put_versioned");
         assert_eq!(staleness.sum, 1.0, "one version clobbered");
         assert_eq!(tel.recorder().count_named("lost_update"), 1);
+        // The operation counters are the registry's.
+        let ops = s.ops();
+        assert_eq!(
+            ops,
+            StoreOps {
+                reads: 1,
+                writes: 4,
+                transactions: 1,
+                lost_updates: 1,
+            }
+        );
+        let counts = [
+            (STORE_READS, ops.reads),
+            (STORE_WRITES, ops.writes),
+            (STORE_TRANSACTIONS, ops.transactions),
+            (STORE_LOST_UPDATES, ops.lost_updates),
+        ];
+        for (name, value) in counts {
+            assert_eq!(snap.counter(name), Some(value), "{name}");
+        }
     }
 }

@@ -155,7 +155,9 @@ pub struct ServerMetrics {
     pub stale_results: u64,
     /// Results rejected by the validator.
     pub invalid_results: u64,
-    /// Shard downloads avoided by the sticky-file cache.
+    /// Assignments of a *data* shard the host already holds (sticky-file
+    /// scheduling; the download is avoided). Not `vc_ps::PsOps::cache_hits`,
+    /// which counts *parameter* shards a worker's cache already held.
     pub cache_hits: u64,
     /// Redundant replicas cancelled because another host finished first.
     pub cancelled_replicas: u64,

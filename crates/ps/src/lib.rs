@@ -43,7 +43,7 @@ pub use codec::Codec;
 pub use merge::{
     shard_key, ShardSnapshot, ShardedAssimilator, PARAMS_KEY, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS,
 };
-pub use service::{CodecOps, PsOps, PsService};
+pub use service::{PsOps, PsService};
 pub use shard::ShardLayout;
 pub use tcp::{TcpClient, TcpPsServer};
 pub use wire::{

@@ -340,11 +340,6 @@ impl ShardedAssimilator {
         ins.merge_s.observe(ins.tel.now_s() - t0);
         out
     }
-
-    /// Lost updates recorded so far by the shared store.
-    pub fn lost_updates(&self) -> u64 {
-        self.store.metrics().snapshot().lost_updates
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +417,7 @@ mod tests {
                 bits(&want),
                 "{p} shards must be bitwise identical"
             );
-            assert_eq!(a.lost_updates(), 0);
+            assert_eq!(a.store().ops().lost_updates, 0);
         }
     }
 
@@ -450,7 +445,7 @@ mod tests {
                 bits(&a.finish(s1, c1.clone(), 1)),
                 bits(&eq1(&w0, &c1, 0.7))
             );
-            assert_eq!(a.lost_updates(), 0);
+            assert_eq!(a.store().ops().lost_updates, 0);
             a.store().take_history();
             let got = a.finish(s2, c2.clone(), 1);
             // Each shard write clobbers exactly one concurrent update.
@@ -464,7 +459,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(clobbers, vec![1; p], "{p} shards: one clobber per write");
-            assert_eq!(a.lost_updates(), p as u64);
+            assert_eq!(a.store().ops().lost_updates, p as u64);
             assert_eq!(bits(&got), bits(&want), "{p} shards");
             assert_eq!(bits(&a.read_params().0), bits(&want));
         }
@@ -484,7 +479,7 @@ mod tests {
         for (l, e) in last.iter().zip(&expect) {
             assert!((l - e).abs() < 1e-5);
         }
-        assert_eq!(a.lost_updates(), 0);
+        assert_eq!(a.store().ops().lost_updates, 0);
     }
 
     #[test]
@@ -494,7 +489,7 @@ mod tests {
         for i in 0..10 {
             a.finish(a.begin(), vec![i as f32], 1);
         }
-        assert_eq!(a.lost_updates(), 0);
+        assert_eq!(a.store().ops().lost_updates, 0);
     }
 
     #[test]

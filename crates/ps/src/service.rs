@@ -38,12 +38,22 @@ use crate::wire::{
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vc_telemetry::metrics::{Counter, Histogram};
-use vc_telemetry::Telemetry;
+use vc_telemetry::{Counter, Histogram, Registry, Telemetry};
 use vc_tensor::codec::{decode_f32s_into_slice, encoded_len};
 
+/// Counter: fetch requests served.
+pub const PS_FETCHES: &str = "ps_fetches";
+/// Counter: shard frames sent (full blobs and deltas).
+pub const PS_SHARDS_SENT: &str = "ps_shards_sent";
+/// Counter: wanted shards skipped because the worker already held them.
+pub const PS_CACHE_HITS: &str = "ps_cache_hits";
+/// Counter: request bytes received (frame-encoded size).
+pub const PS_BYTES_RX: &str = "ps_bytes_rx";
+/// Counter: response bytes sent (frame-encoded size).
+pub const PS_BYTES_TX: &str = "ps_bytes_tx";
+/// Counter: shard fetches answered with a quantized delta.
+pub const PS_DELTAS_SENT: &str = "ps_deltas_sent";
 /// Counter: bytes the codec layer kept off the wire (full-blob size minus
 /// the delta frame actually sent).
 pub const PS_BYTES_SAVED: &str = "ps_bytes_saved";
@@ -85,9 +95,9 @@ struct PsInstruments {
     encode_s: Arc<Histogram>,
 }
 
-/// Monotonic counters describing the service's traffic. All counts are
-/// deterministic functions of the request stream, so DST reports can
-/// assert on them.
+/// The service's traffic counts, as [`PsService::ops`] reads them. All
+/// counts are deterministic functions of the request stream, so DST
+/// reports can assert on them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PsOps {
     /// Fetch requests served: one per sync that reaches the wire, on
@@ -95,7 +105,10 @@ pub struct PsOps {
     pub fetches: u64,
     /// Shard blobs actually sent.
     pub shards_sent: u64,
-    /// Shards skipped because the worker's cache was current.
+    /// Wanted *parameter* shards skipped because the worker's cache already
+    /// held them at the manifest version. Not the middleware's
+    /// `ServerMetrics::cache_hits`, which counts sticky *data*-shard
+    /// assignments.
     pub cache_hits: u64,
     /// Always 0: the service merges nothing (workers cannot write to
     /// it). The field stays because `RuntimeReport` serialises `PsOps`
@@ -107,38 +120,39 @@ pub struct PsOps {
     pub bytes_tx: u64,
 }
 
-/// Codec-layer counters, kept **out of [`PsOps`]** on purpose: `PsOps`
-/// feeds golden-hashed DST reports, and the vendored serde derive has no
-/// `skip_serializing_if`, so any new field there would change the `Raw`
-/// wire format of every report. These counters are surfaced only through
-/// `/status` and `/metrics`, which are not golden-hashed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct CodecOps {
-    /// Bytes the codec layer kept off the wire (vs. sending full `Raw`
-    /// frames for the same traffic). Zero under `Raw`.
-    pub bytes_saved: u64,
-    /// Shard fetches answered with a quantized delta instead of the blob.
-    pub deltas_sent: u64,
+/// The service's seven counters, created together: private until
+/// [`PsService::with_telemetry`] swaps in the registry's, so `/metrics`
+/// exports the very counts [`PsService::ops`] reports.
+#[derive(Default)]
+struct Counters {
+    fetches: Arc<Counter>,
+    shards_sent: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    bytes_rx: Arc<Counter>,
+    bytes_tx: Arc<Counter>,
+    deltas_sent: Arc<Counter>,
+    bytes_saved: Arc<Counter>,
 }
 
-#[derive(Default)]
-struct Metrics {
-    fetches: AtomicU64,
-    shards_sent: AtomicU64,
-    cache_hits: AtomicU64,
-    bytes_rx: AtomicU64,
-    bytes_tx: AtomicU64,
-    deltas_sent: AtomicU64,
+impl Counters {
+    fn registered(reg: &Registry) -> Self {
+        Counters {
+            fetches: reg.counter(PS_FETCHES),
+            shards_sent: reg.counter(PS_SHARDS_SENT),
+            cache_hits: reg.counter(PS_CACHE_HITS),
+            bytes_rx: reg.counter(PS_BYTES_RX),
+            bytes_tx: reg.counter(PS_BYTES_TX),
+            deltas_sent: reg.counter(PS_DELTAS_SENT),
+            bytes_saved: reg.counter(PS_BYTES_SAVED),
+        }
+    }
 }
 
 /// The sharded parameter service.
 pub struct PsService {
     assim: Arc<ShardedAssimilator>,
     snapshots: RwLock<HashMap<u64, EpochSnapshot>>,
-    metrics: Metrics,
-    /// Bytes the codec kept off the wire: the registry's `ps_bytes_saved`
-    /// counter once telemetry is attached, a private one before.
-    bytes_saved: Arc<Counter>,
+    counters: Counters,
     codec: Codec,
     /// The `Shard` frames of the latest lossy publish (empty before the
     /// first). They *are* the reference every delta-tracking worker
@@ -166,8 +180,7 @@ impl PsService {
         PsService {
             assim,
             snapshots: RwLock::new(HashMap::new()),
-            metrics: Metrics::default(),
-            bytes_saved: Arc::default(),
+            counters: Counters::default(),
             codec: Codec::Raw,
             latest: Mutex::new(Vec::new()),
             instruments: None,
@@ -181,12 +194,12 @@ impl PsService {
         self
     }
 
-    /// Attaches codec telemetry: the `ps_bytes_saved` counter (which
-    /// [`Self::codec_ops`] then reads) and the publish-time encode
-    /// duration histogram.
+    /// Attaches telemetry before first use: the traffic counters become
+    /// the registry's `ps_*` counters, and publish-time encodes are timed
+    /// into [`PS_ENCODE_S`].
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         let reg = tel.registry();
-        self.bytes_saved = reg.counter(PS_BYTES_SAVED);
+        self.counters = Counters::registered(reg);
         self.instruments = Some(PsInstruments {
             tel: tel.clone(),
             encode_s: reg.histogram(PS_ENCODE_S),
@@ -332,24 +345,18 @@ impl PsService {
         Some(full)
     }
 
-    /// Traffic counters so far.
+    /// Traffic counts so far. The codec's two counters, deltas sent and
+    /// bytes saved, are read from the registry (`ps_deltas_sent`,
+    /// `ps_bytes_saved`): `PsOps` is serialised in golden-hashed reports.
     pub fn ops(&self) -> PsOps {
+        let c = &self.counters;
         PsOps {
-            fetches: self.metrics.fetches.load(Ordering::Relaxed),
-            shards_sent: self.metrics.shards_sent.load(Ordering::Relaxed),
-            cache_hits: self.metrics.cache_hits.load(Ordering::Relaxed),
+            fetches: c.fetches.get(),
+            shards_sent: c.shards_sent.get(),
+            cache_hits: c.cache_hits.get(),
             pushes: 0,
-            bytes_rx: self.metrics.bytes_rx.load(Ordering::Relaxed),
-            bytes_tx: self.metrics.bytes_tx.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Codec-layer counters so far (see [`CodecOps`] for why these are
-    /// separate from [`ops`](Self::ops)).
-    pub fn codec_ops(&self) -> CodecOps {
-        CodecOps {
-            bytes_saved: self.bytes_saved.get(),
-            deltas_sent: self.metrics.deltas_sent.load(Ordering::Relaxed),
+            bytes_rx: c.bytes_rx.get(),
+            bytes_tx: c.bytes_tx.get(),
         }
     }
 
@@ -358,9 +365,7 @@ impl PsService {
     /// than errors — the connection survives a bad request.
     pub fn handle(&self, req: &Frame, out: &mut Vec<SealedFrame>) {
         let before = out.len();
-        self.metrics
-            .bytes_rx
-            .fetch_add(req.encoded_len() as u64, Ordering::Relaxed);
+        self.counters.bytes_rx.add(req.encoded_len() as u64);
         // Every exchange closes with one frame: the summary, or the error
         // that cut it short.
         let last = match req.kind {
@@ -369,9 +374,7 @@ impl PsService {
         };
         out.push(last.into());
         let tx: usize = out[before..].iter().map(|f| f.encoded_len()).sum();
-        self.metrics
-            .bytes_tx
-            .fetch_add(tx as u64, Ordering::Relaxed);
+        self.counters.bytes_tx.add(tx as u64);
     }
 
     fn handle_fetch(&self, req: &Frame, out: &mut Vec<SealedFrame>) -> Frame {
@@ -389,15 +392,17 @@ impl PsService {
         let Some(snap) = snaps.get(&fetch.epoch) else {
             return error_frame(&format!("no snapshot for epoch {}", fetch.epoch));
         };
+        // A rejected fetch moves nothing: the whole want list is checked
+        // before the first frame goes out.
         let shards = self.assim.layout().shards();
+        if let Some((id, _)) = fetch.wants.iter().find(|&&(id, _)| id as usize >= shards) {
+            return error_frame(&format!("shard {id} out of range"));
+        }
+        let c = &self.counters;
         let mut sent = 0u32;
         let mut skipped = 0u32;
-        let mut deltas_sent = 0u64;
         for &(id, cached) in &fetch.wants {
             let i = id as usize;
-            if i >= shards {
-                return error_frame(&format!("shard {id} out of range"));
-            }
             if snap.manifest[i] == cached {
                 skipped += 1;
                 continue;
@@ -413,24 +418,17 @@ impl PsService {
                 if let Some(delta) = &snap.deltas[i] {
                     let full_len = snap.shards[i].encoded_len();
                     let saved = full_len.saturating_sub(delta.encoded_len()) as u64;
-                    self.bytes_saved.add(saved);
-                    deltas_sent += 1;
+                    c.bytes_saved.add(saved);
+                    c.deltas_sent.inc();
                     out.push(delta.clone());
                     continue;
                 }
             }
             out.push(snap.shards[i].clone());
         }
-        self.metrics.fetches.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .shards_sent
-            .fetch_add(sent as u64, Ordering::Relaxed);
-        self.metrics
-            .cache_hits
-            .fetch_add(skipped as u64, Ordering::Relaxed);
-        self.metrics
-            .deltas_sent
-            .fetch_add(deltas_sent, Ordering::Relaxed);
+        c.fetches.inc();
+        c.shards_sent.add(u64::from(sent));
+        c.cache_hits.add(u64::from(skipped));
         FetchSummary { sent, skipped }.to_frame(fetch.epoch)
     }
 
@@ -563,8 +561,8 @@ mod tests {
     #[test]
     fn raw_ops_serialize_without_codec_fields() {
         // PsOps feeds golden-hashed reports, so its wire shape must stay
-        // byte-identical to the pre-codec format: codec counters live in
-        // the separate CodecOps struct, never in PsOps.
+        // byte-identical to the pre-codec format: the codec counters live
+        // in the registry only, never in PsOps.
         let json = serde_json::to_string(&PsOps::default()).unwrap();
         assert!(!json.contains("bytes_saved"), "{json}");
         assert!(!json.contains("deltas_sent"), "{json}");
@@ -573,9 +571,47 @@ mod tests {
             r#"{"fetches":1,"shards_sent":2,"cache_hits":3,"pushes":4,"bytes_rx":5,"bytes_tx":6}"#;
         let ops: PsOps = serde_json::from_str(old).unwrap();
         assert_eq!(serde_json::to_string(&ops).unwrap(), old);
-        // Codec counters surface through codec_ops() instead.
-        let svc = service(10, 3);
-        assert_eq!(svc.codec_ops(), CodecOps::default());
+    }
+
+    /// A fetch naming an out-of-range shard after a valid one gets exactly
+    /// one `Error` frame and moves no counter but the wire bytes, under
+    /// `Raw` and under `Int8` with a delta ready for the valid want.
+    #[test]
+    fn rejected_fetch_moves_nothing() {
+        let int8 = Codec::Int8 {
+            error_feedback: true,
+        };
+        for codec in [Codec::Raw, int8] {
+            let tel = Telemetry::silent();
+            let svc = service(10, 3).with_codec(codec).with_telemetry(&tel);
+            svc.publish(1, &svc.assimilator().read_blobs());
+            let assim = svc.assimilator();
+            assim.finish(assim.begin(), vec![7.0; 10], 1);
+            svc.publish(2, &assim.read_blobs());
+            // Under Int8, shard 0 at its epoch-1 version rides a delta.
+            let cached = if codec == Codec::Raw { 0 } else { 1 };
+            let req = FetchReq {
+                epoch: 2,
+                wants: vec![(0, cached), (7, 0)],
+                codec,
+            }
+            .to_frame();
+            let before = tel.registry().snapshot().counters;
+            let mut out = Vec::new();
+            svc.handle(&req, &mut out);
+            assert_eq!(out.len(), 1, "{codec:?}: one frame closes the exchange");
+            assert_eq!(out[0].kind, FrameKind::Error, "{codec:?}");
+            let after = tel.registry().snapshot().counters;
+            assert_eq!(before.len(), 7, "{codec:?}: every counter registered");
+            for (b, a) in before.iter().zip(&after) {
+                assert_eq!(b.name, a.name);
+                if b.name == PS_BYTES_RX || b.name == PS_BYTES_TX {
+                    assert!(a.value > b.value, "{codec:?}: {} moved", a.name);
+                } else {
+                    assert_eq!(a.value, b.value, "{codec:?}: {} moved", a.name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,11 +17,13 @@ use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
 use vc_ps::codec::apply_update_roundtrip;
 use vc_ps::merge::ShardedAssimilator;
+use vc_ps::service::{PS_BYTES_SAVED, PS_DELTAS_SENT};
 use vc_ps::wire::DeltaPayload;
 use vc_ps::{
     Codec, FetchReq, FetchSink, FetchSummary, Frame, FrameKind, MemClient, PsClient, PsError,
     PsService, SealedFrame, ShardCache,
 };
+use vc_telemetry::Telemetry;
 use vc_tensor::codec::encode_f32s;
 use vc_tensor::quant::{int8_quantize_one, int8_scale, with_portable_bodies};
 
@@ -344,7 +346,8 @@ fn supported_lossy_codec_ships_deltas() {
     ));
     let params: Vec<f32> = (0..n).map(|i| (i as f32) * 0.25).collect();
     assim.seed_params(&params);
-    let svc = Arc::new(PsService::new(assim).with_codec(codec));
+    let tel = Telemetry::silent();
+    let svc = Arc::new(PsService::new(assim).with_codec(codec).with_telemetry(&tel));
     let (full0, manifest) = svc.assimilator().read_params();
     svc.publish_snapshot(1, &full0, &manifest);
     let mut client = MemClient::new(svc.clone());
@@ -360,12 +363,13 @@ fn supported_lossy_codec_ships_deltas() {
     assert_ne!(manifest, m2);
     svc.publish_snapshot(2, &full2, &m2);
     cache.sync(2, &m2, &mut client).expect("warm sync");
-    let ops = svc.codec_ops();
+    let snap = tel.registry().snapshot();
+    let (deltas, saved) = (snap.counter(PS_DELTAS_SENT), snap.counter(PS_BYTES_SAVED));
     assert!(
-        ops.deltas_sent > 0,
-        "warm fetch should ship deltas: {ops:?}"
+        deltas > Some(0),
+        "warm fetch should ship deltas: {deltas:?}"
     );
-    assert!(ops.bytes_saved > 0, "codec must save bytes: {ops:?}");
+    assert!(saved > Some(0), "codec must save bytes: {saved:?}");
 }
 
 /// Bytes one workunit round moves under `codec`, counted the way the

@@ -1,20 +1,25 @@
 //! The TCP transport is the in-process one with a socket in between: one
 //! sync sequence — cold, warm hit, partial after a one-shard merge, then a
 //! whole-model assimilation — run through `TcpClient` and `MemClient`
-//! against twin services must leave the same `PsOps`, the same `CodecOps`
-//! and the same assembled bits after every step, under `Raw` and under
+//! against twin services must leave the same `PsOps`, the same registry
+//! counters (all seven, the codec's two included) and the same assembled
+//! bits after every step, under `Raw` and under
 //! `Int8` with error feedback (whose last two syncs ride deltas). Each
 //! sync that reaches the wire is one `Fetch` request on both transports.
 
 use std::sync::Arc;
 use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
+use vc_ps::service::PS_DELTAS_SENT;
 use vc_ps::{Codec, MemClient, PsService, ShardCache, ShardedAssimilator, TcpClient, TcpPsServer};
+use vc_telemetry::Telemetry;
 
 const N: usize = 1000;
 const SHARDS: usize = 4;
 
-fn service(codec: Codec) -> Arc<PsService> {
+/// A seeded service under `codec` with epoch 1 published, counting into
+/// its own telemetry handle.
+fn service(codec: Codec) -> (Arc<PsService>, Telemetry) {
     let assim = Arc::new(ShardedAssimilator::new(
         Arc::new(VersionedStore::new()),
         N,
@@ -24,9 +29,10 @@ fn service(codec: Codec) -> Arc<PsService> {
     ));
     let params: Vec<f32> = (0..N).map(|i| (i as f32 * 0.37).sin()).collect();
     assim.seed_params(&params);
-    let svc = Arc::new(PsService::new(assim).with_codec(codec));
+    let tel = Telemetry::silent();
+    let svc = Arc::new(PsService::new(assim).with_codec(codec).with_telemetry(&tel));
     publish(&svc, 1);
-    svc
+    (svc, tel)
 }
 
 fn publish(svc: &PsService, epoch: u64) {
@@ -38,7 +44,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 fn sequence(codec: Codec) {
-    let (tcp_svc, mem_svc) = (service(codec), service(codec));
+    let ((tcp_svc, tcp_tel), (mem_svc, mem_tel)) = (service(codec), service(codec));
+    let counters = |tel: &Telemetry| tel.registry().snapshot().counters;
     let server = TcpPsServer::start(tcp_svc.clone()).unwrap();
     let mut tcp = TcpClient::new(server.local_addr()).unwrap();
     let mut mem = MemClient::new(mem_svc.clone());
@@ -54,7 +61,7 @@ fn sequence(codec: Codec) {
         let b = bits(mem_cache.sync(epoch, &manifest, &mut mem).unwrap());
         assert_eq!(a, b, "{what}: assembled bits");
         assert_eq!(tcp_svc.ops(), mem_svc.ops(), "{what}: PsOps");
-        assert_eq!(tcp_svc.codec_ops(), mem_svc.codec_ops(), "{what}: CodecOps");
+        assert_eq!(counters(&tcp_tel), counters(&mem_tel), "{what}: counters");
         assert_eq!(tcp_svc.ops().fetches, fetches, "{what}: requests");
     };
 
@@ -76,10 +83,12 @@ fn sequence(codec: Codec) {
 
     let ops = tcp_svc.ops();
     assert_eq!((ops.shards_sent, ops.cache_hits), (9, 3));
-    let deltas = tcp_svc.codec_ops().deltas_sent;
+    let snap = tcp_tel.registry().snapshot();
+    assert_eq!(snap.counters.len(), 7, "every service counter registered");
+    let deltas = snap.counter(PS_DELTAS_SENT);
     match codec {
-        Codec::Raw => assert_eq!(deltas, 0),
-        Codec::Int8 { .. } => assert_eq!(deltas, 5, "the last two syncs ride deltas"),
+        Codec::Raw => assert_eq!(deltas, Some(0)),
+        Codec::Int8 { .. } => assert_eq!(deltas, Some(5), "the last two syncs ride deltas"),
     }
 }
 

@@ -22,20 +22,11 @@ use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
+use vc_telemetry::fnv1a;
 
 /// Bumped on incompatible layout changes. Version 2 widened the digest from
 /// parameters-only to the whole serialized file.
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A point-in-time capture of a running job.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

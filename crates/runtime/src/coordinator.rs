@@ -33,9 +33,11 @@
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::config::RuntimeConfig;
-use crate::fault::FaultStats;
 use crate::protocol::{AssimTask, ToServer, ToWorker};
-use crate::report::{RuntimeEpoch, RuntimeReport, RuntimeTelemetry, ASSIM_LATENCY_S};
+use crate::report::{
+    RuntimeEpoch, RuntimeReport, RuntimeTelemetry, ASSIM_LATENCY_S, DELAY_LINE_DELAY_S,
+    WORKER_KILLS, WORKER_RESPAWNS,
+};
 use crate::worker::WorkerCore;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -47,6 +49,7 @@ use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, ToleranceC
 use vc_nn::metrics::evaluate;
 use vc_nn::Sequential;
 use vc_ops::{FleetStatus, OpsHub, PsStatus, StatusSnapshot};
+use vc_ps::service::PS_BYTES_SAVED;
 use vc_ps::{PsClient, PsService, ShardCache, ShardedAssimilator};
 use vc_simnet::{DelayQueue, SimTime};
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
@@ -141,8 +144,6 @@ pub struct Coordinator {
     pub bytes: u64,
     /// Wall seconds already on the clock at process start (resume offset).
     pub wall_base_s: f64,
-    /// Shared fault counters.
-    pub stats_faults: Arc<FaultStats>,
     /// Second of this process's run (the clock reading less
     /// `wall_base_s`) at which the next timed checkpoint is due; `None`
     /// disables the timer.
@@ -315,7 +316,6 @@ pub(crate) fn assemble(
         assimilations,
         bytes,
         wall_base_s,
-        stats_faults: Arc::new(FaultStats::default()),
         next_checkpoint_s: cfg.checkpoint_every_s,
         telemetry: tel.clone(),
         ops,
@@ -370,7 +370,6 @@ impl Coordinator {
         WorkerCore::new(
             HostId(h as u32),
             self.cfg.clone(),
-            self.stats_faults.clone(),
             self.telemetry.clone(),
             ps,
             ShardCache::new(*self.assim.layout()).with_codec(self.cfg.codec),
@@ -383,7 +382,7 @@ impl Coordinator {
         let halted = matches!(stop, Stop::Halted);
         // Final status publish: scrapes after the run report `done`.
         self.publish_ops(true);
-        let (kills, respawns, delayed) = self.stats_faults.snapshot();
+        let reg = self.telemetry.registry();
         event!(
             self.telemetry,
             Info,
@@ -411,13 +410,16 @@ impl Coordinator {
             workers: self.cfg.job.cn,
             server_metrics: self.server.metrics(),
             hosts: self.server.host_summaries(),
-            store_ops: self.assim.store().metrics().snapshot(),
-            telemetry: RuntimeTelemetry::from_registry(self.telemetry.registry()),
+            store_ops: self.assim.store().ops(),
+            telemetry: RuntimeTelemetry::from_registry(reg),
             ps_ops: self.service.ops(),
             bytes_transferred: self.total_bytes(),
-            kills,
-            respawns,
-            delayed_msgs: delayed,
+            kills: reg.counter(WORKER_KILLS).get(),
+            respawns: reg.counter(WORKER_RESPAWNS).get(),
+            delayed_msgs: reg
+                .histogram_with(DELAY_LINE_DELAY_S, Histogram::latency_bounds)
+                .snapshot()
+                .count,
             halted_early: halted,
         }
     }
@@ -615,7 +617,7 @@ impl Coordinator {
             min_val_acc: min,
             max_val_acc: max,
             assimilated: accs.len(),
-            lost_updates: self.assim.lost_updates(),
+            lost_updates: self.assim.store().ops().lost_updates,
             timeouts: sm.timeouts,
             reassignments: sm.reassignments,
         });
@@ -666,10 +668,9 @@ impl Coordinator {
         ps.cache_hits = ops.cache_hits;
         ps.bytes_rx = ops.bytes_rx;
         ps.bytes_tx = ops.bytes_tx;
-        let codec_ops = self.service.codec_ops();
-        ps.bytes_saved = codec_ops.bytes_saved;
+        ps.bytes_saved = self.telemetry.registry().counter(PS_BYTES_SAVED).get();
         ps.compression_ratio = if ops.bytes_tx > 0 {
-            (ops.bytes_tx + codec_ops.bytes_saved) as f64 / ops.bytes_tx as f64
+            (ops.bytes_tx + ps.bytes_saved) as f64 / ops.bytes_tx as f64
         } else {
             1.0
         };

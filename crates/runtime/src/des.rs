@@ -473,7 +473,7 @@ impl TrainingJob {
             max_val_acc: max,
             test_acc,
             assimilated: accs.len(),
-            lost_updates: self.assim.lost_updates(),
+            lost_updates: self.assim.store().ops().lost_updates,
             timeouts: sm.timeouts,
         });
 
@@ -583,7 +583,7 @@ impl TrainingJob {
             total_time_h: self.epoch_stats.last().map(|e| e.end_time_h).unwrap_or(0.0),
             server_metrics: self.server.metrics(),
             bytes_transferred: self.bytes,
-            store_ops: self.assim.store().metrics().snapshot(),
+            store_ops: self.assim.store().ops(),
             preemptions: self.preemptions,
         }
     }

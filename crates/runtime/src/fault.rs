@@ -6,7 +6,6 @@
 //! from the plan).
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a byzantine worker corrupts the parameter vectors it uploads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,29 +127,6 @@ impl FaultPlan {
             return Err("refusing an all-byzantine fleet: no honest result could ever win".into());
         }
         Ok(())
-    }
-}
-
-/// Counters the injector increments as faults actually fire, reported in
-/// `RuntimeReport`.
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    /// Workers preempted (died silently mid-subtask).
-    pub kills: AtomicU64,
-    /// Replacement instances that came up.
-    pub respawns: AtomicU64,
-    /// Messages routed through the delay line.
-    pub delayed_msgs: AtomicU64,
-}
-
-impl FaultStats {
-    /// Snapshot of `(kills, respawns, delayed_msgs)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.kills.load(Ordering::Relaxed),
-            self.respawns.load(Ordering::Relaxed),
-            self.delayed_msgs.load(Ordering::Relaxed),
-        )
     }
 }
 

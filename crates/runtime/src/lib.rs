@@ -61,7 +61,7 @@ pub use config::RuntimeConfig;
 pub use fault::{ByzantineMode, FaultPlan};
 pub use report::{
     RuntimeEpoch, RuntimeReport, RuntimeTelemetry, ASSIM_LATENCY_S, DELAY_LINE_DELAY_S,
-    WORKER_POLL_S, WORKER_TRAIN_S, WORKER_UPLOAD_S,
+    WORKER_KILLS, WORKER_POLL_S, WORKER_RESPAWNS, WORKER_TRAIN_S, WORKER_UPLOAD_S,
 };
 pub use scheduler::StepScheduler;
 pub use sim::{run_scenario, sweep, verify_seed, Scenario, SimOutcome};

@@ -1,6 +1,13 @@
 //! Run reports, mirroring `vc-asgd`'s [`vc_asgd::EpochStats`] /
 //! [`vc_asgd::JobReport`] with wall-clock seconds in place of simulated
 //! hours, plus the fault-injection counters.
+//!
+//! The report's operation counts (`store_ops`, `ps_ops`, `kills`,
+//! `respawns`, `delayed_msgs`, and the wire share of `bytes_transferred`)
+//! are read from the run's telemetry registry, the same counters
+//! `/metrics` exports. Like the [`RuntimeTelemetry`] histograms, they
+//! count per telemetry handle: a caller that shares one handle across
+//! runs gets cumulative counts in every report after the first.
 
 use serde::{Deserialize, Serialize};
 use vc_kvstore::{
@@ -23,8 +30,13 @@ pub const WORKER_TRAIN_S: &str = "worker_train_s";
 pub const WORKER_TRAIN_STEP_S: &str = "worker_train_step_s";
 /// Registry name of the worker result-upload (channel send) histogram.
 pub const WORKER_UPLOAD_S: &str = "worker_upload_s";
-/// Registry name of the delay-line drawn-delay histogram.
+/// Registry name of the delay-line drawn-delay histogram: one observation
+/// per delayed message, so its count is the report's `delayed_msgs`.
 pub const DELAY_LINE_DELAY_S: &str = "delay_line_delay_s";
+/// Registry name of the counter of workers the fault injector preempted.
+pub const WORKER_KILLS: &str = "worker_kills";
+/// Registry name of the counter of replacement workers that came up.
+pub const WORKER_RESPAWNS: &str = "worker_respawns";
 /// Registry name of the worker shard-fetch (cache sync) histogram.
 pub const WORKER_FETCH_S: &str = "worker_fetch_s";
 
@@ -74,22 +86,24 @@ pub struct RuntimeReport {
     /// Per-host scheduler accounting (reputation, turnaround, backoffs).
     #[serde(default)]
     pub hosts: Vec<HostSummary>,
-    /// Store operation counters.
+    /// Store operation counts (the registry's `store_*` counters).
     pub store_ops: StoreOps,
     /// Latency/staleness histograms collected by the telemetry registry.
     pub telemetry: RuntimeTelemetry,
-    /// Parameter-service operation counters (fetches, cache hits, wire
-    /// bytes).
+    /// Parameter-service operation counts (fetches, cache hits, wire
+    /// bytes; the registry's `ps_*` counters).
     #[serde(default)]
     pub ps_ops: PsOps,
     /// Parameter payload bytes that crossed worker channels plus wire
     /// bytes the parameter service moved.
     pub bytes_transferred: u64,
-    /// Workers the fault injector preempted.
+    /// Workers the fault injector preempted ([`WORKER_KILLS`]).
     pub kills: u64,
-    /// Replacement workers that came up.
+    /// Replacement workers that came up ([`WORKER_RESPAWNS`]).
     pub respawns: u64,
-    /// Messages routed through the delay line.
+    /// Worker messages sent with a drawn delay, each held in the
+    /// coordinator's queue until its due reading: the count of the
+    /// [`DELAY_LINE_DELAY_S`] histogram.
     pub delayed_msgs: u64,
     /// True when the run stopped before completing (halt hook or the
     /// `max_wall_s` safety net) — final accuracies are still measured on

@@ -15,7 +15,7 @@
 //!   (see [`vc_kvstore::history`]), and [`SimOutcome::verify_consistency`]
 //!   asserts the mode's contract on every run: strong histories must admit
 //!   a sequential witness, eventual histories must recount exactly the
-//!   lost updates [`vc_kvstore::StoreMetrics`] claims.
+//!   lost updates the store's counter ([`vc_kvstore::StoreOps`]) claims.
 //!
 //! The entry point is [`run_scenario`]; [`sweep`] runs a seed range and
 //! panics with the offending seed in the message, so any CI failure is a
@@ -257,10 +257,6 @@ pub struct SimOutcome {
     /// ([`Scenario::ops`]): every endpoint a live HTTP server would serve,
     /// as pure in-memory calls over deterministic state.
     pub ops: Option<Arc<vc_ops::OpsHub>>,
-    /// Codec-layer counters from the parameter service (bytes saved,
-    /// deltas shipped). Kept out of [`RuntimeReport`] so `Raw` reports
-    /// stay byte-identical to the pre-codec format.
-    pub ps_codec_ops: vc_ps::CodecOps,
 }
 
 impl SimOutcome {
@@ -277,7 +273,7 @@ impl SimOutcome {
     /// Asserts the consistency mode's contract on the recorded history:
     ///
     /// - both modes: the history's independent lost-update recount must
-    ///   equal the `StoreMetrics` counter exactly;
+    ///   equal the store's `lost_updates` count exactly;
     /// - strong: the history must admit a sequential witness (and thus
     ///   zero lost updates);
     /// - eventual: clobbers are permitted — the recount cross-check above
@@ -287,7 +283,7 @@ impl SimOutcome {
         let recount = self.lost_updates_recount();
         if recount != metric {
             return Err(format!(
-                "history recounts {recount} lost updates but StoreMetrics claims {metric}"
+                "history recounts {recount} lost updates but the store counted {metric}"
             ));
         }
         if self.consistency == Consistency::Strong {
@@ -648,7 +644,6 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
         history: coord.assim.store().take_history(),
         telemetry: tel,
         ops: ops_hub,
-        ps_codec_ops: coord.service.codec_ops(),
     };
     Ok((out, coord.service.clone()))
 }

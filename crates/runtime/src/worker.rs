@@ -23,12 +23,10 @@
 //! assignment's deadline passes.
 
 use crate::config::RuntimeConfig;
-use crate::fault::FaultStats;
 use crate::protocol::{ToServer, ToWorker};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use vc_asgd::train_client_replica;
@@ -38,11 +36,11 @@ use vc_optim::{StepTimer, TrainWorkspace};
 use vc_ps::codec::apply_update_roundtrip;
 use vc_ps::{PsClient, PsError, ShardCache};
 use vc_simnet::SimTime;
-use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
+use vc_telemetry::{event, Counter, Histogram, Telemetry, TraceStage};
 
 use crate::report::{
-    DELAY_LINE_DELAY_S, WORKER_FETCH_S, WORKER_POLL_S, WORKER_TRAIN_S, WORKER_TRAIN_STEP_S,
-    WORKER_UPLOAD_S,
+    DELAY_LINE_DELAY_S, WORKER_FETCH_S, WORKER_KILLS, WORKER_POLL_S, WORKER_RESPAWNS,
+    WORKER_TRAIN_S, WORKER_TRAIN_STEP_S, WORKER_UPLOAD_S,
 };
 
 /// How long a worker thread waits for a scheduler reply before polling
@@ -62,9 +60,12 @@ pub struct WorkerCore {
     /// workers but identical across substrates.
     pub rng: StdRng,
     pub(crate) cfg: Arc<RuntimeConfig>,
-    /// Run-wide fault counters.
-    stats: Arc<FaultStats>,
     pub(crate) telemetry: Telemetry,
+    /// The run's fault tallies, taken from `telemetry`'s registry.
+    kills: Arc<Counter>,
+    respawns: Arc<Counter>,
+    /// Every drawn delay; its count is the run's delayed messages.
+    delays: Arc<Histogram>,
     /// Connection to the parameter service (in-memory or TCP).
     ps: Box<dyn PsClient>,
     /// Sticky shard cache: only shards whose manifest version moved are
@@ -94,11 +95,13 @@ impl WorkerCore {
     pub fn new(
         id: HostId,
         cfg: Arc<RuntimeConfig>,
-        stats: Arc<FaultStats>,
         telemetry: Telemetry,
         ps: Box<dyn PsClient>,
         cache: ShardCache,
     ) -> Self {
+        let reg = telemetry.registry();
+        let (kills, respawns) = (reg.counter(WORKER_KILLS), reg.counter(WORKER_RESPAWNS));
+        let delays = reg.histogram_with(DELAY_LINE_DELAY_S, Histogram::latency_bounds);
         WorkerCore {
             id,
             life: 0,
@@ -110,8 +113,10 @@ impl WorkerCore {
                     .wrapping_add(u64::from(id.0)),
             ),
             cfg,
-            stats,
             telemetry,
+            kills,
+            respawns,
+            delays,
             ps,
             cache,
             upload_residual: Vec::new(),
@@ -127,7 +132,7 @@ impl WorkerCore {
             .faults
             .should_kill(self.id.0, self.life, self.assignments_this_life);
         if dies {
-            self.stats.kills.fetch_add(1, Ordering::Relaxed);
+            self.kills.inc();
             event!(
                 self.telemetry,
                 Info,
@@ -143,7 +148,7 @@ impl WorkerCore {
     pub fn respawn(&mut self) {
         self.life += 1;
         self.assignments_this_life = 0;
-        self.stats.respawns.fetch_add(1, Ordering::Relaxed);
+        self.respawns.inc();
         event!(
             self.telemetry,
             Info,
@@ -162,11 +167,7 @@ impl WorkerCore {
             return 0.0;
         }
         let delay = self.rng.gen_range(0.0..=max);
-        self.stats.delayed_msgs.fetch_add(1, Ordering::Relaxed);
-        self.telemetry
-            .registry()
-            .histogram_with(DELAY_LINE_DELAY_S, Histogram::latency_bounds)
-            .observe(delay);
+        self.delays.observe(delay);
         delay
     }
 
@@ -399,7 +400,7 @@ mod tests {
 
     /// A core for `host` under `faults`, wired to a one-value parameter
     /// service nothing ever fetches from.
-    fn core(host: u32, faults: FaultPlan) -> (WorkerCore, Arc<FaultStats>, Telemetry) {
+    fn core(host: u32, faults: FaultPlan) -> (WorkerCore, Telemetry) {
         let mut cfg = RuntimeConfig::test_small(1);
         cfg.faults = faults;
         let assim = Arc::new(ShardedAssimilator::new(
@@ -412,16 +413,21 @@ mod tests {
         assim.seed_params(&[0.0]);
         let cache = ShardCache::new(*assim.layout());
         let ps = Box::new(MemClient::new(Arc::new(PsService::new(assim))));
-        let (stats, tel) = (Arc::new(FaultStats::default()), Telemetry::silent());
-        let core = WorkerCore::new(
-            HostId(host),
-            Arc::new(cfg),
-            stats.clone(),
-            tel.clone(),
-            ps,
-            cache,
-        );
-        (core, stats, tel)
+        let tel = Telemetry::silent();
+        let core = WorkerCore::new(HostId(host), Arc::new(cfg), tel.clone(), ps, cache);
+        (core, tel)
+    }
+
+    /// `(kills, respawns, delayed messages)` as the run's registry holds
+    /// them.
+    fn tallies(tel: &Telemetry) -> (Option<u64>, Option<u64>, u64) {
+        let snap = tel.registry().snapshot();
+        let delayed = snap.histogram(DELAY_LINE_DELAY_S).map_or(0, |h| h.count);
+        (
+            snap.counter(WORKER_KILLS),
+            snap.counter(WORKER_RESPAWNS),
+            delayed,
+        )
     }
 
     #[test]
@@ -429,13 +435,17 @@ mod tests {
         let mut plan = FaultPlan::none();
         plan.kill_hosts = vec![3];
         plan.kill_on_nth_assignment = 2;
-        let (mut core, stats, _) = core(3, plan);
+        let (mut core, tel) = core(3, plan);
         assert!(!core.on_assign(), "first assignment survives");
         assert!(core.on_assign(), "second assignment kills");
         core.respawn();
         assert_eq!((core.life, core.assignments_this_life), (1, 0));
         assert!(!core.on_assign(), "replacement instances are safe");
-        assert_eq!(stats.snapshot(), (1, 1, 0), "one kill, one respawn");
+        assert_eq!(
+            tallies(&tel),
+            (Some(1), Some(1), 0),
+            "one kill, one respawn"
+        );
     }
 
     #[test]
@@ -458,23 +468,20 @@ mod tests {
 
     #[test]
     fn delay_draws_are_counted_observed_and_absent_without_a_delay_line() {
-        let (mut quiet, stats, _) = core(0, FaultPlan::none());
+        let (mut quiet, tel) = core(0, FaultPlan::none());
         let before: f64 = quiet.rng.clone().gen_range(0.0..1.0);
         assert_eq!(quiet.draw_delay(), 0.0);
         let after: f64 = quiet.rng.gen_range(0.0..1.0);
         assert_eq!(before.to_bits(), after.to_bits(), "no delay line, no draw");
-        assert_eq!(stats.snapshot().2, 0);
+        assert_eq!(tallies(&tel).2, 0);
 
         let mut plan = FaultPlan::none();
         plan.max_msg_delay_s = 0.05;
-        let (mut delayed, stats, tel) = core(0, plan);
+        let (mut delayed, tel) = core(0, plan);
         for _ in 0..64 {
             let d = delayed.draw_delay();
             assert!((0.0..=0.05).contains(&d));
         }
-        assert_eq!(stats.snapshot().2, 64);
-        let snap = tel.registry().snapshot();
-        let h = snap.histogram(DELAY_LINE_DELAY_S).unwrap();
-        assert_eq!(h.count, 64, "every drawn delay is observed");
+        assert_eq!(tallies(&tel).2, 64, "every drawn delay is observed");
     }
 }

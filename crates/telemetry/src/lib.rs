@@ -36,7 +36,7 @@ pub use metrics::{
     Registry, RegistrySnapshot,
 };
 pub use recorder::FlightRecorder;
-pub use trace::{chrome_trace_json, span_id, TraceStage, TRACE_SPAN};
+pub use trace::{chrome_trace_json, fnv1a, span_id, TraceStage, TRACE_SPAN};
 
 /// Installs a panic hook that dumps `tel`'s flight recorder to `path`
 /// (JSONL) before delegating to the previous hook. Call once per

@@ -76,9 +76,9 @@ impl TraceStage {
     }
 }
 
-/// FNV-1a 64-bit — the workspace's standing fingerprint hash, used here
-/// to derive deterministic span ids.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit — the workspace's standing fingerprint hash: span ids
+/// here, checkpoint digests in `vc-runtime`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;

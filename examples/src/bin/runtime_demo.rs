@@ -6,8 +6,10 @@
 //!
 //! All three runs share one telemetry hub: structured events echo to
 //! stderr at the `VC_LOG` level (try `VC_LOG=debug`), latency histograms
-//! accumulate across runs, and the merged metrics snapshot lands in
-//! `results/runtime_demo_metrics.json`.
+//! and the store, parameter-service and fault counters accumulate across
+//! runs (so the second and third reports' `store_ops`, `ps_ops`, kills,
+//! respawns and delayed messages are cumulative), and the merged metrics
+//! snapshot lands in `results/runtime_demo_metrics.json`.
 //!
 //! Run: `cargo run -p vc-examples --bin runtime_demo --release`
 //!
@@ -155,7 +157,8 @@ fn main() {
     let out = "results/runtime_demo_metrics.json";
     std::fs::write(out, json).expect("metrics snapshot writes");
     println!(
-        "metrics snapshot ({} histograms) written to {out}",
+        "metrics snapshot ({} counters, {} histograms) written to {out}",
+        snapshot.counters.len(),
         snapshot.histograms.len()
     );
 

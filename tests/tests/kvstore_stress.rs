@@ -50,7 +50,7 @@ fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
     }
 
     let (params, _) = assim.read_params();
-    (assim.lost_updates(), params, store.take_history())
+    (store.ops().lost_updates, params, store.take_history())
 }
 
 /// Deterministic collisions: drive overlapping begin/commit windows through
@@ -86,7 +86,7 @@ fn deterministic_interleaving_loses_updates_reproducibly() {
                 }
             }
         }
-        (assim.lost_updates(), store.take_history())
+        (store.ops().lost_updates, store.take_history())
     };
 
     let (lost, history) = run();
@@ -152,10 +152,10 @@ fn store_write_counts_match_the_workload() {
     let store = VersionedStore::shared();
     let assim = assimilator(store.clone(), 8, Consistency::Strong);
     assim.seed_params(&[0.0; 8]);
-    let before = store.metrics().snapshot();
+    let before = store.ops();
     assim.finish(assim.begin(), vec![1.0; 8], 1);
     assim.finish(assim.begin(), vec![2.0; 8], 1);
-    let after = store.metrics().snapshot();
+    let after = store.ops();
     assert_eq!(
         after.transactions - before.transactions,
         2,

@@ -18,11 +18,18 @@
 //!    `trace_event` JSON whose slices cover the dispatch → fetch → train →
 //!    upload → validate → assimilate chain, loadable in `chrome://tracing`
 //!    / Perfetto.
+//!
+//! 4. **One source per count** — a chaos seed's `/metrics` exposition
+//!    carries exactly the store, parameter-service and fault counts its
+//!    report serialises: both read the same registry counters.
 
 mod common;
 
 use common::{fnv1a, goldens, make};
-use vc_runtime::run_scenario;
+use std::collections::HashMap;
+use vc_kvstore::{STORE_LOST_UPDATES, STORE_WRITES};
+use vc_ps::service::{PS_BYTES_TX, PS_FETCHES};
+use vc_runtime::{run_scenario, DELAY_LINE_DELAY_S, WORKER_KILLS, WORKER_RESPAWNS};
 use vc_telemetry::{Event, TraceStage, TRACE_SPAN};
 
 /// All six causal stages, as they appear in the `stage` field of
@@ -188,4 +195,38 @@ fn chrome_trace_export_covers_the_causal_chain() {
         "{}",
         &json[json.len().saturating_sub(40)..]
     );
+}
+
+/// `/metrics` and the report count each event once, in one place: under
+/// kills, respawns and a delay line, every exported counter equals its
+/// report field, and `delayed_msgs` is the drawn-delay histogram's count.
+#[test]
+fn metrics_exposition_equals_the_report() {
+    let out = run_scenario(&make("delay_storm", 1).ops(true)).unwrap();
+    let r = &out.report;
+    assert!(
+        r.kills > 0 && r.respawns > 0 && r.delayed_msgs > 0,
+        "chaos fired"
+    );
+    let body = out.ops.as_ref().unwrap().handle("/metrics").body;
+    let text = String::from_utf8(body).unwrap();
+    let series: HashMap<&str, u64> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split_once(' '))
+        .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
+        .collect();
+    let delay_count = format!("{DELAY_LINE_DELAY_S}_count");
+    let expected = [
+        (STORE_LOST_UPDATES, r.store_ops.lost_updates),
+        (STORE_WRITES, r.store_ops.writes),
+        (PS_FETCHES, r.ps_ops.fetches),
+        (PS_BYTES_TX, r.ps_ops.bytes_tx),
+        (WORKER_KILLS, r.kills),
+        (WORKER_RESPAWNS, r.respawns),
+        (delay_count.as_str(), r.delayed_msgs),
+    ];
+    for (name, value) in expected {
+        assert_eq!(series.get(name), Some(&value), "/metrics {name}");
+    }
 }

@@ -15,6 +15,7 @@
 //!    byzantine uploads filtered by replication+quorum, and every history
 //!    still passes the consistency checker.
 
+use vc_ps::service::PS_BYTES_SAVED;
 use vc_ps::Codec;
 use vc_runtime::{run_scenario, sweep, verify_seed, ByzantineMode, RuntimeConfig, Scenario};
 
@@ -220,11 +221,10 @@ fn lossy_codec_saves_bytes_and_replays_identically() {
     let a = run_scenario(&sc).unwrap();
     let b = run_scenario(&sc).unwrap();
     assert_eq!(a.report_json(), b.report_json(), "lossy replay drifted");
-    let saved = a.ps_codec_ops.bytes_saved;
+    let saved = a.telemetry.registry().snapshot().counter(PS_BYTES_SAVED);
     assert!(
-        saved > 0,
-        "delta fetches must save bytes over raw blobs: {:?}",
-        a.ps_codec_ops
+        saved > Some(0),
+        "delta fetches must save bytes over raw blobs: {saved:?}"
     );
 }
 
