@@ -49,7 +49,7 @@ fn delay_storm(seed: u64) -> Scenario {
 /// DST sweep: 32 seeds of the 30% fleet-kill storm. Every seed must finish
 /// every epoch, kill exactly the doomed workers, recover through virtual
 /// timeouts, and still learn. (`sweep` additionally verifies the recorded
-/// store history's lost-update recount against `StoreMetrics` per seed.)
+/// store history's lost-update recount against the store's counter per seed.)
 #[test]
 fn dst_fleet_survives_losing_a_third_of_its_workers() {
     for (seed, out) in sweep(0..32, storm) {
