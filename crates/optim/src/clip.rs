@@ -1,21 +1,16 @@
 //! Gradient clipping.
 
-/// Scales `grads` in place so its global L2 norm does not exceed
-/// `max_norm`; returns the pre-clip norm.
+/// Scales a gradient held as several slices (a model's per-layer buffers)
+/// in place so its global L2 norm does not exceed `max_norm`; returns the
+/// pre-clip norm. `each` must hand its argument every slice, in the same
+/// order on every call. The squares are summed left to right with one
+/// carried accumulator, so the result has the bits of one pass over the
+/// concatenation.
 ///
 /// Client replicas in a VC fleet train on small, skewed data subsets, which
 /// occasionally produces exploding gradients; the training driver clips
 /// before every optimizer step so a pathological subtask cannot poison its
 /// parameter upload (the validator would otherwise have to reject it).
-pub fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
-    clip_slices_by_global_norm(|f| f(grads), max_norm)
-}
-
-/// [`clip_by_global_norm`] over a gradient held as several slices (a
-/// model's per-layer buffers): `each` must hand its argument every slice,
-/// in the same order on every call. The squares are summed left to right
-/// with one carried accumulator, so the result has the bits of one pass
-/// over the concatenation.
 pub fn clip_slices_by_global_norm(
     mut each: impl FnMut(&mut dyn FnMut(&mut [f32])),
     max_norm: f32,
@@ -34,6 +29,11 @@ pub fn clip_slices_by_global_norm(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One slice, the whole gradient.
+    fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
+        clip_slices_by_global_norm(|f| f(grads), max_norm)
+    }
 
     #[test]
     fn small_gradients_untouched() {

@@ -11,14 +11,12 @@
 //! Optimizer state is indexed like the *flat* parameter vector — the same
 //! representation the distributed layer ships across the simulated network —
 //! so a client's optimizer never needs to understand the model: it steps
-//! either the flat vectors whole ([`Optimizer::step`]) or, slice by slice at
-//! their flat offsets, the layers' own buffers ([`Optimizer::begin_step`] +
-//! [`Optimizer::update_at`], what the trainer does).
+//! the layers' own buffers slice by slice at their flat offsets
+//! ([`Optimizer::begin_step`] + [`Optimizer::update_at`]).
 
 pub mod clip;
 pub mod trainer;
 
-pub use clip::clip_by_global_norm;
 /// The old name, which the frozen `benchmark/src/probes.rs` imports.
 #[doc(hidden)]
 pub use trainer::train_minibatch as train_minibatch_ws;
@@ -79,23 +77,17 @@ impl Optimizer {
         }
     }
 
-    /// Applies one update in place: `params -= update(grads)`, using
-    /// `lr_scale` as a multiplier on the base learning rate (for schedules).
-    pub fn step_scaled(&mut self, params: &mut [f32], grads: &[f32], lr_scale: f32) {
-        self.begin_step();
-        self.update_at(0, params, grads, lr_scale);
-    }
-
     /// Opens one optimizer step (advances Adam's bias-correction clock).
     /// Follow it with one [`Self::update_at`] per parameter slice.
     pub fn begin_step(&mut self) {
         self.t += 1;
     }
 
-    /// Applies the open step's update to the slice at `offset` of the flat
-    /// parameter vector. Every operation is elementwise, so slice-by-slice
-    /// steps are bit-identical to one call over the whole vector.
-    pub fn update_at(&mut self, offset: usize, params: &mut [f32], grads: &[f32], lr_scale: f32) {
+    /// Applies the open step's update in place, `params -= update(grads)`,
+    /// to the slice at `offset` of the flat parameter vector. Every
+    /// operation is elementwise, so slice-by-slice steps are bit-identical
+    /// to one call over the whole vector.
+    pub fn update_at(&mut self, offset: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -117,7 +109,6 @@ impl Optimizer {
         let t = self.t as f32;
         let bc1 = 1.0 - beta1.powf(t);
         let bc2 = 1.0 - beta2.powf(t);
-        let step = lr * lr_scale;
         for (((p, &g), m), v) in params
             .iter_mut()
             .zip(grads)
@@ -128,13 +119,8 @@ impl Optimizer {
             *v = beta2 * *v + (1.0 - beta2) * g * g;
             let m_hat = *m / bc1;
             let v_hat = *v / bc2;
-            *p -= step * m_hat / (v_hat.sqrt() + eps);
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
-    }
-
-    /// One update at the base learning rate.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        self.step_scaled(params, grads, 1.0);
     }
 }
 
@@ -142,13 +128,19 @@ impl Optimizer {
 mod tests {
     use super::*;
 
+    /// One whole-vector step, as the trainer takes one per batch.
+    fn step(opt: &mut Optimizer, params: &mut [f32], grads: &[f32]) {
+        opt.begin_step();
+        opt.update_at(0, params, grads);
+    }
+
     /// Minimizes f(x) = x^2 from x = 5 and returns the trajectory endpoint.
     fn descend(spec: OptimizerSpec, iters: usize) -> f32 {
         let mut opt = spec.build(1);
         let mut x = vec![5.0f32];
         for _ in 0..iters {
             let g = vec![2.0 * x[0]];
-            opt.step(&mut x, &g);
+            step(&mut opt, &mut x, &g);
         }
         x[0]
     }
@@ -167,20 +159,8 @@ mod tests {
         // gradient magnitude.
         let mut opt = OptimizerSpec::paper_adam().build(1);
         let mut x = vec![0.0f32];
-        opt.step(&mut x, &[1234.5]);
+        step(&mut opt, &mut x, &[1234.5]);
         assert!((x[0] + 1e-3).abs() < 1e-5, "step {}", x[0]);
-    }
-
-    #[test]
-    fn lr_scale_multiplies_step() {
-        let mut a = OptimizerSpec::paper_adam().build(1);
-        let mut b = OptimizerSpec::paper_adam().build(1);
-        let mut pa = vec![0.0f32];
-        let mut pb = vec![0.0f32];
-        a.step_scaled(&mut pa, &[1.0], 1.0);
-        b.step_scaled(&mut pb, &[1.0], 0.5);
-        assert!(pa[0] < 0.0);
-        assert_eq!(pa[0], 2.0 * pb[0]);
     }
 
     #[test]
@@ -188,7 +168,7 @@ mod tests {
     fn rejects_mismatched_grads() {
         let mut opt = OptimizerSpec::paper_adam().build(2);
         let mut p = vec![0.0f32, 0.0];
-        opt.step(&mut p, &[1.0]);
+        step(&mut opt, &mut p, &[1.0]);
     }
 
     #[test]

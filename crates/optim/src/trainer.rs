@@ -180,7 +180,7 @@ pub fn train_minibatch<R: Rng>(
             opt.begin_step();
             model.visit_params(0, &mut |off, p, g| {
                 if !g.is_empty() {
-                    opt.update_at(off, p, g, 1.0);
+                    opt.update_at(off, p, g);
                 }
             });
 

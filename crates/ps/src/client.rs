@@ -8,15 +8,20 @@
 //! assembled vector without touching the transport — and without a single
 //! heap allocation (`tests/fetch_alloc.rs` pins that down).
 //!
-//! Transports implement [`PsClient`]. [`MemClient`] runs requests through
-//! the full wire codec against an in-process [`PsService`] — the frames are
-//! byte-identical to what a socket would carry, so deterministic sweeps
-//! exercise the real protocol.
+//! Transports implement [`PsClient`], and both run one fetch body
+//! (`fetch_over`) over a byte stream: [`crate::TcpClient`] over its
+//! socket, [`MemClient`] over an in-process loopback stream whose flush
+//! serves the request through [`PsService::serve`]. Deterministic sweeps
+//! therefore run the socket's encoder, decoder and bytes.
 
 use crate::codec::Codec;
 use crate::service::PsService;
-use crate::wire::{decode_all, DeltaPayload, FetchReq, FetchSummary, Frame, FrameKind, WireError};
+use crate::wire::{
+    read_frame, DeltaPayload, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError,
+    SealedFrame, WireError,
+};
 use crate::ShardLayout;
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 use vc_tensor::codec::decode_f32s_into_slice;
 
@@ -73,32 +78,55 @@ pub trait PsClient: Send {
     ) -> Result<FetchSummary, PsError>;
 }
 
-/// Routes one frame of a fetch response: `Some(result)` ends the
-/// response, every other frame goes to `sink`. The sink cannot stop the
-/// read — a response is always consumed to its end, so a socket stays
-/// framed whatever the frames held.
-pub(crate) fn route_fetch_frame(
-    f: Frame,
+/// The one fetch body, over any byte stream: writes the `Fetch` request,
+/// flushes, then reads frames, handing each shard or shard-delta frame to
+/// `sink`, until the summary (or an error frame) ends the response. The
+/// sink cannot stop the read — a response is always consumed to its end,
+/// so a stream stays framed whatever the frames held.
+pub(crate) fn fetch_over(
+    stream: &mut (impl Read + Write),
+    epoch: u64,
+    wants: &[(u32, u64)],
+    codec: Codec,
     sink: &mut FetchSink<'_>,
-) -> Option<Result<FetchSummary, PsError>> {
-    match f.kind {
-        FrameKind::FetchDone => Some(FetchSummary::from_frame(&f).map_err(PsError::Wire)),
-        FrameKind::Error => Some(Err(PsError::Server(
-            String::from_utf8_lossy(&f.payload).into_owned(),
-        ))),
-        _ => {
-            sink(f);
-            None
+) -> Result<FetchSummary, PsError> {
+    let io_err = |e: io::Error| PsError::Transport(e.to_string());
+    let req = FetchReq {
+        epoch,
+        wants: wants.to_vec(),
+        codec,
+    };
+    SealedFrame::from(req.to_frame())
+        .write_to(stream)
+        .map_err(io_err)?;
+    stream.flush().map_err(io_err)?;
+    loop {
+        let f = read_frame(stream).map_err(|e| match e {
+            FrameReadError::Wire(w) => PsError::Wire(w),
+            other => PsError::Transport(other.to_string()),
+        })?;
+        match f.kind {
+            FrameKind::FetchDone => return FetchSummary::from_frame(&f).map_err(PsError::Wire),
+            FrameKind::Error => {
+                let msg = String::from_utf8_lossy(&f.payload).into_owned();
+                return Err(PsError::Server(msg));
+            }
+            _ => sink(f),
         }
     }
 }
 
-/// In-process transport: requests round-trip through the byte-level wire
-/// codec against a shared [`PsService`]. Synchronous and deterministic.
+/// In-process transport: `fetch_over` a loopback byte stream into a
+/// shared [`PsService`]. Writes buffer the request, a flush serves it
+/// ([`PsService::serve`], as a TCP connection thread does) and reads drain
+/// the response. Synchronous, threadless and deterministic.
 pub struct MemClient {
     service: Arc<PsService>,
-    req_bytes: Vec<u8>,
-    resp_bytes: Vec<u8>,
+    /// Request bytes written since the last flush.
+    req: Vec<u8>,
+    /// Response bytes; the first `consumed` of them have been read.
+    resp: Vec<u8>,
+    consumed: usize,
 }
 
 impl MemClient {
@@ -106,9 +134,39 @@ impl MemClient {
     pub fn new(service: Arc<PsService>) -> Self {
         MemClient {
             service,
-            req_bytes: Vec::new(),
-            resp_bytes: Vec::new(),
+            req: Vec::new(),
+            resp: Vec::new(),
+            consumed: 0,
         }
+    }
+}
+
+impl Write for MemClient {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.req.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    /// Serves every request written since the last flush, appending the
+    /// responses behind any bytes not yet read.
+    fn flush(&mut self) -> io::Result<()> {
+        self.resp.drain(..self.consumed);
+        self.consumed = 0;
+        let mut req = &self.req[..];
+        let mut served = Ok(());
+        while !req.is_empty() && served.is_ok() {
+            served = self.service.serve(&mut req, &mut self.resp);
+        }
+        self.req.clear();
+        served.map_err(io::Error::other)
+    }
+}
+
+impl Read for MemClient {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (&self.resp[self.consumed..]).read(buf)?;
+        self.consumed += n;
+        Ok(n)
     }
 }
 
@@ -120,22 +178,7 @@ impl PsClient for MemClient {
         codec: Codec,
         sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError> {
-        let req = FetchReq {
-            epoch,
-            wants: wants.to_vec(),
-            codec,
-        };
-        self.req_bytes.clear();
-        req.to_frame().encode_into(&mut self.req_bytes);
-        self.resp_bytes.clear();
-        self.service
-            .handle_bytes(&self.req_bytes, &mut self.resp_bytes)?;
-        let mut frames = Vec::new();
-        decode_all(&self.resp_bytes, &mut frames)?;
-        frames
-            .into_iter()
-            .find_map(|f| route_fetch_frame(f, sink))
-            .unwrap_or(Err(PsError::ShortResponse("missing FetchDone")))
+        fetch_over(self, epoch, wants, codec, sink)
     }
 }
 

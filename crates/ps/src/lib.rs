@@ -5,14 +5,18 @@
 //! fetch ships the full 21.2 MB file. This crate splits the flat parameter
 //! vector into `P` contiguous shards — each its own store key, version
 //! counter, and per-shard VC-ASGD merge — behind a length-prefixed binary
-//! wire protocol with two interchangeable transports:
+//! wire protocol with one codec (one encoder, [`SealedFrame::write_to`],
+//! and one decoder, [`wire::read_frame`]) and two transports that are only
+//! byte pipes under one client fetch body and one server request body
+//! ([`PsService::serve`]):
 //!
 //! * **TCP** ([`TcpPsServer`]/[`TcpClient`]): blocking sockets on loopback,
 //!   one listener for every shard and one stream per worker, so a sync is
 //!   one request as it is in process.
-//! * **In-memory** ([`MemClient`]): the same bytes through the same codec
-//!   against an in-process service, synchronous, so deterministic
-//!   simulation sweeps stay single-threaded and byte-identical.
+//! * **In-memory** ([`MemClient`]): a loopback byte stream into an
+//!   in-process service, whose flush serves the request — synchronous and
+//!   threadless, so deterministic simulation sweeps stay single-threaded
+//!   and byte-identical, and run the socket's codec.
 //!
 //! Because the Eq. (1) blend is elementwise, sharding never changes the
 //! math: `P = 1` reproduces the single-value store *exactly* (same key,

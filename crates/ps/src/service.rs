@@ -1,10 +1,12 @@
 //! The parameter service: one request handler shared by every transport.
 //!
 //! [`PsService::handle`] maps a request frame to its response frames;
-//! [`PsService::handle_bytes`] runs the same logic through the full wire
-//! codec. The TCP server and the in-memory transport both call into here,
-//! so a sweep under the in-memory transport exercises byte-identical
-//! frames to a real socket run.
+//! [`PsService::serve`] is the server side of every transport: it reads
+//! one request off a byte stream, handles it and writes the responses.
+//! A TCP connection thread calls it on its socket and the in-process
+//! [`crate::MemClient`] on its loopback stream's flush, so a sweep under
+//! the in-memory transport runs the same decoder, writer and bytes as a
+//! real socket run.
 //!
 //! Fetches are served from *epoch snapshots*: at each epoch boundary the
 //! coordinator publishes the assembled parameter vector with its per-shard
@@ -32,12 +34,13 @@
 use crate::codec::{advance_reference, Codec};
 use crate::merge::ShardedAssimilator;
 use crate::wire::{
-    decode_all, err_code, error_frame, error_frame_code, DeltaPayload, FetchReq, FetchSummary,
-    Frame, FrameKind, SealedFrame, WireError,
+    err_code, error_frame, error_frame_code, read_frame, DeltaPayload, FetchReq, FetchSummary,
+    Frame, FrameKind, FrameReadError, SealedFrame, WireError,
 };
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::sync::Arc;
 use vc_telemetry::{Counter, Histogram, Registry, Telemetry};
 use vc_tensor::codec::{decode_f32s_into_slice, encoded_len};
@@ -432,21 +435,23 @@ impl PsService {
         FetchSummary { sent, skipped }.to_frame(fetch.epoch)
     }
 
-    /// The full wire path: decodes request bytes, handles each frame, and
-    /// encodes the responses into `out_bytes`. Malformed request *bytes*
-    /// (as opposed to well-formed frames with bad contents) are a
-    /// transport-level error — a real socket would drop the connection.
-    pub fn handle_bytes(&self, req_bytes: &[u8], out_bytes: &mut Vec<u8>) -> Result<(), WireError> {
-        let mut reqs = Vec::new();
-        decode_all(req_bytes, &mut reqs)?;
+    /// Serves one request off a byte stream: reads a frame
+    /// ([`read_frame`]), [handles](Self::handle) it, writes each response
+    /// frame with the checksum banked at publish and flushes. Bytes that
+    /// are not a frame (bad length, bad CRC, unknown kind) are an error,
+    /// and the caller drops the connection; a well-formed request the
+    /// service refuses is answered with an `Error` frame.
+    pub fn serve(&self, r: &mut impl Read, w: &mut impl Write) -> Result<(), FrameReadError> {
+        let req = read_frame(r)?;
+        // Dropped with the request: a response shares its payloads with
+        // the epoch snapshot, and an idle connection must not pin a
+        // retired one.
         let mut out = Vec::new();
-        for req in &reqs {
-            self.handle(req, &mut out);
-        }
+        self.handle(&req, &mut out);
         for frame in &out {
-            frame.encode_into(out_bytes);
+            frame.write_to(w).map_err(FrameReadError::Io)?;
         }
-        Ok(())
+        w.flush().map_err(FrameReadError::Io)
     }
 }
 
@@ -539,8 +544,10 @@ mod tests {
         assert_eq!(out[0].kind, FrameKind::Error);
     }
 
+    /// The byte-stream server side answers with exactly the frames
+    /// `handle` returns, and garbage gets no answer at all.
     #[test]
-    fn handle_bytes_is_the_same_protocol() {
+    fn serve_is_the_same_protocol() {
         let svc = service(10, 3);
         let req = FetchReq {
             epoch: 1,
@@ -551,11 +558,25 @@ mod tests {
         let mut direct = Vec::new();
         svc.handle(&req, &mut direct);
         let mut wire_out = Vec::new();
-        svc.handle_bytes(&req.encode(), &mut wire_out).unwrap();
-        let mut decoded = Vec::new();
-        decode_all(&wire_out, &mut decoded).unwrap();
-        let direct: Vec<Frame> = direct.iter().map(|f| Frame::clone(f)).collect();
-        assert_eq!(decoded, direct, "transport must not change the frames");
+        svc.serve(&mut &req.encode()[..], &mut wire_out).unwrap();
+        let mut r = &wire_out[..];
+        for f in &direct {
+            assert_eq!(
+                read_frame(&mut r).unwrap(),
+                **f,
+                "transport changed a frame"
+            );
+        }
+        assert!(r.is_empty());
+        let mut garbage = req.encode();
+        garbage[20] ^= 1;
+        wire_out.clear();
+        let err = svc.serve(&mut &garbage[..], &mut wire_out).unwrap_err();
+        assert!(
+            matches!(err, FrameReadError::Wire(WireError::BadCrc { .. })),
+            "{err:?}"
+        );
+        assert!(wire_out.is_empty());
     }
 
     #[test]

@@ -2,29 +2,43 @@
 //!
 //! One listener fronts the [`PsService`], as the one project server hands
 //! every client the parameter file in the paper (§III-A). A client holds
-//! one stream, and a sync is one `Fetch` request on it — the same request
-//! [`crate::MemClient`] hands the service in process, handled by the same
-//! [`PsService`]; the only difference is that bytes cross a socket.
+//! one stream, and a sync is one `Fetch` request on it. The socket is only
+//! a byte pipe: the client runs the fetch body [`crate::MemClient`] runs,
+//! and each connection thread the [`PsService::serve`] the in-process
+//! loopback's flush runs.
 
-use crate::client::{route_fetch_frame, FetchSink, PsClient, PsError};
+use crate::client::{fetch_over, FetchSink, PsClient, PsError};
 use crate::codec::Codec;
 use crate::service::PsService;
-use crate::wire::{read_frame, FetchReq, FetchSummary, FrameReadError, SealedFrame};
-use std::io::Write;
+use crate::wire::FetchSummary;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// A running TCP front for a [`PsService`]: one loopback listener, one
-/// accept thread, and one thread per accepted connection.
+/// accept thread, and one thread per open connection.
 pub struct TcpPsServer {
     pub(crate) addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    // Clones of every accepted connection, so shutdown can unblock the
-    // connection threads' reads even while clients are still connected.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Arc<Mutex<Conns>>,
+}
+
+/// The server's open connections, shared by the accept thread, the
+/// connection threads and [`TcpPsServer`]'s `Drop`.
+#[derive(Default)]
+struct Conns {
+    /// Set by `Drop` under this lock, so an accepted connection is either
+    /// registered before the shutdown sweep or never served.
+    stop: bool,
+    /// A clone of each open connection's stream, so shutdown can unblock
+    /// its thread's read. A connection removes its own entry as it ends.
+    live: HashMap<u64, TcpStream>,
+    next_id: u64,
+    /// Connection threads not yet joined; each accept joins the finished.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl TcpPsServer {
@@ -32,17 +46,15 @@ impl TcpPsServer {
     pub fn start(service: Arc<PsService>) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Mutex::new(Conns::default()));
         let accept = {
-            let (stop, conns) = (stop.clone(), conns.clone());
+            let conns = conns.clone();
             std::thread::Builder::new()
                 .name("vc-ps-listen".to_string())
-                .spawn(move || accept_loop(listener, service, stop, conns))?
+                .spawn(move || accept_loop(listener, service, conns))?
         };
         Ok(TcpPsServer {
             addr,
-            stop,
             accept: Some(accept),
             conns,
         })
@@ -60,10 +72,12 @@ impl TcpPsServer {
 /// leave the accept thread blocked in `accept()`, pinning the [`PsService`].
 impl Drop for TcpPsServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // A poisoned registry still lists the sockets to close.
-        for conn in self.conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            let _ = conn.shutdown(Shutdown::Both);
+        {
+            let mut conns = self.conns.lock();
+            conns.stop = true;
+            for conn in conns.live.values() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
         }
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -73,64 +87,63 @@ impl Drop for TcpPsServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    service: Arc<PsService>,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-) {
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+fn accept_loop(listener: TcpListener, service: Arc<PsService>, conns: Arc<Mutex<Conns>>) {
     loop {
-        let (stream, _) = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => break,
-        };
-        if stop.load(Ordering::SeqCst) {
+        let accepted = listener.accept();
+        let mut c = conns.lock();
+        if c.stop {
             break;
         }
-        if let Ok(clone) = stream.try_clone() {
-            conns.lock().expect("ps conn registry").push(clone);
+        let Ok((stream, _)) = accepted else {
+            // Out of fds (EMFILE) or a connection reset before it was
+            // accepted: that connection is lost, the listener is not.
+            drop(c);
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        let (done, running) = std::mem::take(&mut c.threads)
+            .into_iter()
+            .partition(|t| t.is_finished());
+        c.threads = running;
+        for t in done {
+            let _ = t.join();
         }
-        let service = service.clone();
-        let stop = stop.clone();
-        let handle = std::thread::Builder::new()
+        // Out of fds for the clone, or of threads: refuse this connection
+        // (dropping its stream closes it) rather than serve one `Drop`
+        // could not shut down.
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let id = c.next_id;
+        c.next_id += 1;
+        let (service, conns) = (service.clone(), conns.clone());
+        let spawned = std::thread::Builder::new()
             .name("vc-ps-conn".to_string())
-            .spawn(move || connection_loop(stream, service, stop))
-            .expect("spawn ps connection");
-        handles.push(handle);
+            .spawn(move || {
+                connection_loop(stream, service);
+                // The accept loop holds the lock from the spawn until this
+                // entry is in, so the removal always finds it.
+                conns.lock().live.remove(&id);
+            });
+        if let Ok(thread) = spawned {
+            c.live.insert(id, clone);
+            c.threads.push(thread);
+        }
     }
-    for c in handles {
-        let _ = c.join();
+    let threads = std::mem::take(&mut conns.lock().threads);
+    for t in threads {
+        let _ = t.join();
     }
 }
 
-/// Serves one connection: read a frame, handle it, write the responses.
+/// Serves one connection, one [`PsService::serve`] per request.
 /// Transport-level garbage (bad length, bad CRC) closes the connection;
 /// protocol-level mistakes come back as error frames and the connection
 /// lives on.
-fn connection_loop(mut stream: TcpStream, service: Arc<PsService>, stop: Arc<AtomicBool>) {
+fn connection_loop(stream: TcpStream, service: Arc<PsService>) {
     let _ = stream.set_nodelay(true);
-    let mut responses = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        let frame = match read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(FrameReadError::Eof) => break,
-            Err(_) => break, // hostile or broken stream: drop the connection
-        };
-        service.handle(&frame, &mut responses);
-        // Drained, not kept: a response shares its payloads with the epoch
-        // snapshot, and an idle connection must not pin a retired one.
-        let failed = responses
-            .drain(..)
-            .any(|resp| resp.write_to(&mut stream).is_err());
-        if failed || stream.flush().is_err() {
-            break;
-        }
-    }
-    // A registry clone of this stream outlives us (see `TcpPsServer`'s
-    // `Drop`), so dropping the fd alone would leave the socket open:
-    // close it for real so the peer sees EOF.
-    let _ = stream.shutdown(Shutdown::Both);
+    // Ends on EOF, a hostile or broken stream, or a shutdown by `Drop`.
+    while service.serve(&mut &stream, &mut &stream).is_ok() {}
 }
 
 /// Client side of the TCP transport: one stream to the server.
@@ -148,8 +161,6 @@ impl TcpClient {
 }
 
 impl PsClient for TcpClient {
-    /// Sends the whole want list as one request, then routes each response
-    /// frame as it is read until the summary (or an error frame) ends it.
     fn fetch(
         &mut self,
         epoch: u64,
@@ -157,25 +168,7 @@ impl PsClient for TcpClient {
         codec: Codec,
         sink: &mut FetchSink<'_>,
     ) -> Result<FetchSummary, PsError> {
-        let io_err = |e: std::io::Error| PsError::Transport(e.to_string());
-        let req = FetchReq {
-            epoch,
-            wants: wants.to_vec(),
-            codec,
-        };
-        SealedFrame::from(req.to_frame())
-            .write_to(&mut self.stream)
-            .map_err(io_err)?;
-        self.stream.flush().map_err(io_err)?;
-        loop {
-            let frame = read_frame(&mut self.stream).map_err(|e| match e {
-                FrameReadError::Wire(w) => PsError::Wire(w),
-                other => PsError::Transport(other.to_string()),
-            })?;
-            if let Some(done) = route_fetch_frame(frame, sink) {
-                return done;
-            }
-        }
+        fetch_over(&mut self.stream, epoch, wants, codec, sink)
     }
 }
 
@@ -184,9 +177,10 @@ mod tests {
     use super::*;
     use crate::client::ShardCache;
     use crate::merge::ShardedAssimilator;
-    use crate::wire::{err_code, Crc32, Frame, FrameKind};
+    use crate::wire::{err_code, read_frame, Crc32, FetchReq, Frame, FrameKind};
     use bytes::Bytes;
-    use std::io::Read;
+    use std::io::{Read, Write};
+    use std::time::Instant;
     use vc_asgd::AlphaSchedule;
     use vc_kvstore::{Consistency, VersionedStore};
     use vc_tensor::codec::encode_f32s;
@@ -267,6 +261,49 @@ mod tests {
         let mut cache = ShardCache::new(*svc.assimilator().layout());
         let got = cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(got, &want[..]);
+    }
+
+    /// A finished connection leaves nothing behind: after 64 connect →
+    /// fetch → drop cycles the registry holds no stream clone (an open fd
+    /// each) and no unjoined thread beyond the connections still open,
+    /// and the listener still serves.
+    #[test]
+    fn finished_connections_release_their_fd_and_thread() {
+        let svc = service(10, 2);
+        let server = TcpPsServer::start(svc.clone()).unwrap();
+        let (want, manifest) = svc.assimilator().read_params();
+        let sync = |client: &mut TcpClient| {
+            let mut cache = ShardCache::new(*svc.assimilator().layout());
+            cache.sync(1, &manifest, client).unwrap().to_vec()
+        };
+        for _ in 0..64 {
+            assert_eq!(
+                sync(&mut TcpClient::new(server.local_addr()).unwrap()),
+                want
+            );
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let c = server.conns.lock();
+            if c.live.is_empty() && c.threads.iter().all(|t| t.is_finished()) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{} connections still registered",
+                c.live.len()
+            );
+            drop(c);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut fresh = TcpClient::new(server.local_addr()).unwrap();
+        assert_eq!(sync(&mut fresh), want);
+        let c = server.conns.lock();
+        assert_eq!(
+            (c.live.len(), c.threads.len()),
+            (1, 1),
+            "only the open connection"
+        );
     }
 
     /// A start-up that fails after the bind drops the server on its early

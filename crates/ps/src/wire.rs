@@ -12,13 +12,17 @@
 //! 21      len-17  payload
 //! ```
 //!
-//! The decoder is hostile-input safe: it length-checks before every read,
-//! rejects frames whose declared length exceeds [`MAX_PAYLOAD`] *before*
-//! allocating anything (a forged 4 GiB length cannot OOM the server), and
-//! verifies the checksum before the payload is interpreted. Shard payloads
-//! reuse the `vc-tensor` `VCP1` parameter-blob codec, so a frame's payload
-//! is exactly the value stored in the kvstore — no re-encoding on either
-//! side of the wire.
+//! There is one encoder, [`SealedFrame::write_to`], and one decoder,
+//! [`read_frame`], and both run on a byte stream: a TCP socket, or the
+//! in-process loopback stream of [`crate::MemClient`]. `Frame::encode` and
+//! `Frame::decode` are thin wrappers over them for tests and probes.
+//!
+//! The decoder is hostile-input safe: it rejects a frame whose declared
+//! length exceeds [`MAX_PAYLOAD`] *before* allocating its payload (a
+//! forged 4 GiB length cannot OOM the server), and verifies the checksum
+//! before the payload is interpreted. Shard payloads reuse the `vc-tensor`
+//! `VCP1` parameter-blob codec, so a frame's payload is exactly the value
+//! stored in the kvstore — no re-encoding on either side of the wire.
 
 use crate::codec::{Codec, DESC_LEN};
 use bytes::{Buf, BufMut, Bytes};
@@ -91,9 +95,10 @@ pub struct Frame {
 /// Why a byte sequence failed to decode as a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// More bytes are needed; `need` is the total frame size once known.
+    /// The bytes ended inside a frame; `need` is the frame's total size,
+    /// or the 21-byte length + header while that is still unread.
     Incomplete {
-        /// Total bytes the frame occupies (or the minimum to learn that).
+        /// Total bytes the frame occupies (or the header, if cut short).
         need: usize,
     },
     /// The declared length is impossibly small or exceeds [`MAX_PAYLOAD`].
@@ -251,42 +256,35 @@ impl Frame {
         h
     }
 
-    /// Appends the encoded frame to `out`.
+    /// Appends the encoded frame to `out`: [`SealedFrame::write_to`] with
+    /// a checksum computed now. For tests and the frozen probes; the
+    /// transports write frames whose checksum was banked at publish.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
-        out.extend_from_slice(&self.head(self.crc()));
-        out.extend_from_slice(&self.payload);
+        SealedFrame::from(self.clone())
+            .write_to(out)
+            .expect("a Vec write cannot fail");
     }
 
-    /// Encodes into a fresh buffer.
+    /// [`Self::encode_into`] a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
     }
 
-    /// Decodes one frame from the front of `buf`, returning it and the
-    /// number of bytes consumed. Never panics and never allocates more
-    /// than [`MAX_PAYLOAD`] regardless of input.
+    /// [`read_frame`] over a byte slice: the frame at the front of `buf`
+    /// and the bytes it took. For tests and the frozen probes; the
+    /// transports read their streams with `read_frame` itself.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
-        if buf.len() < 4 {
-            return Err(WireError::Incomplete { need: 4 });
+        let mut rest = buf;
+        match read_frame(&mut rest) {
+            Ok(frame) => Ok((frame, buf.len() - rest.len())),
+            Err(FrameReadError::Wire(e)) => Err(e),
+            // An empty slice (a slice read cannot fail otherwise).
+            Err(FrameReadError::Eof | FrameReadError::Io(_)) => Err(WireError::Incomplete {
+                need: 4 + HEADER_LEN,
+            }),
         }
-        let total = 4 + HEADER_LEN + payload_len([buf[0], buf[1], buf[2], buf[3]])?;
-        if buf.len() < total {
-            return Err(WireError::Incomplete { need: total });
-        }
-        let (header, payload) = buf[4..total].split_at(HEADER_LEN);
-        let (kind, shard_id, version) = verify(header, payload)?;
-        Ok((
-            Frame {
-                kind,
-                shard_id,
-                version,
-                payload: Bytes::copy_from_slice(payload),
-            },
-            total,
-        ))
     }
 }
 
@@ -409,16 +407,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameReadError> {
         version,
         payload: Bytes::from(payload),
     })
-}
-
-/// Decodes every frame in `buf`; errors if any byte fails to parse.
-pub fn decode_all(mut buf: &[u8], out: &mut Vec<Frame>) -> Result<(), WireError> {
-    while !buf.is_empty() {
-        let (frame, used) = Frame::decode(buf)?;
-        out.push(frame);
-        buf = &buf[used..];
-    }
-    Ok(())
 }
 
 /// Payload of a [`FrameKind::Fetch`] frame: which shards the worker wants
@@ -875,16 +863,5 @@ mod tests {
             read_frame(&mut r),
             Err(FrameReadError::Wire(WireError::BadLength(_)))
         ));
-    }
-
-    #[test]
-    fn decode_all_parses_back_to_back_frames() {
-        let mut wire = sample().encode();
-        wire.extend_from_slice(&error_frame("x").encode());
-        let mut out = Vec::new();
-        decode_all(&wire, &mut out).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], sample());
-        assert_eq!(out[1].kind, FrameKind::Error);
     }
 }

@@ -1,11 +1,14 @@
-//! Property tests over the wire codec: any frame round-trips bit-exactly,
-//! and *no* mangled byte stream — truncated, bit-flipped, or carrying a
-//! hostile length prefix — ever panics, allocates unboundedly, or decodes
-//! to a different frame silently. The table-sliced CRC-32 is held to the
-//! byte-at-a-time loop it replaced, and the copy-free stream writers to
-//! `Frame::encode`'s bytes.
+//! Property tests over the wire codec — one decoder, `read_frame`, which
+//! `Frame::decode` wraps for byte slices: any frame round-trips
+//! bit-exactly, back-to-back frames decode the same however a stream
+//! splits its reads, and *no* mangled byte stream — truncated,
+//! bit-flipped, or carrying a hostile length prefix — ever panics,
+//! allocates unboundedly, or decodes to a different frame silently. The
+//! table-sliced CRC-32 is held to the byte-at-a-time loop it replaced, and
+//! the checksums banked at publish to `Frame::encode`'s fresh ones.
 
 use proptest::prelude::*;
+use std::io::{ErrorKind, Read};
 use std::sync::Arc;
 use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
@@ -57,6 +60,28 @@ fn assert_socket_bytes_match_encode(svc: &PsService, req: &Frame, want_kind: Fra
     let mut r: &[u8] = &wire;
     for resp in &responses {
         assert_eq!(read_frame(&mut r).expect("own bytes read back"), **resp);
+    }
+}
+
+/// A stream that hands out its bytes in the given chunk sizes (cycled)
+/// and fails every `interrupt_every`-th read with `Interrupted`, the
+/// retry-me error a signal causes on a socket.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    sizes: std::iter::Cycle<std::vec::IntoIter<usize>>,
+    interrupt_every: usize,
+    since_interrupt: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.since_interrupt += 1;
+        if self.since_interrupt == self.interrupt_every {
+            self.since_interrupt = 0;
+            return Err(ErrorKind::Interrupted.into());
+        }
+        let n = self.sizes.next().expect("non-empty cycle");
+        (&mut self.bytes).take(n as u64).read(buf)
     }
 }
 
@@ -184,6 +209,27 @@ proptest! {
         prop_assert_eq!(read_frame(&mut r).expect("own bytes"), frame);
     }
 
+    /// Back-to-back frames read through a stream that splits them
+    /// anywhere, down to one byte per read and with interrupted reads in
+    /// between, decode to the frames that went in, then to a clean EOF.
+    #[test]
+    fn split_reads_decode_back_to_back_frames(
+        frames in proptest::collection::vec(arb_frame(), 1..5),
+        sizes in proptest::collection::vec(prop_oneof![1usize..4, 1usize..600], 1..12),
+        interrupt_every in 2usize..9,
+    ) {
+        let mut wire = Vec::new();
+        for f in &frames {
+            wire.extend_from_slice(&f.encode());
+        }
+        let sizes = sizes.into_iter().cycle();
+        let mut r = Chunked { bytes: &wire, sizes, interrupt_every, since_interrupt: 0 };
+        for f in &frames {
+            prop_assert_eq!(&read_frame(&mut r).expect("split frame reads back"), f);
+        }
+        prop_assert!(matches!(read_frame(&mut r), Err(FrameReadError::Eof)));
+    }
+
     /// Arbitrary garbage never panics the decoder.
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
@@ -192,9 +238,10 @@ proptest! {
 }
 
 /// The retired worker → store kinds (4 push, 5 push ack, 8 quantized
-/// push) are unknown to both decoders: a frame carrying one is rejected on
-/// its kind byte once the checksum has passed, and on the checksum before
-/// that — its payload is never interpreted.
+/// push) are unknown to the decoder, on a slice and on a stream alike: a
+/// frame carrying one is rejected on its kind byte once the checksum has
+/// passed, and on the checksum before that — its payload is never
+/// interpreted.
 #[test]
 fn retired_push_kinds_decode_to_unknown_kind() {
     for kind in [4u8, 5, 8] {

@@ -17,7 +17,8 @@
 //! * The **microkernel** keeps an `MR × NR` register accumulator tile and
 //!   reduces over `k` in fixed ascending order with fused multiply-adds —
 //!   the same order and rounding the scalar reference uses — so results are
-//!   **byte-identical** to [`matmul_naive`] and run-to-run deterministic
+//!   **byte-identical** to the naive triple loop (the oracle in
+//!   `tests/naive/`) and run-to-run deterministic
 //!   under any thread count (each output element is one sequential fused
 //!   `f32` chain; threads only decide *which* disjoint rows they produce,
 //!   never the order within a sum). On x86-64 with AVX2+FMA — detected at
@@ -230,7 +231,7 @@ fn pack_a(a: AMat, i0: usize, mr: usize, k: usize, apack: &mut [f32]) {
 ///
 /// Every update is a **fused** multiply-add. IEEE 754 specifies
 /// `fusedMultiplyAdd` exactly (one rounding), so the AVX2 `vfmadd`
-/// intrinsics, scalar `f32::mul_add`, and [`matmul_naive`]'s reference loop
+/// intrinsics, scalar `f32::mul_add`, and the tests' naive reference loop
 /// all produce the same bit pattern — the dispatch below can never change a
 /// result, only its speed.
 #[inline(always)]
@@ -725,26 +726,6 @@ pub fn conv1x1_backward_dk_into(dy: &Tensor, x: &Tensor, dk: &mut [f32]) {
     );
 }
 
-/// Reference (naive, serial) matmul used by tests to validate the blocked
-/// kernels. Reduces over `k` ascending with fused multiply-adds — the same
-/// order and rounding the microkernel uses, so the blocked kernels match it
-/// *bitwise*, not just approximately.
-pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let n = b.dims()[1];
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc = a.data()[i * k + p].mul_add(b.data()[p * n + j], acc);
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,31 +754,6 @@ mod tests {
         }
         assert!(approx_eq(&matmul(&a, &eye), &a, TEST_EPS));
         assert!(approx_eq(&matmul(&eye, &a), &a, TEST_EPS));
-    }
-
-    #[test]
-    fn parallel_matches_naive_large() {
-        let a = randt(&[130, 70], 2);
-        let b = randt(&[70, 90], 3);
-        assert!(approx_eq(&matmul(&a, &b), &matmul_naive(&a, &b), 1e-3));
-    }
-
-    #[test]
-    fn blocked_kernel_is_bitwise_naive() {
-        // The microkernel reduces over k in the same ascending order as the
-        // scalar reference, so equality is exact, not approximate.
-        let a = randt(&[97, 61], 20);
-        let b = randt(&[61, 83], 21);
-        let blocked = matmul(&a, &b);
-        let naive = matmul_naive(&a, &b);
-        assert_eq!(
-            blocked
-                .data()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            naive.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -875,10 +831,11 @@ mod tests {
             matmul(&Tensor::zeros(&[4, 5]), &Tensor::zeros(&[5, 0])).numel(),
             0
         );
-        // 1×k and k×1.
+        // 1×k and k×1: one fused chain, k ascending.
         let a = randt(&[1, 9], 16);
         let b = randt(&[9, 1], 17);
-        assert!(approx_eq(&matmul(&a, &b), &matmul_naive(&a, &b), 1e-5));
+        let dot = (a.data().iter().zip(b.data())).fold(0.0f32, |acc, (x, y)| x.mul_add(*y, acc));
+        assert_eq!(matmul(&a, &b).data(), &[dot]);
     }
 
     #[test]

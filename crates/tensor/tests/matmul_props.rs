@@ -7,8 +7,11 @@
 //! properties are what the DST byte-identity suite rests on, so they are
 //! checked here as bit patterns, never with a tolerance.
 
+mod naive;
+
+use naive::matmul_naive;
 use proptest::prelude::*;
-use vc_tensor::ops::{matmul, matmul_a_bt, matmul_at_b, matmul_naive, Epilogue};
+use vc_tensor::ops::{matmul, matmul_a_bt, matmul_at_b, Epilogue};
 use vc_tensor::ops::{matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into};
 use vc_tensor::{NormalSampler, Tensor};
 
@@ -69,6 +72,23 @@ proptest! {
         prop_assert_eq!(&b1, &b2);
         prop_assert_eq!(&b1, &b3);
     }
+}
+
+/// Past the parallel threshold the pool's row bands, too, are the
+/// oracle's bits.
+#[test]
+fn parallel_matches_naive_large() {
+    let (a, b) = rand_pair(130, 70, 90, 2);
+    assert_eq!(bits(&matmul(&a, &b)), bits(&matmul_naive(&a, &b)));
+}
+
+/// The microkernel reduces over k in the same ascending order as the
+/// scalar reference, so equality is exact, not approximate — on a shape
+/// ragged in every dimension.
+#[test]
+fn blocked_kernel_is_bitwise_naive() {
+    let (a, b) = rand_pair(97, 61, 83, 20);
+    assert_eq!(bits(&matmul(&a, &b)), bits(&matmul_naive(&a, &b)));
 }
 
 /// Shapes well past `PAR_THRESHOLD` run on the persistent pool; repeated

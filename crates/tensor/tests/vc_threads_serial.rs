@@ -6,7 +6,10 @@
 //! binaries each run in their own process; a second test here could race
 //! the pool initialization).
 
-use vc_tensor::ops::{matmul, matmul_naive};
+mod naive;
+
+use naive::matmul_naive;
+use vc_tensor::ops::matmul;
 use vc_tensor::{NormalSampler, Tensor};
 
 #[test]
