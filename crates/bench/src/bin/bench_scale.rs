@@ -22,7 +22,10 @@
 //!   run and most of `resnet_compute`'s `setup_s`. Beside its total, each
 //!   fused BN→ReLU→3×3 unit shape's direct forward kernel is timed alone
 //!   and counted exactly, `2·out_ch·ch·9·oh·ow·batch` flop, for GFLOP/s.
-//!   Reported, not gated.
+//!   One row per instruction-set tier the host has (`isa::Tier`, each
+//!   under `isa::with_tier_cap`, widest first), so a 16-lane host records
+//!   its 8-lane and portable rows beside its own (the portable row is one
+//!   pass, ~15 s of the run). Reported, not gated.
 //!
 //! `--smoke` runs all three at toy sizes (an 8×8 one-block model, 200 / 1k
 //! hosts), asserts every number finite and positive, writes nothing.
@@ -41,6 +44,7 @@ use vc_nn::spec::resnet_lite;
 use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
 use vc_simnet::{generated_fleet, SimTime};
 use vc_tensor::conv_direct::{conv3x3_forward_pre_into, fwd_scratch_len, BnRelu};
+use vc_tensor::isa::{with_tier_cap, Tier};
 use vc_tensor::ops::{matmul, ConvGeom, Epilogue};
 use vc_tensor::{NormalSampler, Tensor};
 
@@ -119,7 +123,8 @@ struct Eval {
 struct BenchScale {
     threads: Threads,
     hosts: Vec<HostsRow>,
-    eval: Eval,
+    /// One row per tier the host has, widest first.
+    eval: Vec<Eval>,
 }
 
 /// `(last / first) / min(widest cap, hw)`: the share of the achievable
@@ -154,14 +159,6 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
-}
-
-fn isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        return "avx2+fma";
-    }
-    "portable (f32::mul_add)"
 }
 
 fn bench_threads(smoke: bool) -> Threads {
@@ -211,7 +208,7 @@ fn bench_threads(smoke: bool) -> Threads {
     rayon::set_thread_cap(pool);
     Threads {
         hw_threads: hw,
-        isa: isa().to_string(),
+        isa: Tier::detected().name().to_string(),
         gemm_n,
         model: format!("resnet_lite {input:?} blocks={blocks} classes=10, Adam"),
         batch_size: batch,
@@ -234,14 +231,18 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// The closing evaluation's shape on one pool thread: the whole pass, then
-/// each fused unit shape's forward kernel (prologue, bias epilogue) alone.
-fn bench_eval(smoke: bool) -> Eval {
+/// The closing evaluation's shape on one pool thread, with every kernel
+/// capped at `tier`: the whole pass, then each fused unit shape's forward
+/// kernel (prologue, bias epilogue) alone.
+fn bench_eval(smoke: bool, tier: Tier) -> Eval {
     let (input, blocks, images, reps) = if smoke {
         ([3, 8, 8], 1, 16, 2)
     } else {
         ([3, 32, 32], 2, 128, 10)
     };
+    // The portable body runs ~100× slower: one pass is seconds long, and a
+    // best-of over more would add nothing but wall time.
+    let reps = if tier == Tier::Portable { 1 } else { reps };
     let batch_size = 256;
     let prev = rayon::set_thread_cap(1);
     let mut s = NormalSampler::seed_from(17);
@@ -302,12 +303,18 @@ fn bench_eval(smoke: bool) -> Eval {
     let unit_ms: f64 = units.iter().map(|u| u.count as f64 * u.ms).sum();
     for u in &units {
         println!(
-            "eval unit {}ch @{}²: {:.2} ms × {}  {:.2} GFLOP/s",
-            u.ch, u.side, u.ms, u.count, u.gflops
+            "eval [{}] unit {}ch @{}²: {:.2} ms × {}  {:.2} GFLOP/s",
+            tier.name(),
+            u.ch,
+            u.side,
+            u.ms,
+            u.count,
+            u.gflops
         );
     }
     println!(
-        "eval {images} images (batch {batch_size}, 1 thread): {:.2} ms, units {:.0} %",
+        "eval [{}] {images} images (batch {batch_size}, 1 thread): {:.2} ms, units {:.0} %",
+        tier.name(),
         total * 1e3,
         100.0 * unit_ms / (total * 1e3)
     );
@@ -318,7 +325,7 @@ fn bench_eval(smoke: bool) -> Eval {
         thread_cap: 1,
         cpu_model: cpu_model(),
         hw_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        isa: isa().to_string(),
+        isa: tier.name().to_string(),
         total_ms: total * 1e3,
         unit_share: unit_ms / (total * 1e3),
         units,
@@ -412,7 +419,9 @@ fn main() {
             row
         })
         .collect();
-    let eval = bench_eval(smoke);
+    let eval: Vec<Eval> = Tier::host_tiers()
+        .map(|t| with_tier_cap(t, || bench_eval(smoke, t)))
+        .collect();
     let out = BenchScale {
         threads,
         hosts,
@@ -432,8 +441,10 @@ fn main() {
             .iter()
             .flat_map(|r| [r.request_work_us, r.scan_timeouts_us]),
     );
-    numbers.push(out.eval.total_ms);
-    numbers.extend(out.eval.units.iter().flat_map(|u| [u.ms, u.gflops]));
+    for e in &out.eval {
+        numbers.push(e.total_ms);
+        numbers.extend(e.units.iter().flat_map(|u| [u.ms, u.gflops]));
+    }
     for v in numbers {
         assert!(v.is_finite() && v > 0.0, "degenerate measurement {v}");
     }

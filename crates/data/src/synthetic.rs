@@ -88,29 +88,45 @@ impl SyntheticSpec {
         let mut noise_sampler =
             NormalSampler::seed_from(self.seed.wrapping_mul(0x85eb_ca6b).wrapping_add(2));
 
+        // Each prototype zero-padded by `max_shift` on every side: a shifted
+        // row is one in-bounds slice, and a pixel shifted in from outside
+        // the image reads the literal zero the signal is defined as there.
+        let ms = self.max_shift;
+        let (ph, pw) = (h + 2 * ms, w + 2 * ms);
+        let padded: Vec<Vec<f32>> = prototypes
+            .iter()
+            .map(|proto| {
+                let mut p = vec![0.0f32; ch * ph * pw];
+                for (row, src) in proto.chunks_exact(w).enumerate() {
+                    let (c, y) = (row / h, row % h);
+                    p[(c * ph + y + ms) * pw + ms..][..w].copy_from_slice(src);
+                }
+                p
+            })
+            .collect();
+
         let mut make = |n: usize| -> Dataset {
             let sample_len = ch * h * w;
-            let mut data = Vec::with_capacity(n * sample_len);
+            let mut data = vec![0.0f32; n * sample_len];
             let mut labels = Vec::with_capacity(n);
-            for i in 0..n {
+            for (i, img) in data.chunks_exact_mut(sample_len).enumerate() {
                 // Round-robin classes for exact balance, then optional label noise.
                 let class = i % self.classes;
-                let dy = rng.gen_range(-(self.max_shift as isize)..=self.max_shift as isize);
-                let dx = rng.gen_range(-(self.max_shift as isize)..=self.max_shift as isize);
+                let dy = rng.gen_range(-(ms as isize)..=ms as isize);
+                let dx = rng.gen_range(-(ms as isize)..=ms as isize);
                 let amp: f32 = rng.gen_range(0.8..1.2);
-                let proto = &prototypes[class];
-                for c in 0..ch {
-                    for y in 0..h {
-                        for x in 0..w {
-                            let sy = y as isize + dy;
-                            let sx = x as isize + dx;
-                            let sig = if sy >= 0 && sy < h as isize && sx >= 0 && sx < w as isize {
-                                proto[(c * h + sy as usize) * w + sx as usize]
-                            } else {
-                                0.0
-                            };
-                            data.push(amp * sig + self.noise * noise_sampler.sample());
-                        }
+                // The noise first, in pixel order, then the shifted signal
+                // added in place: `amp·sig + noise·n`, the one expression.
+                noise_sampler.fill(img);
+                let proto = &padded[class];
+                // Padded column `x + dx + ms` is image column `x + dx`.
+                let x0 = (ms as isize + dx) as usize;
+                for (row, dst) in img.chunks_exact_mut(w).enumerate() {
+                    let (c, y) = (row / h, row % h);
+                    let sy = (y as isize + dy + ms as isize) as usize;
+                    let src = &proto[(c * ph + sy) * pw + x0..][..w];
+                    for (d, &sig) in dst.iter_mut().zip(src) {
+                        *d = amp * sig + self.noise * *d;
                     }
                 }
                 let label = if self.label_noise > 0.0 && rng.gen::<f32>() < self.label_noise {
@@ -132,7 +148,8 @@ impl SyntheticSpec {
 /// Draws a random image and box-blurs it twice so prototypes have the
 /// spatial correlation that makes convolution the right inductive bias.
 fn smooth_prototype(ch: usize, h: usize, w: usize, sampler: &mut NormalSampler) -> Vec<f32> {
-    let mut img: Vec<f32> = (0..ch * h * w).map(|_| sampler.sample()).collect();
+    let mut img = vec![0.0f32; ch * h * w];
+    sampler.fill(&mut img);
     for _ in 0..2 {
         img = box_blur(&img, ch, h, w);
     }

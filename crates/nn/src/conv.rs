@@ -66,6 +66,27 @@ impl Conv2d {
         pad: usize,
         sampler: &mut NormalSampler,
     ) -> Self {
+        Self::with_kernel(in_ch, out_ch, k, stride, pad, |dims, fan_in| {
+            Tensor::he_normal(dims, fan_in, sampler)
+        })
+    }
+
+    /// [`Conv2d::new`] with an all-zero kernel and no sampler draw, for a
+    /// replica whose parameters are loaded before it runs. Same panics.
+    pub fn blank(in_ch: usize, out_ch: usize, k: usize, stride: usize, pad: usize) -> Self {
+        Self::with_kernel(in_ch, out_ch, k, stride, pad, |dims, _| Tensor::zeros(dims))
+    }
+
+    /// Checks the geometry, then builds the layer around
+    /// `kernel([out_ch, fan_in], fan_in)`.
+    fn with_kernel(
+        in_ch: usize,
+        out_ch: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        kernel: impl FnOnce(&[usize], usize) -> Tensor,
+    ) -> Self {
         assert!(
             matches!((k, stride, pad), (3, 1, _) | (1, 1, 0)),
             "Conv2d runs 3×3 stride 1 (any pad) or 1×1 stride 1 pad 0, not \
@@ -73,7 +94,7 @@ impl Conv2d {
         );
         let fan_in = in_ch * k * k;
         Conv2d {
-            kernel: Tensor::he_normal(&[out_ch, fan_in], fan_in, sampler),
+            kernel: kernel(&[out_ch, fan_in], fan_in),
             bias: Tensor::zeros(&[out_ch]),
             dkernel: Tensor::zeros(&[out_ch, fan_in]),
             dbias: Tensor::zeros(&[out_ch]),

@@ -23,8 +23,20 @@ impl Dense {
     /// Builds a dense layer with He-normal weights (fan-in scaled) and zero
     /// bias.
     pub fn new(in_dim: usize, out_dim: usize, sampler: &mut NormalSampler) -> Self {
+        Self::with_weights(Tensor::he_normal(&[in_dim, out_dim], in_dim, sampler))
+    }
+
+    /// [`Dense::new`] with all-zero weights and no sampler draw, for a
+    /// replica whose parameters are loaded before it runs.
+    pub fn blank(in_dim: usize, out_dim: usize) -> Self {
+        Self::with_weights(Tensor::zeros(&[in_dim, out_dim]))
+    }
+
+    /// The layer around an `[in, out]` weight matrix, with zero bias.
+    fn with_weights(w: Tensor) -> Self {
+        let (in_dim, out_dim) = (w.dims()[0], w.dims()[1]);
         Dense {
-            w: Tensor::he_normal(&[in_dim, out_dim], in_dim, sampler),
+            w,
             b: Tensor::zeros(&[out_dim]),
             // Sized on first backward: a replica that only scores (the
             // assimilator's) never holds a second copy of its weights.

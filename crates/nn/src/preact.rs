@@ -77,6 +77,7 @@ mod tests {
     use crate::model::Sequential;
     use crate::norm::BatchNorm;
     use crate::residual::Residual;
+    use vc_tensor::isa::{with_tier_cap, Tier};
     use vc_tensor::{NormalSampler, Tensor, Workspace};
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -219,9 +220,10 @@ mod tests {
     #[test]
     fn fused_unit_is_bitwise_the_three_layers() {
         // Batch 1; rows narrower than a vector span (w < 8, the portable
-        // row kernel); rows with 16-, 8- and overlapped 8-pixel spans;
-        // channel counts around the 8-lane reduction groups and the 4-wide
-        // output-channel block; pad 0 and 1.
+        // row kernel); rows with 16-, 8- and overlapped 8-pixel spans at
+        // 8 lanes, whole and backed-up 16-lane spans at 16; channel counts
+        // around the 8-lane reduction groups and the 4- and 8-wide
+        // output-channel blocks; pad 0 and 1.
         for (batch, h, w) in [(1, 5, 5), (3, 4, 7), (2, 9, 12), (2, 8, 8), (2, 6, 29)] {
             for (ch, out_ch) in [(3, 5), (5, 3), (12, 12), (16, 16), (32, 6)] {
                 for pad in [0, 1] {
@@ -236,13 +238,10 @@ mod tests {
         assert_unit_matches(dims, 16, 1, &input(dims, 99));
     }
 
-    #[test]
-    fn portable_body_unit_is_bitwise_the_three_layers() {
-        // Cases of the test above with the convolutions held to their
-        // portable bodies on both routes (an AVX2 host runs the vector
-        // bodies everywhere else), so `deploy/sanitize.sh` puts the
-        // portable body's slot arithmetic under ASan too.
-        vc_tensor::conv_direct::with_portable_bodies(|| {
+    /// Cases of the test above with the convolutions capped at `cap` on
+    /// both routes: a host with a wider tier runs it everywhere else.
+    fn capped_units_match(cap: Tier) {
+        with_tier_cap(cap, || {
             for (batch, h, w) in [(1, 5, 5), (3, 4, 7), (2, 6, 29)] {
                 for (ch, out_ch) in [(3, 5), (16, 16)] {
                     let dims = [batch, ch, h, w];
@@ -253,6 +252,20 @@ mod tests {
             let dims = [4, 16, 16, 16];
             assert_unit_matches(dims, 16, 1, &input(dims, 99));
         });
+    }
+
+    #[test]
+    fn portable_body_unit_is_bitwise_the_three_layers() {
+        // So `deploy/sanitize.sh` puts the portable body's slot arithmetic
+        // under ASan too.
+        capped_units_match(Tier::Portable);
+    }
+
+    #[test]
+    fn avx2_capped_unit_is_bitwise_the_three_layers() {
+        // The 8-lane bodies, which an AVX-512 host runs only for rows
+        // narrower than 16 pixels unless capped.
+        capped_units_match(Tier::Avx2);
     }
 
     #[test]

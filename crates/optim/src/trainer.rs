@@ -63,7 +63,7 @@ impl TrainWorkspace {
             Some(r) if r.spec == *spec => r,
             _ => ResidentReplica {
                 spec: spec.clone(),
-                model: spec.build(0),
+                model: spec.build_blank(),
             },
         }
     }

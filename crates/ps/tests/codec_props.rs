@@ -25,7 +25,8 @@ use vc_ps::{
 };
 use vc_telemetry::Telemetry;
 use vc_tensor::codec::encode_f32s;
-use vc_tensor::quant::{int8_quantize_one, int8_scale, with_portable_bodies};
+use vc_tensor::isa::{with_tier_cap, Tier};
+use vc_tensor::quant::{int8_quantize_one, int8_scale};
 
 /// The oracle `apply_update_roundtrip` replaced: encode the update
 /// `new − base` (plus the error-feedback residual when the codec carries
@@ -516,7 +517,7 @@ fn block_wise_int8_encoder_matches_the_per_element_encoder() {
         encode_int8_per_element(&x, &mut want);
         for portable in [false, true] {
             if portable {
-                with_portable_bodies(|| codec.encode_update(&x, &mut blob));
+                with_tier_cap(Tier::Portable, || codec.encode_update(&x, &mut blob));
             } else {
                 codec.encode_update(&x, &mut blob);
             }
@@ -733,7 +734,9 @@ fn fused_publish_matches_compose_from_primitives() {
     for codec in lossy_codecs() {
         // 1250-element shards: one full kernel block and a ragged one.
         assert_fused_publish_matches_composed(codec, 5_000, 4, 700, 1901);
-        with_portable_bodies(|| assert_fused_publish_matches_composed(codec, 5_000, 4, 700, 1901));
+        with_tier_cap(Tier::Portable, || {
+            assert_fused_publish_matches_composed(codec, 5_000, 4, 700, 1901)
+        });
     }
     // Shards long enough, and updates sparse enough, for a zero run to
     // outgrow the 65 535 elements one token can carry.

@@ -230,13 +230,14 @@ impl Runtime {
         let (assim_tx, assim_rx) = unbounded();
 
         // --- assimilator pool ---------------------------------------------
-        // Assimilator 0 scores on the run's model; any other builds its own.
+        // Assimilator 0 scores on the run's model; any other builds a blank one
+        // (`score` loads the parameters it scores).
         let mut model = Some(model);
         let mut assim_handles = Vec::new();
         for i in 0..job.pn {
             let ctx = AssimCtx {
                 assim: assim.clone(),
-                eval_model: model.take().unwrap_or_else(|| job.model.build(job.seed)),
+                eval_model: model.take().unwrap_or_else(|| job.model.build_blank()),
                 val_eval: val_eval.clone(),
                 task_rx: assim_rx.clone(),
                 out: server_tx.clone(),

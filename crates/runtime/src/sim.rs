@@ -601,11 +601,12 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
             state: WState::Alive,
         })
         .collect();
-    // Slot 0 scores on the run's model; any other builds its own.
+    // Slot 0 scores on the run's model; any other builds a blank one (`score`
+    // loads the parameters it scores).
     let mut model = Some(model);
     let slots = (0..job.pn)
         .map(|_| Slot {
-            eval: model.take().unwrap_or_else(|| job.model.build(job.seed)),
+            eval: model.take().unwrap_or_else(|| job.model.build_blank()),
             busy: None,
         })
         .collect();

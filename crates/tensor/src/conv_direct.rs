@@ -16,38 +16,55 @@
 //! * **forward** — each image is staged once into a zero-padded copy
 //!   (`[ch, h+2p, w+2p]`, caller scratch), which makes *every* output
 //!   column vectorizable and every tap an unconditional in-bounds load,
-//!   for the AVX2 and the portable row kernel alike. The copy lives in a
-//!   *slot*, one slot per pool participant (see "Scratch" below). The AVX2 kernel
-//!   covers a row with 16-pixel spans (2 vectors × 4 output channels =
-//!   8 independent FMA chains; 8-pixel spans run 4, half of what two FMA
-//!   ports at 4-cycle latency can retire) and finishes it with 8-pixel
-//!   spans, the final one overlapping the previous span when
-//!   `ow % 8 != 0` (recomputed lanes produce identical bits and are
-//!   skipped at write-back, so even the `Accumulate` epilogue is safe).
-//!   An interior-only span would collapse to all-scalar at `w ≤ 8`.
+//!   for the vector and the portable row kernels alike. The copy lives in
+//!   a *slot*, one slot per pool participant (see "Scratch" below). A
+//!   vector row kernel covers a row with 16-pixel spans — 2 vectors × 4
+//!   output channels = 8 independent FMA chains at 8 lanes, 1 vector × 8
+//!   channels × 2 rows = 16 at 16 lanes (fewer than 8 leave two FMA ports
+//!   at 4-cycle latency idle; the second row halves the 16-lane tile's
+//!   loads per FMA, see `fwd_rows`) — and finishes it with one-vector spans, the
+//!   final one overlapping the previous span when the row is not a whole
+//!   number of vectors (recomputed lanes produce identical bits and are
+//!   skipped at write-back, so even the `Accumulate` epilogue is safe). A
+//!   row narrower than a 16-lane vector runs the 8-lane body, one
+//!   narrower than 8 the portable one. An interior-only span would
+//!   collapse to all-scalar at `w ≤ 8`.
 //! * **backward/dK** — the GEMM `dyᵀ · cols` is tiled by *bands* of 32
 //!   column rows: each band is materialized into L1-sized scratch, then a
-//!   register tile (4 output channels × 16 patch columns) loads the
-//!   running accumulator once, FMAs all band rows, and stores it back —
-//!   instead of streaming the whole `out_ch × patch` accumulator through
-//!   memory for every output pixel.
+//!   register tile (4 output channels × 2 vectors at 8 lanes, 8 × 1 at 16:
+//!   16 patch columns either way) loads the running accumulator once, FMAs
+//!   all band rows, and stores it back — instead of streaming the whole
+//!   `out_ch × patch` accumulator through memory for every output pixel.
 //! * **backward/dx** — per image, bands of 32 gradient-column rows are
-//!   computed with a register tile (4 rows × 16 patch columns) against a
-//!   zero-padded copy of the kernel, then scattered in col2im order.
+//!   computed with an 8-lane register tile (4 rows × 16 patch columns,
+//!   every vector tier) against a zero-padded copy of the kernel, then
+//!   scattered in col2im order.
 //!
-//! **Codegen rules.** The AVX2 tiles are written so that they compile to
+//! **One body per tile, dispatched by tier.** Each call reads
+//! [`isa::tier`] once, on the calling thread, and runs the widest body the
+//! host has: AVX-512F, then AVX2+FMA, then portable (`crate::isa` has the
+//! argument why the width cannot move a bit). The forward rows and the dK
+//! band tile are each one source body, generic over the vector type
+//! (`isa::Lanes`: `F32x8` or `F32x16`) and `#[inline(always)]`; per width a
+//! thin `#[target_feature]` entry point (`fwd_image_avx2`,
+//! `fwd_image_avx512`, `dk_bands_avx2`, `dk_bands_avx512`) instantiates
+//! it, so the lane methods compile into the entry point with no call left.
+//!
+//! **Codegen rules.** The vector tiles are written so that they compile to
 //! the register-resident FMA chains above, with nothing spilled between
 //! FMAs:
 //!
 //! * *A compile-time tile width.* The forward span and the dK band tile
-//!   are generic over their channel count `NOC`. Each call dispatches once
-//!   per channel block, to `OCB` for a full block and to 1–3 for the
-//!   `out_ch % 4` remainder, and every block runs the one monomorphised
-//!   body. A runtime count (`take(noc)`) leaves the accumulators an
-//!   array in memory, spilled to the stack between FMAs.
+//!   are generic over their channel count `NOC`. An entry point dispatches
+//!   once per channel block, to its width's block (`Lanes::OCB`) for a
+//!   full block and to the remainder's count for the last, and every
+//!   block runs the one monomorphised body. A runtime count (`take(noc)`)
+//!   leaves the accumulators an array in memory, spilled to the stack
+//!   between FMAs.
 //! * *Hoisted rows.* A block's weight rows (forward) and the band's dy
 //!   rows (dK, dx) become raw pointers before the tap loop, so a broadcast
-//!   is one `vbroadcastss` from a base register and a constant offset.
+//!   is one load from a base register and a constant offset (folded into
+//!   the FMA as an embedded broadcast at 16 lanes).
 //! * *One assert per call, then raw loads.* Each tile opens with one
 //!   `assert!` covering every index its loops form: the buffer lengths,
 //!   and for a forward span its row and column bounds. After that it
@@ -100,27 +117,27 @@
 //!   once the full chain is done — matching the GEMM's `Accumulate`
 //!   epilogue, which also adds a *finished* tile.
 //!
-//! AVX2 lanes compute the same bits as the scalar `mul_add` fallback
-//! (IEEE-754 specifies one rounding for fused multiply-add). An epilogue is
+//! Vector lanes of either width compute the same bits as the scalar
+//! `mul_add` fallback (IEEE-754 specifies one rounding for fused
+//! multiply-add). An epilogue is
 //! either the GEMM write-back's scalar expression or a lane op proven equal
 //! to it (see "Write-back"). The property tests (`conv_direct_props.rs`)
 //! enforce all of this bitwise against the im2col reference.
 //!
 //! ## Write-back
 //!
-//! A whole span of a full block (no lane skipped, all `OCB` channels) is
-//! written vector-wide under `Store`, `Bias` and `Accumulate`. Everything
-//! else goes lane by lane through `apply_epi`, which holds the scalar
-//! expressions of the GEMM's write-back: backed-up spans, remainder blocks,
-//! `BiasRelu` and the portable body. The vector lanes are bit-identical to
-//! `apply_epi`:
+//! A whole span (no lane skipped) is written vector-wide under `Store`,
+//! `Bias` and `Accumulate`, at either width. Everything else goes lane by
+//! lane through `apply_epi`, which holds the scalar expressions of the
+//! GEMM's write-back: backed-up spans, `BiasRelu` and the portable body.
+//! The vector lanes are bit-identical to `apply_epi`:
 //!
 //! * `Store` writes the accumulator's bits unchanged.
 //! * `Bias` is `v + bias[oc]` and `Accumulate` is `out + v` (`*o += v`).
 //!   Each is one IEEE-754 addition, issued as `vaddps` with the operands
 //!   in the scalar expression's order. Addition is correctly rounded, so a
-//!   non-NaN result depends on the operand values alone, and `addps`
-//!   computes per lane what `addss` computes. Signed zeros are part of
+//!   non-NaN result depends on the operand values alone, and `vaddps` on a
+//!   `ymm` or a `zmm` computes per lane what `addss` computes. Signed zeros are part of
 //!   that: under round-to-nearest `+0 + −0 = +0` and `−0 + −0 = −0` on
 //!   both routes. A NaN operand gives NaN on both routes, and with one NaN
 //!   operand x86 returns that NaN quieted, scalar and vector alike. Only a
@@ -133,7 +150,8 @@
 //!   its second operand, so no lane op is proven equal to it.
 //!
 //! `conv_direct_props` holds all four epilogues to the im2col reference on
-//! both bodies, with `±0.0` and NaN bias lanes and starting outputs.
+//! every body the host has, with `±0.0` and NaN bias lanes and starting
+//! outputs.
 //!
 //! ## Prologue: the pre-activation unit's BN→ReLU, applied while staging
 //!
@@ -191,17 +209,24 @@
 //! build time on any other, so each geometry has one route and there is
 //! no switch. The lowered route exists only in the tests, as the oracle.
 
+use crate::isa::{self, Tier};
+#[cfg(target_arch = "x86_64")]
+use crate::isa::{F32x16, F32x8, Lanes};
 use crate::ops::{ConvGeom, Epilogue, PAR_THRESHOLD};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
-use std::cell::Cell;
 
 #[doc(hidden)]
 pub use crate::bench_compat::{conv3x3_backward_dk_into, conv3x3_forward_into};
 
-/// Output-channel block: each pass over an image row computes `OCB`
-/// channels at once so every loaded input vector feeds 4 accumulators.
+/// Output-channel block of the portable body: each pass over an image row
+/// computes `OCB` channels at once. The vector bodies block by their
+/// width's `Lanes::OCB`.
 const OCB: usize = 4;
+
+/// Pixels in the widest forward span at any width: the size of the
+/// lane-by-lane write-back buffer.
+const SPAN_MAX: usize = 16;
 
 /// Rows per backward band: 32 column rows × a padded patch row fit in L1
 /// for training-shaped channel counts, and give the register tiles a long
@@ -285,42 +310,14 @@ fn ctx_for(ch: usize, geom: ConvGeom) -> Ctx {
     }
 }
 
-thread_local! {
-    /// Set while [`with_portable_bodies`] runs on this thread.
-    static PORTABLE_ONLY: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with every kernel called from this thread held to its
-/// portable body, so a host with AVX2 can test both (and run both under a
-/// sanitizer). A test hook, not a switch: the two bodies produce the same
-/// bits. Each kernel reads it once, on the calling thread, before it fans
-/// out, so the pool's workers follow the caller's choice.
-#[doc(hidden)]
-pub fn with_portable_bodies<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PORTABLE_ONLY.with(|p| p.set(self.0));
-        }
-    }
-    let _restore = Restore(PORTABLE_ONLY.with(|p| p.replace(true)));
-    f()
-}
-
-/// Whether the AVX2+FMA bodies run. Read once per kernel call, on the
-/// calling thread.
-#[inline(always)]
-fn has_fma() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        !PORTABLE_ONLY.with(Cell::get)
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+/// The tier a forward call runs: the widest the thread may use whose
+/// vector fits in an output row (a narrower row takes the next tier down).
+fn fwd_tier(ow: usize) -> Tier {
+    let cap = isa::tier();
+    Tier::ALL
+        .into_iter()
+        .find(|t| *t <= cap && t.lanes() <= ow)
+        .unwrap_or(Tier::Portable)
 }
 
 /// The pre-activation prologue: batch-norm statistics and affine of the
@@ -498,7 +495,7 @@ pub fn conv3x3_forward_pre_into(
     let x = input.data();
     let kd = kernel.data();
     let img_len = ch * h * w;
-    let vector = has_fma() && ctx.ow >= 8;
+    let tier = fwd_tier(ctx.ow);
     let base = scratch.as_mut_ptr() as usize;
     let run = |who: usize, b: usize, dst: &mut [f32]| {
         // Safety: `who` < n_slots, and no two images that run at the same
@@ -508,7 +505,7 @@ pub fn conv3x3_forward_pre_into(
         let pimg =
             unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(who * slot), slot) };
         pack_padded_image(&x[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
-        fwd_image(pimg, kd, out_ch, ctx, dst, epi, vector);
+        fwd_image(pimg, kd, out_ch, ctx, dst, epi, tier);
     };
     if parallel {
         out.par_chunks_mut(plane)
@@ -521,9 +518,9 @@ pub fn conv3x3_forward_pre_into(
     }
 }
 
-/// All output rows of one staged image, `OCB` channels at a time; the
-/// AVX2 row kernel when `vector` (AVX2+FMA present and `ow ≥ 8`), with the
-/// block's channel count fixed at compile time.
+/// All output rows of one staged image at `tier` (at most what
+/// [`fwd_tier`] returned for this call): a vector body's entry point, or
+/// the portable rows `OCB` channels at a time.
 fn fwd_image(
     pimg: &[f32],
     kd: &[f32],
@@ -531,30 +528,23 @@ fn fwd_image(
     ctx: Ctx,
     dst: &mut [f32],
     epi: Epilogue<'_>,
-    vector: bool,
+    tier: Tier,
 ) {
-    let mut oc0 = 0;
-    while oc0 < out_ch {
-        let noc = OCB.min(out_ch - oc0);
+    match tier {
+        // SAFETY: `fwd_tier` returned at most the host's tier, and only a
+        // tier whose vector fits in a row.
         #[cfg(target_arch = "x86_64")]
-        if vector {
-            // SAFETY: `vector` implies has_fma() held for this call.
-            unsafe {
-                match noc {
-                    1 => fwd_rows_avx2::<1>(pimg, kd, ctx, oc0, dst, epi),
-                    2 => fwd_rows_avx2::<2>(pimg, kd, ctx, oc0, dst, epi),
-                    3 => fwd_rows_avx2::<3>(pimg, kd, ctx, oc0, dst, epi),
-                    _ => fwd_rows_avx2::<OCB>(pimg, kd, ctx, oc0, dst, epi),
+        Tier::Avx512 => unsafe { fwd_image_avx512(pimg, kd, out_ch, ctx, dst, epi) },
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { fwd_image_avx2(pimg, kd, out_ch, ctx, dst, epi) },
+        _ => {
+            for oc0 in (0..out_ch).step_by(OCB) {
+                let noc = OCB.min(out_ch - oc0);
+                for oy in 0..ctx.oh {
+                    fwd_row_generic(pimg, kd, ctx, oy, oc0, noc, dst, epi);
                 }
             }
-            oc0 += OCB;
-            continue;
         }
-        let _ = vector;
-        for oy in 0..ctx.oh {
-            fwd_row_generic(pimg, kd, ctx, oy, oc0, noc, dst, epi);
-        }
-        oc0 += OCB;
     }
 }
 
@@ -609,8 +599,7 @@ fn fwd_write_px(
     }
 }
 
-/// Portable whole-row kernel (also the narrow-row fallback, `ow < 8`, for
-/// the AVX2 path).
+/// Portable whole-row kernel (also the narrow-row fallback, `ow < 8`).
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
 fn fwd_row_generic(
     pimg: &[f32],
@@ -628,18 +617,72 @@ fn fwd_row_generic(
     }
 }
 
-/// AVX2 rows of one `NOC`-channel block over the padded image. Every tap
-/// is an in-bounds unaligned load (zeros come from the staging pad), so
-/// there is no scalar edge handling at all. Each row is covered by
-/// 16-pixel spans — 2 vectors × `NOC` channels, 8 independent FMA chains
-/// in a full block, what two FMA ports at 4-cycle latency need to stay
-/// busy — and the
-/// < 16 pixels left over by 8-pixel spans, the last one backed up to end
-/// exactly at the row edge: its overlapped lanes re-compute identical bits
-/// and are skipped at write-back, so no element is written twice.
+/// The 8-lane forward: blocks of `F32x8::OCB` (4) channels, 2-vector
+/// spans of one row. Needs `ow ≥ 8`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fwd_rows_avx2<const NOC: usize>(
+unsafe fn fwd_image_avx2(
+    pimg: &[f32],
+    kd: &[f32],
+    out_ch: usize,
+    ctx: Ctx,
+    dst: &mut [f32],
+    epi: Epilogue<'_>,
+) {
+    type L = F32x8;
+    for oc0 in (0..out_ch).step_by(L::OCB) {
+        match out_ch - oc0 {
+            1 => fwd_rows::<L, 2, 1, 1>(pimg, kd, ctx, oc0, dst, epi),
+            2 => fwd_rows::<L, 2, 1, 2>(pimg, kd, ctx, oc0, dst, epi),
+            3 => fwd_rows::<L, 2, 1, 3>(pimg, kd, ctx, oc0, dst, epi),
+            _ => fwd_rows::<L, 2, 1, 4>(pimg, kd, ctx, oc0, dst, epi),
+        }
+    }
+}
+
+/// The 16-lane forward: blocks of `F32x16::OCB` (8) channels, 1-vector
+/// spans of two rows. Needs `ow ≥ 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn fwd_image_avx512(
+    pimg: &[f32],
+    kd: &[f32],
+    out_ch: usize,
+    ctx: Ctx,
+    dst: &mut [f32],
+    epi: Epilogue<'_>,
+) {
+    type L = F32x16;
+    for oc0 in (0..out_ch).step_by(L::OCB) {
+        match out_ch - oc0 {
+            1 => fwd_rows::<L, 1, 2, 1>(pimg, kd, ctx, oc0, dst, epi),
+            2 => fwd_rows::<L, 1, 2, 2>(pimg, kd, ctx, oc0, dst, epi),
+            3 => fwd_rows::<L, 1, 2, 3>(pimg, kd, ctx, oc0, dst, epi),
+            4 => fwd_rows::<L, 1, 2, 4>(pimg, kd, ctx, oc0, dst, epi),
+            5 => fwd_rows::<L, 1, 2, 5>(pimg, kd, ctx, oc0, dst, epi),
+            6 => fwd_rows::<L, 1, 2, 6>(pimg, kd, ctx, oc0, dst, epi),
+            7 => fwd_rows::<L, 1, 2, 7>(pimg, kd, ctx, oc0, dst, epi),
+            _ => fwd_rows::<L, 1, 2, 8>(pimg, kd, ctx, oc0, dst, epi),
+        }
+    }
+}
+
+/// Rows of one `NOC`-channel block over the padded image, at width `L`,
+/// `R` output rows at a time (the rows left over one by one). Every tap is an
+/// in-bounds unaligned load (zeros come from the staging pad), so there is
+/// no scalar edge handling at all. Runs under its entry point's target
+/// features (see `isa`), which need `ow ≥ L::N`.
+///
+/// The tile shape per width: a full block runs `NOC · V · R` independent
+/// FMA chains, at least the 8 that two FMA ports at 4-cycle latency need
+/// to stay busy — 4 channels × 2 vectors × 1 row at 8 lanes, 8 × 1 × 2 at
+/// 16. The 16-lane tile takes two rows because it is otherwise bound by
+/// loads, not FMAs: an unaligned 64-byte load always straddles two cache
+/// lines, and one vector feeds only 8 FMAs beside 8 weight broadcasts.
+/// Two rows share three of their four input rows and every broadcast.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn fwd_rows<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
     pimg: &[f32],
     kd: &[f32],
     ctx: Ctx,
@@ -647,28 +690,57 @@ unsafe fn fwd_rows_avx2<const NOC: usize>(
     dst: &mut [f32],
     epi: Epilogue<'_>,
 ) {
-    debug_assert!(ctx.ow >= 8);
-    for oy in 0..ctx.oh {
-        let mut done = 0usize; // pixels [0, done) already written
-        while done + 16 <= ctx.ow {
-            fwd_span_avx2::<2, NOC>(pimg, kd, ctx, oy, done, 0, oc0, dst, epi);
-            done += 16;
-        }
-        while done < ctx.ow {
-            let ox0 = done.min(ctx.ow - 8);
-            fwd_span_avx2::<1, NOC>(pimg, kd, ctx, oy, ox0, done - ox0, oc0, dst, epi);
-            done = ox0 + 8;
-        }
+    let mut oy = 0;
+    while oy + R <= ctx.oh {
+        fwd_row_group::<L, V, R, NOC>(pimg, kd, ctx, oy, oc0, dst, epi);
+        oy += R;
+    }
+    // Rows the groups of `R > 1` left over, one at a time (`R` is a
+    // constant, so a one-row tile compiles no second copy).
+    while R > 1 && oy < ctx.oh {
+        fwd_row_group::<L, V, 1, NOC>(pimg, kd, ctx, oy, oc0, dst, epi);
+        oy += 1;
     }
 }
 
-/// One span of `8·V` output pixels from `ox0`, `NOC` channels: each output
-/// is its own `p`-ascending FMA chain from zero, whatever the span width.
-/// Lanes below `skip` were written by the previous span and are left alone.
+/// Output rows `oy..oy + R` of one block: `V`-vector spans (16 pixels at
+/// either width), then one-vector spans for what is left, the last one
+/// backed up to end exactly at the row edge: its overlapped lanes
+/// re-compute identical bits and are skipped at write-back, so no element
+/// is written twice.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
-unsafe fn fwd_span_avx2<const V: usize, const NOC: usize>(
+unsafe fn fwd_row_group<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
+    pimg: &[f32],
+    kd: &[f32],
+    ctx: Ctx,
+    oy: usize,
+    oc0: usize,
+    dst: &mut [f32],
+    epi: Epilogue<'_>,
+) {
+    debug_assert!(ctx.ow >= L::N);
+    let mut done = 0usize; // pixels [0, done) already written
+    while done + V * L::N <= ctx.ow {
+        fwd_span::<L, V, R, NOC>(pimg, kd, ctx, oy, done, 0, oc0, dst, epi);
+        done += V * L::N;
+    }
+    while done < ctx.ow {
+        let ox0 = done.min(ctx.ow - L::N);
+        fwd_span::<L, 1, R, NOC>(pimg, kd, ctx, oy, ox0, done - ox0, oc0, dst, epi);
+        done = ox0 + L::N;
+    }
+}
+
+/// One span of `V · L::N` output pixels from `ox0` in each of the `R` rows
+/// from `oy`, `NOC` channels: each output is its own `p`-ascending FMA
+/// chain from zero, whatever the span's shape. Lanes below `skip` were
+/// written by the previous span and are left alone.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
+unsafe fn fwd_span<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
     pimg: &[f32],
     kd: &[f32],
     ctx: Ctx,
@@ -679,87 +751,94 @@ unsafe fn fwd_span_avx2<const V: usize, const NOC: usize>(
     dst: &mut [f32],
     epi: Epilogue<'_>,
 ) {
-    use std::arch::x86_64::*;
+    const { assert!(V * L::N <= SPAN_MAX) };
+    let n = L::N;
     let pw = ctx.w + 2 * ctx.pad;
     let plane = (ctx.h + 2 * ctx.pad) * pw;
-    // The one bounds check: `oy < oh` puts tap rows oy..oy+3 inside the
-    // padded height, `ox0 + 8·V ≤ ow` puts tap columns ox0..ox0+8·V+2
+    // The one bounds check: `oy + R ≤ oh` puts tap rows oy..oy+R+2 inside
+    // the padded height, `ox0 + V·N ≤ ow` puts tap columns ox0..ox0+V·N+2
     // inside the padded width, and the lengths cover the staged image, the
     // block's `NOC` weight rows and its `NOC` output planes.
     assert!(
-        oy < ctx.oh
-            && ox0 + 8 * V <= ctx.ow
+        oy + R <= ctx.oh
+            && ox0 + n * V <= ctx.ow
             && pimg.len() >= ctx.ch * plane
             && kd.len() >= (oc0 + NOC) * ctx.patch
             && dst.len() >= (oc0 + NOC) * ctx.oh * ctx.ow,
         "conv3x3 forward span out of bounds"
     );
     let krow: [*const f32; NOC] = std::array::from_fn(|jj| kd[(oc0 + jj) * ctx.patch..].as_ptr());
-    let mut acc = [[_mm256_setzero_ps(); V]; NOC];
+    let mut acc = [[[L::zero(); V]; R]; NOC];
     for c in 0..ctx.ch {
         // Padded row oy+ky holds input row oy+ky-pad; padded column
         // ox+kx holds input column ox+kx-pad — all taps in-bounds.
-        // SAFETY: c < ch, oy + ky < ph and ox0 + kx + 8·V ≤ pw by the
+        // SAFETY: c < ch, oy + r + ky < ph and ox0 + kx + V·N ≤ pw by the
         // assert above, so every load stays inside `pimg`.
         let base = pimg.as_ptr().add(c * plane + oy * pw + ox0);
         for ky in 0..3 {
-            let row = base.add(ky * pw);
             for kx in 0..3 {
-                let mut xv = [_mm256_setzero_ps(); V];
-                for (v, x) in xv.iter_mut().enumerate() {
-                    *x = _mm256_loadu_ps(row.add(kx + 8 * v));
-                }
+                let xv: [[L; V]; R] = std::array::from_fn(|r| {
+                    let row = base.add((r + ky) * pw + kx);
+                    std::array::from_fn(|v| L::loadu(row.add(n * v)))
+                });
                 let p = (c * 3 + ky) * 3 + kx;
                 for (a, k) in acc.iter_mut().zip(&krow) {
                     // SAFETY: p < patch, and the assert above puts all
                     // `NOC` weight rows of the block inside `kd`.
-                    let kv = _mm256_broadcast_ss(&*k.add(p));
-                    for (av, x) in a.iter_mut().zip(&xv) {
-                        *av = _mm256_fmadd_ps(*x, kv, *av);
+                    let kv = L::splat(*k.add(p));
+                    for (ar, xr) in a.iter_mut().zip(&xv) {
+                        for (av, x) in ar.iter_mut().zip(xr) {
+                            *av = L::fmadd(*x, kv, *av);
+                        }
                     }
                 }
             }
         }
     }
-    // Vector write-back of a whole span of a full block: the same IEEE
-    // operation per lane as `apply_epi`, operands in the same order (see
-    // "Write-back" in the module docs). `BiasRelu` stays lane by lane.
-    if NOC == OCB && skip == 0 && !matches!(epi, Epilogue::BiasRelu(_)) {
+    // Vector write-back of a whole span: the same IEEE operation per lane
+    // as `apply_epi`, operands in the same order (see "Write-back" in the
+    // module docs). `BiasRelu` stays lane by lane.
+    if skip == 0 && !matches!(epi, Epilogue::BiasRelu(_)) {
         for (jj, a) in acc.iter().enumerate() {
             let bias = match epi {
-                Epilogue::Bias(b) => _mm256_set1_ps(b[oc0 + jj]),
-                _ => _mm256_setzero_ps(),
+                Epilogue::Bias(b) => L::splat(b[oc0 + jj]),
+                _ => L::zero(),
             };
-            // SAFETY: oc0 + jj < oc0 + NOC, oy < oh and ox0 + 8·V ≤ ow by
-            // the assert above, so all `8·V` lanes are inside `dst`.
-            let o = dst
-                .as_mut_ptr()
-                .add(((oc0 + jj) * ctx.oh + oy) * ctx.ow + ox0);
-            for (v, &av) in a.iter().enumerate() {
-                let o = o.add(8 * v);
-                let r = match epi {
-                    Epilogue::Store => av,
-                    Epilogue::Accumulate => _mm256_add_ps(_mm256_loadu_ps(o), av),
-                    Epilogue::Bias(_) => _mm256_add_ps(av, bias),
-                    Epilogue::BiasRelu(_) => unreachable!("BiasRelu writes back lane by lane"),
-                };
-                _mm256_storeu_ps(o, r);
+            for (r, ar) in a.iter().enumerate() {
+                // SAFETY: oc0 + jj < oc0 + NOC, oy + r < oh and
+                // ox0 + V·N ≤ ow by the assert above, so all `V·N` lanes
+                // are inside `dst`.
+                let o = dst
+                    .as_mut_ptr()
+                    .add(((oc0 + jj) * ctx.oh + oy + r) * ctx.ow + ox0);
+                for (v, &av) in ar.iter().enumerate() {
+                    let o = o.add(n * v);
+                    let out = match epi {
+                        Epilogue::Store => av,
+                        Epilogue::Accumulate => L::add(L::loadu(o), av),
+                        Epilogue::Bias(_) => L::add(av, bias),
+                        Epilogue::BiasRelu(_) => unreachable!("BiasRelu writes back lane by lane"),
+                    };
+                    out.storeu(o);
+                }
             }
         }
         return;
     }
-    // Lane by lane through `apply_epi`: backed-up spans, remainder blocks
-    // and `BiasRelu`.
-    let mut lanes = [[[0.0f32; 8]; V]; NOC];
-    for (la, a) in lanes.iter_mut().zip(&acc) {
-        for (l, av) in la.iter_mut().zip(a) {
-            _mm256_storeu_ps(l.as_mut_ptr(), *av);
+    // Lane by lane through `apply_epi`: backed-up spans and `BiasRelu`.
+    for r in 0..R {
+        let mut lanes = [[0.0f32; SPAN_MAX]; NOC];
+        for (la, a) in lanes.iter_mut().zip(&acc) {
+            for (v, av) in a[r].iter().enumerate() {
+                // SAFETY: v·N + N ≤ V·N ≤ SPAN_MAX by the const assert.
+                av.storeu(la.as_mut_ptr().add(n * v));
+            }
         }
-    }
-    for l in skip..8 * V {
-        for (jj, la) in lanes.iter().enumerate() {
-            let o = &mut dst[((oc0 + jj) * ctx.oh + oy) * ctx.ow + ox0 + l];
-            apply_epi(o, la[l / 8][l % 8], oc0 + jj, epi);
+        for l in skip..n * V {
+            for (jj, la) in lanes.iter().enumerate() {
+                let o = &mut dst[((oc0 + jj) * ctx.oh + oy + r) * ctx.ow + ox0 + l];
+                apply_epi(o, la[l], oc0 + jj, epi);
+            }
         }
     }
 }
@@ -857,7 +936,8 @@ pub fn conv3x3_backward_dx_into(
     let pp = patch_pad(ctx.patch);
     let slot = dx_slot(ch, out_ch);
     assert!(scratch.len() >= out_ch * pp + slot, "dx scratch length");
-    let use_fma = has_fma();
+    // The dx tile stays at 8 lanes: any vector tier runs it.
+    let use_fma = isa::tier() >= Tier::Avx2;
     let (kpad, slots) = scratch.split_at_mut(out_ch * pp);
     // Images in parallel once the output is past `PAR_THRESHOLD`.
     let parallel = batch > 1 && dx.len() >= PAR_THRESHOLD;
@@ -931,7 +1011,8 @@ fn dx_image_banded(
         let nb = BAND.min(ohw - r0);
         gather_dy_band(dyp, ohw, out_ch, r0, nb, dyb);
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers reach this path only when has_fma() is true.
+        // SAFETY: callers reach this path only on a vector tier, where
+        // AVX2 and FMA are present.
         unsafe {
             dx_band_avx2(dyb, kpad, nb, out_ch, pp, dcols)
         };
@@ -1104,12 +1185,12 @@ pub fn conv3x3_backward_dk_pre_into(
     let img_len = ch * ctx.h * ctx.w;
     let ohw = ctx.oh * ctx.ow;
     let dy_plane = out_ch * ohw;
-    let use_fma = has_fma();
+    let tier = isa::tier();
     zero_border(ctx, pimg);
     for b in 0..batch {
         pack_padded_image(&xd[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
         let dyp = &dyd[b * dy_plane..(b + 1) * dy_plane];
-        if use_fma {
+        if tier >= Tier::Avx2 {
             let mut r0 = 0;
             while r0 < ohw {
                 let nb = BAND.min(ohw - r0);
@@ -1120,18 +1201,15 @@ pub fn conv3x3_backward_dk_pre_into(
                     row[ctx.patch..].fill(0.0);
                 }
                 gather_dy_band(dyp, ohw, out_ch, r0, nb, dyb);
-                #[cfg(target_arch = "x86_64")]
-                for oc0 in (0..out_ch).step_by(OCB) {
-                    let (band, dyb) = (&*band, &*dyb);
-                    // SAFETY: use_fma is true only when AVX2+FMA are present.
-                    unsafe {
-                        match OCB.min(out_ch - oc0) {
-                            1 => dk_band_avx2::<1>(band, dyb, nb, out_ch, pp, oc0, acc),
-                            2 => dk_band_avx2::<2>(band, dyb, nb, out_ch, pp, oc0, acc),
-                            3 => dk_band_avx2::<3>(band, dyb, nb, out_ch, pp, oc0, acc),
-                            _ => dk_band_avx2::<OCB>(band, dyb, nb, out_ch, pp, oc0, acc),
-                        }
-                    }
+                let (band, dyb) = (&*band, &*dyb);
+                // SAFETY: `tier` is at most the host's.
+                match tier {
+                    #[cfg(target_arch = "x86_64")]
+                    Tier::Avx512 => unsafe { dk_bands_avx512(band, dyb, nb, out_ch, pp, acc) },
+                    #[cfg(target_arch = "x86_64")]
+                    _ => unsafe { dk_bands_avx2(band, dyb, nb, out_ch, pp, acc) },
+                    #[cfg(not(target_arch = "x86_64"))]
+                    _ => unreachable!("no vector tier off x86-64"),
                 }
                 r0 += nb;
             }
@@ -1159,13 +1237,63 @@ pub fn conv3x3_backward_dk_pre_into(
     }
 }
 
-/// Band tile for dK: `NOC` output channels (one block, from `oc0`) × 16
-/// patch columns held in registers; the running accumulator is loaded once
-/// per band, continued through all band rows (`r` ascending — the global
-/// GEMM k-order), and stored back.
+/// The 8-lane dK band: blocks of `F32x8::OCB` (4) channels × 2 vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dk_band_avx2<const NOC: usize>(
+unsafe fn dk_bands_avx2(
+    band: &[f32],
+    dyb: &[f32],
+    nb: usize,
+    out_ch: usize,
+    pp: usize,
+    acc: &mut [f32],
+) {
+    type L = F32x8;
+    for oc0 in (0..out_ch).step_by(L::OCB) {
+        match out_ch - oc0 {
+            1 => dk_band::<L, 2, 1>(band, dyb, nb, out_ch, pp, oc0, acc),
+            2 => dk_band::<L, 2, 2>(band, dyb, nb, out_ch, pp, oc0, acc),
+            3 => dk_band::<L, 2, 3>(band, dyb, nb, out_ch, pp, oc0, acc),
+            _ => dk_band::<L, 2, 4>(band, dyb, nb, out_ch, pp, oc0, acc),
+        }
+    }
+}
+
+/// The 16-lane dK band: blocks of `F32x16::OCB` (8) channels × 1 vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dk_bands_avx512(
+    band: &[f32],
+    dyb: &[f32],
+    nb: usize,
+    out_ch: usize,
+    pp: usize,
+    acc: &mut [f32],
+) {
+    type L = F32x16;
+    for oc0 in (0..out_ch).step_by(L::OCB) {
+        match out_ch - oc0 {
+            1 => dk_band::<L, 1, 1>(band, dyb, nb, out_ch, pp, oc0, acc),
+            2 => dk_band::<L, 1, 2>(band, dyb, nb, out_ch, pp, oc0, acc),
+            3 => dk_band::<L, 1, 3>(band, dyb, nb, out_ch, pp, oc0, acc),
+            4 => dk_band::<L, 1, 4>(band, dyb, nb, out_ch, pp, oc0, acc),
+            5 => dk_band::<L, 1, 5>(band, dyb, nb, out_ch, pp, oc0, acc),
+            6 => dk_band::<L, 1, 6>(band, dyb, nb, out_ch, pp, oc0, acc),
+            7 => dk_band::<L, 1, 7>(band, dyb, nb, out_ch, pp, oc0, acc),
+            _ => dk_band::<L, 1, 8>(band, dyb, nb, out_ch, pp, oc0, acc),
+        }
+    }
+}
+
+/// Band tile for dK: `NOC` output channels (one block, from `oc0`) × `V`
+/// vectors of patch columns (16 at either width) held in registers; the
+/// running accumulator is loaded once per band, continued through all band
+/// rows (`r` ascending — the global GEMM k-order), and stored back. Runs
+/// under its entry point's target features (see `isa`).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // internal kernel plumbing
+unsafe fn dk_band<L: Lanes, const V: usize, const NOC: usize>(
     band: &[f32],
     dyb: &[f32],
     nb: usize,
@@ -1174,12 +1302,12 @@ unsafe fn dk_band_avx2<const NOC: usize>(
     oc0: usize,
     acc: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
+    let n = L::N;
     // The one bounds check: `nb` band rows of `pp` columns (a multiple of
-    // the 16-column tile), `nb` dy rows of `out_ch` values, the block's
+    // the `V·N`-column tile), `nb` dy rows of `out_ch` values, the block's
     // channels inside `out_ch`, and `out_ch` accumulator rows.
     assert!(
-        pp.is_multiple_of(16)
+        pp.is_multiple_of(n * V)
             && band.len() >= nb * pp
             && dyb.len() >= nb * out_ch
             && oc0 + NOC <= out_ch
@@ -1190,34 +1318,36 @@ unsafe fn dk_band_avx2<const NOC: usize>(
     let dys = dyb[oc0..].as_ptr();
     let mut p0 = 0;
     while p0 < pp {
-        let mut t = [[_mm256_setzero_ps(); 2]; NOC];
+        let mut t = [[L::zero(); V]; NOC];
         for (jj, tj) in t.iter_mut().enumerate() {
-            // SAFETY: oc0 + jj < out_ch and p0 + 16 ≤ pp by the assert.
+            // SAFETY: oc0 + jj < out_ch and p0 + V·N ≤ pp by the assert.
             let a = acc.as_ptr().add((oc0 + jj) * pp + p0);
-            tj[0] = _mm256_loadu_ps(a);
-            tj[1] = _mm256_loadu_ps(a.add(8));
+            for (v, tv) in tj.iter_mut().enumerate() {
+                *tv = L::loadu(a.add(n * v));
+            }
         }
         for ri in 0..nb {
-            // SAFETY: ri < nb and p0 + 16 ≤ pp by the assert.
+            // SAFETY: ri < nb and p0 + V·N ≤ pp by the assert.
             let x = band.as_ptr().add(ri * pp + p0);
-            let x0 = _mm256_loadu_ps(x);
-            let x1 = _mm256_loadu_ps(x.add(8));
+            let xv: [L; V] = std::array::from_fn(|v| L::loadu(x.add(n * v)));
             // SAFETY: ri < nb and oc0 + jj < out_ch, so each broadcast
             // reads `dyb[ri·out_ch + oc0 + jj]`, inside it by the assert.
             let d = dys.add(ri * out_ch);
             for (jj, tj) in t.iter_mut().enumerate() {
-                let dv = _mm256_broadcast_ss(&*d.add(jj));
-                tj[0] = _mm256_fmadd_ps(x0, dv, tj[0]);
-                tj[1] = _mm256_fmadd_ps(x1, dv, tj[1]);
+                let dv = L::splat(*d.add(jj));
+                for (tv, x) in tj.iter_mut().zip(&xv) {
+                    *tv = L::fmadd(*x, dv, *tv);
+                }
             }
         }
         for (jj, tj) in t.iter().enumerate() {
             // SAFETY: as for the load above.
             let a = acc.as_mut_ptr().add((oc0 + jj) * pp + p0);
-            _mm256_storeu_ps(a, tj[0]);
-            _mm256_storeu_ps(a.add(8), tj[1]);
+            for (v, tv) in tj.iter().enumerate() {
+                tv.storeu(a.add(n * v));
+            }
         }
-        p0 += 16;
+        p0 += n * V;
     }
 }
 

@@ -31,6 +31,7 @@
 mod bench_compat;
 pub mod codec;
 pub mod conv_direct;
+pub mod isa;
 pub mod ops;
 pub mod quant;
 pub mod rng;

@@ -54,6 +54,7 @@
 //! caller-provided buffers so the training workspace can run the whole
 //! step without heap allocation.
 
+use crate::isa::{self, Tier};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -233,15 +234,18 @@ fn pack_a(a: AMat, i0: usize, mr: usize, k: usize, apack: &mut [f32]) {
 /// `fusedMultiplyAdd` exactly (one rounding), so the AVX2 `vfmadd`
 /// intrinsics, scalar `f32::mul_add`, and the tests' naive reference loop
 /// all produce the same bit pattern — the dispatch below can never change a
-/// result, only its speed.
+/// result, only its speed. `vector` is the call's tier read once by
+/// [`gemm`] on the submitting thread (any vector tier runs the 8-lane
+/// tile), so `isa::with_tier_cap` reaches the pool's workers too.
 #[inline(always)]
-fn micro_kernel(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn micro_kernel(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR], vector: bool) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the required CPU features were just detected.
+    if vector {
+        // SAFETY: a vector tier has AVX2 and FMA.
         unsafe { micro_kernel_avx2(apack, bpanel, acc) };
         return;
     }
+    let _ = vector;
     micro_kernel_generic(apack, bpanel, acc);
 }
 
@@ -340,6 +344,7 @@ fn gemm_block(
     out_block: &mut [f32],
     epi: Epilogue<'_>,
     apack: &mut [f32],
+    vector: bool,
 ) {
     let mut iq = 0;
     while iq < rows {
@@ -348,7 +353,12 @@ fn gemm_block(
         for jp in 0..cols.div_ceil(NR) {
             let nr = NR.min(cols - jp * NR);
             let mut acc = [[0.0f32; NR]; MR];
-            micro_kernel(apack, &bpack[jp * k * NR..(jp + 1) * k * NR], &mut acc);
+            micro_kernel(
+                apack,
+                &bpack[jp * k * NR..(jp + 1) * k * NR],
+                &mut acc,
+                vector,
+            );
             write_back(&acc, out_block, iq, n, j0 + jp * NR, mr, nr, epi);
         }
         iq += MR;
@@ -379,6 +389,7 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
     if m == 0 || n == 0 {
         return;
     }
+    let vector = isa::tier() >= Tier::Avx2;
     let mut bpack = PACK_B.with(|c| c.take());
     let mut arena = PACK_A.with(|c| c.take());
     let parallel = m * n >= PAR_THRESHOLD && m > 1;
@@ -421,6 +432,7 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
                         block,
                         epi,
                         apack,
+                        vector,
                     );
                 });
         } else {
@@ -435,6 +447,7 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
                 out,
                 epi,
                 &mut arena[..k * MR],
+                vector,
             );
         }
     }

@@ -10,14 +10,14 @@
 //! Each int8 kernel — max-abs scale, quantize, dequantize, dequantize-add,
 //! and the fused quantize → dequantize → residual pass that shapes a delta
 //! in place — has a portable body in safe Rust and, on x86-64, an AVX2
-//! body chosen at run time by `is_x86_feature_detected!("avx2")` (the
-//! convention of `conv_direct::has_fma`). The portable body is the
+//! body that any vector tier of `isa::tier` runs (AVX2+FMA or wider;
+//! the int8 kernels stay at 8 lanes). The portable body is the
 //! definition: the AVX2 body handles whole 8-lane groups and hands the
 //! tail to the portable one, and `tests/quant_kernels.rs` holds the two to
 //! the same `to_bits()` on every length, alignment and special value, and
 //! both to the `f32::round` definition they replaced.
-//! [`with_portable_bodies`] is the test hook that pins a thread to the
-//! portable body; it is not a runtime switch.
+//! `isa::with_tier_cap(Tier::Portable, ..)` is the test hook that pins a
+//! thread to the portable body; it is not a runtime switch.
 //!
 //! ## Rounding without `f32::round`
 //!
@@ -38,38 +38,12 @@
 //! function of its inputs, so the discrete-event simulator replays
 //! bit-identically per seed.
 
-use std::cell::Cell;
+use crate::isa::{self, Tier};
 
-thread_local! {
-    /// Set while [`with_portable_bodies`] runs on this thread.
-    static PORTABLE_ONLY: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with every int8 kernel on this thread held to its portable
-/// body, so a host with AVX2 can test both. A test hook, not a switch: the
-/// two bodies produce the same bits, only their speed differs.
-#[doc(hidden)]
-pub fn with_portable_bodies<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PORTABLE_ONLY.with(|p| p.set(self.0));
-        }
-    }
-    let _restore = Restore(PORTABLE_ONLY.with(|p| p.replace(true)));
-    f()
-}
-
+/// Whether the AVX2 bodies run: any vector tier (see `isa`).
 #[inline]
 fn use_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        !PORTABLE_ONLY.with(Cell::get) && std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    isa::tier() >= Tier::Avx2
 }
 
 /// Symmetric int8 scale for a slice: `max|x| / 127`, or 0.0 for an

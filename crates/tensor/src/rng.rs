@@ -31,13 +31,45 @@ impl NormalSampler {
         if let Some(s) = self.spare.take() {
             return s;
         }
-        // Box–Muller: u1 in (0, 1] to avoid ln(0).
+        let (c, s) = self.pair();
+        self.spare = Some(s);
+        c
+    }
+
+    /// Fills `out` with the next `out.len()` samples: exactly what as many
+    /// [`NormalSampler::sample`] calls return, and the same spare left
+    /// behind, so fills and single draws interleave freely. A spare left
+    /// by an odd count goes first; then whole Box–Muller pairs, with no
+    /// per-sample branch.
+    pub fn fill(&mut self, out: &mut [f32]) {
+        let out = match (self.spare, out) {
+            (Some(s), [first, rest @ ..]) => {
+                *first = s;
+                self.spare = None;
+                rest
+            }
+            (_, out) => out,
+        };
+        let mut pairs = out.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            (pair[0], pair[1]) = self.pair();
+        }
+        if let [last] = pairs.into_remainder() {
+            let (c, s) = self.pair();
+            *last = c;
+            self.spare = Some(s);
+        }
+    }
+
+    /// One Box–Muller pair `(r·cos θ, r·sin θ)`, the cosine drawn first.
+    #[inline]
+    fn pair(&mut self) -> (f32, f32) {
+        // u1 in (0, 1] to avoid ln(0).
         let u1: f32 = 1.0 - self.rng.gen::<f32>();
         let u2: f32 = self.rng.gen();
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
-        self.spare = Some(r * theta.sin());
-        r * theta.cos()
+        (r * theta.cos(), r * theta.sin())
     }
 }
 
@@ -71,6 +103,30 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / (n - 1) as f32;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
+    }
+
+    proptest::proptest! {
+        /// Any sequence of fill lengths — odd ones, empty ones, single
+        /// draws between them — is bitwise as many `sample()` calls, and
+        /// leaves the same spare (the draw after it agrees too).
+        #[test]
+        fn fill_is_as_many_samples(
+            seed in 0u64..1_000,
+            steps in proptest::collection::vec((0usize..9, 0u8..2), 0..12),
+        ) {
+            let (mut a, mut b) = (NormalSampler::seed_from(seed), NormalSampler::seed_from(seed));
+            for (len, single) in steps {
+                let mut got = vec![f32::NAN; len];
+                a.fill(&mut got);
+                let want: Vec<f32> = (0..len).map(|_| b.sample()).collect();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&got), bits(&want));
+                if single == 1 {
+                    proptest::prop_assert_eq!(a.sample().to_bits(), b.sample().to_bits());
+                }
+            }
+            proptest::prop_assert_eq!(a.sample().to_bits(), b.sample().to_bits());
+        }
     }
 
     #[test]

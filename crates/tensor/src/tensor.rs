@@ -64,9 +64,11 @@ impl Tensor {
     /// Samples i.i.d. `N(mean, std^2)` entries from a seeded sampler.
     pub fn randn(dims: &[usize], mean: f32, std: f32, sampler: &mut NormalSampler) -> Self {
         let shape = Shape::new(dims);
-        let data = (0..shape.numel())
-            .map(|_| sampler.sample() * std + mean)
-            .collect();
+        let mut data = vec![0.0; shape.numel()];
+        sampler.fill(&mut data);
+        for v in &mut data {
+            *v = *v * std + mean;
+        }
         Tensor { shape, data }
     }
 

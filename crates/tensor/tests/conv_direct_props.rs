@@ -26,10 +26,15 @@
 //! cover the same four epilogues, a dx chain that underflows to `−0.0`,
 //! and a dK that must be one chain over the whole batch.
 //!
-//! Every direct call runs twice, on the body the host selects (AVX2 where
-//! present) and on the portable one (`conv_direct::with_portable_bodies`),
-//! so one case holds both to the reference — and `deploy/sanitize.sh` runs
-//! both under AddressSanitizer. CI also runs this file with
+//! Every direct call runs once per body the host has (`isa::Tier::
+//! host_tiers`, each under `isa::with_tier_cap`): the 16-lane body where
+//! AVX-512F is present, the 8-lane body under an AVX2 cap, and the
+//! portable one, so one case holds every width to the reference — and
+//! `deploy/sanitize.sh` runs them all under AddressSanitizer. Rows
+//! narrower than a 16-lane vector run the 8-lane body at every vector
+//! tier; rows of 16 to 40 reach the 16-lane full spans and its backed-up
+//! tail, and up to 9 output channels put a full 8-channel block beside a
+//! remainder of one. CI also runs this file with
 //! `VC_THREADS=1` and `VC_THREADS=4`, so the slot-sharing case reaches
 //! four participants and the single-thread path is held as measured.
 
@@ -39,8 +44,9 @@ use im2col::{col2im_into, im2col};
 use proptest::prelude::*;
 use vc_tensor::conv_direct::{
     conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into, conv3x3_forward_pre_into,
-    dk_scratch_len, dx_scratch_len, fwd_scratch_len, with_portable_bodies, BnRelu,
+    dk_scratch_len, dx_scratch_len, fwd_scratch_len, BnRelu,
 };
+use vc_tensor::isa::{with_tier_cap, Tier};
 use vc_tensor::ops::{
     conv1x1_backward_dk_into, conv1x1_backward_dx_into, conv1x1_forward_into, matmul_a_bt_epi_into,
     matmul_at_b_epi_into, matmul_epi_into, ConvGeom, Epilogue,
@@ -57,11 +63,12 @@ fn garbage(len: usize) -> Vec<f32> {
     vec![f32::NAN; len]
 }
 
-/// Runs `f` on the body the host selects, then on the portable body,
-/// naming each.
-fn on_both_bodies(mut f: impl FnMut(&str)) {
-    f("detected body");
-    with_portable_bodies(|| f("portable body"));
+/// Runs `f` on every body the host has, widest first — 16-lane, the
+/// 8-lane body under an AVX2 cap, the portable body — naming each.
+fn on_every_body(mut f: impl FnMut(&str)) {
+    for tier in Tier::host_tiers() {
+        with_tier_cap(tier, || f(tier.name()));
+    }
 }
 
 fn geom(h: usize, w: usize, pad: usize) -> ConvGeom {
@@ -262,7 +269,7 @@ fn check_forward_sized(c: &Case, epi_kind: u8, stage_len: usize) {
     let want_pre = c.ref_forward(&act, epi);
     let mut got = vec![0.0f32; want.len()];
     let mut stage = garbage(stage_len);
-    on_both_bodies(|body| {
+    on_every_body(|body| {
         // Direct.
         got.copy_from_slice(c.out0.data());
         conv3x3_forward_pre_into(&c.input, None, &c.kernel, c.g, &mut got, epi, &mut stage);
@@ -296,7 +303,7 @@ fn check_dx_sized(c: &Case, scratch_len: usize) {
     // Direct (fused): no dcols matrix, per-participant band scratch.
     let mut got = vec![0.0f32; want.len()];
     let mut scratch = garbage(scratch_len);
-    on_both_bodies(|body| {
+    on_every_body(|body| {
         conv3x3_backward_dx_into(&c.dy, &c.kernel, c.ch, c.g, &mut got, &mut scratch);
         assert_eq!(bits(&got), bits(&want), "dx, {body}");
     });
@@ -316,7 +323,7 @@ fn check_dk(c: &Case, seed: u64) {
     let (raw, act) = pre.materialize(c);
     let want_pre = c.ref_dk(&dk0, &act);
     let mut scratch = garbage(dk_scratch_len(c.ch, c.out_ch, c.g));
-    on_both_bodies(|body| {
+    on_every_body(|body| {
         let mut got = dk0.clone();
         conv3x3_backward_dk_pre_into(&c.dy, &c.input, None, c.g, &mut got, &mut scratch);
         assert_eq!(bits(&got), bits(&want), "dK, {body}");
@@ -350,25 +357,27 @@ fn case_1x1(batch: usize, ch: usize, out_ch: usize, h: usize, w: usize, seed: u6
 /// The 1×1 GEMMs on the image layout against the lowering: forward under
 /// all four epilogues (`Accumulate` onto the random starting output), dx
 /// over a buffer of stale values, and dK accumulating onto a nonzero
-/// start.
+/// start — on every GEMM body the host has, against one reference.
 fn check_1x1(c: &Case, seed: u64) {
-    for kind in 0..4 {
-        let epi = c.epilogue(kind);
-        let mut got = c.out0.data().to_vec();
-        conv1x1_forward_into(&c.input, &c.kernel, &mut got, epi);
-        assert_eq!(
-            bits(&got),
-            bits(&c.ref_forward(&c.input, epi)),
-            "1×1 forward epi={kind}"
-        );
-    }
-    let mut got = garbage(c.input.numel());
-    conv1x1_backward_dx_into(&c.dy, &c.kernel, &mut got);
-    assert_eq!(bits(&got), bits(&c.ref_dx()), "1×1 dx");
+    let want_fwd: Vec<Vec<f32>> = (0..4)
+        .map(|kind| c.ref_forward(&c.input, c.epilogue(kind)))
+        .collect();
+    let want_dx = c.ref_dx();
     let dk0 = dk_start(c, seed);
-    let mut got = dk0.clone();
-    conv1x1_backward_dk_into(&c.dy, &c.input, &mut got);
-    assert_eq!(bits(&got), bits(&c.ref_dk(&dk0, &c.input)), "1×1 dK");
+    let want_dk = c.ref_dk(&dk0, &c.input);
+    on_every_body(|body| {
+        for (kind, want) in want_fwd.iter().enumerate() {
+            let mut got = c.out0.data().to_vec();
+            conv1x1_forward_into(&c.input, &c.kernel, &mut got, c.epilogue(kind as u8));
+            assert_eq!(bits(&got), bits(want), "1×1 forward epi={kind}, {body}");
+        }
+        let mut got = garbage(c.input.numel());
+        conv1x1_backward_dx_into(&c.dy, &c.kernel, &mut got);
+        assert_eq!(bits(&got), bits(&want_dx), "1×1 dx, {body}");
+        let mut got = dk0.clone();
+        conv1x1_backward_dk_into(&c.dy, &c.input, &mut got);
+        assert_eq!(bits(&got), bits(&want_dk), "1×1 dK, {body}");
+    });
 }
 
 proptest! {
@@ -421,20 +430,24 @@ proptest! {
 
 /// Degenerate geometries the strategy ranges only graze: 1×1 spatial
 /// output (kernel covers the whole padded input), single-pixel images,
-/// batch=1, ch=1, and an out_ch that is not a multiple of the OCB=4
-/// channel block.
+/// batch=1, ch=1, out_ch that are not a multiple of either channel block
+/// (4 at 8 lanes, 8 at 16), and rows at each width's edges.
 #[test]
 fn degenerate_geometries_bitwise() {
     for (batch, ch, out_ch, h, w, pad) in [
-        (1, 1, 1, 1, 1, 1),  // 1×1 input, pad 1 → 1×1 output, all-edge taps
-        (1, 1, 5, 1, 1, 1),  // OCB remainder of 1
-        (2, 3, 4, 1, 5, 1),  // single-row images
-        (2, 3, 4, 5, 1, 1),  // single-column images
-        (1, 2, 3, 3, 3, 0),  // pad 0 → 1×1 output from the interior only
-        (1, 1, 1, 2, 2, 2),  // pad 2: output wider than the input
-        (3, 2, 6, 9, 9, 1),  // ow=9: vector span + scalar remainder lanes
-        (2, 2, 5, 3, 29, 1), // ow=29: a 16-pixel span, an 8, an overlapped 8
-        (1, 3, 4, 4, 40, 1), // ow=40: two 16-pixel spans and an exact 8
+        (1, 1, 1, 1, 1, 1),   // 1×1 input, pad 1 → 1×1 output, all-edge taps
+        (1, 1, 5, 1, 1, 1),   // OCB remainder of 1
+        (2, 3, 4, 1, 5, 1),   // single-row images
+        (2, 3, 4, 5, 1, 1),   // single-column images
+        (1, 2, 3, 3, 3, 0),   // pad 0 → 1×1 output from the interior only
+        (1, 1, 1, 2, 2, 2),   // pad 2: output wider than the input
+        (3, 2, 6, 9, 9, 1),   // ow=9: vector span + scalar remainder lanes
+        (2, 2, 5, 3, 29, 1),  // ow=29: a 16-pixel span, an 8, an overlapped 8
+        (1, 3, 4, 4, 40, 1),  // ow=40: two 16-pixel spans and an exact 8
+        (1, 2, 9, 2, 16, 1),  // ow=16: one 16-lane span; an 8-block and a 1
+        (2, 3, 12, 3, 17, 1), // ow=17: a 16-lane span, one backed up 15 lanes
+        (1, 2, 7, 2, 15, 1),  // ow=15: under 16 lanes, the 8-lane body runs
+        (1, 1, 8, 3, 24, 0),  // pad 0, ow=22: a 16-lane span backed up 10
     ] {
         let c = make_case(
             batch,

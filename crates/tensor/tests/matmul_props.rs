@@ -5,12 +5,15 @@
 //! chain **bitwise**, for any shape including degenerate ones (empty
 //! matrices, single rows/columns, shapes past the parallel threshold). These
 //! properties are what the DST byte-identity suite rests on, so they are
-//! checked here as bit patterns, never with a tolerance.
+//! checked here as bit patterns, never with a tolerance — on every body
+//! the host has (`isa::with_tier_cap`): the AVX2+FMA micro-kernel, which
+//! every vector tier runs, and the portable `micro_kernel_generic`.
 
 mod naive;
 
 use naive::matmul_naive;
 use proptest::prelude::*;
+use vc_tensor::isa::{with_tier_cap, Tier};
 use vc_tensor::ops::{matmul, matmul_a_bt, matmul_at_b, Epilogue};
 use vc_tensor::ops::{matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into};
 use vc_tensor::{NormalSampler, Tensor};
@@ -27,12 +30,26 @@ fn rand_pair(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
     )
 }
 
+/// `route`'s bits under every tier the host has, each named.
+fn on_every_body(route: impl Fn() -> Tensor) -> Vec<(&'static str, Vec<u32>)> {
+    Tier::host_tiers()
+        .map(|t| (t.name(), with_tier_cap(t, || bits(&route()))))
+        .collect()
+}
+
+/// Holds `route` to `want` bitwise on every body.
+fn assert_every_body(route: impl Fn() -> Tensor, want: &Tensor) {
+    for (body, got) in on_every_body(route) {
+        assert_eq!(got, bits(want), "{body}");
+    }
+}
+
 proptest! {
     #[test]
     fn blocked_matmul_is_bitwise_naive(dims in (0usize..48, 0usize..40, 0usize..48), seed in 0u64..1_000_000) {
         let (m, k, n) = dims;
         let (a, b) = rand_pair(m, k, n, seed);
-        prop_assert_eq!(bits(&matmul(&a, &b)), bits(&matmul_naive(&a, &b)));
+        assert_every_body(|| matmul(&a, &b), &matmul_naive(&a, &b));
     }
 
     #[test]
@@ -41,14 +58,16 @@ proptest! {
         // normalizes the layout, so even the transposed path is bit-exact.
         let (m, k, n) = dims;
         let (a, b) = rand_pair(m, k, n, seed);
-        prop_assert_eq!(bits(&matmul_at_b(&a.transpose(), &b)), bits(&matmul_naive(&a, &b)));
+        let at = a.transpose();
+        assert_every_body(|| matmul_at_b(&at, &b), &matmul_naive(&a, &b));
     }
 
     #[test]
     fn a_bt_is_bitwise_naive(dims in (0usize..40, 0usize..40, 0usize..40), seed in 0u64..1_000_000) {
         let (m, k, n) = dims;
         let (a, b) = rand_pair(m, k, n, seed);
-        prop_assert_eq!(bits(&matmul_a_bt(&a, &b.transpose())), bits(&matmul_naive(&a, &b)));
+        let bt = b.transpose();
+        assert_every_body(|| matmul_a_bt(&a, &bt), &matmul_naive(&a, &b));
     }
 
     #[test]
@@ -79,7 +98,7 @@ proptest! {
 #[test]
 fn parallel_matches_naive_large() {
     let (a, b) = rand_pair(130, 70, 90, 2);
-    assert_eq!(bits(&matmul(&a, &b)), bits(&matmul_naive(&a, &b)));
+    assert_every_body(|| matmul(&a, &b), &matmul_naive(&a, &b));
 }
 
 /// The microkernel reduces over k in the same ascending order as the
@@ -88,7 +107,7 @@ fn parallel_matches_naive_large() {
 #[test]
 fn blocked_kernel_is_bitwise_naive() {
     let (a, b) = rand_pair(97, 61, 83, 20);
-    assert_eq!(bits(&matmul(&a, &b)), bits(&matmul_naive(&a, &b)));
+    assert_every_body(|| matmul(&a, &b), &matmul_naive(&a, &b));
 }
 
 /// Shapes well past `PAR_THRESHOLD` run on the persistent pool; repeated
@@ -130,11 +149,10 @@ fn degenerate_shapes_are_bitwise_naive() {
         (64, 9, 1),
     ] {
         let (a, b) = rand_pair(m, k, n, (m * 1000 + k * 100 + n) as u64);
-        assert_eq!(
-            bits(&matmul(&a, &b)),
-            bits(&matmul_naive(&a, &b)),
-            "shape ({m},{k},{n})"
-        );
+        let want = bits(&matmul_naive(&a, &b));
+        for (body, got) in on_every_body(|| matmul(&a, &b)) {
+            assert_eq!(got, want, "shape ({m},{k},{n}), {body}");
+        }
     }
 }
 

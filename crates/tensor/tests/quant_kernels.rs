@@ -2,15 +2,17 @@
 //!
 //! `vc_tensor::quant` picks an AVX2 or a portable body at run time and
 //! promises the same bits from either, and from the `f32::round`
-//! definition both replaced. Every check here runs a kernel twice — as
-//! dispatched, and under `with_portable_bodies` — and compares both
-//! results, `to_bits()`, with that definition written out below. On a host
-//! without AVX2 the two runs are the same body; the oracle still holds it.
+//! definition both replaced. Every check here runs a kernel once per tier
+//! the host has — each under `isa::with_tier_cap`, the portable body
+//! last — and compares every result, `to_bits()`, with that definition
+//! written out below. On a host without AVX2 only the portable body runs;
+//! the oracle still holds it.
 
 use proptest::prelude::*;
+use vc_tensor::isa::{with_tier_cap, Tier};
 use vc_tensor::quant::{
     int8_delta_roundtrip, int8_delta_scale, int8_dequantize_add, int8_dequantize_slice,
-    int8_quantize_one, int8_quantize_slice, int8_scale, with_portable_bodies,
+    int8_quantize_one, int8_quantize_slice, int8_scale,
 };
 
 /// The code as it was defined before the kernels: libm `round`, then clamp.
@@ -42,9 +44,10 @@ fn inverse(scale: f32) -> f32 {
     }
 }
 
-/// `f` as dispatched and on the portable body.
-fn on_both_bodies<R>(f: impl Fn() -> R) -> [R; 2] {
-    [f(), with_portable_bodies(&f)]
+/// `f` under every tier the host has: the AVX2 body at each vector tier,
+/// then the portable body.
+fn on_both_bodies<R>(f: impl Fn() -> R) -> Vec<R> {
+    Tier::host_tiers().map(|t| with_tier_cap(t, &f)).collect()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

@@ -4,20 +4,23 @@
 # (AVX2 loads and stores, the i8 <-> u8 slice views) and everything
 # `vc-ps` drives them with — the block-wise encoder, the token walker over
 # hostile bytes, the fused publish and the in-place delta apply; on the
-# compute path, `vc-tensor::conv_direct` (AVX2 loads and stores over the
-# staged image and the bands, and the raw-pointer slot arithmetic that
-# gives each pool participant its own staging slot and dx band).
+# compute path, `vc-tensor::conv_direct` (16-lane AVX-512 and 8-lane AVX2
+# loads and stores over the staged image and the bands, and the
+# raw-pointer slot arithmetic that gives each pool participant its own
+# staging slot and dx band).
 #
 # Usage: deploy/sanitize.sh [extra `cargo test` arguments]
 #
 #   Runs, under `RUSTFLAGS=-Zsanitizer=address` on the nightly toolchain:
 #     vc-tensor  lib unit tests + tests/quant_kernels.rs (every kernel on
 #                the AVX2 and the portable body, every length and tail)
-#                + tests/conv_direct_props.rs (every case on the AVX2 and
-#                the portable body via `conv_direct::with_portable_bodies`,
-#                on a 4-thread pool so slots past the first are used)
+#                + tests/conv_direct_props.rs (every case on every tier the
+#                host has via `isa::with_tier_cap`: the 16-lane body where
+#                AVX-512F is present, the 8-lane body under an AVX2 cap and
+#                the portable body, on a 4-thread pool so slots past the
+#                first are used)
 #     vc-nn      the `preact` unit tests (the fused unit against its three
-#                layers, on both bodies)
+#                layers: uncapped, under an AVX2 cap and portable)
 #     vc-ps      tests/codec_props.rs + tests/wire_props.rs
 #   An out-of-bounds lane, a misaligned assumption or a use after free
 #   aborts the test binary with ASan's report; exit status is cargo's.
@@ -42,7 +45,8 @@ run() {
 
 run -p vc-tensor --lib "$@"
 run -p vc-tensor --test quant_kernels "$@"
-# Here the pool's slot indices are what is under test: four participants.
+# Here the pool's slot indices are what is under test: four participants,
+# each tier in turn.
 VC_THREADS=4 run -p vc-tensor --test conv_direct_props "$@"
 run -p vc-nn --lib preact "$@"
 run -p vc-ps --test codec_props --test wire_props "$@"
