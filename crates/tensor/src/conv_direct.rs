@@ -55,10 +55,11 @@
 //! FMAs:
 //!
 //! * *A compile-time tile width.* The forward span and the dK band tile
-//!   are generic over their channel count `NOC`. An entry point dispatches
-//!   once per channel block, to its width's block (`Lanes::OCB`) for a
-//!   full block and to the remainder's count for the last, and every
-//!   block runs the one monomorphised body. A runtime count (`take(noc)`)
+//!   are generic over their channel count `NOC`. The block loop
+//!   (`fwd_blocks`, `dk_blocks`) dispatches once per channel block, to
+//!   its width's block (`Lanes::OCB`) for a full block and to the
+//!   remainder's count for the last, and every block runs the one
+//!   monomorphised body. A runtime count (`take(noc)`)
 //!   leaves the accumulators an array in memory, spilled to the stack
 //!   between FMAs.
 //! * *Hoisted rows.* A block's weight rows (forward) and the band's dy
@@ -617,8 +618,8 @@ fn fwd_row_generic(
     }
 }
 
-/// The 8-lane forward: blocks of `F32x8::OCB` (4) channels, 2-vector
-/// spans of one row. Needs `ow ≥ 8`.
+/// The 8-lane forward: 4-channel blocks of 2-vector, one-row spans. Needs
+/// `ow ≥ 8`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fwd_image_avx2(
@@ -629,19 +630,11 @@ unsafe fn fwd_image_avx2(
     dst: &mut [f32],
     epi: Epilogue<'_>,
 ) {
-    type L = F32x8;
-    for oc0 in (0..out_ch).step_by(L::OCB) {
-        match out_ch - oc0 {
-            1 => fwd_rows::<L, 2, 1, 1>(pimg, kd, ctx, oc0, dst, epi),
-            2 => fwd_rows::<L, 2, 1, 2>(pimg, kd, ctx, oc0, dst, epi),
-            3 => fwd_rows::<L, 2, 1, 3>(pimg, kd, ctx, oc0, dst, epi),
-            _ => fwd_rows::<L, 2, 1, 4>(pimg, kd, ctx, oc0, dst, epi),
-        }
-    }
+    fwd_blocks::<F32x8, 2, 1>(pimg, kd, out_ch, ctx, dst, epi);
 }
 
-/// The 16-lane forward: blocks of `F32x16::OCB` (8) channels, 1-vector
-/// spans of two rows. Needs `ow ≥ 16`.
+/// The 16-lane forward: 8-channel blocks of 1-vector, two-row spans.
+/// Needs `ow ≥ 16`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn fwd_image_avx512(
@@ -652,17 +645,33 @@ unsafe fn fwd_image_avx512(
     dst: &mut [f32],
     epi: Epilogue<'_>,
 ) {
-    type L = F32x16;
+    fwd_blocks::<F32x16, 1, 2>(pimg, kd, out_ch, ctx, dst, epi);
+}
+
+/// Every `L::OCB`-channel block of one staged image, each dispatched once
+/// to the body monomorphised for its channel count (`out_ch % OCB` for the
+/// last; arms past `L::OCB` are dead at that width and compile away).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn fwd_blocks<L: Lanes, const V: usize, const R: usize>(
+    pimg: &[f32],
+    kd: &[f32],
+    out_ch: usize,
+    ctx: Ctx,
+    dst: &mut [f32],
+    epi: Epilogue<'_>,
+) {
     for oc0 in (0..out_ch).step_by(L::OCB) {
-        match out_ch - oc0 {
-            1 => fwd_rows::<L, 1, 2, 1>(pimg, kd, ctx, oc0, dst, epi),
-            2 => fwd_rows::<L, 1, 2, 2>(pimg, kd, ctx, oc0, dst, epi),
-            3 => fwd_rows::<L, 1, 2, 3>(pimg, kd, ctx, oc0, dst, epi),
-            4 => fwd_rows::<L, 1, 2, 4>(pimg, kd, ctx, oc0, dst, epi),
-            5 => fwd_rows::<L, 1, 2, 5>(pimg, kd, ctx, oc0, dst, epi),
-            6 => fwd_rows::<L, 1, 2, 6>(pimg, kd, ctx, oc0, dst, epi),
-            7 => fwd_rows::<L, 1, 2, 7>(pimg, kd, ctx, oc0, dst, epi),
-            _ => fwd_rows::<L, 1, 2, 8>(pimg, kd, ctx, oc0, dst, epi),
+        match (out_ch - oc0).min(L::OCB) {
+            1 => fwd_rows::<L, V, R, 1>(pimg, kd, ctx, oc0, dst, epi),
+            2 => fwd_rows::<L, V, R, 2>(pimg, kd, ctx, oc0, dst, epi),
+            3 => fwd_rows::<L, V, R, 3>(pimg, kd, ctx, oc0, dst, epi),
+            4 => fwd_rows::<L, V, R, 4>(pimg, kd, ctx, oc0, dst, epi),
+            5 => fwd_rows::<L, V, R, 5>(pimg, kd, ctx, oc0, dst, epi),
+            6 => fwd_rows::<L, V, R, 6>(pimg, kd, ctx, oc0, dst, epi),
+            7 => fwd_rows::<L, V, R, 7>(pimg, kd, ctx, oc0, dst, epi),
+            8 => fwd_rows::<L, V, R, 8>(pimg, kd, ctx, oc0, dst, epi),
+            _ => unreachable!("a block holds 1 to 8 channels"),
         }
     }
 }
@@ -1237,7 +1246,7 @@ pub fn conv3x3_backward_dk_pre_into(
     }
 }
 
-/// The 8-lane dK band: blocks of `F32x8::OCB` (4) channels × 2 vectors.
+/// The 8-lane dK band: 4-channel blocks × 2 vectors.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn dk_bands_avx2(
@@ -1248,18 +1257,10 @@ unsafe fn dk_bands_avx2(
     pp: usize,
     acc: &mut [f32],
 ) {
-    type L = F32x8;
-    for oc0 in (0..out_ch).step_by(L::OCB) {
-        match out_ch - oc0 {
-            1 => dk_band::<L, 2, 1>(band, dyb, nb, out_ch, pp, oc0, acc),
-            2 => dk_band::<L, 2, 2>(band, dyb, nb, out_ch, pp, oc0, acc),
-            3 => dk_band::<L, 2, 3>(band, dyb, nb, out_ch, pp, oc0, acc),
-            _ => dk_band::<L, 2, 4>(band, dyb, nb, out_ch, pp, oc0, acc),
-        }
-    }
+    dk_blocks::<F32x8, 2>(band, dyb, nb, out_ch, pp, acc);
 }
 
-/// The 16-lane dK band: blocks of `F32x16::OCB` (8) channels × 1 vector.
+/// The 16-lane dK band: 8-channel blocks × 1 vector.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn dk_bands_avx512(
@@ -1270,17 +1271,32 @@ unsafe fn dk_bands_avx512(
     pp: usize,
     acc: &mut [f32],
 ) {
-    type L = F32x16;
+    dk_blocks::<F32x16, 1>(band, dyb, nb, out_ch, pp, acc);
+}
+
+/// Every `L::OCB`-channel block of one band, dispatched as in
+/// [`fwd_blocks`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dk_blocks<L: Lanes, const V: usize>(
+    band: &[f32],
+    dyb: &[f32],
+    nb: usize,
+    out_ch: usize,
+    pp: usize,
+    acc: &mut [f32],
+) {
     for oc0 in (0..out_ch).step_by(L::OCB) {
-        match out_ch - oc0 {
-            1 => dk_band::<L, 1, 1>(band, dyb, nb, out_ch, pp, oc0, acc),
-            2 => dk_band::<L, 1, 2>(band, dyb, nb, out_ch, pp, oc0, acc),
-            3 => dk_band::<L, 1, 3>(band, dyb, nb, out_ch, pp, oc0, acc),
-            4 => dk_band::<L, 1, 4>(band, dyb, nb, out_ch, pp, oc0, acc),
-            5 => dk_band::<L, 1, 5>(band, dyb, nb, out_ch, pp, oc0, acc),
-            6 => dk_band::<L, 1, 6>(band, dyb, nb, out_ch, pp, oc0, acc),
-            7 => dk_band::<L, 1, 7>(band, dyb, nb, out_ch, pp, oc0, acc),
-            _ => dk_band::<L, 1, 8>(band, dyb, nb, out_ch, pp, oc0, acc),
+        match (out_ch - oc0).min(L::OCB) {
+            1 => dk_band::<L, V, 1>(band, dyb, nb, out_ch, pp, oc0, acc),
+            2 => dk_band::<L, V, 2>(band, dyb, nb, out_ch, pp, oc0, acc),
+            3 => dk_band::<L, V, 3>(band, dyb, nb, out_ch, pp, oc0, acc),
+            4 => dk_band::<L, V, 4>(band, dyb, nb, out_ch, pp, oc0, acc),
+            5 => dk_band::<L, V, 5>(band, dyb, nb, out_ch, pp, oc0, acc),
+            6 => dk_band::<L, V, 6>(band, dyb, nb, out_ch, pp, oc0, acc),
+            7 => dk_band::<L, V, 7>(band, dyb, nb, out_ch, pp, oc0, acc),
+            8 => dk_band::<L, V, 8>(band, dyb, nb, out_ch, pp, oc0, acc),
+            _ => unreachable!("a block holds 1 to 8 channels"),
         }
     }
 }
