@@ -65,7 +65,8 @@ const FLAT_COST_LIMIT: f64 = 4.0;
 struct Threads {
     /// Cores the host has; caps past this measure oversubscribed dispatch.
     hw_threads: usize,
-    /// Kernel path the dispatch took on this CPU.
+    /// The ISA tier this CPU dispatches to (`isa::Tier::name`); the GEMM
+    /// runs its 8-lane tile on any vector tier.
     isa: String,
     gemm_n: usize,
     model: String,

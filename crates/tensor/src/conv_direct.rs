@@ -21,7 +21,7 @@
 //!   vector row kernel covers a row with 16-pixel spans — 2 vectors × 4
 //!   output channels = 8 independent FMA chains at 8 lanes, 1 vector × 8
 //!   channels × 2 rows = 16 at 16 lanes (fewer than 8 leave two FMA ports
-//!   at 4-cycle latency idle; the second row halves the 16-lane tile's
+//!   at 4-cycle latency idle; the second row cuts the 16-lane tile's
 //!   loads per FMA, see `fwd_rows`) — and finishes it with one-vector spans, the
 //!   final one overlapping the previous span when the row is not a whole
 //!   number of vectors (recomputed lanes produce identical bits and are
@@ -688,7 +688,7 @@ unsafe fn fwd_blocks<L: Lanes, const V: usize, const R: usize>(
 /// 16. The 16-lane tile takes two rows because it is otherwise bound by
 /// loads, not FMAs: an unaligned 64-byte load always straddles two cache
 /// lines, and one vector feeds only 8 FMAs beside 8 weight broadcasts.
-/// Two rows share three of their four input rows and every broadcast.
+/// A second row reuses every broadcast: 0.75 load µops per FMA, not 1.25.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn fwd_rows<L: Lanes, const V: usize, const R: usize, const NOC: usize>(

@@ -17,7 +17,7 @@
 //! out as a tensor first (with the expression spelled out here, not
 //! borrowed from the kernel), then im2col + GEMM.
 //!
-//! The random cases reach every AVX2 tile shape: rows up to 40 wide run
+//! The random cases reach every 8-lane tile shape: rows up to 40 wide run
 //! 16-pixel spans, exact 8-pixel spans and backed-up ones, and up to 9
 //! output channels put a full 4-channel block beside each remainder.
 //! `check_forward` covers all four epilogues, `Accumulate` onto a random
@@ -33,8 +33,9 @@
 //! `deploy/sanitize.sh` runs them all under AddressSanitizer. Rows
 //! narrower than a 16-lane vector run the 8-lane body at every vector
 //! tier; rows of 16 to 40 reach the 16-lane full spans and its backed-up
-//! tail, and up to 9 output channels put a full 8-channel block beside a
-//! remainder of one. CI also runs this file with
+//! tail, odd heights the row its two-row tiles leave over, and up to 9
+//! output channels put a full 8-channel block beside a remainder of one.
+//! CI also runs this file with
 //! `VC_THREADS=1` and `VC_THREADS=4`, so the slot-sharing case reaches
 //! four participants and the single-thread path is held as measured.
 
