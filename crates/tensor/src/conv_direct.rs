@@ -16,8 +16,8 @@
 //! * **forward** — each image is staged once into a zero-padded copy
 //!   (`[ch, h+2p, w+2p]`, caller scratch), which makes *every* output
 //!   column vectorizable and every tap an unconditional in-bounds load,
-//!   for the vector and the portable row kernels alike. The copy lives in
-//!   a *slot*, one slot per pool participant (see "Scratch" below). A
+//!   at every width. The copy lives in a *slot*, one slot per pool
+//!   participant (see "Scratch" below). A
 //!   vector row kernel covers a row with 16-pixel spans — 2 vectors × 4
 //!   output channels = 8 independent FMA chains at 8 lanes, 1 vector × 8
 //!   channels × 2 rows = 16 at 16 lanes (fewer than 8 leave two FMA ports
@@ -27,41 +27,46 @@
 //!   number of vectors (recomputed lanes produce identical bits and are
 //!   skipped at write-back, so even the `Accumulate` epilogue is safe). A
 //!   row narrower than a 16-lane vector runs the 8-lane body, one
-//!   narrower than 8 the portable one. An interior-only span would
-//!   collapse to all-scalar at `w ≤ 8`.
+//!   narrower than 8 the one-lane body the portable tier runs (one-pixel
+//!   spans × 4 channels). An interior-only span would collapse to
+//!   all-scalar at `w ≤ 8`.
 //! * **backward/dK** — the GEMM `dyᵀ · cols` is tiled by *bands* of 32
 //!   column rows: each band is materialized into L1-sized scratch, then a
 //!   register tile (4 output channels × 2 vectors at 8 lanes, 8 × 1 at 16:
-//!   16 patch columns either way) loads the running accumulator once, FMAs
-//!   all band rows, and stores it back — instead of streaming the whole
-//!   `out_ch × patch` accumulator through memory for every output pixel.
+//!   16 patch columns either way; 4 × 1 column at one lane) loads the
+//!   running accumulator once, FMAs all band rows, and stores it back —
+//!   instead of streaming the whole `out_ch × patch` accumulator through
+//!   memory for every output pixel.
 //! * **backward/dx** — per image, bands of 32 gradient-column rows are
-//!   computed with an 8-lane register tile (4 rows × 16 patch columns,
-//!   every vector tier) against a zero-padded copy of the kernel, then
-//!   scattered in col2im order.
+//!   computed with a register tile (4 rows × 2 vectors = 16 patch columns
+//!   at 8 lanes, on every vector tier; 4 rows × 1 column at one lane)
+//!   against a zero-padded copy of the kernel, then scattered in col2im
+//!   order.
 //!
 //! **One body per tile, dispatched by tier.** Each call reads
 //! [`isa::tier`] once, on the calling thread, and runs the widest body the
 //! host has: AVX-512F, then AVX2+FMA, then portable (`crate::isa` has the
-//! argument why the width cannot move a bit). The forward rows and the dK
-//! band tile are each one source body, generic over the vector type
-//! (`isa::Lanes`: `F32x8` or `F32x16`) and `#[inline(always)]`; per width a
+//! argument why the width cannot move a bit). The forward rows, the dK
+//! band tile and the dx band tile are each one source body, generic over
+//! the vector type (`isa::Lanes`: `F32x16`, `F32x8`, or the portable
+//! tier's one-lane `F32x1`) and `#[inline(always)]`. Per vector width a
 //! thin `#[target_feature]` entry point (`fwd_image_avx2`,
-//! `fwd_image_avx512`, `dk_bands_avx2`, `dk_bands_avx512`) instantiates
-//! it, so the lane methods compile into the entry point with no call left.
+//! `fwd_image_avx512`, `dk_bands_avx2`, `dk_bands_avx512`,
+//! `dx_bands_avx2`) instantiates it, so the lane methods compile into the
+//! entry point with no call left; the portable tier calls the `F32x1`
+//! instance bare. There is no second, scalar copy of any tile.
 //!
 //! **Codegen rules.** The vector tiles are written so that they compile to
 //! the register-resident FMA chains above, with nothing spilled between
 //! FMAs:
 //!
 //! * *A compile-time tile width.* The forward span and the dK band tile
-//!   are generic over their channel count `NOC`. The block loop
-//!   (`fwd_blocks`, `dk_blocks`) dispatches once per channel block, to
-//!   its width's block (`Lanes::OCB`) for a full block and to the
-//!   remainder's count for the last, and every block runs the one
-//!   monomorphised body. A runtime count (`take(noc)`)
-//!   leaves the accumulators an array in memory, spilled to the stack
-//!   between FMAs.
+//!   are generic over their channel count `NOC`, the dx tile over its row
+//!   count. The block loop (`fwd_blocks`, `dk_blocks`) dispatches once per
+//!   channel block, to its width's block (`Lanes::OCB`) for a full block
+//!   and to the remainder's count for the last, and every block runs the
+//!   one monomorphised body. A runtime count (`take(noc)`) leaves the
+//!   accumulators an array in memory, spilled to the stack between FMAs.
 //! * *Hoisted rows.* A block's weight rows (forward) and the band's dy
 //!   rows (dK, dx) become raw pointers before the tap loop, so a broadcast
 //!   is one load from a base register and a constant offset (folded into
@@ -118,20 +123,21 @@
 //!   once the full chain is done — matching the GEMM's `Accumulate`
 //!   epilogue, which also adds a *finished* tile.
 //!
-//! Vector lanes of either width compute the same bits as the scalar
-//! `mul_add` fallback (IEEE-754 specifies one rounding for fused
-//! multiply-add). An epilogue is
-//! either the GEMM write-back's scalar expression or a lane op proven equal
-//! to it (see "Write-back"). The property tests (`conv_direct_props.rs`)
-//! enforce all of this bitwise against the im2col reference.
+//! Lanes of every width compute the same bits, the one-lane `mul_add`
+//! included (IEEE-754 specifies one rounding for fused multiply-add). An
+//! epilogue is either the GEMM write-back's scalar expression or a lane op
+//! proven equal to it (see "Write-back"). The property tests
+//! (`conv_direct_props.rs`) enforce all of this bitwise against the im2col
+//! reference.
 //!
 //! ## Write-back
 //!
 //! A whole span (no lane skipped) is written vector-wide under `Store`,
-//! `Bias` and `Accumulate`, at either width. Everything else goes lane by
-//! lane through `apply_epi`, which holds the scalar expressions of the
-//! GEMM's write-back: backed-up spans, `BiasRelu` and the portable body.
-//! The vector lanes are bit-identical to `apply_epi`:
+//! `Bias` and `Accumulate`, at every width (at one lane, `Lanes::add` is
+//! the scalar `+` itself). Everything else goes lane by lane through
+//! `apply_epi`, which holds the scalar expressions of the GEMM's
+//! write-back: backed-up spans and `BiasRelu`. The vector lanes are
+//! bit-identical to `apply_epi`:
 //!
 //! * `Store` writes the accumulator's bits unchanged.
 //! * `Bias` is `v + bias[oc]` and `Accumulate` is `out + v` (`*o += v`).
@@ -210,20 +216,15 @@
 //! build time on any other, so each geometry has one route and there is
 //! no switch. The lowered route exists only in the tests, as the oracle.
 
-use crate::isa::{self, Tier};
+use crate::isa::{self, F32x1, Lanes, Tier};
 #[cfg(target_arch = "x86_64")]
-use crate::isa::{F32x16, F32x8, Lanes};
+use crate::isa::{F32x16, F32x8};
 use crate::ops::{ConvGeom, Epilogue, PAR_THRESHOLD};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
 #[doc(hidden)]
 pub use crate::bench_compat::{conv3x3_backward_dk_into, conv3x3_forward_into};
-
-/// Output-channel block of the portable body: each pass over an image row
-/// computes `OCB` channels at once. The vector bodies block by their
-/// width's `Lanes::OCB`.
-const OCB: usize = 4;
 
 /// Pixels in the widest forward span at any width: the size of the
 /// lane-by-lane write-back buffer.
@@ -520,8 +521,8 @@ pub fn conv3x3_forward_pre_into(
 }
 
 /// All output rows of one staged image at `tier` (at most what
-/// [`fwd_tier`] returned for this call): a vector body's entry point, or
-/// the portable rows `OCB` channels at a time.
+/// [`fwd_tier`] returned for this call): a vector width's entry point, or
+/// the same body one lane wide.
 fn fwd_image(
     pimg: &[f32],
     kd: &[f32],
@@ -538,83 +539,8 @@ fn fwd_image(
         Tier::Avx512 => unsafe { fwd_image_avx512(pimg, kd, out_ch, ctx, dst, epi) },
         #[cfg(target_arch = "x86_64")]
         Tier::Avx2 => unsafe { fwd_image_avx2(pimg, kd, out_ch, ctx, dst, epi) },
-        _ => {
-            for oc0 in (0..out_ch).step_by(OCB) {
-                let noc = OCB.min(out_ch - oc0);
-                for oy in 0..ctx.oh {
-                    fwd_row_generic(pimg, kd, ctx, oy, oc0, noc, dst, epi);
-                }
-            }
-        }
-    }
-}
-
-/// One output pixel, all `noc` channels of the block: the full
-/// `p`-ascending FMA chain, padded taps contributing the staged image's
-/// literal zeros.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
-fn fwd_px_scalar(
-    pimg: &[f32],
-    kd: &[f32],
-    ctx: Ctx,
-    oy: usize,
-    ox: usize,
-    oc0: usize,
-    noc: usize,
-) -> [f32; OCB] {
-    let (ph, pw) = (ctx.h + 2 * ctx.pad, ctx.w + 2 * ctx.pad);
-    let mut acc = [0.0f32; OCB];
-    for c in 0..ctx.ch {
-        // Padded row oy+ky holds input row oy+ky-pad; padded column ox+kx
-        // holds input column ox+kx-pad — all taps in-bounds.
-        let base = c * ph * pw + oy * pw + ox;
-        for ky in 0..3 {
-            for kx in 0..3 {
-                let xv = pimg[base + ky * pw + kx];
-                let p = (c * 3 + ky) * 3 + kx;
-                for (jj, a) in acc.iter_mut().enumerate().take(noc) {
-                    *a = xv.mul_add(kd[(oc0 + jj) * ctx.patch + p], *a);
-                }
-            }
-        }
-    }
-    acc
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
-fn fwd_write_px(
-    dst: &mut [f32],
-    ctx: Ctx,
-    oy: usize,
-    ox: usize,
-    oc0: usize,
-    noc: usize,
-    acc: &[f32; OCB],
-    epi: Epilogue<'_>,
-) {
-    for jj in 0..noc {
-        let o = &mut dst[((oc0 + jj) * ctx.oh + oy) * ctx.ow + ox];
-        apply_epi(o, acc[jj], oc0 + jj, epi);
-    }
-}
-
-/// Portable whole-row kernel (also the narrow-row fallback, `ow < 8`).
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
-fn fwd_row_generic(
-    pimg: &[f32],
-    kd: &[f32],
-    ctx: Ctx,
-    oy: usize,
-    oc0: usize,
-    noc: usize,
-    dst: &mut [f32],
-    epi: Epilogue<'_>,
-) {
-    for ox in 0..ctx.ow {
-        let acc = fwd_px_scalar(pimg, kd, ctx, oy, ox, oc0, noc);
-        fwd_write_px(dst, ctx, oy, ox, oc0, noc, &acc, epi);
+        // SAFETY: `F32x1` needs no target feature and fits in any row.
+        _ => unsafe { fwd_blocks::<F32x1, 1, 1>(pimg, kd, out_ch, ctx, dst, epi) },
     }
 }
 
@@ -651,7 +577,6 @@ unsafe fn fwd_image_avx512(
 /// Every `L::OCB`-channel block of one staged image, each dispatched once
 /// to the body monomorphised for its channel count (`out_ch % OCB` for the
 /// last; arms past `L::OCB` are dead at that width and compile away).
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn fwd_blocks<L: Lanes, const V: usize, const R: usize>(
     pimg: &[f32],
@@ -689,7 +614,6 @@ unsafe fn fwd_blocks<L: Lanes, const V: usize, const R: usize>(
 /// loads, not FMAs: an unaligned 64-byte load always straddles two cache
 /// lines, and one vector feeds only 8 FMAs beside 8 weight broadcasts.
 /// A second row reuses every broadcast: 0.75 load µops per FMA, not 1.25.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn fwd_rows<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
     pimg: &[f32],
@@ -717,7 +641,6 @@ unsafe fn fwd_rows<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
 /// backed up to end exactly at the row edge: its overlapped lanes
 /// re-compute identical bits and are skipped at write-back, so no element
 /// is written twice.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
 unsafe fn fwd_row_group<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
@@ -746,7 +669,6 @@ unsafe fn fwd_row_group<L: Lanes, const V: usize, const R: usize, const NOC: usi
 /// from `oy`, `NOC` channels: each output is its own `p`-ascending FMA
 /// chain from zero, whatever the span's shape. Lanes below `skip` were
 /// written by the previous span and are left alone.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing: pixel coordinates are scalars by design
 unsafe fn fwd_span<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
@@ -945,8 +867,7 @@ pub fn conv3x3_backward_dx_into(
     let pp = patch_pad(ctx.patch);
     let slot = dx_slot(ch, out_ch);
     assert!(scratch.len() >= out_ch * pp + slot, "dx scratch length");
-    // The dx tile stays at 8 lanes: any vector tier runs it.
-    let use_fma = isa::tier() >= Tier::Avx2;
+    let tier = isa::tier();
     let (kpad, slots) = scratch.split_at_mut(out_ch * pp);
     // Images in parallel once the output is past `PAR_THRESHOLD`.
     let parallel = batch > 1 && dx.len() >= PAR_THRESHOLD;
@@ -955,14 +876,12 @@ pub fn conv3x3_backward_dx_into(
     } else {
         1
     };
-    if use_fma {
-        // Pad the kernel once, up front: the band tile loads 16-wide even
-        // past `patch`, and the zero columns only ever feed scratch
-        // columns that are never read back.
-        kpad.fill(0.0);
-        for oc in 0..out_ch {
-            kpad[oc * pp..][..ctx.patch].copy_from_slice(&kd[oc * ctx.patch..][..ctx.patch]);
-        }
+    // Pad the kernel once, up front: the band tile loads whole tile
+    // columns even past `patch`, and the zero columns only ever feed
+    // scratch columns that are never read back.
+    kpad.fill(0.0);
+    for oc in 0..out_ch {
+        kpad[oc * pp..][..ctx.patch].copy_from_slice(&kd[oc * ctx.patch..][..ctx.patch]);
     }
     let kpad = &*kpad;
     let base = slots.as_mut_ptr() as usize;
@@ -973,21 +892,9 @@ pub fn conv3x3_backward_dx_into(
         // outlives the blocking parallel call.
         let s = unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(who * slot), slot) };
         let dyp = &dyd[b * dy_plane..(b + 1) * dy_plane];
-        if use_fma {
-            let (dcols, dyb) = s.split_at_mut(BAND * pp);
-            dx_image_banded(
-                dyp,
-                kpad,
-                out_ch,
-                ctx,
-                pp,
-                img,
-                dcols,
-                &mut dyb[..BAND * out_ch],
-            );
-        } else {
-            dx_image_generic(dyp, kd, out_ch, ctx, img, &mut s[..ctx.patch]);
-        }
+        let (dcols, dyb) = s.split_at_mut(BAND * pp);
+        let dyb = &mut dyb[..BAND * out_ch];
+        dx_image_banded(dyp, kpad, out_ch, ctx, pp, img, dcols, dyb, tier);
     };
     if parallel {
         dx.par_chunks_mut(img_len)
@@ -1012,6 +919,7 @@ fn dx_image_banded(
     img: &mut [f32],
     dcols: &mut [f32],
     dyb: &mut [f32],
+    tier: Tier,
 ) {
     img.fill(0.0);
     let ohw = ctx.oh * ctx.ow;
@@ -1019,12 +927,14 @@ fn dx_image_banded(
     while r0 < ohw {
         let nb = BAND.min(ohw - r0);
         gather_dy_band(dyp, ohw, out_ch, r0, nb, dyb);
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers reach this path only on a vector tier, where
-        // AVX2 and FMA are present.
-        unsafe {
-            dx_band_avx2(dyb, kpad, nb, out_ch, pp, dcols)
-        };
+        match tier {
+            // SAFETY: `tier` is at most the host's, and a vector tier has
+            // AVX2 and FMA.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 | Tier::Avx2 => unsafe { dx_bands_avx2(dyb, kpad, nb, out_ch, pp, dcols) },
+            // SAFETY: `F32x1` needs no target feature.
+            _ => unsafe { dx_rows::<F32x1, 1>(dyb, kpad, nb, out_ch, pp, dcols) },
+        }
         for ri in 0..nb {
             let r = r0 + ri;
             scatter_row(
@@ -1039,40 +949,14 @@ fn dx_image_banded(
     }
 }
 
-/// Portable dx for one image — per-pixel `drow` accumulation, the original
-/// fused formulation (identical chain: `oc` ascending, then col2im order).
-fn dx_image_generic(
-    dyp: &[f32],
-    kd: &[f32],
-    out_ch: usize,
-    ctx: Ctx,
-    img: &mut [f32],
-    drow: &mut [f32],
-) {
-    img.fill(0.0);
-    for oy in 0..ctx.oh {
-        for ox in 0..ctx.ow {
-            drow.fill(0.0);
-            for oc in 0..out_ch {
-                let dyv = dyp[(oc * ctx.oh + oy) * ctx.ow + ox];
-                for (d, &k) in drow
-                    .iter_mut()
-                    .zip(&kd[oc * ctx.patch..(oc + 1) * ctx.patch])
-                {
-                    *d = dyv.mul_add(k, *d);
-                }
-            }
-            scatter_row(img, ctx, oy, ox, drow);
-        }
-    }
-}
-
-/// Band tile for dx: 4 column rows × 16 patch columns held in registers,
-/// reducing over `oc` ascending. Each `dcols[r][p]` is one contiguous FMA
-/// chain from zero — the GEMM's k-order for `dy_rows · K`.
+/// The 8-lane dx band, on every vector tier: 4-row × 2-vector tiles.
+///
+/// # Safety
+///
+/// The host has AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dx_band_avx2(
+unsafe fn dx_bands_avx2(
     dyb: &[f32],
     kpad: &[f32],
     nb: usize,
@@ -1080,68 +964,89 @@ unsafe fn dx_band_avx2(
     pp: usize,
     dcols: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
-    // The one bounds check: `nb` dy rows of `out_ch` values, `out_ch`
-    // padded kernel rows and `nb` column rows, `pp` a multiple of the
-    // 16-column tile.
-    assert!(
-        pp.is_multiple_of(16)
-            && dyb.len() >= nb * out_ch
-            && kpad.len() >= out_ch * pp
-            && dcols.len() >= nb * pp,
-        "conv3x3 dx band out of bounds"
-    );
-    let dy = dyb.as_ptr();
+    dx_rows::<F32x8, 2>(dyb, kpad, nb, out_ch, pp, dcols);
+}
+
+/// Every row of one dx band at width `L`: 4-row tiles, then the rows left
+/// over one at a time (a constant row count, so each compiles its own
+/// register tile).
+///
+/// # Safety
+///
+/// The calling code runs under `L`'s target features (see `isa`).
+#[inline(always)]
+unsafe fn dx_rows<L: Lanes, const V: usize>(
+    dyb: &[f32],
+    kpad: &[f32],
+    nb: usize,
+    out_ch: usize,
+    pp: usize,
+    dcols: &mut [f32],
+) {
     let mut ri = 0;
     while ri + 4 <= nb {
-        // SAFETY: ri + q < nb, so row `ri + q` of `dyb` is inside it by
-        // the assert; `oc < out_ch` below keeps each broadcast in its row.
-        let rows: [*const f32; 4] = std::array::from_fn(|q| dy.add((ri + q) * out_ch));
-        let mut p0 = 0;
-        while p0 < pp {
-            let mut t = [[_mm256_setzero_ps(); 2]; 4];
-            for oc in 0..out_ch {
-                // SAFETY: oc < out_ch and p0 + 16 ≤ pp by the assert.
-                let k = kpad.as_ptr().add(oc * pp + p0);
-                let k0 = _mm256_loadu_ps(k);
-                let k1 = _mm256_loadu_ps(k.add(8));
-                for (tq, row) in t.iter_mut().zip(&rows) {
-                    let dv = _mm256_broadcast_ss(&*row.add(oc));
-                    tq[0] = _mm256_fmadd_ps(k0, dv, tq[0]);
-                    tq[1] = _mm256_fmadd_ps(k1, dv, tq[1]);
-                }
-            }
-            for (q, tq) in t.iter().enumerate() {
-                // SAFETY: ri + q < nb and p0 + 16 ≤ pp by the assert.
-                let d = dcols.as_mut_ptr().add((ri + q) * pp + p0);
-                _mm256_storeu_ps(d, tq[0]);
-                _mm256_storeu_ps(d.add(8), tq[1]);
-            }
-            p0 += 16;
-        }
+        dx_tile::<L, V, 4>(dyb, kpad, ri, out_ch, pp, dcols);
         ri += 4;
     }
     while ri < nb {
-        // SAFETY: ri < nb by the loop, inside `dyb` by the assert.
-        let row = dy.add(ri * out_ch);
-        let mut p0 = 0;
-        while p0 < pp {
-            let mut t0 = _mm256_setzero_ps();
-            let mut t1 = _mm256_setzero_ps();
-            for oc in 0..out_ch {
-                // SAFETY: oc < out_ch and p0 + 16 ≤ pp by the assert.
-                let k = kpad.as_ptr().add(oc * pp + p0);
-                let dv = _mm256_broadcast_ss(&*row.add(oc));
-                t0 = _mm256_fmadd_ps(_mm256_loadu_ps(k), dv, t0);
-                t1 = _mm256_fmadd_ps(_mm256_loadu_ps(k.add(8)), dv, t1);
-            }
-            // SAFETY: ri < nb and p0 + 16 ≤ pp by the assert.
-            let d = dcols.as_mut_ptr().add(ri * pp + p0);
-            _mm256_storeu_ps(d, t0);
-            _mm256_storeu_ps(d.add(8), t1);
-            p0 += 16;
-        }
+        dx_tile::<L, V, 1>(dyb, kpad, ri, out_ch, pp, dcols);
         ri += 1;
+    }
+}
+
+/// Band tile for dx: `Q` column rows from `ri` × `V` vectors of patch
+/// columns held in registers, reducing over `oc` ascending. Each
+/// `dcols[r][p]` is one contiguous FMA chain from zero — the GEMM's
+/// k-order for `dy_rows · K`.
+///
+/// # Safety
+///
+/// The calling code runs under `L`'s target features (see `isa`); the
+/// tile's own assert covers every index it forms.
+#[inline(always)]
+unsafe fn dx_tile<L: Lanes, const V: usize, const Q: usize>(
+    dyb: &[f32],
+    kpad: &[f32],
+    ri: usize,
+    out_ch: usize,
+    pp: usize,
+    dcols: &mut [f32],
+) {
+    let n = L::N;
+    // The one bounds check: dy rows and column rows `ri..ri + Q`, `out_ch`
+    // padded kernel rows, and `pp` a multiple of the `V·N`-column tile.
+    assert!(
+        pp.is_multiple_of(n * V)
+            && dyb.len() >= (ri + Q) * out_ch
+            && kpad.len() >= out_ch * pp
+            && dcols.len() >= (ri + Q) * pp,
+        "conv3x3 dx band out of bounds"
+    );
+    // SAFETY: ri + q < ri + Q, so row `ri + q` of `dyb` is inside it by
+    // the assert; `oc < out_ch` below keeps each broadcast in its row.
+    let rows: [*const f32; Q] = std::array::from_fn(|q| dyb.as_ptr().add((ri + q) * out_ch));
+    let mut p0 = 0;
+    while p0 < pp {
+        let mut t = [[L::zero(); V]; Q];
+        for oc in 0..out_ch {
+            // SAFETY: oc < out_ch and p0 + V·N ≤ pp by the assert.
+            let k = kpad.as_ptr().add(oc * pp + p0);
+            let kv: [L; V] = std::array::from_fn(|v| L::loadu(k.add(n * v)));
+            for (tq, row) in t.iter_mut().zip(&rows) {
+                let dv = L::splat(*row.add(oc));
+                for (tv, k) in tq.iter_mut().zip(&kv) {
+                    *tv = L::fmadd(*k, dv, *tv);
+                }
+            }
+        }
+        for (q, tq) in t.iter().enumerate() {
+            // SAFETY: ri + q < ri + Q and p0 + V·N ≤ pp by the assert.
+            let d = dcols.as_mut_ptr().add((ri + q) * pp + p0);
+            for (v, tv) in tq.iter().enumerate() {
+                tv.storeu(d.add(n * v));
+            }
+        }
+        p0 += n * V;
     }
 }
 
@@ -1199,43 +1104,27 @@ pub fn conv3x3_backward_dk_pre_into(
     for b in 0..batch {
         pack_padded_image(&xd[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
         let dyp = &dyd[b * dy_plane..(b + 1) * dy_plane];
-        if tier >= Tier::Avx2 {
-            let mut r0 = 0;
-            while r0 < ohw {
-                let nb = BAND.min(ohw - r0);
-                for ri in 0..nb {
-                    let r = r0 + ri;
-                    let row = &mut band[ri * pp..][..pp];
-                    fill_patch_row_padded(pimg, ctx, ph, pw, r / ctx.ow, r % ctx.ow, row);
-                    row[ctx.patch..].fill(0.0);
-                }
-                gather_dy_band(dyp, ohw, out_ch, r0, nb, dyb);
-                let (band, dyb) = (&*band, &*dyb);
+        let mut r0 = 0;
+        while r0 < ohw {
+            let nb = BAND.min(ohw - r0);
+            for ri in 0..nb {
+                let r = r0 + ri;
+                let row = &mut band[ri * pp..][..pp];
+                fill_patch_row_padded(pimg, ctx, ph, pw, r / ctx.ow, r % ctx.ow, row);
+                row[ctx.patch..].fill(0.0);
+            }
+            gather_dy_band(dyp, ohw, out_ch, r0, nb, dyb);
+            let (band, dyb) = (&*band, &*dyb);
+            match tier {
                 // SAFETY: `tier` is at most the host's.
-                match tier {
-                    #[cfg(target_arch = "x86_64")]
-                    Tier::Avx512 => unsafe { dk_bands_avx512(band, dyb, nb, out_ch, pp, acc) },
-                    #[cfg(target_arch = "x86_64")]
-                    _ => unsafe { dk_bands_avx2(band, dyb, nb, out_ch, pp, acc) },
-                    #[cfg(not(target_arch = "x86_64"))]
-                    _ => unreachable!("no vector tier off x86-64"),
-                }
-                r0 += nb;
+                #[cfg(target_arch = "x86_64")]
+                Tier::Avx512 => unsafe { dk_bands_avx512(band, dyb, nb, out_ch, pp, acc) },
+                #[cfg(target_arch = "x86_64")]
+                Tier::Avx2 => unsafe { dk_bands_avx2(band, dyb, nb, out_ch, pp, acc) },
+                // SAFETY: `F32x1` needs no target feature.
+                _ => unsafe { dk_blocks::<F32x1, 1>(band, dyb, nb, out_ch, pp, acc) },
             }
-        } else {
-            // Portable fallback: same chain, one patch row at a time.
-            let patch_row = &mut band[..ctx.patch];
-            for oy in 0..ctx.oh {
-                for ox in 0..ctx.ow {
-                    fill_patch_row_padded(pimg, ctx, ph, pw, oy, ox, patch_row);
-                    for oc in 0..out_ch {
-                        let dyv = dyp[(oc * ctx.oh + oy) * ctx.ow + ox];
-                        for (a, &xv) in acc[oc * pp..][..ctx.patch].iter_mut().zip(&*patch_row) {
-                            *a = dyv.mul_add(xv, *a);
-                        }
-                    }
-                }
-            }
+            r0 += nb;
         }
     }
     for oc in 0..out_ch {
@@ -1276,7 +1165,6 @@ unsafe fn dk_bands_avx512(
 
 /// Every `L::OCB`-channel block of one band, dispatched as in
 /// [`fwd_blocks`].
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn dk_blocks<L: Lanes, const V: usize>(
     band: &[f32],
@@ -1306,7 +1194,6 @@ unsafe fn dk_blocks<L: Lanes, const V: usize>(
 /// running accumulator is loaded once per band, continued through all band
 /// rows (`r` ascending — the global GEMM k-order), and stored back. Runs
 /// under its entry point's target features (see `isa`).
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing
 unsafe fn dk_band<L: Lanes, const V: usize, const NOC: usize>(

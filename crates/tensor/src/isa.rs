@@ -22,23 +22,29 @@
 //! a `zmm`, a `ymm` and scalar `f32::mul_add` give the same bits per lane.
 //! The epilogue additions are single correctly rounded operations too.
 //!
-//! ## One source body per tile
+//! ## One source body per tile, the portable tier included
 //!
-//! `Lanes` is the vector type a tile is generic over: `F32x8` is an
-//! `__m256`, `F32x16` an `__m512`. Its methods are `#[inline(always)]`
-//! wrappers of one intrinsic each. A tile body is written once, generic
-//! over `L: Lanes`, and marked `#[inline(always)]` too; a thin
-//! `#[target_feature]` entry point per width instantiates it. Inlined into
-//! the entry point, the intrinsics run under that entry point's features,
-//! so each width compiles to its own straight-line register code with no
-//! calls left in the tap loop.
+//! `Lanes` is the vector type a tile is generic over: `F32x16` is an
+//! `__m512`, `F32x8` an `__m256`, and `F32x1` one `f32` whose `fmadd` is
+//! `f32::mul_add` — the portable tier runs the same bodies one lane wide.
+//! The vector methods are `#[inline(always)]` wrappers of one intrinsic
+//! each. A tile body is written once, generic over `L: Lanes`, and marked
+//! `#[inline(always)]` too; a thin `#[target_feature]` entry point per
+//! vector width instantiates it, and the portable tier calls the `F32x1`
+//! instance bare. Inlined into the entry point, the intrinsics run under
+//! that entry point's features, so each width compiles to its own
+//! straight-line register code with no calls left in the tap loop.
+//!
+//! This is the only file of the workspace that names a `std::arch` item or
+//! detects a CPU feature; kernels elsewhere name a tier, a `Lanes` width
+//! or a `#[target_feature]` attribute, nothing below that.
 
 use std::cell::Cell;
 
 /// What a kernel call may use, narrowest first (so `min` caps a tier).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tier {
-    /// Safe Rust: `f32::mul_add` per element.
+    /// One lane (`F32x1`): `f32::mul_add` per element, no target feature.
     Portable,
     /// AVX2 and FMA: 8 lanes.
     Avx2,
@@ -120,15 +126,15 @@ pub fn with_tier_cap<R>(cap: Tier, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A vector of `f32` lanes. Each method is one intrinsic; the caller must
-/// run under the target features of the implementing width (see the module
-/// docs), and pointers must be valid for `N` floats.
-#[cfg(target_arch = "x86_64")]
+/// A vector of `f32` lanes. Each method is one intrinsic (one scalar
+/// operation at `F32x1`); the caller must run under the target features of
+/// the implementing width (see the module docs), and pointers must be valid
+/// for `N` floats.
 pub(crate) trait Lanes: Copy {
     /// Lanes per vector.
     const N: usize;
-    /// Output channels per forward and dK block: enough that a 16-pixel
-    /// span or tile column runs 8 independent FMA chains.
+    /// Output channels per forward and dK block: at 8 and 16 lanes enough
+    /// that a 16-pixel span or tile column runs 8 independent FMA chains.
     const OCB: usize;
     unsafe fn zero() -> Self;
     unsafe fn loadu(p: *const f32) -> Self;
@@ -139,6 +145,10 @@ pub(crate) trait Lanes: Copy {
     unsafe fn storeu(self, p: *mut f32);
 }
 
+/// 1 lane: the portable tier, one `f32` and no target feature.
+#[derive(Clone, Copy)]
+pub(crate) struct F32x1(f32);
+
 /// 8 lanes: an AVX2 `__m256`.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
@@ -148,6 +158,35 @@ pub(crate) struct F32x8(std::arch::x86_64::__m256);
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct F32x16(std::arch::x86_64::__m512);
+
+impl Lanes for F32x1 {
+    const N: usize = 1;
+    const OCB: usize = 4;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        F32x1(0.0)
+    }
+    #[inline(always)]
+    unsafe fn loadu(p: *const f32) -> Self {
+        F32x1(*p)
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        F32x1(x)
+    }
+    #[inline(always)]
+    unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+        F32x1(a.0.mul_add(b.0, c.0))
+    }
+    #[inline(always)]
+    unsafe fn add(a: Self, b: Self) -> Self {
+        F32x1(a.0 + b.0)
+    }
+    #[inline(always)]
+    unsafe fn storeu(self, p: *mut f32) {
+        *p = self.0
+    }
+}
 
 #[cfg(target_arch = "x86_64")]
 impl Lanes for F32x8 {

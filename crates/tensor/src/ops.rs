@@ -21,9 +21,10 @@
 //!   `tests/naive/`) and run-to-run deterministic
 //!   under any thread count (each output element is one sequential fused
 //!   `f32` chain; threads only decide *which* disjoint rows they produce,
-//!   never the order within a sum). On x86-64 with AVX2+FMA — detected at
-//!   runtime, no special build flags — the tile is computed with 256-bit
-//!   `vfmadd` intrinsics; elsewhere a portable `f32::mul_add` loop computes
+//!   never the order within a sum). The tile is one source body over
+//!   `isa::Lanes` (`micro_tile`): on any vector tier — detected at runtime,
+//!   no special build flags — it runs 8 lanes wide as 256-bit `vfmadd`s,
+//!   on the portable tier one lane wide as `f32::mul_add`, and both compute
 //!   the identical bits. That invariant is what DST byte-identity rests on.
 //! * An [`Epilogue`] is applied at accumulator write-back: plain store,
 //!   accumulate (`+=`, for weight-gradient accumulation without a temp
@@ -54,7 +55,9 @@
 //! caller-provided buffers so the training workspace can run the whole
 //! step without heap allocation.
 
-use crate::isa::{self, Tier};
+#[cfg(target_arch = "x86_64")]
+use crate::isa::F32x8;
+use crate::isa::{self, F32x1, Lanes, Tier};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -227,68 +230,78 @@ fn pack_a(a: AMat, i0: usize, mr: usize, k: usize, apack: &mut [f32]) {
     }
 }
 
-/// The register-tile kernel: `acc[ii][jj] = fma(apack[p][ii], bpanel[p][jj],
-/// acc[ii][jj])` for `p` ascending — the deterministic reduction order.
-///
-/// Every update is a **fused** multiply-add. IEEE 754 specifies
-/// `fusedMultiplyAdd` exactly (one rounding), so the AVX2 `vfmadd`
-/// intrinsics, scalar `f32::mul_add`, and the tests' naive reference loop
-/// all produce the same bit pattern — the dispatch below can never change a
-/// result, only its speed. `vector` is the call's tier read once by
-/// [`gemm`] on the submitting thread (any vector tier runs the 8-lane
-/// tile), so `isa::with_tier_cap` reaches the pool's workers too.
+/// One `MR × NR` register tile at `tier` (the call's tier, read once by
+/// [`gemm`] on the submitting thread, so `isa::with_tier_cap` reaches the
+/// pool's workers too): the 8-lane entry point on any vector tier, the
+/// same body one lane wide on the portable one.
 #[inline(always)]
-fn micro_kernel(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR], vector: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if vector {
-        // SAFETY: a vector tier has AVX2 and FMA.
-        unsafe { micro_kernel_avx2(apack, bpanel, acc) };
-        return;
-    }
-    let _ = vector;
-    micro_kernel_generic(apack, bpanel, acc);
-}
-
-/// Portable microkernel. `mul_add` keeps it bit-compatible with the AVX2
-/// path (and fast on targets whose baseline ISA has fused ops, e.g.
-/// aarch64); x86 CPUs old enough to lack AVX2 fall back to libm's `fmaf`.
-fn micro_kernel_generic(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (bp, ap) in bpanel.chunks_exact(NR).zip(apack.chunks_exact(MR)) {
-        for ii in 0..MR {
-            let a = ap[ii];
-            for jj in 0..NR {
-                acc[ii][jj] = a.mul_add(bp[jj], acc[ii][jj]);
-            }
-        }
+fn micro_kernel(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR], tier: Tier) {
+    match tier {
+        // SAFETY: `tier` is at most the host's, and a vector tier has AVX2
+        // and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 | Tier::Avx2 => unsafe { micro_tile_avx2(apack, bpanel, acc) },
+        // SAFETY: `F32x1` needs no target feature.
+        _ => unsafe { micro_tile::<F32x1, NR>(apack, bpanel, acc) },
     }
 }
 
-/// The 4×16 AVX2+FMA microkernel: 8 accumulator vectors (two per row of the
-/// tile) make 8 independent FMA dependency chains, hiding the ~4-cycle FMA
-/// latency so the loop runs at the FMA ports' throughput.
+/// The 8-lane tile, on every vector tier: two vectors per row.
+///
+/// # Safety
+///
+/// The host has AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_kernel_avx2(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
+unsafe fn micro_tile_avx2(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+    micro_tile::<F32x8, 2>(apack, bpanel, acc);
+}
+
+/// The register tile: `acc[ii][jj] = fma(apack[p][ii], bpanel[p][jj],
+/// acc[ii][jj])` from zero for `p` ascending — the deterministic reduction
+/// order — in `MR × V` vectors of width `L`. At 8 lanes that is 8
+/// independent FMA chains, enough to hide the ~4-cycle FMA latency.
+///
+/// Every update is a **fused** multiply-add. IEEE 754 specifies
+/// `fusedMultiplyAdd` exactly (one rounding), so a `vfmadd` lane, scalar
+/// `f32::mul_add` and the tests' naive reference loop all produce the same
+/// bit pattern — the width can never change a result, only its speed.
+///
+/// # Safety
+///
+/// The calling code runs under `L`'s target features (see `isa`); the
+/// tile's own assert covers every pointer it forms.
+#[inline(always)]
+unsafe fn micro_tile<L: Lanes, const V: usize>(
+    apack: &[f32],
+    bpanel: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
+    const { assert!(V * L::N == NR) };
     let k = apack.len() / MR;
-    debug_assert_eq!(bpanel.len(), k * NR);
-    let mut c: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-    let mut ap = apack.as_ptr();
-    let mut bp = bpanel.as_ptr();
+    // The one bounds check: `k` steps of `MR` packed A values and `NR`
+    // packed B values.
+    assert!(bpanel.len() == k * NR, "GEMM micro-tile panel lengths");
+    let mut c = [[L::zero(); V]; MR];
+    let (mut ap, mut bp) = (apack.as_ptr(), bpanel.as_ptr());
     for _ in 0..k {
-        let b0 = _mm256_loadu_ps(bp);
-        let b1 = _mm256_loadu_ps(bp.add(8));
+        // SAFETY: fewer than `k` steps are behind, so `bp..bp + NR` and
+        // `ap..ap + MR` are inside the panels by the assert.
+        let b: [L; V] = std::array::from_fn(|v| L::loadu(bp.add(L::N * v)));
         for (ii, ci) in c.iter_mut().enumerate() {
-            let a = _mm256_broadcast_ss(&*ap.add(ii));
-            ci[0] = _mm256_fmadd_ps(a, b0, ci[0]);
-            ci[1] = _mm256_fmadd_ps(a, b1, ci[1]);
+            let a = L::splat(*ap.add(ii));
+            for (cv, bv) in ci.iter_mut().zip(&b) {
+                *cv = L::fmadd(a, *bv, *cv);
+            }
         }
         ap = ap.add(MR);
         bp = bp.add(NR);
     }
-    for (ii, ci) in c.iter().enumerate() {
-        _mm256_storeu_ps(acc[ii].as_mut_ptr(), ci[0]);
-        _mm256_storeu_ps(acc[ii].as_mut_ptr().add(8), ci[1]);
+    for (ci, row) in c.iter().zip(acc.iter_mut()) {
+        for (v, cv) in ci.iter().enumerate() {
+            // SAFETY: `v·N + N ≤ NR` by the const assert.
+            cv.storeu(row.as_mut_ptr().add(L::N * v));
+        }
     }
 }
 
@@ -344,7 +357,7 @@ fn gemm_block(
     out_block: &mut [f32],
     epi: Epilogue<'_>,
     apack: &mut [f32],
-    vector: bool,
+    tier: Tier,
 ) {
     let mut iq = 0;
     while iq < rows {
@@ -357,7 +370,7 @@ fn gemm_block(
                 apack,
                 &bpack[jp * k * NR..(jp + 1) * k * NR],
                 &mut acc,
-                vector,
+                tier,
             );
             write_back(&acc, out_block, iq, n, j0 + jp * NR, mr, nr, epi);
         }
@@ -389,7 +402,7 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
     if m == 0 || n == 0 {
         return;
     }
-    let vector = isa::tier() >= Tier::Avx2;
+    let tier = isa::tier();
     let mut bpack = PACK_B.with(|c| c.take());
     let mut arena = PACK_A.with(|c| c.take());
     let parallel = m * n >= PAR_THRESHOLD && m > 1;
@@ -432,7 +445,7 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
                         block,
                         epi,
                         apack,
-                        vector,
+                        tier,
                     );
                 });
         } else {
@@ -447,7 +460,7 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
                 out,
                 epi,
                 &mut arena[..k * MR],
-                vector,
+                tier,
             );
         }
     }

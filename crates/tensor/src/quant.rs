@@ -5,34 +5,43 @@
 //! slices so the wire layer can drive them from its own buffers without
 //! allocating in steady state.
 //!
-//! ## Two bodies per int8 kernel, one set of bits
+//! ## One body per int8 kernel, one set of bits
 //!
 //! Each int8 kernel — max-abs scale, quantize, dequantize, dequantize-add,
 //! and the fused quantize → dequantize → residual pass that shapes a delta
-//! in place — has a portable body in safe Rust and, on x86-64, an AVX2
-//! body that any vector tier of `isa::tier` runs (AVX2+FMA or wider;
-//! the int8 kernels stay at 8 lanes). The portable body is the
-//! definition: the AVX2 body handles whole 8-lane groups and hands the
-//! tail to the portable one, and `tests/quant_kernels.rs` holds the two to
-//! the same `to_bits()` on every length, alignment and special value, and
-//! both to the `f32::round` definition they replaced.
+//! in place — is one branch-free scalar loop, `#[inline(always)]`. The
+//! portable tier runs it as it stands; any vector tier of `isa::tier`
+//! runs it inlined into one `#[target_feature(enable = "avx2")]` entry
+//! point, where LLVM vectorizes it 8 lanes wide. Vectorizing a loop
+//! changes how many elements go through an instruction, never what the
+//! instruction computes per element, so the two tiers are one set of bits
+//! by construction; `tests/quant_kernels.rs` holds every tier the host has
+//! to the `f32::round` definition the kernels replaced, `to_bits()`, on
+//! every length, alignment and special value.
 //! `isa::with_tier_cap(Tier::Portable, ..)` is the test hook that pins a
-//! thread to the portable body; it is not a runtime switch.
+//! thread to the portable tier; it is not a runtime switch.
+//!
+//! What keeps a loop vectorizable is that nothing in it branches or calls:
+//! the optional inputs and outputs are const parameters, not per-element
+//! `Option` tests, and the scale folds the *bits* of `|x|` with an integer
+//! `max` (a float maximum is not associative to LLVM, an integer one is).
 //!
 //! ## Rounding without `f32::round`
 //!
 //! A code is `round(x · inv)` clamped to `±127`, ties away from zero. On
 //! the baseline x86-64 target `f32::round` (and `trunc`) is a libm call
 //! per element, which is why the loop this replaced ran at 14 cycles a
-//! float and never vectorized. Both bodies use the same four exact steps
-//! instead: clamp `v = x · inv` to `[-127, 127]` first (rounding is
+//! float and never vectorized. The body uses four exact steps instead:
+//! zero a NaN `v = x · inv` and clamp it to `[-127, 127]` (rounding is
 //! monotonic and fixes the integers ±127, so clamp-then-round equals
 //! round-then-clamp); truncate by converting to `i32`; form `d = c − t`;
 //! step away from zero where `|d| ≥ 0.5`. `d` is exact: `t` has `c`'s sign
 //! and `|t| ≤ |c|`, so `c − t` is the fraction of `c` — a multiple of
 //! `ulp(c)` smaller than one, which `f32` holds without rounding. NaN
 //! becomes 0, ±Inf saturates, and a code leaves as an integer, so `-0.0`
-//! dequantizes to `+0.0` (DESIGN.md §12c has the full argument).
+//! dequantizes to `+0.0` (DESIGN.md §12c has the full argument). The
+//! truncation is `to_int_unchecked`, not `as`: the saturating `as` cast
+//! keeps its NaN and range checks, and LLVM leaves that loop scalar.
 //!
 //! Determinism matters more than speed here: every kernel is a pure
 //! function of its inputs, so the discrete-event simulator replays
@@ -40,37 +49,53 @@
 
 use crate::isa::{self, Tier};
 
-/// Whether the AVX2 bodies run: any vector tier (see `isa`).
-#[inline]
-fn use_avx2() -> bool {
-    isa::tier() >= Tier::Avx2
+/// Runs an int8 body at the calling thread's tier: inlined into the AVX2
+/// entry point on any vector tier, as it stands on the portable one. Each
+/// kernel hands its body over as an `#[inline(always)]` closure: a closure
+/// LLVM declined to inline would stay a call out of the entry point, and
+/// compile without AVX2.
+#[inline(always)]
+fn dispatch<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if isa::tier() >= Tier::Avx2 {
+        // SAFETY: `isa::tier` is at most the host's, and a vector tier has
+        // AVX2.
+        return unsafe { avx2(body) };
+    }
+    body()
+}
+
+/// The one vector entry point: the int8 body compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 /// Symmetric int8 scale for a slice: `max|x| / 127`, or 0.0 for an
 /// all-zero (or empty) slice. Non-finite inputs are ignored when sizing the
 /// scale so one hostile NaN cannot zero out the whole shard.
 pub fn int8_scale(src: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 was just detected.
-        return unsafe { avx2::scale(src, None, None) };
-    }
-    scale_portable(src, None, None)
+    dispatch(
+        #[inline(always)]
+        || scale(src.iter().copied()),
+    )
 }
 
-/// The portable body of both scale kernels: [`int8_scale`] of
-/// `x = (new − base) + residual` — the difference first, as every delta
-/// kernel forms it — either of the two optional, without storing `x`.
-fn scale_portable(new: &[f32], base: Option<&[f32]>, residual: Option<&[f32]>) -> f32 {
-    let mut max = 0.0f32;
-    for (i, &x) in new.iter().enumerate() {
-        let x = base.map_or(x, |b| x - b[i]);
-        let a = residual.map_or(x, |r| x + r[i]).abs();
-        if a.is_finite() && a > max {
-            max = a;
-        }
+/// The body of both scale kernels: `max|x| / 127` over the finite `x`.
+/// For non-negative floats the order of the bit patterns is the order of
+/// the values, so the integer maximum of the bits of `|x|` is the bits of
+/// the float maximum, in any order it is taken; a non-finite `|x|` (bits
+/// at or above +Inf's) counts as 0.
+#[inline(always)]
+fn scale(xs: impl Iterator<Item = f32>) -> f32 {
+    let inf = f32::INFINITY.to_bits();
+    let mut max = 0u32;
+    for x in xs {
+        let a = x.abs().to_bits();
+        max = max.max(if a < inf { a } else { 0 });
     }
-    max / 127.0
+    f32::from_bits(max) / 127.0
 }
 
 /// The inverse scale every quantizer multiplies by; 0 for a zero scale, so
@@ -85,12 +110,14 @@ fn inverse(scale: f32) -> f32 {
 }
 
 /// `round(x · inv)` clamped to `[-127, 127]`, ties away from zero, NaN → 0
-/// (the module header has the argument). NaN needs no branch: it survives
-/// the clamp, truncates to 0 (`as` saturates) and fails both comparisons.
-#[inline]
+/// (the module header has the argument).
+#[inline(always)]
 fn int8_code(x: f32, inv: f32) -> i32 {
-    let c = (x * inv).clamp(-127.0, 127.0);
-    let t = c as i32;
+    let v = x * inv;
+    let c = if v.is_nan() { 0.0 } else { v }.clamp(-127.0, 127.0);
+    // SAFETY: NaN was zeroed and the clamp bounds ±Inf and everything else
+    // to [-127, 127], so `c` is finite and its truncation fits in `i32`.
+    let t: i32 = unsafe { c.to_int_unchecked() };
     let d = c - t as f32;
     t + i32::from(d >= 0.5) - i32::from(d <= -0.5)
 }
@@ -121,44 +148,37 @@ pub fn int8_codes_from_bytes(bytes: &[u8]) -> &[i8] {
 pub fn int8_quantize_slice(src: &[f32], scale: f32, dst: &mut [i8]) {
     assert_eq!(src.len(), dst.len());
     let inv = inverse(scale);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 was just detected.
-        return unsafe { avx2::quantize(src, inv, dst) };
-    }
-    quantize_portable(src, inv, dst);
-}
-
-fn quantize_portable(src: &[f32], inv: f32, dst: &mut [i8]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = int8_quantize_one(s, inv);
-    }
+    dispatch(
+        #[inline(always)]
+        || {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = int8_code(s, inv) as i8;
+            }
+        },
+    )
 }
 
 /// `dst[i] = codes[i] * scale`.
 pub fn int8_dequantize_slice(codes: &[i8], scale: f32, dst: &mut [f32]) {
     assert_eq!(codes.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 was just detected.
-        return unsafe { avx2::dequantize::<false>(codes, scale, dst) };
-    }
-    dequantize_portable::<false>(codes, scale, dst);
+    dispatch(
+        #[inline(always)]
+        || dequantize::<false>(codes, scale, dst),
+    )
 }
 
 /// `dst[i] += codes[i] * scale`: a quantized delta applied straight onto
 /// the vector it updates.
 pub fn int8_dequantize_add(codes: &[i8], scale: f32, dst: &mut [f32]) {
     assert_eq!(codes.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 was just detected.
-        return unsafe { avx2::dequantize::<true>(codes, scale, dst) };
-    }
-    dequantize_portable::<true>(codes, scale, dst);
+    dispatch(
+        #[inline(always)]
+        || dequantize::<true>(codes, scale, dst),
+    )
 }
 
-fn dequantize_portable<const ADD: bool>(codes: &[i8], scale: f32, dst: &mut [f32]) {
+#[inline(always)]
+fn dequantize<const ADD: bool>(codes: &[i8], scale: f32, dst: &mut [f32]) {
     for (d, &c) in dst.iter_mut().zip(codes) {
         let y = f32::from(c) * scale;
         *d = if ADD { *d + y } else { y };
@@ -169,15 +189,20 @@ fn dequantize_portable<const ADD: bool>(codes: &[i8], scale: f32, dst: &mut [f32
 /// `None`: `x = new − base`), without storing `x`.
 pub fn int8_delta_scale(new: &[f32], base: &[f32], residual: Option<&[f32]>) -> f32 {
     assert_eq!(new.len(), base.len());
-    if let Some(r) = residual {
-        assert_eq!(r.len(), new.len());
+    let delta = new.iter().zip(base).map(|(&n, &b)| n - b);
+    match residual {
+        Some(r) => {
+            assert_eq!(r.len(), new.len());
+            dispatch(
+                #[inline(always)]
+                || scale(delta.zip(r).map(|(x, &r)| x + r)),
+            )
+        }
+        None => dispatch(
+            #[inline(always)]
+            || scale(delta),
+        ),
     }
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 was just detected.
-        return unsafe { avx2::scale(new, Some(base), residual) };
-    }
-    scale_portable(new, Some(base), residual)
 }
 
 /// The fused pass of a quantized delta: with `x` as in
@@ -195,215 +220,57 @@ pub fn int8_delta_roundtrip(
     scale: f32,
     codes: Option<&mut [i8]>,
 ) {
-    assert_eq!(base.len(), params.len());
-    if let Some(r) = &residual {
-        assert_eq!(r.len(), params.len());
-    }
-    if let Some(c) = &codes {
-        assert_eq!(c.len(), params.len());
-    }
+    let n = params.len();
+    assert_eq!(base.len(), n);
     let inv = inverse(scale);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2 was just detected.
-        return unsafe { avx2::delta_roundtrip(base, params, residual, scale, inv, codes) };
-    }
-    delta_roundtrip_portable(base, params, residual, scale, inv, codes);
+    let (r, c) = (residual.is_some(), codes.is_some());
+    let (residual, codes) = (residual.unwrap_or_default(), codes.unwrap_or_default());
+    assert!(!r || residual.len() == n, "residual length");
+    assert!(!c || codes.len() == n, "codes length");
+    let (b, p) = (base, params);
+    dispatch(
+        #[inline(always)]
+        || match (r, c) {
+            (true, true) => roundtrip::<true, true>(b, p, residual, scale, inv, codes),
+            (true, false) => roundtrip::<true, false>(b, p, residual, scale, inv, codes),
+            (false, true) => roundtrip::<false, true>(b, p, residual, scale, inv, codes),
+            (false, false) => roundtrip::<false, false>(b, p, residual, scale, inv, codes),
+        },
+    )
 }
 
-fn delta_roundtrip_portable(
+/// The body of [`int8_delta_roundtrip`]; `RES` and `CODES` say whether
+/// `residual` and `codes` take part (each is empty when it does not).
+#[inline(always)]
+fn roundtrip<const RES: bool, const CODES: bool>(
     base: &[f32],
     params: &mut [f32],
-    mut residual: Option<&mut [f32]>,
+    residual: &mut [f32],
     scale: f32,
     inv: f32,
-    mut codes: Option<&mut [i8]>,
+    codes: &mut [i8],
 ) {
-    for (i, (p, &b)) in params.iter_mut().zip(base).enumerate() {
-        let x = residual.as_deref().map_or(*p - b, |r| (*p - b) + r[i]);
-        let code = int8_quantize_one(x, inv);
-        let y = f32::from(code) * scale;
-        *p = b + y;
-        if let Some(r) = residual.as_deref_mut() {
-            r[i] = if x.is_finite() { x - y } else { 0.0 };
+    // Every slice the loop indexes is `n` long in this function, where the
+    // vectorizer can see it, so no bounds check is left in the loop.
+    let n = params.len();
+    let base = &base[..n];
+    let residual = if RES { &mut residual[..n] } else { residual };
+    let codes = if CODES { &mut codes[..n] } else { codes };
+    for i in 0..n {
+        let b = base[i];
+        let mut x = params[i] - b;
+        if RES {
+            x += residual[i];
         }
-        if let Some(c) = codes.as_deref_mut() {
-            c[i] = code;
+        let code = int8_code(x, inv);
+        let y = code as f32 * scale;
+        params[i] = b + y;
+        if RES {
+            residual[i] = if x.is_finite() { x - y } else { 0.0 };
         }
-    }
-}
-
-/// The AVX2 bodies. Each walks whole 8-lane groups and gives the tail to
-/// the portable body; every lane computes the portable body's expression
-/// with the same operations in the same order.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    /// Loads the 8 floats of a `chunks_exact(8)` item.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn load(lanes: &[f32]) -> __m256 {
-        assert_eq!(lanes.len(), 8);
-        // SAFETY: `lanes` is 8 readable floats; `loadu` needs no alignment.
-        unsafe { _mm256_loadu_ps(lanes.as_ptr()) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store(lanes: &mut [f32], v: __m256) {
-        assert_eq!(lanes.len(), 8);
-        // SAFETY: `lanes` is 8 writable floats; `storeu` needs no alignment.
-        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) }
-    }
-
-    /// Sign-extends the 8 codes of a `chunks_exact(8)` item to `f32`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn load_codes(lanes: &[i8]) -> __m256 {
-        assert_eq!(lanes.len(), 8);
-        // SAFETY: `lanes` is 8 readable bytes, the 64 bits `loadl` reads.
-        let bytes = unsafe { _mm_loadl_epi64(lanes.as_ptr().cast()) };
-        _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes))
-    }
-
-    /// Narrows 8 `i32` codes (each within `i8`) into a `chunks_exact(8)`
-    /// item.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store_codes(lanes: &mut [i8], codes: __m256i) {
-        assert_eq!(lanes.len(), 8);
-        let halves = _mm_packs_epi32(
-            _mm256_castsi256_si128(codes),
-            _mm256_extracti128_si256::<1>(codes),
-        );
-        let bytes = _mm_packs_epi16(halves, halves);
-        // SAFETY: `lanes` is 8 writable bytes, the 64 bits `storel` writes.
-        unsafe { _mm_storel_epi64(lanes.as_mut_ptr().cast(), bytes) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn abs(v: __m256) -> __m256 {
-        _mm256_andnot_ps(_mm256_set1_ps(-0.0), v)
-    }
-
-    /// Lanes where `v` is neither NaN nor infinite.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn finite(v: __m256) -> __m256 {
-        _mm256_cmp_ps::<_CMP_LT_OQ>(abs(v), _mm256_set1_ps(f32::INFINITY))
-    }
-
-    /// `super::int8_code` on 8 lanes. NaN is zeroed up front: unlike `as`,
-    /// `cvttps` turns it into `i32::MIN`, and `max_ps` into its bound.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn codes(x: __m256, inv: __m256) -> __m256i {
-        let v = _mm256_mul_ps(x, inv);
-        let v = _mm256_and_ps(v, _mm256_cmp_ps::<_CMP_ORD_Q>(v, v));
-        let c = _mm256_min_ps(
-            _mm256_max_ps(v, _mm256_set1_ps(-127.0)),
-            _mm256_set1_ps(127.0),
-        );
-        let t = _mm256_cvttps_epi32(c);
-        let d = _mm256_sub_ps(c, _mm256_cvtepi32_ps(t));
-        // A comparison mask is -1 as an integer where it holds.
-        let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(d, _mm256_set1_ps(0.5)));
-        let down = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(d, _mm256_set1_ps(-0.5)));
-        _mm256_add_epi32(_mm256_sub_epi32(t, up), down)
-    }
-
-    /// `super::scale_portable` on 8 lanes.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn scale(new: &[f32], base: Option<&[f32]>, residual: Option<&[f32]>) -> f32 {
-        let main = new.len() - new.len() % 8;
-        let mut max = _mm256_setzero_ps();
-        for i in (0..main).step_by(8) {
-            let mut x = load(&new[i..i + 8]);
-            if let Some(b) = base {
-                x = _mm256_sub_ps(x, load(&b[i..i + 8]));
-            }
-            if let Some(r) = residual {
-                x = _mm256_add_ps(x, load(&r[i..i + 8]));
-            }
-            // Every operand is finite and non-negative, so the order the
-            // maximum is taken in cannot change it.
-            max = _mm256_max_ps(max, _mm256_and_ps(abs(x), finite(x)));
+        if CODES {
+            codes[i] = code as i8;
         }
-        let mut lanes = [0.0f32; 8];
-        store(&mut lanes, max);
-        // Dividing by 127 is monotonic: the larger of the two scales is the
-        // scale of the larger maximum.
-        let head = lanes.into_iter().fold(0.0, f32::max) / 127.0;
-        head.max(super::scale_portable(
-            &new[main..],
-            base.map(|b| &b[main..]),
-            residual.map(|r| &r[main..]),
-        ))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn quantize(src: &[f32], inv: f32, dst: &mut [i8]) {
-        let main = src.len() - src.len() % 8;
-        let vinv = _mm256_set1_ps(inv);
-        for (d, s) in dst[..main].chunks_exact_mut(8).zip(src.chunks_exact(8)) {
-            store_codes(d, codes(load(s), vinv));
-        }
-        super::quantize_portable(&src[main..], inv, &mut dst[main..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dequantize<const ADD: bool>(codes: &[i8], scale: f32, dst: &mut [f32]) {
-        let main = codes.len() - codes.len() % 8;
-        let vscale = _mm256_set1_ps(scale);
-        for (d, c) in dst[..main].chunks_exact_mut(8).zip(codes.chunks_exact(8)) {
-            let mut y = _mm256_mul_ps(load_codes(c), vscale);
-            if ADD {
-                y = _mm256_add_ps(load(d), y);
-            }
-            store(d, y);
-        }
-        super::dequantize_portable::<ADD>(&codes[main..], scale, &mut dst[main..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn delta_roundtrip(
-        base: &[f32],
-        params: &mut [f32],
-        mut residual: Option<&mut [f32]>,
-        scale: f32,
-        inv: f32,
-        mut codes_out: Option<&mut [i8]>,
-    ) {
-        let main = params.len() - params.len() % 8;
-        let (vscale, vinv) = (_mm256_set1_ps(scale), _mm256_set1_ps(inv));
-        for i in (0..main).step_by(8) {
-            let lanes = i..i + 8;
-            let b = load(&base[lanes.clone()]);
-            let mut x = _mm256_sub_ps(load(&params[lanes.clone()]), b);
-            if let Some(r) = residual.as_deref() {
-                x = _mm256_add_ps(x, load(&r[lanes.clone()]));
-            }
-            let code = codes(x, vinv);
-            let y = _mm256_mul_ps(_mm256_cvtepi32_ps(code), vscale);
-            store(&mut params[lanes.clone()], _mm256_add_ps(b, y));
-            if let Some(r) = residual.as_deref_mut() {
-                let err = _mm256_and_ps(_mm256_sub_ps(x, y), finite(x));
-                store(&mut r[lanes.clone()], err);
-            }
-            if let Some(c) = codes_out.as_deref_mut() {
-                store_codes(&mut c[lanes], code);
-            }
-        }
-        super::delta_roundtrip_portable(
-            &base[main..],
-            &mut params[main..],
-            residual.map(|r| &mut r[main..]),
-            scale,
-            inv,
-            codes_out.map(|c| &mut c[main..]),
-        );
     }
 }
 

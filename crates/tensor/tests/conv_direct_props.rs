@@ -32,7 +32,8 @@
 //! portable one, so one case holds every width to the reference — and
 //! `deploy/sanitize.sh` runs them all under AddressSanitizer. Rows
 //! narrower than a 16-lane vector run the 8-lane body at every vector
-//! tier; rows of 16 to 40 reach the 16-lane full spans and its backed-up
+//! tier, and rows narrower than 8 the one-lane body the portable tier
+//! runs everywhere (the same source body at `F32x1`); rows of 16 to 40 reach the 16-lane full spans and its backed-up
 //! tail, odd heights the row its two-row tiles leave over, and up to 9
 //! output channels put a full 8-channel block beside a remainder of one.
 //! CI also runs this file with
@@ -525,7 +526,8 @@ fn parallel_path_bitwise_and_deterministic() {
 
 /// One staging slot and one dx band per participant, not per image: at
 /// every thread cap, with batches below and above the cap, on rows wide
-/// enough for the vector spans and on rows narrower than one (`ow < 8`),
+/// enough for the vector spans and on rows narrower than one (`ow < 8`,
+/// the one-lane body),
 /// forward, forward with the prologue and dx stay bitwise the reference —
 /// two images sharing a slot at once would corrupt one of them. Both
 /// shapes cross `PAR_THRESHOLD` from batch 3 up, so the per-image loop runs

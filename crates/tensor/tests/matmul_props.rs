@@ -5,9 +5,10 @@
 //! chain **bitwise**, for any shape including degenerate ones (empty
 //! matrices, single rows/columns, shapes past the parallel threshold). These
 //! properties are what the DST byte-identity suite rests on, so they are
-//! checked here as bit patterns, never with a tolerance — on every body
-//! the host has (`isa::with_tier_cap`): the AVX2+FMA micro-kernel, which
-//! every vector tier runs, and the portable `micro_kernel_generic`.
+//! checked here as bit patterns, never with a tolerance — on every tier
+//! the host has (`isa::with_tier_cap`): the one `Lanes` micro-tile body, 8
+//! lanes wide on every vector tier and one lane wide (`F32x1`) on the
+//! portable one.
 
 mod naive;
 

@@ -1,12 +1,12 @@
-//! The int8 kernels against their oracle, on both bodies.
+//! The int8 kernels against their oracle, on every tier.
 //!
-//! `vc_tensor::quant` picks an AVX2 or a portable body at run time and
-//! promises the same bits from either, and from the `f32::round`
-//! definition both replaced. Every check here runs a kernel once per tier
-//! the host has — each under `isa::with_tier_cap`, the portable body
-//! last — and compares every result, `to_bits()`, with that definition
-//! written out below. On a host without AVX2 only the portable body runs;
-//! the oracle still holds it.
+//! Each kernel in `vc_tensor::quant` is one scalar body: the portable tier
+//! runs it as written, every vector tier runs it compiled under AVX2, and
+//! both promise the bits of the `f32::round` definition the body replaced.
+//! Every check here runs a kernel once per tier the host has — each under
+//! `isa::with_tier_cap`, the portable tier last — and compares every
+//! result, `to_bits()`, with that definition written out below. On a host
+//! without AVX2 only the portable tier runs; the oracle still holds it.
 
 use proptest::prelude::*;
 use vc_tensor::isa::{with_tier_cap, Tier};
@@ -44,9 +44,9 @@ fn inverse(scale: f32) -> f32 {
     }
 }
 
-/// `f` under every tier the host has: the AVX2 body at each vector tier,
-/// then the portable body.
-fn on_both_bodies<R>(f: impl Fn() -> R) -> Vec<R> {
+/// `f` under every tier the host has: the body compiled under AVX2 at each
+/// vector tier, then as written at the portable tier.
+fn on_every_tier<R>(f: impl Fn() -> R) -> Vec<R> {
     Tier::host_tiers().map(|t| with_tier_cap(t, &f)).collect()
 }
 
@@ -62,12 +62,12 @@ fn check_all_kernels(src: &[f32], scale: f32) {
     let inv = inverse(scale);
 
     let want_scale = oracle_scale(src.iter().copied());
-    for got in on_both_bodies(|| int8_scale(src)) {
+    for got in on_every_tier(|| int8_scale(src)) {
         assert_eq!(got.to_bits(), want_scale.to_bits(), "int8_scale, n {n}");
     }
 
     let want_codes: Vec<i8> = src.iter().map(|&x| oracle_code(x, inv)).collect();
-    for got in on_both_bodies(|| {
+    for got in on_every_tier(|| {
         let mut codes = vec![1i8; n];
         int8_quantize_slice(src, scale, &mut codes);
         codes
@@ -79,7 +79,7 @@ fn check_all_kernels(src: &[f32], scale: f32) {
     }
 
     let want_deq: Vec<f32> = want_codes.iter().map(|&c| c as f32 * scale).collect();
-    for got in on_both_bodies(|| {
+    for got in on_every_tier(|| {
         let mut out = vec![f32::NAN; n];
         int8_dequantize_slice(&want_codes, scale, &mut out);
         out
@@ -88,7 +88,7 @@ fn check_all_kernels(src: &[f32], scale: f32) {
     }
     let acc: Vec<f32> = (0..n).map(|i| (i as f32 - 3.0) * 0.37).collect();
     let want_acc: Vec<f32> = acc.iter().zip(&want_deq).map(|(a, y)| a + y).collect();
-    for got in on_both_bodies(|| {
+    for got in on_every_tier(|| {
         let mut out = acc.clone();
         int8_dequantize_add(&want_codes, scale, &mut out);
         out
@@ -113,7 +113,7 @@ fn check_all_kernels(src: &[f32], scale: f32) {
             })
             .collect();
         let want_scale = oracle_scale(x.iter().copied());
-        for got in on_both_bodies(|| int8_delta_scale(src, &base, ef.then_some(&residual[..]))) {
+        for got in on_every_tier(|| int8_delta_scale(src, &base, ef.then_some(&residual[..]))) {
             assert_eq!(got.to_bits(), want_scale.to_bits(), "delta scale, ef {ef}");
         }
         // Shape with the caller's scale, not the delta's own, so the ties
@@ -127,7 +127,7 @@ fn check_all_kernels(src: &[f32], scale: f32) {
             .map(|(&x, &y)| if x.is_finite() { x - y } else { 0.0 })
             .collect();
         for with_codes in [false, true] {
-            for (params, res, got_codes) in on_both_bodies(|| {
+            for (params, res, got_codes) in on_every_tier(|| {
                 let mut params = src.to_vec();
                 let mut res = residual.clone();
                 let mut got_codes = vec![1i8; n];
@@ -198,7 +198,7 @@ fn ties_round_away_from_zero_and_clamp() {
             want.push((sign * (k as f32 + 1.0).min(127.0)) as i8);
         }
     }
-    for got in on_both_bodies(|| {
+    for got in on_every_tier(|| {
         let mut codes = vec![0i8; src.len()];
         int8_quantize_slice(&src, 0.5, &mut codes);
         codes
@@ -222,7 +222,7 @@ fn just_below_a_tie_rounds_down() {
         }
     }
     assert_eq!(src[0], 0.49999997);
-    for got in on_both_bodies(|| {
+    for got in on_every_tier(|| {
         let mut codes = vec![1i8; src.len()];
         int8_quantize_slice(&src, 1.0, &mut codes);
         codes
@@ -269,7 +269,7 @@ fn specials_in_every_lane() {
 #[test]
 fn negative_zero_codes_dequantize_to_positive_zero() {
     let src = vec![-0.0f32, -1.0e-9, 0.0, 1.0e-9, -0.0, -0.0, 0.0, -0.0, -0.0];
-    for got in on_both_bodies(|| {
+    for got in on_every_tier(|| {
         let mut params = src.clone();
         int8_delta_roundtrip(&[0.0; 9], &mut params, None, 1.0, None);
         params
@@ -286,7 +286,7 @@ fn negative_zero_codes_dequantize_to_positive_zero() {
 fn all_zero_input_has_scale_zero_and_zero_codes() {
     for n in [0, 5, 8, 40] {
         let src = vec![0.0f32; n];
-        for got in on_both_bodies(|| int8_scale(&src)) {
+        for got in on_every_tier(|| int8_scale(&src)) {
             assert_eq!(got.to_bits(), 0);
         }
         check_all_kernels(&src, 0.0);
@@ -298,7 +298,7 @@ fn a_single_outlier_sets_the_scale() {
     for at in [0, 7, 8, 33, 40] {
         let mut src = vec![1.0e-4f32; 41];
         src[at] = -250.0;
-        for got in on_both_bodies(|| int8_scale(&src)) {
+        for got in on_every_tier(|| int8_scale(&src)) {
             assert_eq!(got.to_bits(), (250.0f32 / 127.0).to_bits());
         }
         check_all_kernels(&src, int8_scale(&src));

@@ -1,24 +1,27 @@
 #!/usr/bin/env bash
 # AddressSanitizer over the code that holds the repo's hand-written
 # `unsafe`: on the parameter path, the int8 kernels of `vc-tensor::quant`
-# (AVX2 loads and stores, the i8 <-> u8 slice views) and everything
-# `vc-ps` drives them with — the block-wise encoder, the token walker over
-# hostile bytes, the fused publish and the in-place delta apply; on the
-# compute path, `vc-tensor::conv_direct` (16-lane AVX-512 and 8-lane AVX2
-# loads and stores over the staged image and the bands, and the
-# raw-pointer slot arithmetic that gives each pool participant its own
-# staging slot and dx band).
+# (one scalar body each, run as written and compiled under AVX2; its
+# unchecked float -> int truncation and the i8 <-> u8 slice views) and
+# everything `vc-ps` drives them with — the block-wise encoder, the token
+# walker over hostile bytes, the fused publish and the in-place delta
+# apply; on the compute path, `vc-tensor::conv_direct` (the raw loads and
+# stores of its `isa::Lanes` tiles over the staged image and the bands, at
+# 16, 8 and 1 lanes, and the raw-pointer slot arithmetic that gives each
+# pool participant its own staging slot and dx band) and the GEMM's
+# `Lanes` micro-tile.
 #
 # Usage: deploy/sanitize.sh [extra `cargo test` arguments]
 #
 #   Runs, under `RUSTFLAGS=-Zsanitizer=address` on the nightly toolchain:
-#     vc-tensor  lib unit tests + tests/quant_kernels.rs (every kernel on
-#                the AVX2 and the portable body, every length and tail)
+#     vc-tensor  lib unit tests + tests/quant_kernels.rs (every kernel at
+#                every tier the host has, every length and tail)
 #                + tests/conv_direct_props.rs (every case on every tier the
 #                host has via `isa::with_tier_cap`: the 16-lane body where
 #                AVX-512F is present, the 8-lane body under an AVX2 cap and
-#                the portable body, on a 4-thread pool so slots past the
-#                first are used)
+#                the one-lane body of the portable tier, on a 4-thread pool
+#                so slots past the first are used; its 1×1 cases run the
+#                GEMM micro-tile at every tier too)
 #     vc-nn      the `preact` unit tests (the fused unit against its three
 #                layers: uncapped, under an AVX2 cap and portable)
 #     vc-ps      tests/codec_props.rs + tests/wire_props.rs
