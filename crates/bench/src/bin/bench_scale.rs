@@ -38,7 +38,7 @@
 use serde::Serialize;
 use std::time::Instant;
 use vc_middleware::server::{BoincServer, MiddlewareConfig};
-use vc_middleware::{HostId, ReportStatus};
+use vc_middleware::{HostId, ReportStatus, ShardManifest};
 use vc_nn::metrics::evaluate;
 use vc_nn::spec::resnet_lite;
 use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
@@ -356,7 +356,8 @@ fn bench_hosts(n: usize, cycles: usize) -> HostsRow {
         // previous cycle is long gone.
         let t0 = SimTime::from_secs(cycle as f64 * 10_000.0);
         for i in 0..n {
-            server.add_workunit(cycle + 1, i % 256, 1, t0); // 256 shards
+            server.add_workunit_sharded(cycle + 1, i % 256, ShardManifest::single(1), t0);
+            // 256 shards
         }
         let t = Instant::now();
         for h in 0..n as u32 {

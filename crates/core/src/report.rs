@@ -71,19 +71,6 @@ impl JobReport {
     pub fn final_mean_acc(&self) -> f32 {
         self.epochs.last().map(|e| e.mean_val_acc).unwrap_or(0.0)
     }
-
-    /// Renders the per-epoch series as CSV with the figure-friendly columns
-    /// `epoch,alpha,hours,mean,min,max`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("epoch,alpha,hours,mean_acc,min_acc,max_acc\n");
-        for e in &self.epochs {
-            out.push_str(&format!(
-                "{},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
-                e.epoch, e.alpha, e.end_time_h, e.mean_val_acc, e.min_val_acc, e.max_val_acc
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -135,14 +122,5 @@ mod tests {
             ..report()
         };
         assert_eq!(empty.final_mean_acc(), 0.0);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = report().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("epoch,"));
-        assert!(lines[1].starts_with("1,0.9500,0.5000,0.3000"));
     }
 }

@@ -66,14 +66,6 @@ impl Dataset {
         }
     }
 
-    /// Splits off the first `n` samples, returning `(head, tail)`.
-    pub fn split_at(&self, n: usize) -> (Dataset, Dataset) {
-        assert!(n <= self.len(), "split point {n} beyond dataset");
-        let head: Vec<usize> = (0..n).collect();
-        let tail: Vec<usize> = (n..self.len()).collect();
-        (self.select(&head), self.select(&tail))
-    }
-
     /// Per-class sample counts.
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.classes];
@@ -81,12 +73,6 @@ impl Dataset {
             h[y] += 1;
         }
         h
-    }
-
-    /// Approximate in-memory/encoded size of this dataset's images in bytes
-    /// (f32 samples + one byte per label). Drives simulated shard downloads.
-    pub fn byte_size(&self) -> usize {
-        self.images.numel() * 4 + self.labels.len()
     }
 }
 
@@ -127,21 +113,5 @@ mod tests {
         assert_eq!(s.labels, vec![0, 0]);
         assert_eq!(&s.images.data()[0..4], &[8.0, 9.0, 10.0, 11.0]);
         assert_eq!(&s.images.data()[4..8], &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn split_at_partitions() {
-        let d = tiny();
-        let (a, b) = d.split_at(1);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 2);
-        assert_eq!(a.labels, vec![0]);
-        assert_eq!(b.labels, vec![1, 0]);
-    }
-
-    #[test]
-    fn byte_size_counts_floats_and_labels() {
-        let d = tiny();
-        assert_eq!(d.byte_size(), 12 * 4 + 3);
     }
 }

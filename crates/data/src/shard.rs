@@ -2,12 +2,12 @@
 //!
 //! The paper splits the 50 000-image CIFAR10 training set into 50 subsets of
 //! 3.9 MB each; one epoch = 50 subtasks, one per shard. [`ShardSet`]
-//! reproduces that split with contiguous class-balanced blocks, and a
-//! binary codec whose byte length is what the simulated network transfers.
+//! reproduces that split with contiguous class-balanced blocks, and
+//! [`DataShard::byte_size`] is the download the simulated network charges
+//! for one shard: its raw header, labels and pixels, the size of the
+//! uncompressed input file a volunteer host fetches per subtask.
 
 use crate::dataset::Dataset;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use vc_tensor::Tensor;
 
 /// One training-data subset, the payload of one BOINC workunit.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,68 +19,13 @@ pub struct DataShard {
 }
 
 impl DataShard {
-    /// Encoded size in bytes (what the client downloads).
+    /// Download size in bytes, what the simulated network transfers for
+    /// one workunit's input file: a 20-byte header (magic, id, classes,
+    /// rank, sample count), one `u32` per image dim, one `u16` per label
+    /// and one `f32` per pixel.
     pub fn byte_size(&self) -> usize {
-        self.encode().len()
-    }
-
-    /// Serializes the shard: header, dims, labels, pixels.
-    pub fn encode(&self) -> Bytes {
         let d = &self.data;
-        let mut buf = BytesMut::with_capacity(32 + d.images.numel() * 4 + d.len());
-        buf.put_u32_le(0x5644_5331); // "VDS1"
-        buf.put_u32_le(self.id as u32);
-        buf.put_u32_le(d.classes as u32);
-        buf.put_u32_le(d.images.dims().len() as u32);
-        for &dim in d.images.dims() {
-            buf.put_u32_le(dim as u32);
-        }
-        buf.put_u32_le(d.len() as u32);
-        for &y in &d.labels {
-            buf.put_u16_le(y as u16);
-        }
-        for &px in d.images.data() {
-            buf.put_f32_le(px);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a shard encoded by [`Self::encode`].
-    pub fn decode(mut blob: &[u8]) -> Result<DataShard, String> {
-        if blob.len() < 16 {
-            return Err("shard blob too short".into());
-        }
-        let magic = blob.get_u32_le();
-        if magic != 0x5644_5331 {
-            return Err(format!("bad shard magic 0x{magic:08x}"));
-        }
-        let id = blob.get_u32_le() as usize;
-        let classes = blob.get_u32_le() as usize;
-        let rank = blob.get_u32_le() as usize;
-        if rank > 8 || blob.len() < rank * 4 + 4 {
-            return Err("corrupt shard header".into());
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(blob.get_u32_le() as usize);
-        }
-        let n = blob.get_u32_le() as usize;
-        let numel: usize = dims.iter().product();
-        if blob.len() < n * 2 + numel * 4 {
-            return Err("shard blob truncated".into());
-        }
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            labels.push(blob.get_u16_le() as usize);
-        }
-        let mut pixels = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            pixels.push(blob.get_f32_le());
-        }
-        Ok(DataShard {
-            id,
-            data: Dataset::new(Tensor::from_vec(pixels, &dims), labels, classes),
-        })
+        20 + 4 * d.images.dims().len() + 2 * d.len() + 4 * d.images.numel()
     }
 }
 
@@ -157,6 +102,7 @@ impl ShardSet {
 mod tests {
     use super::*;
     use crate::synthetic::SyntheticSpec;
+    use vc_tensor::Tensor;
 
     fn train() -> Dataset {
         SyntheticSpec::tiny(1).generate().0
@@ -203,27 +149,15 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let tr = train();
-        let set = ShardSet::split(&tr, 3);
-        for shard in set.iter() {
-            let blob = shard.encode();
-            let back = DataShard::decode(&blob).unwrap();
-            assert_eq!(&back, shard);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let tr = train();
-        let shard = ShardSet::split(&tr, 2).shard(0).clone();
-        let blob = shard.encode();
-        assert!(DataShard::decode(&blob[..10]).is_err());
-        let mut bad = blob.to_vec();
-        bad[0] ^= 0xff;
-        assert!(DataShard::decode(&bad).is_err());
-        let cut = &blob[..blob.len() - 8];
-        assert!(DataShard::decode(cut).is_err());
+    fn byte_size_of_a_fixed_shard() {
+        // 3 samples of [1, 2, 2]: 20 header + 4·4 dims + 2·3 labels +
+        // 4·12 pixels, the length the retired VDS1 encoder wrote.
+        let images = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 1, 2, 2]);
+        let shard = DataShard {
+            id: 5,
+            data: Dataset::new(images, vec![0, 1, 0], 2),
+        };
+        assert_eq!(shard.byte_size(), 90);
     }
 
     #[test]

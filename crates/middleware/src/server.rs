@@ -374,19 +374,9 @@ impl BoincServer {
         self.metrics
     }
 
-    /// Work generator entry point: enqueues one subtask.
-    pub fn add_workunit(
-        &mut self,
-        epoch: usize,
-        shard_id: usize,
-        param_version: u64,
-        now: SimTime,
-    ) -> WuId {
-        self.add_workunit_sharded(epoch, shard_id, ShardManifest::single(param_version), now)
-    }
-
-    /// [`Self::add_workunit`] with a full per-parameter-shard version
-    /// manifest (the sharded parameter service's snapshot fingerprint).
+    /// Work generator entry point: enqueues one subtask that trains from
+    /// the snapshot `manifest` fingerprints, one version per parameter
+    /// shard ([`ShardManifest::single`] for an unsharded store).
     pub fn add_workunit_sharded(
         &mut self,
         epoch: usize,
@@ -415,13 +405,8 @@ impl BoincServer {
         id
     }
 
-    /// Enqueues one epoch's worth of subtasks (one per shard).
-    pub fn add_epoch(&mut self, epoch: usize, shards: usize, param_version: u64, now: SimTime) {
-        self.add_epoch_sharded(epoch, shards, &ShardManifest::single(param_version), now);
-    }
-
-    /// [`Self::add_epoch`] with a per-parameter-shard version manifest,
-    /// shared by every subtask of the epoch.
+    /// Enqueues one epoch's worth of subtasks (one per data shard), all
+    /// sharing one per-parameter-shard version manifest.
     pub fn add_epoch_sharded(
         &mut self,
         epoch: usize,
@@ -678,14 +663,6 @@ impl BoincServer {
             let qseq = self.queue.push(wu_id, shard);
             self.wus[wu_id.0 as usize].queued = Some(qseq);
         }
-    }
-
-    /// Compatibility wrapper over [`BoincServer::report_result`] with an
-    /// empty payload. Under the default quorum of 1 this is the classic
-    /// first-valid-result-wins behaviour; with a real quorum configured,
-    /// callers must use `report_result` so payloads can be compared.
-    pub fn report_success(&mut self, wu_id: WuId, host: HostId, now: SimTime) -> ReportStatus {
-        self.report_result(wu_id, host, &[], now)
     }
 
     /// A client uploads an (already validator-screened) result payload.
@@ -1156,7 +1133,7 @@ mod tests {
     #[test]
     fn fifo_assignment_and_completion() {
         let mut s = server(1, 2);
-        s.add_epoch(1, 3, 7, t(0.0));
+        s.add_epoch_sharded(1, 3, &ShardManifest::single(7), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         assert_eq!(a.wu.shard_id, 0);
         assert_eq!(a.wu.param_version, 7);
@@ -1167,7 +1144,7 @@ mod tests {
         // Two slots full.
         assert!(s.request_work(HostId(0), t(0.0)).is_none());
         assert_eq!(
-            s.report_success(a.wu.id, HostId(0), t(10.0)),
+            s.report_result(a.wu.id, HostId(0), &[], t(10.0)),
             ReportStatus::Accepted
         );
         // Slot freed; third workunit assignable.
@@ -1179,12 +1156,12 @@ mod tests {
     #[test]
     fn sticky_files_prefer_cached_shards() {
         let mut s = server(1, 1);
-        s.add_workunit(1, 5, 1, t(0.0));
+        s.add_workunit_sharded(1, 5, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
-        s.report_success(a.wu.id, HostId(0), t(1.0));
+        s.report_result(a.wu.id, HostId(0), &[], t(1.0));
         // Epoch 2: shards 3 and 5 queued; host caches shard 5.
-        s.add_workunit(2, 3, 2, t(1.0));
-        s.add_workunit(2, 5, 2, t(1.0));
+        s.add_workunit_sharded(2, 3, ShardManifest::single(2), t(1.0));
+        s.add_workunit_sharded(2, 5, ShardManifest::single(2), t(1.0));
         let b = s.request_work(HostId(0), t(1.0)).unwrap();
         assert_eq!(b.wu.shard_id, 5, "cached shard preferred over FIFO");
         assert!(b.shard_cached);
@@ -1200,11 +1177,11 @@ mod tests {
             },
             vec![(table1::client_8v_2_2(), 1)],
         );
-        s.add_workunit(1, 5, 1, t(0.0));
+        s.add_workunit_sharded(1, 5, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
-        s.report_success(a.wu.id, HostId(0), t(1.0));
-        s.add_workunit(2, 3, 2, t(1.0));
-        s.add_workunit(2, 5, 2, t(1.0));
+        s.report_result(a.wu.id, HostId(0), &[], t(1.0));
+        s.add_workunit_sharded(2, 3, ShardManifest::single(2), t(1.0));
+        s.add_workunit_sharded(2, 5, ShardManifest::single(2), t(1.0));
         let b = s.request_work(HostId(0), t(1.0)).unwrap();
         assert_eq!(b.wu.shard_id, 3, "FIFO when sticky files off");
     }
@@ -1212,7 +1189,7 @@ mod tests {
     #[test]
     fn timeout_requeues_and_penalizes() {
         let mut s = server(2, 1);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         assert_eq!(a.deadline, t(300.0));
         assert!(s.scan_timeouts(t(299.0)).is_empty());
@@ -1229,12 +1206,12 @@ mod tests {
     #[test]
     fn late_result_after_timeout_is_accepted_if_unclaimed() {
         let mut s = server(1, 1);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         s.scan_timeouts(t(301.0));
         // The original host finally uploads.
         assert_eq!(
-            s.report_success(a.wu.id, HostId(0), t(302.0)),
+            s.report_result(a.wu.id, HostId(0), &[], t(302.0)),
             ReportStatus::Accepted
         );
         assert!(s.all_done());
@@ -1245,23 +1222,23 @@ mod tests {
     #[test]
     fn double_report_is_stale() {
         let mut s = server(2, 1);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         s.scan_timeouts(t(301.0));
         let b = s.request_work(HostId(1), t(301.0)).unwrap();
         assert_eq!(a.wu.id, b.wu.id);
         // New assignee completes first.
         assert_eq!(
-            s.report_success(b.wu.id, HostId(1), t(400.0)),
+            s.report_result(b.wu.id, HostId(1), &[], t(400.0)),
             ReportStatus::Accepted
         );
         // Original host's late upload and a double-report are both stale.
         assert_eq!(
-            s.report_success(a.wu.id, HostId(0), t(401.0)),
+            s.report_result(a.wu.id, HostId(0), &[], t(401.0)),
             ReportStatus::Stale
         );
         assert_eq!(
-            s.report_success(b.wu.id, HostId(1), t(402.0)),
+            s.report_result(b.wu.id, HostId(1), &[], t(402.0)),
             ReportStatus::Stale
         );
         assert_eq!(s.metrics().stale_results, 2);
@@ -1270,7 +1247,7 @@ mod tests {
     #[test]
     fn invalid_result_requeues_after_backoff() {
         let mut s = server(1, 1);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         s.report_invalid(a.wu.id, HostId(0), t(5.0));
         assert_eq!(s.metrics().invalid_results, 1);
@@ -1289,7 +1266,7 @@ mod tests {
     #[test]
     fn preempted_host_recovers_via_timeout() {
         let mut s = server(2, 2);
-        s.add_epoch(1, 2, 1, t(0.0));
+        s.add_epoch_sharded(1, 2, &ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(0), t(0.0)).unwrap();
         s.preempt_host(HostId(0));
@@ -1303,15 +1280,15 @@ mod tests {
         // The healthy host finishes the job.
         let c = s.request_work(HostId(1), t(300.0)).unwrap();
         let d = s.request_work(HostId(1), t(300.0)).unwrap();
-        s.report_success(c.wu.id, HostId(1), t(350.0));
-        s.report_success(d.wu.id, HostId(1), t(360.0));
+        s.report_result(c.wu.id, HostId(1), &[], t(350.0));
+        s.report_result(d.wu.id, HostId(1), &[], t(360.0));
         assert!(s.all_done());
     }
 
     #[test]
     fn revive_clears_cache_and_inflight() {
         let mut s = server(1, 2);
-        s.add_workunit(1, 9, 1, t(0.0));
+        s.add_workunit_sharded(1, 9, ShardManifest::single(1), t(0.0));
         s.request_work(HostId(0), t(0.0)).unwrap();
         s.preempt_host(HostId(0));
         s.revive_host(HostId(0), t(1.0));
@@ -1323,7 +1300,7 @@ mod tests {
     #[test]
     fn revive_orphans_stale_assignments_without_penalty() {
         let mut s = server(2, 2);
-        s.add_epoch(1, 4, 1, t(0.0));
+        s.add_epoch_sharded(1, 4, &ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(0), t(0.0)).unwrap();
         s.preempt_host(HostId(0));
@@ -1358,7 +1335,7 @@ mod tests {
     #[test]
     fn next_deadline_tracks_earliest() {
         let mut s = server(2, 1);
-        s.add_epoch(1, 2, 1, t(0.0));
+        s.add_epoch_sharded(1, 2, &ShardManifest::single(1), t(0.0));
         assert_eq!(s.next_deadline(), None);
         s.request_work(HostId(0), t(0.0)).unwrap();
         let mut q = vc_simnet::EventQueue::<()>::new();
@@ -1371,22 +1348,22 @@ mod tests {
     #[test]
     fn next_deadline_skips_completed_assignments() {
         let mut s = server(2, 1);
-        s.add_epoch(1, 2, 1, t(0.0));
+        s.add_epoch_sharded(1, 2, &ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(1), t(10.0)).unwrap();
         assert_eq!(s.next_deadline(), Some(t(300.0)));
         // First assignment completes: its timer entry is stale and must be
         // pruned, revealing the later deadline.
-        s.report_success(a.wu.id, HostId(0), t(20.0));
+        s.report_result(a.wu.id, HostId(0), &[], t(20.0));
         assert_eq!(s.next_deadline(), Some(b.deadline));
-        s.report_success(b.wu.id, HostId(1), t(30.0));
+        s.report_result(b.wu.id, HostId(1), &[], t(30.0));
         assert_eq!(s.next_deadline(), None);
     }
 
     #[test]
     fn unreliable_host_gets_fewer_slots() {
         let mut s = server(1, 4);
-        s.add_epoch(1, 20, 1, t(0.0));
+        s.add_epoch_sharded(1, 20, &ShardManifest::single(1), t(0.0));
         // Burn reliability with repeated timeouts.
         for round in 0..6 {
             let now = t(round as f64 * 400.0);
@@ -1402,7 +1379,7 @@ mod tests {
     #[test]
     fn replication_issues_to_distinct_hosts() {
         let mut s = replicated(3, 2, 2);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         // Same host cannot take the second replica.
         assert!(s.request_work(HostId(0), t(0.0)).is_none());
@@ -1416,11 +1393,11 @@ mod tests {
     #[test]
     fn first_replica_wins_and_cancels_the_other() {
         let mut s = replicated(2, 1, 2);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(1), t(0.0)).unwrap();
         assert_eq!(
-            s.report_success(a.wu.id, HostId(0), t(50.0)),
+            s.report_result(a.wu.id, HostId(0), &[], t(50.0)),
             ReportStatus::Accepted
         );
         // Loser's slot was freed by cancellation...
@@ -1429,7 +1406,7 @@ mod tests {
         // ...and its late upload is stale without penalty.
         let rel_before = s.hosts()[1].reliability;
         assert_eq!(
-            s.report_success(b.wu.id, HostId(1), t(60.0)),
+            s.report_result(b.wu.id, HostId(1), &[], t(60.0)),
             ReportStatus::Stale
         );
         assert_eq!(s.hosts()[1].reliability, rel_before);
@@ -1439,7 +1416,7 @@ mod tests {
     #[test]
     fn replica_timeout_leaves_other_replica_running() {
         let mut s = replicated(2, 1, 2);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         // Second replica starts later, so its deadline is later.
         let mut q = vc_simnet::EventQueue::<()>::new();
@@ -1458,7 +1435,7 @@ mod tests {
         assert_eq!(c.wu.id, a.wu.id);
         // Host 1 finishes; everyone else is cancelled.
         assert_eq!(
-            s.report_success(b.wu.id, HostId(1), t(350.0)),
+            s.report_result(b.wu.id, HostId(1), &[], t(350.0)),
             ReportStatus::Accepted
         );
         assert!(s.all_done());
@@ -1468,7 +1445,7 @@ mod tests {
     #[test]
     fn replication_one_is_the_classic_behaviour() {
         let mut s = replicated(2, 1, 1);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let _a = s.request_work(HostId(0), t(0.0)).unwrap();
         // Second host cannot take a replica at replication = 1.
         assert!(s.request_work(HostId(1), t(0.0)).is_none());
@@ -1479,17 +1456,17 @@ mod tests {
     #[test]
     fn deadline_adapts_to_observed_turnaround() {
         let mut s = server(1, 1);
-        s.add_epoch(1, 3, 1, t(0.0));
+        s.add_epoch_sharded(1, 3, &ShardManifest::single(1), t(0.0));
         // Unseeded host: the configured timeout applies verbatim.
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         assert_eq!(a.deadline, t(300.0));
-        s.report_success(a.wu.id, HostId(0), t(10.0));
+        s.report_result(a.wu.id, HostId(0), &[], t(10.0));
         // One 10 s observation seeds the EWMA; grace 3 × 10 = 30 (the
         // floor), far below the old fixed 300.
         let b = s.request_work(HostId(0), t(10.0)).unwrap();
         assert_eq!(b.deadline, t(40.0));
         // A slower result drags the EWMA (and deadline) back up.
-        s.report_success(b.wu.id, HostId(0), t(110.0));
+        s.report_result(b.wu.id, HostId(0), &[], t(110.0));
         let c = s.request_work(HostId(0), t(110.0)).unwrap();
         let granted = c.deadline - t(110.0);
         assert!(
@@ -1509,7 +1486,7 @@ mod tests {
             },
             vec![(table1::client_8v_2_2(), 1)],
         );
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         assert_eq!(a.deadline, t(10.0));
         s.scan_timeouts(t(11.0));
@@ -1531,10 +1508,10 @@ mod tests {
             ..Default::default()
         };
         let mut s = BoincServer::new(cfg, vec![(table1::client_8v_2_2(), 1)]);
-        s.add_epoch(1, 2, 1, t(0.0));
+        s.add_epoch_sharded(1, 2, &ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         assert_eq!(a.deadline, t(2.0), "unseeded: configured timeout");
-        s.report_success(a.wu.id, HostId(0), t(0.5));
+        s.report_result(a.wu.id, HostId(0), &[], t(0.5));
         let b = s.request_work(HostId(0), t(0.5)).unwrap();
         assert_eq!(b.deadline - t(0.5), 2.0, "clamped to timeout_s, not 30");
     }
@@ -1553,7 +1530,7 @@ mod tests {
             },
             vec![(table1::client_8v_2_2(), 1); 2],
         );
-        s.add_epoch(1, 2, 1, t(0.0));
+        s.add_epoch_sharded(1, 2, &ShardManifest::single(1), t(0.0));
         s.request_work(HostId(0), t(0.0)).unwrap();
         s.scan_timeouts(t(10.0));
         assert_eq!(s.metrics().backoffs, 1);
@@ -1562,7 +1539,7 @@ mod tests {
         let b = s.request_work(HostId(1), t(12.0)).unwrap();
         assert!(s.request_work(HostId(0), t(15.0)).is_some());
         // Success clears the streak entirely.
-        s.report_success(b.wu.id, HostId(1), t(16.0));
+        s.report_result(b.wu.id, HostId(1), &[], t(16.0));
         assert!(!s.hosts()[1].in_backoff(t(16.0)));
     }
 
@@ -1583,7 +1560,7 @@ mod tests {
     #[test]
     fn quorum_two_pends_until_agreement() {
         let mut s = quorate(2, 2, 2);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(1), t(0.0)).unwrap();
         assert_eq!(a.wu.id, b.wu.id);
@@ -1608,7 +1585,7 @@ mod tests {
     #[test]
     fn quorum_disagreement_extends_target_and_penalizes_loser() {
         let mut s = quorate(3, 2, 2);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(1), t(0.0)).unwrap();
         // Host 0 uploads a poisoned result, host 1 the honest one.
@@ -1645,7 +1622,7 @@ mod tests {
     #[test]
     fn quorum_rejects_double_votes() {
         let mut s = quorate(2, 2, 2);
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         assert_eq!(
             s.report_result(a.wu.id, HostId(0), &[1.0], t(5.0)),
@@ -1668,7 +1645,7 @@ mod tests {
             atol: 1e-3,
             rtol: 0.0,
         }));
-        s.add_workunit(1, 0, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(1), t(0.0)).unwrap();
         assert_eq!(
@@ -1685,8 +1662,8 @@ mod tests {
     #[test]
     fn quorum_turnaround_feeds_the_deadline_of_both_replicas() {
         let mut s = quorate(2, 2, 2);
-        s.add_workunit(1, 0, 1, t(0.0));
-        s.add_workunit(1, 1, 1, t(0.0));
+        s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
+        s.add_workunit_sharded(1, 1, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         let b = s.request_work(HostId(1), t(0.0)).unwrap();
         s.report_result(a.wu.id, HostId(0), &[1.0], t(20.0));
@@ -1721,7 +1698,7 @@ mod tests {
     #[test]
     fn same_instant_deadlines_expire_in_issue_order() {
         let mut s = server(3, 1);
-        s.add_epoch(1, 3, 1, t(0.0));
+        s.add_epoch_sharded(1, 3, &ShardManifest::single(1), t(0.0));
         // Three hosts take three workunits at the same instant — identical
         // deadlines, tie broken by the issue sequence.
         let a = s.request_work(HostId(0), t(0.0)).unwrap();

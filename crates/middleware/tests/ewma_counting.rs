@@ -9,7 +9,7 @@
 //! three boundaries through the public server API.
 
 use vc_middleware::server::{Assignment, BoincServer, MiddlewareConfig};
-use vc_middleware::{HostId, ReportStatus};
+use vc_middleware::{HostId, ReportStatus, ShardManifest};
 use vc_simnet::{table1, SimTime};
 
 fn t(s: f64) -> SimTime {
@@ -28,7 +28,7 @@ const FIRST_TIMEOUT_FEED: f64 = 150.0;
 #[test]
 fn blown_deadline_feeds_ewma_exactly_once() {
     let mut s = server(1);
-    s.add_workunit(1, 0, 1, t(0.0));
+    s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
     let a = s.request_work(HostId(0), t(0.0)).unwrap();
     assert_eq!(a.deadline, t(300.0));
     assert_eq!(s.hosts()[0].turnaround_ewma_s, None);
@@ -51,10 +51,10 @@ fn blown_deadline_feeds_ewma_exactly_once() {
 #[test]
 fn completed_assignment_leaves_no_timer_residue() {
     let mut s = server(1);
-    s.add_workunit(1, 0, 1, t(0.0));
+    s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
     let a = s.request_work(HostId(0), t(0.0)).unwrap();
     assert_eq!(
-        s.report_success(a.wu.id, HostId(0), t(10.0)),
+        s.report_result(a.wu.id, HostId(0), &[], t(10.0)),
         ReportStatus::Accepted
     );
     // The 10 s turnaround seeded the EWMA at report time; the assignment's
@@ -75,7 +75,7 @@ fn reissued_workunit_feeds_once_per_expiry_not_per_entry() {
         },
         vec![(table1::client_8v_2_2(), 2)],
     );
-    s.add_workunit(1, 0, 1, t(0.0));
+    s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
     let a = s.request_work(HostId(0), t(0.0)).unwrap();
     s.scan_timeouts(t(300.0));
     let after_first = s.hosts()[0].turnaround_ewma_s.unwrap();
@@ -98,7 +98,7 @@ fn reissued_workunit_feeds_once_per_expiry_not_per_entry() {
 #[test]
 fn orphaned_expiry_feeds_zero_into_the_new_incarnation() {
     let mut s = server(1);
-    s.add_workunit(1, 0, 1, t(0.0));
+    s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
     let a = s.request_work(HostId(0), t(0.0)).unwrap();
     s.preempt_host(HostId(0));
     s.revive_host(HostId(0), t(5.0));
@@ -115,7 +115,7 @@ fn orphaned_expiry_feeds_zero_into_the_new_incarnation() {
 #[test]
 fn each_incarnation_is_blamed_at_most_once_per_blown_deadline() {
     let mut s = server(1);
-    s.add_epoch(1, 2, 1, t(0.0));
+    s.add_epoch_sharded(1, 2, &ShardManifest::single(1), t(0.0));
     // Incarnation 0 takes one workunit and blows it: one feed.
     s.request_work(HostId(0), t(0.0)).unwrap();
     s.scan_timeouts(t(300.0));

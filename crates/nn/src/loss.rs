@@ -45,11 +45,6 @@ impl SoftmaxCrossEntropy {
         total / b as f32
     }
 
-    /// Borrowing wrapper over [`Self::loss_and_grad_ws`].
-    pub fn loss_and_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        Self::loss_and_grad_ws(logits.clone(), labels)
-    }
-
     /// Loss and the gradient w.r.t. the logits, in one pass, consuming the
     /// logits: the softmax and the gradient are computed in place in the
     /// logits' own buffer, so the hot loop allocates nothing.
@@ -131,7 +126,7 @@ mod tests {
     fn grad_matches_finite_difference() {
         let logits = Tensor::from_vec(vec![0.5, -0.2, 0.1, 1.0, 0.0, -1.0], &[2, 3]);
         let labels = [2usize, 0];
-        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad(&logits, &labels);
+        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad_ws(logits.clone(), &labels);
         let eps = 1e-3f32;
         for i in 0..logits.numel() {
             let mut lp = logits.clone();
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn grad_rows_sum_to_zero() {
         let logits = Tensor::from_vec(vec![0.3, 0.1, -0.5, 0.9, 2.0, -2.0], &[2, 3]);
-        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad(&logits, &[0, 1]);
+        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &[0, 1]);
         for i in 0..2 {
             let s: f32 = grad.data()[i * 3..(i + 1) * 3].iter().sum();
             assert!(s.abs() < 1e-6);

@@ -450,7 +450,7 @@ mod tests {
         let labels: Vec<usize> = (0..16).map(|i| i % 3).collect();
 
         let logits = m.forward(&x, true);
-        let (loss0, dlogits) = SoftmaxCrossEntropy::loss_and_grad(&logits, &labels);
+        let (loss0, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &labels);
         m.zero_grads_all();
         m.backward(&dlogits);
         let mut p = m.params_flat();
@@ -506,7 +506,7 @@ mod tests {
         let mut ws = Workspace::new();
 
         let logits_p = plain.forward(&x, true);
-        let (loss_p, dy_p) = SoftmaxCrossEntropy::loss_and_grad(&logits_p, &labels);
+        let (loss_p, dy_p) = SoftmaxCrossEntropy::loss_and_grad_ws(logits_p.clone(), &labels);
         plain.zero_grads_all();
         plain.backward(&dy_p);
 

@@ -432,9 +432,16 @@ impl Layer for BatchNorm {
         let (pre, x_hat, grads) = self.backward_parts();
         let x_hat = x_hat.expect("BatchNorm::backward after a pre-activation forward");
         assert_eq!(dy.dims(), x_hat.dims(), "BatchNorm grad shape mismatch");
-        backward_passes(pre, grads, dy, x_hat.data(), None, planes, ws, |_, x_hat, dy| {
-            (x_hat, dy)
-        })
+        backward_passes(
+            pre,
+            grads,
+            dy,
+            x_hat.data(),
+            None,
+            planes,
+            ws,
+            |_, x_hat, dy| (x_hat, dy),
+        )
     }
 
     fn fusion_part(&mut self) -> FusionPart<'_> {

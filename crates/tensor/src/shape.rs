@@ -58,15 +58,6 @@ impl Shape {
         self.dims().iter().product()
     }
 
-    /// Row-major strides, in elements. The last axis has stride 1.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.rank];
-        for i in (0..self.rank.saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
     /// Flat row-major offset of a multi-index. Panics on rank mismatch or an
     /// out-of-range coordinate (in debug builds).
     pub fn offset(&self, index: &[usize]) -> usize {
@@ -183,13 +174,6 @@ mod tests {
         assert_eq!(Shape::new(&[3, 4, 5]).numel(), 60);
         assert_eq!(Shape::new(&[7]).numel(), 7);
         assert_eq!(Shape::new(&[2, 0, 4]).numel(), 0);
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        assert_eq!(Shape::new(&[2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::new(&[5]).strides(), vec![1]);
-        assert_eq!(Shape::new(&[]).strides(), Vec::<usize>::new());
     }
 
     #[test]

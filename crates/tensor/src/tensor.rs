@@ -53,14 +53,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// A rank-0 scalar tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: Shape::new(&[]),
-            data: vec![value],
-        }
-    }
-
     /// Samples i.i.d. `N(mean, std^2)` entries from a seeded sampler.
     pub fn randn(dims: &[usize], mean: f32, std: f32, sampler: &mut NormalSampler) -> Self {
         let shape = Shape::new(dims);
@@ -149,13 +141,6 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Extracts row `r` of a rank-2 tensor as a rank-1 tensor.
-    pub fn row(&self, r: usize) -> Self {
-        assert_eq!(self.shape.rank(), 2, "row() requires a rank-2 tensor");
-        let n = self.shape.dim(1);
-        Tensor::from_vec(self.data[r * n..(r + 1) * n].to_vec(), &[n])
-    }
-
     // ---------------------------------------------------------- elementwise
 
     /// Applies `f` to every element, producing a new tensor.
@@ -201,32 +186,9 @@ impl Tensor {
         self.zip_with(other, |a, b| a - b)
     }
 
-    /// `self * other`, elementwise (Hadamard product).
-    pub fn mul(&self, other: &Tensor) -> Self {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// `self * s`, scalar product.
     pub fn scale(&self, s: f32) -> Self {
         self.map(|x| x * s)
-    }
-
-    /// In-place `self += other`. The hot path of every optimizer step and of
-    /// the VC-ASGD server update, so it avoids allocation.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add_assign requires equal shapes");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// In-place `self = alpha * self + beta * other`; this is exactly Eq. (1)
-    /// of the paper with `beta = 1 - alpha`, kept general for the baselines.
-    pub fn blend(&mut self, alpha: f32, beta: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "blend requires equal shapes");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a = alpha * *a + beta * b;
-        }
     }
 
     /// Adds a rank-1 bias to every row of a rank-2 tensor (broadcast over
@@ -269,28 +231,6 @@ impl Tensor {
     /// Minimum element (+∞ for an empty tensor).
     pub fn min(&self) -> f32 {
         self.data.iter().cloned().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Index of the maximum element of a rank-1 tensor (ties → first).
-    pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of empty tensor");
-        let mut best = 0;
-        for (i, &x) in self.data.iter().enumerate() {
-            if x > self.data[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Squared L2 norm.
-    pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum()
-    }
-
-    /// L2 norm.
-    pub fn norm(&self) -> f32 {
-        self.norm_sq().sqrt()
     }
 }
 
@@ -352,21 +292,7 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 5.0], &[2]);
         assert_eq!(a.add(&b).data(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).data(), &[2.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[3.0, 10.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn blend_implements_eq1() {
-        // W_s <- alpha W_s + (1 - alpha) W_c
-        let mut ws = Tensor::from_vec(vec![1.0, 0.0], &[2]);
-        let wc = Tensor::from_vec(vec![0.0, 1.0], &[2]);
-        ws.blend(0.95, 0.05, &wc);
-        assert!(approx_eq(
-            &ws,
-            &Tensor::from_vec(vec![0.95, 0.05], &[2]),
-            1e-7
-        ));
     }
 
     #[test]
@@ -384,13 +310,6 @@ mod tests {
         assert_eq!(t.mean(), 0.5);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
-        assert_eq!(t.norm_sq(), 14.0);
-    }
-
-    #[test]
-    fn argmax_ties_take_first() {
-        let t = Tensor::from_vec(vec![1.0, 3.0, 3.0, 0.0], &[4]);
-        assert_eq!(t.argmax(), 1);
     }
 
     #[test]
@@ -413,11 +332,5 @@ mod tests {
         let r = t.clone().reshape(&[2, 6]);
         assert_eq!(r.dims(), &[2, 6]);
         assert_eq!(r.data(), t.data());
-    }
-
-    #[test]
-    fn row_extracts_slice() {
-        let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
-        assert_eq!(t.row(1).data(), &[3.0, 4.0, 5.0]);
     }
 }

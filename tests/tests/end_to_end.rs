@@ -129,8 +129,6 @@ fn reports_serialize_to_json() {
     let json = serde_json::to_string(&r).unwrap();
     let back: vc_asgd::JobReport = serde_json::from_str(&json).unwrap();
     assert_eq!(back, r);
-    // And the CSV renderer produces one line per epoch plus a header.
-    assert_eq!(r.to_csv().lines().count(), r.epochs.len() + 1);
 }
 
 #[test]

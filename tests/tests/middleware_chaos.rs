@@ -6,8 +6,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vc_middleware::{
-    BoincServer, FiniteBlobValidator, HostId, MiddlewareConfig, ReportStatus, ValidationVerdict,
-    Validator,
+    BoincServer, FiniteBlobValidator, HostId, MiddlewareConfig, ReportStatus, ShardManifest,
+    ValidationVerdict, Validator,
 };
 use vc_simnet::{table1, EventQueue, SimTime};
 
@@ -40,7 +40,7 @@ fn every_workunit_completes_exactly_once_under_chaos() {
             fleet(3, 2),
         );
         let wus = 20usize;
-        server.add_epoch(1, wus, 1, clock.now());
+        server.add_epoch_sharded(1, wus, &ShardManifest::single(1), clock.now());
 
         let mut in_flight: Vec<(vc_middleware::WuId, HostId)> = Vec::new();
         let mut completions = 0usize;
@@ -77,7 +77,7 @@ fn every_workunit_completes_exactly_once_under_chaos() {
             for (wu, host) in in_flight.drain(..) {
                 let roll: f64 = rng.gen();
                 if roll < 0.3 {
-                    if server.report_success(wu, host, now_t) == ReportStatus::Accepted {
+                    if server.report_result(wu, host, &[], now_t) == ReportStatus::Accepted {
                         completions += 1;
                     }
                 } else if roll < 0.4 {
@@ -107,7 +107,7 @@ fn every_workunit_completes_exactly_once_under_chaos() {
 fn validator_rejects_poisoned_uploads_and_job_recovers() {
     let validator = FiniteBlobValidator::with_len(4);
     let mut server = BoincServer::new(MiddlewareConfig::default(), fleet(2, 1));
-    server.add_workunit(1, 0, 1, t(0.0));
+    server.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
 
     let a = server.request_work(HostId(0), t(0.0)).unwrap();
 
@@ -133,7 +133,7 @@ fn validator_rejects_poisoned_uploads_and_job_recovers() {
     }
     assert!(validator.validate(&good).is_valid());
     assert_eq!(
-        server.report_success(b.wu.id, HostId(1), t(20.0)),
+        server.report_result(b.wu.id, HostId(1), &[], t(20.0)),
         ReportStatus::Accepted
     );
     assert!(server.all_done());
@@ -158,7 +158,7 @@ fn total_host_loss_then_recovery() {
         },
         fleet(2, 2),
     );
-    server.add_epoch(1, 4, 1, t(0.0));
+    server.add_epoch_sharded(1, 4, &ShardManifest::single(1), t(0.0));
     let mut assigned = Vec::new();
     for h in 0..2 {
         while let Some(a) = server.request_work(HostId(h), t(0.0)) {
@@ -177,7 +177,7 @@ fn total_host_loss_then_recovery() {
     let mut done = 0;
     for h in 0..2 {
         while let Some(a) = server.request_work(HostId(h), t(61.0)) {
-            server.report_success(a.wu.id, HostId(h), t(100.0));
+            server.report_result(a.wu.id, HostId(h), &[], t(100.0));
             done += 1;
         }
     }
@@ -197,7 +197,7 @@ fn repeated_timeouts_count_attempts() {
         },
         fleet(1, 1),
     );
-    let wu = server.add_workunit(1, 0, 1, t(0.0));
+    let wu = server.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
     let mut now = 0.0;
     for round in 1..=5u32 {
         let a = server.request_work(HostId(0), t(now)).unwrap();
@@ -212,7 +212,7 @@ fn repeated_timeouts_count_attempts() {
     // Reliability collapsed to the probe slot but work continues.
     assert_eq!(server.hosts()[0].effective_slots(), 1);
     let a = server.request_work(HostId(0), t(now)).unwrap();
-    server.report_success(a.wu.id, HostId(0), t(now + 1.0));
+    server.report_result(a.wu.id, HostId(0), &[], t(now + 1.0));
     assert!(server.all_done());
 }
 
@@ -230,7 +230,7 @@ fn revive_does_not_charge_the_replacement_for_stale_assignments() {
         },
         fleet(2, 2),
     );
-    server.add_epoch(1, 4, 1, t(0.0));
+    server.add_epoch_sharded(1, 4, &ShardManifest::single(1), t(0.0));
     let a = server.request_work(HostId(0), t(0.0)).unwrap();
     let b = server.request_work(HostId(0), t(0.0)).unwrap();
     server.preempt_host(HostId(0));
@@ -254,11 +254,11 @@ fn revive_does_not_charge_the_replacement_for_stale_assignments() {
     assert!(!server.hosts()[0].in_backoff(t(61.0)));
     assert_eq!(server.hosts()[0].in_flight, 2);
     // The replacement finishes everything, including the recovered work.
-    server.report_success(c.wu.id, HostId(0), t(62.0));
-    server.report_success(d.wu.id, HostId(0), t(62.0));
+    server.report_result(c.wu.id, HostId(0), &[], t(62.0));
+    server.report_result(d.wu.id, HostId(0), &[], t(62.0));
     for _ in 0..2 {
         let e = server.request_work(HostId(0), t(62.0)).unwrap();
-        server.report_success(e.wu.id, HostId(0), t(63.0));
+        server.report_result(e.wu.id, HostId(0), &[], t(63.0));
     }
     assert!(server.all_done());
 }
