@@ -18,10 +18,12 @@
 //!   expires, reissues and reports the work, untimed, to recycle the slots.
 //!
 //! * **eval** — `metrics::evaluate` of `resnet_lite [3, 32, 32]` over 128
-//!   images at batch 256, one pool thread: the scoring pass that closes a
-//!   run and most of `resnet_compute`'s `setup_s`. Beside its total, each
-//!   fused BN→ReLU→3×3 unit shape's direct forward kernel is timed alone
-//!   and counted exactly, `2·out_ch·ch·9·oh·ow·batch` flop, for GFLOP/s.
+//!   images at the runtime's batch cap of 256, one pool thread: the scoring
+//!   pass that closes a run, in the passes it really runs (32 images each,
+//!   `metrics::pass_batch`; the row records the batch). Beside its total,
+//!   each fused BN→ReLU→3×3 unit shape's direct forward kernel is timed
+//!   alone at the pass batch and counted exactly,
+//!   `2·out_ch·ch·9·oh·ow·batch` flop, for GFLOP/s.
 //!   One row per instruction-set tier the host has (`isa::Tier`, each
 //!   under `isa::with_tier_cap`, widest first), so a 16-lane host records
 //!   its 8-lane and portable rows beside its own (the portable row is one
@@ -39,7 +41,7 @@ use serde::Serialize;
 use std::time::Instant;
 use vc_middleware::server::{BoincServer, MiddlewareConfig};
 use vc_middleware::{HostId, ReportStatus, ShardManifest};
-use vc_nn::metrics::evaluate;
+use vc_nn::metrics::{evaluate, pass_batch};
 use vc_nn::spec::resnet_lite;
 use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
 use vc_simnet::{generated_fleet, SimTime};
@@ -91,12 +93,13 @@ struct HostsRow {
 }
 
 /// One fused BN→ReLU→3×3 unit shape of the evaluated model (`ch` in and
-/// out, `side × side` images), its direct forward kernel timed alone.
+/// out, `side × side` images), its direct forward kernel timed alone over
+/// one pass batch.
 #[derive(Serialize)]
 struct EvalUnit {
     ch: usize,
     side: usize,
-    /// Units of this shape in the model.
+    /// Calls of this shape in the evaluation: units in the model × passes.
     count: usize,
     /// `2·out_ch·ch·9·oh·ow·batch`: two flop per FMA the kernel issues.
     flop: f64,
@@ -108,7 +111,10 @@ struct EvalUnit {
 struct Eval {
     model: String,
     images: usize,
+    /// The cap `evaluate` was handed.
     batch_size: usize,
+    /// The batch its passes ran at.
+    pass_batch: usize,
     thread_cap: usize,
     cpu_model: String,
     hw_threads: usize,
@@ -250,6 +256,8 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
     let x = Tensor::randn(&[images, input[0], input[1], input[2]], 0.0, 1.0, &mut s);
     let labels: Vec<usize> = (0..images).map(|i| i % 10).collect();
     let mut model = resnet_lite(&input, blocks, 10).build(42);
+    let pass = pass_batch(&model, &input, batch_size).min(images);
+    let passes = images.div_ceil(pass);
     let total = time_best(reps, || {
         evaluate(&mut model, &x, &labels, batch_size);
     });
@@ -267,7 +275,7 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
                 stride: 1,
                 pad: 1,
             };
-            let xin = Tensor::randn(&[images, ch, side, side], 0.0, 1.0, &mut s);
+            let xin = Tensor::randn(&[pass, ch, side, side], 0.0, 1.0, &mut s);
             let kernel = Tensor::randn(&[ch, ch * 9], 0.0, 0.1, &mut s);
             let (zeros, ones, bias) = (vec![0.0; ch], vec![1.0; ch], vec![0.1; ch]);
             let pre = BnRelu {
@@ -276,8 +284,8 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
                 gamma: &ones,
                 beta: &zeros,
             };
-            let mut out = vec![0.0f32; images * ch * side * side];
-            let mut stage = vec![0.0f32; fwd_scratch_len(images, ch, geom)];
+            let mut out = vec![0.0f32; pass * ch * side * side];
+            let mut stage = vec![0.0f32; fwd_scratch_len(pass, ch, geom)];
             let secs = time_best(reps, || {
                 conv3x3_forward_pre_into(
                     &xin,
@@ -289,11 +297,11 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
                     &mut stage,
                 )
             });
-            let flop = 2.0 * (ch * ch * 9 * side * side * images) as f64;
+            let flop = 2.0 * (ch * ch * 9 * side * side * pass) as f64;
             EvalUnit {
                 ch,
                 side,
-                count: 2 * blocks,
+                count: 2 * blocks * passes,
                 flop,
                 ms: secs * 1e3,
                 gflops: flop / secs / 1e9,
@@ -314,7 +322,7 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
         );
     }
     println!(
-        "eval [{}] {images} images (batch {batch_size}, 1 thread): {:.2} ms, units {:.0} %",
+        "eval [{}] {images} images (batch cap {batch_size}, passes of {pass}, 1 thread): {:.2} ms, units {:.0} %",
         tier.name(),
         total * 1e3,
         100.0 * unit_ms / (total * 1e3)
@@ -323,6 +331,7 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
         model: format!("resnet_lite {input:?} blocks={blocks} classes=10"),
         images,
         batch_size,
+        pass_batch: pass,
         thread_cap: 1,
         cpu_model: cpu_model(),
         hw_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),

@@ -95,6 +95,27 @@ impl Sequential {
         }
     }
 
+    /// Elements per sample of the widest activation a layer of this
+    /// pipeline hands the next one, for samples of shape `sample_dims`.
+    /// The model's input and its output are not hidden; a layer that keeps
+    /// its input's width (activation, normalization, flatten, a residual
+    /// block) adds nothing, since its output is no wider than what it
+    /// reads — the input itself or an activation counted already. Top-level
+    /// layers only: a residual block's body runs at its block's width.
+    pub(crate) fn widest_hidden(&self, sample_dims: &[usize]) -> usize {
+        let mut dims = [&[1], sample_dims].concat();
+        let mut widest = 0;
+        for l in self.layers.iter().take(self.layers.len().saturating_sub(1)) {
+            let out = l.out_dims(&dims);
+            let (read, wrote) = (dims.iter().product(), out.iter().product::<usize>());
+            if wrote != read {
+                widest = widest.max(wrote);
+            }
+            dims = out;
+        }
+        widest
+    }
+
     /// Runs the pipeline in inference mode.
     pub fn predict(&mut self, x: &Tensor) -> Tensor {
         Layer::forward(self, x, false)
@@ -411,6 +432,20 @@ mod tests {
         let y = m.predict(&Tensor::zeros(&[5, 4]));
         assert_eq!(y.dims(), &[5, 3]);
         assert_eq!(m.out_dims(&[5, 4]), vec![5, 3]);
+    }
+
+    #[test]
+    fn widest_hidden_skips_input_output_and_width_keeping_layers() {
+        use crate::spec::{mlp, resnet_lite, small_cnn};
+        let img = [3, 32, 32];
+        assert_eq!(tiny_model(1).widest_hidden(&[4]), 8);
+        // The flatten that heads an MLP passes its input through.
+        assert_eq!(mlp(&img, 512, 10).build(1).widest_hidden(&img), 512);
+        // The first convolution: 16 channels at the input's side.
+        for spec in [small_cnn(&img, 10), resnet_lite(&img, 2, 10)] {
+            assert_eq!(spec.build(1).widest_hidden(&img), 16 * 32 * 32);
+        }
+        assert_eq!(Sequential::new().widest_hidden(&[4]), 0);
     }
 
     #[test]

@@ -54,11 +54,15 @@ use vc_ps::{PsClient, PsService, ShardCache, ShardedAssimilator};
 use vc_simnet::{DelayQueue, SimTime};
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
 
+/// The batch cap of every scoring pass; `evaluate` runs a smaller one when
+/// the model's widest hidden activation would not fit its cache budget.
+pub(crate) const SCORE_BATCH: usize = 256;
+
 /// Parameter-server validation scoring (§III-A): loads `params` into the
 /// scoring replica and returns its accuracy on `data`.
 pub fn score(model: &mut Sequential, params: &[f32], data: &Dataset) -> f32 {
     model.set_params_flat(params);
-    evaluate(model, &data.images, &data.labels, 256).1
+    evaluate(model, &data.images, &data.labels, SCORE_BATCH).1
 }
 
 /// Final evaluation of a run: the server's current parameters on the full

