@@ -52,11 +52,6 @@ impl LatencyModel {
     pub fn update_s(&self, bytes: usize) -> f64 {
         self.fixed_s + self.per_byte_s * bytes as f64
     }
-
-    /// Latency of a read (approximated as half an update: no write path).
-    pub fn read_s(&self, bytes: usize) -> f64 {
-        self.update_s(bytes) * 0.5
-    }
 }
 
 #[cfg(test)]
@@ -89,12 +84,6 @@ mod tests {
         assert!(small < 0.87);
         assert!(large > 0.87);
         assert!(m.update_s(0) > 0.0, "fixed cost always charged");
-    }
-
-    #[test]
-    fn reads_cost_less_than_updates() {
-        let m = LatencyModel::for_mode(Consistency::Strong);
-        assert!(m.read_s(1 << 20) < m.update_s(1 << 20));
     }
 
     #[test]

@@ -197,20 +197,11 @@ impl ShardedAssimilator {
     }
 
     /// Reads the full parameter vector and the per-shard version manifest.
+    /// The store hands back shared blob views, each decoded straight into
+    /// its range of the vector.
     pub fn read_params(&self) -> (Vec<f32>, Vec<u64>) {
-        let mut params = Vec::new();
-        let mut manifest = Vec::new();
-        self.read_params_into(&mut params, &mut manifest);
-        (params, manifest)
-    }
-
-    /// [`Self::read_params`] into caller-owned buffers: with warm buffers
-    /// the hot fetch path allocates nothing (the store hands back shared
-    /// blob views, each decoded straight into its range of `params`).
-    pub fn read_params_into(&self, params: &mut Vec<f32>, manifest: &mut Vec<u64>) {
-        // Every range is overwritten below, so a warm buffer is not cleared.
-        params.resize(self.layout.param_count(), 0.0);
-        manifest.clear();
+        let mut params = vec![0.0; self.layout.param_count()];
+        let mut manifest = Vec::with_capacity(self.keys.len());
         for (i, range) in self.layout.iter() {
             let (blob, version) = self.store.get(&self.keys[i]);
             decode_f32s_into_slice(&blob, &mut params[range])
@@ -218,6 +209,7 @@ impl ShardedAssimilator {
             manifest.push(version);
         }
         self.observe_skew(manifest.iter().copied());
+        (params, manifest)
     }
 
     fn observe_skew(&self, versions: impl Iterator<Item = u64>) {

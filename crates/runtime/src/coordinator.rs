@@ -29,7 +29,10 @@
 //! parameter service, middleware, coordinator — for both substrates, from
 //! the run's one model build, which it hands on as the first parameter
 //! server's scoring replica; [`score`] is the one validation-scoring pass
-//! behind every accuracy a report carries.
+//! behind every accuracy a report carries. The pieces of a run that the
+//! discrete-event driver (`crate::des`) puts together and closes the same
+//! way — [`JobData`], [`scheduler`], [`assimilator`], [`accuracy_spread`]
+//! and [`score_final`] — are one body each, here.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::config::RuntimeConfig;
@@ -42,7 +45,7 @@ use crate::worker::WorkerCore;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-use vc_asgd::result_is_valid;
+use vc_asgd::{result_is_valid, JobConfig};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
 use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, ToleranceComparator};
@@ -62,21 +65,84 @@ pub(crate) const SCORE_BATCH: usize = 256;
 /// scoring replica and returns its accuracy on `data`.
 pub fn score(model: &mut Sequential, params: &[f32], data: &Dataset) -> f32 {
     model.set_params_flat(params);
+    accuracy(model, data)
+}
+
+/// The scoring replica's accuracy on `data` with whatever parameters it
+/// holds.
+fn accuracy(model: &mut Sequential, data: &Dataset) -> f32 {
     evaluate(model, &data.images, &data.labels, SCORE_BATCH).1
 }
 
-/// Final evaluation of a run: the server's current parameters on the full
-/// validation and test splits, written into `report`.
+/// Final evaluation of a run: the server's current parameters, loaded into
+/// the scoring replica once, on the full validation and test splits.
+/// Returns `(val, test)` accuracy.
 pub(crate) fn score_final(
-    report: &mut RuntimeReport,
     model: &mut Sequential,
     assim: &ShardedAssimilator,
     val: &Dataset,
     test: &Dataset,
-) {
-    let (params, _) = assim.read_params();
-    report.final_val_acc = score(model, &params, val);
-    report.final_test_acc = score(model, &params, test);
+) -> (f32, f32) {
+    model.set_params_flat(&assim.read_params().0);
+    (accuracy(model, val), accuracy(model, test))
+}
+
+/// Mean, min and max of an epoch's per-assimilation validation accuracies.
+pub(crate) fn accuracy_spread(accs: &[f32]) -> (f32, f32, f32) {
+    let mean = accs.iter().sum::<f32>() / accs.len() as f32;
+    let min = accs.iter().cloned().fold(f32::INFINITY, f32::min);
+    let max = accs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    (mean, min, max)
+}
+
+/// A job's data as every driver splits it: the training set cut into
+/// shards (the full split is dropped), the validation prefix scored after
+/// every assimilation, and the full validation and test splits the closing
+/// evaluation scores.
+pub(crate) struct JobData {
+    pub shards: ShardSet,
+    pub val_eval: Dataset,
+    pub val: Dataset,
+    pub test: Dataset,
+}
+
+impl JobData {
+    pub fn generate(job: &JobConfig) -> Self {
+        let (train, val, test) = job.data.generate();
+        JobData {
+            shards: ShardSet::split(&train, job.shards),
+            val_eval: val.select(&(0..job.val_eval_n).collect::<Vec<_>>()),
+            val,
+            test,
+        }
+    }
+}
+
+/// A job's BOINC scheduler: one host per instance of its fleet, `tn`
+/// subtask slots each.
+pub(crate) fn scheduler(job: &JobConfig) -> BoincServer {
+    let fleet = job.fleet.build(job.cn);
+    BoincServer::new(
+        job.middleware.clone(),
+        fleet.into_iter().map(|spec| (spec, job.tn)).collect(),
+    )
+}
+
+/// A job's parameter server over `store`: `param_count` values in
+/// `ps_shards` shards, blended by Eq. (1) under the job's consistency mode
+/// and α schedule.
+pub(crate) fn assimilator(
+    job: &JobConfig,
+    store: Arc<VersionedStore>,
+    param_count: usize,
+) -> ShardedAssimilator {
+    ShardedAssimilator::new(
+        store,
+        param_count,
+        job.ps_shards,
+        job.consistency,
+        job.alpha,
+    )
 }
 
 /// Everything one assimilator (parameter-server) thread needs.
@@ -231,10 +297,12 @@ pub(crate) fn assemble(
     // byte-identical telemetry; `cfg.trace` opts a run in.
     tel.set_tracing(cfg.trace);
 
-    let (train, val, test) = job.data.generate();
-    let shards = Arc::new(ShardSet::split(&train, job.shards));
-    drop(train); // the shards hold their own copy of every sample
-    let val_eval = Arc::new(val.select(&(0..job.val_eval_n).collect::<Vec<_>>()));
+    let JobData {
+        shards,
+        val_eval,
+        val,
+        test,
+    } = JobData::generate(job);
 
     let store = Arc::new(store.with_telemetry(tel));
     // A fresh run starts epoch 1 from nothing, a resumed one where its
@@ -256,16 +324,7 @@ pub(crate) fn assemble(
     // on a fresh run, `snapshot` on a resume, where the checkpointed
     // snapshot differs from the store. Both vectors are only borrowed.
     let seed = |params: &[f32], snapshot: Option<&[f32]>| {
-        let assim = Arc::new(
-            ShardedAssimilator::new(
-                store.clone(),
-                params.len(),
-                job.ps_shards,
-                job.consistency,
-                job.alpha,
-            )
-            .with_telemetry(tel),
-        );
+        let assim = Arc::new(assimilator(job, store.clone(), params.len()).with_telemetry(tel));
         let seeded = assim.seed_params(params);
         let service = Arc::new(
             PsService::new(assim.clone())
@@ -286,11 +345,7 @@ pub(crate) fn assemble(
         Some((params, snapshot)) => seed(&params, Some(&snapshot)),
     };
 
-    let fleet = job.fleet.build(job.cn);
-    let mut server = BoincServer::new(
-        job.middleware.clone(),
-        fleet.iter().map(|s| (s.clone(), job.tn)).collect(),
-    );
+    let mut server = scheduler(job);
     start_clock(wall_base_s);
     server.set_telemetry(tel.clone());
     if cfg.codec.is_lossy() {
@@ -329,8 +384,8 @@ pub(crate) fn assemble(
     Assembled {
         coord,
         model,
-        shards,
-        val_eval,
+        shards: Arc::new(shards),
+        val_eval: Arc::new(val_eval),
         val,
         test,
     }
@@ -609,9 +664,7 @@ impl Coordinator {
     /// Closes out the current epoch; returns `true` when the job is over.
     fn finish_epoch(&mut self) -> bool {
         let accs: Vec<f32> = self.done.iter().map(|d| d.1).collect();
-        let mean = accs.iter().sum::<f32>() / accs.len() as f32;
-        let min = accs.iter().cloned().fold(f32::INFINITY, f32::min);
-        let max = accs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let (mean, min, max) = accuracy_spread(&accs);
         let sm = self.server.metrics();
         self.stats.push(RuntimeEpoch {
             epoch: self.epoch,
@@ -862,5 +915,39 @@ mod tests {
     fn messages_due_on_arrival_are_served_in_arrival_order() {
         let assigned = serve_requests(&[0.0; 5]);
         assert_eq!(assigned, [0, 1, 2, 3, 4]);
+    }
+
+    /// The closing evaluation loads the server's parameters into the
+    /// replica once and scores both splits on them: bit for bit what two
+    /// separate `score` calls on a fresh replica give. `resnet_lite` on
+    /// 32×32×3 scores in passes of 32, so each split runs more than one.
+    #[test]
+    fn score_final_equals_scoring_each_split() {
+        let mut job = JobConfig::test_small(3);
+        job.data.img = [3, 32, 32];
+        (job.data.train_n, job.data.val_n, job.data.test_n) = (16, 40, 36);
+        job.val_eval_n = 8;
+        job.model = vc_nn::spec::resnet_lite(&job.data.img, 1, job.data.classes);
+        let data = JobData::generate(&job);
+        // The server holds parameters the replica was not built with.
+        let params = job.model.build(job.seed + 1).params_flat();
+        let assim = assimilator(&job, VersionedStore::shared(), params.len());
+        assim.seed_params(&params);
+
+        let mut model = job.model.build(job.seed);
+        let (val, test) = score_final(&mut model, &assim, &data.val, &data.test);
+        assert!(
+            model.params_flat() == params,
+            "the replica holds the server's parameters"
+        );
+        let mut fresh = job.model.build_blank();
+        assert_eq!(
+            val.to_bits(),
+            score(&mut fresh, &params, &data.val).to_bits()
+        );
+        assert_eq!(
+            test.to_bits(),
+            score(&mut fresh, &params, &data.test).to_bits()
+        );
     }
 }

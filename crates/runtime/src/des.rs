@@ -1,15 +1,18 @@
 //! The discrete-event driver behind the paper's figures: wires the work
 //! generator, BOINC-like middleware, simulated fleet, real client training
 //! and the VC-ASGD parameter servers together under `vc-simnet`'s
-//! calibrated clock. It shares the client step, the parameter-server
-//! `begin`/`finish`, the scoring pass and the `EventQueue` with the other
-//! two drivers of this crate, and keeps its own event loop on purpose
-//! (DESIGN.md §6f): cost models for compute, transfer and store updates,
-//! `Tn` concurrent slots per host, two-phase assimilation, stochastic
-//! per-subtask preemption and `timing_only` are each a behaviour the
-//! `Scenario` engine would have to switch on per caller, to share under a
-//! hundred lines. The knobs for them are [`DesConfig`]'s, so no other
-//! driver's config can name one.
+//! calibrated clock. It shares with the other two drivers of this crate
+//! the client step, the parameter-server `begin`/`finish`, the scoring
+//! pass and the `EventQueue`, and the run's set-up and close: the data
+//! split, the scheduler, the parameter server, the epoch's accuracy spread
+//! and the closing evaluation. Host liveness is the scheduler's own record
+//! (`alive` and the incarnation counter `lives`). It keeps its own event
+//! loop on purpose (DESIGN.md §6f): cost models for compute, transfer and
+//! store updates, `Tn` concurrent slots per host, two-phase assimilation,
+//! stochastic per-subtask preemption and `timing_only` are each a
+//! behaviour the `Scenario` engine would have to switch on per caller.
+//! The knobs for them are [`DesConfig`]'s, so no other driver's config can
+//! name one.
 //!
 //! ## What is simulated and what is real
 //!
@@ -30,19 +33,18 @@
 //! results have been assimilated; the driver then records the epoch's
 //! validation statistics and generates the next epoch.
 
-use crate::coordinator::score;
+use crate::coordinator::{accuracy_spread, assimilator, scheduler, score, score_final, JobData};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use vc_asgd::{result_is_valid, train_client_replica, EpochStats, JobConfig, JobReport};
-use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{LatencyModel, VersionedStore};
 use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, WuId};
 use vc_nn::Sequential;
 use vc_optim::TrainWorkspace;
 use vc_ps::{ShardSnapshot, ShardedAssimilator};
-use vc_simnet::{ComputeModel, EventQueue, InstanceSpec, NetworkModel, PreemptionModel, SimTime};
+use vc_simnet::{ComputeModel, EventQueue, NetworkModel, PreemptionModel, SimTime};
 use vc_tensor::codec::encoded_len;
 
 /// Seconds a preempted host slot takes to be replaced by a fresh instance
@@ -97,6 +99,8 @@ enum Ev {
     /// A host polls the scheduler for work.
     Poll(HostId),
     /// A host finished local training for a workunit (starts the upload).
+    /// Every host event carries the incarnation (`lives`) it was issued
+    /// to; a dead or replaced instance's events are ignored.
     TaskDone { host: HostId, gen: u32, wu: WuId },
     /// A result upload reached the server.
     UploadDone { host: HostId, gen: u32, wu: WuId },
@@ -127,12 +131,9 @@ struct PendingAssim {
 /// The end-to-end distributed training run.
 struct TrainingJob {
     cfg: DesConfig,
-    // Data.
-    shards: ShardSet,
-    val: Dataset,
-    test: Dataset,
-    val_eval: Dataset,
-    // Distributed state.
+    data: JobData,
+    // Distributed state: the scheduler holds every host's spec and
+    // liveness.
     server: BoincServer,
     assim: ShardedAssimilator,
     events: EventQueue<Ev>,
@@ -152,14 +153,7 @@ struct TrainingJob {
     busy_ps: usize,
     assim_queue: VecDeque<PendingAssim>,
     eval_model: Sequential,
-    /// Reused decode buffers for server-parameter reads (the hot fetch
-    /// path stays allocation-free once warm).
-    eval_params: Vec<f32>,
-    manifest: Vec<u64>,
-    // Fleet state.
-    fleet: Vec<InstanceSpec>,
     network: NetworkModel,
-    generations: Vec<u32>,
     // RNG streams.
     net_rng: StdRng,
     preempt_rng: StdRng,
@@ -175,40 +169,18 @@ impl TrainingJob {
     fn new(cfg: DesConfig) -> Result<Self, String> {
         let job = &cfg.job;
         job.validate()?;
-        let (train, val, test) = job.data.generate();
-        let shards = ShardSet::split(&train, job.shards);
-        let val_eval = val.select(&(0..job.val_eval_n).collect::<Vec<_>>());
-
-        let fleet = job.fleet.build(job.cn);
-        let server = BoincServer::new(
-            job.middleware.clone(),
-            fleet.iter().map(|s| (s.clone(), job.tn)).collect(),
-        );
-
         let init_model = job.model.build(job.seed);
         let init_params = init_model.params_flat();
         let param_count = init_params.len();
-        let assim = ShardedAssimilator::new(
-            VersionedStore::shared(),
-            param_count,
-            job.ps_shards,
-            job.consistency,
-            job.alpha,
-        );
+        let assim = assimilator(job, VersionedStore::shared(), param_count);
         assim.seed_params(&init_params);
 
-        let cn = fleet.len();
         Ok(TrainingJob {
             net_rng: StdRng::seed_from_u64(job.seed.wrapping_mul(0x2545_F491).wrapping_add(11)),
             preempt_rng: StdRng::seed_from_u64(job.seed.wrapping_mul(0x9E37_79B9).wrapping_add(13)),
             eval_model: init_model,
-            eval_params: Vec::new(),
-            manifest: Vec::new(),
-            shards,
-            val,
-            test,
-            val_eval,
-            server,
+            data: JobData::generate(job),
+            server: scheduler(job),
             assim,
             events: EventQueue::new(),
             epoch: 1,
@@ -219,9 +191,7 @@ impl TrainingJob {
             epoch_stats: Vec::new(),
             busy_ps: 0,
             assim_queue: VecDeque::new(),
-            fleet,
             network: NetworkModel::default(),
-            generations: vec![0; cn],
             bytes: 0,
             preemptions: 0,
             param_count,
@@ -236,9 +206,7 @@ impl TrainingJob {
         let manifest = ShardManifest(self.assim.versions());
         self.server
             .add_epoch_sharded(1, self.cfg.job.shards, &manifest, SimTime::ZERO);
-        for h in 0..self.fleet.len() {
-            self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
-        }
+        self.poll_all();
 
         let mut safety = 0u64;
         while !self.done {
@@ -274,11 +242,25 @@ impl TrainingJob {
         }
     }
 
+    /// Wakes every host of the fleet.
+    fn poll_all(&mut self) {
+        for h in 0..self.server.hosts().len() {
+            self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
+        }
+    }
+
+    /// Whether `host` is still the incarnation `gen` an event was issued to.
+    fn is_live(&self, host: HostId, gen: u32) -> bool {
+        let h = &self.server.hosts()[host.0 as usize];
+        h.alive && h.lives == gen
+    }
+
     fn on_poll(&mut self, host: HostId) {
         let now = self.events.now();
         while let Some(asg) = self.server.request_work(host, now) {
-            let spec = &self.fleet[host.0 as usize];
-            let resident = self.server.hosts()[host.0 as usize].in_flight;
+            let spec = self.server.spec(host);
+            let hot = &self.server.hosts()[host.0 as usize];
+            let (resident, gen) = (hot.in_flight, hot.lives);
 
             // Download: parameter snapshot always; shard only on cache miss.
             let param_bytes = encoded_len(self.param_count);
@@ -287,7 +269,7 @@ impl TrainingJob {
                 .transfer_s(spec, param_bytes, &mut self.net_rng);
             self.bytes += param_bytes as u64;
             if !asg.shard_cached {
-                let shard_bytes = self.shards.shard(asg.wu.shard_id).byte_size();
+                let shard_bytes = self.data.shards.shard(asg.wu.shard_id).byte_size();
                 dl += self
                     .network
                     .transfer_s(spec, shard_bytes, &mut self.net_rng);
@@ -295,7 +277,6 @@ impl TrainingJob {
             }
 
             let compute = self.cfg.compute.subtask_s(spec, resident.max(1));
-            let gen = self.generations[host.0 as usize];
 
             // Preemption (§IV-E): drawn per subtask execution; a hit kills
             // the whole instance partway through the compute phase.
@@ -306,8 +287,8 @@ impl TrainingJob {
             {
                 self.events
                     .schedule_in(dl + kill_after, Ev::Preempt { host, gen });
-                // The TaskDone below still gets scheduled; the generation
-                // bump at preemption time invalidates it.
+                // The TaskDone below still gets scheduled; the host is
+                // dead by then, and its replacement a later incarnation.
             }
 
             self.events.schedule_in(
@@ -334,7 +315,7 @@ impl TrainingJob {
     }
 
     fn on_task_done(&mut self, host: HostId, gen: u32, wu: WuId) {
-        if self.generations[host.0 as usize] != gen || !self.server.hosts()[host.0 as usize].alive {
+        if !self.is_live(host, gen) {
             return; // the instance died before finishing
         }
         let now = self.events.now();
@@ -347,17 +328,18 @@ impl TrainingJob {
             return;
         }
 
-        let spec = &self.fleet[host.0 as usize];
-        let up = self
-            .network
-            .transfer_s(spec, encoded_len(self.param_count), &mut self.net_rng);
+        let up = self.network.transfer_s(
+            self.server.spec(host),
+            encoded_len(self.param_count),
+            &mut self.net_rng,
+        );
         self.bytes += encoded_len(self.param_count) as u64;
         self.events
             .schedule_in(up, Ev::UploadDone { host, gen, wu });
     }
 
     fn on_upload_done(&mut self, host: HostId, gen: u32, wu: WuId) {
-        if self.generations[host.0 as usize] != gen {
+        if !self.is_live(host, gen) {
             return; // died mid-upload; the timeout will recover the workunit
         }
         let now = self.events.now();
@@ -370,9 +352,7 @@ impl TrainingJob {
             // Pending: the vote is banked server-side until quorum; other
             // hosts may need to pick up the extra replicas it requested.
             if status == ReportStatus::Pending {
-                for h in 0..self.fleet.len() {
-                    self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
-                }
+                self.poll_all();
             }
             return;
         }
@@ -439,7 +419,7 @@ impl TrainingJob {
         let acc = if self.cfg.timing_only {
             0.0
         } else {
-            score(&mut self.eval_model, &updated, &self.val_eval)
+            score(&mut self.eval_model, &updated, &self.data.val_eval)
         };
         if epoch == self.epoch {
             self.epoch_accs.push(acc);
@@ -453,17 +433,12 @@ impl TrainingJob {
     fn finish_epoch(&mut self) {
         let now = self.events.now();
         let accs = std::mem::take(&mut self.epoch_accs);
-        let mean = accs.iter().sum::<f32>() / accs.len() as f32;
-        let min = accs.iter().cloned().fold(f32::INFINITY, f32::min);
-        let max = accs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let (mean, min, max) = accuracy_spread(&accs);
         let sm = self.server.metrics();
-        let test_acc = if self.cfg.track_test_acc && !self.cfg.timing_only {
-            self.assim
-                .read_params_into(&mut self.eval_params, &mut self.manifest);
-            Some(score(&mut self.eval_model, &self.eval_params, &self.test))
-        } else {
-            None
-        };
+        let test_acc = (self.cfg.track_test_acc && !self.cfg.timing_only).then(|| {
+            let (params, _) = self.assim.read_params();
+            score(&mut self.eval_model, &params, &self.data.test)
+        });
         self.epoch_stats.push(EpochStats {
             epoch: self.epoch,
             alpha: self.cfg.job.alpha.alpha(self.epoch),
@@ -493,27 +468,22 @@ impl TrainingJob {
             &ShardManifest(manifest),
             now,
         );
-        for h in 0..self.fleet.len() {
-            self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
-        }
+        self.poll_all();
     }
 
     fn on_deadline_scan(&mut self) {
         let now = self.events.now();
         let expired = self.server.scan_timeouts(now);
         if !expired.is_empty() {
-            for h in 0..self.fleet.len() {
-                self.events.schedule_in(0.0, Ev::Poll(HostId(h as u32)));
-            }
+            self.poll_all();
         }
     }
 
     fn on_preempt(&mut self, host: HostId, gen: u32) {
-        if self.generations[host.0 as usize] != gen {
-            return; // instance already replaced
+        if !self.is_live(host, gen) {
+            return; // instance already terminated
         }
         self.preemptions += 1;
-        self.generations[host.0 as usize] += 1;
         self.server.preempt_host(host);
         self.events
             .schedule_in(REPLACEMENT_DELAY_S, Ev::Revive(host));
@@ -521,7 +491,6 @@ impl TrainingJob {
 
     fn on_revive(&mut self, host: HostId) {
         self.server.revive_host(host, self.events.now());
-        self.generations[host.0 as usize] += 1;
         self.events.schedule_in(0.0, Ev::Poll(host));
     }
 
@@ -551,7 +520,7 @@ impl TrainingJob {
             Arc::new(train_client_replica(
                 &self.cfg.job,
                 &self.snapshot,
-                &self.shards.shard(shard).data,
+                &self.data.shards.shard(shard).data,
                 self.epoch,
                 shard,
                 &mut self.train_ws,
@@ -568,12 +537,8 @@ impl TrainingJob {
         let (final_val, final_test) = if self.cfg.timing_only {
             (0.0, 0.0)
         } else {
-            self.assim
-                .read_params_into(&mut self.eval_params, &mut self.manifest);
-            (
-                score(&mut self.eval_model, &self.eval_params, &self.val),
-                score(&mut self.eval_model, &self.eval_params, &self.test),
-            )
+            let JobData { val, test, .. } = &self.data;
+            score_final(&mut self.eval_model, &self.assim, val, test)
         };
         JobReport {
             label: self.cfg.job.pct_label(),

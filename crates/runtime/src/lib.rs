@@ -14,7 +14,9 @@
 //! handles; `vc_ps::ShardedAssimilator::{begin, finish}` is the parameter
 //! server's Eq. (1) under the configured consistency mode;
 //! `coordinator::score` is the validation pass behind every reported
-//! accuracy; `coordinator::assemble` puts a run together. All three
+//! accuracy; `coordinator::assemble` puts a run together from the data
+//! split, scheduler and parameter server that [`des`] builds its runs
+//! from too, and `coordinator::score_final` closes every run. All three
 //! modules, and the channel protocol between them, are private: a caller
 //! drives a run through [`Runtime`], [`sim`] or [`des`].
 //!
@@ -303,7 +305,8 @@ impl Runtime {
         // Wall time stays out of `RuntimeReport`, whose bits the DES and
         // DST drivers reproduce.
         let scoring = std::time::Instant::now();
-        score_final(&mut report, &mut model, &assim, &val, &test);
+        (report.final_val_acc, report.final_test_acc) =
+            score_final(&mut model, &assim, &val, &test);
         vc_telemetry::event!(
             tel,
             Info,

@@ -631,13 +631,8 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let mut report = coord.finalize(stop);
     // Final full-split evaluation, as in `Runtime::run`: on a scoring
     // replica the pool no longer needs (`pn ≥ 1` is validated).
-    score_final(
-        &mut report,
-        &mut sim.slots[0].eval,
-        &coord.assim,
-        &val,
-        &test,
-    );
+    (report.final_val_acc, report.final_test_acc) =
+        score_final(&mut sim.slots[0].eval, &coord.assim, &val, &test);
 
     let out = SimOutcome {
         consistency: job.consistency,

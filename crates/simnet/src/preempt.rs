@@ -3,9 +3,10 @@
 //! The paper models instance usage as independent Bernoulli trials with
 //! per-subtask termination probability `p`, derives the expected training-
 //! time inflation `E[extra] = n·p·t_o`, and reports AWS interruption-
-//! frequency bands (<5 %, 5–10 %, …, >20 %). Both that analytic model and
-//! the stochastic per-subtask process are provided; the §IV-E bench verifies
-//! that simulation and analysis agree.
+//! frequency bands (<5 %, 5–10 %, …, >20 %). This module is the stochastic
+//! per-subtask process the discrete-event driver draws from; the analytic
+//! expectation is `vc_cost::TimeoutAnalysis`, and the §IV-E bench checks
+//! that the two agree.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -37,31 +38,6 @@ impl PreemptionModel {
                 }
             }
         }
-    }
-
-    /// The paper's expectation: extra training time from timeouts, where
-    /// `n` subtask waves can each accrue one timeout of `t_o` seconds with
-    /// probability `p` (§IV-E: `E = n·p·t_o`).
-    pub fn expected_extra_s(n: f64, p: f64, timeout_s: f64) -> f64 {
-        n * p * timeout_s
-    }
-}
-
-/// The paper's §IV-E worked example, reusable by tests, benches and docs.
-pub mod sec4e_example {
-    /// Subtasks per training job (40 epochs × 50 subtasks).
-    pub const N_S: f64 = 2000.0;
-    /// Client instances.
-    pub const N_C: f64 = 5.0;
-    /// Simultaneous subtasks per client.
-    pub const N_TC: f64 = 2.0;
-    /// Timeout, seconds (5 minutes).
-    pub const T_O: f64 = 300.0;
-
-    /// Waves of subtasks that can each accrue a timeout:
-    /// `n = n_s / (n_c × n_tc)` = 200.
-    pub fn n_waves() -> f64 {
-        N_S / (N_C * N_TC)
     }
 }
 
@@ -99,19 +75,6 @@ mod tests {
             let at = m.draw_preemption(60.0, &mut rng).unwrap();
             assert!((0.0..60.0).contains(&at));
         }
-    }
-
-    #[test]
-    fn paper_expectation_values() {
-        // §IV-E: with p = 0.05 the expected increase is 50 minutes; with
-        // p = 0.20 it is 200 minutes.
-        use sec4e_example::*;
-        let n = n_waves();
-        assert_eq!(n, 200.0);
-        let e05 = PreemptionModel::expected_extra_s(n, 0.05, T_O) / 60.0;
-        let e20 = PreemptionModel::expected_extra_s(n, 0.20, T_O) / 60.0;
-        assert!((e05 - 50.0).abs() < 1e-9, "{e05}");
-        assert!((e20 - 200.0).abs() < 1e-9, "{e20}");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use vc_asgd::{JobConfig, JobReport};
 use vc_kvstore::Consistency;
 use vc_runtime::des::{run_job, DesConfig};
+use vc_simnet::PreemptionModel;
 
 /// Everything the figures read off a run, as integers: per epoch the
 /// mean/min/max accuracy bits and the clock bits, then the store counters
@@ -118,5 +119,47 @@ fn strong_pn4_replays_the_recorded_bits() {
             4422336,
             0,
         ]
+    );
+}
+
+/// Tn = 2 under a 30 % per-subtask preemption storm: kills land on hosts
+/// that hold several subtasks, so a dead instance's in-flight events must
+/// be told apart from its replacement's. Recorded before the driver read
+/// host liveness from the scheduler's incarnation counter; the final
+/// accuracies pin the closing evaluation too.
+#[test]
+fn preempted_tn2_replays_the_recorded_bits() {
+    let cfg = DesConfig {
+        preemption: PreemptionModel::BernoulliPerSubtask { p: 0.3 },
+        ..DesConfig::new(JobConfig::test_small(4))
+    };
+    assert_eq!(cfg.job.tn, 2);
+    let r = run_job(cfg).unwrap();
+    assert_eq!(
+        fingerprint(&r),
+        [
+            1043193309,
+            1041305873,
+            1044661316,
+            4600543619007486620, // epoch 1
+            1050253721,
+            1047457519,
+            1051931443,
+            4606482603249946148, // epoch 2
+            1054028595,
+            1053049924,
+            1054727646,
+            4610619381398388263, // epoch 3
+            27,
+            25,
+            0,
+            1,
+            15160920,
+            16,
+        ]
+    );
+    assert_eq!(
+        (r.final_val_acc.to_bits(), r.final_test_acc.to_bits()),
+        (1053888785, 1054727646)
     );
 }

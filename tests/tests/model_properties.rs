@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vc_cost::TimeoutAnalysis;
 use vc_simnet::{table1, ComputeModel, NetworkModel, PreemptionModel};
 
 proptest! {
@@ -73,16 +74,20 @@ proptest! {
         prop_assert!(hits_hi > hits_lo, "{hits_hi} vs {hits_lo}");
     }
 
-    /// The binomial expectation is linear in each argument.
+    /// The binomial expectation `n·p·t_o` is linear in the subtask count
+    /// and in the timeout: doubling `n_s`, then `t_o`, doubles it.
     #[test]
     fn binomial_expectation_linear(
-        n in 1.0f64..10_000.0,
+        n_s in 1.0f64..10_000.0,
         p in 0.0f64..1.0,
         to in 1.0f64..10_000.0,
     ) {
-        let base = PreemptionModel::expected_extra_s(n, p, to);
-        prop_assert!((PreemptionModel::expected_extra_s(2.0 * n, p, to) - 2.0 * base).abs() < 1e-6 * base.max(1.0));
-        prop_assert!((PreemptionModel::expected_extra_s(n, p, 2.0 * to) - 2.0 * base).abs() < 1e-6 * base.max(1.0));
+        let a = TimeoutAnalysis { t_o: to, n_s, ..TimeoutAnalysis::paper_p5c5t2() };
+        let base = a.expected_extra_s(p);
+        let more_subtasks = TimeoutAnalysis { n_s: 2.0 * n_s, ..a };
+        let longer_timeout = TimeoutAnalysis { t_o: 2.0 * to, ..a };
+        prop_assert!((more_subtasks.expected_extra_s(p) - 2.0 * base).abs() < 1e-6 * base.max(1.0));
+        prop_assert!((longer_timeout.expected_extra_s(p) - 2.0 * base).abs() < 1e-6 * base.max(1.0));
     }
 
     /// He-normal initialization scales inversely with fan-in: bigger layers
