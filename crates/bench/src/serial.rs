@@ -91,8 +91,8 @@ pub fn run_serial(job: &JobConfig, epochs: usize) -> SerialReport {
             None,
         );
         now_s += epoch_s;
-        let (_, val_acc) = evaluate(&mut model, &val.images, &val.labels, 256);
-        let (_, test_acc) = evaluate(&mut model, &test.images, &test.labels, 256);
+        let val_acc = evaluate(&mut model, &val.images, &val.labels, 256);
+        let test_acc = evaluate(&mut model, &test.images, &test.labels, 256);
         series.push(SerialEpoch {
             epoch: e,
             end_time_h: now_s / 3600.0,

@@ -35,10 +35,22 @@ pub struct TimerEntry {
     pub host: HostId,
 }
 
-/// Min-queue of [`TimerEntry`]s with lazy invalidation.
+/// Min-queue of [`TimerEntry`]s with lazy invalidation. The queue key is
+/// the entry's `(deadline, seq)` and the payload only its `(wu, host)`,
+/// so each armed timer stores its deadline and sequence number once.
 #[derive(Default)]
 pub struct TimerQueue {
-    queue: DelayQueue<(SimTime, u64), TimerEntry>,
+    queue: DelayQueue<(SimTime, u64), (WuId, HostId)>,
+}
+
+/// The entry a queue slot holds, whole again.
+fn from_slot(((deadline, seq), (wu, host)): ((SimTime, u64), (WuId, HostId))) -> TimerEntry {
+    TimerEntry {
+        deadline,
+        seq,
+        wu,
+        host,
+    }
 }
 
 impl TimerQueue {
@@ -49,7 +61,8 @@ impl TimerQueue {
 
     /// Arms one timer. O(log n).
     pub fn push(&mut self, entry: TimerEntry) {
-        self.queue.push((entry.deadline, entry.seq), entry);
+        self.queue
+            .push((entry.deadline, entry.seq), (entry.wu, entry.host));
     }
 
     /// Entries currently held, stale ones included.
@@ -72,7 +85,8 @@ impl TimerQueue {
     ) -> Vec<TimerEntry> {
         let mut due = Vec::new();
         // `(now, u64::MAX)` bounds every key whose deadline is `<= now`.
-        while let Some((_, e)) = self.queue.pop_due((now, u64::MAX)) {
+        while let Some(slot) = self.queue.pop_due((now, u64::MAX)) {
+            let e = from_slot(slot);
             if is_live(&e) {
                 due.push(e);
             }
@@ -87,9 +101,9 @@ impl TimerQueue {
         &mut self,
         mut is_live: impl FnMut(&TimerEntry) -> bool,
     ) -> Option<SimTime> {
-        while let Some((_, e)) = self.queue.peek() {
-            if is_live(e) {
-                return Some(e.deadline);
+        while let Some((key, &payload)) = self.queue.peek() {
+            if is_live(&from_slot((key, payload))) {
+                return Some(key.0);
             }
             self.queue.pop();
         }

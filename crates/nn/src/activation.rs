@@ -1,18 +1,18 @@
 //! Activation functions.
 
-use crate::layer::Layer;
+use crate::layer::{FusionPart, Layer};
 use vc_tensor::{Tensor, Workspace};
 
 /// Rectified linear unit: `y = max(0, x)`, applied elementwise to any shape.
 ///
 /// When the preceding layer fuses the rectification into its GEMM epilogue
-/// (see [`Layer::enable_relu_fusion`]), this layer degenerates into a
-/// mask-only pass-through: the incoming values are already `max(0, ·)`, and
-/// because `relu(x) > 0 ⇔ x > 0` the backward mask computed from them is
-/// bit-identical to the unfused one.
+/// (see [`Sequential::fuse_relu`](crate::Sequential::fuse_relu)), this
+/// layer degenerates into a mask-only pass-through: the incoming values are
+/// already `max(0, ·)`, and because `relu(x) > 0 ⇔ x > 0` the backward mask
+/// computed from them is bit-identical to the unfused one.
 pub struct Relu {
     mask: Option<Vec<bool>>,
-    fused_upstream: bool,
+    pub(crate) fused_upstream: bool,
 }
 
 impl Relu {
@@ -68,12 +68,8 @@ impl Layer for Relu {
         dy
     }
 
-    fn is_relu(&self) -> bool {
-        true
-    }
-
-    fn set_fused_upstream(&mut self) {
-        self.fused_upstream = true;
+    fn fusion_part(&mut self) -> FusionPart<'_> {
+        FusionPart::Relu(self)
     }
 
     fn name(&self) -> &'static str {

@@ -45,10 +45,10 @@ pub struct Conv2d {
     pad: usize,
     /// The input of the last caching forward, kept for backward.
     cache: Option<Tensor>,
-    /// When set (by [`Layer::enable_relu_fusion`]), the forward epilogue
-    /// also applies `max(0, ·)` so the following ReLU layer becomes
-    /// mask-only.
-    fused_relu: bool,
+    /// When set (by [`Sequential::fuse_relu`](crate::Sequential::fuse_relu)),
+    /// the forward epilogue also applies `max(0, ·)` so the following ReLU
+    /// layer becomes mask-only.
+    pub(crate) fused_relu: bool,
 }
 
 impl Conv2d {
@@ -285,41 +285,13 @@ impl Layer for Conv2d {
         ws.recycle(dy.into_vec());
     }
 
-    fn enable_relu_fusion(&mut self) -> bool {
-        self.fused_relu = true;
-        true
-    }
-
     fn fusion_part(&mut self) -> FusionPart<'_> {
         FusionPart::Conv(self)
     }
 
-    fn param_len(&self) -> usize {
-        self.kernel.numel() + self.bias.numel()
-    }
-
-    fn collect_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.kernel.data());
-        out.extend_from_slice(self.bias.data());
-    }
-
-    fn load_params(&mut self, src: &[f32]) -> usize {
-        let nk = self.kernel.numel();
-        let nb = self.bias.numel();
-        self.kernel.data_mut().copy_from_slice(&src[..nk]);
-        self.bias.data_mut().copy_from_slice(&src[nk..nk + nb]);
-        nk + nb
-    }
-
-    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
-        f(offset, self.kernel.data_mut(), self.dkernel.data_mut());
-        let nk = self.kernel.numel();
-        f(offset + nk, self.bias.data_mut(), self.dbias.data_mut());
-    }
-
-    fn zero_grads(&mut self) {
-        self.dkernel.map_inplace(|_| 0.0);
-        self.dbias.map_inplace(|_| 0.0);
+    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
+        f(&mut self.kernel, Some(&mut self.dkernel));
+        f(&mut self.bias, Some(&mut self.dbias));
     }
 
     fn name(&self) -> &'static str {
@@ -337,6 +309,7 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck;
+    use crate::layer::{append_params, install_params, param_len};
     use crate::model::Sequential;
     use crate::pool::MaxPool2;
 
@@ -395,7 +368,7 @@ mod tests {
     fn identity_kernel_reproduces_input() {
         // 1x1 conv, single channel, kernel weight 1, bias 0 = identity.
         let mut c = conv(1, 1, 1, 1, 0);
-        c.load_params(&[1.0, 0.0]);
+        install_params(&mut c, &[1.0, 0.0]);
         let mut s = NormalSampler::seed_from(3);
         let x = Tensor::randn(&[2, 1, 4, 4], 0.0, 1.0, &mut s);
         let y = c.forward(&x, false);
@@ -405,7 +378,7 @@ mod tests {
     #[test]
     fn bias_broadcasts_per_channel() {
         let mut c = conv(1, 2, 1, 1, 0);
-        c.load_params(&[0.0, 0.0, 1.5, -2.0]); // zero kernels, biases 1.5 / -2.0
+        install_params(&mut c, &[0.0, 0.0, 1.5, -2.0]); // zero kernels, biases 1.5 / -2.0
         let y = c.forward(&Tensor::zeros(&[1, 1, 2, 2]), false);
         let d = y.data();
         assert!(d[..4].iter().all(|&v| v == 1.5));
@@ -446,11 +419,11 @@ mod tests {
 
     #[test]
     fn param_roundtrip() {
-        let c = conv(2, 4, 3, 1, 1);
+        let mut c = conv(2, 4, 3, 1, 1);
         let mut p = Vec::new();
-        c.collect_params(&mut p);
-        assert_eq!(p.len(), c.param_len());
-        assert_eq!(c.param_len(), 4 * 2 * 9 + 4);
+        append_params(&mut c, &mut p);
+        assert_eq!(p.len(), param_len(&mut c));
+        assert_eq!(p.len(), 4 * 2 * 9 + 4);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use crate::layer::{Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer, ParamVisitor};
 use vc_tensor::ops::{matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into, Epilogue};
 use vc_tensor::{NormalSampler, Tensor, Workspace};
 
@@ -14,9 +14,10 @@ pub struct Dense {
     x_cache: Option<Tensor>,
     in_dim: usize,
     out_dim: usize,
-    /// When set (by [`Layer::enable_relu_fusion`]), the GEMM epilogue also
-    /// applies `max(0, ·)` so the following ReLU layer becomes mask-only.
-    fused_relu: bool,
+    /// When set (by [`Sequential::fuse_relu`](crate::Sequential::fuse_relu)),
+    /// the GEMM epilogue also applies `max(0, ·)` so the following ReLU
+    /// layer becomes mask-only.
+    pub(crate) fused_relu: bool,
 }
 
 impl Dense {
@@ -49,21 +50,6 @@ impl Dense {
         }
     }
 
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Immutable view of the weight matrix (for tests/inspection).
-    pub fn weights(&self) -> &Tensor {
-        &self.w
-    }
-
     fn check_input(&self, x: &Tensor) {
         assert_eq!(x.dims().len(), 2, "Dense expects [batch, features]");
         assert_eq!(
@@ -75,13 +61,6 @@ impl Dense {
         );
     }
 
-    fn dw(&mut self) -> &mut [f32] {
-        if self.dw.numel() != self.w.numel() {
-            self.dw = Tensor::zeros(self.w.dims());
-        }
-        self.dw.data_mut()
-    }
-
     /// The parameter half of backward: `dW += x^T · dy` and
     /// `db += column-sums of dy`, from the cached forward input.
     fn accumulate_grads(&mut self, dy: &Tensor, ws: &mut Workspace) {
@@ -89,7 +68,10 @@ impl Dense {
             .x_cache
             .take()
             .expect("Dense::backward called without a cached forward");
-        matmul_at_b_epi_into(&x, dy, self.dw(), Epilogue::Accumulate);
+        if self.dw.numel() != self.w.numel() {
+            self.dw = Tensor::zeros(self.w.dims());
+        }
+        matmul_at_b_epi_into(&x, dy, self.dw.data_mut(), Epilogue::Accumulate);
         self.x_cache = Some(x);
         // Zero-initialized partial sum, rows ascending.
         let m = dy.dims()[0];
@@ -150,41 +132,13 @@ impl Layer for Dense {
         ws.recycle(dy.into_vec());
     }
 
-    fn enable_relu_fusion(&mut self) -> bool {
-        self.fused_relu = true;
-        true
+    fn fusion_part(&mut self) -> FusionPart<'_> {
+        FusionPart::Dense(self)
     }
 
-    fn param_len(&self) -> usize {
-        self.w.numel() + self.b.numel()
-    }
-
-    fn collect_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.w.data());
-        out.extend_from_slice(self.b.data());
-    }
-
-    fn load_params(&mut self, src: &[f32]) -> usize {
-        let nw = self.w.numel();
-        let nb = self.b.numel();
-        self.w.data_mut().copy_from_slice(&src[..nw]);
-        self.b.data_mut().copy_from_slice(&src[nw..nw + nb]);
-        nw + nb
-    }
-
-    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
-        self.dw();
-        f(offset, self.w.data_mut(), self.dw.data_mut());
-        f(
-            offset + self.w.numel(),
-            self.b.data_mut(),
-            self.db.data_mut(),
-        );
-    }
-
-    fn zero_grads(&mut self) {
-        self.dw.map_inplace(|_| 0.0);
-        self.db.map_inplace(|_| 0.0);
+    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
+        f(&mut self.w, Some(&mut self.dw));
+        f(&mut self.b, Some(&mut self.db));
     }
 
     fn name(&self) -> &'static str {
@@ -201,6 +155,7 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::gradcheck;
+    use crate::layer::{append_grads, append_params, clear_grads, install_params, param_len};
     use vc_tensor::approx_eq;
 
     fn layer(i: usize, o: usize, seed: u64) -> Dense {
@@ -211,7 +166,7 @@ mod tests {
     #[test]
     fn forward_known_values() {
         let mut d = layer(2, 2, 1);
-        d.load_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
+        install_params(&mut d, &[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
         let y = d.forward(&x, false);
         // y = [1*1+1*3 + 0.5, 1*2+1*4 - 0.5]
@@ -224,15 +179,20 @@ mod tests {
 
     #[test]
     fn param_roundtrip() {
-        let d = layer(3, 4, 2);
+        let mut d = layer(3, 4, 2);
         let mut p = Vec::new();
-        d.collect_params(&mut p);
-        assert_eq!(p.len(), d.param_len());
-        let mut d2 = layer(3, 4, 99);
-        assert_eq!(d2.load_params(&p), p.len());
+        append_params(&mut d, &mut p);
+        assert_eq!(p.len(), param_len(&mut d));
+        let mut d2 = Dense::blank(3, 4);
+        install_params(&mut d2, &p);
         let mut p2 = Vec::new();
-        d2.collect_params(&mut p2);
+        append_params(&mut d2, &mut p2);
         assert_eq!(p, p2);
+        // Loading sized no weight gradient; the gather reads it as zeros.
+        assert_eq!(d2.dw.numel(), 0);
+        let mut g = Vec::new();
+        append_grads(&mut d2, &mut g);
+        assert_eq!(g, vec![0.0; p.len()]);
     }
 
     #[test]
@@ -259,17 +219,17 @@ mod tests {
         d.forward(&x, true);
         d.backward(&dy);
         let mut g1 = Vec::new();
-        d.collect_grads(&mut g1);
+        append_grads(&mut d, &mut g1);
         d.forward(&x, true);
         d.backward(&dy);
         let mut g2 = Vec::new();
-        d.collect_grads(&mut g2);
+        append_grads(&mut d, &mut g2);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((b - 2.0 * a).abs() < 1e-5, "accumulation {a} {b}");
         }
-        d.zero_grads();
+        clear_grads(&mut d);
         let mut g3 = Vec::new();
-        d.collect_grads(&mut g3);
+        append_grads(&mut d, &mut g3);
         assert!(g3.iter().all(|&g| g == 0.0));
     }
 

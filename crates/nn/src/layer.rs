@@ -1,6 +1,13 @@
 //! The [`Layer`] trait: the contract every network component implements.
+//!
+//! A layer names its parameter tensors once, in wire order
+//! ([`Layer::visit_params`]); the count, flatten, load, gradient gather and
+//! gradient clear below derive from that one traversal. It names its part
+//! in [`Sequential::fuse_relu`] once, as one [`FusionPart`].
 
+use crate::activation::Relu;
 use crate::conv::Conv2d;
+use crate::dense::Dense;
 use crate::model::Sequential;
 use crate::norm::BatchNorm;
 use vc_tensor::{Tensor, Workspace};
@@ -18,10 +25,11 @@ use vc_tensor::{Tensor, Workspace};
 /// subtask, in parallel.
 ///
 /// A constructor draws from the build's sampler only to initialise what
-/// `collect_params` / `load_params` carry, and no layer keeps other state
-/// between passes (training caches are replaced by every forward). A replica
-/// kept across workunits is therefore a fresh build as soon as its
-/// parameters are loaded; there is no reset step to implement or to forget.
+/// [`visit_params`](Layer::visit_params) names, and no layer keeps other
+/// state between passes (training caches are replaced by every forward).
+/// A replica kept across workunits is therefore a fresh build as soon as
+/// its parameters are loaded; there is no reset step to implement or to
+/// forget.
 ///
 /// ## One pipeline
 ///
@@ -65,7 +73,7 @@ pub trait Layer: Send {
     /// trained: parameter gradients accumulate exactly as there, `dy` is
     /// consumed, nothing is returned. The default computes the input
     /// gradient and recycles it; a layer that pays a kernel of its own
-    /// for it ([`Dense`](crate::dense::Dense), [`Conv2d`]) skips that.
+    /// for it ([`Dense`], [`Conv2d`]) skips that.
     fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
         let dx = self.backward_ws(dy, ws);
         ws.recycle(dx.into_vec());
@@ -81,71 +89,27 @@ pub trait Layer: Send {
         self.backward_ws(dy.clone(), &mut Workspace::new())
     }
 
-    /// Asks the layer to fuse a ReLU into its output epilogue (the
-    /// bias+activation epilogue of the blocked GEMM). Returns `true` when
-    /// the layer supports it and has switched it on; the following ReLU
-    /// layer must then be told via [`set_fused_upstream`]
-    /// (Layer::set_fused_upstream). Default: unsupported.
-    fn enable_relu_fusion(&mut self) -> bool {
-        false
-    }
-
-    /// True for ReLU layers — the fusion peephole's target. Fusing is
-    /// bit-exact: `relu(x) > 0 ⇔ x > 0`, so the downstream mask and values
-    /// are unchanged.
-    fn is_relu(&self) -> bool {
-        false
-    }
-
-    /// Informs a ReLU layer that its upstream neighbour already applies the
-    /// rectification, so its forward becomes a mask-only pass-through.
-    fn set_fused_upstream(&mut self) {}
-
     /// What this layer is to [`Sequential::fuse_relu`]'s peepholes: a
-    /// member of a pre-activation unit, a container to recurse into, or
-    /// (the default) nothing. Internal to this crate's traversal — what it
-    /// hands out is only usable through `pub(crate)` methods.
+    /// ReLU, a layer whose output epilogue can rectify, a member of a
+    /// pre-activation unit, a container to recurse into, or (the default)
+    /// nothing. Internal to this crate's traversal — what it hands out is
+    /// only usable through `pub(crate)` items.
     #[doc(hidden)]
     fn fusion_part(&mut self) -> FusionPart<'_> {
         FusionPart::Other
     }
 
-    /// Number of scalar parameters this layer owns (including buffers that
-    /// must travel with the weights, e.g. BatchNorm running statistics —
-    /// the paper ships the complete `.h5` state, so do we).
-    fn param_len(&self) -> usize {
-        0
-    }
-
-    /// Appends this layer's parameters to `out` in a fixed order.
-    fn collect_params(&self, _out: &mut Vec<f32>) {}
-
-    /// Reads `param_len()` values from the front of `src`, returning the
-    /// number consumed. Order must mirror `collect_params`.
-    fn load_params(&mut self, _src: &[f32]) -> usize {
-        0
-    }
-
-    /// Hands `f` each trainable parameter slice together with its gradient
-    /// slice, in `collect_params` order. `offset` is where this layer starts
-    /// in the model's flat vector; every call carries its slice's own
-    /// offset. A buffer that travels with the weights but is not trained
-    /// (BatchNorm running statistics) is visited with an *empty* gradient
-    /// slice: norms and scalings pass over it, optimizers skip it.
-    fn visit_params(&mut self, _offset: usize, _f: &mut ParamVisitor<'_>) {}
-
-    /// Appends this layer's parameter gradients to `out`; same order and
-    /// length as `collect_params` (buffers contribute zeros).
-    fn collect_grads(&mut self, out: &mut Vec<f32>) {
-        let base = out.len();
-        out.resize(base + self.param_len(), 0.0);
-        self.visit_params(base, &mut |off, _, g| {
-            out[off..off + g.len()].copy_from_slice(g)
-        });
-    }
-
-    /// Clears accumulated gradients.
-    fn zero_grads(&mut self) {}
+    /// Hands `f` each parameter tensor of this layer, in the order the
+    /// model's flat vector carries them, together with its gradient. This
+    /// is the one statement of the layer's parameter layout: the count,
+    /// the flat vector, loading one, the gradient gather and the gradient
+    /// clear (`param_len` and its neighbours in this module) are derived
+    /// from it. A buffer that travels with the weights but is not trained
+    /// (BatchNorm running statistics — the paper ships the complete `.h5`
+    /// state, so do we) comes with no gradient. A gradient a layer sizes
+    /// on its first backward (a [`Dense`] replica that only scores never
+    /// holds one) may still be empty.
+    fn visit_params(&mut self, _f: &mut ParamVisitor<'_>) {}
 
     /// Human-readable layer kind, for summaries and error messages.
     fn name(&self) -> &'static str;
@@ -161,9 +125,14 @@ pub trait Layer: Send {
 pub enum FusionPart<'a> {
     /// Takes no part.
     Other,
+    /// A ReLU, which an epilogue-capable layer before it may absorb.
+    Relu(&'a mut Relu),
+    /// A dense layer, whose GEMM epilogue can apply a following ReLU.
+    Dense(&'a mut Dense),
     /// The normalization heading a pre-activation unit.
     Norm(&'a mut BatchNorm),
-    /// A convolution, which may close a pre-activation unit.
+    /// A convolution, which may close a pre-activation unit and whose
+    /// epilogue can apply a following ReLU.
     Conv(&'a mut Conv2d),
     /// A nested pipeline with fusing of its own to do.
     Body(&'a mut Sequential),
@@ -172,8 +141,49 @@ pub enum FusionPart<'a> {
 /// A boxed layer, as stored by [`crate::Sequential`].
 pub type BoxedLayer = Box<dyn Layer>;
 
-/// The callback of [`Layer::visit_params`]: `(offset, params, grads)`.
-pub type ParamVisitor<'a> = dyn FnMut(usize, &mut [f32], &mut [f32]) + 'a;
+/// The callback of [`Layer::visit_params`]: a parameter tensor and its
+/// gradient, `None` for a buffer that is not trained.
+pub type ParamVisitor<'a> = dyn FnMut(&mut Tensor, Option<&mut Tensor>) + 'a;
+
+/// Number of scalar parameters `layer` carries, buffers included.
+pub(crate) fn param_len(layer: &mut dyn Layer) -> usize {
+    let mut n = 0;
+    layer.visit_params(&mut |p, _| n += p.numel());
+    n
+}
+
+/// Appends `layer`'s parameters to `out`.
+pub(crate) fn append_params(layer: &mut dyn Layer, out: &mut Vec<f32>) {
+    layer.visit_params(&mut |p, _| out.extend_from_slice(p.data()));
+}
+
+/// Overwrites `layer`'s parameters from the front of `src`. Touches no
+/// gradient, so a scoring replica sizes none.
+pub(crate) fn install_params(layer: &mut dyn Layer, mut src: &[f32]) {
+    layer.visit_params(&mut |p, _| {
+        let (head, rest) = src.split_at(p.numel());
+        p.data_mut().copy_from_slice(head);
+        src = rest;
+    });
+}
+
+/// Appends `layer`'s gradients to `out`, aligned with
+/// [`append_params`]: zeros for a buffer or a gradient not sized yet.
+pub(crate) fn append_grads(layer: &mut dyn Layer, out: &mut Vec<f32>) {
+    layer.visit_params(&mut |p, g| match g {
+        Some(g) if g.numel() == p.numel() => out.extend_from_slice(g.data()),
+        _ => out.resize(out.len() + p.numel(), 0.0),
+    });
+}
+
+/// Clears every accumulated gradient of `layer`.
+pub(crate) fn clear_grads(layer: &mut dyn Layer) {
+    layer.visit_params(&mut |_, g| {
+        if let Some(g) = g {
+            g.data_mut().fill(0.0);
+        }
+    });
+}
 
 #[cfg(test)]
 mod tests {
@@ -199,13 +209,14 @@ mod tests {
     #[test]
     fn defaults_are_paramless() {
         let mut l = Identity;
-        assert_eq!(l.param_len(), 0);
+        assert_eq!(param_len(&mut l), 0);
         let mut v = Vec::new();
-        l.collect_params(&mut v);
-        l.collect_grads(&mut v);
+        append_params(&mut l, &mut v);
+        append_grads(&mut l, &mut v);
         assert!(v.is_empty());
-        assert_eq!(l.load_params(&[1.0, 2.0]), 0);
-        l.zero_grads();
+        install_params(&mut l, &[]);
+        clear_grads(&mut l);
+        assert!(matches!(l.fusion_part(), FusionPart::Other));
     }
 
     #[test]
@@ -225,7 +236,5 @@ mod tests {
         let dx = l.backward(&y);
         assert_eq!(x.data(), &[1.0; 6]);
         assert_eq!(dx.dims(), &[2, 3]);
-        assert!(!l.enable_relu_fusion());
-        assert!(!l.is_relu());
     }
 }

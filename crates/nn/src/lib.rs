@@ -9,7 +9,11 @@
 //! therefore provides exactly what the distributed layer needs:
 //!
 //! * [`Layer`] — by-value forward/backward passes over a buffer
-//!   [`Workspace`](vc_tensor::Workspace), with layer-owned gradient storage;
+//!   [`Workspace`](vc_tensor::Workspace), with layer-owned gradient storage.
+//!   A layer names its parameter tensors once, in wire order, in
+//!   [`Layer::visit_params`]; every flat-vector operation is derived from
+//!   that one traversal. It names its part in the fusion peepholes once,
+//!   as one `fusion_part` role;
 //! * concrete layers: [`Dense`], [`Conv2d`], [`MaxPool2`], [`AvgPoolGlobal`],
 //!   [`Relu`], [`BatchNorm`], [`Flatten`], [`Residual`] blocks;
 //! * [`Sequential`] — a model as a layer pipeline, with flat-parameter
@@ -51,7 +55,7 @@ pub use spec::{LayerSpec, ModelSpec};
 pub(crate) mod gradcheck {
     //! Finite-difference gradient checking and the pooled-buffer check,
     //! shared by layer tests.
-    use crate::layer::Layer;
+    use crate::layer::{append_grads, append_params, clear_grads, install_params, Layer};
     use vc_tensor::{Tensor, Workspace};
 
     /// Runs three training steps of `layer` on `x` through one workspace;
@@ -97,21 +101,21 @@ pub(crate) mod gradcheck {
     pub fn check_param_grad<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) {
         let y = layer.forward(x, true);
         let dy = Tensor::ones(y.dims());
-        layer.zero_grads();
+        clear_grads(layer);
         layer.backward(&dy);
         let mut grads = Vec::new();
-        layer.collect_grads(&mut grads);
+        append_grads(layer, &mut grads);
         let mut params = Vec::new();
-        layer.collect_params(&mut params);
+        append_params(layer, &mut params);
         let eps = 1e-2f32;
         for i in 0..params.len() {
             let mut pp = params.clone();
             pp[i] += eps;
-            layer.load_params(&pp);
+            install_params(layer, &pp);
             let fp = layer.forward(x, true).sum();
             let mut pm = params.clone();
             pm[i] -= eps;
-            layer.load_params(&pm);
+            install_params(layer, &pm);
             let fm = layer.forward(x, true).sum();
             let fd = (fp - fm) / (2.0 * eps);
             let an = grads[i];
@@ -120,6 +124,6 @@ pub(crate) mod gradcheck {
                 "param grad {i}: fd={fd} analytic={an}"
             );
         }
-        layer.load_params(&params);
+        install_params(layer, &params);
     }
 }

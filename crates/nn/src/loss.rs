@@ -9,42 +9,6 @@ use vc_tensor::Tensor;
 pub struct SoftmaxCrossEntropy;
 
 impl SoftmaxCrossEntropy {
-    /// Row-wise softmax with the max-subtraction trick.
-    pub fn softmax(logits: &Tensor) -> Tensor {
-        assert_eq!(logits.dims().len(), 2, "softmax expects [batch, classes]");
-        let (b, c) = (logits.dims()[0], logits.dims()[1]);
-        let src = logits.data();
-        let mut out = vec![0.0f32; b * c];
-        for i in 0..b {
-            let row = &src[i * c..(i + 1) * c];
-            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0;
-            for (j, &v) in row.iter().enumerate() {
-                let e = (v - m).exp();
-                out[i * c + j] = e;
-                denom += e;
-            }
-            for o in &mut out[i * c..(i + 1) * c] {
-                *o /= denom;
-            }
-        }
-        Tensor::from_vec(out, &[b, c])
-    }
-
-    /// Mean cross-entropy loss over the batch.
-    pub fn loss(logits: &Tensor, labels: &[usize]) -> f32 {
-        let probs = Self::softmax(logits);
-        let c = logits.dims()[1];
-        let b = labels.len();
-        assert_eq!(logits.dims()[0], b, "batch/labels length mismatch");
-        let mut total = 0.0;
-        for (i, &y) in labels.iter().enumerate() {
-            assert!(y < c, "label {y} out of range for {c} classes");
-            total -= probs.data()[i * c + y].max(1e-12).ln();
-        }
-        total / b as f32
-    }
-
     /// Loss and the gradient w.r.t. the logits, in one pass, consuming the
     /// logits: the softmax and the gradient are computed in place in the
     /// logits' own buffer, so the hot loop allocates nothing.
@@ -78,6 +42,48 @@ impl SoftmaxCrossEntropy {
             *g *= inv_b;
         }
         (total * inv_b, logits)
+    }
+}
+
+/// The unfused softmax and loss: the finite-difference oracle of
+/// [`SoftmaxCrossEntropy::loss_and_grad_ws`], which is the one production
+/// body.
+#[cfg(test)]
+impl SoftmaxCrossEntropy {
+    /// Row-wise softmax with the max-subtraction trick.
+    pub(crate) fn softmax(logits: &Tensor) -> Tensor {
+        assert_eq!(logits.dims().len(), 2, "softmax expects [batch, classes]");
+        let (b, c) = (logits.dims()[0], logits.dims()[1]);
+        let src = logits.data();
+        let mut out = vec![0.0f32; b * c];
+        for i in 0..b {
+            let row = &src[i * c..(i + 1) * c];
+            let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut denom = 0.0;
+            for (j, &v) in row.iter().enumerate() {
+                let e = (v - m).exp();
+                out[i * c + j] = e;
+                denom += e;
+            }
+            for o in &mut out[i * c..(i + 1) * c] {
+                *o /= denom;
+            }
+        }
+        Tensor::from_vec(out, &[b, c])
+    }
+
+    /// Mean cross-entropy loss over the batch.
+    pub(crate) fn loss(logits: &Tensor, labels: &[usize]) -> f32 {
+        let probs = Self::softmax(logits);
+        let c = logits.dims()[1];
+        let b = labels.len();
+        assert_eq!(logits.dims()[0], b, "batch/labels length mismatch");
+        let mut total = 0.0;
+        for (i, &y) in labels.iter().enumerate() {
+            assert!(y < c, "label {y} out of range for {c} classes");
+            total -= probs.data()[i * c + y].max(1e-12).ln();
+        }
+        total / b as f32
     }
 }
 

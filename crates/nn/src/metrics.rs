@@ -1,6 +1,5 @@
 //! Evaluation metrics.
 
-use crate::loss::SoftmaxCrossEntropy;
 use crate::model::Sequential;
 use vc_tensor::{Tensor, Workspace};
 
@@ -47,23 +46,22 @@ pub fn pass_batch(model: &Sequential, sample_dims: &[usize], batch_size: usize) 
     (EVAL_ACTIVATION_BYTES / per_sample.max(1)).clamp(1, batch_size.max(1))
 }
 
-/// Evaluates a model over a dataset in mini-batches, returning
-/// `(mean loss, accuracy)`. `images` is `[n, ...]`, flattened per batch.
+/// Evaluates a model over a dataset in mini-batches, returning its top-1
+/// accuracy. `images` is `[n, ...]`, flattened per batch.
 ///
 /// `batch_size` caps the batch; the passes run at [`pass_batch`]. The
 /// accuracy is the integer count of hits over `n`, so it does not depend
-/// on how `n` is split; the loss is a sum of per-batch means and may move
-/// by ulps with the split.
+/// on how `n` is split.
 pub fn evaluate(
     model: &mut Sequential,
     images: &Tensor,
     labels: &[usize],
     batch_size: usize,
-) -> (f32, f32) {
+) -> f32 {
     let n = images.dims()[0];
     assert_eq!(n, labels.len());
     if n == 0 {
-        return (0.0, 0.0);
+        return 0.0;
     }
     let sample_len: usize = images.dims()[1..].iter().product();
     let mut dims = images.dims().to_vec();
@@ -72,21 +70,18 @@ pub fn evaluate(
     model.fuse_relu();
     // Batches share one buffer pool for the length of the pass.
     let mut ws = Workspace::new();
-    let mut total_loss = 0.0;
     let mut total_hits = 0;
     let mut start = 0;
     while start < n {
         let end = (start + batch_size).min(n);
-        let bs = end - start;
-        dims[0] = bs;
+        dims[0] = end - start;
         let batch = ws.take_copy(&images.data()[start * sample_len..end * sample_len]);
         let logits = model.forward_pipeline(Tensor::from_vec(batch, &dims), false, &mut ws);
-        total_loss += SoftmaxCrossEntropy::loss(&logits, &labels[start..end]) * bs as f32;
         total_hits += hits(&logits, &labels[start..end]);
         ws.recycle(logits.into_vec());
         start = end;
     }
-    (total_loss / n as f32, total_hits as f32 / n as f32)
+    total_hits as f32 / n as f32
 }
 
 #[cfg(test)]
@@ -106,7 +101,7 @@ mod tests {
     fn accuracy_empty_batch_is_zero() {
         assert_eq!(hits(&Tensor::zeros(&[0, 3]), &[]), 0);
         let none = evaluate(&mut Sequential::new(), &Tensor::zeros(&[0, 3]), &[], 256);
-        assert_eq!(none, (0.0, 0.0));
+        assert_eq!(none, 0.0);
     }
 
     #[test]
@@ -116,9 +111,8 @@ mod tests {
         let images = Tensor::randn(&[10, 4], 0.0, 1.0, &mut s);
         let labels: Vec<usize> = (0..10).map(|i| i % 3).collect();
         // Whole-set eval must equal batched eval regardless of batch size.
-        let (l1, a1) = evaluate(&mut m, &images, &labels, 10);
-        let (l3, a3) = evaluate(&mut m, &images, &labels, 3);
-        assert!((l1 - l3).abs() < 1e-5);
+        let a1 = evaluate(&mut m, &images, &labels, 10);
+        let a3 = evaluate(&mut m, &images, &labels, 3);
         assert_eq!(a1.to_bits(), a3.to_bits());
     }
 
@@ -133,7 +127,7 @@ mod tests {
         // per-batch `(7 / 13) · 13` misses 7/14 by an ulp.
         let labels: Vec<usize> = (0..14).map(|i| usize::from(i >= 7)).collect();
         for cap in [1, 2, 13, 14] {
-            assert_eq!(evaluate(&mut m, &images, &labels, cap).1, 0.5, "cap {cap}");
+            assert_eq!(evaluate(&mut m, &images, &labels, cap), 0.5, "cap {cap}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The [`Sequential`] model container.
 
 use crate::conv::Conv2d;
-use crate::layer::{BoxedLayer, FusionPart, Layer, ParamVisitor};
+use crate::layer::{self, BoxedLayer, FusionPart, Layer, ParamVisitor};
 use crate::norm::BatchNorm;
 use crate::preact;
 use vc_tensor::{Tensor, Workspace};
@@ -55,44 +55,58 @@ impl Sequential {
     }
 
     /// Total number of scalar parameters (the paper's model has 4,972,746).
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_len()).sum()
+    pub fn param_count(&mut self) -> usize {
+        layer::param_len(self)
     }
 
     /// Copies all parameters into one flat vector.
-    pub fn params_flat(&self) -> Vec<f32> {
+    pub fn params_flat(&mut self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        self.collect_params(&mut out);
+        layer::append_params(self, &mut out);
         out
     }
 
     /// Installs a flat parameter vector. Panics when the length disagrees
     /// with `param_count()` — a corrupted blob must never half-load.
     pub fn set_params_flat(&mut self, params: &[f32]) {
+        let n = self.param_count();
         assert_eq!(
             params.len(),
-            self.param_count(),
-            "parameter vector length {} does not match model ({})",
+            n,
+            "parameter vector length {} does not match model ({n})",
             params.len(),
-            self.param_count()
         );
-        let off = self.load_params(params);
-        debug_assert_eq!(off, params.len());
+        layer::install_params(self, params);
     }
 
     /// Copies all accumulated gradients into one flat vector (same layout as
-    /// [`Self::params_flat`]).
+    /// [`Self::params_flat`]; zeros where a buffer sits).
     pub fn grads_flat(&mut self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        self.collect_grads(&mut out);
+        layer::append_grads(self, &mut out);
         out
     }
 
     /// Clears gradients in every layer.
     pub fn zero_grads_all(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grads();
-        }
+        layer::clear_grads(self);
+    }
+
+    /// Hands `f` each trained parameter tensor's values and gradient, with
+    /// its offset in the flat vector: what clipping and the optimizer step
+    /// visit. Buffers are skipped, and a gradient not sized yet is sized
+    /// (zeros) first.
+    pub fn visit_trained(&mut self, mut f: impl FnMut(usize, &mut [f32], &mut [f32])) {
+        let mut off = 0;
+        self.visit_params(&mut |p, g| {
+            if let Some(g) = g {
+                if g.numel() != p.numel() {
+                    *g = Tensor::zeros(p.dims());
+                }
+                f(off, p.data_mut(), g.data_mut());
+            }
+            off += p.numel();
+        });
     }
 
     /// Elements per sample of the widest activation a layer of this
@@ -154,9 +168,16 @@ impl Sequential {
         }
         // A unit's ReLU follows a BatchNorm, which has no epilogue to offer,
         // so the two peepholes never compete for one.
-        for i in 0..self.layers.len().saturating_sub(1) {
-            if self.layers[i + 1].is_relu() && self.layers[i].enable_relu_fusion() {
-                self.layers[i + 1].set_fused_upstream();
+        for i in 1..self.layers.len() {
+            let (head, tail) = self.layers.split_at_mut(i);
+            let epilogue = match head[i - 1].fusion_part() {
+                FusionPart::Dense(dense) => &mut dense.fused_relu,
+                FusionPart::Conv(conv) => &mut conv.fused_relu,
+                _ => continue,
+            };
+            if let FusionPart::Relu(relu) = tail[0].fusion_part() {
+                *epilogue = true;
+                relu.fused_upstream = true;
             }
         }
     }
@@ -167,8 +188,8 @@ impl Sequential {
         let [bn, relu, conv] = self.layers.get_mut(i..i + 3)? else {
             return None;
         };
-        match (bn.fusion_part(), relu.is_relu(), conv.fusion_part()) {
-            (FusionPart::Norm(bn), true, FusionPart::Conv(conv))
+        match (bn.fusion_part(), relu.fusion_part(), conv.fusion_part()) {
+            (FusionPart::Norm(bn), FusionPart::Relu(_), FusionPart::Conv(conv))
                 if conv.takes_prologue(bn.channels()) =>
             {
                 Some((bn, conv))
@@ -293,29 +314,22 @@ impl Sequential {
     /// [`Layer::backward_params_ws`]; the parameter-free layers before it
     /// are not run at all.
     pub fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
-        let Some(first) = self.layers.iter().position(|l| l.param_len() > 0) else {
+        let Some(first) = self
+            .layers
+            .iter_mut()
+            .position(|l| layer::param_len(l.as_mut()) > 0)
+        else {
             return ws.recycle(dy.into_vec());
         };
-        let mut cur = dy;
-        let mut end = self.layers.len();
-        // `first < end` holds throughout: the loop leaves on reaching it.
-        loop {
-            if end >= 3 && self.preact_units.binary_search(&(end - 3)).is_ok() {
-                let (bn, conv) = self.preact_parts(end - 3).expect("recorded by fuse_relu");
-                let dx = preact::backward(bn, conv, &cur, None, ws);
-                ws.recycle(cur.into_vec());
-                cur = dx;
-                end -= 3;
-                if end <= first {
-                    // The unit held the first parameterised layer.
-                    return ws.recycle(cur.into_vec());
-                }
-            } else if end - 1 == first {
-                return self.layers[first].backward_params_ws(cur, ws);
-            } else {
-                cur = self.layers[end - 1].backward_ws(cur, ws);
-                end -= 1;
-            }
+        let end = self.layers.len();
+        if self.preact_units.binary_search(&first).is_ok() {
+            // A unit's normalization is the first parameterised layer: the
+            // unit runs whole, and its input gradient goes back unread.
+            let dx = self.backward_span(dy, first, end, ws);
+            ws.recycle(dx.into_vec());
+        } else {
+            let d = self.backward_span(dy, first + 1, end, ws);
+            self.layers[first].backward_params_ws(d, ws);
         }
     }
 
@@ -367,34 +381,10 @@ impl Layer for Sequential {
         FusionPart::Body(self)
     }
 
-    fn param_len(&self) -> usize {
-        self.param_count()
-    }
-
-    fn collect_params(&self, out: &mut Vec<f32>) {
-        for l in &self.layers {
-            l.collect_params(out);
-        }
-    }
-
-    fn load_params(&mut self, src: &[f32]) -> usize {
-        let mut off = 0;
+    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
         for l in &mut self.layers {
-            off += l.load_params(&src[off..]);
+            l.visit_params(f);
         }
-        off
-    }
-
-    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
-        let mut off = offset;
-        for l in &mut self.layers {
-            l.visit_params(off, f);
-            off += l.param_len();
-        }
-    }
-
-    fn zero_grads(&mut self) {
-        self.zero_grads_all();
     }
 
     fn name(&self) -> &'static str {
@@ -450,7 +440,7 @@ mod tests {
 
     #[test]
     fn flat_params_roundtrip() {
-        let m = tiny_model(2);
+        let mut m = tiny_model(2);
         let p = m.params_flat();
         assert_eq!(p.len(), m.param_count());
         assert_eq!(p.len(), 4 * 8 + 8 + 8 * 3 + 3);
@@ -507,6 +497,29 @@ mod tests {
         m.zero_grads_all();
         m.backward(&Tensor::ones(y.dims()));
         assert_eq!(m.grads_flat().len(), m.param_count());
+
+        // Every builder: the gradient gather lines up with the parameters
+        // after a training step, and the flat vector survives a load into
+        // a blank replica bit for bit.
+        use crate::spec::{mlp, resnet_lite, small_cnn};
+        let img = [3, 8, 8];
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for spec in [
+            mlp(&img, 16, 10),
+            small_cnn(&img, 10),
+            resnet_lite(&img, 2, 10),
+        ] {
+            let mut m = spec.build(10);
+            let mut s = NormalSampler::seed_from(11);
+            let y = m.forward(&Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut s), true);
+            m.zero_grads_all();
+            m.backward(&Tensor::ones(y.dims()));
+            assert_eq!(m.grads_flat().len(), m.param_count(), "{}", spec.name);
+            let p = m.params_flat();
+            let mut blank = spec.build_blank();
+            blank.set_params_flat(&p);
+            assert_eq!(bits(blank.params_flat()), bits(p), "{}", spec.name);
+        }
     }
 
     #[test]

@@ -448,45 +448,12 @@ impl Layer for BatchNorm {
         FusionPart::Norm(self)
     }
 
-    fn param_len(&self) -> usize {
-        4 * self.ch
-    }
-
-    fn collect_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.gamma.data());
-        out.extend_from_slice(self.beta.data());
-        out.extend_from_slice(self.running_mean.data());
-        out.extend_from_slice(self.running_var.data());
-    }
-
-    fn load_params(&mut self, src: &[f32]) -> usize {
-        let c = self.ch;
-        self.gamma.data_mut().copy_from_slice(&src[..c]);
-        self.beta.data_mut().copy_from_slice(&src[c..2 * c]);
-        self.running_mean
-            .data_mut()
-            .copy_from_slice(&src[2 * c..3 * c]);
-        self.running_var
-            .data_mut()
-            .copy_from_slice(&src[3 * c..4 * c]);
-        4 * c
-    }
-
-    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
-        f(offset, self.gamma.data_mut(), self.dgamma.data_mut());
-        f(
-            offset + self.ch,
-            self.beta.data_mut(),
-            self.dbeta.data_mut(),
-        );
+    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
+        f(&mut self.gamma, Some(&mut self.dgamma));
+        f(&mut self.beta, Some(&mut self.dbeta));
         // The running statistics are buffers, not trained: no gradient.
-        f(offset + 2 * self.ch, self.running_mean.data_mut(), &mut []);
-        f(offset + 3 * self.ch, self.running_var.data_mut(), &mut []);
-    }
-
-    fn zero_grads(&mut self) {
-        self.dgamma.map_inplace(|_| 0.0);
-        self.dbeta.map_inplace(|_| 0.0);
+        f(&mut self.running_mean, None);
+        f(&mut self.running_var, None);
     }
 
     fn name(&self) -> &'static str {
@@ -502,6 +469,7 @@ impl Layer for BatchNorm {
 mod tests {
     use super::*;
     use crate::gradcheck;
+    use crate::layer::{append_params, install_params};
     use vc_tensor::NormalSampler;
 
     #[test]
@@ -574,13 +542,13 @@ mod tests {
         let x = Tensor::randn(&[16, 2], 1.0, 1.0, &mut s);
         bn.forward(&x, true);
         let mut p = Vec::new();
-        bn.collect_params(&mut p);
+        append_params(&mut bn, &mut p);
         assert_eq!(p.len(), 8);
         // Running mean (slots 4..6) moved toward the batch mean of ~1.0.
         assert!(p[4] > 0.2, "running mean {}", p[4]);
         // Restoring into a fresh layer reproduces eval outputs exactly.
         let mut bn2 = BatchNorm::new(2, 0.5);
-        bn2.load_params(&p);
+        install_params(&mut bn2, &p);
         let y1 = bn.forward(&x, false);
         let y2 = bn2.forward(&x, false);
         assert_eq!(y1.data(), y2.data());

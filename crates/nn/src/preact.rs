@@ -73,7 +73,7 @@ mod tests {
 
     use crate::activation::Relu;
     use crate::conv::Conv2d;
-    use crate::layer::Layer;
+    use crate::layer::{append_grads, append_params, install_params, Layer};
     use crate::model::Sequential;
     use crate::norm::BatchNorm;
     use crate::residual::Residual;
@@ -95,14 +95,14 @@ mod tests {
         for v in &mut p[3 * ch..] {
             *v = v.abs() + 0.1; // running variance
         }
-        bn.load_params(&p);
+        install_params(&mut bn, &p);
         let mut conv = Conv2d::new(ch, out_ch, 3, 1, pad, &mut s);
         let mut p: Vec<f32> = Vec::new();
-        conv.collect_params(&mut p);
+        append_params(&mut conv, &mut p);
         for b in &mut p[out_ch * ch * 9..] {
             *b = s.sample(); // bias
         }
-        conv.load_params(&p);
+        install_params(&mut conv, &p);
         [Box::new(bn), Box::new(Relu::new()), Box::new(conv)]
     }
 
@@ -170,8 +170,8 @@ mod tests {
             || {
                 let (mut g, mut p) = (Vec::new(), Vec::new());
                 for l in layers.borrow_mut().iter_mut() {
-                    l.collect_grads(&mut g);
-                    l.collect_params(&mut p);
+                    append_grads(l.as_mut(), &mut g);
+                    append_params(l.as_mut(), &mut p);
                 }
                 (g, p)
             },
@@ -322,8 +322,8 @@ mod tests {
         }
         let (mut g, mut p) = (Vec::new(), Vec::new());
         for l in &mut layers {
-            l.collect_grads(&mut g);
-            l.collect_params(&mut p);
+            append_grads(l.as_mut(), &mut g);
+            append_params(l.as_mut(), &mut p);
         }
         assert_eq!(got.0, bits(y.data()), "training output");
         assert_eq!(got.1, bits(dx.data()), "dx");

@@ -35,11 +35,6 @@ impl Residual {
     pub fn new(body: Sequential) -> Self {
         Residual { body }
     }
-
-    /// Access to the inner pipeline.
-    pub fn body(&self) -> &Sequential {
-        &self.body
-    }
 }
 
 impl Layer for Residual {
@@ -81,24 +76,8 @@ impl Layer for Residual {
         FusionPart::Body(&mut self.body)
     }
 
-    fn param_len(&self) -> usize {
-        self.body.param_len()
-    }
-
-    fn collect_params(&self, out: &mut Vec<f32>) {
-        self.body.collect_params(out);
-    }
-
-    fn load_params(&mut self, src: &[f32]) -> usize {
-        self.body.load_params(src)
-    }
-
-    fn visit_params(&mut self, offset: usize, f: &mut ParamVisitor<'_>) {
-        self.body.visit_params(offset, f);
-    }
-
-    fn zero_grads(&mut self) {
-        self.body.zero_grads();
+    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
+        self.body.visit_params(f);
     }
 
     fn name(&self) -> &'static str {
@@ -139,6 +118,7 @@ mod tests {
     use crate::activation::Relu;
     use crate::conv::Conv2d;
     use crate::gradcheck;
+    use crate::layer::{append_grads, append_params, clear_grads, install_params, param_len};
     use crate::norm::BatchNorm;
     use vc_tensor::{NormalSampler, Tensor};
 
@@ -156,8 +136,8 @@ mod tests {
     fn zero_body_is_identity() {
         let mut s = NormalSampler::seed_from(1);
         let mut r = Residual::new(Sequential::new().push(Conv2d::new(1, 1, 3, 1, 1, &mut s)));
-        let zeros = vec![0.0; r.param_len()];
-        r.load_params(&zeros);
+        let zeros = vec![0.0; param_len(&mut r)];
+        install_params(&mut r, &zeros);
         let x = Tensor::randn(&[1, 1, 4, 4], 0.0, 1.0, &mut s);
         let y = r.forward(&x, false);
         assert_eq!(y.data(), x.data());
@@ -188,11 +168,11 @@ mod tests {
 
     #[test]
     fn params_delegate_to_body() {
-        let r = block(5);
+        let mut r = block(5);
         let mut p = Vec::new();
-        r.collect_params(&mut p);
-        assert_eq!(p.len(), r.param_len());
-        assert_eq!(r.param_len(), r.body().param_count());
+        append_params(&mut r, &mut p);
+        assert_eq!(p.len(), param_len(&mut r));
+        assert_eq!(p, r.body.params_flat());
     }
 
     #[test]
@@ -229,10 +209,10 @@ mod tests {
     fn step_bits(r: &mut Residual, x: &Tensor, dy: &Tensor) -> [Vec<u32>; 4] {
         let mut ws = Workspace::new();
         let y = r.forward_ws(x.clone(), true, &mut ws);
-        r.zero_grads();
+        clear_grads(r);
         let dx = r.backward_ws(dy.clone(), &mut ws);
         let mut g = Vec::new();
-        r.collect_grads(&mut g);
+        append_grads(r, &mut g);
         let y_eval = r.forward_ws(x.clone(), false, &mut ws);
         [y.data(), dx.data(), &g, y_eval.data()].map(bits)
     }

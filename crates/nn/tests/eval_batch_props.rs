@@ -39,7 +39,7 @@ fn accuracy_bits_at_every_cap(spec: ModelSpec) {
             let logits = model.forward_pipeline(images.clone(), false, &mut Workspace::new());
             let labels = argmax_rows(&logits);
             for cap in CAPS {
-                let acc = evaluate(&mut model, &images, &labels, cap).1;
+                let acc = evaluate(&mut model, &images, &labels, cap);
                 assert_eq!(
                     acc.to_bits(),
                     1.0f32.to_bits(),

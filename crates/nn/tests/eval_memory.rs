@@ -95,14 +95,14 @@ fn final_evaluation_stays_inside_its_memory_bound() {
 
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let (loss, acc) = evaluate(&mut model, &images, &labels, 256);
+    let acc = evaluate(&mut model, &images, &labels, 256);
     let peak = PEAK.load(Ordering::Relaxed) - before;
     println!(
         "resnet_lite evaluate, 128 images at a batch cap of 256: peak live heap {:.2} MB ({} pool threads)",
         peak as f64 / 1e6,
         rayon::current_threads()
     );
-    assert!(loss.is_finite() && (0.0..=1.0).contains(&acc));
+    assert!((0.0..=1.0).contains(&acc));
     assert!(
         peak <= BOUND,
         "the final evaluation peaked at {:.1} MB of live heap, bound {:.1} MB",

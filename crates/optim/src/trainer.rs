@@ -137,9 +137,9 @@ pub fn train_minibatch<R: Rng>(
     // statistics and uploads the snapshot's running ones), so they are set
     // aside here and put back below.
     tws.buffers.clear();
-    model.visit_params(0, &mut |_, p, g| {
-        if g.is_empty() {
-            tws.buffers.extend_from_slice(p);
+    model.visit_params(&mut |p, g| {
+        if g.is_none() {
+            tws.buffers.extend_from_slice(p.data());
         }
     });
     for _ in 0..local_epochs {
@@ -172,17 +172,10 @@ pub fn train_minibatch<R: Rng>(
             model.zero_grads_all();
             model.backward_params_ws(dlogits, ws);
             if clip_norm.is_finite() {
-                clip_slices_by_global_norm(
-                    |f| model.visit_params(0, &mut |_, _, g| f(g)),
-                    clip_norm,
-                );
+                clip_slices_by_global_norm(|f| model.visit_trained(|_, _, g| f(g)), clip_norm);
             }
             opt.begin_step();
-            model.visit_params(0, &mut |off, p, g| {
-                if !g.is_empty() {
-                    opt.update_at(off, p, g);
-                }
-            });
+            model.visit_trained(|off, p, g| opt.update_at(off, p, g));
 
             if let (Some(t), Some(t0)) = (timer, t0) {
                 t.histogram.observe((t.telemetry.now_s() - t0).max(0.0));
@@ -194,10 +187,10 @@ pub fn train_minibatch<R: Rng>(
     }
 
     let mut saved = tws.buffers.as_slice();
-    model.visit_params(0, &mut |_, p, g| {
-        if g.is_empty() {
-            let (head, rest) = saved.split_at(p.len());
-            p.copy_from_slice(head);
+    model.visit_params(&mut |p, g| {
+        if g.is_none() {
+            let (head, rest) = saved.split_at(p.numel());
+            p.data_mut().copy_from_slice(head);
             saved = rest;
         }
     });
@@ -285,7 +278,7 @@ mod tests {
         let stats = train(&mut model, &mut opt, &x, &y, 32, 10, 5.0, &mut rng);
         assert!(stats.steps > 0);
         assert_eq!(stats.samples, 2000);
-        let (_, acc) = evaluate(&mut model, &x, &y, 64);
+        let acc = evaluate(&mut model, &x, &y, 64);
         assert!(acc > 0.95, "accuracy {acc}");
     }
 

@@ -71,7 +71,7 @@ pub fn score(model: &mut Sequential, params: &[f32], data: &Dataset) -> f32 {
 /// The scoring replica's accuracy on `data` with whatever parameters it
 /// holds.
 fn accuracy(model: &mut Sequential, data: &Dataset) -> f32 {
-    evaluate(model, &data.images, &data.labels, SCORE_BATCH).1
+    evaluate(model, &data.images, &data.labels, SCORE_BATCH)
 }
 
 /// Final evaluation of a run: the server's current parameters, loaded into
@@ -285,7 +285,7 @@ pub(crate) struct Assembled {
 /// against it.
 pub(crate) fn assemble(
     cfg: Arc<RuntimeConfig>,
-    model: Sequential,
+    mut model: Sequential,
     tel: &Telemetry,
     store: VersionedStore,
     resume: Option<Checkpoint>,

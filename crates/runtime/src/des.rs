@@ -169,7 +169,7 @@ impl TrainingJob {
     fn new(cfg: DesConfig) -> Result<Self, String> {
         let job = &cfg.job;
         job.validate()?;
-        let init_model = job.model.build(job.seed);
+        let mut init_model = job.model.build(job.seed);
         let init_params = init_model.params_flat();
         let param_count = init_params.len();
         let assim = assimilator(job, VersionedStore::shared(), param_count);

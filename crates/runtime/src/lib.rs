@@ -147,7 +147,7 @@ impl Runtime {
         // The run's one build of its model: the resume guard reads its size,
         // a fresh run seeds the store from it, and
         // assimilator 0 scores on it.
-        let model = self.cfg.job.model.build(self.cfg.job.seed);
+        let mut model = self.cfg.job.model.build(self.cfg.job.seed);
         if let Some(ck) = &self.resume {
             // config_mut may have edited anything; what the checkpointed
             // parameters and shard bookkeeping were shaped by must not move.

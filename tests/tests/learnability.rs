@@ -30,9 +30,9 @@ fn small_cnn_learns_cifar_like() {
             &mut tws,
             None,
         );
-        let (_, acc) = evaluate(&mut model, &val.images, &val.labels, 128);
+        let acc = evaluate(&mut model, &val.images, &val.labels, 128);
         eprintln!("epoch {e}: loss {:.3} val acc {:.3}", st.mean_loss, acc);
     }
-    let (_, acc) = evaluate(&mut model, &val.images, &val.labels, 128);
+    let acc = evaluate(&mut model, &val.images, &val.labels, 128);
     assert!(acc > 0.55 && acc < 0.98, "val accuracy {acc}");
 }
