@@ -290,7 +290,7 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
                 conv3x3_forward_pre_into(
                     &xin,
                     Some(pre),
-                    &kernel,
+                    kernel.data(),
                     geom,
                     &mut out,
                     Epilogue::Bias(&bias),

@@ -39,7 +39,8 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward_ws(&mut self, mut x: Tensor, train: bool, _ws: &mut Workspace) -> Tensor {
+    fn forward_ws(&mut self, _: &mut [f32], x: Tensor, train: bool, _: &mut Workspace) -> Tensor {
+        let mut x = x;
         if train {
             self.record_mask(&x);
         }
@@ -53,7 +54,8 @@ impl Layer for Relu {
         x
     }
 
-    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
+    fn backward_ws(&mut self, _: &[f32], _: &mut [f32], dy: Tensor, _: &mut Workspace) -> Tensor {
+        let mut dy = dy;
         let mask = self
             .mask
             .as_ref()
@@ -84,7 +86,8 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck;
+    use crate::gradcheck::{self, Paramless};
+    use crate::model::Sequential;
     use vc_tensor::NormalSampler;
 
     #[test]
@@ -106,7 +109,7 @@ mod tests {
     #[test]
     fn gradcheck_off_kink() {
         // Keep inputs away from 0 where ReLU is non-differentiable.
-        let mut r = Relu::new();
+        let r = Relu::new();
         let mut s = NormalSampler::seed_from(1);
         let x = Tensor::randn(&[2, 5], 0.0, 1.0, &mut s).map(|v| {
             if v.abs() < 0.2 {
@@ -115,7 +118,7 @@ mod tests {
                 v
             }
         });
-        gradcheck::check_input_grad(&mut r, &x, 1e-2);
+        gradcheck::check_input_grad(&mut Sequential::new().push(r), &x, 1e-2);
     }
 
     #[test]

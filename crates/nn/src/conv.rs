@@ -18,26 +18,25 @@
 //! `tests/tests/conv_paths.rs` for a trajectory pinned while the lowering
 //! was still the production route.
 
-use crate::layer::{FusionPart, Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer};
 use vc_tensor::conv_direct::{
-    self, conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into, conv3x3_forward_pre_into, BnRelu,
+    self, conv3x3_backward_dk_pre_into, conv3x3_dx_into, conv3x3_forward_pre_into, BnRelu,
 };
 use vc_tensor::ops::{
     conv1x1_backward_dk_into, conv1x1_backward_dx_into, conv1x1_forward_into, ConvGeom, Epilogue,
 };
+use vc_tensor::tensor::he_normal_into;
 use vc_tensor::{NormalSampler, Tensor, Workspace};
 
 /// A 2-D convolution over `[batch, in_ch, h, w]` inputs producing
 /// `[batch, out_ch, oh, ow]`, 3×3 stride 1 or 1×1 stride 1 unpadded.
 ///
-/// The kernel is stored flattened as `[out_ch, in_ch * k * k]`, the layout
-/// in which the forward pass is a product against the (never materialized)
-/// im2col matrix.
+/// Its slice of the parameter vector is the kernel flattened as
+/// `[out_ch, in_ch * k * k]` — the layout in which the forward pass is a
+/// product against the (never materialized) im2col matrix — then the bias.
 pub struct Conv2d {
-    kernel: Tensor,
-    bias: Tensor,
-    dkernel: Tensor,
-    dbias: Tensor,
+    /// The parameters [`Conv2d::new`] drew, until the layer joins a model.
+    drawn: Vec<f32>,
     in_ch: usize,
     out_ch: usize,
     /// Kernel side: 3 or 1.
@@ -66,38 +65,22 @@ impl Conv2d {
         pad: usize,
         sampler: &mut NormalSampler,
     ) -> Self {
-        Self::with_kernel(in_ch, out_ch, k, stride, pad, |dims, fan_in| {
-            Tensor::he_normal(dims, fan_in, sampler)
-        })
+        let mut conv = Self::blank(in_ch, out_ch, k, stride, pad);
+        let mut drawn = vec![0.0; conv.arena_len()];
+        conv.init_params(&mut drawn, Some(sampler));
+        Conv2d { drawn, ..conv }
     }
 
     /// [`Conv2d::new`] with an all-zero kernel and no sampler draw, for a
     /// replica whose parameters are loaded before it runs. Same panics.
     pub fn blank(in_ch: usize, out_ch: usize, k: usize, stride: usize, pad: usize) -> Self {
-        Self::with_kernel(in_ch, out_ch, k, stride, pad, |dims, _| Tensor::zeros(dims))
-    }
-
-    /// Checks the geometry, then builds the layer around
-    /// `kernel([out_ch, fan_in], fan_in)`.
-    fn with_kernel(
-        in_ch: usize,
-        out_ch: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        kernel: impl FnOnce(&[usize], usize) -> Tensor,
-    ) -> Self {
         assert!(
             matches!((k, stride, pad), (3, 1, _) | (1, 1, 0)),
             "Conv2d runs 3×3 stride 1 (any pad) or 1×1 stride 1 pad 0, not \
              in_ch {in_ch}, out_ch {out_ch}, k {k}, stride {stride}, pad {pad}"
         );
-        let fan_in = in_ch * k * k;
         Conv2d {
-            kernel: kernel(&[out_ch, fan_in], fan_in),
-            bias: Tensor::zeros(&[out_ch]),
-            dkernel: Tensor::zeros(&[out_ch, fan_in]),
-            dbias: Tensor::zeros(&[out_ch]),
+            drawn: Vec::new(),
             in_ch,
             out_ch,
             k,
@@ -105,6 +88,11 @@ impl Conv2d {
             cache: None,
             fused_relu: false,
         }
+    }
+
+    /// Floats of the flattened kernel, the head of the layer's slice.
+    fn kernel_len(&self) -> usize {
+        self.out_ch * self.in_ch * self.k * self.k
     }
 
     fn geom_for(&self, h: usize, w: usize) -> ConvGeom {
@@ -115,15 +103,6 @@ impl Conv2d {
             kw: self.k,
             stride: 1,
             pad: self.pad,
-        }
-    }
-
-    /// Bias (or fused bias+ReLU) epilogue for the forward kernels.
-    fn epilogue(&self) -> Epilogue<'_> {
-        if self.fused_relu {
-            Epilogue::BiasRelu(self.bias.data())
-        } else {
-            Epilogue::Bias(self.bias.data())
         }
     }
 
@@ -152,13 +131,14 @@ impl Conv2d {
         self.in_ch == ch && self.k == 3
     }
 
-    /// Forward on this geometry's route. With `cache` (every training
-    /// forward) the input itself is kept for backward — the *raw* input
-    /// when `pre` is given, since backward's staging pass re-applies the
-    /// prologue; otherwise it goes back to `ws`. Only a 3×3 convolution
-    /// takes a `pre`.
+    /// Forward over parameters `p` on this geometry's route. With `cache`
+    /// (every training forward) the input itself is kept for backward — the
+    /// *raw* input when `pre` is given, since backward's staging pass
+    /// re-applies the prologue; otherwise it goes back to `ws`. Only a 3×3
+    /// convolution takes a `pre`.
     pub(crate) fn forward_direct(
         &mut self,
+        p: &[f32],
         x: Tensor,
         pre: Option<BnRelu<'_>>,
         cache: bool,
@@ -168,20 +148,14 @@ impl Conv2d {
         let (oh, ow) = (geom.out_h(), geom.out_w());
         self.recycle_cache(ws);
         let mut y = ws.take(batch * self.out_ch * oh * ow);
+        let (kernel, bias) = p.split_at(self.kernel_len());
+        let epi = Epilogue::bias(bias, self.fused_relu);
         if self.k == 1 {
             debug_assert!(pre.is_none(), "a 1×1 convolution takes no prologue");
-            conv1x1_forward_into(&x, &self.kernel, &mut y, self.epilogue());
+            conv1x1_forward_into(&x, kernel, &mut y, epi);
         } else {
             let mut stage = ws.take(conv_direct::fwd_scratch_len(batch, self.in_ch, geom));
-            conv3x3_forward_pre_into(
-                &x,
-                pre,
-                &self.kernel,
-                geom,
-                &mut y,
-                self.epilogue(),
-                &mut stage,
-            );
+            conv3x3_forward_pre_into(&x, pre, kernel, geom, &mut y, epi, &mut stage);
             ws.recycle(stage);
         }
         if cache {
@@ -193,37 +167,39 @@ impl Conv2d {
     }
 
     /// Backward of [`forward_direct`](Self::forward_direct), with the same
-    /// `pre`. The returned gradient is with respect to what the kernel
-    /// convolved — the activated tensor when `pre` is given. `dy` is only
-    /// read: it stays the caller's to recycle or to keep.
+    /// `p` and `pre`, accumulating into `g`. The returned gradient is with
+    /// respect to what the kernel convolved — the activated tensor when
+    /// `pre` is given. `dy` is only read: it stays the caller's to recycle
+    /// or to keep.
     pub(crate) fn backward_direct(
         &mut self,
+        p: &[f32],
+        g: &mut [f32],
         dy: &Tensor,
         pre: Option<BnRelu<'_>>,
         ws: &mut Workspace,
     ) -> Tensor {
-        let geom = self.param_grads(dy, pre, ws);
+        let geom = self.param_grads(g, dy, pre, ws);
         let batch = dy.dims()[0];
         let dx_len = batch * self.in_ch * geom.h * geom.w;
-        let dx = if self.k == 1 {
-            let mut dx = ws.take(dx_len);
-            conv1x1_backward_dx_into(dy, &self.kernel, &mut dx);
-            dx
+        let kernel = &p[..self.kernel_len()];
+        let mut dx = ws.take(dx_len);
+        if self.k == 1 {
+            conv1x1_backward_dx_into(dy, kernel, &mut dx);
         } else {
             let mut scratch = ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
-            let mut dx = ws.take(dx_len);
-            conv3x3_backward_dx_into(dy, &self.kernel, self.in_ch, geom, &mut dx, &mut scratch);
+            conv3x3_dx_into(dy, kernel, self.in_ch, geom, &mut dx, &mut scratch);
             ws.recycle(scratch);
-            dx
-        };
+        }
         Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
     }
 
     /// The parameter half of [`backward_direct`](Self::backward_direct):
-    /// `dkernel` and `dbias` from the cached input. Returns the cached
-    /// input's geometry.
+    /// the kernel and bias gradients into `g`, from the cached input.
+    /// Returns the cached input's geometry.
     fn param_grads(
         &mut self,
+        g: &mut [f32],
         dy: &Tensor,
         pre: Option<BnRelu<'_>>,
         ws: &mut Workspace,
@@ -233,11 +209,12 @@ impl Conv2d {
         };
         let dims = x.dims();
         let (batch, geom) = (dims[0], self.geom_for(dims[2], dims[3]));
+        let (dkernel, dbias) = g.split_at_mut(self.kernel_len());
         if self.k == 1 {
-            conv1x1_backward_dk_into(dy, x, self.dkernel.data_mut());
+            conv1x1_backward_dk_into(dy, x, dkernel);
         } else {
             let mut scratch = ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom));
-            conv3x3_backward_dk_pre_into(dy, x, pre, geom, self.dkernel.data_mut(), &mut scratch);
+            conv3x3_backward_dk_pre_into(dy, x, pre, geom, dkernel, &mut scratch);
             ws.recycle(scratch);
         }
         // dbias += per-channel sums of dy. Each channel's chain runs over
@@ -255,7 +232,7 @@ impl Conv2d {
                 }
             }
         }
-        for (d, s) in self.dbias.data_mut().iter_mut().zip(colsum.iter()) {
+        for (d, s) in dbias.iter_mut().zip(colsum.iter()) {
             *d += s;
         }
         ws.recycle(colsum);
@@ -270,18 +247,18 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        self.forward_direct(x, None, train, ws)
+    fn forward_ws(&mut self, p: &mut [f32], x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        self.forward_direct(p, x, None, train, ws)
     }
 
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let dx = self.backward_direct(&dy, None, ws);
+    fn backward_ws(&mut self, p: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) -> Tensor {
+        let dx = self.backward_direct(p, g, &dy, None, ws);
         ws.recycle(dy.into_vec());
         dx
     }
 
-    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
-        self.param_grads(&dy, None, ws);
+    fn backward_params_ws(&mut self, _: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) {
+        self.param_grads(g, &dy, None, ws);
         ws.recycle(dy.into_vec());
     }
 
@@ -289,9 +266,17 @@ impl Layer for Conv2d {
         FusionPart::Conv(self)
     }
 
-    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
-        f(&mut self.kernel, Some(&mut self.dkernel));
-        f(&mut self.bias, Some(&mut self.dbias));
+    fn arena_len(&self) -> usize {
+        self.kernel_len() + self.out_ch
+    }
+
+    fn init_params(&mut self, p: &mut [f32], sampler: Option<&mut NormalSampler>) {
+        if !self.drawn.is_empty() {
+            p.copy_from_slice(&std::mem::take(&mut self.drawn));
+        } else if let Some(s) = sampler {
+            let fan_in = self.in_ch * self.k * self.k;
+            he_normal_into(&mut p[..self.kernel_len()], fan_in, s);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -309,7 +294,6 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck;
-    use crate::layer::{append_params, install_params, param_len};
     use crate::model::Sequential;
     use crate::pool::MaxPool2;
 
@@ -318,9 +302,14 @@ mod tests {
         Conv2d::new(in_ch, out_ch, k, stride, pad, &mut s)
     }
 
+    /// [`conv`] as a one-layer model.
+    fn model(in_ch: usize, out_ch: usize, k: usize, stride: usize, pad: usize) -> Sequential {
+        Sequential::new().push(conv(in_ch, out_ch, k, stride, pad))
+    }
+
     #[test]
     fn forward_shape() {
-        let mut c = conv(3, 8, 3, 1, 1);
+        let mut c = model(3, 8, 3, 1, 1);
         let x = Tensor::zeros(&[2, 3, 16, 16]);
         let y = c.forward(&x, false);
         assert_eq!(y.dims(), &[2, 8, 16, 16]);
@@ -367,8 +356,8 @@ mod tests {
     #[test]
     fn identity_kernel_reproduces_input() {
         // 1x1 conv, single channel, kernel weight 1, bias 0 = identity.
-        let mut c = conv(1, 1, 1, 1, 0);
-        install_params(&mut c, &[1.0, 0.0]);
+        let mut c = model(1, 1, 1, 1, 0);
+        c.set_params_flat(&[1.0, 0.0]);
         let mut s = NormalSampler::seed_from(3);
         let x = Tensor::randn(&[2, 1, 4, 4], 0.0, 1.0, &mut s);
         let y = c.forward(&x, false);
@@ -377,8 +366,8 @@ mod tests {
 
     #[test]
     fn bias_broadcasts_per_channel() {
-        let mut c = conv(1, 2, 1, 1, 0);
-        install_params(&mut c, &[0.0, 0.0, 1.5, -2.0]); // zero kernels, biases 1.5 / -2.0
+        let mut c = model(1, 2, 1, 1, 0);
+        c.set_params_flat(&[0.0, 0.0, 1.5, -2.0]); // zero kernels, biases 1.5 / -2.0
         let y = c.forward(&Tensor::zeros(&[1, 1, 2, 2]), false);
         let d = y.data();
         assert!(d[..4].iter().all(|&v| v == 1.5));
@@ -389,13 +378,13 @@ mod tests {
     fn gradcheck_inputs() {
         let mut s = NormalSampler::seed_from(31);
         let x = Tensor::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut s);
-        gradcheck::check_input_grad(&mut conv(2, 3, 3, 1, 1), &x, 2e-2);
-        gradcheck::check_input_grad(&mut conv(2, 3, 1, 1, 0), &x, 2e-2);
+        gradcheck::check_input_grad(&mut model(2, 3, 3, 1, 1), &x, 2e-2);
+        gradcheck::check_input_grad(&mut model(2, 3, 1, 1, 0), &x, 2e-2);
     }
 
     #[test]
     fn gradcheck_params() {
-        let mut c = conv(2, 3, 1, 1, 0);
+        let mut c = model(2, 3, 1, 1, 0);
         let mut s = NormalSampler::seed_from(32);
         let x = Tensor::randn(&[2, 2, 3, 3], 0.0, 1.0, &mut s);
         gradcheck::check_param_grad(&mut c, &x, 2e-2);
@@ -419,11 +408,13 @@ mod tests {
 
     #[test]
     fn param_roundtrip() {
-        let mut c = conv(2, 4, 3, 1, 1);
-        let mut p = Vec::new();
-        append_params(&mut c, &mut p);
-        assert_eq!(p.len(), param_len(&mut c));
+        let mut c = model(2, 4, 3, 1, 1);
+        let p = c.params_flat();
+        assert_eq!(p.len(), c.param_count());
         assert_eq!(p.len(), 4 * 2 * 9 + 4);
+        let mut blank = Sequential::new().push(Conv2d::blank(2, 4, 3, 1, 1));
+        blank.set_params_flat(&p);
+        assert_eq!(blank.params_flat(), p);
     }
 
     #[test]
@@ -435,10 +426,11 @@ mod tests {
         // both give every buffer back once warm.
         for (k, pad) in [(3, 1), (3, 0), (1, 0)] {
             let mut c = conv(2, 3, k, 1, pad);
-            let mut ws = Workspace::new();
-            let _ = c.forward_ws(x.clone(), true, &mut ws);
+            let mut p = vec![0.0; c.arena_len()];
+            c.init_params(&mut p, None);
+            let _ = c.forward_ws(&mut p, x.clone(), true, &mut Workspace::new());
             assert_eq!(c.cached_input().data(), x.data(), "k {k} pad {pad}");
-            gradcheck::check_steady_state_pool(&mut c, &x);
+            gradcheck::check_steady_state_pool(&mut model(2, 3, k, 1, pad), &x);
         }
     }
 }

@@ -1,16 +1,16 @@
 //! Fully-connected layer.
 
-use crate::layer::{FusionPart, Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer};
 use vc_tensor::ops::{matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into, Epilogue};
+use vc_tensor::tensor::he_normal_into;
 use vc_tensor::{NormalSampler, Tensor, Workspace};
 
 /// A dense (fully-connected) layer: `y = x · W + b`, `x: [batch, in]`,
-/// `W: [in, out]`, `b: [out]`.
+/// `W: [in, out]`, `b: [out]`. Its slice of the parameter vector is `W`
+/// row-major, then `b`.
 pub struct Dense {
-    w: Tensor,
-    b: Tensor,
-    dw: Tensor,
-    db: Tensor,
+    /// The parameters [`Dense::new`] drew, until the layer joins a model.
+    drawn: Vec<f32>,
     x_cache: Option<Tensor>,
     in_dim: usize,
     out_dim: usize,
@@ -24,25 +24,19 @@ impl Dense {
     /// Builds a dense layer with He-normal weights (fan-in scaled) and zero
     /// bias.
     pub fn new(in_dim: usize, out_dim: usize, sampler: &mut NormalSampler) -> Self {
-        Self::with_weights(Tensor::he_normal(&[in_dim, out_dim], in_dim, sampler))
+        let mut drawn = vec![0.0; in_dim * out_dim + out_dim];
+        he_normal_into(&mut drawn[..in_dim * out_dim], in_dim, sampler);
+        Dense {
+            drawn,
+            ..Self::blank(in_dim, out_dim)
+        }
     }
 
     /// [`Dense::new`] with all-zero weights and no sampler draw, for a
     /// replica whose parameters are loaded before it runs.
     pub fn blank(in_dim: usize, out_dim: usize) -> Self {
-        Self::with_weights(Tensor::zeros(&[in_dim, out_dim]))
-    }
-
-    /// The layer around an `[in, out]` weight matrix, with zero bias.
-    fn with_weights(w: Tensor) -> Self {
-        let (in_dim, out_dim) = (w.dims()[0], w.dims()[1]);
         Dense {
-            w,
-            b: Tensor::zeros(&[out_dim]),
-            // Sized on first backward: a replica that only scores (the
-            // assimilator's) never holds a second copy of its weights.
-            dw: Tensor::zeros(&[0]),
-            db: Tensor::zeros(&[out_dim]),
+            drawn: Vec::new(),
             x_cache: None,
             in_dim,
             out_dim,
@@ -62,16 +56,14 @@ impl Dense {
     }
 
     /// The parameter half of backward: `dW += x^T · dy` and
-    /// `db += column-sums of dy`, from the cached forward input.
-    fn accumulate_grads(&mut self, dy: &Tensor, ws: &mut Workspace) {
+    /// `db += column-sums of dy` into `g`, from the cached forward input.
+    fn accumulate_grads(&mut self, g: &mut [f32], dy: &Tensor, ws: &mut Workspace) {
         let x = self
             .x_cache
             .take()
             .expect("Dense::backward called without a cached forward");
-        if self.dw.numel() != self.w.numel() {
-            self.dw = Tensor::zeros(self.w.dims());
-        }
-        matmul_at_b_epi_into(&x, dy, self.dw.data_mut(), Epilogue::Accumulate);
+        let (dw, db) = g.split_at_mut(self.in_dim * self.out_dim);
+        matmul_at_b_epi_into(&x, dy, dw, Epilogue::Accumulate);
         self.x_cache = Some(x);
         // Zero-initialized partial sum, rows ascending.
         let m = dy.dims()[0];
@@ -82,24 +74,15 @@ impl Dense {
                 *o += v;
             }
         }
-        for (d, s) in self.db.data_mut().iter_mut().zip(&colsum) {
+        for (d, s) in db.iter_mut().zip(&colsum) {
             *d += s;
         }
         ws.recycle(colsum);
     }
-
-    /// Bias (or fused bias+ReLU) epilogue for the forward GEMM.
-    fn epilogue(&self) -> Epilogue<'_> {
-        if self.fused_relu {
-            Epilogue::BiasRelu(self.b.data())
-        } else {
-            Epilogue::Bias(self.b.data())
-        }
-    }
 }
 
 impl Layer for Dense {
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward_ws(&mut self, p: &mut [f32], x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         self.check_input(&x);
         // Recycle last step's cache before taking, so one warm-up step is
         // enough to make the pool self-sufficient.
@@ -108,7 +91,8 @@ impl Layer for Dense {
         }
         let m = x.dims()[0];
         let mut y = ws.take(m * self.out_dim);
-        matmul_epi_into(&x, &self.w, &mut y, self.epilogue());
+        let (w, b) = p.split_at(self.in_dim * self.out_dim);
+        matmul_epi_into(&x, w, &mut y, Epilogue::bias(b, self.fused_relu));
         if train {
             self.x_cache = Some(x);
         } else {
@@ -117,18 +101,19 @@ impl Layer for Dense {
         Tensor::from_vec(y, &[m, self.out_dim])
     }
 
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        self.accumulate_grads(&dy, ws);
+    fn backward_ws(&mut self, p: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) -> Tensor {
+        self.accumulate_grads(g, &dy, ws);
         // dx = dy · W^T
         let m = dy.dims()[0];
         let mut dx = ws.take(m * self.in_dim);
-        matmul_a_bt_epi_into(&dy, &self.w, &mut dx, Epilogue::Store);
+        let w = &p[..self.in_dim * self.out_dim];
+        matmul_a_bt_epi_into(&dy, w, &mut dx, Epilogue::Store);
         ws.recycle(dy.into_vec());
         Tensor::from_vec(dx, &[m, self.in_dim])
     }
 
-    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
-        self.accumulate_grads(&dy, ws);
+    fn backward_params_ws(&mut self, _: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) {
+        self.accumulate_grads(g, &dy, ws);
         ws.recycle(dy.into_vec());
     }
 
@@ -136,9 +121,16 @@ impl Layer for Dense {
         FusionPart::Dense(self)
     }
 
-    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
-        f(&mut self.w, Some(&mut self.dw));
-        f(&mut self.b, Some(&mut self.db));
+    fn arena_len(&self) -> usize {
+        self.in_dim * self.out_dim + self.out_dim
+    }
+
+    fn init_params(&mut self, p: &mut [f32], sampler: Option<&mut NormalSampler>) {
+        if !self.drawn.is_empty() {
+            p.copy_from_slice(&std::mem::take(&mut self.drawn));
+        } else if let Some(s) = sampler {
+            he_normal_into(&mut p[..self.in_dim * self.out_dim], self.in_dim, s);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -155,18 +147,18 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::gradcheck;
-    use crate::layer::{append_grads, append_params, clear_grads, install_params, param_len};
+    use crate::model::Sequential;
     use vc_tensor::approx_eq;
 
-    fn layer(i: usize, o: usize, seed: u64) -> Dense {
+    fn layer(i: usize, o: usize, seed: u64) -> Sequential {
         let mut s = NormalSampler::seed_from(seed);
-        Dense::new(i, o, &mut s)
+        Sequential::new().push(Dense::new(i, o, &mut s))
     }
 
     #[test]
     fn forward_known_values() {
         let mut d = layer(2, 2, 1);
-        install_params(&mut d, &[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
+        d.set_params_flat(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
         let y = d.forward(&x, false);
         // y = [1*1+1*3 + 0.5, 1*2+1*4 - 0.5]
@@ -180,19 +172,13 @@ mod tests {
     #[test]
     fn param_roundtrip() {
         let mut d = layer(3, 4, 2);
-        let mut p = Vec::new();
-        append_params(&mut d, &mut p);
-        assert_eq!(p.len(), param_len(&mut d));
-        let mut d2 = Dense::blank(3, 4);
-        install_params(&mut d2, &p);
-        let mut p2 = Vec::new();
-        append_params(&mut d2, &mut p2);
-        assert_eq!(p, p2);
-        // Loading sized no weight gradient; the gather reads it as zeros.
-        assert_eq!(d2.dw.numel(), 0);
-        let mut g = Vec::new();
-        append_grads(&mut d2, &mut g);
-        assert_eq!(g, vec![0.0; p.len()]);
+        let p = d.params_flat();
+        assert_eq!(p.len(), 3 * 4 + 4);
+        let mut d2 = Sequential::new().push(Dense::blank(3, 4));
+        d2.set_params_flat(&p);
+        assert_eq!(d2.params_flat(), p);
+        // Loading sized no gradient vector.
+        assert!(d2.grads().is_empty());
     }
 
     #[test]
@@ -218,19 +204,14 @@ mod tests {
         let dy = Tensor::ones(&[1, 2]);
         d.forward(&x, true);
         d.backward(&dy);
-        let mut g1 = Vec::new();
-        append_grads(&mut d, &mut g1);
+        let g1 = d.grads().to_vec();
         d.forward(&x, true);
         d.backward(&dy);
-        let mut g2 = Vec::new();
-        append_grads(&mut d, &mut g2);
-        for (a, b) in g1.iter().zip(&g2) {
+        for (a, b) in g1.iter().zip(d.grads()) {
             assert!((b - 2.0 * a).abs() < 1e-5, "accumulation {a} {b}");
         }
-        clear_grads(&mut d);
-        let mut g3 = Vec::new();
-        append_grads(&mut d, &mut g3);
-        assert!(g3.iter().all(|&g| g == 0.0));
+        d.zero_grads_all();
+        assert!(d.grads().iter().all(|&g| g == 0.0));
     }
 
     #[test]

@@ -9,16 +9,16 @@
 //! therefore provides exactly what the distributed layer needs:
 //!
 //! * [`Layer`] — by-value forward/backward passes over a buffer
-//!   [`Workspace`](vc_tensor::Workspace), with layer-owned gradient storage.
-//!   A layer names its parameter tensors once, in wire order, in
-//!   [`Layer::visit_params`]; every flat-vector operation is derived from
-//!   that one traversal. It names its part in the fusion peepholes once,
-//!   as one `fusion_part` role;
+//!   [`Workspace`](vc_tensor::Workspace). A layer holds no parameter or
+//!   gradient storage: it states its length in the model's parameter
+//!   vector once ([`Layer::arena_len`]) and is handed its slices of the
+//!   model's two vectors on every pass. It names its part in the fusion
+//!   peepholes once, as one `fusion_part` role;
 //! * concrete layers: [`Dense`], [`Conv2d`], [`MaxPool2`], [`AvgPoolGlobal`],
 //!   [`Relu`], [`BatchNorm`], [`Flatten`], [`Residual`] blocks;
-//! * [`Sequential`] — a model as a layer pipeline, with flat-parameter
-//!   get/set ([`Sequential::params_flat`] / [`Sequential::set_params_flat`])
-//!   used as the `W` vectors of the paper's Eq. (1);
+//! * [`Sequential`] — a model as a layer pipeline owning one flat parameter
+//!   vector (the `W` of the paper's Eq. (1), in wire order), one gradient
+//!   vector with the same offsets, and its list of buffer ranges;
 //! * [`SoftmaxCrossEntropy`] — the classification loss and its gradient;
 //! * [`spec`] — a serde model description (the paper ships architecture as a
 //!   269 KB `.json` file; ours plays the same role) plus builders for the
@@ -43,7 +43,7 @@ pub mod spec;
 pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use layer::{Layer, ParamVisitor};
+pub use layer::Layer;
 pub use loss::SoftmaxCrossEntropy;
 pub use model::Sequential;
 pub use norm::BatchNorm;
@@ -54,40 +54,52 @@ pub use spec::{LayerSpec, ModelSpec};
 #[cfg(test)]
 pub(crate) mod gradcheck {
     //! Finite-difference gradient checking and the pooled-buffer check,
-    //! shared by layer tests.
-    use crate::layer::{append_grads, append_params, clear_grads, install_params, Layer};
+    //! shared by layer tests, which run a layer as a one-layer model.
+    use crate::layer::Layer;
+    use crate::model::Sequential;
     use vc_tensor::{Tensor, Workspace};
 
-    /// Runs three training steps of `layer` on `x` through one workspace;
-    /// the third must not miss the pool — every buffer the layer keeps or
+    /// Borrowing forward/backward on a bare layer with no parameters.
+    pub trait Paramless: Layer {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            self.forward_ws(&mut [], x.clone(), train, &mut Workspace::new())
+        }
+        fn backward(&mut self, dy: &Tensor) -> Tensor {
+            self.backward_ws(&[], &mut [], dy.clone(), &mut Workspace::new())
+        }
+    }
+    impl<L: Layer> Paramless for L {}
+
+    /// Runs three training steps of `model` on `x` through one workspace;
+    /// the third must not miss the pool — every buffer a layer keeps or
     /// hands on is a pooled one it gives back.
-    pub fn check_steady_state_pool(layer: &mut impl Layer, x: &Tensor) {
+    pub fn check_steady_state_pool(model: &mut Sequential, x: &Tensor) {
         let mut ws = Workspace::new();
         let mut misses = [0u64; 3];
         for m in &mut misses {
             let input = Tensor::from_vec(ws.take_copy(x.data()), x.dims());
-            let y = layer.forward_ws(input, true, &mut ws);
-            let dx = layer.backward_ws(y, &mut ws);
+            let y = model.forward_pipeline(input, true, &mut ws);
+            let dx = model.backward_pipeline(y, &mut ws);
             ws.recycle(dx.into_vec());
             *m = ws.stats().1;
         }
         assert_eq!(misses[1], misses[2], "steady-state step allocated");
     }
 
-    /// Checks d(sum of outputs)/d(inputs) of `layer` against central
+    /// Checks d(sum of outputs)/d(inputs) of `model` against central
     /// differences. Uses `train = true` so cached state matches backward.
-    pub fn check_input_grad<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) {
-        let y = layer.forward(x, true);
+    pub fn check_input_grad(model: &mut Sequential, x: &Tensor, tol: f32) {
+        let y = model.forward(x, true);
         let dy = Tensor::ones(y.dims());
-        let dx = layer.backward(&dy);
+        let dx = model.backward(&dy);
         let eps = 1e-2f32;
         for i in 0..x.numel() {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let fp = layer.forward(&xp, true).sum();
-            let fm = layer.forward(&xm, true).sum();
+            let fp = model.forward(&xp, true).sum();
+            let fm = model.forward(&xm, true).sum();
             let fd = (fp - fm) / (2.0 * eps);
             let an = dx.data()[i];
             assert!(
@@ -98,25 +110,23 @@ pub(crate) mod gradcheck {
     }
 
     /// Checks d(sum of outputs)/d(params) against central differences.
-    pub fn check_param_grad<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) {
-        let y = layer.forward(x, true);
+    pub fn check_param_grad(model: &mut Sequential, x: &Tensor, tol: f32) {
+        let y = model.forward(x, true);
         let dy = Tensor::ones(y.dims());
-        clear_grads(layer);
-        layer.backward(&dy);
-        let mut grads = Vec::new();
-        append_grads(layer, &mut grads);
-        let mut params = Vec::new();
-        append_params(layer, &mut params);
+        model.zero_grads_all();
+        model.backward(&dy);
+        let grads = model.grads().to_vec();
+        let params = model.params_flat();
         let eps = 1e-2f32;
         for i in 0..params.len() {
             let mut pp = params.clone();
             pp[i] += eps;
-            install_params(layer, &pp);
-            let fp = layer.forward(x, true).sum();
+            model.set_params_flat(&pp);
+            let fp = model.forward(x, true).sum();
             let mut pm = params.clone();
             pm[i] -= eps;
-            install_params(layer, &pm);
-            let fm = layer.forward(x, true).sum();
+            model.set_params_flat(&pm);
+            let fm = model.forward(x, true).sum();
             let fd = (fp - fm) / (2.0 * eps);
             let an = grads[i];
             assert!(
@@ -124,6 +134,6 @@ pub(crate) mod gradcheck {
                 "param grad {i}: fd={fd} analytic={an}"
             );
         }
-        install_params(layer, &params);
+        model.set_params_flat(&params);
     }
 }

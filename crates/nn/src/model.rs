@@ -1,20 +1,39 @@
-//! The [`Sequential`] model container.
+//! The [`Sequential`] model container and the parameter vector it owns.
 
 use crate::conv::Conv2d;
-use crate::layer::{self, BoxedLayer, FusionPart, Layer, ParamVisitor};
+use crate::layer::{BoxedLayer, FusionPart, Layer};
 use crate::norm::BatchNorm;
 use crate::preact;
-use vc_tensor::{Tensor, Workspace};
+use std::ops::Range;
+use vc_tensor::{NormalSampler, Tensor, Workspace};
 
-/// A model as an ordered pipeline of layers.
+/// A model as an ordered pipeline of layers, and the one parameter vector
+/// they run on: the `W` of the paper's Eq. (1), in the wire order the
+/// distributed layer exchanges. The gradient vector has the same offsets
+/// and is sized on the first backward pass, so a replica that only scores
+/// never holds one. Layers hold only their layout; the traversal hands
+/// each its slices.
 ///
-/// `Sequential` itself implements [`Layer`], which lets [`crate::Residual`]
-/// blocks nest arbitrary sub-pipelines. Its flat-parameter accessors are the
-/// bridge to the distributed layer: [`Sequential::params_flat`] produces the
-/// `W` vector of the paper's Eq. (1) and [`Sequential::set_params_flat`]
-/// installs a server copy received over the (simulated) network.
+/// As a [`Residual`](crate::Residual) block's body, its parameter vector
+/// holds the body's starting values until the block joins a pipeline,
+/// which takes them over.
+#[derive(Default)]
 pub struct Sequential {
+    pub(crate) pipe: Pipeline,
+    pub(crate) params: Vec<f32>,
+    grads: Vec<f32>,
+}
+
+/// The layers of a [`Sequential`] and where their parameters sit, apart
+/// from the vectors they sit in, so a traversal can borrow both.
+#[derive(Default)]
+pub(crate) struct Pipeline {
     layers: Vec<BoxedLayer>,
+    /// Where each layer's slice of the parameter vector ends.
+    ends: Vec<usize>,
+    /// The slices of the parameter vector that are buffers, not trained:
+    /// every BatchNorm's running statistics, nested ones included.
+    buffers: Vec<Range<usize>>,
     /// Whether the fusion peepholes have run over this pipeline.
     fused: bool,
     /// Index of the `BatchNorm` heading each pre-activation unit
@@ -26,87 +45,83 @@ pub struct Sequential {
 impl Sequential {
     /// An empty pipeline.
     pub fn new() -> Self {
-        Sequential {
-            layers: Vec::new(),
-            fused: false,
-            preact_units: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Appends a layer (builder style).
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
+        self.push_boxed(Box::new(layer));
         self
     }
 
-    /// Appends a boxed layer.
-    pub fn push_boxed(&mut self, layer: BoxedLayer) {
-        self.layers.push(layer);
+    /// Appends a boxed layer, which writes its starting values into its
+    /// slice of the parameter vector (grown unless a builder sized it).
+    pub fn push_boxed(&mut self, mut layer: BoxedLayer) {
+        let start = self.pipe.arena_len();
+        let end = start + layer.arena_len();
+        self.params
+            .reserve_exact(end.saturating_sub(self.params.len()));
+        self.params.resize(end.max(self.params.len()), 0.0);
+        layer.init_params(&mut self.params[start..end], None);
+        let shift = |r: &Range<usize>| r.start + start..r.end + start;
+        let buffers = &mut self.pipe.buffers;
+        match layer.fusion_part() {
+            FusionPart::Norm(bn) => buffers.push(shift(&bn.buffer_range())),
+            FusionPart::Body(body) => buffers.extend(body.pipe.buffers.iter().map(shift)),
+            _ => {}
+        }
+        self.pipe.ends.push(end);
+        self.pipe.layers.push(layer);
     }
 
     /// Number of layers.
     pub fn len(&self) -> usize {
-        self.layers.len()
+        self.pipe.layers.len()
     }
 
     /// True when the pipeline has no layers.
     pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
+        self.pipe.layers.is_empty()
     }
 
     /// Total number of scalar parameters (the paper's model has 4,972,746).
     pub fn param_count(&mut self) -> usize {
-        layer::param_len(self)
+        self.params.len()
     }
 
-    /// Copies all parameters into one flat vector.
+    /// Copies the parameter vector out.
     pub fn params_flat(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        layer::append_params(self, &mut out);
-        out
+        self.params.clone()
     }
 
     /// Installs a flat parameter vector. Panics when the length disagrees
     /// with `param_count()` — a corrupted blob must never half-load.
     pub fn set_params_flat(&mut self, params: &[f32]) {
-        let n = self.param_count();
         assert_eq!(
             params.len(),
-            n,
-            "parameter vector length {} does not match model ({n})",
-            params.len(),
+            self.params.len(),
+            "parameter vector does not match model"
         );
-        layer::install_params(self, params);
+        self.params.copy_from_slice(params);
     }
 
-    /// Copies all accumulated gradients into one flat vector (same layout as
-    /// [`Self::params_flat`]; zeros where a buffer sits).
-    pub fn grads_flat(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        layer::append_grads(self, &mut out);
-        out
-    }
-
-    /// Clears gradients in every layer.
+    /// Clears the gradient vector.
     pub fn zero_grads_all(&mut self) {
-        layer::clear_grads(self);
+        self.grads.fill(0.0);
     }
 
-    /// Hands `f` each trained parameter tensor's values and gradient, with
-    /// its offset in the flat vector: what clipping and the optimizer step
-    /// visit. Buffers are skipped, and a gradient not sized yet is sized
-    /// (zeros) first.
-    pub fn visit_trained(&mut self, mut f: impl FnMut(usize, &mut [f32], &mut [f32])) {
-        let mut off = 0;
-        self.visit_params(&mut |p, g| {
-            if let Some(g) = g {
-                if g.numel() != p.numel() {
-                    *g = Tensor::zeros(p.dims());
-                }
-                f(off, p.data_mut(), g.data_mut());
-            }
-            off += p.numel();
-        });
+    /// The parameter vector, the gradient vector (sized if no backward pass
+    /// has yet) and the buffer ranges: BatchNorm running statistics, which
+    /// travel with the weights but are not trained (gradient `+0.0`).
+    pub fn arena(&mut self) -> (&mut [f32], &mut [f32], &[Range<usize>]) {
+        self.size_grads();
+        (&mut self.params, &mut self.grads, &self.pipe.buffers)
+    }
+
+    fn size_grads(&mut self) {
+        if self.grads.len() != self.params.len() {
+            self.grads = vec![0.0; self.params.len()];
+        }
     }
 
     /// Elements per sample of the widest activation a layer of this
@@ -117,9 +132,10 @@ impl Sequential {
     /// reads — the input itself or an activation counted already. Top-level
     /// layers only: a residual block's body runs at its block's width.
     pub(crate) fn widest_hidden(&self, sample_dims: &[usize]) -> usize {
+        let layers = &self.pipe.layers;
         let mut dims = [&[1], sample_dims].concat();
         let mut widest = 0;
-        for l in self.layers.iter().take(self.layers.len().saturating_sub(1)) {
+        for l in layers.iter().take(layers.len().saturating_sub(1)) {
             let out = l.out_dims(&dims);
             let (read, wrote) = (dims.iter().product(), out.iter().product::<usize>());
             if wrote != read {
@@ -130,9 +146,18 @@ impl Sequential {
         widest
     }
 
+    /// Output shape for a given input shape.
+    pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
+        let mut dims = in_dims.to_vec();
+        for l in &self.pipe.layers {
+            dims = l.out_dims(&dims);
+        }
+        dims
+    }
+
     /// Runs the pipeline in inference mode.
     pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        Layer::forward(self, x, false)
+        self.forward_pipeline(x.clone(), false, &mut Workspace::new())
     }
 
     /// Runs the fusion peepholes, here and in every nested pipeline
@@ -148,19 +173,20 @@ impl Sequential {
     /// Idempotent; called automatically by the trainer and by
     /// [`crate::metrics::evaluate`].
     pub fn fuse_relu(&mut self) {
-        if self.fused {
+        let pipe = &mut self.pipe;
+        if pipe.fused {
             return;
         }
-        self.fused = true;
-        for l in &mut self.layers {
+        pipe.fused = true;
+        for l in &mut pipe.layers {
             if let FusionPart::Body(body) = l.fusion_part() {
                 body.fuse_relu();
             }
         }
         let mut i = 0;
-        while i + 2 < self.layers.len() {
-            if self.preact_parts(i).is_some() {
-                self.preact_units.push(i);
+        while i + 2 < pipe.layers.len() {
+            if pipe.preact_parts(i).is_some() {
+                pipe.preact_units.push(i);
                 i += 3;
             } else {
                 i += 1;
@@ -168,8 +194,8 @@ impl Sequential {
         }
         // A unit's ReLU follows a BatchNorm, which has no epilogue to offer,
         // so the two peepholes never compete for one.
-        for i in 1..self.layers.len() {
-            let (head, tail) = self.layers.split_at_mut(i);
+        for i in 1..pipe.layers.len() {
+            let (head, tail) = pipe.layers.split_at_mut(i);
             let epilogue = match head[i - 1].fusion_part() {
                 FusionPart::Dense(dense) => &mut dense.fused_relu,
                 FusionPart::Conv(conv) => &mut conv.fused_relu,
@@ -179,6 +205,80 @@ impl Sequential {
                 *epilogue = true;
                 relu.fused_upstream = true;
             }
+        }
+    }
+
+    /// Forward over the whole pipeline: tensors move by value, buffers
+    /// recycle through `ws`.
+    pub fn forward_pipeline(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        self.pipe.forward(&mut self.params, x, train, false, ws)
+    }
+
+    /// Backward over the whole pipeline; the returned input gradient's
+    /// buffer also comes from `ws`.
+    pub fn backward_pipeline(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+        self.size_grads();
+        let end = self.len();
+        self.pipe
+            .backward_span(&self.params, &mut self.grads, dy, 0, end, ws)
+    }
+
+    /// [`forward_pipeline`](Self::forward_pipeline) under the old name,
+    /// which the frozen `benchmark/src/probes.rs` calls.
+    #[doc(hidden)]
+    pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        self.forward_pipeline(x, train, ws)
+    }
+
+    /// [`backward_pipeline`](Self::backward_pipeline) under the old name,
+    /// which the frozen `benchmark/src/probes.rs` calls.
+    #[doc(hidden)]
+    pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+        self.backward_pipeline(dy, ws)
+    }
+
+    /// Backward for a training step: parameter gradients accumulate
+    /// exactly as in [`backward_pipeline`](Self::backward_pipeline),
+    /// but the gradient with respect to the pipeline's input — which has
+    /// no reader — is never formed. The pass stops at the first
+    /// parameterised layer, which runs
+    /// [`Layer::backward_params_ws`]; the parameter-free layers before it
+    /// are not run at all.
+    pub fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        self.size_grads();
+        self.pipe
+            .backward_params(&self.params, &mut self.grads, dy, ws);
+    }
+
+    /// One-line summary of the architecture, e.g. `conv2d→relu→…`.
+    pub fn summary(&self) -> String {
+        self.pipe
+            .layers
+            .iter()
+            .map(|l| l.name())
+            .collect::<Vec<_>>()
+            .join("→")
+    }
+}
+
+impl Pipeline {
+    /// The slice of the parameter (and gradient) vector layers `i..j` own.
+    fn spans(&self, i: usize, j: usize) -> Range<usize> {
+        let at = |i: usize| i.checked_sub(1).map_or(0, |i| self.ends[i]);
+        at(i)..at(j)
+    }
+
+    /// Floats of the parameter vector this pipeline's layers own.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// [`Layer::init_params`] for every layer, on its slice of `p`.
+    pub(crate) fn init_params(&mut self, p: &mut [f32], mut sampler: Option<&mut NormalSampler>) {
+        let mut start = 0;
+        for (l, &end) in self.layers.iter_mut().zip(&self.ends) {
+            l.init_params(&mut p[start..end], sampler.as_deref_mut());
+            start = end;
         }
     }
 
@@ -198,18 +298,13 @@ impl Sequential {
         }
     }
 
-    /// Forward over the whole pipeline: tensors move by value, buffers
-    /// recycle through `ws`.
-    pub fn forward_pipeline(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        self.forward_steps(x, train, false, ws)
-    }
-
-    /// The forward traversal. With `keep_head_input`, a pre-activation unit
-    /// at layer 0 keeps its input after an inference forward as well as a
-    /// training one, for a residual block to read through
-    /// [`head_conv`](Self::head_conv).
-    pub(crate) fn forward_steps(
+    /// The forward traversal over parameters `p`. With `keep_head_input`,
+    /// a pre-activation unit at layer 0 keeps its input after an inference
+    /// forward as well as a training one, for a residual block to read
+    /// through [`head_conv`](Self::head_conv).
+    pub(crate) fn forward(
         &mut self,
+        p: &mut [f32],
         x: Tensor,
         train: bool,
         keep_head_input: bool,
@@ -219,41 +314,25 @@ impl Sequential {
         let mut i = 0;
         while i < self.layers.len() {
             if self.preact_units.binary_search(&i).is_ok() {
+                let p = &mut p[self.spans(i, i + 3)];
                 let (bn, conv) = self.preact_parts(i).expect("recorded by fuse_relu");
-                cur = preact::forward(bn, conv, cur, train, keep_head_input && i == 0, ws);
+                cur = preact::forward(bn, conv, p, cur, train, keep_head_input && i == 0, ws);
                 i += 3;
             } else {
-                cur = self.layers[i].forward_ws(cur, train, ws);
+                let span = self.spans(i, i + 1);
+                cur = self.layers[i].forward_ws(&mut p[span], cur, train, ws);
                 i += 1;
             }
         }
         cur
     }
 
-    /// Backward over the whole pipeline; the returned input gradient's
-    /// buffer also comes from `ws`.
-    pub fn backward_pipeline(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let end = self.layers.len();
-        self.backward_span(dy, 0, end, ws)
-    }
-
-    /// [`forward_pipeline`](Self::forward_pipeline) under the old name,
-    /// which the frozen `benchmark/src/probes.rs` calls.
-    #[doc(hidden)]
-    pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        self.forward_pipeline(x, train, ws)
-    }
-
-    /// [`backward_pipeline`](Self::backward_pipeline) under the old name,
-    /// which the frozen `benchmark/src/probes.rs` calls.
-    #[doc(hidden)]
-    pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        self.backward_pipeline(dy, ws)
-    }
-
-    /// Backward over layers `start..end`, last step first.
-    fn backward_span(
+    /// Backward over layers `start..end`, last step first, accumulating
+    /// into the gradient vector `g`.
+    pub(crate) fn backward_span(
         &mut self,
+        p: &[f32],
+        g: &mut [f32],
         dy: Tensor,
         start: usize,
         mut end: usize,
@@ -262,13 +341,15 @@ impl Sequential {
         let mut cur = dy;
         while end > start {
             if end >= start + 3 && self.preact_units.binary_search(&(end - 3)).is_ok() {
+                let span = self.spans(end - 3, end);
                 let (bn, conv) = self.preact_parts(end - 3).expect("recorded by fuse_relu");
-                let dx = preact::backward(bn, conv, &cur, None, ws);
+                let dx = preact::backward(bn, conv, &p[span.clone()], &mut g[span], &cur, None, ws);
                 ws.recycle(cur.into_vec());
                 cur = dx;
                 end -= 3;
             } else {
-                cur = self.layers[end - 1].backward_ws(cur, ws);
+                let span = self.spans(end - 1, end);
+                cur = self.layers[end - 1].backward_ws(&p[span.clone()], &mut g[span], cur, ws);
                 end -= 1;
             }
         }
@@ -289,57 +370,46 @@ impl Sequential {
     /// closes, with no copy of `dy`: the closing unit only reads `dy`, and
     /// the heading unit's batch-norm backward adds it where it writes
     /// `dx`. `None` for any other body; `dy` stays the caller's.
-    pub(crate) fn backward_residual(&mut self, dy: &Tensor, ws: &mut Workspace) -> Option<Tensor> {
+    pub(crate) fn backward_residual(
+        &mut self,
+        p: &[f32],
+        g: &mut [f32],
+        dy: &Tensor,
+        ws: &mut Workspace,
+    ) -> Option<Tensor> {
         let n = self.layers.len();
         if self.preact_units.first() != Some(&0) || self.preact_units.last() != Some(&(n - 3)) {
             return None;
         }
+        let (head, tail) = (self.spans(0, 3), self.spans(n - 3, n));
         let (bn, conv) = self.preact_parts(n - 3).expect("recorded by fuse_relu");
         if n == 3 {
-            return Some(preact::backward(bn, conv, dy, Some(dy), ws));
+            return Some(preact::backward(bn, conv, p, g, dy, Some(dy), ws));
         }
-        let d = preact::backward(bn, conv, dy, None, ws);
-        let d = self.backward_span(d, 3, n - 3, ws);
+        let d = preact::backward(bn, conv, &p[tail.clone()], &mut g[tail], dy, None, ws);
+        let d = self.backward_span(p, g, d, 3, n - 3, ws);
         let (bn, conv) = self.preact_parts(0).expect("recorded by fuse_relu");
-        let dx = preact::backward(bn, conv, &d, Some(dy), ws);
+        let dx = preact::backward(bn, conv, &p[head.clone()], &mut g[head], &d, Some(dy), ws);
         ws.recycle(d.into_vec());
         Some(dx)
     }
 
-    /// Backward for a training step: parameter gradients accumulate
-    /// exactly as in [`backward_pipeline`](Self::backward_pipeline),
-    /// but the gradient with respect to the pipeline's input — which has
-    /// no reader — is never formed. The pass stops at the first
-    /// parameterised layer, which runs
-    /// [`Layer::backward_params_ws`]; the parameter-free layers before it
-    /// are not run at all.
-    pub fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
-        let Some(first) = self
-            .layers
-            .iter_mut()
-            .position(|l| layer::param_len(l.as_mut()) > 0)
-        else {
+    /// [`Sequential::backward_params_ws`] over parameters `p`, into `g`.
+    fn backward_params(&mut self, p: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) {
+        let Some(first) = (0..self.layers.len()).find(|&i| !self.spans(i, i + 1).is_empty()) else {
             return ws.recycle(dy.into_vec());
         };
         let end = self.layers.len();
         if self.preact_units.binary_search(&first).is_ok() {
             // A unit's normalization is the first parameterised layer: the
             // unit runs whole, and its input gradient goes back unread.
-            let dx = self.backward_span(dy, first, end, ws);
+            let dx = self.backward_span(p, g, dy, first, end, ws);
             ws.recycle(dx.into_vec());
         } else {
-            let d = self.backward_span(dy, first + 1, end, ws);
-            self.layers[first].backward_params_ws(d, ws);
+            let d = self.backward_span(p, g, dy, first + 1, end, ws);
+            let span = self.spans(first, first + 1);
+            self.layers[first].backward_params_ws(&p[span.clone()], &mut g[span], d, ws);
         }
-    }
-
-    /// One-line summary of the architecture, e.g. `conv2d→relu→…`.
-    pub fn summary(&self) -> String {
-        self.layers
-            .iter()
-            .map(|l| l.name())
-            .collect::<Vec<_>>()
-            .join("→")
     }
 }
 
@@ -348,55 +418,28 @@ impl Sequential {
     /// Where the fused pre-activation units start: this pipeline's first,
     /// then each nested body's, in layer order.
     pub(crate) fn preact_unit_map(&mut self) -> Vec<Vec<usize>> {
-        let mut map = vec![self.preact_units.clone()];
-        for l in &mut self.layers {
+        let mut map = vec![self.pipe.preact_units.clone()];
+        for l in &mut self.pipe.layers {
             if let FusionPart::Body(body) = l.fusion_part() {
                 map.extend(body.preact_unit_map());
             }
         }
         map
     }
-}
 
-impl Default for Sequential {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Sequential {
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        self.forward_pipeline(x, train, ws)
+    /// A training forward against a throwaway workspace, leaving `x` intact.
+    pub(crate) fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_pipeline(x.clone(), train, &mut Workspace::new())
     }
 
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        self.backward_pipeline(dy, ws)
+    /// A backward against a throwaway workspace, leaving `dy` intact.
+    pub(crate) fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_pipeline(dy.clone(), &mut Workspace::new())
     }
 
-    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
-        Sequential::backward_params_ws(self, dy, ws)
-    }
-
-    fn fusion_part(&mut self) -> FusionPart<'_> {
-        FusionPart::Body(self)
-    }
-
-    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
-        for l in &mut self.layers {
-            l.visit_params(f);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
-        let mut dims = in_dims.to_vec();
-        for l in &self.layers {
-            dims = l.out_dims(&dims);
-        }
-        dims
+    /// The gradient vector (empty before the first backward pass).
+    pub(crate) fn grads(&self) -> &[f32] {
+        &self.grads
     }
 }
 
@@ -479,7 +522,7 @@ mod tests {
         m.zero_grads_all();
         m.backward(&dlogits);
         let mut p = m.params_flat();
-        let g = m.grads_flat();
+        let g = m.grads().to_vec();
         for (pi, gi) in p.iter_mut().zip(&g) {
             *pi -= 0.1 * gi;
         }
@@ -496,7 +539,7 @@ mod tests {
         let y = m.forward(&x, true);
         m.zero_grads_all();
         m.backward(&Tensor::ones(y.dims()));
-        assert_eq!(m.grads_flat().len(), m.param_count());
+        assert_eq!(m.grads().len(), m.param_count());
 
         // Every builder: the gradient gather lines up with the parameters
         // after a training step, and the flat vector survives a load into
@@ -514,7 +557,7 @@ mod tests {
             let y = m.forward(&Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut s), true);
             m.zero_grads_all();
             m.backward(&Tensor::ones(y.dims()));
-            assert_eq!(m.grads_flat().len(), m.param_count(), "{}", spec.name);
+            assert_eq!(m.grads().len(), m.param_count(), "{}", spec.name);
             let p = m.params_flat();
             let mut blank = spec.build_blank();
             blank.set_params_flat(&p);
@@ -564,7 +607,7 @@ mod tests {
         assert_eq!(loss_p.to_bits(), loss_f.to_bits());
         fused.zero_grads_all();
         let _ = fused.backward_pipeline(dy_f, &mut ws);
-        assert_eq!(plain.grads_flat(), fused.grads_flat());
+        assert_eq!(plain.grads(), fused.grads());
 
         // Steady state: a second step must not miss the buffer pool.
         let (_, misses_warm) = ws.stats();
@@ -648,10 +691,10 @@ mod tests {
                 lean.zero_grads_all();
                 let _ = full.backward_pipeline(dy.clone(), &mut ws_full);
                 lean.backward_params_ws(dy, &mut ws_lean);
-                let bits = |g: Vec<f32>| g.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    bits(full.grads_flat()),
-                    bits(lean.grads_flat()),
+                    bits(full.grads()),
+                    bits(lean.grads()),
                     "{} step {step}",
                     spec.name
                 );

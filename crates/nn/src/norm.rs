@@ -16,9 +16,10 @@
 //! passes (normalize, backward's `dx`) have no chain and vectorize as they
 //! are.
 
-use crate::layer::{FusionPart, Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer};
+use std::ops::Range;
 use vc_tensor::conv_direct::{BnRelu, BnReluChannel};
-use vc_tensor::{Tensor, Workspace};
+use vc_tensor::{NormalSampler, Tensor, Workspace};
 
 /// Numerical floor added to the variance before taking the square root.
 const BN_EPS: f32 = 1e-5;
@@ -32,20 +33,16 @@ const LANES: usize = 8;
 ///
 /// Accepts `[batch, ch]` (after a dense layer) or `[batch, ch, h, w]`
 /// (after a convolution); statistics are computed per channel over all other
-/// axes. Owns learnable `gamma`/`beta` and running mean/variance buffers.
+/// axes. Its slice of the parameter vector is the learnable `gamma` and
+/// `beta`, then the running mean and variance: `[4 · ch]`.
 ///
 /// The running buffers are included in the parameter vector: the paper ships
 /// the complete `.h5` model state between clients and the server, so the
-/// VC-ASGD blend averages them along with the weights.
+/// VC-ASGD blend averages them along with the weights. They are not
+/// trained: the model lists them as buffers.
 pub struct BatchNorm {
     ch: usize,
     momentum: f32,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: Tensor,
-    running_var: Tensor,
-    dgamma: Tensor,
-    dbeta: Tensor,
     cache: Option<BnCache>,
 }
 
@@ -129,19 +126,15 @@ fn reduce_per_channel<K: Copy>(
     }
 }
 
-/// Statistics and affine as the expression bundle every consumer evaluates.
-/// A free function so backward can borrow the gradient buffers beside it.
-fn bn_relu<'a>(
-    gamma: &'a Tensor,
-    beta: &'a Tensor,
-    mean: &'a [f32],
-    inv_std: &'a [f32],
-) -> BnRelu<'a> {
+/// Statistics and the affine in `p` (`gamma`, then `beta`, `ch` each) as
+/// the expression bundle every consumer evaluates.
+fn bn_relu<'a>(p: &'a [f32], mean: &'a [f32], inv_std: &'a [f32]) -> BnRelu<'a> {
+    let ch = mean.len();
     BnRelu {
         mean,
         inv_std,
-        gamma: gamma.data(),
-        beta: beta.data(),
+        gamma: &p[..ch],
+        beta: &p[ch..2 * ch],
     }
 }
 
@@ -218,14 +211,14 @@ impl BatchNorm {
         BatchNorm {
             ch,
             momentum,
-            gamma: Tensor::ones(&[ch]),
-            beta: Tensor::zeros(&[ch]),
-            running_mean: Tensor::zeros(&[ch]),
-            running_var: Tensor::ones(&[ch]),
-            dgamma: Tensor::zeros(&[ch]),
-            dbeta: Tensor::zeros(&[ch]),
             cache: None,
         }
+    }
+
+    /// The running mean and variance within the layer's slice: the buffers
+    /// the model records, and the one place their position is stated.
+    pub(crate) fn buffer_range(&self) -> Range<usize> {
+        2 * self.ch..4 * self.ch
     }
 
     /// Channels this layer normalizes.
@@ -254,9 +247,9 @@ impl BatchNorm {
     }
 
     /// Inference statistics: `1 / sqrt(running_var + eps)` per channel.
-    fn running_inv_std(&self, ws: &mut Workspace) -> Vec<f32> {
+    fn running_inv_std(&self, p: &[f32], ws: &mut Workspace) -> Vec<f32> {
         let mut inv_std = ws.take(self.ch);
-        for (is, &v) in inv_std.iter_mut().zip(self.running_var.data()) {
+        for (is, &v) in inv_std.iter_mut().zip(&p[self.buffer_range()][self.ch..]) {
             *is = 1.0 / (v + BN_EPS).sqrt();
         }
         inv_std
@@ -264,8 +257,8 @@ impl BatchNorm {
 
     /// Training statistics of `x` — batch mean and `1 / sqrt(var + eps)`
     /// per channel, in pooled buffers — folding the batch's mean and
-    /// variance into the running ones.
-    fn batch_stats(&mut self, x: &Tensor, ws: &mut Workspace) -> (Vec<f32>, Vec<f32>) {
+    /// variance into the running ones in `p`.
+    fn batch_stats(&self, p: &mut [f32], x: &Tensor, ws: &mut Workspace) -> (Vec<f32>, Vec<f32>) {
         let planes = self.plane_geometry(x.dims());
         let n = (planes.0 * planes.2) as f32;
         let mut mean = ws.take(self.ch);
@@ -284,10 +277,11 @@ impl BatchNorm {
         for v in &mut var {
             *v /= n;
         }
-        for (rm, &m) in self.running_mean.data_mut().iter_mut().zip(&mean) {
+        let (running_mean, running_var) = p[self.buffer_range()].split_at_mut(self.ch);
+        for (rm, &m) in running_mean.iter_mut().zip(&mean) {
             *rm = self.momentum * *rm + (1.0 - self.momentum) * m;
         }
-        for (rv, &v) in self.running_var.data_mut().iter_mut().zip(&var) {
+        for (rv, &v) in running_var.iter_mut().zip(&var) {
             *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
         }
         // The variance buffer becomes the inverse std in place.
@@ -330,15 +324,19 @@ impl BatchNorm {
     /// consumer's [`prologue`](Self::prologue) applies — batch statistics
     /// (updating the running ones) when training, the running ones
     /// otherwise — and keeps only those; `x` itself is left untouched.
-    pub(crate) fn prepare_prologue(&mut self, x: &Tensor, train: bool, ws: &mut Workspace) {
+    pub(crate) fn prepare_prologue(
+        &mut self,
+        p: &mut [f32],
+        x: &Tensor,
+        train: bool,
+        ws: &mut Workspace,
+    ) {
         self.recycle_cache(ws);
         let (mean, inv_std) = if train {
-            self.batch_stats(x, ws)
+            self.batch_stats(p, x, ws)
         } else {
-            (
-                ws.take_copy(self.running_mean.data()),
-                self.running_inv_std(ws),
-            )
+            let mean = ws.take_copy(&p[self.buffer_range()][..self.ch]);
+            (mean, self.running_inv_std(p, ws))
         };
         self.cache = Some(BnCache {
             mean,
@@ -348,26 +346,14 @@ impl BatchNorm {
     }
 
     /// The normalization [`prepare_prologue`](Self::prepare_prologue) set
-    /// up, for the consumer to apply while it stages its input.
-    pub(crate) fn prologue(&self) -> BnRelu<'_> {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("BatchNorm::prologue called without a prepared forward");
-        bn_relu(&self.gamma, &self.beta, &cache.mean, &cache.inv_std)
-    }
-
-    /// The cached forward split for backward: the expression bundle, the
-    /// stored `x_hat` (if this forward stored one) and the gradient buffers.
-    #[allow(clippy::type_complexity)] // one private destructuring helper
-    fn backward_parts(&mut self) -> (BnRelu<'_>, Option<&Tensor>, (&mut [f32], &mut [f32])) {
+    /// up with parameters `p`, for the consumer to apply while it stages
+    /// its input.
+    pub(crate) fn prologue<'a>(&'a self, p: &'a [f32]) -> BnRelu<'a> {
         let cache = self
             .cache
             .as_ref()
             .expect("BatchNorm::backward called without a cached forward");
-        let pre = bn_relu(&self.gamma, &self.beta, &cache.mean, &cache.inv_std);
-        let grads = (self.dgamma.data_mut(), self.dbeta.data_mut());
-        (pre, cache.x_hat.as_ref(), grads)
+        bn_relu(p, &cache.mean, &cache.inv_std)
     }
 
     /// Backward of a pre-activation step's BN→ReLU half: `dy` is the
@@ -378,7 +364,9 @@ impl BatchNorm {
     /// `skip` is added to the result as it is written (a residual block's
     /// `dy`, when this step heads the block's body).
     pub(crate) fn backward_recompute(
-        &mut self,
+        &self,
+        p: &[f32],
+        g: &mut [f32],
         dy: Tensor,
         x: &Tensor,
         skip: Option<&Tensor>,
@@ -389,7 +377,7 @@ impl BatchNorm {
             assert_eq!(skip.dims(), x.dims(), "residual skip shape mismatch");
         }
         let planes = self.plane_geometry(dy.dims());
-        let (pre, _, grads) = self.backward_parts();
+        let (pre, grads) = (self.prologue(p), g[..2 * self.ch].split_at_mut(self.ch));
         let skip = skip.map(Tensor::data);
         backward_passes(pre, grads, dy, x.data(), skip, planes, ws, |chan, x, dy| {
             let x_hat = chan.x_hat(x);
@@ -401,24 +389,21 @@ impl BatchNorm {
 }
 
 impl Layer for BatchNorm {
-    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward_ws(&mut self, p: &mut [f32], x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        let mut x = x;
         let planes = self.plane_geometry(x.dims());
         self.recycle_cache(ws);
         if !train {
-            let inv_std = self.running_inv_std(ws);
-            let pre = bn_relu(&self.gamma, &self.beta, self.running_mean.data(), &inv_std);
+            let inv_std = self.running_inv_std(p, ws);
+            let pre = bn_relu(p, &p[self.buffer_range()][..self.ch], &inv_std);
             Self::normalize(x.data_mut(), planes, pre, None);
             ws.recycle(inv_std);
             return x;
         }
-        let (mean, inv_std) = self.batch_stats(&x, ws);
+        let (mean, inv_std) = self.batch_stats(p, &x, ws);
         let mut x_hat = ws.take(x.numel());
-        Self::normalize(
-            x.data_mut(),
-            planes,
-            bn_relu(&self.gamma, &self.beta, &mean, &inv_std),
-            Some(&mut x_hat),
-        );
+        let pre = bn_relu(p, &mean, &inv_std);
+        Self::normalize(x.data_mut(), planes, pre, Some(&mut x_hat));
         self.cache = Some(BnCache {
             mean,
             inv_std,
@@ -427,9 +412,10 @@ impl Layer for BatchNorm {
         x
     }
 
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward_ws(&mut self, p: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) -> Tensor {
         let planes = self.plane_geometry(dy.dims());
-        let (pre, x_hat, grads) = self.backward_parts();
+        let (pre, grads) = (self.prologue(p), g[..2 * self.ch].split_at_mut(self.ch));
+        let x_hat = self.cache.as_ref().and_then(|c| c.x_hat.as_ref());
         let x_hat = x_hat.expect("BatchNorm::backward after a pre-activation forward");
         assert_eq!(dy.dims(), x_hat.dims(), "BatchNorm grad shape mismatch");
         backward_passes(
@@ -448,12 +434,14 @@ impl Layer for BatchNorm {
         FusionPart::Norm(self)
     }
 
-    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
-        f(&mut self.gamma, Some(&mut self.dgamma));
-        f(&mut self.beta, Some(&mut self.dbeta));
-        // The running statistics are buffers, not trained: no gradient.
-        f(&mut self.running_mean, None);
-        f(&mut self.running_var, None);
+    fn arena_len(&self) -> usize {
+        4 * self.ch
+    }
+
+    /// Unit scale and variance; shift and mean stay zero.
+    fn init_params(&mut self, p: &mut [f32], _sampler: Option<&mut NormalSampler>) {
+        p[..self.ch].fill(1.0);
+        p[self.buffer_range()][self.ch..].fill(1.0);
     }
 
     fn name(&self) -> &'static str {
@@ -469,12 +457,15 @@ impl Layer for BatchNorm {
 mod tests {
     use super::*;
     use crate::gradcheck;
-    use crate::layer::{append_params, install_params};
-    use vc_tensor::NormalSampler;
+    use crate::model::Sequential;
+
+    fn model(ch: usize, momentum: f32) -> Sequential {
+        Sequential::new().push(BatchNorm::new(ch, momentum))
+    }
 
     #[test]
     fn train_output_is_normalized() {
-        let mut bn = BatchNorm::new(2, 0.9);
+        let mut bn = model(2, 0.9);
         let mut s = NormalSampler::seed_from(1);
         let x = Tensor::randn(&[8, 2, 4, 4], 3.0, 2.0, &mut s);
         let y = bn.forward(&x, true);
@@ -496,7 +487,7 @@ mod tests {
 
     #[test]
     fn eval_uses_running_stats() {
-        let mut bn = BatchNorm::new(1, 0.0); // momentum 0: running = last batch
+        let mut bn = model(1, 0.0); // momentum 0: running = last batch
         let mut s = NormalSampler::seed_from(2);
         let x = Tensor::randn(&[64, 1], 5.0, 3.0, &mut s);
         bn.forward(&x, true);
@@ -509,8 +500,8 @@ mod tests {
     #[test]
     fn rank2_and_rank4_agree() {
         // A [batch, ch] input must behave as [batch, ch, 1, 1].
-        let mut bn2 = BatchNorm::new(3, 0.9);
-        let mut bn4 = BatchNorm::new(3, 0.9);
+        let mut bn2 = model(3, 0.9);
+        let mut bn4 = model(3, 0.9);
         let mut s = NormalSampler::seed_from(3);
         let x2 = Tensor::randn(&[6, 3], 0.0, 1.0, &mut s);
         let x4 = x2.clone().reshape(&[6, 3, 1, 1]);
@@ -521,7 +512,7 @@ mod tests {
 
     #[test]
     fn gradcheck_inputs() {
-        let mut bn = BatchNorm::new(2, 0.9);
+        let mut bn = model(2, 0.9);
         let mut s = NormalSampler::seed_from(4);
         let x = Tensor::randn(&[4, 2, 2, 2], 0.0, 1.0, &mut s);
         gradcheck::check_input_grad(&mut bn, &x, 3e-2);
@@ -529,7 +520,7 @@ mod tests {
 
     #[test]
     fn gradcheck_params() {
-        let mut bn = BatchNorm::new(3, 0.9);
+        let mut bn = model(3, 0.9);
         let mut s = NormalSampler::seed_from(5);
         let x = Tensor::randn(&[5, 3], 0.0, 1.0, &mut s);
         gradcheck::check_param_grad(&mut bn, &x, 3e-2);
@@ -537,18 +528,18 @@ mod tests {
 
     #[test]
     fn param_vector_carries_buffers() {
-        let mut bn = BatchNorm::new(2, 0.5);
+        let mut bn = model(2, 0.5);
+        assert_eq!(bn.arena().2, std::slice::from_ref(&(4..8)));
         let mut s = NormalSampler::seed_from(6);
         let x = Tensor::randn(&[16, 2], 1.0, 1.0, &mut s);
         bn.forward(&x, true);
-        let mut p = Vec::new();
-        append_params(&mut bn, &mut p);
+        let p = bn.params_flat();
         assert_eq!(p.len(), 8);
         // Running mean (slots 4..6) moved toward the batch mean of ~1.0.
         assert!(p[4] > 0.2, "running mean {}", p[4]);
         // Restoring into a fresh layer reproduces eval outputs exactly.
-        let mut bn2 = BatchNorm::new(2, 0.5);
-        install_params(&mut bn2, &p);
+        let mut bn2 = model(2, 0.5);
+        bn2.set_params_flat(&p);
         let y1 = bn.forward(&x, false);
         let y2 = bn2.forward(&x, false);
         assert_eq!(y1.data(), y2.data());
@@ -557,15 +548,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank 2 or 4")]
     fn rejects_rank3() {
-        let mut bn = BatchNorm::new(2, 0.9);
+        let mut bn = model(2, 0.9);
         bn.forward(&Tensor::zeros(&[2, 2, 2]), false);
     }
 
     #[test]
     fn eval_forward_materializes_no_x_hat() {
         let mut bn = BatchNorm::new(2, 0.9);
+        let mut p = vec![0.0; bn.arena_len()];
+        bn.init_params(&mut p, None);
         let mut ws = Workspace::new();
-        let y = bn.forward_ws(Tensor::ones(&[4, 2, 3, 3]), false, &mut ws);
+        let y = bn.forward_ws(&mut p, Tensor::ones(&[4, 2, 3, 3]), false, &mut ws);
         assert_eq!(y.dims(), &[4, 2, 3, 3]);
         // One take: the per-channel inverse std. The output is the input's
         // own buffer and inference keeps nothing for backward.
@@ -575,9 +568,8 @@ mod tests {
 
     #[test]
     fn training_steps_reuse_pooled_buffers() {
-        let mut bn = BatchNorm::new(3, 0.9);
         let mut s = NormalSampler::seed_from(7);
         let x = Tensor::randn(&[4, 3, 2, 2], 0.0, 1.0, &mut s);
-        gradcheck::check_steady_state_pool(&mut bn, &x);
+        gradcheck::check_steady_state_pool(&mut model(3, 0.9), &x);
     }
 }

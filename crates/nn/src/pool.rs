@@ -106,7 +106,7 @@ impl Default for MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward_ws(&mut self, _: &mut [f32], x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (b, c, h, w) = Self::checked_dims(&x);
         let (oh, ow) = (h / 2, w / 2);
         let mut out = ws.take(b * c * oh * ow);
@@ -120,7 +120,7 @@ impl Layer for MaxPool2 {
         Tensor::from_vec(out, &[b, c, oh, ow])
     }
 
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward_ws(&mut self, _: &[f32], _: &mut [f32], dy: Tensor, ws: &mut Workspace) -> Tensor {
         let in_shape = self
             .in_shape
             .expect("MaxPool2::backward called without a cached forward");
@@ -180,7 +180,7 @@ impl Default for AvgPoolGlobal {
 }
 
 impl Layer for AvgPoolGlobal {
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward_ws(&mut self, _: &mut [f32], x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "AvgPoolGlobal expects [batch, ch, h, w]");
         let (b, c) = (dims[0], dims[1]);
@@ -193,7 +193,7 @@ impl Layer for AvgPoolGlobal {
         Tensor::from_vec(out, &[b, c])
     }
 
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+    fn backward_ws(&mut self, _: &[f32], _: &mut [f32], dy: Tensor, ws: &mut Workspace) -> Tensor {
         let in_shape = self
             .in_shape
             .expect("AvgPoolGlobal::backward called without a cached forward");
@@ -235,7 +235,7 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward_ws(&mut self, x: Tensor, train: bool, _ws: &mut Workspace) -> Tensor {
+    fn forward_ws(&mut self, _: &mut [f32], x: Tensor, train: bool, _: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert!(dims.len() >= 2, "Flatten expects a batch axis");
         let batch = dims[0];
@@ -247,7 +247,7 @@ impl Layer for Flatten {
         x.reshape(&[batch, rest])
     }
 
-    fn backward_ws(&mut self, dy: Tensor, _ws: &mut Workspace) -> Tensor {
+    fn backward_ws(&mut self, _: &[f32], _: &mut [f32], dy: Tensor, _: &mut Workspace) -> Tensor {
         let in_shape = self
             .in_shape
             .expect("Flatten::backward called without a cached forward");
@@ -266,7 +266,8 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck;
+    use crate::gradcheck::{self, Paramless};
+    use crate::model::Sequential;
     use vc_tensor::NormalSampler;
 
     #[test]
@@ -334,11 +335,11 @@ mod tests {
 
     #[test]
     fn maxpool_gradcheck() {
-        let mut p = MaxPool2::new();
+        let p = MaxPool2::new();
         let mut s = NormalSampler::seed_from(2);
         // distinct values keep argmax stable under the probe epsilon
         let x = Tensor::randn(&[1, 2, 4, 4], 0.0, 10.0, &mut s);
-        gradcheck::check_input_grad(&mut p, &x, 1e-2);
+        gradcheck::check_input_grad(&mut Sequential::new().push(p), &x, 1e-2);
     }
 
     #[test]
@@ -355,10 +356,10 @@ mod tests {
 
     #[test]
     fn avgpool_gradcheck() {
-        let mut p = AvgPoolGlobal::new();
+        let p = AvgPoolGlobal::new();
         let mut s = NormalSampler::seed_from(3);
         let x = Tensor::randn(&[2, 3, 2, 2], 0.0, 1.0, &mut s);
-        gradcheck::check_input_grad(&mut p, &x, 1e-2);
+        gradcheck::check_input_grad(&mut Sequential::new().push(p), &x, 1e-2);
     }
 
     #[test]

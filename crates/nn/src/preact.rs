@@ -29,38 +29,47 @@
 //! the block's `dy` where it writes `dx`.
 
 use crate::conv::Conv2d;
+use crate::layer::Layer;
 use crate::norm::BatchNorm;
 use vc_tensor::{Tensor, Workspace};
 
-/// Forward of the unit headed by `bn` and closed by `conv`. The unit keeps
-/// `x` after a training forward, and after an inference one too when
-/// `keep_input` (for a residual skip to read; `conv` gives it back).
+/// Forward of the unit headed by `bn` and closed by `conv`, over the
+/// unit's slice `p` of the parameter vector. The unit keeps `x` after a
+/// training forward, and after an inference one too when `keep_input` (for
+/// a residual skip to read; `conv` gives it back).
 pub(crate) fn forward(
     bn: &mut BatchNorm,
     conv: &mut Conv2d,
+    p: &mut [f32],
     x: Tensor,
     train: bool,
     keep_input: bool,
     ws: &mut Workspace,
 ) -> Tensor {
-    bn.prepare_prologue(&x, train, ws);
-    conv.forward_direct(x, Some(bn.prologue()), train || keep_input, ws)
+    let (pb, pc) = p.split_at_mut(bn.arena_len());
+    bn.prepare_prologue(pb, &x, train, ws);
+    conv.forward_direct(pc, x, Some(bn.prologue(pb)), train || keep_input, ws)
 }
 
-/// Backward of the unit, after a training [`forward`]. `dy` is only read;
-/// `skip`, when given, is added to `dx` where batch norm writes it. The
-/// cached `x` goes back to `ws` once batch norm has read it: nothing reads
-/// it before the next forward, and the gradients of the steps below take
-/// its buffer instead of a new one.
+/// Backward of the unit, after a training [`forward`], accumulating into
+/// the unit's slice `g` of the gradient vector. `dy` is only read; `skip`,
+/// when given, is added to `dx` where batch norm writes it. The cached `x`
+/// goes back to `ws` once batch norm has read it: nothing reads it before
+/// the next forward, and the gradients of the steps below take its buffer
+/// instead of a new one.
 pub(crate) fn backward(
     bn: &mut BatchNorm,
     conv: &mut Conv2d,
+    p: &[f32],
+    g: &mut [f32],
     dy: &Tensor,
     skip: Option<&Tensor>,
     ws: &mut Workspace,
 ) -> Tensor {
-    let d_act = conv.backward_direct(dy, Some(bn.prologue()), ws);
-    let dx = bn.backward_recompute(d_act, conv.cached_input(), skip, ws);
+    let (pb, pc) = p.split_at(bn.arena_len());
+    let (gb, gc) = g.split_at_mut(bn.arena_len());
+    let d_act = conv.backward_direct(pc, gc, dy, Some(bn.prologue(pb)), ws);
+    let dx = bn.backward_recompute(pb, gb, d_act, conv.cached_input(), skip, ws);
     conv.recycle_cache(ws);
     dx
 }
@@ -73,7 +82,6 @@ mod tests {
 
     use crate::activation::Relu;
     use crate::conv::Conv2d;
-    use crate::layer::{append_grads, append_params, install_params, Layer};
     use crate::model::Sequential;
     use crate::norm::BatchNorm;
     use crate::residual::Residual;
@@ -84,26 +92,36 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A pre-activation unit with every parameter and buffer randomized.
-    /// Channel 0's affine is negative everywhere, so its whole plane is
-    /// masked.
-    fn unit(ch: usize, out_ch: usize, pad: usize, seed: u64) -> [Box<dyn Layer>; 3] {
+    /// `model` with a pre-activation unit appended, every parameter and
+    /// buffer of the unit randomized. Channel 0's affine is negative
+    /// everywhere, so its whole plane is masked.
+    fn push_unit(model: Sequential, ch: usize, out_ch: usize, pad: usize, seed: u64) -> Sequential {
         let mut s = NormalSampler::seed_from(seed);
-        let mut bn = BatchNorm::new(ch, 0.9);
-        let mut p: Vec<f32> = (0..4 * ch).map(|_| s.sample()).collect();
-        (p[0], p[ch]) = (0.01, -100.0);
-        for v in &mut p[3 * ch..] {
+        let mut bn: Vec<f32> = (0..4 * ch).map(|_| s.sample()).collect();
+        (bn[0], bn[ch]) = (0.01, -100.0);
+        for v in &mut bn[3 * ch..] {
             *v = v.abs() + 0.1; // running variance
         }
-        install_params(&mut bn, &p);
-        let mut conv = Conv2d::new(ch, out_ch, 3, 1, pad, &mut s);
-        let mut p: Vec<f32> = Vec::new();
-        append_params(&mut conv, &mut p);
-        for b in &mut p[out_ch * ch * 9..] {
+        let conv = Conv2d::new(ch, out_ch, 3, 1, pad, &mut s);
+        let mut model = model;
+        let start = model.param_count();
+        model = model
+            .push(BatchNorm::new(ch, 0.9))
+            .push(Relu::new())
+            .push(conv);
+        let mut p = model.params_flat();
+        p[start..start + 4 * ch].copy_from_slice(&bn);
+        for b in &mut p[start + 4 * ch + out_ch * ch * 9..] {
             *b = s.sample(); // bias
         }
-        install_params(&mut conv, &p);
-        [Box::new(bn), Box::new(Relu::new()), Box::new(conv)]
+        model.set_params_flat(&p);
+        model
+    }
+
+    /// A randomized unit on its own, its three layers not fused: the
+    /// traversal calls them one by one.
+    fn unit(ch: usize, out_ch: usize, pad: usize, seed: u64) -> Sequential {
+        push_unit(Sequential::new(), ch, out_ch, pad, seed)
     }
 
     /// Inputs with the values the bit-identity argument has to survive:
@@ -127,85 +145,31 @@ mod tests {
     /// bits of an inference forward afterwards.
     type Trace = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>);
 
-    fn trace(
-        mut forward: impl FnMut(Tensor, bool, &mut Workspace) -> Tensor,
-        mut backward: impl FnMut(Tensor, &mut Workspace) -> Tensor,
-        state: impl Fn() -> (Vec<f32>, Vec<f32>),
-        x: &Tensor,
-        seed: u64,
-    ) -> Trace {
+    fn through_traversal(mut model: Sequential, x: &Tensor, seed: u64) -> Trace {
         let mut ws = Workspace::new();
-        let y = forward(x.clone(), true, &mut ws);
+        let y = model.forward_pipeline(x.clone(), true, &mut ws);
         let mut s = NormalSampler::seed_from(seed);
         let dy = Tensor::randn(y.dims(), 0.0, 1.0, &mut s);
-        let dx = backward(dy, &mut ws);
-        let (grads, params) = state();
-        let y_eval = forward(x.clone(), false, &mut ws);
+        let dx = model.backward_pipeline(dy, &mut ws);
+        let (grads, params) = (bits(model.grads()), bits(&model.params_flat()));
+        let y_eval = model.forward_pipeline(x.clone(), false, &mut ws);
         (
             bits(y.data()),
             bits(dx.data()),
-            bits(&grads),
-            bits(&params),
+            grads,
+            params,
             bits(y_eval.data()),
         )
     }
 
-    fn layer_by_layer(mut layers: [Box<dyn Layer>; 3], x: &Tensor, seed: u64) -> Trace {
-        let layers = std::cell::RefCell::new(&mut layers);
-        trace(
-            |x, train, ws| {
-                let mut cur = x;
-                for l in layers.borrow_mut().iter_mut() {
-                    cur = l.forward_ws(cur, train, ws);
-                }
-                cur
-            },
-            |dy, ws| {
-                let mut cur = dy;
-                for l in layers.borrow_mut().iter_mut().rev() {
-                    cur = l.backward_ws(cur, ws);
-                }
-                cur
-            },
-            || {
-                let (mut g, mut p) = (Vec::new(), Vec::new());
-                for l in layers.borrow_mut().iter_mut() {
-                    append_grads(l.as_mut(), &mut g);
-                    append_params(l.as_mut(), &mut p);
-                }
-                (g, p)
-            },
-            x,
-            seed,
-        )
-    }
-
-    fn through_traversal(model: Sequential, x: &Tensor, seed: u64) -> Trace {
-        let model = std::cell::RefCell::new(model);
-        trace(
-            |x, train, ws| model.borrow_mut().forward_pipeline(x, train, ws),
-            |dy, ws| model.borrow_mut().backward_pipeline(dy, ws),
-            || {
-                let mut m = model.borrow_mut();
-                (m.grads_flat(), m.params_flat())
-            },
-            x,
-            seed,
-        )
-    }
-
-    fn fused_model(layers: [Box<dyn Layer>; 3]) -> Sequential {
-        let mut model = Sequential::new();
-        for l in layers {
-            model.push_boxed(l);
-        }
+    fn fused_model(mut model: Sequential) -> Sequential {
         model.fuse_relu();
         model
     }
 
     fn assert_unit_matches(dims: [usize; 4], out_ch: usize, pad: usize, x: &Tensor) {
         let seed = (dims.iter().sum::<usize>() * 31 + out_ch * 7 + pad) as u64;
-        let want = layer_by_layer(unit(dims[1], out_ch, pad, seed), x, seed);
+        let want = through_traversal(unit(dims[1], out_ch, pad, seed), x, seed);
         let mut model = fused_model(unit(dims[1], out_ch, pad, seed));
         assert_eq!(model.preact_unit_map(), [[0]], "the unit must run fused");
         let got = through_traversal(model, x, seed);
@@ -286,49 +250,33 @@ mod tests {
     fn residual_block_is_bitwise_its_layers_and_fuses_both_units() {
         let (ch, dims, seed) = (12, [2, 12, 8, 8], 5);
         let x = input(dims, 23);
-        let mut body = Sequential::new();
-        for l in unit(ch, ch, 1, seed)
-            .into_iter()
-            .chain(unit(ch, ch, 1, seed + 1))
-        {
-            body.push_boxed(l);
-        }
-        let mut model = Sequential::new().push(Residual::new(body));
+        let two_units = || push_unit(unit(ch, ch, 1, seed), ch, ch, 1, seed + 1);
+        let mut model = Sequential::new().push(Residual::new(two_units()));
         model.fuse_relu();
         assert_eq!(model.preact_unit_map(), [vec![], vec![0, 3]]);
         let got = through_traversal(model, &x, seed);
 
         // The oracle: both units layer by layer, the skip added by hand.
-        let mut layers: Vec<Box<dyn Layer>> = unit(ch, ch, 1, seed)
-            .into_iter()
-            .chain(unit(ch, ch, 1, seed + 1))
-            .collect();
+        let mut layers = two_units();
         let mut ws = Workspace::new();
-        let mut y = x.clone();
-        for l in &mut layers {
-            y = l.forward_ws(y, true, &mut ws);
-        }
+        let mut y = layers.forward_pipeline(x.clone(), true, &mut ws);
         for (f, s) in y.data_mut().iter_mut().zip(x.data()) {
             *f += s;
         }
         let mut s = NormalSampler::seed_from(seed);
         let dy = Tensor::randn(y.dims(), 0.0, 1.0, &mut s);
-        let mut dx = dy.clone();
-        for l in layers.iter_mut().rev() {
-            dx = l.backward_ws(dx, &mut ws);
-        }
+        let mut dx = layers.backward_pipeline(dy.clone(), &mut ws);
         for (d, s) in dx.data_mut().iter_mut().zip(dy.data()) {
             *d += s;
         }
-        let (mut g, mut p) = (Vec::new(), Vec::new());
-        for l in &mut layers {
-            append_grads(l.as_mut(), &mut g);
-            append_params(l.as_mut(), &mut p);
-        }
         assert_eq!(got.0, bits(y.data()), "training output");
         assert_eq!(got.1, bits(dx.data()), "dx");
-        assert_eq!(got.2, bits(&g), "gradients");
-        assert_eq!(got.3, bits(&p), "parameters and running statistics");
+        assert_eq!(got.2, bits(layers.grads()), "gradients");
+        assert_eq!(
+            got.3,
+            bits(&layers.params_flat()),
+            "parameters and running statistics"
+        );
     }
 
     /// Negative control for the tests above: they compare a traversal
@@ -351,22 +299,16 @@ mod tests {
         assert_eq!(model.preact_unit_map(), want);
 
         let mut s = NormalSampler::seed_from(1);
-        let misfits: [[Box<dyn Layer>; 3]; 2] = [
-            // Channel counts disagree.
-            [
-                Box::new(BatchNorm::new(4, 0.9)),
-                Box::new(Relu::new()),
-                Box::new(Conv2d::new(2, 2, 3, 1, 1, &mut s)),
-            ],
-            // A 1×1 convolution has no staging pass to run the prologue in.
-            [
-                Box::new(BatchNorm::new(2, 0.9)),
-                Box::new(Relu::new()),
-                Box::new(Conv2d::new(2, 2, 1, 1, 0, &mut s)),
-            ],
-        ];
-        for layers in misfits {
-            assert_eq!(fused_model(layers).preact_unit_map(), [[]]);
+        let misfit = |bn_ch, k, pad, s: &mut NormalSampler| {
+            Sequential::new()
+                .push(BatchNorm::new(bn_ch, 0.9))
+                .push(Relu::new())
+                .push(Conv2d::new(2, 2, k, 1, pad, s))
+        };
+        // Channel counts disagree; a 1×1 convolution has no staging pass
+        // to run the prologue in.
+        for model in [misfit(4, 3, 1, &mut s), misfit(2, 1, 0, &mut s)] {
+            assert_eq!(fused_model(model).preact_unit_map(), [[]]);
         }
     }
 

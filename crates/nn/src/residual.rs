@@ -17,9 +17,9 @@
 //! does not start with a unit, or (backward) does not end with one — keeps
 //! a pooled copy of `x` / `dy`, as every body did before.
 
-use crate::layer::{FusionPart, Layer, ParamVisitor};
+use crate::layer::{FusionPart, Layer};
 use crate::model::Sequential;
-use vc_tensor::{Shape, Tensor, Workspace};
+use vc_tensor::{NormalSampler, Shape, Tensor, Workspace};
 
 /// A residual block: `y = F(x) + x`, where `F` is an inner [`Sequential`]
 /// whose output shape must equal its input shape.
@@ -38,13 +38,14 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    fn forward_ws(&mut self, p: &mut [f32], x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let in_shape = *x.shape();
-        if self.body.head_conv().is_some() {
+        let body = &mut self.body.pipe;
+        if body.head_conv().is_some() {
             // The heading unit keeps `x`; the skip reads it there.
-            let mut fx = self.body.forward_steps(x, train, true, ws);
+            let mut fx = body.forward(p, x, train, true, ws);
             check_shape(&in_shape, &fx);
-            let conv = self.body.head_conv().expect("a unit heads the body");
+            let conv = body.head_conv().expect("a unit heads the body");
             add_skip(&mut fx, conv.cached_input().data());
             if !train {
                 conv.recycle_cache(ws);
@@ -53,20 +54,22 @@ impl Layer for Residual {
         }
         // The body consumes `x`; the skip path keeps a pooled copy.
         let skip = ws.take_copy(x.data());
-        let mut fx = self.body.forward_pipeline(x, train, ws);
+        let mut fx = body.forward(p, x, train, false, ws);
         check_shape(&in_shape, &fx);
         add_skip(&mut fx, &skip);
         ws.recycle(skip);
         fx
     }
 
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        if let Some(dx) = self.body.backward_residual(&dy, ws) {
+    fn backward_ws(&mut self, p: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) -> Tensor {
+        let end = self.body.len();
+        let body = &mut self.body.pipe;
+        if let Some(dx) = body.backward_residual(p, g, &dy, ws) {
             ws.recycle(dy.into_vec());
             return dx;
         }
         let skip = ws.take_copy(dy.data());
-        let mut dx = self.body.backward_pipeline(dy, ws);
+        let mut dx = body.backward_span(p, g, dy, 0, end, ws);
         add_skip(&mut dx, &skip);
         ws.recycle(skip);
         dx
@@ -76,8 +79,17 @@ impl Layer for Residual {
         FusionPart::Body(&mut self.body)
     }
 
-    fn visit_params(&mut self, f: &mut ParamVisitor<'_>) {
-        self.body.visit_params(f);
+    fn arena_len(&self) -> usize {
+        self.body.pipe.arena_len()
+    }
+
+    fn init_params(&mut self, p: &mut [f32], sampler: Option<&mut NormalSampler>) {
+        let held = std::mem::take(&mut self.body.params);
+        if held.is_empty() {
+            self.body.pipe.init_params(p, sampler);
+        } else {
+            p.copy_from_slice(&held);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -118,26 +130,29 @@ mod tests {
     use crate::activation::Relu;
     use crate::conv::Conv2d;
     use crate::gradcheck;
-    use crate::layer::{append_grads, append_params, clear_grads, install_params, param_len};
     use crate::norm::BatchNorm;
     use vc_tensor::{NormalSampler, Tensor};
 
-    fn block(seed: u64) -> Residual {
+    fn body(seed: u64) -> Sequential {
         let mut s = NormalSampler::seed_from(seed);
-        Residual::new(
-            Sequential::new()
-                .push(BatchNorm::new(2, 0.9))
-                .push(Relu::new())
-                .push(Conv2d::new(2, 2, 3, 1, 1, &mut s)),
-        )
+        Sequential::new()
+            .push(BatchNorm::new(2, 0.9))
+            .push(Relu::new())
+            .push(Conv2d::new(2, 2, 3, 1, 1, &mut s))
+    }
+
+    /// A model of one block around [`body`].
+    fn block(seed: u64) -> Sequential {
+        Sequential::new().push(Residual::new(body(seed)))
     }
 
     #[test]
     fn zero_body_is_identity() {
         let mut s = NormalSampler::seed_from(1);
-        let mut r = Residual::new(Sequential::new().push(Conv2d::new(1, 1, 3, 1, 1, &mut s)));
-        let zeros = vec![0.0; param_len(&mut r)];
-        install_params(&mut r, &zeros);
+        let conv = Conv2d::new(1, 1, 3, 1, 1, &mut s);
+        let mut r = Sequential::new().push(Residual::new(Sequential::new().push(conv)));
+        let zeros = vec![0.0; r.param_count()];
+        r.set_params_flat(&zeros);
         let x = Tensor::randn(&[1, 1, 4, 4], 0.0, 1.0, &mut s);
         let y = r.forward(&x, false);
         assert_eq!(y.data(), x.data());
@@ -147,11 +162,7 @@ mod tests {
     fn skip_path_adds_input() {
         let mut r = block(2);
         let x = Tensor::ones(&[2, 2, 4, 4]);
-        let fx = {
-            let mut body_only = block(2);
-            // strip the skip by calling the body through params equality
-            body_only.body.forward(&x, false)
-        };
+        let fx = body(2).forward(&x, false);
         let y = r.forward(&x, false);
         for ((yv, fv), xv) in y.data().iter().zip(fx.data()).zip(x.data()) {
             assert!((yv - (fv + xv)).abs() < 1e-6);
@@ -160,26 +171,26 @@ mod tests {
 
     #[test]
     fn gradcheck_inputs() {
-        let mut r = block(3);
         let mut s = NormalSampler::seed_from(4);
         let x = Tensor::randn(&[2, 2, 2, 2], 0.0, 1.0, &mut s);
-        gradcheck::check_input_grad(&mut r, &x, 5e-2);
+        gradcheck::check_input_grad(&mut block(3), &x, 5e-2);
     }
 
     #[test]
     fn params_delegate_to_body() {
-        let mut r = block(5);
-        let mut p = Vec::new();
-        append_params(&mut r, &mut p);
-        assert_eq!(p.len(), param_len(&mut r));
-        assert_eq!(p, r.body.params_flat());
+        let (mut r, mut b) = (block(5), body(5));
+        assert_eq!(r.param_count(), b.param_count());
+        assert_eq!(r.params_flat(), b.params_flat());
+        assert_eq!(r.arena().2, b.arena().2);
+        assert_eq!(r.arena().2, std::slice::from_ref(&(4..8)));
     }
 
     #[test]
     #[should_panic(expected = "changed shape")]
     fn rejects_shape_changing_body() {
         let mut s = NormalSampler::seed_from(6);
-        let mut r = Residual::new(Sequential::new().push(Conv2d::new(1, 2, 3, 1, 1, &mut s)));
+        let body = Sequential::new().push(Conv2d::new(1, 2, 3, 1, 1, &mut s));
+        let mut r = Sequential::new().push(Residual::new(body));
         r.forward(&Tensor::zeros(&[1, 1, 4, 4]), false);
     }
 
@@ -206,14 +217,13 @@ mod tests {
 
     /// Training output, dx and gradients of one step, then the inference
     /// output, by `to_bits()`.
-    fn step_bits(r: &mut Residual, x: &Tensor, dy: &Tensor) -> [Vec<u32>; 4] {
+    fn step_bits(r: &mut Sequential, x: &Tensor, dy: &Tensor) -> [Vec<u32>; 4] {
         let mut ws = Workspace::new();
-        let y = r.forward_ws(x.clone(), true, &mut ws);
-        clear_grads(r);
-        let dx = r.backward_ws(dy.clone(), &mut ws);
-        let mut g = Vec::new();
-        append_grads(r, &mut g);
-        let y_eval = r.forward_ws(x.clone(), false, &mut ws);
+        let y = r.forward_pipeline(x.clone(), true, &mut ws);
+        r.zero_grads_all();
+        let dx = r.backward_pipeline(dy.clone(), &mut ws);
+        let g = r.grads().to_vec();
+        let y_eval = r.forward_pipeline(x.clone(), false, &mut ws);
         [y.data(), dx.data(), &g, y_eval.data()].map(bits)
     }
 
@@ -226,10 +236,10 @@ mod tests {
         let x = Tensor::randn(&[3, 3, 9, 9], 0.2, 1.5, &mut s);
         let dy = Tensor::randn(&[3, 3, 9, 9], 0.0, 1.0, &mut s);
         for (units, open_end) in [(1, false), (2, false), (1, true)] {
-            let mut copying = Residual::new(unit_body(units, open_end, 12));
-            let mut fused = Residual::new(unit_body(units, open_end, 12));
-            fused.body.fuse_relu();
-            assert!(fused.body.head_conv().is_some());
+            let block = || Sequential::new().push(Residual::new(unit_body(units, open_end, 12)));
+            let (mut copying, mut fused) = (block(), block());
+            fused.fuse_relu();
+            assert_eq!(fused.preact_unit_map()[1].first(), Some(&0));
             let what = format!("{units} unit(s), open end {open_end}");
             let (want, got) = (
                 step_bits(&mut copying, &x, &dy),
@@ -256,19 +266,19 @@ mod tests {
         let takes = |ws: &Workspace| ws.stats().0;
         let held = |ws: &Workspace| ws.stats().1 as i64 - ws.pooled() as i64;
         for units in [1, 2] {
-            let mut block = Residual::new(unit_body(units, false, 14));
-            block.body.fuse_relu();
+            let mut block = Sequential::new().push(Residual::new(unit_body(units, false, 14)));
+            block.fuse_relu();
             let mut body = unit_body(units, false, 14);
             body.fuse_relu();
             let (mut ws_block, mut ws_body) = (Workspace::new(), Workspace::new());
-            let y = block.forward_ws(x.clone(), true, &mut ws_block);
+            let y = block.forward_pipeline(x.clone(), true, &mut ws_block);
             let fy = body.forward_pipeline(x.clone(), true, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "training forward");
-            block.backward_ws(y, &mut ws_block);
+            block.backward_pipeline(y, &mut ws_block);
             body.backward_pipeline(fy, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "backward");
             let (mut ws_block, mut ws_body) = (Workspace::new(), Workspace::new());
-            block.forward_ws(x.clone(), false, &mut ws_block);
+            block.forward_pipeline(x.clone(), false, &mut ws_block);
             body.forward_pipeline(x.clone(), false, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "inference forward");
             assert_eq!(held(&ws_block), held(&ws_body), "inference keeps nothing");
@@ -277,9 +287,8 @@ mod tests {
 
     #[test]
     fn steady_state_step_never_misses_the_pool() {
-        let mut r = block(7);
         let mut s = NormalSampler::seed_from(8);
         let x = Tensor::randn(&[2, 2, 4, 4], 0.0, 1.0, &mut s);
-        gradcheck::check_steady_state_pool(&mut r, &x);
+        gradcheck::check_steady_state_pool(&mut block(7), &x);
     }
 }

@@ -81,11 +81,18 @@ impl ModelSpec {
         self.build_with(None)
     }
 
-    /// He-normal weights from `sampler`, or zeros without one.
-    fn build_with(&self, mut sampler: Option<&mut NormalSampler>) -> Sequential {
+    /// He-normal weights from `sampler`, or zeros without one. The layers
+    /// are built blank, so the parameter vector is the only copy of the
+    /// weights there is; the sampler then draws into it in wire order,
+    /// the order the layers were declared in.
+    fn build_with(&self, sampler: Option<&mut NormalSampler>) -> Sequential {
+        let layers: Vec<_> = self.layers.iter().map(build_layer).collect();
         let mut model = Sequential::new();
-        for l in &self.layers {
-            model.push_boxed(build_layer(l, sampler.as_deref_mut()));
+        // One zeroed allocation: no growth, no page touched before a load.
+        model.params = vec![0.0; layers.iter().map(|l| l.arena_len()).sum()];
+        layers.into_iter().for_each(|l| model.push_boxed(l));
+        if let Some(s) = sampler {
+            model.pipe.init_params(&mut model.params, Some(s));
         }
         // Validate the pipeline end-to-end with a probe batch dimension.
         let mut dims = vec![1usize];
@@ -103,22 +110,16 @@ impl ModelSpec {
     }
 }
 
-fn build_layer(spec: &LayerSpec, mut sampler: Option<&mut NormalSampler>) -> Box<dyn Layer> {
+fn build_layer(spec: &LayerSpec) -> Box<dyn Layer> {
     match spec {
-        LayerSpec::Dense { input, output } => Box::new(match sampler {
-            Some(s) => Dense::new(*input, *output, s),
-            None => Dense::blank(*input, *output),
-        }),
+        &LayerSpec::Dense { input, output } => Box::new(Dense::blank(input, output)),
         &LayerSpec::Conv {
             in_ch,
             out_ch,
             k,
             stride,
             pad,
-        } => Box::new(match sampler {
-            Some(s) => Conv2d::new(in_ch, out_ch, k, stride, pad, s),
-            None => Conv2d::blank(in_ch, out_ch, k, stride, pad),
-        }),
+        } => Box::new(Conv2d::blank(in_ch, out_ch, k, stride, pad)),
         LayerSpec::Relu => Box::new(Relu::new()),
         LayerSpec::MaxPool2 => Box::new(MaxPool2::new()),
         LayerSpec::AvgPoolGlobal => Box::new(AvgPoolGlobal::new()),
@@ -127,7 +128,7 @@ fn build_layer(spec: &LayerSpec, mut sampler: Option<&mut NormalSampler>) -> Box
         LayerSpec::Residual { body } => {
             let mut inner = Sequential::new();
             for l in body {
-                inner.push_boxed(build_layer(l, sampler.as_deref_mut()));
+                inner.push_boxed(build_layer(l));
             }
             Box::new(Residual::new(inner))
         }

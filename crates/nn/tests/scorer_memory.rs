@@ -5,19 +5,25 @@
 //! assimilation scores (`val_eval_n`), the way the parameter server's
 //! scoring replica does after every merge.
 //!
+//! The `resnet_lite` shape (`resnet_lite` on 32×32×3, 2 blocks a stage:
+//! 48 490 parameters, 194 KB) is held to the same rule after a blank build
+//! and a load: its live heap is its parameter vector plus the layers'
+//! structure. A build that sized a gradient per convolution and
+//! normalization would hold about 190 KB more.
+//!
 //! What the pass holds above the loaded parameters is its pool (one batch
 //! copy and the hidden activation) and the GEMM's packing buffers: 1.50 MB
-//! at one pool thread, 1.84 MB at two to eight. A weight gradient sized on
-//! the way (a load or a traversal that allocates `Dense::dw`) would add a
-//! second 6.3 MB buffer per scorer, which `peak_rss_mb` would see; the
-//! bound is half of one parameter vector.
+//! at one pool thread, 1.84 MB at two to eight. A gradient vector sized on
+//! the way (by a load or a scoring pass) would add a second 6.3 MB buffer
+//! per scorer, which `peak_rss_mb` would see; the bound is half of one
+//! parameter vector.
 //!
 //! This file must stay a single-test binary: the counters are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vc_nn::metrics::evaluate;
-use vc_nn::spec::mlp;
+use vc_nn::spec::{mlp, resnet_lite};
 use vc_tensor::{NormalSampler, Tensor};
 
 struct PeakAlloc;
@@ -63,6 +69,11 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
+/// What a blank `resnet_lite` may hold besides its parameter vector: its
+/// boxed layers, their offsets and the buffer list (5.2 KB measured), far
+/// below the 190 KB a gradient per layer would add.
+const STRUCTURE_BYTES: usize = 32 << 10;
+
 #[test]
 fn loaded_scorer_holds_no_gradients() {
     let spec = mlp(&[3, 32, 32], 512, 10);
@@ -97,4 +108,28 @@ fn loaded_scorer_holds_no_gradients() {
         above as f64 / 1e6,
         param_bytes as f64 / 1e6
     );
+    drop(scorer);
+
+    let spec = resnet_lite(&[3, 32, 32], 2, 10);
+    let params = spec.build(7).params_flat();
+    let param_bytes = params.len() * std::mem::size_of::<f32>();
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut scorer = spec.build_blank();
+    scorer.set_params_flat(&params);
+    let live = LIVE.load(Ordering::Relaxed) - before;
+    println!(
+        "resnet_lite scorer: live heap {:.1} KB, parameters {:.1} KB",
+        live as f64 / 1e3,
+        param_bytes as f64 / 1e3
+    );
+    assert!(
+        live >= param_bytes,
+        "measured {live} B: the counter is not wired"
+    );
+    assert!(
+        live - param_bytes <= STRUCTURE_BYTES,
+        "the blank resnet_lite holds {} B above its {param_bytes} B of parameters",
+        live - param_bytes
+    );
+    assert_eq!(scorer.param_count(), params.len());
 }

@@ -1,27 +1,21 @@
 //! Gradient clipping.
 
-/// Scales a gradient held as several slices (a model's per-layer buffers)
-/// in place so its global L2 norm does not exceed `max_norm`; returns the
-/// pre-clip norm. `each` must hand its argument every slice, in the same
-/// order on every call. The squares are summed left to right with one
-/// carried accumulator, so the result has the bits of one pass over the
-/// concatenation.
+/// Scales `grads` in place so its global L2 norm does not exceed
+/// `max_norm`; returns the pre-clip norm. The squares are summed left to
+/// right with one carried accumulator. A model's gradient vector is `+0.0`
+/// at every buffer slot, and adding `+0.0` to the non-negative sum leaves
+/// its bits alone, so the norm is that of the trained slots alone.
 ///
 /// Client replicas in a VC fleet train on small, skewed data subsets, which
 /// occasionally produces exploding gradients; the training driver clips
 /// before every optimizer step so a pathological subtask cannot poison its
 /// parameter upload (the validator would otherwise have to reject it).
-pub fn clip_slices_by_global_norm(
-    mut each: impl FnMut(&mut dyn FnMut(&mut [f32])),
-    max_norm: f32,
-) -> f32 {
+pub fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
     assert!(max_norm > 0.0, "max_norm must be positive");
-    let mut sq = 0.0f32;
-    each(&mut |g| sq = g.iter().fold(sq, |a, g| a + g * g));
-    let norm = sq.sqrt();
+    let norm = grads.iter().fold(0.0f32, |a, g| a + g * g).sqrt();
     if norm > max_norm && norm.is_finite() {
         let scale = max_norm / norm;
-        each(&mut |g| g.iter_mut().for_each(|g| *g *= scale));
+        grads.iter_mut().for_each(|g| *g *= scale);
     }
     norm
 }
@@ -29,11 +23,6 @@ pub fn clip_slices_by_global_norm(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// One slice, the whole gradient.
-    fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
-        clip_slices_by_global_norm(|f| f(grads), max_norm)
-    }
 
     #[test]
     fn small_gradients_untouched() {

@@ -9,10 +9,10 @@
 //! step with it.
 //!
 //! Optimizer state is indexed like the *flat* parameter vector — the same
-//! representation the distributed layer ships across the simulated network —
-//! so a client's optimizer never needs to understand the model: it steps
-//! the layers' own buffers slice by slice at their flat offsets
-//! ([`Optimizer::begin_step`] + [`Optimizer::update_at`]).
+//! representation the distributed layer ships across the simulated network,
+//! and the one the model holds its parameters in — so a client's optimizer
+//! never needs to understand the model: one [`Optimizer::step`] is one
+//! elementwise pass over the parameter and gradient vectors.
 
 pub mod clip;
 pub mod trainer;
@@ -77,17 +77,12 @@ impl Optimizer {
         }
     }
 
-    /// Opens one optimizer step (advances Adam's bias-correction clock).
-    /// Follow it with one [`Self::update_at`] per parameter slice.
-    pub fn begin_step(&mut self) {
-        self.t += 1;
-    }
-
-    /// Applies the open step's update in place, `params -= update(grads)`,
-    /// to the slice at `offset` of the flat parameter vector. Every
-    /// operation is elementwise, so slice-by-slice steps are bit-identical
-    /// to one call over the whole vector.
-    pub fn update_at(&mut self, offset: usize, params: &mut [f32], grads: &[f32]) {
+    /// One optimizer step over the whole vector, `params -= update(grads)`,
+    /// in place. Every operation is elementwise. A slot whose gradient is
+    /// `+0.0` at every step (a buffer) keeps zero moments and takes the
+    /// update `p - 0.0`, which leaves its bits as they were, `-0.0`
+    /// included.
+    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -95,11 +90,12 @@ impl Optimizer {
             params.len(),
             grads.len()
         );
-        let state = offset..offset + params.len();
-        assert!(
-            state.end <= self.m.len(),
+        assert_eq!(
+            params.len(),
+            self.m.len(),
             "optimizer built for another model"
         );
+        self.t += 1;
         let OptimizerSpec::Adam {
             lr,
             beta1,
@@ -112,8 +108,8 @@ impl Optimizer {
         for (((p, &g), m), v) in params
             .iter_mut()
             .zip(grads)
-            .zip(&mut self.m[state.clone()])
-            .zip(&mut self.v[state])
+            .zip(&mut self.m)
+            .zip(&mut self.v)
         {
             *m = beta1 * *m + (1.0 - beta1) * g;
             *v = beta2 * *v + (1.0 - beta2) * g * g;
@@ -128,19 +124,13 @@ impl Optimizer {
 mod tests {
     use super::*;
 
-    /// One whole-vector step, as the trainer takes one per batch.
-    fn step(opt: &mut Optimizer, params: &mut [f32], grads: &[f32]) {
-        opt.begin_step();
-        opt.update_at(0, params, grads);
-    }
-
     /// Minimizes f(x) = x^2 from x = 5 and returns the trajectory endpoint.
     fn descend(spec: OptimizerSpec, iters: usize) -> f32 {
         let mut opt = spec.build(1);
         let mut x = vec![5.0f32];
         for _ in 0..iters {
             let g = vec![2.0 * x[0]];
-            step(&mut opt, &mut x, &g);
+            opt.step(&mut x, &g);
         }
         x[0]
     }
@@ -159,7 +149,7 @@ mod tests {
         // gradient magnitude.
         let mut opt = OptimizerSpec::paper_adam().build(1);
         let mut x = vec![0.0f32];
-        step(&mut opt, &mut x, &[1234.5]);
+        opt.step(&mut x, &[1234.5]);
         assert!((x[0] + 1e-3).abs() < 1e-5, "step {}", x[0]);
     }
 
@@ -168,7 +158,7 @@ mod tests {
     fn rejects_mismatched_grads() {
         let mut opt = OptimizerSpec::paper_adam().build(2);
         let mut p = vec![0.0f32, 0.0];
-        step(&mut opt, &mut p, &[1.0]);
+        opt.step(&mut p, &[1.0]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Mini-batch training loop shared by client subtasks and the serial baseline.
 
-use crate::clip::clip_slices_by_global_norm;
+use crate::clip::clip_by_global_norm;
 use crate::Optimizer;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use vc_nn::{Layer, ModelSpec, Sequential, SoftmaxCrossEntropy};
+use vc_nn::{ModelSpec, Sequential, SoftmaxCrossEntropy};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::{Tensor, Workspace};
 
@@ -21,8 +21,9 @@ pub struct TrainBatchStats {
 
 /// Per-replica reusable training state: the tensor [`Workspace`], the
 /// shuffle order, the label batch and the resident model replica. There are
-/// no flat parameter/gradient mirrors: clipping and the optimizer step visit
-/// the layers' own buffers. Hold one per worker thread (or simulated client)
+/// no parameter/gradient mirrors: clipping and the optimizer step work on
+/// the model's own parameter and gradient vectors, one slice each. Hold one
+/// per worker thread (or simulated client)
 /// and pass it to every [`train_minibatch`] call; after the first step
 /// warms the pools, the steady-state training loop performs zero heap
 /// allocations.
@@ -100,8 +101,8 @@ pub struct StepTimer<'a> {
 ///
 /// Tensors move by value through the layer chain drawing buffers from
 /// `tws`, the ReLU activations are fused into the GEMM epilogues, and the
-/// optimizer updates each layer's weights in place from that layer's own
-/// gradient buffer; after the first step warms the pools, steady-state
+/// optimizer updates the model's parameter vector in place from its
+/// gradient vector; after the first step warms the pools, steady-state
 /// steps perform no heap allocation.
 ///
 /// When `timer` is given, each optimizer step's duration is observed into
@@ -137,11 +138,10 @@ pub fn train_minibatch<R: Rng>(
     // statistics and uploads the snapshot's running ones), so they are set
     // aside here and put back below.
     tws.buffers.clear();
-    model.visit_params(&mut |p, g| {
-        if g.is_none() {
-            tws.buffers.extend_from_slice(p.data());
-        }
-    });
+    let (params, _, buffers) = model.arena();
+    for r in buffers {
+        tws.buffers.extend_from_slice(&params[r.clone()]);
+    }
     for _ in 0..local_epochs {
         tws.order.shuffle(rng);
         // `order` is borrowed across the step, so split it off the rest of
@@ -171,11 +171,11 @@ pub fn train_minibatch<R: Rng>(
             let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, batch_labels);
             model.zero_grads_all();
             model.backward_params_ws(dlogits, ws);
+            let (params, grads, _) = model.arena();
             if clip_norm.is_finite() {
-                clip_slices_by_global_norm(|f| model.visit_trained(|_, _, g| f(g)), clip_norm);
+                clip_by_global_norm(grads, clip_norm);
             }
-            opt.begin_step();
-            model.visit_trained(|off, p, g| opt.update_at(off, p, g));
+            opt.step(params, grads);
 
             if let (Some(t), Some(t0)) = (timer, t0) {
                 t.histogram.observe((t.telemetry.now_s() - t0).max(0.0));
@@ -186,14 +186,13 @@ pub fn train_minibatch<R: Rng>(
         }
     }
 
+    let (params, _, buffers) = model.arena();
     let mut saved = tws.buffers.as_slice();
-    model.visit_params(&mut |p, g| {
-        if g.is_none() {
-            let (head, rest) = saved.split_at(p.numel());
-            p.data_mut().copy_from_slice(head);
-            saved = rest;
-        }
-    });
+    for r in buffers {
+        let (head, rest) = saved.split_at(r.len());
+        params[r.clone()].copy_from_slice(head);
+        saved = rest;
+    }
 
     TrainBatchStats {
         mean_loss: if steps == 0 {

@@ -224,7 +224,9 @@ use crate::tensor::Tensor;
 use rayon::prelude::*;
 
 #[doc(hidden)]
-pub use crate::bench_compat::{conv3x3_backward_dk_into, conv3x3_forward_into};
+pub use crate::bench_compat::{
+    conv3x3_backward_dk_into, conv3x3_backward_dx_into, conv3x3_forward_into,
+};
 
 /// Pixels in the widest forward span at any width: the size of the
 /// lane-by-lane write-back buffer.
@@ -267,7 +269,7 @@ fn fwd_slot(ch: usize, geom: ConvGeom) -> usize {
 }
 
 /// Scratch length (in floats) callers must provide to
-/// [`conv3x3_backward_dx_into`]: a zero-padded kernel copy (shared,
+/// [`conv3x3_dx_into`]: a zero-padded kernel copy (shared,
 /// read-only) plus one cache-line-padded band slot per participant —
 /// `min(batch, rayon::current_threads())` slots.
 pub fn dx_scratch_len(batch: usize, ch: usize, out_ch: usize) -> usize {
@@ -460,7 +462,7 @@ fn apply_epi(o: &mut f32, v: f32, oc: usize, epi: Epilogue<'_>) {
 pub fn conv3x3_forward_pre_into(
     input: &Tensor,
     pre: Option<BnRelu<'_>>,
-    kernel: &Tensor,
+    kernel: &[f32],
     geom: ConvGeom,
     out: &mut [f32],
     epi: Epilogue<'_>,
@@ -475,9 +477,9 @@ pub fn conv3x3_forward_pre_into(
     if let Some(pre) = &pre {
         pre.assert_channels(ch);
     }
-    let out_ch = kernel.dims()[0];
     let ctx = ctx_for(ch, geom);
-    assert_eq!(kernel.dims()[1], ctx.patch, "kernel patch width");
+    let out_ch = kernel.len() / ctx.patch;
+    assert_eq!(kernel.len(), out_ch * ctx.patch, "kernel patch width");
     let plane = out_ch * ctx.oh * ctx.ow;
     assert_eq!(out.len(), batch * plane, "conv3x3 output buffer length");
     if out.is_empty() {
@@ -495,7 +497,6 @@ pub fn conv3x3_forward_pre_into(
         zero_border(ctx, s);
     }
     let x = input.data();
-    let kd = kernel.data();
     let img_len = ch * h * w;
     let tier = fwd_tier(ctx.ow);
     let base = scratch.as_mut_ptr() as usize;
@@ -507,7 +508,7 @@ pub fn conv3x3_forward_pre_into(
         let pimg =
             unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(who * slot), slot) };
         pack_padded_image(&x[b * img_len..(b + 1) * img_len], pre, ctx, pimg);
-        fwd_image(pimg, kd, out_ch, ctx, dst, epi, tier);
+        fwd_image(pimg, kernel, out_ch, ctx, dst, epi, tier);
     };
     if parallel {
         out.par_chunks_mut(plane)
@@ -841,9 +842,9 @@ fn gather_dy_band(dyp: &[f32], ohw: usize, out_ch: usize, r0: usize, nb: usize, 
 /// lives in scratch. `scratch` holds [`dx_scratch_len`]`(batch, ch,
 /// out_ch)` floats; any whole number of band slots, at least one, works —
 /// the call runs on at most as many threads as it has slots.
-pub fn conv3x3_backward_dx_into(
+pub fn conv3x3_dx_into(
     dy: &Tensor,
-    kernel: &Tensor,
+    kernel: &[f32],
     ch: usize,
     geom: ConvGeom,
     dx: &mut [f32],
@@ -855,14 +856,13 @@ pub fn conv3x3_backward_dx_into(
     assert!(supports(&geom), "conv3x3 geometry {geom:?}");
     let ctx = ctx_for(ch, geom);
     assert_eq!((dims[2], dims[3]), (ctx.oh, ctx.ow));
-    assert_eq!(kernel.dims(), &[out_ch, ctx.patch], "kernel dims");
+    assert_eq!(kernel.len(), out_ch * ctx.patch, "kernel dims");
     let img_len = ch * ctx.h * ctx.w;
     assert_eq!(dx.len(), batch * img_len, "dx buffer length");
     if dx.is_empty() {
         return;
     }
     let dyd = dy.data();
-    let kd = kernel.data();
     let dy_plane = out_ch * ctx.oh * ctx.ow;
     let pp = patch_pad(ctx.patch);
     let slot = dx_slot(ch, out_ch);
@@ -881,7 +881,7 @@ pub fn conv3x3_backward_dx_into(
     // scratch columns that are never read back.
     kpad.fill(0.0);
     for oc in 0..out_ch {
-        kpad[oc * pp..][..ctx.patch].copy_from_slice(&kd[oc * ctx.patch..][..ctx.patch]);
+        kpad[oc * pp..][..ctx.patch].copy_from_slice(&kernel[oc * ctx.patch..][..ctx.patch]);
     }
     let kpad = &*kpad;
     let base = slots.as_mut_ptr() as usize;

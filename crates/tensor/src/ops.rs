@@ -106,6 +106,17 @@ pub enum Epilogue<'a> {
     BiasRelu(&'a [f32]),
 }
 
+impl<'a> Epilogue<'a> {
+    /// A layer's forward epilogue: its bias, rectified when `relu`.
+    pub fn bias(bias: &'a [f32], relu: bool) -> Self {
+        if relu {
+            Epilogue::BiasRelu(bias)
+        } else {
+            Epilogue::Bias(bias)
+        }
+    }
+}
+
 /// The logical A operand: `A[i][p]`, `i < m`, `p < k`.
 #[derive(Clone, Copy)]
 enum AMat<'a> {
@@ -470,36 +481,42 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
 
 /// Matrix multiplication `[m,k] x [k,n] -> [m,n]`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, n) = matmul_check(a, b);
-    let mut out = vec![0.0f32; m * n];
-    matmul_epi_into(a, b, &mut out, Epilogue::Store);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// [`matmul`] into a caller-provided buffer with a fused [`Epilogue`].
-pub fn matmul_epi_into(a: &Tensor, b: &Tensor, out: &mut [f32], epi: Epilogue<'_>) {
-    let (m, n) = matmul_check(a, b);
-    let k = a.dims()[1];
-    assert_eq!(out.len(), m * n, "matmul output buffer length");
-    gemm(
-        AMat::RowMajor(a.data()),
-        BMat::RowMajor(b.data()),
-        m,
-        k,
-        n,
-        out,
-        epi,
-    );
-}
-
-fn matmul_check(a: &Tensor, b: &Tensor) -> (usize, usize) {
     assert!(
         a.shape().matmul_compatible(b.shape()),
         "matmul shape mismatch: {} x {}",
         a.shape(),
         b.shape()
     );
-    (a.dims()[0], b.dims()[1])
+    let (m, n) = (a.dims()[0], b.dims()[1]);
+    let mut out = vec![0.0f32; m * n];
+    matmul_epi_into(a, b.data(), &mut out, Epilogue::Store);
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// `(m, k, n)` of `a` (`[m, k]`) times a `[k, n]` (or `[n, k]`) weight of
+/// `b_len` floats into `out_len` floats; both lengths must fit exactly.
+fn weight_dims(what: &str, a: &Tensor, b_len: usize, out_len: usize) -> (usize, usize, usize) {
+    assert_eq!(a.shape().rank(), 2, "{what}: a is [m, k]");
+    let (m, k) = (a.dims()[0], a.dims()[1]);
+    let n = b_len.checked_div(k).unwrap_or(out_len / m.max(1));
+    assert_eq!(b_len, k * n, "{what}: weight length for k = {k}");
+    assert_eq!(out_len, m * n, "{what} output buffer length");
+    (m, k, n)
+}
+
+/// [`matmul`] against a row-major `[k, n]` weight `b`, into a
+/// caller-provided buffer with a fused [`Epilogue`].
+pub fn matmul_epi_into(a: &Tensor, b: &[f32], out: &mut [f32], epi: Epilogue<'_>) {
+    let (m, k, n) = weight_dims("matmul", a, b.len(), out.len());
+    gemm(
+        AMat::RowMajor(a.data()),
+        BMat::RowMajor(b),
+        m,
+        k,
+        n,
+        out,
+        epi,
+    );
 }
 
 /// `a^T x b` without materializing the transpose: `[k,m]^T x [k,n] -> [m,n]`.
@@ -541,35 +558,27 @@ fn at_b_check(a: &Tensor, b: &Tensor) -> (usize, usize) {
 /// `a x b^T`: `[m,k] x [n,k]^T -> [m,n]`. Used by dense-layer input
 /// gradients (`dx = dy · W^T`) and conv forward (`cols · Kᵀ`).
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, n) = a_bt_check(a, b);
+    assert_eq!((a.shape().rank(), b.shape().rank()), (2, 2));
+    let (m, n) = (a.dims()[0], b.dims()[0]);
+    assert_eq!(a.dims()[1], b.dims()[1], "matmul_a_bt inner dims");
     let mut out = vec![0.0f32; m * n];
-    matmul_a_bt_epi_into(a, b, &mut out, Epilogue::Store);
+    matmul_a_bt_epi_into(a, b.data(), &mut out, Epilogue::Store);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// [`matmul_a_bt`] into a caller-provided buffer with a fused [`Epilogue`].
-pub fn matmul_a_bt_epi_into(a: &Tensor, b: &Tensor, out: &mut [f32], epi: Epilogue<'_>) {
-    let (m, n) = a_bt_check(a, b);
-    let k = a.dims()[1];
-    assert_eq!(out.len(), m * n, "matmul_a_bt output buffer length");
+/// [`matmul_a_bt`] against a row-major `[n, k]` weight `b`, into a
+/// caller-provided buffer with a fused [`Epilogue`].
+pub fn matmul_a_bt_epi_into(a: &Tensor, b: &[f32], out: &mut [f32], epi: Epilogue<'_>) {
+    let (m, k, n) = weight_dims("matmul_a_bt", a, b.len(), out.len());
     gemm(
         AMat::RowMajor(a.data()),
-        BMat::Trans { d: b.data(), k },
+        BMat::Trans { d: b, k },
         m,
         k,
         n,
         out,
         epi,
     );
-}
-
-fn a_bt_check(a: &Tensor, b: &Tensor) -> (usize, usize) {
-    assert_eq!(a.shape().rank(), 2);
-    assert_eq!(b.shape().rank(), 2);
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (n, k2) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul_a_bt inner dims {k} vs {k2}");
-    (m, n)
 }
 
 /// Geometry of a 2-D convolution / pooling window over an input plane.
@@ -636,14 +645,10 @@ fn planes(x: &Tensor) -> (usize, usize, usize) {
 /// output channel, as the conv kernels' epilogues do, with the GEMM
 /// write-back's expressions `acc + bias` and `(acc + bias).max(0.0)`;
 /// `Store` and `Accumulate` are the GEMM's own.
-pub fn conv1x1_forward_into(x: &Tensor, kernel: &Tensor, out: &mut [f32], epi: Epilogue<'_>) {
+pub fn conv1x1_forward_into(x: &Tensor, kernel: &[f32], out: &mut [f32], epi: Epilogue<'_>) {
     let (batch, ch, hw) = planes(x);
-    let oc = kernel.dims()[0];
-    assert_eq!(
-        kernel.dims(),
-        &[oc, ch],
-        "conv1x1 kernel is [out_ch, in_ch]"
-    );
+    let oc = kernel.len() / ch;
+    assert_eq!(kernel.len(), oc * ch, "conv1x1 kernel is [out_ch, in_ch]");
     assert_eq!(out.len(), batch * oc * hw, "conv1x1 output buffer length");
     let gemm_epi = match epi {
         Epilogue::Bias(b) | Epilogue::BiasRelu(b) => {
@@ -658,7 +663,7 @@ pub fn conv1x1_forward_into(x: &Tensor, kernel: &Tensor, out: &mut [f32], epi: E
         .zip(out.chunks_exact_mut(oc * hw))
     {
         gemm(
-            AMat::RowMajor(kernel.data()),
+            AMat::RowMajor(kernel),
             BMat::RowMajor(xb),
             oc,
             ch,
@@ -691,14 +696,10 @@ pub fn conv1x1_forward_into(x: &Tensor, kernel: &Tensor, out: &mut [f32], epi: E
 /// and scatters it onto a zero-filled image, so it writes `0.0 + chain`:
 /// a chain that ends at `−0.0` comes out `+0.0`. This zero-fills `dx` and
 /// accumulates onto it for the same bits.
-pub fn conv1x1_backward_dx_into(dy: &Tensor, kernel: &Tensor, dx: &mut [f32]) {
+pub fn conv1x1_backward_dx_into(dy: &Tensor, kernel: &[f32], dx: &mut [f32]) {
     let (batch, oc, hw) = planes(dy);
-    let ch = kernel.dims()[1];
-    assert_eq!(
-        kernel.dims(),
-        &[oc, ch],
-        "conv1x1 kernel is [out_ch, in_ch]"
-    );
+    let ch = kernel.len() / oc;
+    assert_eq!(kernel.len(), oc * ch, "conv1x1 kernel is [out_ch, in_ch]");
     assert_eq!(dx.len(), batch * ch * hw, "conv1x1 dx buffer length");
     dx.fill(0.0);
     for (dyb, dxb) in dy
@@ -707,10 +708,7 @@ pub fn conv1x1_backward_dx_into(dy: &Tensor, kernel: &Tensor, dx: &mut [f32]) {
         .zip(dx.chunks_exact_mut(ch * hw))
     {
         gemm(
-            AMat::Trans {
-                d: kernel.data(),
-                m: ch,
-            },
+            AMat::Trans { d: kernel, m: ch },
             BMat::RowMajor(dyb),
             ch,
             oc,
@@ -816,7 +814,7 @@ mod tests {
         let base = matmul(&a, &b);
 
         let mut with_bias = vec![0.0f32; 9 * 13];
-        matmul_epi_into(&a, &b, &mut with_bias, Epilogue::Bias(bias.data()));
+        matmul_epi_into(&a, b.data(), &mut with_bias, Epilogue::Bias(bias.data()));
         let expect = base.add_row_broadcast(&bias);
         assert!(approx_eq(
             &Tensor::from_vec(with_bias.clone(), &[9, 13]),
@@ -825,7 +823,12 @@ mod tests {
         ));
 
         let mut with_relu = vec![0.0f32; 9 * 13];
-        matmul_epi_into(&a, &b, &mut with_relu, Epilogue::BiasRelu(bias.data()));
+        matmul_epi_into(
+            &a,
+            b.data(),
+            &mut with_relu,
+            Epilogue::BiasRelu(bias.data()),
+        );
         assert!(approx_eq(
             &Tensor::from_vec(with_relu, &[9, 13]),
             &expect.map(|v| v.max(0.0)),
@@ -833,7 +836,7 @@ mod tests {
         ));
 
         let mut acc = with_bias;
-        matmul_epi_into(&a, &b, &mut acc, Epilogue::Accumulate);
+        matmul_epi_into(&a, b.data(), &mut acc, Epilogue::Accumulate);
         let expect_acc = expect.add(&base);
         assert!(approx_eq(
             &Tensor::from_vec(acc, &[9, 13]),

@@ -64,14 +64,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// He-normal initialization (`std = sqrt(2 / fan_in)`), the paper's
-    /// initializer for the ResNetV2 model.
-    pub fn he_normal(dims: &[usize], fan_in: usize, sampler: &mut NormalSampler) -> Self {
-        assert!(fan_in > 0, "he_normal requires a positive fan_in");
-        let std = (2.0 / fan_in as f32).sqrt();
-        Self::randn(dims, 0.0, std, sampler)
-    }
-
     // ------------------------------------------------------------ accessors
 
     /// The tensor's shape.
@@ -234,6 +226,15 @@ impl Tensor {
     }
 }
 
+/// He-normal initialization (`std = sqrt(2 / fan_in)`, the paper's) in
+/// place: [`Tensor::randn`]'s `v * std + mean` at mean 0, `-0.0` to `+0.0`.
+pub fn he_normal_into(out: &mut [f32], fan_in: usize, sampler: &mut NormalSampler) {
+    assert!(fan_in > 0, "he_normal requires a positive fan_in");
+    let std = (2.0 / fan_in as f32).sqrt();
+    sampler.fill(out);
+    out.iter_mut().for_each(|v| *v = *v * std + 0.0);
+}
+
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor({}, ", self.shape)?;
@@ -315,7 +316,8 @@ mod tests {
     #[test]
     fn he_normal_std_is_plausible() {
         let mut s = NormalSampler::seed_from(42);
-        let t = Tensor::he_normal(&[10_000], 50, &mut s);
+        let mut t = Tensor::zeros(&[10_000]);
+        he_normal_into(t.data_mut(), 50, &mut s);
         let mean = t.mean();
         let var = t.data().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / 9_999.0;
         let expected = 2.0 / 50.0;

@@ -45,8 +45,8 @@ mod im2col;
 use im2col::{col2im_into, im2col};
 use proptest::prelude::*;
 use vc_tensor::conv_direct::{
-    conv3x3_backward_dk_pre_into, conv3x3_backward_dx_into, conv3x3_forward_pre_into,
-    dk_scratch_len, dx_scratch_len, fwd_scratch_len, BnRelu,
+    conv3x3_backward_dk_pre_into, conv3x3_dx_into, conv3x3_forward_pre_into, dk_scratch_len,
+    dx_scratch_len, fwd_scratch_len, BnRelu,
 };
 use vc_tensor::isa::{with_tier_cap, Tier};
 use vc_tensor::ops::{
@@ -228,7 +228,7 @@ impl Case {
     fn ref_forward(&self, input: &Tensor, epi: Epilogue<'_>) -> Vec<f32> {
         let cols = im2col(input, self.ch, self.g);
         let mut flat = images_to_rows(self.out0.data(), self.batch, self.out_ch, self.ohw());
-        matmul_a_bt_epi_into(&cols, &self.kernel, &mut flat, epi);
+        matmul_a_bt_epi_into(&cols, self.kernel.data(), &mut flat, epi);
         rows_to_images(&flat, self.batch, self.out_ch, self.ohw())
     }
 
@@ -237,7 +237,12 @@ impl Case {
         let rows = self.batch * self.ohw();
         let patch = self.kernel.dims()[1];
         let mut dcols = vec![0.0f32; rows * patch];
-        matmul_epi_into(&self.dy_rows(), &self.kernel, &mut dcols, Epilogue::Store);
+        matmul_epi_into(
+            &self.dy_rows(),
+            self.kernel.data(),
+            &mut dcols,
+            Epilogue::Store,
+        );
         let mut want = vec![0.0f32; self.batch * self.ch * self.g.h * self.g.w];
         col2im_into(
             &Tensor::from_vec(dcols, &[rows, patch]),
@@ -274,14 +279,22 @@ fn check_forward_sized(c: &Case, epi_kind: u8, stage_len: usize) {
     on_every_body(|body| {
         // Direct.
         got.copy_from_slice(c.out0.data());
-        conv3x3_forward_pre_into(&c.input, None, &c.kernel, c.g, &mut got, epi, &mut stage);
+        conv3x3_forward_pre_into(
+            &c.input,
+            None,
+            c.kernel.data(),
+            c.g,
+            &mut got,
+            epi,
+            &mut stage,
+        );
         assert_eq!(bits(&got), bits(&want), "forward epi={epi_kind}, {body}");
         // Direct with the prologue, against the materialized activation.
         got.copy_from_slice(c.out0.data());
         conv3x3_forward_pre_into(
             &raw,
             Some(pre.as_prologue()),
-            &c.kernel,
+            c.kernel.data(),
             c.g,
             &mut got,
             epi,
@@ -306,7 +319,7 @@ fn check_dx_sized(c: &Case, scratch_len: usize) {
     let mut got = vec![0.0f32; want.len()];
     let mut scratch = garbage(scratch_len);
     on_every_body(|body| {
-        conv3x3_backward_dx_into(&c.dy, &c.kernel, c.ch, c.g, &mut got, &mut scratch);
+        conv3x3_dx_into(&c.dy, c.kernel.data(), c.ch, c.g, &mut got, &mut scratch);
         assert_eq!(bits(&got), bits(&want), "dx, {body}");
     });
 }
@@ -370,11 +383,11 @@ fn check_1x1(c: &Case, seed: u64) {
     on_every_body(|body| {
         for (kind, want) in want_fwd.iter().enumerate() {
             let mut got = c.out0.data().to_vec();
-            conv1x1_forward_into(&c.input, &c.kernel, &mut got, c.epilogue(kind as u8));
+            conv1x1_forward_into(&c.input, c.kernel.data(), &mut got, c.epilogue(kind as u8));
             assert_eq!(bits(&got), bits(want), "1×1 forward epi={kind}, {body}");
         }
         let mut got = garbage(c.input.numel());
-        conv1x1_backward_dx_into(&c.dy, &c.kernel, &mut got);
+        conv1x1_backward_dx_into(&c.dy, c.kernel.data(), &mut got);
         assert_eq!(bits(&got), bits(&want_dx), "1×1 dx, {body}");
         let mut got = dk0.clone();
         conv1x1_backward_dk_into(&c.dy, &c.input, &mut got);
@@ -510,7 +523,7 @@ fn parallel_path_bitwise_and_deterministic() {
         conv3x3_forward_pre_into(
             &c.input,
             None,
-            &c.kernel,
+            c.kernel.data(),
             c.g,
             &mut out,
             Epilogue::Bias(c.bias.data()),
@@ -575,7 +588,7 @@ fn conv1x1_dx_underflow_comes_out_positive_zero() {
         "the oracle reads +0.0"
     );
     let mut got = garbage(c.input.numel());
-    conv1x1_backward_dx_into(&c.dy, &c.kernel, &mut got);
+    conv1x1_backward_dx_into(&c.dy, c.kernel.data(), &mut got);
     assert_eq!(bits(&got), bits(&want));
 }
 

@@ -83,9 +83,9 @@ proptest! {
         let mut o1 = vec![0.0f32; m * n];
         let mut o2 = vec![0.0f32; m * n];
         let mut o3 = vec![0.0f32; m * n];
-        matmul_epi_into(&a, &b, &mut o1, epi);
+        matmul_epi_into(&a, b.data(), &mut o1, epi);
         matmul_at_b_epi_into(&a.transpose(), &b, &mut o2, epi);
-        matmul_a_bt_epi_into(&a, &b.transpose(), &mut o3, epi);
+        matmul_a_bt_epi_into(&a, b.transpose().data(), &mut o3, epi);
         let b1: Vec<u32> = o1.iter().map(|x| x.to_bits()).collect();
         let b2: Vec<u32> = o2.iter().map(|x| x.to_bits()).collect();
         let b3: Vec<u32> = o3.iter().map(|x| x.to_bits()).collect();
@@ -126,8 +126,8 @@ fn parallel_path_is_run_to_run_deterministic() {
     let mut acc1 = vec![0.0f32; 130 * 90];
     let mut acc2 = vec![0.0f32; 130 * 90];
     for _ in 0..3 {
-        matmul_epi_into(&a, &b, &mut acc1, Epilogue::Accumulate);
-        matmul_epi_into(&a, &b, &mut acc2, Epilogue::Accumulate);
+        matmul_epi_into(&a, b.data(), &mut acc1, Epilogue::Accumulate);
+        matmul_epi_into(&a, b.data(), &mut acc2, Epilogue::Accumulate);
     }
     assert_eq!(
         acc1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -210,7 +210,7 @@ fn panel_group_boundaries_are_bitwise_naive() {
             };
             let shape = format!("({m},{k},{n}) {name}");
             assert_eq!(
-                run(&|o| matmul_epi_into(&a, &b, o, *epi)),
+                run(&|o| matmul_epi_into(&a, b.data(), o, *epi)),
                 want,
                 "a·b {shape}"
             );
@@ -220,7 +220,7 @@ fn panel_group_boundaries_are_bitwise_naive() {
                 "aᵀᵀ·b {shape}"
             );
             assert_eq!(
-                run(&|o| matmul_a_bt_epi_into(&a, &bt, o, *epi)),
+                run(&|o| matmul_a_bt_epi_into(&a, bt.data(), o, *epi)),
                 want,
                 "a·bᵀᵀ {shape}"
             );

@@ -94,10 +94,11 @@ proptest! {
     /// start with proportionally smaller weights (needed for deep stacks).
     #[test]
     fn he_init_variance_scales(fan_in in 10usize..2000) {
-        use vc_tensor::{NormalSampler, Tensor};
+        use vc_tensor::{tensor::he_normal_into, NormalSampler};
         let mut s = NormalSampler::seed_from(fan_in as u64);
-        let t = Tensor::he_normal(&[4096], fan_in, &mut s);
-        let var = t.data().iter().map(|x| x * x).sum::<f32>() / 4096.0;
+        let mut t = vec![0.0f32; 4096];
+        he_normal_into(&mut t, fan_in, &mut s);
+        let var = t.iter().map(|x| x * x).sum::<f32>() / 4096.0;
         let expect = 2.0 / fan_in as f32;
         prop_assert!((var - expect).abs() / expect < 0.3, "var {} expect {}", var, expect);
     }
