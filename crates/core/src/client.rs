@@ -24,7 +24,7 @@ use vc_optim::{train_minibatch, StepTimer, TrainWorkspace};
 /// The RNG stream a client replica uses for `(epoch, shard)`. Deterministic
 /// per `(seed, epoch, shard)` — a reassigned subtask reproduces the same
 /// result, like re-running the same workunit payload.
-pub fn client_rng(seed: u64, epoch: usize, shard: usize) -> StdRng {
+fn client_rng(seed: u64, epoch: usize, shard: usize) -> StdRng {
     StdRng::seed_from_u64(
         seed.wrapping_mul(0x100_0193)
             .wrapping_add((epoch * 1_000_003 + shard) as u64),

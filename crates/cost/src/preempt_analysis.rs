@@ -37,11 +37,6 @@ impl TimeoutAnalysis {
         self.n_s / (self.n_c * self.n_tc)
     }
 
-    /// Baseline training time without interruptions: `n · t_e`.
-    pub fn base_time_s(&self) -> f64 {
-        self.n_waves() * self.t_e
-    }
-
     /// The expected increase: `n·p·t_o`.
     pub fn expected_extra_s(&self, p: f64) -> f64 {
         self.n_waves() * p * self.t_o
@@ -85,7 +80,7 @@ mod tests {
         // 200 waves × 2.4 min = 480 min = 8 h, matching "total training
         // time is slightly more than 8 hr".
         let a = TimeoutAnalysis::paper_p5c5t2();
-        assert!((a.base_time_s() / 3600.0 - 8.0).abs() < 0.01);
+        assert!((a.n_waves() * a.t_e / 3600.0 - 8.0).abs() < 0.01);
     }
 
     #[test]

@@ -65,20 +65,20 @@ impl Dataset {
             classes: self.classes,
         }
     }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
 
     /// Per-class sample counts.
-    pub fn class_histogram(&self) -> Vec<usize> {
-        let mut h = vec![0usize; self.classes];
-        for &y in &self.labels {
+    pub(crate) fn class_histogram(d: &Dataset) -> Vec<usize> {
+        let mut h = vec![0usize; d.classes];
+        for &y in &d.labels {
             h[y] += 1;
         }
         h
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn tiny() -> Dataset {
         let images = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 1, 2, 2]);
@@ -90,7 +90,7 @@ mod tests {
         let d = tiny();
         assert_eq!(d.len(), 3);
         assert_eq!(d.sample_dims(), &[1, 2, 2]);
-        assert_eq!(d.class_histogram(), vec![2, 1]);
+        assert_eq!(class_histogram(&d), vec![2, 1]);
     }
 
     #[test]

@@ -91,16 +91,12 @@ impl ShardSet {
     pub fn iter(&self) -> impl Iterator<Item = &DataShard> {
         self.shards.iter()
     }
-
-    /// Total samples across shards.
-    pub fn total_samples(&self) -> usize {
-        self.shards.iter().map(|s| s.data.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::tests::class_histogram;
     use crate::synthetic::SyntheticSpec;
     use vc_tensor::Tensor;
 
@@ -113,7 +109,7 @@ mod tests {
         let tr = train();
         let set = ShardSet::split(&tr, 7);
         assert_eq!(set.len(), 7);
-        assert_eq!(set.total_samples(), tr.len());
+        assert_eq!(set.iter().map(|s| s.data.len()).sum::<usize>(), tr.len());
         // Shard sizes differ by at most one.
         let sizes: Vec<usize> = set.iter().map(|s| s.data.len()).collect();
         let min = *sizes.iter().min().unwrap();
@@ -129,7 +125,7 @@ mod tests {
         for k in [4usize, 5, 8] {
             let set = ShardSet::split(&tr, k);
             for shard in set.iter() {
-                let hist = shard.data.class_histogram();
+                let hist = class_histogram(&shard.data);
                 assert!(
                     hist.iter().all(|&c| c > 0),
                     "k={k}: shard missing a class: {hist:?}"

@@ -176,11 +176,6 @@ impl VersionedStore {
         Arc::new(Self::new())
     }
 
-    /// [`VersionedStore::recording`] behind an [`Arc`].
-    pub fn shared_recording() -> Arc<Self> {
-        Arc::new(Self::recording())
-    }
-
     /// Drains and returns the recorded history (empty for non-recording
     /// stores). Log order is the store's serialization order per key.
     pub fn take_history(&self) -> Vec<HistoryEvent> {
@@ -625,7 +620,14 @@ mod tests {
         let staleness = snap.histogram(STORE_STALENESS_VERSIONS).unwrap();
         assert_eq!(staleness.count, 1, "observed once per put_versioned");
         assert_eq!(staleness.sum, 1.0, "one version clobbered");
-        assert_eq!(tel.recorder().count_named("lost_update"), 1);
+        assert_eq!(
+            tel.recorder()
+                .events()
+                .iter()
+                .filter(|e| e.name == "lost_update")
+                .count(),
+            1
+        );
         // The operation counters are the registry's.
         let ops = s.ops();
         assert_eq!(

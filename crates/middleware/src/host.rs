@@ -107,7 +107,7 @@ impl HostHot {
     /// Slots the scheduler will actually fill, shrunk for unreliable hosts
     /// ("assign subtasks to more reliable clients", §III-B). A host that
     /// times out persistently degrades to a single probe slot.
-    pub fn effective_slots(&self) -> usize {
+    pub(crate) fn effective_slots(&self) -> usize {
         let scaled = (self.slots as f64 * self.reliability).ceil() as usize;
         scaled.max(1)
     }

@@ -1071,17 +1071,6 @@ impl BoincServer {
         &self.wus[wu_id.0 as usize].phase
     }
 
-    /// Attempts consumed by a workunit (all replicas counted).
-    pub fn attempts(&self, wu_id: WuId) -> u32 {
-        self.wus[wu_id.0 as usize].attempts
-    }
-
-    /// Results the scheduler currently wants for a workunit (replication
-    /// factor, plus quorum-disagreement extensions).
-    pub fn target_results(&self, wu_id: WuId) -> u32 {
-        self.wus[wu_id.0 as usize].target_results
-    }
-
     /// Earliest in-progress deadline, for event-driven timeout scans.
     /// Prunes stale timer entries from the heap top on the way (hence
     /// `&mut`); amortized O(1).
@@ -1599,7 +1588,7 @@ mod tests {
         );
         // Two disagreeing votes, none outstanding: the target grows so a
         // tie-breaker replica can be issued.
-        assert!(s.target_results(a.wu.id) > 2);
+        assert!(s.wus[a.wu.id.0 as usize].target_results > 2);
         assert!(s.metrics().quorum_disagreements > 0);
         let c = s.request_work(HostId(2), t(7.0)).unwrap();
         assert_eq!(c.wu.id, a.wu.id);

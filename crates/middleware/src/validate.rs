@@ -14,13 +14,6 @@ pub enum ValidationVerdict {
     },
 }
 
-impl ValidationVerdict {
-    /// Convenience predicate.
-    pub fn is_valid(&self) -> bool {
-        matches!(self, ValidationVerdict::Valid)
-    }
-}
-
 /// A validator inspects a result blob before it reaches the assimilator.
 pub trait Validator: Send + Sync {
     /// Judges one uploaded result payload.
@@ -159,14 +152,23 @@ mod tests {
     #[test]
     fn accepts_well_formed_blob() {
         let v = FiniteBlobValidator::with_len(3);
-        assert!(v.validate(&blob(&[1.0, -2.0, 0.5])).is_valid());
+        assert_eq!(
+            v.validate(&blob(&[1.0, -2.0, 0.5])),
+            ValidationVerdict::Valid
+        );
     }
 
     #[test]
     fn rejects_nan_and_inf() {
         let v = FiniteBlobValidator { expected_len: None };
-        assert!(!v.validate(&blob(&[1.0, f32::NAN])).is_valid());
-        assert!(!v.validate(&blob(&[f32::INFINITY])).is_valid());
+        assert_ne!(
+            v.validate(&blob(&[1.0, f32::NAN])),
+            ValidationVerdict::Valid
+        );
+        assert_ne!(
+            v.validate(&blob(&[f32::INFINITY])),
+            ValidationVerdict::Valid
+        );
     }
 
     #[test]
@@ -182,11 +184,11 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         let v = FiniteBlobValidator { expected_len: None };
-        assert!(!v.validate(b"not a blob").is_valid());
-        assert!(!v.validate(&[]).is_valid());
+        assert_ne!(v.validate(b"not a blob"), ValidationVerdict::Valid);
+        assert_ne!(v.validate(&[]), ValidationVerdict::Valid);
         let mut truncated = blob(&[1.0, 2.0]);
         truncated.truncate(truncated.len() - 3);
-        assert!(!v.validate(&truncated).is_valid());
+        assert_ne!(v.validate(&truncated), ValidationVerdict::Valid);
     }
 
     /// A hostile header whose count overflows `4 * n + HEADER` must come
@@ -268,7 +270,7 @@ mod tests {
                 payload.extend_from_slice(&count.to_le_bytes());
                 payload.extend_from_slice(&tail);
                 let v = FiniteBlobValidator { expected_len: None };
-                if v.validate(&payload).is_valid() {
+                if v.validate(&payload) == ValidationVerdict::Valid {
                     // Valid ⇒ the header was honest about the body length.
                     prop_assert!(count as usize <= tail.len() / 4);
                 }

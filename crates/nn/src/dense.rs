@@ -147,6 +147,7 @@ impl Layer for Dense {
 mod tests {
     use super::*;
     use crate::gradcheck;
+    use crate::gradcheck::ones;
     use crate::model::Sequential;
     use vc_tensor::approx_eq;
 
@@ -200,8 +201,8 @@ mod tests {
     #[test]
     fn grads_accumulate_until_zeroed() {
         let mut d = layer(2, 2, 5);
-        let x = Tensor::ones(&[1, 2]);
-        let dy = Tensor::ones(&[1, 2]);
+        let x = ones(&[1, 2]);
+        let dy = ones(&[1, 2]);
         d.forward(&x, true);
         d.backward(&dy);
         let g1 = d.grads().to_vec();
@@ -218,7 +219,7 @@ mod tests {
     #[should_panic(expected = "without a cached forward")]
     fn backward_requires_forward() {
         let mut d = layer(2, 2, 6);
-        d.backward(&Tensor::ones(&[1, 2]));
+        d.backward(&ones(&[1, 2]));
     }
 
     #[test]

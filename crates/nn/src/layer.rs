@@ -125,6 +125,7 @@ pub type BoxedLayer = Box<dyn Layer>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::ones;
 
     /// A do-nothing layer to exercise trait defaults.
     struct Identity;
@@ -163,7 +164,7 @@ mod tests {
     #[test]
     fn boxed_layer_is_usable() {
         let mut l: BoxedLayer = Box::new(Identity);
-        let x = Tensor::ones(&[2, 2]);
+        let x = ones(&[2, 2]);
         let y = l.forward_ws(&mut [], x.clone(), false, &mut Workspace::new());
         assert_eq!(y.data(), x.data());
         assert_eq!(l.name(), "identity");
@@ -172,7 +173,7 @@ mod tests {
     #[test]
     fn borrowing_wrappers_leave_the_argument_intact() {
         let mut m = Sequential::new().push(Identity);
-        let x = Tensor::ones(&[2, 3]);
+        let x = ones(&[2, 3]);
         let y = m.forward(&x, true);
         let dx = m.backward(&y);
         assert_eq!(x.data(), &[1.0; 6]);

@@ -70,6 +70,16 @@ pub(crate) mod gradcheck {
     }
     impl<L: Layer> Paramless for L {}
 
+    /// A tensor of ones.
+    pub fn ones(dims: &[usize]) -> Tensor {
+        Tensor::from_vec(vec![1.0; dims.iter().product()], dims)
+    }
+
+    /// The sum of a tensor's elements.
+    pub fn sum(t: &Tensor) -> f32 {
+        t.data().iter().sum()
+    }
+
     /// Runs three training steps of `model` on `x` through one workspace;
     /// the third must not miss the pool — every buffer a layer keeps or
     /// hands on is a pooled one it gives back.
@@ -79,7 +89,7 @@ pub(crate) mod gradcheck {
         for m in &mut misses {
             let input = Tensor::from_vec(ws.take_copy(x.data()), x.dims());
             let y = model.forward_pipeline(input, true, &mut ws);
-            let dx = model.backward_pipeline(y, &mut ws);
+            let dx = model.backward_pipeline_ws(y, &mut ws);
             ws.recycle(dx.into_vec());
             *m = ws.stats().1;
         }
@@ -90,7 +100,7 @@ pub(crate) mod gradcheck {
     /// differences. Uses `train = true` so cached state matches backward.
     pub fn check_input_grad(model: &mut Sequential, x: &Tensor, tol: f32) {
         let y = model.forward(x, true);
-        let dy = Tensor::ones(y.dims());
+        let dy = ones(y.dims());
         let dx = model.backward(&dy);
         let eps = 1e-2f32;
         for i in 0..x.numel() {
@@ -98,8 +108,8 @@ pub(crate) mod gradcheck {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let fp = model.forward(&xp, true).sum();
-            let fm = model.forward(&xm, true).sum();
+            let fp = sum(&model.forward(&xp, true));
+            let fm = sum(&model.forward(&xm, true));
             let fd = (fp - fm) / (2.0 * eps);
             let an = dx.data()[i];
             assert!(
@@ -112,7 +122,7 @@ pub(crate) mod gradcheck {
     /// Checks d(sum of outputs)/d(params) against central differences.
     pub fn check_param_grad(model: &mut Sequential, x: &Tensor, tol: f32) {
         let y = model.forward(x, true);
-        let dy = Tensor::ones(y.dims());
+        let dy = ones(y.dims());
         model.zero_grads_all();
         model.backward(&dy);
         let grads = model.grads().to_vec();
@@ -122,11 +132,11 @@ pub(crate) mod gradcheck {
             let mut pp = params.clone();
             pp[i] += eps;
             model.set_params_flat(&pp);
-            let fp = model.forward(x, true).sum();
+            let fp = sum(&model.forward(x, true));
             let mut pm = params.clone();
             pm[i] -= eps;
             model.set_params_flat(&pm);
-            let fm = model.forward(x, true).sum();
+            let fm = sum(&model.forward(x, true));
             let fd = (fp - fm) / (2.0 * eps);
             let an = grads[i];
             assert!(

@@ -155,11 +155,6 @@ impl Sequential {
         dims
     }
 
-    /// Runs the pipeline in inference mode.
-    pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        self.forward_pipeline(x.clone(), false, &mut Workspace::new())
-    }
-
     /// Runs the fusion peepholes, here and in every nested pipeline
     /// (residual bodies). Each is bit-exact and saves whole passes over an
     /// activation:
@@ -214,15 +209,6 @@ impl Sequential {
         self.pipe.forward(&mut self.params, x, train, false, ws)
     }
 
-    /// Backward over the whole pipeline; the returned input gradient's
-    /// buffer also comes from `ws`.
-    pub fn backward_pipeline(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        self.size_grads();
-        let end = self.len();
-        self.pipe
-            .backward_span(&self.params, &mut self.grads, dy, 0, end, ws)
-    }
-
     /// [`forward_pipeline`](Self::forward_pipeline) under the old name,
     /// which the frozen `benchmark/src/probes.rs` calls.
     #[doc(hidden)]
@@ -230,15 +216,18 @@ impl Sequential {
         self.forward_pipeline(x, train, ws)
     }
 
-    /// [`backward_pipeline`](Self::backward_pipeline) under the old name,
-    /// which the frozen `benchmark/src/probes.rs` calls.
-    #[doc(hidden)]
+    /// Backward over the whole pipeline; the returned input gradient's
+    /// buffer also comes from `ws`. The name is the one the frozen
+    /// `benchmark/src/probes.rs` calls.
     pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        self.backward_pipeline(dy, ws)
+        self.size_grads();
+        let end = self.len();
+        self.pipe
+            .backward_span(&self.params, &mut self.grads, dy, 0, end, ws)
     }
 
     /// Backward for a training step: parameter gradients accumulate
-    /// exactly as in [`backward_pipeline`](Self::backward_pipeline),
+    /// exactly as in [`backward_pipeline_ws`](Self::backward_pipeline_ws),
     /// but the gradient with respect to the pipeline's input — which has
     /// no reader — is never formed. The pass stops at the first
     /// parameterised layer, which runs
@@ -434,7 +423,7 @@ impl Sequential {
 
     /// A backward against a throwaway workspace, leaving `dy` intact.
     pub(crate) fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_pipeline(dy.clone(), &mut Workspace::new())
+        self.backward_pipeline_ws(dy.clone(), &mut Workspace::new())
     }
 
     /// The gradient vector (empty before the first backward pass).
@@ -448,6 +437,7 @@ mod tests {
     use super::*;
     use crate::activation::Relu;
     use crate::dense::Dense;
+    use crate::gradcheck::ones;
     use crate::loss::SoftmaxCrossEntropy;
     use vc_tensor::NormalSampler;
 
@@ -462,7 +452,7 @@ mod tests {
     #[test]
     fn forward_shapes_compose() {
         let mut m = tiny_model(1);
-        let y = m.predict(&Tensor::zeros(&[5, 4]));
+        let y = m.forward(&Tensor::zeros(&[5, 4]), false);
         assert_eq!(y.dims(), &[5, 3]);
         assert_eq!(m.out_dims(&[5, 4]), vec![5, 3]);
     }
@@ -499,7 +489,7 @@ mod tests {
         b.set_params_flat(&a.params_flat());
         let mut s = NormalSampler::seed_from(6);
         let x = Tensor::randn(&[3, 4], 0.0, 1.0, &mut s);
-        assert_eq!(a.predict(&x).data(), b.predict(&x).data());
+        assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
     }
 
     #[test]
@@ -535,10 +525,10 @@ mod tests {
     #[test]
     fn grads_flat_matches_param_layout() {
         let mut m = tiny_model(10);
-        let x = Tensor::ones(&[2, 4]);
+        let x = ones(&[2, 4]);
         let y = m.forward(&x, true);
         m.zero_grads_all();
-        m.backward(&Tensor::ones(y.dims()));
+        m.backward(&ones(y.dims()));
         assert_eq!(m.grads().len(), m.param_count());
 
         // Every builder: the gradient gather lines up with the parameters
@@ -556,7 +546,7 @@ mod tests {
             let mut s = NormalSampler::seed_from(11);
             let y = m.forward(&Tensor::randn(&[2, 3, 8, 8], 0.0, 1.0, &mut s), true);
             m.zero_grads_all();
-            m.backward(&Tensor::ones(y.dims()));
+            m.backward(&ones(y.dims()));
             assert_eq!(m.grads().len(), m.param_count(), "{}", spec.name);
             let p = m.params_flat();
             let mut blank = spec.build_blank();
@@ -606,14 +596,14 @@ mod tests {
         let (loss_f, dy_f) = SoftmaxCrossEntropy::loss_and_grad_ws(logits_f, &labels);
         assert_eq!(loss_p.to_bits(), loss_f.to_bits());
         fused.zero_grads_all();
-        let _ = fused.backward_pipeline(dy_f, &mut ws);
+        let _ = fused.backward_pipeline_ws(dy_f, &mut ws);
         assert_eq!(plain.grads(), fused.grads());
 
         // Steady state: a second step must not miss the buffer pool.
         let (_, misses_warm) = ws.stats();
         let logits2 = fused.forward_pipeline(x.clone(), true, &mut ws);
         let (_, dy2) = SoftmaxCrossEntropy::loss_and_grad_ws(logits2, &labels);
-        let _ = fused.backward_pipeline(dy2, &mut ws);
+        let _ = fused.backward_pipeline_ws(dy2, &mut ws);
         let (_, misses_steady) = ws.stats();
         assert_eq!(misses_warm, misses_steady, "steady-state step allocated");
     }
@@ -689,7 +679,7 @@ mod tests {
                 assert_eq!(y_full.data(), y_lean.data(), "{} step {step}", spec.name);
                 full.zero_grads_all();
                 lean.zero_grads_all();
-                let _ = full.backward_pipeline(dy.clone(), &mut ws_full);
+                let _ = full.backward_pipeline_ws(dy.clone(), &mut ws_full);
                 lean.backward_params_ws(dy, &mut ws_lean);
                 let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
@@ -703,7 +693,7 @@ mod tests {
 
         let mut bare = Sequential::new().push(Relu::new());
         let mut ws = Workspace::new();
-        let y = bare.forward_pipeline(Tensor::ones(&[2, 3]), true, &mut ws);
+        let y = bare.forward_pipeline(ones(&[2, 3]), true, &mut ws);
         bare.backward_params_ws(y, &mut ws);
         assert_eq!(ws.take(6).capacity(), 6, "dy went back to the pool");
         assert_eq!(ws.stats(), (1, 0));
@@ -717,6 +707,9 @@ mod tests {
         fused.fuse_relu();
         let mut s = NormalSampler::seed_from(52);
         let x = Tensor::randn(&[3, 4], 0.0, 1.0, &mut s);
-        assert_eq!(plain.predict(&x).data(), fused.predict(&x).data());
+        assert_eq!(
+            plain.forward(&x, false).data(),
+            fused.forward(&x, false).data()
+        );
     }
 }

@@ -266,6 +266,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::ones;
     use crate::gradcheck::{self, Paramless};
     use crate::model::Sequential;
     use vc_tensor::NormalSampler;
@@ -365,7 +366,7 @@ mod tests {
     #[test]
     fn flatten_roundtrip() {
         let mut f = Flatten::new();
-        let x = Tensor::ones(&[2, 3, 4]);
+        let x = ones(&[2, 3, 4]);
         let y = f.forward(&x, true);
         assert_eq!(y.dims(), &[2, 12]);
         let dx = f.backward(&y);

@@ -150,7 +150,7 @@ mod tests {
         let y = model.forward_pipeline(x.clone(), true, &mut ws);
         let mut s = NormalSampler::seed_from(seed);
         let dy = Tensor::randn(y.dims(), 0.0, 1.0, &mut s);
-        let dx = model.backward_pipeline(dy, &mut ws);
+        let dx = model.backward_pipeline_ws(dy, &mut ws);
         let (grads, params) = (bits(model.grads()), bits(&model.params_flat()));
         let y_eval = model.forward_pipeline(x.clone(), false, &mut ws);
         (
@@ -265,7 +265,7 @@ mod tests {
         }
         let mut s = NormalSampler::seed_from(seed);
         let dy = Tensor::randn(y.dims(), 0.0, 1.0, &mut s);
-        let mut dx = layers.backward_pipeline(dy.clone(), &mut ws);
+        let mut dx = layers.backward_pipeline_ws(dy.clone(), &mut ws);
         for (d, s) in dx.data_mut().iter_mut().zip(dy.data()) {
             *d += s;
         }
@@ -329,13 +329,13 @@ mod tests {
         assert_eq!(y.numel(), n);
         // Steady state: the step gives back everything it takes, its cached
         // input included, by the end of backward.
-        let dx = model.backward_pipeline(y, &mut ws);
+        let dx = model.backward_pipeline_ws(y, &mut ws);
         ws.recycle(dx.into_vec());
         let mut misses = [0; 2];
         for m in &mut misses {
             let x = Tensor::from_vec(ws.take_copy(input(dims, 3).data()), &dims);
             let y = model.forward_pipeline(x, true, &mut ws);
-            let dx = model.backward_pipeline(y, &mut ws);
+            let dx = model.backward_pipeline_ws(y, &mut ws);
             ws.recycle(dx.into_vec());
             *m = ws.stats().1;
             // Out of the pool: what it allocated, plus the first step's

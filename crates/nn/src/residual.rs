@@ -130,6 +130,7 @@ mod tests {
     use crate::activation::Relu;
     use crate::conv::Conv2d;
     use crate::gradcheck;
+    use crate::gradcheck::ones;
     use crate::norm::BatchNorm;
     use vc_tensor::{NormalSampler, Tensor};
 
@@ -161,7 +162,7 @@ mod tests {
     #[test]
     fn skip_path_adds_input() {
         let mut r = block(2);
-        let x = Tensor::ones(&[2, 2, 4, 4]);
+        let x = ones(&[2, 2, 4, 4]);
         let fx = body(2).forward(&x, false);
         let y = r.forward(&x, false);
         for ((yv, fv), xv) in y.data().iter().zip(fx.data()).zip(x.data()) {
@@ -221,7 +222,7 @@ mod tests {
         let mut ws = Workspace::new();
         let y = r.forward_pipeline(x.clone(), true, &mut ws);
         r.zero_grads_all();
-        let dx = r.backward_pipeline(dy.clone(), &mut ws);
+        let dx = r.backward_pipeline_ws(dy.clone(), &mut ws);
         let g = r.grads().to_vec();
         let y_eval = r.forward_pipeline(x.clone(), false, &mut ws);
         [y.data(), dx.data(), &g, y_eval.data()].map(bits)
@@ -274,8 +275,8 @@ mod tests {
             let y = block.forward_pipeline(x.clone(), true, &mut ws_block);
             let fy = body.forward_pipeline(x.clone(), true, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "training forward");
-            block.backward_pipeline(y, &mut ws_block);
-            body.backward_pipeline(fy, &mut ws_body);
+            block.backward_pipeline_ws(y, &mut ws_block);
+            body.backward_pipeline_ws(fy, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "backward");
             let (mut ws_block, mut ws_body) = (Workspace::new(), Workspace::new());
             block.forward_pipeline(x.clone(), false, &mut ws_block);

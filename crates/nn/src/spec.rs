@@ -286,7 +286,7 @@ mod tests {
     fn mlp_builds_and_runs() {
         let spec = mlp(&[3, 8, 8], 32, 10);
         let mut m = spec.build(1);
-        let y = m.predict(&Tensor::zeros(&[2, 3, 8, 8]));
+        let y = m.forward(&Tensor::zeros(&[2, 3, 8, 8]), false);
         assert_eq!(y.dims(), &[2, 10]);
     }
 
@@ -294,7 +294,7 @@ mod tests {
     fn small_cnn_builds_and_runs() {
         let spec = small_cnn(&[3, 16, 16], 10);
         let mut m = spec.build(2);
-        let y = m.predict(&Tensor::zeros(&[2, 3, 16, 16]));
+        let y = m.forward(&Tensor::zeros(&[2, 3, 16, 16]), false);
         assert_eq!(y.dims(), &[2, 10]);
         assert!(m.param_count() > 10_000, "{}", m.param_count());
     }
@@ -303,7 +303,7 @@ mod tests {
     fn resnet_lite_builds_and_runs() {
         let spec = resnet_lite(&[3, 8, 8], 2, 10);
         let mut m = spec.build(3);
-        let y = m.predict(&Tensor::zeros(&[2, 3, 8, 8]));
+        let y = m.forward(&Tensor::zeros(&[2, 3, 8, 8]), false);
         assert_eq!(y.dims(), &[2, 10]);
     }
 

@@ -93,19 +93,19 @@ impl OpsHub {
     }
 
     /// `GET /metrics`: the Prometheus text exposition.
-    pub fn metrics_text(&self) -> String {
+    fn metrics_text(&self) -> String {
         self.tel.registry().render_prometheus()
     }
 
     /// `GET /status`: the last published snapshot as JSON.
-    pub fn status_json(&self) -> String {
+    fn status_json(&self) -> String {
         self.status().to_json()
     }
 
     /// `GET /events`: the flight-recorder tail as JSONL, oldest first.
     /// Events are copied out under the recorder lock and serialized
     /// outside it, so a slow scrape never stalls recording threads.
-    pub fn events_jsonl(&self) -> String {
+    fn events_jsonl(&self) -> String {
         let events = self.tel.recorder().events();
         let mut out = String::with_capacity(events.len() * 96);
         for ev in &events {

@@ -73,12 +73,6 @@ impl TrainWorkspace {
     pub fn put_replica(&mut self, replica: ResidentReplica) {
         self.replica = Some(replica);
     }
-
-    /// `(takes, misses)` of the underlying buffer pool — see
-    /// [`Workspace::stats`].
-    pub fn pool_stats(&self) -> (u64, u64) {
-        self.ws.stats()
-    }
 }
 
 /// Per-step timing sink for [`train_minibatch`]: each optimizer step's
@@ -321,11 +315,11 @@ mod tests {
         train_minibatch(
             &mut model, &mut opt, &x, &y, 16, 1, 1.0, &mut rng, &mut tws, None,
         );
-        let (_, warm_misses) = tws.pool_stats();
+        let (_, warm_misses) = tws.ws.stats();
         train_minibatch(
             &mut model, &mut opt, &x, &y, 16, 2, 1.0, &mut rng, &mut tws, None,
         );
-        let (takes, misses) = tws.pool_stats();
+        let (takes, misses) = tws.ws.stats();
         assert_eq!(misses, warm_misses, "steady-state steps must not allocate");
         assert!(takes > warm_misses);
     }

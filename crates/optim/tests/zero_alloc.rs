@@ -71,7 +71,7 @@ fn sweep(name: &str, mut model: vc_nn::Sequential, images: &Tensor, classes: usi
             &mut model, &mut opt, images, &labels, batch, 2, 5.0, &mut rng, &mut tws, None,
         );
 
-        let (takes_before, misses_before) = tws.pool_stats();
+        let (takes_before, misses_before) = tws.ws.stats();
         ALLOCS.store(0, Ordering::SeqCst);
         COUNTING.store(true, Ordering::SeqCst);
         let stats = train_minibatch(
@@ -80,7 +80,7 @@ fn sweep(name: &str, mut model: vc_nn::Sequential, images: &Tensor, classes: usi
         COUNTING.store(false, Ordering::SeqCst);
 
         assert!(stats.mean_loss.is_finite());
-        let (takes, misses) = tws.pool_stats();
+        let (takes, misses) = tws.ws.stats();
         assert!(
             takes > takes_before,
             "{name} cap {cap}: the measured pass must have exercised the pool"

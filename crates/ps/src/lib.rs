@@ -45,7 +45,7 @@ pub mod wire;
 pub use client::{FetchSink, MemClient, PsClient, PsError, ShardCache};
 pub use codec::Codec;
 pub use merge::{
-    shard_key, ShardSnapshot, ShardedAssimilator, PARAMS_KEY, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS,
+    ShardSnapshot, ShardedAssimilator, PARAMS_KEY, PS_MERGE_S, PS_SHARD_SKEW_VERSIONS,
 };
 pub use service::{PsOps, PsService};
 pub use shard::ShardLayout;

@@ -45,7 +45,7 @@ pub const PARAMS_KEY: &str = "model/params";
 
 /// The key a shard's blob lives under. One shard collapses to the
 /// unsharded key so existing histories and checkpoints line up.
-pub fn shard_key(shards: usize, i: usize) -> String {
+fn shard_key(shards: usize, i: usize) -> String {
     if shards == 1 {
         PARAMS_KEY.to_string()
     } else {
@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn one_shard_uses_the_legacy_key_and_op_sequence() {
-        let store = VersionedStore::shared_recording();
+        let store = Arc::new(VersionedStore::recording());
         let a = ShardedAssimilator::new(
             store.clone(),
             4,
@@ -424,7 +424,7 @@ mod tests {
         let want = eq1(&w0, &c2, 0.7);
         for p in [1, 4] {
             let a = ShardedAssimilator::new(
-                VersionedStore::shared_recording(),
+                Arc::new(VersionedStore::recording()),
                 n,
                 p,
                 Consistency::Eventual,

@@ -14,12 +14,14 @@
 //!
 //! There is one encoder, [`SealedFrame::write_to`], and one decoder,
 //! [`read_frame`], and both run on a byte stream: a TCP socket, or the
-//! in-process loopback stream of [`crate::MemClient`]. `Frame::encode` and
-//! `Frame::decode` are thin wrappers over them for tests and probes.
+//! in-process loopback stream of [`crate::MemClient`]. `Frame::encode_into`
+//! and `Frame::decode` are thin wrappers over them for tests and probes.
 //!
 //! The decoder is hostile-input safe: it rejects a frame whose declared
 //! length exceeds [`MAX_PAYLOAD`] *before* allocating its payload (a
-//! forged 4 GiB length cannot OOM the server), and verifies the checksum
+//! forged 4 GiB length cannot OOM the server), grows the payload as its
+//! bytes arrive (a peer that declares a long frame and stalls holds one
+//! 4 MiB `READ_STEP`, not the declared length), and verifies the checksum
 //! before the payload is interpreted. Shard payloads reuse the `vc-tensor`
 //! `VCP1` parameter-blob codec, so a frame's payload is exactly the value
 //! stored in the kvstore — no re-encoding on either side of the wire.
@@ -31,6 +33,11 @@ use std::io::{Read, Write};
 /// Hard ceiling on a frame payload (64 MiB — three times the paper's
 /// 21.2 MB full parameter file, and shards are strictly smaller).
 pub const MAX_PAYLOAD: usize = 64 << 20;
+
+/// Payload bytes [`read_frame`] requests at a time: more than any shard
+/// frame a workload ships (`mlp_transfer`'s are ≈ 1.58 MB), so such a
+/// frame is read into one allocation of exactly its length.
+const READ_STEP: usize = 4 << 20;
 
 /// Bytes after the length prefix that belong to the header
 /// (kind + shard_id + version + crc32).
@@ -265,13 +272,6 @@ impl Frame {
             .expect("a Vec write cannot fail");
     }
 
-    /// [`Self::encode_into`] a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        out
-    }
-
     /// [`read_frame`] over a byte slice: the frame at the front of `buf`
     /// and the bytes it took. For tests and the frozen probes; the
     /// transports read their streams with `read_frame` itself.
@@ -378,7 +378,8 @@ impl From<WireError> for FrameReadError {
 
 /// Reads one frame from a blocking stream, the payload straight into the
 /// buffer the returned frame owns. The declared length is validated
-/// *before* that buffer is allocated.
+/// *before* that buffer is allocated, and the buffer grows by at most
+/// `READ_STEP` (4 MiB) ahead of the bytes that have arrived.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameReadError> {
     let mut head = [0u8; 4 + HEADER_LEN];
     let mut filled = 0;
@@ -391,15 +392,22 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameReadError> {
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    let mut payload = vec![0u8; payload_len([head[0], head[1], head[2], head[3]])?];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            let need = head.len() + payload.len();
-            FrameReadError::Wire(WireError::Incomplete { need })
-        } else {
-            FrameReadError::Io(e)
-        }
-    })?;
+    let len = payload_len([head[0], head[1], head[2], head[3]])?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        let end = len.min(start + READ_STEP);
+        payload.reserve_exact(end - start);
+        payload.resize(end, 0);
+        r.read_exact(&mut payload[start..]).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                let need = head.len() + len;
+                FrameReadError::Wire(WireError::Incomplete { need })
+            } else {
+                FrameReadError::Io(e)
+            }
+        })?;
+    }
     let (kind, shard_id, version) = verify(&head[4..], &payload)?;
     Ok(Frame {
         kind,
@@ -598,6 +606,16 @@ pub fn error_frame_code(code: u64, msg: &str) -> Frame {
         shard_id: 0,
         version: code,
         payload: Bytes::copy_from_slice(msg.as_bytes()),
+    }
+}
+
+#[cfg(test)]
+impl Frame {
+    /// [`Frame::encode_into`] a fresh buffer.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
     }
 }
 

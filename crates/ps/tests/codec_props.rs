@@ -26,7 +26,7 @@ use vc_ps::{
 use vc_telemetry::Telemetry;
 use vc_tensor::codec::encode_f32s;
 use vc_tensor::isa::{with_tier_cap, Tier};
-use vc_tensor::quant::{int8_quantize_one, int8_scale};
+use vc_tensor::quant::int8_scale;
 
 /// The oracle `apply_update_roundtrip` replaced: encode the update
 /// `new − base` (plus the error-feedback residual when the codec carries
@@ -441,6 +441,17 @@ fn int8_ef_moves_at_most_a_quarter_of_raw_bytes_on_blocky_sparse_updates() {
             lossy * 4 <= raw,
             "{shards} shards: int8+ef {lossy} B/round vs raw {raw} B/round"
         );
+    }
+}
+
+/// One int8 code by its definition: `round(x · inv)` (ties away from
+/// zero) clamped to `[-127, 127]`, NaN → 0.
+fn int8_quantize_one(x: f32, inv: f32) -> i8 {
+    let q = (x * inv).round();
+    if q.is_nan() {
+        0
+    } else {
+        q.clamp(-127.0, 127.0) as i8
     }
 }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use vc_asgd::alpha::{blend_eq1, AlphaSchedule};
 use vc_kvstore::history::Op;
 use vc_kvstore::{Consistency, VersionedStore};
-use vc_ps::{Codec, FetchReq, Frame, PsService, SealedFrame, ShardedAssimilator};
+use vc_ps::{Codec, FetchReq, PsService, SealedFrame, ShardedAssimilator};
 use vc_tensor::codec::{decode_f32s_into_slice, encode_f32s};
 
 const MODES: [Consistency; 2] = [Consistency::Eventual, Consistency::Strong];
@@ -113,9 +113,9 @@ fn finish_blends_into_the_upload_with_the_old_bits_and_op_history() {
         for p in [1, 3, 4, 16] {
             for alpha in [0.0, 0.6, 0.999, 1.0] {
                 let what = format!("{mode:?}, {p} shards, alpha {alpha}");
-                let new = assimilator(VersionedStore::shared_recording(), n, p, mode, alpha);
-                let old = assimilator(VersionedStore::shared_recording(), n, p, mode, alpha);
-                let wrapped = assimilator(VersionedStore::shared_recording(), n, p, mode, alpha);
+                let new = assimilator(Arc::new(VersionedStore::recording()), n, p, mode, alpha);
+                let old = assimilator(Arc::new(VersionedStore::recording()), n, p, mode, alpha);
+                let wrapped = assimilator(Arc::new(VersionedStore::recording()), n, p, mode, alpha);
                 for a in [&new, &old, &wrapped] {
                     a.seed_params(&w0);
                 }
@@ -206,7 +206,8 @@ fn a_published_raw_snapshot_never_changes_under_its_checksum() {
             );
             let (frames, after) = fetch(&svc, 1, p);
             assert_eq!(after, before, "{what}: fetched bytes and banked checksums");
-            let encoded: Vec<u8> = frames.iter().flat_map(|f| Frame::encode(f)).collect();
+            let mut encoded = Vec::new();
+            frames.iter().for_each(|f| f.encode_into(&mut encoded));
             assert_eq!(
                 after, encoded,
                 "{what}: banked checksums still match the payloads"
@@ -223,7 +224,7 @@ fn seeded_blobs_are_the_stored_ones() {
     let n = 1000;
     let w0: Vec<f32> = (0..n).map(|i| i as f32).collect();
     let a = assimilator(
-        VersionedStore::shared_recording(),
+        Arc::new(VersionedStore::recording()),
         n,
         4,
         Consistency::Strong,

@@ -5,7 +5,7 @@
 //! bit-flipped, or carrying a hostile length prefix — ever panics,
 //! allocates unboundedly, or decodes to a different frame silently. The
 //! table-sliced CRC-32 is held to the byte-at-a-time loop it replaced, and
-//! the checksums banked at publish to `Frame::encode`'s fresh ones.
+//! the checksums banked at publish to `Frame::encode_into`'s fresh ones.
 
 use proptest::prelude::*;
 use std::io::{ErrorKind, Read};
@@ -17,6 +17,13 @@ use vc_ps::{
     crc32, Codec, Crc32, FetchReq, Frame, FrameKind, FrameReadError, PsService, SealedFrame,
     ShardedAssimilator, WireError, HEADER_LEN, MAX_PAYLOAD,
 };
+
+/// A frame's bytes with a checksum computed now.
+fn encode(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame.encode_into(&mut out);
+    out
+}
 
 /// The oracle: IEEE CRC-32 one byte per table lookup, exactly the loop
 /// `Crc32::update` ran before it was sliced by eight.
@@ -41,7 +48,7 @@ fn crc32_bytewise(bytes: &[u8]) -> u32 {
 }
 
 /// Every frame `svc` answers `req` with, written by the copy-free stream
-/// writer, must be byte-for-byte what `Frame::encode` (which checksums the
+/// writer, must be byte-for-byte what `encode` (which checksums the
 /// frame from scratch) produces — and must read back as the same frame.
 fn assert_socket_bytes_match_encode(svc: &PsService, req: &Frame, want_kind: FrameKind) {
     let mut responses: Vec<SealedFrame> = Vec::new();
@@ -54,7 +61,7 @@ fn assert_socket_bytes_match_encode(svc: &PsService, req: &Frame, want_kind: Fra
     for resp in &responses {
         let start = wire.len();
         let n = resp.write_to(&mut wire).expect("vec write");
-        assert_eq!(&wire[start..], &resp.encode()[..], "{:?} frame", resp.kind);
+        assert_eq!(&wire[start..], &encode(resp)[..], "{:?} frame", resp.kind);
         assert_eq!(n, resp.encoded_len());
     }
     let mut r: &[u8] = &wire;
@@ -114,7 +121,7 @@ proptest! {
     /// encode → decode is the identity, and the consumed length is exact.
     #[test]
     fn frame_roundtrips(frame in arb_frame()) {
-        let bytes = frame.encode();
+        let bytes = encode(&frame);
         prop_assert_eq!(bytes.len(), frame.encoded_len());
         let (back, used) = Frame::decode(&bytes).expect("own encoding decodes");
         prop_assert_eq!(used, bytes.len());
@@ -128,7 +135,7 @@ proptest! {
     /// never a panic, never a bogus frame.
     #[test]
     fn truncation_reports_incomplete(frame in arb_frame(), cut in 1usize..64) {
-        let bytes = frame.encode();
+        let bytes = encode(&frame);
         let cut = cut.min(bytes.len());
         match Frame::decode(&bytes[..bytes.len() - cut]) {
             Err(WireError::Incomplete { need }) => {
@@ -142,7 +149,7 @@ proptest! {
     /// (or, for the kind byte, by the kind check after the CRC).
     #[test]
     fn bit_flips_never_pass(frame in arb_frame(), bit in 0usize..64) {
-        let mut bytes = frame.encode();
+        let mut bytes = encode(&frame);
         let pos = 4 + bit % (bytes.len() - 4);
         bytes[pos] ^= 1 << (bit % 8);
         match Frame::decode(&bytes) {
@@ -157,7 +164,7 @@ proptest! {
     /// too. Nothing in between decodes without the bytes to back it.
     #[test]
     fn hostile_lengths_rejected(frame in arb_frame(), len in any::<u32>()) {
-        let mut bytes = frame.encode();
+        let mut bytes = encode(&frame);
         bytes[..4].copy_from_slice(&len.to_le_bytes());
         let r = Frame::decode(&bytes);
         let max = (MAX_PAYLOAD + HEADER_LEN) as u32;
@@ -204,7 +211,7 @@ proptest! {
         let mut wire = Vec::new();
         let n = SealedFrame::from(frame.clone()).write_to(&mut wire).expect("vec write");
         prop_assert_eq!(n, frame.encoded_len());
-        prop_assert_eq!(&wire, &frame.encode());
+        prop_assert_eq!(&wire, &encode(&frame));
         let mut r: &[u8] = &wire;
         prop_assert_eq!(read_frame(&mut r).expect("own bytes"), frame);
     }
@@ -220,7 +227,7 @@ proptest! {
     ) {
         let mut wire = Vec::new();
         for f in &frames {
-            wire.extend_from_slice(&f.encode());
+            wire.extend_from_slice(&encode(f));
         }
         let sizes = sizes.into_iter().cycle();
         let mut r = Chunked { bytes: &wire, sizes, interrupt_every, since_interrupt: 0 };
@@ -245,13 +252,12 @@ proptest! {
 #[test]
 fn retired_push_kinds_decode_to_unknown_kind() {
     for kind in [4u8, 5, 8] {
-        let mut bytes = Frame {
+        let mut bytes = encode(&Frame {
             kind: FrameKind::Shard,
             shard_id: 0,
             version: 1,
             payload: vec![0xAB; 40].into(),
-        }
-        .encode();
+        });
         bytes[4] = kind;
         assert!(
             matches!(Frame::decode(&bytes), Err(WireError::BadCrc { .. })),

@@ -331,11 +331,6 @@ fn spawn<T: Send + 'static>(
         .map_err(|e| e.to_string())
 }
 
-/// Convenience: build and run in one call.
-pub fn run_runtime(cfg: RuntimeConfig) -> Result<RuntimeReport, String> {
-    Runtime::new(cfg)?.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,7 +401,7 @@ mod tests {
         base.job.cn = 4;
         base.job.epochs = 3;
 
-        let clean = run_runtime(base.clone()).unwrap();
+        let clean = Runtime::new(base.clone()).unwrap().run().unwrap();
         assert!(clean.final_mean_acc() > 0.15, "{}", clean.final_mean_acc());
 
         // Interrupt mid-job: halt after 11 assimilations (mid-epoch-2 with
@@ -414,7 +409,7 @@ mod tests {
         let mut first = base.clone();
         first.checkpoint_path = Some(path_s.clone());
         first.halt_after_assims = Some(11);
-        let partial = run_runtime(first).unwrap();
+        let partial = Runtime::new(first).unwrap().run().unwrap();
         assert!(partial.halted_early);
         assert!(partial.epochs.len() < 3);
 
@@ -461,7 +456,7 @@ mod tests {
         let mut first = RuntimeConfig::test_small(5);
         first.checkpoint_path = Some(path.to_string_lossy().into_owned());
         first.halt_after_assims = Some(3);
-        assert!(run_runtime(first).unwrap().halted_early);
+        assert!(Runtime::new(first).unwrap().run().unwrap().halted_early);
 
         let mut edited = Runtime::resume(&path).unwrap();
         let job = &mut edited.config_mut().job;

@@ -87,23 +87,6 @@ impl ComputeModel {
         self.base_subtask_s / client.core_speed() * share * overhead * paging
     }
 
-    /// Client throughput in subtasks/second at concurrency `resident`.
-    pub fn client_throughput(&self, client: &InstanceSpec, resident: usize) -> f64 {
-        resident as f64 / self.subtask_s(client, resident)
-    }
-
-    /// The concurrency level at which `client`'s throughput peaks, probing
-    /// 1..=32. The paper observes this at T8 for the 8-vCPU/32-GB client.
-    pub fn peak_concurrency(&self, client: &InstanceSpec) -> usize {
-        (1..=32)
-            .max_by(|&a, &b| {
-                self.client_throughput(client, a)
-                    .partial_cmp(&self.client_throughput(client, b))
-                    .unwrap()
-            })
-            .unwrap()
-    }
-
     /// CPU time of one assimilation on `server` when `active_ps` parameter-
     /// server workers are resident and `inflight` results are queued or
     /// being processed. Workers beyond the core budget slow all of them
@@ -117,18 +100,33 @@ impl ComputeModel {
         let load = 1.0 + self.inflight_overhead * inflight as f64;
         self.assim_cpu_s / server.core_speed() * share * overhead * load
     }
-
-    /// Aggregate server assimilation throughput (results/second) with `pn`
-    /// parameter servers at a nominal light load.
-    pub fn server_throughput(&self, server: &InstanceSpec, pn: usize) -> f64 {
-        pn as f64 / self.assim_s(server, pn, 0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::specs::table1;
+
+    /// Subtasks/second of `client` at concurrency `resident`.
+    fn client_throughput(m: &ComputeModel, client: &InstanceSpec, resident: usize) -> f64 {
+        resident as f64 / m.subtask_s(client, resident)
+    }
+
+    /// The concurrency in 1..=32 at which `client`'s throughput peaks.
+    fn peak_concurrency(m: &ComputeModel, client: &InstanceSpec) -> usize {
+        (1..=32)
+            .max_by(|&a, &b| {
+                client_throughput(m, client, a)
+                    .partial_cmp(&client_throughput(m, client, b))
+                    .unwrap()
+            })
+            .unwrap()
+    }
+
+    /// Results/second of `pn` parameter servers at a nominal light load.
+    fn server_throughput(m: &ComputeModel, server: &InstanceSpec, pn: usize) -> f64 {
+        pn as f64 / m.assim_s(server, pn, 0)
+    }
 
     #[test]
     fn reference_t2_is_about_2_4_min() {
@@ -167,18 +165,18 @@ mod tests {
         // §IV-B: "the throughput of the client computing instances in our
         // experiments decreases after T8".
         let m = ComputeModel::default();
-        let peak = m.peak_concurrency(&table1::client_8v_2_2());
+        let peak = peak_concurrency(&m, &table1::client_8v_2_2());
         assert!((7..=9).contains(&peak), "peak at T{peak}");
-        let th8 = m.client_throughput(&table1::client_8v_2_2(), 8);
-        let th12 = m.client_throughput(&table1::client_8v_2_2(), 12);
+        let th8 = client_throughput(&m, &table1::client_8v_2_2(), 8);
+        let th12 = client_throughput(&m, &table1::client_8v_2_2(), 12);
         assert!(th12 < th8, "throughput must fall past the peak");
     }
 
     #[test]
     fn low_ram_client_pages_earlier() {
         let m = ComputeModel::default();
-        let peak_15gb = m.peak_concurrency(&table1::client_8v_2_8());
-        let peak_32gb = m.peak_concurrency(&table1::client_8v_2_5());
+        let peak_15gb = peak_concurrency(&m, &table1::client_8v_2_8());
+        let peak_32gb = peak_concurrency(&m, &table1::client_8v_2_5());
         assert!(
             peak_15gb < peak_32gb,
             "15 GB client peaks at T{peak_15gb}, 32 GB at T{peak_32gb}"
@@ -191,10 +189,10 @@ mod tests {
         // experimental setup decreases after P5".
         let m = ComputeModel::default();
         let s = table1::server();
-        let th1 = m.server_throughput(&s, 1);
-        let th3 = m.server_throughput(&s, 3);
-        let th5 = m.server_throughput(&s, 5);
-        let th8 = m.server_throughput(&s, 8);
+        let th1 = server_throughput(&m, &s, 1);
+        let th3 = server_throughput(&m, &s, 3);
+        let th5 = server_throughput(&m, &s, 5);
+        let th8 = server_throughput(&m, &s, 8);
         assert!(th3 > 2.5 * th1, "scaling P1->P3 is near-linear");
         assert!(th5 > th3);
         // Past ~5.3 workers the cores are oversubscribed: no further gain.

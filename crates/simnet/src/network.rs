@@ -8,8 +8,7 @@
 //! `rtt_jitter + bytes / (effective_share · bandwidth)`.
 
 use crate::specs::InstanceSpec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Network model constants.
@@ -57,31 +56,31 @@ impl NetworkModel {
         let bytes_per_s = instance.bandwidth_gbps * self.bandwidth_efficiency * 1e9 / 8.0;
         rtt + payload / bytes_per_s
     }
-
-    /// Expected (jitter-free) transfer time, for analytic checks.
-    pub fn expected_transfer_s(&self, instance: &InstanceSpec, bytes: usize) -> f64 {
-        let bytes_per_s = instance.bandwidth_gbps * self.bandwidth_efficiency * 1e9 / 8.0;
-        self.rtt_median_s + bytes as f64 * self.compression / bytes_per_s
-    }
-
-    /// A seeded RNG for network jitter, namespaced from a run seed.
-    pub fn jitter_rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed.wrapping_mul(0xa076_1d64_78bd_642f).wrapping_add(3))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::specs::table1;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `m`'s transfer time with its jitter switched off.
+    fn expected_transfer_s(m: &NetworkModel, instance: &InstanceSpec, bytes: usize) -> f64 {
+        let flat = NetworkModel {
+            rtt_sigma: 0.0,
+            ..m.clone()
+        };
+        flat.transfer_s(instance, bytes, &mut StdRng::seed_from_u64(0))
+    }
 
     #[test]
     fn bigger_files_take_longer() {
         let m = NetworkModel::default();
         let c = table1::client_8v_2_2();
-        let mut rng = NetworkModel::jitter_rng(1);
+        let mut rng = StdRng::seed_from_u64(1);
         let small = m.transfer_s(&c, 1 << 10, &mut rng);
-        let big = m.expected_transfer_s(&c, 100 << 20);
+        let big = expected_transfer_s(&m, &c, 100 << 20);
         assert!(big > small);
     }
 
@@ -91,8 +90,8 @@ mod tests {
             rtt_sigma: 0.0,
             ..Default::default()
         };
-        let fast = m.expected_transfer_s(&table1::client_8v_2_2(), 21 << 20); // 5 Gbps
-        let slow = m.expected_transfer_s(&table1::client_8v_2_8(), 21 << 20); // 2 Gbps
+        let fast = expected_transfer_s(&m, &table1::client_8v_2_2(), 21 << 20); // 5 Gbps
+        let slow = expected_transfer_s(&m, &table1::client_8v_2_8(), 21 << 20); // 2 Gbps
         assert!(slow > fast);
         let ratio = (slow - m.rtt_median_s) / (fast - m.rtt_median_s);
         assert!((ratio - 2.5).abs() < 1e-6, "bandwidth ratio {ratio}");
@@ -104,7 +103,7 @@ mod tests {
         // not the bottleneck the compute is — matching the paper, which
         // never charges transfer time as dominant.
         let m = NetworkModel::default();
-        let t = m.expected_transfer_s(&table1::client_8v_2_2(), 21 << 20);
+        let t = expected_transfer_s(&m, &table1::client_8v_2_2(), 21 << 20);
         assert!(t < 1.0, "{t}");
     }
 
@@ -112,8 +111,8 @@ mod tests {
     fn jitter_is_deterministic_per_seed() {
         let m = NetworkModel::default();
         let c = table1::client_8v_2_2();
-        let mut a = NetworkModel::jitter_rng(7);
-        let mut b = NetworkModel::jitter_rng(7);
+        let mut a = StdRng::seed_from_u64(7);
+        let mut b = StdRng::seed_from_u64(7);
         for _ in 0..32 {
             assert_eq!(
                 m.transfer_s(&c, 1 << 20, &mut a),
@@ -126,7 +125,7 @@ mod tests {
     fn jitter_spreads_rtt() {
         let m = NetworkModel::default();
         let c = table1::client_8v_2_2();
-        let mut rng = NetworkModel::jitter_rng(9);
+        let mut rng = StdRng::seed_from_u64(9);
         let samples: Vec<f64> = (0..2000).map(|_| m.transfer_s(&c, 0, &mut rng)).collect();
         let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = samples.iter().cloned().fold(0.0f64, f64::max);
@@ -147,8 +146,8 @@ mod tests {
             ..Default::default()
         };
         let c = table1::client_8v_2_8();
-        let t0 = base.expected_transfer_s(&c, 10 << 20) - base.rtt_median_s;
-        let t1 = gz.expected_transfer_s(&c, 10 << 20) - gz.rtt_median_s;
+        let t0 = expected_transfer_s(&base, &c, 10 << 20) - base.rtt_median_s;
+        let t1 = expected_transfer_s(&gz, &c, 10 << 20) - gz.rtt_median_s;
         assert!((t1 / t0 - 0.5).abs() < 1e-9);
     }
 }

@@ -80,7 +80,7 @@ pub mod table1 {
     }
 
     /// Client row 2: 8 vCPU, 2.5 GHz, 32 GB, up to 5 Gbps.
-    pub fn client_8v_2_5() -> InstanceSpec {
+    pub(crate) fn client_8v_2_5() -> InstanceSpec {
         let (std, pre) = price(8);
         InstanceSpec {
             name: "client-8v-2.5".into(),
@@ -108,7 +108,7 @@ pub mod table1 {
     }
 
     /// Client row 4: 16 vCPU, 2.8 GHz, 30 GB, up to 2 Gbps.
-    pub fn client_16v_2_8() -> InstanceSpec {
+    pub(crate) fn client_16v_2_8() -> InstanceSpec {
         let (std, pre) = price(16);
         InstanceSpec {
             name: "client-16v-2.8".into(),

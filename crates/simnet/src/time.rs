@@ -27,7 +27,7 @@ impl SimTime {
     }
 
     /// Minutes since origin.
-    pub fn as_mins(self) -> f64 {
+    fn as_mins(self) -> f64 {
         self.0 / 60.0
     }
 

@@ -36,7 +36,7 @@ pub use metrics::{
     Registry, RegistrySnapshot,
 };
 pub use recorder::FlightRecorder;
-pub use trace::{chrome_trace_json, fnv1a, span_id, TraceStage, TRACE_SPAN};
+pub use trace::{chrome_trace_json, fnv1a, TraceStage, TRACE_SPAN};
 
 /// Installs a panic hook that dumps `tel`'s flight recorder to `path`
 /// (JSONL) before delegating to the previous hook. Call once per
@@ -86,6 +86,13 @@ mod tests {
             j.join().unwrap();
         }
         assert_eq!(tel.registry().snapshot().counter("ops"), Some(10));
-        assert_eq!(tel.recorder().count_named("thread_done"), 4);
+        assert_eq!(
+            tel.recorder()
+                .events()
+                .iter()
+                .filter(|e| e.name == "thread_done")
+                .count(),
+            4
+        );
     }
 }

@@ -74,16 +74,6 @@ impl FlightRecorder {
         self.inner.lock().buf.iter().cloned().collect()
     }
 
-    /// Number of retained events with the given name.
-    pub fn count_named(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .buf
-            .iter()
-            .filter(|e| e.name == name)
-            .count() as u64
-    }
-
     /// Discards all retained events and resets the dropped count.
     pub fn clear(&self) {
         let mut g = self.inner.lock();
@@ -93,7 +83,7 @@ impl FlightRecorder {
 
     /// The retained events as JSONL: one JSON-serialized [`Event`] per
     /// line, oldest first.
-    pub fn dump_jsonl(&self) -> String {
+    fn dump_jsonl(&self) -> String {
         let g = self.inner.lock();
         let mut out = String::new();
         for ev in &g.buf {
@@ -181,8 +171,6 @@ mod tests {
         assert_eq!(rec.dropped(), 2, "two oldest events evicted");
         let names: Vec<String> = rec.events().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["e2", "e3", "e4"], "oldest-first, newest kept");
-        assert_eq!(rec.count_named("e3"), 1);
-        assert_eq!(rec.count_named("e0"), 0, "evicted events are gone");
 
         rec.clear();
         assert!(rec.is_empty());

@@ -64,7 +64,7 @@ impl TraceStage {
     }
 
     /// The per-stage latency histogram name (`trace_<stage>_s`).
-    pub fn histogram_name(self) -> &'static str {
+    fn histogram_name(self) -> &'static str {
         match self {
             TraceStage::Dispatch => "trace_dispatch_s",
             TraceStage::Fetch => "trace_fetch_s",
@@ -90,7 +90,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Derives the span id for one stage emission: a pure function of
 /// (trace, stage, host, end-time bits), so replayed DST runs produce
 /// identical ids.
-pub fn span_id(trace: u64, stage: TraceStage, host: u64, t_end_s: f64) -> u64 {
+fn span_id(trace: u64, stage: TraceStage, host: u64, t_end_s: f64) -> u64 {
     let mut buf = [0u8; 25];
     buf[..8].copy_from_slice(&trace.to_le_bytes());
     buf[8..16].copy_from_slice(&host.to_le_bytes());

@@ -72,13 +72,6 @@ pub fn encode_f32s(values: &[f32]) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Decodes a blob produced by [`encode_f32s`].
-pub fn decode_f32s(blob: &[u8]) -> Result<Vec<f32>, CodecError> {
-    let mut out = Vec::new();
-    decode_f32s_into(blob, &mut out)?;
-    Ok(out)
-}
-
 /// Validates a blob's header and returns its value bytes (`4 × count`).
 pub fn value_bytes(mut blob: &[u8]) -> Result<&[u8], CodecError> {
     if blob.len() < HEADER_LEN {
@@ -139,6 +132,12 @@ pub fn encoded_len(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_f32s(blob: &[u8]) -> Result<Vec<f32>, CodecError> {
+        let mut out = Vec::new();
+        decode_f32s_into(blob, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn roundtrip_preserves_values() {

@@ -210,7 +210,7 @@
 //!
 //! ## Selection
 //!
-//! [`supports`] gates on geometry (3×3, stride 1, any padding). `vc_nn`'s
+//! The kernels assert their geometry (3×3, stride 1, any padding). `vc_nn`'s
 //! `Conv2d` accepts that geometry and 1×1 stride 1 pad 0 (which runs
 //! [`crate::ops::conv1x1_forward_into`] and its gradients) and panics at
 //! build time on any other, so each geometry has one route and there is
@@ -238,7 +238,7 @@ const SPAN_MAX: usize = 16;
 const BAND: usize = 32;
 
 /// Geometry the direct kernels handle: 3×3, stride 1, any symmetric pad.
-pub fn supports(geom: &ConvGeom) -> bool {
+fn supports(geom: &ConvGeom) -> bool {
     geom.kh == 3 && geom.kw == 3 && geom.stride == 1
 }
 

@@ -6,8 +6,8 @@
 //! used to reproduce *Distributed Deep Learning Using Volunteer Computing-Like
 //! Paradigm* (Atre, Jha, Rao; 2021). It provides:
 //!
-//! * [`Tensor`] — an owned, contiguous, row-major `f32` tensor with a dynamic
-//!   shape, elementwise arithmetic, reductions and broadcasting-by-row.
+//! * [`Tensor`] — an owned, contiguous, row-major `f32` buffer with a dynamic
+//!   shape: the images and activations passed between layers.
 //! * [`ops`] — rayon-parallel matrix multiplication, and the 1×1 stride-1
 //!   convolution as GEMMs on the image layout.
 //! * [`conv_direct`] — implicit-GEMM 3×3 stride-1 conv kernels.
@@ -39,7 +39,7 @@ pub mod shape;
 pub mod tensor;
 pub mod workspace;
 
-pub use codec::{decode_f32s, encode_f32s};
+pub use codec::encode_f32s;
 pub use rng::NormalSampler;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -761,6 +761,15 @@ mod tests {
         Tensor::randn(dims, 0.0, 1.0, &mut s)
     }
 
+    fn transpose(t: &Tensor) -> Tensor {
+        let (m, n) = (t.dims()[0], t.dims()[1]);
+        let d = t.data();
+        Tensor::from_vec(
+            (0..n * m).map(|k| d[(k % m) * n + k / m]).collect(),
+            &[n, m],
+        )
+    }
+
     #[test]
     fn matmul_small_known() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
@@ -784,7 +793,7 @@ mod tests {
     fn at_b_matches_explicit_transpose() {
         let a = randt(&[40, 17], 4);
         let b = randt(&[40, 23], 5);
-        let via_t = matmul(&a.transpose(), &b);
+        let via_t = matmul(&transpose(&a), &b);
         assert!(approx_eq(&matmul_at_b(&a, &b), &via_t, 1e-3));
     }
 
@@ -792,7 +801,7 @@ mod tests {
     fn a_bt_matches_explicit_transpose() {
         let a = randt(&[40, 17], 6);
         let b = randt(&[23, 17], 7);
-        let via_t = matmul(&a, &b.transpose());
+        let via_t = matmul(&a, &transpose(&b));
         assert!(approx_eq(&matmul_a_bt(&a, &b), &via_t, 1e-3));
     }
 
@@ -802,7 +811,7 @@ mod tests {
         // parallel path of the (previously serial) weight-gradient kernel.
         let a = randt(&[90, 130], 14);
         let b = randt(&[90, 75], 15);
-        let via_t = matmul(&a.transpose(), &b);
+        let via_t = matmul(&transpose(&a), &b);
         assert!(approx_eq(&matmul_at_b(&a, &b), &via_t, 1e-2));
     }
 
@@ -815,7 +824,10 @@ mod tests {
 
         let mut with_bias = vec![0.0f32; 9 * 13];
         matmul_epi_into(&a, b.data(), &mut with_bias, Epilogue::Bias(bias.data()));
-        let expect = base.add_row_broadcast(&bias);
+        let mut expect = base.clone();
+        for row in expect.data_mut().chunks_exact_mut(13) {
+            row.iter_mut().zip(bias.data()).for_each(|(y, b)| *y += b);
+        }
         assert!(approx_eq(
             &Tensor::from_vec(with_bias.clone(), &[9, 13]),
             &expect,
@@ -831,13 +843,21 @@ mod tests {
         );
         assert!(approx_eq(
             &Tensor::from_vec(with_relu, &[9, 13]),
-            &expect.map(|v| v.max(0.0)),
+            &Tensor::from_vec(expect.data().iter().map(|v| v.max(0.0)).collect(), &[9, 13]),
             0.0
         ));
 
         let mut acc = with_bias;
         matmul_epi_into(&a, b.data(), &mut acc, Epilogue::Accumulate);
-        let expect_acc = expect.add(&base);
+        let expect_acc = Tensor::from_vec(
+            expect
+                .data()
+                .iter()
+                .zip(base.data())
+                .map(|(x, y)| x + y)
+                .collect(),
+            &[9, 13],
+        );
         assert!(approx_eq(
             &Tensor::from_vec(acc, &[9, 13]),
             &expect_acc,

@@ -122,14 +122,6 @@ fn int8_code(x: f32, inv: f32) -> i32 {
     t + i32::from(d >= 0.5) - i32::from(d <= -0.5)
 }
 
-/// Quantize one value to a `[-127, 127]` code given the *inverse* scale
-/// (`round(x · inv)`, clamped). The code `-128` is never produced — the
-/// wire layer reserves it as an escape byte. NaN maps to 0.
-#[inline]
-pub fn int8_quantize_one(x: f32, inv_scale: f32) -> i8 {
-    int8_code(x, inv_scale) as i8
-}
-
 /// The wire form of a run of codes: one two's-complement byte each.
 pub fn int8_codes_as_bytes(codes: &[i8]) -> &[u8] {
     // SAFETY: `i8` and `u8` have the same size and alignment and every bit

@@ -3,7 +3,6 @@
 //! A [`Shape`] is an ordered list of dimension extents. All tensors in the
 //! workspace are stored row-major (C order), so the last axis is contiguous.
 
-use serde::{Content, DeError, Deserialize, Serialize};
 use std::fmt;
 
 /// Highest tensor rank the workspace uses (`[batch, ch, h, w]` images).
@@ -14,8 +13,7 @@ pub const MAX_RANK: usize = 4;
 /// shape. This matters for the zero-allocation steady-state training loop,
 /// where activations are rebuilt from recycled buffers every step.
 ///
-/// A rank-0 shape (no dims) denotes a scalar with exactly one element, which
-/// keeps reductions like `sum()` composable.
+/// A rank-0 shape (no dims) denotes a scalar with exactly one element.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: [usize; MAX_RANK],
@@ -49,7 +47,7 @@ impl Shape {
     }
 
     /// Extent of axis `i`. Panics if `i >= rank()`.
-    pub fn dim(&self, i: usize) -> usize {
+    fn dim(&self, i: usize) -> usize {
         self.dims()[i]
     }
 
@@ -58,74 +56,10 @@ impl Shape {
         self.dims().iter().product()
     }
 
-    /// Flat row-major offset of a multi-index. Panics on rank mismatch or an
-    /// out-of-range coordinate (in debug builds).
-    pub fn offset(&self, index: &[usize]) -> usize {
-        assert_eq!(
-            index.len(),
-            self.rank,
-            "index rank {} does not match shape rank {}",
-            index.len(),
-            self.rank
-        );
-        let mut off = 0;
-        let mut stride = 1;
-        for i in (0..self.rank).rev() {
-            debug_assert!(
-                index[i] < self.dims[i],
-                "index {} out of range for axis {i}",
-                index[i]
-            );
-            off += index[i] * stride;
-            stride *= self.dims[i];
-        }
-        off
-    }
-
     /// True when the two shapes describe matrices that can be multiplied
     /// (`self` is `[m, k]`, `other` is `[k, n]`).
     pub fn matmul_compatible(&self, other: &Shape) -> bool {
         self.rank() == 2 && other.rank() == 2 && self.dim(1) == other.dim(0)
-    }
-}
-
-// Hand-written serde: the pre-inline `Shape(Vec<usize>)` newtype serialized
-// as its inner value (a JSON array of extents); these impls keep that wire
-// format so existing checkpoints and report files stay readable.
-impl Serialize for Shape {
-    fn serialize(&self) -> Content {
-        Content::Seq(
-            self.dims()
-                .iter()
-                .map(|&d| Content::U64(d as u64))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for Shape {
-    fn deserialize(c: &Content) -> Result<Self, DeError> {
-        let seq = c
-            .as_seq()
-            .ok_or_else(|| DeError::expected("sequence", "Shape"))?;
-        if seq.len() > MAX_RANK {
-            return Err(DeError(format!(
-                "shape rank {} exceeds supported maximum {MAX_RANK}",
-                seq.len()
-            )));
-        }
-        let mut dims = [0usize; MAX_RANK];
-        for (slot, item) in dims.iter_mut().zip(seq) {
-            *slot = match *item {
-                Content::U64(v) => v as usize,
-                Content::I64(v) if v >= 0 => v as usize,
-                _ => return Err(DeError::expected("non-negative integer", "Shape")),
-            };
-        }
-        Ok(Shape {
-            dims,
-            rank: seq.len(),
-        })
     }
 }
 
@@ -148,18 +82,6 @@ impl fmt::Display for Shape {
     }
 }
 
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape::new(dims)
-    }
-}
-
-impl From<Vec<usize>> for Shape {
-    fn from(dims: Vec<usize>) -> Self {
-        Shape::new(&dims)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,21 +96,6 @@ mod tests {
         assert_eq!(Shape::new(&[3, 4, 5]).numel(), 60);
         assert_eq!(Shape::new(&[7]).numel(), 7);
         assert_eq!(Shape::new(&[2, 0, 4]).numel(), 0);
-    }
-
-    #[test]
-    fn offset_walks_row_major() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.offset(&[0, 0, 0]), 0);
-        assert_eq!(s.offset(&[0, 0, 3]), 3);
-        assert_eq!(s.offset(&[0, 1, 0]), 4);
-        assert_eq!(s.offset(&[1, 2, 3]), 23);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match shape rank")]
-    fn offset_panics_on_rank_mismatch() {
-        Shape::new(&[2, 3]).offset(&[1]);
     }
 
     #[test]
@@ -208,19 +115,5 @@ mod tests {
     fn display_formats_dims() {
         assert_eq!(Shape::new(&[2, 3]).to_string(), "[2x3]");
         assert_eq!(Shape::new(&[]).to_string(), "[]");
-    }
-
-    #[test]
-    fn serde_roundtrip_keeps_seq_encoding() {
-        let s = Shape::new(&[2, 3, 4]);
-        let c = s.serialize();
-        assert_eq!(
-            c,
-            Content::Seq(vec![Content::U64(2), Content::U64(3), Content::U64(4)]),
-            "wire format must stay the plain array the old newtype emitted"
-        );
-        assert_eq!(Shape::deserialize(&c).unwrap(), s);
-        let scalar = Shape::new(&[]);
-        assert_eq!(Shape::deserialize(&scalar.serialize()).unwrap(), scalar);
     }
 }

@@ -128,6 +128,15 @@ fn geom(h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> 
     }
 }
 
+/// Element of `t` at a row-major multi-index.
+fn at(t: &Tensor, index: &[usize]) -> f32 {
+    let offset = index
+        .iter()
+        .zip(t.dims())
+        .fold(0, |off, (i, d)| off * d + i);
+    t.data()[offset]
+}
+
 #[test]
 fn im2col_identity_kernel_1x1() {
     // A 1x1 kernel with stride 1 and no padding is a pure reshuffle.
@@ -135,14 +144,14 @@ fn im2col_identity_kernel_1x1() {
     let cols = im2col(&input, 3, geom(4, 4, 1, 1, 1, 0));
     assert_eq!(cols.dims(), &[2 * 16, 3]);
     // Element [b, c, y, x] must appear at cols[(b*16 + y*4 + x), c].
-    assert_eq!(cols.at(&[0, 0]), input.at(&[0, 0, 0, 0]));
-    assert_eq!(cols.at(&[5, 2]), input.at(&[0, 2, 1, 1]));
-    assert_eq!(cols.at(&[16 + 3, 1]), input.at(&[1, 1, 0, 3]));
+    assert_eq!(at(&cols, &[0, 0]), at(&input, &[0, 0, 0, 0]));
+    assert_eq!(at(&cols, &[5, 2]), at(&input, &[0, 2, 1, 1]));
+    assert_eq!(at(&cols, &[16 + 3, 1]), at(&input, &[1, 1, 0, 3]));
 }
 
 #[test]
 fn im2col_padding_zeroes_border() {
-    let input = Tensor::ones(&[1, 1, 2, 2]);
+    let input = Tensor::from_vec(vec![1.0; 4], &[1, 1, 2, 2]);
     let cols = im2col(&input, 1, geom(2, 2, 3, 3, 1, 1));
     assert_eq!(cols.dims(), &[4, 9]);
     // Top-left output position: only the bottom-right 2x2 of the kernel

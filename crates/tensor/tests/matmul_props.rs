@@ -23,6 +23,18 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|x| x.to_bits()).collect()
 }
 
+/// The transpose of a rank-2 tensor.
+fn transpose(t: &Tensor) -> Tensor {
+    let (m, n) = (t.dims()[0], t.dims()[1]);
+    let mut out = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            out[j * m + i] = t.data()[i * n + j];
+        }
+    }
+    Tensor::from_vec(out, &[n, m])
+}
+
 fn rand_pair(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
     let mut s = NormalSampler::seed_from(seed);
     (
@@ -59,7 +71,7 @@ proptest! {
         // normalizes the layout, so even the transposed path is bit-exact.
         let (m, k, n) = dims;
         let (a, b) = rand_pair(m, k, n, seed);
-        let at = a.transpose();
+        let at = transpose(&a);
         assert_every_body(|| matmul_at_b(&at, &b), &matmul_naive(&a, &b));
     }
 
@@ -67,7 +79,7 @@ proptest! {
     fn a_bt_is_bitwise_naive(dims in (0usize..40, 0usize..40, 0usize..40), seed in 0u64..1_000_000) {
         let (m, k, n) = dims;
         let (a, b) = rand_pair(m, k, n, seed);
-        let bt = b.transpose();
+        let bt = transpose(&b);
         assert_every_body(|| matmul_a_bt(&a, &bt), &matmul_naive(&a, &b));
     }
 
@@ -84,8 +96,8 @@ proptest! {
         let mut o2 = vec![0.0f32; m * n];
         let mut o3 = vec![0.0f32; m * n];
         matmul_epi_into(&a, b.data(), &mut o1, epi);
-        matmul_at_b_epi_into(&a.transpose(), &b, &mut o2, epi);
-        matmul_a_bt_epi_into(&a, b.transpose().data(), &mut o3, epi);
+        matmul_at_b_epi_into(&transpose(&a), &b, &mut o2, epi);
+        matmul_a_bt_epi_into(&a, transpose(&b).data(), &mut o3, epi);
         let b1: Vec<u32> = o1.iter().map(|x| x.to_bits()).collect();
         let b2: Vec<u32> = o2.iter().map(|x| x.to_bits()).collect();
         let b3: Vec<u32> = o3.iter().map(|x| x.to_bits()).collect();
@@ -173,7 +185,7 @@ fn panel_group_boundaries_are_bitwise_naive() {
     ] {
         let (a, b) = rand_pair(m, k, n, (k + n) as u64);
         let naive = matmul_naive(&a, &b);
-        let (at, bt) = (a.transpose(), b.transpose());
+        let (at, bt) = (transpose(&a), transpose(&b));
         let mut s = NormalSampler::seed_from(k as u64);
         let bias = Tensor::randn(&[n], 0.0, 1.0, &mut s);
         let prior = Tensor::randn(&[m, n], 0.0, 1.0, &mut s);

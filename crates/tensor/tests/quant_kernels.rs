@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use vc_tensor::isa::{with_tier_cap, Tier};
 use vc_tensor::quant::{
     int8_delta_roundtrip, int8_delta_scale, int8_dequantize_add, int8_dequantize_slice,
-    int8_quantize_one, int8_quantize_slice, int8_scale,
+    int8_quantize_slice, int8_scale,
 };
 
 /// The code as it was defined before the kernels: libm `round`, then clamp.
@@ -73,9 +73,6 @@ fn check_all_kernels(src: &[f32], scale: f32) {
         codes
     }) {
         assert_eq!(got, want_codes, "int8_quantize_slice, n {n}, scale {scale}");
-    }
-    for (&x, &want) in src.iter().zip(&want_codes) {
-        assert_eq!(int8_quantize_one(x, inv), want, "quantize_one({x}, {inv})");
     }
 
     let want_deq: Vec<f32> = want_codes.iter().map(|&c| c as f32 * scale).collect();

@@ -1,28 +1,32 @@
 //! Shared fixtures for the golden-bit suites: the pinned chaos scenarios,
 //! the pre-rewrite trajectory fingerprints captured on them, and the
-//! workspace's standing FNV-1a trace-fingerprint helper.
+//! flight-recorder bytes those fingerprints hash.
 //!
-//! Used by `sched_scale.rs` (the scheduler-rewrite regression) and
-//! `ops_trace.rs` (the observability-is-perturbation-free regression):
-//! both must replay the *same* trajectories, so the scenarios and the
-//! golden bits live in exactly one place.
+//! Used by `sched_scale.rs` (the scheduler-rewrite regression),
+//! `ops_trace.rs` (the observability-is-perturbation-free regression) and
+//! `runtime_chaos.rs` (the chaos sweeps): all replay the *same*
+//! trajectories, so the scenarios and the golden bits live in exactly one
+//! place.
 
 #![allow(dead_code)] // each test binary uses the subset it needs
 
 use vc_runtime::{ByzantineMode, Scenario};
+use vc_telemetry::Telemetry;
 
-/// FNV-1a 64-bit, the workspace's standing trace-fingerprint choice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// The flight recorder's retained events as JSONL, oldest first: the
+/// bytes `FlightRecorder::dump_to_file` writes.
+pub fn events_jsonl(tel: &Telemetry) -> String {
+    let mut out = String::new();
+    for ev in tel.recorder().events() {
+        out.push_str(&serde_json::to_string(&ev).expect("event serialization is infallible"));
+        out.push('\n');
     }
-    h
+    out
 }
 
-// --- the pinned scenarios (identical to runtime_chaos/scheduler_hardening) --
+// --- the pinned scenarios ---------------------------------------------------
 
+/// 30% of a 7-worker fleet dies on its second assignment, no replacements.
 pub fn storm(seed: u64) -> Scenario {
     Scenario::new(seed)
         .cn(7)
@@ -31,6 +35,8 @@ pub fn storm(seed: u64) -> Scenario {
         .kill_fraction(0.3, 2)
 }
 
+/// Strong-consistency variant: the parameter store must serialize every
+/// assimilation even while the fleet churns and respawns.
 pub fn strong_storm(seed: u64) -> Scenario {
     Scenario::new(seed)
         .cn(5)
@@ -40,6 +46,8 @@ pub fn strong_storm(seed: u64) -> Scenario {
         .respawn_after(1.0)
 }
 
+/// Message-chaos variant: first assignments dropped, replacements after a
+/// delay, every worker→server message randomly delayed (and reordered).
 pub fn delay_storm(seed: u64) -> Scenario {
     Scenario::new(seed)
         .cn(6)

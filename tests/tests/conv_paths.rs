@@ -12,10 +12,8 @@
 //! (the kernel-level proof against the im2col oracle is
 //! `crates/tensor/tests/conv_direct_props.rs`).
 
-mod common;
-
-use common::fnv1a;
 use vc_runtime::{run_scenario, Scenario};
+use vc_telemetry::fnv1a;
 
 /// A kill-storm scenario over the small CNN: 4 volunteers, 2 trusted
 /// nodes, 2 epochs, 30 % of the fleet killed once mid-run.

@@ -26,7 +26,7 @@ fn assimilator(store: Arc<VersionedStore>, n: usize, mode: Consistency) -> Shard
 }
 
 fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
-    let store = VersionedStore::shared_recording();
+    let store = Arc::new(VersionedStore::recording());
     let assim = Arc::new(assimilator(store.clone(), PARAMS, mode));
     assim.seed_params(&vec![0.0; PARAMS]);
 
@@ -67,7 +67,7 @@ fn deterministic_interleaving_loses_updates_reproducibly() {
     const SEED: u64 = 42;
 
     let run = || {
-        let store = VersionedStore::shared_recording();
+        let store = Arc::new(VersionedStore::recording());
         let assim = assimilator(store.clone(), 8, Consistency::Eventual);
         assim.seed_params(&[0.0; 8]);
         let mut sched: StepScheduler<Ev> = StepScheduler::new(SEED, 0.002);

@@ -25,12 +25,12 @@
 
 mod common;
 
-use common::{fnv1a, goldens, make};
+use common::{goldens, make};
 use std::collections::HashMap;
 use vc_kvstore::{STORE_LOST_UPDATES, STORE_WRITES};
 use vc_ps::service::{PS_BYTES_TX, PS_FETCHES};
 use vc_runtime::{run_scenario, DELAY_LINE_DELAY_S, WORKER_KILLS, WORKER_RESPAWNS};
-use vc_telemetry::{Event, TraceStage, TRACE_SPAN};
+use vc_telemetry::{fnv1a, Event, TraceStage, TRACE_SPAN};
 
 /// All six causal stages, as they appear in the `stage` field of
 /// `trace_span` events.
@@ -169,7 +169,7 @@ fn chrome_trace_export_covers_the_causal_chain() {
     // …and per-stage latency histograms were fed.
     let reg = out.telemetry.registry().snapshot();
     for stage in TraceStage::ALL {
-        let name = stage.histogram_name();
+        let name = format!("trace_{}_s", stage.as_str());
         let hist = reg
             .histograms
             .iter()

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use vc_nn::spec::mlp;
 use vc_ps::Codec;
-use vc_runtime::{run_runtime, RuntimeConfig};
+use vc_runtime::{Runtime, RuntimeConfig};
 
 struct PeakAlloc;
 
@@ -124,7 +124,7 @@ fn assert_run_stays_inside(codec: Codec) {
 
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let report = run_runtime(cfg).expect("run");
+    let report = Runtime::new(cfg).expect("build").run().expect("run");
     let peak = PEAK.load(Ordering::Relaxed) - before;
 
     assert!(!report.halted_early);

@@ -5,14 +5,16 @@ use vc_asgd::alpha::{blend_eq1, eq2_closed_form};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
 use vc_simnet::DelayQueue;
-use vc_tensor::{decode_f32s, encode_f32s, Tensor};
+use vc_tensor::codec::decode_f32s_into;
+use vc_tensor::{encode_f32s, Tensor};
 
 proptest! {
     /// Codec: every f32 vector round-trips bit-exactly.
     #[test]
     fn codec_roundtrip(values in prop::collection::vec(-1e30f32..1e30, 0..512)) {
         let blob = encode_f32s(&values);
-        let back = decode_f32s(&blob).unwrap();
+        let mut back = Vec::new();
+        decode_f32s_into(&blob, &mut back).unwrap();
         prop_assert_eq!(back, values);
     }
 
@@ -24,7 +26,7 @@ proptest! {
     ) {
         let blob = encode_f32s(&values);
         let cut = cut.min(blob.len() - 1);
-        prop_assert!(decode_f32s(&blob[..blob.len() - cut]).is_err());
+        prop_assert!(decode_f32s_into(&blob[..blob.len() - cut], &mut Vec::new()).is_err());
     }
 
     /// Eq. (2) is exactly repeated Eq. (1) — the paper's algebra holds for
@@ -116,7 +118,7 @@ proptest! {
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
         let ds = Dataset::new(images, labels, 3);
         let set = ShardSet::split(&ds, k);
-        prop_assert_eq!(set.total_samples(), n);
+        prop_assert_eq!(set.iter().map(|s| s.data.len()).sum::<usize>(), n);
         let sizes: Vec<usize> = set.iter().map(|s| s.data.len()).collect();
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
@@ -143,28 +145,6 @@ proptest! {
         }
     }
 
-    /// Tensor algebra: (a + b) - b == a elementwise within tolerance, and
-    /// scale distributes over add.
-    #[test]
-    fn tensor_add_sub_inverse(
-        a in prop::collection::vec(-1e3f32..1e3, 1..64),
-        b in prop::collection::vec(-1e3f32..1e3, 1..64),
-        s in -10.0f32..10.0,
-    ) {
-        let n = a.len().min(b.len());
-        let ta = Tensor::from_vec(a[..n].to_vec(), &[n]);
-        let tb = Tensor::from_vec(b[..n].to_vec(), &[n]);
-        let roundtrip = ta.add(&tb).sub(&tb);
-        for (x, y) in roundtrip.data().iter().zip(ta.data()) {
-            prop_assert!((x - y).abs() <= 1e-1 + y.abs() * 1e-5);
-        }
-        let lhs = ta.add(&tb).scale(s);
-        let rhs = ta.scale(s).add(&tb.scale(s));
-        for (x, y) in lhs.data().iter().zip(rhs.data()) {
-            prop_assert!((x - y).abs() <= 1e-2 + x.abs().max(y.abs()) * 1e-4);
-        }
-    }
-
     /// Matmul distributes over addition: A(B + C) == AB + AC.
     #[test]
     fn matmul_distributes(seed in 0u64..1000) {
@@ -174,8 +154,12 @@ proptest! {
         let a = Tensor::randn(&[4, 5], 0.0, 1.0, &mut s);
         let b = Tensor::randn(&[5, 3], 0.0, 1.0, &mut s);
         let c = Tensor::randn(&[5, 3], 0.0, 1.0, &mut s);
-        let lhs = matmul(&a, &b.add(&c));
-        let rhs = matmul(&a, &b).add(&matmul(&a, &c));
+        let sum = |x: &Tensor, y: &Tensor| {
+            let d = x.data().iter().zip(y.data()).map(|(p, q)| p + q).collect();
+            Tensor::from_vec(d, x.dims())
+        };
+        let lhs = matmul(&a, &sum(&b, &c));
+        let rhs = sum(&matmul(&a, &b), &matmul(&a, &c));
         prop_assert!(vc_tensor::approx_eq(&lhs, &rhs, 1e-3));
     }
 }

@@ -305,7 +305,7 @@ fn tcp_loopback_fleet_learns_above_chance() {
     cfg.job.ps_shards = 4;
     cfg.ps_tcp = true;
     let max_syncs = (cfg.job.cn * cfg.job.epochs) as u64;
-    let report = vc_runtime::run_runtime(cfg).unwrap();
+    let report = vc_runtime::Runtime::new(cfg).unwrap().run().unwrap();
     assert!(!report.halted_early, "TCP run must finish on its own");
     assert!(
         report.final_mean_acc() > 0.2,

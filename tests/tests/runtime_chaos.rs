@@ -12,39 +12,11 @@
 //! fleet mid-epoch costs recovery time, never the job — is asserted on
 //! every seed.
 
+mod common;
+
+use common::{delay_storm, events_jsonl, storm, strong_storm};
 use vc_kvstore::Consistency;
-use vc_runtime::{run_runtime, run_scenario, sweep, FaultPlan, RuntimeConfig, Scenario};
-
-/// 30% of a 7-worker fleet dies on its second assignment, no replacements.
-fn storm(seed: u64) -> Scenario {
-    Scenario::new(seed)
-        .cn(7)
-        .tn(2)
-        .epochs(3)
-        .kill_fraction(0.3, 2)
-}
-
-/// Strong-consistency variant: the parameter store must serialize every
-/// assimilation even while the fleet churns and respawns.
-fn strong_storm(seed: u64) -> Scenario {
-    Scenario::new(seed)
-        .cn(5)
-        .epochs(2)
-        .consistency(Consistency::Strong)
-        .kill_fraction(0.3, 2)
-        .respawn_after(1.0)
-}
-
-/// Message-chaos variant: first assignments dropped, replacements after a
-/// delay, every worker→server message randomly delayed (and reordered).
-fn delay_storm(seed: u64) -> Scenario {
-    Scenario::new(seed)
-        .cn(6)
-        .epochs(2)
-        .kill_fraction(0.34, 1)
-        .respawn_after(0.5)
-        .delays(0.1)
-}
+use vc_runtime::{run_scenario, sweep, FaultPlan, Runtime, RuntimeConfig, Scenario};
 
 /// DST sweep: 32 seeds of the 30% fleet-kill storm. Every seed must finish
 /// every epoch, kill exactly the doomed workers, recover through virtual
@@ -132,8 +104,8 @@ fn dst_chaos_replay_is_byte_identical() {
     // The flight recorder rides the virtual clock, so the full event trace
     // replays byte-for-byte too.
     assert_eq!(
-        a.telemetry.recorder().dump_jsonl(),
-        b.telemetry.recorder().dump_jsonl(),
+        events_jsonl(&a.telemetry),
+        events_jsonl(&b.telemetry),
         "same seed must dump an identical flight-recorder trace"
     );
     let c = run_scenario(&storm(18)).unwrap();
@@ -228,7 +200,7 @@ fn threaded_fleet_survives_preemption_with_respawn_and_message_chaos() {
     cfg.flight_recorder_path = Some(fr_path.to_string_lossy().into_owned());
 
     let doomed = cfg.faults.kill_hosts.len() as u64;
-    let report = run_runtime(cfg.clone()).unwrap();
+    let report = Runtime::new(cfg.clone()).unwrap().run().unwrap();
 
     // The coordinator dumps the flight recorder on finalize; its event
     // counts agree with the report's counters even on real threads.
@@ -272,7 +244,7 @@ fn runtime_simulation_and_simulator_agree_on_learning_outcome() {
     cfg.job.cn = 4;
     cfg.job.epochs = 4;
 
-    let rt = run_runtime(cfg.clone()).unwrap();
+    let rt = Runtime::new(cfg.clone()).unwrap().run().unwrap();
     let sim = vc_runtime::des::run_job(cfg.job).unwrap();
     let dst = run_scenario(&Scenario::new(23).cn(4).epochs(4)).unwrap();
 
@@ -322,7 +294,7 @@ fn threaded_and_dst_agree_bitwise_with_one_worker_and_one_server() {
         sc.cfg.job.middleware.max_timeout_s = 120.0;
 
         let dst = run_scenario(&sc).unwrap().report;
-        let rt = run_runtime(sc.cfg.clone()).unwrap();
+        let rt = Runtime::new(sc.cfg.clone()).unwrap().run().unwrap();
 
         let bits = |r: &vc_runtime::RuntimeReport| -> Vec<u32> {
             r.epochs

@@ -21,8 +21,9 @@
 
 mod common;
 
-use common::{fnv1a, goldens, make};
+use common::{events_jsonl, goldens, make};
 use vc_runtime::{run_scenario, sweep, ByzantineMode, Scenario};
+use vc_telemetry::fnv1a;
 
 #[test]
 fn rewrite_replays_pre_rewrite_trajectories_bitwise() {
@@ -54,7 +55,7 @@ fn rewrite_replays_pre_rewrite_trajectories_bitwise() {
             "{name} seed {seed}: report JSON no longer byte-identical"
         );
         assert_eq!(
-            fnv1a(out.telemetry.recorder().dump_jsonl().as_bytes()),
+            fnv1a(events_jsonl(&out.telemetry).as_bytes()),
             trace_hash,
             "{name} seed {seed}: flight-recorder trace no longer byte-identical"
         );

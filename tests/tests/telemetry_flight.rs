@@ -54,9 +54,17 @@ fn failing_dst_seed_dumps_replayable_flight_recorder_jsonl() {
     // The same failing seed replays to a byte-identical trace — the dump
     // is a deterministic artifact, not a one-off.
     let again = run_scenario(&sc).unwrap();
+    let replay_path = std::env::temp_dir().join(format!("vc-dst-seed-{seed}-replay.jsonl"));
+    std::fs::remove_file(&replay_path).ok();
+    let written = again
+        .telemetry
+        .recorder()
+        .dump_to_file(&replay_path)
+        .unwrap();
+    let replay = std::fs::read_to_string(&written).unwrap();
+    std::fs::remove_file(&written).ok();
     assert_eq!(
-        again.telemetry.recorder().dump_jsonl(),
-        dump,
+        replay, dump,
         "replay must reproduce the dumped trace byte-for-byte"
     );
 }
