@@ -11,9 +11,10 @@
 //! replica, same fresh optimizer state, same RNG stream per
 //! `(seed, epoch, shard)`, same kernels — and differ only in scheduling,
 //! never in the learning dynamics of an individual subtask. The workspace
-//! keeps the replica it built for the job's model and a buffer
-//! pool, like a BOINC client keeps its application between workunits;
-//! neither is state: a warm workspace and a new one return the same bits.
+//! keeps the replica it built for the job's model, and the replica its
+//! buffer pool, like a BOINC client keeps its application between
+//! workunits; neither is state: a warm workspace and a new one return the
+//! same bits.
 
 use crate::config::JobConfig;
 use rand::rngs::StdRng;

@@ -43,7 +43,7 @@ impl Dataset {
     }
 
     /// Per-sample dimensions (`[ch, h, w]`).
-    pub fn sample_dims(&self) -> &[usize] {
+    pub(crate) fn sample_dims(&self) -> &[usize] {
         &self.images.dims()[1..]
     }
 

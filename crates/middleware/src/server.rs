@@ -355,11 +355,6 @@ impl BoincServer {
         &self.cold[id.0 as usize].spec
     }
 
-    /// A host's sticky-file shard cache (cold state).
-    pub fn cached_shards(&self, id: HostId) -> &HashSet<usize> {
-        &self.cold[id.0 as usize].cached_shards
-    }
-
     /// Materializes the serializable per-host summaries (API edge).
     pub fn host_summaries(&self) -> Vec<HostSummary> {
         self.hosts
@@ -1071,10 +1066,10 @@ impl BoincServer {
         &self.wus[wu_id.0 as usize].phase
     }
 
-    /// Earliest in-progress deadline, for event-driven timeout scans.
-    /// Prunes stale timer entries from the heap top on the way (hence
-    /// `&mut`); amortized O(1).
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
+    /// Earliest in-progress deadline. Prunes stale timer entries from the
+    /// heap top on the way (hence `&mut`); amortized O(1).
+    #[cfg(test)]
+    fn next_deadline(&mut self) -> Option<SimTime> {
         let wus = &self.wus;
         self.timers
             .next_deadline(|e| match &wus[e.wu.0 as usize].phase {
@@ -1282,7 +1277,7 @@ mod tests {
         s.preempt_host(HostId(0));
         s.revive_host(HostId(0), t(1.0));
         assert!(s.hosts()[0].alive);
-        assert!(s.cached_shards(HostId(0)).is_empty());
+        assert!(s.cold[0].cached_shards.is_empty());
         assert_eq!(s.hosts()[0].in_flight, 0);
     }
 
@@ -1327,9 +1322,6 @@ mod tests {
         s.add_epoch_sharded(1, 2, &ShardManifest::single(1), t(0.0));
         assert_eq!(s.next_deadline(), None);
         s.request_work(HostId(0), t(0.0)).unwrap();
-        let mut q = vc_simnet::EventQueue::<()>::new();
-        q.schedule(t(50.0), ());
-        q.pop();
         s.request_work(HostId(1), t(50.0)).unwrap();
         assert_eq!(s.next_deadline(), Some(t(300.0)));
     }
@@ -1408,9 +1400,6 @@ mod tests {
         s.add_workunit_sharded(1, 0, ShardManifest::single(1), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         // Second replica starts later, so its deadline is later.
-        let mut q = vc_simnet::EventQueue::<()>::new();
-        q.schedule(t(100.0), ());
-        q.pop();
         let b = s.request_work(HostId(1), t(100.0)).unwrap();
         assert_eq!(a.wu.id, b.wu.id);
         // First replica expires at 300; second still lives.

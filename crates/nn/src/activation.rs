@@ -74,10 +74,6 @@ impl Layer for Relu {
         FusionPart::Relu(self)
     }
 
-    fn name(&self) -> &'static str {
-        "relu"
-    }
-
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         in_dims.to_vec()
     }

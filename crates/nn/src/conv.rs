@@ -279,10 +279,6 @@ impl Layer for Conv2d {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         assert_eq!(in_dims.len(), 4);
         let geom = self.geom_for(in_dims[2], in_dims[3]);

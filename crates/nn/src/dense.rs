@@ -133,10 +133,6 @@ impl Layer for Dense {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         assert_eq!(in_dims.len(), 2);
         vec![in_dims[0], self.out_dim]

@@ -92,9 +92,6 @@ pub trait Layer: Send {
     /// without one) and BatchNorm's unit scale and variance.
     fn init_params(&mut self, _: &mut [f32], _: Option<&mut NormalSampler>) {}
 
-    /// Human-readable layer kind, for summaries and error messages.
-    fn name(&self) -> &'static str;
-
     /// Output shape for a given input shape, used by the model builder to
     /// validate specs before allocating parameters.
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize>;
@@ -142,9 +139,6 @@ mod tests {
         ) -> Tensor {
             dy
         }
-        fn name(&self) -> &'static str {
-            "identity"
-        }
         fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
             in_dims.to_vec()
         }
@@ -167,7 +161,6 @@ mod tests {
         let x = ones(&[2, 2]);
         let y = l.forward_ws(&mut [], x.clone(), false, &mut Workspace::new());
         assert_eq!(y.data(), x.data());
-        assert_eq!(l.name(), "identity");
     }
 
     #[test]

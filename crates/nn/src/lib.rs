@@ -88,7 +88,7 @@ pub(crate) mod gradcheck {
         let mut misses = [0u64; 3];
         for m in &mut misses {
             let input = Tensor::from_vec(ws.take_copy(x.data()), x.dims());
-            let y = model.forward_pipeline(input, true, &mut ws);
+            let y = model.forward_pipeline_ws(input, true, &mut ws);
             let dx = model.backward_pipeline_ws(y, &mut ws);
             ws.recycle(dx.into_vec());
             *m = ws.stats().1;

@@ -1,7 +1,8 @@
-//! Evaluation metrics.
+//! Evaluation metrics: the scoring pass behind every accuracy a run
+//! reports, run on the scoring replica's own buffer pool.
 
 use crate::model::Sequential;
-use vc_tensor::{Tensor, Workspace};
+use vc_tensor::Tensor;
 
 /// Bytes the widest hidden activation of one scoring pass may take: 2 MiB,
 /// one L2 of the AVX-512F box the closing evaluation was measured on.
@@ -47,11 +48,12 @@ pub fn pass_batch(model: &Sequential, sample_dims: &[usize], batch_size: usize) 
 }
 
 /// Evaluates a model over a dataset in mini-batches, returning its top-1
-/// accuracy. `images` is `[n, ...]`, flattened per batch.
+/// accuracy. `images` is `[n, ...]`.
 ///
-/// `batch_size` caps the batch; the passes run at [`pass_batch`]. The
-/// accuracy is the integer count of hits over `n`, so it does not depend
-/// on how `n` is split.
+/// `batch_size` caps the batch; the passes run at [`pass_batch`], on the
+/// model's own buffer pool, so a scorer that has run once allocates
+/// nothing more. The accuracy is the integer count of hits over `n`, so it
+/// does not depend on how `n` is split.
 pub fn evaluate(
     model: &mut Sequential,
     images: &Tensor,
@@ -63,22 +65,16 @@ pub fn evaluate(
     if n == 0 {
         return 0.0;
     }
-    let sample_len: usize = images.dims()[1..].iter().product();
-    let mut dims = images.dims().to_vec();
-    let batch_size = pass_batch(model, &dims[1..], batch_size);
+    let batch_size = pass_batch(model, &images.dims()[1..], batch_size);
     // Same bits, fewer passes over each activation.
     model.fuse_relu();
-    // Batches share one buffer pool for the length of the pass.
-    let mut ws = Workspace::new();
     let mut total_hits = 0;
     let mut start = 0;
     while start < n {
         let end = (start + batch_size).min(n);
-        dims[0] = end - start;
-        let batch = ws.take_copy(&images.data()[start * sample_len..end * sample_len]);
-        let logits = model.forward_pipeline(Tensor::from_vec(batch, &dims), false, &mut ws);
+        let logits = model.forward_rows(images, start..end, false);
         total_hits += hits(&logits, &labels[start..end]);
-        ws.recycle(logits.into_vec());
+        model.recycle(logits);
         start = end;
     }
     total_hits as f32 / n as f32

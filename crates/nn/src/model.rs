@@ -5,6 +5,7 @@ use crate::layer::{BoxedLayer, FusionPart, Layer};
 use crate::norm::BatchNorm;
 use crate::preact;
 use std::ops::Range;
+use vc_tensor::shape::MAX_RANK;
 use vc_tensor::{NormalSampler, Tensor, Workspace};
 
 /// A model as an ordered pipeline of layers, and the one parameter vector
@@ -12,7 +13,8 @@ use vc_tensor::{NormalSampler, Tensor, Workspace};
 /// distributed layer exchanges. The gradient vector has the same offsets
 /// and is sized on the first backward pass, so a replica that only scores
 /// never holds one. Layers hold only their layout; the traversal hands
-/// each its slices.
+/// each its slices. Every pass runs on the replica's own buffer pool, which
+/// stays warm from one pass, workunit or scoring to the next.
 ///
 /// As a [`Residual`](crate::Residual) block's body, its parameter vector
 /// holds the body's starting values until the block joins a pipeline,
@@ -22,6 +24,8 @@ pub struct Sequential {
     pub(crate) pipe: Pipeline,
     pub(crate) params: Vec<f32>,
     grads: Vec<f32>,
+    /// The buffer pool the passes draw activations and scratch from.
+    ws: Workspace,
 }
 
 /// The layers of a [`Sequential`] and where their parameters sit, apart
@@ -204,21 +208,50 @@ impl Sequential {
     }
 
     /// Forward over the whole pipeline: tensors move by value, buffers
-    /// recycle through `ws`.
-    pub fn forward_pipeline(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+    /// recycle through the replica's pool.
+    fn forward_pipeline(&mut self, x: Tensor, train: bool) -> Tensor {
+        self.pipe
+            .forward(&mut self.params, x, train, false, &mut self.ws)
+    }
+
+    /// Forward over rows `rows` of `x` (`[n, …]`), gathered into a pooled
+    /// batch in that order: a trainer's shuffled mini-batch, a scorer's
+    /// contiguous pass.
+    pub fn forward_rows(
+        &mut self,
+        x: &Tensor,
+        rows: impl ExactSizeIterator<Item = usize>,
+        train: bool,
+    ) -> Tensor {
+        let rank = x.dims().len();
+        let sample_len: usize = x.dims()[1..].iter().product();
+        let mut dims = [0usize; MAX_RANK];
+        dims[0] = rows.len();
+        dims[1..rank].copy_from_slice(&x.dims()[1..]);
+        let mut batch = self.ws.take(dims[0] * sample_len);
+        for (bi, i) in rows.enumerate() {
+            batch[bi * sample_len..(bi + 1) * sample_len]
+                .copy_from_slice(&x.data()[i * sample_len..(i + 1) * sample_len]);
+        }
+        self.forward_pipeline(Tensor::from_vec(batch, &dims[..rank]), train)
+    }
+
+    /// Returns a tensor a pass handed out, such as logits already read, to
+    /// the replica's pool.
+    pub fn recycle(&mut self, t: Tensor) {
+        self.ws.recycle(t.into_vec());
+    }
+
+    /// Forward on the caller's pool `ws`, which the frozen
+    /// `benchmark/src/probes.rs` times.
+    #[doc(hidden)]
+    pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         self.pipe.forward(&mut self.params, x, train, false, ws)
     }
 
-    /// [`forward_pipeline`](Self::forward_pipeline) under the old name,
-    /// which the frozen `benchmark/src/probes.rs` calls.
-    #[doc(hidden)]
-    pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        self.forward_pipeline(x, train, ws)
-    }
-
-    /// Backward over the whole pipeline; the returned input gradient's
-    /// buffer also comes from `ws`. The name is the one the frozen
-    /// `benchmark/src/probes.rs` calls.
+    /// Backward over the whole pipeline on the caller's pool `ws`, which
+    /// also holds the returned input gradient's buffer. The name is the one
+    /// the frozen `benchmark/src/probes.rs` calls.
     pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
         self.size_grads();
         let end = self.len();
@@ -226,27 +259,17 @@ impl Sequential {
             .backward_span(&self.params, &mut self.grads, dy, 0, end, ws)
     }
 
-    /// Backward for a training step: parameter gradients accumulate
-    /// exactly as in [`backward_pipeline_ws`](Self::backward_pipeline_ws),
-    /// but the gradient with respect to the pipeline's input — which has
-    /// no reader — is never formed. The pass stops at the first
-    /// parameterised layer, which runs
-    /// [`Layer::backward_params_ws`]; the parameter-free layers before it
-    /// are not run at all.
-    pub fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+    /// Backward for a training step, on the replica's pool: parameter
+    /// gradients accumulate exactly as in
+    /// [`backward_pipeline_ws`](Self::backward_pipeline_ws), but the
+    /// gradient with respect to the pipeline's input — which has no reader
+    /// — is never formed. The pass stops at the first parameterised layer,
+    /// which runs [`Layer::backward_params_ws`]; the parameter-free layers
+    /// before it are not run at all.
+    pub fn backward_params(&mut self, dy: Tensor) {
         self.size_grads();
         self.pipe
-            .backward_params(&self.params, &mut self.grads, dy, ws);
-    }
-
-    /// One-line summary of the architecture, e.g. `conv2d→relu→…`.
-    pub fn summary(&self) -> String {
-        self.pipe
-            .layers
-            .iter()
-            .map(|l| l.name())
-            .collect::<Vec<_>>()
-            .join("→")
+            .backward_params(&self.params, &mut self.grads, dy, &mut self.ws);
     }
 }
 
@@ -383,7 +406,7 @@ impl Pipeline {
         Some(dx)
     }
 
-    /// [`Sequential::backward_params_ws`] over parameters `p`, into `g`.
+    /// [`Sequential::backward_params`] over parameters `p`, into `g`.
     fn backward_params(&mut self, p: &[f32], g: &mut [f32], dy: Tensor, ws: &mut Workspace) {
         let Some(first) = (0..self.layers.len()).find(|&i| !self.spans(i, i + 1).is_empty()) else {
             return ws.recycle(dy.into_vec());
@@ -416,9 +439,9 @@ impl Sequential {
         map
     }
 
-    /// A training forward against a throwaway workspace, leaving `x` intact.
+    /// A forward against a throwaway workspace, leaving `x` intact.
     pub(crate) fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.forward_pipeline(x.clone(), train, &mut Workspace::new())
+        self.forward_pipeline_ws(x.clone(), train, &mut Workspace::new())
     }
 
     /// A backward against a throwaway workspace, leaving `dy` intact.
@@ -429,6 +452,11 @@ impl Sequential {
     /// The gradient vector (empty before the first backward pass).
     pub(crate) fn grads(&self) -> &[f32] {
         &self.grads
+    }
+
+    /// The replica's buffer pool.
+    pub(crate) fn pool(&mut self) -> &mut Workspace {
+        &mut self.ws
     }
 }
 
@@ -556,11 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_names_layers() {
-        assert_eq!(tiny_model(11).summary(), "dense→relu→dense");
-    }
-
-    #[test]
     fn fused_training_step_is_bitwise_identical_to_unfused() {
         use crate::conv::Conv2d;
         use crate::pool::{Flatten, MaxPool2};
@@ -591,7 +614,7 @@ mod tests {
         plain.zero_grads_all();
         plain.backward(&dy_p);
 
-        let logits_f = fused.forward_pipeline(x.clone(), true, &mut ws);
+        let logits_f = fused.forward_pipeline_ws(x.clone(), true, &mut ws);
         assert_eq!(logits_p.data(), logits_f.data());
         let (loss_f, dy_f) = SoftmaxCrossEntropy::loss_and_grad_ws(logits_f, &labels);
         assert_eq!(loss_p.to_bits(), loss_f.to_bits());
@@ -601,14 +624,14 @@ mod tests {
 
         // Steady state: a second step must not miss the buffer pool.
         let (_, misses_warm) = ws.stats();
-        let logits2 = fused.forward_pipeline(x.clone(), true, &mut ws);
+        let logits2 = fused.forward_pipeline_ws(x.clone(), true, &mut ws);
         let (_, dy2) = SoftmaxCrossEntropy::loss_and_grad_ws(logits2, &labels);
         let _ = fused.backward_pipeline_ws(dy2, &mut ws);
         let (_, misses_steady) = ws.stats();
         assert_eq!(misses_warm, misses_steady, "steady-state step allocated");
     }
 
-    /// `backward_params_ws` leaves the same parameter gradients as the full
+    /// `backward_params` leaves the same parameter gradients as the full
     /// backward, whatever the first parameterised layer is: a `Dense`
     /// behind a `Flatten`, a 3×3 or a 1×1 `Conv2d`, a fused
     /// pre-activation unit, a nested body — and a model with no parameters
@@ -668,19 +691,19 @@ mod tests {
             let (mut full, mut lean) = (spec.build(3), spec.build(3));
             full.fuse_relu();
             lean.fuse_relu();
-            let (mut ws_full, mut ws_lean) = (Workspace::new(), Workspace::new());
+            let mut ws_full = Workspace::new();
             let mut s = NormalSampler::seed_from(9);
             // A second step runs on the caches the first one left behind.
             for step in 0..2 {
                 let x = Tensor::randn(&[4, 2, 8, 8], 0.0, 1.0, &mut s);
                 let dy = Tensor::randn(&[4, 3], 0.0, 1.0, &mut s);
-                let y_full = full.forward_pipeline(x.clone(), true, &mut ws_full);
-                let y_lean = lean.forward_pipeline(x, true, &mut ws_lean);
+                let y_full = full.forward_pipeline_ws(x.clone(), true, &mut ws_full);
+                let y_lean = lean.forward_pipeline(x, true);
                 assert_eq!(y_full.data(), y_lean.data(), "{} step {step}", spec.name);
                 full.zero_grads_all();
                 lean.zero_grads_all();
                 let _ = full.backward_pipeline_ws(dy.clone(), &mut ws_full);
-                lean.backward_params_ws(dy, &mut ws_lean);
+                lean.backward_params(dy);
                 let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(full.grads()),
@@ -692,9 +715,9 @@ mod tests {
         }
 
         let mut bare = Sequential::new().push(Relu::new());
-        let mut ws = Workspace::new();
-        let y = bare.forward_pipeline(ones(&[2, 3]), true, &mut ws);
-        bare.backward_params_ws(y, &mut ws);
+        let y = bare.forward_pipeline(ones(&[2, 3]), true);
+        bare.backward_params(y);
+        let ws = bare.pool();
         assert_eq!(ws.take(6).capacity(), 6, "dy went back to the pool");
         assert_eq!(ws.stats(), (1, 0));
     }

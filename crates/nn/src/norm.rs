@@ -444,10 +444,6 @@ impl Layer for BatchNorm {
         p[self.buffer_range()][self.ch..].fill(1.0);
     }
 
-    fn name(&self) -> &'static str {
-        "batchnorm"
-    }
-
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         in_dims.to_vec()
     }

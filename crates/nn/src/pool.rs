@@ -130,10 +130,6 @@ impl Layer for MaxPool2 {
         Tensor::from_vec(dx, in_shape.dims())
     }
 
-    fn name(&self) -> &'static str {
-        "maxpool2"
-    }
-
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         assert_eq!(in_dims.len(), 4);
         vec![in_dims[0], in_dims[1], in_dims[2] / 2, in_dims[3] / 2]
@@ -206,10 +202,6 @@ impl Layer for AvgPoolGlobal {
         Tensor::from_vec(dx, in_shape.dims())
     }
 
-    fn name(&self) -> &'static str {
-        "avgpool_global"
-    }
-
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         assert_eq!(in_dims.len(), 4);
         vec![in_dims[0], in_dims[1]]
@@ -252,10 +244,6 @@ impl Layer for Flatten {
             .in_shape
             .expect("Flatten::backward called without a cached forward");
         dy.reshape(in_shape.dims())
-    }
-
-    fn name(&self) -> &'static str {
-        "flatten"
     }
 
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {

@@ -147,12 +147,12 @@ mod tests {
 
     fn through_traversal(mut model: Sequential, x: &Tensor, seed: u64) -> Trace {
         let mut ws = Workspace::new();
-        let y = model.forward_pipeline(x.clone(), true, &mut ws);
+        let y = model.forward_pipeline_ws(x.clone(), true, &mut ws);
         let mut s = NormalSampler::seed_from(seed);
         let dy = Tensor::randn(y.dims(), 0.0, 1.0, &mut s);
         let dx = model.backward_pipeline_ws(dy, &mut ws);
         let (grads, params) = (bits(model.grads()), bits(&model.params_flat()));
-        let y_eval = model.forward_pipeline(x.clone(), false, &mut ws);
+        let y_eval = model.forward_pipeline_ws(x.clone(), false, &mut ws);
         (
             bits(y.data()),
             bits(dx.data()),
@@ -259,7 +259,7 @@ mod tests {
         // The oracle: both units layer by layer, the skip added by hand.
         let mut layers = two_units();
         let mut ws = Workspace::new();
-        let mut y = layers.forward_pipeline(x.clone(), true, &mut ws);
+        let mut y = layers.forward_pipeline_ws(x.clone(), true, &mut ws);
         for (f, s) in y.data_mut().iter_mut().zip(x.data()) {
             *f += s;
         }
@@ -323,7 +323,7 @@ mod tests {
         let mut model = fused_model(unit(4, 4, 1, 3));
         let mut ws = Workspace::new();
         let x = input(dims, 3);
-        let y = model.forward_pipeline(x, true, &mut ws);
+        let y = model.forward_pipeline_ws(x, true, &mut ws);
         let (takes, _) = ws.stats();
         assert_eq!(takes, 4, "mean, var, output, stage");
         assert_eq!(y.numel(), n);
@@ -334,7 +334,7 @@ mod tests {
         let mut misses = [0; 2];
         for m in &mut misses {
             let x = Tensor::from_vec(ws.take_copy(input(dims, 3).data()), &dims);
-            let y = model.forward_pipeline(x, true, &mut ws);
+            let y = model.forward_pipeline_ws(x, true, &mut ws);
             let dx = model.backward_pipeline_ws(y, &mut ws);
             ws.recycle(dx.into_vec());
             *m = ws.stats().1;

@@ -92,10 +92,6 @@ impl Layer for Residual {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "residual"
-    }
-
     fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         let out = self.body.out_dims(in_dims);
         assert_eq!(
@@ -220,11 +216,11 @@ mod tests {
     /// output, by `to_bits()`.
     fn step_bits(r: &mut Sequential, x: &Tensor, dy: &Tensor) -> [Vec<u32>; 4] {
         let mut ws = Workspace::new();
-        let y = r.forward_pipeline(x.clone(), true, &mut ws);
+        let y = r.forward_pipeline_ws(x.clone(), true, &mut ws);
         r.zero_grads_all();
         let dx = r.backward_pipeline_ws(dy.clone(), &mut ws);
         let g = r.grads().to_vec();
-        let y_eval = r.forward_pipeline(x.clone(), false, &mut ws);
+        let y_eval = r.forward_pipeline_ws(x.clone(), false, &mut ws);
         [y.data(), dx.data(), &g, y_eval.data()].map(bits)
     }
 
@@ -272,15 +268,15 @@ mod tests {
             let mut body = unit_body(units, false, 14);
             body.fuse_relu();
             let (mut ws_block, mut ws_body) = (Workspace::new(), Workspace::new());
-            let y = block.forward_pipeline(x.clone(), true, &mut ws_block);
-            let fy = body.forward_pipeline(x.clone(), true, &mut ws_body);
+            let y = block.forward_pipeline_ws(x.clone(), true, &mut ws_block);
+            let fy = body.forward_pipeline_ws(x.clone(), true, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "training forward");
             block.backward_pipeline_ws(y, &mut ws_block);
             body.backward_pipeline_ws(fy, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "backward");
             let (mut ws_block, mut ws_body) = (Workspace::new(), Workspace::new());
-            block.forward_pipeline(x.clone(), false, &mut ws_block);
-            body.forward_pipeline(x.clone(), false, &mut ws_body);
+            block.forward_pipeline_ws(x.clone(), false, &mut ws_block);
+            body.forward_pipeline_ws(x.clone(), false, &mut ws_body);
             assert_eq!(takes(&ws_block), takes(&ws_body), "inference forward");
             assert_eq!(held(&ws_block), held(&ws_body), "inference keeps nothing");
         }

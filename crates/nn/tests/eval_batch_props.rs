@@ -11,7 +11,7 @@
 use vc_nn::metrics::evaluate;
 use vc_nn::spec::{mlp, resnet_lite, small_cnn, ModelSpec};
 use vc_tensor::isa::{with_tier_cap, Tier};
-use vc_tensor::{NormalSampler, Tensor, Workspace};
+use vc_tensor::{NormalSampler, Tensor};
 
 const N: usize = 70;
 const CAPS: [usize; 5] = [1, 3, 32, 70, 256];
@@ -36,7 +36,7 @@ fn accuracy_bits_at_every_cap(spec: ModelSpec) {
     model.fuse_relu();
     for tier in Tier::host_tiers() {
         with_tier_cap(tier, || {
-            let logits = model.forward_pipeline(images.clone(), false, &mut Workspace::new());
+            let logits = model.forward_rows(&images, 0..N, false);
             let labels = argmax_rows(&logits);
             for cap in CAPS {
                 let acc = evaluate(&mut model, &images, &labels, cap);

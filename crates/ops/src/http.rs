@@ -242,10 +242,11 @@ mod tests {
     use super::*;
     use vc_telemetry::Telemetry;
 
-    fn start_server() -> (OpsServer, Arc<OpsHub>) {
-        let hub = Arc::new(OpsHub::new(Telemetry::with_echo(64, None)));
-        let srv = OpsServer::start("127.0.0.1:0", hub.clone()).expect("bind ephemeral port");
-        (srv, hub)
+    fn start_server() -> (OpsServer, Telemetry) {
+        let tel = Telemetry::with_echo(64, None);
+        let hub = Arc::new(OpsHub::new(tel.clone()));
+        let srv = OpsServer::start("127.0.0.1:0", hub).expect("bind ephemeral port");
+        (srv, tel)
     }
 
     fn raw_request(addr: SocketAddr, bytes: &[u8]) -> String {
@@ -272,9 +273,9 @@ mod tests {
 
     #[test]
     fn serves_endpoints_over_tcp() {
-        let (srv, hub) = start_server();
+        let (srv, tel) = start_server();
         let addr = srv.local_addr();
-        hub.telemetry().registry().counter("vc_http_test").add(9);
+        tel.registry().counter("vc_http_test").add(9);
 
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
@@ -292,7 +293,7 @@ mod tests {
 
     #[test]
     fn hostile_requests_get_clean_errors() {
-        let (srv, _hub) = start_server();
+        let (srv, _tel) = start_server();
         let addr = srv.local_addr();
 
         assert!(
@@ -334,14 +335,14 @@ mod tests {
 
     #[test]
     fn newline_only_line_endings_are_tolerated() {
-        let (srv, _hub) = start_server();
+        let (srv, _tel) = start_server();
         let out = raw_request(srv.local_addr(), b"GET /healthz HTTP/1.0\n\n");
         assert!(out.starts_with("HTTP/1.1 200"), "{out}");
     }
 
     #[test]
     fn shutdown_joins_all_threads() {
-        let (srv, _hub) = start_server();
+        let (srv, _tel) = start_server();
         let addr = srv.local_addr();
         assert!(get(addr, "/healthz").starts_with("HTTP/1.1 200"));
         drop(srv);

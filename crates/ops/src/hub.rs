@@ -76,11 +76,6 @@ impl OpsHub {
         }
     }
 
-    /// The underlying telemetry handle.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
     /// Replaces the published status snapshot. The coordinator calls this
     /// once per event-loop beat (threaded) or per tick (DST).
     pub fn publish(&self, snap: StatusSnapshot) {
@@ -117,7 +112,7 @@ impl OpsHub {
 
     /// `GET /trace`: the flight recorder as Chrome `trace_event` JSON,
     /// loadable in `chrome://tracing` / Perfetto.
-    pub fn trace_json(&self) -> String {
+    fn trace_json(&self) -> String {
         chrome_trace_json(&self.tel.recorder().events())
     }
 

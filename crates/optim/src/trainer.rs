@@ -6,7 +6,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use vc_nn::{ModelSpec, Sequential, SoftmaxCrossEntropy};
 use vc_telemetry::{Histogram, Telemetry};
-use vc_tensor::{Tensor, Workspace};
+use vc_tensor::Tensor;
 
 /// Statistics from one pass of [`train_minibatch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,18 +19,16 @@ pub struct TrainBatchStats {
     pub samples: usize,
 }
 
-/// Per-replica reusable training state: the tensor [`Workspace`], the
-/// shuffle order, the label batch and the resident model replica. There are
-/// no parameter/gradient mirrors: clipping and the optimizer step work on
-/// the model's own parameter and gradient vectors, one slice each. Hold one
-/// per worker thread (or simulated client)
-/// and pass it to every [`train_minibatch`] call; after the first step
-/// warms the pools, the steady-state training loop performs zero heap
-/// allocations.
+/// Per-replica reusable training state: the shuffle order, the label
+/// batch, the saved buffer values and the resident model replica. The
+/// buffer pool is the model's own, and there are no parameter/gradient
+/// mirrors: clipping and the optimizer step work on the model's parameter
+/// and gradient vectors, one slice each. Hold one per worker thread (or
+/// simulated client) and pass it to every [`train_minibatch`] call; after
+/// the first step warms the model's pool and these vectors, the
+/// steady-state training loop performs zero heap allocations.
 #[derive(Default)]
 pub struct TrainWorkspace {
-    /// Buffer pool for activations, columns and gradients.
-    pub ws: Workspace,
     /// The model's untrained buffers as they were before the pass.
     buffers: Vec<f32>,
     order: Vec<usize>,
@@ -93,9 +91,9 @@ pub struct StepTimer<'a> {
 /// executes for one training subtask, and the only training loop in the
 /// workspace: every driver, the serial reference and every test runs it.
 ///
-/// Tensors move by value through the layer chain drawing buffers from
-/// `tws`, the ReLU activations are fused into the GEMM epilogues, and the
-/// optimizer updates the model's parameter vector in place from its
+/// Tensors move by value through the layer chain drawing buffers from the
+/// model's pool, the ReLU activations are fused into the GEMM epilogues,
+/// and the optimizer updates the model's parameter vector in place from its
 /// gradient vector; after the first step warms the pools, steady-state
 /// steps perform no heap allocation.
 ///
@@ -117,9 +115,6 @@ pub fn train_minibatch<R: Rng>(
     let n = images.dims()[0];
     assert_eq!(n, labels.len(), "images/labels length mismatch");
     assert!(batch_size > 0, "batch_size must be positive");
-    let rank = images.dims().len();
-    let sample_len: usize = images.dims()[1..].iter().product();
-
     tws.order.clear();
     tws.order.extend(0..n);
     let mut total_loss = 0.0;
@@ -138,33 +133,14 @@ pub fn train_minibatch<R: Rng>(
     }
     for _ in 0..local_epochs {
         tws.order.shuffle(rng);
-        // `order` is borrowed across the step, so split it off the rest of
-        // the workspace fields.
-        let TrainWorkspace {
-            ws,
-            order,
-            batch_labels,
-            ..
-        } = tws;
-        for chunk in order.chunks(batch_size) {
+        for chunk in tws.order.chunks(batch_size) {
             let t0 = timer.map(|t| t.telemetry.now_s());
-            // Gather the shuffled batch into pooled storage.
-            let mut batch_data = ws.take(chunk.len() * sample_len);
-            batch_labels.clear();
-            for (bi, &idx) in chunk.iter().enumerate() {
-                batch_data[bi * sample_len..(bi + 1) * sample_len]
-                    .copy_from_slice(&images.data()[idx * sample_len..(idx + 1) * sample_len]);
-                batch_labels.push(labels[idx]);
-            }
-            let mut dims = [0usize; 4];
-            dims[0] = chunk.len();
-            dims[1..rank].copy_from_slice(&images.dims()[1..]);
-            let batch = Tensor::from_vec(batch_data, &dims[..rank]);
-
-            let logits = model.forward_pipeline(batch, true, ws);
-            let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, batch_labels);
+            tws.batch_labels.clear();
+            tws.batch_labels.extend(chunk.iter().map(|&i| labels[i]));
+            let logits = model.forward_rows(images, chunk.iter().copied(), true);
+            let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &tws.batch_labels);
             model.zero_grads_all();
-            model.backward_params_ws(dlogits, ws);
+            model.backward_params(dlogits);
             let (params, grads, _) = model.arena();
             if clip_norm.is_finite() {
                 clip_by_global_norm(grads, clip_norm);
@@ -304,6 +280,49 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Counts the heap allocations the calling thread makes while armed;
+    /// other threads of the test binary pass straight through.
+    struct ThreadAllocs;
+
+    thread_local! {
+        static ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn note_alloc() {
+        if ARMED.try_with(|a| a.get()).unwrap_or(false) {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the counters are
+    // const-initialized thread locals that never allocate.
+    unsafe impl std::alloc::GlobalAlloc for ThreadAllocs {
+        unsafe fn alloc(&self, l: std::alloc::Layout) -> *mut u8 {
+            note_alloc();
+            // SAFETY: the caller's obligations are passed through as-is.
+            unsafe { std::alloc::System.alloc(l) }
+        }
+        unsafe fn alloc_zeroed(&self, l: std::alloc::Layout) -> *mut u8 {
+            note_alloc();
+            // SAFETY: as above.
+            unsafe { std::alloc::System.alloc_zeroed(l) }
+        }
+        unsafe fn realloc(&self, p: *mut u8, l: std::alloc::Layout, size: usize) -> *mut u8 {
+            note_alloc();
+            // SAFETY: as above; `p` came from this allocator, i.e. `System`.
+            unsafe { std::alloc::System.realloc(p, l, size) }
+        }
+        unsafe fn dealloc(&self, p: *mut u8, l: std::alloc::Layout) {
+            // SAFETY: as above.
+            unsafe { std::alloc::System.dealloc(p, l) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: ThreadAllocs = ThreadAllocs;
+
     #[test]
     fn steady_state_reuses_buffers() {
         let spec = mlp(&[2], 8, 2);
@@ -315,13 +334,17 @@ mod tests {
         train_minibatch(
             &mut model, &mut opt, &x, &y, 16, 1, 1.0, &mut rng, &mut tws, None,
         );
-        let (_, warm_misses) = tws.ws.stats();
-        train_minibatch(
+        ARMED.with(|a| a.set(true));
+        let stats = train_minibatch(
             &mut model, &mut opt, &x, &y, 16, 2, 1.0, &mut rng, &mut tws, None,
         );
-        let (takes, misses) = tws.ws.stats();
-        assert_eq!(misses, warm_misses, "steady-state steps must not allocate");
-        assert!(takes > warm_misses);
+        ARMED.with(|a| a.set(false));
+        assert_eq!(stats.steps, 6);
+        assert_eq!(
+            ALLOCS.with(|n| n.get()),
+            0,
+            "steady-state steps must reuse the model's pool, not allocate"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use vc_nn::spec::{mlp, resnet_lite, small_cnn};
 use vc_nn::ModelSpec;
 use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
-use vc_tensor::{NormalSampler, Tensor, Workspace};
+use vc_tensor::{NormalSampler, Tensor};
 
 fn fnv1a(vals: &[f32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -40,7 +40,7 @@ fn run(spec: &ModelSpec) -> (u64, u64, u32) {
         &mut model, &mut opt, &images, &labels, 16, 1, 5.0, &mut rng, &mut tws, None,
     );
     assert_eq!(stats.steps, 3);
-    let logits = model.forward_pipeline(images.clone(), false, &mut Workspace::new());
+    let logits = model.forward_rows(&images, 0..48, false);
     (
         fnv1a(&model.params_flat()),
         fnv1a(logits.data()),

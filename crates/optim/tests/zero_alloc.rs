@@ -60,18 +60,17 @@ fn sweep(name: &str, mut model: vc_nn::Sequential, images: &Tensor, classes: usi
     let mut tws = TrainWorkspace::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 
-    // Widest cap first: the A-pack arena and workspace pools hit their
+    // Widest cap first: the A-pack arena and the model's pool hit their
     // high-water marks at 8 threads, so later (narrower) caps reuse them.
     for cap in [8usize, 4, 2, 1] {
         rayon::set_thread_cap(cap);
-        // Warm-up at this cap: fills the workspace pools, the flat
+        // Warm-up at this cap: fills the model's buffer pool, the flat
         // param/grad vectors and the optimizer state — and, on the first
         // iteration, spawns the pool's worker threads.
         train_minibatch(
             &mut model, &mut opt, images, &labels, batch, 2, 5.0, &mut rng, &mut tws, None,
         );
 
-        let (takes_before, misses_before) = tws.ws.stats();
         ALLOCS.store(0, Ordering::SeqCst);
         COUNTING.store(true, Ordering::SeqCst);
         let stats = train_minibatch(
@@ -80,15 +79,6 @@ fn sweep(name: &str, mut model: vc_nn::Sequential, images: &Tensor, classes: usi
         COUNTING.store(false, Ordering::SeqCst);
 
         assert!(stats.mean_loss.is_finite());
-        let (takes, misses) = tws.ws.stats();
-        assert!(
-            takes > takes_before,
-            "{name} cap {cap}: the measured pass must have exercised the pool"
-        );
-        assert_eq!(
-            misses, misses_before,
-            "{name} cap {cap}: steady state must never miss the buffer pool"
-        );
         assert_eq!(
             ALLOCS.load(Ordering::SeqCst),
             0,

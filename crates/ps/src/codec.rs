@@ -251,7 +251,7 @@ impl Codec {
     }
 
     /// Whether the sender maintains an error-feedback residual.
-    pub fn error_feedback(self) -> bool {
+    fn error_feedback(self) -> bool {
         self == Codec::Int8 {
             error_feedback: true,
         }

@@ -143,11 +143,6 @@ impl ShardedAssimilator {
         &self.keys[i]
     }
 
-    /// The consistency mode in use.
-    pub fn mode(&self) -> Consistency {
-        self.mode
-    }
-
     /// The configured α schedule.
     pub fn schedule(&self) -> AlphaSchedule {
         self.schedule

@@ -49,7 +49,10 @@ fn encode_delta(
 ) -> Result<(), &'static str> {
     assert_eq!(new.len(), base.len());
     let n = new.len();
-    let ef = codec.error_feedback();
+    let ef = codec
+        == Codec::Int8 {
+            error_feedback: true,
+        };
     if ef && residual.len() != n {
         residual.clear();
         residual.resize(n, 0.0);

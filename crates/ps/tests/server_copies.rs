@@ -73,10 +73,10 @@ fn assimilator(
 /// over `a`'s store: eventual decodes every shard into one vector at begin
 /// and blends the client into it; strong decodes each shard inside its
 /// transaction into a zeroed vector. Returns the updated vector.
-fn old_compose(a: &ShardedAssimilator, client: &[f32], alpha: f32) -> Vec<f32> {
+fn old_compose(a: &ShardedAssimilator, mode: Consistency, client: &[f32], alpha: f32) -> Vec<f32> {
     let store = a.store();
     let mut full = vec![0.0f32; client.len()];
-    match a.mode() {
+    match mode {
         Consistency::Eventual => {
             let mut read = Vec::new();
             for (i, range) in a.layout().iter() {
@@ -121,7 +121,7 @@ fn finish_blends_into_the_upload_with_the_old_bits_and_op_history() {
                 }
                 for c in &clients {
                     let got = new.finish(new.begin(), c.clone(), 1);
-                    let want = old_compose(&old, c, alpha);
+                    let want = old_compose(&old, mode, c, alpha);
                     assert_eq!(bits(&got), bits(&want), "{what}: returned vector");
                     // The `#[doc(hidden)]` wrappers the probes still call,
                     // on a borrowed client.

@@ -66,24 +66,6 @@ pub struct Checkpoint {
 const DIGEST_FIELD: &str = "\"digest\":";
 
 impl Checkpoint {
-    /// The digest of this checkpoint's canonical serialization with the
-    /// digest field zeroed — exactly the bytes [`Checkpoint::load`]
-    /// verifies. `serde_json` emits struct fields in declaration order and
-    /// floats shortest-round-trip, so the bytes are stable across
-    /// save/load cycles.
-    fn body_digest(&self) -> u64 {
-        let mut body = self.clone();
-        body.digest = 0;
-        let json = serde_json::to_string(&body).expect("checkpoint serializes");
-        fnv1a(json.as_bytes())
-    }
-
-    /// Computes and installs the digest for the current contents. Call
-    /// after any mutation, before [`Checkpoint::save`].
-    pub fn seal(&mut self) {
-        self.digest = self.body_digest();
-    }
-
     /// Writes atomically: serialize to `<path>.tmp`, `sync_all` it, then
     /// rename over `path`. A failed save returns `Err`, removes the temp
     /// file and leaves the previous checkpoint untouched; a *process*
@@ -94,20 +76,23 @@ impl Checkpoint {
     /// is best-effort — the parent directory is synced afterwards, errors
     /// ignored — and the worst case is the previous good checkpoint.
     ///
-    /// The digest is recomputed over the exact bytes written (digest field
-    /// zeroed), so verification at load works on raw file bytes — any
-    /// single-byte substitution anywhere in the file is detected (FNV-1a
-    /// over a same-length substitution is injective per position).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), String> {
+    /// This is the one place the digest is computed: over the one
+    /// serialization written, with the digest field zero — exactly the
+    /// bytes [`Checkpoint::load`] verifies — and then recorded on the
+    /// checkpoint. `serde_json` emits struct fields in declaration order
+    /// and floats shortest-round-trip, so the bytes are stable across
+    /// save/load cycles, and any single-byte substitution anywhere in the
+    /// file is detected (FNV-1a over a same-length substitution is
+    /// injective per position).
+    pub fn save(&mut self, path: impl AsRef<Path>) -> Result<(), String> {
         let path = path.as_ref();
-        let mut body = self.clone();
-        body.digest = 0;
-        let json = serde_json::to_string(&body).map_err(|e| e.to_string())?;
-        let h = fnv1a(json.as_bytes());
+        self.digest = 0;
+        let json = serde_json::to_string(self).map_err(|e| e.to_string())?;
+        self.digest = fnv1a(json.as_bytes());
         let at = json
             .rfind(DIGEST_FIELD)
             .ok_or("checkpoint serialization lost its digest field")?;
-        let sealed = format!("{}{h}}}", &json[..at + DIGEST_FIELD.len()]);
+        let sealed = format!("{}{}}}", &json[..at + DIGEST_FIELD.len()], self.digest);
         let tmp = path.with_extension("tmp");
         let write = || -> std::io::Result<()> {
             let mut f = File::create(&tmp)?;
@@ -172,7 +157,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Checkpoint {
-        let mut ck = Checkpoint {
+        Checkpoint {
             version: CHECKPOINT_VERSION,
             cfg: RuntimeConfig::test_small(5),
             epoch: 2,
@@ -184,16 +169,14 @@ mod tests {
             bytes_transferred: 1234,
             wall_s: 3.5,
             digest: 0,
-        };
-        ck.seal();
-        ck
+        }
     }
 
     #[test]
     fn save_load_roundtrip_is_exact() {
         let dir = std::env::temp_dir();
         let path = dir.join("vc_runtime_ck_roundtrip.json");
-        let ck = sample();
+        let mut ck = sample();
         ck.save(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(ck, back, "f32 parameters must round-trip bit-exactly");
@@ -204,8 +187,7 @@ mod tests {
     fn corruption_is_detected() {
         let dir = std::env::temp_dir();
         let path = dir.join("vc_runtime_ck_corrupt.json");
-        let ck = sample();
-        ck.save(&path).unwrap();
+        sample().save(&path).unwrap();
         let tampered = std::fs::read_to_string(&path)
             .unwrap()
             .replace("-0.25", "-0.75");

@@ -26,13 +26,14 @@
 //! themselves (`read_blobs` → `PsService::publish`).
 //!
 //! [`assemble`] is the one place a run is put together — data, seeded
-//! parameter service, middleware, coordinator — for both substrates, from
-//! the run's one model build, which it hands on as the first parameter
-//! server's scoring replica; [`score`] is the one validation-scoring pass
-//! behind every accuracy a report carries. The pieces of a run that the
-//! discrete-event driver (`crate::des`) puts together and closes the same
-//! way — [`JobData`], [`scheduler`], [`assimilator`], [`accuracy_spread`]
-//! and [`score_final`] — are one body each, here.
+//! parameter service, middleware, coordinator, one scoring replica per
+//! parameter server — for both substrates, from the run's one model build,
+//! which it hands on as the first parameter server's scorer; [`score`] is
+//! the one validation-scoring pass behind every accuracy a report carries.
+//! The pieces of a run that the discrete-event driver (`crate::des`) puts
+//! together and closes the same way — [`JobData`], [`scheduler`],
+//! [`assimilator`], [`accuracy_spread`] and [`score_final`] — are one body
+//! each, here.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::config::RuntimeConfig;
@@ -75,8 +76,8 @@ fn accuracy(model: &mut Sequential, data: &Dataset) -> f32 {
 }
 
 /// Final evaluation of a run: the server's current parameters, loaded into
-/// the scoring replica once, on the full validation and test splits.
-/// Returns `(val, test)` accuracy.
+/// the scoring replica once, on the full validation and test splits, both
+/// on the replica's warm buffer pool. Returns `(val, test)` accuracy.
 pub(crate) fn score_final(
     model: &mut Sequential,
     assim: &ShardedAssimilator,
@@ -149,8 +150,9 @@ pub(crate) fn assimilator(
 pub struct AssimCtx {
     /// Shared per-shard Eq. (1) applier over the shared store.
     pub assim: Arc<ShardedAssimilator>,
-    /// The thread's scoring replica: for assimilator 0 the run's one built
-    /// model, handed on by [`assemble`].
+    /// The thread's scoring replica, one of [`Assembled::scorers`]: for
+    /// assimilator 0 the run's one built model. Its buffer pool stays warm
+    /// across every assimilation the thread scores.
     pub eval_model: Sequential,
     /// The validation subset scored after every assimilation.
     pub val_eval: Arc<Dataset>,
@@ -262,9 +264,10 @@ pub(crate) enum Effect {
 /// substrate's actors and the final evaluation need.
 pub(crate) struct Assembled {
     pub coord: Coordinator,
-    /// The run's one built model: the first parameter server's scoring
-    /// replica.
-    pub model: Sequential,
+    /// One scoring replica per parameter server (`pn`): the run's built
+    /// model first, the rest blank. Each keeps its buffer pool warm for the
+    /// run, and the first closes it with [`score_final`].
+    pub scorers: Vec<Sequential>,
     /// The sharded training set (the full split is already dropped).
     pub shards: Arc<ShardSet>,
     /// The validation subset scored after every assimilation.
@@ -277,8 +280,8 @@ pub(crate) struct Assembled {
 /// sharded service, the middleware with the first (or the resumed) epoch's
 /// workunits queued, and the coordinator over all of it. `model` is the
 /// run's one build of `job.model` at `job.seed`: a fresh run seeds the
-/// store from it, and either way it comes back in [`Assembled::model`] to
-/// score. `store` arrives bare (recording or not)
+/// store from it, and either way it comes back first in
+/// [`Assembled::scorers`] to score. `store` arrives bare (recording or not)
 /// and `tel` with whatever time source should stamp the seeding
 /// operations; `start_clock` is called with the resume offset once seeding
 /// is done, to point `tel` at the run's clock, so set-up time never counts
@@ -365,6 +368,11 @@ pub(crate) fn assemble(
         }
     }
 
+    // The run's built model scores for the first parameter server; every
+    // other gets a blank replica, since `score` loads what it scores.
+    let scorers = std::iter::once(model)
+        .chain((1..job.pn).map(|_| job.model.build_blank()))
+        .collect();
     let coord = Coordinator {
         server,
         assim,
@@ -383,7 +391,7 @@ pub(crate) fn assemble(
     };
     Assembled {
         coord,
-        model,
+        scorers,
         shards: Arc::new(shards),
         val_eval: Arc::new(val_eval),
         val,
@@ -800,7 +808,6 @@ impl Coordinator {
             wall_s: self.telemetry.now_s(),
             digest: 0,
         };
-        ck.seal();
         match ck.save(&path) {
             Ok(()) => event!(
                 self.telemetry,

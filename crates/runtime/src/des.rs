@@ -152,6 +152,7 @@ struct TrainingJob {
     // Server-side resources.
     busy_ps: usize,
     assim_queue: VecDeque<PendingAssim>,
+    /// The scoring replica; its buffer pool stays warm for the run.
     eval_model: Sequential,
     network: NetworkModel,
     // RNG streams.

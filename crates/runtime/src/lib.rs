@@ -14,11 +14,12 @@
 //! handles; `vc_ps::ShardedAssimilator::{begin, finish}` is the parameter
 //! server's Eq. (1) under the configured consistency mode;
 //! `coordinator::score` is the validation pass behind every reported
-//! accuracy; `coordinator::assemble` puts a run together from the data
-//! split, scheduler and parameter server that [`des`] builds its runs
-//! from too, and `coordinator::score_final` closes every run. All three
-//! modules, and the channel protocol between them, are private: a caller
-//! drives a run through [`Runtime`], [`sim`] or [`des`].
+//! accuracy; `coordinator::assemble` puts a run together, its `Pn` scoring
+//! replicas included, from the data split, scheduler and parameter server
+//! that [`des`] builds its runs from too, and `coordinator::score_final`
+//! closes every run. All three modules, and the channel protocol between
+//! them, are private: a caller drives a run through [`Runtime`], [`sim`]
+//! or [`des`].
 //!
 //! ## Three drivers
 //!
@@ -204,7 +205,7 @@ impl Runtime {
         };
         let Assembled {
             coord,
-            model,
+            scorers,
             shards,
             val_eval,
             val,
@@ -235,14 +236,12 @@ impl Runtime {
         let (assim_tx, assim_rx) = unbounded();
 
         // --- assimilator pool ---------------------------------------------
-        // Assimilator 0 scores on the run's model; any other builds a blank one
-        // (`score` loads the parameters it scores).
-        let mut model = Some(model);
+        // One scoring replica a thread, assimilator 0's the run's model.
         let mut assim_handles = Vec::new();
-        for i in 0..job.pn {
+        for (i, eval_model) in scorers.into_iter().enumerate() {
             let ctx = AssimCtx {
                 assim: assim.clone(),
-                eval_model: model.take().unwrap_or_else(|| job.model.build_blank()),
+                eval_model,
                 val_eval: val_eval.clone(),
                 task_rx: assim_rx.clone(),
                 out: server_tx.clone(),
@@ -297,13 +296,10 @@ impl Runtime {
         }
 
         let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;
-        // The closing evaluation is still the largest part of a short
-        // run's set-up: on `resnet_compute` (192 images, AVX-512F, two
-        // vCPUs, one kernel thread) 118 ms of a 158 ms `setup_s`, median
-        // of 31 runs, in passes of 32 (163 of 200 ms as one batch). The
-        // event names its cost, the images scored and the largest pass.
-        // Wall time stays out of `RuntimeReport`, whose bits the DES and
-        // DST drivers reproduce.
+        // The closing evaluation runs on that replica's warm buffer pool,
+        // both splits. The event names its cost, the images scored and the
+        // largest pass. Wall time stays out of `RuntimeReport`, whose bits
+        // the DES and DST drivers reproduce.
         let scoring = std::time::Instant::now();
         (report.final_val_acc, report.final_test_acc) =
             score_final(&mut model, &assim, &val, &test);
@@ -468,7 +464,6 @@ mod tests {
         let mut ck = Checkpoint::load(&path).unwrap();
         ck.params.pop();
         ck.snapshot.pop();
-        ck.seal();
         ck.save(&path).unwrap();
         let err = Runtime::resume(&path).unwrap().run().unwrap_err();
         assert!(err.contains("parameters"), "{err}");

@@ -314,6 +314,7 @@ enum WState {
 
 /// One virtual parameter-server slot of the `Pn` pool.
 struct Slot {
+    /// The slot's scoring replica; its buffer pool stays warm for the run.
     eval: Sequential,
     busy: Option<InFlight>,
 }
@@ -580,7 +581,7 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let ops_hub = sc.ops.then(|| Arc::new(vc_ops::OpsHub::new(tel.clone())));
     let Assembled {
         coord,
-        model,
+        scorers,
         shards,
         val_eval,
         val,
@@ -601,14 +602,10 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
             state: WState::Alive,
         })
         .collect();
-    // Slot 0 scores on the run's model; any other builds a blank one (`score`
-    // loads the parameters it scores).
-    let mut model = Some(model);
-    let slots = (0..job.pn)
-        .map(|_| Slot {
-            eval: model.take().unwrap_or_else(|| job.model.build_blank()),
-            busy: None,
-        })
+    // One slot per scoring replica, slot 0's the run's model.
+    let slots = scorers
+        .into_iter()
+        .map(|eval| Slot { eval, busy: None })
         .collect();
     let mut sim = Sim {
         sc: sc.clone(),
@@ -629,8 +626,8 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let stop = sim.run_loop();
     let coord = &sim.coord;
     let mut report = coord.finalize(stop);
-    // Final full-split evaluation, as in `Runtime::run`: on a scoring
-    // replica the pool no longer needs (`pn ≥ 1` is validated).
+    // Final full-split evaluation, as in `Runtime::run`: on slot 0's
+    // scoring replica, warm from the run (`pn ≥ 1` is validated).
     (report.final_val_acc, report.final_test_acc) =
         score_final(&mut sim.slots[0].eval, &coord.assim, &val, &test);
 

@@ -33,7 +33,7 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` at absolute time `at`. Panics if `at` is in the
     /// simulated past — causality violations are always bugs.
-    pub fn schedule(&mut self, at: SimTime, payload: T) {
+    fn schedule(&mut self, at: SimTime, payload: T) {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({at:?} < {:?})",

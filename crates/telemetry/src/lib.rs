@@ -7,8 +7,8 @@
 //! The three pieces share one [`Telemetry`] handle, cloned across
 //! threads:
 //!
-//! - **Metrics** ([`Registry`]): counters, gauges, and fixed-bucket
-//!   histograms, Prometheus text exposition
+//! - **Metrics** ([`Registry`]): counters and fixed-bucket histograms,
+//!   Prometheus text exposition
 //!   ([`Registry::render_prometheus`]) and a serde JSON snapshot
 //!   ([`Registry::snapshot`]).
 //! - **Events** ([`event!`]): levelled, timestamped,
@@ -32,8 +32,8 @@ pub mod trace;
 
 pub use event::{Event, FieldValue, Level, Telemetry, TimeSource, WallTime};
 pub use metrics::{
-    Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, HistogramSnapshot,
-    Registry, RegistrySnapshot,
+    Counter, CounterSample, Histogram, HistogramSample, HistogramSnapshot, Registry,
+    RegistrySnapshot,
 };
 pub use recorder::FlightRecorder;
 pub use trace::{chrome_trace_json, fnv1a, TraceStage, TRACE_SPAN};

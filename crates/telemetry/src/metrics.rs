@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges and fixed-bucket histograms.
+//! The metrics registry: counters and fixed-bucket histograms.
 //!
 //! Everything here is lock-cheap on the hot path: counters and histogram
 //! buckets are atomics, the registry's lock is only taken to *look up* a
@@ -30,22 +30,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins instantaneous value (stored as `f64` bits).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -146,22 +130,13 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// An empty snapshot over `bounds`.
-    pub fn empty(bounds: Vec<f64>) -> Self {
+    fn empty(bounds: Vec<f64>) -> Self {
         let counts = vec![0; bounds.len() + 1];
         HistogramSnapshot {
             bounds,
             counts,
             count: 0,
             sum: 0.0,
-        }
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
         }
     }
 
@@ -203,7 +178,6 @@ impl Default for HistogramSnapshot {
 #[derive(Default)]
 struct RegistryInner {
     counters: Vec<(String, Arc<Counter>)>,
-    gauges: Vec<(String, Arc<Gauge>)>,
     histograms: Vec<(String, Arc<Histogram>)>,
 }
 
@@ -241,14 +215,6 @@ impl Registry {
         get_or_insert(&mut self.inner.write().counters, name, Counter::default)
     }
 
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some((_, g)) = self.inner.read().gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
-        }
-        get_or_insert(&mut self.inner.write().gauges, name, Gauge::default)
-    }
-
     /// The histogram named `name` with [`Histogram::latency_bounds`],
     /// created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
@@ -282,14 +248,6 @@ impl Registry {
                 value: c.get(),
             })
             .collect();
-        let mut gauges: Vec<GaugeSample> = g
-            .gauges
-            .iter()
-            .map(|(n, v)| GaugeSample {
-                name: n.clone(),
-                value: v.get(),
-            })
-            .collect();
         let mut histograms: Vec<HistogramSample> = g
             .histograms
             .iter()
@@ -299,11 +257,9 @@ impl Registry {
             })
             .collect();
         counters.sort_by(|a, b| a.name.cmp(&b.name));
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
         RegistrySnapshot {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -322,11 +278,6 @@ impl Registry {
             let name = sanitize(&c.name);
             help_line(&mut out, &c.name, &name);
             out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value));
-        }
-        for g in &snap.gauges {
-            let name = sanitize(&g.name);
-            help_line(&mut out, &g.name, &name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.value));
         }
         for h in &snap.histograms {
             let name = sanitize(&h.name);
@@ -382,15 +333,6 @@ pub struct CounterSample {
     pub value: u64,
 }
 
-/// One gauge in a [`RegistrySnapshot`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct GaugeSample {
-    /// Metric name.
-    pub name: String,
-    /// Gauge value at snapshot time.
-    pub value: f64,
-}
-
 /// One histogram in a [`RegistrySnapshot`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSample {
@@ -405,8 +347,6 @@ pub struct HistogramSample {
 pub struct RegistrySnapshot {
     /// All counters.
     pub counters: Vec<CounterSample>,
-    /// All gauges.
-    pub gauges: Vec<GaugeSample>,
     /// All histograms.
     pub histograms: Vec<HistogramSample>,
 }
@@ -434,15 +374,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let reg = Registry::new();
         let c = reg.counter("ops");
         c.inc();
         c.add(4);
         assert_eq!(reg.counter("ops").get(), 5, "same name, same counter");
-        let g = reg.gauge("depth");
-        g.set(2.5);
-        assert_eq!(reg.gauge("depth").get(), 2.5);
     }
 
     #[test]
@@ -491,22 +428,22 @@ mod tests {
     fn exposition_format_golden() {
         let reg = Registry::new();
         reg.counter("vc_ops_total").add(3);
-        reg.gauge("queue\ndepth").set(1.5);
+        reg.counter("queue\ndepth").inc();
         let h = reg.histogram_with("lat_s", || vec![0.5, 1.0]);
         h.observe(0.25);
         h.observe(0.75);
         h.observe(2.0);
-        // Counters render before gauges before histograms; every series
-        // gets a generic # HELP (newline-escaped) and # TYPE; bucket
+        // Counters render before histograms, each kind name-sorted; every
+        // series gets a generic # HELP (newline-escaped) and # TYPE; bucket
         // counts are cumulative with an explicit +Inf edge plus
         // _sum/_count; names are sanitized to the Prometheus charset.
         let expected = "\
+# HELP queue_depth vc-dl metric queue\\ndepth
+# TYPE queue_depth counter
+queue_depth 1
 # HELP vc_ops_total vc-dl metric vc_ops_total
 # TYPE vc_ops_total counter
 vc_ops_total 3
-# HELP queue_depth vc-dl metric queue\\ndepth
-# TYPE queue_depth gauge
-queue_depth 1.5
 # HELP lat_s vc-dl metric lat_s
 # TYPE lat_s histogram
 lat_s_bucket{le=\"0.5\"} 1

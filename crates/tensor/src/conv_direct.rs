@@ -391,7 +391,7 @@ impl BnReluChannel {
 
     /// What the staging pass writes for input `x`: `max(0, γ·x̂ + β)`.
     #[inline(always)]
-    pub fn apply(&self, x: f32) -> f32 {
+    fn apply(&self, x: f32) -> f32 {
         self.affine(self.x_hat(x)).max(0.0)
     }
 }

@@ -1,13 +1,15 @@
-//! Reusable scratch buffers for the per-replica training hot loop.
+//! Reusable scratch buffers for a replica's passes.
 //!
-//! A [`Workspace`] is a pool of `Vec<f32>` buffers owned by one replica
-//! (one worker thread / one simulated client). Layers and the trainer
-//! [`take`](Workspace::take) buffers for activations, convolution staging
-//! and gradient scratch at the start of an operation and
-//! [`recycle`](Workspace::recycle) them once consumed. After a warm-up step
-//! has populated the pool with every size the model needs, the steady-state
-//! training loop performs **zero heap allocations**: every `take` is served
-//! by reusing a previously recycled buffer's capacity. No request is an
+//! A [`Workspace`] is a pool of `Vec<f32>` buffers owned by one model
+//! replica (`vc_nn::Sequential` keeps one, so a worker's training replica
+//! and a parameter server's scoring replica each have their own). Layers
+//! [`take`](Workspace::take) buffers for the batch, activations,
+//! convolution staging and gradient scratch at the start of an operation
+//! and [`recycle`](Workspace::recycle) them once consumed. After a warm-up
+//! pass has populated the pool with every size the model needs, the
+//! steady-state training loop and every later scoring pass perform **zero
+//! heap allocations**: every `take` is served by reusing a previously
+//! recycled buffer's capacity. No request is an
 //! im2col column matrix: each convolution geometry has one lowering-free
 //! route, and the lowering is only the tests' oracle.
 //!
@@ -29,7 +31,8 @@
 //! 12 after batches of 32 on that replica, which `vc-optim`'s
 //! `replica_memory` test keeps inside the same budget.
 //!
-//! Not `Sync` and not meant to be shared: one workspace per replica.
+//! Not `Sync` and not meant to be shared: one workspace per replica, and
+//! the replica owns it.
 
 /// A recycling pool of `f32` buffers. See the module docs.
 #[derive(Debug, Default)]

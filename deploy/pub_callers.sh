@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Every public function has a caller (DESIGN §3).
 #
-# Lists each `pub fn` in the non-test part of `crates/*/src` whose name
-# appears in no non-test code of another file under `crates/*/src`,
-# `examples/src` or `benchmark/src` and that `deploy/pub_callers.allow`
-# does not name; exits 1 when it lists any. A file's non-test part ends at
-# its first `#[cfg(test)]` (the line-count rule); `use` / `pub use` lines
-# and whole-line comments are not callers.
+# Lists each `pub fn` in the non-test part of `crates/*/src` that no
+# non-test code of another file under `crates/*/src`, `examples/src` or
+# `benchmark/src` calls and that `deploy/pub_callers.allow` does not name;
+# exits 1 when it lists any. A call is the name in call or path form
+# (`name(`, `.name(`, `::name(`, `::name` as a value), so a field, a
+# variable or a module path segment of the same name is not one. A file's
+# non-test part ends at its first `#[cfg(test)]` (the line-count rule);
+# `use` / `pub use` lines and whole-line comments are not callers.
 #
 #   bash deploy/pub_callers.sh        # from anywhere inside the repo
 #
@@ -32,12 +34,20 @@ awk '
       sub(/.* /, "", def)
       defs[FILENAME SUBSEP def] = FNR
     }
+    # A caller names the function in call or path form: `name(`,
+    # `name::<T>(`, `.name(`, `::name(`, or `::name` passed as a value. A
+    # field, a variable, a module path segment or another `fn name(`
+    # definition is not a caller.
     line = $0
-    gsub(/[^A-Za-z0-9_]+/, " ", line)
-    n = split(line, tok, " ")
-    for (i = 1; i <= n; i++) {
-      t = tok[i]
-      if ((t SUBSEP FILENAME) in seen) continue
+    t = ""
+    while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+      prev = t
+      t = substr(line, RSTART, RLENGTH)
+      gap = substr(line, 1, RSTART - 1)
+      line = substr(line, RSTART + RLENGTH)
+      called = line ~ /^(::<[^()]*>)?\(/ && !(prev == "fn" && gap ~ /^[ \t]+$/)
+      valued = gap ~ /::$/ && line !~ /^(::|[A-Za-z0-9_])/
+      if (!(called || valued) || (t SUBSEP FILENAME) in seen) continue
       seen[t SUBSEP FILENAME] = 1
       files[t]++
       first[t] = FILENAME

@@ -12,7 +12,7 @@ use vc_runtime::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use vc_runtime::RuntimeConfig;
 
 fn build(seed: u64, snapshot: Vec<f32>, params: Vec<f32>, wall_s: f64) -> Checkpoint {
-    let mut ck = Checkpoint {
+    Checkpoint {
         version: CHECKPOINT_VERSION,
         cfg: RuntimeConfig::test_small(seed),
         epoch: 1 + (seed as usize % 3),
@@ -24,9 +24,7 @@ fn build(seed: u64, snapshot: Vec<f32>, params: Vec<f32>, wall_s: f64) -> Checkp
         bytes_transferred: seed * 1024,
         wall_s,
         digest: 0,
-    };
-    ck.seal();
-    ck
+    }
 }
 
 fn tmp_path(tag: &str) -> std::path::PathBuf {
@@ -44,7 +42,7 @@ proptest! {
     ) {
         // params must match snapshot's length (load enforces geometry).
         let params: Vec<f32> = snapshot.iter().map(|v| v * 0.5 + 1e-3).collect();
-        let ck = build(seed, snapshot, params, wall_s);
+        let mut ck = build(seed, snapshot, params, wall_s);
         let path = tmp_path("roundtrip");
         ck.save(&path).unwrap();
         let back = Checkpoint::load(&path);
@@ -63,7 +61,7 @@ proptest! {
         flip in 1u8..255,
     ) {
         let params = snapshot.clone();
-        let ck = build(seed, snapshot, params, 4.25);
+        let mut ck = build(seed, snapshot, params, 4.25);
         let path = tmp_path("corrupt");
         ck.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -86,7 +84,7 @@ proptest! {
         seed in 1u64..1000,
         cut_frac in 0.01f64..0.99,
     ) {
-        let ck = build(seed, vec![0.5, -1.5], vec![0.25, -0.75], 1.0);
+        let mut ck = build(seed, vec![0.5, -1.5], vec![0.25, -0.75], 1.0);
         let path = tmp_path("trunc");
         ck.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -106,12 +104,12 @@ proptest! {
 fn failed_save_keeps_the_previous_checkpoint() {
     let path = tmp_path("failed_save");
     let tmp = path.with_extension("tmp");
-    let good = build(7, vec![0.5, -1.5], vec![0.25, -0.75], 1.0);
+    let mut good = build(7, vec![0.5, -1.5], vec![0.25, -0.75], 1.0);
     good.save(&path).unwrap();
     assert!(!tmp.exists(), "a successful save left its temp file");
 
     std::fs::create_dir(&tmp).unwrap();
-    let newer = build(8, vec![9.0, 9.0], vec![9.0, 9.0], 2.0);
+    let mut newer = build(8, vec![9.0, 9.0], vec![9.0, 9.0], 2.0);
     let failed = newer.save(&path);
     std::fs::remove_dir(&tmp).unwrap();
     assert!(
