@@ -72,24 +72,9 @@ impl ShardSet {
         ShardSet { shards }
     }
 
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when there are no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
     /// Access one shard.
     pub fn shard(&self, id: usize) -> &DataShard {
         &self.shards[id]
-    }
-
-    /// Iterate over all shards.
-    pub fn iter(&self) -> impl Iterator<Item = &DataShard> {
-        self.shards.iter()
     }
 }
 
@@ -108,10 +93,13 @@ mod tests {
     fn split_covers_every_sample_once() {
         let tr = train();
         let set = ShardSet::split(&tr, 7);
-        assert_eq!(set.len(), 7);
-        assert_eq!(set.iter().map(|s| s.data.len()).sum::<usize>(), tr.len());
+        assert_eq!(set.shards.len(), 7);
+        assert_eq!(
+            set.shards.iter().map(|s| s.data.len()).sum::<usize>(),
+            tr.len()
+        );
         // Shard sizes differ by at most one.
-        let sizes: Vec<usize> = set.iter().map(|s| s.data.len()).collect();
+        let sizes: Vec<usize> = set.shards.iter().map(|s| s.data.len()).collect();
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         assert!(max - min <= 1, "{sizes:?}");
@@ -124,7 +112,7 @@ mod tests {
         let tr = train(); // 4 classes, round-robin labels, n = 200
         for k in [4usize, 5, 8] {
             let set = ShardSet::split(&tr, k);
-            for shard in set.iter() {
+            for shard in &set.shards {
                 let hist = class_histogram(&shard.data);
                 assert!(
                     hist.iter().all(|&c| c > 0),

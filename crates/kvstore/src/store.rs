@@ -341,16 +341,6 @@ impl VersionedStore {
         }
     }
 
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// True when no key has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
-
     /// Operation counts so far.
     pub fn ops(&self) -> StoreOps {
         StoreOps {
@@ -578,7 +568,7 @@ mod tests {
         s.put("b", Bytes::from_static(b"2"));
         assert_eq!(s.version("a"), 1);
         assert_eq!(s.version("b"), 1);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.map.read().len(), 2);
     }
 
     #[test]
@@ -613,11 +603,11 @@ mod tests {
         s.put_versioned("w", seen, Bytes::from_static(b"mine")); // clobbers 1
         s.transact("w", |c, _| (c.clone(), ()));
 
-        let snap = tel.registry().snapshot();
-        assert_eq!(snap.histogram(STORE_READ_S).unwrap().count, 1);
-        assert_eq!(snap.histogram(STORE_WRITE_S).unwrap().count, 3);
-        assert_eq!(snap.histogram(STORE_TRANSACT_S).unwrap().count, 1);
-        let staleness = snap.histogram(STORE_STALENESS_VERSIONS).unwrap();
+        let reg = tel.registry();
+        assert_eq!(reg.histogram(STORE_READ_S).snapshot().count, 1);
+        assert_eq!(reg.histogram(STORE_WRITE_S).snapshot().count, 3);
+        assert_eq!(reg.histogram(STORE_TRANSACT_S).snapshot().count, 1);
+        let staleness = reg.histogram(STORE_STALENESS_VERSIONS).snapshot();
         assert_eq!(staleness.count, 1, "observed once per put_versioned");
         assert_eq!(staleness.sum, 1.0, "one version clobbered");
         assert_eq!(
@@ -646,7 +636,7 @@ mod tests {
             (STORE_LOST_UPDATES, ops.lost_updates),
         ];
         for (name, value) in counts {
-            assert_eq!(snap.counter(name), Some(value), "{name}");
+            assert_eq!(reg.counter(name).get(), value, "{name}");
         }
     }
 }

@@ -119,7 +119,7 @@ impl HostHot {
 
     /// Records a successful result. Success ends any pending backoff: the
     /// host proved it can deliver.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.completed += 1;
         self.reliability += RELIABILITY_ALPHA * (1.0 - self.reliability);
         self.consecutive_failures = 0;
@@ -127,14 +127,14 @@ impl HostHot {
     }
 
     /// Records a timeout.
-    pub fn record_timeout(&mut self) {
+    pub(crate) fn record_timeout(&mut self) {
         self.timeouts += 1;
         self.reliability -= RELIABILITY_ALPHA * self.reliability;
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
     }
 
     /// Records an invalid result (validator reject or quorum loss).
-    pub fn record_invalid(&mut self) {
+    pub(crate) fn record_invalid(&mut self) {
         self.invalids += 1;
         self.reliability -= INVALID_ALPHA * self.reliability;
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
@@ -142,7 +142,7 @@ impl HostHot {
 
     /// Folds one observed turnaround (seconds) into the EWMA. The first
     /// observation seeds the estimate directly.
-    pub fn record_turnaround(&mut self, secs: f64, alpha: f64) {
+    pub(crate) fn record_turnaround(&mut self, secs: f64, alpha: f64) {
         let s = secs.max(0.0);
         self.turnaround_ewma_s = Some(match self.turnaround_ewma_s {
             None => s,
@@ -172,7 +172,7 @@ impl HostHot {
 
     /// Lifts any pending backoff (a replacement instance gets an immediate
     /// probe rather than inheriting the dead incarnation's penalty clock).
-    pub fn clear_backoff(&mut self) {
+    pub(crate) fn clear_backoff(&mut self) {
         self.backoff_until = None;
         self.consecutive_failures = 0;
     }
@@ -200,7 +200,7 @@ pub struct HostSummary {
 
 impl HostSummary {
     /// Materializes the API-edge view of one hot record.
-    pub fn from_hot(id: HostId, h: &HostHot) -> Self {
+    pub(crate) fn from_hot(id: HostId, h: &HostHot) -> Self {
         HostSummary {
             id: id.0,
             completed: h.completed,

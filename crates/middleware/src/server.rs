@@ -340,11 +340,6 @@ impl BoincServer {
         }
     }
 
-    /// Server configuration.
-    pub fn config(&self) -> &MiddlewareConfig {
-        &self.cfg
-    }
-
     /// Registered hosts' hot state, indexed by `HostId.0`.
     pub fn hosts(&self) -> &[HostHot] {
         &self.hosts
@@ -386,7 +381,6 @@ impl BoincServer {
                 id,
                 epoch,
                 shard_id,
-                param_version: manifest.max_version(),
                 param_versions: manifest,
                 created_at: now,
             },
@@ -1120,7 +1114,7 @@ mod tests {
         s.add_epoch_sharded(1, 3, &ShardManifest::single(7), t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         assert_eq!(a.wu.shard_id, 0);
-        assert_eq!(a.wu.param_version, 7);
+        assert_eq!(a.wu.param_versions, ShardManifest::single(7));
         assert_eq!(a.attempt, 1);
         assert!(!a.shard_cached);
         let b = s.request_work(HostId(0), t(0.0)).unwrap();

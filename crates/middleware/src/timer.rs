@@ -65,16 +65,6 @@ impl TimerQueue {
             .push((entry.deadline, entry.seq), (entry.wu, entry.host));
     }
 
-    /// Entries currently held, stale ones included.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no entries are held at all (not even stale ones).
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Drains every entry with `deadline <= now`, returning the ones
     /// `is_live` confirms (in `(deadline, seq)` order) and discarding the
     /// rest. O(due · log n); O(1) when the earliest deadline lies ahead.
@@ -136,7 +126,7 @@ mod tests {
             vec![2, 1, 3],
             "same-instant ties break by seq"
         );
-        assert_eq!(q.len(), 1, "future entry stays armed");
+        assert_eq!(q.queue.len(), 1, "future entry stays armed");
     }
 
     #[test]
@@ -148,7 +138,7 @@ mod tests {
         // seq 0 and 2 invalidated (reported / reissued elsewhere).
         let due = q.pop_due(SimTime::from_secs(10.0), |x| x.seq == 1);
         assert_eq!(due.iter().map(|x| x.seq).collect::<Vec<_>>(), vec![1]);
-        assert!(q.is_empty(), "stale entries were dropped, not kept");
+        assert!(q.queue.is_empty(), "stale entries were dropped, not kept");
     }
 
     #[test]
@@ -160,9 +150,9 @@ mod tests {
             q.next_deadline(|x| x.seq == 1),
             Some(SimTime::from_secs(4.0))
         );
-        assert_eq!(q.len(), 1, "the stale top was pruned");
+        assert_eq!(q.queue.len(), 1, "the stale top was pruned");
         assert_eq!(q.next_deadline(|_| false), None);
-        assert!(q.is_empty());
+        assert!(q.queue.is_empty());
     }
 
     #[test]
@@ -170,6 +160,6 @@ mod tests {
         let mut q = TimerQueue::new();
         q.push(e(100.0, 0));
         assert!(q.pop_due(SimTime::from_secs(99.0), |_| true).is_empty());
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.queue.len(), 1);
     }
 }

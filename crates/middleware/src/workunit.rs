@@ -26,12 +26,6 @@ impl ShardManifest {
     pub fn single(version: u64) -> Self {
         ShardManifest(vec![version])
     }
-
-    /// The highest shard version — the scalar stand-in where one version
-    /// number is wanted (logs, legacy fields).
-    pub fn max_version(&self) -> u64 {
-        self.0.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// A training subtask: one data shard trained for one epoch starting from
@@ -44,9 +38,6 @@ pub struct WorkUnit {
     pub epoch: usize,
     /// Index of the data subset this subtask trains on.
     pub shard_id: usize,
-    /// Version of the server parameter snapshot shipped with the subtask
-    /// (the manifest's highest entry).
-    pub param_version: u64,
     /// Per-parameter-shard snapshot versions for partial fetches.
     pub param_versions: ShardManifest,
     /// Creation time.
@@ -103,7 +94,7 @@ impl WuPhase {
     }
 
     /// The hosts currently executing this workunit.
-    pub fn running_on(&self) -> Vec<HostId> {
+    pub(crate) fn running_on(&self) -> Vec<HostId> {
         match self {
             WuPhase::InProgress { assignments } => assignments.iter().map(|a| a.host).collect(),
             _ => Vec::new(),
@@ -111,7 +102,7 @@ impl WuPhase {
     }
 
     /// Number of live replicas.
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         match self {
             WuPhase::InProgress { assignments } => assignments.len(),
             _ => 0,

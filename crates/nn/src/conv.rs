@@ -73,7 +73,7 @@ impl Conv2d {
 
     /// [`Conv2d::new`] with an all-zero kernel and no sampler draw, for a
     /// replica whose parameters are loaded before it runs. Same panics.
-    pub fn blank(in_ch: usize, out_ch: usize, k: usize, stride: usize, pad: usize) -> Self {
+    pub(crate) fn blank(in_ch: usize, out_ch: usize, k: usize, stride: usize, pad: usize) -> Self {
         assert!(
             matches!((k, stride, pad), (3, 1, _) | (1, 1, 0)),
             "Conv2d runs 3×3 stride 1 (any pad) or 1×1 stride 1 pad 0, not \
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn param_roundtrip() {
-        let mut c = model(2, 4, 3, 1, 1);
+        let c = model(2, 4, 3, 1, 1);
         let p = c.params_flat();
         assert_eq!(p.len(), c.param_count());
         assert_eq!(p.len(), 4 * 2 * 9 + 4);

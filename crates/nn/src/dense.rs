@@ -34,7 +34,7 @@ impl Dense {
 
     /// [`Dense::new`] with all-zero weights and no sampler draw, for a
     /// replica whose parameters are loaded before it runs.
-    pub fn blank(in_dim: usize, out_dim: usize) -> Self {
+    pub(crate) fn blank(in_dim: usize, out_dim: usize) -> Self {
         Dense {
             drawn: Vec::new(),
             x_cache: None,
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn param_roundtrip() {
-        let mut d = layer(3, 4, 2);
+        let d = layer(3, 4, 2);
         let p = d.params_flat();
         assert_eq!(p.len(), 3 * 4 + 4);
         let mut d2 = Sequential::new().push(Dense::blank(3, 4));

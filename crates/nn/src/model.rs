@@ -1,7 +1,7 @@
 //! The [`Sequential`] model container and the parameter vector it owns.
 
 use crate::conv::Conv2d;
-use crate::layer::{BoxedLayer, FusionPart, Layer};
+use crate::layer::{BoxedLayer, FusionPart};
 use crate::norm::BatchNorm;
 use crate::preact;
 use std::ops::Range;
@@ -52,12 +52,6 @@ impl Sequential {
         Self::default()
     }
 
-    /// Appends a layer (builder style).
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
-        self.push_boxed(Box::new(layer));
-        self
-    }
-
     /// Appends a boxed layer, which writes its starting values into its
     /// slice of the parameter vector (grown unless a builder sized it).
     pub fn push_boxed(&mut self, mut layer: BoxedLayer) {
@@ -79,22 +73,17 @@ impl Sequential {
     }
 
     /// Number of layers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pipe.layers.len()
     }
 
-    /// True when the pipeline has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.pipe.layers.is_empty()
-    }
-
     /// Total number of scalar parameters (the paper's model has 4,972,746).
-    pub fn param_count(&mut self) -> usize {
+    pub fn param_count(&self) -> usize {
         self.params.len()
     }
 
     /// Copies the parameter vector out.
-    pub fn params_flat(&mut self) -> Vec<f32> {
+    pub fn params_flat(&self) -> Vec<f32> {
         self.params.clone()
     }
 
@@ -151,7 +140,7 @@ impl Sequential {
     }
 
     /// Output shape for a given input shape.
-    pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
+    pub(crate) fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
         let mut dims = in_dims.to_vec();
         for l in &self.pipe.layers {
             dims = l.out_dims(&dims);
@@ -238,7 +227,7 @@ impl Sequential {
 
     /// Returns a tensor a pass handed out, such as logits already read, to
     /// the replica's pool.
-    pub fn recycle(&mut self, t: Tensor) {
+    pub(crate) fn recycle(&mut self, t: Tensor) {
         self.ws.recycle(t.into_vec());
     }
 
@@ -264,8 +253,9 @@ impl Sequential {
     /// [`backward_pipeline_ws`](Self::backward_pipeline_ws), but the
     /// gradient with respect to the pipeline's input — which has no reader
     /// — is never formed. The pass stops at the first parameterised layer,
-    /// which runs [`Layer::backward_params_ws`]; the parameter-free layers
-    /// before it are not run at all.
+    /// which runs
+    /// [`Layer::backward_params_ws`](crate::layer::Layer::backward_params_ws);
+    /// the parameter-free layers before it are not run at all.
     pub fn backward_params(&mut self, dy: Tensor) {
         self.size_grads();
         self.pipe
@@ -285,7 +275,8 @@ impl Pipeline {
         self.ends.last().copied().unwrap_or(0)
     }
 
-    /// [`Layer::init_params`] for every layer, on its slice of `p`.
+    /// [`Layer::init_params`](crate::layer::Layer::init_params) for every
+    /// layer, on its slice of `p`.
     pub(crate) fn init_params(&mut self, p: &mut [f32], mut sampler: Option<&mut NormalSampler>) {
         let mut start = 0;
         for (l, &end) in self.layers.iter_mut().zip(&self.ends) {
@@ -427,6 +418,12 @@ impl Pipeline {
 
 #[cfg(test)]
 impl Sequential {
+    /// Appends a layer (builder style).
+    pub(crate) fn push(mut self, layer: impl crate::layer::Layer + 'static) -> Self {
+        self.push_boxed(Box::new(layer));
+        self
+    }
+
     /// Where the fused pre-activation units start: this pipeline's first,
     /// then each nested body's, in layer order.
     pub(crate) fn preact_unit_map(&mut self) -> Vec<Vec<usize>> {
@@ -501,7 +498,7 @@ mod tests {
 
     #[test]
     fn flat_params_roundtrip() {
-        let mut m = tiny_model(2);
+        let m = tiny_model(2);
         let p = m.params_flat();
         assert_eq!(p.len(), m.param_count());
         assert_eq!(p.len(), 4 * 8 + 8 + 8 * 3 + 3);

@@ -144,7 +144,7 @@ pub struct AvgPoolGlobal {
 
 impl AvgPoolGlobal {
     /// Builds the pooling layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AvgPoolGlobal { in_shape: None }
     }
 
@@ -215,7 +215,7 @@ pub struct Flatten {
 
 impl Flatten {
     /// Builds the reshaping layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Flatten { in_shape: None }
     }
 }

@@ -59,11 +59,6 @@ pub struct ModelSpec {
 }
 
 impl ModelSpec {
-    /// Serializes to the JSON wire format (the paper's `.json` model file).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("ModelSpec serialization cannot fail")
-    }
-
     /// Instantiates the model with seeded He-normal initialization. Two
     /// calls with the same seed produce bit-identical parameters on every
     /// client — the paper achieves this by shipping an initial `.h5`.
@@ -310,7 +305,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let spec = resnet_lite(&[3, 16, 16], 2, 10);
-        let json = spec.to_json();
+        let json = serde_json::to_string(&spec).unwrap();
         let back: ModelSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
     }

@@ -26,7 +26,7 @@ pub struct Response {
 
 impl Response {
     /// A `200 OK` with the given content type.
-    pub fn ok(content_type: &'static str, body: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn ok(content_type: &'static str, body: impl Into<Vec<u8>>) -> Self {
         Response {
             status: 200,
             content_type,
@@ -35,7 +35,7 @@ impl Response {
     }
 
     /// An error response with a plain-text body.
-    pub fn error(status: u16, msg: &str) -> Self {
+    pub(crate) fn error(status: u16, msg: &str) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -44,7 +44,7 @@ impl Response {
     }
 
     /// The canonical reason phrase for this response's status code.
-    pub fn reason(&self) -> &'static str {
+    pub(crate) fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
             400 => "Bad Request",

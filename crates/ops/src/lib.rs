@@ -15,8 +15,9 @@
 //!   virtual clock.
 //! - [`OpsServer`] — a tiny hostile-input-safe HTTP/1.1 server over
 //!   `std::net` (one accept thread, a bounded connection queue, a fixed
-//!   worker pool) that fronts the same router on a socket. The threaded
-//!   runtime starts one behind `RuntimeConfig::ops_addr`.
+//!   worker pool) that fronts the same router on a socket. The caller of
+//!   a threaded run starts one on the hub it hands
+//!   `vc_runtime::Runtime::with_ops_hub`; the runtime starts none.
 //! - [`DASHBOARD_HTML`] — the self-contained single-file dashboard
 //!   served at `/`, polling `/status` for fleet / queue / accuracy
 //!   sparklines.

@@ -138,7 +138,7 @@ pub struct StatusSnapshot {
 
 impl StatusSnapshot {
     /// Serializes to the `/status` JSON document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string(self).expect("status serialization is infallible")
     }
 }

@@ -10,7 +10,7 @@
 /// occasionally produces exploding gradients; the training driver clips
 /// before every optimizer step so a pathological subtask cannot poison its
 /// parameter upload (the validator would otherwise have to reject it).
-pub fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
+pub(crate) fn clip_by_global_norm(grads: &mut [f32], max_norm: f32) -> f32 {
     assert!(max_norm > 0.0, "max_norm must be positive");
     let norm = grads.iter().fold(0.0f32, |a, g| a + g * g).sqrt();
     if norm > max_norm && norm.is_finite() {

@@ -68,7 +68,7 @@ pub struct Optimizer {
 
 impl Optimizer {
     /// Creates fresh state: zero moments, no steps taken.
-    pub fn new(spec: OptimizerSpec, n: usize) -> Self {
+    pub(crate) fn new(spec: OptimizerSpec, n: usize) -> Self {
         Optimizer {
             spec,
             m: vec![0.0; n],
@@ -82,7 +82,7 @@ impl Optimizer {
     /// `+0.0` at every step (a buffer) keeps zero moments and takes the
     /// update `p - 0.0`, which leaves its bits as they were, `-0.0`
     /// included.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+    pub(crate) fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(
             params.len(),
             grads.len(),

@@ -11,7 +11,7 @@
 //! Transports implement [`PsClient`], and both run one fetch body
 //! (`fetch_over`) over a byte stream: [`crate::TcpClient`] over its
 //! socket, [`MemClient`] over an in-process loopback stream whose flush
-//! serves the request through [`PsService::serve`]. Deterministic sweeps
+//! serves the request through `PsService::serve`. Deterministic sweeps
 //! therefore run the socket's encoder, decoder and bytes.
 
 use crate::codec::Codec;
@@ -118,7 +118,7 @@ pub(crate) fn fetch_over(
 
 /// In-process transport: `fetch_over` a loopback byte stream into a
 /// shared [`PsService`]. Writes buffer the request, a flush serves it
-/// ([`PsService::serve`], as a TCP connection thread does) and reads drain
+/// (`PsService::serve`, as a TCP connection thread does) and reads drain
 /// the response. Synchronous, threadless and deterministic.
 pub struct MemClient {
     service: Arc<PsService>,

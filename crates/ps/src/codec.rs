@@ -238,7 +238,7 @@ pub enum Codec {
 impl Codec {
     /// Stable wire identifier. Ids are never reused: ids 1 and 3 are
     /// retired (DESIGN §12a) and a new codec would append.
-    pub fn id(self) -> u8 {
+    pub(crate) fn id(self) -> u8 {
         match self {
             Codec::Raw => 0,
             Codec::Int8 { .. } => 2,
@@ -284,7 +284,7 @@ impl Codec {
     }
 
     /// Append the 6-byte wire descriptor.
-    pub fn write_desc(self, out: &mut Vec<u8>) {
+    pub(crate) fn write_desc(self, out: &mut Vec<u8>) {
         let flags = if self.error_feedback() {
             FLAG_ERROR_FEEDBACK
         } else {
@@ -296,7 +296,7 @@ impl Codec {
     /// Parse a 6-byte descriptor. `Err(id)` reports an id this build does
     /// not speak — unassigned or retired — so the caller can answer with a
     /// structured `Error` frame.
-    pub fn read_desc(desc: &[u8]) -> Result<Codec, u8> {
+    pub(crate) fn read_desc(desc: &[u8]) -> Result<Codec, u8> {
         assert_eq!(desc.len(), DESC_LEN, "descriptor must be exactly 6 bytes");
         match desc[0] {
             0 => Ok(Codec::Raw),

@@ -8,7 +8,7 @@
 //! wire protocol with one codec (one encoder, [`SealedFrame::write_to`],
 //! and one decoder, [`wire::read_frame`]) and two transports that are only
 //! byte pipes under one client fetch body and one server request body
-//! ([`PsService::serve`]):
+//! (`PsService::serve`):
 //!
 //! * **TCP** ([`TcpPsServer`]/[`TcpClient`]): blocking sockets on loopback,
 //!   one listener for every shard and one stream per worker, so a sync is
@@ -51,6 +51,6 @@ pub use service::{PsOps, PsService};
 pub use shard::ShardLayout;
 pub use tcp::{TcpClient, TcpPsServer};
 pub use wire::{
-    crc32, error_frame, Crc32, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError,
-    SealedFrame, WireError, HEADER_LEN, MAX_PAYLOAD,
+    crc32, Crc32, FetchReq, FetchSummary, Frame, FrameKind, FrameReadError, SealedFrame, WireError,
+    HEADER_LEN, MAX_PAYLOAD,
 };

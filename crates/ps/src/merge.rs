@@ -61,13 +61,6 @@ pub struct ShardSnapshot {
     versions: Vec<u64>,
 }
 
-impl ShardSnapshot {
-    /// Versions the shards were read at.
-    pub fn versions(&self) -> &[u64] {
-        &self.versions
-    }
-}
-
 /// Eq. (1) into the upload: `c ← α·s + (1−α)·c`, with the server copy `s`
 /// read from its stored blob. The operands [`vc_asgd::alpha::blend_eq1`]
 /// multiplies and adds, in its order, so the upload ends up with the bits
@@ -143,11 +136,6 @@ impl ShardedAssimilator {
         &self.keys[i]
     }
 
-    /// The configured α schedule.
-    pub fn schedule(&self) -> AlphaSchedule {
-        self.schedule
-    }
-
     /// The underlying store.
     pub fn store(&self) -> &Arc<VersionedStore> {
         &self.store
@@ -155,7 +143,7 @@ impl ShardedAssimilator {
 
     /// `params` cut along the layout into one VCP1 blob per shard — the
     /// form the store and a published snapshot hold shards in.
-    pub fn encode_shards(&self, params: &[f32]) -> Vec<Bytes> {
+    pub(crate) fn encode_shards(&self, params: &[f32]) -> Vec<Bytes> {
         assert_eq!(params.len(), self.layout.param_count(), "parameter length");
         self.layout
             .iter()
@@ -546,8 +534,8 @@ mod tests {
         a.seed_params(&[0.0; 16]);
         a.assimilate_strong(&[1.0; 16], 1);
         a.read_params();
-        let snap = tel.registry().snapshot();
-        assert_eq!(snap.histogram(PS_MERGE_S).unwrap().count, 4);
-        assert_eq!(snap.histogram(PS_SHARD_SKEW_VERSIONS).unwrap().count, 1);
+        let reg = tel.registry();
+        assert_eq!(reg.histogram(PS_MERGE_S).snapshot().count, 4);
+        assert_eq!(reg.histogram(PS_SHARD_SKEW_VERSIONS).snapshot().count, 1);
     }
 }

@@ -1,7 +1,7 @@
 //! The parameter service: one request handler shared by every transport.
 //!
 //! [`PsService::handle`] maps a request frame to its response frames;
-//! [`PsService::serve`] is the server side of every transport: it reads
+//! `PsService::serve` is the server side of every transport: it reads
 //! one request off a byte stream, handles it and writes the responses.
 //! A TCP connection thread calls it on its socket and the in-process
 //! [`crate::MemClient`] on its loopback stream's flush, so a sweep under
@@ -441,7 +441,11 @@ impl PsService {
     /// are not a frame (bad length, bad CRC, unknown kind) are an error,
     /// and the caller drops the connection; a well-formed request the
     /// service refuses is answered with an `Error` frame.
-    pub fn serve(&self, r: &mut impl Read, w: &mut impl Write) -> Result<(), FrameReadError> {
+    pub(crate) fn serve(
+        &self,
+        r: &mut impl Read,
+        w: &mut impl Write,
+    ) -> Result<(), FrameReadError> {
         let req = read_frame(r)?;
         // Dropped with the request: a response shares its payloads with
         // the epoch snapshot, and an idle connection must not pin a

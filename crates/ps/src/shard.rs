@@ -24,7 +24,7 @@ impl ShardLayout {
     /// Builds a layout. `shards` is clamped to at least 1; requesting more
     /// shards than parameters leaves the surplus shards empty rather than
     /// failing, so config validation can stay coarse.
-    pub fn new(param_count: usize, shards: usize) -> Self {
+    pub(crate) fn new(param_count: usize, shards: usize) -> Self {
         ShardLayout {
             param_count,
             shards: shards.max(1),
@@ -37,7 +37,7 @@ impl ShardLayout {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 
@@ -58,11 +58,6 @@ impl ShardLayout {
     /// Length of shard `i`.
     pub fn len(&self, i: usize) -> usize {
         self.range(i).len()
-    }
-
-    /// True when the layout covers zero parameters.
-    pub fn is_empty(&self) -> bool {
-        self.param_count == 0
     }
 
     /// Iterates `(shard_id, range)` over all shards.

@@ -4,7 +4,7 @@
 //! every client the parameter file in the paper (§III-A). A client holds
 //! one stream, and a sync is one `Fetch` request on it. The socket is only
 //! a byte pipe: the client runs the fetch body [`crate::MemClient`] runs,
-//! and each connection thread the [`PsService::serve`] the in-process
+//! and each connection thread the `PsService::serve` the in-process
 //! loopback's flush runs.
 
 use crate::client::{fetch_over, FetchSink, PsClient, PsError};
@@ -136,7 +136,7 @@ fn accept_loop(listener: TcpListener, service: Arc<PsService>, conns: Arc<Mutex<
     }
 }
 
-/// Serves one connection, one [`PsService::serve`] per request.
+/// Serves one connection, one `PsService::serve` per request.
 /// Transport-level garbage (bad length, bad CRC) closes the connection;
 /// protocol-level mistakes come back as error frames and the connection
 /// lives on.

@@ -459,7 +459,7 @@ impl FetchReq {
     /// is rejected. An unknown codec id surfaces as
     /// [`WireError::UnsupportedCodec`] so the service can answer with a
     /// structured error instead of dropping the connection.
-    pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
+    pub(crate) fn from_frame(frame: &Frame) -> Result<Self, WireError> {
         if frame.kind != FrameKind::Fetch {
             return Err(WireError::BadPayload("not a Fetch frame"));
         }
@@ -510,7 +510,7 @@ impl<'a> DeltaPayload<'a> {
 
     /// Appends the bytes that precede the blob, for a caller that encodes
     /// the blob straight into the payload after them.
-    pub fn write_prefix(base: u64, codec: Codec, payload: &mut Vec<u8>) {
+    pub(crate) fn write_prefix(base: u64, codec: Codec, payload: &mut Vec<u8>) {
         payload.put_u64_le(base);
         codec.write_desc(payload);
     }
@@ -531,7 +531,7 @@ impl<'a> DeltaPayload<'a> {
     /// Parses a [`FrameKind::ShardDelta`] frame's payload. Unknown codec
     /// ids surface as [`WireError::UnsupportedCodec`]; the blob itself is
     /// validated by the codec at apply time.
-    pub fn from_frame(frame: &'a Frame) -> Result<Self, WireError> {
+    pub(crate) fn from_frame(frame: &'a Frame) -> Result<Self, WireError> {
         if frame.kind != FrameKind::ShardDelta {
             return Err(WireError::BadPayload("not a ShardDelta frame"));
         }
@@ -555,7 +555,7 @@ pub struct FetchSummary {
 
 impl FetchSummary {
     /// Encodes as a frame echoing `epoch`.
-    pub fn to_frame(&self, epoch: u64) -> Frame {
+    pub(crate) fn to_frame(self, epoch: u64) -> Frame {
         let mut payload = Vec::with_capacity(8);
         payload.put_u32_le(self.sent);
         payload.put_u32_le(self.skipped);
@@ -568,7 +568,7 @@ impl FetchSummary {
     }
 
     /// Parses a [`FrameKind::FetchDone`] frame's payload.
-    pub fn from_frame(frame: &Frame) -> Result<Self, WireError> {
+    pub(crate) fn from_frame(frame: &Frame) -> Result<Self, WireError> {
         if frame.kind != FrameKind::FetchDone {
             return Err(WireError::BadPayload("not a FetchDone frame"));
         }
@@ -595,12 +595,12 @@ pub mod err_code {
 }
 
 /// Builds a generic error frame with a UTF-8 message.
-pub fn error_frame(msg: &str) -> Frame {
+pub(crate) fn error_frame(msg: &str) -> Frame {
     error_frame_code(err_code::GENERIC, msg)
 }
 
 /// Builds an error frame carrying a structured [`err_code`].
-pub fn error_frame_code(code: u64, msg: &str) -> Frame {
+pub(crate) fn error_frame_code(code: u64, msg: &str) -> Frame {
     Frame {
         kind: FrameKind::Error,
         shard_id: 0,

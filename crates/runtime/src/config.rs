@@ -38,24 +38,12 @@ pub struct RuntimeConfig {
     /// Safety net: abort (with `halted_early`) if the run exceeds this many
     /// wall-clock seconds — a hung fleet must not hang the test suite.
     pub max_wall_s: f64,
-    /// Where the coordinator dumps the telemetry flight recorder (JSONL,
-    /// one event per line) when it finalizes. `None` disables the dump;
-    /// the in-memory recorder still runs either way.
-    #[serde(default)]
-    pub flight_recorder_path: Option<String>,
     /// Serve parameter fetches over real loopback TCP sockets (one
     /// listener, one stream per worker) instead of the in-process
     /// transport. Both paths send one request per sync through the same
     /// wire codec; TCP adds real sockets and threads.
     #[serde(default)]
     pub ps_tcp: bool,
-    /// Bind the live ops HTTP server (`/`, `/metrics`, `/status`,
-    /// `/events`, `/trace`, `/healthz`) on this address for the duration
-    /// of the run, e.g. `"127.0.0.1:9090"` (port 0 picks an ephemeral
-    /// port). `None` disables the server; the in-memory ops hub still
-    /// works either way.
-    #[serde(default)]
-    pub ops_addr: Option<String>,
     /// Enable causal workunit tracing: dispatch → fetch → train → upload
     /// → validate → assimilate spans into the flight recorder plus
     /// per-stage `trace_<stage>_s` histograms. Off by default so untraced
@@ -85,9 +73,7 @@ impl RuntimeConfig {
             checkpoint_path: None,
             halt_after_assims: None,
             max_wall_s: 600.0,
-            flight_recorder_path: None,
             ps_tcp: false,
-            ops_addr: None,
             trace: false,
             codec: Codec::Raw,
         }
@@ -164,7 +150,6 @@ mod tests {
         let mut cfg = RuntimeConfig::test_small(3);
         cfg.faults.kill_hosts = vec![0];
         cfg.faults.respawn_after_s = Some(1.5);
-        cfg.ops_addr = Some("127.0.0.1:0".into());
         cfg.trace = true;
         cfg.codec = Codec::Int8 {
             error_feedback: true,

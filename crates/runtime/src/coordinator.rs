@@ -64,7 +64,7 @@ pub(crate) const SCORE_BATCH: usize = 256;
 
 /// Parameter-server validation scoring (§III-A): loads `params` into the
 /// scoring replica and returns its accuracy on `data`.
-pub fn score(model: &mut Sequential, params: &[f32], data: &Dataset) -> f32 {
+pub(crate) fn score(model: &mut Sequential, params: &[f32], data: &Dataset) -> f32 {
     model.set_params_flat(params);
     accuracy(model, data)
 }
@@ -108,7 +108,7 @@ pub(crate) struct JobData {
 }
 
 impl JobData {
-    pub fn generate(job: &JobConfig) -> Self {
+    pub(crate) fn generate(job: &JobConfig) -> Self {
         let (train, val, test) = job.data.generate();
         JobData {
             shards: ShardSet::split(&train, job.shards),
@@ -168,7 +168,7 @@ pub struct AssimCtx {
 /// as the updated vector the replica scores — the thread holds no
 /// model-sized buffer of its own besides that replica, which it returns
 /// for `Runtime::run`'s final evaluation.
-pub fn assimilator_main(mut ctx: AssimCtx) -> Sequential {
+pub(crate) fn assimilator_main(mut ctx: AssimCtx) -> Sequential {
     while let Ok(mut t) = ctx.task_rx.recv() {
         let begun = ctx.assim.begin();
         if begun.is_some() {
@@ -288,7 +288,7 @@ pub(crate) struct Assembled {
 /// against it.
 pub(crate) fn assemble(
     cfg: Arc<RuntimeConfig>,
-    mut model: Sequential,
+    model: Sequential,
     tel: &Telemetry,
     store: VersionedStore,
     resume: Option<Checkpoint>,
@@ -421,7 +421,7 @@ impl Coordinator {
     /// The threaded driver: serves `links.inbox` to completion (or halt),
     /// shuts the fleet down, and returns the report. Final accuracies are
     /// evaluated by the caller — the coordinator has no model of its own.
-    pub fn run(mut self, links: Links) -> RuntimeReport {
+    pub(crate) fn run(mut self, links: Links) -> RuntimeReport {
         let stop = self.event_loop(&links);
         // Orderly shutdown: tell every worker; dropping `links` closes the
         // assimilator intake. Dead workers' channels error harmlessly.
@@ -457,17 +457,6 @@ impl Coordinator {
             halted = halted,
             assimilations = self.assimilations
         );
-        if let Some(path) = &self.cfg.flight_recorder_path {
-            if let Err(e) = self.telemetry.recorder().dump_to_file(path) {
-                event!(
-                    self.telemetry,
-                    Warn,
-                    "flight_recorder_dump_failed",
-                    path = path.as_str(),
-                    err = e.to_string()
-                );
-            }
-        }
         RuntimeReport {
             label: self.cfg.job.pct_label(),
             epochs: self.stats.clone(),

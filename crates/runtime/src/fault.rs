@@ -23,7 +23,7 @@ pub enum ByzantineMode {
 
 impl ByzantineMode {
     /// Overwrites `params` with this mode's corruption for `host`.
-    pub fn corrupt(self, host: u32, params: &mut [f32]) {
+    pub(crate) fn corrupt(self, host: u32, params: &mut [f32]) {
         let fill = match self {
             ByzantineMode::Poison => 997.0 + host as f32,
             ByzantineMode::NonFinite => f32::NAN,
@@ -76,13 +76,8 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_none(&self) -> bool {
-        self.kill_hosts.is_empty() && self.max_msg_delay_s == 0.0 && self.byzantine_hosts.is_empty()
-    }
-
     /// `Some(mode)` when `host` is scripted to corrupt its uploads.
-    pub fn byzantine(&self, host: u32) -> Option<ByzantineMode> {
+    pub(crate) fn byzantine(&self, host: u32) -> Option<ByzantineMode> {
         self.byzantine_hosts
             .contains(&host)
             .then_some(self.byzantine_mode)
@@ -158,7 +153,7 @@ mod tests {
         let mut p = FaultPlan::none();
         assert!(p.byzantine(0).is_none());
         p.byzantine_hosts = vec![1];
-        assert!(!p.is_none());
+        assert_ne!(p, FaultPlan::none());
         assert_eq!(p.byzantine(1), Some(ByzantineMode::Poison));
         assert!(p.byzantine(0).is_none());
         assert!(p.validate(3).is_ok());

@@ -77,7 +77,7 @@ use std::path::Path;
 use std::sync::Arc;
 use vc_kvstore::VersionedStore;
 use vc_nn::metrics::pass_batch;
-use vc_ops::{OpsHub, OpsServer};
+use vc_ops::OpsHub;
 use vc_ps::{MemClient, PsClient, TcpClient, TcpPsServer};
 use vc_telemetry::{Telemetry, WallTime};
 use worker::{worker_main, WorkerCtx};
@@ -131,9 +131,9 @@ impl Runtime {
     }
 
     /// Publishes live status into `hub` during the run. The caller keeps
-    /// its own handle — typically to front the hub with an
-    /// [`vc_ops::OpsServer`] it controls (binding, lifetime) instead of
-    /// the `ops_addr`-managed one. The hub should share the run's
+    /// its own handle, typically to front the hub with a
+    /// [`vc_ops::OpsServer`] whose binding and lifetime it controls: the
+    /// runtime starts no server of its own. The hub should share the run's
     /// telemetry (see [`Runtime::with_telemetry`]) so `/metrics`,
     /// `/events` and `/trace` read this run's registry and recorder.
     pub fn with_ops_hub(mut self, hub: Arc<OpsHub>) -> Self {
@@ -148,7 +148,7 @@ impl Runtime {
         // The run's one build of its model: the resume guard reads its size,
         // a fresh run seeds the store from it, and
         // assimilator 0 scores on it.
-        let mut model = self.cfg.job.model.build(self.cfg.job.seed);
+        let model = self.cfg.job.model.build(self.cfg.job.seed);
         if let Some(ck) = &self.resume {
             // config_mut may have edited anything; what the checkpointed
             // parameters and shard bookkeeping were shaped by must not move.
@@ -172,30 +172,6 @@ impl Runtime {
         let cfg = Arc::new(self.cfg);
         let job = &cfg.job;
 
-        // --- live ops surface ----------------------------------------------
-        // An externally supplied hub wins; otherwise `ops_addr` creates one.
-        // The HTTP server (if any) lives exactly as long as the run.
-        let ops_hub = match self.ops_hub.take() {
-            Some(hub) => Some(hub),
-            None => cfg
-                .ops_addr
-                .as_ref()
-                .map(|_| Arc::new(OpsHub::new(tel.clone()))),
-        };
-        let _ops_server = match (&cfg.ops_addr, &ops_hub) {
-            (Some(addr), Some(hub)) => {
-                let srv = OpsServer::start(addr, hub.clone()).map_err(|e| e.to_string())?;
-                vc_telemetry::event!(
-                    tel,
-                    Info,
-                    "ops_server_started",
-                    addr = srv.local_addr().to_string()
-                );
-                Some(srv)
-            }
-            _ => None,
-        };
-
         // --- data, parameter service, middleware, coordinator --------------
         // The run's one clock (cumulative across resumes): the
         // coordinator's deadlines, every due stamp and every event
@@ -216,7 +192,7 @@ impl Runtime {
             &tel,
             VersionedStore::new(),
             self.resume.take(),
-            ops_hub,
+            self.ops_hub.take(),
             start_clock,
         );
         let (assim, service) = (coord.assim.clone(), coord.service.clone());

@@ -92,7 +92,7 @@ pub struct AssimTask {
 impl AssimTask {
     /// The outcome message a parameter server reports once this task is
     /// blended and the post-update server copy scored `acc`.
-    pub fn assimilated(&self, acc: f32) -> ToServer {
+    pub(crate) fn assimilated(&self, acc: f32) -> ToServer {
         ToServer::Assimilated {
             wu: self.wu,
             host: self.host,

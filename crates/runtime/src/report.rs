@@ -114,7 +114,7 @@ pub struct RuntimeReport {
 /// The histogram family a run's telemetry registry collected, embedded in
 /// the report so latency percentiles survive alongside the counters.
 ///
-/// Every field is always present — [`RuntimeTelemetry::from_registry`]
+/// Every field is always present — `RuntimeTelemetry::from_registry`
 /// get-or-creates each histogram, so a run that never exercised a path
 /// reports an empty histogram rather than a missing field.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -153,7 +153,7 @@ pub struct RuntimeTelemetry {
 impl RuntimeTelemetry {
     /// Snapshots the run's histograms out of `registry`, creating any the
     /// run never touched so the report shape is stable.
-    pub fn from_registry(registry: &Registry) -> Self {
+    pub(crate) fn from_registry(registry: &Registry) -> Self {
         let grab = |name: &str| {
             registry
                 .histogram_with(name, Histogram::latency_bounds)
@@ -184,15 +184,6 @@ impl RuntimeReport {
     /// Mean validation accuracy of the last completed epoch (0 when none).
     pub fn final_mean_acc(&self) -> f32 {
         self.epochs.last().map(|e| e.mean_val_acc).unwrap_or(0.0)
-    }
-
-    /// Wall-clock seconds until the epoch-mean validation accuracy first
-    /// reached `target`, when it did.
-    pub fn time_to_accuracy(&self, target: f32) -> Option<f64> {
-        self.epochs
-            .iter()
-            .find(|e| e.mean_val_acc >= target)
-            .map(|e| e.end_wall_s)
     }
 }
 
@@ -236,8 +227,6 @@ mod tests {
             halted_early: false,
         };
         assert_eq!(r.final_mean_acc(), 0.45);
-        assert_eq!(r.time_to_accuracy(0.4), Some(2.5));
-        assert_eq!(r.time_to_accuracy(0.9), None);
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<RuntimeReport>(&json).unwrap(), r);
     }

@@ -52,12 +52,12 @@ impl<E> StepScheduler<E> {
 
     /// A shared handle on the scheduler's clock (for code that only reads
     /// `now`, like the run's telemetry time source).
-    pub fn clock(&self) -> VirtualClock {
+    pub(crate) fn clock(&self) -> VirtualClock {
         self.clock.clone()
     }
 
     /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.events.now()
     }
 

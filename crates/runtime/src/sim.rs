@@ -171,13 +171,6 @@ impl Scenario {
         self
     }
 
-    /// Installs a fault plan (its `seed` also feeds the per-worker RNG
-    /// streams).
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.cfg.faults = faults;
-        self
-    }
-
     /// Sets the replication factor (replicas issued per workunit).
     pub fn replication(mut self, k: u32) -> Self {
         self.cfg.job.middleware.replication = k;
@@ -222,15 +215,8 @@ impl Scenario {
         self
     }
 
-    /// Enables the virtual-time checkpoint timer.
-    pub fn checkpoint_every(mut self, every_s: f64, path: impl Into<String>) -> Self {
-        self.cfg.checkpoint_every_s = Some(every_s);
-        self.cfg.checkpoint_path = Some(path.into());
-        self
-    }
-
     /// Cross-field validation (config plus the housekeeping cadence).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.cfg.validate()?;
         if self.tick_s <= 0.0 || !self.tick_s.is_finite() {
             return Err(format!("invalid tick_s {}", self.tick_s));
@@ -266,7 +252,7 @@ impl SimOutcome {
     }
 
     /// Independent recount of lost updates from the history's versions.
-    pub fn lost_updates_recount(&self) -> u64 {
+    pub(crate) fn lost_updates_recount(&self) -> u64 {
         count_lost_updates(&self.history)
     }
 
@@ -754,7 +740,9 @@ mod tests {
     fn virtual_checkpoint_timer_fires() {
         let path = std::env::temp_dir().join("vc_sim_ck_timer.json");
         std::fs::remove_file(&path).ok();
-        let sc = tiny(3).checkpoint_every(2.0, path.to_string_lossy());
+        let mut sc = tiny(3);
+        sc.cfg.checkpoint_every_s = Some(2.0);
+        sc.cfg.checkpoint_path = Some(path.to_string_lossy().into_owned());
         let out = run_scenario(&sc).unwrap();
         assert!(!out.report.halted_early);
         let ck = Checkpoint::load(&path).expect("timer must have written a checkpoint");

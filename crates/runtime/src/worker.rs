@@ -92,7 +92,7 @@ pub struct Executed {
 
 impl WorkerCore {
     /// A fresh worker on its first life.
-    pub fn new(
+    pub(crate) fn new(
         id: HostId,
         cfg: Arc<RuntimeConfig>,
         telemetry: Telemetry,
@@ -125,7 +125,7 @@ impl WorkerCore {
 
     /// Records one received assignment and returns `true` when the fault
     /// plan says this worker dies (counted here) instead of executing it.
-    pub fn on_assign(&mut self) -> bool {
+    pub(crate) fn on_assign(&mut self) -> bool {
         self.assignments_this_life += 1;
         let dies = self
             .cfg
@@ -145,7 +145,7 @@ impl WorkerCore {
     }
 
     /// Starts the replacement instance's life.
-    pub fn respawn(&mut self) {
+    pub(crate) fn respawn(&mut self) {
         self.life += 1;
         self.assignments_this_life = 0;
         self.respawns.inc();
@@ -161,7 +161,7 @@ impl WorkerCore {
     /// The delay line's hold on this worker's next message: uniform in
     /// `[0, max_msg_delay_s]` from the worker's own stream, `0` (and no
     /// draw) without a delay line.
-    pub fn draw_delay(&mut self) -> f64 {
+    pub(crate) fn draw_delay(&mut self) -> f64 {
         let max = self.cfg.faults.max_msg_delay_s;
         if max <= 0.0 {
             return 0.0;
@@ -177,7 +177,7 @@ impl WorkerCore {
     /// `tws` is lent by the caller — a thread owns one, a simulated fleet
     /// shares one. A failed fetch returns the error and leaves the
     /// assignment to the server's timeout path, like any lost host.
-    pub fn execute(
+    pub(crate) fn execute(
         &mut self,
         wu: &WorkUnit,
         shards: &ShardSet,
@@ -225,7 +225,7 @@ impl WorkerCore {
     /// Records the fetch and train spans of an executed workunit, each
     /// stamped with its end and duration on the substrate's clock (no-op
     /// unless the run traces).
-    pub fn trace_phases(
+    pub(crate) fn trace_phases(
         &self,
         wu: &WorkUnit,
         fetch_end: f64,
@@ -272,7 +272,7 @@ pub struct WorkerCtx {
 }
 
 /// The worker thread body.
-pub fn worker_main(ctx: WorkerCtx) {
+pub(crate) fn worker_main(ctx: WorkerCtx) {
     let WorkerCtx {
         mut core,
         shards,
@@ -420,13 +420,12 @@ mod tests {
 
     /// `(kills, respawns, delayed messages)` as the run's registry holds
     /// them.
-    fn tallies(tel: &Telemetry) -> (Option<u64>, Option<u64>, u64) {
-        let snap = tel.registry().snapshot();
-        let delayed = snap.histogram(DELAY_LINE_DELAY_S).map_or(0, |h| h.count);
+    fn tallies(tel: &Telemetry) -> (u64, u64, u64) {
+        let reg = tel.registry();
         (
-            snap.counter(WORKER_KILLS),
-            snap.counter(WORKER_RESPAWNS),
-            delayed,
+            reg.counter(WORKER_KILLS).get(),
+            reg.counter(WORKER_RESPAWNS).get(),
+            reg.histogram(DELAY_LINE_DELAY_S).snapshot().count,
         )
     }
 
@@ -441,11 +440,7 @@ mod tests {
         core.respawn();
         assert_eq!((core.life, core.assignments_this_life), (1, 0));
         assert!(!core.on_assign(), "replacement instances are safe");
-        assert_eq!(
-            tallies(&tel),
-            (Some(1), Some(1), 0),
-            "one kill, one respawn"
-        );
+        assert_eq!(tallies(&tel), (1, 1, 0), "one kill, one respawn");
     }
 
     #[test]

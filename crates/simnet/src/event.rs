@@ -59,16 +59,6 @@ impl<T> EventQueue<T> {
         self.now = at;
         Some((at, payload))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -121,6 +111,6 @@ mod tests {
         q.schedule(SimTime::from_secs(3.0), 3);
         let rest: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(rest, vec![2, 3, 4]);
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 }

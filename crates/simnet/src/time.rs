@@ -35,15 +35,6 @@ impl SimTime {
     pub fn as_hours(self) -> f64 {
         self.0 / 3600.0
     }
-
-    /// The later of two time points.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if other.0 > self.0 {
-            other
-        } else {
-            self
-        }
-    }
 }
 
 impl Eq for SimTime {}

@@ -37,7 +37,7 @@ pub enum Level {
 impl Level {
     /// Parses `"error" | "warn" | "info" | "debug" | "trace"` (any case).
     /// Returns `None` for anything else.
-    pub fn parse(s: &str) -> Option<Level> {
+    pub(crate) fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),
@@ -49,7 +49,7 @@ impl Level {
     }
 
     /// The canonical lowercase name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Level::Error => "error",
             Level::Warn => "warn",
@@ -343,7 +343,7 @@ impl Telemetry {
 
     /// Records a fully-built event: echoes to stderr when the level
     /// passes the filter, then appends to the flight recorder.
-    pub fn emit(&self, event: Event) {
+    pub(crate) fn emit(&self, event: Event) {
         if let Some(threshold) = self.inner.echo {
             if event.level <= threshold {
                 eprintln!("{event}");

@@ -85,7 +85,7 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
-        assert_eq!(tel.registry().snapshot().counter("ops"), Some(10));
+        assert_eq!(tel.registry().counter("ops").get(), 10);
         assert_eq!(
             tel.recorder()
                 .events()

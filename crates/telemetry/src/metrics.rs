@@ -47,7 +47,7 @@ pub struct Histogram {
 impl Histogram {
     /// A histogram over the given (strictly increasing, finite) upper
     /// bounds.
-    pub fn new(bounds: Vec<f64>) -> Self {
+    pub(crate) fn new(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "a histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
@@ -203,7 +203,7 @@ fn get_or_insert<T>(
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -351,24 +351,6 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<HistogramSample>,
 }
 
-impl RegistrySnapshot {
-    /// Looks up a counter's value by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value)
-    }
-
-    /// Looks up a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name)
-            .map(|h| &h.histogram)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,9 +459,9 @@ lat_s_count 3
         let s = reg.snapshot();
         assert_eq!(s.counters[0].name, "a");
         assert_eq!(s.counters[1].name, "b");
-        assert_eq!(s.counter("a"), Some(2));
-        assert_eq!(s.histogram("h").unwrap().count, 1);
-        assert_eq!(s.counter("missing"), None);
+        assert_eq!((s.counters[0].value, s.counters.len()), (2, 2));
+        assert_eq!(s.histograms[0].name, "h");
+        assert_eq!(s.histograms[0].histogram.count, 1);
         // JSON roundtrip through the vendored serde.
         let json = serde_json::to_string(&s).unwrap();
         let back: RegistrySnapshot = serde_json::from_str(&json).unwrap();

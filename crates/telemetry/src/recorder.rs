@@ -28,7 +28,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder retaining at most `capacity` events (`capacity >= 1`).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "flight recorder needs capacity >= 1");
         FlightRecorder {
             cap: capacity,
@@ -40,28 +40,13 @@ impl FlightRecorder {
     }
 
     /// Appends an event, evicting the oldest when full.
-    pub fn record(&self, event: Event) {
+    pub(crate) fn record(&self, event: Event) {
         let mut g = self.inner.lock();
         if g.buf.len() == self.cap {
             g.buf.pop_front();
             g.dropped += 1;
         }
         g.buf.push_back(event);
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Number of events evicted so far (0 means the dump is complete).
@@ -72,13 +57,6 @@ impl FlightRecorder {
     /// A copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
         self.inner.lock().buf.iter().cloned().collect()
-    }
-
-    /// Discards all retained events and resets the dropped count.
-    pub fn clear(&self) {
-        let mut g = self.inner.lock();
-        g.buf.clear();
-        g.dropped = 0;
     }
 
     /// The retained events as JSONL: one JSON-serialized [`Event`] per
@@ -162,19 +140,13 @@ mod tests {
     #[test]
     fn ring_wraps_and_counts_drops() {
         let rec = FlightRecorder::new(3);
-        assert!(rec.is_empty());
+        assert!(rec.events().is_empty());
         for i in 0..5 {
             rec.record(ev(i));
         }
-        assert_eq!(rec.len(), 3);
-        assert_eq!(rec.capacity(), 3);
         assert_eq!(rec.dropped(), 2, "two oldest events evicted");
         let names: Vec<String> = rec.events().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["e2", "e3", "e4"], "oldest-first, newest kept");
-
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]

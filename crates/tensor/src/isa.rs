@@ -80,7 +80,7 @@ impl Tier {
     }
 
     /// `f32` lanes per vector.
-    pub fn lanes(self) -> usize {
+    pub(crate) fn lanes(self) -> usize {
         match self {
             Tier::Portable => 1,
             Tier::Avx2 => 8,
@@ -106,7 +106,7 @@ thread_local! {
 /// The tier a kernel call on this thread runs: the host's, capped by any
 /// enclosing [`with_tier_cap`]. Read once per call, on the calling thread.
 #[inline]
-pub fn tier() -> Tier {
+pub(crate) fn tier() -> Tier {
     Tier::detected().min(CAP.with(Cell::get))
 }
 

@@ -22,7 +22,7 @@ pub struct Shape {
 
 impl Shape {
     /// Builds a shape from dimension extents. Panics above [`MAX_RANK`].
-    pub fn new(dims: &[usize]) -> Self {
+    pub(crate) fn new(dims: &[usize]) -> Self {
         assert!(
             dims.len() <= MAX_RANK,
             "shape rank {} exceeds supported maximum {MAX_RANK}",
@@ -37,7 +37,7 @@ impl Shape {
     }
 
     /// Number of axes.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.rank
     }
 
@@ -58,7 +58,7 @@ impl Shape {
 
     /// True when the two shapes describe matrices that can be multiplied
     /// (`self` is `[m, k]`, `other` is `[k, n]`).
-    pub fn matmul_compatible(&self, other: &Shape) -> bool {
+    pub(crate) fn matmul_compatible(&self, other: &Shape) -> bool {
         self.rank() == 2 && other.rank() == 2 && self.dim(1) == other.dim(0)
     }
 }

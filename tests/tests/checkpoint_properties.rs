@@ -326,3 +326,42 @@ fn a_config_with_the_assimilation_trigger_still_parses() {
     today.checkpoint_path = Some("run_ck.json".into());
     assert_eq!(parsed, today);
 }
+
+/// `RuntimeConfig::test_small(1)` with the managed ops server's address
+/// (`ops_addr`) and the finalize-time flight-recorder dump
+/// (`flight_recorder_path`) set, as the runtime serialized it while those
+/// were settings. The text is that build's output, byte for byte apart from
+/// line breaks.
+const PRE_OPS_ADDR_CONFIG: &str = r#"{"job":{"model":{"name":"mlp","input":[3,16,16],
+"classes":10,"layers":["Flatten",{"Dense":{"input":768,"output":32}},"Relu",{"Dense":{
+"input":32,"output":10}}]},"data":{"classes":10,"img":[3,16,16],"train_n":400,"val_n":120,
+"test_n":120,"noise":1,"label_noise":0,"max_shift":2,"seed":1},"shards":8,"ps_shards":1,
+"pn":2,"cn":2,"tn":2,"alpha":{"Const":0.6000000238418579},"epochs":3,
+"consistency":"Eventual","fleet":"Uniform","optimizer":{"Adam":{"lr":0.0010000000474974513,
+"beta1":0.8999999761581421,"beta2":0.9990000128746033,"eps":0.00000000999999993922529}},
+"local_epochs":2,"batch_size":32,"val_eval_n":120,"middleware":{"timeout_s":2,
+"sticky_files":true,"replication":1,"min_timeout_s":2,"max_timeout_s":10,"quorum":1,
+"backoff_base_s":0.2,"backoff_max_s":2},"seed":1},"poll_interval_s":0.01,"faults":{
+"kill_hosts":[],"kill_on_nth_assignment":1,"respawn_after_s":null,"max_msg_delay_s":0,
+"byzantine_hosts":[],"byzantine_mode":"Poison","seed":0},"checkpoint_every_s":null,
+"checkpoint_path":null,"halt_after_assims":null,"max_wall_s":600,
+"flight_recorder_path":"/tmp/x","ps_tcp":false,"ops_addr":"127.0.0.1:0","trace":false,
+"codec":"Raw"}"#;
+
+/// A checkpoint written while the runtime could start its own ops server
+/// and dump its flight recorder still resumes: its config parses,
+/// validates, and reads as today's config. A caller that wants either
+/// fronts its hub with `OpsServer::start` or reads the recorder of the
+/// telemetry it hands the run.
+#[test]
+fn a_config_with_the_ops_server_and_recorder_dump_still_parses() {
+    for key in [
+        r#""ops_addr":"127.0.0.1:0""#,
+        r#""flight_recorder_path":"/tmp/x""#,
+    ] {
+        assert!(PRE_OPS_ADDR_CONFIG.contains(key), "{key}");
+    }
+    let parsed: RuntimeConfig = serde_json::from_str(PRE_OPS_ADDR_CONFIG).unwrap();
+    parsed.validate().unwrap();
+    assert_eq!(parsed, RuntimeConfig::test_small(1));
+}

@@ -148,53 +148,3 @@ fn scraping_under_chaos_load_never_blocks_the_fleet() {
     );
     drop(server); // joins the accept + worker threads
 }
-
-/// `RuntimeConfig::ops_addr` alone (no external hub) boots the managed
-/// server for the duration of the run.
-#[test]
-fn ops_addr_config_boots_a_managed_server() {
-    let mut cfg = RuntimeConfig::test_small(7);
-    cfg.job.cn = 4;
-    cfg.job.epochs = 2;
-    cfg.ops_addr = Some("127.0.0.1:0".into());
-
-    let tel = Telemetry::silent();
-    let runtime = Runtime::new(cfg).unwrap().with_telemetry(tel.clone());
-    let run = std::thread::spawn(move || runtime.run());
-
-    // The bound (ephemeral) address is announced through telemetry.
-    let addr = 'addr: {
-        for _ in 0..200 {
-            let ev = tel
-                .recorder()
-                .events()
-                .into_iter()
-                .find(|ev| ev.name == "ops_server_started");
-            if let Some(ev) = ev {
-                let addr = ev
-                    .fields
-                    .iter()
-                    .find(|(k, _)| k == "addr")
-                    .map(|(_, v)| v.to_string())
-                    .expect("addr field");
-                break 'addr addr.parse::<std::net::SocketAddr>().expect("socket addr");
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        panic!("ops_server_started event never appeared");
-    };
-
-    let (status, body) = scrape(addr, "/healthz");
-    assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
-    let (status, _) = scrape(addr, "/metrics");
-    assert_eq!(status, 200);
-
-    let report = run.join().unwrap().unwrap();
-    assert!(!report.halted_early);
-    // The managed server died with the run: the port no longer accepts.
-    std::thread::sleep(Duration::from_millis(100));
-    assert!(
-        TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
-        "managed ops server must stop when the run ends"
-    );
-}

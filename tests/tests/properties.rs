@@ -118,8 +118,8 @@ proptest! {
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
         let ds = Dataset::new(images, labels, 3);
         let set = ShardSet::split(&ds, k);
-        prop_assert_eq!(set.iter().map(|s| s.data.len()).sum::<usize>(), n);
-        let sizes: Vec<usize> = set.iter().map(|s| s.data.len()).collect();
+        let sizes: Vec<usize> = (0..k).map(|i| set.shard(i).data.len()).collect();
+        prop_assert_eq!(sizes.iter().sum::<usize>(), n);
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         prop_assert!(max - min <= 1);

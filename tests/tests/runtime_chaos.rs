@@ -195,23 +195,19 @@ fn threaded_fleet_survives_preemption_with_respawn_and_message_chaos() {
     };
     cfg.faults.seed = 22;
 
-    let fr_path = std::env::temp_dir().join("vc_threaded_chaos_flight.jsonl");
-    std::fs::remove_file(&fr_path).ok();
-    cfg.flight_recorder_path = Some(fr_path.to_string_lossy().into_owned());
-
     let doomed = cfg.faults.kill_hosts.len() as u64;
-    let report = Runtime::new(cfg.clone()).unwrap().run().unwrap();
+    let tel = vc_telemetry::Telemetry::from_env();
+    let report = Runtime::new(cfg.clone())
+        .unwrap()
+        .with_telemetry(tel.clone())
+        .run()
+        .unwrap();
 
-    // The coordinator dumps the flight recorder on finalize; its event
-    // counts agree with the report's counters even on real threads.
-    let dump = std::fs::read_to_string(&fr_path).expect("finalize dumps the flight recorder");
-    std::fs::remove_file(&fr_path).ok();
-    let count = |name: &str| {
-        dump.lines()
-            .map(|l| serde_json::from_str::<vc_telemetry::Event>(l).expect("line parses"))
-            .filter(|ev| ev.name == name)
-            .count() as u64
-    };
+    // The run's flight recorder, read through the handle it was given:
+    // its event counts agree with the report's counters even on real
+    // threads.
+    let events = tel.recorder().events();
+    let count = |name: &str| events.iter().filter(|ev| ev.name == name).count() as u64;
     assert_eq!(count("worker_kill"), report.kills);
     assert_eq!(count("worker_respawn"), report.respawns);
     assert_eq!(count("wu_timeout"), report.server_metrics.timeouts);
