@@ -29,7 +29,14 @@
 //!   its 8-lane and portable rows beside its own (the portable row is one
 //!   pass, ~15 s of the run). Reported, not gated.
 //!
-//! `--smoke` runs all three at toy sizes (an 8×8 one-block model, 200 / 1k
+//! * **gemm** — the MLP's three GEMM shapes (`k` = 3072 inputs, `n` = 512
+//!   hidden units) at batch `m` ∈ {32, 256}, one pool thread: forward
+//!   `x·W` with its bias+ReLU epilogue, `dW = xᵀ·dy` and `dx = dy·Wᵀ`,
+//!   `2·m·k·n` flop each, in GFLOP/s. One row per vector tier the host has
+//!   (the portable body would take minutes), so a 16-lane host records its
+//!   8-lane rows too. Reported, not gated.
+//!
+//! `--smoke` runs all four at toy sizes (an 8×8 one-block model, 200 / 1k
 //! hosts), asserts every number finite and positive, writes nothing.
 //! `--check` gates GEMM efficiency ≥ [`GEMM_EFF_FLOOR`], training efficiency
 //! ≥ [`TRAIN_EFF_FLOOR`] (full runs only: the smoke model is too small to
@@ -47,7 +54,8 @@ use vc_optim::{train_minibatch, OptimizerSpec, TrainWorkspace};
 use vc_simnet::{generated_fleet, SimTime};
 use vc_tensor::conv_direct::{conv3x3_forward_pre_into, fwd_scratch_len, BnRelu};
 use vc_tensor::isa::{with_tier_cap, Tier};
-use vc_tensor::ops::{matmul, ConvGeom, Epilogue};
+use vc_tensor::ops::{matmul, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into};
+use vc_tensor::ops::{ConvGeom, Epilogue};
 use vc_tensor::{NormalSampler, Tensor};
 
 /// Widest-cap GEMM efficiency floor (0.71 / 0.76 / 0.79 in the three full
@@ -67,8 +75,7 @@ const FLAT_COST_LIMIT: f64 = 4.0;
 struct Threads {
     /// Cores the host has; caps past this measure oversubscribed dispatch.
     hw_threads: usize,
-    /// The ISA tier this CPU dispatches to (`isa::Tier::name`); the GEMM
-    /// runs its 8-lane tile on any vector tier.
+    /// The ISA tier this CPU dispatches to (`isa::Tier::name`).
     isa: String,
     gemm_n: usize,
     model: String,
@@ -126,12 +133,32 @@ struct Eval {
     unit_share: f64,
 }
 
+/// The MLP's GEMMs at one batch on one pool thread, every kernel capped at
+/// `isa`.
+#[derive(Serialize)]
+struct GemmRow {
+    isa: String,
+    cpu_model: String,
+    thread_cap: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    /// `x[m,k]·W[k,n]` with the bias+ReLU epilogue.
+    fwd_gflops: f64,
+    /// `dW[k,n] = xᵀ·dy[m,n]`.
+    dw_gflops: f64,
+    /// `dx[m,k] = dy·Wᵀ`.
+    dx_gflops: f64,
+}
+
 #[derive(Serialize)]
 struct BenchScale {
     threads: Threads,
     hosts: Vec<HostsRow>,
     /// One row per tier the host has, widest first.
     eval: Vec<Eval>,
+    /// One row per vector tier and batch, widest tier first.
+    gemm: Vec<GemmRow>,
 }
 
 /// `(last / first) / min(widest cap, hw)`: the share of the achievable
@@ -342,6 +369,51 @@ fn bench_eval(smoke: bool, tier: Tier) -> Eval {
     }
 }
 
+/// The MLP's three GEMMs at batch `m` on one pool thread under the
+/// caller's tier cap `tier`, best of `reps` each.
+fn bench_gemm(smoke: bool, tier: Tier, m: usize) -> GemmRow {
+    // The smoke shape still spans two k-blocks and a ragged tile column.
+    let (k, n, reps) = if smoke {
+        (300, 40, 2)
+    } else {
+        (3072, 512, if m > 64 { 5 } else { 20 })
+    };
+    let prev = rayon::set_thread_cap(1);
+    let mut s = NormalSampler::seed_from(19);
+    let x = Tensor::randn(&[m, k], 0.0, 1.0, &mut s);
+    let w = Tensor::randn(&[k, n], 0.0, 1.0, &mut s);
+    let dy = Tensor::randn(&[m, n], 0.0, 1.0, &mut s);
+    let bias = vec![0.1f32; n];
+    let (mut y, mut dw, mut dx) = (vec![0.0; m * n], vec![0.0; k * n], vec![0.0; m * k]);
+    let gflops = |secs: f64| 2.0 * (m * k * n) as f64 / secs / 1e9;
+    let fwd = time_best(reps, || {
+        matmul_epi_into(&x, w.data(), &mut y, Epilogue::BiasRelu(&bias))
+    });
+    let dw_s = time_best(reps, || {
+        matmul_at_b_epi_into(&x, &dy, &mut dw, Epilogue::Store)
+    });
+    let dx_s = time_best(reps, || {
+        matmul_a_bt_epi_into(&dy, w.data(), &mut dx, Epilogue::Store)
+    });
+    rayon::set_thread_cap(prev);
+    let row = GemmRow {
+        isa: tier.name().to_string(),
+        cpu_model: cpu_model(),
+        thread_cap: 1,
+        m,
+        k,
+        n,
+        fwd_gflops: gflops(fwd),
+        dw_gflops: gflops(dw_s),
+        dx_gflops: gflops(dx_s),
+    };
+    println!(
+        "gemm [{}] m={m} k={k} n={n} (1 thread): fwd {:.1}  dW {:.1}  dx {:.1} GFLOP/s",
+        row.isa, row.fwd_gflops, row.dw_gflops, row.dx_gflops
+    );
+    row
+}
+
 /// `cycles` rounds of: enqueue `n` workunits, one assigning poll per host
 /// (timed), 1 000 deadline scans with nothing due (timed), then — untimed —
 /// expire everything, reissue it and report it through quorum.
@@ -433,10 +505,17 @@ fn main() {
     let eval: Vec<Eval> = Tier::host_tiers()
         .map(|t| with_tier_cap(t, || bench_eval(smoke, t)))
         .collect();
+    let batches: &[usize] = if smoke { &[8] } else { &[32, 256] };
+    let gemm: Vec<GemmRow> = Tier::host_tiers()
+        .filter(|&t| t != Tier::Portable)
+        .flat_map(|t| batches.iter().map(move |&m| (t, m)))
+        .map(|(t, m)| with_tier_cap(t, || bench_gemm(smoke, t, m)))
+        .collect();
     let out = BenchScale {
         threads,
         hosts,
         eval,
+        gemm,
     };
 
     let t = &out.threads;
@@ -456,6 +535,11 @@ fn main() {
         numbers.push(e.total_ms);
         numbers.extend(e.units.iter().flat_map(|u| [u.ms, u.gflops]));
     }
+    numbers.extend(
+        out.gemm
+            .iter()
+            .flat_map(|g| [g.fwd_gflops, g.dw_gflops, g.dx_gflops]),
+    );
     for v in numbers {
         assert!(v.is_finite() && v > 0.0, "degenerate measurement {v}");
     }

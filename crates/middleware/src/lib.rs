@@ -7,7 +7,7 @@
 //!
 //! | BOINC component | Here |
 //! |---|---|
-//! | work generator  | [`server::BoincServer::add_workunits`] (driven by the trainer's work generator) |
+//! | work generator  | [`server::BoincServer::add_epoch_sharded`] (driven by the trainer's work generator) |
 //! | scheduler       | [`server::BoincServer::request_work`] — slot-limited, reliability-aware, sticky-file-aware assignment |
 //! | transitioner    | [`server::BoincServer::scan_timeouts`] — deadline tracking and reassignment |
 //! | validator       | [`validate::Validator`] — result sanity checking before assimilation |

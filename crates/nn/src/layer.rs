@@ -40,7 +40,7 @@ use vc_tensor::{NormalSampler, Tensor, Workspace};
 /// activation is saved: a ReLU folds into the GEMM epilogue before it, and
 /// a `BatchNorm → Relu → Conv2d(3×3, stride 1)` pre-activation unit runs
 /// as one stats pass plus the convolution's own staging pass, caching only
-/// the unit's input ([`crate::preact`]). Both ride
+/// the unit's input (`crate::preact`). Both ride
 /// [`Sequential::fuse_relu`]; a layer called on its own is always the
 /// plain layer, which is what the fused steps are tested against. (The
 /// `_ws` suffix dates from when a second, borrowing implementation existed

@@ -156,7 +156,7 @@ impl Sequential {
     ///   moves into that layer's GEMM epilogue — the downstream values and
     ///   masks are unchanged (`relu(x) > 0 ⇔ x > 0`);
     /// * a `BatchNorm(ch) → Relu → Conv2d(ch → ·, 3×3, stride 1)`
-    ///   pre-activation unit becomes one [`preact`] step of the traversal.
+    ///   pre-activation unit becomes one `preact` step of the traversal.
     ///
     /// Idempotent; called automatically by the trainer and by
     /// [`crate::metrics::evaluate`].

@@ -8,7 +8,7 @@
 //! chain cannot be split into partial sums or vectorized along itself. Run
 //! one channel at a time it is bound by add latency (four cycles per
 //! element). But chains of *different* channels share nothing, so
-//! [`LANES`] of them run side by side ([`lane_groups`]): element `s` of
+//! `LANES` of them run side by side (`lane_groups`): element `s` of
 //! eight channel planes is added to eight accumulators before element
 //! `s + 1` of any. Each accumulator still sees exactly its own channel's
 //! values in exactly the old order — only the interleaving of independent

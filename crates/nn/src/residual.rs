@@ -2,7 +2,7 @@
 //! ResNetV2 model.
 //!
 //! The skip path costs no copy when a fused pre-activation unit heads the
-//! body, as in every `resnet_lite` block ([`crate::preact`]):
+//! body, as in every `resnet_lite` block (`crate::preact`):
 //!
 //! * **forward** — the unit keeps its raw input anyway (it is its training
 //!   cache), and that input *is* `x`: the block adds it to `F(x)` from

@@ -11,7 +11,7 @@
 //! Optimizer state is indexed like the *flat* parameter vector — the same
 //! representation the distributed layer ships across the simulated network,
 //! and the one the model holds its parameters in — so a client's optimizer
-//! never needs to understand the model: one [`Optimizer::step`] is one
+//! never needs to understand the model: one `Optimizer::step` is one
 //! elementwise pass over the parameter and gradient vectors.
 
 pub mod clip;

@@ -180,11 +180,10 @@ impl<'a> Int8Tokens<'a> {
             self.emitted += run;
             return Ok(Some((at, Int8Token::Zeros(run))));
         }
-        let len = self
-            .bytes
-            .iter()
-            .position(|&b| b == INT8_ZERO_ESCAPE)
-            .unwrap_or(self.bytes.len());
+        // A literal run ends at the next escape; one longer than `left`
+        // is an error, so the scan looks no further than `left + 1` bytes.
+        let window = &self.bytes[..self.bytes.len().min(left + 1)];
+        let len = find_escape(window).unwrap_or(window.len());
         if len > left {
             return Err("int8 blob overlong");
         }
@@ -193,6 +192,29 @@ impl<'a> Int8Tokens<'a> {
         self.emitted += len;
         Ok(Some((at, Int8Token::Codes(int8_codes_from_bytes(codes)))))
     }
+}
+
+/// Index of the first [`INT8_ZERO_ESCAPE`] in `bytes`, eight bytes a step:
+/// XOR makes an escape byte zero, and `(x − 0x01…01) & !x & 0x80…80` flags
+/// the zero bytes of `x`. Bytes below the first zero borrow nothing, so the
+/// lowest flag is exact (a flag above it may be a borrow's, and is never
+/// read).
+fn find_escape(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const ESCAPES: u64 = ONES * INT8_ZERO_ESCAPE as u64;
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8 bytes")) ^ ESCAPES;
+        let zeros = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter()
+        .position(|&b| b == INT8_ZERO_ESCAPE)
+        .map(|p| at + p)
 }
 
 /// Checks an Int8 blob's header against the `n` elements the caller
@@ -373,12 +395,13 @@ impl Codec {
     }
 
     /// Adds the quantized delta in `blob` onto `dst`, the shard it updates:
-    /// `dst[i] += y[i]` for the `y` [`decode_update_into`]
-    /// (Self::decode_update_into) would produce, element for element. All
-    /// or nothing — `dst` is untouched unless the whole token stream is
-    /// valid for `dst.len()` elements; it is validated first and then
-    /// dequantize-added in place, so nothing is allocated. A `Raw` blob is a
-    /// shard's values, not an update to them, and is an error.
+    /// `dst[i] += y[i]` for the `y`
+    /// [`decode_update_into`](Self::decode_update_into) would produce,
+    /// element for element. All or nothing — `dst` is untouched unless the
+    /// whole token stream is valid for `dst.len()` elements; it is
+    /// validated first and then dequantize-added in place, so nothing is
+    /// allocated. A `Raw` blob is a shard's values, not an update to them,
+    /// and is an error.
     pub fn add_update_to(self, blob: &[u8], dst: &mut [f32]) -> Result<(), &'static str> {
         let Codec::Int8 { .. } = self else {
             return Err("a raw blob is not a delta");
@@ -509,6 +532,31 @@ mod tests {
         (0..n)
             .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.02)
             .collect()
+    }
+
+    /// The word-at-a-time escape scan finds what a byte-at-a-time one
+    /// does: every offset in and past the first words, among the byte
+    /// values next to the escape (a borrow's false flags sit above a true
+    /// zero), and none at all.
+    #[test]
+    fn escape_scan_matches_bytewise() {
+        let fill = [0x7f, 0x81, 0x00, 0x01, 0xff, 0x7e];
+        for len in 0..40 {
+            for esc in (0..len).map(Some).chain([None]) {
+                for f in 0..fill.len() {
+                    let mut bytes: Vec<u8> = (0..len).map(|i| fill[(i + f) % fill.len()]).collect();
+                    if let Some(at) = esc {
+                        bytes[at] = INT8_ZERO_ESCAPE;
+                        // A second escape after the first must not move it.
+                        if at + 3 < len {
+                            bytes[at + 3] = INT8_ZERO_ESCAPE;
+                        }
+                    }
+                    let want = bytes.iter().position(|&b| b == INT8_ZERO_ESCAPE);
+                    assert_eq!(find_escape(&bytes), want, "{bytes:02x?}");
+                }
+            }
+        }
     }
 
     #[test]

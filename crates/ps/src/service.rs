@@ -229,7 +229,7 @@ impl PsService {
     /// or stale workers) and the quantized delta that advanced the
     /// reference from the previous publish. The reference is the previous
     /// publish's `Shard` payloads themselves: a moved shard is one fused
-    /// pass ([`advance_reference`]) from the old payload and the new blob
+    /// pass (`advance_reference`) from the old payload and the new blob
     /// to the new payload and the delta's, both written where they will be
     /// served from, and a shard that did not move re-uses its sealed frame
     /// as it stands. The first publish is always exact (there is no base

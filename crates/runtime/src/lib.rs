@@ -361,6 +361,36 @@ mod tests {
         );
     }
 
+    /// A worker waiting out a poll interval leaves on the closing
+    /// `Shutdown` at once: with an interval far longer than the teardown,
+    /// `run` returns a fraction of it after its `run_finalized` event (the
+    /// joins and the closing evaluation of `test_small`'s MLP).
+    #[test]
+    fn teardown_does_not_wait_out_a_poll_interval() {
+        let mut cfg = RuntimeConfig::test_small(3);
+        cfg.job.epochs = 1;
+        cfg.poll_interval_s = 2.0;
+        let tel = Telemetry::silent();
+        let report = Runtime::new(cfg)
+            .unwrap()
+            .with_telemetry(tel.clone())
+            .run()
+            .unwrap();
+        let returned_s = tel.now_s();
+        assert!(!report.halted_early);
+        let finalized = tel
+            .recorder()
+            .events()
+            .into_iter()
+            .find(|e| e.name == "run_finalized")
+            .expect("one run_finalized event");
+        let teardown_s = returned_s - finalized.t_s;
+        assert!(
+            teardown_s < 0.5,
+            "run returned {teardown_s:.3} s after run_finalized (poll interval 2 s)"
+        );
+    }
+
     /// Satellite: checkpoint mid-epoch, resume in a fresh `Runtime`, and
     /// the final accuracy matches an uninterrupted run within tolerance.
     #[test]

@@ -301,13 +301,19 @@ pub(crate) fn worker_main(ctx: WorkerCtx) {
     // replica and warms the pools; after it a subtask reloads the replica
     // and its training steps allocate nothing.
     let mut tws = TrainWorkspace::new();
+    // A reply that came in while this worker waited out a poll interval
+    // answers its next request, as it would have had the worker slept.
+    let mut early = None;
 
     loop {
         let poll_t0 = telemetry.now_s();
         if !send(&mut core, ToServer::RequestWork { host: id }) {
             return; // coordinator gone
         }
-        let reply = cmd_rx.recv_timeout(REPLY_TIMEOUT);
+        let reply = match early.take() {
+            Some(msg) => Ok(msg),
+            None => cmd_rx.recv_timeout(REPLY_TIMEOUT),
+        };
         if reply.is_ok() {
             // Scheduler round-trip: request sent to reply in hand.
             poll_h.observe((telemetry.now_s() - poll_t0).max(0.0));
@@ -315,7 +321,13 @@ pub(crate) fn worker_main(ctx: WorkerCtx) {
         match reply {
             Err(RecvTimeoutError::Disconnected) | Ok(ToWorker::Shutdown) => return,
             Err(RecvTimeoutError::Timeout) => continue, // reply lost somewhere: re-poll
-            Ok(ToWorker::NoWork) => std::thread::sleep(poll),
+            // Wait out the poll interval on the channel, so the closing
+            // `Shutdown` (or a coordinator gone) ends the wait at once.
+            Ok(ToWorker::NoWork) => match cmd_rx.recv_timeout(poll) {
+                Err(RecvTimeoutError::Disconnected) | Ok(ToWorker::Shutdown) => return,
+                Err(RecvTimeoutError::Timeout) => {}
+                Ok(msg) => early = Some(msg),
+            },
             Ok(ToWorker::Assign { wu }) => {
                 if core.on_assign() {
                     if !replacement_comes_up(&cfg, &cmd_rx) {

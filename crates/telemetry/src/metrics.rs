@@ -169,7 +169,7 @@ impl HistogramSnapshot {
 
 impl Default for HistogramSnapshot {
     /// An empty snapshot with no finite buckets (only the `+Inf` overflow),
-    /// matching [`HistogramSnapshot::empty`]'s invariants.
+    /// matching `HistogramSnapshot::empty`'s invariants.
     fn default() -> Self {
         HistogramSnapshot::empty(Vec::new())
     }

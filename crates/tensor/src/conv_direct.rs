@@ -44,7 +44,7 @@
 //!   order.
 //!
 //! **One body per tile, dispatched by tier.** Each call reads
-//! [`isa::tier`] once, on the calling thread, and runs the widest body the
+//! `isa::tier` once, on the calling thread, and runs the widest body the
 //! host has: AVX-512F, then AVX2+FMA, then portable (`crate::isa` has the
 //! argument why the width cannot move a bit). The forward rows, the dK
 //! band tile and the dx band tile are each one source body, generic over
@@ -94,8 +94,8 @@
 //! a shared slot. Slots are padded to a cache line apart, so neighbours
 //! never false-share.
 //!
-//! A slot's zero border is written once per call ([`zero_border`]);
-//! [`pack_padded_image`] then only overwrites the interior, image after
+//! A slot's zero border is written once per call (`zero_border`);
+//! `pack_padded_image` then only overwrites the interior, image after
 //! image. The interior is fully rewritten by every image, so what the
 //! previous image left there is never read.
 //!
@@ -177,7 +177,7 @@
 //! **Why recomputing is bit-identical to materializing.** The value staged
 //! for an element is a pure function of five `f32`s — `x` and its
 //! channel's four constants — evaluated by one expression,
-//! [`BnReluChannel::apply`]: subtract, multiply, multiply, add, `max`.
+//! `BnReluChannel::apply`: subtract, multiply, multiply, add, `max`.
 //!
 //! * *Same expression.* The standalone `BatchNorm` computes `x_hat` and
 //!   `γ·x̂+β` through the same two methods ([`BnReluChannel::x_hat`],

@@ -3,7 +3,7 @@
 //!
 //! ## One tier per kernel call
 //!
-//! A kernel reads [`tier`] once per call, on the calling thread, before it
+//! A kernel reads `tier` once per call, on the calling thread, before it
 //! fans out, and runs the widest body the host has: AVX-512F (16 lanes),
 //! then AVX2+FMA (8 lanes), then the portable body. There is no switch, no
 //! environment variable and no configuration field — the bodies produce

@@ -1,31 +1,40 @@
 //! Blocked, pool-parallel linear algebra and the 1×1 convolution.
 //!
 //! The hot kernels of the DL substrate live here. All three matmul variants
-//! route through one cache-blocked GEMM in the GotoBLAS style:
+//! route through one cache-blocked GEMM in Goto order (see `gemm`):
 //!
-//! * **B is packed** into zero-padded column panels of [`NR`] columns,
-//!   k-major, so the microkernel streams it linearly — one *group* of
-//!   panels (at most [`B_GROUP_FLOATS`]) at a time, with the group loop
-//!   outermost: pack scratch stays cache-sized however large the weight
-//!   matrix is, and every row quad reuses the group while it is hot.
-//! * **A is packed** per 4-row quad into a `[k][`[`MR`]`]` micro-panel, so
-//!   packing costs the same whether A is given row-major ([`matmul`]) or
-//!   transposed ([`matmul_at_b`]). Each parallel row band packs into its
-//!   own cache-line-separated slot of a scratch arena owned by the
-//!   *submitting* thread (see [`gemm`]): worker threads never allocate, and
-//!   two bands never share a line of pack scratch.
-//! * The **microkernel** keeps an `MR × NR` register accumulator tile and
-//!   reduces over `k` in fixed ascending order with fused multiply-adds —
-//!   the same order and rounding the scalar reference uses — so results are
-//!   **byte-identical** to the naive triple loop (the oracle in
-//!   `tests/naive/`) and run-to-run deterministic
-//!   under any thread count (each output element is one sequential fused
-//!   `f32` chain; threads only decide *which* disjoint rows they produce,
-//!   never the order within a sum). The tile is one source body over
-//!   `isa::Lanes` (`micro_tile`): on any vector tier — detected at runtime,
-//!   no special build flags — it runs 8 lanes wide as 256-bit `vfmadd`s,
-//!   on the portable tier one lane wide as `f32::mul_add`, and both compute
-//!   the identical bits. That invariant is what DST byte-identity rests on.
+//! * **k is blocked** by `KC`. B is packed once per (NC, KC) block into
+//!   zero-padded micro-panels of `KC × NR` floats, k-major, so one
+//!   micro-panel sits in L1 while every row tile of a band streams past it
+//!   and the whole block (at most `B_BLOCK_FLOATS`) stays in L2. Pack
+//!   scratch is cache-sized however large the weight matrix is.
+//! * **A is packed** once per KC block per row band, `MR` rows to a
+//!   micro-panel, and reused across every column of the block.
+//! * **Two layouts per operand.** An operand whose k-runs are contiguous
+//!   is read as image planes `[batch, ch, hw]` (k = `batch·hw`): a
+//!   row-major A ([`matmul`]) or a transposed B ([`matmul_a_bt`]) is one
+//!   image, the 1×1 convolution's kernel gradient is the real thing. Its
+//!   packing interleaves a group of contiguous runs a panel row at a time,
+//!   image span by image span. The other layout — a transposed A
+//!   ([`matmul_at_b`]), a row-major B — copies contiguous rows of the
+//!   panel.
+//! * The **register tile** is one source body over `isa::Lanes`
+//!   (`micro_tile`), set per tier: 8 rows × 32 columns at 16 lanes on
+//!   AVX-512F (16 accumulators), 6 × 16 at 8 lanes on AVX2+FMA (12), and
+//!   the AVX2 geometry one lane wide (`f32::mul_add`) on the portable tier.
+//!   The tier is detected at runtime, with no special build flags.
+//! * **Each output is one fused chain.** The tile reduces over `k` in fixed
+//!   ascending order with fused multiply-adds — the order and rounding the
+//!   scalar reference uses — and carries each output's `f32` accumulator
+//!   from one k-block to the next unrounded by anything else: in the
+//!   output itself for `Store`, `Bias` and `BiasRelu` (which overwrite it
+//!   anyway, the epilogue applied after the last block), in thread-local
+//!   carry scratch for `Accumulate` (whose epilogue adds the *finished*
+//!   chain). `k ≤ KC` is one block. So results are **byte-identical** to
+//!   the naive triple loop (the oracle in `tests/naive/`) on every tier and
+//!   under any thread count: threads only decide *which* disjoint rows
+//!   they produce, never the order within a sum. That invariant is what
+//!   DST byte-identity rests on.
 //! * An [`Epilogue`] is applied at accumulator write-back: plain store,
 //!   accumulate (`+=`, for weight-gradient accumulation without a temp
 //!   tensor), fused bias add, or fused bias+ReLU — used by `vc_nn` dense
@@ -37,14 +46,13 @@
 //! vectorization.
 //!
 //! Parallelism is over disjoint row bands of the output via the persistent
-//! worker pool in the vendored `rayon` shim; `matmul_at_b` (the
-//! weight-gradient path, previously serial) parallelizes the same way
-//! because packing makes its transposed A layout a non-issue. The band
-//! height adapts to the thread cap ([`row_block_for`]): at 1 thread it is
-//! the cache-friendly [`ROW_BLOCK`], at higher caps it shrinks so every
-//! thread sees several bands — the first `VC_THREADS` sweep showed the
-//! fixed 64-row band leaving most of an 8-thread pool idle on the 128–512
-//! row matrices training actually produces (m=256 is just 4 bands).
+//! worker pool in the vendored `rayon` shim, for every operand layout. The
+//! band height adapts to the thread cap (`row_block_for`): at 1 thread it
+//! is the cache-friendly `ROW_BLOCK`, at higher caps it shrinks so every
+//! thread sees several bands. A band packs its A into the slot of the pool
+//! participant that claimed it, in an arena owned by the *submitting*
+//! thread: worker threads never allocate, and two slots never share a
+//! cache line.
 //!
 //! The 1×1 stride-1 convolution runs here too, on the image layout
 //! ([`conv1x1_forward_into`] and its two gradients): its GEMMs read the
@@ -55,9 +63,9 @@
 //! caller-provided buffers so the training workspace can run the whole
 //! step without heap allocation.
 
-#[cfg(target_arch = "x86_64")]
-use crate::isa::F32x8;
 use crate::isa::{self, F32x1, Lanes, Tier};
+#[cfg(target_arch = "x86_64")]
+use crate::isa::{F32x16, F32x8};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -67,30 +75,33 @@ use rayon::prelude::*;
 /// serial-vs-parallel choice at a given problem size.
 pub(crate) const PAR_THRESHOLD: usize = 64 * 64;
 
-/// Rows per register tile of the microkernel.
-const MR: usize = 4;
-/// Columns per register tile / packed B panel width: two 8-lane vectors per
-/// row on AVX2, giving the kernel 8 independent FMA chains — enough to hide
-/// the FMA latency and saturate both FMA ports.
-const NR: usize = 16;
-/// Output rows per parallel task at thread cap 1 (and the upper bound at
-/// any cap — taller bands stop paying off once A rows stream from L2).
+/// Reduction depth of one k-block: a `KC × NR` B micro-panel is 32 KiB at
+/// the 16-lane tile and 16 KiB at the 8-lane one, inside L1.
+const KC: usize = 256;
+/// Most floats of one packed (NC, KC) block of B (512 KiB, L2-resident
+/// while every row band streams it): NC is the widest whole number of
+/// micro-panels that fits, at least one.
+const B_BLOCK_FLOATS: usize = 1 << 17;
+/// Output rows per parallel task at thread cap 1, rounded down to whole
+/// tiles (and the upper bound at any cap): a band's packed A, `ROW_BLOCK ×
+/// KC` floats, stays in L2 while the B micro-panels pass through L1.
 const ROW_BLOCK: usize = 64;
 /// Row bands per thread the parallel driver aims for: enough slack for the
 /// atomic-cursor self-balancing to absorb a slow thread, small enough that
 /// per-band dispatch overhead stays negligible.
 const BANDS_PER_THREAD: usize = 4;
 
-/// Height of one parallel row band. Threads only decide *which* disjoint
-/// bands they produce — band geometry never changes what an output element
-/// computes — so this is free to depend on the live thread cap without
-/// breaking bit-identity across caps.
-fn row_block_for(m: usize, threads: usize) -> usize {
+/// Height of one row band for a tile of `mr` rows. Threads only decide
+/// *which* disjoint bands they produce — band geometry never changes what
+/// an output element computes — so this is free to depend on the live
+/// thread cap without breaking bit-identity across caps.
+fn row_block_for(m: usize, threads: usize, mr: usize) -> usize {
+    let tallest = ROW_BLOCK / mr * mr;
     if threads <= 1 {
-        return ROW_BLOCK;
+        return tallest;
     }
     let per = m.div_ceil(threads * BANDS_PER_THREAD);
-    (per.div_ceil(MR) * MR).clamp(MR, ROW_BLOCK)
+    (per.div_ceil(mr) * mr).clamp(mr, tallest)
 }
 
 /// What the GEMM does with each finished accumulator tile.
@@ -120,14 +131,13 @@ impl<'a> Epilogue<'a> {
 /// The logical A operand: `A[i][p]`, `i < m`, `p < k`.
 #[derive(Clone, Copy)]
 enum AMat<'a> {
-    /// Row-major `[m, k]` storage: `A[i][p] = d[i*k + p]`.
-    RowMajor(&'a [f32]),
+    /// Image planes `[batch, ch, hw]` over `p = b·hw + q`:
+    /// `A[i][p] = d[((p / hw)·ch + i)·hw + p % hw]`. Row-major `[m, k]`
+    /// storage is one image of `m` planes of length `k`.
+    Planes { d: &'a [f32], ch: usize, hw: usize },
     /// Transposed view of row-major `[k, m]` storage:
     /// `A[i][p] = d[p*m + i]` (the `matmul_at_b` layout, never materialized).
     Trans { d: &'a [f32], m: usize },
-    /// Image planes `[batch, ch, hw]` over `p = b·hw + q`:
-    /// `A[i][p] = d[((p / hw)·ch + i)·hw + p % hw]`.
-    Planes { d: &'a [f32], ch: usize, hw: usize },
 }
 
 /// The logical B operand: `B[p][j]`, `p < k`, `j < n`.
@@ -135,348 +145,537 @@ enum AMat<'a> {
 enum BMat<'a> {
     /// Row-major `[k, n]` storage: `B[p][j] = d[p*n + j]`.
     RowMajor(&'a [f32]),
-    /// Transposed view of row-major `[n, k]` storage:
-    /// `B[p][j] = d[j*k + p]` (the `matmul_a_bt` layout).
-    Trans { d: &'a [f32], k: usize },
     /// Image planes `[batch, ch, hw]` over `p = b·hw + q`:
-    /// `B[p][j] = d[((p / hw)·ch + j)·hw + p % hw]`.
+    /// `B[p][j] = d[((p / hw)·ch + j)·hw + p % hw]`. The transpose of
+    /// row-major `[n, k]` storage (the `matmul_a_bt` layout) is one image
+    /// of `n` planes of length `k`.
     Planes { d: &'a [f32], ch: usize, hw: usize },
 }
 
-/// Channel `i` of `[batch, ch, hw]` planes, image after image: the `p`
-/// ascending sequence of a [`AMat::Planes`] row or a [`BMat::Planes`]
-/// column.
-fn plane_lane(d: &[f32], ch: usize, hw: usize, i: usize) -> impl Iterator<Item = &f32> {
-    d.chunks_exact(ch * hw)
-        .flat_map(move |img| &img[i * hw..(i + 1) * hw])
+/// Channel `i` of `[batch, ch, hw]` planes at `p0 .. p0+len`, a span
+/// inside one image: one contiguous run.
+fn plane_run(d: &[f32], (ch, hw): (usize, usize), i: usize, p0: usize, len: usize) -> &[f32] {
+    let at = ((p0 / hw) * ch + i) * hw + p0 % hw;
+    &d[at..at + len]
+}
+
+/// Calls `f(p, len)` for the spans of the k-block `pc .. pc+kc` that one
+/// image of `hw` positions each holds, ascending.
+fn image_spans(hw: usize, (pc, kc): (usize, usize), mut f: impl FnMut(usize, usize)) {
+    let mut p = pc;
+    while p < pc + kc {
+        let len = (hw - p % hw).min(pc + kc - p);
+        f(p, len);
+        p += len;
+    }
+}
+
+/// Interleaves `count` contiguous runs (`run(t)`, one float per panel row
+/// each) into the first `count` lanes of a micro-panel of rows `width`
+/// floats wide: `panel[p*width + t] = run(t)[p]`. Whole groups of `G` runs
+/// are written a panel row at a time — `G` loads, one contiguous `G`-float
+/// store — about twice as fast as writing one run at a time down the
+/// panel, which the runs past the last whole group do.
+fn interleave<'a, const G: usize>(
+    panel: &mut [f32],
+    width: usize,
+    count: usize,
+    run: impl Fn(usize) -> &'a [f32],
+) {
+    let whole = count / G * G;
+    for t0 in (0..whole).step_by(G) {
+        let runs: [&[f32]; G] = std::array::from_fn(|t| run(t0 + t));
+        for (p, row) in panel.chunks_exact_mut(width).enumerate() {
+            for (o, r) in row[t0..t0 + G].iter_mut().zip(&runs) {
+                *o = r[p];
+            }
+        }
+    }
+    for t in whole..count {
+        for (o, &v) in panel[t..].iter_mut().step_by(width).zip(run(t)) {
+            *o = v;
+        }
+    }
 }
 
 // Pack scratch, thread-local to the *submitting* thread. Capacities persist
 // across calls, so after the first step at each problem size the kernels
-// allocate nothing. PACK_A is a slotted arena (one line-padded `k × MR`
-// slot per parallel row band — see `gemm`); PACK_B holds the current group
-// of packed B panels. Worker threads touch neither: they receive their
-// slot by pointer and never allocate.
+// allocate nothing. PACK_A is a slotted arena (one line-padded slot per pool
+// participant — see `gemm`); PACK_B holds the current (NC, KC) block of B;
+// CARRY holds `Accumulate`'s unfinished chains when `k > KC`. Worker
+// threads touch none of them: they receive their part by pointer and never
+// allocate.
 thread_local! {
     static PACK_A: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
     static PACK_B: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+    static CARRY: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Most floats of packed B held at once (1 MiB, L2-resident across the row
-/// quads that stream it): a 3072×512 weight costs that much pack scratch
-/// per submitting thread, not a 6 MiB mirror of itself, at the price of
-/// re-packing A's quads once per group. A panel deeper than this
-/// (`k > 16384`) is a group of its own.
-const B_GROUP_FLOATS: usize = 1 << 18;
-
-/// Packs columns `j0 .. j0+cols` of B into `cols.div_ceil(NR)` column
-/// panels, each `k × NR` in k-major order, zero-padding the ragged last
-/// panel: `bpack[jp*k*NR + p*NR + jj] = B[p][j0 + jp*NR + jj]`.
-fn pack_b(b: BMat, k: usize, n: usize, j0: usize, cols: usize, bpack: &mut Vec<f32>) {
-    bpack.clear();
-    bpack.resize(cols.div_ceil(NR) * k * NR, 0.0);
+/// Packs the `(jc, cols)` columns × `(pc, kc)` k-block of B into
+/// `cols.div_ceil(NR)` micro-panels, each `kc × NR` in k-major order,
+/// zero-padding the ragged last one:
+/// `bpack[jp*kc*NR + p*NR + jj] = B[pc + p][jc + jp*NR + jj]`.
+fn pack_b<const NR: usize>(
+    b: BMat,
+    n: usize,
+    (jc, cols): (usize, usize),
+    (pc, kc): (usize, usize),
+    bpack: &mut Vec<f32>,
+) {
+    bpack.resize(cols.div_ceil(NR) * kc * NR, 0.0);
+    if kc == 0 {
+        return;
+    }
+    if cols % NR != 0 {
+        bpack[cols / NR * kc * NR..].fill(0.0);
+    }
     match b {
         BMat::RowMajor(d) => {
-            for p in 0..k {
-                let brow = &d[p * n + j0..p * n + j0 + cols];
-                for (jp, chunk) in brow.chunks(NR).enumerate() {
-                    let dst = &mut bpack[jp * k * NR + p * NR..jp * k * NR + p * NR + chunk.len()];
-                    dst.copy_from_slice(chunk);
+            // Whole panels copy `NR` floats at a time as fixed-size moves.
+            for p in 0..kc {
+                let row = &d[(pc + p) * n + jc..(pc + p) * n + jc + cols];
+                let mut chunks = row.chunks_exact(NR);
+                for (jp, chunk) in chunks.by_ref().enumerate() {
+                    let at = jp * kc * NR + p * NR;
+                    bpack[at..at + NR].copy_from_slice(chunk);
                 }
-            }
-        }
-        BMat::Trans { d, k: kk } => {
-            debug_assert_eq!(k, kk);
-            for j in 0..cols {
-                let bcol = &d[(j0 + j) * k..(j0 + j + 1) * k]; // contiguous in p
-                let (jp, jj) = (j / NR, j % NR);
-                let panel = &mut bpack[jp * k * NR..(jp + 1) * k * NR];
-                for (p, &v) in bcol.iter().enumerate() {
-                    panel[p * NR + jj] = v;
+                let tail = chunks.remainder();
+                if !tail.is_empty() {
+                    let at = cols / NR * kc * NR + p * NR;
+                    bpack[at..at + tail.len()].copy_from_slice(tail);
                 }
             }
         }
         BMat::Planes { d, ch, hw } => {
-            debug_assert_eq!(ch, n);
-            for j in 0..cols {
-                let (jp, jj) = (j / NR, j % NR);
-                let panel = &mut bpack[jp * k * NR..(jp + 1) * k * NR];
-                for (p, &v) in plane_lane(d, ch, hw, j0 + j).enumerate() {
-                    panel[p * NR + jj] = v;
-                }
+            for (jp, panel) in bpack.chunks_exact_mut(kc * NR).enumerate() {
+                let (j0, nr) = (jc + jp * NR, NR.min(cols - jp * NR));
+                image_spans(hw, (pc, kc), |p, len| {
+                    let span = &mut panel[(p - pc) * NR..(p - pc + len) * NR];
+                    let run = |jj: usize| plane_run(d, (ch, hw), j0 + jj, p, len);
+                    interleave::<8>(span, NR, nr, run);
+                });
             }
         }
     }
 }
 
-/// Packs rows `i0 .. i0+mr` of A into a `[k][MR]` micro-panel, zero-padding
-/// lanes past `mr`: `apack[p*MR + ii] = A[i0+ii][p]`.
-fn pack_a(a: AMat, i0: usize, mr: usize, k: usize, apack: &mut [f32]) {
-    debug_assert_eq!(apack.len(), k * MR);
-    if mr < MR {
-        apack.fill(0.0);
+/// Packs rows `r0 .. r0+rows` × the `(pc, kc)` k-block of A into `rows.div_ceil(MR)` micro-panels, each `kc × MR`, zero-padding the
+/// lanes of the ragged last one:
+/// `apack[ip*kc*MR + p*MR + ii] = A[r0 + ip*MR + ii][pc + p]`.
+fn pack_a<const MR: usize>(
+    a: AMat,
+    (r0, rows): (usize, usize),
+    (pc, kc): (usize, usize),
+    apack: &mut [f32],
+) {
+    debug_assert_eq!(apack.len(), rows.div_ceil(MR) * kc * MR);
+    if kc == 0 {
+        return;
+    }
+    if rows % MR != 0 {
+        apack[rows / MR * kc * MR..].fill(0.0);
     }
     match a {
-        AMat::RowMajor(d) => {
-            for ii in 0..mr {
-                let row = &d[(i0 + ii) * k..(i0 + ii + 1) * k];
-                for (p, &v) in row.iter().enumerate() {
-                    apack[p * MR + ii] = v;
-                }
+        AMat::Planes { d, ch, hw } => {
+            for (ip, panel) in apack.chunks_exact_mut(kc * MR).enumerate() {
+                let (i0, mr) = (r0 + ip * MR, MR.min(rows - ip * MR));
+                image_spans(hw, (pc, kc), |p, len| {
+                    let span = &mut panel[(p - pc) * MR..(p - pc + len) * MR];
+                    let run = |ii: usize| plane_run(d, (ch, hw), i0 + ii, p, len);
+                    interleave::<MR>(span, MR, mr, run);
+                });
             }
         }
         AMat::Trans { d, m } => {
-            for p in 0..k {
-                let src = &d[p * m + i0..p * m + i0 + mr];
-                apack[p * MR..p * MR + mr].copy_from_slice(src);
-            }
-        }
-        AMat::Planes { d, ch, hw } => {
-            for ii in 0..mr {
-                for (p, &v) in plane_lane(d, ch, hw, i0 + ii).enumerate() {
-                    apack[p * MR + ii] = v;
+            for p in 0..kc {
+                let src = &d[(pc + p) * m + r0..(pc + p) * m + r0 + rows];
+                for (ip, chunk) in src.chunks(MR).enumerate() {
+                    let at = ip * kc * MR + p * MR;
+                    apack[at..at + chunk.len()].copy_from_slice(chunk);
                 }
             }
         }
     }
 }
 
-/// One `MR × NR` register tile at `tier` (the call's tier, read once by
-/// [`gemm`] on the submitting thread, so `isa::with_tier_cap` reaches the
-/// pool's workers too): the 8-lane entry point on any vector tier, the
-/// same body one lane wide on the portable one.
-#[inline(always)]
-fn micro_kernel(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR], tier: Tier) {
-    match tier {
-        // SAFETY: `tier` is at most the host's, and a vector tier has AVX2
-        // and FMA.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 | Tier::Avx2 => unsafe { micro_tile_avx2(apack, bpanel, acc) },
-        // SAFETY: `F32x1` needs no target feature.
-        _ => unsafe { micro_tile::<F32x1, NR>(apack, bpanel, acc) },
-    }
+/// A tier's register tile entry point (see [`micro_tile`]); its `MR × NR`
+/// geometry is the driver's (`blocked`'s const parameters).
+type Tile = unsafe fn(&[f32], &[f32], &mut [f32], usize, Chain);
+
+/// Where a tile's chains start and where they go, in the buffer it is
+/// handed: from zero or from the chains carried there, and stored there or
+/// added to what it holds (`Accumulate`'s `out += acc`, one rounding per
+/// element as the scalar `+=` does).
+#[derive(Clone, Copy)]
+struct Chain {
+    carried: bool,
+    add: bool,
 }
 
-/// The 8-lane tile, on every vector tier: two vectors per row.
+/// The 16-lane tile: 8 rows of two vectors, 16 accumulators.
+///
+/// # Safety
+///
+/// The host has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn micro_tile_avx512(apack: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize, io: Chain) {
+    micro_tile::<F32x16, 8, 2, 32>(apack, bpanel, c, ldc, io);
+}
+
+/// The 8-lane tile: 6 rows of two vectors, 12 accumulators — with the two
+/// B vectors and the A broadcast, 15 of AVX2's 16 registers.
 ///
 /// # Safety
 ///
 /// The host has AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_tile_avx2(apack: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    micro_tile::<F32x8, 2>(apack, bpanel, acc);
+unsafe fn micro_tile_avx2(apack: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize, io: Chain) {
+    micro_tile::<F32x8, 6, 2, 16>(apack, bpanel, c, ldc, io);
 }
 
-/// The register tile: `acc[ii][jj] = fma(apack[p][ii], bpanel[p][jj],
-/// acc[ii][jj])` from zero for `p` ascending — the deterministic reduction
-/// order — in `MR × V` vectors of width `L`. At 8 lanes that is 8
-/// independent FMA chains, enough to hide the ~4-cycle FMA latency.
+/// The AVX2 tile's geometry one lane wide, on the portable tier.
+///
+/// # Safety
+///
+/// None beyond the tile's: `F32x1` needs no target feature.
+unsafe fn micro_tile_portable(apack: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize, io: Chain) {
+    micro_tile::<F32x1, 6, 16, 16>(apack, bpanel, c, ldc, io);
+}
+
+/// The register tile over one k-block: `acc[ii][jj] = fma(apack[p][ii],
+/// bpanel[p][jj], acc[ii][jj])` for `p` ascending — the deterministic
+/// reduction order — in `MR × V` vectors of width `L`, on the `MR × NR`
+/// block of `c` (row stride `ldc`) that `io` starts from and ends in.
 ///
 /// Every update is a **fused** multiply-add. IEEE 754 specifies
 /// `fusedMultiplyAdd` exactly (one rounding), so a `vfmadd` lane, scalar
 /// `f32::mul_add` and the tests' naive reference loop all produce the same
-/// bit pattern — the width can never change a result, only its speed.
+/// bit pattern — the width and the tile can never change a result, only
+/// its speed.
 ///
 /// # Safety
 ///
 /// The calling code runs under `L`'s target features (see `isa`); the
 /// tile's own assert covers every pointer it forms.
 #[inline(always)]
-unsafe fn micro_tile<L: Lanes, const V: usize>(
+unsafe fn micro_tile<L: Lanes, const MR: usize, const V: usize, const NR: usize>(
     apack: &[f32],
     bpanel: &[f32],
-    acc: &mut [[f32; NR]; MR],
+    c: &mut [f32],
+    ldc: usize,
+    io: Chain,
 ) {
     const { assert!(V * L::N == NR) };
     let k = apack.len() / MR;
     // The one bounds check: `k` steps of `MR` packed A values and `NR`
-    // packed B values.
-    assert!(bpanel.len() == k * NR, "GEMM micro-tile panel lengths");
-    let mut c = [[L::zero(); V]; MR];
+    // packed B values, and `MR` rows of `NR` floats at stride `ldc`.
+    assert!(
+        apack.len() == k * MR && bpanel.len() == k * NR && c.len() >= (MR - 1) * ldc + NR,
+        "GEMM micro-tile panel lengths"
+    );
+    let cp = c.as_mut_ptr();
+    // SAFETY (every `cp` offset): `ii < MR` and `v·N + N ≤ NR` by the
+    // const assert, inside `c` by the assert.
+    let mut acc = [[L::zero(); V]; MR];
+    if io.carried {
+        for (ii, row) in acc.iter_mut().enumerate() {
+            for (v, cv) in row.iter_mut().enumerate() {
+                *cv = L::loadu(cp.add(ii * ldc + L::N * v));
+            }
+        }
+    }
     let (mut ap, mut bp) = (apack.as_ptr(), bpanel.as_ptr());
     for _ in 0..k {
         // SAFETY: fewer than `k` steps are behind, so `bp..bp + NR` and
         // `ap..ap + MR` are inside the panels by the assert.
-        let b: [L; V] = std::array::from_fn(|v| L::loadu(bp.add(L::N * v)));
-        for (ii, ci) in c.iter_mut().enumerate() {
+        let mut b = [L::zero(); V];
+        for (v, bv) in b.iter_mut().enumerate() {
+            *bv = L::loadu(bp.add(L::N * v));
+        }
+        for (ii, row) in acc.iter_mut().enumerate() {
             let a = L::splat(*ap.add(ii));
-            for (cv, bv) in ci.iter_mut().zip(&b) {
+            for (cv, bv) in row.iter_mut().zip(&b) {
                 *cv = L::fmadd(a, *bv, *cv);
             }
         }
         ap = ap.add(MR);
         bp = bp.add(NR);
     }
-    for (ci, row) in c.iter().zip(acc.iter_mut()) {
-        for (v, cv) in ci.iter().enumerate() {
-            // SAFETY: `v·N + N ≤ NR` by the const assert.
-            cv.storeu(row.as_mut_ptr().add(L::N * v));
+    for (ii, row) in acc.iter().enumerate() {
+        for (v, cv) in row.iter().enumerate() {
+            let p = cp.add(ii * ldc + L::N * v);
+            let cv = if io.add {
+                L::add(L::loadu(p), *cv)
+            } else {
+                *cv
+            };
+            cv.storeu(p);
         }
     }
 }
 
-/// Applies the epilogue to the valid `mr × nr` region of a finished tile.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing: tile coordinates are scalars by design
+/// Where a tile sits in a row-major buffer: its first element's index and
+/// the buffer's row stride.
+#[derive(Clone, Copy)]
+struct At {
+    at: usize,
+    ld: usize,
+}
+
+/// Copies the valid `mr × nr` region of a tile from `src` into `dst`
+/// (both row-major, each at its own [`At`]) through the epilogue.
 fn write_back(
-    acc: &[[f32; NR]; MR],
-    out_block: &mut [f32],
-    local_row: usize,
-    n: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
+    src: &[f32],
+    from: At,
+    dst: &mut [f32],
+    to: At,
+    (mr, nr, j): (usize, usize, usize),
     epi: Epilogue<'_>,
 ) {
     for ii in 0..mr {
-        let orow = &mut out_block[(local_row + ii) * n + j0..(local_row + ii) * n + j0 + nr];
+        let a = &src[from.at + ii * from.ld..from.at + ii * from.ld + nr];
+        let orow = &mut dst[to.at + ii * to.ld..to.at + ii * to.ld + nr];
         match epi {
-            Epilogue::Store => orow.copy_from_slice(&acc[ii][..nr]),
+            Epilogue::Store => orow.copy_from_slice(a),
             Epilogue::Accumulate => {
-                for (o, &v) in orow.iter_mut().zip(&acc[ii][..nr]) {
+                for (o, &v) in orow.iter_mut().zip(a) {
                     *o += v;
                 }
             }
             Epilogue::Bias(bias) => {
-                for (jj, o) in orow.iter_mut().enumerate() {
-                    *o = acc[ii][jj] + bias[j0 + jj];
+                for ((o, &v), &b) in orow.iter_mut().zip(a).zip(&bias[j..j + nr]) {
+                    *o = v + b;
                 }
             }
             Epilogue::BiasRelu(bias) => {
-                for (jj, o) in orow.iter_mut().enumerate() {
-                    *o = (acc[ii][jj] + bias[j0 + jj]).max(0.0);
+                for ((o, &v), &b) in orow.iter_mut().zip(a).zip(&bias[j..j + nr]) {
+                    *o = (v + b).max(0.0);
                 }
             }
         }
     }
 }
 
-/// Computes columns `j0 .. j0+cols` of rows `r0 .. r0+rows` of the output
-/// into `out_block` (a `rows × n` slice), reading the packed group `bpack`
-/// of those columns. `apack` is this band's private `k × MR` pack scratch
-/// (a slot of the submitter's arena — see [`gemm`]).
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing: tile coordinates are scalars by design
-fn gemm_block(
-    a: AMat,
-    bpack: &[f32],
-    k: usize,
-    n: usize,
-    (j0, cols): (usize, usize),
-    r0: usize,
-    rows: usize,
-    out_block: &mut [f32],
+/// Applies a bias epilogue in place to the finished chains of a tile the
+/// micro-tile stored into `out`: the same `acc + bias` and `(acc +
+/// bias).max(0.0)` that [`write_back`] computes.
+fn bias_in_place(
+    out: &mut [f32],
+    At { at, ld }: At,
+    (mr, nr, j): (usize, usize, usize),
     epi: Epilogue<'_>,
-    apack: &mut [f32],
-    tier: Tier,
 ) {
-    let mut iq = 0;
-    while iq < rows {
-        let mr = MR.min(rows - iq);
-        pack_a(a, r0 + iq, mr, k, apack);
-        for jp in 0..cols.div_ceil(NR) {
-            let nr = NR.min(cols - jp * NR);
-            let mut acc = [[0.0f32; NR]; MR];
-            micro_kernel(
-                apack,
-                &bpack[jp * k * NR..(jp + 1) * k * NR],
-                &mut acc,
-                tier,
-            );
-            write_back(&acc, out_block, iq, n, j0 + jp * NR, mr, nr, epi);
+    for ii in 0..mr {
+        let orow = &mut out[at + ii * ld..at + ii * ld + nr];
+        match epi {
+            Epilogue::Bias(bias) => {
+                for (o, &b) in orow.iter_mut().zip(&bias[j..j + nr]) {
+                    *o += b;
+                }
+            }
+            Epilogue::BiasRelu(bias) => {
+                for (o, &b) in orow.iter_mut().zip(&bias[j..j + nr]) {
+                    *o = (*o + b).max(0.0);
+                }
+            }
+            Epilogue::Store | Epilogue::Accumulate => {}
         }
-        iq += MR;
     }
 }
 
-/// Floats per A-pack arena slot for reduction depth `k`: the `k × MR`
-/// panel rounded up to a whole number of 64-byte lines, plus one spacer
-/// line, so two bands' slots can never share a cache line no matter how
-/// the arena's base pointer is aligned.
-fn apack_slot(k: usize) -> usize {
-    (k * MR).div_ceil(16) * 16 + 16
-}
-
-/// The shared blocked GEMM driver: `out[m,n] ⊕= A[m,k] · B[k,n]` where `⊕`
-/// is the epilogue. `out.len()` must be `m * n`.
-///
-/// A-pack scratch is an arena owned by the submitting thread's
-/// thread-local, grown once per problem size and handed out as one
-/// line-padded slot per row band. The previous design let each *worker*
-/// thread lazily allocate its own pack buffer the first time it claimed a
-/// band — a heap allocation on the hot path of whichever thread got there
-/// first, and unwarmable by the zero-alloc training step (warm-up can't
-/// control which worker claims a band). Submitter-side slots make the
-/// allocation pattern deterministic and worker threads allocation-free.
+/// The blocked GEMM: `out[m,n] ⊕= A[m,k] · B[k,n]` where `⊕` is the
+/// epilogue. `out.len()` must be `m * n`. Reads the call's tier once, on
+/// the submitting thread (so `isa::with_tier_cap` reaches the pool's
+/// workers too), and runs that tier's tile.
 fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Epilogue<'_>) {
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 {
         return;
     }
-    let tier = isa::tier();
+    let dims = (m, k, n);
+    match isa::tier() {
+        // SAFETY: the tier is at most the host's.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { blocked::<8, 32>(a, b, dims, out, epi, micro_tile_avx512) },
+        // SAFETY: as above; a vector tier has AVX2 and FMA.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { blocked::<6, 16>(a, b, dims, out, epi, micro_tile_avx2) },
+        // SAFETY: the portable tile needs no target feature.
+        _ => unsafe { blocked::<6, 16>(a, b, dims, out, epi, micro_tile_portable) },
+    }
+}
+
+/// `gemm` at one tile geometry, in Goto order: for each (NC, KC) block
+/// of B — columns outer, k ascending inside — pack the block, then let
+/// every row band pack its A for that k-block and run its tiles, a B
+/// micro-panel outer and the band's row tiles inner. A chain that is not
+/// finished after a k-block is carried (see the module docs).
+///
+/// Scratch is owned by the submitting thread: one A slot per pool
+/// participant (not per band), each padded to whole 64-byte lines plus a
+/// spacer line, so two slots never share a line however the arena's base
+/// is aligned; B's block; and for `Accumulate` past one k-block, an
+/// `m × NC` carry.
+///
+/// # Safety
+///
+/// `tile` is an `MR × NR` tile that runs on this host (its target
+/// features are the host's).
+unsafe fn blocked<const MR: usize, const NR: usize>(
+    a: AMat,
+    b: BMat,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+    epi: Epilogue<'_>,
+    tile: Tile,
+) {
+    let parallel = m * n >= PAR_THRESHOLD && m > 1;
+    let threads = if parallel {
+        rayon::current_threads()
+    } else {
+        1
+    };
+    let band = row_block_for(m, threads, MR);
+    let slots = threads.min(m.div_ceil(band));
+    let kc_max = k.min(KC);
+    let slot = (band.div_ceil(MR) * MR * kc_max).div_ceil(16) * 16 + 16;
+    let nc = (B_BLOCK_FLOATS / (kc_max * NR).max(1)).max(1) * NR;
+    let k_blocks = k.div_ceil(KC).max(1);
+    let ldc = nc.min(n);
+    let carried = k_blocks > 1 && matches!(epi, Epilogue::Accumulate);
+
     let mut bpack = PACK_B.with(|c| c.take());
     let mut arena = PACK_A.with(|c| c.take());
-    let parallel = m * n >= PAR_THRESHOLD && m > 1;
-    let row_block = if parallel {
-        row_block_for(m, rayon::current_threads())
-    } else {
-        m
-    };
-    let slot = apack_slot(k);
-    if arena.len() < m.div_ceil(row_block) * slot {
-        arena.resize(m.div_ceil(row_block) * slot, 0.0);
+    let mut carry = CARRY.with(|c| c.take());
+    if arena.len() < slots * slot {
+        arena.resize(slots * slot, 0.0);
     }
-    // Which group a column falls in never changes the `k`-ascending chain
-    // that computes it.
-    let group_cols = (B_GROUP_FLOATS / (k * NR).max(1)).max(1) * NR;
-    for j0 in (0..n).step_by(group_cols) {
-        let cols = group_cols.min(n - j0);
-        pack_b(b, k, n, j0, cols, &mut bpack);
-        let bp = &bpack;
-        if parallel {
-            let base = arena.as_mut_ptr() as usize;
-            out.par_chunks_mut(row_block * n)
+    if carried && carry.len() < m * ldc {
+        carry.resize(m * ldc, 0.0);
+    }
+    let (arena_base, carry_base) = (arena.as_mut_ptr() as usize, carry.as_mut_ptr() as usize);
+    for jc in (0..n).step_by(nc) {
+        let cols = nc.min(n - jc);
+        for kb in 0..k_blocks {
+            let (pc, first, last) = (kb * KC, kb == 0, kb + 1 == k_blocks);
+            let kc = KC.min(k - pc);
+            pack_b::<NR>(b, n, (jc, cols), (pc, kc), &mut bpack);
+            let bpack = &bpack;
+            out.par_chunks_mut(band * n)
                 .enumerate()
-                .for_each(|(bi, block)| {
-                    // Safety: band `bi` writes only its own arena slot; slots
-                    // are disjoint (stride `slot` ≥ k*MR) and the arena Vec
-                    // outlives the parallel call, which blocks until done.
-                    let apack = unsafe {
-                        std::slice::from_raw_parts_mut((base as *mut f32).add(bi * slot), k * MR)
-                    };
-                    let rows = block.len() / n;
-                    gemm_block(
-                        a,
-                        bp,
-                        k,
-                        n,
-                        (j0, cols),
-                        bi * row_block,
-                        rows,
-                        block,
+                .for_each_participant(slots, |who, (bi, out_band)| {
+                    let (r0, rows) = (bi * band, out_band.len() / n);
+                    // SAFETY: participant `who < slots` owns slot `who`
+                    // while it runs this band, and band `bi` owns carry
+                    // rows `r0 .. r0+rows`; the arena and carry outlive
+                    // the parallel call, which blocks until done.
+                    let apack = std::slice::from_raw_parts_mut(
+                        (arena_base as *mut f32).add(who * slot),
+                        rows.div_ceil(MR) * MR * kc,
+                    );
+                    let carry_band = carried.then(|| {
+                        std::slice::from_raw_parts_mut(
+                            (carry_base as *mut f32).add(r0 * ldc),
+                            rows * ldc,
+                        )
+                    });
+                    pack_a::<MR>(a, (r0, rows), (pc, kc), apack);
+                    band_tiles::<MR, NR>(
+                        (apack, bpack, kc),
+                        (out_band, n, jc, cols),
+                        carry_band,
+                        (first, last),
                         epi,
-                        apack,
-                        tier,
+                        tile,
                     );
                 });
-        } else {
-            gemm_block(
-                a,
-                bp,
-                k,
-                n,
-                (j0, cols),
-                0,
-                m,
-                out,
-                epi,
-                &mut arena[..k * MR],
-                tier,
-            );
         }
     }
     PACK_A.with(|c| c.set(arena));
     PACK_B.with(|c| c.set(bpack));
+    CARRY.with(|c| c.set(carry));
+}
+
+/// One row band's tiles over one packed block: for each B micro-panel,
+/// every `MR`-row tile of the band. A tile's chains start from zero on the
+/// first k-block and from where they were carried after it; they go
+/// through the epilogue after the last, and are carried otherwise — in
+/// `carry` (rows × `ldc`, columns from the block's first) when given, in
+/// `out` itself when not. A whole tile runs in place; a ragged one, and
+/// `Accumulate`'s last block out of `carry`, run in a stack tile and are
+/// copied out.
+///
+/// # Safety
+///
+/// `tile` is an `MR × NR` tile that runs on this host.
+unsafe fn band_tiles<const MR: usize, const NR: usize>(
+    (apack, bpack, kc): (&[f32], &[f32], usize),
+    (out, n, jc, cols): (&mut [f32], usize, usize, usize),
+    mut carry: Option<&mut [f32]>,
+    (first, last): (bool, bool),
+    epi: Epilogue<'_>,
+    tile: Tile,
+) {
+    let rows = out.len() / n;
+    let ldc = carry.as_ref().map_or(0, |c| c.len() / rows);
+    let accumulate = matches!(epi, Epilogue::Accumulate);
+    let carrying = carry.is_some();
+    for jp in 0..cols.div_ceil(NR) {
+        let (j, nr) = (jc + jp * NR, NR.min(cols - jp * NR));
+        let bpanel = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
+        for ip in 0..rows.div_ceil(MR) {
+            let (i, mr) = (ip * MR, MR.min(rows - ip * MR));
+            let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
+            let in_out = At {
+                at: i * n + j,
+                ld: n,
+            };
+            let in_carry = At {
+                at: i * ldc + jp * NR,
+                ld: ldc,
+            };
+            let (held, at) = match &mut carry {
+                Some(c) => (&mut **c, in_carry),
+                None => (&mut *out, in_out),
+            };
+            let io = Chain {
+                carried: !first,
+                add: false,
+            };
+            let whole = mr == MR && nr == NR;
+            if whole && !(last && carrying) {
+                // The chains run where they are held; a single block's
+                // `Accumulate` adds them to `out` as they are stored.
+                let add = last && accumulate;
+                tile(
+                    apanel,
+                    bpanel,
+                    &mut held[at.at..],
+                    at.ld,
+                    Chain { add, ..io },
+                );
+                if last {
+                    bias_in_place(out, in_out, (mr, nr, j), epi);
+                }
+                continue;
+            }
+            let mut acc = [[0.0f32; NR]; MR];
+            let acc = acc.as_flattened_mut();
+            let in_acc = At { at: 0, ld: NR };
+            if !first {
+                write_back(held, at, acc, in_acc, (mr, nr, j), Epilogue::Store);
+            }
+            tile(apanel, bpanel, acc, NR, io);
+            let (dst, to, e) = if last {
+                (&mut *out, in_out, epi)
+            } else {
+                (held, at, Epilogue::Store)
+            };
+            write_back(acc, in_acc, dst, to, (mr, nr, j), e);
+        }
+    }
 }
 
 /// Matrix multiplication `[m,k] x [k,n] -> [m,n]`.
@@ -509,7 +708,11 @@ fn weight_dims(what: &str, a: &Tensor, b_len: usize, out_len: usize) -> (usize, 
 pub fn matmul_epi_into(a: &Tensor, b: &[f32], out: &mut [f32], epi: Epilogue<'_>) {
     let (m, k, n) = weight_dims("matmul", a, b.len(), out.len());
     gemm(
-        AMat::RowMajor(a.data()),
+        AMat::Planes {
+            d: a.data(),
+            ch: m,
+            hw: k,
+        },
         BMat::RowMajor(b),
         m,
         k,
@@ -571,8 +774,12 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
 pub fn matmul_a_bt_epi_into(a: &Tensor, b: &[f32], out: &mut [f32], epi: Epilogue<'_>) {
     let (m, k, n) = weight_dims("matmul_a_bt", a, b.len(), out.len());
     gemm(
-        AMat::RowMajor(a.data()),
-        BMat::Trans { d: b, k },
+        AMat::Planes {
+            d: a.data(),
+            ch: m,
+            hw: k,
+        },
+        BMat::Planes { d: b, ch: n, hw: k },
         m,
         k,
         n,
@@ -663,7 +870,11 @@ pub fn conv1x1_forward_into(x: &Tensor, kernel: &[f32], out: &mut [f32], epi: Ep
         .zip(out.chunks_exact_mut(oc * hw))
     {
         gemm(
-            AMat::RowMajor(kernel),
+            AMat::Planes {
+                d: kernel,
+                ch: oc,
+                hw: ch,
+            },
             BMat::RowMajor(xb),
             oc,
             ch,

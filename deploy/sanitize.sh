@@ -22,6 +22,9 @@
 #                the one-lane body of the portable tier, on a 4-thread pool
 #                so slots past the first are used; its 1×1 cases run the
 #                GEMM micro-tile at every tier too)
+#                + tests/gemm_blocking.rs (the k-blocked GEMM at its block
+#                boundaries, every layout and epilogue, every tier, on a
+#                4-thread pool)
 #     vc-nn      the `preact` unit tests (the fused unit against its three
 #                layers: uncapped, under an AVX2 cap and portable)
 #     vc-ps      tests/codec_props.rs + tests/wire_props.rs
@@ -51,5 +54,8 @@ run -p vc-tensor --test quant_kernels "$@"
 # Here the pool's slot indices are what is under test: four participants,
 # each tier in turn.
 VC_THREADS=4 run -p vc-tensor --test conv_direct_props "$@"
+# The GEMM's per-participant A slots, its carry rows and the micro-tile's
+# in-place loads and stores across k-blocks, at every tier.
+VC_THREADS=4 run -p vc-tensor --test gemm_blocking "$@"
 run -p vc-nn --lib preact "$@"
 run -p vc-ps --test codec_props --test wire_props "$@"
