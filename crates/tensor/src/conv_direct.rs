@@ -135,9 +135,9 @@
 //! A whole span (no lane skipped) is written vector-wide under `Store`,
 //! `Bias` and `Accumulate`, at every width (at one lane, `Lanes::add` is
 //! the scalar `+` itself). Everything else goes lane by lane through
-//! `apply_epi`, which holds the scalar expressions of the GEMM's
-//! write-back: backed-up spans and `BiasRelu`. The vector lanes are
-//! bit-identical to `apply_epi`:
+//! `Epilogue::apply`, the scalar expressions every kernel's write-back
+//! shares: backed-up spans and `BiasRelu`. The vector lanes are
+//! bit-identical to `Epilogue::apply`:
 //!
 //! * `Store` writes the accumulator's bits unchanged.
 //! * `Bias` is `v + bias[oc]` and `Accumulate` is `out + v` (`*o += v`).
@@ -436,19 +436,6 @@ fn pack_padded_image(x: &[f32], pre: Option<BnRelu<'_>>, ctx: Ctx, dst: &mut [f3
     }
 }
 
-/// Applies the GEMM epilogue to one finished accumulator value — the same
-/// scalar expressions as `ops::write_back`, so fused bias/ReLU rounding and
-/// NaN/sign behaviour are identical across paths by construction.
-#[inline(always)]
-fn apply_epi(o: &mut f32, v: f32, oc: usize, epi: Epilogue<'_>) {
-    match epi {
-        Epilogue::Store => *o = v,
-        Epilogue::Accumulate => *o += v,
-        Epilogue::Bias(bias) => *o = v + bias[oc],
-        Epilogue::BiasRelu(bias) => *o = (v + bias[oc]).max(0.0),
-    }
-}
-
 // ------------------------------------------------------------------ forward
 
 /// Direct 3×3 stride-1 conv forward: `input [batch, ch, h, w]` ×
@@ -728,7 +715,7 @@ unsafe fn fwd_span<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
         }
     }
     // Vector write-back of a whole span: the same IEEE operation per lane
-    // as `apply_epi`, operands in the same order (see "Write-back" in the
+    // as `Epilogue::apply`, operands in the same order (see "Write-back" in the
     // module docs). `BiasRelu` stays lane by lane.
     if skip == 0 && !matches!(epi, Epilogue::BiasRelu(_)) {
         for (jj, a) in acc.iter().enumerate() {
@@ -757,7 +744,7 @@ unsafe fn fwd_span<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
         }
         return;
     }
-    // Lane by lane through `apply_epi`: backed-up spans and `BiasRelu`.
+    // Lane by lane through `Epilogue::apply`: backed-up spans and `BiasRelu`.
     for r in 0..R {
         let mut lanes = [[0.0f32; SPAN_MAX]; NOC];
         for (la, a) in lanes.iter_mut().zip(&acc) {
@@ -769,7 +756,7 @@ unsafe fn fwd_span<L: Lanes, const V: usize, const R: usize, const NOC: usize>(
         for l in skip..n * V {
             for (jj, la) in lanes.iter().enumerate() {
                 let o = &mut dst[((oc0 + jj) * ctx.oh + oy + r) * ctx.ow + ox0 + l];
-                apply_epi(o, la[l], oc0 + jj, epi);
+                epi.apply(o, la[l], oc0 + jj);
             }
         }
     }

@@ -7,7 +7,10 @@
 //!   zero-padded micro-panels of `KC × NR` floats, k-major, so one
 //!   micro-panel sits in L1 while every row tile of a band streams past it
 //!   and the whole block (at most `B_BLOCK_FLOATS`) stays in L2. Pack
-//!   scratch is cache-sized however large the weight matrix is.
+//!   scratch is cache-sized however large the weight matrix is. The
+//!   block is packed inside its parallel job, each thread claiming
+//!   micro-panels no one has claimed yet (`SharedB`), so no thread packs
+//!   alone while the others wait.
 //! * **A is packed** once per KC block per row band, `MR` rows to a
 //!   micro-panel, and reused across every column of the block.
 //! * **Two layouts per operand.** An operand whose k-runs are contiguous
@@ -68,6 +71,7 @@ use crate::isa::{self, F32x1, Lanes, Tier};
 use crate::isa::{F32x16, F32x8};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Threshold (in output elements) below which kernels run serially; farming
 /// tiny matrices out to the pool costs more than the multiply. Shared with
@@ -125,6 +129,26 @@ impl<'a> Epilogue<'a> {
         } else {
             Epilogue::Bias(bias)
         }
+    }
+
+    /// Writes the finished chain `v` of output channel `c` (a GEMM's
+    /// column, a convolution's output plane) into `o`. Every kernel's
+    /// write-back goes through these four expressions, so fused bias/ReLU
+    /// rounding and NaN/sign behaviour are the same on every path.
+    #[inline(always)]
+    pub(crate) fn apply(self, o: &mut f32, v: f32, c: usize) {
+        match self {
+            Epilogue::Store => *o = v,
+            Epilogue::Accumulate => *o += v,
+            Epilogue::Bias(bias) => *o = v + bias[c],
+            Epilogue::BiasRelu(bias) => *o = (v + bias[c]).max(0.0),
+        }
+    }
+
+    /// Whether the epilogue adds a bias: the part of it left to apply to
+    /// a chain stored in place.
+    fn has_bias(self) -> bool {
+        matches!(self, Epilogue::Bias(_) | Epilogue::BiasRelu(_))
     }
 }
 
@@ -211,51 +235,85 @@ thread_local! {
     static CARRY: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Packs the `(jc, cols)` columns × `(pc, kc)` k-block of B into
-/// `cols.div_ceil(NR)` micro-panels, each `kc × NR` in k-major order,
-/// zero-padding the ragged last one:
-/// `bpack[jp*kc*NR + p*NR + jj] = B[pc + p][jc + jp*NR + jj]`.
+/// Packs micro-panel `(j0, nr)` of B — columns `j0 .. j0+nr`, `nr ≤ NR`
+/// — over the `(pc, kc)` k-block into `panel`, `kc × NR` in k-major order,
+/// zero-padding the lanes past `nr`: `panel[p*NR + jj] = B[pc + p][j0 + jj]`.
 fn pack_b<const NR: usize>(
     b: BMat,
     n: usize,
-    (jc, cols): (usize, usize),
+    (j0, nr): (usize, usize),
     (pc, kc): (usize, usize),
-    bpack: &mut Vec<f32>,
+    panel: &mut [f32],
 ) {
-    bpack.resize(cols.div_ceil(NR) * kc * NR, 0.0);
-    if kc == 0 {
-        return;
-    }
-    if cols % NR != 0 {
-        bpack[cols / NR * kc * NR..].fill(0.0);
+    debug_assert_eq!(panel.len(), kc * NR);
+    if nr < NR {
+        panel.fill(0.0);
     }
     match b {
         BMat::RowMajor(d) => {
-            // Whole panels copy `NR` floats at a time as fixed-size moves.
-            for p in 0..kc {
-                let row = &d[(pc + p) * n + jc..(pc + p) * n + jc + cols];
-                let mut chunks = row.chunks_exact(NR);
-                for (jp, chunk) in chunks.by_ref().enumerate() {
-                    let at = jp * kc * NR + p * NR;
-                    bpack[at..at + NR].copy_from_slice(chunk);
-                }
-                let tail = chunks.remainder();
-                if !tail.is_empty() {
-                    let at = cols / NR * kc * NR + p * NR;
-                    bpack[at..at + tail.len()].copy_from_slice(tail);
+            for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
+                let at = (pc + p) * n + j0;
+                if nr == NR {
+                    // A whole panel's rows copy as fixed-size moves.
+                    row.copy_from_slice(&d[at..at + NR]);
+                } else {
+                    row[..nr].copy_from_slice(&d[at..at + nr]);
                 }
             }
         }
-        BMat::Planes { d, ch, hw } => {
-            for (jp, panel) in bpack.chunks_exact_mut(kc * NR).enumerate() {
-                let (j0, nr) = (jc + jp * NR, NR.min(cols - jp * NR));
-                image_spans(hw, (pc, kc), |p, len| {
-                    let span = &mut panel[(p - pc) * NR..(p - pc + len) * NR];
-                    let run = |jj: usize| plane_run(d, (ch, hw), j0 + jj, p, len);
-                    interleave::<8>(span, NR, nr, run);
-                });
+        BMat::Planes { d, ch, hw } => image_spans(hw, (pc, kc), |p, len| {
+            let span = &mut panel[(p - pc) * NR..(p - pc + len) * NR];
+            let run = |jj: usize| plane_run(d, (ch, hw), j0 + jj, p, len);
+            interleave::<8>(span, NR, nr, run);
+        }),
+    }
+}
+
+/// The B micro-panels of one (NC, KC) block, packed by the participants
+/// of the block's parallel job: each claims panels that no one has
+/// claimed yet and packs them, then waits for the ones others are still
+/// packing. A claimed panel is always being packed by a running
+/// participant, so the wait is at most one panel's packing; a participant
+/// that joins after every panel is claimed packs nothing.
+struct SharedB {
+    /// Base of the block's `panels × kc × NR` floats.
+    base: usize,
+    panels: usize,
+    /// Next panel to claim.
+    claimed: AtomicUsize,
+    /// Panels finished; `Release` per panel, so reading `panels` here with
+    /// `Acquire` sees every panel's floats.
+    packed: AtomicUsize,
+}
+
+impl SharedB {
+    /// The packed block, once every panel is in it.
+    ///
+    /// # Safety
+    ///
+    /// `base` holds `panels × kc × NR` floats that nothing else touches
+    /// while the block's job runs, and `pack(jp, panel)` writes panel `jp`.
+    unsafe fn ready<const NR: usize>(&self, kc: usize, pack: impl Fn(usize, &mut [f32])) -> &[f32] {
+        let len = kc * NR;
+        while self.claimed.load(Ordering::Relaxed) < self.panels {
+            let jp = self.claimed.fetch_add(1, Ordering::Relaxed);
+            if jp >= self.panels {
+                break;
             }
+            // SAFETY: the cursor hands out panel `jp` once, so this is
+            // the only reference to its floats until it is counted packed.
+            pack(
+                jp,
+                std::slice::from_raw_parts_mut((self.base as *mut f32).add(jp * len), len),
+            );
+            self.packed.fetch_add(1, Ordering::Release);
         }
+        while self.packed.load(Ordering::Acquire) < self.panels {
+            std::hint::spin_loop();
+        }
+        // SAFETY: every panel is written and published; from here on the
+        // block is only read.
+        std::slice::from_raw_parts(self.base as *const f32, self.panels * len)
     }
 }
 
@@ -437,30 +495,15 @@ fn write_back(
     for ii in 0..mr {
         let a = &src[from.at + ii * from.ld..from.at + ii * from.ld + nr];
         let orow = &mut dst[to.at + ii * to.ld..to.at + ii * to.ld + nr];
-        match epi {
-            Epilogue::Store => orow.copy_from_slice(a),
-            Epilogue::Accumulate => {
-                for (o, &v) in orow.iter_mut().zip(a) {
-                    *o += v;
-                }
-            }
-            Epilogue::Bias(bias) => {
-                for ((o, &v), &b) in orow.iter_mut().zip(a).zip(&bias[j..j + nr]) {
-                    *o = v + b;
-                }
-            }
-            Epilogue::BiasRelu(bias) => {
-                for ((o, &v), &b) in orow.iter_mut().zip(a).zip(&bias[j..j + nr]) {
-                    *o = (v + b).max(0.0);
-                }
-            }
+        for (jj, (o, &v)) in orow.iter_mut().zip(a).enumerate() {
+            epi.apply(o, v, j + jj);
         }
     }
 }
 
-/// Applies a bias epilogue in place to the finished chains of a tile the
-/// micro-tile stored into `out`: the same `acc + bias` and `(acc +
-/// bias).max(0.0)` that [`write_back`] computes.
+/// Adds a bias epilogue's bias (and ReLU) to the finished chains of a
+/// tile that the micro-tile stored into `out` itself, through
+/// [`Epilogue::apply`] as [`write_back`] does.
 fn bias_in_place(
     out: &mut [f32],
     At { at, ld }: At,
@@ -468,19 +511,8 @@ fn bias_in_place(
     epi: Epilogue<'_>,
 ) {
     for ii in 0..mr {
-        let orow = &mut out[at + ii * ld..at + ii * ld + nr];
-        match epi {
-            Epilogue::Bias(bias) => {
-                for (o, &b) in orow.iter_mut().zip(&bias[j..j + nr]) {
-                    *o += b;
-                }
-            }
-            Epilogue::BiasRelu(bias) => {
-                for (o, &b) in orow.iter_mut().zip(&bias[j..j + nr]) {
-                    *o = (*o + b).max(0.0);
-                }
-            }
-            Epilogue::Store | Epilogue::Accumulate => {}
+        for (jj, o) in out[at + ii * ld..at + ii * ld + nr].iter_mut().enumerate() {
+            epi.apply(o, *o, j + jj);
         }
     }
 }
@@ -508,10 +540,11 @@ fn gemm(a: AMat, b: BMat, m: usize, k: usize, n: usize, out: &mut [f32], epi: Ep
 }
 
 /// `gemm` at one tile geometry, in Goto order: for each (NC, KC) block
-/// of B — columns outer, k ascending inside — pack the block, then let
-/// every row band pack its A for that k-block and run its tiles, a B
-/// micro-panel outer and the band's row tiles inner. A chain that is not
-/// finished after a k-block is carried (see the module docs).
+/// of B — columns outer, k ascending inside — one parallel job over the
+/// row bands. A band packs its A for that k-block, then its participant
+/// helps pack the block's B micro-panels ([`SharedB`]) and runs the band's
+/// tiles, a B micro-panel outer and the band's row tiles inner. A chain
+/// that is not finished after a k-block is carried (see the module docs).
 ///
 /// Scratch is owned by the submitting thread: one A slot per pool
 /// participant (not per band), each padded to whole 64-byte lines plus a
@@ -549,20 +582,33 @@ unsafe fn blocked<const MR: usize, const NR: usize>(
     let mut bpack = PACK_B.with(|c| c.take());
     let mut arena = PACK_A.with(|c| c.take());
     let mut carry = CARRY.with(|c| c.take());
+    let block = ldc.div_ceil(NR) * NR * kc_max;
+    if bpack.len() < block {
+        bpack.resize(block, 0.0);
+    }
     if arena.len() < slots * slot {
         arena.resize(slots * slot, 0.0);
     }
     if carried && carry.len() < m * ldc {
         carry.resize(m * ldc, 0.0);
     }
-    let (arena_base, carry_base) = (arena.as_mut_ptr() as usize, carry.as_mut_ptr() as usize);
+    let arena_base = arena.as_mut_ptr() as usize;
+    let carry_base = carry.as_mut_ptr() as usize;
     for jc in (0..n).step_by(nc) {
         let cols = nc.min(n - jc);
         for kb in 0..k_blocks {
             let (pc, first, last) = (kb * KC, kb == 0, kb + 1 == k_blocks);
             let kc = KC.min(k - pc);
-            pack_b::<NR>(b, n, (jc, cols), (pc, kc), &mut bpack);
-            let bpack = &bpack;
+            let shared_b = SharedB {
+                base: bpack.as_mut_ptr() as usize,
+                panels: cols.div_ceil(NR),
+                claimed: AtomicUsize::new(0),
+                packed: AtomicUsize::new(0),
+            };
+            let pack_panel = |jp: usize, panel: &mut [f32]| {
+                let j0 = jc + jp * NR;
+                pack_b::<NR>(b, n, (j0, NR.min(jc + cols - j0)), (pc, kc), panel);
+            };
             out.par_chunks_mut(band * n)
                 .enumerate()
                 .for_each_participant(slots, |who, (bi, out_band)| {
@@ -582,6 +628,9 @@ unsafe fn blocked<const MR: usize, const NR: usize>(
                         )
                     });
                     pack_a::<MR>(a, (r0, rows), (pc, kc), apack);
+                    // SAFETY: `bpack` holds the block and outlives the
+                    // parallel call; only this job's participants touch it.
+                    let bpack = shared_b.ready::<NR>(kc, &pack_panel);
                     band_tiles::<MR, NR>(
                         (apack, bpack, kc),
                         (out_band, n, jc, cols),
@@ -656,7 +705,7 @@ unsafe fn band_tiles<const MR: usize, const NR: usize>(
                     at.ld,
                     Chain { add, ..io },
                 );
-                if last {
+                if last && epi.has_bias() {
                     bias_in_place(out, in_out, (mr, nr, j), epi);
                 }
                 continue;
@@ -882,19 +931,10 @@ pub fn conv1x1_forward_into(x: &Tensor, kernel: &[f32], out: &mut [f32], epi: Ep
             yb,
             gemm_epi,
         );
-        let rows = yb.chunks_exact_mut(hw);
-        match epi {
-            Epilogue::Bias(bias) => {
-                for (row, &b) in rows.zip(bias) {
-                    row.iter_mut().for_each(|o| *o += b);
-                }
+        if epi.has_bias() {
+            for (c, row) in yb.chunks_exact_mut(hw).enumerate() {
+                row.iter_mut().for_each(|o| epi.apply(o, *o, c));
             }
-            Epilogue::BiasRelu(bias) => {
-                for (row, &b) in rows.zip(bias) {
-                    row.iter_mut().for_each(|o| *o = (*o + b).max(0.0));
-                }
-            }
-            Epilogue::Store | Epilogue::Accumulate => {}
         }
     }
 }
