@@ -73,9 +73,10 @@ pub fn train_client_replica(
 
 /// Client-side result sanity check: a diverged replica (NaN/Inf anywhere in
 /// the parameter vector) uploads anyway and the server-side validator
-/// rejects it — this predicate is that validator's criterion.
+/// rejects it — this predicate is that validator's criterion, the same
+/// chunked scan.
 pub fn result_is_valid(params: &[f32]) -> bool {
-    params.iter().all(|v| v.is_finite())
+    vc_middleware::first_non_finite(params).is_none()
 }
 
 #[cfg(test)]
@@ -100,6 +101,18 @@ mod tests {
         // A different shard draws a different RNG stream.
         let d = train_client_replica(&cfg, &init, data, 2, 4, &mut tws, None);
         assert_ne!(a, d);
+    }
+
+    #[test]
+    fn result_is_valid_rejects_any_non_finite_value() {
+        for at in [0, 255, 256, 257, 700, 999] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut params = vec![-f32::MAX; 1000];
+                assert!(result_is_valid(&params));
+                params[at] = bad;
+                assert!(!result_is_valid(&params), "{bad} at {at}");
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use server::{
 };
 pub use timer::{TimerEntry, TimerQueue};
 pub use validate::{
-    BitwiseComparator, FiniteBlobValidator, ResultComparator, ToleranceComparator,
-    ValidationVerdict, Validator,
+    first_non_finite, BitwiseComparator, FiniteBlobValidator, ResultComparator,
+    ToleranceComparator, ValidationVerdict, Validator,
 };
 pub use workunit::{ShardManifest, WorkUnit, WuId, WuPhase};

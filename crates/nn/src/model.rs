@@ -61,15 +61,7 @@ impl Sequential {
             .reserve_exact(end.saturating_sub(self.params.len()));
         self.params.resize(end.max(self.params.len()), 0.0);
         layer.init_params(&mut self.params[start..end], None);
-        let shift = |r: &Range<usize>| r.start + start..r.end + start;
-        let buffers = &mut self.pipe.buffers;
-        match layer.fusion_part() {
-            FusionPart::Norm(bn) => buffers.push(shift(&bn.buffer_range())),
-            FusionPart::Body(body) => buffers.extend(body.pipe.buffers.iter().map(shift)),
-            _ => {}
-        }
-        self.pipe.ends.push(end);
-        self.pipe.layers.push(layer);
+        self.pipe.push(layer);
     }
 
     /// Number of layers.
@@ -273,6 +265,22 @@ impl Pipeline {
     /// Floats of the parameter vector this pipeline's layers own.
     pub(crate) fn arena_len(&self) -> usize {
         self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Lays `layer` out after the last one, leaving every parameter vector
+    /// alone: its slice is the next `arena_len()` floats of whichever
+    /// vector the traversal is handed.
+    pub(crate) fn push(&mut self, mut layer: BoxedLayer) {
+        let start = self.arena_len();
+        let end = start + layer.arena_len();
+        let shift = |r: &Range<usize>| r.start + start..r.end + start;
+        match layer.fusion_part() {
+            FusionPart::Norm(bn) => self.buffers.push(shift(&bn.buffer_range())),
+            FusionPart::Body(body) => self.buffers.extend(body.pipe.buffers.iter().map(shift)),
+            _ => {}
+        }
+        self.ends.push(end);
+        self.layers.push(layer);
     }
 
     /// [`Layer::init_params`](crate::layer::Layer::init_params) for every

@@ -10,7 +10,7 @@ use crate::activation::Relu;
 use crate::conv::Conv2d;
 use crate::dense::Dense;
 use crate::layer::Layer;
-use crate::model::Sequential;
+use crate::model::{Pipeline, Sequential};
 use crate::norm::BatchNorm;
 use crate::pool::{AvgPoolGlobal, Flatten, MaxPool2};
 use crate::residual::Residual;
@@ -63,7 +63,10 @@ impl ModelSpec {
     /// calls with the same seed produce bit-identical parameters on every
     /// client — the paper achieves this by shipping an initial `.h5`.
     pub fn build(&self, seed: u64) -> Sequential {
-        self.build_with(Some(&mut NormalSampler::seed_from(seed)))
+        let mut model = self.layout();
+        model.params = vec![0.0; model.pipe.arena_len()];
+        draw(&mut model.pipe, seed, &mut model.params);
+        model
     }
 
     /// The model [`ModelSpec::build`] returns with every parameter zero,
@@ -73,23 +76,37 @@ impl ModelSpec {
     /// 32×32×3. A build seeds nothing but parameters, so the two differ in
     /// nothing else.
     pub fn build_blank(&self) -> Sequential {
-        self.build_with(None)
+        let mut model = self.layout();
+        // One zeroed allocation: no growth, no page touched before a load.
+        model.params = vec![0.0; model.pipe.arena_len()];
+        model.pipe.init_params(&mut model.params, None);
+        model
     }
 
-    /// He-normal weights from `sampler`, or zeros without one. The layers
-    /// are built blank, so the parameter vector is the only copy of the
-    /// weights there is; the sampler then draws into it in wire order,
-    /// the order the layers were declared in.
-    fn build_with(&self, sampler: Option<&mut NormalSampler>) -> Sequential {
-        let layers: Vec<_> = self.layers.iter().map(build_layer).collect();
+    /// Writes the parameter vector `build(seed)` starts with into `out`,
+    /// bit for bit (the two share one body), without building a model
+    /// around it: for a holder of a vector this long — a worker's shard
+    /// cache — that needs the seeded weights and nothing else. Panics when
+    /// `out` is not this model's parameter count long.
+    pub fn init_params_into(&self, seed: u64, out: &mut [f32]) {
+        let mut model = self.layout();
+        assert_eq!(
+            out.len(),
+            model.pipe.arena_len(),
+            "parameter vector does not match spec `{}`",
+            self.name
+        );
+        out.fill(0.0);
+        draw(&mut model.pipe, seed, out);
+    }
+
+    /// The spec's layers laid out, blank, with no parameter vector yet;
+    /// the pipeline is validated end to end with a probe batch dimension.
+    fn layout(&self) -> Sequential {
         let mut model = Sequential::new();
-        // One zeroed allocation: no growth, no page touched before a load.
-        model.params = vec![0.0; layers.iter().map(|l| l.arena_len()).sum()];
-        layers.into_iter().for_each(|l| model.push_boxed(l));
-        if let Some(s) = sampler {
-            model.pipe.init_params(&mut model.params, Some(s));
+        for l in &self.layers {
+            model.pipe.push(build_layer(l));
         }
-        // Validate the pipeline end-to-end with a probe batch dimension.
         let mut dims = vec![1usize];
         dims.extend_from_slice(&self.input);
         let out = model.out_dims(&dims);
@@ -103,6 +120,13 @@ impl ModelSpec {
         );
         model
     }
+}
+
+/// The one seeded initialization: He-normal weights drawn at `seed` into
+/// `p`, a zero-filled vector laid out by `pipe`, in wire order (the order
+/// the layers were declared in), and BatchNorm's unit scale and variance.
+fn draw(pipe: &mut Pipeline, seed: u64, p: &mut [f32]) {
+    pipe.init_params(p, Some(&mut NormalSampler::seed_from(seed)));
 }
 
 fn build_layer(spec: &LayerSpec) -> Box<dyn Layer> {
@@ -123,7 +147,7 @@ fn build_layer(spec: &LayerSpec) -> Box<dyn Layer> {
         LayerSpec::Residual { body } => {
             let mut inner = Sequential::new();
             for l in body {
-                inner.push_boxed(build_layer(l));
+                inner.pipe.push(build_layer(l));
             }
             Box::new(Residual::new(inner))
         }
@@ -318,6 +342,30 @@ mod tests {
         assert_eq!(a, b);
         let c = spec.build(43).params_flat();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn init_params_into_writes_the_built_vector() {
+        let specs = [
+            mlp(&[3, 8, 8], 32, 10),
+            small_cnn(&[3, 8, 8], 4),
+            resnet_lite(&[3, 8, 8], 2, 10),
+        ];
+        for spec in specs {
+            let want = spec.build(7).params_flat();
+            // Stale contents of the target do not leak through.
+            let mut got = vec![f32::NAN; want.len()];
+            spec.init_params_into(7, &mut got);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{}", spec.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match spec")]
+    fn init_params_into_rejects_a_wrong_length() {
+        let spec = mlp(&[4], 8, 2);
+        spec.init_params_into(1, &mut vec![0.0; spec.build(1).param_count() + 1]);
     }
 
     #[test]

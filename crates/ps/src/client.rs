@@ -7,6 +7,9 @@
 //! version moved. When nothing moved, [`ShardCache::sync`] returns the
 //! assembled vector without touching the transport — and without a single
 //! heap allocation (`tests/fetch_alloc.rs` pins that down).
+//! [`ShardCache::prime`] installs a vector the holder computed itself —
+//! a fresh run's seeded parameters — as if fetched, so the first sync
+//! against its versions is such a hit too.
 //!
 //! Transports implement [`PsClient`], and both run one fetch body
 //! (`fetch_over`) over a byte stream: [`crate::TcpClient`] over its
@@ -223,6 +226,19 @@ impl ShardCache {
     /// The assembled parameter vector as of the last successful sync.
     pub fn params(&self) -> &[f32] {
         &self.full
+    }
+
+    /// Installs the shards of `versions` without a fetch: `fill` writes the
+    /// whole parameter vector into the cache's own, which then counts as
+    /// holding `versions`, so a [`sync`](Self::sync) against them is a hit
+    /// and later deltas apply against them. The caller vouches that `fill`
+    /// writes bit for bit what the service publishes at those versions — a
+    /// fresh run's seeded store, which a worker can draw from the job's
+    /// model and seed. Allocates nothing.
+    pub fn prime(&mut self, versions: &[u64], fill: impl FnOnce(&mut [f32])) {
+        assert_eq!(versions.len(), self.layout.shards(), "manifest length");
+        fill(&mut self.full);
+        self.versions.copy_from_slice(versions);
     }
 
     /// Brings the cache up to `manifest` for `epoch` and returns the

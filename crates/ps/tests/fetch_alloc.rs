@@ -280,3 +280,96 @@ fn rejected_delta_descriptors_do_not_allocate() {
         assert_eq!(cache.versions(), &[1], "descriptor {desc:?}");
     }
 }
+
+/// A primed cache is a fetched one that never met the transport: priming
+/// and the syncs against the primed versions allocate nothing and call
+/// nothing, and an `Int8` delta applied on the primed base is bitwise the
+/// result on a fetched base.
+#[test]
+fn primed_cache_hits_without_transport_and_takes_deltas_like_a_fetched_one() {
+    use std::sync::Arc;
+    use vc_asgd::AlphaSchedule;
+    use vc_kvstore::{Consistency, VersionedStore};
+    use vc_ps::{
+        Codec, FetchSink, FetchSummary, MemClient, PsClient, PsError, PsService, ShardCache,
+        ShardedAssimilator,
+    };
+
+    /// Counts calls and serves none.
+    struct Refusing(u32);
+    impl PsClient for Refusing {
+        fn fetch(
+            &mut self,
+            _epoch: u64,
+            _wants: &[(u32, u64)],
+            _codec: Codec,
+            _sink: &mut FetchSink<'_>,
+        ) -> Result<FetchSummary, PsError> {
+            self.0 += 1;
+            Err(PsError::Transport("no transport".into()))
+        }
+    }
+
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let codec = Codec::Int8 {
+        error_feedback: true,
+    };
+    let n = 6000;
+    let assim = Arc::new(ShardedAssimilator::new(
+        Arc::new(VersionedStore::new()),
+        n,
+        4,
+        Consistency::Strong,
+        AlphaSchedule::Const(0.6),
+    ));
+    let svc = Arc::new(PsService::new(assim.clone()).with_codec(codec));
+    let params: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+    svc.publish_snapshot(1, &params, &[1; 4]);
+
+    let mut primed = ShardCache::new(*assim.layout()).with_codec(codec);
+    let mut refusing = Refusing(0);
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    primed.prime(&[1; 4], |full| full.copy_from_slice(&params));
+    let mut hits = Ok(());
+    for _ in 0..32 {
+        hits = hits.and(primed.sync(1, &[1; 4], &mut refusing).map(|_| ()));
+    }
+    COUNTING.store(false, Ordering::SeqCst);
+    assert_eq!(hits, Ok(()));
+    assert_eq!(refusing.0, 0, "a primed hit must not reach the transport");
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst),
+        0,
+        "priming and primed hits must not touch the heap"
+    );
+    assert_eq!(svc.ops().fetches, 0);
+
+    let mut fetched = ShardCache::new(*assim.layout()).with_codec(codec);
+    fetched
+        .sync(1, &[1; 4], &mut MemClient::new(svc.clone()))
+        .expect("cold sync");
+    let moved: Vec<f32> = params
+        .iter()
+        .enumerate()
+        .map(|(i, p)| p + 0.003 * (i % 11) as f32)
+        .collect();
+    svc.publish_snapshot(2, &moved, &[2; 4]);
+    let mut client = MemClient::new(svc.clone());
+    let before = svc.ops();
+    let a = primed
+        .sync(2, &[2; 4], &mut client)
+        .expect("primed delta sync");
+    let a: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
+    let after = svc.ops();
+    assert_eq!(after.shards_sent - before.shards_sent, 4);
+    assert!(
+        after.bytes_tx - before.bytes_tx < 2 * n as u64,
+        "shipped as one-byte deltas, not f32 shards"
+    );
+    let b = fetched
+        .sync(2, &[2; 4], &mut client)
+        .expect("fetched delta sync");
+    let b: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(a, b, "a delta on the primed base lands on the fetched bits");
+}

@@ -204,6 +204,11 @@ pub struct Coordinator {
     /// The parameter service workers fetch epoch snapshots from (shard
     /// blobs pre-encoded per epoch; wire-byte counters).
     pub service: Arc<PsService>,
+    /// The seeded store's shard versions on a fresh run: what every worker
+    /// draws itself from the job's model and seed instead of fetching.
+    /// `None` on a resume, whose store holds the checkpoint's parameters
+    /// at those same versions.
+    pub genesis: Option<Vec<u64>>,
     /// The in-progress epoch.
     pub epoch: usize,
     /// `(shard, acc)` assimilated so far this epoch.
@@ -343,6 +348,7 @@ pub(crate) fn assemble(
         }
         (assim, service)
     };
+    let fresh = vectors.is_none();
     let (assim, service) = match vectors {
         None => seed(&model.params_flat(), None),
         Some((params, snapshot)) => seed(&params, Some(&snapshot)),
@@ -374,6 +380,7 @@ pub(crate) fn assemble(
         .chain((1..job.pn).map(|_| job.model.build_blank()))
         .collect();
     let coord = Coordinator {
+        genesis: fresh.then(|| manifest.0.clone()),
         server,
         assim,
         service,
@@ -432,7 +439,8 @@ impl Coordinator {
     }
 
     /// Host `h` of this run's fleet on its first life, fetching through
-    /// `ps`, its shard cache laid out and coded like the run's service.
+    /// `ps`, its shard cache laid out and coded like the run's service,
+    /// and handed the run's genesis versions to draw instead of fetch.
     pub(crate) fn worker(&self, h: usize, ps: Box<dyn PsClient>) -> WorkerCore {
         WorkerCore::new(
             HostId(h as u32),
@@ -440,6 +448,7 @@ impl Coordinator {
             self.telemetry.clone(),
             ps,
             ShardCache::new(*self.assim.layout()).with_codec(self.cfg.codec),
+            self.genesis.clone(),
         )
     }
 

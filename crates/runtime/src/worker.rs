@@ -5,7 +5,9 @@
 //! (when it dies, when its replacement comes up, how long the delay line
 //! holds each of its messages), its parameter-service connection with the
 //! sticky shard cache and upload-codec residual, and
-//! [`WorkerCore::execute`] — the one workunit body: sync the cache, train
+//! [`WorkerCore::execute`] — the one workunit body: sync the cache (a
+//! fresh run's first snapshot, the job's seeded model, is drawn into it
+//! rather than fetched), train
 //! the shard with real SGD ([`vc_asgd::train_client_replica`]), shape
 //! the upload through the lossy codec, corrupt it if the host is byzantine.
 //!
@@ -71,6 +73,10 @@ pub struct WorkerCore {
     /// Sticky shard cache: only shards whose manifest version moved are
     /// re-fetched across assignments.
     cache: ShardCache,
+    /// A fresh run's seeded shard versions, until the first workunit:
+    /// when it names them, the cache is primed with the job's seeded model
+    /// instead of fetching it.
+    genesis: Option<Vec<u64>>,
     /// Error-feedback residual of this worker's upload stream (empty
     /// without error feedback).
     upload_residual: Vec<f32>,
@@ -98,6 +104,7 @@ impl WorkerCore {
         telemetry: Telemetry,
         ps: Box<dyn PsClient>,
         cache: ShardCache,
+        genesis: Option<Vec<u64>>,
     ) -> Self {
         let reg = telemetry.registry();
         let (kills, respawns) = (reg.counter(WORKER_KILLS), reg.counter(WORKER_RESPAWNS));
@@ -119,6 +126,7 @@ impl WorkerCore {
             delays,
             ps,
             cache,
+            genesis,
             upload_residual: Vec::new(),
         }
     }
@@ -185,6 +193,16 @@ impl WorkerCore {
         timer: Option<&StepTimer<'_>>,
     ) -> Result<Executed, PsError> {
         let fetch_t0 = self.telemetry.now_s();
+        // A fresh run's first snapshot is `job.model.build(job.seed)`: a
+        // host that has the config draws it (bit for bit, one body) rather
+        // than download it, and the sync below is a cache hit.
+        if let Some(genesis) = self.genesis.take() {
+            if wu.param_versions.0 == genesis {
+                let job = &self.cfg.job;
+                self.cache
+                    .prime(&genesis, |full| job.model.init_params_into(job.seed, full));
+            }
+        }
         let snapshot = self
             .cache
             .sync(wu.epoch as u64, &wu.param_versions.0, self.ps.as_mut())?;
@@ -406,9 +424,13 @@ fn replacement_comes_up(cfg: &RuntimeConfig, cmd_rx: &Receiver<ToWorker>) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
+    use crate::coordinator::{assemble, Assembled, Effect};
     use crate::fault::FaultPlan;
+    use std::sync::Mutex;
     use vc_kvstore::{Consistency, VersionedStore};
-    use vc_ps::{MemClient, PsService, ShardedAssimilator};
+    use vc_ps::codec::Codec;
+    use vc_ps::{FetchSink, FetchSummary, MemClient, PsService, ShardedAssimilator};
 
     /// A core for `host` under `faults`, wired to a one-value parameter
     /// service nothing ever fetches from.
@@ -426,7 +448,7 @@ mod tests {
         let cache = ShardCache::new(*assim.layout());
         let ps = Box::new(MemClient::new(Arc::new(PsService::new(assim))));
         let tel = Telemetry::silent();
-        let core = WorkerCore::new(HostId(host), Arc::new(cfg), tel.clone(), ps, cache);
+        let core = WorkerCore::new(HostId(host), Arc::new(cfg), tel.clone(), ps, cache, None);
         (core, tel)
     }
 
@@ -490,5 +512,132 @@ mod tests {
             assert!((0.0..=0.05).contains(&d));
         }
         assert_eq!(tallies(&tel).2, 64, "every drawn delay is observed");
+    }
+
+    /// A [`MemClient`] that logs the epoch every fetch names.
+    struct Logged {
+        inner: MemClient,
+        epochs: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl PsClient for Logged {
+        fn fetch(
+            &mut self,
+            epoch: u64,
+            wants: &[(u32, u64)],
+            codec: Codec,
+            sink: &mut FetchSink<'_>,
+        ) -> Result<FetchSummary, PsError> {
+            self.epochs.lock().unwrap().push(epoch);
+            self.inner.fetch(epoch, wants, codec, sink)
+        }
+    }
+
+    /// One host's opening workunit: the epochs its fetches named and the
+    /// vector it trained from.
+    type Opening = (Vec<u64>, Vec<u32>);
+
+    /// Puts `cfg`'s run together the way both substrates do (resumed from
+    /// `resume` when given) and has every host execute one workunit of the
+    /// epoch the run opens with. Returns each host's [`Opening`] and the
+    /// bits of the snapshot the service publishes for that epoch.
+    fn openings(cfg: RuntimeConfig, resume: Option<Checkpoint>) -> (Vec<Opening>, Vec<u32>) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cfg = Arc::new(cfg);
+        let model = cfg.job.model.build(cfg.job.seed);
+        let tel = Telemetry::silent();
+        let Assembled {
+            mut coord, shards, ..
+        } = assemble(
+            cfg.clone(),
+            model,
+            &tel,
+            VersionedStore::new(),
+            resume,
+            None,
+            |_| {},
+        );
+        let mut tws = TrainWorkspace::new();
+        let hosts = (0..cfg.job.cn)
+            .map(|h| {
+                let epochs = Arc::new(Mutex::new(Vec::new()));
+                let inner = MemClient::new(coord.service.clone());
+                let logged = Logged {
+                    inner,
+                    epochs: epochs.clone(),
+                };
+                let mut core = coord.worker(h, Box::new(logged));
+                let host = HostId(h as u32);
+                let Effect::Reply {
+                    msg: ToWorker::Assign { wu },
+                    ..
+                } = coord.handle(ToServer::RequestWork { host })
+                else {
+                    panic!("host {h} got no work");
+                };
+                assert_eq!(wu.epoch, coord.epoch);
+                core.execute(&wu, &shards, &mut tws, None).expect("sync");
+                let fetched = epochs.lock().unwrap().clone();
+                (fetched, bits(core.cache.params()))
+            })
+            .collect();
+        let snapshot = coord.service.snapshot_params(coord.epoch as u64);
+        (hosts, bits(&snapshot.expect("published")))
+    }
+
+    /// A fresh run's workers draw epoch 1's snapshot themselves: bit for
+    /// bit what the service publishes, for every model family and both
+    /// codecs, and no fetch names epoch 1.
+    #[test]
+    fn fresh_workers_draw_the_published_genesis_snapshot() {
+        let mut cfg = RuntimeConfig::test_small(4);
+        cfg.job.cn = 3;
+        let (img, classes) = (cfg.job.data.img, cfg.job.data.classes);
+        let int8 = Codec::Int8 {
+            error_feedback: true,
+        };
+        for (model, codec) in [
+            (vc_nn::spec::mlp(&img, 32, classes), Codec::Raw),
+            (vc_nn::spec::small_cnn(&img, classes), Codec::Raw),
+            (vc_nn::spec::resnet_lite(&img, 1, classes), int8),
+        ] {
+            let name = model.name.clone();
+            cfg.job.model = model;
+            cfg.codec = codec;
+            let (hosts, genesis) = openings(cfg.clone(), None);
+            for (h, (fetched, got)) in hosts.iter().enumerate() {
+                assert!(fetched.is_empty(), "{name} host {h} fetched {fetched:?}");
+                assert!(*got == genesis, "{name} host {h} drew other bits");
+            }
+        }
+    }
+
+    /// A resumed run's store sits at the versions a fresh run seeds, but
+    /// holds the checkpoint's parameters: no worker primes, every first
+    /// sync reaches the wire and lands on the checkpointed snapshot.
+    #[test]
+    fn a_resumed_run_primes_nothing() {
+        let mut cfg = RuntimeConfig::test_small(6);
+        cfg.job.cn = 3;
+        let job = &cfg.job;
+        let snapshot = job.model.build(job.seed + 1).params_flat();
+        let ck = Checkpoint {
+            version: CHECKPOINT_VERSION,
+            cfg: cfg.clone(),
+            epoch: 2,
+            params: snapshot.clone(),
+            snapshot,
+            done: Vec::new(),
+            stats: Vec::new(),
+            assimilations: 8,
+            bytes_transferred: 0,
+            wall_s: 1.0,
+            digest: 0,
+        };
+        let (hosts, published) = openings(cfg, Some(ck));
+        for (h, (fetched, got)) in hosts.iter().enumerate() {
+            assert_eq!(fetched, &[2], "host {h}'s first sync must reach the wire");
+            assert!(*got == published, "host {h} trained from other bits");
+        }
     }
 }

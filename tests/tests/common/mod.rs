@@ -74,6 +74,9 @@ pub fn byz_poison(seed: u64) -> Scenario {
 pub type Golden = (&'static str, u64, Vec<u32>, u32, u32, u64, u64);
 
 /// Captured on the pre-rewrite (full-scan) scheduler at the pinned seeds.
+/// The report hashes, which serialise `PsOps` and `bytes_transferred`,
+/// were recaptured once fresh-run workers drew the seeded model instead
+/// of fetching it: fewer fetches and bytes, every other bit the same.
 pub fn goldens() -> Vec<Golden> {
     vec![
         (
@@ -82,7 +85,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1044591412, 1049449813, 1052980020],
             1053609165,
             1052490684,
-            0x3d072889d1799a9f,
+            0xc808e7ae81807ec0,
             0x8c3fcddd4eaec676,
         ),
         (
@@ -91,7 +94,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1044171982, 1049729433, 1054482978],
             1055007266,
             1055566507,
-            0x5c5b297e94e2f5ed,
+            0xf9188b39ecea7c7a,
             0x75d2db82a0547151,
         ),
         (
@@ -100,7 +103,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1044032171, 1050638199, 1054203358],
             1054168405,
             1053049924,
-            0x07b084db369c8fef,
+            0x8c7da5a3e4410e10,
             0x1f92623cfd992885,
         ),
         (
@@ -109,7 +112,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1040047582, 1049379908, 1055496600],
             1056684988,
             1056405367,
-            0xa7c0b1b4f1ac7a85,
+            0x9883c835c0d2b532,
             0x8fcb7ba0e4445c3a,
         ),
         (
@@ -118,7 +121,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1042074828, 1050812962, 1053714023],
             1054727646,
             1054727646,
-            0x575b0d7e41d68441,
+            0xbda1136066e80c26,
             0xa9b7e65b7010a613,
         ),
         (
@@ -127,7 +130,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1044451602, 1050148864],
             1050812962,
             1050253722,
-            0x39b156f6c7f9529d,
+            0x9fb18b24ccc97aef,
             0x37aa510cacdc4fd9,
         ),
         (
@@ -136,7 +139,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1045150653, 1050393531],
             1051372203,
             1052770304,
-            0x2babf2f6df33a0a0,
+            0xe3a9d5e8a8c96d32,
             0x8b39d01bc2626273,
         ),
         (
@@ -145,7 +148,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1044381697, 1049589623],
             1049974101,
             1049974101,
-            0x323c06b3bdab0972,
+            0xc7cd211eec47184e,
             0x55d4cf0ecc2bcb50,
         ),
         (
@@ -154,7 +157,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1044171982, 1049729433],
             1050253722,
             1051931443,
-            0x14c3c38e7f80a799,
+            0x4b3f92e478f992b6,
             0x86167fa0f4459d96,
         ),
         (
@@ -163,7 +166,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1043962266, 1049135240],
             1051372203,
             1050253722,
-            0x31718488ed06f5d7,
+            0xf1733dc249fda653,
             0x80ca28d1c019c15f,
         ),
         (
@@ -172,7 +175,7 @@ pub fn goldens() -> Vec<Golden> {
             vec![1042843786, 1050533341],
             1051372203,
             1052211063,
-            0x0c689b8069b6184a,
+            0x5abf8c36ac3aeaa4,
             0x284331b3f994dfb0,
         ),
     ]

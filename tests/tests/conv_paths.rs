@@ -30,11 +30,13 @@ fn cnn_storm(seed: u64) -> Scenario {
 
 /// (per-epoch `mean_val_acc` bits, final val bits, final test bits,
 /// FNV-1a of the report JSON) captured at seed 0 with the im2col path
-/// forced.
+/// forced. The report hash was recaptured once fresh-run workers drew the
+/// seeded model instead of fetching it (`ps_ops` and `bytes_transferred`
+/// moved; the accuracy bits did not).
 const GOLDEN_EPOCHS: [u32; 2] = [1045639988, 1052490684];
 const GOLDEN_VAL: u32 = 1052770304;
 const GOLDEN_TEST: u32 = 1054727646;
-const GOLDEN_REPORT: u64 = 0x0b707f38bdfae44a;
+const GOLDEN_REPORT: u64 = 0xacc26c8f714c1982;
 
 #[test]
 fn conv_dispatch_reproduces_the_pinned_im2col_trajectory() {
