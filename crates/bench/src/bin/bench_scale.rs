@@ -9,9 +9,12 @@
 //!   at batch 32 under Adam: the `resnet_compute` workunit shape, so the
 //!   curve is the `VC_THREADS` axis of `optim.step_s_p50.resnet`}. The pool
 //!   is forced 8 wide (`VC_THREADS`, unless the caller set it) so the curve
-//!   exists on any host; efficiency is `(last / first) / min(cap, hw_threads)`
-//!   — past the host's cores it bounds oversubscribed dispatch overhead,
-//!   it does not claim speedup, and `hw_threads` is written beside it.
+//!   exists on any host; efficiency is `(at widest cap / at cap 1) /
+//!   min(widest cap, hw_threads)`, read by cap value — past the host's
+//!   cores it bounds oversubscribed dispatch overhead, it does not claim
+//!   speedup, and `hw_threads` is written beside it. The widest cap is
+//!   timed first: timed after cap 1, the pool worker it wakes can land on
+//!   the submitter's vCPU and stay there, and cap 2 then reads cap 1.
 //! * **hosts** — 1k / 10k / 100k [`generated_fleet`] hosts against one
 //!   [`BoincServer`]: µs per assigning `request_work` and per no-op
 //!   `scan_timeouts` (every armed deadline in the future). Each cycle also
@@ -80,7 +83,7 @@ struct Threads {
     gemm_n: usize,
     model: String,
     batch_size: usize,
-    /// Thread caps swept, ascending.
+    /// Thread caps in the order swept, widest first; the curves follow it.
     caps: Vec<usize>,
     gemm_gflops: Vec<f64>,
     train_steps_per_s: Vec<f64>,
@@ -161,11 +164,13 @@ struct BenchScale {
     gemm: Vec<GemmRow>,
 }
 
-/// `(last / first) / min(widest cap, hw)`: the share of the achievable
-/// parallelism the widest point of `curve` retains.
+/// `(at widest cap / at cap 1) / min(widest cap, hw)`: the share of the
+/// achievable parallelism the widest point of `curve` retains. `curve[i]`
+/// was measured at `caps[i]`, in whatever order they were swept.
 fn efficiency(curve: &[f64], caps: &[usize], hw: usize) -> f64 {
-    let ideal = (*caps.last().expect("non-empty sweep")).min(hw) as f64;
-    curve.last().expect("non-empty sweep") / curve[0] / ideal
+    let at = |cap| curve[caps.iter().position(|&c| c == cap).expect("cap 1 swept")];
+    let widest = *caps.iter().max().expect("non-empty sweep");
+    at(widest) / at(1) / widest.min(hw) as f64
 }
 
 /// The flat-cost claim: per-poll cost at the largest fleet over the
@@ -215,7 +220,8 @@ fn bench_threads(smoke: bool) -> Threads {
 
     let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
     let pool = rayon::max_threads();
-    let caps: Vec<usize> = [1, 2, 4, 8].into_iter().filter(|&t| t <= pool).collect();
+    // Widest first: see the module docs.
+    let caps: Vec<usize> = [8, 4, 2, 1].into_iter().filter(|&t| t <= pool).collect();
     let (mut gflops, mut steps_per_s) = (Vec::new(), Vec::new());
     for &t in &caps {
         rayon::set_thread_cap(t);
@@ -587,6 +593,12 @@ mod tests {
         assert!(efficiency(&flat, &caps, 8) < GEMM_EFF_FLOOR);
         // The cap, not the host, bounds the ideal when the host is wider.
         assert_eq!(efficiency(&[10.0, 20.0], &[1, 2], 8), 1.0);
+        // Read by cap value: a widest-first sweep means the same.
+        assert_eq!(efficiency(&[20.0, 10.0], &[2, 1], 8), 1.0);
+        assert_eq!(
+            efficiency(&[15.0, 18.0, 20.0, 10.0], &[8, 4, 2, 1], 2),
+            0.75
+        );
     }
 
     fn row(hosts: usize, request_work_us: f64) -> HostsRow {

@@ -45,29 +45,31 @@ impl ShardSet {
     /// every shard collapses to a single class and clients learn nothing
     /// generalizable.)
     pub fn split(train: &Dataset, k: usize) -> ShardSet {
-        assert!(k > 0, "cannot split into zero shards");
-        assert!(
-            k <= train.len(),
-            "more shards ({k}) than samples ({})",
-            train.len()
-        );
-        let n = train.len();
-        let base = n / k;
-        let extra = n % k;
-        let mut buckets: Vec<Vec<usize>> = Vec::with_capacity(k);
         let mut start = 0;
-        for s in 0..k {
-            let len = base + usize::from(s < extra);
-            buckets.push((start..start + len).collect());
-            start += len;
-        }
-        let shards = buckets
+        let blocks = Self::block_lens(train.len(), k)
+            .into_iter()
+            .map(|len| {
+                start += len;
+                train.select(&(start - len..start).collect::<Vec<_>>())
+            })
+            .collect();
+        Self::from_blocks(blocks)
+    }
+
+    /// The sizes of [`split`](Self::split)'s `k` blocks of `n` samples, in
+    /// order: `n / k` each, the first `n % k` one more.
+    pub(crate) fn block_lens(n: usize, k: usize) -> Vec<usize> {
+        assert!(k > 0, "cannot split into zero shards");
+        assert!(k <= n, "more shards ({k}) than samples ({n})");
+        (0..k).map(|s| n / k + usize::from(s < n % k)).collect()
+    }
+
+    /// The set whose shard `i` is `blocks[i]`.
+    pub(crate) fn from_blocks(blocks: Vec<Dataset>) -> ShardSet {
+        let shards = blocks
             .into_iter()
             .enumerate()
-            .map(|(id, idx)| DataShard {
-                id,
-                data: train.select(&idx),
-            })
+            .map(|(id, data)| DataShard { id, data })
             .collect();
         ShardSet { shards }
     }
@@ -119,6 +121,21 @@ mod tests {
                     "k={k}: shard missing a class: {hist:?}"
                 );
             }
+        }
+    }
+
+    /// Drawing the blocks in place gives the split of the whole split, bit
+    /// for bit, with val and test unmoved: even and uneven cuts, one shard
+    /// and one sample a shard, with label noise drawing from the stream.
+    #[test]
+    fn generate_sharded_is_the_split_of_generate() {
+        let mut spec = SyntheticSpec::tiny(5);
+        spec.label_noise = 0.2;
+        let (tr, va, te) = spec.generate();
+        for k in [1, 3, 7, 200] {
+            let (set, v, t) = spec.generate_sharded(k);
+            assert_eq!((&v, &t), (&va, &te), "k={k}");
+            assert_eq!(set.shards, ShardSet::split(&tr, k).shards, "k={k}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Procedural CIFAR-like dataset generation.
 
 use crate::dataset::Dataset;
+use crate::shard::ShardSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -74,6 +75,24 @@ impl SyntheticSpec {
 
     /// Generates `(train, val, test)` datasets.
     pub fn generate(&self) -> (Dataset, Dataset, Dataset) {
+        let (mut train, val, test) = self.generate_blocks(&[self.train_n]);
+        (train.pop().expect("one block"), val, test)
+    }
+
+    /// [`generate`](Self::generate) with the training split already cut
+    /// into `k` shards, bit for bit the [`ShardSet::split`] of it: each
+    /// block is drawn in place, so the whole split and its shards never
+    /// live at once.
+    pub fn generate_sharded(&self, k: usize) -> (ShardSet, Dataset, Dataset) {
+        let lens = ShardSet::block_lens(self.train_n, k);
+        let (blocks, val, test) = self.generate_blocks(&lens);
+        (ShardSet::from_blocks(blocks), val, test)
+    }
+
+    /// The one generator: the training split as consecutive blocks of
+    /// `train_lens` samples (one stream of draws, indexed across blocks),
+    /// then val and test.
+    fn generate_blocks(&self, train_lens: &[usize]) -> (Vec<Dataset>, Dataset, Dataset) {
         assert!(self.classes >= 2, "need at least two classes");
         let [ch, h, w] = self.img;
         assert!(
@@ -105,13 +124,14 @@ impl SyntheticSpec {
             })
             .collect();
 
-        let mut make = |n: usize| -> Dataset {
+        // Sample `first + i` of its split is row `i` of this block.
+        let mut make = |first: usize, n: usize| -> Dataset {
             let sample_len = ch * h * w;
             let mut data = vec![0.0f32; n * sample_len];
             let mut labels = Vec::with_capacity(n);
             for (i, img) in data.chunks_exact_mut(sample_len).enumerate() {
                 // Round-robin classes for exact balance, then optional label noise.
-                let class = i % self.classes;
+                let class = (first + i) % self.classes;
                 let dy = rng.gen_range(-(ms as isize)..=ms as isize);
                 let dx = rng.gen_range(-(ms as isize)..=ms as isize);
                 let amp: f32 = rng.gen_range(0.8..1.2);
@@ -141,7 +161,15 @@ impl SyntheticSpec {
             Dataset::new(Tensor::from_vec(data, &dims), labels, self.classes)
         };
 
-        (make(self.train_n), make(self.val_n), make(self.test_n))
+        let mut first = 0;
+        let train = train_lens
+            .iter()
+            .map(|&n| {
+                first += n;
+                make(first - n, n)
+            })
+            .collect();
+        (train, make(0, self.val_n), make(0, self.test_n))
     }
 }
 

@@ -66,18 +66,97 @@ pub fn evaluate(
         return 0.0;
     }
     let batch_size = pass_batch(model, &images.dims()[1..], batch_size);
+    count_hits(model, images, labels, 0..n, batch_size) as f32 / n as f32
+}
+
+/// The batch each of `parts` replicas passes at in [`evaluate_split`]:
+/// [`pass_batch`] shared out, so the parts together hold one replica's
+/// widest hidden activation at a time, and at least one.
+pub fn split_pass_batch(
+    model: &Sequential,
+    sample_dims: &[usize],
+    batch_size: usize,
+    parts: usize,
+) -> usize {
+    (pass_batch(model, sample_dims, batch_size) / parts.max(1)).max(1)
+}
+
+/// [`evaluate`] of each of `sets` (`(images, labels)`) over `parts`
+/// replicas at once, one accuracy a set: every set's rows are cut into
+/// `parts` contiguous parts, part 0 is scored on `model` on the calling
+/// thread, and each other part on a replica `replica()` makes on a scoped
+/// thread of its own (so the replica's memory comes from that thread,
+/// under the caller's ISA tier cap), all in passes of [`split_pass_batch`],
+/// and the integer hits are summed. Every replica must hold `model`'s
+/// parameters; each accuracy is then bit for bit what `evaluate` gives on
+/// `model` alone, since a row's logits do not depend on the pass it rides
+/// in. A part with no rows in any set starts no thread; one part is
+/// `evaluate`'s own path.
+pub fn evaluate_split(
+    model: &mut Sequential,
+    replica: impl Fn() -> Sequential + Sync,
+    parts: usize,
+    sets: &[(&Tensor, &[usize])],
+    batch_size: usize,
+) -> Vec<f32> {
+    assert!(parts > 0, "a split evaluation needs a part");
+    for (images, labels) in sets {
+        assert_eq!(images.dims()[0], labels.len());
+    }
+    let part = |i: usize, n: usize| i * n / parts..(i + 1) * n / parts;
+    let score = |model: &mut Sequential, i: usize| -> Vec<usize> {
+        sets.iter()
+            .map(|&(images, labels)| {
+                let batch = split_pass_batch(model, &images.dims()[1..], batch_size, parts);
+                count_hits(model, images, labels, part(i, labels.len()), batch)
+            })
+            .collect()
+    };
+    let cap = vc_tensor::isa::tier_cap();
+    let (score, replica) = (&score, &replica);
+    let hits = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..parts)
+            .filter(|&i| sets.iter().any(|(_, l)| !part(i, l.len()).is_empty()))
+            .map(|i| {
+                s.spawn(move || vc_tensor::isa::with_tier_cap(cap, || score(&mut replica(), i)))
+            })
+            .collect();
+        helpers.into_iter().fold(score(model, 0), |mut sum, h| {
+            let hits = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            sum.iter_mut().zip(hits).for_each(|(t, h)| *t += h);
+            sum
+        })
+    });
+    sets.iter()
+        .zip(hits)
+        .map(|((_, labels), h)| match labels.len() {
+            0 => 0.0,
+            n => h as f32 / n as f32,
+        })
+        .collect()
+}
+
+/// Top-1 hits of `model` on `rows` of `images`, in passes of `batch_size`
+/// on the model's own buffer pool.
+fn count_hits(
+    model: &mut Sequential,
+    images: &Tensor,
+    labels: &[usize],
+    rows: std::ops::Range<usize>,
+    batch_size: usize,
+) -> usize {
     // Same bits, fewer passes over each activation.
     model.fuse_relu();
     let mut total_hits = 0;
-    let mut start = 0;
-    while start < n {
-        let end = (start + batch_size).min(n);
+    let mut start = rows.start;
+    while start < rows.end {
+        let end = (start + batch_size).min(rows.end);
         let logits = model.forward_rows(images, start..end, false);
         total_hits += hits(&logits, &labels[start..end]);
         model.recycle(logits);
         start = end;
     }
-    total_hits as f32 / n as f32
+    total_hits
 }
 
 #[cfg(test)]

@@ -74,6 +74,11 @@ impl Sequential {
         self.params.len()
     }
 
+    /// The parameter vector, in wire order.
+    pub fn params(&self) -> &[f32] {
+        &self.params
+    }
+
     /// Copies the parameter vector out.
     pub fn params_flat(&self) -> Vec<f32> {
         self.params.clone()

@@ -83,21 +83,10 @@ impl ModelSpec {
         model
     }
 
-    /// Writes the parameter vector `build(seed)` starts with into `out`,
-    /// bit for bit (the two share one body), without building a model
-    /// around it: for a holder of a vector this long — a worker's shard
-    /// cache — that needs the seeded weights and nothing else. Panics when
-    /// `out` is not this model's parameter count long.
-    pub fn init_params_into(&self, seed: u64, out: &mut [f32]) {
-        let mut model = self.layout();
-        assert_eq!(
-            out.len(),
-            model.pipe.arena_len(),
-            "parameter vector does not match spec `{}`",
-            self.name
-        );
-        out.fill(0.0);
-        draw(&mut model.pipe, seed, out);
+    /// The length of the parameter vector [`ModelSpec::build`] returns,
+    /// read off the layout without allocating or drawing one.
+    pub fn param_count(&self) -> usize {
+        self.layout().pipe.arena_len()
     }
 
     /// The spec's layers laid out, blank, with no parameter vector yet;
@@ -345,27 +334,19 @@ mod tests {
     }
 
     #[test]
-    fn init_params_into_writes_the_built_vector() {
-        let specs = [
+    fn param_count_is_the_built_vector_length() {
+        for spec in [
             mlp(&[3, 8, 8], 32, 10),
             small_cnn(&[3, 8, 8], 4),
             resnet_lite(&[3, 8, 8], 2, 10),
-        ];
-        for spec in specs {
-            let want = spec.build(7).params_flat();
-            // Stale contents of the target do not leak through.
-            let mut got = vec![f32::NAN; want.len()];
-            spec.init_params_into(7, &mut got);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{}", spec.name);
+        ] {
+            assert_eq!(
+                spec.param_count(),
+                spec.build(7).param_count(),
+                "{}",
+                spec.name
+            );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match spec")]
-    fn init_params_into_rejects_a_wrong_length() {
-        let spec = mlp(&[4], 8, 2);
-        spec.init_params_into(1, &mut vec![0.0; spec.build(1).param_count() + 1]);
     }
 
     #[test]

@@ -33,11 +33,18 @@
 //! start. (When `evaluate` built a pool per call, the second call
 //! allocated the whole 10.5 MB again.)
 //!
+//! A closing evaluation split over two replicas (`metrics::evaluate_split`,
+//! 64 images each, on two threads) passes at half the batch, 16 images, so
+//! the two cold pools together, with the second replica built blank and
+//! loaded on its own thread, stay inside the same [`BOUND`] (10.77 MB at
+//! one pool thread, 10.81 MB at two): the split adds threads and one
+//! parameter vector, not activation memory.
+//!
 //! This file must stay a single-test binary: the counters are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vc_nn::metrics::evaluate;
+use vc_nn::metrics::{evaluate, evaluate_split};
 use vc_tensor::{NormalSampler, Tensor};
 
 struct PeakAlloc;
@@ -136,5 +143,37 @@ fn final_evaluation_stays_inside_its_memory_bound() {
     assert!(
         warm_peak <= WARM_BOUND,
         "a warm scorer held {warm_peak} B above its start, bound {WARM_BOUND} B"
+    );
+
+    // A cold replica and a second one the split builds blank and loads on
+    // its own thread, half the rows each: the second replica's parameters
+    // count against the bound too.
+    let spec = vc_nn::spec::resnet_lite(&[3, 32, 32], 2, 10);
+    let mut first = spec.build(7);
+    first.fuse_relu();
+    let params = first.params_flat();
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let replica = || {
+        let mut m = spec.build_blank();
+        m.set_params_flat(&params);
+        m
+    };
+    let split = evaluate_split(&mut first, replica, 2, &[(&images, &labels[..])], 256);
+    let split_peak = PEAK.load(Ordering::Relaxed) - before;
+    println!(
+        "the same scoring over two cold replicas: peak live heap {:.2} MB (both parts, the second replica's build included)",
+        split_peak as f64 / 1e6
+    );
+    assert_eq!(split[0].to_bits(), acc.to_bits());
+    assert!(
+        split_peak <= BOUND,
+        "a two-part evaluation peaked at {:.1} MB of live heap, one replica's bound {:.1} MB",
+        split_peak as f64 / 1e6,
+        BOUND as f64 / 1e6
+    );
+    assert!(
+        split_peak > 4 << 20,
+        "measured {split_peak} B: the second replica's pool is not counted"
     );
 }

@@ -228,17 +228,24 @@ impl ShardCache {
         &self.full
     }
 
-    /// Installs the shards of `versions` without a fetch: `fill` writes the
-    /// whole parameter vector into the cache's own, which then counts as
-    /// holding `versions`, so a [`sync`](Self::sync) against them is a hit
-    /// and later deltas apply against them. The caller vouches that `fill`
-    /// writes bit for bit what the service publishes at those versions — a
-    /// fresh run's seeded store, which a worker can draw from the job's
-    /// model and seed. Allocates nothing.
-    pub fn prime(&mut self, versions: &[u64], fill: impl FnOnce(&mut [f32])) {
+    /// Installs the shards of `versions` without a fetch: `params`, the
+    /// whole parameter vector, is copied into the cache's own, which then
+    /// counts as holding `versions`, so a [`sync`](Self::sync) against them
+    /// is a hit and later deltas apply against them. The caller vouches
+    /// that `params` is bit for bit what the service publishes at those
+    /// versions — a fresh run's seeded store, which the run hands every
+    /// worker. Allocates nothing.
+    pub fn prime(&mut self, versions: &[u64], params: &[f32]) {
         assert_eq!(versions.len(), self.layout.shards(), "manifest length");
-        fill(&mut self.full);
+        self.full.copy_from_slice(params);
         self.versions.copy_from_slice(versions);
+    }
+
+    /// Marks every shard as not held (version 0, as in a new cache), so the
+    /// next sync fetches every shard whole over whatever values it holds:
+    /// for a primed cache whose first sync names other versions.
+    pub fn forget(&mut self) {
+        self.versions.fill(0);
     }
 
     /// Brings the cache up to `manifest` for `epoch` and returns the
@@ -385,6 +392,23 @@ mod tests {
         let got = cache.sync(1, &manifest, &mut client).unwrap();
         assert_eq!(got, &want[..]);
         assert_eq!(svc.ops().fetches, fetches_before, "no transport call");
+    }
+
+    /// A primed cache that forgets holds no version: its next sync asks
+    /// for every shard whole, the request and response of a new cache.
+    #[test]
+    fn a_forgotten_prime_syncs_like_a_new_cache() {
+        let (svc, want, manifest) = setup(20, 4);
+        let mut client = MemClient::new(svc.clone());
+        let mut cache = ShardCache::new(*svc.assimilator().layout());
+        cache.prime(&manifest, &[7.0; 20]);
+        assert_eq!(cache.versions(), &manifest[..]);
+        cache.forget();
+        assert_eq!(cache.versions(), &[0; 4]);
+        let got = cache.sync(1, &manifest, &mut client).unwrap();
+        assert_eq!(got, &want[..]);
+        let ops = svc.ops();
+        assert_eq!((ops.fetches, ops.shards_sent, ops.cache_hits), (1, 4, 0));
     }
 
     #[test]

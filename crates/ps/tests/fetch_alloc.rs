@@ -330,7 +330,7 @@ fn primed_cache_hits_without_transport_and_takes_deltas_like_a_fetched_one() {
     let mut refusing = Refusing(0);
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    primed.prime(&[1; 4], |full| full.copy_from_slice(&params));
+    primed.prime(&[1; 4], &params);
     let mut hits = Ok(());
     for _ in 0..32 {
         hits = hits.and(primed.sync(1, &[1; 4], &mut refusing).map(|_| ()));

@@ -27,13 +27,20 @@
 //!
 //! [`assemble`] is the one place a run is put together — data, seeded
 //! parameter service, middleware, coordinator, one scoring replica per
-//! parameter server — for both substrates, from the run's one model build,
-//! which it hands on as the first parameter server's scorer; [`score`] is
-//! the one validation-scoring pass behind every accuracy a report carries.
+//! parameter server — for both substrates; [`score`] is the one
+//! validation-scoring pass behind every accuracy a report carries.
 //! The pieces of a run that the discrete-event driver (`crate::des`) puts
 //! together and closes the same way — [`JobData`], [`scheduler`],
 //! [`assimilator`], [`accuracy_spread`] and [`score_final`] — are one body
 //! each, here.
+//!
+//! Outside the epoch loop the fleet's cores are idle, so set-up and close
+//! use them ([`spare_threads`] of them, never more than the loop's `Cn`):
+//! [`JobData::generate_beside`] generates the data on a scoped thread
+//! while the calling thread draws and publishes the seeded model, and
+//! [`score_final`] splits the closing evaluation's rows across replicas.
+//! Neither moves a bit: the data is a pure function of its spec, and an
+//! accuracy is an integer hit count over `n`.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::config::RuntimeConfig;
@@ -45,13 +52,13 @@ use crate::report::{
 use crate::worker::WorkerCore;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vc_asgd::{result_is_valid, JobConfig};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
 use vc_middleware::{BoincServer, HostId, ReportStatus, ShardManifest, ToleranceComparator};
-use vc_nn::metrics::evaluate;
-use vc_nn::Sequential;
+use vc_nn::metrics::{evaluate, evaluate_split};
+use vc_nn::{ModelSpec, Sequential};
 use vc_ops::{FleetStatus, OpsHub, PsStatus, StatusSnapshot};
 use vc_ps::service::PS_BYTES_SAVED;
 use vc_ps::{PsClient, PsService, ShardCache, ShardedAssimilator};
@@ -75,17 +82,54 @@ fn accuracy(model: &mut Sequential, data: &Dataset) -> f32 {
     evaluate(model, &data.images, &data.labels, SCORE_BATCH)
 }
 
-/// Final evaluation of a run: the server's current parameters, loaded into
-/// the scoring replica once, on the full validation and test splits, both
-/// on the replica's warm buffer pool. Returns `(val, test)` accuracy.
+/// Final evaluation of a run: the server's current parameters on the full
+/// validation and test splits, each split's rows shared out over `parts`
+/// replicas scored at once (`evaluate_split`): `model`, warm from the run,
+/// and `parts - 1` blank builds of `spec`, each made and loaded once for
+/// both splits on the thread that scores it. An accuracy is the integer
+/// hit count over `n`, so it is bit for bit one replica's whatever `parts`
+/// is; one part is the serial path. Returns `(val, test)` accuracy.
 pub(crate) fn score_final(
     model: &mut Sequential,
+    spec: &ModelSpec,
+    parts: usize,
     assim: &ShardedAssimilator,
     val: &Dataset,
     test: &Dataset,
 ) -> (f32, f32) {
-    model.set_params_flat(&assim.read_params().0);
-    (accuracy(model, val), accuracy(model, test))
+    let params = assim.read_params().0;
+    model.set_params_flat(&params);
+    let replica = || {
+        let mut replica = spec.build_blank();
+        replica.set_params_flat(&params);
+        replica
+    };
+    let sets = [
+        (&val.images, &val.labels[..]),
+        (&test.images, &test.labels[..]),
+    ];
+    let acc = evaluate_split(model, replica, parts, &sets, SCORE_BATCH);
+    (acc[0], acc[1])
+}
+
+/// Threads the phases outside the epoch loop may use — set-up before the
+/// workers start, the closing evaluation after they are joined: the cores
+/// the host has, never more than the `Cn` worker threads the loop runs.
+pub(crate) fn spare_threads(job: &JobConfig) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(job.cn)
+        .max(1)
+}
+
+/// Where a run's set-up went ([`JobData::generate_beside`]): seconds of
+/// data generation, of the calling thread's own set-up (model build, seed
+/// and publish), and of the two running at once — what the overlap saved.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SetupTimes {
+    pub data_s: f64,
+    pub init_s: f64,
+    pub overlap_s: f64,
 }
 
 /// Mean, min and max of an epoch's per-assimilation validation accuracies.
@@ -109,14 +153,64 @@ pub(crate) struct JobData {
 
 impl JobData {
     pub(crate) fn generate(job: &JobConfig) -> Self {
-        let (train, val, test) = job.data.generate();
+        let (shards, val, test) = job.data.generate_sharded(job.shards);
         JobData {
-            shards: ShardSet::split(&train, job.shards),
+            shards,
             val_eval: val.select(&(0..job.val_eval_n).collect::<Vec<_>>()),
             val,
             test,
         }
     }
+
+    /// [`JobData::generate`] on a scoped thread while `init` runs on the
+    /// calling one, when the run has a spare thread ([`spare_threads`]);
+    /// one after the other when it has not. Data generation emits no
+    /// telemetry, so every event `init` emits stays on the thread that
+    /// emits it either way. A panic on either thread is a panic here once
+    /// both are done.
+    pub(crate) fn generate_beside<T>(
+        job: &JobConfig,
+        init: impl FnOnce() -> T,
+    ) -> (Self, T, SetupTimes) {
+        let generate = || {
+            let t0 = Instant::now();
+            (JobData::generate(job), t0.elapsed().as_secs_f64())
+        };
+        let t0 = Instant::now();
+        let (out, init_s, (data, data_s)) = if spare_threads(job) < 2 {
+            let data = generate();
+            let t1 = Instant::now();
+            (init(), t1.elapsed().as_secs_f64(), data)
+        } else {
+            std::thread::scope(|s| {
+                let data = s.spawn(generate);
+                let out = init();
+                let init_s = t0.elapsed().as_secs_f64();
+                let data = data.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                (out, init_s, data)
+            })
+        };
+        let wall_s = t0.elapsed().as_secs_f64();
+        let overlap_s = (data_s + init_s - wall_s).max(0.0);
+        let times = SetupTimes {
+            data_s,
+            init_s,
+            overlap_s,
+        };
+        (data, out, times)
+    }
+}
+
+/// A fresh run's epoch-1 snapshot as the store was seeded with it, lent to
+/// each worker as it is made: the worker copies it into its shard cache
+/// instead of fetching or drawing it. Borrowed from the run's seeded model
+/// (the first scorer), so no copy outlives the workers' making.
+#[derive(Clone, Copy)]
+pub(crate) struct Genesis<'a> {
+    /// The seeded store's shard versions.
+    pub versions: &'a [u64],
+    /// The seeded parameter vector: `job.model.build(job.seed)`'s.
+    pub params: &'a [f32],
 }
 
 /// A job's BOINC scheduler: one host per instance of its fleet, `tn`
@@ -204,11 +298,6 @@ pub struct Coordinator {
     /// The parameter service workers fetch epoch snapshots from (shard
     /// blobs pre-encoded per epoch; wire-byte counters).
     pub service: Arc<PsService>,
-    /// The seeded store's shard versions on a fresh run: what every worker
-    /// draws itself from the job's model and seed instead of fetching.
-    /// `None` on a resume, whose store holds the checkpoint's parameters
-    /// at those same versions.
-    pub genesis: Option<Vec<u64>>,
     /// The in-progress epoch.
     pub epoch: usize,
     /// `(shard, acc)` assimilated so far this epoch.
@@ -270,9 +359,18 @@ pub(crate) enum Effect {
 pub(crate) struct Assembled {
     pub coord: Coordinator,
     /// One scoring replica per parameter server (`pn`): the run's built
-    /// model first, the rest blank. Each keeps its buffer pool warm for the
-    /// run, and the first closes it with [`score_final`].
+    /// model first, the rest blank, since every scoring loads what it
+    /// scores. Each keeps its buffer pool warm for the run, and the first
+    /// closes it with [`score_final`].
     pub scorers: Vec<Sequential>,
+    /// The seeded store's shard versions on a fresh run, whose first
+    /// scorer still holds the seeded parameters: with them they make the
+    /// [`Genesis`] each worker is primed from when the driver makes it.
+    /// `None` on a resume, whose store holds the checkpoint's parameters
+    /// at the versions a fresh run seeds.
+    pub genesis: Option<Vec<u64>>,
+    /// Where set-up went, for the threaded run's `run_assembled` event.
+    pub setup: SetupTimes,
     /// The sharded training set (the full split is already dropped).
     pub shards: Arc<ShardSet>,
     /// The validation subset scored after every assimilation.
@@ -283,17 +381,17 @@ pub(crate) struct Assembled {
 
 /// Puts a run together: data, the parameter store seeded behind its
 /// sharded service, the middleware with the first (or the resumed) epoch's
-/// workunits queued, and the coordinator over all of it. `model` is the
-/// run's one build of `job.model` at `job.seed`: a fresh run seeds the
-/// store from it, and either way it comes back first in
-/// [`Assembled::scorers`] to score. `store` arrives bare (recording or not)
-/// and `tel` with whatever time source should stamp the seeding
-/// operations; `start_clock` is called with the resume offset once seeding
-/// is done, to point `tel` at the run's clock, so set-up time never counts
-/// against it.
+/// workunits queued, and the coordinator over all of it. The data is
+/// generated beside the rest ([`JobData::generate_beside`]): the calling
+/// thread meanwhile builds the run's model (at `job.seed` on a fresh run,
+/// which seeds the store from it; blank on a resume, which seeds it from
+/// the checkpoint) and publishes the first epoch. `store` arrives bare
+/// (recording or not) and `tel` with whatever time source should stamp
+/// the seeding operations; `start_clock` is called with the resume offset
+/// once seeding is done, to point `tel` at the run's clock, so set-up time
+/// never counts against it.
 pub(crate) fn assemble(
     cfg: Arc<RuntimeConfig>,
-    model: Sequential,
     tel: &Telemetry,
     store: VersionedStore,
     resume: Option<Checkpoint>,
@@ -304,13 +402,6 @@ pub(crate) fn assemble(
     // Causal workunit tracing: off by default so untraced runs record
     // byte-identical telemetry; `cfg.trace` opts a run in.
     tel.set_tracing(cfg.trace);
-
-    let JobData {
-        shards,
-        val_eval,
-        val,
-        test,
-    } = JobData::generate(job);
 
     let store = Arc::new(store.with_telemetry(tel));
     // A fresh run starts epoch 1 from nothing, a resumed one where its
@@ -348,11 +439,27 @@ pub(crate) fn assemble(
         }
         (assim, service)
     };
+    // The calling thread's half of set-up: the run's one model build. A
+    // resume's is blank, since every scoring loads what it scores.
     let fresh = vectors.is_none();
-    let (assim, service) = match vectors {
-        None => seed(&model.params_flat(), None),
-        Some((params, snapshot)) => seed(&params, Some(&snapshot)),
+    let init = || match vectors {
+        None => {
+            let model = job.model.build(job.seed);
+            let (assim, service) = seed(model.params(), None);
+            (model, assim, service)
+        }
+        Some((params, snapshot)) => {
+            let (assim, service) = seed(&params, Some(&snapshot));
+            (job.model.build_blank(), assim, service)
+        }
     };
+    let (data, (model, assim, service), setup) = JobData::generate_beside(job, init);
+    let JobData {
+        shards,
+        val_eval,
+        val,
+        test,
+    } = data;
 
     let mut server = scheduler(job);
     start_clock(wall_base_s);
@@ -374,13 +481,11 @@ pub(crate) fn assemble(
         }
     }
 
-    // The run's built model scores for the first parameter server; every
-    // other gets a blank replica, since `score` loads what it scores.
+    let genesis = fresh.then(|| manifest.0.clone());
     let scorers = std::iter::once(model)
         .chain((1..job.pn).map(|_| job.model.build_blank()))
         .collect();
     let coord = Coordinator {
-        genesis: fresh.then(|| manifest.0.clone()),
         server,
         assim,
         service,
@@ -399,6 +504,8 @@ pub(crate) fn assemble(
     Assembled {
         coord,
         scorers,
+        genesis,
+        setup,
         shards: Arc::new(shards),
         val_eval: Arc::new(val_eval),
         val,
@@ -440,15 +547,20 @@ impl Coordinator {
 
     /// Host `h` of this run's fleet on its first life, fetching through
     /// `ps`, its shard cache laid out and coded like the run's service,
-    /// and handed the run's genesis versions to draw instead of fetch.
-    pub(crate) fn worker(&self, h: usize, ps: Box<dyn PsClient>) -> WorkerCore {
+    /// and handed a fresh run's [`Genesis`] to prime from instead of fetch.
+    pub(crate) fn worker(
+        &self,
+        h: usize,
+        ps: Box<dyn PsClient>,
+        genesis: Option<Genesis<'_>>,
+    ) -> WorkerCore {
         WorkerCore::new(
             HostId(h as u32),
             self.cfg.clone(),
             self.telemetry.clone(),
             ps,
             ShardCache::new(*self.assim.layout()).with_codec(self.cfg.codec),
-            self.genesis.clone(),
+            genesis,
         )
     }
 
@@ -870,9 +982,8 @@ mod tests {
         }
         let report = std::thread::scope(|s| {
             let coordinator = s.spawn(|| {
-                let model = cfg.job.model.build(cfg.job.seed);
                 let Assembled { coord, .. } =
-                    assemble(cfg, model, &tel, VersionedStore::new(), None, None, |_| {});
+                    assemble(cfg, &tel, VersionedStore::new(), None, None, |_| {});
                 coord.run(Links {
                     inbox,
                     worker_txs,
@@ -924,8 +1035,10 @@ mod tests {
 
     /// The closing evaluation loads the server's parameters into the
     /// replica once and scores both splits on them: bit for bit what two
-    /// separate `score` calls on a fresh replica give. `resnet_lite` on
-    /// 32×32×3 scores in passes of 32, so each split runs more than one.
+    /// separate `score` calls on a fresh replica give, whether the rows go
+    /// to one, two or three replicas. `resnet_lite` on 32×32×3 scores in
+    /// passes of 32, shared out to 16 and 10 a part, so each part runs
+    /// more than one, and 40 and 36 rows do not split evenly three ways.
     #[test]
     fn score_final_equals_scoring_each_split() {
         let mut job = JobConfig::test_small(3);
@@ -939,20 +1052,60 @@ mod tests {
         let assim = assimilator(&job, VersionedStore::shared(), params.len());
         assim.seed_params(&params);
 
-        let mut model = job.model.build(job.seed);
-        let (val, test) = score_final(&mut model, &assim, &data.val, &data.test);
-        assert!(
-            model.params_flat() == params,
-            "the replica holds the server's parameters"
-        );
         let mut fresh = job.model.build_blank();
-        assert_eq!(
-            val.to_bits(),
-            score(&mut fresh, &params, &data.val).to_bits()
+        let want = (
+            score(&mut fresh, &params, &data.val).to_bits(),
+            score(&mut fresh, &params, &data.test).to_bits(),
         );
-        assert_eq!(
-            test.to_bits(),
-            score(&mut fresh, &params, &data.test).to_bits()
-        );
+        for parts in [1, 2, 3] {
+            let mut model = job.model.build(job.seed);
+            let (val, test) =
+                score_final(&mut model, &job.model, parts, &assim, &data.val, &data.test);
+            assert!(
+                model.params_flat() == params,
+                "the replica holds the server's parameters"
+            );
+            assert_eq!((val.to_bits(), test.to_bits()), want, "{parts} parts");
+        }
+    }
+
+    /// A panic on the data-generation thread comes out of `assemble` as a
+    /// panic, with its own message, once the calling thread's half is done:
+    /// the run fails, it does not hang. One worker runs the two halves one
+    /// after the other, two run them side by side.
+    #[test]
+    fn a_data_generation_panic_in_assemble_does_not_hang() {
+        for cn in [1, 2] {
+            let mut cfg = RuntimeConfig::test_small(1);
+            cfg.job.cn = cn;
+            // More shards than training samples: drawing the shards panics.
+            cfg.job.shards = cfg.job.data.train_n + 1;
+            let cfg = Arc::new(cfg);
+            let (done_tx, done_rx) = bounded(1);
+            let run = std::thread::spawn(move || {
+                let tel = Telemetry::silent();
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    drop(assemble(
+                        cfg,
+                        &tel,
+                        VersionedStore::new(),
+                        None,
+                        None,
+                        |_| {},
+                    ));
+                }));
+                let message = out.err().map(|p| match p.downcast::<String>() {
+                    Ok(m) => *m,
+                    Err(p) => p.downcast_ref::<&str>().unwrap_or(&"?").to_string(),
+                });
+                done_tx.send(message).expect("the test waits");
+            });
+            let message = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("assemble hung on a data panic ({cn} workers)"));
+            let message = message.expect("assemble must panic");
+            assert!(message.contains("more shards"), "{cn} workers: {message}");
+            run.join().expect("the panic was caught");
+        }
     }
 }

@@ -33,7 +33,9 @@
 //! results have been assimilated; the driver then records the epoch's
 //! validation statistics and generates the next epoch.
 
-use crate::coordinator::{accuracy_spread, assimilator, scheduler, score, score_final, JobData};
+use crate::coordinator::{
+    accuracy_spread, assimilator, scheduler, score, score_final, spare_threads, JobData,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
@@ -166,21 +168,24 @@ struct TrainingJob {
 }
 
 impl TrainingJob {
-    /// Builds a job, generating data and seeding the parameter store.
+    /// Builds a job, generating data beside seeding the parameter store.
     fn new(cfg: DesConfig) -> Result<Self, String> {
         let job = &cfg.job;
         job.validate()?;
-        let init_model = job.model.build(job.seed);
-        let init_params = init_model.params_flat();
+        let (data, (init_model, init_params, assim), _) = JobData::generate_beside(job, || {
+            let init_model = job.model.build(job.seed);
+            let init_params = init_model.params_flat();
+            let assim = assimilator(job, VersionedStore::shared(), init_params.len());
+            assim.seed_params(&init_params);
+            (init_model, init_params, assim)
+        });
         let param_count = init_params.len();
-        let assim = assimilator(job, VersionedStore::shared(), param_count);
-        assim.seed_params(&init_params);
 
         Ok(TrainingJob {
             net_rng: StdRng::seed_from_u64(job.seed.wrapping_mul(0x2545_F491).wrapping_add(11)),
             preempt_rng: StdRng::seed_from_u64(job.seed.wrapping_mul(0x9E37_79B9).wrapping_add(13)),
             eval_model: init_model,
-            data: JobData::generate(job),
+            data,
             server: scheduler(job),
             assim,
             events: EventQueue::new(),
@@ -539,7 +544,16 @@ impl TrainingJob {
             (0.0, 0.0)
         } else {
             let JobData { val, test, .. } = &self.data;
-            score_final(&mut self.eval_model, &self.assim, val, test)
+            let job = &self.cfg.job;
+            let parts = spare_threads(job);
+            score_final(
+                &mut self.eval_model,
+                &job.model,
+                parts,
+                &self.assim,
+                val,
+                test,
+            )
         };
         JobReport {
             label: self.cfg.job.pct_label(),

@@ -70,13 +70,14 @@ pub use scheduler::StepScheduler;
 pub use sim::{run_scenario, sweep, verify_seed, Scenario, SimOutcome};
 
 use coordinator::{
-    assemble, assimilator_main, score_final, Assembled, AssimCtx, Links, SCORE_BATCH,
+    assemble, assimilator_main, score_final, spare_threads, Assembled, AssimCtx, Genesis, Links,
+    SCORE_BATCH,
 };
 use crossbeam::channel::unbounded;
 use std::path::Path;
 use std::sync::Arc;
 use vc_kvstore::VersionedStore;
-use vc_nn::metrics::pass_batch;
+use vc_nn::metrics::split_pass_batch;
 use vc_ops::OpsHub;
 use vc_ps::{MemClient, PsClient, TcpClient, TcpPsServer};
 use vc_telemetry::{Telemetry, WallTime};
@@ -145,10 +146,6 @@ impl Runtime {
     /// joins every thread, and reports.
     pub fn run(mut self) -> Result<RuntimeReport, String> {
         self.cfg.validate()?;
-        // The run's one build of its model: the resume guard reads its size,
-        // a fresh run seeds the store from it, and
-        // assimilator 0 scores on it.
-        let model = self.cfg.job.model.build(self.cfg.job.seed);
         if let Some(ck) = &self.resume {
             // config_mut may have edited anything; what the checkpointed
             // parameters and shard bookkeeping were shaped by must not move.
@@ -159,7 +156,7 @@ impl Runtime {
             if now.model != then.model {
                 return Err("cannot change the model across a resume".into());
             }
-            let param_count = model.param_count();
+            let param_count = now.model.param_count();
             // (`Checkpoint::load` already holds the snapshot to this length.)
             if ck.params.len() != param_count {
                 return Err(format!(
@@ -182,13 +179,14 @@ impl Runtime {
         let Assembled {
             coord,
             scorers,
+            genesis,
+            setup,
             shards,
             val_eval,
             val,
             test,
         } = assemble(
             cfg.clone(),
-            model,
             &tel,
             VersionedStore::new(),
             self.resume.take(),
@@ -196,6 +194,15 @@ impl Runtime {
             start_clock,
         );
         let (assim, service) = (coord.assim.clone(), coord.service.clone());
+        // What set-up cost, split by what ran beside what.
+        vc_telemetry::event!(
+            tel,
+            Info,
+            "run_assembled",
+            data_s = setup.data_s,
+            init_s = setup.init_s,
+            overlap_s = setup.overlap_s
+        );
 
         // --- parameter-service transport -----------------------------------
         // In-process by default; with `ps_tcp` every fetch crosses a real
@@ -210,6 +217,22 @@ impl Runtime {
         // due at; the coordinator holds one that arrives early.
         let (server_tx, server_rx) = unbounded();
         let (assim_tx, assim_rx) = unbounded();
+
+        // --- worker cores --------------------------------------------------
+        // Made before the first scorer leaves for its thread: on a fresh run
+        // each cache is primed from its seeded parameters.
+        let genesis = genesis.as_deref().map(|versions| Genesis {
+            versions,
+            params: scorers[0].params(),
+        });
+        let mut cores = Vec::new();
+        for h in 0..job.cn {
+            let ps: Box<dyn PsClient> = match &tcp {
+                Some(srv) => Box::new(TcpClient::new(srv.local_addr()).map_err(|e| e.to_string())?),
+                None => Box::new(MemClient::new(service.clone())),
+            };
+            cores.push(coord.worker(h, ps, genesis));
+        }
 
         // --- assimilator pool ---------------------------------------------
         // One scoring replica a thread, assimilator 0's the run's model.
@@ -231,15 +254,11 @@ impl Runtime {
         // --- workers -------------------------------------------------------
         let mut worker_txs = Vec::new();
         let mut worker_handles = Vec::new();
-        for h in 0..job.cn {
+        for (h, core) in cores.into_iter().enumerate() {
             let (tx, rx) = unbounded();
             worker_txs.push(tx);
-            let ps: Box<dyn PsClient> = match &tcp {
-                Some(srv) => Box::new(TcpClient::new(srv.local_addr()).map_err(|e| e.to_string())?),
-                None => Box::new(MemClient::new(service.clone())),
-            };
             let ctx = WorkerCtx {
-                core: coord.worker(h, ps),
+                core,
                 shards: shards.clone(),
                 cmd_rx: rx,
                 out: server_tx.clone(),
@@ -263,7 +282,7 @@ impl Runtime {
         for h in worker_handles {
             h.join().map_err(|_| "a worker thread panicked")?;
         }
-        // The first assimilator's scoring replica does the final
+        // The first assimilator's scoring replica leads the final
         // evaluation below (`pn ≥ 1` is validated, so there is one).
         let mut model = None;
         for h in assim_handles {
@@ -272,21 +291,25 @@ impl Runtime {
         }
 
         let mut model = model.ok_or("a run needs at least one assimilator (pn >= 1)")?;
-        // The closing evaluation runs on that replica's warm buffer pool,
-        // both splits. The event names its cost, the images scored and the
-        // largest pass. Wall time stays out of `RuntimeReport`, whose bits
-        // the DES and DST drivers reproduce.
+        // The closing evaluation runs on that replica's warm buffer pool
+        // and, with the workers joined, on a blank replica per spare thread,
+        // both splits. The event names its cost, the images scored, the
+        // parts and the largest pass. Wall time stays out of
+        // `RuntimeReport`, whose bits the DES and DST drivers reproduce.
+        let parts = spare_threads(job);
         let scoring = std::time::Instant::now();
         (report.final_val_acc, report.final_test_acc) =
-            score_final(&mut model, &assim, &val, &test);
+            score_final(&mut model, &job.model, parts, &assim, &val, &test);
+        let largest_part = val.labels.len().max(test.labels.len()).div_ceil(parts);
         vc_telemetry::event!(
             tel,
             Info,
             "final_scored",
             seconds = scoring.elapsed().as_secs_f64(),
             images = val.labels.len() + test.labels.len(),
-            batch = pass_batch(&model, &val.images.dims()[1..], SCORE_BATCH)
-                .min(val.labels.len().max(test.labels.len()))
+            parts = parts,
+            batch = split_pass_batch(&model, &val.images.dims()[1..], SCORE_BATCH, parts)
+                .min(largest_part)
         );
         Ok(report)
     }
@@ -353,11 +376,37 @@ mod tests {
             scored[0].field("images"),
             Some(&vc_telemetry::FieldValue::U64(images))
         );
-        // `test_small`'s MLP fits the budget at the cap: each split of 120
-        // is one pass.
+        // The closing evaluation runs on a part per spare thread, never
+        // more than the four workers; `test_small`'s MLP fits the budget at
+        // the cap, so each part of each split of 120 is one pass.
+        let parts = coordinator::spare_threads(&cfg.job) as u64;
+        assert!((1..=4).contains(&parts));
+        assert_eq!(
+            scored[0].field("parts"),
+            Some(&vc_telemetry::FieldValue::U64(parts))
+        );
         assert_eq!(
             scored[0].field("batch"),
-            Some(&vc_telemetry::FieldValue::U64(120))
+            Some(&vc_telemetry::FieldValue::U64(120u64.div_ceil(parts)))
+        );
+        // So does its set-up: the seconds of data generation, of the rest,
+        // and of the two running at once, which neither outlasts.
+        let assembled: Vec<_> = tel
+            .recorder()
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "run_assembled")
+            .collect();
+        assert_eq!(assembled.len(), 1, "one run_assembled event per run");
+        let secs = |name| match assembled[0].field(name) {
+            Some(vc_telemetry::FieldValue::F64(s)) if s.is_finite() && *s >= 0.0 => *s,
+            other => panic!("run_assembled {name}: {other:?}"),
+        };
+        let (data_s, init_s, overlap_s) = (secs("data_s"), secs("init_s"), secs("overlap_s"));
+        assert!(data_s > 0.0 && init_s > 0.0, "{data_s} {init_s}");
+        assert!(
+            overlap_s <= data_s.min(init_s),
+            "overlap {overlap_s} s of {data_s} s and {init_s} s"
         );
     }
 

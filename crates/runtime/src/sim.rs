@@ -30,7 +30,9 @@
 //! only the run configuration and the housekeeping cadence.
 
 use crate::config::RuntimeConfig;
-use crate::coordinator::{assemble, score, score_final, Assembled, Coordinator, Effect, Stop};
+use crate::coordinator::{
+    assemble, score, score_final, spare_threads, Assembled, Coordinator, Effect, Genesis, Stop,
+};
 use crate::fault::{ByzantineMode, FaultPlan};
 use crate::protocol::{AssimTask, ToServer, ToWorker};
 use crate::report::{RuntimeReport, WORKER_TRAIN_S};
@@ -568,13 +570,14 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let Assembled {
         coord,
         scorers,
+        genesis,
         shards,
         val_eval,
         val,
         test,
+        ..
     } = assemble(
         cfg.clone(),
-        job.model.build(job.seed),
         &tel,
         VersionedStore::recording(),
         None,
@@ -582,9 +585,14 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
         |_| {},
     );
 
+    // Every worker is primed from slot 0's replica, the run's seeded model.
+    let genesis = genesis.as_deref().map(|versions| Genesis {
+        versions,
+        params: scorers[0].params(),
+    });
     let workers = (0..job.cn)
         .map(|h| SimWorker {
-            core: coord.worker(h, Box::new(MemClient::new(coord.service.clone()))),
+            core: coord.worker(h, Box::new(MemClient::new(coord.service.clone())), genesis),
             state: WState::Alive,
         })
         .collect();
@@ -612,10 +620,17 @@ fn run_with_service(sc: &Scenario) -> Result<(SimOutcome, Arc<PsService>), Strin
     let stop = sim.run_loop();
     let coord = &sim.coord;
     let mut report = coord.finalize(stop);
-    // Final full-split evaluation, as in `Runtime::run`: on slot 0's
-    // scoring replica, warm from the run (`pn ≥ 1` is validated).
-    (report.final_val_acc, report.final_test_acc) =
-        score_final(&mut sim.slots[0].eval, &coord.assim, &val, &test);
+    // Final full-split evaluation, as in `Runtime::run`: slot 0's scoring
+    // replica, warm from the run (`pn ≥ 1` is validated), and the spare
+    // threads' blank ones.
+    (report.final_val_acc, report.final_test_acc) = score_final(
+        &mut sim.slots[0].eval,
+        &job.model,
+        spare_threads(job),
+        &coord.assim,
+        &val,
+        &test,
+    );
 
     let out = SimOutcome {
         consistency: job.consistency,

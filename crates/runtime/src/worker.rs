@@ -6,8 +6,9 @@
 //! holds each of its messages), its parameter-service connection with the
 //! sticky shard cache and upload-codec residual, and
 //! [`WorkerCore::execute`] — the one workunit body: sync the cache (a
-//! fresh run's first snapshot, the job's seeded model, is drawn into it
-//! rather than fetched), train
+//! fresh run's first snapshot, the job's seeded model, was copied into it
+//! from the run's own seeded model when the worker was made, rather than
+//! fetched), train
 //! the shard with real SGD ([`vc_asgd::train_client_replica`]), shape
 //! the upload through the lossy codec, corrupt it if the host is byzantine.
 //!
@@ -25,6 +26,7 @@
 //! assignment's deadline passes.
 
 use crate::config::RuntimeConfig;
+use crate::coordinator::Genesis;
 use crate::protocol::{ToServer, ToWorker};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use rand::rngs::StdRng;
@@ -73,10 +75,10 @@ pub struct WorkerCore {
     /// Sticky shard cache: only shards whose manifest version moved are
     /// re-fetched across assignments.
     cache: ShardCache,
-    /// A fresh run's seeded shard versions, until the first workunit:
-    /// when it names them, the cache is primed with the job's seeded model
-    /// instead of fetching it.
-    genesis: Option<Vec<u64>>,
+    /// The cache was primed with a fresh run's seeded snapshot and no
+    /// workunit has run yet: the first keeps it only if it names the
+    /// snapshot's versions.
+    primed: bool,
     /// Error-feedback residual of this worker's upload stream (empty
     /// without error feedback).
     upload_residual: Vec<f32>,
@@ -97,15 +99,19 @@ pub struct Executed {
 }
 
 impl WorkerCore {
-    /// A fresh worker on its first life.
+    /// A fresh worker on its first life, its cache primed with `genesis`
+    /// when given.
     pub(crate) fn new(
         id: HostId,
         cfg: Arc<RuntimeConfig>,
         telemetry: Telemetry,
         ps: Box<dyn PsClient>,
-        cache: ShardCache,
-        genesis: Option<Vec<u64>>,
+        mut cache: ShardCache,
+        genesis: Option<Genesis<'_>>,
     ) -> Self {
+        if let Some(g) = genesis {
+            cache.prime(g.versions, g.params);
+        }
         let reg = telemetry.registry();
         let (kills, respawns) = (reg.counter(WORKER_KILLS), reg.counter(WORKER_RESPAWNS));
         let delays = reg.histogram_with(DELAY_LINE_DELAY_S, Histogram::latency_bounds);
@@ -126,7 +132,7 @@ impl WorkerCore {
             delays,
             ps,
             cache,
-            genesis,
+            primed: genesis.is_some(),
             upload_residual: Vec::new(),
         }
     }
@@ -193,15 +199,13 @@ impl WorkerCore {
         timer: Option<&StepTimer<'_>>,
     ) -> Result<Executed, PsError> {
         let fetch_t0 = self.telemetry.now_s();
-        // A fresh run's first snapshot is `job.model.build(job.seed)`: a
-        // host that has the config draws it (bit for bit, one body) rather
-        // than download it, and the sync below is a cache hit.
-        if let Some(genesis) = self.genesis.take() {
-            if wu.param_versions.0 == genesis {
-                let job = &self.cfg.job;
-                self.cache
-                    .prime(&genesis, |full| job.model.init_params_into(job.seed, full));
-            }
+        // A fresh run's first snapshot is `job.model.build(job.seed)`,
+        // drawn once by the run and copied into the cache at birth: for a
+        // first workunit that names it the sync below is a hit. One that
+        // names later versions fetches every shard whole, as a new cache
+        // would.
+        if std::mem::take(&mut self.primed) && wu.param_versions.0 != self.cache.versions() {
+            self.cache.forget();
         }
         let snapshot = self
             .cache
@@ -544,13 +548,15 @@ mod tests {
     fn openings(cfg: RuntimeConfig, resume: Option<Checkpoint>) -> (Vec<Opening>, Vec<u32>) {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let cfg = Arc::new(cfg);
-        let model = cfg.job.model.build(cfg.job.seed);
         let tel = Telemetry::silent();
         let Assembled {
-            mut coord, shards, ..
+            mut coord,
+            shards,
+            genesis,
+            scorers,
+            ..
         } = assemble(
             cfg.clone(),
-            model,
             &tel,
             VersionedStore::new(),
             resume,
@@ -566,7 +572,11 @@ mod tests {
                     inner,
                     epochs: epochs.clone(),
                 };
-                let mut core = coord.worker(h, Box::new(logged));
+                let genesis = genesis.as_deref().map(|versions| Genesis {
+                    versions,
+                    params: scorers[0].params(),
+                });
+                let mut core = coord.worker(h, Box::new(logged), genesis);
                 let host = HostId(h as u32);
                 let Effect::Reply {
                     msg: ToWorker::Assign { wu },
@@ -585,9 +595,9 @@ mod tests {
         (hosts, bits(&snapshot.expect("published")))
     }
 
-    /// A fresh run's workers draw epoch 1's snapshot themselves: bit for
-    /// bit what the service publishes, for every model family and both
-    /// codecs, and no fetch names epoch 1.
+    /// A fresh run's workers are primed with epoch 1's snapshot from the
+    /// run's seeded model: bit for bit what the service publishes, for
+    /// every model family and both codecs, and no fetch names epoch 1.
     #[test]
     fn fresh_workers_draw_the_published_genesis_snapshot() {
         let mut cfg = RuntimeConfig::test_small(4);
@@ -609,6 +619,68 @@ mod tests {
                 assert!(fetched.is_empty(), "{name} host {h} fetched {fetched:?}");
                 assert!(*got == genesis, "{name} host {h} drew other bits");
             }
+        }
+    }
+
+    /// A primed worker whose first workunit names later versions than the
+    /// seeded ones (a host that got no work in epoch 1) fetches every shard
+    /// whole, as an unprimed cache does, and lands on the published bits;
+    /// one whose first workunit names the seeded versions fetches nothing.
+    #[test]
+    fn a_primed_worker_first_assigned_later_fetches_every_shard() {
+        use crate::coordinator::{assimilator, JobData};
+        let mut cfg = RuntimeConfig::test_small(8);
+        cfg.job.ps_shards = 4;
+        let cfg = Arc::new(cfg);
+        let job = &cfg.job;
+        let shards = JobData::generate(job).shards;
+        let seeded = job.model.build(job.seed).params_flat();
+        let assim = Arc::new(assimilator(
+            job,
+            Arc::new(VersionedStore::new()),
+            seeded.len(),
+        ));
+        assim.seed_params(&seeded);
+        let svc = Arc::new(PsService::new(assim.clone()).with_codec(cfg.codec));
+        let (_, genesis) = assim.read_params();
+        svc.publish_snapshot(1, &seeded, &genesis);
+        // One shard is assimilated: epoch 2 names a moved version.
+        let part = vec![0.5; assim.layout().len(1)];
+        assim.merge_shard(1, &part, 1);
+        let (later, manifest) = assim.read_params();
+        svc.publish_snapshot(2, &later, &manifest);
+
+        let mut tws = TrainWorkspace::new();
+        for (epoch, versions, want, fetched) in [
+            (1, &genesis, &seeded, 0),
+            (2, &manifest, &later, job.ps_shards as u64),
+        ] {
+            let before = svc.ops();
+            let mut core = WorkerCore::new(
+                HostId(0),
+                cfg.clone(),
+                Telemetry::silent(),
+                Box::new(MemClient::new(svc.clone())),
+                ShardCache::new(*assim.layout()).with_codec(cfg.codec),
+                Some(Genesis {
+                    versions: &genesis,
+                    params: &seeded,
+                }),
+            );
+            let wu = WorkUnit {
+                id: vc_middleware::WuId(0),
+                epoch,
+                shard_id: 0,
+                param_versions: vc_middleware::ShardManifest(versions.clone()),
+                created_at: SimTime::ZERO,
+            };
+            core.execute(&wu, &shards, &mut tws, None).expect("sync");
+            let sent = svc.ops().shards_sent - before.shards_sent;
+            assert_eq!(sent, fetched, "epoch {epoch}: shards fetched");
+            assert!(
+                core.cache.params() == &want[..],
+                "epoch {epoch}: other bits"
+            );
         }
     }
 

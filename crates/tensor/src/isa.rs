@@ -110,6 +110,14 @@ pub(crate) fn tier() -> Tier {
     Tier::detected().min(CAP.with(Cell::get))
 }
 
+/// The cap [`with_tier_cap`] holds on this thread. A caller that hands
+/// kernel work to a thread of its own wraps it in `with_tier_cap` at this
+/// cap there, so the work follows the same cap as its own kernels.
+#[doc(hidden)]
+pub fn tier_cap() -> Tier {
+    CAP.with(Cell::get)
+}
+
 /// Runs `f` with every kernel called from this thread capped at `cap`, so
 /// one host can test (and sanitize) every body it has. A test hook, not a
 /// switch: every tier produces the same bits. Kernels read the cap on the

@@ -59,19 +59,38 @@ fn print_report(tag: &str, r: &RuntimeReport, tel: &Telemetry) {
         h.quantile(0.99),
         h.count
     );
-    // The run's last event of the name is its own: runs here are sequential.
-    let scored = tel
-        .recorder()
-        .events()
-        .into_iter()
-        .rev()
-        .find(|e| e.name == "final_scored");
-    if let Some(e) = scored {
-        if let (Some(FieldValue::F64(s)), Some(images), Some(batch)) =
-            (e.field("seconds"), e.field("images"), e.field("batch"))
+    // The run's last event of a name is its own: runs here are sequential.
+    let last = |name| {
+        tel.recorder()
+            .events()
+            .into_iter()
+            .rev()
+            .find(|e| e.name == name)
+    };
+    if let Some(e) = last("run_assembled") {
+        if let (
+            Some(FieldValue::F64(data)),
+            Some(FieldValue::F64(init)),
+            Some(FieldValue::F64(overlap)),
+        ) = (e.field("data_s"), e.field("init_s"), e.field("overlap_s"))
         {
             println!(
-                "final evaluation: {:.2} ms (val + test scoring, {images} images, largest pass {batch})",
+                "set-up: data {:.2} ms beside build + seed + publish {:.2} ms ({:.2} ms at once)",
+                data * 1e3,
+                init * 1e3,
+                overlap * 1e3
+            );
+        }
+    }
+    if let Some(e) = last("final_scored") {
+        if let (Some(FieldValue::F64(s)), Some(images), Some(parts), Some(batch)) = (
+            e.field("seconds"),
+            e.field("images"),
+            e.field("parts"),
+            e.field("batch"),
+        ) {
+            println!(
+                "final evaluation: {:.2} ms (val + test scoring, {images} images over {parts} replicas, largest pass {batch})",
                 s * 1e3
             );
         }
