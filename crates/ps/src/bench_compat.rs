@@ -9,10 +9,14 @@
 //! * `ShardedAssimilator::{commit_eventual, assimilate_strong}` —
 //!   `probes.rs:586, 590`: copying forms of `finish` (`begin_eventual`, at
 //!   `:585`, is `begin`'s body and stays in `merge.rs`).
+//! * `PsService::publish_snapshot` — `probes.rs:459, 554, 567`: a publish
+//!   of a vector, encoded along the layout. Tests call it too; every
+//!   driver publishes blobs (`PsService::publish`).
 
 use crate::merge::{ShardSnapshot, ShardedAssimilator};
 use crate::service::PsService;
 use crate::tcp::{TcpClient, TcpPsServer};
+use bytes::Bytes;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -71,6 +75,18 @@ impl ShardedAssimilator {
     /// [`Self::finish`] of a strong-mode assimilation on a copy of `client`.
     pub fn assimilate_strong(&self, client: &[f32], epoch: usize) -> Vec<f32> {
         self.finish(None, client.to_vec(), epoch)
+    }
+}
+
+#[doc(hidden)]
+impl PsService {
+    /// [`Self::publish`] of `params`, encoded along the layout, with
+    /// `manifest` as the shard versions.
+    pub fn publish_snapshot(&self, epoch: u64, params: &[f32], manifest: &[u64]) {
+        let blobs = self.assimilator().encode_shards(params);
+        assert_eq!(manifest.len(), blobs.len(), "manifest length");
+        let shards: Vec<(Bytes, u64)> = blobs.into_iter().zip(manifest.to_vec()).collect();
+        self.publish(epoch, &shards);
     }
 }
 

@@ -42,6 +42,8 @@ pub mod shard;
 pub mod tcp;
 pub mod wire;
 
+/// The shared buffer a shard blob lives in: in the store, a frame, a checkpoint.
+pub use bytes::Bytes;
 pub use client::{FetchSink, MemClient, PsClient, PsError, ShardCache};
 pub use codec::Codec;
 pub use merge::{

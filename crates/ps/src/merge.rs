@@ -155,14 +155,17 @@ impl ShardedAssimilator {
     /// blobs it stored with their new versions — what a publish of the seed
     /// shares, without reading them back (no read is recorded).
     pub fn seed_params(&self, params: &[f32]) -> Vec<(Bytes, u64)> {
-        self.encode_shards(params)
-            .into_iter()
-            .zip(&self.keys)
-            .map(|(blob, key)| {
-                let version = self.store.put(key, blob.clone());
-                (blob, version)
-            })
-            .collect()
+        self.seed_blobs(self.encode_shards(params))
+    }
+
+    /// [`Self::seed_params`] from one VCP1 blob per shard, in layout order:
+    /// a resume's checkpointed store.
+    pub fn seed_blobs(&self, blobs: impl IntoIterator<Item = Bytes>) -> Vec<(Bytes, u64)> {
+        let seeded: Vec<(Bytes, u64)> = (blobs.into_iter().zip(&self.keys))
+            .map(|(blob, key)| (blob.clone(), self.store.put(key, blob)))
+            .collect();
+        assert_eq!(seeded.len(), self.keys.len(), "one blob per shard");
+        seeded
     }
 
     /// Current version of every shard (no read is recorded).

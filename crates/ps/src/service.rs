@@ -9,22 +9,12 @@
 //! real socket run.
 //!
 //! Fetches are served from *epoch snapshots*: at each epoch boundary the
-//! coordinator publishes the assembled parameter vector with its per-shard
-//! version manifest, and workers fetch against that epoch. A worker that
-//! already caches a shard at the manifest version gets it skipped — the
-//! partial-fetch path that makes sharding pay off on the wire.
-//!
-//! Every frame a fetch ships is built and checksummed once, at publish.
-//! Under `Raw` the `Shard` frames *are* the store's blobs: a publish reads
-//! each shard's stored `Bytes` ([`ShardedAssimilator::read_blobs`]) and
-//! makes it the frame payload, so the snapshot costs a checksum pass and
-//! no copy of the parameters. Under a lossy codec a publish is one fused
-//! pass per *moved* shard, reading the stored blob's values: the
-//! previous publish's sealed `Shard` payload is the delta reference, and
-//! the pass writes the advanced reference into the new `Shard` payload
-//! and the quantized delta into the `ShardDelta` payload as it goes — the
-//! latest frames are the only copy of the reference there is — while a
-//! shard that did not move keeps its sealed frame, payload and checksum.
+//! coordinator publishes every shard's blob and store version
+//! ([`PsService::publish`]), and workers fetch against that epoch. A
+//! worker that already caches a shard at the manifest version gets it
+//! skipped — the partial-fetch path that makes sharding pay off on the
+//! wire. Every frame a fetch ships is built and checksummed once, at
+//! publish; under `Raw` the `Shard` frames *are* the store's blobs.
 //!
 //! The service is read-only to workers: `Fetch` is the one request it
 //! answers. A trained replica reaches the store through the scheduler's
@@ -43,7 +33,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 use vc_telemetry::{Counter, Histogram, Registry, Telemetry};
-use vc_tensor::codec::{decode_f32s_into_slice, encoded_len};
+use vc_tensor::codec::encoded_len;
 
 /// Counter: fetch requests served.
 pub const PS_FETCHES: &str = "ps_fetches";
@@ -82,8 +72,9 @@ struct EpochSnapshot {
     base_manifest: Vec<u64>,
 }
 
-/// The fetch-response frame carrying shard `i`'s blob at `version`.
-fn shard_frame(i: usize, version: u64, payload: Bytes) -> SealedFrame {
+/// The `Shard` frame carrying shard `i`'s blob at `version`: what a fetch
+/// ships and a checkpoint stores.
+pub fn shard_frame(i: usize, version: u64, payload: Bytes) -> SealedFrame {
     Frame {
         kind: FrameKind::Shard,
         shard_id: i as u32,
@@ -306,26 +297,6 @@ impl PsService {
         );
     }
 
-    /// [`Self::publish`] of `params`, encoded along the layout, with
-    /// `manifest` as the shard versions. Kept for `benchmark/src/probes.rs`,
-    /// tests and a resume, whose checkpointed snapshot is not what the
-    /// store holds; every other publish shares the store's blobs.
-    #[doc(hidden)]
-    pub fn publish_snapshot(&self, epoch: u64, params: &[f32], manifest: &[u64]) {
-        assert_eq!(
-            manifest.len(),
-            self.assim.layout().shards(),
-            "manifest length"
-        );
-        let shards: Vec<(Bytes, u64)> = self
-            .assim
-            .encode_shards(params)
-            .into_iter()
-            .zip(manifest.iter().copied())
-            .collect();
-        self.publish(epoch, &shards);
-    }
-
     /// Drops snapshots older than `keep_from`. Epochs are monotonic; the
     /// coordinator calls this after every publish, keeping the new epoch
     /// and the one before it. A fetch for a retired epoch gets an error
@@ -334,18 +305,15 @@ impl PsService {
         self.snapshots.write().retain(|&e, _| e >= keep_from);
     }
 
-    /// Reassembles the full parameter vector of a published epoch
-    /// snapshot, if still retained.
-    pub fn snapshot_params(&self, epoch: u64) -> Option<Vec<f32>> {
+    /// Each shard's `Shard` payload and version in a published epoch's
+    /// snapshot, if still retained: shared, not copied. Under `Raw` these
+    /// are store blobs, under a lossy codec the reference a delta-tracking
+    /// worker holds; a publish of them on a fresh service serves the same
+    /// frames.
+    pub fn snapshot_blobs(&self, epoch: u64) -> Option<Vec<(Bytes, u64)>> {
         let snaps = self.snapshots.read();
-        let snap = snaps.get(&epoch)?;
-        let layout = self.assim.layout();
-        let mut full = vec![0.0; layout.param_count()];
-        for (i, range) in layout.iter() {
-            decode_f32s_into_slice(&snap.shards[i].payload, &mut full[range])
-                .expect("snapshot blobs are valid");
-        }
-        Some(full)
+        let frames = snaps.get(&epoch)?.shards.iter();
+        Some(frames.map(|f| (f.payload.clone(), f.version)).collect())
     }
 
     /// Traffic counts so far. The codec's two counters, deltas sent and
@@ -464,6 +432,7 @@ mod tests {
     use super::*;
     use vc_asgd::AlphaSchedule;
     use vc_kvstore::{Consistency, VersionedStore};
+    use vc_tensor::codec::decode_f32s_into_slice;
 
     fn service(n: usize, p: usize) -> PsService {
         let assim = Arc::new(ShardedAssimilator::new(
@@ -640,11 +609,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_params_reassembles_and_retires() {
+    fn snapshot_blobs_are_the_published_frames_and_retire() {
         let svc = service(10, 3);
-        let full = svc.snapshot_params(1).unwrap();
+        let blobs = svc.snapshot_blobs(1).unwrap();
+        assert_eq!(
+            blobs,
+            svc.assimilator().read_blobs(),
+            "Raw serves the store's blobs"
+        );
+        let mut full = vec![0.0; 10];
+        for ((blob, _), (_, range)) in blobs.iter().zip(svc.assimilator().layout().iter()) {
+            decode_f32s_into_slice(blob, &mut full[range]).unwrap();
+        }
         assert_eq!(full, (0..10).map(|i| i as f32).collect::<Vec<_>>());
         svc.retire_snapshots_before(2);
-        assert!(svc.snapshot_params(1).is_none());
+        assert!(svc.snapshot_blobs(1).is_none());
     }
 }

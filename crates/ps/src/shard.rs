@@ -24,7 +24,7 @@ impl ShardLayout {
     /// Builds a layout. `shards` is clamped to at least 1; requesting more
     /// shards than parameters leaves the surplus shards empty rather than
     /// failing, so config validation can stay coarse.
-    pub(crate) fn new(param_count: usize, shards: usize) -> Self {
+    pub fn new(param_count: usize, shards: usize) -> Self {
         ShardLayout {
             param_count,
             shards: shards.max(1),

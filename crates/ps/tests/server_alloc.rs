@@ -135,7 +135,11 @@ fn the_server_allocates_only_new_store_values() {
                 (0, 0),
                 "{mode:?}: a warm Raw epoch publish shares the store's blobs"
             );
-            assert_eq!(svc.snapshot_params(epoch).unwrap(), updated, "{mode:?}");
+            assert_eq!(
+                svc.snapshot_blobs(epoch).unwrap(),
+                assim.read_blobs(),
+                "{mode:?}"
+            );
         }
     }
 }

@@ -199,11 +199,12 @@ fn a_published_raw_snapshot_never_changes_under_its_checksum() {
                 let client: Vec<f32> = (0..n).map(|i| (i + k) as f32 * 1e-3).collect();
                 assim.finish(assim.begin(), client, 1);
             }
-            assert_ne!(
-                assim.read_params().0,
-                svc.snapshot_params(1).unwrap(),
-                "{what}: the store moved on"
-            );
+            let published = || -> Vec<_> {
+                let blobs = svc.snapshot_blobs(1).unwrap();
+                blobs.into_iter().map(|(blob, _)| blob).collect()
+            };
+            let stored: Vec<_> = assim.read_blobs().into_iter().map(|(b, _)| b).collect();
+            assert_ne!(stored, published(), "{what}: the store moved on");
             let (frames, after) = fetch(&svc, 1, p);
             assert_eq!(after, before, "{what}: fetched bytes and banked checksums");
             let mut encoded = Vec::new();
@@ -212,7 +213,9 @@ fn a_published_raw_snapshot_never_changes_under_its_checksum() {
                 after, encoded,
                 "{what}: banked checksums still match the payloads"
             );
-            assert_eq!(bits(&svc.snapshot_params(1).unwrap()), bits(&w0), "{what}");
+            let layout = *assim.layout();
+            let seeded: Vec<_> = layout.iter().map(|(_, r)| encode_f32s(&w0[r])).collect();
+            assert_eq!(published(), seeded, "{what}");
         }
     }
 }

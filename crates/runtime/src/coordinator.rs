@@ -42,7 +42,7 @@
 //! Neither moves a bit: the data is a pure function of its spec, and an
 //! accuracy is an integer hit count over `n`.
 
-use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{Checkpoint, CheckpointHeader};
 use crate::config::RuntimeConfig;
 use crate::protocol::{AssimTask, ToServer, ToWorker};
 use crate::report::{
@@ -406,52 +406,52 @@ pub(crate) fn assemble(
     let store = Arc::new(store.with_telemetry(tel));
     // A fresh run starts epoch 1 from nothing, a resumed one where its
     // checkpoint left off.
-    let (epoch, wall_base_s, done, stats, assimilations, bytes, vectors) = match resume {
+    let (epoch, wall_base_s, done, stats, assimilations, bytes, blobs) = match resume {
         None => (1, 0.0, Vec::new(), Vec::new(), 0, 0, None),
-        Some(ck) => (
-            ck.epoch,
-            ck.wall_s,
-            ck.done,
-            ck.stats,
-            ck.assimilations,
-            ck.bytes_transferred,
-            Some((ck.params, ck.snapshot)),
-        ),
+        Some(ck) => {
+            let (h, blobs) = (ck.header, Some((ck.params, ck.snapshot)));
+            (
+                h.epoch,
+                h.wall_s,
+                h.done,
+                h.stats,
+                h.assimilations,
+                h.bytes_transferred,
+                blobs,
+            )
+        }
     };
-    // Seeds the store from `params` and publishes the in-progress epoch's
-    // fetchable snapshot (Eq. (2)'s W_{s,e-1}): the seeded blobs themselves
-    // on a fresh run, `snapshot` on a resume, where the checkpointed
-    // snapshot differs from the store. Both vectors are only borrowed.
-    let seed = |params: &[f32], snapshot: Option<&[f32]>| {
-        let assim = Arc::new(assimilator(job, store.clone(), params.len()).with_telemetry(tel));
-        let seeded = assim.seed_params(params);
+    // The calling thread's half of set-up: the run's one model build (a
+    // resume's is blank, since every scoring loads what it scores), the
+    // store seeded from it or from the checkpoint's blobs, and the
+    // in-progress epoch's fetchable snapshot (Eq. (2)'s W_{s,e-1})
+    // published at the seeded versions: the seeded blobs themselves on a
+    // fresh run, the checkpointed snapshot's on a resume, where it differs
+    // from the store.
+    let fresh = blobs.is_none();
+    let init = || {
+        let model = if fresh {
+            job.model.build(job.seed)
+        } else {
+            job.model.build_blank()
+        };
+        let assim =
+            Arc::new(assimilator(job, store.clone(), model.params().len()).with_telemetry(tel));
+        let snapshot = match blobs {
+            None => assim.seed_params(model.params()),
+            Some((params, snapshot)) => {
+                let seeded = assim.seed_blobs(params.into_iter().map(|(blob, _)| blob));
+                let blobs = snapshot.into_iter().map(|(blob, _)| blob);
+                blobs.zip(seeded.into_iter().map(|(_, v)| v)).collect()
+            }
+        };
         let service = Arc::new(
             PsService::new(assim.clone())
                 .with_codec(cfg.codec)
                 .with_telemetry(tel),
         );
-        match snapshot {
-            None => service.publish(epoch as u64, &seeded),
-            Some(snapshot) => {
-                let versions: Vec<u64> = seeded.into_iter().map(|(_, v)| v).collect();
-                service.publish_snapshot(epoch as u64, snapshot, &versions);
-            }
-        }
-        (assim, service)
-    };
-    // The calling thread's half of set-up: the run's one model build. A
-    // resume's is blank, since every scoring loads what it scores.
-    let fresh = vectors.is_none();
-    let init = || match vectors {
-        None => {
-            let model = job.model.build(job.seed);
-            let (assim, service) = seed(model.params(), None);
-            (model, assim, service)
-        }
-        Some((params, snapshot)) => {
-            let (assim, service) = seed(&params, Some(&snapshot));
-            (job.model.build_blank(), assim, service)
-        }
+        service.publish(epoch as u64, &snapshot);
+        (model, assim, service)
     };
     let (data, (model, assim, service), setup) = JobData::generate_beside(job, init);
     let JobData {
@@ -900,23 +900,19 @@ impl Coordinator {
         let Some(path) = self.cfg.checkpoint_path.clone() else {
             return;
         };
-        let snapshot = self
-            .service
-            .snapshot_params(self.epoch as u64)
-            .expect("snapshot exists for the current epoch");
-        let (params, _) = self.assim.read_params();
-        let mut ck = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            cfg: (*self.cfg).clone(),
-            epoch: self.epoch,
-            snapshot,
-            params,
-            done: self.done.clone(),
-            stats: self.stats.clone(),
-            assimilations: self.assimilations,
-            bytes_transferred: self.total_bytes(),
-            wall_s: self.telemetry.now_s(),
-            digest: 0,
+        let snapshot = self.service.snapshot_blobs(self.epoch as u64);
+        let ck = Checkpoint {
+            header: CheckpointHeader {
+                cfg: (*self.cfg).clone(),
+                epoch: self.epoch,
+                done: self.done.clone(),
+                stats: self.stats.clone(),
+                assimilations: self.assimilations,
+                bytes_transferred: self.total_bytes(),
+                wall_s: self.telemetry.now_s(),
+            },
+            snapshot: snapshot.expect("the current epoch is published"),
+            params: self.assim.read_blobs(),
         };
         match ck.save(&path) {
             Ok(()) => event!(

@@ -44,9 +44,9 @@
 //! delay line randomly delays and reorders worker messages: each worker
 //! stamps a message with the clock reading it is due at, and the
 //! coordinator holds it in its own time-ordered queue until then — on
-//! threads and under simulation alike. Timed [`Checkpoint`]s capture
-//! server parameters plus open-workunit state; [`Runtime::resume`]
-//! continues an interrupted job mid-epoch.
+//! threads and under simulation alike. Timed [`Checkpoint`]s hold the
+//! store's shard blobs, the epoch's snapshot and the run's progress;
+//! [`Runtime::resume`] continues an interrupted job mid-epoch.
 
 pub mod checkpoint;
 pub mod config;
@@ -109,12 +109,9 @@ impl Runtime {
     /// (e.g. to clear a one-shot `halt_after_assims` hook).
     pub fn resume(path: impl AsRef<Path>) -> Result<Self, String> {
         let ck = Checkpoint::load(path)?;
-        Ok(Runtime {
-            cfg: ck.cfg.clone(),
-            resume: Some(ck),
-            telemetry: None,
-            ops_hub: None,
-        })
+        let mut run = Runtime::new(ck.header.cfg.clone())?;
+        run.resume = Some(ck);
+        Ok(run)
     }
 
     /// The run configuration (mutable, for pre-run adjustments).
@@ -147,22 +144,17 @@ impl Runtime {
     pub fn run(mut self) -> Result<RuntimeReport, String> {
         self.cfg.validate()?;
         if let Some(ck) = &self.resume {
-            // config_mut may have edited anything; what the checkpointed
-            // parameters and shard bookkeeping were shaped by must not move.
-            let (now, then) = (&self.cfg.job, &ck.cfg.job);
+            // config_mut may have edited anything; the checkpoint's blobs and
+            // shard bookkeeping are cut along its own config (load checks).
+            let (now, then) = (&self.cfg.job, &ck.header.cfg.job);
             if now.shards != then.shards {
                 return Err("cannot change shard count across a resume".into());
             }
             if now.model != then.model {
                 return Err("cannot change the model across a resume".into());
             }
-            let param_count = now.model.param_count();
-            // (`Checkpoint::load` already holds the snapshot to this length.)
-            if ck.params.len() != param_count {
-                return Err(format!(
-                    "checkpoint holds {} parameters but the model has {param_count}",
-                    ck.params.len()
-                ));
+            if now.ps_shards != then.ps_shards {
+                return Err("cannot change ps_shards across a resume".into());
             }
         }
         let tel = self.telemetry.take().unwrap_or_else(Telemetry::from_env);
@@ -329,6 +321,7 @@ fn spawn<T: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vc_ps::Bytes;
 
     /// Tentpole acceptance: ≥ 4 real worker threads train the synthetic
     /// dataset to the same learnability threshold as the simulated driver.
@@ -444,7 +437,7 @@ mod tests {
     /// the final accuracy matches an uninterrupted run within tolerance.
     #[test]
     fn checkpoint_roundtrip_matches_uninterrupted() {
-        let path = std::env::temp_dir().join("vc_runtime_resume_test.json");
+        let path = std::env::temp_dir().join("vc_runtime_resume_test.bin");
         let path_s = path.to_string_lossy().into_owned();
         std::fs::remove_file(&path).ok();
 
@@ -503,7 +496,7 @@ mod tests {
     /// not a panic inside an assimilator thread's `set_params_flat`.
     #[test]
     fn resume_rejects_a_model_the_checkpoint_does_not_fit() {
-        let path = std::env::temp_dir().join("vc_runtime_resume_guard_test.json");
+        let path = std::env::temp_dir().join("vc_runtime_resume_guard_test.bin");
         let mut first = RuntimeConfig::test_small(5);
         first.checkpoint_path = Some(path.to_string_lossy().into_owned());
         first.halt_after_assims = Some(3);
@@ -515,14 +508,38 @@ mod tests {
         let err = edited.run().unwrap_err();
         assert!(err.contains("model"), "{err}");
 
-        // Vectors that do not fit the checkpoint's own model: same answer.
-        let mut ck = Checkpoint::load(&path).unwrap();
-        ck.params.pop();
-        ck.snapshot.pop();
-        ck.save(&path).unwrap();
-        let err = Runtime::resume(&path).unwrap().run().unwrap_err();
-        assert!(err.contains("parameters"), "{err}");
+        // Blobs that do not fit the checkpoint's own model: a dropped shard
+        // blob, or a shortened one, is refused before anything is seeded.
+        let ck = Checkpoint::load(&path).unwrap();
+        let mut dropped = ck.clone();
+        dropped.params.pop();
+        let mut shortened = ck;
+        let (blob, _) = &mut shortened.snapshot[0];
+        *blob = Bytes::copy_from_slice(&blob[..blob.len() - 4]);
+        for bad in [dropped, shortened] {
+            bad.save(&path).unwrap();
+            let err = Runtime::resume(&path).and_then(Runtime::run).unwrap_err();
+            assert!(err.contains("parameters"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The store's shard layout is the checkpoint's: a resume that edits
+    /// `ps_shards` is an `Err` naming it.
+    #[test]
+    fn resume_rejects_a_checkpoint_at_another_ps_shard_count() {
+        let path = std::env::temp_dir().join("vc_runtime_resume_ps_shards_test.bin");
+        let mut first = RuntimeConfig::test_small(5);
+        first.job.ps_shards = 2;
+        first.checkpoint_path = Some(path.to_string_lossy().into_owned());
+        first.halt_after_assims = Some(3);
+        assert!(Runtime::new(first).unwrap().run().unwrap().halted_early);
+
+        let mut edited = Runtime::resume(&path).unwrap();
+        edited.config_mut().job.ps_shards = 4;
+        let err = edited.run().unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("ps_shards"), "{err}");
     }
 
     #[test]

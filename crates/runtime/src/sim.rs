@@ -719,10 +719,10 @@ mod tests {
         // The current epoch (fetch, checkpoint) and the one before it (a
         // replica handed out as the epoch closed) stay; the rest are gone.
         for e in 1..=4 {
-            assert!(service.snapshot_params(e).is_none(), "epoch {e} retained");
+            assert!(service.snapshot_blobs(e).is_none(), "epoch {e} retained");
         }
-        assert!(service.snapshot_params(5).is_some());
-        assert!(service.snapshot_params(6).is_some());
+        assert!(service.snapshot_blobs(5).is_some());
+        assert!(service.snapshot_blobs(6).is_some());
     }
 
     #[test]
@@ -753,7 +753,7 @@ mod tests {
 
     #[test]
     fn virtual_checkpoint_timer_fires() {
-        let path = std::env::temp_dir().join("vc_sim_ck_timer.json");
+        let path = std::env::temp_dir().join("vc_sim_ck_timer.bin");
         std::fs::remove_file(&path).ok();
         let mut sc = tiny(3);
         sc.cfg.checkpoint_every_s = Some(2.0);
@@ -761,8 +761,67 @@ mod tests {
         let out = run_scenario(&sc).unwrap();
         assert!(!out.report.halted_early);
         let ck = Checkpoint::load(&path).expect("timer must have written a checkpoint");
-        assert!(ck.wall_s >= 2.0, "checkpoint stamped with virtual time");
+        assert!(
+            ck.header.wall_s >= 2.0,
+            "checkpoint stamped with virtual time"
+        );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A checkpoint is the store: a run halted mid-epoch and resumed through
+    /// `assemble` holds the halted run's store blobs byte for byte, and
+    /// serves the epoch's `Shard` payloads the halted run served, under Raw
+    /// and Int8 with error feedback, at one and at four PS shards.
+    #[test]
+    fn a_resumed_checkpoint_is_the_halted_store() {
+        let int8 = vc_ps::Codec::Int8 {
+            error_feedback: true,
+        };
+        let payloads = |blobs: Vec<(vc_ps::Bytes, u64)>| -> Vec<vc_ps::Bytes> {
+            blobs.into_iter().map(|(blob, _)| blob).collect()
+        };
+        for (codec, p) in [
+            (vc_ps::Codec::Raw, 1),
+            (vc_ps::Codec::Raw, 4),
+            (int8, 1),
+            (int8, 4),
+        ] {
+            let what = format!("{codec:?}, {p} PS shards");
+            let path = std::env::temp_dir()
+                .join(format!("vc_sim_ck_is_store_{p}_{}.bin", codec.is_lossy()));
+            let mut sc = tiny(4).codec(codec).ps_shards(p);
+            // Mid-epoch 2: eight data shards per epoch.
+            sc.cfg.halt_after_assims = Some(11);
+            sc.cfg.checkpoint_path = Some(path.to_string_lossy().into_owned());
+            let (out, halted) = run_with_service(&sc).unwrap();
+            assert!(out.report.halted_early, "{what}");
+            let ck = Checkpoint::load(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let epoch = ck.header.epoch as u64;
+            assert_eq!(epoch, 2, "{what}");
+            let served = payloads(halted.snapshot_blobs(epoch).expect("current epoch"));
+            let stored = payloads(halted.assimilator().read_blobs());
+            assert_ne!(
+                served, stored,
+                "{what}: the epoch's assimilations moved the store"
+            );
+
+            let Assembled { coord, .. } = assemble(
+                Arc::new(ck.header.cfg.clone()),
+                &Telemetry::silent(),
+                VersionedStore::new(),
+                Some(ck),
+                None,
+                |_| {},
+            );
+            assert_eq!(
+                payloads(coord.assim.read_blobs()),
+                stored,
+                "{what}: store blobs"
+            );
+            let resumed = coord.service.snapshot_blobs(epoch).expect("published");
+            assert_eq!(payloads(resumed), served, "{what}: served payloads");
+        }
     }
 
     #[test]

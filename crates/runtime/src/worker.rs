@@ -428,7 +428,7 @@ fn replacement_comes_up(cfg: &RuntimeConfig, cmd_rx: &Receiver<ToWorker>) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
+    use crate::checkpoint::{Checkpoint, CheckpointHeader};
     use crate::coordinator::{assemble, Assembled, Effect};
     use crate::fault::FaultPlan;
     use std::sync::Mutex;
@@ -591,8 +591,14 @@ mod tests {
                 (fetched, bits(core.cache.params()))
             })
             .collect();
-        let snapshot = coord.service.snapshot_params(coord.epoch as u64);
-        (hosts, bits(&snapshot.expect("published")))
+        let snapshot = coord.service.snapshot_blobs(coord.epoch as u64);
+        let mut published = Vec::new();
+        for (blob, _) in snapshot.expect("published") {
+            let values = vc_tensor::codec::value_bytes(&blob).expect("a VCP1 blob");
+            let words = values.chunks_exact(4);
+            published.extend(words.map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+        }
+        (hosts, published)
     }
 
     /// A fresh run's workers are primed with epoch 1's snapshot from the
@@ -640,15 +646,14 @@ mod tests {
             Arc::new(VersionedStore::new()),
             seeded.len(),
         ));
-        assim.seed_params(&seeded);
         let svc = Arc::new(PsService::new(assim.clone()).with_codec(cfg.codec));
-        let (_, genesis) = assim.read_params();
-        svc.publish_snapshot(1, &seeded, &genesis);
+        svc.publish(1, &assim.seed_params(&seeded));
+        let genesis = assim.versions();
         // One shard is assimilated: epoch 2 names a moved version.
         let part = vec![0.5; assim.layout().len(1)];
         assim.merge_shard(1, &part, 1);
         let (later, manifest) = assim.read_params();
-        svc.publish_snapshot(2, &later, &manifest);
+        svc.publish(2, &assim.read_blobs());
 
         let mut tws = TrainWorkspace::new();
         for (epoch, versions, want, fetched) in [
@@ -692,19 +697,24 @@ mod tests {
         let mut cfg = RuntimeConfig::test_small(6);
         cfg.job.cn = 3;
         let job = &cfg.job;
-        let snapshot = job.model.build(job.seed + 1).params_flat();
+        let params = job.model.build(job.seed + 1).params_flat();
+        let layout = vc_ps::ShardLayout::new(params.len(), job.ps_shards);
+        let blobs: Vec<_> = layout
+            .iter()
+            .map(|(_, range)| (vc_tensor::codec::encode_f32s(&params[range]), 1))
+            .collect();
         let ck = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            cfg: cfg.clone(),
-            epoch: 2,
-            params: snapshot.clone(),
-            snapshot,
-            done: Vec::new(),
-            stats: Vec::new(),
-            assimilations: 8,
-            bytes_transferred: 0,
-            wall_s: 1.0,
-            digest: 0,
+            header: CheckpointHeader {
+                cfg: cfg.clone(),
+                epoch: 2,
+                done: Vec::new(),
+                stats: Vec::new(),
+                assimilations: 8,
+                bytes_transferred: 0,
+                wall_s: 1.0,
+            },
+            snapshot: blobs.clone(),
+            params: blobs,
         };
         let (hosts, published) = openings(cfg, Some(ck));
         for (h, (fetched, got)) in hosts.iter().enumerate() {

@@ -76,8 +76,7 @@ impl TraceStage {
     }
 }
 
-/// FNV-1a 64-bit — the workspace's standing fingerprint hash: span ids
-/// here, checkpoint digests in `vc-runtime`.
+/// FNV-1a 64-bit: span ids here, report and trace fingerprints in tests.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

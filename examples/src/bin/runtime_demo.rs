@@ -150,7 +150,7 @@ fn main() {
 
     // Same job again, now interrupted after 12 assimilations and resumed
     // from the checkpoint — the resumed run finishes the remaining epochs.
-    let ck_path = std::env::temp_dir().join("vc_runtime_demo_ck.json");
+    let ck_path = std::env::temp_dir().join("vc_runtime_demo_ck.bin");
     cfg.checkpoint_path = Some(ck_path.to_string_lossy().into_owned());
     cfg.halt_after_assims = Some(12);
     let mut rt = Runtime::new(cfg)

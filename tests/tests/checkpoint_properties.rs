@@ -1,48 +1,264 @@
 //! Property tests for the checkpoint format: round trips are bit-exact,
-//! and corrupting *any* byte of the file is detected at load.
+//! corrupting or truncating *any* byte of the file is detected at load,
+//! and hostile bytes are an `Err`, never a panic or an allocation the file
+//! does not back.
 //!
-//! The digest (FNV-1a) is computed over the raw serialized bytes with the
-//! digest field zeroed, so a same-length substitution anywhere in the file
-//! changes the hash deterministically — these properties exercise that
-//! guarantee with arbitrary parameter vectors and arbitrary corruption
-//! positions.
+//! A checkpoint is a JSON header under a CRC-32 followed by the shard
+//! blobs as `Shard` frames, each under its own CRC-32, so a same-length
+//! substitution anywhere in the file changes one part's checksum — these
+//! properties exercise that guarantee with arbitrary parameter bits and
+//! arbitrary corruption positions.
 
+use bytes::Bytes;
 use proptest::prelude::*;
-use vc_runtime::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use vc_ps::{Frame, FrameKind, ShardLayout, HEADER_LEN, MAX_PAYLOAD};
+use vc_runtime::checkpoint::{Checkpoint, CheckpointHeader};
 use vc_runtime::RuntimeConfig;
+use vc_tensor::codec::encode_f32s;
 
-fn build(seed: u64, snapshot: Vec<f32>, params: Vec<f32>, wall_s: f64) -> Checkpoint {
-    Checkpoint {
-        version: CHECKPOINT_VERSION,
-        cfg: RuntimeConfig::test_small(seed),
-        epoch: 1 + (seed as usize % 3),
-        snapshot,
-        params,
-        done: vec![(0, 0.25), (3, 0.5)],
-        stats: Vec::new(),
-        assimilations: seed * 7,
-        bytes_transferred: seed * 1024,
-        wall_s,
-        digest: 0,
+/// Records the largest allocation each thread makes, so a test can bound
+/// what one load allocated against the size of the file it read.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
     }
 }
 
-fn tmp_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("vc_ck_prop_{tag}_{}.json", std::process::id()))
+#[global_allocator]
+static ALLOC: LargestAlloc = LargestAlloc;
+
+/// The parameter count of [`config`]'s model.
+const PARAMS: usize = 789;
+
+/// `RuntimeConfig::test_small(seed)` with a 789-parameter model, at one
+/// to four PS shards.
+fn config(seed: u64) -> RuntimeConfig {
+    let mut cfg = RuntimeConfig::test_small(seed);
+    cfg.job.model = vc_nn::spec::mlp(&cfg.job.data.img, 1, cfg.job.data.classes);
+    cfg.job.ps_shards = 1 + seed as usize % 4;
+    assert_eq!(cfg.job.model.param_count(), PARAMS);
+    cfg
+}
+
+/// `values` cut along `cfg`'s layout into one VCP1 blob per shard.
+fn blobs(cfg: &RuntimeConfig, values: &[f32], version: u64) -> Vec<(Bytes, u64)> {
+    ShardLayout::new(values.len(), cfg.job.ps_shards)
+        .iter()
+        .map(|(i, range)| (encode_f32s(&values[range]), version + i as u64))
+        .collect()
+}
+
+fn build(seed: u64, snapshot: &[f32], params: &[f32], wall_s: f64) -> Checkpoint {
+    let cfg = config(seed);
+    Checkpoint {
+        snapshot: blobs(&cfg, snapshot, seed),
+        params: blobs(&cfg, params, seed + 3),
+        header: CheckpointHeader {
+            epoch: 1 + (seed as usize % 3),
+            done: vec![(0, 0.25), (3, 0.5)],
+            stats: Vec::new(),
+            assimilations: seed * 7,
+            bytes_transferred: seed * 1024,
+            wall_s,
+            cfg,
+        },
+    }
+}
+
+fn tmp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("vc_ck_prop_{tag}_{}.bin", std::process::id()))
+}
+
+/// The temp file a save of `path` writes before its rename: the file name
+/// with a leading dot and `.tmp` appended.
+fn temp_of(path: &Path) -> PathBuf {
+    let name = path.file_name().unwrap().to_string_lossy();
+    path.with_file_name(format!(".{name}.tmp"))
+}
+
+/// Loads `bytes` from a file and returns the result with the largest
+/// allocation the load made.
+fn load_bytes(tag: &str, bytes: &[u8]) -> (Result<Checkpoint, String>, usize) {
+    let path = tmp_path(tag);
+    std::fs::write(&path, bytes).unwrap();
+    LARGEST.with(|m| m.set(0));
+    let res = Checkpoint::load(&path);
+    let largest = LARGEST.with(|m| m.get());
+    std::fs::remove_file(&path).ok();
+    (res, largest)
+}
+
+/// A saved checkpoint cut into its parts: the 16-byte prefix, the header
+/// and the shard frames. `tag` names the file, one per test.
+fn parts(tag: &str, ck: &Checkpoint) -> (Vec<u8>, Vec<u8>, Vec<Frame>) {
+    let path = tmp_path(tag);
+    ck.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let mut rest = &bytes[16 + header_len..];
+    let mut frames = Vec::new();
+    while !rest.is_empty() {
+        let (frame, used) = Frame::decode(rest).unwrap();
+        frames.push(frame);
+        rest = &rest[used..];
+    }
+    (
+        bytes[..16].to_vec(),
+        bytes[16..16 + header_len].to_vec(),
+        frames,
+    )
+}
+
+fn join(prefix: &[u8], header: &[u8], frames: &[Frame]) -> Vec<u8> {
+    let mut out = [prefix, header].concat();
+    frames.iter().for_each(|f| f.encode_into(&mut out));
+    out
+}
+
+/// What a hostile file does to a valid checkpoint's bytes.
+#[derive(Clone, Debug)]
+enum Hostile {
+    /// The whole file is these bytes.
+    Arbitrary(Vec<u8>),
+    /// A valid magic and version, then these bytes.
+    AfterPrefix(Vec<u8>),
+    /// The header length claims this many bytes past the end.
+    HeaderPastEnd(u32),
+    /// Frame `.0` declares this many bytes over `MAX_PAYLOAD`.
+    OverMaxPayload(usize, u32),
+    /// Frame `.0` declares `MAX_PAYLOAD` less this many (up to 1 KiB)
+    /// bytes: a length the wire accepts and the file does not back.
+    PastEnd(usize, u32),
+    /// Frame `.0` is re-sealed as another kind.
+    Kind(usize, FrameKind),
+    /// Frame `.0` is re-sealed naming shard `.1`.
+    ShardId(usize, u32),
+    /// Frame `.0` is re-sealed with a blob this many values longer
+    /// (negative: shorter).
+    BlobLen(usize, i32),
+    /// Frame `.0`'s blob is re-sealed with this magic.
+    BadMagic(usize, u32),
+    /// These bytes follow the last frame.
+    Trailing(Vec<u8>),
+}
+
+/// Every [`Hostile`] change, drawn from one case's inputs.
+fn hostile(j: usize, k: u32, arbitrary: Vec<u8>, tail: Vec<u8>) -> [Hostile; 10] {
+    let kinds = [
+        FrameKind::Fetch,
+        FrameKind::FetchDone,
+        FrameKind::Error,
+        FrameKind::ShardDelta,
+    ];
+    let deltas = [-100, -2, -1, 1, 2, 1 << 20];
+    let k_usize = k as usize;
+    [
+        Hostile::Arbitrary(arbitrary.clone()),
+        Hostile::AfterPrefix(arbitrary),
+        Hostile::HeaderPastEnd(k),
+        Hostile::OverMaxPayload(j, k),
+        Hostile::PastEnd(j, k % 1024),
+        Hostile::Kind(j, kinds[k_usize % kinds.len()]),
+        Hostile::ShardId(j, k),
+        Hostile::BlobLen(j, deltas[k_usize % deltas.len()]),
+        Hostile::BadMagic(j, k),
+        Hostile::Trailing(tail),
+    ]
+}
+
+/// `ck`'s file with `h` applied.
+fn apply(ck: &Checkpoint, h: &Hostile) -> Vec<u8> {
+    let (prefix, header, mut frames) = parts("hostile_parts", ck);
+    let n = frames.len();
+    match h {
+        Hostile::Arbitrary(bytes) => return bytes.clone(),
+        Hostile::AfterPrefix(bytes) => return [&prefix[..8], bytes].concat(),
+        Hostile::HeaderPastEnd(k) => {
+            let mut file = join(&prefix, &header, &frames);
+            let past = (file.len() as u64 - 16 + u64::from(*k)).min(u64::from(u32::MAX));
+            file[8..12].copy_from_slice(&(past as u32).to_le_bytes());
+            return file;
+        }
+        Hostile::OverMaxPayload(j, k) | Hostile::PastEnd(j, k) => {
+            let mut file = join(&prefix, &header, &frames[..j % n]);
+            let max = (HEADER_LEN + MAX_PAYLOAD) as u32;
+            let len = match h {
+                Hostile::PastEnd(..) => max - k,
+                _ => max.saturating_add(*k),
+            };
+            file.extend_from_slice(&len.to_le_bytes());
+            file.extend_from_slice(&[0; 64]);
+            return file;
+        }
+        Hostile::Kind(j, kind) => frames[j % n].kind = *kind,
+        Hostile::ShardId(j, d) => {
+            let f = &mut frames[j % n];
+            f.shard_id = f.shard_id.wrapping_add(*d);
+        }
+        Hostile::BlobLen(j, d) => {
+            let f = &mut frames[j % n];
+            let len = ((f.payload.len() as i64 - 12) / 4 + i64::from(*d)).max(0);
+            f.payload = encode_f32s(&vec![0.5; len as usize]);
+        }
+        Hostile::BadMagic(j, m) => {
+            let f = &mut frames[j % n];
+            let mut payload = f.payload.to_vec();
+            if payload[..4] == m.to_le_bytes() {
+                payload[0] ^= 1;
+            } else {
+                payload[..4].copy_from_slice(&m.to_le_bytes());
+            }
+            f.payload = Bytes::from(payload);
+        }
+        Hostile::Trailing(tail) => {
+            return [join(&prefix, &header, &frames), tail.clone()].concat();
+        }
+    }
+    join(&prefix, &header, &frames)
+}
+
+/// Any f32 bit pattern, NaN payloads and subnormals included.
+fn values() -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(any::<u32>().prop_map(f32::from_bits), PARAMS)
 }
 
 proptest! {
-    /// Serialize → deserialize reproduces the checkpoint exactly — every
-    /// f32 bit pattern, counter and the digest itself.
+    /// Save → load reproduces the checkpoint exactly — every f32 bit
+    /// pattern, shard version, counter and header field.
     #[test]
     fn roundtrip_is_bit_exact(
         seed in 1u64..1000,
-        snapshot in prop::collection::vec(-1e30f32..1e30, 1..64),
+        snapshot in values(),
+        params in values(),
         wall_s in 0.0f64..1e6,
     ) {
-        // params must match snapshot's length (load enforces geometry).
-        let params: Vec<f32> = snapshot.iter().map(|v| v * 0.5 + 1e-3).collect();
-        let mut ck = build(seed, snapshot, params, wall_s);
+        let ck = build(seed, &snapshot, &params, wall_s);
         let path = tmp_path("roundtrip");
         ck.save(&path).unwrap();
         let back = Checkpoint::load(&path);
@@ -51,17 +267,16 @@ proptest! {
         prop_assert_eq!(ck, back);
     }
 
-    /// Substituting any single byte of the saved file — parameters, config,
-    /// counters, or the digest itself — makes load fail.
+    /// Substituting any single byte of the saved file — prefix, header,
+    /// frame headers, checksums or parameters — makes load fail.
     #[test]
     fn corrupting_any_byte_is_detected(
         seed in 1u64..1000,
-        snapshot in prop::collection::vec(-1e3f32..1e3, 1..32),
+        snapshot in values(),
         pos_frac in 0.0f64..1.0,
         flip in 1u8..255,
     ) {
-        let params = snapshot.clone();
-        let mut ck = build(seed, snapshot, params, 4.25);
+        let ck = build(seed, &snapshot, &snapshot, 4.25);
         let path = tmp_path("corrupt");
         ck.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -84,7 +299,7 @@ proptest! {
         seed in 1u64..1000,
         cut_frac in 0.01f64..0.99,
     ) {
-        let mut ck = build(seed, vec![0.5, -1.5], vec![0.25, -0.75], 1.0);
+        let ck = build(seed, &[0.5; PARAMS], &[-0.75; PARAMS], 1.0);
         let path = tmp_path("trunc");
         ck.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -94,22 +309,100 @@ proptest! {
         std::fs::remove_file(&path).ok();
         prop_assert!(res.is_err(), "kept {keep} of {} bytes", bytes.len());
     }
+
+    /// Hostile bytes — arbitrary files, a header length past the end, a
+    /// frame over `MAX_PAYLOAD` or past the end of the file, a re-sealed
+    /// frame of the wrong kind, shard id, blob length or VCP1 magic,
+    /// trailing bytes — are an `Err`, never a panic, and no load allocates
+    /// more than the file it read (plus a little for the header's parse).
+    #[test]
+    fn hostile_bytes_are_refused(
+        seed in 1u64..1000,
+        j in 0usize..64,
+        k in 1u32..u32::MAX,
+        arbitrary in prop::collection::vec(any::<u8>(), 0..4096),
+        tail in prop::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let ck = build(seed, &[0.5; PARAMS], &[-0.75; PARAMS], 1.0);
+        for h in hostile(j, k, arbitrary, tail) {
+            let file = apply(&ck, &h);
+            let (res, largest) = load_bytes("hostile", &file);
+            prop_assert!(res.is_err(), "{:?} loaded", h);
+            prop_assert!(
+                largest <= file.len() + (64 << 10),
+                "{:?}: a {} B allocation for a {} B file",
+                h,
+                largest,
+                file.len()
+            );
+        }
+    }
+}
+
+/// The load bound holds for a valid file too, so the hostile cases'
+/// bound is not met by failing early alone.
+#[test]
+fn a_load_allocates_no_more_than_its_file() {
+    let ck = build(5, &[0.5; PARAMS], &[-0.75; PARAMS], 1.0);
+    let (prefix, header, frames) = parts("bounded_parts", &ck);
+    let file = join(&prefix, &header, &frames);
+    let (res, largest) = load_bytes("bounded", &file);
+    assert_eq!(res.unwrap(), ck);
+    assert!(
+        largest <= file.len(),
+        "{largest} B for a {} B file",
+        file.len()
+    );
+}
+
+/// A checkpoint of the `mlp_transfer` model (1 578 506 parameters) at four
+/// PS shards is its two copies of the parameters' bytes plus at most
+/// 64 KiB: the JSON arrays it replaced took about 67 MB.
+#[test]
+fn an_mlp_transfer_checkpoint_is_its_parameter_bytes() {
+    let mut cfg = RuntimeConfig::test_small(1);
+    cfg.job.data.img = [3, 32, 32];
+    cfg.job.model = vc_nn::spec::mlp(&cfg.job.data.img, 512, cfg.job.data.classes);
+    cfg.job.ps_shards = 4;
+    let n = cfg.job.model.param_count();
+    assert_eq!(n, 1_578_506);
+    let values: Vec<f32> = (0..n).map(|i| (i as f32 * 1e-3).sin()).collect();
+    let ck = Checkpoint {
+        snapshot: blobs(&cfg, &values, 1),
+        params: blobs(&cfg, &values, 2),
+        header: CheckpointHeader {
+            epoch: 3,
+            done: (0..8).map(|s| (s, 0.5)).collect(),
+            stats: Vec::new(),
+            assimilations: 24,
+            bytes_transferred: 1 << 30,
+            wall_s: 12.0,
+            cfg,
+        },
+    };
+    let path = tmp_path("mlp_transfer_size");
+    ck.save(&path).unwrap();
+    let size = std::fs::metadata(&path).unwrap().len();
+    let back = Checkpoint::load(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(size <= 2 * 4 * n as u64 + (64 << 10), "{size} B");
+    assert_eq!(back.unwrap(), ck);
 }
 
 /// A save that fails — here the temp path cannot be created, because a
 /// directory already sits there — reports the failure and leaves the
 /// previous good checkpoint loadable; and neither a successful save nor
-/// one that fails after writing its temp file leaves a `.tmp` behind.
+/// one that fails after writing its temp file leaves a temp file behind.
 #[test]
 fn failed_save_keeps_the_previous_checkpoint() {
     let path = tmp_path("failed_save");
-    let tmp = path.with_extension("tmp");
-    let mut good = build(7, vec![0.5, -1.5], vec![0.25, -0.75], 1.0);
+    let tmp = temp_of(&path);
+    let good = build(7, &[0.5; PARAMS], &[-1.5; PARAMS], 1.0);
     good.save(&path).unwrap();
     assert!(!tmp.exists(), "a successful save left its temp file");
 
     std::fs::create_dir(&tmp).unwrap();
-    let mut newer = build(8, vec![9.0, 9.0], vec![9.0, 9.0], 2.0);
+    let newer = build(8, &[9.0; PARAMS], &[9.0; PARAMS], 2.0);
     let failed = newer.save(&path);
     std::fs::remove_dir(&tmp).unwrap();
     assert!(
@@ -127,7 +420,7 @@ fn failed_save_keeps_the_previous_checkpoint() {
     let blocked = tmp_path("blocked_rename");
     std::fs::create_dir_all(blocked.join("occupied")).unwrap();
     let failed = newer.save(&blocked);
-    let leftover = blocked.with_extension("tmp").exists();
+    let leftover = temp_of(&blocked).exists();
     std::fs::remove_dir_all(&blocked).unwrap();
     assert!(
         failed.is_err(),
