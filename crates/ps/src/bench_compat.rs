@@ -85,7 +85,7 @@ impl PsService {
     pub fn publish_snapshot(&self, epoch: u64, params: &[f32], manifest: &[u64]) {
         let blobs = self.assimilator().encode_shards(params);
         assert_eq!(manifest.len(), blobs.len(), "manifest length");
-        let shards: Vec<(Bytes, u64)> = blobs.into_iter().zip(manifest.to_vec()).collect();
+        let shards: Vec<(Bytes, u64)> = blobs.into_iter().zip(manifest.iter().copied()).collect();
         self.publish(epoch, &shards);
     }
 }
