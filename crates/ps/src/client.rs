@@ -188,13 +188,15 @@ impl PsClient for MemClient {
 /// A worker's sticky shard cache: versions held, assembled parameters, and
 /// a reused want list for the refresh path. With `Int8` attached the cache
 /// asks for delta transfer, and fetches apply quantized deltas straight
-/// onto the tracked state.
+/// onto the tracked state, undoing each delta's entropy stage into one
+/// token scratch the size of the largest shard.
 pub struct ShardCache {
     layout: ShardLayout,
     versions: Vec<u64>,
     full: Vec<f32>,
     wants: Vec<(u32, u64)>,
     codec: Codec,
+    tokens: Vec<u8>,
 }
 
 impl ShardCache {
@@ -209,12 +211,21 @@ impl ShardCache {
             full: vec![0.0; n],
             wants: Vec::with_capacity(shards),
             codec: Codec::Raw,
+            tokens: Vec::new(),
         }
     }
 
-    /// Selects the codec this cache requests shard deltas in.
+    /// Selects the codec this cache requests shard deltas in, and sizes
+    /// the token scratch deltas decode into: once, here, to the largest
+    /// shard, so applying a delta allocates nothing.
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
+        let largest = self.layout.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+        self.tokens = if codec.is_lossy() {
+            vec![0; largest]
+        } else {
+            Vec::new()
+        };
         self
     }
 
@@ -271,6 +282,7 @@ impl ShardCache {
             self.wants.push((i as u32, have));
         }
         let (layout, versions, full) = (&self.layout, &mut self.versions, &mut self.full);
+        let tokens = &mut self.tokens;
         // Frames applied, or the first one that could not be (the frames
         // after it are dropped unapplied).
         let mut applied = Ok(0usize);
@@ -286,7 +298,9 @@ impl ShardCache {
                     FrameKind::ShardDelta => {
                         let d =
                             DeltaPayload::from_frame(&f).map_err(|_| "delta frame malformed")?;
-                        if d.base != versions[i] || d.codec.add_update_to(d.blob, part).is_err() {
+                        if d.base != versions[i]
+                            || d.codec.add_update_to(d.blob, part, tokens).is_err()
+                        {
                             return Err("delta base or blob invalid");
                         }
                     }

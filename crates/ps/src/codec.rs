@@ -14,13 +14,18 @@
 //! | codec | layout | size |
 //! |-------|--------|------|
 //! | `Raw`  | VCP1 (`vc-tensor::codec`) | `12 + 4n` |
-//! | `Int8` | `[n u32][scale f32][tokens]` | `≤ 8 + n` |
+//! | `Int8` | `[n u32][scale f32][entropy-coded tokens]` | `≤ 155 + n` |
 //!
 //! `Int8` tokens are literal `i8` codes except the reserved byte `0x80`
 //! (`-128`, never produced by quantization) which escapes a zero run:
-//! `[0x80][run u16]`. Quantized deltas are mostly zeros — a weight whose
-//! update rounds below `scale/2` encodes as 0 — so run suppression is what
-//! pushes `Int8` past the 4× floor of plain byte-per-weight quantization.
+//! `[0x80][run u16]`. On trained deltas zero runs are rare — 0.2–2.5 % of
+//! the codes of an `mlp_transfer` shard delta are zero — so the tokens
+//! alone are 1.00 B per parameter, and their codes carry 4.5–7.7 bits
+//! each. The tokens therefore cross the wire through a lossless entropy
+//! stage (`entropy.rs`: a canonical Huffman code per blob, 12 bits at
+//! most, over four interleaved bitstreams), which gives back exactly the
+//! token bytes: 0.78 B per parameter on `mlp_transfer_int8`'s deltas, with
+//! every code and every decoded value as they were.
 //!
 //! ## Error feedback
 //!
@@ -53,6 +58,7 @@
 //! panic, never over-allocate beyond the declared element count already
 //! validated by the caller.
 
+use crate::entropy;
 use serde::{Deserialize, Serialize};
 use vc_tensor::codec::{read_le_values, write_le_values};
 use vc_tensor::quant::{
@@ -83,21 +89,20 @@ const INT8_BLOCK: usize = 1024;
 /// of at least [`INT8_MIN_RUN`] zeros (and at most `u16::MAX`, the longest
 /// one token can carry) become `[0x80][run u16]`, everything else goes out
 /// as literal bytes. A run may span blocks; [`finish`](Self::finish) emits
-/// the one still open.
-struct Int8TokenWriter<'a> {
-    out: &'a mut Vec<u8>,
+/// the one still open and returns the tokens.
+struct Int8TokenWriter {
+    out: Vec<u8>,
     zeros: usize,
 }
 
-impl<'a> Int8TokenWriter<'a> {
-    /// Appends the blob header — `[n u32][scale f32]` — to `out`, sized for
-    /// the worst case, and returns the writer of the tokens that follow.
-    fn begin(out: &'a mut Vec<u8>, n: usize, scale: f32) -> Self {
-        assert!(n <= u32::MAX as usize, "update too large for wire header");
-        out.reserve(8 + n);
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        out.extend_from_slice(&scale.to_le_bytes());
-        Int8TokenWriter { out, zeros: 0 }
+impl Int8TokenWriter {
+    /// The writer of the tokens of `n` codes, sized for the worst case: a
+    /// byte per code.
+    fn new(n: usize) -> Self {
+        Int8TokenWriter {
+            out: Vec::with_capacity(n),
+            zeros: 0,
+        }
     }
 
     fn push(&mut self, mut codes: &[i8]) {
@@ -132,8 +137,9 @@ impl<'a> Int8TokenWriter<'a> {
         self.zeros = 0;
     }
 
-    fn finish(mut self) {
+    fn finish(mut self) -> Vec<u8> {
         self.flush_zeros();
+        self.out
     }
 }
 
@@ -217,10 +223,19 @@ fn find_escape(bytes: &[u8]) -> Option<usize> {
         .map(|p| at + p)
 }
 
+/// Appends the Int8 blob of `n` codes at `scale`, folded into `tokens`,
+/// to `out`: the header, then the tokens through the entropy stage.
+fn write_int8_blob(n: usize, scale: f32, tokens: &[u8], out: &mut Vec<u8>) {
+    assert!(n <= u32::MAX as usize, "update too large for wire header");
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    out.extend_from_slice(&scale.to_le_bytes());
+    entropy::encode(tokens, out);
+}
+
 /// Checks an Int8 blob's header against the `n` elements the caller
-/// expects — before anything is sized by the count it declares — and
-/// returns its scale and token stream.
-fn int8_parse(blob: &[u8], n: usize) -> Result<(f32, Int8Tokens<'_>), &'static str> {
+/// expects — its token count too, at most `n` — before anything is sized
+/// by a count it declares, and returns its scale and coded token stream.
+fn int8_parse(blob: &[u8], n: usize) -> Result<(f32, entropy::Coded<'_>), &'static str> {
     let Some((header, body)) = blob.split_first_chunk::<8>() else {
         return Err("int8 blob truncated");
     };
@@ -232,12 +247,25 @@ fn int8_parse(blob: &[u8], n: usize) -> Result<(f32, Int8Tokens<'_>), &'static s
     if !scale.is_finite() {
         return Err("int8 scale not finite");
     }
-    let tokens = Int8Tokens {
-        bytes: body,
+    Ok((scale, entropy::parse(body, n)?))
+}
+
+/// Decodes `coded` into `scratch` and returns the walk of its tokens over
+/// `n` elements.
+fn int8_tokens<'a>(
+    coded: &entropy::Coded<'_>,
+    scratch: &'a mut [u8],
+    n: usize,
+) -> Result<Int8Tokens<'a>, &'static str> {
+    let Some(bytes) = scratch.get_mut(..coded.tokens()) else {
+        return Err("int8 token count exceeds the scratch");
+    };
+    coded.decode(bytes)?;
+    Ok(Int8Tokens {
+        bytes,
         emitted: 0,
         n,
-    };
-    Ok((scale, tokens))
+    })
 }
 
 /// How a parameter update crosses the wire: `Raw` is the paper's
@@ -249,8 +277,8 @@ pub enum Codec {
     /// Full-precision VCP1 blobs; byte-identical to the pre-codec protocol.
     #[default]
     Raw,
-    /// Symmetric int8 with zero-run suppression: ≥4× smaller on update
-    /// deltas.
+    /// Symmetric int8 with zero-run suppression, entropy-coded: about
+    /// 0.8 B per parameter on trained deltas.
     Int8 {
         /// Keep a residual so quantization error feeds the next update.
         error_feedback: bool,
@@ -258,12 +286,13 @@ pub enum Codec {
 }
 
 impl Codec {
-    /// Stable wire identifier. Ids are never reused: ids 1 and 3 are
-    /// retired (DESIGN §12a) and a new codec would append.
+    /// Stable wire identifier. Ids are never reused: ids 1, 2 and 3 are
+    /// retired (DESIGN §12a; 2 was Int8 before its entropy stage) and a new
+    /// codec or blob format appends.
     pub(crate) fn id(self) -> u8 {
         match self {
             Codec::Raw => 0,
-            Codec::Int8 { .. } => 2,
+            Codec::Int8 { .. } => 4,
         }
     }
 
@@ -282,11 +311,13 @@ impl Codec {
     /// Worst-case encoded size of one `n`-element update under this codec.
     /// Used both to size scratch buffers and as the modeled upload cost in
     /// the coordinator's byte accounting (`Raw` matches the legacy VCP1
-    /// size exactly).
+    /// size exactly). `Int8`'s is the 8-byte header, the entropy stage's
+    /// 144-byte header (token count, code-length table, stream sizes),
+    /// a byte per element and the first three streams' partial last bytes.
     pub fn blob_len(self, n: usize) -> usize {
         match self {
             Codec::Raw => vc_tensor::codec::encoded_len(n),
-            Codec::Int8 { .. } => 8 + n,
+            Codec::Int8 { .. } => 8 + entropy::coded_len_max(n),
         }
     }
 
@@ -322,7 +353,7 @@ impl Codec {
         assert_eq!(desc.len(), DESC_LEN, "descriptor must be exactly 6 bytes");
         match desc[0] {
             0 => Ok(Codec::Raw),
-            2 => Ok(Codec::Int8 {
+            4 => Ok(Codec::Int8 {
                 error_feedback: desc[1] & FLAG_ERROR_FEEDBACK != 0,
             }),
             id => Err(id),
@@ -338,25 +369,25 @@ impl Codec {
             Codec::Int8 { .. } => {
                 let scale = int8_scale(x);
                 // Quantize a block at a time and fold zero runs over its
-                // bytes, so the steady-state path never allocates beyond
-                // `out`'s retained capacity.
-                let mut tokens = Int8TokenWriter::begin(out, x.len(), scale);
+                // bytes into one token buffer, then code that.
+                let mut writer = Int8TokenWriter::new(x.len());
                 let mut codes = [0i8; INT8_BLOCK];
                 for block in x.chunks(INT8_BLOCK) {
                     let codes = &mut codes[..block.len()];
                     int8_quantize_slice(block, scale, codes);
-                    tokens.push(codes);
+                    writer.push(codes);
                 }
-                tokens.finish();
+                write_int8_blob(x.len(), scale, &writer.finish(), out);
             }
         }
     }
 
     /// Decode an update blob into `out`, replacing what it held with the
     /// `n` decoded elements. `n` is the shard length the *caller* expects —
-    /// a blob declaring any other element count is rejected before any
-    /// allocation happens, so a hostile length field cannot balloon memory.
-    /// On error `out` is left empty.
+    /// a blob declaring any other element count, or more than `n` token
+    /// bytes, is rejected before any allocation happens, so a hostile
+    /// length field cannot balloon memory: the one scratch, the token
+    /// bytes, is at most `n` long. On error `out` is left empty.
     pub fn decode_update_into(
         self,
         blob: &[u8],
@@ -372,7 +403,10 @@ impl Codec {
                 Ok(())
             }
             Codec::Int8 { .. } => {
-                let (scale, mut tokens) = int8_parse(blob, n)?;
+                let (scale, coded) = int8_parse(blob, n)?;
+                // Sized by the token count, which the parse held to `n`.
+                let mut scratch = vec![0u8; coded.tokens()];
+                let mut tokens = int8_tokens(&coded, &mut scratch, n)?;
                 // Every element is written below, so what a reused `out`
                 // still holds needs no clearing first.
                 out.resize(n, 0.0);
@@ -398,15 +432,23 @@ impl Codec {
     /// `dst[i] += y[i]` for the `y`
     /// [`decode_update_into`](Self::decode_update_into) would produce,
     /// element for element. All or nothing — `dst` is untouched unless the
-    /// whole token stream is valid for `dst.len()` elements; it is
-    /// validated first and then dequantize-added in place, so nothing is
-    /// allocated. A `Raw` blob is a shard's values, not an update to them,
-    /// and is an error.
-    pub fn add_update_to(self, blob: &[u8], dst: &mut [f32]) -> Result<(), &'static str> {
+    /// whole blob is valid for `dst.len()` elements: the entropy stage is
+    /// undone into `scratch` (the caller's, at least `dst.len()` bytes: a
+    /// blob's token count is checked against `dst.len()` first), the token
+    /// stream validated, and only then dequantize-added in place, so
+    /// nothing is allocated. A `Raw` blob is a shard's values, not an
+    /// update to them, and is an error.
+    pub fn add_update_to(
+        self,
+        blob: &[u8],
+        dst: &mut [f32],
+        scratch: &mut [u8],
+    ) -> Result<(), &'static str> {
         let Codec::Int8 { .. } = self else {
             return Err("a raw blob is not a delta");
         };
-        let (scale, mut tokens) = int8_parse(blob, dst.len())?;
+        let (scale, coded) = int8_parse(blob, dst.len())?;
+        let mut tokens = int8_tokens(&coded, scratch, dst.len())?;
         let mut check = tokens.clone();
         while check.next()?.is_some() {}
         while let Some((at, token)) = tokens.next().expect("validated above") {
@@ -476,23 +518,29 @@ pub fn apply_update_roundtrip(
 /// blob) — it *is* the reference — and `values` the shard's new
 /// full-precision values, as the VCP1 blob the store holds them in. The
 /// update `values − reference` is appended to `blob` as an `Int8` blob, and
-/// the returned VCP1 blob holds `reference + decode(update)`: the next
-/// `Shard` payload, and exactly what a worker that applies the update to
-/// its copy of `prev` ends up with.
+/// `next` — a VCP1 blob of the shard's length (`zeroed_blob`), the
+/// caller's — receives `reference + decode(update)`: the next `Shard`
+/// payload, and exactly what a worker that applies the update to its copy
+/// of `prev` ends up with.
 ///
 /// Two passes over the shard, a block at a time — the scale of the update
 /// (the largest of the blocks' scales: dividing by 127 is monotonic), then
 /// [`int8_delta_roundtrip`] writing the advanced reference into the new
 /// payload while the block's codes fold into tokens — reading both blobs
 /// through stack blocks and keeping nothing shard-sized besides the two
-/// payloads, and giving the bits of the compose-from-primitives sequence
-/// `tests/codec_props.rs` keeps as the oracle.
-pub(crate) fn advance_reference(values: &[u8], prev: &[u8], blob: &mut Vec<u8>) -> Vec<u8> {
+/// payloads and the token bytes, and giving the bits of the
+/// compose-from-primitives sequence `tests/codec_props.rs` keeps as the
+/// oracle.
+pub(crate) fn advance_reference(values: &[u8], prev: &[u8], blob: &mut Vec<u8>, next: &mut [u8]) {
     let values = vc_tensor::codec::value_bytes(values).expect("own shard blobs are valid");
     let prev = vc_tensor::codec::value_bytes(prev).expect("own shard blobs are valid");
     assert_eq!(prev.len(), values.len(), "reference length");
     let n = values.len() / 4;
-    let mut next = vc_tensor::codec::zeroed_blob(n);
+    assert_eq!(
+        next.len(),
+        vc_tensor::codec::encoded_len(n),
+        "next payload length"
+    );
     let next_values = &mut next[vc_tensor::codec::HEADER_LEN..];
     let (mut base, mut cur) = ([0.0f32; INT8_BLOCK], [0.0f32; INT8_BLOCK]);
     let mut codes = [0i8; INT8_BLOCK];
@@ -506,7 +554,7 @@ pub(crate) fn advance_reference(values: &[u8], prev: &[u8], blob: &mut Vec<u8>) 
         read_le_values(v, cur);
         scale = scale.max(int8_delta_scale(cur, base, None));
     }
-    let mut tokens = Int8TokenWriter::begin(blob, n, scale);
+    let mut writer = Int8TokenWriter::new(n);
     let blocks = values
         .chunks(4 * INT8_BLOCK)
         .zip(prev.chunks(4 * INT8_BLOCK))
@@ -518,10 +566,9 @@ pub(crate) fn advance_reference(values: &[u8], prev: &[u8], blob: &mut Vec<u8>) 
         read_le_values(v, cur);
         int8_delta_roundtrip(base, cur, None, scale, Some(codes));
         write_le_values(cur, next);
-        tokens.push(codes);
+        writer.push(codes);
     }
-    tokens.finish();
-    next
+    write_int8_blob(n, scale, &writer.finish(), blob);
 }
 
 #[cfg(test)]
@@ -580,7 +627,7 @@ mod tests {
             assert_eq!(Codec::read_desc(&d), Ok(codec));
         }
         // Unassigned and retired ids alike.
-        for id in [1, 3, 9] {
+        for id in [1, 2, 3, 9] {
             assert_eq!(Codec::read_desc(&[id, 1, 0, 0, 0, 0]), Err(id));
         }
     }
@@ -635,12 +682,10 @@ mod tests {
         }
         // Wrong expected length.
         assert!(codec.decode_update_into(&blob, 63, &mut out).is_err());
-        // Oversize run.
+        // Oversize run, validly coded.
         let mut evil = Vec::new();
-        evil.extend_from_slice(&64u32.to_le_bytes());
-        evil.extend_from_slice(&1.0f32.to_le_bytes());
-        evil.push(INT8_ZERO_ESCAPE);
-        evil.extend_from_slice(&u16::MAX.to_le_bytes());
+        let run = [INT8_ZERO_ESCAPE, 0xFF, 0xFF];
+        write_int8_blob(64, 1.0, &run, &mut evil);
         assert!(codec.decode_update_into(&evil, 64, &mut out).is_err());
         assert!(out.is_empty(), "failed decode leaves out empty");
     }

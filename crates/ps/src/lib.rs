@@ -36,6 +36,7 @@
 mod bench_compat;
 pub mod client;
 pub mod codec;
+mod entropy;
 pub mod merge;
 pub mod service;
 pub mod shard;

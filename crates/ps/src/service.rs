@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 use vc_telemetry::{Counter, Histogram, Registry, Telemetry};
-use vc_tensor::codec::encoded_len;
+use vc_tensor::codec::{encoded_len, zeroed_blob};
 
 /// Counter: fetch requests served.
 pub const PS_FETCHES: &str = "ps_fetches";
@@ -82,6 +82,35 @@ pub fn shard_frame(i: usize, version: u64, payload: Bytes) -> SealedFrame {
         payload,
     }
     .into()
+}
+
+/// `f` of each of `items`, in order. The items are cut into contiguous
+/// runs, one per core the host has (at most one per item): the calling
+/// thread takes the first run and a scoped thread each other one, at the
+/// caller's kernel tier cap. `f` must not depend on which thread runs it.
+fn map_on_cores<T: Send, R: Send>(items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(items.len());
+    if threads < 2 {
+        return items.iter_mut().map(f).collect();
+    }
+    let cap = vc_tensor::isa::tier_cap();
+    let f = &f;
+    let run = move |run: &mut [T]| run.iter_mut().map(f).collect::<Vec<R>>();
+    let per = items.len().div_ceil(threads);
+    let mut runs = items.chunks_mut(per);
+    let first = runs.next().expect("at least two items");
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = runs
+            .map(|r| s.spawn(move || vc_tensor::isa::with_tier_cap(cap, || run(r))))
+            .collect();
+        let mut out = run(first);
+        for h in helpers {
+            out.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        out
+    })
 }
 
 struct PsInstruments {
@@ -223,8 +252,10 @@ impl PsService {
     /// pass (`advance_reference`) from the old payload and the new blob
     /// to the new payload and the delta's, both written where they will be
     /// served from, and a shard that did not move re-uses its sealed frame
-    /// as it stands. The first publish is always exact (there is no base
-    /// to delta against).
+    /// as it stands. The moved shards are advanced on the host's cores —
+    /// the calling thread and scoped helpers — since each shard's delta,
+    /// entropy stage included, depends on its own blobs alone. The first
+    /// publish is always exact (there is no base to delta against).
     pub fn publish(&self, epoch: u64, shards: &[(Bytes, u64)]) {
         let layout = self.assim.layout();
         assert_eq!(shards.len(), layout.shards(), "one blob per shard");
@@ -256,34 +287,43 @@ impl PsService {
         let frames: Vec<SealedFrame> = if latest.is_empty() {
             shards.iter().enumerate().map(exact).collect()
         } else {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(i, (blob, version))| {
-                    let prev = &latest[i];
-                    if *version == prev.version {
-                        return prev.clone();
-                    }
+            let prev = &latest[..];
+            // A moved shard's payloads are allocated here, on the publishing
+            // thread, so that the snapshot frames built from them live in
+            // its heap and not in a helper thread's arena.
+            let mut moved: Vec<(usize, Vec<u8>, Vec<u8>)> = (0..shards.len())
+                .filter(|&i| shards[i].1 != prev[i].version)
+                .map(|i| {
                     let worst = DeltaPayload::PREFIX_LEN + self.codec.blob_len(layout.len(i));
                     let mut delta = Vec::with_capacity(worst);
-                    DeltaPayload::write_prefix(prev.version, self.codec, &mut delta);
-                    let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
-                    let next = advance_reference(blob, &prev.payload, &mut delta);
-                    if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
-                        ins.encode_s.observe(ins.tel.now_s() - t0);
-                    }
-                    delta.shrink_to_fit();
-                    let delta = Frame {
-                        kind: FrameKind::ShardDelta,
-                        shard_id: i as u32,
-                        version: *version,
-                        payload: Bytes::from(delta),
-                    };
-                    deltas[i] = Some(delta.into());
-                    base_manifest[i] = prev.version;
-                    shard_frame(i, *version, Bytes::from(next))
+                    DeltaPayload::write_prefix(prev[i].version, self.codec, &mut delta);
+                    (i, delta, zeroed_blob(layout.len(i)))
                 })
-                .collect()
+                .collect();
+            let advanced = map_on_cores(&mut moved, |(i, delta, next)| {
+                let (i, (blob, version)) = (*i, &shards[*i]);
+                let t0 = self.instruments.as_ref().map(|ins| ins.tel.now_s());
+                advance_reference(blob, &prev[i].payload, delta, next);
+                if let (Some(t0), Some(ins)) = (t0, self.instruments.as_ref()) {
+                    ins.encode_s.observe(ins.tel.now_s() - t0);
+                }
+                delta.shrink_to_fit();
+                let delta = Frame {
+                    kind: FrameKind::ShardDelta,
+                    shard_id: i as u32,
+                    version: *version,
+                    payload: Bytes::from(std::mem::take(delta)),
+                };
+                let next = Bytes::from(std::mem::take(next));
+                (shard_frame(i, *version, next), delta.into())
+            });
+            let mut frames = latest.clone();
+            for (&(i, ..), (shard, delta)) in moved.iter().zip(advanced) {
+                deltas[i] = Some(delta);
+                base_manifest[i] = frames[i].version;
+                frames[i] = shard;
+            }
+            frames
         };
         latest.clone_from(&frames);
         self.snapshots.write().insert(

@@ -391,7 +391,7 @@ mod tests {
         assert_eq!(bits(got), bits(&want));
     }
 
-    /// Codec ids 1 and 3 are retired (DESIGN §12a): a fetch naming one is
+    /// Codec ids 1, 2 and 3 are retired (DESIGN §12a): a fetch naming one is
     /// refused with the structured code, costs the connection nothing, and
     /// ships no shard.
     #[test]
@@ -410,7 +410,7 @@ mod tests {
             codec: int8,
         }
         .to_frame();
-        for id in [1u8, 3] {
+        for id in [1u8, 2, 3] {
             let mut retired = valid.clone();
             let mut payload = retired.payload.to_vec();
             let desc = payload.len() - crate::codec::DESC_LEN;

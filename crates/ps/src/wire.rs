@@ -764,8 +764,8 @@ mod tests {
             },
         }
         .to_frame();
-        // An unassigned id and the two retired ones.
-        for id in [200, 1, 3] {
+        // An unassigned id and the three retired ones.
+        for id in [200, 1, 2, 3] {
             let mut bytes = frame.payload.to_vec();
             bytes[4 + 12] = id;
             frame.payload = Bytes::from(bytes);

@@ -7,11 +7,14 @@
 //! the block-wise Int8 encoder to the per-element one it replaced, and the
 //! service's fused publish to the compose-from-primitives sequence it
 //! replaced — `Shard` and `ShardDelta` frames byte for byte, on the AVX2
-//! and the portable kernel bodies.
+//! and the portable kernel bodies. Token streams are compared with the
+//! entropy stage undone by [`undo_entropy`], a bit-at-a-time decoder
+//! written from the blob layout alone.
 //! Plain #[test]s at the bottom hold a worker's cache still — bit for bit
 //! and without an allocation — under every delta frame that must not apply.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 use vc_asgd::AlphaSchedule;
 use vc_kvstore::{Consistency, VersionedStore};
@@ -75,6 +78,78 @@ fn encode_delta(
         }
     }
     Ok(())
+}
+
+/// An Int8 blob's `[n u32][scale f32]` header and its token bytes, with
+/// the entropy stage undone from the layout in DESIGN §12a — canonical
+/// codes rebuilt from the length table, each stream read a bit at a time
+/// — independently of the library's table-driven decoder. Panics on a
+/// blob that does not follow the layout.
+fn undo_entropy(blob: &[u8]) -> ([u8; 8], Vec<u8>) {
+    let word = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap()) as usize;
+    let header: [u8; 8] = blob[..8].try_into().unwrap();
+    let t = word(8);
+    let lengths: Vec<u8> = blob[12..140]
+        .iter()
+        .flat_map(|b| [b & 0xf, b >> 4])
+        .collect();
+    let mut order: Vec<usize> = (0..256).filter(|&s| lengths[s] > 0).collect();
+    order.sort_by_key(|&s| (lengths[s], s));
+    let (mut code, mut len, mut codes) = (0u32, 0u8, HashMap::new());
+    for s in order {
+        code <<= lengths[s] - len;
+        len = lengths[s];
+        codes.insert((len, code), s as u8);
+        code += 1;
+    }
+    let sizes = [word(140), word(144), word(148)];
+    let mut at = 152;
+    let mut streams = Vec::new();
+    for size in sizes {
+        streams.push(&blob[at..at + size]);
+        at += size;
+    }
+    streams.push(&blob[at..]);
+    let seg = t.div_ceil(4);
+    let mut tokens = Vec::with_capacity(t);
+    for (k, stream) in streams.into_iter().enumerate() {
+        let count = ((k + 1) * seg).min(t) - (k * seg).min(t);
+        let bit = |i: usize| u32::from(stream[i / 8] >> (7 - i % 8) & 1);
+        let mut i = 0;
+        for _ in 0..count {
+            let (mut code, mut len) = (0u32, 0u8);
+            let s = loop {
+                code = code << 1 | bit(i);
+                i += 1;
+                len += 1;
+                assert!(len <= 12, "no code matches");
+                if let Some(&s) = codes.get(&(len, code)) {
+                    break s;
+                }
+            };
+            tokens.push(s);
+        }
+        assert_eq!(stream.len(), i.div_ceil(8), "stream {k} length");
+        assert!((i..stream.len() * 8).all(|i| bit(i) == 0), "padding");
+    }
+    (header, tokens)
+}
+
+/// An Int8 blob under the flat code — every byte value 8 bits long, so
+/// each value is its own code and the four streams are the token bytes
+/// cut in four — carrying whatever `tokens` a test hands it.
+fn flat_coded(n: u32, scale: f32, tokens: &[u8]) -> Vec<u8> {
+    let mut blob = n.to_le_bytes().to_vec();
+    blob.extend_from_slice(&scale.to_le_bytes());
+    blob.extend_from_slice(&(tokens.len() as u32).to_le_bytes());
+    blob.extend_from_slice(&[0x88; 128]);
+    let seg = tokens.len().div_ceil(4);
+    for k in 0..3 {
+        let size = ((k + 1) * seg).min(tokens.len()) - (k * seg).min(tokens.len());
+        blob.extend_from_slice(&(size as u32).to_le_bytes());
+    }
+    blob.extend_from_slice(tokens);
+    blob
 }
 
 fn arb_codec() -> impl Strategy<Value = Codec> {
@@ -459,7 +534,8 @@ fn int8_quantize_one(x: f32, inv: f32) -> i8 {
 }
 
 /// The Int8 encoder `Codec::encode_update` replaced: one `roundf`-defined
-/// code at a time, each zero run found by looking ahead.
+/// code at a time, each zero run found by looking ahead. It writes the
+/// header and the token bytes as they were before the entropy stage.
 fn encode_int8_per_element(x: &[f32], out: &mut Vec<u8>) {
     out.clear();
     let n = x.len();
@@ -535,14 +611,19 @@ fn block_wise_int8_encoder_matches_the_per_element_encoder() {
             } else {
                 codec.encode_update(&x, &mut blob);
             }
-            assert!(blob == want, "n {} portable {portable}", x.len());
+            let (header, tokens) = undo_entropy(&blob);
+            assert!(header == want[..8], "n {} portable {portable}", x.len());
+            assert!(tokens == want[8..], "n {} portable {portable}", x.len());
         }
         // And the blob decodes, and applies in place, to the same update.
         let (mut y, mut acc) = (Vec::new(), vec![-0.0f32; x.len()]);
         codec
             .decode_update_into(&blob, x.len(), &mut y)
             .expect("own blob decodes");
-        codec.add_update_to(&blob, &mut acc).expect("own blob adds");
+        let mut scratch = vec![0u8; x.len()];
+        codec
+            .add_update_to(&blob, &mut acc, &mut scratch)
+            .expect("own blob adds");
         for (a, y) in acc.iter().zip(&y) {
             assert_eq!(a.to_bits(), (-0.0f32 + y).to_bits());
         }
@@ -564,7 +645,9 @@ proptest! {
         let (mut blob, mut want) = (Vec::new(), Vec::new());
         encode_int8_per_element(&x, &mut want);
         Codec::Int8 { error_feedback: true }.encode_update(&x, &mut blob);
-        prop_assert!(blob == want);
+        let (header, tokens) = undo_entropy(&blob);
+        prop_assert!(header == want[..8]);
+        prop_assert!(tokens == want[8..]);
     }
 }
 
@@ -666,9 +749,11 @@ impl ComposedPublisher {
 /// Publishes eight epochs — every shard moving, some, one, none — through
 /// the service and through [`ComposedPublisher`], and holds every `Shard`
 /// and `ShardDelta` frame the service then serves to the oracle's, sealed
-/// checksum included. The update moves in stretches of `stretch` elements
-/// (dense, near-zero, zero) with an outlier every `outlier_every`; returns
-/// whether some delta carried a maximal `[0x80][0xFFFF]` zero run.
+/// checksum included — the delta's token stream first, with the entropy
+/// stage undone, then the whole frame. The update moves in stretches of
+/// `stretch` elements (dense, near-zero, zero) with an outlier every
+/// `outlier_every`; returns whether some delta carried a maximal
+/// `[0x80][0xFFFF]` zero run.
 fn assert_fused_publish_matches_composed(
     codec: Codec,
     n: usize,
@@ -727,13 +812,25 @@ fn assert_fused_publish_matches_composed(
         let tracking = (0..shards as u32).zip(before).collect();
         let got_deltas = fetch_frames(&svc, epoch, tracking, codec);
         let want_deltas: Vec<SealedFrame> = want_deltas.into_iter().flatten().collect();
+        let tokens = |frames: &[SealedFrame]| -> Vec<([u8; 8], Vec<u8>)> {
+            let prefix = DeltaPayload::PREFIX_LEN;
+            frames
+                .iter()
+                .map(|f| undo_entropy(&f.payload[prefix..]))
+                .collect()
+        };
+        let got_tokens = tokens(&got_deltas);
+        assert!(
+            got_tokens == tokens(&want_deltas),
+            "{codec:?} step {step}: delta token streams"
+        );
         assert!(
             got_deltas == want_deltas,
             "{codec:?} step {step}: delta frames"
         );
-        saw_max_run |= got_deltas
+        saw_max_run |= got_tokens
             .iter()
-            .any(|f| f.payload.windows(3).any(|w| w == [0x80, 0xFF, 0xFF]));
+            .any(|(_, t)| t.windows(3).any(|w| w == [0x80, 0xFF, 0xFF]));
         if step > 0 {
             let moved_shards = (0..shards).filter(|i| moved >> i & 1 == 1).count();
             assert_eq!(got_deltas.len(), moved_shards, "{codec:?} step {step}");
@@ -786,10 +883,11 @@ impl PsClient for Replay {
     }
 }
 
-/// A delta that does not apply — truncated run, overlong, short, wrong
-/// base, non-finite scale, wrong count, or a descriptor that does not say
-/// `Int8` — leaves the cache exactly as it was, even when it arrives after
-/// a frame that did apply to another shard's range.
+/// A delta that does not apply — wrong base, a truncated or overlong
+/// coded stream, tokens that are truncated, overlong or short, a run past
+/// the end, non-finite scale, wrong count, or a descriptor that does not
+/// say `Int8` — leaves the cache exactly as it was, even when it arrives
+/// after a frame that did apply to another shard's range.
 #[test]
 fn hostile_delta_leaves_the_cache_untouched() {
     let codec = Codec::Int8 {
@@ -811,22 +909,33 @@ fn hostile_delta_leaves_the_cache_untouched() {
         .collect();
     let mut good = Vec::new();
     codec.encode_update(&update, &mut good);
-    assert!(good.contains(&0x80), "the blob must carry a zero run");
+    let (header, tokens) = undo_entropy(&good);
+    assert!(tokens.contains(&0x80), "the blob must carry a zero run");
+    let scale = f32::from_le_bytes(header[4..].try_into().unwrap());
     let with_blob = |base: u64, blob: &[u8]| DeltaPayload { base, codec, blob }.to_frame(1, 2);
+    let with_tokens = |tokens: &[u8]| with_blob(1, &flat_coded(32, scale, tokens));
     let mut hostile = vec![
         ("wrong base", with_blob(7, &good)),
-        ("run cut short", with_blob(1, &good[..good.len() - 1])),
-        ("short of n", with_blob(1, &good[..9])),
+        (
+            "coded stream cut short",
+            with_blob(1, &good[..good.len() - 1]),
+        ),
+        ("header cut short", with_blob(1, &good[..9])),
+        (
+            "tokens short of n",
+            with_tokens(&tokens[..tokens.len() - 1]),
+        ),
+        ("run past the end", with_tokens(&[0x80, 33, 0])),
     ];
     let mut overlong = good.clone();
     overlong.push(5);
-    hostile.push(("overlong", with_blob(1, &overlong)));
-    let mut escape_at_end = good.clone();
+    hostile.push(("coded stream overlong", with_blob(1, &overlong)));
+    let mut overlong = tokens.clone();
+    overlong.push(5);
+    hostile.push(("tokens overlong", with_tokens(&overlong)));
+    let mut escape_at_end = tokens.clone();
     escape_at_end.extend_from_slice(&[0x80, 1]);
-    hostile.push(("escape truncated", with_blob(1, &escape_at_end)));
-    let mut long_run = good[..8].to_vec();
-    long_run.extend_from_slice(&[0x80, 33, 0]);
-    hostile.push(("run past the end", with_blob(1, &long_run)));
+    hostile.push(("escape truncated", with_tokens(&escape_at_end)));
     let mut nan_scale = good.clone();
     nan_scale[4..8].copy_from_slice(&f32::NAN.to_le_bytes());
     hostile.push(("scale not finite", with_blob(1, &nan_scale)));
@@ -835,8 +944,9 @@ fn hostile_delta_leaves_the_cache_untouched() {
     hostile.push(("wrong count", with_blob(1, &wrong_count)));
     // Descriptors that are not `Int8`, each over a blob its own decoder
     // would have taken: a `Raw` frame holds a shard's values, not an update
-    // to them, and ids 1 and 3 are retired (DESIGN §12a) — 32 binary16
-    // ones, and one `(index, value)` pair of 32.
+    // to them, and ids 1, 2 and 3 are retired (DESIGN §12a) — 32 binary16
+    // ones, the update's tokens uncoded, and one `(index, value)` pair of
+    // 32.
     let with_desc = |desc: [u8; 6], blob: &[u8]| {
         let mut f = with_blob(1, blob);
         let mut payload = f.payload.to_vec();
@@ -848,6 +958,8 @@ fn hostile_delta_leaves_the_cache_untouched() {
     let mut halves = 32u32.to_le_bytes().to_vec();
     halves.extend(std::iter::repeat_n([0x00, 0x3c], 32).flatten());
     hostile.push(("retired id 1", with_desc([1, 0, 0, 0, 0, 0], &halves)));
+    let uncoded = [&header[..], &tokens].concat();
+    hostile.push(("retired id 2", with_desc([2, 1, 0, 0, 0, 0], &uncoded)));
     let pair: Vec<u8> = [32u32, 1, 0, 1.0f32.to_bits()]
         .iter()
         .flat_map(|w| w.to_le_bytes())
@@ -872,7 +984,7 @@ fn hostile_delta_leaves_the_cache_untouched() {
     // The untampered delta does apply, so the rejections above were about
     // the bytes, not the set-up — whatever the descriptor's four reserved
     // bytes hold.
-    let frames = vec![with_desc([2, 1, 0xEF, 0xBE, 0xAD, 0xDE], &good)];
+    let frames = vec![with_desc([4, 1, 0xEF, 0xBE, 0xAD, 0xDE], &good)];
     let got = cache
         .sync(2, &[1, 2], &mut Replay { frames })
         .expect("valid delta");

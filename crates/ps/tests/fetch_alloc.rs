@@ -201,7 +201,7 @@ fn warm_int8_delta_sync_does_not_allocate() {
 }
 
 /// A `ShardDelta` frame whose descriptor does not say `Int8` — `Raw`, or
-/// one of the retired ids 1 and 3 — is refused on its descriptor: no
+/// one of the retired ids 1, 2 and 3 — is refused on its descriptor: no
 /// shard-sized scratch vector is decoded first, nothing touches the heap.
 #[test]
 fn rejected_delta_descriptors_do_not_allocate() {
@@ -252,13 +252,25 @@ fn rejected_delta_descriptors_do_not_allocate() {
         .sync(1, &[1], &mut MemClient::new(svc.clone()))
         .expect("cold sync");
 
-    // A well-formed full-length blob under each descriptor.
+    // A well-formed full-length blob under each descriptor: values under
+    // `Raw` (and the retired 1 and 3), and under the retired 2 a blob of
+    // the Int8 format it named, `[n u32][scale f32]` and a literal token
+    // per element.
     let raw_blob = vc_tensor::codec::encode_f32s(&params);
-    for desc in [[0u8; 6], [1, 0, 0, 0, 0, 0], [3, 0, 1, 0, 0, 0]] {
+    let mut uncoded = (n as u32).to_le_bytes().to_vec();
+    uncoded.extend_from_slice(&1.0f32.to_le_bytes());
+    uncoded.extend(std::iter::repeat_n(1u8, n));
+    let descs = [
+        ([0u8; 6], &raw_blob[..]),
+        ([1, 0, 0, 0, 0, 0], &raw_blob[..]),
+        ([2, 1, 0, 0, 0, 0], &uncoded[..]),
+        ([3, 0, 1, 0, 0, 0], &raw_blob[..]),
+    ];
+    for (desc, blob) in descs {
         let mut frame = DeltaPayload {
             base: 1,
             codec,
-            blob: &raw_blob,
+            blob,
         }
         .to_frame(0, 2);
         let mut payload = frame.payload.to_vec();
